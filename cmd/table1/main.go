@@ -35,7 +35,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Println("Table 1: query performance (reconstructed columns; see EXPERIMENTS.md)")
+	fmt.Println("Table 1: query performance (reconstructed columns; see bench/EXPERIMENTS.md)")
 	fmt.Printf("%-5s %-12s %-10s %-10s %-12s %-10s\n",
 		"Query", "Exec time", "CPU [%]", "I/O [MB/s]", "CPU meas.", "UDF calls")
 	for _, m := range ms {

@@ -43,13 +43,13 @@ var pinAcquire = []struct {
 }{
 	{"pages", "BufferPool", "Fetch"},
 	{"pages", "BufferPool", "NewPage"},
+	{"pages", "Snapshot", "Fetch"},
 	{"blob", "Store", "View"},
-	{"blob", "Store", "ReadRunsPinned"},
-	{"engine", "Table", "ViewBlob"},
-	{"engine", "Table", "ReadBlobRunsPinned"},
 	{"engine", "Table", "Cursor"},
 	{"engine", "Table", "CursorFrom"},
 	{"engine", "Table", "CursorRange"},
+	{"engine", "Table", "CursorAt"},
+	{"engine", "Table", "CursorRangeAt"},
 	{"btree", "Tree", "Scan"},
 	{"btree", "Tree", "ScanFrom"},
 	{"btree", "Tree", "ScanRange"},

@@ -1,6 +1,10 @@
 package a
 
-import "pages"
+import (
+	"blob"
+	"engine"
+	"pages"
+)
 
 type holder struct{ f *pages.Frame }
 
@@ -131,4 +135,70 @@ func leakBlankFieldRead(bp *pages.BufferPool) error {
 func suppressed(bp *pages.BufferPool) {
 	f, _ := bp.Fetch(1) //lint:allow pinleak frame is intentionally held for the pool's lifetime in this fixture
 	_ = f.Data()
+}
+
+// a snapshot fetch pins exactly like a pool fetch.
+func leakSnapshotFetch(sn *pages.Snapshot, bad bool) error {
+	f, err := sn.Fetch(1)
+	if err != nil {
+		return err
+	}
+	if bad {
+		return nil // want `return leaks the Snapshot\.Fetch pin`
+	}
+	sn.Unpin(f, false)
+	return nil
+}
+
+// the single-chunk blob view is the one blob read that holds a pin.
+func leakView(s *blob.Store, ref blob.Ref) ([]byte, error) {
+	v, err := s.View(ref)
+	if err != nil {
+		return nil, err
+	}
+	b, ok := v.Contiguous()
+	if !ok {
+		return nil, nil // want `return leaks the Store\.View pin`
+	}
+	v.Release()
+	return b, nil
+}
+
+func goodView(s *blob.Store, ref blob.Ref) error {
+	v, err := s.View(ref)
+	if err != nil {
+		return err
+	}
+	defer v.Release()
+	_, _ = v.Contiguous()
+	return nil
+}
+
+// callback reads keep no pin: nothing to release.
+func goodVisit(s *blob.Store, ref blob.Ref) error {
+	return s.VisitRuns(ref, func([]byte) {})
+}
+
+// snapshot cursors pin a leaf until Close.
+func leakCursorAt(t *engine.Table, s *engine.Snapshot) error {
+	cur, err := t.CursorRangeAt(s, 0, 9)
+	if err != nil {
+		return err
+	}
+	if !cur.Next() {
+		return nil // want `return leaks the Table\.CursorRangeAt pin`
+	}
+	cur.Close()
+	return nil
+}
+
+func goodCursorAt(t *engine.Table, s *engine.Snapshot) error {
+	cur, err := t.CursorAt(s)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	for cur.Next() {
+	}
+	return nil
 }

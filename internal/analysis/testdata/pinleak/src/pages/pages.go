@@ -14,3 +14,8 @@ type BufferPool struct{}
 func (bp *BufferPool) Fetch(id PageID) (*Frame, error) { return &Frame{ID: id}, nil }
 func (bp *BufferPool) NewPage() (*Frame, error)        { return &Frame{}, nil }
 func (bp *BufferPool) Unpin(f *Frame, dirty bool)      {}
+
+type Snapshot struct{}
+
+func (sn *Snapshot) Fetch(id PageID) (*Frame, error) { return &Frame{ID: id}, nil }
+func (sn *Snapshot) Unpin(f *Frame, dirty bool)      {}

@@ -12,25 +12,36 @@
 // Two chunk formats coexist, discriminated by the page-header flag
 // pages.FlagCompressedBlob on the blob's directory and chunk pages:
 //
-//   - Raw (legacy, Write): chunk c holds logical bytes
-//     [c*ChunkSize, (c+1)*ChunkSize) verbatim; directory entries are
-//     4-byte chunk page ids.
-//   - Compressed (WriteCompressed): the logical blob is cut into
-//     BlockSize blocks, each compressed independently (see codec.go)
-//     and packed — several blocks per chunk page — so compressible
-//     blobs occupy fewer pages; directory entries are 8 bytes (page
-//     id plus the chunk's logical length). Readers locate chunks by binary
-//     search over the logical offsets and decompress only the blocks a
-//     requested range overlaps.
+//   - Raw: chunk c holds logical bytes [c*ChunkSize, (c+1)*ChunkSize)
+//     verbatim; directory entries are 4-byte chunk page ids.
+//   - Compressed: the logical blob is cut into BlockSize blocks, each
+//     compressed independently (see codec.go) and packed — several
+//     blocks per chunk page — so compressible blobs occupy fewer pages;
+//     directory entries are 8 bytes (page id plus the chunk's logical
+//     length). A blob is stored compressed only when that saves a page.
 //
-// All read paths (ReadAt/ReadRuns/View/ReadRunsPinned) are format
-// agnostic: a Ref does not say how its bytes are stored.
+// A Ref does not say how its bytes are stored, and callers never need
+// to know. There is one way in and one way out:
+//
+//   - write (write.go) lays a blob out under a codec on pages from a
+//     page sink. Write, WriteCompressed and WriteFresh are its three
+//     (codec, sink) combinations; WriteRuns (free.go) patches an
+//     existing blob in place.
+//   - VisitRuns reads: given byte runs of the logical blob it walks the
+//     directory once, fetches each touched chunk once through the
+//     store's pages.Fetcher — the live pool, or a snapshot — and lends
+//     the caller the bytes in place, decoding only the compressed
+//     blocks the runs overlap. ReadAt, ReadAll, ReadRuns and Stream
+//     are VisitRuns with a copying callback. Nothing VisitRuns pins or
+//     decodes outlives the call; View (view.go) is the one exception,
+//     for single-chunk blobs whose payload a caller wants to keep.
 package blob
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sqlarray/internal/obs"
@@ -39,13 +50,6 @@ import (
 
 // ChunkSize is the payload capacity of one blob chunk page.
 const ChunkSize = pages.PageSize - pages.HeaderSize
-
-// idsPerDir is how many 4-byte chunk ids fit one raw directory page.
-const idsPerDir = ChunkSize / 4
-
-// entriesPerDirC is how many 8-byte (id, logicalLen) entries fit one
-// compressed-format directory page.
-const entriesPerDirC = ChunkSize / 8
 
 // RefSize is the encoded size of a Ref as stored inside a row.
 const RefSize = 12
@@ -101,8 +105,8 @@ type Stats struct {
 	// chunk pages written by WriteCompressed and compressed WriteRuns.
 	CompressedBytesWritten uint64
 	// CompressedBytesRead is the stored size of every compressed chunk
-	// page fetched by a read path — the physical I/O volume a
-	// compressed read actually paid, vs the logical BytesRead.
+	// page fetched by a read — the physical I/O volume a compressed
+	// read actually paid, vs the logical BytesRead.
 	CompressedBytesRead uint64
 }
 
@@ -194,8 +198,7 @@ func (s *Store) ResetStats() {
 
 // scratchPool recycles codec staging buffers across read/write calls so
 // decompressing reads do not allocate per call. The buffers never leak
-// out of a call: decoded bytes destined to outlive it (pinned views)
-// are copied into call-owned memory.
+// out of a call.
 var scratchPool = sync.Pool{New: func() any { return newCodecScratch() }}
 
 // chunkInfo locates one chunk page and the logical byte range it
@@ -251,6 +254,7 @@ func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, com
 		used := f.Page.Used()
 		body := f.Page.Body()
 		if compressed {
+			chunks = slices.Grow(chunks, used/8)
 			for i := 0; i+8 <= used; i += 8 {
 				n := int(binary.LittleEndian.Uint32(body[i+4:]))
 				if n <= 0 || n > maxChunkLogical {
@@ -265,6 +269,7 @@ func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, com
 				off += int64(n)
 			}
 		} else {
+			chunks = slices.Grow(chunks, used/4)
 			for i := 0; i+4 <= used; i += 4 {
 				n := ChunkSize
 				if rem := ref.Length - off; int64(n) > rem {
@@ -288,116 +293,6 @@ func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, com
 			ErrBadRef, off, ref.Length)
 	}
 	return chunks, dirIDs, compressed, nil
-}
-
-// loadChunks is walkDir without the directory page ids (read paths).
-func (s *Store) loadChunks(ref Ref) ([]chunkInfo, bool, error) {
-	chunks, _, compressed, err := s.walkDir(ref)
-	return chunks, compressed, err
-}
-
-// Write stores data as a new blob in the raw (uncompressed) chunk
-// format and returns its Ref. WriteCompressed is the compressing
-// variant; the engine picks per element type. Pages come from the free
-// list (see fresh.go for the bulk-ingest fresh-page variant).
-func (s *Store) Write(data []byte) (Ref, error) {
-	return s.writeRaw(data, s.reuseSink())
-}
-
-// encBlock is one encoded block staged before page packing: header
-// fields plus a span of the shared staging buffer.
-type encBlock struct {
-	format, width  byte
-	logical        int
-	payOff, payLen int
-}
-
-// chunkPlan assigns a run of staged blocks to one chunk page.
-type chunkPlan struct {
-	first, n, stored, logical int
-}
-
-// encodeBlocks cuts data on the BlockSize grid and encodes every block
-// under c, appending payloads to stage. Blocks that fail to shrink are
-// staged raw.
-func encodeBlocks(data []byte, c Codec, scr *codecScratch, stage []byte) ([]encBlock, []byte) {
-	blocks := make([]encBlock, 0, (len(data)+BlockSize-1)/BlockSize)
-	for off := 0; off < len(data); off += BlockSize {
-		end := off + BlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		format, width, payload := encodeBlock(data[off:end], c, scr)
-		blocks = append(blocks, encBlock{
-			format:  format,
-			width:   width,
-			logical: end - off,
-			payOff:  len(stage),
-			payLen:  len(payload),
-		})
-		stage = append(stage, payload...)
-	}
-	return blocks, stage
-}
-
-// packBlocks greedily assigns staged blocks to chunk pages, bounded by
-// the page payload capacity and maxBlocksPerChunk.
-func packBlocks(blocks []encBlock) []chunkPlan {
-	var plan []chunkPlan
-	cur := chunkPlan{}
-	for i, b := range blocks {
-		need := blockHdrSize + b.payLen
-		if cur.n > 0 && (cur.stored+need > chunkPayloadCap || cur.n == maxBlocksPerChunk) {
-			plan = append(plan, cur)
-			cur = chunkPlan{}
-		}
-		if cur.n == 0 {
-			cur.first = i
-		}
-		cur.n++
-		cur.stored += need
-		cur.logical += b.logical
-	}
-	if cur.n > 0 {
-		plan = append(plan, cur)
-	}
-	return plan
-}
-
-// fillChunkPage lays one chunk plan's blocks into a page body and
-// stamps the compressed-chunk header (format version, block count, and
-// the blob's preferred codec so in-place rewrites re-encode with the
-// writer's intent). Returns the stored byte count (the page's Used).
-func fillChunkPage(p *pages.Page, c Codec, blocks []encBlock, stage []byte) int {
-	body := p.Body()
-	body[0] = chunkFormatVersion
-	binary.LittleEndian.PutUint16(body[1:], uint16(len(blocks)))
-	body[3] = byte(c.Kind)
-	body[4] = byte(c.Width)
-	body[5] = byte(c.Phase & 7)
-	body[6], body[7] = 0, 0
-	w := chunkHdrSize
-	for _, b := range blocks {
-		body[w] = b.format
-		body[w+1] = b.width
-		binary.LittleEndian.PutUint16(body[w+2:], uint16(b.payLen))
-		binary.LittleEndian.PutUint16(body[w+4:], uint16(b.logical))
-		body[w+6], body[w+7] = 0, 0
-		copy(body[w+blockHdrSize:], stage[b.payOff:b.payOff+b.payLen])
-		w += blockHdrSize + b.payLen
-	}
-	p.SetUsed(w)
-	p.SetFlags(pages.FlagCompressedBlob)
-	return w
-}
-
-// WriteCompressed stores data as a new blob in the compressed chunk
-// format under codec c (CodecNone delegates to Write). If the packed
-// compressed form would not occupy fewer chunk pages than raw storage,
-// the blob is stored raw instead — compression never costs pages, and
-// incompressible single-chunk blobs keep the zero-copy resolve path.
-func (s *Store) WriteCompressed(data []byte, c Codec) (Ref, error) {
-	return s.writeCompressedVia(data, c, s.reuseSink())
 }
 
 // errStopVisit short-circuits a block walk once past the wanted range.
@@ -448,55 +343,29 @@ func chunkCodec(p *pages.Page) (Codec, error) {
 	return Codec{Kind: CodecKind(body[3]), Width: int(body[4]), Phase: int(body[5] & 7)}, nil
 }
 
-// decodeWholeChunk expands every block of a compressed chunk page into
-// dst, which must be exactly the chunk's logical size.
-func decodeWholeChunk(p *pages.Page, dst []byte, scr *codecScratch) error {
-	used := p.Used()
-	body := p.Body()
-	return forEachBlock(body, used, func(blkOff int, format, width byte, logical int, stored []byte) error {
-		if blkOff+logical > len(dst) {
-			return errCorrupt("chunk logical overflow")
-		}
-		out := dst[blkOff : blkOff+logical]
-		dec, err := decodeBlock(format, width, stored, logical, out, scr)
-		if err != nil {
-			return err
-		}
-		if &dec[0] != &out[0] {
-			copy(out, dec) // raw block: copy out of the page body
-		}
-		return nil
-	})
-}
-
-// decodeChunkRange expands only the blocks of a compressed chunk page
-// that overlap the chunk-relative logical range [lo, hi) into dst,
-// which must be exactly the chunk's logical size. Bytes of dst outside
-// the decoded blocks are left untouched — callers must only read the
-// requested range.
-func decodeChunkRange(p *pages.Page, dst []byte, lo, hi int, scr *codecScratch) error {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(dst) {
-		hi = len(dst)
-	}
-	if lo >= hi {
-		return nil
-	}
-	used := p.Used()
-	body := p.Body()
-	err := forEachBlock(body, used, func(blkOff int, format, width byte, logical int, stored []byte) error {
+// decodeBlocks expands the blocks of a compressed chunk page that
+// overlap the chunk-relative logical range [lo, hi) into dst, which
+// must be exactly the chunk's logical size. Bytes of dst outside the
+// decoded blocks are left untouched — callers must only read the
+// requested range. A page whose blocks end before hi (clipped to dst)
+// is an ErrShortRead: dst may be recycled scratch, so an undecoded tail
+// must never reach the caller. This is the package's only block-decode
+// loop: the read primitive passes the union range its runs need,
+// WriteRuns the whole chunk.
+func decodeBlocks(p *pages.Page, dst []byte, lo, hi int, scr *codecScratch) error {
+	end := 0 // logical bytes the walked blocks cover
+	err := forEachBlock(p.Body(), p.Used(), func(blkOff int, format, width byte, logical int, stored []byte) error {
 		if blkOff >= hi {
 			return errStopVisit
 		}
-		if blkOff+logical <= lo {
+		end = blkOff + logical
+		if end <= lo {
 			return nil
 		}
-		if blkOff+logical > len(dst) {
+		if end > len(dst) {
 			return errCorrupt("chunk logical overflow")
 		}
-		out := dst[blkOff : blkOff+logical]
+		out := dst[blkOff:end]
 		dec, err := decodeBlock(format, width, stored, logical, out, scr)
 		if err != nil {
 			return err
@@ -509,102 +378,161 @@ func decodeChunkRange(p *pages.Page, dst []byte, lo, hi int, scr *codecScratch) 
 	if err == errStopVisit {
 		return nil
 	}
+	if err == nil && end < min(hi, len(dst)) {
+		return fmt.Errorf("%w: chunk page %d holds %d logical bytes, wanted [%d,%d)", ErrShortRead, p.ID, end, lo, hi)
+	}
 	return err
 }
 
-// visitChunk fetches one chunk page and emits the logical byte segments
-// overlapping the chunk-relative range [lo, hi), in ascending order.
-// Raw chunks emit a single segment aliasing the pinned page body;
-// compressed chunks decode only the overlapping blocks into scr and
-// emit slices of it — decompress-then-slice per block, never the whole
-// blob. Segments are valid only during the callback: the frame is
-// unpinned before visitChunk returns.
-func (s *Store) visitChunk(ci chunkInfo, compressed bool, lo, hi int, scr *codecScratch, emit func(off int, seg []byte)) error {
+// fetchChunk pins one chunk page for reading — the only place a
+// TypeBlobData page is fetched through the store's Fetcher. The caller
+// owns the pin.
+func (s *Store) fetchChunk(ci chunkInfo, compressed bool) (*pages.Frame, error) {
 	f, err := s.fx.Fetch(ci.id)
+	if err != nil {
+		return nil, err
+	}
+	if f.Page.Type() != pages.TypeBlobData {
+		s.fx.Unpin(f, false)
+		return nil, fmt.Errorf("%w: page %d is not a blob chunk", ErrBadRef, ci.id)
+	}
+	if f.Page.Used() > ChunkSize {
+		s.fx.Unpin(f, false)
+		return nil, fmt.Errorf("%w: chunk page %d claims %d used bytes", ErrBadRef, ci.id, f.Page.Used())
+	}
+	s.stats.chunkReads.Add(1)
+	if compressed {
+		s.stats.compressedBytesRead.Add(uint64(f.Page.Used()))
+	}
+	return f, nil
+}
+
+// piece is the part of one run that lives on one chunk: n bytes at
+// chunk-relative offset lo of chunk c, bound for destination offset
+// dstOff.
+type piece struct {
+	c, lo, n, dstOff int
+}
+
+// VisitRuns is the store's one read primitive: it calls fn with the
+// bytes of every run, as segments of at most one chunk each. dstOff is
+// the run's DstOff plus the segment's progress within the run, so a
+// copying caller writes seg at dst[dstOff:]; segments arrive grouped by
+// chunk, not in run order. Runs with Len <= 0 are skipped.
+//
+// One call walks the directory once and fetches every touched chunk
+// exactly once, however many runs land on it. A raw chunk's segments
+// alias the pinned page body; a compressed chunk decodes only the
+// blocks overlapping the union of the ranges its runs need into pooled
+// scratch. Either way seg is valid only until fn returns: no pin and no
+// buffer outlives the call.
+func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) error {
+	total := 0
+	for _, r := range runs {
+		if r.Len <= 0 {
+			continue
+		}
+		if end := int64(r.SrcOff) + int64(r.Len); r.SrcOff < 0 || end > ref.Length {
+			if ref.IsNull() {
+				return fmt.Errorf("%w: null blob", ErrBadRef)
+			}
+			return fmt.Errorf("%w: run [%d,%d) of %d", ErrShortRead, r.SrcOff, end, ref.Length)
+		}
+		total += r.Len
+	}
+	if total == 0 {
+		return nil
+	}
+	chunks, _, compressed, err := s.walkDir(ref)
+	if err != nil {
+		return err
+	}
+	var cover int64
+	if n := len(chunks); n > 0 {
+		cover = chunks[n-1].off + int64(chunks[n-1].n)
+	}
+	// One piece per run plus one per chunk boundary a run crosses; no
+	// chunk covers fewer than BlockSize bytes except a blob's last.
+	pieces := make([]piece, 0, len(runs)+total/BlockSize+4)
+	sorted := true
+	for _, r := range runs {
+		if r.Len <= 0 {
+			continue
+		}
+		if int64(r.SrcOff+r.Len) > cover {
+			return fmt.Errorf("%w: directory covers %d of %d bytes", ErrBadRef, cover, ref.Length)
+		}
+		read := 0
+		for c := findChunk(chunks, int64(r.SrcOff)); read < r.Len; c++ {
+			lo := int(int64(r.SrcOff+read) - chunks[c].off)
+			n := min(chunks[c].n-lo, r.Len-read)
+			if n <= 0 {
+				return fmt.Errorf("%w: chunk %d of %d is empty", ErrBadRef, c, len(chunks))
+			}
+			if len(pieces) > 0 && c < pieces[len(pieces)-1].c {
+				sorted = false
+			}
+			pieces = append(pieces, piece{c: c, lo: lo, n: n, dstOff: r.DstOff + read})
+			read += n
+		}
+	}
+	if !sorted {
+		// core.SubarrayPlan emits runs in ascending source order, so only
+		// hand-built run lists pay for this.
+		slices.SortStableFunc(pieces, func(a, b piece) int { return a.c - b.c })
+	}
+	var scr *codecScratch
+	if compressed {
+		scr = scratchPool.Get().(*codecScratch)
+		defer scratchPool.Put(scr)
+	}
+	for i := 0; i < len(pieces); {
+		j := i + 1
+		for j < len(pieces) && pieces[j].c == pieces[i].c {
+			j++
+		}
+		if err := s.visitChunk(chunks[pieces[i].c], compressed, pieces[i:j], scr, fn); err != nil {
+			return err
+		}
+		i = j
+	}
+	s.stats.bytesRead.Add(uint64(total))
+	return nil
+}
+
+// visitChunk fetches one chunk and emits the pieces that live on it.
+func (s *Store) visitChunk(ci chunkInfo, compressed bool, ps []piece, scr *codecScratch, fn func(dstOff int, seg []byte)) error {
+	f, err := s.fetchChunk(ci, compressed)
 	if err != nil {
 		return err
 	}
 	defer s.fx.Unpin(f, false)
-	if f.Page.Type() != pages.TypeBlobData {
-		return fmt.Errorf("%w: page %d is not a blob chunk", ErrBadRef, ci.id)
-	}
-	s.stats.chunkReads.Add(1)
-	used := f.Page.Used()
-	body := f.Page.Body()
-	if !compressed {
-		if hi > used {
-			hi = used
+	body := f.Page.Body()[:f.Page.Used()]
+	if compressed {
+		lo, hi := ci.n, 0
+		for _, p := range ps {
+			lo, hi = min(lo, p.lo), max(hi, p.lo+p.n)
 		}
-		if lo < hi {
-			emit(lo, body[lo:hi])
-		}
-		return nil
-	}
-	s.stats.compressedBytesRead.Add(uint64(used))
-	err = forEachBlock(body, used, func(blkOff int, format, width byte, logical int, stored []byte) error {
-		if blkOff+logical <= lo {
-			return nil
-		}
-		if blkOff >= hi {
-			return errStopVisit
-		}
-		scr.b = grow(scr.b, logical)
-		dec, err := decodeBlock(format, width, stored, logical, scr.b[:logical], scr)
-		if err != nil {
+		scr.c = grow(scr.c, ci.n)
+		if err := decodeBlocks(&f.Page, scr.c, lo, hi, scr); err != nil {
 			return err
 		}
-		l, h := blkOff, blkOff+logical
-		if lo > l {
-			l = lo
-		}
-		if hi < h {
-			h = hi
-		}
-		emit(l, dec[l-blkOff:h-blkOff])
-		return nil
-	})
-	if err == errStopVisit {
-		err = nil
+		body = scr.c
 	}
-	return err
-}
-
-// readRange copies logical blob bytes [off, off+len(dst)) into dst.
-// The caller has validated the range against the ref.
-func (s *Store) readRange(chunks []chunkInfo, compressed bool, off int64, dst []byte, scr *codecScratch) error {
-	if len(dst) == 0 {
-		return nil
-	}
-	read := 0
-	c := findChunk(chunks, off)
-	if c < 0 {
-		return fmt.Errorf("%w: chunk -1 of %d", ErrBadRef, len(chunks))
-	}
-	for read < len(dst) {
-		if c >= len(chunks) {
-			return fmt.Errorf("%w: chunk %d of %d", ErrBadRef, c, len(chunks))
+	for _, p := range ps {
+		if p.lo+p.n > len(body) {
+			return fmt.Errorf("%w: wanted [%d,%d) of chunk page %d, which holds %d bytes",
+				ErrShortRead, p.lo, p.lo+p.n, ci.id, len(body))
 		}
-		ci := chunks[c]
-		lo := int(off + int64(read) - ci.off)
-		hi := ci.n
-		if rem := len(dst) - read; hi-lo > rem {
-			hi = lo + rem
-		}
-		base := read - lo
-		copied := 0
-		if err := s.visitChunk(ci, compressed, lo, hi, scr, func(o int, seg []byte) {
-			copied += copy(dst[base+o:], seg)
-		}); err != nil {
-			return err
-		}
-		if copied != hi-lo {
-			return fmt.Errorf("%w: wanted %d bytes, chunk %d yielded %d", ErrShortRead, hi-lo, c, copied)
-		}
-		read += copied
-		s.stats.bytesRead.Add(uint64(copied))
-		c++
+		fn(p.dstOff, body[p.lo:p.lo+p.n])
 	}
 	return nil
+}
+
+// ReadAt fills dst with blob bytes starting at offset off, touching only
+// the chunk pages the range covers.
+func (s *Store) ReadAt(ref Ref, dst []byte, off int64) error {
+	return s.ReadRuns(ref, dst, []Run{{SrcOff: int(off), Len: len(dst)}})
 }
 
 // ReadAll fetches the entire blob.
@@ -619,73 +547,16 @@ func (s *Store) ReadAll(ref Ref) ([]byte, error) {
 	return out, nil
 }
 
-// ReadAt fills dst with blob bytes starting at offset off, touching only
-// the chunk pages the range covers — the partial-read path. Compressed
-// chunks decompress only the blocks the range overlaps.
-func (s *Store) ReadAt(ref Ref, dst []byte, off int64) error {
-	if ref.IsNull() {
-		if len(dst) == 0 {
-			return nil
-		}
-		return fmt.Errorf("%w: null blob", ErrBadRef)
-	}
-	if off < 0 || off+int64(len(dst)) > ref.Length {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrShortRead, off, off+int64(len(dst)), ref.Length)
-	}
-	if len(dst) == 0 {
-		return nil
-	}
-	chunks, compressed, err := s.loadChunks(ref)
-	if err != nil {
-		return err
-	}
-	var scr *codecScratch
-	if compressed {
-		scr = scratchPool.Get().(*codecScratch)
-		defer scratchPool.Put(scr)
-	}
-	return s.readRange(chunks, compressed, off, dst, scr)
-}
-
-// ReadRuns performs a batch of partial reads described as (srcOff, dstOff,
-// len) runs into dst, sharing one directory walk. This is the fast path
-// used by Subarray on max arrays: the run list comes straight from
-// core.SubarrayPlan, offset by the array header size.
+// ReadRuns copies a batch of (SrcOff, DstOff, Len) runs into dst — the
+// copying form of VisitRuns. The run list of a subarray comes straight
+// from core.SubarrayPlan, offset by the array header size.
 func (s *Store) ReadRuns(ref Ref, dst []byte, runs []Run) error {
-	if len(runs) == 0 {
-		return nil
-	}
-	chunks, compressed, err := s.loadChunks(ref)
-	if err != nil {
-		return err
-	}
-	var scr *codecScratch
-	if compressed {
-		scr = scratchPool.Get().(*codecScratch)
-		defer scratchPool.Put(scr)
-	}
 	for _, r := range runs {
-		if r.SrcOff < 0 || int64(r.SrcOff+r.Len) > ref.Length {
-			return fmt.Errorf("%w: run [%d,%d) of %d", ErrShortRead, r.SrcOff, r.SrcOff+r.Len, ref.Length)
-		}
-		if r.Len <= 0 {
-			continue
-		}
-		if r.DstOff < 0 {
-			return fmt.Errorf("%w: destination offset %d", ErrShortRead, r.DstOff)
-		}
-		end := r.DstOff + r.Len
-		if end > len(dst) {
-			end = len(dst)
-		}
-		if r.DstOff >= end {
-			continue
-		}
-		if err := s.readRange(chunks, compressed, int64(r.SrcOff), dst[r.DstOff:end], scr); err != nil {
-			return err
+		if r.Len > 0 && (r.DstOff < 0 || r.DstOff+r.Len > len(dst)) {
+			return fmt.Errorf("%w: destination range [%d,%d) of %d", ErrShortRead, r.DstOff, r.DstOff+r.Len, len(dst))
 		}
 	}
-	return nil
+	return s.VisitRuns(ref, runs, func(dstOff int, seg []byte) { copy(dst[dstOff:], seg) })
 }
 
 // Run mirrors core.Run at the blob layer (byte ranges of the stored

@@ -56,32 +56,6 @@ func BenchmarkPartialRead4kOf1MB(b *testing.B) {
 	}
 }
 
-// BenchmarkReadRunsPinnedStencil is the zero-copy counterpart of
-// BenchmarkReadRunsStencil: the same 64-run stencil shape, but the run
-// bytes are visited in place on the pinned chunk pages instead of being
-// scattered into a destination buffer.
-func BenchmarkReadRunsPinnedStencil(b *testing.B) {
-	s, ref := benchStore(b, 1<<20)
-	runs := make([]Run, 64)
-	for i := range runs {
-		runs[i] = Run{SrcOff: i * 8192, DstOff: i * 512, Len: 512}
-	}
-	b.SetBytes(64 * 512)
-	b.ResetTimer()
-	sink := byte(0)
-	for i := 0; i < b.N; i++ {
-		rv, err := s.ReadRunsPinned(ref, runs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for r := range runs {
-			rv.VisitRun(r, func(_ int, seg []byte) { sink ^= seg[0] })
-		}
-		rv.Release()
-	}
-	_ = sink
-}
-
 func BenchmarkReadRunsStencil(b *testing.B) {
 	// 64 runs of 512 bytes: the shape of an 8³ float64 stencil fetch.
 	s, ref := benchStore(b, 1<<20)

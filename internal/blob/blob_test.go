@@ -2,6 +2,7 @@ package blob
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -9,6 +10,9 @@ import (
 
 	"sqlarray/internal/pages"
 )
+
+// idsPerDir is how many 4-byte chunk ids fit one raw directory page.
+const idsPerDir = ChunkSize / 4
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
@@ -155,8 +159,232 @@ func TestReadRuns(t *testing.T) {
 	if err := s.ReadRuns(ref, dst, []Run{{SrcOff: 4*ChunkSize - 1, DstOff: 0, Len: 10}}); !errors.Is(err, ErrShortRead) {
 		t.Errorf("overflowing run: %v", err)
 	}
+	if err := s.ReadRuns(ref, dst, []Run{{SrcOff: 0, DstOff: 200, Len: 10}}); !errors.Is(err, ErrShortRead) {
+		t.Errorf("run past the end of dst: %v", err)
+	}
 	if err := s.ReadRuns(ref, nil, nil); err != nil {
 		t.Errorf("empty runs: %v", err)
+	}
+	if err := s.ReadRuns(Ref{}, nil, nil); err != nil {
+		t.Errorf("null blob, empty runs: %v", err)
+	}
+	if err := s.ReadRuns(Ref{}, dst, []Run{{Len: 1}}); !errors.Is(err, ErrBadRef) {
+		t.Errorf("null blob, one run: %v", err)
+	}
+}
+
+// TestVisitRunsFetchesEachChunkOnce drives the read primitive with a
+// run list that revisits a chunk out of order and straddles a chunk
+// boundary: every touched chunk is fetched exactly once, a straddling
+// run arrives as one segment per chunk, the bytes are the blob's, and
+// no pin survives the call — including a call that fails validation.
+func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
+	s, ref, data, bp := viewTestStore(t, 4*ChunkSize)
+	runs := []Run{
+		{SrcOff: 10, DstOff: 0, Len: 100},
+		{SrcOff: ChunkSize - 8, DstOff: 100, Len: 16}, // straddles chunks 0/1
+		{SrcOff: 3 * ChunkSize, DstOff: 116, Len: 64},
+		{SrcOff: 20, DstOff: 180, Len: 8}, // back on chunk 0
+	}
+	s.ResetStats()
+	got := make([]byte, 188)
+	segs := map[int]int{} // run DstOff -> segments seen
+	err := s.VisitRuns(ref, runs, func(dstOff int, seg []byte) {
+		copy(got[dstOff:], seg)
+		for _, r := range runs {
+			if dstOff >= r.DstOff && dstOff < r.DstOff+r.Len {
+				segs[r.DstOff]++
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if !bytes.Equal(got[r.DstOff:r.DstOff+r.Len], data[r.SrcOff:r.SrcOff+r.Len]) {
+			t.Errorf("run %+v bytes do not match the source blob", r)
+		}
+	}
+	if segs[100] != 2 || segs[0] != 1 || segs[116] != 1 || segs[180] != 1 {
+		t.Errorf("segments per run = %v, want 2 for the straddling run and 1 for the rest", segs)
+	}
+	// Chunks 0, 1, 3 are touched; chunk 2 is not.
+	if st := s.Stats(); st.ChunkReads != 3 || st.DirectoryReads != 1 || st.BytesRead != 188 {
+		t.Errorf("stats = %+v, want 3 chunk reads, 1 directory read, 188 bytes", st)
+	}
+	if n := bp.PinnedFrames(); n != 0 {
+		t.Errorf("PinnedFrames after VisitRuns = %d", n)
+	}
+	err = s.VisitRuns(ref, []Run{{SrcOff: 4*ChunkSize - 4, Len: 8}}, func(int, []byte) {
+		t.Error("callback invoked for an out-of-range run")
+	})
+	if !errors.Is(err, ErrShortRead) {
+		t.Errorf("out-of-range run: %v", err)
+	}
+	if n := bp.PinnedFrames(); n != 0 {
+		t.Errorf("PinnedFrames after failed VisitRuns = %d", n)
+	}
+}
+
+// TestSubarrayReadTouchesFewerChunks is the acceptance check: a
+// subarray-shaped run read over a multi-chunk blob must report strictly
+// fewer ChunkReads than materializing the same blob via ReadAll.
+func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
+	s, ref, _, _ := viewTestStore(t, 16*ChunkSize)
+	s.ResetStats()
+	if _, err := s.ReadAll(ref); err != nil {
+		t.Fatal(err)
+	}
+	whole := s.Stats().ChunkReads
+	s.ResetStats()
+	// A sliced read: three short runs spread over the blob.
+	runs := []Run{
+		{SrcOff: 0, DstOff: 0, Len: 64},
+		{SrcOff: 7 * ChunkSize, DstOff: 64, Len: 64},
+		{SrcOff: 15 * ChunkSize, DstOff: 128, Len: 64},
+	}
+	if err := s.ReadRuns(ref, make([]byte, 192), runs); err != nil {
+		t.Fatal(err)
+	}
+	sliced := s.Stats().ChunkReads
+	if sliced >= whole {
+		t.Errorf("sliced read touched %d chunks, ReadAll touched %d — pushdown not effective", sliced, whole)
+	}
+	if sliced != 3 {
+		t.Errorf("sliced read touched %d chunks, want exactly 3", sliced)
+	}
+}
+
+// TestCompressedRunsDecodeOnlyTheUnionRange: several runs landing on one
+// compressed chunk cost one fetch, and decodeBlocks expands only the
+// blocks their union range overlaps.
+func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
+	s, bp := storeWithPool(t)
+	data := seqInts(16*BlockSize/8, 0) // 16 highly compressible blocks: one chunk
+	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, _, compressed, err := s.walkDir(ref)
+	if err != nil || !compressed || len(chunks) != 1 {
+		t.Fatalf("want one compressed chunk, got %d (compressed %v, err %v)", len(chunks), compressed, err)
+	}
+	// Two runs inside blocks 3 and 5: the union range spans blocks 3..5.
+	runs := []Run{
+		{SrcOff: 5*BlockSize + 16, DstOff: 0, Len: 32},
+		{SrcOff: 3*BlockSize + 8, DstOff: 32, Len: 32},
+	}
+	s.ResetStats()
+	got := make([]byte, 64)
+	if err := s.ReadRuns(ref, got, runs); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if !bytes.Equal(got[r.DstOff:r.DstOff+r.Len], data[r.SrcOff:r.SrcOff+r.Len]) {
+			t.Errorf("run %+v mismatch", r)
+		}
+	}
+	if st := s.Stats(); st.ChunkReads != 1 {
+		t.Errorf("ChunkReads = %d, want 1 for two runs on one chunk", st.ChunkReads)
+	}
+	f, err := bp.Fetch(chunks[0].id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.Unpin(f, false)
+	dst := bytes.Repeat([]byte{0xEE}, len(data))
+	lo, hi := 3*BlockSize+8, 5*BlockSize+48
+	if err := decodeBlocks(&f.Page, dst, lo, hi, newCodecScratch()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst[3*BlockSize:6*BlockSize], data[3*BlockSize:6*BlockSize]) {
+		t.Error("blocks 3..5 not decoded")
+	}
+	untouched := bytes.Repeat([]byte{0xEE}, 3*BlockSize)
+	if !bytes.Equal(dst[:3*BlockSize], untouched) || !bytes.Equal(dst[6*BlockSize:9*BlockSize], untouched) {
+		t.Error("blocks outside the union range were decoded")
+	}
+}
+
+// TestVisitRunsCorruptChunk: a mangled compressed chunk page, a chunk
+// page of the wrong type and a directory shorter than the ref all
+// surface as ErrBadRef, and a chunk page holding fewer blocks than the
+// directory claims as ErrShortRead — never a panic, never a leaked pin,
+// never the pooled scratch's previous contents.
+func TestVisitRunsCorruptChunk(t *testing.T) {
+	s, bp := storeWithPool(t)
+	data := seqInts(64*1024, 0)
+	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, _, compressed, err := s.walkDir(ref)
+	if err != nil || !compressed {
+		t.Fatalf("walkDir: compressed %v, err %v", compressed, err)
+	}
+	mangle := func(fn func(p *pages.Page)) {
+		t.Helper()
+		f, err := bp.Fetch(chunks[0].id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(&f.Page)
+		bp.Unpin(f, true)
+	}
+	read := func() error { return s.ReadAt(ref, make([]byte, 64), 100) }
+
+	longer := ref
+	longer.Length++
+	if err := s.ReadAt(longer, make([]byte, 1), ref.Length); !errors.Is(err, ErrBadRef) {
+		t.Errorf("ref longer than its directory: %v", err)
+	}
+	// Block count cut to 2 while the directory still claims the full
+	// chunk: reads beyond block 1 must fail, not hand back whatever the
+	// recycled decode scratch held (primed here with another blob's 0xAB).
+	other, err := s.WriteCompressed(bytes.Repeat([]byte{0xAB}, 64*1024), Codec{Kind: CodecLZ, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadAll(other); err != nil {
+		t.Fatal(err)
+	}
+	var nBlocks uint16
+	mangle(func(p *pages.Page) {
+		nBlocks = binary.LittleEndian.Uint16(p.Body()[1:])
+		binary.LittleEndian.PutUint16(p.Body()[1:], 2)
+	})
+	if nBlocks <= 6 {
+		t.Fatalf("chunk 0 holds %d blocks, want > 6", nBlocks)
+	}
+	stale := make([]byte, 64)
+	if err := s.ReadAt(ref, stale, 5*BlockSize); !errors.Is(err, ErrShortRead) {
+		t.Errorf("read past a cut block count: err %v, dst % x", err, stale[:8])
+	}
+	if _, err := s.ReadAll(ref); !errors.Is(err, ErrShortRead) {
+		t.Errorf("ReadAll over a cut block count: %v", err)
+	}
+	if err := s.ReadAt(ref, stale, BlockSize); err != nil || !bytes.Equal(stale, data[BlockSize:BlockSize+64]) {
+		t.Errorf("read inside the surviving blocks: %v", err)
+	}
+	mangle(func(p *pages.Page) { binary.LittleEndian.PutUint16(p.Body()[1:], nBlocks) })
+	if err := read(); err != nil {
+		t.Fatalf("restored block count: %v", err)
+	}
+
+	mangle(func(p *pages.Page) { p.Body()[chunkHdrSize+2] ^= 0xFF }) // first block's stored length
+	if err := read(); !errors.Is(err, ErrBadRef) {
+		t.Errorf("mangled block header: %v", err)
+	}
+	mangle(func(p *pages.Page) { p.Body()[0] = chunkFormatVersion + 1 })
+	if err := read(); !errors.Is(err, ErrBadRef) {
+		t.Errorf("unknown chunk format version: %v", err)
+	}
+	mangle(func(p *pages.Page) { p.Init(pages.TypeFree) })
+	if err := read(); !errors.Is(err, ErrBadRef) {
+		t.Errorf("retyped chunk page: %v", err)
+	}
+	if n := bp.PinnedFrames(); n != 0 {
+		t.Errorf("PinnedFrames after failed reads = %d", n)
 	}
 }
 

@@ -104,11 +104,12 @@ const (
 // codecScratch holds the reusable staging buffers of one encode or
 // decode pass, so per-block compression never allocates in steady
 // state. The buffers never escape: encode output is copied into the
-// page, decode output is copied (or decoded directly) into the
-// caller's destination.
+// page, decoded chunk bytes are lent to VisitRuns callbacks and dead
+// once they return.
 type codecScratch struct {
 	a []byte // shuffle / decode staging
 	b []byte // encode output / unshuffle staging
+	c []byte // one decoded chunk (up to maxChunkLogical), grown on demand
 }
 
 func newCodecScratch() *codecScratch {

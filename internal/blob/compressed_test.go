@@ -171,7 +171,7 @@ func TestCompressedReadEquivalence(t *testing.T) {
 		}
 	}
 
-	// ReadRuns and ReadRunsPinned over random scattered runs.
+	// ReadRuns over random scattered runs.
 	for i := 0; i < 20; i++ {
 		nRuns := 1 + rng.Intn(6)
 		runs := make([]Run, 0, nRuns)
@@ -196,71 +196,10 @@ func TestCompressedReadEquivalence(t *testing.T) {
 			if !bytes.Equal(dst, want) {
 				t.Fatalf("%s ReadRuns mismatch (iter %d)", name, i)
 			}
-			rv, err := s.ReadRunsPinned(ref, runs)
-			if err != nil {
-				t.Fatalf("%s ReadRunsPinned: %v", name, err)
-			}
-			pinned := make([]byte, dstOff)
-			rv.CopyTo(pinned)
-			rv.Release()
-			if !bytes.Equal(pinned, want) {
-				t.Fatalf("%s ReadRunsPinned mismatch (iter %d)", name, i)
-			}
 		}
 	}
-
-	// Whole-blob views.
-	for name, ref := range refs {
-		v, err := s.View(ref)
-		if err != nil {
-			t.Fatalf("%s View: %v", name, err)
-		}
-		if got := v.AppendTo(nil); !bytes.Equal(got, data) {
-			t.Fatalf("%s View.AppendTo mismatch", name)
-		}
-		v.Release()
-	}
 	if got := bp.PinnedFrames(); got != 0 {
-		t.Fatalf("PinnedFrames = %d after releases, want 0", got)
-	}
-}
-
-// TestCompressedViewHoldsNoPins: compressed chunks decode into
-// view-owned buffers and unpin their frames immediately, so a live view
-// over a compressed blob holds zero pins (a raw view holds one per
-// chunk until Release).
-func TestCompressedViewHoldsNoPins(t *testing.T) {
-	s, bp := storeWithPool(t)
-	data := smoothFloats(8192, 3)
-	rawRef, err := s.Write(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compRef, err := s.WriteCompressed(data, Codec{Kind: CodecXOR, Width: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawView, err := s.View(rawRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bp.PinnedFrames(); got == 0 {
-		t.Error("raw view should hold pinned frames while live")
-	}
-	rawView.Release()
-	compView, err := s.View(compRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bp.PinnedFrames(); got != 0 {
-		t.Errorf("compressed view holds %d pins, want 0 (decoded buffers own the bytes)", got)
-	}
-	if got := compView.AppendTo(nil); !bytes.Equal(got, data) {
-		t.Error("compressed view content mismatch")
-	}
-	compView.Release()
-	if got := bp.PinnedFrames(); got != 0 {
-		t.Fatalf("PinnedFrames = %d, want 0", got)
+		t.Fatalf("PinnedFrames = %d after the reads, want 0", got)
 	}
 }
 

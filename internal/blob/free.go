@@ -288,7 +288,7 @@ func (s *Store) writeRunsCompressed(ref Ref, src []byte, runs []Run, chunks []ch
 			return err
 		}
 		buf := make([]byte, ci.n)
-		if err := decodeWholeChunk(&f.Page, buf, scr); err != nil {
+		if err := decodeBlocks(&f.Page, buf, 0, ci.n, scr); err != nil {
 			s.bp.Unpin(f, false)
 			return err
 		}
@@ -300,7 +300,7 @@ func (s *Store) writeRunsCompressed(ref Ref, src []byte, runs []Run, chunks []ch
 		// Re-encode on the chunk-local BlockSize grid. Chunk logical
 		// starts are always block-aligned (packing never splits a
 		// block), so the grid is stable across rewrites.
-		blocks, stage := encodeBlocks(buf, codec, scr, nil)
+		blocks, stage := encodeBlocks(buf, codec, scr)
 		plan := packBlocks(blocks)
 		if len(plan) == 1 {
 			w := fillChunkPage(&f.Page, codec, blocks, stage)
@@ -356,54 +356,30 @@ func (s *Store) writeRunsCompressed(ref Ref, src []byte, runs []Run, chunks []ch
 }
 
 // rewriteDirectory rewrites a compressed blob's directory chain in
-// place to describe chunks, extending the chain when the chunk list
-// outgrew it and freeing surplus pages when it shrank. The first
-// directory page is always reused, so the blob's Ref never changes.
+// place to describe chunks: writeDirectory fed the chain's own pages
+// first, then fresh ones when the chunk list outgrew it; surplus pages
+// are freed when it shrank. The first directory page is always reused,
+// so the blob's Ref never changes.
 func (s *Store) rewriteDirectory(dirIDs []pages.PageID, chunks []chunkInfo) error {
-	var prev *pages.Frame
 	di := 0
-	for off := 0; off < len(chunks); off += entriesPerDirC {
-		end := off + entriesPerDirC
-		if end > len(chunks) {
-			end = len(chunks)
+	sink := s.reuseSink()
+	sink.alloc = func(t pages.PageType) (*pages.Frame, error) {
+		if di == len(dirIDs) {
+			return s.allocPage(t)
 		}
-		var f *pages.Frame
-		var err error
-		if di < len(dirIDs) {
-			f, err = s.bp.FetchForWrite(dirIDs[di])
-			if err == nil && f.Page.Type() != pages.TypeBlobTree {
-				s.bp.Unpin(f, false)
-				err = fmt.Errorf("%w: page %d is not a blob directory", ErrBadRef, dirIDs[di])
-			}
-		} else {
-			f, err = s.allocPage(pages.TypeBlobTree)
-		}
+		f, err := s.bp.FetchForWrite(dirIDs[di])
 		if err != nil {
-			if prev != nil {
-				s.bp.Unpin(prev, true)
-			}
-			return err
+			return nil, err
+		}
+		if f.Page.Type() != t {
+			s.bp.Unpin(f, false)
+			return nil, fmt.Errorf("%w: page %d is not a blob directory", ErrBadRef, dirIDs[di])
 		}
 		di++
-		f.Page.SetFlags(pages.FlagCompressedBlob)
-		f.Page.SetNext(pages.InvalidPageID)
-		body := f.Page.Body()
-		for i, ci := range chunks[off:end] {
-			binary.LittleEndian.PutUint32(body[8*i:], uint32(ci.id))
-			binary.LittleEndian.PutUint32(body[8*i+4:], uint32(ci.n))
-		}
-		f.Page.SetUsed((end - off) * 8)
-		if prev != nil {
-			prev.Page.SetNext(f.Page.ID)
-			s.bp.Unpin(prev, true)
-		}
-		prev = f
+		return f, nil
 	}
-	if prev != nil {
-		s.bp.Unpin(prev, true)
+	if _, err := s.writeDirectory(chunks, true, sink); err != nil {
+		return err
 	}
-	if di < len(dirIDs) {
-		return s.freePages(dirIDs[di:])
-	}
-	return nil
+	return s.freePages(dirIDs[di:])
 }

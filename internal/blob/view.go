@@ -1,391 +1,66 @@
-// Pinned, zero-copy read paths over the blob store.
+// The one read that keeps a pin past its call.
 //
-// The seed store's only read primitives (ReadAll / ReadAt / ReadRuns)
-// copy every byte out of the buffer pool into caller memory — fine for
-// whole-array materialization, wasteful when the consumer immediately
-// decodes or re-copies the bytes. The types here instead hand the caller
-// the chunk pages' own body slices, pinned in the pool for the lifetime
-// of the view:
+// Every other read goes through VisitRuns, whose segments die with the
+// callback. A consumer that wants an array payload as one contiguous
+// slice for longer than that — the executor resolving a MAX column into
+// a batch — would have to copy it out. When the blob is a single raw
+// chunk its payload already is one slice of a page body, so View pins
+// that page and lends the slice until Release. Multi-chunk blobs are
+// not contiguous in the pool and compressed chunks are not the payload
+// at all; for those the view holds nothing and the caller copies
+// (ReadAll).
 //
-//   - View pins every chunk of a blob (whole-blob consumers; a
-//     single-chunk blob exposes its full payload as one zero-copy
-//     slice via Contiguous).
-//   - RunsView pins only the chunks a run list touches (subarray-shaped
-//     consumers; each run is visited as page-resident segments).
-//
-// Compressed chunks cannot alias page bodies: their page bytes are the
-// packed codec stream, not the payload. For those, both views decode
-// the whole touched chunk into a view-owned buffer and unpin the frame
-// immediately — the view then holds memory, not pins, so a compressed
-// view never blocks eviction for longer than the decode itself. The
-// view API is identical either way; callers cannot tell the formats
-// apart.
-//
-// Views must be Released exactly like a Frame must be Unpinned: a
-// leaked view holds its (raw-chunk) frames pinned, which blocks
-// eviction and DropCleanBuffers — the golden suites assert
-// PinnedFrames() == 0 after every query for this reason. Release is
-// idempotent and returns the frames to their shard's LRU, making them
-// evictable again.
+// A View must be Released exactly like a Frame must be Unpinned: a
+// leaked view blocks eviction and DropCleanBuffers — the golden suites
+// assert PinnedFrames() == 0 after every query for this reason.
 package blob
 
-import (
-	"fmt"
-	"sort"
+import "sqlarray/internal/pages"
 
-	"sqlarray/internal/pages"
-)
-
-// View is a whole blob pinned in the buffer pool, exposing the chunk
-// page bodies without copying. Chunk i holds the logical byte range
-// recorded in the blob directory (fixed ChunkSize strides for raw
-// blobs, variable for compressed ones).
+// View is a blob pinned in the buffer pool for zero-copy access.
 type View struct {
-	s        *Store
-	ref      Ref
-	chunks   []chunkInfo
-	frames   []*pages.Frame
-	bodies   [][]byte
-	released bool
+	s *Store
+	f *pages.Frame // nil when the blob is not a single raw chunk
 }
 
-// View pins all chunk pages of a blob and returns the zero-copy view.
-// The caller must Release it. Pinning a raw blob holds NumChunks(Len())
-// frames, so very large blobs should prefer RunsView or the copying
-// reads; a null ref yields an empty view. Compressed chunks are decoded
-// into view-owned buffers and their frames unpinned immediately.
+// View pins the blob's chunk page if the blob is a single raw chunk.
+// The caller must Release the view either way.
 func (s *Store) View(ref Ref) (*View, error) {
-	v := &View{s: s, ref: ref}
-	if ref.IsNull() {
-		return v, nil
-	}
-	chunks, compressed, err := s.loadChunks(ref)
+	v := &View{s: s}
+	chunks, _, compressed, err := s.walkDir(ref)
 	if err != nil {
 		return nil, err
 	}
-	v.chunks = chunks
-	var scr *codecScratch
-	if compressed {
-		scr = scratchPool.Get().(*codecScratch)
-		defer scratchPool.Put(scr)
+	// The compressed test is a format guard, not a case the engine
+	// reaches: its one caller asks only for blobs of at most ChunkSize
+	// bytes, which are always stored raw. A larger blob packed into one
+	// compressed page also has len(chunks) == 1, and its page body is a
+	// codec stream that must never be lent as the payload.
+	if compressed || len(chunks) != 1 {
+		return v, nil
 	}
-	v.frames = make([]*pages.Frame, 0, len(chunks))
-	v.bodies = make([][]byte, 0, len(chunks))
-	for _, ci := range chunks {
-		body, f, err := s.loadChunkBody(ci, compressed, scr)
-		if err != nil {
-			v.Release()
-			return nil, err
-		}
-		if f != nil {
-			v.frames = append(v.frames, f)
-		}
-		v.bodies = append(v.bodies, body)
+	if v.f, err = s.fetchChunk(chunks[0], false); err != nil {
+		return nil, err
 	}
+	s.stats.bytesRead.Add(uint64(v.f.Page.Used()))
 	return v, nil
 }
 
-// loadChunkBody fetches one chunk and returns its logical payload. Raw
-// chunks keep the frame pinned and alias its body (frame returned for
-// the caller to own); compressed chunks decode into a fresh buffer and
-// unpin before returning (frame is nil). Counts chunkReads/bytesRead
-// load-time, matching the seed View semantics.
-func (s *Store) loadChunkBody(ci chunkInfo, compressed bool, scr *codecScratch) ([]byte, *pages.Frame, error) {
-	f, err := s.fx.Fetch(ci.id)
-	if err != nil {
-		return nil, nil, err
-	}
-	if f.Page.Type() != pages.TypeBlobData {
-		s.fx.Unpin(f, false)
-		return nil, nil, fmt.Errorf("%w: page %d is not a blob chunk", ErrBadRef, ci.id)
-	}
-	s.stats.chunkReads.Add(1)
-	used := f.Page.Used()
-	if !compressed {
-		s.stats.bytesRead.Add(uint64(used))
-		return f.Page.Body()[:used], f, nil
-	}
-	s.stats.compressedBytesRead.Add(uint64(used))
-	buf := make([]byte, ci.n)
-	derr := decodeWholeChunk(&f.Page, buf, scr)
-	s.fx.Unpin(f, false)
-	if derr != nil {
-		return nil, nil, derr
-	}
-	s.stats.bytesRead.Add(uint64(ci.n))
-	return buf, nil, nil
-}
-
-// Len returns the blob length in bytes.
-func (v *View) Len() int64 { return v.ref.Length }
-
-// NumChunks returns how many chunks the view exposes.
-func (v *View) NumChunks() int { return len(v.bodies) }
-
-// Chunk returns chunk i's payload bytes — aliasing the pinned page body
-// for raw chunks, view-owned decoded bytes for compressed ones. Valid
-// until Release.
-func (v *View) Chunk(i int) []byte { return v.bodies[i] }
-
-// Contiguous returns the whole payload as one slice without a
-// per-call copy, which is possible exactly when the blob occupies a
-// single chunk page. Larger blobs return ok=false — the copying
-// fallback (AppendTo / ReadAll) applies.
+// Contiguous returns the whole payload as one slice aliasing the pinned
+// page body, valid until Release. ok is false when the blob is not a
+// single raw chunk; nothing is pinned then.
 func (v *View) Contiguous() ([]byte, bool) {
-	if len(v.bodies) == 1 {
-		return v.bodies[0], true
+	if v.f == nil {
+		return nil, false
 	}
-	return nil, false
+	return v.f.Page.Body()[:v.f.Page.Used()], true
 }
 
-// AppendTo appends the whole payload to dst (copying from the loaded
-// bodies — no second directory walk or chunk fetch).
-func (v *View) AppendTo(dst []byte) []byte {
-	for _, b := range v.bodies {
-		dst = append(dst, b...)
-	}
-	return dst
-}
-
-// ReadAt copies blob bytes [off, off+len(dst)) out of the loaded bodies.
-func (v *View) ReadAt(dst []byte, off int64) error {
-	if off < 0 || off+int64(len(dst)) > v.ref.Length {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrShortRead, off, off+int64(len(dst)), v.ref.Length)
-	}
-	w := 0
-	for c := findChunk(v.chunks, off); w < len(dst) && c >= 0 && c < len(v.bodies); c++ {
-		lo := int(off + int64(w) - v.chunks[c].off)
-		w += copy(dst[w:], v.bodies[c][lo:])
-	}
-	if w != len(dst) {
-		return fmt.Errorf("%w: wanted %d bytes, view yielded %d", ErrShortRead, len(dst), w)
-	}
-	return nil
-}
-
-// Release unpins every pinned chunk page, returning the frames to the
-// LRU. Idempotent; the view must not be used afterward.
+// Release unpins the chunk page, returning the frame to the LRU.
+// Idempotent; slices from Contiguous must not be used afterward.
 func (v *View) Release() {
-	if v.released {
-		return
+	if v.f != nil {
+		v.s.fx.Unpin(v.f, false)
+		v.f = nil
 	}
-	v.released = true
-	for _, f := range v.frames {
-		v.s.fx.Unpin(f, false)
-	}
-	v.frames = nil
-	v.bodies = nil
-}
-
-// RunsView is the pinned form of ReadRuns: only the chunk pages the run
-// list touches are fetched (each exactly once, even when several runs
-// land on the same chunk), and the run bytes are exposed as segments of
-// the chunk bodies instead of being copied out. Compressed chunks are
-// decoded whole into view-owned buffers (decompress-then-slice: only
-// touched chunks are ever fetched or decoded, never the whole blob).
-type RunsView struct {
-	s        *Store
-	ref      Ref
-	runs     []Run
-	chunks   []chunkInfo
-	chunkIdx []int // sorted, deduped chunk indices the runs touch
-	frames   []*pages.Frame
-	bodies   [][]byte // parallel to chunkIdx
-	released bool
-}
-
-// ReadRunsPinned validates runs against the blob, pins the touched
-// chunks and returns the view. The caller must Release it. The runs
-// slice is retained (not copied); it must not be mutated while the view
-// is live.
-func (s *Store) ReadRunsPinned(ref Ref, runs []Run) (*RunsView, error) {
-	rv := &RunsView{s: s, ref: ref, runs: runs}
-	if len(runs) == 0 {
-		return rv, nil
-	}
-	if ref.IsNull() {
-		return nil, fmt.Errorf("%w: null blob", ErrBadRef)
-	}
-	for _, r := range runs {
-		if r.Len <= 0 {
-			return nil, fmt.Errorf("%w: run length %d", ErrShortRead, r.Len)
-		}
-		if r.SrcOff < 0 || int64(r.SrcOff+r.Len) > ref.Length {
-			return nil, fmt.Errorf("%w: run [%d,%d) of %d", ErrShortRead, r.SrcOff, r.SrcOff+r.Len, ref.Length)
-		}
-	}
-	chunks, compressed, err := s.loadChunks(ref)
-	if err != nil {
-		return nil, err
-	}
-	rv.chunks = chunks
-	var cover int64
-	if n := len(chunks); n > 0 {
-		cover = chunks[n-1].off + int64(chunks[n-1].n)
-	}
-	// Collect the touched chunk indices: append each run's chunk range,
-	// then sort and compact. SubarrayPlan emits runs in ascending source
-	// order, so the sort is usually a no-op pass over an already-ordered
-	// slice (cheaper than a map for the stencil-sized run counts here).
-	idx := make([]int, 0, len(runs)+4)
-	// needed tracks, per touched chunk, the union byte range the runs
-	// cover within it, so compressed chunks decode only the blocks that
-	// range overlaps (a stencil-sized run list touches a sliver of each
-	// chunk, not its full logical span).
-	var needed map[int][2]int
-	if compressed {
-		needed = make(map[int][2]int, len(runs)+4)
-	}
-	for _, r := range runs {
-		if int64(r.SrcOff+r.Len) > cover {
-			// The directory covers fewer bytes than the ref declares.
-			return nil, fmt.Errorf("%w: chunk %d of %d", ErrBadRef, len(chunks), len(chunks))
-		}
-		c := findChunk(chunks, int64(r.SrcOff))
-		if c < 0 {
-			c = 0
-		}
-		for ; c < len(chunks) && chunks[c].off < int64(r.SrcOff+r.Len); c++ {
-			idx = append(idx, c)
-			if compressed {
-				ci := chunks[c]
-				lo := int(int64(r.SrcOff) - ci.off)
-				if lo < 0 {
-					lo = 0
-				}
-				hi := int(int64(r.SrcOff+r.Len) - ci.off)
-				if hi > ci.n {
-					hi = ci.n
-				}
-				if rng, ok := needed[c]; ok {
-					if rng[0] < lo {
-						lo = rng[0]
-					}
-					if rng[1] > hi {
-						hi = rng[1]
-					}
-				}
-				needed[c] = [2]int{lo, hi}
-			}
-		}
-	}
-	sort.Ints(idx)
-	rv.chunkIdx = idx[:0]
-	for i, c := range idx {
-		if i == 0 || c != idx[i-1] {
-			rv.chunkIdx = append(rv.chunkIdx, c)
-		}
-	}
-	var scr *codecScratch
-	if compressed {
-		scr = scratchPool.Get().(*codecScratch)
-		defer scratchPool.Put(scr)
-	}
-	rv.frames = make([]*pages.Frame, 0, len(rv.chunkIdx))
-	rv.bodies = make([][]byte, 0, len(rv.chunkIdx))
-	for _, c := range rv.chunkIdx {
-		lo, hi := 0, chunks[c].n
-		if compressed {
-			rng := needed[c]
-			lo, hi = rng[0], rng[1]
-		}
-		body, f, err := s.loadRunChunkBody(chunks[c], compressed, scr, lo, hi)
-		if err != nil {
-			rv.Release()
-			return nil, err
-		}
-		if f != nil {
-			rv.frames = append(rv.frames, f)
-		}
-		rv.bodies = append(rv.bodies, body)
-	}
-	return rv, nil
-}
-
-// loadRunChunkBody is loadChunkBody minus the load-time bytesRead
-// accounting: RunsView counts logical bytes in VisitRun (per segment
-// actually consumed), matching the seed semantics. For compressed
-// chunks only the blocks overlapping [lo,hi) — the union range the
-// view's runs need from this chunk — are decoded; the rest of the
-// buffer stays zero and is never visited.
-func (s *Store) loadRunChunkBody(ci chunkInfo, compressed bool, scr *codecScratch, lo, hi int) ([]byte, *pages.Frame, error) {
-	f, err := s.fx.Fetch(ci.id)
-	if err != nil {
-		return nil, nil, err
-	}
-	if f.Page.Type() != pages.TypeBlobData {
-		s.fx.Unpin(f, false)
-		return nil, nil, fmt.Errorf("%w: page %d is not a blob chunk", ErrBadRef, ci.id)
-	}
-	s.stats.chunkReads.Add(1)
-	if !compressed {
-		return f.Page.Body()[:f.Page.Used()], f, nil
-	}
-	s.stats.compressedBytesRead.Add(uint64(f.Page.Used()))
-	buf := make([]byte, ci.n)
-	derr := decodeChunkRange(&f.Page, buf, lo, hi, scr)
-	s.fx.Unpin(f, false)
-	if derr != nil {
-		return nil, nil, derr
-	}
-	return buf, nil, nil
-}
-
-// body returns the loaded body of absolute chunk index c.
-func (rv *RunsView) body(c int) []byte {
-	i := sort.SearchInts(rv.chunkIdx, c)
-	return rv.bodies[i]
-}
-
-// NumRuns returns the run count.
-func (rv *RunsView) NumRuns() int { return len(rv.runs) }
-
-// PinnedChunks returns how many distinct chunk pages the view loaded
-// (for raw blobs these are held pinned; compressed chunks were decoded
-// and unpinned at load).
-func (rv *RunsView) PinnedChunks() int { return len(rv.bodies) }
-
-// VisitRun invokes fn for each chunk-resident segment of run i in
-// source order. dstOff is the segment's absolute destination offset
-// (the run's DstOff plus the progress within the run); seg aliases the
-// chunk body and is valid until Release. A run contained in one chunk —
-// the common case for stencil reads — is visited exactly once.
-func (rv *RunsView) VisitRun(i int, fn func(dstOff int, seg []byte)) {
-	r := rv.runs[i]
-	read := 0
-	for c := findChunk(rv.chunks, int64(r.SrcOff)); read < r.Len; c++ {
-		ci := rv.chunks[c]
-		body := rv.body(c)
-		lo := int(int64(r.SrcOff+read) - ci.off)
-		seg := body[lo:]
-		if rem := r.Len - read; len(seg) > rem {
-			seg = seg[:rem]
-		}
-		fn(r.DstOff+read, seg)
-		read += len(seg)
-		rv.s.stats.bytesRead.Add(uint64(len(seg)))
-	}
-}
-
-// CopyTo scatters every run into dst, equivalent to ReadRuns but from
-// the already-loaded bodies.
-func (rv *RunsView) CopyTo(dst []byte) {
-	for i := range rv.runs {
-		rv.VisitRun(i, func(dstOff int, seg []byte) {
-			copy(dst[dstOff:], seg)
-		})
-	}
-}
-
-// Release unpins the touched chunk pages. Idempotent.
-func (rv *RunsView) Release() {
-	if rv.released {
-		return
-	}
-	rv.released = true
-	for _, f := range rv.frames {
-		rv.s.fx.Unpin(f, false)
-	}
-	rv.frames = nil
-	rv.bodies = nil
 }

@@ -1,0 +1,275 @@
+package blob
+
+import (
+	"encoding/binary"
+
+	"sqlarray/internal/pages"
+)
+
+// Page sinks: blob writes are parameterized over where pages come from
+// and what happens when one is complete, so the transactional path and
+// the bulk-ingest path share one layout implementation.
+//
+//   - The reuse sink (Write/WriteCompressed) allocates through the free
+//     list — which mutates shared committed pages (the free-list head
+//     and the meta page), so it is only legal inside a write capture —
+//     and simply unpins completed pages; the enclosing Tx commit logs
+//     them from the capture set.
+//   - The fresh sink (WriteFresh) allocates brand-new pages only, never
+//     touching the free list, and hands each completed page to the
+//     caller while still pinned so its WAL image can be streamed out
+//     immediately. That makes it safe to run OUTSIDE a capture: no
+//     shared state is written, and logged pages become evictable as
+//     soon as the log syncs past them — bounded memory for arbitrarily
+//     large loads.
+type pageSink struct {
+	alloc  func(typ pages.PageType) (*pages.Frame, error)
+	finish func(f *pages.Frame) error
+}
+
+// reuseSink is the transactional allocation policy (free list first).
+func (s *Store) reuseSink() pageSink {
+	return pageSink{
+		alloc: s.allocPage,
+		finish: func(f *pages.Frame) error {
+			s.bp.Unpin(f, true)
+			return nil
+		},
+	}
+}
+
+// Write stores data as a new blob in the raw (uncompressed) chunk
+// format and returns its Ref. Pages come from the free list.
+func (s *Store) Write(data []byte) (Ref, error) {
+	return s.write(data, Codec{}, s.reuseSink())
+}
+
+// WriteCompressed stores data as a new blob in the compressed chunk
+// format under codec c (CodecNone and unknown kinds store raw). If the
+// packed compressed form would not occupy fewer chunk pages than raw
+// storage, the blob is stored raw instead — compression never costs
+// pages, and incompressible single-chunk blobs keep the zero-copy
+// resolve path. Pages come from the free list.
+func (s *Store) WriteCompressed(data []byte, c Codec) (Ref, error) {
+	return s.write(data, c, s.reuseSink())
+}
+
+// WriteFresh is WriteCompressed on freshly allocated pages only,
+// bypassing the free list. onPage is invoked for every completed page
+// while it is still pinned — the bulk loader streams the page image
+// into the WAL there — and may be nil.
+func (s *Store) WriteFresh(data []byte, c Codec, onPage func(f *pages.Frame) error) (Ref, error) {
+	return s.write(data, c, pageSink{
+		alloc: func(typ pages.PageType) (*pages.Frame, error) {
+			return s.bp.NewPage(typ)
+		},
+		finish: func(f *pages.Frame) error {
+			var err error
+			if onPage != nil {
+				err = onPage(f)
+			}
+			s.bp.Unpin(f, true)
+			return err
+		},
+	})
+}
+
+// write is the one blob writer: it lays data out as chunk pages taken
+// from sink — packed compressed blocks when c compresses and that saves
+// at least one page, verbatim ChunkSize strides otherwise — followed by
+// the directory chain describing them.
+func (s *Store) write(data []byte, c Codec, sink pageSink) (Ref, error) {
+	if len(data) == 0 {
+		return Ref{}, nil
+	}
+	nChunks := NumChunks(int64(len(data)))
+	var blocks []encBlock
+	var stage []byte
+	var plan []chunkPlan
+	if c.Kind == CodecLZ || c.Kind == CodecXOR {
+		if c.Width < 1 || c.Width > 255 {
+			c.Width = 1
+		}
+		if c.Phase < 0 || c.Phase > 7 {
+			c.Phase = 0
+		}
+		scr := scratchPool.Get().(*codecScratch)
+		defer scratchPool.Put(scr)
+		blocks, stage = encodeBlocks(data, c, scr)
+		if plan = packBlocks(blocks); len(plan) < nChunks {
+			nChunks = len(plan)
+		} else {
+			plan = nil
+		}
+	}
+	chunks := make([]chunkInfo, 0, nChunks)
+	var off int64
+	for i := 0; i < nChunks; i++ {
+		f, err := sink.alloc(pages.TypeBlobData)
+		if err != nil {
+			return Ref{}, err
+		}
+		var n int
+		if plan != nil {
+			pk := plan[i]
+			w := fillChunkPage(&f.Page, c, blocks[pk.first:pk.first+pk.n], stage)
+			s.stats.compressedBytesWritten.Add(uint64(w))
+			n = pk.logical
+		} else {
+			n = copy(f.Page.Body(), data[off:])
+			f.Page.SetUsed(n)
+		}
+		chunks = append(chunks, chunkInfo{id: f.Page.ID, off: off, n: n})
+		off += int64(n)
+		if err := sink.finish(f); err != nil {
+			return Ref{}, err
+		}
+		s.stats.chunksWritten.Add(1)
+	}
+	s.stats.bytesWritten.Add(uint64(len(data)))
+	root, err := s.writeDirectory(chunks, plan != nil, sink)
+	if err != nil {
+		return Ref{}, err
+	}
+	return Ref{Root: root, Length: int64(len(data))}, nil
+}
+
+// writeDirectory lays the chunk list into a chain of directory pages
+// taken from sink and returns the first page id. Raw blobs store 4-byte
+// chunk page ids; compressed blobs store 8-byte (page id, logical
+// length) entries on pages flagged FlagCompressedBlob.
+func (s *Store) writeDirectory(chunks []chunkInfo, compressed bool, sink pageSink) (pages.PageID, error) {
+	entry := 4
+	if compressed {
+		entry = 8
+	}
+	var first pages.PageID
+	var prev *pages.Frame
+	for len(chunks) > 0 {
+		n := min(len(chunks), ChunkSize/entry)
+		f, err := sink.alloc(pages.TypeBlobTree)
+		if err != nil {
+			if prev != nil {
+				s.bp.Unpin(prev, true)
+			}
+			return 0, err
+		}
+		body := f.Page.Body()
+		for i, ci := range chunks[:n] {
+			binary.LittleEndian.PutUint32(body[entry*i:], uint32(ci.id))
+			if compressed {
+				binary.LittleEndian.PutUint32(body[entry*i+4:], uint32(ci.n))
+			}
+		}
+		f.Page.SetUsed(n * entry)
+		f.Page.SetNext(pages.InvalidPageID)
+		if compressed {
+			f.Page.SetFlags(pages.FlagCompressedBlob)
+		}
+		if prev == nil {
+			first = f.Page.ID
+		} else {
+			prev.Page.SetNext(f.Page.ID)
+			if err := sink.finish(prev); err != nil {
+				s.bp.Unpin(f, true)
+				return 0, err
+			}
+		}
+		prev = f
+		chunks = chunks[n:]
+	}
+	if prev != nil {
+		if err := sink.finish(prev); err != nil {
+			return 0, err
+		}
+	}
+	return first, nil
+}
+
+// encBlock is one encoded block staged before page packing: header
+// fields plus a span of the shared staging buffer.
+type encBlock struct {
+	format, width  byte
+	logical        int
+	payOff, payLen int
+}
+
+// chunkPlan assigns a run of staged blocks to one chunk page.
+type chunkPlan struct {
+	first, n, stored, logical int
+}
+
+// encodeBlocks cuts data on the BlockSize grid and encodes every block
+// under c, returning the block headers and the staging buffer holding
+// their payloads. Blocks that fail to shrink are staged raw.
+func encodeBlocks(data []byte, c Codec, scr *codecScratch) ([]encBlock, []byte) {
+	var stage []byte
+	blocks := make([]encBlock, 0, (len(data)+BlockSize-1)/BlockSize)
+	for off := 0; off < len(data); off += BlockSize {
+		end := off + BlockSize
+		if end > len(data) {
+			end = len(data)
+		}
+		format, width, payload := encodeBlock(data[off:end], c, scr)
+		blocks = append(blocks, encBlock{
+			format:  format,
+			width:   width,
+			logical: end - off,
+			payOff:  len(stage),
+			payLen:  len(payload),
+		})
+		stage = append(stage, payload...)
+	}
+	return blocks, stage
+}
+
+// packBlocks greedily assigns staged blocks to chunk pages, bounded by
+// the page payload capacity and maxBlocksPerChunk.
+func packBlocks(blocks []encBlock) []chunkPlan {
+	var plan []chunkPlan
+	cur := chunkPlan{}
+	for i, b := range blocks {
+		need := blockHdrSize + b.payLen
+		if cur.n > 0 && (cur.stored+need > chunkPayloadCap || cur.n == maxBlocksPerChunk) {
+			plan = append(plan, cur)
+			cur = chunkPlan{}
+		}
+		if cur.n == 0 {
+			cur.first = i
+		}
+		cur.n++
+		cur.stored += need
+		cur.logical += b.logical
+	}
+	if cur.n > 0 {
+		plan = append(plan, cur)
+	}
+	return plan
+}
+
+// fillChunkPage lays one chunk plan's blocks into a page body and
+// stamps the compressed-chunk header (format version, block count, and
+// the blob's preferred codec so in-place rewrites re-encode with the
+// writer's intent). Returns the stored byte count (the page's Used).
+func fillChunkPage(p *pages.Page, c Codec, blocks []encBlock, stage []byte) int {
+	body := p.Body()
+	body[0] = chunkFormatVersion
+	binary.LittleEndian.PutUint16(body[1:], uint16(len(blocks)))
+	body[3] = byte(c.Kind)
+	body[4] = byte(c.Width)
+	body[5] = byte(c.Phase & 7)
+	body[6], body[7] = 0, 0
+	w := chunkHdrSize
+	for _, b := range blocks {
+		body[w] = b.format
+		body[w+1] = b.width
+		binary.LittleEndian.PutUint16(body[w+2:], uint16(b.payLen))
+		binary.LittleEndian.PutUint16(body[w+4:], uint16(b.logical))
+		body[w+6], body[w+7] = 0, 0
+		copy(body[w+blockHdrSize:], stage[b.payOff:b.payOff+b.payLen])
+		w += blockHdrSize + b.payLen
+	}
+	p.SetUsed(w)
+	p.SetFlags(pages.FlagCompressedBlob)
+	return w
+}

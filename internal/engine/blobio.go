@@ -80,8 +80,16 @@ func (db *DB) writeBlob(b []byte) (blob.Ref, error) {
 // legally sized small pool.
 const resolvePinFraction = 4
 
-// ResolveMax materializes a VARBINARY(MAX) column value (the 12-byte
-// ref RowView.Col yields) into the array payload bytes.
+// Every table blob read below is implemented once, against a Snapshot:
+// a ref decoded from a snapshot's row must dereference the same
+// commit's chunk pages, or a concurrent UPDATE that freed and reused
+// the blob's pages could hand the reader foreign bytes. The forms
+// without a snapshot argument read the latest committed state — they
+// open a snapshot for the one call, exactly like Get and Stats do —
+// so they are only safe for refs no writer can be replacing meanwhile.
+
+// ResolveMaxAt materializes a VARBINARY(MAX) column value (the 12-byte
+// ref RowView.Col yields) into the array payload bytes, as of s.
 //
 // When the blob fits a single chunk page, pins is non-nil and the set
 // is under its pin budget, the returned slice aliases the pinned page
@@ -89,30 +97,17 @@ const resolvePinFraction = 4
 // bytes are valid until pins.Release(). Multi-chunk blobs, a nil pins,
 // or an exhausted budget fall back to the copying read, because an
 // array payload must be contiguous and chunk pages are not (and because
-// pinning must never wedge the pool). A null ref resolves to nil.
-func (t *Table) ResolveMax(refBytes []byte, pins *BlobPins) ([]byte, error) {
-	return t.resolveMax(t.db.blobs, refBytes, pins)
-}
-
-// ResolveMaxAt is ResolveMax reading blob pages through the snapshot —
-// a ref decoded from a snapshot scan must resolve against the same
-// commit's chunk pages, or a concurrent UPDATE that freed and reused
-// the blob's pages could hand the scan foreign bytes.
+// pinning must never wedge the pool); with a nil pins the result is
+// caller-owned — the plain "fetch the whole value" read. A null ref
+// resolves to nil.
 func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte, pins *BlobPins) ([]byte, error) {
-	return t.resolveMax(s.blobs, refBytes, pins)
-}
-
-func (t *Table) resolveMax(bs *blob.Store, refBytes []byte, pins *BlobPins) ([]byte, error) {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		return nil, err
 	}
-	if ref.IsNull() {
-		return nil, nil
-	}
 	if pins != nil && blob.NumChunks(ref.Length) == 1 &&
 		pins.Held() < t.db.bp.Capacity()/resolvePinFraction {
-		v, err := bs.View(ref)
+		v, err := s.blobs.View(ref)
 		if err != nil {
 			return nil, err
 		}
@@ -122,93 +117,54 @@ func (t *Table) resolveMax(bs *blob.Store, refBytes []byte, pins *BlobPins) ([]b
 		}
 		v.Release() // stored length disagreed with chunk count; fall back
 	}
-	return bs.ReadAll(ref)
+	return s.blobs.ReadAll(ref)
 }
 
-// ViewBlob pins a MAX column value's chunk pages and returns the
-// zero-copy view. The caller must Release it.
-func (t *Table) ViewBlob(refBytes []byte) (*blob.View, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return t.db.blobs.View(ref)
+// ResolveMax is ResolveMaxAt on the latest committed state. A pin
+// handed to pins outlives the call's snapshot safely: the pool never
+// retires a pinned page version.
+func (t *Table) ResolveMax(refBytes []byte, pins *BlobPins) ([]byte, error) {
+	s := t.db.Snapshot()
+	defer s.Release()
+	return t.ResolveMaxAt(s, refBytes, pins)
 }
 
-// ViewBlobAt is ViewBlob through the snapshot's blob view.
-func (t *Table) ViewBlobAt(s *Snapshot, refBytes []byte) (*blob.View, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return s.blobs.View(ref)
-}
-
-// ReadBlobRuns performs a batch of partial reads of a MAX column blob,
-// described as byte runs of the stored blob (header offset already
-// applied), sharing one directory walk. This is how core.SubarrayPlan
-// runs reach the blob store without materializing the whole array.
-func (t *Table) ReadBlobRuns(refBytes []byte, dst []byte, runs []blob.Run) error {
-	return t.readBlobRuns(t.db.blobs, refBytes, dst, runs)
-}
-
-// ReadBlobRunsAt is ReadBlobRuns through the snapshot's blob view.
-func (t *Table) ReadBlobRunsAt(s *Snapshot, refBytes []byte, dst []byte, runs []blob.Run) error {
-	return t.readBlobRuns(s.blobs, refBytes, dst, runs)
-}
-
-func (t *Table) readBlobRuns(bs *blob.Store, refBytes []byte, dst []byte, runs []blob.Run) error {
+// VisitBlobRunsAt lends fn the bytes of the given byte runs of a stored
+// MAX value (header offset already applied) in place, as of s — see
+// blob.Store.VisitRuns for the segment contract. This is how a
+// consumer that decodes straight off the chunk pages reads a subarray
+// without a staging copy.
+func (t *Table) VisitBlobRunsAt(s *Snapshot, refBytes []byte, runs []blob.Run, fn func(dstOff int, seg []byte)) error {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		return err
 	}
-	return bs.ReadRuns(ref, dst, runs)
+	return s.blobs.VisitRuns(ref, runs, fn)
 }
 
-// ReadBlobRunsPinned is the zero-copy variant of ReadBlobRuns: only the
-// chunk pages the runs touch are pinned, and the run bytes are visited
-// in place. The caller must Release the view.
-func (t *Table) ReadBlobRunsPinned(refBytes []byte, runs []blob.Run) (*blob.RunsView, error) {
-	return t.readBlobRunsPinned(t.db.blobs, refBytes, runs)
-}
-
-// ReadBlobRunsPinnedAt is ReadBlobRunsPinned through the snapshot's
-// blob view.
-func (t *Table) ReadBlobRunsPinnedAt(s *Snapshot, refBytes []byte, runs []blob.Run) (*blob.RunsView, error) {
-	return t.readBlobRunsPinned(s.blobs, refBytes, runs)
-}
-
-func (t *Table) readBlobRunsPinned(bs *blob.Store, refBytes []byte, runs []blob.Run) (*blob.RunsView, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return bs.ReadRunsPinned(ref, runs)
-}
-
-// BlobHeader decodes just the array header of a stored MAX array,
-// touching only the blob's first chunk page (one short partial read for
-// headers up to rank 6; a second for higher-rank dimension lists).
-func (t *Table) BlobHeader(refBytes []byte) (core.Header, int, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return core.Header{}, 0, err
-	}
-	return t.blobHeader(t.db.blobs, ref)
-}
-
-// BlobHeaderAt is BlobHeader through the snapshot's blob view.
+// BlobHeaderAt decodes just the array header of a stored MAX array as
+// of s, touching only the blob's first chunk page (one short partial
+// read for headers up to rank 6; a second for higher-rank dimension
+// lists).
 func (t *Table) BlobHeaderAt(s *Snapshot, refBytes []byte) (core.Header, int, error) {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		return core.Header{}, 0, err
 	}
-	return t.blobHeader(s.blobs, ref)
+	return blobHeader(s.blobs, ref)
 }
 
-// blobHeader is BlobHeader on an already-decoded ref, reading through
-// the given store view (live or snapshot).
-func (t *Table) blobHeader(bs *blob.Store, ref blob.Ref) (core.Header, int, error) {
+// BlobHeader is BlobHeaderAt on the latest committed state.
+func (t *Table) BlobHeader(refBytes []byte) (core.Header, int, error) {
+	s := t.db.Snapshot()
+	defer s.Release()
+	return t.BlobHeaderAt(s, refBytes)
+}
+
+// blobHeader reads and decodes the array header of ref through bs — a
+// snapshot's store for readers, the live store for the writer's own
+// read under the write latch (UpdateBlobSubarrayTx).
+func blobHeader(bs *blob.Store, ref blob.Ref) (core.Header, int, error) {
 	if ref.IsNull() {
 		return core.Header{}, 0, fmt.Errorf("%w: null blob", blob.ErrBadRef)
 	}
@@ -241,35 +197,26 @@ func (t *Table) blobHeader(bs *blob.Store, ref blob.Ref) (core.Header, int, erro
 	if err != nil {
 		return core.Header{}, 0, err
 	}
+	if int64(h.TotalBytes()) != ref.Length {
+		return core.Header{}, 0, fmt.Errorf("%w: header declares %d bytes, blob holds %d",
+			blob.ErrBadRef, h.TotalBytes(), ref.Length)
+	}
 	return h, n, nil
 }
 
-// BlobSubarray extracts a subarray of a stored MAX array, reading only
-// the header and the chunk pages the subarray's runs touch — the full
-// I/O pushdown of the paper's Subarray-on-max-array case. offset and
-// size follow core.Array.Subarray; collapse drops unit dimensions. The
-// result is a fresh, caller-owned array.
-func (t *Table) BlobSubarray(refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
-	return t.blobSubarray(t.db.blobs, refBytes, offset, size, collapse)
-}
-
-// BlobSubarrayAt is BlobSubarray through the snapshot's blob view.
+// BlobSubarrayAt extracts a subarray of a stored MAX array as of s,
+// reading only the header and the chunk pages the subarray's runs touch
+// — the full I/O pushdown of the paper's Subarray-on-max-array case.
+// offset and size follow core.Array.Subarray; collapse drops unit
+// dimensions. The result is a fresh, caller-owned array.
 func (t *Table) BlobSubarrayAt(s *Snapshot, refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
-	return t.blobSubarray(s.blobs, refBytes, offset, size, collapse)
-}
-
-func (t *Table) blobSubarray(bs *blob.Store, refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		return nil, err
 	}
-	h, hs, err := t.blobHeader(bs, ref)
+	h, hs, err := blobHeader(s.blobs, ref)
 	if err != nil {
 		return nil, err
-	}
-	if int64(h.TotalBytes()) != ref.Length {
-		return nil, fmt.Errorf("%w: header declares %d bytes, blob holds %d",
-			blob.ErrBadRef, h.TotalBytes(), ref.Length)
 	}
 	runs, err := core.SubarrayPlan(h, offset, size)
 	if err != nil {
@@ -283,19 +230,25 @@ func (t *Table) blobSubarray(bs *blob.Store, refBytes []byte, offset, size []int
 	if err != nil {
 		return nil, err
 	}
-	blobRuns := make([]blob.Run, len(runs))
-	for i, r := range runs {
-		blobRuns[i] = blob.Run{SrcOff: r.SrcOff + hs, DstOff: r.DstOff, Len: r.Len}
-	}
-	// Pinned run read rather than ReadRuns: a dense subarray's runs often
-	// share chunk pages (a small corner of a cube lives on one chunk),
-	// and the pinned view fetches each touched chunk exactly once where
-	// ReadRuns would re-fetch per run.
-	rv, err := bs.ReadRunsPinned(ref, blobRuns)
-	if err != nil {
+	if err := s.blobs.ReadRuns(ref, out.Payload(), blobRuns(runs, hs)); err != nil {
 		return nil, err
 	}
-	rv.CopyTo(out.Payload())
-	rv.Release()
 	return out, nil
+}
+
+// BlobSubarray is BlobSubarrayAt on the latest committed state.
+func (t *Table) BlobSubarray(refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
+	s := t.db.Snapshot()
+	defer s.Release()
+	return t.BlobSubarrayAt(s, refBytes, offset, size, collapse)
+}
+
+// blobRuns turns a subarray plan over an array payload into byte runs
+// of the stored blob, whose payload starts after the hs-byte header.
+func blobRuns(runs []core.Run, hs int) []blob.Run {
+	out := make([]blob.Run, len(runs))
+	for i, r := range runs {
+		out[i] = blob.Run{SrcOff: r.SrcOff + hs, DstOff: r.DstOff, Len: r.Len}
+	}
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"sqlarray/internal/blob"
 	"sqlarray/internal/core"
 )
 
@@ -111,7 +110,7 @@ func TestBlobSubarrayTouchesFewerChunksThanReadAll(t *testing.T) {
 	db, tbl, _, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
 	db.Blobs().ResetStats()
-	if _, err := tbl.FetchBlob(ref); err != nil {
+	if _, err := tbl.ResolveMax(ref, nil); err != nil {
 		t.Fatal(err)
 	}
 	whole := db.Blobs().Stats().ChunkReads
@@ -121,7 +120,7 @@ func TestBlobSubarrayTouchesFewerChunksThanReadAll(t *testing.T) {
 	}
 	sliced := db.Blobs().Stats().ChunkReads
 	if sliced >= whole {
-		t.Errorf("BlobSubarray touched %d chunks, FetchBlob touched %d — pushdown not effective",
+		t.Errorf("BlobSubarray touched %d chunks, ResolveMax touched %d — pushdown not effective",
 			sliced, whole)
 	}
 }
@@ -176,34 +175,32 @@ func TestResolveMaxZeroCopyAndFallback(t *testing.T) {
 	}
 }
 
-func TestReadBlobRunsPinnedThroughTable(t *testing.T) {
+// TestVisitBlobRunsAtMatchesSubarray reads a subarray's byte runs in
+// place through a snapshot and checks them against the in-memory slice.
+func TestVisitBlobRunsAtMatchesSubarray(t *testing.T) {
 	db, tbl, cube, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
 	h := cube.Header()
-	hs := h.EncodedSize()
-	runs, err := core.SubarrayPlan(h, []int{2, 3, 4}, []int{4, 2, 2})
+	offset, size := []int{2, 3, 4}, []int{4, 2, 2}
+	runs, err := core.SubarrayPlan(h, offset, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobRuns := make([]blob.Run, len(runs))
-	total := 0
-	for i, r := range runs {
-		blobRuns[i] = blob.Run{SrcOff: r.SrcOff + hs, DstOff: r.DstOff, Len: r.Len}
-		total += r.Len
-	}
-	want := make([]byte, total)
-	if err := tbl.ReadBlobRuns(ref, want, blobRuns); err != nil {
-		t.Fatal(err)
-	}
-	rv, err := tbl.ReadBlobRunsPinned(ref, blobRuns)
+	want, err := cube.Subarray(offset, size, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, total)
-	rv.CopyTo(got)
-	rv.Release()
-	if !bytes.Equal(got, want) {
-		t.Error("pinned run read disagrees with copying run read")
+	snap := db.Snapshot()
+	defer snap.Release()
+	got := make([]byte, len(want.Payload()))
+	err = tbl.VisitBlobRunsAt(snap, ref, blobRuns(runs, h.EncodedSize()), func(dstOff int, seg []byte) {
+		copy(got[dstOff:], seg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Payload()) {
+		t.Error("visited run bytes disagree with the in-memory Subarray")
 	}
 	if got := db.Pool().PinnedFrames(); got != 0 {
 		t.Errorf("PinnedFrames = %d", got)

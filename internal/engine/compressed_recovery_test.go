@@ -104,9 +104,9 @@ func TestRecoverCompressedBlobByteExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get(%d): %v", key, err)
 		}
-		got, err := tbl2.FetchBlob(vals[mCol].B)
+		got, err := tbl2.ResolveMax(vals[mCol].B, nil)
 		if err != nil {
-			t.Fatalf("FetchBlob(%d): %v", key, err)
+			t.Fatalf("ResolveMax(%d): %v", key, err)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("row %d: recovered blob not byte-identical (%d vs %d bytes)", key, len(got), len(payload))
@@ -118,7 +118,7 @@ func TestRecoverCompressedBlobByteExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl2.FetchBlob(vals[mCol].B); err != nil {
+	if _, err := tbl2.ResolveMax(vals[mCol].B, nil); err != nil {
 		t.Fatal(err)
 	}
 	if db2.Blobs().Stats().CompressedBytesRead == 0 {

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -167,7 +166,7 @@ func TestTableInsertGetScan(t *testing.T) {
 		t.Errorf("x = %v", row[1])
 	}
 	// The MAX column decodes to a ref; materialize it.
-	got, err := tbl.FetchBlob(row[3].B)
+	got, err := tbl.ResolveMax(row[3].B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,35 +199,6 @@ func TestTableInsertGetScan(t *testing.T) {
 	err = tbl.Scan(func(int64, *RowView) (bool, error) { n++; return n < 10, nil })
 	if err != nil || n != 10 {
 		t.Errorf("early stop: n=%d, %v", n, err)
-	}
-}
-
-func TestTableBlobStream(t *testing.T) {
-	db := NewMemDB()
-	tbl, err := db.CreateTable("t", testSchema(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 50000)
-	rng := rand.New(rand.NewSource(8))
-	rng.Read(data)
-	if err := tbl.Insert([]Value{IntValue(1), Null, Null, BinaryMaxValue(data)}); err != nil {
-		t.Fatal(err)
-	}
-	row, err := tbl.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := tbl.OpenBlob(row[3].B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 100)
-	if _, err := st.ReadAt(buf, 30000); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data[30000:30100]) {
-		t.Error("stream partial read mismatch")
 	}
 }
 

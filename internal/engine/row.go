@@ -147,7 +147,7 @@ func (r *RowView) advanceTo(i int) error {
 
 // Col decodes column i. VARBINARY values alias the row buffer (valid only
 // while the underlying page is pinned, i.e. within the scan callback);
-// VARBINARY(MAX) yields the 12-byte ref — use Table.FetchBlob to load it.
+// VARBINARY(MAX) yields the 12-byte ref — use Table.ResolveMaxAt to load it.
 func (r *RowView) Col(i int) (Value, error) {
 	if i < 0 || i >= len(r.schema.Columns) {
 		return Null, fmt.Errorf("%w: index %d", ErrNoColumn, i)

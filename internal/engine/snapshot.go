@@ -87,16 +87,22 @@ func (t *Table) currentMeta(tag uint64) tableMeta {
 }
 
 // publishMeta appends the committed version tagged tag and prunes
-// versions no active snapshot can resolve anymore (a version is dead
-// once a newer one is at or below the oldest active snapshot's tag).
+// versions no reader can resolve anymore. A version is dead once a
+// newer one is visible to every snapshot that is open or can still
+// open: at or below the oldest active snapshot's tag and at or below
+// the commit clock. The clock matters because tag is not visible yet —
+// FinishPublish advances the clock only after every touched table has
+// published — so a snapshot opening in that window must still find the
+// predecessor (with no snapshot open the oldest-active tag is ∞, and
+// pruning on it alone left such a reader an empty table).
 func (t *Table) publishMeta(tag uint64) {
 	m := t.currentMeta(tag)
-	min := t.db.bp.MinSnapshotTag()
+	floor := min(t.db.bp.MinSnapshotTag(), t.db.bp.CommitTag())
 	t.metaMu.Lock()
 	t.metas = append(t.metas, m)
 	from := 0
 	for i := len(t.metas) - 1; i >= 0; i-- {
-		if t.metas[i].tag <= min {
+		if t.metas[i].tag <= floor {
 			from = i
 			break
 		}

@@ -314,13 +314,11 @@ func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []
 	if err != nil {
 		return err
 	}
-	h, hs, err := t.blobHeader(t.db.blobs, ref)
+	// The writer reads its own pending pages: the live store, not a
+	// snapshot.
+	h, hs, err := blobHeader(t.db.blobs, ref)
 	if err != nil {
 		return err
-	}
-	if int64(h.TotalBytes()) != ref.Length {
-		return fmt.Errorf("%w: header declares %d bytes, blob holds %d",
-			blob.ErrBadRef, h.TotalBytes(), ref.Length)
 	}
 	if src.ElemType() != h.Elem {
 		return fmt.Errorf("%w: assigning %s elements into a %s array",
@@ -338,11 +336,7 @@ func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []
 		return fmt.Errorf("%w: subarray of %v needs %d bytes, value has %d",
 			ErrTypeError, size, need, len(src.Payload()))
 	}
-	blobRuns := make([]blob.Run, len(runs))
-	for i, r := range runs {
-		blobRuns[i] = blob.Run{SrcOff: r.SrcOff + hs, DstOff: r.DstOff, Len: r.Len}
-	}
-	return t.db.blobs.WriteRuns(ref, src.Payload(), blobRuns)
+	return t.db.blobs.WriteRuns(ref, src.Payload(), blobRuns(runs, hs))
 }
 
 // decodeAll decodes every column of a raw row image. The returned
@@ -401,26 +395,6 @@ func (t *Table) KeyBounds() (min, max int64, ok bool, err error) {
 	s := t.db.Snapshot()
 	defer s.Release()
 	return t.KeyBoundsAt(s)
-}
-
-// FetchBlob materializes a VARBINARY(MAX) column value (a 12-byte ref,
-// as returned by RowView.Col) into its full bytes.
-func (t *Table) FetchBlob(refBytes []byte) ([]byte, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return t.db.blobs.ReadAll(ref)
-}
-
-// OpenBlob returns the stream wrapper over a MAX column value, for
-// partial reads.
-func (t *Table) OpenBlob(refBytes []byte) (*blob.Stream, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return t.db.blobs.Open(ref), nil
 }
 
 // TableStats summarizes a table's storage footprint; the Table 1 harness

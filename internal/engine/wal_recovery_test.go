@@ -66,9 +66,9 @@ func fetchArray(t *testing.T, tbl *Table, key int64, col int) *core.Array {
 	if err != nil {
 		t.Fatalf("Get(%d): %v", key, err)
 	}
-	payload, err := tbl.FetchBlob(vals[col].B)
+	payload, err := tbl.ResolveMax(vals[col].B, nil)
 	if err != nil {
-		t.Fatalf("FetchBlob(%d): %v", key, err)
+		t.Fatalf("ResolveMax(%d): %v", key, err)
 	}
 	a, err := core.Wrap(payload)
 	if err != nil {
@@ -95,7 +95,7 @@ func verifyInvariants(t *testing.T, db *DB, tables ...string) {
 					return false, err
 				}
 				if c.Type == ColVarBinaryMax && !v.IsNull() {
-					payload, err := tbl.FetchBlob(v.B)
+					payload, err := tbl.ResolveMax(v.B, nil)
 					if err != nil {
 						return false, err
 					}

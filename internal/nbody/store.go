@@ -132,39 +132,35 @@ func encodeBucket(parts []Particle) ([]engine.Value, error) {
 func (bs *BucketStore) Table() *engine.Table { return bs.table }
 
 // LoadSnapshot reassembles the particles of one step (order follows the
-// z-curve, not particle ID).
+// z-curve, not particle ID). Rows and blobs are read through one engine
+// snapshot, so the result is one committed state of the step.
 func (bs *BucketStore) LoadSnapshot(step int) (*Snapshot, error) {
-	lo := int64(step) << 44
-	hi := int64(step+1) << 44
-	snap := &Snapshot{Step: step}
-	var keys []int64
-	err := bs.table.Scan(func(key int64, _ *engine.RowView) (bool, error) {
-		if key >= lo && key < hi {
-			keys = append(keys, key)
-		}
-		return key < hi, nil
-	})
+	view := bs.db.Snapshot()
+	defer view.Release()
+	cur, err := bs.table.CursorRangeAt(view, int64(step)<<44, int64(step+1)<<44-1)
 	if err != nil {
 		return nil, err
 	}
-	for _, key := range keys {
-		row, err := bs.table.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		parts, err := bs.decodeBucket(row)
+	defer cur.Close()
+	snap := &Snapshot{Step: step}
+	for cur.Next() {
+		parts, err := bs.decodeBucket(view, cur.Row())
 		if err != nil {
 			return nil, err
 		}
 		snap.Particles = append(snap.Particles, parts...)
 	}
-	return snap, nil
+	return snap, cur.Err()
 }
 
-func (bs *BucketStore) decodeBucket(row []engine.Value) ([]Particle, error) {
+func (bs *BucketStore) decodeBucket(view *engine.Snapshot, row *engine.RowView) ([]Particle, error) {
 	arrs := make([]*core.Array, 3)
 	for i := 0; i < 3; i++ {
-		raw, err := bs.table.FetchBlob(row[1+i].B)
+		ref, err := row.Col(1 + i)
+		if err != nil {
+			return nil, err
+		}
+		raw, err := bs.table.ResolveMaxAt(view, ref.B, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -350,8 +350,15 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 // the commit visible to every snapshot acquired from now on, then
 // retires the pre-images the publish window was protecting (they only
 // become droppable once the clock passes their superseding tag).
+//
+// The tick takes snapMu so it cannot land between AcquireSnapshot
+// reading the old clock and registering that tag in minSnap: otherwise
+// the retirement below would see no snapshot at the old tag and drop
+// the very pre-images that snapshot is about to resolve to.
 func (bp *BufferPool) FinishPublish(tag uint64) {
+	bp.snapMu.Lock()
 	bp.snapClock.Store(tag)
+	bp.snapMu.Unlock()
 	bp.retireVersions()
 }
 

@@ -74,15 +74,22 @@ func (st *Store) Insert(s *Spectrum) error {
 	})
 }
 
-// Get loads a spectrum by id.
+// Get loads a spectrum by id. Row and arrays are read through one
+// snapshot, so they belong to one commit even under concurrent UPDATEs.
 func (st *Store) Get(id int64) (*Spectrum, error) {
-	row, err := st.table.Get(id)
+	snap := st.db.Snapshot()
+	defer snap.Release()
+	return st.getAt(snap, id)
+}
+
+func (st *Store) getAt(snap *engine.Snapshot, id int64) (*Spectrum, error) {
+	row, err := st.table.GetAt(snap, id)
 	if err != nil {
 		return nil, err
 	}
 	s := &Spectrum{ID: id, Z: row[1].F}
 	for i, dst := range []*[]float64{&s.Wave, &s.Flux, &s.Err} {
-		raw, err := st.table.FetchBlob(row[2+i].B)
+		raw, err := st.table.ResolveMaxAt(snap, row[2+i].B, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +102,7 @@ func (st *Store) Get(id int64) (*Spectrum, error) {
 		}
 		*dst = arr.Float64s()
 	}
-	raw, err := st.table.FetchBlob(row[5].B)
+	raw, err := st.table.ResolveMaxAt(snap, row[5].B, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -114,19 +121,21 @@ func (st *Store) Get(id int64) (*Spectrum, error) {
 // small regions around the interesting spectral lines" access pattern
 // (§2.2) — reading just the blob chunks those samples live on instead of
 // materializing the four full arrays. Flags are included; Z and ID come
-// from the row as usual.
+// from the row as usual. One snapshot, as in Get.
 func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 	if lo < 0 || hi <= lo {
 		return nil, fmt.Errorf("spectra: bad slice [%d,%d)", lo, hi)
 	}
-	row, err := st.table.Get(id)
+	snap := st.db.Snapshot()
+	defer snap.Release()
+	row, err := st.table.GetAt(snap, id)
 	if err != nil {
 		return nil, err
 	}
 	s := &Spectrum{ID: id, Z: row[1].F}
 	offset, size := []int{lo}, []int{hi - lo}
 	for i, dst := range []*[]float64{&s.Wave, &s.Flux, &s.Err} {
-		arr, err := st.table.BlobSubarray(row[2+i].B, offset, size, false)
+		arr, err := st.table.BlobSubarrayAt(snap, row[2+i].B, offset, size, false)
 		if err != nil {
 			return nil, fmt.Errorf("spectra: slicing column %d: %w", 2+i, err)
 		}
@@ -135,7 +144,7 @@ func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 		}
 		*dst = arr.Float64s()
 	}
-	flags, err := st.table.BlobSubarray(row[5].B, offset, size, false)
+	flags, err := st.table.BlobSubarrayAt(snap, row[5].B, offset, size, false)
 	if err != nil {
 		return nil, fmt.Errorf("spectra: slicing flags: %w", err)
 	}
@@ -146,19 +155,25 @@ func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 	return s, nil
 }
 
-// All loads every stored spectrum in id order.
+// All loads every stored spectrum in id order, as of one snapshot.
 func (st *Store) All() ([]*Spectrum, error) {
-	var ids []int64
-	err := st.table.Scan(func(key int64, _ *engine.RowView) (bool, error) {
-		ids = append(ids, key)
-		return true, nil
-	})
+	snap := st.db.Snapshot()
+	defer snap.Release()
+	cur, err := st.table.CursorAt(snap)
 	if err != nil {
+		return nil, err
+	}
+	var ids []int64
+	for cur.Next() {
+		ids = append(ids, cur.Key())
+	}
+	cur.Close()
+	if err := cur.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]*Spectrum, 0, len(ids))
 	for _, id := range ids {
-		s, err := st.Get(id)
+		s, err := st.getAt(snap, id)
 		if err != nil {
 			return nil, err
 		}

@@ -153,7 +153,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 			return false, err
 		}
 		if !v.IsNull() {
-			if _, err := hot.FetchBlob(v.B); err != nil {
+			if _, err := hot.ResolveMax(v.B, nil); err != nil {
 				return false, err
 			}
 		}
@@ -171,7 +171,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := hot.FetchBlob(vals[2].B)
+	payload, err := hot.ResolveMax(vals[2].B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

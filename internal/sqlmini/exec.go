@@ -334,7 +334,7 @@ type cCol struct{ idx int }
 // batch to own a pin there.
 type cMaxCol struct {
 	tbl  *engine.Table
-	snap *engine.Snapshot // the query's read view; nil falls back to live pages
+	snap *engine.Snapshot // the query's read view; nil reads the latest commit
 	idx  int
 	vec  []engine.Value
 }

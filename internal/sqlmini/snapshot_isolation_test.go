@@ -350,3 +350,61 @@ func TestSnapshotStressMixedScanDML(t *testing.T) {
 			res.Rows[0][0].I, res.Rows[0][1].F, res.Rows[0][2].F, rows, iters, iters)
 	}
 }
+
+// TestQueryDuringCommitNeverSeesEmptyTable is the regression test for
+// the catalog prune window: with no snapshot open, a commit used to
+// prune every older catalog version of the table before the commit
+// clock made the new one visible, so a query opening its snapshot in
+// between resolved no version at all and saw zero rows. Readers here
+// hold no snapshot between queries, so the writer's publish regularly
+// runs with none open.
+func TestQueryDuringCommitNeverSeesEmptyTable(t *testing.T) {
+	const rows = 8
+	db, _ := openTestDB(t, rows, 0)
+	commits := 5000
+	if testing.Short() {
+		commits = 1000
+	}
+	done := make(chan struct{})
+	errCh := make(chan error, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			res, err := Run(db, `SELECT COUNT(*) FROM t`)
+			if err == nil && res.Rows[0][0].I != rows {
+				err = fmt.Errorf("COUNT(*) = %d on a table of %d rows", res.Rows[0][0].I, rows)
+			}
+			if err != nil {
+				select {
+				case errCh <- err:
+				default:
+				}
+				return
+			}
+		}
+	}()
+	tbl, err := db.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < commits && len(errCh) == 0; i++ {
+		if err := tbl.Update(int64(i%rows), []int{1}, []engine.Value{engine.FloatValue(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	assertDrained(t, db)
+}

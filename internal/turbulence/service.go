@@ -6,8 +6,8 @@ import (
 
 	"sqlarray/internal/blob"
 	"sqlarray/internal/core"
+	"sqlarray/internal/engine"
 	"sqlarray/internal/interp"
-	"sqlarray/internal/sfc"
 )
 
 // FetchMode selects how much of a blob an interpolation query reads.
@@ -52,10 +52,12 @@ func (s *Store) VelocityBatch(step int, pts [][3]float64, scheme interp.Scheme, 
 		return nil, fmt.Errorf("turbulence: scheme %v needs ghost >= %d, store has %d",
 			scheme, np/2, s.ghost)
 	}
+	snap := s.db.Snapshot()
+	defer snap.Release()
 	out := make([][3]float64, len(pts))
 	cache := map[int64][]float64{}
 	for i, p := range pts {
-		v, err := s.velocityOne(step, p, scheme, mode, cache)
+		v, err := s.velocityOne(snap, step, p, scheme, mode, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +66,7 @@ func (s *Store) VelocityBatch(step int, pts [][3]float64, scheme interp.Scheme, 
 	return out, nil
 }
 
-func (s *Store) velocityOne(step int, p [3]float64, scheme interp.Scheme, mode FetchMode, cache map[int64][]float64) ([3]float64, error) {
+func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, scheme interp.Scheme, mode FetchMode, cache map[int64][]float64) ([3]float64, error) {
 	n := float64(s.n)
 	// Wrap into [0, n).
 	var g [3]float64
@@ -96,7 +98,7 @@ func (s *Store) velocityOne(step int, p [3]float64, scheme interp.Scheme, mode F
 		if iz >= m {
 			iz = m - 1
 		}
-		return s.stencilValue(step, cx, cy, cz, ix, iy, iz, 1,
+		return s.stencilValue(snap, step, cx, cy, cz, ix, iy, iz, 1,
 			[]float64{1}, []float64{1}, []float64{1}, mode, cache)
 	}
 	i0x, tx := int(math.Floor(lx)), lx-math.Floor(lx)
@@ -109,7 +111,7 @@ func (s *Store) velocityOne(step int, p [3]float64, scheme interp.Scheme, mode F
 	axisWeightsFor(scheme, ty, wy)
 	axisWeightsFor(scheme, tz, wz)
 	base := np/2 - 1
-	return s.stencilValue(step, cx, cy, cz, i0x-base, i0y-base, i0z-base, np, wx, wy, wz, mode, cache)
+	return s.stencilValue(snap, step, cx, cy, cz, i0x-base, i0y-base, i0z-base, np, wx, wy, wz, mode, cache)
 }
 
 // axisWeightsFor mirrors interp's per-axis weights for the tensor
@@ -145,7 +147,7 @@ func lagrangeInto(np int, t float64, w []float64) {
 
 // stencilValue evaluates the weighted sum over an np³ stencil starting
 // at (sx, sy, sz) in block coordinates, for the three velocity channels.
-func (s *Store) stencilValue(step, cx, cy, cz, sx, sy, sz, np int,
+func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int,
 	wx, wy, wz []float64, mode FetchMode, cache map[int64][]float64) ([3]float64, error) {
 	m := s.blockSide()
 	if sx < 0 || sy < 0 || sz < 0 || sx+np > m || sy+np > m || sz+np > m {
@@ -156,18 +158,17 @@ func (s *Store) stencilValue(step, cx, cy, cz, sx, sy, sz, np int,
 	var stride, chStride, off int
 	switch mode {
 	case WholeBlob:
-		code, err := s.cubeCode(cx, cy, cz)
+		key, err := s.cubeKey(step, cx, cy, cz)
 		if err != nil {
 			return [3]float64{}, err
 		}
-		key := keyFor(step, code)
 		blk, ok := cache[key]
 		if !ok {
-			row, err := s.table.Get(key)
+			ref, err := s.fetchRef(snap, key)
 			if err != nil {
 				return [3]float64{}, err
 			}
-			raw, err := s.table.FetchBlob(row[1].B)
+			raw, err := s.table.ResolveMaxAt(snap, ref, nil)
 			if err != nil {
 				return [3]float64{}, err
 			}
@@ -183,7 +184,7 @@ func (s *Store) stencilValue(step, cx, cy, cz, sx, sy, sz, np int,
 		chStride = m * m * m
 		off = (sz*m+sy)*m + sx
 	case PartialRead:
-		sub, err := s.readStencil(step, cx, cy, cz, sx, sy, sz, np)
+		sub, err := s.readStencil(snap, step, cx, cy, cz, sx, sy, sz, np)
 		if err != nil {
 			return [3]float64{}, err
 		}
@@ -212,28 +213,26 @@ func (s *Store) stencilValue(step, cx, cy, cz, sx, sy, sz, np int,
 	return out, nil
 }
 
-func (s *Store) cubeCode(cx, cy, cz int) (uint64, error) {
-	return sfc.Encode3D(uint32(cx), uint32(cy), uint32(cz))
-}
-
 // readStencil performs the partial-read path: only the byte runs of the
 // np³×3 stencil sub-array are fetched from the out-of-page blob, and
 // the float64 samples are decoded straight off the chunk bodies (pinned
-// pages for raw blobs, decoded buffers for compressed ones) — no
+// pages for raw blobs, decoded scratch for compressed ones) — no
 // intermediate byte buffer, no copy. The direct decode requires every
-// element to sit inside one chunk, which holds exactly when the header
-// size and both chunk granularities are 8-byte aligned: raw chunks
-// break at ChunkSize (8096) multiples and compressed chunks start on
-// BlockSize (8064) multiples, so with a 32-byte rank-4 max header no
-// float64 ever straddles a VisitRun segment boundary. The copying path
-// remains as the fallback should any alignment ever change.
-func (s *Store) readStencil(step, cx, cy, cz, sx, sy, sz, np int) ([]float64, error) {
-	ref, err := s.fetchRef(step, cx, cy, cz)
+// element to sit inside one segment, which holds because segments break
+// only at chunk boundaries and those are 8-byte aligned: raw chunks
+// break at ChunkSize multiples and compressed chunks start on BlockSize
+// multiples (both asserted below), past a header CreateStore has
+// checked is a multiple of 8 too.
+func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int) ([]float64, error) {
+	key, err := s.cubeKey(step, cx, cy, cz)
 	if err != nil {
 		return nil, err
 	}
-	m := s.blockSide()
-	h := core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{m, m, m, Channels}}
+	ref, err := s.fetchRef(snap, key)
+	if err != nil {
+		return nil, err
+	}
+	h := s.blockHeader()
 	runs, err := core.SubarrayPlan(h, []int{sx, sy, sz, 0}, []int{np, np, np, 3})
 	if err != nil {
 		return nil, err
@@ -246,32 +245,22 @@ func (s *Store) readStencil(step, cx, cy, cz, sx, sy, sz, np int) ([]float64, er
 		dstBytes += r.Len
 	}
 	out := make([]float64, dstBytes/8)
-	if hdr%8 == 0 && blob.ChunkSize%8 == 0 && blob.BlockSize%8 == 0 {
-		rv, err := s.db.Blobs().ReadRunsPinned(ref, blobRuns)
-		if err != nil {
-			return nil, err
+	err = s.table.VisitBlobRunsAt(snap, ref, blobRuns, func(dstOff int, seg []byte) {
+		for w := 0; w+8 <= len(seg); w += 8 {
+			out[(dstOff+w)/8] = math.Float64frombits(leUint64(seg[w:]))
 		}
-		defer rv.Release()
-		for i := range blobRuns {
-			rv.VisitRun(i, func(dstOff int, seg []byte) {
-				for w := 0; w+8 <= len(seg); w += 8 {
-					out[(dstOff+w)/8] = math.Float64frombits(leUint64(seg[w:]))
-				}
-			})
-		}
-		return out, nil
-	}
-	// Copying fallback for unaligned layouts: scatter the runs into a
-	// staging buffer, then decode.
-	dst := make([]byte, dstBytes)
-	if err := s.db.Blobs().ReadRuns(ref, dst, blobRuns); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	}
-	for i := range out {
-		out[i] = math.Float64frombits(leUint64(dst[8*i:]))
 	}
 	return out, nil
 }
+
+// No float64 may straddle a segment boundary (see readStencil).
+const (
+	_ = uint(-(blob.ChunkSize % 8))
+	_ = uint(-(blob.BlockSize % 8))
+)
 
 func leUint64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

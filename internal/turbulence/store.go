@@ -3,7 +3,6 @@ package turbulence
 import (
 	"fmt"
 
-	"sqlarray/internal/blob"
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 	"sqlarray/internal/sfc"
@@ -55,6 +54,11 @@ func CreateStore(db *engine.DB, tableName string, f *Field, cube, ghost int) (*S
 		return nil, err
 	}
 	s := &Store{db: db, table: table, n: f.N, cube: cube, ghost: ghost}
+	h := s.blockHeader()
+	if hs := h.EncodedSize(); hs%8 != 0 {
+		// readStencil decodes float64s in place off 8-byte-aligned segments.
+		return nil, fmt.Errorf("turbulence: block header of %d bytes is not 8-byte aligned", hs)
+	}
 	if err := s.AddSnapshot(0, f); err != nil {
 		return nil, err
 	}
@@ -134,22 +138,32 @@ func (s *Store) CubeSide() int { return s.cube }
 // Ghost returns the ghost-zone width.
 func (s *Store) Ghost() int { return s.ghost }
 
+// blockHeader is the array header every stored block carries.
+func (s *Store) blockHeader() core.Header {
+	m := s.blockSide()
+	return core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{m, m, m, Channels}}
+}
+
 // BlockBytes returns the stored blob size per block, header included.
 func (s *Store) BlockBytes() int {
-	m := s.blockSide()
-	h := core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{m, m, m, Channels}}
+	h := s.blockHeader()
 	return h.TotalBytes()
 }
 
-// fetchRef returns the blob ref for (step, cube coords).
-func (s *Store) fetchRef(step, cx, cy, cz int) (blob.Ref, error) {
+// cubeKey returns the clustered key of (step, cube coords).
+func (s *Store) cubeKey(step, cx, cy, cz int) (int64, error) {
 	code, err := sfc.Encode3D(uint32(cx), uint32(cy), uint32(cz))
 	if err != nil {
-		return blob.Ref{}, err
+		return 0, err
 	}
-	row, err := s.table.Get(keyFor(step, code))
+	return keyFor(step, code), nil
+}
+
+// fetchRef returns the encoded blob ref stored under key, as of snap.
+func (s *Store) fetchRef(snap *engine.Snapshot, key int64) ([]byte, error) {
+	row, err := s.table.GetAt(snap, key)
 	if err != nil {
-		return blob.Ref{}, fmt.Errorf("turbulence: cube (%d,%d,%d): %w", cx, cy, cz, err)
+		return nil, fmt.Errorf("turbulence: cube key %d: %w", key, err)
 	}
-	return blob.DecodeRef(row[1].B)
+	return row[1].B, nil
 }
