@@ -45,7 +45,7 @@ lint:
 bench:
 	go test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchtime=300ms ./internal/wal
 	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkScanResistantEviction' -benchtime=300ms ./internal/pages
-	go test -run='^$$' -bench='BenchmarkParallelAggregate|BenchmarkMixedScanDML' -benchtime=300ms ./internal/sqlmini
+	go test -run='^$$' -bench='BenchmarkPipelineBatch|BenchmarkParallelAggregate|BenchmarkMixedScanDML' -benchtime=300ms ./internal/sqlmini
 	go test -run='^$$' -bench='BenchmarkReadAll1MB|BenchmarkPartialRead4kOf1MB|BenchmarkReadRunsStencil|BenchmarkCodec' -benchtime=300ms ./internal/blob
 	go test -run='^$$' -bench='BenchmarkSubarrayPartialVsWholeBlob' -benchtime=1x .
 	go test -run='^$$' -bench='BenchmarkBulkLoad' -benchtime=2x ./internal/engine

@@ -10,17 +10,18 @@ import (
 // scan or drain loop must poll cancellation, so a long analytical query can
 // be aborted without waiting for the full table scan. Concretely, inside
 // packages named "sqlmini", any `for`/`range` loop that advances a stream —
-// calling a method named `next` or `nextBatch` (the internal operator
-// protocol) or `engine.Cursor.Next`/`FillBatch` — must, somewhere in the
-// loop body or its condition, do one of:
+// calling `nextBatch` (the internal operator protocol) or
+// `engine.Cursor.Next`/`FillBatch` — must, somewhere in the loop body or
+// its condition, do one of:
 //
 //   - call a method on a context.Context value (ctx.Err(), ctx.Done()),
 //   - call .Load() on an atomic.Bool (the parallel workers' stop flag),
 //   - call a function or method whose name contains "cancel" (the
 //     pollCancel helper).
 //
-// The exported Rows.Next is deliberately not matched: user-facing drain
-// loops outside the executor are the caller's business.
+// Calls of the exported Rows.Next are deliberately not matched: user-facing
+// drain loops outside the executor are the caller's business. The refill
+// loop inside Rows.Next itself calls nextBatch, so it is checked.
 var Ctxloop = &Analyzer{
 	Name: "ctxloop",
 	Doc:  "executor scan/drain loops must poll cancellation (ctx.Err, stop.Load, or a pollCancel helper)",
@@ -60,24 +61,23 @@ func runCtxloop(p *Pass) error {
 }
 
 // streamAdvance reports whether call advances a stream: the internal
-// operator protocol (next/nextBatch on any type) or a cursor walk
-// (engine.Cursor Next/FillBatch, btree.Iterator Next).
+// operator protocol (nextBatch) or a cursor walk (engine.Cursor
+// Next/FillBatch, btree.Iterator Next).
 func streamAdvance(info *types.Info, call *ast.CallExpr) bool {
 	recv, name, ok := calleeMethod(info, call)
 	if !ok {
 		return false
 	}
 	switch name {
-	case "next", "nextBatch":
-		// Only the operator protocol: the `operator`/`batchOperator`
-		// interfaces or a *fooOp struct. The parser and lexer also have
-		// `next` methods (token streams), which are not row streams.
+	case "nextBatch":
+		// Only the operator protocol: the `batchOperator` interface or a
+		// *fooOp struct.
 		n := namedOf(recv)
 		if n == nil || n.Obj() == nil {
 			return false
 		}
 		tn := n.Obj().Name()
-		return tn == "operator" || tn == "batchOperator" || strings.HasSuffix(tn, "Op")
+		return tn == "batchOperator" || strings.HasSuffix(tn, "Op")
 	case "Next", "FillBatch":
 		return typeIs(recv, "engine", "Cursor") || typeIs(recv, "btree", "Iterator")
 	}

@@ -9,10 +9,10 @@ import (
 	"engine"
 )
 
-type rowCtx struct{}
+type Batch struct{ out [][]int }
 
-type operator interface {
-	next() (*rowCtx, error)
+type batchOperator interface {
+	nextBatch(b *Batch) (int, error)
 }
 
 func pollCancel(ctx context.Context) error {
@@ -22,59 +22,121 @@ func pollCancel(ctx context.Context) error {
 	return ctx.Err()
 }
 
-type filterOp struct {
-	child operator
+type batchFilterOp struct {
+	child batchOperator
 	ctx   context.Context
 	stop  *atomic.Bool
 }
 
 // bad: drains the child without ever polling cancellation.
-func (f *filterOp) drainNoPoll() (*rowCtx, error) {
+func (f *batchFilterOp) drainNoPoll(b *Batch) (int, error) {
 	for { // want `advances a row/batch stream without polling cancellation`
-		c, err := f.child.next()
-		if c == nil || err != nil {
-			return nil, err
+		n, err := f.child.nextBatch(b)
+		if n == 0 || err != nil {
+			return 0, err
 		}
 	}
 }
 
 // good: the pollCancel helper is checked each iteration.
-func (f *filterOp) drainHelper() (*rowCtx, error) {
+func (f *batchFilterOp) drainHelper(b *Batch) (int, error) {
 	for {
 		if err := pollCancel(f.ctx); err != nil {
-			return nil, err
+			return 0, err
 		}
-		c, err := f.child.next()
-		if c == nil || err != nil {
-			return nil, err
+		n, err := f.child.nextBatch(b)
+		if n == 0 || err != nil {
+			return 0, err
 		}
 	}
 }
 
 // good: direct ctx.Err poll.
-func (f *filterOp) drainCtxErr() (*rowCtx, error) {
+func (f *batchFilterOp) drainCtxErr(b *Batch) (int, error) {
 	for {
 		if err := f.ctx.Err(); err != nil {
-			return nil, err
+			return 0, err
 		}
-		c, err := f.child.next()
-		if c == nil || err != nil {
-			return nil, err
+		n, err := f.child.nextBatch(b)
+		if n == 0 || err != nil {
+			return 0, err
 		}
 	}
 }
 
 // good: the parallel workers' stop flag counts as a poll.
-func (f *filterOp) drainStopFlag() (*rowCtx, error) {
+func (f *batchFilterOp) drainStopFlag(b *Batch) (int, error) {
 	for {
 		if f.stop.Load() {
-			return nil, nil
+			return 0, nil
 		}
-		c, err := f.child.next()
-		if c == nil || err != nil {
-			return nil, err
+		n, err := f.child.nextBatch(b)
+		if n == 0 || err != nil {
+			return 0, err
 		}
 	}
+}
+
+// bad: calling through a concrete *fooOp is the protocol too.
+func drainConcrete(f *batchFilterOp, b *Batch) (int, error) {
+	for { // want `advances a row/batch stream without polling cancellation`
+		n, err := f.nextBatch(b)
+		if n == 0 || err != nil {
+			return 0, err
+		}
+	}
+}
+
+func (f *batchFilterOp) nextBatch(b *Batch) (int, error) { return f.drainHelper(b) }
+
+// Rows is the pipeline's consumer: its refill loop advances the root
+// operator and is checked like any operator loop.
+type Rows struct {
+	root batchOperator
+	ctx  context.Context
+	b    *Batch
+	i, n int
+	err  error
+}
+
+// good: the refill loop polls before every nextBatch.
+func (r *Rows) Next() bool {
+	for r.i >= r.n {
+		if r.err = pollCancel(r.ctx); r.err != nil {
+			return false
+		}
+		n, err := r.root.nextBatch(r.b)
+		if n == 0 || err != nil {
+			r.err = err
+			return false
+		}
+		r.i, r.n = 0, n
+	}
+	r.i++
+	return true
+}
+
+// bad: the same refill loop without the poll.
+func (r *Rows) nextNoPoll() bool {
+	for r.i >= r.n { // want `advances a row/batch stream without polling cancellation`
+		n, err := r.root.nextBatch(r.b)
+		if n == 0 || err != nil {
+			r.err = err
+			return false
+		}
+		r.i, r.n = 0, n
+	}
+	r.i++
+	return true
+}
+
+// not matched: draining the exported Rows.Next is the caller's business.
+func drainRows(r *Rows) int {
+	rows := 0
+	for r.Next() {
+		rows++
+	}
+	return rows
 }
 
 // bad: a cursor walk with the advance in the loop condition.
@@ -107,12 +169,12 @@ func plainLoop(n int) int {
 	return total
 }
 
-func suppressedDrain(f *filterOp) (*rowCtx, error) {
-	//lint:allow ctxloop bounded two-row drain in this fixture
+func suppressedDrain(f *batchFilterOp, b *Batch) (int, error) {
+	//lint:allow ctxloop bounded two-batch drain in this fixture
 	for {
-		c, err := f.child.next()
-		if c == nil || err != nil {
-			return nil, err
+		n, err := f.child.nextBatch(b)
+		if n == 0 || err != nil {
+			return 0, err
 		}
 	}
 }

@@ -265,7 +265,6 @@ type BufferPool struct {
 	shards  []*shard
 	shift   uint // 32 - log2(len(shards)); hash top bits pick the shard
 	stats   counters
-	verify  atomic.Bool // verify checksums on physical read
 	slru    atomic.Bool // scan-resistant segmented LRU (off = plain LRU)
 	wal     WAL         // flush gate; nil = no durability protocol
 	capture atomic.Pointer[Capture]
@@ -338,7 +337,6 @@ func NewBufferPoolShards(disk DiskManager, capacity, nShards int) *BufferPool {
 		shift:      uint(32 - log2),
 		snapActive: make(map[uint64]int),
 	}
-	bp.verify.Store(true)
 	bp.slru.Store(true)
 	bp.snapClock.Store(1)
 	bp.minSnap.Store(^uint64(0))
@@ -378,9 +376,6 @@ func (bp *BufferPool) shardFor(id PageID) *shard {
 	h := uint32(id) * 2654435769 // 2^32 / phi
 	return bp.shards[h>>bp.shift]
 }
-
-// SetVerifyChecksums toggles checksum verification on physical reads.
-func (bp *BufferPool) SetVerifyChecksums(v bool) { bp.verify.Store(v) }
 
 // SetWAL attaches the write-ahead-log flush gate. Once set, a dirty
 // frame is written to the database file only when its pageLSN is below
@@ -495,12 +490,10 @@ func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
 	}
 	bp.stats.physicalReads.Add(1)
 	bp.stats.bytesRead.Add(PageSize)
-	if bp.verify.Load() {
-		if err := f.Page.VerifyChecksum(); err != nil {
-			s.releaseFrameLocked(f)
-			s.mu.Unlock()
-			return nil, err
-		}
+	if err := f.Page.VerifyChecksum(); err != nil {
+		s.releaseFrameLocked(f)
+		s.mu.Unlock()
+		return nil, err
 	}
 	f.pins.Store(1)
 	f.dirty = false

@@ -316,13 +316,9 @@ func TestBufferPoolChecksumVerification(t *testing.T) {
 	if _, err := bp.Fetch(id); !errors.Is(err, ErrChecksum) {
 		t.Errorf("corrupted fetch: %v", err)
 	}
-	// With verification off the fetch succeeds.
-	bp.SetVerifyChecksums(false)
-	f, err = bp.Fetch(id)
-	if err != nil {
-		t.Fatalf("unverified fetch: %v", err)
+	if got := bp.PinnedFrames(); got != 0 {
+		t.Errorf("PinnedFrames after failed fetch = %d", got)
 	}
-	bp.Unpin(f, false)
 }
 
 func TestBufferPoolFlushAll(t *testing.T) {

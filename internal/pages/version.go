@@ -159,12 +159,10 @@ func (sn *Snapshot) Fetch(id PageID) (*Frame, error) {
 	}
 	bp.stats.physicalReads.Add(1)
 	bp.stats.bytesRead.Add(PageSize)
-	if bp.verify.Load() {
-		if err := f.Page.VerifyChecksum(); err != nil {
-			s.releaseFrameLocked(f)
-			s.mu.Unlock()
-			return nil, err
-		}
+	if err := f.Page.VerifyChecksum(); err != nil {
+		s.releaseFrameLocked(f)
+		s.mu.Unlock()
+		return nil, err
 	}
 	f.pins.Store(1)
 	f.dirty = false
@@ -253,12 +251,10 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 		}
 		bp.stats.physicalReads.Add(1)
 		bp.stats.bytesRead.Add(PageSize)
-		if bp.verify.Load() {
-			if err := f.Page.VerifyChecksum(); err != nil {
-				s.releaseFrameLocked(f)
-				s.mu.Unlock()
-				return nil, err
-			}
+		if err := f.Page.VerifyChecksum(); err != nil {
+			s.releaseFrameLocked(f)
+			s.mu.Unlock()
+			return nil, err
 		}
 		f.pins.Store(0)
 		f.dirty = false

@@ -2,29 +2,31 @@ package sqlmini
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"sqlarray/internal/engine"
 )
 
-// This file implements the batch-at-a-time executor. It is the default
-// execution mode; the row-at-a-time operators in operators.go remain
-// available via ExecOptions.RowPipeline and as the comparison baseline.
+// This file implements the executor: a tree of batch-at-a-time operators
+// streaming rows from the clustered index up through filters, aggregation,
+// TOP and projection. It is the only SELECT execution path.
 //
 // Operators exchange a *Batch — a resizable column-major chunk of up to
 // ExecOptions.BatchSize rows — through
 //
 //	nextBatch(b *Batch) (int, error)
 //
-// The consumer owns the Batch and passes it down the tree; the scan fills
-// it directly from B+tree leaf runs, filters compact it in place through
-// a selection vector, and the aggregate drains whole batches into its
-// accumulators. A batch's contents are valid until the next nextBatch or
-// close call on the producer, except for Batch.out rows, which the
+// The consumer (Rows) owns the Batch and passes it down the tree; the scan
+// fills it directly from B+tree leaf runs, filters compact it in place
+// through a selection vector, and the aggregate drains whole batches into
+// its accumulators. A batch's contents are valid until the next nextBatch
+// or close call on the producer, except for Batch.out rows, which the
 // projection carves from a fresh slab per batch and are therefore safe
 // to retain indefinitely (that is what Rows hands to callers).
 //
-// Limits propagate *down* the tree: batchLimitOp clips b.cap before
+// Limits propagate *down* the tree: batchLimitOp sits below the
+// projection and, with no filter under it, clips b.cap before
 // delegating, so a TOP 3 under a 1024-row batch still reads only the
 // first leaf instead of overfetching a full batch.
 
@@ -149,14 +151,34 @@ func (b *Batch) compact(sel []int) int {
 	return b.n
 }
 
-// batchOperator is the batch-at-a-time executor protocol. nextBatch fills
-// b with up to b.cap rows and returns how many were produced; 0 with a
-// nil error means end of stream. open and close follow the row operator
-// contract (close must be idempotent).
+// batchOperator is the executor protocol:
+//
+//   - open acquires resources (cursors); it is called once, top-down.
+//   - nextBatch fills b with up to b.cap rows and returns how many were
+//     produced; 0 with a nil error means end of stream.
+//   - close releases resources; it must be idempotent, because
+//     batchLimitOp and batchAggOp close their child early to release page
+//     pins the moment they have what they need, and the pipeline is
+//     closed again as a whole.
+//
+// To add an operator (ORDER BY, GROUP BY, ...): implement the interface,
+// place it in the tree inside buildPipeline, and nothing else changes.
 type batchOperator interface {
 	open() error
 	nextBatch(b *Batch) (int, error)
 	close() error
+}
+
+// pollCancel is the executor's cancellation check: every loop that
+// advances a batch stream or a cursor calls it once per iteration (the
+// ctxloop analyzer enforces this). A nil ctx — the default ExecOptions —
+// costs one branch; a canceled ctx surfaces ctx.Err() through the normal
+// error path, so the pipeline's close still releases every pin.
+func pollCancel(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // ---- scan ---------------------------------------------------------------
@@ -296,7 +318,9 @@ func filterBatch(pred compiled, b *Batch, n int, selScratch *[]int) (int, error)
 // ---- aggregate ----------------------------------------------------------
 
 // batchAggOp drains its child batch-at-a-time into the accumulators and
-// then emits a single-row batch carrying the aggregate results.
+// then emits a single-row batch carrying the aggregate results. It is the
+// one pipeline breaker in the operator set (as in any engine: aggregation
+// cannot stream its input away).
 type batchAggOp struct {
 	child batchOperator
 	qctx  context.Context
@@ -334,27 +358,57 @@ func (a *batchAggOp) nextBatch(b *Batch) (int, error) {
 	if err := a.child.close(); err != nil {
 		return 0, err
 	}
-	b.n = 1
-	b.aggVals = make([]engine.Value, len(a.accs))
-	for i, acc := range a.accs {
-		b.aggVals[i] = acc.result()
-	}
+	b.setAggregates(a.accs)
 	return 1, nil
 }
 
 func (a *batchAggOp) close() error { return a.child.close() }
 
+// setAggregates turns b into the single output row of an aggregate plan.
+func (b *Batch) setAggregates(accs []*accumulator) {
+	b.n = 1
+	b.aggVals = aggResults(accs)
+}
+
+func aggResults(accs []*accumulator) []engine.Value {
+	vals := make([]engine.Value, len(accs))
+	for i, acc := range accs {
+		vals[i] = acc.result()
+	}
+	return vals
+}
+
 // ---- parallel aggregate scan -------------------------------------------
 
-// batchParallelAggOp is the batch counterpart of parallelAggOp: the key
-// space is partitioned into contiguous ranges, each worker scans its
-// range batch-at-a-time into private accumulators (filling, filtering and
-// accumulating whole batches), and the partials merge in partition order.
+// workerState is one worker's private compiled state: its residual
+// predicate and its accumulator set (index-aligned with the main plan's
+// accumulators, because both come from compiling the same AST).
+type workerState struct {
+	pred compiled
+	accs []*accumulator
+}
+
+// batchParallelAggOp fuses scan + filter + aggregate across goroutines:
+// the key space [lo, hi] is partitioned into contiguous ranges, each
+// worker scans its range batch-at-a-time with its own cursor, predicate
+// and accumulators (filling, filtering and accumulating whole batches),
+// and the partials merge in partition order. Compiled expressions are
+// stateful (UDF argument buffers, batch scratch vectors), so every worker
+// compiles its own copies via newWorker.
+//
+// Floating-point SUM/AVG associate differently than a serial scan when
+// partials are merged; results are deterministic for a fixed worker
+// count.
+//
+// Partitioning is by key value, which balances well for the dense
+// sequential ids this engine's workloads use but degenerates under
+// heavily skewed key distributions (one worker owns the dense region);
+// partitioning by leaf pages would fix that and is a planned follow-up.
 type batchParallelAggOp struct {
 	tbl       *engine.Table
 	snap      *engine.Snapshot // shared read view; safe for concurrent workers
 	qctx      context.Context
-	lo, hi    int64
+	lo, hi    int64 // key range to aggregate over (inclusive, lo <= hi)
 	workers   int
 	batchSize int
 	need      []bool
@@ -370,16 +424,73 @@ func (p *batchParallelAggOp) nextBatch(b *Batch) (int, error) {
 		return 0, nil
 	}
 	p.done = true
-
-	if err := runPartitions(p.qctx, p.lo, p.hi, p.workers, p.newWorker, p.scanPartition, p.accs); err != nil {
+	if err := p.runPartitions(); err != nil {
 		return 0, err
 	}
-	b.n = 1
-	b.aggVals = make([]engine.Value, len(p.accs))
-	for i, acc := range p.accs {
-		b.aggVals[i] = acc.result()
-	}
+	b.setAggregates(p.accs)
 	return 1, nil
+}
+
+// runPartitions is the fan-out/merge: it partitions [lo, hi] across up to
+// p.workers goroutines, gives each a freshly compiled workerState, runs
+// scanPartition over each partition with a cooperative stop flag, returns
+// the first error in partition order, and otherwise merges the partial
+// accumulators into p.accs in partition order (keeping float results
+// deterministic for a fixed worker count). A non-nil qctx makes the
+// fan-out cancelable: a watcher raises the stop flag when the context is
+// done, the workers drain out through their per-batch stop checks, and
+// ctx.Err() is returned instead of the partial merge.
+func (p *batchParallelAggOp) runPartitions() error {
+	if err := pollCancel(p.qctx); err != nil {
+		return err
+	}
+	spans := partitionSpans(p.lo, p.hi, p.workers)
+	states := make([]workerState, len(spans))
+	for i := range states {
+		st, err := p.newWorker()
+		if err != nil {
+			return err
+		}
+		states[i] = st
+	}
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+		errs = make([]error, len(spans))
+	)
+	if p.qctx != nil {
+		watchDone := make(chan struct{})
+		defer close(watchDone)
+		go func() {
+			select {
+			case <-p.qctx.Done():
+				stop.Store(true)
+			case <-watchDone:
+			}
+		}()
+	}
+	for i, span := range spans {
+		wg.Add(1)
+		go func(i int, lo, hi int64) {
+			defer wg.Done()
+			errs[i] = p.scanPartition(&states[i], lo, hi, &stop)
+		}(i, span[0], span[1])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if err := pollCancel(p.qctx); err != nil {
+		return err
+	}
+	for _, st := range states {
+		for i, acc := range st.accs {
+			p.accs[i].merge(acc)
+		}
+	}
+	return nil
 }
 
 // scanPartition runs one worker's batch fill-filter-accumulate loop over
@@ -512,15 +623,18 @@ func (p *batchProjectOp) close() error { return p.child.close() }
 
 // ---- limit --------------------------------------------------------------
 
-// batchLimitOp stops the pipeline after n rows and closes its child the
-// moment the limit is reached to release page pins early. When clip is
-// set (every operator below preserves row counts, i.e. scan→project
-// with no residual filter) it also pushes the remaining budget down by
-// clipping b.cap before delegating, so a TOP 3 reads one leaf instead
-// of overfetching a full batch. Below a filter the clip would shrink
-// the scan's batches to the output budget and erase the vectorization
-// win, so the filter scans full batches and the limit truncates the
-// surplus here instead.
+// batchLimitOp stops the pipeline after n rows (TOP n / LIMIT n) and
+// closes its child the moment the limit is reached, so the scan's page
+// pins are released without waiting for the consumer to finish with the
+// Rows. It sits below the projection — TOP counts post-filter rows and
+// projection preserves the row count — so SELECT items (UDF calls
+// included) are evaluated for exactly the rows that are returned. When
+// clip is set (no residual filter below, so the scan's row count is the
+// output's) it also pushes the remaining budget down by clipping b.cap
+// before delegating, so a TOP 3 reads one leaf instead of overfetching a
+// full batch. Below a filter the clip would shrink the scan's batches to
+// the output budget and erase the vectorization win, so the filter scans
+// full batches and the limit drops the surplus rows here instead.
 type batchLimitOp struct {
 	child batchOperator
 	n     int64
@@ -546,7 +660,6 @@ func (l *batchLimitOp) nextBatch(b *Batch) (int, error) {
 	if int64(n) > rem {
 		n = int(rem)
 		b.n = n
-		b.out = b.out[:n]
 	}
 	l.seen += int64(n)
 	if l.seen >= l.n {
@@ -558,53 +671,3 @@ func (l *batchLimitOp) nextBatch(b *Batch) (int, error) {
 }
 
 func (l *batchLimitOp) close() error { return l.child.close() }
-
-// ---- row adapter ---------------------------------------------------------
-
-// batchDrainOp adapts a batch pipeline to the row-at-a-time operator
-// interface, so Rows (and every existing caller of the streaming API)
-// is oblivious to the execution mode: it drains one batch at a time and
-// yields the projected rows individually.
-type batchDrainOp struct {
-	root      batchOperator
-	qctx      context.Context
-	batchSize int
-	b         *Batch
-	i, n      int
-	done      bool
-	ctx       rowCtx
-}
-
-func (d *batchDrainOp) open() error { return d.root.open() }
-
-func (d *batchDrainOp) next() (*rowCtx, error) {
-	for d.i >= d.n {
-		if d.done {
-			return nil, nil
-		}
-		if err := pollCancel(d.qctx); err != nil {
-			return nil, err
-		}
-		d.b.reset(d.batchSize)
-		n, err := d.root.nextBatch(d.b)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			d.done = true
-			return nil, nil
-		}
-		d.i, d.n = 0, n
-	}
-	d.ctx.out = d.b.out[d.i]
-	d.i++
-	return &d.ctx, nil
-}
-
-func (d *batchDrainOp) close() error {
-	// The drain owns the pipeline's batch: release any zero-copy blob
-	// pins its current contents hold before (idempotently) closing the
-	// operator tree, so a Rows.Close leaves PinnedFrames at zero.
-	d.b.pins.Release()
-	return d.root.close()
-}

@@ -15,19 +15,19 @@ func TestCancelBeforeFirstRow(t *testing.T) {
 	db := testDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, rowPipe := range []bool{false, true} {
-		rows, err := QueryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx, RowPipeline: rowPipe})
+	for _, batchSize := range []int{0, 3} {
+		rows, err := QueryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx, BatchSize: batchSize})
 		if err != nil {
-			t.Fatalf("RowPipeline=%v: open: %v", rowPipe, err)
+			t.Fatalf("BatchSize=%d: open: %v", batchSize, err)
 		}
 		if rows.Next() {
-			t.Errorf("RowPipeline=%v: Next yielded a row under a canceled ctx", rowPipe)
+			t.Errorf("BatchSize=%d: Next yielded a row under a canceled ctx", batchSize)
 		}
 		if !errors.Is(rows.Err(), context.Canceled) {
-			t.Errorf("RowPipeline=%v: Err = %v, want context.Canceled", rowPipe, rows.Err())
+			t.Errorf("BatchSize=%d: Err = %v, want context.Canceled", batchSize, rows.Err())
 		}
 		if err := rows.Close(); err != nil {
-			t.Errorf("RowPipeline=%v: Close: %v", rowPipe, err)
+			t.Errorf("BatchSize=%d: Close: %v", batchSize, err)
 		}
 	}
 	if got := db.Pool().PinnedFrames(); got != 0 {
@@ -71,10 +71,10 @@ func TestCancelAggregates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cases := []ExecOptions{
-		{Ctx: ctx},                    // serial batch aggregate
-		{Ctx: ctx, RowPipeline: true}, // serial row aggregate
-		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1},                    // parallel batch fan-out
-		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1, RowPipeline: true}, // parallel row fan-out
+		{Ctx: ctx},               // serial aggregate
+		{Ctx: ctx, BatchSize: 3}, // serial aggregate, many batches
+		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1},               // parallel fan-out
+		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1, BatchSize: 3}, // parallel fan-out, many batches
 	}
 	for i, opts := range cases {
 		_, err := RunWith(db, "SELECT SUM(v1), COUNT(*) FROM Tscalar", opts)

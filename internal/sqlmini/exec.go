@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -111,7 +112,14 @@ func StreamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error
 	if err != nil {
 		return fail(err)
 	}
-	r := &Rows{columns: pl.columns, root: pl.root, plan: pl.plan}
+	r := &Rows{
+		columns:   pl.columns,
+		root:      pl.root,
+		qctx:      opts.Ctx,
+		batch:     newBatch(len(tbl.Schema().Columns)),
+		batchSize: opts.batchSize(),
+		plan:      pl.plan,
+	}
 	// Every query feeds the shared latency histogram; the heavier trace
 	// state (registry snapshot for deltas, slow-log plumbing) is set up
 	// only when this query is instrumented.
@@ -156,9 +164,18 @@ func StreamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error
 // Rows are materialized as they are yielded: a slice returned by Row
 // remains valid after further Next calls and after Close.
 type Rows struct {
-	columns  []string
-	root     operator
-	snap     *engine.Snapshot // released on Close when the query owns it
+	columns []string
+	root    batchOperator
+	qctx    context.Context
+	snap    *engine.Snapshot // released on Close when the query owns it
+
+	// The pipeline's one Batch: Rows passes it down the tree on every
+	// refill and yields the projected rows in batch.out one at a time.
+	batch     *Batch
+	batchSize int
+	i, n      int  // next row to yield / rows in the current batch
+	done      bool // the pipeline reported end of stream
+
 	cur      []engine.Value
 	err      error
 	closed   bool
@@ -186,15 +203,27 @@ func (r *Rows) Next() bool {
 	if r.err != nil || r.closed {
 		return false
 	}
-	ctx, err := r.root.next()
-	if err != nil {
-		r.err = err
-		return false
+	for r.i >= r.n {
+		if r.done {
+			return false
+		}
+		if r.err = pollCancel(r.qctx); r.err != nil {
+			return false
+		}
+		r.batch.reset(r.batchSize)
+		n, err := r.root.nextBatch(r.batch)
+		if err != nil {
+			r.err = err
+			return false
+		}
+		if n == 0 {
+			r.done = true
+			return false
+		}
+		r.i, r.n = 0, n
 	}
-	if ctx == nil {
-		return false
-	}
-	r.cur = ctx.out
+	r.cur = r.batch.out[r.i]
+	r.i++
 	return true
 }
 
@@ -215,6 +244,9 @@ func (r *Rows) Close() error {
 		return r.closeErr
 	}
 	r.closed = true
+	// Blob pins the current batch contents hold go first, then the
+	// operator tree (idempotently), so PinnedFrames is zero afterwards.
+	r.batch.pins.Release()
 	r.closeErr = r.root.close()
 	if r.snap != nil {
 		// After every pin is back (blob views alias snapshot-resolved
@@ -250,28 +282,30 @@ func (r *Rows) finalize() {
 
 // ---- plan-time compilation -------------------------------------------
 
-// rowCtx carries per-row state through the operator pipeline: the
-// current key and row view below the projection, aggregate results above
-// the aggregate operator, and the materialized output row once
-// projected. In the batch pipeline a row has no RowView — row-wise
-// evaluation over batch rows binds (batch, idx) instead and column
-// references read the decoded batch column.
+// rowCtx binds row-wise expression evaluation to one row. The executor's
+// rows live in a Batch — evalRowwise binds (batch, idx) and column
+// references read the decoded batch column; DML's read phase and the
+// test oracle evaluate straight over a cursor's RowView (row != nil).
+// aggVals carries the aggregate results for the SELECT items of an
+// aggregate query.
 type rowCtx struct {
 	key     int64
 	row     *engine.RowView
 	batch   *Batch         // batch-backed row when row == nil
 	idx     int            // row index within batch
-	aggVals []engine.Value // filled by the aggregate operators
-	out     []engine.Value // filled by projectOp; safe to retain
+	aggVals []engine.Value // aggregate results, read by cAggRef
 }
 
-// compiled is an executable expression. eval produces one value for the
-// current row; evalBatch produces a vector of values for rows [0, n) of
-// a batch. Nodes whose per-row semantics matter (UDF call counts,
-// AND/OR short-circuiting) implement evalBatch as a row-wise loop over
-// the batch; the data-parallel nodes (columns, constants, arithmetic,
-// comparisons) are vectorized. The returned slice is scratch owned by
-// the node — valid until its next evalBatch call — except for cCol,
+// compiled is an executable expression. evalBatch — what the executor
+// calls — produces a vector of values for rows [0, n) of a batch; eval
+// produces one value for the row a rowCtx names. Nodes whose per-row
+// semantics matter (UDF call counts, AND/OR short-circuiting) implement
+// evalBatch as a row-wise loop of eval over the batch (evalRowwise); the
+// data-parallel nodes (columns, constants, arithmetic, comparisons) are
+// vectorized. eval is also what runs where there is no batch: DML's
+// scanMatching, INSERT's constant folding and scatter's final projection
+// over merged aggregates. The slice evalBatch returns is scratch owned
+// by the node — valid until its next evalBatch call — except for cCol,
 // which aliases the batch column directly.
 type compiled interface {
 	eval(ctx *rowCtx) (engine.Value, error)
@@ -288,7 +322,7 @@ func ensureVec(vec *[]engine.Value, n int) []engine.Value {
 }
 
 // evalRowwise is the generic batch fallback: evaluate c once per batch
-// row through the row-at-a-time path, preserving per-row semantics.
+// row through eval, preserving per-row semantics.
 func evalRowwise(c compiled, b *Batch, n int, scratch *[]engine.Value) ([]engine.Value, error) {
 	vec := ensureVec(scratch, n)
 	ctx := rowCtx{batch: b, aggVals: b.aggVals}
@@ -326,12 +360,11 @@ type cCol struct{ idx int }
 // cMaxCol reads a VARBINARY(MAX) column. On the row the column holds
 // only a 12-byte blob ref; this node materializes it into the array
 // payload so UDFs, comparisons and projections over MAX columns see the
-// same bytes short VARBINARY columns yield. On the batch path the
-// resolve is zero-copy for single-chunk blobs: the returned bytes alias
-// a pinned chunk page owned by the batch's pin set, released when the
-// batch is recycled or the pipeline closes. The row pipeline (and the
-// reference executor built on it) uses the copying read — there is no
-// batch to own a pin there.
+// same bytes short VARBINARY columns yield. Over a batch the resolve is
+// zero-copy for single-chunk blobs: the returned bytes alias a pinned
+// chunk page owned by the batch's pin set, released when the batch is
+// recycled or the pipeline closes. Over a bare RowView (DML, the test
+// oracle) it is the copying read — there is no batch to own a pin.
 type cMaxCol struct {
 	tbl  *engine.Table
 	snap *engine.Snapshot // the query's read view; nil reads the latest commit
@@ -474,8 +507,8 @@ type cBinary struct {
 
 // evalBatch vectorizes arithmetic and comparison over both operand
 // vectors. AND/OR fall back to the row-wise loop so short-circuit
-// semantics (which UDF calls happen, which errors surface) are identical
-// to the row pipeline.
+// semantics (which UDF calls happen, which errors surface) are those of
+// eval.
 func (c *cBinary) evalBatch(b *Batch, n int) ([]engine.Value, error) {
 	switch c.op {
 	case "AND", "OR":
@@ -758,8 +791,8 @@ func compare(op string, l, r engine.Value) (engine.Value, error) {
 	case l.Kind == engine.ColInt64 && r.Kind == engine.ColInt64:
 		// BIGINT pairs compare exactly (as in T-SQL); going through
 		// float64 would collapse values past 2^53. This is also what
-		// keeps the row and batch pipelines identical — the batch
-		// executor's int fast path is exact.
+		// keeps eval and evalBatch identical — the vectorized int fast
+		// path is exact.
 		return boolVal(cmpInt(op, l.I, r.I)), nil
 	default:
 		lf, err := l.AsFloat()
@@ -815,26 +848,6 @@ type accumulator struct {
 	min   float64
 	max   float64
 	any   bool
-}
-
-func (a *accumulator) add(ctx *rowCtx) error {
-	if a.arg == nil { // COUNT(*)
-		a.count++
-		return nil
-	}
-	v, err := a.arg.eval(ctx)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil // SQL aggregates skip NULLs
-	}
-	f, err := v.AsFloat()
-	if err != nil {
-		return err
-	}
-	a.addFloat(f)
-	return nil
 }
 
 // addBatch folds rows [0, n) of a batch into the accumulator, evaluating

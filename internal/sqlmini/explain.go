@@ -12,18 +12,17 @@ import (
 // EXPLAIN and EXPLAIN ANALYZE.
 //
 // EXPLAIN compiles the statement through the real planner — sargable
-// analysis, parallel-aggregate decision, batch-vs-row selection all
-// run — and renders the plan tree the executor would use, without
-// opening the pipeline. EXPLAIN ANALYZE executes the statement with
-// every operator wrapped in an analyze shim that counts rows and
-// batches, accumulates wall time, and attributes buffer-pool page and
-// blob-chunk reads to its subtree by sampling the database's live
-// counters around each child call. Metrics are inclusive of children
-// (the root's totals equal the whole query's pool delta); attribution
-// assumes no concurrent query is driving the same counters, the usual
-// profiling caveat.
+// analysis and the parallel-aggregate decision both run — and renders
+// the plan tree the executor would use, without opening the pipeline.
+// EXPLAIN ANALYZE executes the statement with every operator wrapped in
+// an analyze shim that counts rows and batches, accumulates wall time,
+// and attributes buffer-pool page and blob-chunk reads to its subtree by
+// sampling the database's live counters around each child call. Metrics
+// are inclusive of children (the root's totals equal the whole query's
+// pool delta); attribution assumes no concurrent query is driving the
+// same counters, the usual profiling caveat.
 
-// batchAnalyzeOp instruments one batch operator. It is transparent:
+// batchAnalyzeOp instruments one operator. It is transparent:
 // open/close forward untouched, nextBatch samples the I/O counters and
 // the clock around the child call.
 type batchAnalyzeOp struct {
@@ -59,42 +58,6 @@ func (a *batchAnalyzeOp) nextBatch(b *Batch) (int, error) {
 }
 
 func (a *batchAnalyzeOp) close() error { return a.child.close() }
-
-// rowAnalyzeOp is batchAnalyzeOp for the row-at-a-time pipeline; every
-// produced row counts as its own "batch" of one.
-type rowAnalyzeOp struct {
-	child  operator
-	node   *obs.PlanNode
-	sample func() (uint64, uint64)
-}
-
-func (a *rowAnalyzeOp) open() error {
-	p0, c0 := a.sample()
-	start := time.Now()
-	err := a.child.open()
-	a.node.Time += time.Since(start)
-	p1, c1 := a.sample()
-	a.node.Pages += p1 - p0
-	a.node.Chunks += c1 - c0
-	return err
-}
-
-func (a *rowAnalyzeOp) next() (*rowCtx, error) {
-	p0, c0 := a.sample()
-	start := time.Now()
-	ctx, err := a.child.next()
-	a.node.Time += time.Since(start)
-	p1, c1 := a.sample()
-	a.node.Pages += p1 - p0
-	a.node.Chunks += c1 - c0
-	if ctx != nil {
-		a.node.Rows++
-		a.node.Batches++
-	}
-	return ctx, err
-}
-
-func (a *rowAnalyzeOp) close() error { return a.child.close() }
 
 // Explain compiles stmt against db and returns the plan tree the
 // executor would run, without executing it. The snapshot the planner

@@ -24,27 +24,23 @@ func TestExplainGoldenPlans(t *testing.T) {
 		{
 			"EXPLAIN SELECT id, v1 FROM Tscalar WHERE id = 42",
 			"Project [id, v1]\n" +
-				"   (pipeline=batch)\n" +
 				"-> Scan on Tscalar (point lookup key=42)",
 		},
 		{
 			"EXPLAIN SELECT id, v1 FROM Tscalar WHERE id >= 10 AND id <= 20 AND v1 > 1",
 			"Project [id, v1]\n" +
-				"   (pipeline=batch)\n" +
 				"-> Filter (v1 > 1)\n" +
 				"   -> Scan on Tscalar (range scan keys [10, 20])",
 		},
 		{
 			"EXPLAIN SELECT TOP 5 id FROM Tscalar",
-			"Limit TOP 5\n" +
-				"   (pipeline=batch)\n" +
-				"-> Project [id]\n" +
+			"Project [id]\n" +
+				"-> Limit TOP 5\n" +
 				"   -> Scan on Tscalar (full scan)",
 		},
 		{
 			"EXPLAIN SELECT AVG(v1) FROM Tscalar WHERE id < 0 AND id > 10",
 			"Project [AVG(v1)]\n" +
-				"   (pipeline=batch)\n" +
 				"-> Aggregate\n" +
 				"   -> Scan on Tscalar (empty range)",
 		},
@@ -63,27 +59,6 @@ func TestExplainGoldenPlans(t *testing.T) {
 	}
 }
 
-// TestExplainRowPipeline pins the row-at-a-time tree: same shape, row
-// pipeline annotation.
-func TestExplainRowPipeline(t *testing.T) {
-	db := testDB(t)
-	stmt, err := Parse("SELECT id FROM Tscalar WHERE id >= 10 AND v1 > 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Explain(db, stmt, ExecOptions{RowPipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "Project [id]\n" +
-		"   (pipeline=row)\n" +
-		"-> Filter (v1 > 1)\n" +
-		"   -> Scan on Tscalar (range scan keys [10, +inf])"
-	if got := plan.Render(); got != want {
-		t.Errorf("row pipeline plan:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 // TestExplainScatterGolden pins the Gather tree with partition pruning:
 // id <= 250 prunes the fourth member of the 4-way split.
 func TestExplainScatterGolden(t *testing.T) {
@@ -98,15 +73,12 @@ func TestExplainScatterGolden(t *testing.T) {
 		"   (partitions=4 scanned=3 pruned=1)\n" +
 		"-> Partition 0 keys [-inf, 99]\n" +
 		"   -> Project [id, x]\n" +
-		"         (pipeline=batch)\n" +
 		"      -> Scan on T (range scan keys [-inf, 250])\n" +
 		"-> Partition 1 keys [100, 199]\n" +
 		"   -> Project [id, x]\n" +
-		"         (pipeline=batch)\n" +
 		"      -> Scan on T (range scan keys [-inf, 250])\n" +
 		"-> Partition 2 keys [200, 299]\n" +
 		"   -> Project [id, x]\n" +
-		"         (pipeline=batch)\n" +
 		"      -> Scan on T (range scan keys [-inf, 250])"
 	if out != want {
 		t.Errorf("scatter plan:\ngot:\n%s\nwant:\n%s", out, want)

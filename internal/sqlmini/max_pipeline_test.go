@@ -109,17 +109,15 @@ var maxGoldenQueries = []string{
 }
 
 // TestMaxColumnGoldenEquivalence asserts that MAX-column queries return
-// identical results across the reference executor and the row, batch
-// and tiny-batch pipelines — the batch path resolving refs zero-copy
-// off pinned chunk pages, the others copying — and that no strategy
-// leaks a pin.
+// identical results across the reference executor (copying blob reads)
+// and the default, tiny-batch and parallel pipelines (resolving refs
+// zero-copy off pinned chunk pages), and that no strategy leaks a pin.
 func TestMaxColumnGoldenEquivalence(t *testing.T) {
 	db := maxDB(t)
 	modes := []struct {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
 		{"batch3", ExecOptions{BatchSize: 3}},
 		{"parallel", ExecOptions{Parallelism: 4, ParallelThreshold: 1}},
@@ -159,7 +157,6 @@ func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
 		{"batch3", ExecOptions{BatchSize: 3}},
 		{"parallel", ExecOptions{Parallelism: 4, ParallelThreshold: 1}},

@@ -9,9 +9,32 @@ import (
 	"sqlarray/internal/engine"
 )
 
+// add folds one row into the accumulator through the row-wise eval path.
+// Only the reference executor below aggregates a row at a time; the
+// engine's accumulators take whole batches (addBatch).
+func (a *accumulator) add(ctx *rowCtx) error {
+	if a.arg == nil { // COUNT(*)
+		a.count++
+		return nil
+	}
+	v, err := a.arg.eval(ctx)
+	if err != nil {
+		return err
+	}
+	if v.IsNull() {
+		return nil // SQL aggregates skip NULLs
+	}
+	f, err := v.AsFloat()
+	if err != nil {
+		return err
+	}
+	a.addFloat(f)
+	return nil
+}
+
 // referenceRun is the pre-pipeline executor (materialize-everything full
-// scan via Table.Scan, no pushdown, no parallelism), kept here as the
-// golden oracle for the streaming executor.
+// scan via Table.Scan, no pushdown, no parallelism, no batches), kept
+// here as the golden oracle for the executor.
 func referenceRun(db *engine.DB, query string) (*Result, error) {
 	stmt, err := Parse(query)
 	if err != nil {
@@ -204,18 +227,16 @@ var goldenQueries = []string{
 	"SELECT COUNT(*) FROM Tscalar WHERE id <> 9007199254740993",
 }
 
-// TestGoldenEquivalence asserts that every execution strategy — the row
-// pipeline, the batch pipeline at the default and at a tiny batch size
-// (exercising batch-boundary handling), materialized and streamed —
-// matches the reference full-scan executor on every covered query shape,
-// and that no strategy leaks a buffer-pool pin after Close.
+// TestGoldenEquivalence asserts that the executor — at the default and
+// at a tiny batch size (exercising batch-boundary handling), materialized
+// and streamed — matches the reference full-scan executor on every
+// covered query shape, and leaks no buffer-pool pin after Close.
 func TestGoldenEquivalence(t *testing.T) {
 	db := testDB(t)
 	modes := []struct {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
 		{"batch3", ExecOptions{BatchSize: 3}},
 	}
@@ -256,8 +277,9 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestRowsCloseSemantics pins the Rows contract for both pipelines:
-// Close mid-stream (with leaf pages still pinned) releases every pin,
+// TestRowsCloseSemantics pins the Rows contract, mid-batch and across
+// batch boundaries: Close mid-stream (with leaf pages still pinned)
+// releases every pin,
 // Close is idempotent, and Next after Close reports false instead of
 // touching the torn-down pipeline.
 func TestRowsCloseSemantics(t *testing.T) {
@@ -266,8 +288,8 @@ func TestRowsCloseSemantics(t *testing.T) {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
+		{"batch3", ExecOptions{BatchSize: 3}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			rows, err := QueryWith(db, "SELECT id, v1 FROM T", m.opts)
@@ -459,6 +481,51 @@ func TestStreamingEarlyCloseReleasesPins(t *testing.T) {
 	}
 }
 
+// TestTopOverResidualFilterProjectsOnlyReturnedRows pins the operator
+// order scan → filter → limit → project: with a non-sargable WHERE the
+// SELECT items are evaluated for the n rows TOP returns, not for the
+// whole surviving batch — the UDF boundary is crossed n times, and a UDF
+// that would fail on a row past the limit never sees it.
+func TestTopOverResidualFilterProjectsOnlyReturnedRows(t *testing.T) {
+	db := testDB(t)
+	db.Funcs().Register("dbo.FailFrom50", 1, func(args []engine.Value) (engine.Value, error) {
+		f, err := args[0].AsFloat()
+		if err != nil {
+			return engine.Null, err
+		}
+		if f >= 50 {
+			return engine.Null, fmt.Errorf("boom at %g", f)
+		}
+		return engine.FloatValue(f), nil
+	})
+	for _, batchSize := range []int{0, 3} {
+		opts := ExecOptions{BatchSize: batchSize}
+		for _, q := range []string{
+			"SELECT TOP 3 dbo.Twice(v1) FROM Tscalar WHERE v2 >= 0",
+			"SELECT TOP 3 dbo.FailFrom50(v1) FROM Tscalar WHERE v2 >= 0",
+		} {
+			want, err := referenceRun(db, q)
+			if err != nil {
+				t.Fatalf("reference(%q): %v", q, err)
+			}
+			db.Funcs().ResetStats()
+			got, err := RunWith(db, q, opts)
+			if err != nil {
+				t.Fatalf("BatchSize=%d Run(%q): %v", batchSize, q, err)
+			}
+			if diff := resultEq(want, got); diff != "" {
+				t.Errorf("BatchSize=%d Run(%q): %s", batchSize, q, diff)
+			}
+			if calls := db.Funcs().Stats().Calls; calls != 3 {
+				t.Errorf("BatchSize=%d Run(%q): %d UDF calls, want 3", batchSize, q, calls)
+			}
+		}
+	}
+	if got := db.Pool().PinnedFrames(); got != 0 {
+		t.Errorf("PinnedFrames = %d", got)
+	}
+}
+
 // TestParallelAggregateMatchesSerial forces the parallel aggregate scan
 // and checks it against the serial pipeline and the reference executor.
 // v1 holds integer-valued floats, so SUM is exact under any association.
@@ -486,7 +553,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 	}
 	serial := ExecOptions{Parallelism: 1}
 	parallel := ExecOptions{Parallelism: 4, ParallelThreshold: 1}
-	rowParallel := ExecOptions{Parallelism: 4, ParallelThreshold: 1, RowPipeline: true}
+	parallel3 := ExecOptions{Parallelism: 4, ParallelThreshold: 1, BatchSize: 3}
 	for _, q := range queries {
 		want, err := RunWith(db, q, serial)
 		if err != nil {
@@ -499,12 +566,12 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		if diff := resultEq(want, got); diff != "" {
 			t.Errorf("parallel %q: %s", q, diff)
 		}
-		rowGot, err := RunWith(db, q, rowParallel)
+		got3, err := RunWith(db, q, parallel3)
 		if err != nil {
-			t.Fatalf("row parallel %q: %v", q, err)
+			t.Fatalf("parallel batch3 %q: %v", q, err)
 		}
-		if diff := resultEq(want, rowGot); diff != "" {
-			t.Errorf("row parallel %q: %s", q, diff)
+		if diff := resultEq(want, got3); diff != "" {
+			t.Errorf("parallel batch3 %q: %s", q, diff)
 		}
 		ref, err := referenceRun(db, q)
 		if err != nil {

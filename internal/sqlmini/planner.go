@@ -15,7 +15,7 @@ import (
 // This file lowers a parsed SelectStmt into an operator pipeline:
 //
 //	SelectStmt --(sargable analysis)--> key range + residual predicate
-//	           --(compile)-----------> scan → filter → [aggregate] → project → limit
+//	           --(compile)-----------> scan → filter → [aggregate | limit] → project
 //
 // Key-range pushdown: top-level AND conjuncts of the form
 //
@@ -25,7 +25,9 @@ import (
 // removed from the WHERE tree and become the scan's [lo, hi] bounds, so
 // point and range queries descend the B+tree instead of scanning it.
 
-// ExecOptions tunes pipeline execution. The zero value picks defaults.
+// ExecOptions carries a query's execution context (cancellation, read
+// snapshot, tracing) and the executor's tuning values. The zero value
+// picks defaults.
 type ExecOptions struct {
 	// Ctx, when non-nil, makes the query cancelable: every operator
 	// scan/drain loop polls it, so canceling the context aborts a
@@ -40,13 +42,9 @@ type ExecOptions struct {
 	// aggregate scan goes parallel. 0 means the default (8192). Small
 	// scans are not worth the goroutine and partition setup.
 	ParallelThreshold int64
-	// BatchSize is the row capacity of the chunks the batch executor
-	// moves between operators. 0 means the default (1024).
+	// BatchSize is the row capacity of the chunks the executor moves
+	// between operators. 0 means the default (1024).
 	BatchSize int
-	// RowPipeline forces the legacy row-at-a-time operator pipeline
-	// instead of the batch executor. Kept for comparison benchmarks and
-	// the golden-equivalence suite; results are identical either way.
-	RowPipeline bool
 	// Snapshot, when non-nil, runs the query against this caller-owned
 	// read view instead of one acquired at open — several queries can
 	// share one consistent view of the database. The caller keeps
@@ -302,7 +300,7 @@ func boundsFor(op string, k float64) (keyBounds, bool) {
 // the plan tree describing it (rendered by EXPLAIN, annotated in place
 // by the analyze wrappers when the pipeline is instrumented).
 type pipeline struct {
-	root    operator
+	root    batchOperator
 	columns []string
 	plan    *obs.PlanNode
 }
@@ -328,20 +326,13 @@ func newPlanState(db *engine.DB, opts ExecOptions) *planState {
 	return ps
 }
 
-func (ps *planState) batch(op batchOperator, n *obs.PlanNode) batchOperator {
+// wrap attaches plan node n to op, instrumenting it when asked to.
+func (ps *planState) wrap(op batchOperator, n *obs.PlanNode) batchOperator {
 	if !ps.instrument {
 		return op
 	}
 	n.Analyzed = true
 	return &batchAnalyzeOp{child: op, node: n, sample: ps.sample}
-}
-
-func (ps *planState) row(op operator, n *obs.PlanNode) operator {
-	if !ps.instrument {
-		return op
-	}
-	n.Analyzed = true
-	return &rowAnalyzeOp{child: op, node: n, sample: ps.sample}
 }
 
 // scanPlanNode describes the access path the scan operator was given:
@@ -379,14 +370,6 @@ func parallelAggPlanNode(table string, lo, hi int64, workers int, residual Expr)
 		n.AddExtra("filter", "%s", ExprString(residual))
 	}
 	return n
-}
-
-func projectPlanNode(columns []string, child *obs.PlanNode) *obs.PlanNode {
-	return &obs.PlanNode{
-		Name:     "Project",
-		Detail:   "[" + strings.Join(columns, ", ") + "]",
-		Children: []*obs.PlanNode{child},
-	}
 }
 
 // compiledStmt is the outcome of compiling a statement's expressions.
@@ -439,11 +422,14 @@ func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhe
 	return cs, nil
 }
 
-// buildPipeline lowers a statement into an operator tree: the batch
-// executor by default, or the legacy row-at-a-time pipeline when
-// ExecOptions.RowPipeline is set. Every scan in the tree — including
-// the parallel aggregate workers — reads through snap, so the whole
-// query observes one commit.
+// buildPipeline lowers a statement into an operator tree:
+//
+//	scan → [filter] → [aggregate | limit] → project
+//
+// with the scan/filter/aggregate prefix replaced by one fused parallel
+// operator when the aggregate scan is big enough. Every scan in the tree
+// — including the parallel aggregate workers — reads through snap, so the
+// whole query observes one commit.
 func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *engine.Snapshot, opts ExecOptions) (*pipeline, error) {
 	bounds := unboundedKeys()
 	residual := stmt.Where
@@ -455,22 +441,13 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 		return nil, err
 	}
 
-	lo, hi := bounds.loKey(), bounds.hiKey()
-	if bounds.empty {
-		lo, hi = 1, 0 // empty range: the scan yields nothing
-	}
-
 	ps := newPlanState(db, opts)
-	if opts.RowPipeline {
-		return buildRowPipeline(db, tbl, stmt, residual, cs, snap, lo, hi, bounds, opts, ps), nil
-	}
-
 	var root batchOperator
 	var plan *obs.PlanNode
 	if cs.aggregate && !bounds.empty {
-		if plo, phi, workers, ok := parallelAggSpan(tbl, snap, lo, hi, opts); ok {
+		if plo, phi, workers, ok := parallelAggSpan(tbl, snap, bounds.loKey(), bounds.hiKey(), opts); ok {
 			plan = parallelAggPlanNode(tbl.Name(), plo, phi, workers, residual)
-			root = ps.batch(&batchParallelAggOp{
+			root = ps.wrap(&batchParallelAggOp{
 				tbl:       tbl,
 				snap:      snap,
 				qctx:      opts.Ctx,
@@ -485,82 +462,47 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 		}
 	}
 	if root == nil {
-		plan = scanPlanNode(tbl.Name(), bounds)
-		root = ps.batch(&batchScanOp{tbl: tbl, snap: snap, qctx: opts.Ctx, lo: lo, hi: hi, need: cs.used}, plan)
-		if cs.where != nil {
-			fn := &obs.PlanNode{Name: "Filter", Detail: ExprString(residual), Children: []*obs.PlanNode{plan}}
-			root = ps.batch(&batchFilterOp{child: root, qctx: opts.Ctx, pred: cs.where}, fn)
-			plan = fn
-		}
-		if cs.aggregate {
-			an := &obs.PlanNode{Name: "Aggregate", Children: []*obs.PlanNode{plan}}
-			root = ps.batch(&batchAggOp{child: root, qctx: opts.Ctx, accs: cs.accs}, an)
-			plan = an
-		}
+		root, plan = ps.scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
 	}
-	plan = projectPlanNode(cs.columns, plan)
-	root = ps.batch(&batchProjectOp{child: root, items: cs.items}, plan)
 	// TOP n on an aggregate plan is vacuous (exactly one row is emitted,
 	// and the parser guarantees n >= 1); omitting the limit keeps its
 	// downward cap clip from shrinking the aggregate's scan batches.
 	if stmt.Top > 0 && !cs.aggregate {
 		ln := &obs.PlanNode{Name: "Limit", Detail: fmt.Sprintf("TOP %d", stmt.Top), Children: []*obs.PlanNode{plan}}
-		root = ps.batch(&batchLimitOp{child: root, n: stmt.Top, clip: cs.where == nil}, ln)
+		root = ps.wrap(&batchLimitOp{child: root, n: stmt.Top, clip: cs.where == nil}, ln)
 		plan = ln
 	}
-	drain := &batchDrainOp{
-		root:      root,
-		qctx:      opts.Ctx,
-		batchSize: opts.batchSize(),
-		b:         newBatch(len(tbl.Schema().Columns)),
+	plan = &obs.PlanNode{
+		Name:     "Project",
+		Detail:   "[" + strings.Join(cs.columns, ", ") + "]",
+		Children: []*obs.PlanNode{plan},
 	}
-	plan.AddExtra("pipeline", "batch")
-	return &pipeline{root: drain, columns: cs.columns, plan: plan}, nil
+	root = ps.wrap(&batchProjectOp{child: root, items: cs.items}, plan)
+	return &pipeline{root: root, columns: cs.columns, plan: plan}, nil
 }
 
-// buildRowPipeline assembles the legacy row-at-a-time operator tree.
-func buildRowPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residual Expr,
-	cs *compiledStmt, snap *engine.Snapshot, lo, hi int64, bounds keyBounds, opts ExecOptions, ps *planState) *pipeline {
-	var root operator
-	var plan *obs.PlanNode
-	if cs.aggregate && !bounds.empty {
-		if plo, phi, workers, ok := parallelAggSpan(tbl, snap, lo, hi, opts); ok {
-			plan = parallelAggPlanNode(tbl.Name(), plo, phi, workers, residual)
-			root = ps.row(&parallelAggOp{
-				tbl:       tbl,
-				snap:      snap,
-				qctx:      opts.Ctx,
-				lo:        plo,
-				hi:        phi,
-				workers:   workers,
-				accs:      cs.accs,
-				newWorker: newWorkerFunc(db, tbl, stmt, residual, snap),
-			}, plan)
-		}
+// scanFilterAgg assembles the serial scan → [filter] → [aggregate] stack
+// over the key range in bounds. It is the one place these three operators
+// are wired together: buildPipeline puts limit and projection on top,
+// scatter's partitionPartial drains it for one member's partial
+// accumulators.
+func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qctx context.Context,
+	bounds keyBounds, residual Expr, cs *compiledStmt) (batchOperator, *obs.PlanNode) {
+	lo, hi := bounds.loKey(), bounds.hiKey()
+	if bounds.empty {
+		lo, hi = 1, 0 // empty range: the scan yields nothing
 	}
-	if root == nil {
-		plan = scanPlanNode(tbl.Name(), bounds)
-		root = ps.row(&scanOp{tbl: tbl, snap: snap, qctx: opts.Ctx, lo: lo, hi: hi}, plan)
-		if cs.where != nil {
-			fn := &obs.PlanNode{Name: "Filter", Detail: ExprString(residual), Children: []*obs.PlanNode{plan}}
-			root = ps.row(&filterOp{child: root, qctx: opts.Ctx, pred: cs.where}, fn)
-			plan = fn
-		}
-		if cs.aggregate {
-			an := &obs.PlanNode{Name: "Aggregate", Children: []*obs.PlanNode{plan}}
-			root = ps.row(&aggregateOp{child: root, qctx: opts.Ctx, accs: cs.accs}, an)
-			plan = an
-		}
+	plan := scanPlanNode(tbl.Name(), bounds)
+	root := ps.wrap(&batchScanOp{tbl: tbl, snap: snap, qctx: qctx, lo: lo, hi: hi, need: cs.used}, plan)
+	if cs.where != nil {
+		plan = &obs.PlanNode{Name: "Filter", Detail: ExprString(residual), Children: []*obs.PlanNode{plan}}
+		root = ps.wrap(&batchFilterOp{child: root, qctx: qctx, pred: cs.where}, plan)
 	}
-	plan = projectPlanNode(cs.columns, plan)
-	root = ps.row(&projectOp{child: root, items: cs.items}, plan)
-	if stmt.Top > 0 {
-		ln := &obs.PlanNode{Name: "Limit", Detail: fmt.Sprintf("TOP %d", stmt.Top), Children: []*obs.PlanNode{plan}}
-		root = ps.row(&limitOp{child: root, n: stmt.Top}, ln)
-		plan = ln
+	if cs.aggregate {
+		plan = &obs.PlanNode{Name: "Aggregate", Children: []*obs.PlanNode{plan}}
+		root = ps.wrap(&batchAggOp{child: root, qctx: qctx, accs: cs.accs}, plan)
 	}
-	plan.AddExtra("pipeline", "row")
-	return &pipeline{root: root, columns: cs.columns, plan: plan}
+	return root, plan
 }
 
 // newWorkerFunc builds the per-worker compile closure of a parallel

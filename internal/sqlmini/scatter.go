@@ -276,11 +276,7 @@ func scatterAggregate(live []Partition, db0 *engine.DB, tbl0 *engine.Table, stmt
 			master.accs[i].merge(acc)
 		}
 	}
-	aggVals := make([]engine.Value, len(master.accs))
-	for i, acc := range master.accs {
-		aggVals[i] = acc.result()
-	}
-	ctx := &rowCtx{aggVals: aggVals}
+	ctx := &rowCtx{aggVals: aggResults(master.accs)}
 	out := make([]engine.Value, len(master.items))
 	for i, item := range master.items {
 		v, err := item.eval(ctx)
@@ -305,25 +301,17 @@ func partitionPartial(db *engine.DB, stmt *SelectStmt, residual Expr, bounds key
 	if err != nil {
 		return nil, err
 	}
-	var root batchOperator = &batchScanOp{
-		tbl: tbl, snap: snap, qctx: opts.Ctx,
-		lo: bounds.loKey(), hi: bounds.hiKey(), need: cs.used,
-	}
-	if cs.where != nil {
-		root = &batchFilterOp{child: root, qctx: opts.Ctx, pred: cs.where}
-	}
-	agg := &batchAggOp{child: root, qctx: opts.Ctx, accs: cs.accs}
+	agg, _ := new(planState).scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
+	defer agg.close()
 	if err := agg.open(); err != nil {
-		agg.close()
 		return nil, err
 	}
-	defer agg.close()
 	b := newBatch(len(tbl.Schema().Columns))
+	defer b.pins.Release()
 	b.reset(opts.batchSize())
 	if _, err := agg.nextBatch(b); err != nil {
 		return nil, err
 	}
-	b.pins.Release()
 	return cs.accs, nil
 }
 

@@ -81,15 +81,17 @@ func assertDrained(t *testing.T, db *engine.DB) {
 // writer commits — without blocking — while the scan is mid-stream, and
 // a scan opened after the commit sees all of it.
 func TestSnapshotIsolationGolden(t *testing.T) {
-	for _, rowPipe := range []bool{false, true} {
-		name := "batch"
-		if rowPipe {
-			name = "row"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		opts ExecOptions
+	}{
+		{"batch", ExecOptions{}},
+		{"batch3", ExecOptions{BatchSize: 3}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
 			const rows = 300
 			db, _ := openTestDB(t, rows, 1.0)
-			opts := ExecOptions{RowPipeline: rowPipe}
+			opts := m.opts
 
 			scan, err := QueryWith(db, `SELECT id, x, m FROM t`, opts)
 			if err != nil {
@@ -227,14 +229,16 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	}
 	assertDrained(t, db)
 
-	// Same through the row pipeline (pins held per-row rather than
-	// per-batch; the scan's leaf pin is the interesting release there).
-	rows, err = QueryWith(db, `SELECT id, m FROM t`, ExecOptions{RowPipeline: true})
+	// Same with the stream abandoned several batches in (earlier batches'
+	// pins were released by the refill, the current one's by Close).
+	rows, err = QueryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rows.Next() {
-		t.Fatalf("no rows: %v", rows.Err())
+	for i := 0; i < 7; i++ {
+		if !rows.Next() {
+			t.Fatalf("short stream: %v", rows.Err())
+		}
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)

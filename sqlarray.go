@@ -13,8 +13,8 @@
 //     reads, a CLR-like UDF boundary) and a SQL subset that runs the
 //     paper's queries verbatim;
 //   - a batch-at-a-time streaming executor: SELECT statements are
-//     lowered into an operator pipeline (scan → filter → aggregate →
-//     project → limit) that moves column-major batches of ~1024 rows
+//     lowered into an operator pipeline (scan → filter → aggregate or
+//     limit → project) that moves column-major batches of ~1024 rows
 //     between operators — the scan fills batches straight off B+tree
 //     leaves, filters compact them in place through selection vectors,
 //     and aggregates consume whole batches. Sargable WHERE conjuncts on
@@ -22,8 +22,9 @@
 //     the scan as key ranges, TOP n / LIMIT n clips the scan's batch
 //     budget so it stops after n rows, and large aggregate scans
 //     partition the key space across goroutines. Query materializes
-//     results; QueryRows streams them; ExecOptions tunes batch size,
-//     parallelism, or forces the row-at-a-time pipeline;
+//     results; QueryRows streams them; ExecOptions sets batch size and
+//     parallelism, and carries cancellation, a shared snapshot and
+//     tracing;
 //   - the T-SQL function surface (FloatArray.Item_1,
 //     FloatArrayMax.Subarray, IntArray.Vector_2, ...);
 //   - math substrates standing in for LAPACK and FFTW, plus the three
@@ -124,7 +125,11 @@ type Result = sqlmini.Result
 // Rows is a streaming query result cursor; see QueryRows.
 type Rows = sqlmini.Rows
 
-// ExecOptions tunes query execution (parallel aggregate scans).
+// ExecOptions is a query's execution context and tuning: a cancellation
+// context, a caller-owned read snapshot to run against, per-operator
+// tracing and the slow-query log, the executor's batch size, and the
+// worker count and row threshold of parallel aggregate scans. The zero
+// value picks defaults.
 type ExecOptions = sqlmini.ExecOptions
 
 // Database is a sqlarray engine instance with the full T-SQL function
