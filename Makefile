@@ -44,7 +44,7 @@ lint:
 # (bench/README.md, bench/results/).
 bench:
 	go test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchtime=300ms ./internal/wal
-	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkScanResistantEviction' -benchtime=300ms ./internal/pages
+	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkBufferPoolFetchMiss|BenchmarkScanResistantEviction' -benchtime=300ms ./internal/pages
 	go test -run='^$$' -bench='BenchmarkPipelineBatch|BenchmarkParallelAggregate|BenchmarkMixedScanDML' -benchtime=300ms ./internal/sqlmini
 	go test -run='^$$' -bench='BenchmarkReadAll1MB|BenchmarkPartialRead4kOf1MB|BenchmarkReadRunsStencil|BenchmarkCodec' -benchtime=300ms ./internal/blob
 	go test -run='^$$' -bench='BenchmarkSubarrayPartialVsWholeBlob' -benchtime=1x .

@@ -257,13 +257,13 @@ func BenchmarkSubarrayPartialVsWholeBlob(b *testing.B) {
 					if err := st.DropCache(); err != nil {
 						b.Fatal(err)
 					}
-					st.ResetStats()
+					before := st.Stats().BytesRead
 					b.StartTimer()
 					if _, err := st.VelocityBatch(0, pt, interp.Lag8, mode); err != nil {
 						b.Fatal(err)
 					}
 					b.StopTimer()
-					diskBytes += st.Stats().BytesRead
+					diskBytes += st.Stats().BytesRead - before
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(diskBytes)/float64(b.N), "disk-bytes/op")
@@ -375,20 +375,19 @@ func BenchmarkTurbulenceInterpBlobSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			before := st.Stats().BytesRead
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				if err := st.DropCache(); err != nil {
 					b.Fatal(err)
 				}
-				st.ResetStats()
 				b.StartTimer()
 				if _, err := st.VelocityBatch(0, pts, interp.Lag8, turbulence.WholeBlob); err != nil {
 					b.Fatal(err)
 				}
 			}
-			st2 := st.Stats()
-			b.ReportMetric(float64(st2.BytesRead)/float64(len(pts)), "bytes/point")
+			b.ReportMetric(float64(st.Stats().BytesRead-before)/float64(b.N*len(pts)), "bytes/point")
 		})
 	}
 }

@@ -48,16 +48,13 @@ func main() {
 			if err := store.DropCache(); err != nil {
 				log.Fatal(err)
 			}
-			store.ResetStats()
-			vel, err := store.VelocityBatch(0, pts[:2000], interp.Lag8, mode)
-			if err != nil {
+			before := store.Stats().BytesRead
+			if _, err := store.VelocityBatch(0, pts[:2000], interp.Lag8, mode); err != nil {
 				log.Fatal(err)
 			}
-			st := store.Stats()
-			_ = vel
 			fmt.Printf("%-8d %-8d %-10d %-14s %-14.0f\n",
 				cube, store.Ghost(), store.BlockBytes()/1024, mode.String(),
-				float64(st.BytesRead)/2000)
+				float64(store.Stats().BytesRead-before)/2000)
 		}
 	}
 

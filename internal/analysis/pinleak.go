@@ -43,7 +43,9 @@ var pinAcquire = []struct {
 }{
 	{"pages", "BufferPool", "Fetch"},
 	{"pages", "BufferPool", "NewPage"},
+	{"pages", "BufferPool", "FetchForWrite"},
 	{"pages", "Snapshot", "Fetch"},
+	{"pages", "Fetcher", "Fetch"}, // the interface every B+tree and blob read goes through
 	{"blob", "Store", "View"},
 	{"engine", "Table", "Cursor"},
 	{"engine", "Table", "CursorFrom"},

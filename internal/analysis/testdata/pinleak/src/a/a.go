@@ -150,6 +150,68 @@ func leakSnapshotFetch(sn *pages.Snapshot, bad bool) error {
 	return nil
 }
 
+// a fetch through the Fetcher interface — how every B+tree descent and
+// blob read reaches the pool — pins exactly like a concrete one.
+type tree struct {
+	fx pages.Fetcher
+	bp *pages.BufferPool
+}
+
+func (t *tree) goodFetcherFetch() error {
+	f, err := t.fx.Fetch(1)
+	if err != nil {
+		return err
+	}
+	_ = f.Data()
+	t.fx.Unpin(f, false)
+	return nil
+}
+
+func (t *tree) leakFetcherFetch(bad bool) error {
+	f, err := t.fx.Fetch(1)
+	if err != nil {
+		return err
+	}
+	if bad {
+		return nil // want `return leaks the Fetcher\.Fetch pin`
+	}
+	t.fx.Unpin(f, false)
+	return nil
+}
+
+func (t *tree) suppressedFetcherFetch() {
+	f, _ := t.fx.Fetch(1) //lint:allow pinleak fixture: the frame is deliberately held
+	_ = f.Data()
+}
+
+// the write-side fetch pins the session's pending copy.
+func (t *tree) goodFetchForWrite() error {
+	f, err := t.bp.FetchForWrite(1)
+	if err != nil {
+		return err
+	}
+	_ = f.Data()
+	t.bp.Unpin(f, true)
+	return nil
+}
+
+func (t *tree) leakFetchForWrite(bad bool) error {
+	f, err := t.bp.FetchForWrite(1)
+	if err != nil {
+		return err
+	}
+	if bad {
+		return nil // want `return leaks the BufferPool\.FetchForWrite pin`
+	}
+	t.bp.Unpin(f, true)
+	return nil
+}
+
+func (t *tree) suppressedFetchForWrite() {
+	f, _ := t.bp.FetchForWrite(1) //lint:allow pinleak fixture: the frame is deliberately held
+	_ = f.Data()
+}
+
 // the single-chunk blob view is the one blob read that holds a pin.
 func leakView(s *blob.Store, ref blob.Ref) ([]byte, error) {
 	v, err := s.View(ref)

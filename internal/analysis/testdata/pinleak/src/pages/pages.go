@@ -11,9 +11,17 @@ func (f *Frame) Data() []byte { return nil }
 
 type BufferPool struct{}
 
-func (bp *BufferPool) Fetch(id PageID) (*Frame, error) { return &Frame{ID: id}, nil }
-func (bp *BufferPool) NewPage() (*Frame, error)        { return &Frame{}, nil }
-func (bp *BufferPool) Unpin(f *Frame, dirty bool)      {}
+func (bp *BufferPool) Fetch(id PageID) (*Frame, error)         { return &Frame{ID: id}, nil }
+func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) { return &Frame{ID: id}, nil }
+func (bp *BufferPool) NewPage() (*Frame, error)                { return &Frame{}, nil }
+func (bp *BufferPool) Unpin(f *Frame, dirty bool)              {}
+
+// Fetcher is the read-side interface both the pool and a snapshot
+// implement; trees and blob stores hold one.
+type Fetcher interface {
+	Fetch(id PageID) (*Frame, error)
+	Unpin(f *Frame, dirty bool)
+}
 
 type Snapshot struct{}
 

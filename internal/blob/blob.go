@@ -184,18 +184,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the counters.
-func (s *Store) ResetStats() {
-	s.stats.directoryReads.Store(0)
-	s.stats.chunkReads.Store(0)
-	s.stats.bytesRead.Store(0)
-	s.stats.chunksWritten.Store(0)
-	s.stats.bytesWritten.Store(0)
-	s.stats.streamCalls.Store(0)
-	s.stats.compressedBytesWritten.Store(0)
-	s.stats.compressedBytesRead.Store(0)
-}
-
 // scratchPool recycles codec staging buffers across read/write calls so
 // decompressing reads do not allocate per call. The buffers never leak
 // out of a call.

@@ -19,6 +19,18 @@ func newStore(t *testing.T) *Store {
 	return NewStore(pages.NewBufferPool(pages.NewMemDisk(), 1024))
 }
 
+// statsSince returns how far the read and write counters moved since
+// base was taken.
+func statsSince(s *Store, base Stats) Stats {
+	st := s.Stats()
+	st.DirectoryReads -= base.DirectoryReads
+	st.ChunkReads -= base.ChunkReads
+	st.BytesRead -= base.BytesRead
+	st.ChunksWritten -= base.ChunksWritten
+	st.BytesWritten -= base.BytesWritten
+	return st
+}
+
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	rng.Read(b)
@@ -84,7 +96,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ResetStats()
+	base := s.Stats()
 	// Read 100 bytes from the middle of chunk 5.
 	off := int64(5*ChunkSize + 123)
 	dst := make([]byte, 100)
@@ -94,12 +106,11 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	if !bytes.Equal(dst, data[off:off+100]) {
 		t.Error("partial read data mismatch")
 	}
-	st := s.Stats()
-	if st.ChunkReads != 1 {
-		t.Errorf("ChunkReads = %d, want 1 (partial read must not touch other chunks)", st.ChunkReads)
+	if got := statsSince(s, base).ChunkReads; got != 1 {
+		t.Errorf("ChunkReads = %d, want 1 (partial read must not touch other chunks)", got)
 	}
 	// A read spanning a chunk boundary touches exactly 2.
-	s.ResetStats()
+	base = s.Stats()
 	off = int64(3*ChunkSize - 50)
 	dst = make([]byte, 100)
 	if err := s.ReadAt(ref, dst, off); err != nil {
@@ -108,8 +119,8 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	if !bytes.Equal(dst, data[off:off+100]) {
 		t.Error("boundary read mismatch")
 	}
-	if s.Stats().ChunkReads != 2 {
-		t.Errorf("boundary ChunkReads = %d, want 2", s.Stats().ChunkReads)
+	if got := statsSince(s, base).ChunkReads; got != 2 {
+		t.Errorf("boundary ChunkReads = %d, want 2", got)
 	}
 }
 
@@ -186,7 +197,7 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 		{SrcOff: 3 * ChunkSize, DstOff: 116, Len: 64},
 		{SrcOff: 20, DstOff: 180, Len: 8}, // back on chunk 0
 	}
-	s.ResetStats()
+	base := s.Stats()
 	got := make([]byte, 188)
 	segs := map[int]int{} // run DstOff -> segments seen
 	err := s.VisitRuns(ref, runs, func(dstOff int, seg []byte) {
@@ -209,7 +220,7 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 		t.Errorf("segments per run = %v, want 2 for the straddling run and 1 for the rest", segs)
 	}
 	// Chunks 0, 1, 3 are touched; chunk 2 is not.
-	if st := s.Stats(); st.ChunkReads != 3 || st.DirectoryReads != 1 || st.BytesRead != 188 {
+	if st := statsSince(s, base); st.ChunkReads != 3 || st.DirectoryReads != 1 || st.BytesRead != 188 {
 		t.Errorf("stats = %+v, want 3 chunk reads, 1 directory read, 188 bytes", st)
 	}
 	if n := bp.PinnedFrames(); n != 0 {
@@ -231,12 +242,12 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 // fewer ChunkReads than materializing the same blob via ReadAll.
 func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
 	s, ref, _, _ := viewTestStore(t, 16*ChunkSize)
-	s.ResetStats()
+	base := s.Stats()
 	if _, err := s.ReadAll(ref); err != nil {
 		t.Fatal(err)
 	}
-	whole := s.Stats().ChunkReads
-	s.ResetStats()
+	whole := statsSince(s, base).ChunkReads
+	base = s.Stats()
 	// A sliced read: three short runs spread over the blob.
 	runs := []Run{
 		{SrcOff: 0, DstOff: 0, Len: 64},
@@ -246,7 +257,7 @@ func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
 	if err := s.ReadRuns(ref, make([]byte, 192), runs); err != nil {
 		t.Fatal(err)
 	}
-	sliced := s.Stats().ChunkReads
+	sliced := statsSince(s, base).ChunkReads
 	if sliced >= whole {
 		t.Errorf("sliced read touched %d chunks, ReadAll touched %d — pushdown not effective", sliced, whole)
 	}
@@ -274,7 +285,7 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 		{SrcOff: 5*BlockSize + 16, DstOff: 0, Len: 32},
 		{SrcOff: 3*BlockSize + 8, DstOff: 32, Len: 32},
 	}
-	s.ResetStats()
+	base := s.Stats()
 	got := make([]byte, 64)
 	if err := s.ReadRuns(ref, got, runs); err != nil {
 		t.Fatal(err)
@@ -284,7 +295,7 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 			t.Errorf("run %+v mismatch", r)
 		}
 	}
-	if st := s.Stats(); st.ChunkReads != 1 {
+	if st := statsSince(s, base); st.ChunkReads != 1 {
 		t.Errorf("ChunkReads = %d, want 1 for two runs on one chunk", st.ChunkReads)
 	}
 	f, err := bp.Fetch(chunks[0].id)
@@ -410,13 +421,13 @@ func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
 			t.Errorf("byte %d = %#x, want %#x", off, dst[0], data[off])
 		}
 	}
-	s.ResetStats()
+	base := s.Stats()
 	dst := make([]byte, 1)
 	if err := s.ReadAt(ref, dst, int64(n)-1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().DirectoryReads != 2 {
-		t.Errorf("DirectoryReads = %d, want 2 (chained directory)", s.Stats().DirectoryReads)
+	if got := statsSince(s, base).DirectoryReads; got != 2 {
+		t.Errorf("DirectoryReads = %d, want 2 (chained directory)", got)
 	}
 }
 
@@ -502,11 +513,11 @@ func TestStatsAccounting(t *testing.T) {
 	if st.ChunksWritten != 3 || st.BytesWritten != uint64(len(data)) {
 		t.Errorf("write stats = %+v", st)
 	}
-	s.ResetStats()
+	base := s.Stats()
 	if _, err := s.ReadAll(ref); err != nil {
 		t.Fatal(err)
 	}
-	st = s.Stats()
+	st = statsSince(s, base)
 	if st.ChunkReads != 3 || st.BytesRead != uint64(len(data)) || st.DirectoryReads != 1 {
 		t.Errorf("read stats = %+v", st)
 	}

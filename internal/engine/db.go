@@ -25,9 +25,8 @@ type DB struct {
 	tables  map[string]*Table
 	funcs   *FuncRegistry
 
-	wal          *wal.Log
-	syncOnCommit bool
-	compress     bool // compress new blobs (per-element-type codec)
+	wal      *wal.Log
+	compress bool // compress new blobs (per-element-type codec)
 
 	reg *obs.Registry
 	m   dbMetrics
@@ -78,11 +77,6 @@ type Options struct {
 	// after-images before the pool may flush them. Nil disables
 	// durability (the seed behavior).
 	WAL *wal.Log
-	// NoSyncOnCommit relaxes durability: commit records are appended to
-	// the group-commit buffer but not synced per statement. A crash may
-	// lose recent statements (never corrupt the database); Checkpoint
-	// and explicit SyncWAL still harden everything up to their point.
-	NoSyncOnCommit bool
 	// Metrics attaches the database to an existing obs.Registry instead
 	// of a private one. Partitioned stores open every member against one
 	// shared registry so member I/O folds into the same series — the fix
@@ -110,13 +104,12 @@ func Open(opts Options) (*DB, error) {
 	}
 	bp := pages.NewBufferPool(opts.Disk, opts.PoolPages)
 	db := &DB{
-		bp:           bp,
-		blobs:        blob.NewStore(bp),
-		tables:       make(map[string]*Table),
-		funcs:        NewFuncRegistry(),
-		wal:          opts.WAL,
-		syncOnCommit: !opts.NoSyncOnCommit,
-		compress:     !opts.DisableBlobCompression,
+		bp:       bp,
+		blobs:    blob.NewStore(bp),
+		tables:   make(map[string]*Table),
+		funcs:    NewFuncRegistry(),
+		wal:      opts.WAL,
+		compress: !opts.DisableBlobCompression,
 	}
 	db.reg = opts.Metrics
 	if db.reg == nil {

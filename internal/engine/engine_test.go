@@ -265,10 +265,6 @@ func TestUDFBoundary(t *testing.T) {
 	if st.Calls != 1 || st.BytesMarshaled == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	r.ResetStats()
-	if r.Stats().Calls != 0 {
-		t.Error("ResetStats failed")
-	}
 	if len(r.Names()) != 1 {
 		t.Errorf("Names = %v", r.Names())
 	}

@@ -156,9 +156,8 @@ func (tx *Tx) noteCreated(t *Table) {
 }
 
 // Commit logs the session's page after-images and catalog delta (when a
-// WAL is attached), syncs the WAL (unless the database was opened with
-// NoSyncOnCommit), publishes the session's page versions and catalog
-// versions atomically — one commit-clock tick, so a concurrent snapshot
+// WAL is attached), syncs the WAL, publishes the session's page
+// versions and catalog versions atomically — one commit-clock tick, so a concurrent snapshot
 // sees all of the commit or none of it — and releases the write lock.
 // Commit is idempotent; a Tx must not be used after it.
 func (tx *Tx) Commit() error {
@@ -199,15 +198,13 @@ func (tx *Tx) Commit() error {
 	if _, err := l.Append(wal.RecCommit, payload); err != nil {
 		firstErr = err
 	}
-	if tx.db.syncOnCommit {
-		if err := l.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := l.Sync(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	// Publish even when the commit record or sync degraded: the page
 	// images are logged and the in-memory state reflects the statement,
-	// so readers should see it — only durability is weakened, exactly as
-	// under NoSyncOnCommit, and the error still reaches the caller.
+	// so readers should see it — only durability is weakened, and the
+	// error still reaches the caller.
 	tx.publish()
 	return firstErr
 }

@@ -109,12 +109,6 @@ func (r *FuncRegistry) Stats() BoundaryStats {
 	}
 }
 
-// ResetStats zeroes the boundary counters.
-func (r *FuncRegistry) ResetStats() {
-	r.calls.Store(0)
-	r.bytesMarshaled.Store(0)
-}
-
 // Call invokes a resolved UDF across the boundary. This is the per-row
 // hot path of Table 1's queries 4 and 5.
 func (r *FuncRegistry) Call(def *FuncDef, args []Value) (Value, error) {

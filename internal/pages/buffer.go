@@ -76,21 +76,6 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-func (c *counters) reset() {
-	c.logicalReads.Store(0)
-	c.physicalReads.Store(0)
-	c.bytesRead.Store(0)
-	c.writes.Store(0)
-	c.bytesWritten.Store(0)
-	c.evictions.Store(0)
-	c.admissions.Store(0)
-	c.promotions.Store(0)
-	c.scanEvictions.Store(0)
-	c.cowCopies.Store(0)
-	c.snapshotReads.Store(0)
-	c.versionsRetired.Store(0)
-}
-
 // Frame is a pinned page in the buffer pool. Callers must Unpin every
 // fetched frame; the Page must not be touched after unpinning. The pin
 // count is an atomic so observers (PinnedFrames, assertions in tests)
@@ -115,11 +100,12 @@ type Frame struct {
 	// be flushed or evicted under any circumstances — its changes exist
 	// nowhere but in memory. Guarded by shard.mu.
 	unlogged bool
-	// verTag is the commit tag of the version this frame holds: a page is
-	// visible to a snapshot S exactly when verTag <= S (and the frame is
-	// not pending). Tag 0 is "older than every snapshot". Atomic so
-	// snapshot fetches can check visibility while a publish is stamping
-	// other shards.
+	// verTag is the commit tag of the version this frame holds: the frame
+	// is visible to a view V exactly when verTag <= V. Tag 0 is "older than
+	// every snapshot"; a pending frame carries viewCurrent, the one tag no
+	// snapshot reaches, until publish stamps the real one. Atomic so
+	// fetches can check visibility while a publish is stamping other
+	// shards.
 	verTag atomic.Uint64
 	// pending marks the private copy-on-write frame of the active write
 	// session: invisible to every snapshot, never on an LRU list, never
@@ -132,10 +118,25 @@ type Frame struct {
 	// stale by definition). Guarded by shard.mu.
 	versioned bool
 	// supersededBy is the commit tag of the version that replaced this
-	// sidecar entry — 0 while the replacing session is still uncommitted.
-	// A sidecar entry is droppable once every active snapshot is at or
-	// past this tag. Guarded by shard.mu.
+	// sidecar entry — viewCurrent while the replacing session is still
+	// uncommitted. The entry is what a view V reads exactly when
+	// verTag <= V < supersededBy, and is droppable once every active
+	// snapshot is at or past this tag. Guarded by shard.mu.
 	supersededBy uint64
+}
+
+// reset returns a frame to the free state. Every path out of the cache
+// (eviction, failed load, abort, version retirement, DropCleanBuffers)
+// goes through here, so a frame taken from victimLocked carries nothing
+// of the page it last held. Caller holds the owning shard's mutex and
+// the frame is unpinned and off the LRU lists.
+func (f *Frame) reset() {
+	f.dirty, f.unlogged, f.pending, f.versioned = false, false, false, false
+	f.lru = nil
+	f.tier = tierProbation
+	f.supersededBy = 0
+	f.pageLSN.Store(0)
+	f.verTag.Store(0)
 }
 
 // PageLSN returns the LSN of the frame's latest logged image (0 if the
@@ -240,33 +241,68 @@ func (s *shard) listFor(f *Frame) *list.List {
 	return s.prob
 }
 
-// enforceProtCapLocked demotes protected-tail frames into probation's
-// MRU end until the protected segment fits its cap, preserving the
-// SLRU invariant that the protected segment cannot monopolize the
-// stripe. Caller holds s.mu.
-func (s *shard) enforceProtCapLocked() {
-	for s.prot.Len() > s.protCap {
-		el := s.prot.Back()
-		f := el.Value.(*Frame)
-		s.prot.Remove(el)
-		f.tier = tierProbation
-		f.lru = s.prob.PushFront(f)
+// unlinkLocked takes a frame off its LRU list (no-op when it is on
+// none), so the victim scan cannot reach it. Caller holds s.mu.
+func (s *shard) unlinkLocked(f *Frame) {
+	if f.lru != nil {
+		s.listFor(f).Remove(f.lru)
+		f.lru = nil
 	}
 }
 
-// BufferPool caches pages over a DiskManager with LRU replacement.
-// It is safe for concurrent use: the page table is striped across a
-// power-of-two set of shards, each with its own mutex, LRU list and
-// free list, so parallel scan workers fetching disjoint pages do not
-// serialize on a single pool lock.
+// relinkLocked puts an unpinned cached frame back on its tier's LRU list
+// at the MRU end and demotes protected-tail frames into probation until
+// the protected segment fits its cap, so it cannot monopolize the
+// stripe. Pending and versioned frames stay off the lists: a pending
+// frame's fate is decided by publish/abort, and a superseded version
+// must never become an eviction victim (flushing its stale content
+// would clobber newer disk state). Caller holds s.mu.
+func (s *shard) relinkLocked(f *Frame) {
+	if f.pins.Load() != 0 || f.lru != nil || f.pending || f.versioned {
+		return
+	}
+	f.lru = s.listFor(f).PushFront(f)
+	for s.prot.Len() > s.protCap {
+		el := s.prot.Back()
+		d := el.Value.(*Frame)
+		s.prot.Remove(el)
+		d.tier = tierProbation
+		d.lru = s.prob.PushFront(d)
+	}
+}
+
+// touchLocked pins a cached frame for a hit: off the LRU while pinned,
+// and a probationary frame is promoted into the protected segment (the
+// SLRU admission rule — one touch is not enough to displace the hot
+// set, two are). Caller holds s.mu.
+func (s *shard) touchLocked(bp *BufferPool, f *Frame) {
+	s.unlinkLocked(f)
+	if f.tier == tierProbation {
+		f.tier = tierProtected
+		bp.stats.promotions.Add(1)
+	}
+	f.pins.Add(1)
+}
+
+// freeLocked recycles an unpinned frame that is in neither the page
+// table, the sidecar nor an LRU list. Caller holds s.mu.
+func (s *shard) freeLocked(f *Frame) {
+	f.reset()
+	s.free = append(s.free, f)
+}
+
+// BufferPool caches pages over a DiskManager with segmented-LRU
+// replacement. It is safe for concurrent use: the page table is striped
+// across a power-of-two set of shards, each with its own mutex, LRU
+// lists and free list, so parallel scan workers fetching disjoint pages
+// do not serialize on a single pool lock.
 type BufferPool struct {
 	disk    DiskManager
 	cap     int
 	shards  []*shard
 	shift   uint // 32 - log2(len(shards)); hash top bits pick the shard
 	stats   counters
-	slru    atomic.Bool // scan-resistant segmented LRU (off = plain LRU)
-	wal     WAL         // flush gate; nil = no durability protocol
+	wal     WAL // flush gate; nil = no durability protocol
 	capture atomic.Pointer[Capture]
 	// snapClock is the synthetic commit clock: the tag of the newest
 	// published commit. AcquireSnapshot reads it; FinishPublish advances
@@ -305,27 +341,10 @@ func shardCountFor(capacity int) int {
 // over an automatically sized shard set (1 stripe for small pools, up
 // to 64 for large ones).
 func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
-	return NewBufferPoolShards(disk, capacity, 0)
-}
-
-// NewBufferPoolShards creates a pool with an explicit shard count
-// (rounded down to a power of two; 0 picks automatically, 1 yields the
-// classic single-mutex pool — the baseline BenchmarkBufferPoolContention
-// compares against).
-func NewBufferPoolShards(disk DiskManager, capacity, nShards int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if nShards <= 0 {
-		nShards = shardCountFor(capacity)
-	}
-	// Round down to a power of two and never exceed one frame per shard.
-	for nShards&(nShards-1) != 0 {
-		nShards &= nShards - 1
-	}
-	if nShards > capacity {
-		nShards = 1
-	}
+	nShards := shardCountFor(capacity)
 	log2 := 0
 	for 1<<uint(log2+1) <= nShards {
 		log2++
@@ -337,7 +356,6 @@ func NewBufferPoolShards(disk DiskManager, capacity, nShards int) *BufferPool {
 		shift:      uint(32 - log2),
 		snapActive: make(map[uint64]int),
 	}
-	bp.slru.Store(true)
 	bp.snapClock.Store(1)
 	bp.minSnap.Store(^uint64(0))
 	base, rem := capacity/nShards, capacity%nShards
@@ -357,15 +375,6 @@ func NewBufferPoolShards(disk DiskManager, capacity, nShards int) *BufferPool {
 	}
 	return bp
 }
-
-// SetScanResistant toggles the segmented (probation/protected) LRU.
-// When off, promotion stops and every frame lives in the probationary
-// list — exactly the classic single-list LRU the seed pool had; the
-// eviction benchmark uses this as its collapse baseline.
-func (bp *BufferPool) SetScanResistant(v bool) { bp.slru.Store(v) }
-
-// ScanResistant reports whether segmented LRU replacement is active.
-func (bp *BufferPool) ScanResistant() bool { return bp.slru.Load() }
 
 // shardFor maps a page id onto its stripe. Fibonacci hashing spreads
 // both sequential ids (B-tree leaf chains) and strided ones evenly.
@@ -453,64 +462,83 @@ func (bp *BufferPool) RegisterMetrics(reg *obs.Registry) {
 // atomics, so concurrent scans never stall on a stats reader.
 func (bp *BufferPool) Stats() Stats { return bp.stats.snapshot() }
 
-// ResetStats zeroes the I/O counters.
-func (bp *BufferPool) ResetStats() { bp.stats.reset() }
+// viewCurrent is the visibility tag of current mode — the plain pool's
+// Fetch and the write session. No commit ever carries it, so it is the
+// one view that sees pending frames (tagged viewCurrent until publish)
+// and never resolves to a superseded sidecar version.
+const viewCurrent = ^uint64(0)
 
 // Fetch pins page id into the pool, reading it from disk on a miss.
-func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
+func (bp *BufferPool) Fetch(id PageID) (*Frame, error) { return bp.fetch(id, viewCurrent) }
+
+// fetch is the pool's one read-side page fetch: it pins the version of
+// page id that view reads. That is the page-table frame when its tag is
+// at or below view, else the sidecar version whose [verTag, supersededBy)
+// interval holds view, else — the page is not cached and no retained
+// version covers view — the disk image, which loadLocked brings into the
+// shared page table.
+func (bp *BufferPool) fetch(id PageID, view uint64) (*Frame, error) {
 	bp.stats.logicalReads.Add(1)
 	s := bp.shardFor(id)
 	s.mu.Lock()
-	if f, ok := s.table[id]; ok {
-		if f.lru != nil {
-			s.listFor(f).Remove(f.lru)
-			f.lru = nil
-		}
-		// Re-reference: promote a probationary frame into the protected
-		// segment (the SLRU admission rule — one touch is not enough to
-		// displace the hot set, two are).
-		if f.tier == tierProbation && bp.slru.Load() {
-			f.tier = tierProtected
-			bp.stats.promotions.Add(1)
-		}
-		f.pins.Add(1)
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	f := s.table[id]
+	if f != nil && f.verTag.Load() <= view {
+		s.touchLocked(bp, f)
 		return f, nil
 	}
+	if v := s.versionAtLocked(id, view); v != nil {
+		v.pins.Add(1)
+		bp.stats.snapshotReads.Add(1)
+		return v, nil
+	}
+	if f == nil {
+		var err error
+		if f, err = s.loadLocked(bp, id); err != nil {
+			return nil, err
+		}
+		if f.verTag.Load() <= view {
+			f.pins.Store(1)
+			return f, nil
+		}
+		s.relinkLocked(f)
+	}
+	// Unreachable while the GC rule holds (a pre-image superseded by
+	// commit T is retained until every snapshot reaches T); kept as a hard
+	// error rather than silent wrong data.
+	return nil, fmt.Errorf("pages: snapshot %d has no visible version of page %d (newest is %d)", view, id, f.verTag.Load())
+}
+
+// loadLocked is the pool's one miss path, free → cached: take a victim
+// frame, read page id into it, verify the image, and enter it into the
+// page table unpinned and off the LRU (every caller pins or displaces it
+// before releasing s.mu). On any failure the frame goes back to the
+// free list and the table is untouched. Caller holds s.mu.
+//
+// Disk always holds the newest published content at miss time
+// (published dirty frames are flushed before eviction), so the loaded
+// frame's version tag is the newest commit recorded against this page
+// in the sidecar — or 0 ("pre-history") when no retained version chain
+// mentions it.
+func (s *shard) loadLocked(bp *BufferPool, id PageID) (*Frame, error) {
 	f, err := s.victimLocked(bp)
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
 	f.Page.ID = id
-	if err := bp.disk.ReadPage(id, f.Page.Buf[:]); err != nil {
-		s.releaseFrameLocked(f)
-		s.mu.Unlock()
+	if err = bp.disk.ReadPage(id, f.Page.Buf[:]); err == nil {
+		bp.stats.physicalReads.Add(1)
+		bp.stats.bytesRead.Add(PageSize)
+		err = f.Page.VerifyChecksum()
+	}
+	if err != nil {
+		s.freeLocked(f)
 		return nil, err
 	}
-	bp.stats.physicalReads.Add(1)
-	bp.stats.bytesRead.Add(PageSize)
-	if err := f.Page.VerifyChecksum(); err != nil {
-		s.releaseFrameLocked(f)
-		s.mu.Unlock()
-		return nil, err
-	}
-	f.pins.Store(1)
-	f.dirty = false
-	f.unlogged = false
-	f.pending = false
-	f.versioned = false
-	f.tier = tierProbation
 	f.pageLSN.Store(f.Page.LSN())
-	// Disk always holds the newest published content at miss time
-	// (published dirty frames are flushed before eviction), so the loaded
-	// frame's version tag is the newest commit recorded against this page
-	// in the sidecar — or 0 ("pre-history") when no retained version
-	// chain mentions it.
 	f.verTag.Store(s.latestSupersedeLocked(id))
 	bp.stats.admissions.Add(1)
 	s.table[id] = f
-	s.mu.Unlock()
 	return f, nil
 }
 
@@ -532,12 +560,6 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 	f.Page.Init(t)
 	f.pins.Store(1)
 	f.dirty = true
-	f.unlogged = false
-	f.pending = false
-	f.versioned = false
-	f.tier = tierProbation
-	f.pageLSN.Store(0)
-	f.verTag.Store(0)
 	bp.stats.admissions.Add(1)
 	if c := bp.capture.Load(); c != nil {
 		// A page created inside a write session is a pending version with
@@ -545,6 +567,7 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 		// session publishes or aborts.
 		f.unlogged = true
 		f.pending = true
+		f.verTag.Store(viewCurrent)
 		c.add(f)
 		c.addPre(f, nil)
 	}
@@ -552,9 +575,9 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 	return f, nil
 }
 
-// victimLocked returns a free frame, evicting the shard's coldest
-// evictable unpinned page if the stripe is full. The returned frame is
-// not yet in the table. Caller holds s.mu.
+// victimLocked returns a frame in the free state (see Frame.reset),
+// evicting the shard's coldest evictable unpinned page if the stripe is
+// full. The returned frame is not yet in the table. Caller holds s.mu.
 //
 // Eviction order is probation tail first (one-touch pages — a scan's
 // own wake), then the protected tail — so a whole-blob scan recycles
@@ -596,12 +619,12 @@ func (s *shard) victimLocked(bp *BufferPool) (*Frame, error) {
 				}
 			}
 			l.Remove(el)
-			f.lru = nil
 			delete(s.table, f.Page.ID)
 			bp.stats.evictions.Add(1)
 			if l == s.prob {
 				bp.stats.scanEvictions.Add(1)
 			}
+			f.reset()
 			return f, nil
 		}
 	}
@@ -636,12 +659,6 @@ func (bp *BufferPool) writeFrameLocked(f *Frame) error {
 	return nil
 }
 
-// releaseFrameLocked recycles a frame acquired by victimLocked before it
-// was registered (e.g. after a failed read). Caller holds s.mu.
-func (s *shard) releaseFrameLocked(f *Frame) {
-	s.free = append(s.free, f)
-}
-
 // Unpin releases a pinned frame; dirty marks it modified so eviction
 // writes it back.
 func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
@@ -669,22 +686,9 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	if f.pins.Load() > 0 {
 		f.pins.Add(-1)
 	}
-	// Pending and versioned frames stay off the LRU: a pending frame's
-	// fate is decided by publish/abort, and a superseded version must
-	// never become an eviction victim (its content is stale; flushing it
-	// would clobber newer disk state). Versioned frames are instead
-	// garbage-collected once unpinned and no longer needed.
-	if f.pins.Load() == 0 && f.lru == nil && !f.pending && !f.versioned {
-		if !bp.slru.Load() {
-			// Plain-LRU mode: collapse everything back into the single
-			// probationary list so the toggle degrades cleanly.
-			f.tier = tierProbation
-		}
-		f.lru = s.listFor(f).PushFront(f)
-		if f.tier == tierProtected {
-			s.enforceProtCapLocked()
-		}
-	}
+	s.relinkLocked(f)
+	// A superseded version never re-enters the LRU; it is retired once
+	// unpinned and no longer needed.
 	if f.versioned && f.pins.Load() == 0 {
 		s.dropVersionsLocked(bp, f.Page.ID)
 	}
@@ -768,17 +772,12 @@ func (bp *BufferPool) DropCleanBuffers() error {
 			}
 		}
 		// Recycle the frames instead of abandoning 8 kB buffers to the GC.
-		for _, f := range s.table {
-			f.lru = nil
-			f.dirty = false
-			f.unlogged = false
-			f.tier = tierProbation
-			f.pageLSN.Store(0)
-			s.free = append(s.free, f)
-		}
-		s.table = make(map[PageID]*Frame, s.cap)
 		s.prob.Init()
 		s.prot.Init()
+		for _, f := range s.table {
+			s.freeLocked(f)
+		}
+		s.table = make(map[PageID]*Frame, s.cap)
 		// Retire whatever versions no live snapshot can still need; the
 		// rest stay in the sidecar (an active snapshot may come back for
 		// them — dropping the *current* cache never invalidates history).

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// benchPool builds a pool with the given stripe count and a working set
-// of hot pages all goroutines hammer.
-func benchPool(b *testing.B, shards, capacity, pagesN int) (*BufferPool, []PageID) {
+// benchPool builds a pool of the given capacity and a working set of
+// hot pages all goroutines hammer.
+func benchPool(b *testing.B, capacity, pagesN int) (*BufferPool, []PageID) {
 	b.Helper()
-	bp := NewBufferPoolShards(NewMemDisk(), capacity, shards)
+	bp := NewBufferPool(NewMemDisk(), capacity)
 	ids := make([]PageID, pagesN)
 	for i := range ids {
 		f, err := bp.NewPage(TypeData)
@@ -25,68 +25,59 @@ func benchPool(b *testing.B, shards, capacity, pagesN int) (*BufferPool, []PageI
 
 // BenchmarkBufferPoolContention measures aggregate Fetch/Unpin
 // throughput with goroutines hammering a cached working set — the shape
-// of the parallel aggregate scan's page traffic. The shards=1 variant is
-// the seed's single-mutex pool; the sharded variants are the lock-striped
-// replacement. The acceptance bar for this PR is >= 2x ops/s at 8
-// goroutines for sharded vs shards=1.
+// of the parallel aggregate scan's page traffic — on the 64 stripes a
+// 4096-frame pool sizes itself to.
 func BenchmarkBufferPoolContention(b *testing.B) {
 	const capacity = 4096
 	const hotPages = 1024
-	for _, shards := range []int{1, 8, 64} {
-		for _, workers := range []int{1, 4, 8} {
-			name := fmt.Sprintf("shards=%d/goroutines=%d", shards, workers)
-			b.Run(name, func(b *testing.B) {
-				bp, ids := benchPool(b, shards, capacity, hotPages)
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				per := b.N / workers
-				if per == 0 {
-					per = 1
-				}
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						// Stride so goroutines walk different pages and the
-						// contention measured is lock traffic, not one hot
-						// frame.
-						i := w * 37
-						for n := 0; n < per; n++ {
-							f, err := bp.Fetch(ids[i%hotPages])
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							bp.Unpin(f, false)
-							i += 7
+	for _, workers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("goroutines=%d", workers), func(b *testing.B) {
+			bp, ids := benchPool(b, capacity, hotPages)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			per := b.N / workers
+			if per == 0 {
+				per = 1
+			}
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					// Stride so goroutines walk different pages and the
+					// contention measured is lock traffic, not one hot
+					// frame.
+					i := w * 37
+					for n := 0; n < per; n++ {
+						f, err := bp.Fetch(ids[i%hotPages])
+						if err != nil {
+							b.Error(err)
+							return
 						}
-					}(w)
-				}
-				wg.Wait()
-				b.StopTimer()
-				if got := bp.PinnedFrames(); got != 0 {
-					b.Fatalf("leaked pins: %d", got)
-				}
-			})
-		}
+						bp.Unpin(f, false)
+						i += 7
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			if got := bp.PinnedFrames(); got != 0 {
+				b.Fatalf("leaked pins: %d", got)
+			}
+		})
 	}
 }
 
-// BenchmarkBufferPoolFetchMiss measures the cold path (evicting fetches)
-// so the striping overhead on misses stays visible.
+// BenchmarkBufferPoolFetchMiss measures the cold path (evicting fetches):
+// the miss loader plus the victim scan.
 func BenchmarkBufferPoolFetchMiss(b *testing.B) {
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			// Pool much smaller than the page set: every wrap evicts.
-			bp, ids := benchPool(b, shards, 256, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := bp.Fetch(ids[(i*61)%len(ids)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				bp.Unpin(f, false)
-			}
-		})
+	// Pool much smaller than the page set: every wrap evicts.
+	bp, ids := benchPool(b, 256, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := bp.Fetch(ids[(i*61)%len(ids)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bp.Unpin(f, false)
 	}
 }

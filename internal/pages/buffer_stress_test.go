@@ -8,29 +8,27 @@ import (
 )
 
 // TestBufferPoolShardCounts pins the stripe sizing policy: tiny pools
-// stay single-shard (exact legacy semantics), large pools stripe, and
-// explicit counts are honored after power-of-two rounding.
+// stay single-shard (exact legacy semantics), large pools stripe up to
+// 64 ways.
 func TestBufferPoolShardCounts(t *testing.T) {
 	cases := []struct {
-		capacity, explicit, want int
+		capacity, want int
 	}{
-		{1, 0, 1},
-		{8, 0, 1},
-		{127, 0, 1},
-		{128, 0, 2},
-		{1024, 0, 16},
-		{16384, 0, 64},
-		{1 << 20, 0, 64},
-		{1024, 1, 1},
-		{1024, 8, 8},
-		{1024, 7, 4}, // rounded down to a power of two
-		{4, 64, 1},   // more shards than frames degrades to one stripe
+		{1, 1},
+		{8, 1},
+		{127, 1},
+		{128, 2},
+		{256, 4},
+		{512, 8},
+		{1000, 8}, // stripes hold at least 64 frames each
+		{1024, 16},
+		{16384, 64},
+		{1 << 20, 64},
 	}
 	for _, c := range cases {
-		bp := NewBufferPoolShards(NewMemDisk(), c.capacity, c.explicit)
+		bp := NewBufferPool(NewMemDisk(), c.capacity)
 		if got := bp.Shards(); got != c.want {
-			t.Errorf("capacity %d explicit %d: shards = %d, want %d",
-				c.capacity, c.explicit, got, c.want)
+			t.Errorf("capacity %d: shards = %d, want %d", c.capacity, got, c.want)
 		}
 		if got := bp.Capacity(); got != c.capacity {
 			t.Errorf("capacity %d: Capacity() = %d", c.capacity, got)
@@ -48,12 +46,15 @@ func TestBufferPoolShardCounts(t *testing.T) {
 }
 
 // TestShardedPoolBasicContract re-runs the seed pool's contract against
-// an explicitly multi-shard pool, so striping cannot silently change
+// an 8-stripe pool, so striping cannot silently change
 // Fetch/Unpin/eviction semantics.
 func TestShardedPoolBasicContract(t *testing.T) {
 	d := NewMemDisk()
-	bp := NewBufferPoolShards(d, 64, 8)
-	ids := make([]PageID, 200)
+	bp := NewBufferPool(d, 512)
+	if bp.Shards() != 8 {
+		t.Fatalf("512 frames sized to %d stripes, want 8", bp.Shards())
+	}
+	ids := make([]PageID, 1600)
 	for i := range ids {
 		f, err := bp.NewPage(TypeData)
 		if err != nil {
@@ -99,7 +100,7 @@ func TestShardedPoolBasicContract(t *testing.T) {
 // same page.
 func TestShardedPoolConcurrentStress(t *testing.T) {
 	d := NewMemDisk()
-	bp := NewBufferPoolShards(d, 256, 8)
+	bp := NewBufferPool(d, 512) // 8 stripes
 
 	// Seed a shared set of pages all workers fetch.
 	const seedPages = 512
@@ -214,14 +215,14 @@ func TestShardedPoolConcurrentStress(t *testing.T) {
 // under concurrent fetches (the seed pool's counters were mutex-guarded;
 // the striped pool's must not lose increments).
 func TestShardedPoolStatsLockFree(t *testing.T) {
-	bp := NewBufferPoolShards(NewMemDisk(), 128, 4)
+	bp := NewBufferPool(NewMemDisk(), 256) // 4 stripes
 	f, err := bp.NewPage(TypeData)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := f.Page.ID
 	bp.Unpin(f, false)
-	bp.ResetStats()
+	before := bp.Stats().LogicalReads
 
 	const workers = 8
 	const fetches = 1000
@@ -241,7 +242,7 @@ func TestShardedPoolStatsLockFree(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := bp.Stats().LogicalReads; got != workers*fetches {
+	if got := bp.Stats().LogicalReads - before; got != workers*fetches {
 		t.Errorf("LogicalReads = %d, want %d", got, workers*fetches)
 	}
 }

@@ -1,9 +1,6 @@
 package pages
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // makePages materializes n marker pages on disk through the pool and
 // returns their ids, leaving the cache in whatever state the churn put
@@ -33,85 +30,43 @@ func fetchUnpin(t testing.TB, bp *BufferPool, id PageID) {
 
 // TestScanResistantEviction drives the SLRU's headline property: a hot,
 // re-referenced working set survives a one-touch scan that is several
-// times larger than the pool, while the same scan under plain LRU
-// flushes it completely.
+// times larger than the pool.
 func TestScanResistantEviction(t *testing.T) {
-	for _, slru := range []bool{true, false} {
-		t.Run(fmt.Sprintf("slru=%v", slru), func(t *testing.T) {
-			bp := NewBufferPoolShards(NewMemDisk(), 16, 1)
-			hot := makePages(t, bp, 4)
-			scan := makePages(t, bp, 64)
-			if err := bp.DropCleanBuffers(); err != nil {
-				t.Fatal(err)
-			}
-			bp.SetScanResistant(slru)
-			bp.ResetStats()
-			// Touch the hot set twice: the second touch is the
-			// re-reference that promotes into the protected segment.
-			for i := 0; i < 2; i++ {
-				for _, id := range hot {
-					fetchUnpin(t, bp, id)
-				}
-			}
-			// One-touch scan of 4x the pool capacity.
-			for _, id := range scan {
-				fetchUnpin(t, bp, id)
-			}
-			// Re-fetch the hot set and count the misses it takes.
-			before := bp.Stats().PhysicalReads
-			for _, id := range hot {
-				fetchUnpin(t, bp, id)
-			}
-			misses := bp.Stats().PhysicalReads - before
-			st := bp.Stats()
-			if slru {
-				if misses != 0 {
-					t.Errorf("SLRU: hot set took %d misses after scan, want 0", misses)
-				}
-				if st.Promotions < uint64(len(hot)) {
-					t.Errorf("Promotions = %d, want >= %d", st.Promotions, len(hot))
-				}
-				if st.ScanEvictions == 0 {
-					t.Error("ScanEvictions = 0, want > 0 (scan should churn probation)")
-				}
-			} else {
-				if misses != uint64(len(hot)) {
-					t.Errorf("plain LRU: hot set took %d misses after scan, want %d (collapse)", misses, len(hot))
-				}
-			}
-			if st.Admissions == 0 {
-				t.Error("Admissions = 0, want > 0")
-			}
-		})
-	}
-}
-
-// TestScanResistantToggleDegradesToPlainLRU verifies SetScanResistant
-// semantics: with the toggle off, nothing promotes and eviction order
-// is exactly the classic single-list LRU.
-func TestScanResistantToggleDegradesToPlainLRU(t *testing.T) {
-	bp := NewBufferPoolShards(NewMemDisk(), 4, 1)
-	bp.SetScanResistant(false)
-	ids := makePages(t, bp, 8)
+	bp := NewBufferPool(NewMemDisk(), 16)
+	hot := makePages(t, bp, 4)
+	scan := makePages(t, bp, 64)
 	if err := bp.DropCleanBuffers(); err != nil {
 		t.Fatal(err)
 	}
-	bp.ResetStats()
-	// Touch ids[0] many times; under SLRU it would be protected, but
-	// with the toggle off it must still be evicted by a 4-page sweep.
-	for i := 0; i < 3; i++ {
-		fetchUnpin(t, bp, ids[0])
+	start := bp.Stats()
+	// Touch the hot set twice: the second touch is the re-reference that
+	// promotes into the protected segment.
+	for i := 0; i < 2; i++ {
+		for _, id := range hot {
+			fetchUnpin(t, bp, id)
+		}
 	}
-	for _, id := range ids[4:] {
+	// One-touch scan of 4x the pool capacity.
+	for _, id := range scan {
 		fetchUnpin(t, bp, id)
 	}
+	// Re-fetch the hot set and count the misses it takes.
 	before := bp.Stats().PhysicalReads
-	fetchUnpin(t, bp, ids[0])
-	if miss := bp.Stats().PhysicalReads - before; miss != 1 {
-		t.Errorf("re-fetch after sweep took %d physical reads, want 1 (plain LRU evicts)", miss)
+	for _, id := range hot {
+		fetchUnpin(t, bp, id)
 	}
-	if p := bp.Stats().Promotions; p != 0 {
-		t.Errorf("Promotions = %d with scan resistance off, want 0", p)
+	st := bp.Stats()
+	if misses := st.PhysicalReads - before; misses != 0 {
+		t.Errorf("hot set took %d misses after scan, want 0", misses)
+	}
+	if got := st.Promotions - start.Promotions; got < uint64(len(hot)) {
+		t.Errorf("Promotions = %d, want >= %d", got, len(hot))
+	}
+	if st.ScanEvictions == start.ScanEvictions {
+		t.Error("ScanEvictions did not move (scan should churn probation)")
+	}
+	if st.Admissions == start.Admissions {
+		t.Error("Admissions did not move")
 	}
 }
 
@@ -120,7 +75,7 @@ func TestScanResistantToggleDegradesToPlainLRU(t *testing.T) {
 // stripe) demotes the coldest back to probation instead of growing the
 // protected list without bound.
 func TestProtectedSegmentCapDemotes(t *testing.T) {
-	bp := NewBufferPoolShards(NewMemDisk(), 8, 1) // protCap = 6
+	bp := NewBufferPool(NewMemDisk(), 8) // protCap = 6
 	ids := makePages(t, bp, 8)
 	if err := bp.DropCleanBuffers(); err != nil {
 		t.Fatal(err)
@@ -145,48 +100,39 @@ func TestProtectedSegmentCapDemotes(t *testing.T) {
 
 // BenchmarkScanResistantEviction interleaves a giant one-touch scan
 // with point accesses to a small hot set (the B+tree-interior shape)
-// and reports the hot set's hit ratio. SLRU keeps it ~1.0; the
-// plain-LRU baseline collapses toward 0 because every scan page
-// displaces a hot page.
+// and reports the hot set's hit ratio, which the SLRU keeps at ~1.0 (a
+// single-list LRU collapses toward 0: every scan page displaces a hot
+// page).
 func BenchmarkScanResistantEviction(b *testing.B) {
-	for _, slru := range []bool{true, false} {
-		name := "plain-lru"
-		if slru {
-			name = "slru"
-		}
-		b.Run(name, func(b *testing.B) {
-			bp := NewBufferPoolShards(NewMemDisk(), 64, 1)
-			hot := makePages(b, bp, 16)
-			scan := makePages(b, bp, 512)
-			if err := bp.DropCleanBuffers(); err != nil {
-				b.Fatal(err)
-			}
-			bp.SetScanResistant(slru)
-			// Warm the hot set with the promoting double touch.
-			for i := 0; i < 2; i++ {
-				for _, id := range hot {
-					fetchUnpin(b, bp, id)
-				}
-			}
-			// Each iteration is one scan burst (2x the pool capacity —
-			// larger than any LRU can absorb) followed by a round of
-			// point accesses to the hot set, the pattern of an analytic
-			// blob scan running beside B+tree lookups.
-			var hotFetches, hotMisses uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 128; j++ {
-					fetchUnpin(b, bp, scan[(i*128+j)%len(scan)])
-				}
-				for _, id := range hot {
-					before := bp.Stats().PhysicalReads
-					fetchUnpin(b, bp, id)
-					hotFetches++
-					hotMisses += bp.Stats().PhysicalReads - before
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(1-float64(hotMisses)/float64(hotFetches), "hot-hit-ratio")
-		})
+	bp := NewBufferPool(NewMemDisk(), 64)
+	hot := makePages(b, bp, 16)
+	scan := makePages(b, bp, 512)
+	if err := bp.DropCleanBuffers(); err != nil {
+		b.Fatal(err)
 	}
+	// Warm the hot set with the promoting double touch.
+	for i := 0; i < 2; i++ {
+		for _, id := range hot {
+			fetchUnpin(b, bp, id)
+		}
+	}
+	// Each iteration is one scan burst (2x the pool capacity — larger
+	// than any LRU can absorb) followed by a round of point accesses to
+	// the hot set, the pattern of an analytic blob scan running beside
+	// B+tree lookups.
+	var hotFetches, hotMisses uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 128; j++ {
+			fetchUnpin(b, bp, scan[(i*128+j)%len(scan)])
+		}
+		for _, id := range hot {
+			before := bp.Stats().PhysicalReads
+			fetchUnpin(b, bp, id)
+			hotFetches++
+			hotMisses += bp.Stats().PhysicalReads - before
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(1-float64(hotMisses)/float64(hotFetches), "hot-hit-ratio")
 }

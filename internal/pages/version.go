@@ -12,14 +12,32 @@
 // frames are discarded and the pre-images are restored, so nothing
 // uncommitted can ever be read, flushed, or logged.
 //
-// A snapshot is just a tag S read from the commit clock. Page content
-// tagged t is visible to S iff t <= S; Snapshot.Fetch resolves a page to
-// the newest visible version — the current table frame when its tag
-// qualifies, else the newest qualifying sidecar entry, else the disk
-// image (whose tag is the newest commit the sidecar records against the
-// page, or 0 when no retained chain mentions it — sound because
-// published dirty frames are flushed before eviction, so disk always
-// holds the newest published content at miss time).
+// A snapshot is just a tag S read from the commit clock, and current mode
+// (the plain pool's Fetch, the write session) is the tag viewCurrent that
+// no commit ever carries. One fetch serves both: a view V reads the
+// page-table frame when its tag is <= V (a pending frame is tagged
+// viewCurrent, so only current mode sees it), else the sidecar entry
+// with verTag <= V < supersededBy, else the disk image (whose tag is the
+// newest commit the sidecar records against the page, or 0 when no
+// retained chain mentions it — sound because published dirty frames are
+// flushed before eviction, so disk always holds the newest published
+// content at miss time).
+//
+// Frame lifecycle. A frame is in exactly one state, and each transition
+// is written once:
+//
+//	free → cached       loadLocked (miss), NewPage
+//	free → pending      FetchForWrite (the copy), NewPage under a capture
+//	cached → versioned  FetchForWrite (the displaced pre-image)
+//	pending → cached    PreparePublish
+//	versioned → cached  AbortCapture (the pre-image restored)
+//	cached → free       victimLocked (eviction), DropCleanBuffers
+//	pending → free      AbortCapture
+//	versioned → free    dropVersionsLocked (retirement)
+//
+// Every "→ free" clears the frame through Frame.reset; while cached,
+// touchLocked pins a frame off the LRU on a hit and relinkLocked puts it
+// back on its last unpin.
 //
 // Version lifetime: a sidecar entry superseded by commit T is needed
 // exactly by snapshots older than T. It is dropped once it is unpinned
@@ -34,8 +52,6 @@
 // are bounded: the engine is single-writer, and snapshots are
 // query-scoped.
 package pages
-
-import "fmt"
 
 // Fetcher is the read-side page access interface: the plain pool
 // ("current mode" — a write session sees its own pending pages) and
@@ -105,97 +121,20 @@ func (sn *Snapshot) Release() {
 // Fetch resolves page id to the newest version visible at the snapshot's
 // tag and pins it. The returned frame may be a shared sidecar version —
 // callers must treat it as read-only and Unpin it as usual.
-func (sn *Snapshot) Fetch(id PageID) (*Frame, error) {
-	bp := sn.bp
-	bp.stats.logicalReads.Add(1)
-	s := bp.shardFor(id)
-	s.mu.Lock()
-	if f, ok := s.table[id]; ok {
-		if !f.pending && f.verTag.Load() <= sn.tag {
-			if f.lru != nil {
-				s.listFor(f).Remove(f.lru)
-				f.lru = nil
-			}
-			if f.tier == tierProbation && bp.slru.Load() {
-				f.tier = tierProtected
-				bp.stats.promotions.Add(1)
-			}
-			f.pins.Add(1)
-			s.mu.Unlock()
-			return f, nil
-		}
-		// Current content is pending or too new: fall through to the
-		// version sidecar.
-		if v := s.newestVisibleLocked(id, sn.tag); v != nil {
-			v.pins.Add(1)
-			bp.stats.snapshotReads.Add(1)
-			s.mu.Unlock()
-			return v, nil
-		}
-		s.mu.Unlock()
-		// Unreachable while the GC rule holds (a pre-image superseded by
-		// commit T is retained until every snapshot reaches T); kept as a
-		// hard error rather than silent wrong data.
-		return nil, fmt.Errorf("pages: snapshot %d has no visible version of page %d", sn.tag, id)
-	}
-	if v := s.newestVisibleLocked(id, sn.tag); v != nil {
-		v.pins.Add(1)
-		bp.stats.snapshotReads.Add(1)
-		s.mu.Unlock()
-		return v, nil
-	}
-	// Miss: the disk image is the newest published version; load it into
-	// the shared page table exactly like a current-mode miss.
-	f, err := s.victimLocked(bp)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	f.Page.ID = id
-	if err := bp.disk.ReadPage(id, f.Page.Buf[:]); err != nil {
-		s.releaseFrameLocked(f)
-		s.mu.Unlock()
-		return nil, err
-	}
-	bp.stats.physicalReads.Add(1)
-	bp.stats.bytesRead.Add(PageSize)
-	if err := f.Page.VerifyChecksum(); err != nil {
-		s.releaseFrameLocked(f)
-		s.mu.Unlock()
-		return nil, err
-	}
-	f.pins.Store(1)
-	f.dirty = false
-	f.unlogged = false
-	f.pending = false
-	f.versioned = false
-	f.tier = tierProbation
-	f.pageLSN.Store(f.Page.LSN())
-	tag := s.latestSupersedeLocked(id)
-	f.verTag.Store(tag)
-	bp.stats.admissions.Add(1)
-	s.table[id] = f
-	s.mu.Unlock()
-	if tag > sn.tag {
-		// Same unreachable-by-construction guard as above.
-		bp.Unpin(f, false)
-		return nil, fmt.Errorf("pages: snapshot %d has no visible version of page %d (disk at %d)", sn.tag, id, tag)
-	}
-	return f, nil
-}
+func (sn *Snapshot) Fetch(id PageID) (*Frame, error) { return sn.bp.fetch(id, sn.tag) }
 
 // Unpin releases a frame fetched through the snapshot. Snapshot reads
 // never dirty pages; dirty=true panics via the pool's versioned-write
 // guard.
 func (sn *Snapshot) Unpin(f *Frame, dirty bool) { sn.bp.Unpin(f, dirty) }
 
-// newestVisibleLocked returns the newest sidecar version of id whose tag
-// is <= snapTag, or nil. Caller holds s.mu.
-func (s *shard) newestVisibleLocked(id PageID, snapTag uint64) *Frame {
+// versionAtLocked returns the sidecar version of id that view reads —
+// the one with verTag <= view < supersededBy — or nil. Caller holds s.mu.
+func (s *shard) versionAtLocked(id PageID, view uint64) *Frame {
 	vs := s.vers[id]
 	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].verTag.Load() <= snapTag {
-			return vs[i]
+		if v := vs[i]; v.verTag.Load() <= view && view < v.supersededBy {
+			return v
 		}
 	}
 	return nil
@@ -230,59 +169,26 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 	bp.stats.logicalReads.Add(1)
 	s := bp.shardFor(id)
 	s.mu.Lock()
-	old, cached := s.table[id]
-	if cached && old.pending {
+	defer s.mu.Unlock()
+	old := s.table[id]
+	if old == nil {
+		// Load the committed image first; it becomes the pre-image.
+		var err error
+		if old, err = s.loadLocked(bp, id); err != nil {
+			return nil, err
+		}
+	} else if old.pending {
 		old.pins.Add(1)
-		s.mu.Unlock()
 		return old, nil
 	}
-	if !cached {
-		// Load the committed image first; it becomes the pre-image.
-		f, err := s.victimLocked(bp)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		f.Page.ID = id
-		if err := bp.disk.ReadPage(id, f.Page.Buf[:]); err != nil {
-			s.releaseFrameLocked(f)
-			s.mu.Unlock()
-			return nil, err
-		}
-		bp.stats.physicalReads.Add(1)
-		bp.stats.bytesRead.Add(PageSize)
-		if err := f.Page.VerifyChecksum(); err != nil {
-			s.releaseFrameLocked(f)
-			s.mu.Unlock()
-			return nil, err
-		}
-		f.pins.Store(0)
-		f.dirty = false
-		f.unlogged = false
-		f.pending = false
-		f.versioned = false
-		f.tier = tierProbation
-		f.pageLSN.Store(f.Page.LSN())
-		f.verTag.Store(s.latestSupersedeLocked(id))
-		bp.stats.admissions.Add(1)
-		old = f
-		// Not inserted into table or LRU: it goes straight to the sidecar
-		// below, and the pending copy takes the table slot.
-	} else if old.lru != nil {
-		// Unhook the pre-image so the victim scan below cannot evict it
-		// out from under us.
-		s.listFor(old).Remove(old.lru)
-		old.lru = nil
-	}
+	// The pre-image leaves the LRU and the table before the victim scan,
+	// so the scan cannot evict it and the pending copy takes its slot.
+	s.unlinkLocked(old)
+	delete(s.table, id)
 	pend, err := s.victimLocked(bp)
 	if err != nil {
-		// Roll the pre-image back to where it came from.
-		if !cached {
-			s.releaseFrameLocked(old)
-		} else if old.pins.Load() == 0 {
-			old.lru = s.listFor(old).PushFront(old)
-		}
-		s.mu.Unlock()
+		s.table[id] = old
+		s.relinkLocked(old)
 		return nil, err
 	}
 	pend.Page = old.Page // full 8 kB copy, same ID
@@ -290,16 +196,14 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 	pend.dirty = old.dirty
 	pend.unlogged = true
 	pend.pending = true
-	pend.versioned = false
 	pend.tier = old.tier
 	pend.pageLSN.Store(old.pageLSN.Load())
-	pend.verTag.Store(old.verTag.Load())
+	pend.verTag.Store(viewCurrent)
 	old.versioned = true
-	old.supersededBy = 0
+	old.supersededBy = viewCurrent
 	s.vers[id] = append(s.vers[id], old)
 	s.table[id] = pend
 	bp.stats.cowCopies.Add(1)
-	s.mu.Unlock()
 	c.add(pend)
 	c.addPre(pend, old)
 	return pend, nil
@@ -327,12 +231,7 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 			// LogDirtyFrame).
 			f.unlogged = false
 		}
-		if f.pins.Load() == 0 && f.lru == nil {
-			f.lru = s.listFor(f).PushFront(f)
-			if f.tier == tierProtected {
-				s.enforceProtCapLocked()
-			}
-		}
+		s.relinkLocked(f)
 		if pre != nil {
 			pre.supersededBy = tag
 		}
@@ -393,24 +292,15 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 			pre.versioned = false
 			pre.supersededBy = 0
 			s.table[id] = pre
-			if pre.pins.Load() == 0 && pre.lru == nil {
-				pre.lru = s.listFor(pre).PushFront(pre)
-				if pre.tier == tierProtected {
-					s.enforceProtCapLocked()
-				}
-			}
+			s.relinkLocked(pre)
 		}
 		// Discard the pending copy. A nonzero pin count here would be a
 		// caller bug (the session must unpin before aborting); the frame
-		// is then orphaned rather than recycled so the dangling pointer
+		// is then orphaned, still marked pending so a late Unpin cannot
+		// put it on the LRU, rather than recycled so the dangling pointer
 		// cannot alias a future page.
-		f.pending = false
-		f.dirty = false
-		f.unlogged = false
-		f.pageLSN.Store(0)
-		f.verTag.Store(0)
 		if f.pins.Load() == 0 {
-			s.releaseFrameLocked(f)
+			s.freeLocked(f)
 		}
 		s.mu.Unlock()
 	}
@@ -420,14 +310,14 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 // superseding commit is published and no active snapshot predates it.
 // Caller holds the owning shard's mutex.
 func (bp *BufferPool) droppableLocked(f *Frame) bool {
-	if f.supersededBy == 0 || f.pins.Load() != 0 {
+	if f.pins.Load() != 0 {
 		return false
 	}
 	if f.supersededBy > bp.snapClock.Load() {
-		// The superseding commit is still between PreparePublish and
-		// FinishPublish: a snapshot acquired right now (at the old
-		// clock) resolves to THIS version, so it must survive until the
-		// clock passes the tag.
+		// The superseding session is uncommitted (viewCurrent), or its
+		// commit is still between PreparePublish and FinishPublish: a
+		// snapshot acquired right now (at the old clock) resolves to THIS
+		// version, so it must survive until the clock passes the tag.
 		return false
 	}
 	return bp.minSnap.Load() >= f.supersededBy // ^0 when no snapshot is active
@@ -443,13 +333,7 @@ func (s *shard) dropVersionsLocked(bp *BufferPool, id PageID) {
 	kept := vs[:0]
 	for _, f := range vs {
 		if bp.droppableLocked(f) {
-			f.versioned = false
-			f.dirty = false
-			f.unlogged = false
-			f.supersededBy = 0
-			f.pageLSN.Store(0)
-			f.verTag.Store(0)
-			s.releaseFrameLocked(f)
+			s.freeLocked(f)
 			bp.stats.versionsRetired.Add(1)
 			continue
 		}

@@ -29,7 +29,7 @@ func dirtyOnePage(t *testing.T, bp *BufferPool) PageID {
 
 func TestEvictionRespectsDurableLSN(t *testing.T) {
 	disk := NewMemDisk()
-	bp := NewBufferPoolShards(disk, 2, 1)
+	bp := NewBufferPool(disk, 2)
 	w := &fakeWAL{}
 	bp.SetWAL(w)
 
@@ -77,7 +77,7 @@ func TestEvictionRespectsDurableLSN(t *testing.T) {
 
 func TestUnloggedFramesAreNeverFlushed(t *testing.T) {
 	disk := NewMemDisk()
-	bp := NewBufferPoolShards(disk, 4, 1)
+	bp := NewBufferPool(disk, 4)
 	w := &fakeWAL{}
 	w.durable.Store(1 << 60) // everything logged is durable
 	bp.SetWAL(w)

@@ -395,7 +395,7 @@ func TestKeyPushdownTouchesFewPages(t *testing.T) {
 
 	measure := func(q string, wantRows int) uint64 {
 		t.Helper()
-		pool.ResetStats()
+		before := pool.Stats().LogicalReads
 		res, err := Run(db, q)
 		if err != nil {
 			t.Fatalf("Run(%q): %v", q, err)
@@ -403,7 +403,7 @@ func TestKeyPushdownTouchesFewPages(t *testing.T) {
 		if len(res.Rows) != wantRows {
 			t.Fatalf("Run(%q) = %d rows, want %d", q, len(res.Rows), wantRows)
 		}
-		return pool.Stats().LogicalReads
+		return pool.Stats().LogicalReads - before
 	}
 
 	full := measure("SELECT COUNT(*) FROM T", 1)
@@ -508,7 +508,7 @@ func TestTopOverResidualFilterProjectsOnlyReturnedRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference(%q): %v", q, err)
 			}
-			db.Funcs().ResetStats()
+			before := db.Funcs().Stats().Calls
 			got, err := RunWith(db, q, opts)
 			if err != nil {
 				t.Fatalf("BatchSize=%d Run(%q): %v", batchSize, q, err)
@@ -516,7 +516,7 @@ func TestTopOverResidualFilterProjectsOnlyReturnedRows(t *testing.T) {
 			if diff := resultEq(want, got); diff != "" {
 				t.Errorf("BatchSize=%d Run(%q): %s", batchSize, q, diff)
 			}
-			if calls := db.Funcs().Stats().Calls; calls != 3 {
+			if calls := db.Funcs().Stats().Calls - before; calls != 3 {
 				t.Errorf("BatchSize=%d Run(%q): %d UDF calls, want 3", batchSize, q, calls)
 			}
 		}
@@ -617,7 +617,7 @@ func TestParallelDecisionRespectsThreshold(t *testing.T) {
 	// UDF calls happen exactly once per row — worker compile would be
 	// fine too, but the plan must not misbehave either way).
 	db := testDB(t)
-	db.Funcs().ResetStats()
+	before := db.Funcs().Stats().Calls
 	res, err := RunWith(db, "SELECT SUM(dbo.Twice(v1)) FROM Tscalar",
 		ExecOptions{Parallelism: 8})
 	if err != nil {
@@ -630,7 +630,7 @@ func TestParallelDecisionRespectsThreshold(t *testing.T) {
 	if v.F != 9900 {
 		t.Errorf("SUM(Twice(v1)) = %v", v)
 	}
-	if calls := db.Funcs().Stats().Calls; calls != 100 {
+	if calls := db.Funcs().Stats().Calls - before; calls != 100 {
 		t.Errorf("UDF calls = %d, want one per row", calls)
 	}
 }

@@ -286,11 +286,5 @@ func (s *Store) Stats() ServiceStats {
 	}
 }
 
-// ResetStats zeroes the counters before a measured run.
-func (s *Store) ResetStats() {
-	s.db.Pool().ResetStats()
-	s.db.Blobs().ResetStats()
-}
-
 // DropCache clears the buffer pool, forcing cold reads.
 func (s *Store) DropCache() error { return s.db.DropCleanBuffers() }

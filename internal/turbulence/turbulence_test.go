@@ -174,6 +174,15 @@ func TestPartialReadMatchesWholeBlob(t *testing.T) {
 	}
 }
 
+// statsSince returns the I/O the service generated since base was taken.
+func statsSince(s *Store, base ServiceStats) ServiceStats {
+	st := s.Stats()
+	st.PhysicalReads -= base.PhysicalReads
+	st.BytesRead -= base.BytesRead
+	st.ChunkReads -= base.ChunkReads
+	return st
+}
+
 func TestPartialReadTouchesLessData(t *testing.T) {
 	// §2.1's point: an 8³ stencil should not pull a whole block.
 	s, _ := newStore(t, 32, 16, 4)
@@ -182,20 +191,20 @@ func TestPartialReadTouchesLessData(t *testing.T) {
 	if err := s.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	s.ResetStats()
+	base := s.Stats()
 	if _, err := s.VelocityBatch(0, pts, interp.Lag8, WholeBlob); err != nil {
 		t.Fatal(err)
 	}
-	whole := s.Stats()
+	whole := statsSince(s, base)
 
 	if err := s.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	s.ResetStats()
+	base = s.Stats()
 	if _, err := s.VelocityBatch(0, pts, interp.Lag8, PartialRead); err != nil {
 		t.Fatal(err)
 	}
-	part := s.Stats()
+	part := statsSince(s, base)
 
 	if part.BytesRead >= whole.BytesRead {
 		t.Errorf("partial read %d bytes >= whole read %d bytes", part.BytesRead, whole.BytesRead)
@@ -269,11 +278,11 @@ func TestBatchCachesBlocks(t *testing.T) {
 	if err := s.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	s.ResetStats()
+	base := s.Stats()
 	if _, err := s.VelocityBatch(0, pts, interp.Lag4, WholeBlob); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := statsSince(s, base)
 	blockPages := uint64(s.BlockBytes()/8096 + 2)
 	if st.PhysicalReads > 4*blockPages {
 		t.Errorf("batch read %d pages; caching broken (block is ~%d pages)",

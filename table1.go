@@ -147,8 +147,8 @@ func MeasureQuery(db *Database, query string, model IOModel) (QueryMeasurement, 
 	// Settle the garbage collector so setup/previous-query debt is not
 	// billed to this measurement's CPU time.
 	runtime.GC()
-	db.Pool().ResetStats()
-	db.Funcs().ResetStats()
+	st0 := db.Pool().Stats()
+	fs0 := db.Funcs().Stats()
 	cpu0 := processCPUTime()
 	wall0 := time.Now()
 	res, err := db.Query(query)
@@ -165,10 +165,10 @@ func MeasureQuery(db *Database, query string, model IOModel) (QueryMeasurement, 
 		return QueryMeasurement{}, err
 	}
 	f, _ := v.AsFloat()
-	st := db.Pool().Stats()
-	fs := db.Funcs().Stats()
+	bytesRead := db.Pool().Stats().BytesRead - st0.BytesRead
+	udfCalls := db.Funcs().Stats().Calls - fs0.Calls
 
-	ioTime := model.SeqReadTime(st.BytesRead)
+	ioTime := model.SeqReadTime(bytesRead)
 	t := cpu
 	if ioTime > t {
 		t = ioTime
@@ -178,13 +178,13 @@ func MeasureQuery(db *Database, query string, model IOModel) (QueryMeasurement, 
 		Value:    f,
 		Wall:     wall,
 		CPU:      cpu,
-		Bytes:    st.BytesRead,
-		UDFCalls: fs.Calls,
+		Bytes:    bytesRead,
+		UDFCalls: udfCalls,
 		Time:     t,
 	}
 	if t > 0 {
 		m.CPULoad = 100 * float64(cpu) / float64(t)
-		m.IOMBps = float64(st.BytesRead) / 1e6 / t.Seconds()
+		m.IOMBps = float64(bytesRead) / 1e6 / t.Seconds()
 	}
 	return m, nil
 }
