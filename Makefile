@@ -3,7 +3,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test race lint bench
+.PHONY: build test race lint bench surface
 
 build:
 	go build ./...
@@ -35,20 +35,25 @@ lint:
 	else \
 		echo "staticcheck not installed; skipped (CI runs it)"; fi
 
-# The one list of micro-benchmarks: short runs of every perf-tracking
-# `go test -bench`, plus the codec ratio table and a registry snapshot
-# (ratio-table: / metrics-snapshot: lines) so a moved number can be read
-# against what the engine did. CI's "benchmark smoke" step runs exactly
+# Micro-benchmarks of single hot functions — unit tests of speed, kept
+# only where bench/ has no metric that isolates the same thing. Anything
+# end to end (Table 1, UDF cost, WAL, COPY, parallel scans, partitions)
+# is a bench/ workload or per-layer metric (bench/README.md,
+# bench/results/), not an entry here. CI's "benchmark smoke" step runs
 # this target and keeps the output as an artifact — a trend line, not a
-# gate. End-to-end numbers and the checked-in trajectory live in bench/
-# (bench/README.md, bench/results/).
+# gate — and fails if a name below matches no Benchmark func.
 bench:
-	go test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchtime=300ms ./internal/wal
-	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkBufferPoolFetchMiss|BenchmarkScanResistantEviction' -benchtime=300ms ./internal/pages
-	go test -run='^$$' -bench='BenchmarkPipelineBatch|BenchmarkParallelAggregate|BenchmarkMixedScanDML' -benchtime=300ms ./internal/sqlmini
+# cached fetches from 1..N goroutines and fetches that must evict; bench/'s pages.fetch_hit_ns / fetch_miss_us are one goroutine into free frames (ROADMAP item 3 targets Contention).
+	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkBufferPoolFetchMiss' -benchtime=300ms ./internal/pages
+# executor ns/row per query shape (aggregate, filter, wide low-selectivity project); bench/'s sqlmini.exec_ns_per_row is Table 1's Q3 only.
+	go test -run='^$$' -bench='BenchmarkPipelineBatch' -benchtime=300ms ./internal/sqlmini
+# blob.Store reads and the codecs called directly; bench/'s blob.* metrics are taken through the table layer of a workload.
 	go test -run='^$$' -bench='BenchmarkReadAll1MB|BenchmarkPartialRead4kOf1MB|BenchmarkReadRunsStencil|BenchmarkCodec' -benchtime=300ms ./internal/blob
-	go test -run='^$$' -bench='BenchmarkSubarrayPartialVsWholeBlob' -benchtime=1x .
-	go test -run='^$$' -bench='BenchmarkBulkLoad' -benchtime=2x ./internal/engine
-	go test -run='^$$' -bench='BenchmarkPartitionedScanSpeedup' -benchtime=300ms ./internal/partition
+# codec ratio per synthetic data shape; bench/'s blob.compress_ratio is one number per workload.
 	go test -run='TestCompressionRatioTable' -v ./internal/blob | grep -E 'ratio-table:'
+# registry counter names and magnitudes for a fixed query set, to read the ns/op above against what the engine did.
 	go test -run='TestMetricsSnapshotDump' -v ./internal/sqlmini | grep -E 'metrics-snapshot:'
+
+# surface prints the size of the code and API surface (see the script).
+surface:
+	bash scripts/surface.sh

@@ -1,17 +1,17 @@
 package sqlarray
 
-// One benchmark per experiment row of DESIGN.md §4. Run with
+// Micro-benchmarks of single functions no bench/ workload isolates —
+// the UDA protocol, the storage-class item path, array marshaling into
+// the FFT/LAPACK layers, FOF and CIC. The paper's experiments (Table 1,
+// the UDF boundary, stencil fetches, spectra, ingest) are bench/'s
+// workloads and per-layer metrics. Run with
 //
 //	go test -bench=. -benchmem
 //
-// E1-E5  BenchmarkTable1Query{1..5}   — the five §6.3 queries
-// E6     BenchmarkUDFBoundary*        — per-call boundary cost
-// E7     (TestTable1StorageOverhead)  — size ratio, plus BenchmarkRowDecode
-// E8     BenchmarkStorageClass*, BenchmarkSubarray*
-// E9     BenchmarkFFT*, BenchmarkSVD* — math-library amortization
-// E10    BenchmarkTurbulence*         — stencil service vs blob size
-// E11    BenchmarkSpectraPipeline     — resample/composite/PCA path
-// E12    BenchmarkNBody*              — bucket store, FOF, CIC+P(k)
+// E7   BenchmarkConcatUDAvsDirect      — UDA assembly vs direct construction
+// E8   BenchmarkStorageClass*, BenchmarkSubarray8Cube
+// E9   BenchmarkFFT*, BenchmarkSVD*    — math-library amortization
+// E12  BenchmarkNBodyFOF, BenchmarkNBodyCICPowerSpectrum
 
 import (
 	"math/rand"
@@ -20,102 +20,11 @@ import (
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 	"sqlarray/internal/fft"
-	"sqlarray/internal/interp"
 	"sqlarray/internal/lapack"
 	"sqlarray/internal/nbody"
-	"sqlarray/internal/pages"
-	"sqlarray/internal/spectra"
-	"sqlarray/internal/turbulence"
 )
 
-// ---- E1-E5: Table 1 ---------------------------------------------------
-
-var table1DB *Database
-
-func table1Setup(b *testing.B) *Database {
-	b.Helper()
-	if table1DB == nil {
-		db := NewDatabase()
-		if err := SetupTable1(db, 100_000); err != nil {
-			b.Fatal(err)
-		}
-		table1DB = db
-	}
-	return table1DB
-}
-
-func benchTable1Query(b *testing.B, qi int) {
-	db := table1Setup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := db.DropCleanBuffers(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := db.Query(Table1Queries[qi]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100_000, "rows/op")
-}
-
-func BenchmarkTable1Query1CountScalar(b *testing.B) { benchTable1Query(b, 0) }
-func BenchmarkTable1Query2CountVector(b *testing.B) { benchTable1Query(b, 1) }
-func BenchmarkTable1Query3SumScalar(b *testing.B)   { benchTable1Query(b, 2) }
-func BenchmarkTable1Query4SumItemUDF(b *testing.B)  { benchTable1Query(b, 3) }
-func BenchmarkTable1Query5SumEmptyUDF(b *testing.B) { benchTable1Query(b, 4) }
-
-// ---- E6: the boundary itself -------------------------------------------
-
-func BenchmarkUDFBoundaryEmptyCall(b *testing.B) {
-	reg := engine.NewFuncRegistry()
-	reg.Register("dbo.empty", 2, func(args []engine.Value) (engine.Value, error) {
-		return engine.FloatValue(0), nil
-	})
-	def, err := reg.Lookup("dbo.empty")
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob := core.Vector(1, 2, 3, 4, 5).Bytes()
-	args := []engine.Value{engine.BinaryValue(blob), engine.IntValue(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reg.Call(def, args); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUDFBoundaryItemCall(b *testing.B) {
-	db := NewDatabase()
-	def, err := db.Funcs().Lookup("floatarray.item_1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob := core.Vector(1, 2, 3, 4, 5).Bytes()
-	args := []engine.Value{engine.BinaryValue(blob), engine.IntValue(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Funcs().Call(def, args); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkUDFNativeItem is the no-boundary baseline: the same item
-// extraction called directly, showing what the CLR-style crossing adds.
-func BenchmarkUDFNativeItem(b *testing.B) {
-	a := core.Vector(1, 2, 3, 4, 5)
-	sum := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum += a.FloatAt(0)
-	}
-	_ = sum
-}
-
-// ---- E7: row decoding with and without the array column -----------------
+// ---- E7: aggregate assembly, UDA protocol vs direct ----------------------
 
 func BenchmarkConcatUDAvsDirect(b *testing.B) {
 	db := NewDatabase()
@@ -217,61 +126,6 @@ func benchSubarray(b *testing.B, collapse bool) {
 
 func BenchmarkSubarray8Cube(b *testing.B) { benchSubarray(b, false) }
 
-// BenchmarkSubarrayPartialVsWholeBlob measures E8's stored-blob variant
-// through the turbulence service, which drives blob.ReadRuns, on both
-// the raw and compressed chunk formats. The field is shaped as a mean
-// flow carrying a small fluctuation, the profile the XOR-delta codec
-// compresses, so the compressed variants also show the bytes-read
-// (disk-bytes/op metric) reduction per stencil fetch. The store sits on
-// a 150 MB/s throttled disk — the sequential bandwidth the paper's
-// storage era assumes — so fewer pages read translates to wall-clock
-// the way it does off a real device (on an unthrottled MemDisk, memcpy
-// outruns decompression and the volume win is invisible).
-func BenchmarkSubarrayPartialVsWholeBlob(b *testing.B) {
-	f, err := turbulence.GenerateField(32, 12, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ch := range [][]float64{f.U, f.V, f.W, f.P} {
-		for i := range ch {
-			ch[i] = 1000 + ch[i]*1e-9
-		}
-	}
-	pt := [][3]float64{{11.3, 21.8, 6.4}}
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"raw", true}, {"compressed", false}} {
-		disk := pages.NewThrottledDisk(pages.NewMemDisk(), 150<<20)
-		db := engine.NewDB(engine.Options{Disk: disk, PoolPages: 4096, DisableBlobCompression: variant.disable})
-		st, err := turbulence.CreateStore(db, "turb", f, 32, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range []turbulence.FetchMode{turbulence.WholeBlob, turbulence.PartialRead} {
-			mode := mode
-			b.Run(variant.name+"/"+mode.String(), func(b *testing.B) {
-				var diskBytes uint64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := st.DropCache(); err != nil {
-						b.Fatal(err)
-					}
-					before := st.Stats().BytesRead
-					b.StartTimer()
-					if _, err := st.VelocityBatch(0, pt, interp.Lag8, mode); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					diskBytes += st.Stats().BytesRead - before
-					b.StartTimer()
-				}
-				b.ReportMetric(float64(diskBytes)/float64(b.N), "disk-bytes/op")
-			})
-		}
-	}
-}
-
 // ---- E9: math library amortization --------------------------------------
 
 func BenchmarkFFTViaArray(b *testing.B) {
@@ -355,130 +209,7 @@ func BenchmarkSVDRawMatrix(b *testing.B) {
 	}
 }
 
-// ---- E10: turbulence service vs blob size --------------------------------
-
-func BenchmarkTurbulenceInterpBlobSize(b *testing.B) {
-	f, err := turbulence.GenerateField(32, 12, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	pts := make([][3]float64, 64)
-	for i := range pts {
-		pts[i] = [3]float64{rng.Float64() * 32, rng.Float64() * 32, rng.Float64() * 32}
-	}
-	for _, cube := range []int{8, 16, 32} {
-		cube := cube
-		b.Run("cube"+itoa(cube), func(b *testing.B) {
-			db := engine.NewDB(engine.Options{PoolPages: 8192})
-			st, err := turbulence.CreateStore(db, "turb", f, cube, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			before := st.Stats().BytesRead
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := st.DropCache(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := st.VelocityBatch(0, pts, interp.Lag8, turbulence.WholeBlob); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.Stats().BytesRead-before)/float64(b.N*len(pts)), "bytes/point")
-		})
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// ---- E11: spectrum pipeline ----------------------------------------------
-
-func BenchmarkSpectraPipeline(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	specs := make([]*spectra.Spectrum, 32)
-	for i := range specs {
-		s, err := spectra.Synthesize(rng, spectra.SynthesisParams{
-			Bins: 180, LoWave: 3800, HiWave: 7000, Z: 0.03, SNR: 30,
-			BadFrac: 0.01, LineSeed: int64(i % 4),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.ID = int64(i)
-		specs[i] = s
-	}
-	grid, err := spectra.LogGrid(4000, 6900, 120)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		basis, err := spectra.PCA(specs, grid, 5, 4300, 6500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix, err := spectra.BuildSearchIndex(basis, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ix.Similar(specs[7], 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSpectraResample(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	s, err := spectra.Synthesize(rng, spectra.SynthesisParams{
-		Bins: 1000, LoWave: 3800, HiWave: 9000, Z: 0.05, SNR: 30, LineSeed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	grid, err := spectra.LogGrid(4200, 8500, 700)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := spectra.Resample(s, grid); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- E12: N-body ----------------------------------------------------------
-
-func BenchmarkNBodyBucketIngest(b *testing.B) {
-	snap, err := nbody.GenerateSnapshot(nbody.GenParams{
-		N: 20_000, NHalos: 6, HaloFrac: 0.5, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db := engine.NewDB(engine.Options{PoolPages: 16384})
-		if _, err := nbody.CreateBucketStore(db, "parts", snap, 2000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkNBodyFOF(b *testing.B) {
 	snap, err := nbody.GenerateSnapshot(nbody.GenParams{

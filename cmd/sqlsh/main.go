@@ -280,9 +280,9 @@ func printStats(d obs.Snapshot) {
 		d.Get("pages.admissions"), d.Get("pages.promotions"), d.Get("pages.scan_evictions"))
 	fmt.Printf("versions:    %d copy-on-write page copies, %d snapshot version reads, %d versions retired\n",
 		d.Get("pages.cow_copies"), d.Get("pages.snapshot_reads"), d.Get("pages.versions_retired"))
-	fmt.Printf("blob store:  %d chunk reads, %d directory reads, %s of blob data, %d stream calls, %d chunks written\n",
+	fmt.Printf("blob store:  %d chunk reads, %d directory reads, %s of blob data, %d chunks written\n",
 		d.Get("blob.chunk_reads"), d.Get("blob.directory_reads"),
-		fmtBytes(d.Get("blob.bytes_read")), d.Get("blob.stream_calls"), d.Get("blob.chunks_written"))
+		fmtBytes(d.Get("blob.bytes_read")), d.Get("blob.chunks_written"))
 	if cw, lw := d.Get("blob.compressed_bytes_written"), d.Get("blob.bytes_written"); cw > 0 && lw > 0 {
 		fmt.Printf("compression: wrote %s stored for %s logical (%.2fx)\n",
 			fmtBytes(cw), fmtBytes(lw), float64(lw)/float64(cw))

@@ -70,7 +70,6 @@ var externalAcquires = []struct {
 	{"btree", "Iterator", []int{3}},
 	{"blob", "Store", []int{3}},
 	{"blob", "View", []int{3}},
-	{"blob", "Stream", []int{3}},
 	{"engine", "Table", []int{2, 3}},
 	{"engine", "Snapshot", []int{2, 3}},
 	{"engine", "Cursor", []int{3}},

@@ -47,9 +47,6 @@ var pinAcquire = []struct {
 	{"pages", "Snapshot", "Fetch"},
 	{"pages", "Fetcher", "Fetch"}, // the interface every B+tree and blob read goes through
 	{"blob", "Store", "View"},
-	{"engine", "Table", "Cursor"},
-	{"engine", "Table", "CursorFrom"},
-	{"engine", "Table", "CursorRange"},
 	{"engine", "Table", "CursorAt"},
 	{"engine", "Table", "CursorRangeAt"},
 	{"btree", "Tree", "Scan"},

@@ -24,15 +24,15 @@
 // to know. There is one way in and one way out:
 //
 //   - write (write.go) lays a blob out under a codec on pages from a
-//     page sink. Write, WriteCompressed and WriteFresh are its three
-//     (codec, sink) combinations; WriteRuns (free.go) patches an
-//     existing blob in place.
+//     page sink — packed compressed blocks when that saves a page, raw
+//     chunks otherwise. Write and WriteFresh are its two sinks;
+//     WriteRuns (free.go) patches an existing blob in place.
 //   - VisitRuns reads: given byte runs of the logical blob it walks the
 //     directory once, fetches each touched chunk once through the
 //     store's pages.Fetcher — the live pool, or a snapshot — and lends
 //     the caller the bytes in place, decoding only the compressed
-//     blocks the runs overlap. ReadAt, ReadAll, ReadRuns and Stream
-//     are VisitRuns with a copying callback. Nothing VisitRuns pins or
+//     blocks the runs overlap. ReadAt, ReadAll and ReadRuns are
+//     VisitRuns with a copying callback. Nothing VisitRuns pins or
 //     decodes outlives the call; View (view.go) is the one exception,
 //     for single-chunk blobs whose payload a caller wants to keep.
 package blob
@@ -98,11 +98,10 @@ type Stats struct {
 	BytesRead      uint64
 	ChunksWritten  uint64
 	BytesWritten   uint64
-	StreamCalls    uint64 // stream-wrapper invocations (the CLR-boundary analogue)
 	PagesFreed     uint64 // pages returned to the free list by Free
 	PagesReused    uint64 // allocations served from the free list
 	// CompressedBytesWritten is the stored (post-compression) size of
-	// chunk pages written by WriteCompressed and compressed WriteRuns.
+	// chunk pages written by compressed Write/WriteFresh and WriteRuns.
 	CompressedBytesWritten uint64
 	// CompressedBytesRead is the stored size of every compressed chunk
 	// page fetched by a read — the physical I/O volume a compressed
@@ -119,7 +118,6 @@ type counters struct {
 	bytesRead              obs.Counter
 	chunksWritten          obs.Counter
 	bytesWritten           obs.Counter
-	streamCalls            obs.Counter
 	pagesFreed             obs.Counter
 	pagesReused            obs.Counter
 	compressedBytesWritten obs.Counter
@@ -136,7 +134,6 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.Attach("blob.bytes_read", &c.bytesRead)
 	reg.Attach("blob.chunks_written", &c.chunksWritten)
 	reg.Attach("blob.bytes_written", &c.bytesWritten)
-	reg.Attach("blob.stream_calls", &c.streamCalls)
 	reg.Attach("blob.pages_freed", &c.pagesFreed)
 	reg.Attach("blob.pages_reused", &c.pagesReused)
 	reg.Attach("blob.compressed_bytes_written", &c.compressedBytesWritten)
@@ -176,7 +173,6 @@ func (s *Store) Stats() Stats {
 		BytesRead:              s.stats.bytesRead.Load(),
 		ChunksWritten:          s.stats.chunksWritten.Load(),
 		BytesWritten:           s.stats.bytesWritten.Load(),
-		StreamCalls:            s.stats.streamCalls.Load(),
 		PagesFreed:             s.stats.pagesFreed.Load(),
 		PagesReused:            s.stats.pagesReused.Load(),
 		CompressedBytesWritten: s.stats.compressedBytesWritten.Load(),

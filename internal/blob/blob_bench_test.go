@@ -13,7 +13,7 @@ func benchStore(b *testing.B, blobBytes int) (*Store, Ref) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, blobBytes)
 	rng.Read(data)
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func BenchmarkWrite1MB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewStore(pages.NewBufferPool(pages.NewMemDisk(), 1<<15))
-		if _, err := s.Write(data); err != nil {
+		if _, err := s.Write(data, Codec{}); err != nil {
 			b.Fatal(err)
 		}
 	}

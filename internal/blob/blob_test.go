@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -43,7 +42,7 @@ func TestWriteReadAllSizes(t *testing.T) {
 	for _, n := range []int{1, 100, ChunkSize - 1, ChunkSize, ChunkSize + 1,
 		3 * ChunkSize, 3*ChunkSize + 17, 64 * 1024} {
 		data := randBytes(rng, n)
-		ref, err := s.Write(data)
+		ref, err := s.Write(data, Codec{})
 		if err != nil {
 			t.Fatalf("Write %d: %v", n, err)
 		}
@@ -62,7 +61,7 @@ func TestWriteReadAllSizes(t *testing.T) {
 
 func TestEmptyBlob(t *testing.T) {
 	s := newStore(t)
-	ref, err := s.Write(nil)
+	ref, err := s.Write(nil, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := newStore(t)
 	data := randBytes(rng, 10*ChunkSize)
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 
 func TestReadAtBounds(t *testing.T) {
 	s := newStore(t)
-	ref, err := s.Write(make([]byte, 100))
+	ref, err := s.Write(make([]byte, 100), Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestReadRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := newStore(t)
 	data := randBytes(rng, 4*ChunkSize)
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
 func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 	s, bp := storeWithPool(t)
 	data := seqInts(16*BlockSize/8, 0) // 16 highly compressible blocks: one chunk
-	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	ref, err := s.Write(data, Codec{Kind: CodecLZ, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +324,7 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 func TestVisitRunsCorruptChunk(t *testing.T) {
 	s, bp := storeWithPool(t)
 	data := seqInts(64*1024, 0)
-	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	ref, err := s.Write(data, Codec{Kind: CodecLZ, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +351,7 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 	// Block count cut to 2 while the directory still claims the full
 	// chunk: reads beyond block 1 must fail, not hand back whatever the
 	// recycled decode scratch held (primed here with another blob's 0xAB).
-	other, err := s.WriteCompressed(bytes.Repeat([]byte{0xAB}, 64*1024), Codec{Kind: CodecLZ, Width: 8})
+	other, err := s.Write(bytes.Repeat([]byte{0xAB}, 64*1024), Codec{Kind: CodecLZ, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +406,7 @@ func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
 	s := NewStore(pages.NewBufferPool(pages.NewMemDisk(), 4096))
 	n := (idsPerDir + 76) * ChunkSize
 	data := randBytes(rng, n)
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,64 +430,6 @@ func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
 	}
 }
 
-func TestStreamReaderSeeker(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := newStore(t)
-	data := randBytes(rng, 2*ChunkSize+100)
-	ref, err := s.Write(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Open(ref)
-	if st.Len() != int64(len(data)) {
-		t.Errorf("Len = %d", st.Len())
-	}
-	// io.ReadAll through the wrapper.
-	got, err := io.ReadAll(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("stream read mismatch")
-	}
-	// Seek + read.
-	if _, err := st.Seek(100, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 8)
-	n, err := st.Read(buf)
-	if err != nil || n != 8 || !bytes.Equal(buf, data[100:108]) {
-		t.Errorf("after seek: %d, %v", n, err)
-	}
-	if _, err := st.Seek(-4, io.SeekCurrent); err != nil {
-		t.Fatal(err)
-	}
-	if pos, _ := st.Seek(0, io.SeekCurrent); pos != 104 {
-		t.Errorf("pos = %d, want 104", pos)
-	}
-	if pos, err := st.Seek(-10, io.SeekEnd); err != nil || pos != int64(len(data))-10 {
-		t.Errorf("seek end: %d, %v", pos, err)
-	}
-	if _, err := st.Seek(-1, io.SeekStart); err == nil {
-		t.Error("seek before start must fail")
-	}
-	if _, err := st.Seek(0, 99); err == nil {
-		t.Error("bad whence must fail")
-	}
-	// ReaderAt with short tail.
-	big := make([]byte, 64)
-	n, err = st.ReadAt(big, int64(len(data))-10)
-	if n != 10 || err != io.EOF {
-		t.Errorf("tail ReadAt = %d, %v", n, err)
-	}
-	if _, err := st.ReadAt(big, int64(len(data))); err != io.EOF {
-		t.Errorf("past-end ReadAt: %v", err)
-	}
-	if s.Stats().StreamCalls == 0 {
-		t.Error("stream calls must be counted")
-	}
-}
-
 func TestNumChunks(t *testing.T) {
 	cases := []struct {
 		n    int64
@@ -505,7 +446,7 @@ func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s := newStore(t)
 	data := randBytes(rng, 3*ChunkSize)
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestWriteCompressedRoundTripSizes(t *testing.T) {
 		s := newStore(t)
 		for _, n := range sizes {
 			data := smoothFloats((n+7)/8, int64(n))[:n]
-			ref, err := s.WriteCompressed(data, c)
+			ref, err := s.Write(data, c)
 			if err != nil {
 				t.Fatalf("%+v WriteCompressed %d: %v", c, n, err)
 			}
@@ -50,7 +50,7 @@ func TestWriteCompressedRoundTripSizes(t *testing.T) {
 
 func TestWriteCompressedEmpty(t *testing.T) {
 	s := newStore(t)
-	ref, err := s.WriteCompressed(nil, Codec{Kind: CodecXOR, Width: 8})
+	ref, err := s.Write(nil, Codec{Kind: CodecXOR, Width: 8})
 	if err != nil || !ref.IsNull() {
 		t.Fatalf("WriteCompressed(nil) = %v, %v, want null ref", ref, err)
 	}
@@ -60,7 +60,7 @@ func TestWriteCompressedUnknownCodecFallsBackRaw(t *testing.T) {
 	s := newStore(t)
 	data := smoothFloats(4096, 1)
 	for _, c := range []Codec{{}, {Kind: CodecKind(77), Width: 8}} {
-		ref, err := s.WriteCompressed(data, c)
+		ref, err := s.Write(data, c)
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
@@ -83,7 +83,7 @@ func TestWriteCompressedUnknownCodecFallsBackRaw(t *testing.T) {
 func TestCompressedUsesFewerPages(t *testing.T) {
 	s := newStore(t)
 	data := seqInts(128*1024, 0) // 1 MiB, shuffles to near-constant planes
-	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	ref, err := s.Write(data, Codec{Kind: CodecLZ, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestIncompressibleFallsBackRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	s := newStore(t)
 	data := randBytes(rng, 64*1024)
-	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	ref, err := s.Write(data, Codec{Kind: CodecLZ, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestCompressedReadEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	s, bp := storeWithPool(t)
 	data := smoothFloats(40000, 2) // ~312 KiB, multi-chunk either way
-	rawRef, err := s.Write(data)
+	rawRef, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compRef, err := s.WriteCompressed(data, Codec{Kind: CodecXOR, Width: 8})
+	compRef, err := s.Write(data, Codec{Kind: CodecXOR, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCompressedReadEquivalence(t *testing.T) {
 func TestCompressedWriteRunsInPlace(t *testing.T) {
 	s := newStore(t)
 	data := smoothFloats(40000, 4)
-	ref, err := s.WriteCompressed(data, Codec{Kind: CodecXOR, Width: 8})
+	ref, err := s.Write(data, Codec{Kind: CodecXOR, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCompressedWriteRunsSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	s, bp := storeWithPool(t)
 	data := make([]byte, 512*1024) // zeros pack many blocks per chunk
-	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	ref, err := s.Write(data, Codec{Kind: CodecLZ, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestCompressedWriteRunsRandomized(t *testing.T) {
 	for _, c := range compressedCodecs {
 		s := newStore(t)
 		want := smoothFloats(32768, 5) // 256 KiB
-		ref, err := s.WriteCompressed(want, c)
+		ref, err := s.Write(want, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestCompressedFreeReclaims(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	s := newStore(t)
 	data := make([]byte, 256*1024)
-	ref, err := s.WriteCompressed(data, Codec{Kind: CodecLZ, Width: 8})
+	ref, err := s.Write(data, Codec{Kind: CodecLZ, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestCompressedFreeReclaims(t *testing.T) {
 		t.Errorf("FreeListLen = %d, want %d (chunks %d + dirs %d)", free, want, len(chunks), len(dirIDs))
 	}
 	grew := s.bp.Disk().NumPages()
-	if _, err := s.WriteCompressed(data[:64*1024], Codec{Kind: CodecLZ, Width: 8}); err != nil {
+	if _, err := s.Write(data[:64*1024], Codec{Kind: CodecLZ, Width: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if now := s.bp.Disk().NumPages(); now != grew {

@@ -20,7 +20,7 @@ func TestFreeReusesPages(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFreeReusesPages(t *testing.T) {
 		if want := NumChunks(int64(len(data))) + 1; n != want {
 			t.Fatalf("round %d: free list holds %d pages, want %d (chunks + directory)", round, n, want)
 		}
-		ref, err = s.Write(data)
+		ref, err = s.Write(data, Codec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestFreeNullAndReadAfterFree(t *testing.T) {
 	if err := s.Free(Ref{}); err != nil {
 		t.Fatalf("freeing null ref: %v", err)
 	}
-	ref, err := s.Write(make([]byte, 3*ChunkSize))
+	ref, err := s.Write(make([]byte, 3*ChunkSize), Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestWriteRunsTouchesOnlyAffectedChunks(t *testing.T) {
 	s := NewStore(bp)
 	const nChunks = 16
 	data := make([]byte, nChunks*ChunkSize)
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func viewTestStore(t *testing.T, blobBytes int) (*Store, Ref, []byte, *pages.Buf
 	data := make([]byte, blobBytes)
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(data)
-	ref, err := s.Write(data)
+	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestViewNull(t *testing.T) {
 // lend — the view reports ok=false and pins no frame.
 func TestViewOfCompressedBlobHoldsNothing(t *testing.T) {
 	s, bp := storeWithPool(t)
-	ref, err := s.WriteCompressed(smoothFloats(8192, 3), Codec{Kind: CodecXOR, Width: 8})
+	ref, err := s.Write(smoothFloats(8192, 3), Codec{Kind: CodecXOR, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

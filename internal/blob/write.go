@@ -10,7 +10,7 @@ import (
 // and what happens when one is complete, so the transactional path and
 // the bulk-ingest path share one layout implementation.
 //
-//   - The reuse sink (Write/WriteCompressed) allocates through the free
+//   - The reuse sink (Write) allocates through the free
 //     list — which mutates shared committed pages (the free-list head
 //     and the meta page), so it is only legal inside a write capture —
 //     and simply unpins completed pages; the enclosing Tx commit logs
@@ -38,23 +38,17 @@ func (s *Store) reuseSink() pageSink {
 	}
 }
 
-// Write stores data as a new blob in the raw (uncompressed) chunk
-// format and returns its Ref. Pages come from the free list.
-func (s *Store) Write(data []byte) (Ref, error) {
-	return s.write(data, Codec{}, s.reuseSink())
-}
-
-// WriteCompressed stores data as a new blob in the compressed chunk
-// format under codec c (CodecNone and unknown kinds store raw). If the
-// packed compressed form would not occupy fewer chunk pages than raw
-// storage, the blob is stored raw instead — compression never costs
-// pages, and incompressible single-chunk blobs keep the zero-copy
-// resolve path. Pages come from the free list.
-func (s *Store) WriteCompressed(data []byte, c Codec) (Ref, error) {
+// Write stores data as a new blob under codec c and returns its Ref
+// (the zero Codec, CodecNone and unknown kinds store raw). If the packed
+// compressed form would not occupy fewer chunk pages than raw storage,
+// the blob is stored raw instead — compression never costs pages, and
+// incompressible single-chunk blobs keep the zero-copy resolve path.
+// Pages come from the free list.
+func (s *Store) Write(data []byte, c Codec) (Ref, error) {
 	return s.write(data, c, s.reuseSink())
 }
 
-// WriteFresh is WriteCompressed on freshly allocated pages only,
+// WriteFresh is Write on freshly allocated pages only,
 // bypassing the free list. onPage is invoked for every completed page
 // while it is still pinned — the bulk loader streams the page image
 // into the WAL there — and may be nil.

@@ -127,9 +127,6 @@ func (w *LeafWriter) Finish() ([]LeafRef, error) {
 // Count returns the number of records added so far.
 func (w *LeafWriter) Count() int { return w.n }
 
-// LastKey returns the most recently added key (valid when Count > 0).
-func (w *LeafWriter) LastKey() int64 { return w.lastKey }
-
 // Abandon unpins any open page after a failure; the abandoned fresh
 // pages are garbage until the next crash-recovery or file compaction,
 // never reachable state.

@@ -43,8 +43,10 @@ func (p *BlobPins) add(v *blob.View) { p.views = append(p.views, v) }
 // write-time codec: float64-family elements get the XOR-delta codec
 // (Gorilla-style, exploits slowly varying scientific floats), every
 // other fixed-width element gets byte-shuffled LZ at its element width,
-// and bytes that do not decode as an array fall back to plain LZ. The
-// choice is recorded in the chunk headers, so readers never re-sniff.
+// and bytes that do not decode as an array fall back to plain LZ. Every
+// MAX value is written under this codec; the store keeps the packed form
+// only when it saves a page, and records the choice in the chunk
+// headers, so readers never re-sniff.
 func codecForBlob(b []byte) blob.Codec {
 	if h, hs, err := core.DecodeHeader(b); err == nil {
 		switch h.Elem {
@@ -60,16 +62,6 @@ func codecForBlob(b []byte) blob.Codec {
 		}
 	}
 	return blob.Codec{Kind: blob.CodecLZ, Width: 1}
-}
-
-// writeBlob stores a MAX value through the blob store — compressed per
-// element type unless the database was opened with
-// DisableBlobCompression. Reads are format-agnostic either way.
-func (db *DB) writeBlob(b []byte) (blob.Ref, error) {
-	if !db.compress {
-		return db.blobs.Write(b)
-	}
-	return db.blobs.WriteCompressed(b, codecForBlob(b))
 }
 
 // resolvePinFraction bounds how much of the buffer pool one BlobPins
@@ -118,15 +110,6 @@ func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte, pins *BlobPins) ([]by
 		v.Release() // stored length disagreed with chunk count; fall back
 	}
 	return s.blobs.ReadAll(ref)
-}
-
-// ResolveMax is ResolveMaxAt on the latest committed state. A pin
-// handed to pins outlives the call's snapshot safely: the pool never
-// retires a pinned page version.
-func (t *Table) ResolveMax(refBytes []byte, pins *BlobPins) ([]byte, error) {
-	s := t.db.Snapshot()
-	defer s.Release()
-	return t.ResolveMaxAt(s, refBytes, pins)
 }
 
 // VisitBlobRunsAt lends fn the bytes of the given byte runs of a stored

@@ -110,7 +110,7 @@ func TestBlobSubarrayTouchesFewerChunksThanReadAll(t *testing.T) {
 	db, tbl, _, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
 	start := db.Blobs().Stats().ChunkReads
-	if _, err := tbl.ResolveMax(ref, nil); err != nil {
+	if _, err := resolveMax(tbl, ref, nil); err != nil {
 		t.Fatal(err)
 	}
 	whole := db.Blobs().Stats().ChunkReads - start
@@ -130,7 +130,7 @@ func TestResolveMaxZeroCopyAndFallback(t *testing.T) {
 	var pins BlobPins
 
 	// Single-chunk blob: zero-copy, the pin is held by the set.
-	small, err := tbl.ResolveMax(maxRef(t, tbl, 2), &pins)
+	small, err := resolveMax(tbl, maxRef(t, tbl, 2), &pins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestResolveMaxZeroCopyAndFallback(t *testing.T) {
 	}
 
 	// Multi-chunk blob: copying fallback, no pin.
-	big, err := tbl.ResolveMax(maxRef(t, tbl, 1), &pins)
+	big, err := resolveMax(tbl, maxRef(t, tbl, 1), &pins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestResolveMaxZeroCopyAndFallback(t *testing.T) {
 	}
 
 	// nil pins forces the copying path even for small blobs.
-	small2, err := tbl.ResolveMax(maxRef(t, tbl, 2), nil)
+	small2, err := resolveMax(tbl, maxRef(t, tbl, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

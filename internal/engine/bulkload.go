@@ -246,11 +246,7 @@ func (t *Table) stageRows(src BulkSource, onPage func(*pages.Frame) error, stats
 				stored = append([]Value(nil), vals...)
 				copied = true
 			}
-			codec := blob.Codec{}
-			if db.compress {
-				codec = codecForBlob(vals[i].B)
-			}
-			ref, err := db.blobs.WriteFresh(vals[i].B, codec, onPage)
+			ref, err := db.blobs.WriteFresh(vals[i].B, codecForBlob(vals[i].B), onPage)
 			if err != nil {
 				return nil, fmt.Errorf("engine: writing MAX column %q: %w", c.Name, err)
 			}

@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
+	"sqlarray/internal/blob"
 	"sqlarray/internal/core"
 	"sqlarray/internal/pages"
 	"sqlarray/internal/wal"
@@ -12,7 +14,7 @@ import (
 
 // compressibleArray builds a Max float64 array whose values are a small
 // fluctuation on a large mean — the XOR-delta codec's favorable case —
-// so the engine's default write path actually stores compressed chunks.
+// so the blob writer packs it into compressed chunks.
 func compressibleArray(t *testing.T, n int, seed float64) *core.Array {
 	t.Helper()
 	vals := make([]float64, n)
@@ -26,139 +28,184 @@ func compressibleArray(t *testing.T, n int, seed float64) *core.Array {
 	return a
 }
 
-// TestRecoverCompressedBlobByteExact is the compressed-format
-// crash-recovery contract: commit compressed blob writes (including an
-// in-place subarray patch over compressed chunks), tear a page during a
-// checkpoint, crash, and recover — every payload must replay to
-// byte-identical contents and the recovered blobs must still be in the
-// compressed layout.
-func TestRecoverCompressedBlobByteExact(t *testing.T) {
-	mem := pages.NewMemDisk()
-	fd := pages.NewFaultDisk(mem)
-	st := wal.NewMemStorage()
-	db := openDB(t, fd, st) // compression on by default
-	tbl, err := db.CreateTable("t", walTestSchema(t))
+// noiseArray builds a Max float64 array of seeded random mantissas —
+// nothing for either codec to shrink, so the writer stores it raw.
+func noiseArray(t *testing.T, n int, seed float64) *core.Array {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(seed)))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = math.Float64frombits(0x3FF<<52 | rng.Uint64()>>12)
+	}
+	a, err := core.FromFloat64s(core.Max, core.Float64, vals, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const mCol = 2
-	const elems = 16000 // 128 kB logical payload per row
-	want := map[int64][]byte{}
-	for i := int64(0); i < 6; i++ {
-		a := compressibleArray(t, elems, float64(i))
-		want[i] = append([]byte(nil), a.Bytes()...)
-		if err := tbl.Insert([]Value{
-			IntValue(i), FloatValue(float64(i)), BinaryMaxValue(a.Bytes()),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bs := db.Blobs().Stats()
-	if bs.CompressedBytesWritten == 0 {
-		t.Fatal("test premise broken: inserts did not produce compressed chunks")
-	}
-	if bs.CompressedBytesWritten >= bs.BytesWritten {
-		t.Fatalf("compressed %d >= logical %d; payload not compressible", bs.CompressedBytesWritten, bs.BytesWritten)
-	}
+	return a
+}
 
-	// Patch a compressed blob in place (WriteRuns over compressed chunks)
-	// and mirror it into the expectation. The patch is incompressible
-	// relative to the field, so re-encoded chunks may split.
-	patchVals := []float64{math.Pi, -math.E, 1e300, -1e-300}
-	patch, err := core.FromFloat64s(core.Short, core.Float64, patchVals, len(patchVals))
+// blobLayouts are the two inputs the blob writer picks a chunk format
+// from: a payload whose packed form saves pages, and one it cannot
+// shrink. No option selects the format; the data does.
+var blobLayouts = []struct {
+	name   string
+	array  func(t *testing.T, n int, seed float64) *core.Array
+	packed bool
+}{
+	{"compressible", compressibleArray, true},
+	{"incompressible", noiseArray, false},
+}
+
+// dirCompressed reports whether the MAX value behind refBytes has a
+// directory flagged FlagCompressedBlob.
+func dirCompressed(t *testing.T, db *DB, refBytes []byte) bool {
+	t.Helper()
+	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.UpdateBlobSubarray(2, mCol, []int{8000}, []int{len(patchVals)}, patch); err != nil {
-		t.Fatal(err)
-	}
-	hdr := int64(len(want[2])) - int64(elems*8)
-	copy(want[2][hdr+8000*8:], patch.Bytes()[len(patch.Bytes())-len(patchVals)*8:])
-
-	// Whole-blob overwrite of another row.
-	a5 := compressibleArray(t, elems, 99)
-	want[5] = append([]byte(nil), a5.Bytes()...)
-	if err := tbl.Update(5, []int{mCol}, []Value{BinaryMaxValue(a5.Bytes())}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The checkpoint tears its 4th page write; recovery must reapply the
-	// logged (prefix-compressed) after-images over the torn platter.
-	fd.FailAfterWrites(3, true)
-	if err := db.Checkpoint(); err == nil {
-		t.Fatal("checkpoint survived an injected torn write")
-	}
-	if !fd.Fired() {
-		t.Fatal("fault never fired")
-	}
-	st.Crash()
-	fd.Heal()
-
-	db2 := openDB(t, fd, st)
-	tbl2, err := db2.Table("t")
+	f, err := db.Pool().Fetch(ref.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, payload := range want {
-		vals, err := tbl2.Get(key)
-		if err != nil {
-			t.Fatalf("Get(%d): %v", key, err)
-		}
-		got, err := tbl2.ResolveMax(vals[mCol].B, nil)
-		if err != nil {
-			t.Fatalf("ResolveMax(%d): %v", key, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("row %d: recovered blob not byte-identical (%d vs %d bytes)", key, len(got), len(payload))
-		}
+	defer db.Pool().Unpin(f, false)
+	return f.Page.Flags()&pages.FlagCompressedBlob != 0
+}
+
+// TestRecoverBlobFormatFollowsPayload is the storage contract of MAX values:
+// the payload alone decides the layout — packed compressed chunks on
+// fewer pages than raw storage needs, or raw chunks on exactly
+// blob.NumChunks pages — and either layout survives an in-place
+// subarray patch, a whole-blob overwrite, a checkpoint torn mid-write
+// and crash recovery byte-identical and in the same format.
+func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
+	for _, lay := range blobLayouts {
+		t.Run(lay.name, func(t *testing.T) {
+			fd := pages.NewFaultDisk(pages.NewMemDisk())
+			st := wal.NewMemStorage()
+			db := openDB(t, fd, st)
+			tbl, err := db.CreateTable("t", walTestSchema(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const mCol = 2
+			const elems = 16000 // 128 kB logical payload per row
+			want := map[int64][]byte{}
+			for i := int64(0); i < 6; i++ {
+				a := lay.array(t, elems, float64(i))
+				want[i] = append([]byte(nil), a.Bytes()...)
+				c0 := db.Blobs().Stats().ChunksWritten
+				if err := tbl.Insert([]Value{
+					IntValue(i), FloatValue(float64(i)), BinaryMaxValue(a.Bytes()),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				chunks := int(db.Blobs().Stats().ChunksWritten - c0)
+				raw := blob.NumChunks(int64(len(a.Bytes())))
+				if lay.packed && chunks >= raw {
+					t.Fatalf("row %d: packed blob on %d chunk pages, raw needs %d", i, chunks, raw)
+				}
+				if !lay.packed && chunks != raw {
+					t.Fatalf("row %d: raw blob on %d chunk pages, want %d", i, chunks, raw)
+				}
+			}
+
+			// check reads every row back: byte-identical, and in the
+			// layout the payload selects.
+			check := func(db *DB, tbl *Table, when string) {
+				t.Helper()
+				for key, payload := range want {
+					vals, err := tbl.Get(key)
+					if err != nil {
+						t.Fatalf("%s: Get(%d): %v", when, key, err)
+					}
+					if got := dirCompressed(t, db, vals[mCol].B); got != lay.packed {
+						t.Errorf("%s: row %d directory compressed = %v, want %v", when, key, got, lay.packed)
+					}
+					got, err := resolveMax(tbl, vals[mCol].B, nil)
+					if err != nil {
+						t.Fatalf("%s: resolve(%d): %v", when, key, err)
+					}
+					if !bytes.Equal(got, payload) {
+						t.Fatalf("%s: row %d: blob not byte-identical (%d vs %d bytes)", when, key, len(got), len(payload))
+					}
+				}
+			}
+
+			// Patch a blob in place (WriteRuns) and mirror it into the
+			// expectation. The patch is incompressible relative to the
+			// field, so re-encoded compressed chunks may split.
+			patchVals := []float64{math.Pi, -math.E, 1e300, -1e-300}
+			patch, err := core.FromFloat64s(core.Short, core.Float64, patchVals, len(patchVals))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.UpdateBlobSubarray(2, mCol, []int{8000}, []int{len(patchVals)}, patch); err != nil {
+				t.Fatal(err)
+			}
+			hdr := int64(len(want[2])) - int64(elems*8)
+			copy(want[2][hdr+8000*8:], patch.Bytes()[len(patch.Bytes())-len(patchVals)*8:])
+
+			// Whole-blob overwrite of another row.
+			a5 := lay.array(t, elems, 99)
+			want[5] = append([]byte(nil), a5.Bytes()...)
+			if err := tbl.Update(5, []int{mCol}, []Value{BinaryMaxValue(a5.Bytes())}); err != nil {
+				t.Fatal(err)
+			}
+			check(db, tbl, "after patch")
+
+			// The checkpoint tears its 4th page write; recovery must
+			// reapply the logged (prefix-compressed) after-images over
+			// the torn platter.
+			fd.FailAfterWrites(3, true)
+			if err := db.Checkpoint(); err == nil {
+				t.Fatal("checkpoint survived an injected torn write")
+			}
+			if !fd.Fired() {
+				t.Fatal("fault never fired")
+			}
+			st.Crash()
+			fd.Heal()
+
+			db2 := openDB(t, fd, st)
+			tbl2, err := db2.Table("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(db2, tbl2, "after recovery")
+			// The recovered store reads through the matching path.
+			if got := db2.Blobs().Stats().CompressedBytesRead != 0; got != lay.packed {
+				t.Errorf("recovered store read compressed chunks = %v, want %v", got, lay.packed)
+			}
+			verifyInvariants(t, db2, "t")
+		})
 	}
-	// The recovered store still reads through the compressed path.
-	before := db2.Blobs().Stats().CompressedBytesRead
-	vals, err := tbl2.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl2.ResolveMax(vals[mCol].B, nil); err != nil {
-		t.Fatal(err)
-	}
-	if db2.Blobs().Stats().CompressedBytesRead == before {
-		t.Error("recovered blob no longer reads as compressed")
-	}
-	verifyInvariants(t, db2, "t")
 }
 
 // TestCompressedWALVolumeShrinks asserts the log-volume half of the
-// feature: committing the same compressible payload logs fewer framed
-// bytes with compression on than off, because chunk after-images are
-// prefix-logged at their stored (compressed) length.
+// feature: committing a compressible payload logs fewer framed bytes
+// than committing an incompressible one of the same size, because chunk
+// after-images are prefix-logged at their stored (compressed) length.
 func TestCompressedWALVolumeShrinks(t *testing.T) {
-	run := func(disable bool) uint64 {
-		st := wal.NewMemStorage()
-		db, err := Open(Options{
-			Disk: pages.NewMemDisk(), PoolPages: 512,
-			WAL:                    openWAL(t, st),
-			DisableBlobCompression: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	logged := map[bool]uint64{} // by lay.packed
+	for _, lay := range blobLayouts {
+		db := openDB(t, pages.NewMemDisk(), wal.NewMemStorage())
 		tbl, err := db.CreateTable("t", walTestSchema(t))
 		if err != nil {
 			t.Fatal(err)
 		}
 		w0 := db.WAL().Stats().BytesLogged
 		for i := int64(0); i < 4; i++ {
-			a := compressibleArray(t, 16000, float64(i))
+			a := lay.array(t, 16000, float64(i))
 			if err := tbl.Insert([]Value{IntValue(i), FloatValue(0), BinaryMaxValue(a.Bytes())}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return db.WAL().Stats().BytesLogged - w0
+		logged[lay.packed] = db.WAL().Stats().BytesLogged - w0
 	}
-	raw := run(true)
-	comp := run(false)
+	comp, raw := logged[true], logged[false]
 	if comp >= raw {
 		t.Fatalf("compressed WAL volume %d >= raw %d", comp, raw)
 	}
-	t.Logf("WAL bytes for 4 compressible inserts: raw=%d compressed=%d (%.1fx)", raw, comp, float64(raw)/float64(comp))
+	t.Logf("WAL bytes for 4 inserts of 128 kB: raw=%d compressed=%d (%.1fx)", raw, comp, float64(raw)/float64(comp))
 }

@@ -1,17 +1,13 @@
 package engine
 
-import (
-	"math"
-
-	"sqlarray/internal/btree"
-)
+import "sqlarray/internal/btree"
 
 // Cursor streams a table's rows in clustered-key order without
 // materializing them — the engine half of the Volcano executor. It wraps
 // the B+tree leaf iterator and decodes rows lazily through a reused
 // RowView:
 //
-//	cur, err := tbl.Cursor()
+//	cur, err := tbl.CursorAt(snap)
 //	for cur.Next() {
 //	    key, row := cur.Key(), cur.Row()
 //	}
@@ -20,46 +16,19 @@ import (
 //
 // Row (and any binary Values decoded from it) aliases the pinned leaf
 // page and is only valid until the next call to Next or Close; copy to
-// retain. Close must always be called: it releases the pinned page and
-// the cursor's snapshot (when the cursor owns one — the convenience
-// constructors acquire a snapshot per cursor; the ...At variants read
-// through a caller-owned snapshot instead), and early termination
-// (TOP n) would otherwise leak a pin and wedge DropCleanBuffers.
+// retain. Close must always be called: it releases the pinned page, and
+// early termination (TOP n) would otherwise leak a pin and wedge
+// DropCleanBuffers.
 //
-// Cursors never latch the table: the snapshot pins the committed state
-// as of open, so concurrent DML commits do not block the scan and the
-// scan does not block them.
+// A cursor reads through the Snapshot it was opened on and never owns
+// it: the caller Releases the snapshot after closing every cursor on
+// it. Cursors never latch the table: the snapshot pins the committed
+// state as of open, so concurrent DML commits do not block the scan and
+// the scan does not block them.
 type Cursor struct {
-	it      *btree.Iterator
-	schema  *Schema
-	rv      RowView
-	release func()
-}
-
-// Cursor opens a streaming scan over the whole table.
-func (t *Table) Cursor() (*Cursor, error) {
-	return t.CursorRange(math.MinInt64, math.MaxInt64)
-}
-
-// CursorFrom opens a streaming scan at the first key >= start.
-func (t *Table) CursorFrom(start int64) (*Cursor, error) {
-	return t.CursorRange(start, math.MaxInt64)
-}
-
-// CursorRange opens a streaming scan over keys in [lo, hi], inclusive,
-// on a snapshot acquired for the cursor's lifetime. The underlying
-// iterator stops (and unpins) as soon as it passes hi, so a key-range
-// query touches only the root-to-leaf descent plus the pages the range
-// spans.
-func (t *Table) CursorRange(lo, hi int64) (*Cursor, error) {
-	s := t.db.Snapshot()
-	cur, err := t.CursorRangeAt(s, lo, hi)
-	if err != nil {
-		s.Release()
-		return nil, err
-	}
-	cur.release = s.Release
-	return cur, nil
+	it     *btree.Iterator
+	schema *Schema
+	rv     RowView
 }
 
 // Next advances to the next row, returning false at the end of the range
@@ -101,11 +70,5 @@ func (c *Cursor) Row() *RowView { return &c.rv }
 // Err returns the first error encountered while scanning.
 func (c *Cursor) Err() error { return c.it.Err() }
 
-// Close releases the cursor's pinned page and its snapshot (when the
-// cursor owns one). Safe to call twice.
-func (c *Cursor) Close() {
-	c.it.Close()
-	if c.release != nil {
-		c.release()
-	}
-}
+// Close releases the cursor's pinned page. Safe to call twice.
+func (c *Cursor) Close() { c.it.Close() }

@@ -25,8 +25,7 @@ type DB struct {
 	tables  map[string]*Table
 	funcs   *FuncRegistry
 
-	wal      *wal.Log
-	compress bool // compress new blobs (per-element-type codec)
+	wal *wal.Log
 
 	reg *obs.Registry
 	m   dbMetrics
@@ -82,12 +81,6 @@ type Options struct {
 	// shared registry so member I/O folds into the same series — the fix
 	// for scatter queries undercounting in sqlsh `.stats`.
 	Metrics *obs.Registry
-	// DisableBlobCompression stores every blob in the raw chunk format.
-	// By default new MAX-column blobs are compressed per element type
-	// (float64 XOR-delta, byte-shuffled LZ for other fixed-width
-	// elements); existing blobs read back either way regardless of this
-	// setting. Tests that assert exact raw-chunk page counts set it.
-	DisableBlobCompression bool
 }
 
 // Open creates a database over opts, running crash recovery first when
@@ -104,12 +97,11 @@ func Open(opts Options) (*DB, error) {
 	}
 	bp := pages.NewBufferPool(opts.Disk, opts.PoolPages)
 	db := &DB{
-		bp:       bp,
-		blobs:    blob.NewStore(bp),
-		tables:   make(map[string]*Table),
-		funcs:    NewFuncRegistry(),
-		wal:      opts.WAL,
-		compress: !opts.DisableBlobCompression,
+		bp:     bp,
+		blobs:  blob.NewStore(bp),
+		tables: make(map[string]*Table),
+		funcs:  NewFuncRegistry(),
+		wal:    opts.WAL,
 	}
 	db.reg = opts.Metrics
 	if db.reg == nil {

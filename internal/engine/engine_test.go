@@ -3,8 +3,18 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
+
+// resolveMax is ResolveMaxAt on a snapshot of the latest commit. A pin
+// handed to pins outlives the snapshot safely: the pool never retires a
+// pinned page version.
+func resolveMax(tbl *Table, ref []byte, pins *BlobPins) ([]byte, error) {
+	s := tbl.db.Snapshot()
+	defer s.Release()
+	return tbl.ResolveMaxAt(s, ref, pins)
+}
 
 func testSchema(t *testing.T) Schema {
 	t.Helper()
@@ -166,7 +176,7 @@ func TestTableInsertGetScan(t *testing.T) {
 		t.Errorf("x = %v", row[1])
 	}
 	// The MAX column decodes to a ref; materialize it.
-	got, err := tbl.ResolveMax(row[3].B, nil)
+	got, err := resolveMax(tbl, row[3].B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +400,9 @@ func TestCursorStreamsRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cur, err := tbl.Cursor()
+	snap := db.Snapshot()
+	defer snap.Release()
+	cur, err := tbl.CursorAt(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +444,10 @@ func TestCursorRangeAndEarlyClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	snap := db.Snapshot()
+	defer snap.Release()
 	// Range cursor yields exactly [lo, hi].
-	cur, err := tbl.CursorRange(1000, 1009)
+	cur, err := tbl.CursorRangeAt(snap, 1000, 1009)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,12 +464,12 @@ func TestCursorRangeAndEarlyClose(t *testing.T) {
 	}
 	// Early Close (the TOP-n exit) releases all pins; the cache can be
 	// dropped afterwards.
-	cur, err = tbl.CursorFrom(2500)
+	cur, err = tbl.CursorRangeAt(snap, 2500, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cur.Next() || cur.Key() != 2500 {
-		t.Fatalf("CursorFrom(2500) first key = %d", cur.Key())
+		t.Fatalf("cursor from 2500: first key = %d", cur.Key())
 	}
 	cur.Close()
 	cur.Close() // idempotent
@@ -471,7 +485,9 @@ func TestKeyBounds(t *testing.T) {
 	db := NewMemDB()
 	s, _ := NewSchema(Column{Name: "id", Type: ColInt64})
 	tbl, _ := db.CreateTable("t", s)
-	if _, _, ok, err := tbl.KeyBounds(); err != nil || ok {
+	empty := db.Snapshot()
+	defer empty.Release()
+	if _, _, ok, err := tbl.KeyBoundsAt(empty); err != nil || ok {
 		t.Fatalf("empty table KeyBounds: ok=%v err=%v", ok, err)
 	}
 	for _, k := range []int64{-5, 7, 1000, 3} {
@@ -479,11 +495,54 @@ func TestKeyBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	min, max, ok, err := tbl.KeyBounds()
+	snap := db.Snapshot()
+	defer snap.Release()
+	min, max, ok, err := tbl.KeyBoundsAt(snap)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
 	if min != -5 || max != 1000 {
 		t.Errorf("KeyBounds = [%d, %d], want [-5, 1000]", min, max)
+	}
+}
+
+// TestRowsCountsCommittedRowsOnly: Rows, like Get and Stats, reads the
+// newest committed version — an open write session's inserts do not
+// count until it commits, and never if it aborts.
+func TestRowsCountsCommittedRowsOnly(t *testing.T) {
+	db := NewMemDB()
+	s, _ := NewSchema(Column{Name: "id", Type: ColInt64})
+	tbl, _ := db.CreateTable("t", s)
+	if err := tbl.Insert([]Value{IntValue(0)}); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(1)
+	session := func(finish func(*Tx) error) {
+		t.Helper()
+		before := tbl.Rows()
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := tbl.InsertTx(tx, []Value{IntValue(next)}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if got := tbl.Rows(); got != before {
+			t.Errorf("Rows inside an open session = %d, want the committed %d", got, before)
+		}
+		if err := finish(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	session(func(tx *Tx) error { tx.Abort(); return nil })
+	if got := tbl.Rows(); got != 1 {
+		t.Errorf("Rows after Abort = %d, want 1", got)
+	}
+	session((*Tx).Commit)
+	if got := tbl.Rows(); got != 4 {
+		t.Errorf("Rows after Commit = %d, want 4", got)
 	}
 }

@@ -137,6 +137,10 @@ func (t *Table) restoreMeta() {
 func (t *Table) metaAt(tag uint64) (tableMeta, bool) {
 	t.metaMu.Lock()
 	defer t.metaMu.Unlock()
+	return t.metaAtLocked(tag)
+}
+
+func (t *Table) metaAtLocked(tag uint64) (tableMeta, bool) {
 	for i := len(t.metas) - 1; i >= 0; i-- {
 		if t.metas[i].tag <= tag {
 			return t.metas[i], true
@@ -163,7 +167,10 @@ func (t *Table) CursorAt(s *Snapshot) (*Cursor, error) {
 	return t.CursorRangeAt(s, math.MinInt64, math.MaxInt64)
 }
 
-// CursorRangeAt opens a streaming scan over keys in [lo, hi] as of s.
+// CursorRangeAt opens a streaming scan over keys in [lo, hi],
+// inclusive, as of s. The underlying iterator stops (and unpins) as
+// soon as it passes hi, so a key-range query touches only the
+// root-to-leaf descent plus the pages the range spans.
 func (t *Table) CursorRangeAt(s *Snapshot, lo, hi int64) (*Cursor, error) {
 	tree, ok := t.treeAt(s)
 	if !ok {

@@ -48,9 +48,18 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return &t.schema }
 
-// Rows returns the row count. Lock-free (the planner reads it while
-// scans run).
-func (t *Table) Rows() int64 { return t.rows.Load() }
+// Rows returns the row count of the newest committed version, like Get
+// and Stats: an open write session's rows do not count until it
+// commits. No page is read, so no snapshot is held; instead the clock is
+// read under metaMu — publishMeta prunes under the same lock and never
+// past the clock, so a version at or below it cannot be pruned away
+// between the two reads.
+func (t *Table) Rows() int64 {
+	t.metaMu.Lock()
+	defer t.metaMu.Unlock()
+	m, _ := t.metaAtLocked(t.db.bp.CommitTag())
+	return m.rows
+}
 
 // Insert adds a row as a single-statement write session.
 func (t *Table) Insert(vals []Value) error {
@@ -85,7 +94,7 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 			stored = append([]Value(nil), vals...)
 			copied = true
 		}
-		ref, err := t.db.writeBlob(vals[i].B)
+		ref, err := t.db.blobs.Write(vals[i].B, codecForBlob(vals[i].B))
 		if err != nil {
 			return fmt.Errorf("engine: writing MAX column %q: %w", c.Name, err)
 		}
@@ -169,7 +178,7 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 			next[c] = Null
 			continue
 		}
-		ref, err := t.db.writeBlob(v.B)
+		ref, err := t.db.blobs.Write(v.B, codecForBlob(v.B))
 		if err != nil {
 			return fmt.Errorf("engine: writing MAX column %q: %w", t.schema.Columns[c].Name, err)
 		}
@@ -386,15 +395,6 @@ func (t *Table) Scan(fn func(key int64, row *RowView) (bool, error)) error {
 		}
 	}
 	return cur.Err()
-}
-
-// KeyBounds returns the smallest and largest clustered keys present, or
-// ok=false for an empty table. The parallel scan planner partitions the
-// key space with this.
-func (t *Table) KeyBounds() (min, max int64, ok bool, err error) {
-	s := t.db.Snapshot()
-	defer s.Release()
-	return t.KeyBoundsAt(s)
 }
 
 // TableStats summarizes a table's storage footprint; the Table 1 harness

@@ -66,7 +66,7 @@ func fetchArray(t *testing.T, tbl *Table, key int64, col int) *core.Array {
 	if err != nil {
 		t.Fatalf("Get(%d): %v", key, err)
 	}
-	payload, err := tbl.ResolveMax(vals[col].B, nil)
+	payload, err := resolveMax(tbl, vals[col].B, nil)
 	if err != nil {
 		t.Fatalf("ResolveMax(%d): %v", key, err)
 	}
@@ -95,7 +95,7 @@ func verifyInvariants(t *testing.T, db *DB, tables ...string) {
 					return false, err
 				}
 				if c.Type == ColVarBinaryMax && !v.IsNull() {
-					payload, err := tbl.ResolveMax(v.B, nil)
+					payload, err := resolveMax(tbl, v.B, nil)
 					if err != nil {
 						return false, err
 					}

@@ -22,7 +22,7 @@ var statsNames = []string{
 	"pages.admissions", "pages.promotions", "pages.scan_evictions",
 	"pages.cow_copies", "pages.snapshot_reads", "pages.versions_retired",
 	"blob.chunk_reads", "blob.directory_reads", "blob.bytes_read",
-	"blob.stream_calls", "blob.chunks_written",
+	"blob.chunks_written",
 	"blob.compressed_bytes_written", "blob.compressed_bytes_read",
 	"blob.bytes_written",
 	"wal.records", "wal.bytes_logged", "wal.syncs",

@@ -117,22 +117,6 @@ type QueryTrace struct {
 	Delta    Snapshot      // registry deltas over the query (nil without a registry)
 }
 
-// Summary renders the one-query report the slow-query log emits: the
-// headline timing plus the annotated plan tree.
-func (t *QueryTrace) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s\n", t.SQL)
-	fmt.Fprintf(&b, "duration: %s  pages_read=%d  blob_chunks=%d  wal_records=%d\n",
-		t.Duration.Round(time.Microsecond),
-		t.Delta.Get("pages.logical_reads"),
-		t.Delta.Get("blob.chunk_reads"),
-		t.Delta.Get("wal.records"))
-	if t.Plan != nil {
-		b.WriteString(t.Plan.Render())
-	}
-	return b.String()
-}
-
 // SlowLogEntry is the JSON shape of one slow-query log line.
 type SlowLogEntry struct {
 	SQL        string    `json:"sql"`

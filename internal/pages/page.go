@@ -58,7 +58,7 @@ const (
 	offFreeHi   = 8  // uint16 end of free space (start of used record area)
 	offNext     = 12 // uint32 next page link
 	offPrev     = 16 // uint32 prev page link
-	offOwner    = 20 // uint32 owner object id (table/index)
+	_           = 20 // uint32 reserved
 	offUsed     = 24 // uint32 used payload bytes (blob pages)
 	offLSN      = 32 // uint64 log sequence number (reserved)
 	offChecksum = 40 // uint32 CRC32 of page body
@@ -162,12 +162,6 @@ func (p *Page) LSN() uint64 { return binary.LittleEndian.Uint64(p.Buf[offLSN:]) 
 // just before appending the page image to the WAL, so the logged image
 // carries its own LSN.
 func (p *Page) SetLSN(v uint64) { binary.LittleEndian.PutUint64(p.Buf[offLSN:], v) }
-
-// Owner returns the owning object id (table or index).
-func (p *Page) Owner() uint32 { return binary.LittleEndian.Uint32(p.Buf[offOwner:]) }
-
-// SetOwner stores the owning object id.
-func (p *Page) SetOwner(v uint32) { binary.LittleEndian.PutUint32(p.Buf[offOwner:], v) }
 
 // Used returns the used-bytes counter (blob pages track their chunk
 // length here).

@@ -97,42 +97,3 @@ func TestProtectedSegmentCapDemotes(t *testing.T) {
 		t.Errorf("prob+prot = %d+%d, want 8 unpinned frames total", prob, prot)
 	}
 }
-
-// BenchmarkScanResistantEviction interleaves a giant one-touch scan
-// with point accesses to a small hot set (the B+tree-interior shape)
-// and reports the hot set's hit ratio, which the SLRU keeps at ~1.0 (a
-// single-list LRU collapses toward 0: every scan page displaces a hot
-// page).
-func BenchmarkScanResistantEviction(b *testing.B) {
-	bp := NewBufferPool(NewMemDisk(), 64)
-	hot := makePages(b, bp, 16)
-	scan := makePages(b, bp, 512)
-	if err := bp.DropCleanBuffers(); err != nil {
-		b.Fatal(err)
-	}
-	// Warm the hot set with the promoting double touch.
-	for i := 0; i < 2; i++ {
-		for _, id := range hot {
-			fetchUnpin(b, bp, id)
-		}
-	}
-	// Each iteration is one scan burst (2x the pool capacity — larger
-	// than any LRU can absorb) followed by a round of point accesses to
-	// the hot set, the pattern of an analytic blob scan running beside
-	// B+tree lookups.
-	var hotFetches, hotMisses uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 128; j++ {
-			fetchUnpin(b, bp, scan[(i*128+j)%len(scan)])
-		}
-		for _, id := range hot {
-			before := bp.Stats().PhysicalReads
-			fetchUnpin(b, bp, id)
-			hotFetches++
-			hotMisses += bp.Stats().PhysicalReads - before
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(1-float64(hotMisses)/float64(hotFetches), "hot-hit-ratio")
-}

@@ -146,6 +146,8 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 	if pins := db.Pool().PinnedFrames(); pins != 0 {
 		t.Fatalf("%d frames left pinned after concurrent workload", pins)
 	}
+	snap := db.Snapshot()
+	defer snap.Release()
 	n := int64(0)
 	err = hot.Scan(func(key int64, row *engine.RowView) (bool, error) {
 		v, err := row.Col(2)
@@ -153,7 +155,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 			return false, err
 		}
 		if !v.IsNull() {
-			if _, err := hot.ResolveMax(v.B, nil); err != nil {
+			if _, err := hot.ResolveMaxAt(snap, v.B, nil); err != nil {
 				return false, err
 			}
 		}
@@ -171,7 +173,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := hot.ResolveMax(vals[2].B, nil)
+	payload, err := hot.ResolveMaxAt(snap, vals[2].B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,7 +367,7 @@ type cCol struct{ idx int }
 // oracle) it is the copying read — there is no batch to own a pin.
 type cMaxCol struct {
 	tbl  *engine.Table
-	snap *engine.Snapshot // the query's read view; nil reads the latest commit
+	snap *engine.Snapshot // the statement's read view
 	idx  int
 	vec  []engine.Value
 }
@@ -377,13 +377,7 @@ func (c *cMaxCol) resolve(refBytes []byte, pins *engine.BlobPins) (engine.Value,
 	// row must dereference the same commit's chunk pages, or a
 	// concurrent UPDATE that freed and reused the blob's pages could
 	// hand this scan foreign bytes.
-	var payload []byte
-	var err error
-	if c.snap != nil {
-		payload, err = c.tbl.ResolveMaxAt(c.snap, refBytes, pins)
-	} else {
-		payload, err = c.tbl.ResolveMax(refBytes, pins)
-	}
+	payload, err := c.tbl.ResolveMaxAt(c.snap, refBytes, pins)
 	if err != nil {
 		return engine.Null, err
 	}
@@ -946,7 +940,7 @@ type compileCtx struct {
 	db     *engine.DB
 	tbl    *engine.Table
 	schema *engine.Schema
-	snap   *engine.Snapshot // read view for MAX-column derefs; may be nil
+	snap   *engine.Snapshot // read view for MAX-column derefs; nil only where no column is evaluated
 	accs   []*accumulator
 	used   []bool
 }

@@ -1,7 +1,10 @@
 package sqlmini
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"sqlarray/internal/core"
@@ -13,14 +16,17 @@ import (
 // (the copying fallback) and a NULL, plus a UDF that consumes the
 // materialized array payload.
 func maxDB(t testing.TB) *engine.DB {
-	// Raw chunk format: the tests here assert exact chunk-page counts
-	// that depend on the fixed ChunkSize geometry.
-	return maxDBOpts(t, engine.Options{DisableBlobCompression: true})
+	// Incompressible multi-chunk arrays, which the blob writer stores
+	// raw: the tests here assert exact chunk-page counts that depend on
+	// the fixed ChunkSize geometry.
+	return maxDBWith(t, noise)
 }
 
-func maxDBOpts(t testing.TB, opts engine.Options) *engine.DB {
+// maxDBWith is maxDB with the multi-chunk arrays' elements drawn from
+// big(n, base), which decides the chunk format the writer picks.
+func maxDBWith(t testing.TB, big func(n int, base float64) []float64) *engine.DB {
 	t.Helper()
-	db := engine.NewDB(opts)
+	db := engine.NewMemDB()
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
@@ -40,11 +46,7 @@ func maxDBOpts(t testing.TB, opts engine.Options) *engine.DB {
 			av = engine.Null
 		case i%5 == 0:
 			// Multi-chunk: 2500 floats = 20 kB, three chunk pages.
-			big, err := core.FromFloat64s(core.Max, core.Float64, seq(2500, float64(i)), 2500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			av = engine.BinaryMaxValue(big.Bytes())
+			av = engine.BinaryMaxValue(bigArray(t, big, i).Bytes())
 		default:
 			// Single chunk: a short 5-vector stored out of page.
 			av = engine.BinaryMaxValue(core.Vector(float64(i), 1, 2, 3, 4).Bytes())
@@ -79,15 +81,43 @@ func maxDBOpts(t testing.TB, opts engine.Options) *engine.DB {
 	return db
 }
 
+// bigArray is row i's multi-chunk value: 2500 floats = 20 kB, three raw
+// chunk pages.
+func bigArray(t testing.TB, big func(n int, base float64) []float64, i int64) *core.Array {
+	t.Helper()
+	a, err := core.FromFloat64s(core.Max, core.Float64, big(2500, float64(i)), 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func seq(n int, base float64) []float64 {
 	// Tiny increments on a large base: the values stay distinct (the
 	// goldens exercise real sums) while consecutive elements share their
-	// high mantissa bytes, so the XOR codec path has something to
-	// compress when the store is opened with compression on.
+	// high mantissa bytes, so the XOR codec packs them into fewer pages.
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = 100 + base + float64(i)/(1<<20)
 	}
+	return out
+}
+
+func noise(n int, base float64) []float64 {
+	// Seeded random mantissas in [1, 2): consecutive elements share 12
+	// of 64 bits, too few for the packed form to save one of the three
+	// pages, so the writer stores the array raw. The last element tops
+	// the running sum up to an integer — exactly, both being multiples
+	// of 2^-41 below 2^13 — so the goldens' SUM over arr.Sum(a) does not
+	// depend on the order the parallel scan adds rows in.
+	rng := rand.New(rand.NewSource(int64(base)))
+	out := make([]float64, n)
+	sum := 0.0
+	for i := range out[:n-1] {
+		out[i] = math.Float64frombits(0x3FF<<52 | rng.Uint64()>>12)
+		sum += out[i]
+	}
+	out[n-1] = 4096 + base - sum
 	return out
 }
 
@@ -146,13 +176,28 @@ func TestMaxColumnGoldenEquivalence(t *testing.T) {
 }
 
 // TestMaxColumnCompressedGoldenEquivalence runs the MAX golden suite
-// against two stores holding identical logical data — one on the raw
-// chunk format, one with per-chunk compression (the engine default) —
-// and asserts every query returns identical results through every
-// pipeline, with no pins leaked by the compressed read paths.
+// against a store whose multi-chunk arrays are compressible — so the
+// writer packs them — and asserts that every pipeline returns what the
+// reference executor returns, that the stored arrays read back
+// byte-identical to what was inserted, and that the compressed read
+// paths leak no pins.
 func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
-	rawDB := maxDB(t)
-	compDB := maxDBOpts(t, engine.Options{})
+	compDB := maxDBWith(t, seq)
+	if st := compDB.Blobs().Stats(); st.CompressedBytesWritten == 0 {
+		t.Fatal("store wrote no compressed chunks; suite would compare nothing")
+	}
+	for i := int64(0); i < 40; i += 5 {
+		if i%7 == 3 {
+			continue
+		}
+		res, err := Run(compDB, fmt.Sprintf("SELECT a FROM cubes WHERE id = %d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bigArray(t, seq, i).Bytes(); !bytes.Equal(res.Rows[0][0].B, want) {
+			t.Errorf("row %d: compressed array does not read back byte-identical", i)
+		}
+	}
 	modes := []struct {
 		name string
 		opts ExecOptions
@@ -162,16 +207,9 @@ func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
 		{"parallel", ExecOptions{Parallelism: 4, ParallelThreshold: 1}},
 	}
 	for _, q := range maxGoldenQueries {
-		want, err := referenceRun(rawDB, q)
-		if err != nil {
-			t.Fatalf("raw reference(%q): %v", q, err)
-		}
-		gotRef, err := referenceRun(compDB, q)
+		want, err := referenceRun(compDB, q)
 		if err != nil {
 			t.Fatalf("compressed reference(%q): %v", q, err)
-		}
-		if diff := resultEq(want, gotRef); diff != "" {
-			t.Errorf("compressed reference(%q): %s", q, diff)
 		}
 		for _, m := range modes {
 			got, err := RunWith(compDB, q, m.opts)
@@ -185,9 +223,6 @@ func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
 				t.Fatalf("compressed %s %q: PinnedFrames after Run = %d, want 0", m.name, q, got)
 			}
 		}
-	}
-	if st := compDB.Blobs().Stats(); st.CompressedBytesWritten == 0 {
-		t.Error("compressed store wrote no compressed chunks; suite compared nothing")
 	}
 }
 

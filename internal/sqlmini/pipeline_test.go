@@ -44,7 +44,11 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs, err := compileStmt(db, tbl, stmt, stmt.Where, nil)
+	// MAX columns deref through a snapshot; no test runs the oracle
+	// beside a writer, so Scan's own snapshot below is the same commit.
+	snap := db.Snapshot()
+	defer snap.Release()
+	cs, err := compileStmt(db, tbl, stmt, stmt.Where, snap)
 	if err != nil {
 		return nil, err
 	}

@@ -29,8 +29,8 @@
 //     FloatArrayMax.Subarray, IntArray.Vector_2, ...);
 //   - math substrates standing in for LAPACK and FFTW, plus the three
 //     scientific use-case packages (turbulence, spectra, nbody);
-//   - the experiment harness regenerating the paper's evaluation
-//     (Table 1 and the §6-7 derived claims).
+//   - the paper's evaluation set-up (the Table 1 tables and queries and
+//     the §6-7 derived quantities), which bench/ measures.
 //
 // Quick start:
 //
@@ -214,11 +214,6 @@ func (d *Database) Query(sql string) (*Result, error) {
 // cursor (it releases the scan's pinned pages).
 func (d *Database) QueryRows(sql string) (*Rows, error) {
 	return sqlmini.Query(d.DB, sql)
-}
-
-// QueryRowsWith is QueryRows with explicit execution options.
-func (d *Database) QueryRowsWith(sql string, opts ExecOptions) (*Rows, error) {
-	return sqlmini.QueryWith(d.DB, sql, opts)
 }
 
 // QueryWith runs a materializing query with explicit execution options

@@ -2,38 +2,18 @@ package sqlarray
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 )
 
-// This file is the experiment harness for the paper's evaluation
-// (§6, Table 1): two 5-dimensional-vector tables — Tscalar with the
-// components in five FLOAT columns, Tvector with them in one short
-// array blob — scanned by five queries that isolate the UDF-boundary
-// cost. bench/EXPERIMENTS.md records paper-vs-measured numbers.
-
-// Table1Config sizes the experiment. The paper used 357 M rows on an
-// 8-core server; the defaults here are laptop-scale with the same
-// shape.
-type Table1Config struct {
-	// Rows in each table (paper: 357e6).
-	Rows int
-	// PoolPages sizes the buffer pool; keep it smaller than the tables
-	// to exercise real eviction, or large enough to hold them to
-	// isolate CPU (the modeled I/O column uses counted bytes either
-	// way).
-	PoolPages int
-	// Model converts counted bytes into the paper's I/O time column.
-	Model IOModel
-}
-
-// DefaultTable1Config returns a configuration that runs in seconds.
-func DefaultTable1Config() Table1Config {
-	return Table1Config{Rows: 200_000, PoolPages: 32768, Model: DefaultIOModel}
-}
+// This file defines the paper's evaluation (§6, Table 1): two
+// 5-dimensional-vector tables — Tscalar with the components in five
+// FLOAT columns, Tvector with them in one short array blob — the five
+// queries that isolate the UDF-boundary cost, and the §6.2/§7.1
+// quantities derived from a run. The measuring is bench/'s job
+// (`bash bench/run.sh -experiments` writes bench/EXPERIMENTS.md).
 
 // Table1Queries are the five test queries, verbatim from §6.3.
 var Table1Queries = [5]string{
@@ -48,17 +28,14 @@ var Table1Queries = [5]string{
 // with the paper's three columns (execution time, CPU load, I/O rate)
 // reconstructed as time = max(CPU, modeled I/O).
 type QueryMeasurement struct {
-	Index     int // 1-based query number
-	Query     string
-	Value     float64       // the query's scalar result
-	Wall      time.Duration // raw wall-clock on this machine
-	CPU       time.Duration // process CPU consumed by the query
-	Bytes     uint64        // bytes scanned (buffer pool)
-	UDFCalls  uint64        // boundary crossings
-	Time      time.Duration // reconstructed execution time
-	CPULoad   float64       // percent, CPU/Time
-	IOMBps    float64       // Bytes/Time in MB/s
-	RowsPerNs float64       // throughput for sanity checks
+	Index   int // 1-based query number
+	Query   string
+	Wall    time.Duration // raw wall-clock on this machine
+	CPU     time.Duration // process CPU consumed by the query
+	Bytes   uint64        // bytes scanned (buffer pool)
+	Time    time.Duration // reconstructed execution time
+	CPULoad float64       // percent, CPU/Time
+	IOMBps  float64       // Bytes/Time in MB/s
 }
 
 // SetupTable1 populates Tscalar and Tvector with identical data:
@@ -121,72 +98,6 @@ func SetupTable1(db *Database, rows int) error {
 		}
 	}
 	return db.Pool().FlushAll()
-}
-
-// RunTable1 executes the five queries cold (cache dropped before each,
-// as §6.3 does) and returns their measurements.
-func RunTable1(db *Database, cfg Table1Config) ([]QueryMeasurement, error) {
-	out := make([]QueryMeasurement, 0, len(Table1Queries))
-	for qi, q := range Table1Queries {
-		m, err := MeasureQuery(db, q, cfg.Model)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", qi+1, err)
-		}
-		m.Index = qi + 1
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// MeasureQuery runs one query with a cold cache and reconstructs the
-// paper's columns.
-func MeasureQuery(db *Database, query string, model IOModel) (QueryMeasurement, error) {
-	if err := db.DropCleanBuffers(); err != nil {
-		return QueryMeasurement{}, err
-	}
-	// Settle the garbage collector so setup/previous-query debt is not
-	// billed to this measurement's CPU time.
-	runtime.GC()
-	st0 := db.Pool().Stats()
-	fs0 := db.Funcs().Stats()
-	cpu0 := processCPUTime()
-	wall0 := time.Now()
-	res, err := db.Query(query)
-	if err != nil {
-		return QueryMeasurement{}, err
-	}
-	wall := time.Since(wall0)
-	cpu := processCPUTime() - cpu0
-	if cpu <= 0 {
-		cpu = wall // rusage granularity fallback for sub-tick queries
-	}
-	v, err := res.Scalar()
-	if err != nil {
-		return QueryMeasurement{}, err
-	}
-	f, _ := v.AsFloat()
-	bytesRead := db.Pool().Stats().BytesRead - st0.BytesRead
-	udfCalls := db.Funcs().Stats().Calls - fs0.Calls
-
-	ioTime := model.SeqReadTime(bytesRead)
-	t := cpu
-	if ioTime > t {
-		t = ioTime
-	}
-	m := QueryMeasurement{
-		Query:    query,
-		Value:    f,
-		Wall:     wall,
-		CPU:      cpu,
-		Bytes:    bytesRead,
-		UDFCalls: udfCalls,
-		Time:     t,
-	}
-	if t > 0 {
-		m.CPULoad = 100 * float64(cpu) / float64(t)
-		m.IOMBps = float64(bytesRead) / 1e6 / t.Seconds()
-	}
-	return m, nil
 }
 
 // StorageComparison is the §6.2 size claim: the vector table is bigger
