@@ -1,0 +1,502 @@
+package sqlmini
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"sqlarray/internal/core"
+	"sqlarray/internal/engine"
+)
+
+// This file is the executor's generated adversary: seeded random SELECTs
+// run through the batch pipeline at several batch sizes and worker
+// counts, each checked against referenceRun (row-at-a-time over
+// Table.Scan, no pushdown, no batches). A failure prints the seed, the
+// mode and the query, which is all it takes to replay it:
+//
+//	go test ./internal/sqlmini -run TestDifferentialSelect -diff.seed=<seed>
+
+var diffSeed = flag.Int64("diff.seed", 0, "extra seed for TestDifferentialSelect (0 = fixed seed set only)")
+
+// diffSeeds is the fixed seed set every run (CI's -race step included)
+// covers.
+var diffSeeds = []int64{1, 2, 3, 4, 5, 6}
+
+const (
+	diffRows    = 300
+	diffQueries = 120 // per seed
+)
+
+// diffDB builds the table the generated queries run over:
+//
+//	id  BIGINT          clustered key, dense 0..n-1
+//	i   BIGINT          small ints, NULLs, a few values past 2^53
+//	f   FLOAT           quarter steps, NULLs, NaN, ±Inf
+//	g   FLOAT           quarter steps, never NULL/NaN/Inf
+//	tag VARBINARY       'a'..'d' or NULL
+//	s   VARBINARY       short float array (3..6 elements) or NULL
+//	m   VARBINARY(MAX)  NULL, a single-chunk array or a 3-chunk array
+//
+// Every float is a multiple of 0.25 of small magnitude, so serial sums
+// are exact; only division and parallel merges round.
+func diffDB(t testing.TB, seed int64) *engine.DB {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	db := engine.NewMemDB()
+	s, err := engine.NewSchema(
+		engine.Column{Name: "id", Type: engine.ColInt64},
+		engine.Column{Name: "i", Type: engine.ColInt64},
+		engine.Column{Name: "f", Type: engine.ColFloat64},
+		engine.Column{Name: "g", Type: engine.ColFloat64},
+		engine.Column{Name: "tag", Type: engine.ColVarBinary},
+		engine.Column{Name: "s", Type: engine.ColVarBinary},
+		engine.Column{Name: "m", Type: engine.ColVarBinaryMax},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("R", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarter := func() float64 { return float64(rng.Intn(81)-40) / 4 }
+	for id := int64(0); id < diffRows; id++ {
+		row := []engine.Value{engine.IntValue(id), engine.Null, engine.Null,
+			engine.FloatValue(quarter()), engine.Null, engine.Null, engine.Null}
+		switch r := rng.Intn(20); {
+		case r == 0:
+			// NULL
+		case r == 1:
+			row[1] = engine.IntValue(1<<53 + int64(rng.Intn(3)))
+		default:
+			row[1] = engine.IntValue(int64(rng.Intn(13) - 4))
+		}
+		switch r := rng.Intn(20); {
+		case r == 0:
+			// NULL
+		case r == 1:
+			row[2] = engine.FloatValue(math.NaN())
+		case r == 2:
+			row[2] = engine.FloatValue(math.Inf(1 - 2*rng.Intn(2)))
+		default:
+			row[2] = engine.FloatValue(quarter())
+		}
+		if rng.Intn(6) != 0 {
+			row[4] = engine.BinaryValue([]byte{byte('a' + rng.Intn(4))})
+		}
+		if rng.Intn(6) != 0 {
+			vals := make([]float64, 3+rng.Intn(4))
+			for k := range vals {
+				vals[k] = quarter()
+			}
+			row[5] = engine.BinaryValue(core.Vector(vals...).Bytes())
+		}
+		switch r := rng.Intn(12); {
+		case r == 0:
+			// NULL
+		case r == 1:
+			big := make([]float64, 2500) // 20 kB: three chunk pages
+			for k := range big {
+				big[k] = quarter()
+			}
+			a, err := core.FromFloat64s(core.Max, core.Float64, big, len(big))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[6] = engine.BinaryMaxValue(a.Bytes())
+		default:
+			a, err := core.FromFloat64s(core.Max, core.Float64, []float64{quarter(), quarter(), quarter()}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[6] = engine.BinaryMaxValue(a.Bytes())
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := db.Funcs()
+	// t.Inc keeps its argument's type: BIGINT in, BIGINT out.
+	reg.Register("t.Inc", 1, func(args []engine.Value) (engine.Value, error) {
+		switch v := args[0]; v.Kind {
+		case engine.ColInt64:
+			return engine.IntValue(v.I + 1), nil
+		case engine.ColFloat64:
+			return engine.FloatValue(v.F + 1), nil
+		case 0:
+			return engine.Null, nil
+		}
+		return engine.Null, fmt.Errorf("t.Inc: %w", engine.ErrTypeError)
+	})
+	// t.Mixed returns a different SQL type from row to row: NULL, BIGINT
+	// or FLOAT by the argument's residue.
+	reg.Register("t.Mixed", 1, func(args []engine.Value) (engine.Value, error) {
+		n, err := args[0].AsInt()
+		if err != nil {
+			return engine.Null, nil
+		}
+		switch ((n % 5) + 5) % 5 {
+		case 0:
+			return engine.Null, nil
+		case 1, 2:
+			return engine.IntValue(n), nil
+		}
+		return engine.FloatValue(float64(n) / 2), nil
+	})
+	// t.Fail errors on a few argument values.
+	reg.Register("t.Fail", 1, func(args []engine.Value) (engine.Value, error) {
+		if n, err := args[0].AsInt(); err == nil && n == 7 {
+			return engine.Null, fmt.Errorf("t.Fail: boom at %d", n)
+		}
+		return args[0], nil
+	})
+	reg.Register("t.Len", 1, func(args []engine.Value) (engine.Value, error) {
+		if args[0].IsNull() {
+			return engine.IntValue(0), nil
+		}
+		b, err := args[0].AsBinary()
+		if err != nil {
+			return engine.Null, err
+		}
+		return engine.IntValue(int64(len(b))), nil
+	})
+	// t.Echo hands back its own argument bytes: the result aliases the
+	// boundary's argument buffer on the hosted side.
+	reg.Register("t.Echo", 1, func(args []engine.Value) (engine.Value, error) {
+		return args[0], nil
+	})
+	// t.Item is FloatArray.Item_1 without the schema check (tsql cannot
+	// be imported from here).
+	reg.Register("t.Item", 2, func(args []engine.Value) (engine.Value, error) {
+		if args[0].IsNull() {
+			return engine.Null, nil
+		}
+		b, err := args[0].AsBinary()
+		if err != nil {
+			return engine.Null, err
+		}
+		a, err := core.Wrap(b)
+		if err != nil {
+			return engine.Null, err
+		}
+		k, err := args[1].AsInt()
+		if err != nil {
+			return engine.Null, err
+		}
+		x, err := a.Item(int(k))
+		if err != nil {
+			return engine.Null, err
+		}
+		return engine.FloatValue(x), nil
+	})
+	return db
+}
+
+// diffGen builds random expressions as SQL text. safe restricts it to
+// expressions that cannot fail at run time (TOP queries need that: the
+// reference stops scanning at the n-th match, the executor filters
+// whole batches, so an error past that row would be seen by one side
+// only).
+type diffGen struct {
+	rng  *rand.Rand
+	safe bool
+	udfs int // UDF calls emitted so far
+}
+
+func (g *diffGen) pick(opts ...string) string { return opts[g.rng.Intn(len(opts))] }
+
+func (g *diffGen) lit() string {
+	switch g.rng.Intn(4) {
+	case 0:
+		return g.pick("0.5", "2.25", "0.0", "3.0")
+	case 1:
+		return "(-" + g.pick("1", "3", "0.25") + ")"
+	}
+	return fmt.Sprint(g.rng.Intn(11))
+}
+
+// num is a numeric-typed expression. The key column only ever appears
+// inside arithmetic here, so no generated conjunct is sargable except
+// the key range the statement builder puts in front.
+func (g *diffGen) num(depth int) string {
+	if depth <= 0 {
+		switch g.rng.Intn(8) {
+		case 0:
+			return "NULL"
+		case 1, 2:
+			return g.lit()
+		case 3:
+			return "(id + 0)"
+		}
+		return g.pick("i", "f", "g", "i", "f")
+	}
+	switch g.rng.Intn(12) {
+	case 0, 1, 2, 3:
+		return "(" + g.num(depth-1) + " " + g.pick("+", "-", "*", "/") + " " + g.num(depth-1) + ")"
+	case 4:
+		if g.safe {
+			return "(" + g.num(depth-1) + " % " + g.pick("3", "2.5", "7") + ")"
+		}
+		return "(" + g.num(depth-1) + " % " + g.num(depth-1) + ")"
+	case 5:
+		return "(-" + g.num(depth-1) + ")"
+	case 6:
+		g.udfs++
+		return "t.Inc(" + g.num(depth-1) + ")"
+	case 7:
+		g.udfs++
+		return "t.Mixed(" + g.pick("id", "i", "(id + i)") + ")"
+	case 8:
+		g.udfs++
+		return "t.Len(" + g.bin() + ")"
+	case 9:
+		g.udfs++
+		k := g.pick("0", "1", "2")
+		if !g.safe && g.rng.Intn(8) == 0 {
+			k = "9" // out of bounds for every array
+		}
+		return "t.Item(" + g.pick("s", "m", "t.Echo(s)") + ", " + k + ")"
+	case 10:
+		if !g.safe {
+			g.udfs++
+			return "t.Fail(" + g.pick("i", "(id % 50)") + ")"
+		}
+	}
+	return "(" + g.pred(depth-1) + ")"
+}
+
+func (g *diffGen) bin() string {
+	switch g.rng.Intn(6) {
+	case 0:
+		return "'" + g.pick("a", "b", "c", "") + "'"
+	case 1:
+		g.udfs++
+		return "t.Echo(tag)"
+	case 2:
+		return g.pick("s", "m")
+	}
+	return "tag"
+}
+
+func (g *diffGen) pred(depth int) string {
+	cmp := g.pick("=", "<>", "<", "<=", ">", ">=")
+	if depth <= 0 {
+		if g.rng.Intn(3) == 0 {
+			return g.bin() + " " + cmp + " " + g.bin()
+		}
+		return g.num(0) + " " + cmp + " " + g.num(0)
+	}
+	switch g.rng.Intn(10) {
+	case 0, 1:
+		return "(" + g.pred(depth-1) + " AND " + g.pred(depth-1) + ")"
+	case 2, 3:
+		return "(" + g.pred(depth-1) + " OR " + g.pred(depth-1) + ")"
+	case 4:
+		return "(NOT " + g.pred(depth-1) + ")"
+	case 5:
+		return g.bin() + " " + cmp + " " + g.bin()
+	case 6:
+		if !g.safe && g.rng.Intn(4) == 0 {
+			return g.bin() + " " + cmp + " " + g.num(0) // type error
+		}
+	}
+	return g.num(depth-1) + " " + cmp + " " + g.num(depth-1)
+}
+
+// nanFree is a numeric expression that never yields NaN: MIN and MAX
+// keep or drop a NaN depending on where in the scan it arrives, so
+// their result over NaN is not defined independently of the plan.
+func (g *diffGen) nanFree(depth int) string {
+	if depth <= 0 {
+		return g.pick("i", "g", "(id + 0)", "2", "0.5")
+	}
+	if g.rng.Intn(4) == 0 {
+		g.udfs++
+		return "t.Inc(" + g.nanFree(depth-1) + ")"
+	}
+	return "(" + g.nanFree(depth-1) + " " + g.pick("+", "-", "*") + " " + g.nanFree(depth-1) + ")"
+}
+
+// diffQuery is one generated statement and what the checker needs to
+// know about it.
+type diffQuery struct {
+	sql       string
+	aggregate bool
+	top       bool
+	whereUDF  bool
+}
+
+func genDiffQuery(rng *rand.Rand) diffQuery {
+	var q diffQuery
+	g := &diffGen{rng: rng}
+	q.aggregate = rng.Intn(2) == 0
+	q.top = !q.aggregate && rng.Intn(3) == 0
+	g.safe = q.top
+
+	var where []string
+	switch rng.Intn(6) {
+	case 0:
+		lo := rng.Intn(diffRows)
+		where = append(where, fmt.Sprintf("id >= %d", lo), fmt.Sprintf("id < %d", lo+rng.Intn(120)))
+	case 1:
+		where = append(where, fmt.Sprintf("id = %d", rng.Intn(diffRows+10)))
+	case 2:
+		where = append(where, fmt.Sprintf("%d <= id", rng.Intn(diffRows)))
+	}
+	if rng.Intn(3) != 0 {
+		before := g.udfs
+		where = append(where, g.pred(1+rng.Intn(2)))
+		q.whereUDF = g.udfs > before
+	}
+
+	var items []string
+	if q.aggregate {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			var it string
+			switch rng.Intn(7) {
+			case 0:
+				it = "COUNT(*)"
+			case 1:
+				it = "COUNT(" + g.pick(g.num(1), g.bin()) + ")"
+			case 2:
+				it = g.pick("MIN", "MAX") + "(" + g.nanFree(1+rng.Intn(2)) + ")"
+			case 3:
+				it = "AVG(" + g.num(1+rng.Intn(2)) + ")"
+			case 4:
+				it = "SUM(" + g.num(1) + ") / COUNT(*)"
+			default:
+				it = "SUM(" + g.num(1+rng.Intn(2)) + ")"
+			}
+			items = append(items, it)
+		}
+	} else {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			switch rng.Intn(5) {
+			case 0:
+				items = append(items, g.bin())
+			case 1:
+				items = append(items, g.pick("id", "i", "f", "tag"))
+			default:
+				items = append(items, g.num(1+rng.Intn(2)))
+			}
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("SELECT ")
+	if q.top {
+		fmt.Fprintf(&sb, "TOP %d ", 1+rng.Intn(9))
+	}
+	sb.WriteString(strings.Join(items, ", "))
+	sb.WriteString(" FROM R")
+	if len(where) > 0 {
+		sb.WriteString(" WHERE " + strings.Join(where, " AND "))
+	}
+	q.sql = sb.String()
+	return q
+}
+
+// approxResultEq is resultEq with floats compared to a relative 1e-9:
+// a parallel aggregate merges per-worker partial sums, which rounds
+// differently from one serial pass.
+func approxResultEq(a, b *Result) string {
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Sprintf("%d rows vs %d rows", len(a.Rows), len(b.Rows))
+	}
+	for i := range a.Rows {
+		for j := range a.Rows[i] {
+			x, y := a.Rows[i][j], b.Rows[i][j]
+			if x.Kind == engine.ColFloat64 && y.Kind == engine.ColFloat64 &&
+				math.Abs(x.F-y.F) <= 1e-9*math.Max(1, math.Max(math.Abs(x.F), math.Abs(y.F))) {
+				continue
+			}
+			if !valueEq(x, y) {
+				return fmt.Sprintf("row %d col %d: %v vs %v", i, j, x, y)
+			}
+		}
+	}
+	return ""
+}
+
+// TestDifferentialSelect runs the generated queries of every seed
+// through BatchSize {1, 3, 1024} × Parallelism {1, 2} and requires the
+// reference's rows (or an error on both sides), the reference's UDF call
+// count, and no pin left behind.
+func TestDifferentialSelect(t *testing.T) {
+	seeds := diffSeeds
+	if *diffSeed != 0 {
+		seeds = append(append([]int64(nil), seeds...), *diffSeed)
+	}
+	type mode struct {
+		name string
+		opts ExecOptions
+	}
+	var modes []mode
+	for _, bs := range []int{1, 3, 1024} {
+		for _, par := range []int{1, 2} {
+			modes = append(modes, mode{
+				fmt.Sprintf("batch%d/par%d", bs, par),
+				ExecOptions{BatchSize: bs, Parallelism: par, ParallelThreshold: 1},
+			})
+		}
+	}
+	for _, seed := range seeds {
+		db := diffDB(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		calls := func() uint64 { return db.Funcs().Stats().Calls }
+		var errored, rows int
+		var udfCalls uint64
+		for n := 0; n < diffQueries; n++ {
+			q := genDiffQuery(rng)
+			c0 := calls()
+			want, wantErr := referenceRun(db, q.sql)
+			wantCalls := calls() - c0
+			if wantErr != nil {
+				errored++
+			} else {
+				rows += len(want.Rows)
+				udfCalls += wantCalls
+			}
+			for _, m := range modes {
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Errorf("seed %d query %d mode %s: %s\n  %s", seed, n, m.name, fmt.Sprintf(format, args...), q.sql)
+				}
+				c0 := calls()
+				got, err := RunWith(db, q.sql, m.opts)
+				gotCalls := calls() - c0
+				if pins := db.Pool().PinnedFrames(); pins != 0 {
+					t.Fatalf("seed %d query %d mode %s: %d frames left pinned\n  %s", seed, n, m.name, pins, q.sql)
+				}
+				if (err != nil) != (wantErr != nil) {
+					fail("error %v, reference error %v", err, wantErr)
+					continue
+				}
+				if err != nil {
+					continue
+				}
+				diff := resultEq(want, got)
+				if diff != "" && q.aggregate && m.opts.Parallelism > 1 {
+					diff = approxResultEq(want, got)
+				}
+				if diff != "" {
+					fail("%s", diff)
+				}
+				// Under TOP the reference stops evaluating WHERE at the
+				// n-th match while the filter works through the batch it
+				// was handed, so predicate UDF calls legitimately differ.
+				if !(q.top && q.whereUDF) && gotCalls != wantCalls {
+					fail("%d UDF calls, reference %d", gotCalls, wantCalls)
+				}
+			}
+			if t.Failed() {
+				return // one failing query is enough; its seed is in the message
+			}
+		}
+		t.Logf("seed %d: %d queries (%d erroring on both sides), %d reference rows, %d reference UDF calls",
+			seed, diffQueries, errored, rows, udfCalls)
+	}
+}
