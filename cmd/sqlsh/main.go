@@ -294,6 +294,8 @@ func printStats(d obs.Snapshot) {
 	fmt.Printf("WAL:         %d records, %s logged, %d syncs, %d group-commit piggybacks\n",
 		d.Get("wal.records"), fmtBytes(d.Get("wal.bytes_logged")),
 		d.Get("wal.syncs"), d.Get("wal.group_commit_piggybacks"))
+	fmt.Printf("UDF:         %d calls across the boundary, %s marshaled\n",
+		d.Get("udf.calls"), fmtBytes(d.Get("udf.bytes_marshaled")))
 }
 
 func fmtBytes(n uint64) string {

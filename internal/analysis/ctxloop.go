@@ -11,8 +11,9 @@ import (
 // be aborted without waiting for the full table scan. Concretely, inside
 // packages named "sqlmini", any `for`/`range` loop that advances a stream —
 // calling `nextBatch` (the internal operator protocol) or
-// `engine.Cursor.Next`/`FillBatch` — must, somewhere in the loop body or
-// its condition, do one of:
+// `engine.Cursor.Next`/`FillBatch` (the row step and the typed-vector
+// batch fill) — must, somewhere in the loop body or its condition, do
+// one of:
 //
 //   - call a method on a context.Context value (ctx.Err(), ctx.Done()),
 //   - call .Load() on an atomic.Bool (the parallel workers' stop flag),

@@ -160,6 +160,33 @@ func drainCursorPolled(ctx context.Context, cur *engine.Cursor) (int64, error) {
 	return last, nil
 }
 
+// bad: a vector fill loop (the parallel workers' shape) without a poll.
+func fillNoPoll(cur *engine.Cursor, keys []int64, cols []*engine.Vector) (int, error) {
+	rows := 0
+	for { // want `advances a row/batch stream without polling cancellation`
+		n, err := cur.FillBatch(keys, cols)
+		if n == 0 || err != nil {
+			return rows, err
+		}
+		rows += n
+	}
+}
+
+// good: the same fill loop checking the stop flag per batch.
+func fillPolled(stop *atomic.Bool, cur *engine.Cursor, keys []int64, cols []*engine.Vector) (int, error) {
+	rows := 0
+	for {
+		if stop.Load() {
+			return rows, nil
+		}
+		n, err := cur.FillBatch(keys, cols)
+		if n == 0 || err != nil {
+			return rows, err
+		}
+		rows += n
+	}
+}
+
 // loops that advance nothing are not the analyzer's business.
 func plainLoop(n int) int {
 	total := 0

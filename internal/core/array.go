@@ -47,15 +47,11 @@ func NewAuto(et ElemType, dims ...int) (*Array, error) {
 // the paper's "convert to .NET arrays by a simple memory copy" fast path
 // for on-page data.
 func Wrap(b []byte) (*Array, error) {
-	h, n, err := DecodeHeader(b)
+	_, total, err := checkArray(b)
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < n+h.DataBytes() {
-		return nil, fmt.Errorf("%w: need %d payload bytes, have %d",
-			ErrTruncated, h.DataBytes(), len(b)-n)
-	}
-	return &Array{hdr: h, buf: b[:n+h.DataBytes()]}, nil
+	return &Array{hdr: View{b}.header(), buf: b[:total]}, nil
 }
 
 // Bytes returns the serialized blob (header + payload). The slice aliases
@@ -139,9 +135,15 @@ func (a *Array) elemOffset(i int) int {
 
 // FloatAt returns linear element i converted to float64. Integer types
 // are widened; for complex types the real part is returned.
-func (a *Array) FloatAt(i int) float64 {
-	p := a.buf[a.elemOffset(i):]
-	switch a.hdr.Elem {
+func (a *Array) FloatAt(i int) float64 { return loadFloat(a.hdr.Elem, a.buf[a.elemOffset(i):]) }
+
+// IntAt returns linear element i converted to int64 (floats truncate
+// toward zero, matching T-SQL CAST semantics for integral targets).
+func (a *Array) IntAt(i int) int64 { return loadInt(a.hdr.Elem, a.buf[a.elemOffset(i):]) }
+
+// loadFloat reads the element of type et at the front of p as float64.
+func loadFloat(et ElemType, p []byte) float64 {
+	switch et {
 	case Int8:
 		return float64(int8(p[0]))
 	case Int16:
@@ -162,11 +164,9 @@ func (a *Array) FloatAt(i int) float64 {
 	panic("core: invalid element type in validated array")
 }
 
-// IntAt returns linear element i converted to int64 (floats truncate
-// toward zero, matching T-SQL CAST semantics for integral targets).
-func (a *Array) IntAt(i int) int64 {
-	p := a.buf[a.elemOffset(i):]
-	switch a.hdr.Elem {
+// loadInt reads the element of type et at the front of p as int64.
+func loadInt(et ElemType, p []byte) int64 {
+	switch et {
 	case Int8:
 		return int64(int8(p[0]))
 	case Int16:

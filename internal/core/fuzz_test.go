@@ -5,8 +5,9 @@ import (
 )
 
 // FuzzWrap drives blob decoding (DecodeHeader + payload validation) with
-// arbitrary bytes. The invariants: Wrap never panics, a Wrap that
-// succeeds yields an array whose accessors are safe to call, and
+// arbitrary bytes. The invariants: Wrap never panics, the in-place
+// ViewOf reaches the same verdict and reads the same elements, a Wrap
+// that succeeds yields an array whose accessors are safe to call, and
 // re-wrapping the array's own bytes round-trips.
 func FuzzWrap(f *testing.F) {
 	seed := func(a *Array, err error) {
@@ -31,6 +32,7 @@ func FuzzWrap(f *testing.F) {
 	corrupt[2] = 0xFF
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, b []byte) {
+		checkViewAgainstWrap(t, b)
 		a, err := Wrap(b)
 		if err != nil {
 			return

@@ -71,58 +71,56 @@ func (h *Header) TotalBytes() int { return h.EncodedSize() + h.DataBytes() }
 // representable in an int.
 const maxElements = int(^uint(0)>>1) / 16
 
-// checkedCount computes the element count, failing instead of wrapping
-// when the product of the dimension sizes overflows. Dimension sizes
-// must already be range-checked non-negative.
-func (h *Header) checkedCount() (int, error) {
-	n := 1
-	for _, d := range h.Dims {
-		if d != 0 && n > maxElements/d {
-			return 0, fmt.Errorf("%w: element count of %v overflows", ErrTooLarge, h.Dims)
-		}
-		n *= d
+// checkShape is the one statement of what a header may describe: a valid
+// element type, the storage class's rank and dimension limits, an
+// element count that does not overflow, and for the short class a total
+// size that fits VARBINARY(8000). It returns the element count. The
+// dimension sizes come through dim, and only once the rank is known to
+// be in range, so that a Header under construction (Validate) and header
+// bytes read in place (checkHeader) are held to the same rules; nothing
+// is allocated unless the check fails.
+func checkShape(class StorageClass, elem ElemType, rank int, dim func(int) int) (int, error) {
+	if !elem.Valid() {
+		return 0, fmt.Errorf("%w: invalid element type %d", ErrBadHeader, uint8(elem))
 	}
-	return n, nil
+	limit := MaxMaxDim
+	switch class {
+	case Short:
+		if rank > MaxShortRank {
+			return 0, fmt.Errorf("%w: short arrays support at most %d dimensions, got %d",
+				ErrRank, MaxShortRank, rank)
+		}
+		limit = MaxShortDim
+	case Max:
+	default:
+		return 0, fmt.Errorf("%w: unknown storage class %d", ErrBadHeader, uint8(class))
+	}
+	// Element-count overflow would wrap every size computation that
+	// follows (and let a corrupt header declare a tiny payload for huge
+	// dims), so it is checked before any byte arithmetic — the invariant
+	// FuzzWrap enforces.
+	count := 1
+	for i := 0; i < rank; i++ {
+		d := dim(i)
+		if d < 0 || d > limit {
+			return 0, fmt.Errorf("%w: %s dimension %d size %d outside [0,%d]",
+				ErrBadHeader, class, i, d, limit)
+		}
+		if d != 0 && count > maxElements/d {
+			return 0, fmt.Errorf("%w: element count overflows at dimension %d", ErrTooLarge, i)
+		}
+		count *= d
+	}
+	if total := ShortHeaderSize + count*elem.Size(); class == Short && total > MaxShortBytes {
+		return 0, fmt.Errorf("%w: %d bytes > VARBINARY(%d)", ErrTooLarge, total, MaxShortBytes)
+	}
+	return count, nil
 }
 
 // Validate checks the header against the limits of its storage class.
 func (h *Header) Validate() error {
-	if !h.Elem.Valid() {
-		return fmt.Errorf("%w: invalid element type %d", ErrBadHeader, uint8(h.Elem))
-	}
-	switch h.Class {
-	case Short:
-		if len(h.Dims) > MaxShortRank {
-			return fmt.Errorf("%w: short arrays support at most %d dimensions, got %d",
-				ErrRank, MaxShortRank, len(h.Dims))
-		}
-		for i, d := range h.Dims {
-			if d < 0 || d > MaxShortDim {
-				return fmt.Errorf("%w: short dimension %d size %d outside [0,%d]",
-					ErrBadHeader, i, d, MaxShortDim)
-			}
-		}
-	case Max:
-		for i, d := range h.Dims {
-			if d < 0 || d > MaxMaxDim {
-				return fmt.Errorf("%w: max dimension %d size %d outside [0,%d]",
-					ErrBadHeader, i, d, MaxMaxDim)
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown storage class %d", ErrBadHeader, uint8(h.Class))
-	}
-	// Element-count overflow would wrap every size computation below
-	// (and let a corrupt header declare a tiny payload for huge dims),
-	// so it is checked before any byte arithmetic — the invariant
-	// FuzzWrap enforces.
-	if _, err := h.checkedCount(); err != nil {
-		return err
-	}
-	if h.Class == Short && h.TotalBytes() > MaxShortBytes {
-		return fmt.Errorf("%w: %d bytes > VARBINARY(%d)", ErrTooLarge, h.TotalBytes(), MaxShortBytes)
-	}
-	return nil
+	_, err := checkShape(h.Class, h.Elem, len(h.Dims), func(i int) int { return h.Dims[i] })
+	return err
 }
 
 // AppendEncode appends the wire form of h to dst and returns the extended
@@ -188,58 +186,47 @@ func HeaderSizeFromPrefix(b []byte) (int, error) {
 	return MaxFixedHeaderSize + 4*int(rank), nil
 }
 
+// checkHeader validates the header at the front of b in place — magic,
+// version, length, checkShape, and the declared element count against
+// the product of the dimensions — and returns the header's length and
+// the element count. It is the only validator of serialized header
+// bytes: DecodeHeader, Wrap and ViewOf all go through it.
+func checkHeader(b []byte) (n, count int, err error) {
+	// HeaderSizeFromPrefix owns the prefix checks (magic, version, rank
+	// sanity) and the size arithmetic, so incremental readers sizing a
+	// second read and this full check can never disagree.
+	if n, err = HeaderSizeFromPrefix(b); err != nil {
+		return 0, 0, err
+	}
+	v := View{b}
+	if len(b) < n {
+		return 0, 0, fmt.Errorf("%w: %s header needs %d bytes, have %d",
+			ErrBadHeader, v.Class(), n, len(b))
+	}
+	if count, err = checkShape(v.Class(), v.ElemType(), v.rank(), v.dim); err != nil {
+		return 0, 0, err
+	}
+	declared := binary.LittleEndian.Uint64(b[8:16])
+	if v.Class() == Short {
+		declared = uint64(binary.LittleEndian.Uint32(b[4:8]))
+	}
+	if declared != uint64(count) {
+		return 0, 0, fmt.Errorf("%w: declared count %d != dim product %d",
+			ErrBadHeader, declared, count)
+	}
+	return n, count, nil
+}
+
 // DecodeHeader parses an array header from the front of b, returning the
 // header and the number of header bytes consumed. It validates structural
 // invariants (magic byte, class limits, count consistency) but does not
 // require the payload to be present in b; use Wrap for full validation.
 func DecodeHeader(b []byte) (Header, int, error) {
-	// HeaderSizeFromPrefix owns the prefix checks (magic, version, rank
-	// sanity) and the size arithmetic, so incremental readers sizing a
-	// second read and this full decoder can never disagree.
-	n, err := HeaderSizeFromPrefix(b)
+	n, _, err := checkHeader(b)
 	if err != nil {
 		return Header{}, 0, err
 	}
-	class := StorageClass(b[1] & classFlagMask)
-	if len(b) < n {
-		return Header{}, 0, fmt.Errorf("%w: %s header needs %d bytes, have %d",
-			ErrBadHeader, class, n, len(b))
-	}
-	et := ElemType(b[2])
-	if !et.Valid() {
-		return Header{}, 0, fmt.Errorf("%w: invalid element type %d", ErrBadHeader, b[2])
-	}
-	var h Header
-	if class == Short {
-		rank := int(b[3])
-		if rank > MaxShortRank {
-			return Header{}, 0, fmt.Errorf("%w: short rank %d > %d", ErrRank, rank, MaxShortRank)
-		}
-		h = Header{Class: Short, Elem: et, Dims: make([]int, rank)}
-		for i := range h.Dims {
-			h.Dims[i] = int(binary.LittleEndian.Uint16(b[8+2*i:]))
-		}
-		declared := int(binary.LittleEndian.Uint32(b[4:8]))
-		if declared != h.Count() {
-			return Header{}, 0, fmt.Errorf("%w: declared count %d != dim product %d",
-				ErrBadHeader, declared, h.Count())
-		}
-	} else {
-		rank := (n - MaxFixedHeaderSize) / 4
-		h = Header{Class: Max, Elem: et, Dims: make([]int, rank)}
-		for i := range h.Dims {
-			h.Dims[i] = int(binary.LittleEndian.Uint32(b[MaxFixedHeaderSize+4*i:]))
-		}
-		declared := binary.LittleEndian.Uint64(b[8:16])
-		if declared != uint64(h.Count()) {
-			return Header{}, 0, fmt.Errorf("%w: declared count %d != dim product %d",
-				ErrBadHeader, declared, h.Count())
-		}
-	}
-	if err := h.Validate(); err != nil {
-		return Header{}, 0, err
-	}
-	return h, n, nil
+	return View{b}.header(), n, nil
 }
 
 // String renders the header in a compact human-readable form, e.g.

@@ -41,21 +41,45 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
-// FillBatch advances the cursor through up to max rows, invoking fn for
-// each one — the engine half of batch-at-a-time execution. It drives the
-// B+tree leaf iterator directly, so a batch fill walks leaf runs without
-// crossing the Cursor interface per row. The RowView passed to fn is
-// reused and aliases the pinned leaf page: fn must copy anything it
-// keeps. It returns the number of rows consumed; fewer than max means
-// the range is exhausted (or fn failed — check the error). FillBatch and
-// Next may be interleaved freely; both advance the same scan position.
-func (c *Cursor) FillBatch(max int, fn func(key int64, row *RowView) error) (int, error) {
-	n := 0
-	for n < max && c.it.Next() {
-		c.rv.reset(c.schema, c.it.Value())
-		if err := fn(c.it.Key(), &c.rv); err != nil {
+// maxBatchBlobBytes bounds the out-of-row bytes one batch may reference
+// through its VARBINARY(MAX) columns. The executor dereferences those
+// columns for the whole batch before an operator or a UDF sees them, so
+// this — not the row capacity — is what keeps a scan over large arrays
+// from holding a batch's worth of them in memory at once.
+const maxBatchBlobBytes = 1 << 20
+
+// FillBatch decodes the next rows of the scan straight into column
+// vectors, the engine half of batch-at-a-time execution: row i's key
+// goes to keys[i] and, for every non-nil cols[ci], its column ci to row i
+// of that vector, which is Reset here to the column's type. Columns with
+// a nil entry are skipped over, columns past the last non-nil entry are
+// not looked at. Binary values are copied off the pinned leaf page into
+// the vector, so the filled rows stay valid after the cursor moves on; a
+// VARBINARY(MAX) column yields the 12-byte blob ref, as RowView.Col does.
+// It drives the B+tree leaf iterator directly, so a fill walks leaf runs
+// without crossing the Cursor interface per row. A fill ends after
+// len(keys) rows, or earlier — after at least one — once the blobs its
+// rows reference add up to maxBatchBlobBytes. It returns the number of
+// rows filled; zero means the range is exhausted (or a row failed to
+// decode — check the error). FillBatch and Next may be interleaved
+// freely; both advance the same scan position.
+func (c *Cursor) FillBatch(keys []int64, cols []*Vector) (int, error) {
+	last := -1
+	for ci, v := range cols {
+		if v != nil {
+			v.Reset(c.schema.Columns[ci].Type, len(keys))
+			last = ci
+		}
+	}
+	cols = cols[:last+1]
+	n, blobBytes := 0, uint64(0)
+	for n < len(keys) && blobBytes < maxBatchBlobBytes && c.it.Next() {
+		keys[n] = c.it.Key()
+		referenced, err := decodeRowInto(c.schema, c.it.Value(), cols, n)
+		if err != nil {
 			return n, err
 		}
+		blobBytes += referenced
 		n++
 	}
 	return n, c.it.Err()

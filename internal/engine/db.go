@@ -110,6 +110,7 @@ func Open(opts Options) (*DB, error) {
 	bp.RegisterMetrics(db.reg)
 	db.blobs.RegisterMetrics(db.reg)
 	db.m.register(db.reg)
+	db.funcs.registerMetrics(db.reg)
 	if db.wal != nil {
 		db.wal.RegisterMetrics(db.reg)
 		if err := db.recover(); err != nil {

@@ -334,13 +334,12 @@ func (a *sumAgg) Deserialize(src []byte) error {
 	if len(src) < 16 {
 		return errors.New("short state")
 	}
-	v, _, err := unmarshalValue(append([]byte{byte(ColFloat64)}, src[:8]...))
-	if err != nil {
+	var v Value
+	if _, err := unmarshalValue(append([]byte{byte(ColFloat64)}, src[:8]...), &v); err != nil {
 		return err
 	}
 	a.sum = v.F
-	v, _, err = unmarshalValue(append([]byte{byte(ColInt64)}, src[8:16]...))
-	if err != nil {
+	if _, err := unmarshalValue(append([]byte{byte(ColInt64)}, src[8:16]...), &v); err != nil {
 		return err
 	}
 	a.n = v.I

@@ -115,7 +115,7 @@ func TestBoundaryMarshalRoundtripProperty(t *testing.T) {
 		for _, want := range vals {
 			var got Value
 			var err error
-			got, rest, err = unmarshalValue(rest)
+			rest, err = unmarshalValue(rest, &got)
 			if err != nil {
 				return false
 			}
@@ -160,7 +160,8 @@ func TestBoundaryTruncationDetected(t *testing.T) {
 		bad := false
 		for len(rest) > 0 {
 			var err error
-			_, rest, err = unmarshalValue(rest)
+			var v Value
+			rest, err = unmarshalValue(rest, &v)
 			if err != nil {
 				bad = true
 				break

@@ -178,5 +178,55 @@ func (r *RowView) Col(i int) (Value, error) {
 	return Null, fmt.Errorf("%w: column %d type %v", ErrTypeError, i, c.Type)
 }
 
+// decodeRowInto decodes one row image in a single forward pass, storing
+// column ci as row i of cols[ci] for every non-nil entry and stopping
+// after the last entry. Binary values are copied into the vector. It
+// returns the out-of-row bytes the stored VARBINARY(MAX) refs address.
+func decodeRowInto(s *Schema, raw []byte, cols []*Vector, i int) (uint64, error) {
+	off, referenced := 0, uint64(0)
+	for ci, v := range cols {
+		if off >= len(raw) {
+			return 0, fmt.Errorf("engine: row truncated at column %d", ci)
+		}
+		null := raw[off] == 1
+		off++
+		if null {
+			if v != nil {
+				v.SetNull(i)
+			}
+			continue
+		}
+		size := 8
+		switch s.Columns[ci].Type {
+		case ColVarBinary:
+			if off+2 > len(raw) {
+				return 0, fmt.Errorf("engine: row truncated in column %d", ci)
+			}
+			size = int(binary.LittleEndian.Uint16(raw[off:]))
+			off += 2
+		case ColVarBinaryMax:
+			size = blob.RefSize
+		}
+		if off+size > len(raw) {
+			return 0, fmt.Errorf("engine: row truncated in column %d", ci)
+		}
+		if v != nil {
+			switch s.Columns[ci].Type {
+			case ColInt64:
+				v.I[i] = int64(binary.LittleEndian.Uint64(raw[off:]))
+			case ColFloat64:
+				v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
+			case ColVarBinaryMax:
+				referenced += binary.LittleEndian.Uint64(raw[off+4:]) // blob.Ref's length
+				fallthrough
+			default:
+				v.B[i] = v.hold(raw[off : off+size])
+			}
+		}
+		off += size
+	}
+	return referenced, nil
+}
+
 // Raw returns the undecoded row image.
 func (r *RowView) Raw() []byte { return r.raw }

@@ -28,6 +28,7 @@ var statsNames = []string{
 	"wal.records", "wal.bytes_logged", "wal.syncs",
 	"wal.group_commit_piggybacks",
 	"engine.rows_inserted", "engine.commits",
+	"udf.calls", "udf.bytes_marshaled",
 }
 
 // scrapeProm parses the text exposition format into name -> value for
@@ -82,6 +83,12 @@ func TestPrometheusMatchesStatsCounters(t *testing.T) {
 	if _, err := sqlmini.Run(db, "SELECT COUNT(*) FROM t WHERE v > 10"); err != nil {
 		t.Fatal(err)
 	}
+	db.Funcs().Register("dbo.Twice", 1, func(args []engine.Value) (engine.Value, error) {
+		return engine.FloatValue(2 * args[0].F), nil
+	})
+	if _, err := sqlmini.Run(db, "SELECT SUM(dbo.Twice(v)) FROM t"); err != nil {
+		t.Fatal(err)
+	}
 
 	// What .stats reads...
 	snap := db.Metrics().Snapshot()
@@ -111,9 +118,14 @@ func TestPrometheusMatchesStatsCounters(t *testing.T) {
 	}
 	// Sanity: the workload actually moved the interesting counters, so
 	// the equality above is not vacuous.
-	for _, name := range []string{"pages.logical_reads", "engine.rows_inserted", "engine.commits"} {
+	for _, name := range []string{"pages.logical_reads", "engine.rows_inserted", "engine.commits", "udf.calls"} {
 		if snap.Get(name) == 0 {
 			t.Errorf("%s = 0 after 500 inserts and a scan; workload not measured", name)
 		}
+	}
+	// The registry serves the boundary's own counters, not a copy.
+	if st := db.Funcs().Stats(); snap.Get("udf.calls") != st.Calls || snap.Get("udf.bytes_marshaled") != st.BytesMarshaled {
+		t.Errorf("registry has udf.calls=%d udf.bytes_marshaled=%d, Funcs().Stats() %+v",
+			snap.Get("udf.calls"), snap.Get("udf.bytes_marshaled"), st)
 	}
 }

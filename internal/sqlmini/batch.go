@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -13,17 +14,19 @@ import (
 // TOP and projection. It is the only SELECT execution path.
 //
 // Operators exchange a *Batch — a resizable column-major chunk of up to
-// ExecOptions.BatchSize rows — through
+// ExecOptions.BatchSize rows, one typed engine.Vector per referenced
+// column — through
 //
 //	nextBatch(b *Batch) (int, error)
 //
 // The consumer (Rows) owns the Batch and passes it down the tree; the scan
-// fills it directly from B+tree leaf runs, filters compact it in place
-// through a selection vector, and the aggregate drains whole batches into
-// its accumulators. A batch's contents are valid until the next nextBatch
-// or close call on the producer, except for Batch.out rows, which the
-// projection carves from a fresh slab per batch and are therefore safe
-// to retain indefinitely (that is what Rows hands to callers).
+// fills its vectors directly from B+tree leaf runs, filters compact them
+// in place through a selection vector, and the aggregate drains whole
+// batches into its accumulators. A batch's contents are valid until the
+// next nextBatch or close call on the producer, except for Batch.out
+// rows, which the projection carves from a fresh slab per batch and are
+// therefore safe to retain indefinitely (that is what Rows hands to
+// callers).
 //
 // Limits propagate *down* the tree: batchLimitOp sits below the
 // projection and, with no filter under it, clips b.cap before
@@ -35,13 +38,10 @@ import (
 // float columns well inside L2 while amortizing per-batch overheads.
 const defaultBatchSize = 1024
 
-// arenaChunk is the allocation granularity of a batch's binary arena.
-const arenaChunk = 64 << 10
-
 // Batch is a column-major chunk of rows flowing between batch operators.
 type Batch struct {
 	keys []int64          // clustered keys of the live rows, [0:n)
-	cols [][]engine.Value // per schema column; nil for columns the plan never reads
+	cols []*engine.Vector // per schema column; nil for columns the plan never reads
 	n    int              // live row count
 	cap  int              // max rows the producer may fill this round
 
@@ -53,11 +53,6 @@ type Batch struct {
 	// carved from a fresh slab each batch by batchProjectOp.
 	out [][]engine.Value
 
-	// arena backs binary values copied off pinned leaf pages during the
-	// scan fill. It is recycled whenever the batch is emptied; values
-	// survive a compaction because compaction only moves Value headers.
-	arena []byte
-
 	// pins owns the zero-copy blob views MAX-column derefs (cMaxCol)
 	// acquire while expressions evaluate over this batch: the resolved
 	// payload bytes alias pinned chunk pages, so the pins must live as
@@ -68,19 +63,18 @@ type Batch struct {
 }
 
 // newBatch allocates a batch for a table with ncols schema columns.
-// Column slices are allocated lazily by the scan (only needed columns).
+// Column vectors are allocated lazily by the scan (only needed columns).
 func newBatch(ncols int) *Batch {
-	return &Batch{cols: make([][]engine.Value, ncols)}
+	return &Batch{cols: make([]*engine.Vector, ncols)}
 }
 
 // reset empties the batch and sets the fill capacity for the next round.
 // Previously returned out rows stay valid (they own their slab); column
-// data and arena contents are recycled.
+// vectors are refilled from scratch by the next scan.
 func (b *Batch) reset(capRows int) {
 	b.n = 0
 	b.cap = capRows
 	b.aggVals = nil
-	b.arena = b.arena[:0]
 	b.pins.Release()
 	if cap(b.keys) < capRows {
 		b.keys = make([]int64, capRows)
@@ -89,46 +83,19 @@ func (b *Batch) reset(capRows int) {
 }
 
 // recycle empties the batch between fills within one operator call:
-// live rows are dropped, the arena is rewound and any zero-copy blob
-// pins are released. Capacity and column slices are kept.
+// live rows are dropped and any zero-copy blob pins are released.
+// Capacity and column vectors are kept.
 func (b *Batch) recycle() {
 	b.n = 0
-	b.arena = b.arena[:0]
 	b.pins.Release()
 }
 
-// pinSet exposes the batch's pin set to expression nodes resolving MAX
-// column refs zero-copy.
-func (b *Batch) pinSet() *engine.BlobPins { return &b.pins }
-
-// ensureCol makes sure column ci can hold cap rows, returning the slice.
-func (b *Batch) ensureCol(ci int) []engine.Value {
-	if cap(b.cols[ci]) < b.cap {
-		b.cols[ci] = make([]engine.Value, b.cap)
+// col returns the decoded vector of schema column ci.
+func (b *Batch) col(ci int) (*engine.Vector, error) {
+	if v := b.cols[ci]; v != nil {
+		return v, nil
 	}
-	b.cols[ci] = b.cols[ci][:b.cap]
-	return b.cols[ci]
-}
-
-// copyBytes copies src into the batch arena and returns the stable copy.
-// Growing the arena allocates a new chunk; earlier values keep the old
-// chunk alive through their own slices, so they remain valid.
-func (b *Batch) copyBytes(src []byte) []byte {
-	if len(src) == 0 {
-		return nil
-	}
-	if len(b.arena)+len(src) > cap(b.arena) {
-		size := arenaChunk
-		if len(src) > size {
-			size = len(src)
-		}
-		b.arena = make([]byte, 0, size)
-	}
-	off := len(b.arena)
-	b.arena = b.arena[:off+len(src)]
-	dst := b.arena[off : off+len(src) : off+len(src)]
-	copy(dst, src)
-	return dst
+	return nil, fmt.Errorf("sql: internal: column %d not decoded into batch", ci)
 }
 
 // compact keeps only the rows named by the selection vector sel (ascending
@@ -138,13 +105,9 @@ func (b *Batch) compact(sel []int) int {
 	for j, i := range sel {
 		b.keys[j] = b.keys[i]
 	}
-	for ci := range b.cols {
-		col := b.cols[ci]
-		if col == nil {
-			continue
-		}
-		for j, i := range sel {
-			col[j] = col[i]
+	for _, col := range b.cols {
+		if col != nil {
+			col.Compact(sel)
 		}
 	}
 	b.n = len(sel)
@@ -184,8 +147,8 @@ func pollCancel(ctx context.Context) error {
 // ---- scan ---------------------------------------------------------------
 
 // batchScanOp fills batches straight from the clustered index cursor,
-// decoding only the columns the plan references (need) and copying binary
-// values off the pinned page into the batch arena.
+// decoding only the columns the plan references (need); binary values are
+// copied off the pinned page into their column vector.
 type batchScanOp struct {
 	tbl    *engine.Table
 	snap   *engine.Snapshot
@@ -222,33 +185,18 @@ func (s *batchScanOp) close() error {
 	return nil
 }
 
-// fillFromCursor appends up to b.cap rows from cur into b, decoding the
-// needed columns. Shared by the serial scan and the parallel workers.
+// fillFromCursor fills b with up to b.cap rows from cur, decoding the
+// needed columns straight into the batch's vectors. Shared by the serial
+// scan and the parallel workers.
 func fillFromCursor(cur *engine.Cursor, b *Batch, need []bool) (int, error) {
 	for ci, use := range need {
-		if use {
-			b.ensureCol(ci)
+		if use && b.cols[ci] == nil {
+			b.cols[ci] = new(engine.Vector)
 		}
 	}
-	return cur.FillBatch(b.cap-b.n, func(key int64, row *engine.RowView) error {
-		i := b.n
-		b.keys[i] = key
-		for ci, use := range need {
-			if !use {
-				continue
-			}
-			v, err := row.Col(ci)
-			if err != nil {
-				return err
-			}
-			if v.Kind == engine.ColVarBinary || v.Kind == engine.ColVarBinaryMax {
-				v.B = b.copyBytes(v.B)
-			}
-			b.cols[ci][i] = v
-		}
-		b.n++
-		return nil
-	})
+	n, err := cur.FillBatch(b.keys[:b.cap], b.cols)
+	b.n = n
+	return n, err
 }
 
 // ---- filter -------------------------------------------------------------
@@ -299,13 +247,19 @@ func filterBatch(pred compiled, b *Batch, n int, selScratch *[]int) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	if cap(*selScratch) < n {
-		*selScratch = make([]int, 0, n)
-	}
 	sel := (*selScratch)[:0]
-	for i := 0; i < n; i++ {
-		if truthy(vals[i]) {
-			sel = append(sel, i)
+	if vals.Kind == engine.ColInt64 && vals.Uniform() && !vals.HasNulls() && !vals.Const {
+		// What every comparison yields: a 0/1 BIGINT per row.
+		for i, x := range vals.I[:n] {
+			if x != 0 {
+				sel = append(sel, i)
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			if truthy(vals.Value(i)) {
+				sel = append(sel, i)
+			}
 		}
 	}
 	*selScratch = sel
@@ -581,7 +535,7 @@ func partitionSpans(lo, hi int64, workers int) [][2]int64 {
 // batchProjectOp evaluates the SELECT items over the batch and carves the
 // output rows from a fresh slab, so every row handed upward is safe to
 // retain after the batch is recycled. Binary values are copied off the
-// batch arena (or the pinned page they still alias) for the same reason.
+// vector (or the pinned page they still alias) for the same reason.
 type batchProjectOp struct {
 	child batchOperator
 	items []compiled
@@ -606,7 +560,7 @@ func (p *batchProjectOp) nextBatch(b *Batch) (int, error) {
 			return 0, err
 		}
 		for i := 0; i < n; i++ {
-			v := vals[i]
+			v := vals.Value(i)
 			if v.Kind == engine.ColVarBinary || v.Kind == engine.ColVarBinaryMax {
 				v.B = append([]byte(nil), v.B...)
 			}
@@ -651,7 +605,6 @@ func (l *batchLimitOp) nextBatch(b *Batch) (int, error) {
 	}
 	if l.clip && int64(b.cap) > rem {
 		b.cap = int(rem)
-		b.keys = b.keys[:b.cap]
 	}
 	n, err := l.child.nextBatch(b)
 	if err != nil {

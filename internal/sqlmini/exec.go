@@ -117,7 +117,7 @@ func StreamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error
 		root:      pl.root,
 		qctx:      opts.Ctx,
 		batch:     newBatch(len(tbl.Schema().Columns)),
-		batchSize: opts.batchSize(),
+		batchSize: pl.batchRows,
 		plan:      pl.plan,
 	}
 	// Every query feeds the shared latency histogram; the heavier trace
@@ -297,63 +297,52 @@ type rowCtx struct {
 }
 
 // compiled is an executable expression. evalBatch — what the executor
-// calls — produces a vector of values for rows [0, n) of a batch; eval
-// produces one value for the row a rowCtx names. Nodes whose per-row
-// semantics matter (UDF call counts, AND/OR short-circuiting) implement
-// evalBatch as a row-wise loop of eval over the batch (evalRowwise); the
-// data-parallel nodes (columns, constants, arithmetic, comparisons) are
-// vectorized. eval is also what runs where there is no batch: DML's
-// scanMatching, INSERT's constant folding and scatter's final projection
-// over merged aggregates. The slice evalBatch returns is scratch owned
-// by the node — valid until its next evalBatch call — except for cCol,
-// which aliases the batch column directly.
+// calls — produces a typed vector of values for rows [0, n) of a batch;
+// eval produces one value for the row a rowCtx names. Columns, constants,
+// arithmetic, comparisons and UDF calls (one boundary crossing per
+// batch) are vectorized; only AND, OR and NOT evaluate a batch as a loop
+// of eval (evalRowwise), because short-circuiting decides per row which
+// operand — and so which UDF call and which error — happens at all. eval
+// is also what runs where there is no batch: DML's scanMatching, INSERT's
+// constant folding and scatter's final projection over merged
+// aggregates. The vector evalBatch returns is scratch owned by the node —
+// valid until its next evalBatch call — except for cCol, which returns
+// the batch column itself.
 type compiled interface {
 	eval(ctx *rowCtx) (engine.Value, error)
-	evalBatch(b *Batch, n int) ([]engine.Value, error)
+	evalBatch(b *Batch, n int) (*engine.Vector, error)
 }
 
-// ensureVec sizes a scratch vector to n values.
-func ensureVec(vec *[]engine.Value, n int) []engine.Value {
-	if cap(*vec) < n {
-		*vec = make([]engine.Value, n)
-	}
-	*vec = (*vec)[:n]
-	return *vec
-}
-
-// evalRowwise is the generic batch fallback: evaluate c once per batch
-// row through eval, preserving per-row semantics.
-func evalRowwise(c compiled, b *Batch, n int, scratch *[]engine.Value) ([]engine.Value, error) {
-	vec := ensureVec(scratch, n)
+// evalRowwise evaluates c once per batch row through eval, preserving
+// per-row semantics.
+func evalRowwise(c compiled, b *Batch, n int, out *engine.Vector) (*engine.Vector, error) {
+	out.Reset(0, n)
 	ctx := rowCtx{batch: b, aggVals: b.aggVals}
 	for i := 0; i < n; i++ {
 		ctx.idx = i
-		if i < len(b.keys) {
-			ctx.key = b.keys[i]
-		}
 		v, err := c.eval(&ctx)
 		if err != nil {
 			return nil, err
 		}
-		vec[i] = v
+		out.Set(i, v)
 	}
-	return vec, nil
+	return out, nil
 }
 
 type cConst struct {
 	v   engine.Value
-	vec []engine.Value
+	vec engine.Vector // the constant vector standing for v on every row
+}
+
+func newConst(v engine.Value) *cConst {
+	c := &cConst{v: v}
+	c.vec.SetConst(v)
+	return c
 }
 
 func (c *cConst) eval(*rowCtx) (engine.Value, error) { return c.v, nil }
 
-func (c *cConst) evalBatch(b *Batch, n int) ([]engine.Value, error) {
-	vec := ensureVec(&c.vec, n)
-	for i := range vec {
-		vec[i] = c.v
-	}
-	return vec, nil
-}
+func (c *cConst) evalBatch(*Batch, int) (*engine.Vector, error) { return &c.vec, nil }
 
 type cCol struct{ idx int }
 
@@ -369,15 +358,18 @@ type cMaxCol struct {
 	tbl  *engine.Table
 	snap *engine.Snapshot // the statement's read view
 	idx  int
-	vec  []engine.Value
+	vec  engine.Vector
 }
 
-func (c *cMaxCol) resolve(refBytes []byte, pins *engine.BlobPins) (engine.Value, error) {
-	// Resolve through the query's snapshot: a ref read from a snapshot
-	// row must dereference the same commit's chunk pages, or a
-	// concurrent UPDATE that freed and reused the blob's pages could
-	// hand this scan foreign bytes.
-	payload, err := c.tbl.ResolveMaxAt(c.snap, refBytes, pins)
+// resolve dereferences a blob ref through the query's snapshot: a ref
+// read from a snapshot row must dereference the same commit's chunk
+// pages, or a concurrent UPDATE that freed and reused the blob's pages
+// could hand this scan foreign bytes.
+func (c *cMaxCol) resolve(ref engine.Value, pins *engine.BlobPins) (engine.Value, error) {
+	if ref.IsNull() {
+		return ref, nil
+	}
+	payload, err := c.tbl.ResolveMaxAt(c.snap, ref.B, pins)
 	if err != nil {
 		return engine.Null, err
 	}
@@ -387,61 +379,46 @@ func (c *cMaxCol) resolve(refBytes []byte, pins *engine.BlobPins) (engine.Value,
 func (c *cMaxCol) eval(ctx *rowCtx) (engine.Value, error) {
 	if ctx.row != nil {
 		v, err := ctx.row.Col(c.idx)
-		if err != nil || v.IsNull() {
+		if err != nil {
 			return v, err
 		}
-		return c.resolve(v.B, nil)
+		return c.resolve(v, nil)
 	}
-	col := ctx.batch.cols[c.idx]
-	if col == nil {
-		return engine.Null, fmt.Errorf("sql: internal: column %d not decoded into batch", c.idx)
+	col, err := ctx.batch.col(c.idx)
+	if err != nil {
+		return engine.Null, err
 	}
-	v := col[ctx.idx]
-	if v.IsNull() {
-		return v, nil
-	}
-	return c.resolve(v.B, ctx.batch.pinSet())
+	return c.resolve(col.Value(ctx.idx), &ctx.batch.pins)
 }
 
-func (c *cMaxCol) evalBatch(b *Batch, n int) ([]engine.Value, error) {
-	col := b.cols[c.idx]
-	if col == nil {
-		return nil, fmt.Errorf("sql: internal: column %d not decoded into batch", c.idx)
+func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+	col, err := b.col(c.idx)
+	if err != nil {
+		return nil, err
 	}
-	vec := ensureVec(&c.vec, n)
+	c.vec.Reset(engine.ColVarBinaryMax, n)
 	for i := 0; i < n; i++ {
-		v := col[i]
-		if v.IsNull() {
-			vec[i] = engine.Null
-			continue
-		}
-		r, err := c.resolve(v.B, b.pinSet())
+		v, err := c.resolve(col.Value(i), &b.pins)
 		if err != nil {
 			return nil, err
 		}
-		vec[i] = r
+		c.vec.Set(i, v)
 	}
-	return vec, nil
+	return &c.vec, nil
 }
 
 func (c *cCol) eval(ctx *rowCtx) (engine.Value, error) {
 	if ctx.row != nil {
 		return ctx.row.Col(c.idx)
 	}
-	col := ctx.batch.cols[c.idx]
-	if col == nil {
-		return engine.Null, fmt.Errorf("sql: internal: column %d not decoded into batch", c.idx)
+	col, err := ctx.batch.col(c.idx)
+	if err != nil {
+		return engine.Null, err
 	}
-	return col[ctx.idx], nil
+	return col.Value(ctx.idx), nil
 }
 
-func (c *cCol) evalBatch(b *Batch, n int) ([]engine.Value, error) {
-	col := b.cols[c.idx]
-	if col == nil {
-		return nil, fmt.Errorf("sql: internal: column %d not decoded into batch", c.idx)
-	}
-	return col[:n], nil
-}
+func (c *cCol) evalBatch(b *Batch, n int) (*engine.Vector, error) { return b.col(c.idx) }
 
 // cUDF invokes a scalar UDF through the engine's CLR-like boundary; the
 // FuncDef is resolved once at plan time, as a real plan would cache the
@@ -450,60 +427,68 @@ type cUDF struct {
 	reg  *engine.FuncRegistry
 	def  *engine.FuncDef
 	args []compiled
-	buf  []engine.Value
-	vec  []engine.Value
+	buf  []engine.Value   // one row's arguments (eval)
+	argv []*engine.Vector // the batch's argument vectors (evalBatch)
+	vec  engine.Vector
 }
 
 func (c *cUDF) eval(ctx *rowCtx) (engine.Value, error) {
-	if cap(c.buf) < len(c.args) {
-		c.buf = make([]engine.Value, len(c.args))
-	}
-	args := c.buf[:len(c.args)]
-	for i, a := range c.args {
+	c.buf = c.buf[:0]
+	for _, a := range c.args {
 		v, err := a.eval(ctx)
 		if err != nil {
 			return engine.Null, err
 		}
-		args[i] = v
+		c.buf = append(c.buf, v)
 	}
-	return c.reg.Call(c.def, args)
+	return c.reg.Call(c.def, c.buf)
 }
 
-// evalBatch stays row-wise: each row must cross the UDF boundary exactly
-// once, in order, with its own argument evaluation.
-func (c *cUDF) evalBatch(b *Batch, n int) ([]engine.Value, error) {
-	return evalRowwise(c, b, n, &c.vec)
+// evalBatch evaluates every argument over the whole batch and crosses
+// the UDF boundary once: each row is still marshaled and dispatched, in
+// order, exactly once.
+func (c *cUDF) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+	c.argv = c.argv[:0]
+	for _, a := range c.args {
+		v, err := a.evalBatch(b, n)
+		if err != nil {
+			return nil, err
+		}
+		c.argv = append(c.argv, v)
+	}
+	if err := c.reg.CallBatch(c.def, c.argv, n, &c.vec); err != nil {
+		return nil, err
+	}
+	return &c.vec, nil
 }
 
 type cAggRef struct {
 	idx int
-	vec []engine.Value
+	vec engine.Vector
 }
 
 func (c *cAggRef) eval(ctx *rowCtx) (engine.Value, error) { return ctx.aggVals[c.idx], nil }
 
-func (c *cAggRef) evalBatch(b *Batch, n int) ([]engine.Value, error) {
+func (c *cAggRef) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	if c.idx >= len(b.aggVals) {
 		return nil, fmt.Errorf("sql: internal: aggregate ref below the aggregate operator")
 	}
-	vec := ensureVec(&c.vec, n)
-	for i := range vec {
-		vec[i] = b.aggVals[c.idx]
-	}
-	return vec, nil
+	c.vec.SetConst(b.aggVals[c.idx])
+	return &c.vec, nil
 }
 
 type cBinary struct {
-	op   string
-	l, r compiled
-	vec  []engine.Value
+	op     string
+	l, r   compiled
+	vec    engine.Vector
+	lf, rf []float64 // BIGINT operands widened for a mixed-type kernel
 }
 
 // evalBatch vectorizes arithmetic and comparison over both operand
 // vectors. AND/OR fall back to the row-wise loop so short-circuit
 // semantics (which UDF calls happen, which errors surface) are those of
 // eval.
-func (c *cBinary) evalBatch(b *Batch, n int) ([]engine.Value, error) {
+func (c *cBinary) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	switch c.op {
 	case "AND", "OR":
 		return evalRowwise(c, b, n, &c.vec)
@@ -516,100 +501,142 @@ func (c *cBinary) evalBatch(b *Batch, n int) ([]engine.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	vec := ensureVec(&c.vec, n)
-	switch c.op {
-	case "+", "-", "*", "/", "%":
+	if l.Const && r.Const {
+		n = 1 // one evaluation stands for every row
+	}
+	if !c.evalTyped(l, r, n) {
+		c.vec.Reset(0, n)
 		for i := 0; i < n; i++ {
-			lv, rv := l[i], r[i]
-			// Fast path: FLOAT op FLOAT inline, skipping the generic
-			// coercion. (Division promotes to float anyway, so int pairs
-			// still go through arith.)
-			if lv.Kind == engine.ColFloat64 && rv.Kind == engine.ColFloat64 {
-				switch c.op {
-				case "+":
-					vec[i] = engine.FloatValue(lv.F + rv.F)
-					continue
-				case "-":
-					vec[i] = engine.FloatValue(lv.F - rv.F)
-					continue
-				case "*":
-					vec[i] = engine.FloatValue(lv.F * rv.F)
-					continue
-				case "/":
-					vec[i] = engine.FloatValue(lv.F / rv.F)
-					continue
-				}
-			}
-			if lv.IsNull() || rv.IsNull() {
-				vec[i] = engine.Null
-				continue
-			}
-			v, err := arith(c.op, lv, rv)
+			v, err := applyBinary(c.op, l.Value(i), r.Value(i))
 			if err != nil {
 				return nil, err
 			}
-			vec[i] = v
+			c.vec.Set(i, v)
 		}
-	case "=", "<>", "<", "<=", ">", ">=":
-		for i := 0; i < n; i++ {
-			lv, rv := l[i], r[i]
-			switch {
-			case lv.Kind == engine.ColFloat64 && rv.Kind == engine.ColFloat64:
-				// IEEE comparisons agree with compare()'s NaN handling:
-				// every operator is false on NaN except <>.
-				vec[i] = boolVal(cmpFloat(c.op, lv.F, rv.F))
-			case lv.Kind == engine.ColInt64 && rv.Kind == engine.ColInt64:
-				vec[i] = boolVal(cmpInt(c.op, lv.I, rv.I))
-			case lv.IsNull() || rv.IsNull():
-				vec[i] = engine.Null
-			default:
-				v, err := compare(c.op, lv, rv)
-				if err != nil {
-					return nil, err
-				}
-				vec[i] = v
-			}
+	}
+	c.vec.Const = l.Const && r.Const
+	return &c.vec, nil
+}
+
+// evalTyped runs the operator as a loop over the operands' raw slices
+// when both are uniform numeric vectors, reporting whether it did. Two
+// BIGINT operands stay integral (except under /); a BIGINT beside a
+// FLOAT is widened first, exactly as arith and compare coerce a single
+// pair. NULL rows compute on whatever the slice holds and are masked by
+// the merged null bitmaps. % is left to the row-wise path (a zero
+// BIGINT divisor is an error, per row).
+func (c *cBinary) evalTyped(l, r *engine.Vector, n int) bool {
+	numeric := func(v *engine.Vector) bool {
+		return v.Uniform() && (v.Kind == engine.ColInt64 || v.Kind == engine.ColFloat64)
+	}
+	if !numeric(l) || !numeric(r) || c.op == "%" {
+		return false
+	}
+	out, lm, rm := &c.vec, l.Mask(), r.Mask()
+	ints := l.Kind == engine.ColInt64 && r.Kind == engine.ColInt64 && c.op != "/"
+	var lf, rf []float64
+	if !ints {
+		lf, rf = widen(l, n, &c.lf), widen(r, n, &c.rf)
+	}
+	switch c.op {
+	case "/":
+		out.Reset(engine.ColFloat64, n)
+		for i := range out.F {
+			out.F[i] = lf[i&lm] / rf[i&rm]
+		}
+	case "+", "-", "*":
+		if ints {
+			out.Reset(engine.ColInt64, n)
+			arithVec(c.op, out.I, l.I, r.I, lm, rm)
+		} else {
+			out.Reset(engine.ColFloat64, n)
+			arithVec(c.op, out.F, lf, rf, lm, rm)
 		}
 	default:
-		return nil, fmt.Errorf("sql: unknown operator %q", c.op)
+		out.Reset(engine.ColInt64, n)
+		if ints {
+			cmpVec(c.op, out.I, l.I, r.I, lm, rm)
+		} else {
+			cmpVec(c.op, out.I, lf, rf, lm, rm)
+		}
 	}
-	return vec, nil
+	out.OrNulls(l)
+	out.OrNulls(r)
+	return true
 }
 
-func cmpFloat(op string, a, b float64) bool {
-	switch op {
-	case "=":
-		return a == b
-	case "<>":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
+// widen returns v's rows as float64s: the FLOAT slice itself, or the
+// BIGINT rows converted into scratch.
+func widen(v *engine.Vector, n int, scratch *[]float64) []float64 {
+	if v.Kind == engine.ColFloat64 {
+		return v.F
 	}
-	return false
+	if v.Const {
+		n = 1
+	}
+	if cap(*scratch) < n {
+		*scratch = make([]float64, n)
+	}
+	f := (*scratch)[:n]
+	for i, x := range v.I[:n] {
+		f[i] = float64(x)
+	}
+	return f
 }
 
-func cmpInt(op string, a, b int64) bool {
+// arithVec is +, - or * over two operand slices; lm and rm are the
+// operands' index masks (0 for a constant).
+func arithVec[T int64 | float64](op string, out, l, r []T, lm, rm int) {
+	switch op {
+	case "+":
+		for i := range out {
+			out[i] = l[i&lm] + r[i&rm]
+		}
+	case "-":
+		for i := range out {
+			out[i] = l[i&lm] - r[i&rm]
+		}
+	case "*":
+		for i := range out {
+			out[i] = l[i&lm] * r[i&rm]
+		}
+	}
+}
+
+// cmpVec is a comparison over two operand slices, 1 or 0 per row. On
+// floats these are the IEEE comparisons, which agree with compare()'s
+// NaN handling: every operator is false on NaN except <>. a > b runs as
+// b < a, a >= b as b <= a.
+func cmpVec[T int64 | float64](op string, out []int64, l, r []T, lm, rm int) {
+	switch op {
+	case ">", ">=":
+		l, r, lm, rm = r, l, rm, lm
+	}
 	switch op {
 	case "=":
-		return a == b
+		for i := range out {
+			out[i] = b2i(l[i&lm] == r[i&rm])
+		}
 	case "<>":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
+		for i := range out {
+			out[i] = b2i(l[i&lm] != r[i&rm])
+		}
+	case "<", ">":
+		for i := range out {
+			out[i] = b2i(l[i&lm] < r[i&rm])
+		}
+	case "<=", ">=":
+		for i := range out {
+			out[i] = b2i(l[i&lm] <= r[i&rm])
+		}
 	}
-	return false
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (c *cBinary) eval(ctx *rowCtx) (engine.Value, error) {
@@ -620,18 +647,9 @@ func (c *cBinary) eval(ctx *rowCtx) (engine.Value, error) {
 	// Short-circuit logical operators (SQL three-valued logic reduced to
 	// two-valued with NULL = false, sufficient for the workload).
 	switch c.op {
-	case "AND":
-		if !truthy(l) {
-			return engine.IntValue(0), nil
-		}
-		r, err := c.r.eval(ctx)
-		if err != nil {
-			return engine.Null, err
-		}
-		return boolVal(truthy(r)), nil
-	case "OR":
-		if truthy(l) {
-			return engine.IntValue(1), nil
+	case "AND", "OR":
+		if truthy(l) == (c.op == "OR") {
+			return boolVal(c.op == "OR"), nil // the left operand decides
 		}
 		r, err := c.r.eval(ctx)
 		if err != nil {
@@ -643,27 +661,34 @@ func (c *cBinary) eval(ctx *rowCtx) (engine.Value, error) {
 	if err != nil {
 		return engine.Null, err
 	}
+	return applyBinary(c.op, l, r)
+}
+
+// applyBinary is one arithmetic or comparison operator over one pair of
+// values; NULL in, NULL out.
+func applyBinary(op string, l, r engine.Value) (engine.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return engine.Null, nil
 	}
-	switch c.op {
+	switch op {
 	case "+", "-", "*", "/", "%":
-		return arith(c.op, l, r)
+		return arith(op, l, r)
 	case "=", "<>", "<", "<=", ">", ">=":
-		return compare(c.op, l, r)
+		return compare(op, l, r)
 	}
-	return engine.Null, fmt.Errorf("sql: unknown operator %q", c.op)
+	return engine.Null, fmt.Errorf("sql: unknown operator %q", op)
 }
 
 type cUnary struct {
 	op  string
 	x   compiled
-	vec []engine.Value
+	vec engine.Vector
 }
 
-// evalBatch vectorizes negation; NOT goes row-wise because its operand
-// may contain short-circuiting logic or UDF calls.
-func (c *cUnary) evalBatch(b *Batch, n int) ([]engine.Value, error) {
+// evalBatch negates row by row (negation is rare in the workload's
+// queries); NOT goes row-wise through eval because its operand may
+// contain short-circuiting logic or UDF calls.
+func (c *cUnary) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	if c.op != "-" {
 		return evalRowwise(c, b, n, &c.vec)
 	}
@@ -671,23 +696,19 @@ func (c *cUnary) evalBatch(b *Batch, n int) ([]engine.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	vec := ensureVec(&c.vec, n)
-	for i := 0; i < n; i++ {
-		v := x[i]
-		switch {
-		case v.IsNull():
-			vec[i] = engine.Null
-		case v.Kind == engine.ColInt64:
-			vec[i] = engine.IntValue(-v.I)
-		default:
-			f, err := v.AsFloat()
-			if err != nil {
-				return nil, err
-			}
-			vec[i] = engine.FloatValue(-f)
-		}
+	if x.Const {
+		n = 1
 	}
-	return vec, nil
+	c.vec.Reset(0, n)
+	for i := 0; i < n; i++ {
+		v, err := negate(x.Value(i))
+		if err != nil {
+			return nil, err
+		}
+		c.vec.Set(i, v)
+	}
+	c.vec.Const = x.Const
+	return &c.vec, nil
 }
 
 func (c *cUnary) eval(ctx *rowCtx) (engine.Value, error) {
@@ -695,31 +716,34 @@ func (c *cUnary) eval(ctx *rowCtx) (engine.Value, error) {
 	if err != nil {
 		return engine.Null, err
 	}
-	if v.IsNull() {
-		return engine.Null, nil
-	}
 	switch c.op {
 	case "-":
-		if v.Kind == engine.ColInt64 {
-			return engine.IntValue(-v.I), nil
-		}
-		f, err := v.AsFloat()
-		if err != nil {
-			return engine.Null, err
-		}
-		return engine.FloatValue(-f), nil
+		return negate(v)
 	case "NOT":
+		if v.IsNull() {
+			return engine.Null, nil
+		}
 		return boolVal(!truthy(v)), nil
 	}
 	return engine.Null, fmt.Errorf("sql: unknown unary %q", c.op)
 }
 
-func boolVal(b bool) engine.Value {
-	if b {
-		return engine.IntValue(1)
+// negate is unary minus over one value; NULL in, NULL out.
+func negate(v engine.Value) (engine.Value, error) {
+	switch v.Kind {
+	case 0:
+		return engine.Null, nil
+	case engine.ColInt64:
+		return engine.IntValue(-v.I), nil
 	}
-	return engine.IntValue(0)
+	f, err := v.AsFloat()
+	if err != nil {
+		return engine.Null, err
+	}
+	return engine.FloatValue(-f), nil
 }
+
+func boolVal(b bool) engine.Value { return engine.IntValue(b2i(b)) }
 
 func truthy(v engine.Value) bool {
 	switch v.Kind {
@@ -785,9 +809,14 @@ func compare(op string, l, r engine.Value) (engine.Value, error) {
 	case l.Kind == engine.ColInt64 && r.Kind == engine.ColInt64:
 		// BIGINT pairs compare exactly (as in T-SQL); going through
 		// float64 would collapse values past 2^53. This is also what
-		// keeps eval and evalBatch identical — the vectorized int fast
-		// path is exact.
-		return boolVal(cmpInt(op, l.I, r.I)), nil
+		// keeps eval and evalBatch identical — the vectorized int kernel
+		// is exact.
+		switch {
+		case l.I < r.I:
+			c = -1
+		case l.I > r.I:
+			c = 1
+		}
 	default:
 		lf, err := l.AsFloat()
 		if err != nil {
@@ -836,7 +865,8 @@ func binaryKind(v engine.Value) ([]byte, bool) {
 
 type accumulator struct {
 	kind  AggKind
-	arg   compiled // nil for COUNT(*)
+	arg   compiled  // nil for COUNT(*)
+	wide  []float64 // a BIGINT argument batch, widened
 	count int64
 	sum   float64
 	min   float64
@@ -845,7 +875,8 @@ type accumulator struct {
 }
 
 // addBatch folds rows [0, n) of a batch into the accumulator, evaluating
-// the argument expression once over the whole batch.
+// the argument expression once over the whole batch. A uniform FLOAT or
+// BIGINT vector is folded straight off its (widened) slice.
 func (a *accumulator) addBatch(b *Batch, n int) error {
 	if a.arg == nil { // COUNT(*)
 		a.count += int64(n)
@@ -855,20 +886,22 @@ func (a *accumulator) addBatch(b *Batch, n int) error {
 	if err != nil {
 		return err
 	}
-	for i := range vals[:n] {
-		var f float64
-		switch vals[i].Kind {
-		case engine.ColFloat64:
-			f = vals[i].F
-		case engine.ColInt64:
-			f = float64(vals[i].I)
-		case 0:
-			continue // SQL aggregates skip NULLs
-		default:
-			var err error
-			if f, err = vals[i].AsFloat(); err != nil {
-				return err
+	if vals.Uniform() && !vals.Const && (vals.Kind == engine.ColFloat64 || vals.Kind == engine.ColInt64) {
+		for i, f := range widen(vals, n, &a.wide)[:n] {
+			if !vals.IsNull(i) { // SQL aggregates skip NULLs
+				a.addFloat(f)
 			}
+		}
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		v := vals.Value(i)
+		if v.IsNull() {
+			continue
+		}
+		f, err := v.AsFloat()
+		if err != nil {
+			return err
 		}
 		a.addFloat(f)
 	}
@@ -952,13 +985,13 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 	switch n := e.(type) {
 	case *NumberLit:
 		if n.IsInt {
-			return &cConst{v: engine.IntValue(n.I)}, nil
+			return newConst(engine.IntValue(n.I)), nil
 		}
-		return &cConst{v: engine.FloatValue(n.F)}, nil
+		return newConst(engine.FloatValue(n.F)), nil
 	case *StringLit:
-		return &cConst{v: engine.BinaryValue([]byte(n.S))}, nil
+		return newConst(engine.BinaryValue([]byte(n.S))), nil
 	case *NullLit:
-		return &cConst{v: engine.Null}, nil
+		return newConst(engine.Null), nil
 	case *ColRef:
 		idx := cc.schema.ColIndex(n.Name)
 		if idx < 0 {

@@ -3,6 +3,9 @@ package sqlmini
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -708,6 +711,119 @@ func TestExtractKeyBounds(t *testing.T) {
 		check("hi", c.hi, b.hasHi, b.hi)
 		if c.residualNil != (residual == nil) {
 			t.Errorf("%q: residual = %v, want nil=%v", c.where, residual, c.residualNil)
+		}
+	}
+}
+
+// TestPointQuerySizesBatchFromKeyRange: the batch of a pushed-down key
+// range holds as many rows as the range has keys, so a one-row query
+// does not allocate (and zero) BatchSize-row vectors — it used to cost
+// 8 kB of keys plus 48 kB per referenced column.
+func TestPointQuerySizesBatchFromKeyRange(t *testing.T) {
+	for _, c := range []struct {
+		b    keyBounds
+		want int
+	}{
+		{unboundedKeys(), 1024},
+		{keyBounds{lo: 7, hi: 7, hasLo: true, hasHi: true}, 1},
+		{keyBounds{lo: 10, hi: 19, hasLo: true, hasHi: true}, 10},
+		{keyBounds{lo: -5, hasLo: true}, 1024},
+		{keyBounds{lo: math.MaxInt64 - 2, hasLo: true}, 3},
+		{keyBounds{hi: math.MinInt64, hasHi: true}, 1},
+		{keyBounds{lo: 0, hi: 5000, hasLo: true, hasHi: true}, 1024},
+		{keyBounds{lo: 9, hi: 3, hasLo: true, hasHi: true, empty: true}, 1},
+	} {
+		if got := c.b.batchRows(1024); got != c.want {
+			t.Errorf("batchRows(%+v) = %d, want %d", c.b, got, c.want)
+		}
+	}
+
+	db := testDB(t)
+	for _, c := range []struct {
+		q   string
+		max uint64 // bytes allocated per run
+	}{
+		{"SELECT v1 FROM Tscalar WHERE id = 42", 4 << 10},
+		{"SELECT v1, b FROM Tscalar WHERE id = 42", 8 << 10}, // + the binary column's first arena chunk
+	} {
+		run := func() {
+			res, err := Run(db, c.q)
+			if err != nil || len(res.Rows) != 1 || res.Rows[0][0].F != 42 {
+				t.Fatalf("Run(%q) = %v, %v", c.q, res, err)
+			}
+		}
+		run()
+		const runs = 100
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		if perOp := (m1.TotalAlloc - m0.TotalAlloc) / runs; perOp > c.max {
+			t.Errorf("%q allocates %d bytes per run, want <= %d", c.q, perOp, c.max)
+		}
+	}
+}
+
+// TestUDFOverLargeMaxRowsStreams: a UDF over a column of multi-chunk
+// VARBINARY(MAX) arrays keeps about one batch budget of them live, not
+// one BatchSize of them: the scan ends a batch at 1 MiB of referenced
+// blob bytes and CallBatch marshals a bounded run of frames at a time.
+// The probe UDF collects garbage and samples the live heap on every
+// call, so the measure is what the query holds, not what the collector
+// has yet to free.
+func TestUDFOverLargeMaxRowsStreams(t *testing.T) {
+	db := engine.NewMemDB()
+	s, err := engine.NewSchema(
+		engine.Column{Name: "id", Type: engine.ColInt64},
+		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("cubes", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, size = 64, 128 << 10 // 8 MiB of arrays, 16 chunk pages each
+	rng := rand.New(rand.NewSource(5))
+	for id := int64(0); id < rows; id++ {
+		payload := make([]byte, size)
+		rng.Read(payload) // incompressible: stored as raw chunks
+		if err := tbl.Insert([]engine.Value{engine.IntValue(id), engine.BinaryMaxValue(payload)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var peak uint64
+	db.Funcs().Register("t.Probe", 1, func(args []engine.Value) (engine.Value, error) {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc > peak {
+			peak = m.HeapAlloc
+		}
+		return engine.IntValue(int64(len(args[0].B))), nil
+	})
+	for _, q := range []string{
+		"SELECT SUM(t.Probe(a)) FROM cubes",
+		"SELECT SUM(t.Probe(a)) FROM cubes WHERE t.Probe(a) > 0",
+	} {
+		run := func() {
+			res, err := RunWith(db, q, ExecOptions{Parallelism: 1})
+			if err != nil || res.Rows[0][0].F != rows*size {
+				t.Fatalf("%s = %v, %v", q, res, err)
+			}
+		}
+		run() // warm the pool's frames and the pooled boundary buffer
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		peak = 0
+		run()
+		if grown := int64(peak) - int64(m.HeapAlloc); grown > 3<<20 {
+			t.Errorf("%s: live heap grew by %d KiB over %d KiB of arrays; want about one 1 MiB batch",
+				q, grown>>10, rows*size>>10)
 		}
 	}
 }

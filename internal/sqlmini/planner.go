@@ -122,6 +122,19 @@ func (b keyBounds) hiKey() int64 {
 	return math.MaxInt64
 }
 
+// batchRows caps a batch at the number of keys the range can hold: a
+// point or narrow range query has no use for a full-size batch. The
+// arithmetic is wrap-safe across the full int64 span, as partitionSpans'.
+func (b keyBounds) batchRows(max int) int {
+	if b.empty {
+		return 1
+	}
+	if span := uint64(b.hiKey()) - uint64(b.loKey()); span < uint64(max) {
+		return int(span) + 1
+	}
+	return max
+}
+
 func (b *keyBounds) addLo(k int64) {
 	if !b.hasLo || k > b.lo {
 		b.lo, b.hasLo = k, true
@@ -300,9 +313,10 @@ func boundsFor(op string, k float64) (keyBounds, bool) {
 // the plan tree describing it (rendered by EXPLAIN, annotated in place
 // by the analyze wrappers when the pipeline is instrumented).
 type pipeline struct {
-	root    batchOperator
-	columns []string
-	plan    *obs.PlanNode
+	root      batchOperator
+	columns   []string
+	plan      *obs.PlanNode
+	batchRows int // row capacity of the batches the consumer hands down
 }
 
 // planState threads plan-node construction and optional operator
@@ -478,7 +492,7 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 		Children: []*obs.PlanNode{plan},
 	}
 	root = ps.wrap(&batchProjectOp{child: root, items: cs.items}, plan)
-	return &pipeline{root: root, columns: cs.columns, plan: plan}, nil
+	return &pipeline{root: root, columns: cs.columns, plan: plan, batchRows: bounds.batchRows(opts.batchSize())}, nil
 }
 
 // scanFilterAgg assembles the serial scan → [filter] → [aggregate] stack

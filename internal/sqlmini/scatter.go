@@ -308,7 +308,7 @@ func partitionPartial(db *engine.DB, stmt *SelectStmt, residual Expr, bounds key
 	}
 	b := newBatch(len(tbl.Schema().Columns))
 	defer b.pins.Release()
-	b.reset(opts.batchSize())
+	b.reset(bounds.batchRows(opts.batchSize()))
 	if _, err := agg.nextBatch(b); err != nil {
 		return nil, err
 	}

@@ -122,15 +122,34 @@ func arrayArg(s schemaInfo, v engine.Value) (*core.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	if a.ElemType() != s.elem {
-		return nil, fmt.Errorf("%w: %s function got %s array",
-			core.ErrTypeMismatch, s.name, a.ElemType())
+	return a, s.check(a.ElemType(), a.Class())
+}
+
+// viewArg is arrayArg for functions that only read elements in place:
+// the same validation and §3.5 checks, without decoding the header into
+// an Array (Item_N runs once per scanned row).
+func viewArg(s schemaInfo, v engine.Value) (core.View, error) {
+	b, err := v.AsBinary()
+	if err != nil {
+		return core.View{}, err
 	}
-	if a.Class() != s.class {
-		return nil, fmt.Errorf("%w: %s function got %s array",
-			core.ErrClassMismatch, s.name, a.Class())
+	a, err := core.ViewOf(b)
+	if err != nil {
+		return core.View{}, err
 	}
-	return a, nil
+	return a, s.check(a.ElemType(), a.Class())
+}
+
+// check is the §3.5 flag check of a blob's element type and storage
+// class against the schema a function was called under.
+func (s schemaInfo) check(elem core.ElemType, class core.StorageClass) error {
+	if elem != s.elem {
+		return fmt.Errorf("%w: %s function got %s array", core.ErrTypeMismatch, s.name, elem)
+	}
+	if class != s.class {
+		return fmt.Errorf("%w: %s function got %s array", core.ErrClassMismatch, s.name, class)
+	}
+	return nil
 }
 
 // anyArrayArg decodes an array argument without schema checks (used by
@@ -157,14 +176,16 @@ func intVectorArg(v engine.Value) ([]int, error) {
 	return a.Ints(), nil
 }
 
-func intArgs(args []engine.Value) ([]int, error) {
-	out := make([]int, len(args))
+// intArgs converts integer arguments, appending to buf[:0] (nil
+// allocates; a caller on a hot path passes a stack buffer).
+func intArgs(args []engine.Value, buf []int) ([]int, error) {
+	out := buf[:0]
 	for i, a := range args {
 		n, err := a.AsInt()
 		if err != nil {
 			return nil, fmt.Errorf("argument %d: %w", i+1, err)
 		}
-		out[i] = int(n)
+		out = append(out, int(n))
 	}
 	return out, nil
 }
@@ -225,22 +246,23 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 		n := n
 		reg.Register(fmt.Sprintf("%s.Item_%d", s.name, n), n+1,
 			func(args []engine.Value) (engine.Value, error) {
-				a, err := arrayArg(s, args[0])
+				a, err := viewArg(s, args[0])
 				if err != nil {
 					return engine.Null, err
 				}
-				idx, err := intArgs(args[1:])
+				var buf [maxIndexArgs]int
+				idx, err := intArgs(args[1:], buf[:])
 				if err != nil {
 					return engine.Null, err
 				}
 				if s.elem.IsInteger() {
-					v, err := a.ItemInt(idx...)
+					v, err := a.ItemInt(idx)
 					if err != nil {
 						return engine.Null, err
 					}
 					return engine.IntValue(v), nil
 				}
-				v, err := a.Item(idx...)
+				v, err := a.Item(idx)
 				if err != nil {
 					return engine.Null, err
 				}
@@ -252,7 +274,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 				if err != nil {
 					return engine.Null, err
 				}
-				idx, err := intArgs(args[1 : len(args)-1])
+				idx, err := intArgs(args[1:len(args)-1], nil)
 				if err != nil {
 					return engine.Null, err
 				}
@@ -303,7 +325,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 				if err != nil {
 					return engine.Null, err
 				}
-				dims, err := intArgs(args[1:])
+				dims, err := intArgs(args[1:], nil)
 				if err != nil {
 					return engine.Null, err
 				}
@@ -319,7 +341,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 				if err != nil {
 					return engine.Null, err
 				}
-				dims, err := intArgs(args[1:])
+				dims, err := intArgs(args[1:], nil)
 				if err != nil {
 					return engine.Null, err
 				}

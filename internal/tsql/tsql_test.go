@@ -1,6 +1,7 @@
 package tsql
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -460,5 +461,110 @@ func TestRegisteredFunctionCount(t *testing.T) {
 	// = 16 x 62 = 992, plus math (8) and query funcs (16).
 	if n < 900 {
 		t.Errorf("only %d functions registered", n)
+	}
+}
+
+// TestItemReadsInPlace: Item_N validates the blob and reads the element
+// where it lies — the hosted function allocates nothing — and still
+// reports every §3.5 mismatch and index error arrayArg + Array.Item did.
+func TestItemReadsInPlace(t *testing.T) {
+	db := newDB(t)
+	vec := mustCall(t, db, "FloatArray.Vector_3", engine.FloatValue(1.5), engine.FloatValue(2.5), engine.FloatValue(3.5))
+	ints := mustCall(t, db, "IntArray.Vector_2", engine.IntValue(7), engine.IntValue(9))
+	cube, err := core.New(core.Max, core.Float64, 2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube.SetFloatAt(1+2*2+3*6, 42)
+
+	if v := mustCall(t, db, "FloatArray.Item_1", vec, engine.IntValue(2)); v.Kind != engine.ColFloat64 || v.F != 3.5 {
+		t.Errorf("FloatArray.Item_1 = %v", v)
+	}
+	if v := mustCall(t, db, "IntArray.Item_1", ints, engine.IntValue(1)); v.Kind != engine.ColInt64 || v.I != 9 {
+		t.Errorf("IntArray.Item_1 = %v", v)
+	}
+	if v := mustCall(t, db, "FloatArrayMax.Item_3", engine.BinaryMaxValue(cube.Bytes()),
+		engine.IntValue(1), engine.IntValue(2), engine.IntValue(3)); v.F != 42 {
+		t.Errorf("FloatArrayMax.Item_3 = %v", v)
+	}
+	for _, c := range []struct {
+		fn   string
+		args []engine.Value
+		want error
+	}{
+		{"FloatArray.Item_1", []engine.Value{ints, engine.IntValue(0)}, core.ErrTypeMismatch},
+		{"FloatArrayMax.Item_1", []engine.Value{vec, engine.IntValue(0)}, core.ErrClassMismatch},
+		{"FloatArray.Item_1", []engine.Value{engine.BinaryValue([]byte{1, 2, 3}), engine.IntValue(0)}, core.ErrBadHeader},
+		{"FloatArray.Item_1", []engine.Value{engine.BinaryValue(vec.B[:30]), engine.IntValue(0)}, core.ErrTruncated},
+		{"FloatArray.Item_1", []engine.Value{vec, engine.IntValue(3)}, core.ErrBounds},
+		{"FloatArray.Item_1", []engine.Value{vec, engine.IntValue(-1)}, core.ErrBounds},
+		{"FloatArray.Item_2", []engine.Value{vec, engine.IntValue(0), engine.IntValue(0)}, core.ErrRank},
+		{"FloatArray.Item_1", []engine.Value{engine.Null, engine.IntValue(0)}, engine.ErrNullValue},
+		{"FloatArray.Item_1", []engine.Value{vec, engine.Null}, engine.ErrNullValue},
+		// The type flag is checked before the index, as before.
+		{"FloatArray.Item_1", []engine.Value{ints, engine.IntValue(99)}, core.ErrTypeMismatch},
+	} {
+		if _, err := db.Funcs().CallByName(c.fn, c.args); !errors.Is(err, c.want) {
+			t.Errorf("%s(%v): %v, want %v", c.fn, c.args, err, c.want)
+		}
+	}
+
+	def, err := db.Funcs().Lookup("FloatArray.Item_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []engine.Value{vec, engine.IntValue(1)}
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, err := def.Fn(args); err != nil || v.F != 2.5 {
+			t.Fatalf("Item_1 = %v, %v", v, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("FloatArray.Item_1 allocates %.0f times per call", allocs)
+	}
+}
+
+// TestSubarrayResultColumnMixesClasses: Subarray picks its result's
+// storage class from the result's size (§5.1: a small piece of a max
+// array is a short array), so one batch of results holds VARBINARY rows
+// beside VARBINARY(MAX) rows. The executor's result vector keeps each
+// row's kind, as a row-wise call does.
+func TestSubarrayResultColumnMixesClasses(t *testing.T) {
+	db := newDB(t)
+	a, err := core.New(core.Max, core.Float64, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := engine.NewSchema(
+		engine.Column{Name: "id", Type: engine.ColInt64},
+		engine.Column{Name: "n", Type: engine.ColInt64},
+		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
+	)
+	tbl, err := db.CreateTable("cuts", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int64{5, 2000, 900, 1001, 3} // 1001 float64s no longer fit VARBINARY(8000)
+	for id, n := range sizes {
+		if err := tbl.Insert([]engine.Value{engine.IntValue(int64(id)), engine.IntValue(n), engine.BinaryMaxValue(a.Bytes())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sqlmini.Run(db,
+		"SELECT FloatArrayMax.Subarray(a, IntArray.Vector_1(0), IntArray.Vector_1(n), 0) FROM cuts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range sizes {
+		want := mustCall(t, db, "FloatArrayMax.Subarray", engine.BinaryMaxValue(a.Bytes()),
+			mustCall(t, db, "IntArray.Vector_1", engine.IntValue(0)),
+			mustCall(t, db, "IntArray.Vector_1", engine.IntValue(n)), engine.IntValue(0))
+		wantKind := engine.ColVarBinary
+		if n > 1000-3 {
+			wantKind = engine.ColVarBinaryMax
+		}
+		if got := res.Rows[id][0]; got.Kind != wantKind || want.Kind != wantKind || !bytes.Equal(got.B, want.B) {
+			t.Errorf("row %d (n = %d): kind %v, row-wise %v, want %v", id, n, got.Kind, want.Kind, wantKind)
+		}
 	}
 }

@@ -147,3 +147,67 @@ func TestDeriveUDFCost(t *testing.T) {
 		t.Error("short measurement list must fail")
 	}
 }
+
+// TestTable1BoundaryAccounting pins what Q4 and Q5 are charged at the
+// UDF boundary: one call per row and, per call, the argument frame (the
+// 64-byte array blob with its 5-byte binary header, the 9-byte BIGINT
+// index) plus the 9-byte FLOAT result frame — 87 bytes, the same as when
+// every row crossed the boundary on its own.
+func TestTable1BoundaryAccounting(t *testing.T) {
+	db := NewDatabase()
+	const rows = 3_000
+	if err := SetupTable1(db, rows); err != nil {
+		t.Fatal(err)
+	}
+	const perCall = (1 + 4 + 24 + 5*8) + (1 + 8) + (1 + 8)
+	for _, q := range []int{3, 4} {
+		for _, opts := range []ExecOptions{{}, {BatchSize: 7}, {Parallelism: 2, ParallelThreshold: 1}} {
+			before := db.Funcs().Stats()
+			if _, err := db.QueryWith(Table1Queries[q], opts); err != nil {
+				t.Fatal(err)
+			}
+			after := db.Funcs().Stats()
+			if got := after.Calls - before.Calls; got != rows {
+				t.Errorf("Q%d %+v: %d calls, want %d", q+1, opts, got, rows)
+			}
+			if got := after.BytesMarshaled - before.BytesMarshaled; got != rows*perCall {
+				t.Errorf("Q%d %+v: %d bytes marshaled, want %d", q+1, opts, got, rows*perCall)
+			}
+		}
+	}
+}
+
+// TestTable1AllocationsPerRow is the deterministic guard on the per-row
+// fixed cost of the UDF queries. Walking the table allocates on its own
+// (the buffer pool relinks an LRU element per leaf unpin, about 0.02 per
+// row), so the UDF queries are held against Q2, the bare scan of the
+// same table: evaluating the UDF over every row may add at most one
+// allocation per hundred rows (it was 5 per row for Q4 and 2 for Q5 when
+// every row crossed the boundary on its own). Q3 is held the same way
+// against Q1 (it measured 384 against Q1's 381 then; a column vector and
+// its accumulator are a handful of allocations per query, not per row).
+func TestTable1AllocationsPerRow(t *testing.T) {
+	db := NewDatabase()
+	const rows = 20_000
+	if err := SetupTable1(db, rows); err != nil {
+		t.Fatal(err)
+	}
+	var allocs [5]float64
+	for q, sql := range Table1Queries {
+		allocs[q] = testing.AllocsPerRun(5, func() {
+			if _, err := db.QueryWith(sql, ExecOptions{Parallelism: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("allocations per query over %d rows, Q1..Q5: %v", rows, allocs)
+	for _, q := range []int{3, 4} {
+		if extra := allocs[q] - allocs[1]; extra > 0.01*rows {
+			t.Errorf("Q%d allocates %.0f more than Q2's scan of the same %d rows, want <= %.0f",
+				q+1, extra, rows, 0.01*rows)
+		}
+	}
+	if extra := allocs[2] - allocs[0]; extra > 8 {
+		t.Errorf("Q3 allocates %.0f more than Q1's scan of the same table, want <= 8", extra)
+	}
+}
