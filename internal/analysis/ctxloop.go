@@ -16,7 +16,6 @@ import (
 // one of:
 //
 //   - call a method on a context.Context value (ctx.Err(), ctx.Done()),
-//   - call .Load() on an atomic.Bool (the parallel workers' stop flag),
 //   - call a function or method whose name contains "cancel" (the
 //     pollCancel helper).
 //
@@ -25,7 +24,7 @@ import (
 // loop inside Rows.Next itself calls nextBatch, so it is checked.
 var Ctxloop = &Analyzer{
 	Name: "ctxloop",
-	Doc:  "executor scan/drain loops must poll cancellation (ctx.Err, stop.Load, or a pollCancel helper)",
+	Doc:  "executor scan/drain loops must poll cancellation (ctx.Err or a pollCancel helper)",
 	Run:  runCtxloop,
 }
 
@@ -54,7 +53,7 @@ func runCtxloop(p *Pass) error {
 			if loopPollsCancel(p.TypesInfo, body, cond) {
 				return true
 			}
-			p.Reportf(n.Pos(), "executor loop advances a row/batch stream without polling cancellation; check ctx (pollCancel) or the worker stop flag each iteration")
+			p.Reportf(n.Pos(), "executor loop advances a row/batch stream without polling cancellation; check ctx (pollCancel) each iteration")
 			return true
 		})
 	}
@@ -143,16 +142,8 @@ func isCancelPoll(info *types.Info, call *ast.CallExpr) bool {
 		return true
 	}
 	// Method call on a context.Context value: ctx.Err(), ctx.Done().
-	if tv, ok := info.Types[sel.X]; ok && tv.Type != nil {
-		if isContextType(tv.Type) {
-			return true
-		}
-		// stop.Load() on the workers' cooperative abort flag.
-		if sel.Sel.Name == "Load" && isAtomicBool(tv.Type) {
-			return true
-		}
-	}
-	return false
+	tv, ok := info.Types[sel.X]
+	return ok && tv.Type != nil && isContextType(tv.Type)
 }
 
 func isContextType(t types.Type) bool {
@@ -161,12 +152,4 @@ func isContextType(t types.Type) bool {
 		return false
 	}
 	return n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
-}
-
-func isAtomicBool(t types.Type) bool {
-	n := namedOf(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == "sync/atomic" && n.Obj().Name() == "Bool"
 }

@@ -4,12 +4,13 @@ package sqlmini
 
 import (
 	"context"
-	"sync/atomic"
 
 	"engine"
 )
 
 type Batch struct{ out [][]int }
+
+func (b *Batch) reset(capRows int) {}
 
 type batchOperator interface {
 	nextBatch(b *Batch) (int, error)
@@ -25,7 +26,6 @@ func pollCancel(ctx context.Context) error {
 type batchFilterOp struct {
 	child batchOperator
 	ctx   context.Context
-	stop  *atomic.Bool
 }
 
 // bad: drains the child without ever polling cancellation.
@@ -56,19 +56,6 @@ func (f *batchFilterOp) drainCtxErr(b *Batch) (int, error) {
 	for {
 		if err := f.ctx.Err(); err != nil {
 			return 0, err
-		}
-		n, err := f.child.nextBatch(b)
-		if n == 0 || err != nil {
-			return 0, err
-		}
-	}
-}
-
-// good: the parallel workers' stop flag counts as a poll.
-func (f *batchFilterOp) drainStopFlag(b *Batch) (int, error) {
-	for {
-		if f.stop.Load() {
-			return 0, nil
 		}
 		n, err := f.child.nextBatch(b)
 		if n == 0 || err != nil {
@@ -139,28 +126,39 @@ func drainRows(r *Rows) int {
 	return rows
 }
 
-// bad: a cursor walk with the advance in the loop condition.
-func drainCursor(cur *engine.Cursor) int64 {
-	var last int64
-	for cur.Next() { // want `advances a row/batch stream without polling cancellation`
-		last = cur.Key()
-	}
-	return last
-}
-
-// good: cursor walk polling ctx.
-func drainCursorPolled(ctx context.Context, cur *engine.Cursor) (int64, error) {
-	var last int64
-	for cur.Next() {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+// bad: DML's read phase draining a scan → filter stack batch by batch
+// without a poll.
+func drainStackNoPoll(root batchOperator, b *Batch, each func(*Batch, int) error) error {
+	for { // want `advances a row/batch stream without polling cancellation`
+		b.reset(1024)
+		n, err := root.nextBatch(b)
+		if n == 0 || err != nil {
+			return err
 		}
-		last = cur.Key()
+		if err := each(b, n); err != nil {
+			return err
+		}
 	}
-	return last, nil
 }
 
-// bad: a vector fill loop (the parallel workers' shape) without a poll.
+// good: the same drain polling before every batch.
+func drainStackPolled(ctx context.Context, root batchOperator, b *Batch, each func(*Batch, int) error) error {
+	for {
+		if err := pollCancel(ctx); err != nil {
+			return err
+		}
+		b.reset(1024)
+		n, err := root.nextBatch(b)
+		if n == 0 || err != nil {
+			return err
+		}
+		if err := each(b, n); err != nil {
+			return err
+		}
+	}
+}
+
+// bad: a vector fill loop straight over a cursor without a poll.
 func fillNoPoll(cur *engine.Cursor, keys []int64, cols []*engine.Vector) (int, error) {
 	rows := 0
 	for { // want `advances a row/batch stream without polling cancellation`
@@ -172,12 +170,12 @@ func fillNoPoll(cur *engine.Cursor, keys []int64, cols []*engine.Vector) (int, e
 	}
 }
 
-// good: the same fill loop checking the stop flag per batch.
-func fillPolled(stop *atomic.Bool, cur *engine.Cursor, keys []int64, cols []*engine.Vector) (int, error) {
+// good: the same fill loop polling ctx per batch.
+func fillPolled(ctx context.Context, cur *engine.Cursor, keys []int64, cols []*engine.Vector) (int, error) {
 	rows := 0
 	for {
-		if stop.Load() {
-			return rows, nil
+		if err := ctx.Err(); err != nil {
+			return rows, err
 		}
 		n, err := cur.FillBatch(keys, cols)
 		if n == 0 || err != nil {

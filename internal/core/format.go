@@ -13,8 +13,24 @@ import (
 //
 // A rank-2 array with dims [2,3] therefore prints as
 // [[a00,a01,a02],[a10,a11,a12]] where aij = Item(i,j).
+//
+// An array with no elements prints as empty lists nested down to its first
+// zero-length dimension — [] for dims [0], [[]] for [3,0] as for [1,0,5] —
+// in O(rank): the lengths of the dimensions around the empty one are not
+// kept (a literal cannot carry them without one bracket pair per empty
+// sub-list, 134 million of them for dims [134217728,0,0]), so Parse
+// returns dims [1,...,1,0].
 func Format(a *Array) string {
 	var sb strings.Builder
+	if a.Len() == 0 { // some dimension is zero
+		depth := 1
+		for a.Dim(depth-1) != 0 {
+			depth++
+		}
+		sb.WriteString(strings.Repeat("[", depth))
+		sb.WriteString(strings.Repeat("]", depth))
+		return sb.String()
+	}
 	formatDim(a, &sb, make([]int, a.Rank()), 0)
 	return sb.String()
 }

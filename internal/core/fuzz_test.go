@@ -24,6 +24,7 @@ func FuzzWrap(f *testing.F) {
 	seed(New(Max, Complex128, 2, 3))
 	seed(New(Short, Int8, 6, 1, 2))
 	seed(New(Short, Float32, 0))
+	seed(New(Max, Float64, 134217728, 0, 0)) // no elements: Format must not walk dim 0
 	// Truncated and corrupted variants of a valid blob.
 	v := Vector(1, 2, 3).Bytes()
 	f.Add(v[:len(v)-1])

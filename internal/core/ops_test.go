@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -405,6 +406,43 @@ func TestFormatParseRoundtrip(t *testing.T) {
 			if a != b {
 				t.Errorf("(%d,%d): %g vs %g", i, j, a, b)
 			}
+		}
+	}
+}
+
+// TestFormatEmptyArray: an array with no elements formats in O(rank) —
+// nested empty lists down to the first zero dimension — whatever the
+// dimensions around the empty one are ([134217728,0,0] used to print 134
+// million bracket pairs), Parse accepts the output, and the shapes whose
+// leading dimensions are all 1 still round-trip exactly.
+func TestFormatEmptyArray(t *testing.T) {
+	for _, c := range []struct {
+		dims   []int
+		want   string
+		parsed []int
+	}{
+		{[]int{0}, "[]", []int{0}},
+		{[]int{1, 0}, "[[]]", []int{1, 0}},
+		{[]int{1, 1, 0}, "[[[]]]", []int{1, 1, 0}},
+		{[]int{0, 5}, "[]", []int{0}},
+		{[]int{3, 0}, "[[]]", []int{1, 0}},
+		{[]int{2, 0, 7}, "[[]]", []int{1, 0}},
+		{[]int{134217728, 0, 0}, "[[]]", []int{1, 0}},
+	} {
+		a, err := New(Max, Float64, c.dims...)
+		if err != nil {
+			t.Fatalf("New(%v): %v", c.dims, err)
+		}
+		s := Format(a)
+		if s != c.want {
+			t.Errorf("Format(dims %v) = %d bytes starting %.20q, want %q", c.dims, len(s), s, c.want)
+		}
+		back, err := Parse(Float64, s)
+		if err != nil {
+			t.Fatalf("Parse(Format(dims %v) = %.20q): %v", c.dims, s, err)
+		}
+		if got := back.Dims(); !reflect.DeepEqual(got, c.parsed) {
+			t.Errorf("Parse(Format(dims %v)) has dims %v, want %v", c.dims, got, c.parsed)
 		}
 	}
 }

@@ -25,14 +25,18 @@ import (
 //
 // What a row pays is exactly that: its argument bytes copied in, one
 // indirect call, its result frame carried back. What a row does not pay
-// is the transition itself. CallBatch — the executor's entry — crosses
-// once per batch: one pooled buffer holds the rows' argument frames (a
-// bounded run of them at a time when the rows are large), the hosted
-// side walks the frames with one reused argument slice, and the two
-// boundary counters are added to once per batch. Call is the
-// same crossing for a single row (DML, constant folding, UDFs under
-// AND/OR/NOT, the test oracle); both go through dispatch and the one
-// marshalValue/unmarshalValue pair, so there is one wire format.
+// is the transition itself. CallBatch — the SQL executor's only entry,
+// for every statement kind: SELECT, the read phase of UPDATE/DELETE,
+// INSERT's constant folding (a one-row batch) — crosses once per batch:
+// one pooled buffer holds the rows' argument frames (a bounded run of
+// them at a time when the rows are large), the hosted side walks the
+// frames with one reused argument slice, and the two boundary counters
+// are added to once per batch. Call is the same crossing for a single
+// row: the direct entry (CallByName, a caller invoking one function
+// outside SQL — today the benchmarks and tests of the boundary itself)
+// and what sqlmini's test oracle evaluates UDFs with. Both go through
+// dispatch and the one marshalValue/unmarshalValue pair, so there is one
+// wire format.
 //
 // The absolute per-call cost is smaller than the paper's ~2 µs (a 2008
 // CLR transition), but it is real, measured work with the same scaling

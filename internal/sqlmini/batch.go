@@ -2,16 +2,17 @@ package sqlmini
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sqlarray/internal/engine"
 )
 
 // This file implements the executor: a tree of batch-at-a-time operators
 // streaming rows from the clustered index up through filters, aggregation,
-// TOP and projection. It is the only SELECT execution path.
+// TOP and projection. It is the only code that reads table rows: SELECT
+// runs the whole tree, UPDATE and DELETE drain its scan → filter prefix.
 //
 // Operators exchange a *Batch — a resizable column-major chunk of up to
 // ExecOptions.BatchSize rows, one typed engine.Vector per referenced
@@ -174,7 +175,14 @@ func (s *batchScanOp) nextBatch(b *Batch) (int, error) {
 	if err := pollCancel(s.qctx); err != nil {
 		return 0, err
 	}
-	return fillFromCursor(s.cur, b, s.need)
+	for ci, use := range s.need {
+		if use && b.cols[ci] == nil {
+			b.cols[ci] = new(engine.Vector)
+		}
+	}
+	n, err := s.cur.FillBatch(b.keys[:b.cap], b.cols)
+	b.n = n
+	return n, err
 }
 
 func (s *batchScanOp) close() error {
@@ -183,20 +191,6 @@ func (s *batchScanOp) close() error {
 		s.cur = nil
 	}
 	return nil
-}
-
-// fillFromCursor fills b with up to b.cap rows from cur, decoding the
-// needed columns straight into the batch's vectors. Shared by the serial
-// scan and the parallel workers.
-func fillFromCursor(cur *engine.Cursor, b *Batch, need []bool) (int, error) {
-	for ci, use := range need {
-		if use && b.cols[ci] == nil {
-			b.cols[ci] = new(engine.Vector)
-		}
-	}
-	n, err := cur.FillBatch(b.keys[:b.cap], b.cols)
-	b.n = n
-	return n, err
 }
 
 // ---- filter -------------------------------------------------------------
@@ -223,12 +217,14 @@ func (f *batchFilterOp) nextBatch(b *Batch) (int, error) {
 		if n == 0 || err != nil {
 			return 0, err
 		}
-		n, err = filterBatch(f.pred, b, n, &f.sel)
+		vals, err := f.pred.evalBatch(b, n)
 		if err != nil {
 			return 0, err
 		}
-		if n > 0 {
-			return n, nil
+		sel := rowsWhere(f.sel[:0], vals, n, true)
+		f.sel = sel
+		if len(sel) == n || b.compact(sel) > 0 {
+			return len(sel), nil
 		}
 		// Everything filtered out: recycle the batch and pull more rows.
 		b.recycle()
@@ -237,36 +233,24 @@ func (f *batchFilterOp) nextBatch(b *Batch) (int, error) {
 
 func (f *batchFilterOp) close() error { return f.child.close() }
 
-// filterBatch evaluates pred over rows [0, n) of b and compacts the
-// survivors to the front in place, returning the surviving row count.
-// sel is the caller's reusable selection-vector scratch. Shared by the
-// serial filter operator and the parallel aggregate workers so filter
-// semantics cannot diverge between the two paths.
-func filterBatch(pred compiled, b *Batch, n int, selScratch *[]int) (int, error) {
-	vals, err := pred.evalBatch(b, n)
-	if err != nil {
-		return 0, err
-	}
-	sel := (*selScratch)[:0]
-	if vals.Kind == engine.ColInt64 && vals.Uniform() && !vals.HasNulls() && !vals.Const {
-		// What every comparison yields: a 0/1 BIGINT per row.
-		for i, x := range vals.I[:n] {
-			if x != 0 {
+// rowsWhere appends to sel the rows of [0, n) at which v is true (want)
+// or is not (!want; NULL counts as false), in ascending order.
+func rowsWhere(sel []int, v *engine.Vector, n int, want bool) []int {
+	if v.Kind == engine.ColInt64 && v.Uniform() && !v.HasNulls() && !v.Const {
+		// What every comparison, AND and OR yield: a 0/1 BIGINT per row.
+		for i, x := range v.I[:n] {
+			if (x != 0) == want {
 				sel = append(sel, i)
 			}
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			if truthy(vals.Value(i)) {
-				sel = append(sel, i)
-			}
+		return sel
+	}
+	for i := 0; i < n; i++ {
+		if truthy(v.Value(i)) == want {
+			sel = append(sel, i)
 		}
 	}
-	*selScratch = sel
-	if len(sel) == n {
-		return n, nil
-	}
-	return b.compact(sel), nil
+	return sel
 }
 
 // ---- aggregate ----------------------------------------------------------
@@ -321,34 +305,21 @@ func (a *batchAggOp) close() error { return a.child.close() }
 // setAggregates turns b into the single output row of an aggregate plan.
 func (b *Batch) setAggregates(accs []*accumulator) {
 	b.n = 1
-	b.aggVals = aggResults(accs)
-}
-
-func aggResults(accs []*accumulator) []engine.Value {
-	vals := make([]engine.Value, len(accs))
+	b.aggVals = make([]engine.Value, len(accs))
 	for i, acc := range accs {
-		vals[i] = acc.result()
+		b.aggVals[i] = acc.result()
 	}
-	return vals
 }
 
 // ---- parallel aggregate scan -------------------------------------------
 
-// workerState is one worker's private compiled state: its residual
-// predicate and its accumulator set (index-aligned with the main plan's
-// accumulators, because both come from compiling the same AST).
-type workerState struct {
-	pred compiled
-	accs []*accumulator
-}
-
-// batchParallelAggOp fuses scan + filter + aggregate across goroutines:
-// the key space [lo, hi] is partitioned into contiguous ranges, each
-// worker scans its range batch-at-a-time with its own cursor, predicate
-// and accumulators (filling, filtering and accumulating whole batches),
-// and the partials merge in partition order. Compiled expressions are
-// stateful (UDF argument buffers, batch scratch vectors), so every worker
-// compiles its own copies via newWorker.
+// batchParallelAggOp runs scan → filter → aggregate across goroutines:
+// the key range [lo, hi] is partitioned into contiguous spans and each
+// worker is a partitionPartial over its span — the function a scatter
+// member runs over its partition — reading through the query's shared
+// snapshot. Compiled expressions are stateful (scratch vectors,
+// accumulators), so every worker compiles its own copy of the statement;
+// the partials merge into accs in partition order.
 //
 // Floating-point SUM/AVG associate differently than a serial scan when
 // partials are merged; results are deterministic for a fixed worker
@@ -359,16 +330,16 @@ type workerState struct {
 // heavily skewed key distributions (one worker owns the dense region);
 // partitioning by leaf pages would fix that and is a planned follow-up.
 type batchParallelAggOp struct {
-	tbl       *engine.Table
-	snap      *engine.Snapshot // shared read view; safe for concurrent workers
-	qctx      context.Context
-	lo, hi    int64 // key range to aggregate over (inclusive, lo <= hi)
-	workers   int
-	batchSize int
-	need      []bool
-	newWorker func() (workerState, error)
-	accs      []*accumulator // merge target (the main plan's accumulators)
-	done      bool
+	db       *engine.DB
+	tbl      *engine.Table
+	snap     *engine.Snapshot // shared read view; safe for concurrent workers
+	stmt     *SelectStmt
+	residual Expr
+	opts     ExecOptions
+	lo, hi   int64 // key range to aggregate over (inclusive, lo <= hi)
+	workers  int
+	accs     []*accumulator // merge target (the main plan's accumulators)
+	done     bool
 }
 
 func (p *batchParallelAggOp) open() error { return nil }
@@ -378,121 +349,87 @@ func (p *batchParallelAggOp) nextBatch(b *Batch) (int, error) {
 		return 0, nil
 	}
 	p.done = true
-	if err := p.runPartitions(); err != nil {
+	spans := partitionSpans(p.lo, p.hi, p.workers)
+	partials := make([][]*accumulator, len(spans))
+	err := fanOut(p.opts.Ctx, len(spans), len(spans), func(ctx context.Context, i int) error {
+		opts := p.opts
+		opts.Ctx = ctx
+		span := keyBounds{lo: spans[i][0], hi: spans[i][1], hasLo: true, hasHi: true}
+		var err error
+		partials[i], err = partitionPartial(p.db, p.tbl, p.snap, p.stmt, p.residual, span, opts)
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
+	mergePartials(p.accs, partials)
 	b.setAggregates(p.accs)
 	return 1, nil
 }
 
-// runPartitions is the fan-out/merge: it partitions [lo, hi] across up to
-// p.workers goroutines, gives each a freshly compiled workerState, runs
-// scanPartition over each partition with a cooperative stop flag, returns
-// the first error in partition order, and otherwise merges the partial
-// accumulators into p.accs in partition order (keeping float results
-// deterministic for a fixed worker count). A non-nil qctx makes the
-// fan-out cancelable: a watcher raises the stop flag when the context is
-// done, the workers drain out through their per-batch stop checks, and
-// ctx.Err() is returned instead of the partial merge.
-func (p *batchParallelAggOp) runPartitions() error {
-	if err := pollCancel(p.qctx); err != nil {
+func (p *batchParallelAggOp) close() error { return nil }
+
+// mergePartials folds per-partition accumulator sets into accs in
+// partition order, which keeps float results deterministic for a fixed
+// partition layout. Every set is index-aligned with accs: all come from
+// compiling the same statement.
+func mergePartials(accs []*accumulator, partials [][]*accumulator) {
+	for _, part := range partials {
+		for i, acc := range part {
+			accs[i].merge(acc)
+		}
+	}
+}
+
+// fanOut runs fn(ctx, i) for i in [0, n) on up to workers goroutines and
+// waits for all of them. The ctx handed to fn is derived from the
+// caller's and is canceled as soon as any fn fails, so the siblings —
+// whose operators poll it per batch — stop within one batch. The result
+// is the caller's own ctx.Err() if it was canceled, otherwise the first
+// error in partition order that is not merely a sibling echoing the
+// derived context's cancellation.
+func fanOut(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	if err := pollCancel(ctx); err != nil {
 		return err
 	}
-	spans := partitionSpans(p.lo, p.hi, p.workers)
-	states := make([]workerState, len(spans))
-	for i := range states {
-		st, err := p.newWorker()
-		if err != nil {
-			return err
-		}
-		states[i] = st
+	parent := ctx
+	if parent == nil {
+		parent = context.Background() // a nil ExecOptions.Ctx never cancels
 	}
-	var (
-		wg   sync.WaitGroup
-		stop atomic.Bool
-		errs = make([]error, len(spans))
-	)
-	if p.qctx != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-p.qctx.Done():
-				stop.Store(true)
-			case <-watchDone:
-			}
-		}()
-	}
-	for i, span := range spans {
+	sub, cancel := context.WithCancel(parent)
+	defer cancel()
+	errs := make([]error, n)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, lo, hi int64) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = p.scanPartition(&states[i], lo, hi, &stop)
-		}(i, span[0], span[1])
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if errs[i] = sub.Err(); errs[i] != nil {
+				return // a sibling failed before this one started
+			}
+			if errs[i] = fn(sub, i); errs[i] != nil {
+				cancel()
+			}
+		}(i)
 	}
 	wg.Wait()
+	if err := pollCancel(ctx); err != nil {
+		return err
+	}
+	var echo error
 	for _, err := range errs {
-		if err != nil {
+		if err != nil && !errors.Is(err, context.Canceled) {
 			return err
 		}
-	}
-	if err := pollCancel(p.qctx); err != nil {
-		return err
-	}
-	for _, st := range states {
-		for i, acc := range st.accs {
-			p.accs[i].merge(acc)
+		if echo == nil {
+			echo = err
 		}
 	}
-	return nil
+	return echo
 }
-
-// scanPartition runs one worker's batch fill-filter-accumulate loop over
-// [lo, hi]. stop is a cooperative abort flag set when any worker fails.
-func (p *batchParallelAggOp) scanPartition(st *workerState, lo, hi int64, stop *atomic.Bool) error {
-	fail := func(err error) error {
-		stop.Store(true)
-		return err
-	}
-	cur, err := p.tbl.CursorRangeAt(p.snap, lo, hi)
-	if err != nil {
-		return fail(err)
-	}
-	defer cur.Close()
-	b := newBatch(len(p.need))
-	// The worker's private batch may hold zero-copy blob pins from the
-	// last fill; release them however the partition scan exits.
-	defer b.pins.Release()
-	var sel []int
-	for {
-		if stop.Load() {
-			return nil
-		}
-		b.reset(p.batchSize)
-		n, err := fillFromCursor(cur, b, p.need)
-		if err != nil {
-			return fail(err)
-		}
-		if n == 0 {
-			return nil
-		}
-		if st.pred != nil {
-			if n, err = filterBatch(st.pred, b, n, &sel); err != nil {
-				return fail(err)
-			}
-			if n == 0 {
-				continue
-			}
-		}
-		for _, acc := range st.accs {
-			if err := acc.addBatch(b, n); err != nil {
-				return fail(err)
-			}
-		}
-	}
-}
-
-func (p *batchParallelAggOp) close() error { return nil }
 
 // partitionSpans splits the inclusive key range [lo, hi] into up to
 // workers contiguous sub-ranges covering it exactly. The arithmetic is

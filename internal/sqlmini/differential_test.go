@@ -36,7 +36,7 @@ const (
 //	id  BIGINT          clustered key, dense 0..n-1
 //	i   BIGINT          small ints, NULLs, a few values past 2^53
 //	f   FLOAT           quarter steps, NULLs, NaN, ±Inf
-//	g   FLOAT           quarter steps, never NULL/NaN/Inf
+//	g   FLOAT           quarter steps, never NULL/NaN/Inf (until DML assigns it)
 //	tag VARBINARY       'a'..'d' or NULL
 //	s   VARBINARY       short float array (3..6 elements) or NULL
 //	m   VARBINARY(MAX)  NULL, a single-chunk array or a 3-chunk array
@@ -307,20 +307,6 @@ func (g *diffGen) pred(depth int) string {
 	return g.num(depth-1) + " " + cmp + " " + g.num(depth-1)
 }
 
-// nanFree is a numeric expression that never yields NaN: MIN and MAX
-// keep or drop a NaN depending on where in the scan it arrives, so
-// their result over NaN is not defined independently of the plan.
-func (g *diffGen) nanFree(depth int) string {
-	if depth <= 0 {
-		return g.pick("i", "g", "(id + 0)", "2", "0.5")
-	}
-	if g.rng.Intn(4) == 0 {
-		g.udfs++
-		return "t.Inc(" + g.nanFree(depth-1) + ")"
-	}
-	return "(" + g.nanFree(depth-1) + " " + g.pick("+", "-", "*") + " " + g.nanFree(depth-1) + ")"
-}
-
 // diffQuery is one generated statement and what the checker needs to
 // know about it.
 type diffQuery struct {
@@ -363,7 +349,7 @@ func genDiffQuery(rng *rand.Rand) diffQuery {
 			case 1:
 				it = "COUNT(" + g.pick(g.num(1), g.bin()) + ")"
 			case 2:
-				it = g.pick("MIN", "MAX") + "(" + g.nanFree(1+rng.Intn(2)) + ")"
+				it = g.pick("MIN", "MAX") + "(" + g.num(1+rng.Intn(2)) + ")"
 			case 3:
 				it = "AVG(" + g.num(1+rng.Intn(2)) + ")"
 			case 4:
@@ -498,5 +484,186 @@ func TestDifferentialSelect(t *testing.T) {
 		}
 		t.Logf("seed %d: %d queries (%d erroring on both sides), %d reference rows, %d reference UDF calls",
 			seed, diffQueries, errored, rows, udfCalls)
+	}
+}
+
+// ---- DML ------------------------------------------------------------------
+
+// diffDML is one generated DELETE or UPDATE and the SELECT that predicts
+// it: the reference executor's rows for probe are the keys the statement
+// must touch and, for an UPDATE, the values it must assign.
+type diffDML struct {
+	sql   string
+	probe string
+	del   bool
+	item  int // element of s the UPDATE assigns, -1 for none
+}
+
+func genDiffDML(rng *rand.Rand) diffDML {
+	g := &diffGen{rng: rng}
+	st := diffDML{del: rng.Intn(3) == 0, item: -1}
+	var where []string
+	// A DELETE always carries a narrow key range, so the table outlives
+	// the statement sequence.
+	if r := rng.Intn(4); st.del || r == 0 {
+		lo := rng.Intn(diffRows)
+		where = append(where, fmt.Sprintf("id >= %d", lo), fmt.Sprintf("id < %d", lo+1+rng.Intn(25)))
+	} else if r == 1 {
+		where = append(where, fmt.Sprintf("id = %d", rng.Intn(diffRows+10)))
+	}
+	if !st.del && rng.Intn(2) == 0 {
+		st.item = rng.Intn(3)
+		if rng.Intn(8) == 0 {
+			st.item = 5 // out of bounds for most arrays
+		}
+		if rng.Intn(4) != 0 {
+			where = append(where, "t.Len(s) > 0") // else a NULL s fails the statement
+		}
+	}
+	if rng.Intn(4) != 0 {
+		where = append(where, g.pred(1+rng.Intn(2)))
+	}
+	tail := " FROM R"
+	if len(where) > 0 {
+		tail += " WHERE " + strings.Join(where, " AND ")
+	}
+	if st.del {
+		st.sql, st.probe = "DELETE"+tail, "SELECT id"+tail
+		return st
+	}
+	newG := g.num(1 + rng.Intn(2))
+	st.sql, st.probe = "UPDATE R SET g = "+newG, "SELECT id, "+newG
+	if st.item >= 0 {
+		newItem := g.num(rng.Intn(2))
+		st.sql += fmt.Sprintf(", FloatArray.Item_1(s, %d) = %s", st.item, newItem)
+		st.probe += ", " + newItem
+	}
+	st.sql += strings.TrimPrefix(tail, " FROM R")
+	st.probe += tail
+	return st
+}
+
+// apply predicts the table (id, g, s rows in key order) after the
+// statement from the table before it and the probe's rows, or reports
+// that the statement must fail: a subscript assignment to a NULL array,
+// past its end, or of a non-numeric value.
+func (st diffDML) apply(before, probe *Result) ([][]engine.Value, error) {
+	hit := make(map[int64][]engine.Value, len(probe.Rows))
+	for _, r := range probe.Rows {
+		hit[r[0].I] = r
+	}
+	var after [][]engine.Value
+	for _, row := range before.Rows {
+		r, ok := hit[row[0].I]
+		switch {
+		case !ok:
+			after = append(after, row)
+			continue
+		case st.del:
+			continue
+		}
+		next := []engine.Value{row[0], r[1], row[2]}
+		if !next[1].IsNull() {
+			f, err := next[1].AsFloat() // a FLOAT column stores BIGINTs widened
+			if err != nil {
+				return nil, err
+			}
+			next[1] = engine.FloatValue(f)
+		}
+		if st.item >= 0 {
+			if row[2].IsNull() {
+				return nil, fmt.Errorf("subscript assignment to NULL s")
+			}
+			a, err := core.Wrap(append([]byte(nil), row[2].B...))
+			if err != nil {
+				return nil, err
+			}
+			f, err := r[2].AsFloat()
+			if err != nil {
+				return nil, err
+			}
+			if st.item >= a.Len() {
+				return nil, fmt.Errorf("s[%d] of a %d-element array", st.item, a.Len())
+			}
+			a.SetFloatAt(st.item, f)
+			next[2] = engine.BinaryValue(a.Bytes())
+		}
+		after = append(after, next)
+	}
+	return after, nil
+}
+
+// TestDifferentialDML runs a generated sequence of DELETEs and UPDATEs
+// per seed at BatchSize {1, 3, 1024}. Each statement is predicted from
+// the reference executor — its probe SELECT over the pre-statement table —
+// and must affect exactly those rows, leave the table (keys, g, s) as
+// predicted, make the probe's UDF calls, fail exactly when the prediction
+// fails (leaving the table untouched), and leave no pin behind.
+func TestDifferentialDML(t *testing.T) {
+	seeds := diffSeeds
+	if *diffSeed != 0 {
+		seeds = append(append([]int64(nil), seeds...), *diffSeed)
+	}
+	const statements = 60
+	const table = "SELECT id, g, s FROM R"
+	for _, seed := range seeds {
+		for _, bs := range []int{1, 3, 1024} {
+			db := diffDB(t, seed)
+			rng := rand.New(rand.NewSource(seed))
+			calls := func() uint64 { return db.Funcs().Stats().Calls }
+			var errored, left int
+			var touched int64
+			for n := 0; n < statements; n++ {
+				st := genDiffDML(rng)
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("seed %d statement %d BatchSize %d: %s\n  %s", seed, n, bs, fmt.Sprintf(format, args...), st.sql)
+				}
+				before, err := referenceRun(db, table)
+				if err != nil {
+					fail("reading the table: %v", err)
+				}
+				c0 := calls()
+				probe, wantErr := referenceRun(db, st.probe)
+				wantCalls := calls() - c0
+				want := before.Rows
+				if wantErr == nil {
+					want, wantErr = st.apply(before, probe)
+				}
+				if wantErr != nil {
+					want = before.Rows
+					errored++
+				}
+				c0 = calls()
+				got, err := ExecuteWith(db, st.sql, ExecOptions{BatchSize: bs})
+				gotCalls := calls() - c0
+				if pins := db.Pool().PinnedFrames(); pins != 0 {
+					fail("%d frames left pinned", pins)
+				}
+				if (err != nil) != (wantErr != nil) {
+					fail("error %v, predicted error %v", err, wantErr)
+				}
+				after, rerr := referenceRun(db, table)
+				if rerr != nil {
+					fail("reading the table back: %v", rerr)
+				}
+				if diff := resultEq(&Result{Columns: before.Columns, Rows: want}, after); diff != "" {
+					fail("table after the statement: %s", diff)
+				}
+				left = len(after.Rows)
+				if err != nil {
+					continue
+				}
+				if got.RowsAffected != int64(len(probe.Rows)) {
+					fail("%d rows affected, reference matches %d", got.RowsAffected, len(probe.Rows))
+				}
+				if gotCalls != wantCalls {
+					fail("%d UDF calls, reference %d", gotCalls, wantCalls)
+				}
+				touched += got.RowsAffected
+			}
+			t.Logf("seed %d BatchSize %d: %d statements (%d failing on both sides), %d rows affected, %d rows left",
+				seed, bs, statements, errored, touched, left)
+		}
 	}
 }

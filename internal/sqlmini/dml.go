@@ -1,7 +1,6 @@
 package sqlmini
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,8 +13,9 @@ import (
 // This file executes the write half of the dialect: INSERT, UPDATE and
 // DELETE, compiled through the same expression compiler and sargable
 // key-range analysis the SELECT planner uses. UPDATE and DELETE run in
-// two phases — a read phase that scans the (pushed-down) key range and
-// materializes the new values, then a write phase inside one engine
+// two phases — a read phase that drains the SELECT executor's own
+// scan → [filter] stack over the (pushed-down) key range and materializes
+// the new values batch by batch, then a write phase inside one engine
 // write session — so the scan never chases rows it just moved (the
 // classic Halloween problem) and a WHERE on the clustered key descends
 // the B+tree instead of scanning the table.
@@ -42,9 +42,9 @@ func Execute(db *engine.DB, sql string) (*ExecResult, error) {
 	return ExecuteWith(db, sql, ExecOptions{})
 }
 
-// ExecuteWith is Execute with explicit execution options. Pipeline
-// tuning applies to the SELECT path only; ExecOptions.Ctx also cancels
-// the read phase of UPDATE and DELETE.
+// ExecuteWith is Execute with explicit execution options. The read phase
+// of UPDATE and DELETE honours ExecOptions.Ctx and BatchSize; the other
+// fields apply to SELECT only.
 func ExecuteWith(db *engine.DB, sql string, opts ExecOptions) (*ExecResult, error) {
 	stmt, err := ParseStatement(sql)
 	if err != nil {
@@ -67,9 +67,9 @@ func ExecuteStmt(db *engine.DB, stmt Statement, opts ExecOptions) (*ExecResult, 
 	case *InsertStmt:
 		return execInsert(db, s)
 	case *UpdateStmt:
-		return execUpdate(db, s, opts.Ctx)
+		return execUpdate(db, s, opts)
 	case *DeleteStmt:
-		return execDelete(db, s, opts.Ctx)
+		return execDelete(db, s, opts)
 	}
 	return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 }
@@ -98,7 +98,8 @@ func exprHasColRef(e Expr) bool {
 }
 
 // copyValue deep-copies binary payloads so a collected value survives
-// the scan that produced it (row views alias pinned pages).
+// the batch that produced it (vector arenas are recycled, MAX-column
+// payloads alias pinned pages).
 func copyValue(v engine.Value) engine.Value {
 	if (v.Kind == engine.ColVarBinary || v.Kind == engine.ColVarBinaryMax) && v.B != nil {
 		v.B = append([]byte(nil), v.B...)
@@ -136,6 +137,8 @@ func execInsert(db *engine.DB, stmt *InsertStmt) (*ExecResult, error) {
 		}
 	}
 	cc := &compileCtx{db: db, tbl: tbl, schema: schema, used: make([]bool, len(schema.Columns))}
+	// Values are column-free, so they fold over one row of no columns.
+	row := &Batch{n: 1}
 	rows := make([][]engine.Value, 0, len(stmt.Rows))
 	for _, tuple := range stmt.Rows {
 		if len(tuple) != len(colIdx) {
@@ -153,11 +156,11 @@ func execInsert(db *engine.DB, stmt *InsertStmt) (*ExecResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := c.eval(&rowCtx{})
+			v, err := c.evalBatch(row, 1)
 			if err != nil {
 				return nil, err
 			}
-			vals[colIdx[j]] = v
+			vals[colIdx[j]] = v.Value(0)
 		}
 		rows = append(rows, vals)
 	}
@@ -189,23 +192,23 @@ const (
 	assignItem                       // SET Schema.Item_N(col, i0, ..) = expr
 )
 
-// compiledAssign is one SET clause ready to evaluate per matching row.
+// compiledAssign is one SET clause ready to evaluate over each batch of
+// matching rows.
 type compiledAssign struct {
 	kind  assignKind
 	col   int
 	value compiled
-	offs  compiled   // assignSubarray: IntVector expression
-	sizes compiled   // assignSubarray: IntVector expression
-	idxs  []compiled // assignItem: index expressions
+	// idxs are the subscript expressions: the offsets and sizes IntVectors
+	// of assignSubarray, one index per dimension of assignItem.
+	idxs []compiled
 }
 
 // subUpdate is a materialized in-place subarray write for one row.
 type subUpdate struct {
-	col     int
-	offset  []int
-	size    []int
-	src     *core.Array
-	blobCol bool
+	col    int
+	offset []int
+	size   []int
+	src    *core.Array
 }
 
 // rowUpdate is everything the write phase applies to one row.
@@ -255,38 +258,30 @@ func compileAssignTarget(cc *compileCtx, a Assignment) (*compiledAssign, error) 
 			return nil, fmt.Errorf("%w: subscript assignment to %s column %q",
 				engine.ErrTypeError, ct, colRef.Name)
 		}
-		ca := &compiledAssign{col: idx}
+		// The write patches the stored value, so the scan decodes the
+		// target column in its raw form (a blob ref for MAX columns).
+		cc.used[idx] = true
+		ca := &compiledAssign{kind: assignItem, col: idx}
+		subscripts := tgt.Args[1:]
 		if name == "subarray" {
 			ca.kind = assignSubarray
-			var err error
-			if ca.offs, err = cc.compile(tgt.Args[1], false); err != nil {
+			subscripts = tgt.Args[1:3] // offsets, sizes; a collapse flag is ignored
+		}
+		for _, e := range subscripts {
+			c, err := cc.compile(e, false)
+			if err != nil {
 				return nil, err
 			}
-			if ca.sizes, err = cc.compile(tgt.Args[2], false); err != nil {
-				return nil, err
-			}
-		} else {
-			ca.kind = assignItem
-			for _, e := range tgt.Args[1:] {
-				c, err := cc.compile(e, false)
-				if err != nil {
-					return nil, err
-				}
-				ca.idxs = append(ca.idxs, c)
-			}
+			ca.idxs = append(ca.idxs, c)
 		}
 		return ca, nil
 	}
 	return nil, fmt.Errorf("sql: %q is not assignable", ExprString(a.Target))
 }
 
-// evalIntVector evaluates an expression expected to yield an integer
-// index vector (IntArray.Vector_N value).
-func evalIntVector(c compiled, ctx *rowCtx) ([]int, error) {
-	v, err := c.eval(ctx)
-	if err != nil {
-		return nil, err
-	}
+// intVector reads a value expected to be an integer index vector
+// (IntArray.Vector_N).
+func intVector(v engine.Value) ([]int, error) {
 	b, err := v.AsBinary()
 	if err != nil {
 		return nil, fmt.Errorf("sql: subscript vector: %w", err)
@@ -360,9 +355,8 @@ func elemCount(size []int) int {
 	return n
 }
 
-// execUpdate runs the two-phase UPDATE. qctx (may be nil) cancels the
-// read phase.
-func execUpdate(db *engine.DB, stmt *UpdateStmt, qctx context.Context) (*ExecResult, error) {
+// execUpdate runs the two-phase UPDATE.
+func execUpdate(db *engine.DB, stmt *UpdateStmt, opts ExecOptions) (*ExecResult, error) {
 	tbl, err := db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -388,7 +382,7 @@ func execUpdate(db *engine.DB, stmt *UpdateStmt, qctx context.Context) (*ExecRes
 		}
 		assigns = append(assigns, ca)
 	}
-	updates, err := collectUpdates(db, tbl, stmt.Where, cc, assigns, qctx)
+	updates, err := collectUpdates(tbl, stmt.Where, cc, assigns, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -432,135 +426,131 @@ rows:
 	return &ExecResult{RowsAffected: n}, nil
 }
 
-// collectUpdates is the read phase: scan the pushed-down key range,
-// evaluate the residual predicate and the SET expressions per matching
-// row, and materialize everything the write phase needs.
-func collectUpdates(db *engine.DB, tbl *engine.Table, where Expr, cc *compileCtx, assigns []*compiledAssign, qctx context.Context) ([]rowUpdate, error) {
+// collectUpdates is the read phase: for every batch of matching rows,
+// evaluate the SET expressions over the batch and materialize everything
+// the write phase needs.
+func collectUpdates(tbl *engine.Table, where Expr, cc *compileCtx, assigns []*compiledAssign, opts ExecOptions) ([]rowUpdate, error) {
 	var updates []rowUpdate
-	err := scanMatching(db, tbl, where, cc, qctx, func(ctx *rowCtx) error {
-		u := rowUpdate{key: ctx.key}
+	err := matchingBatches(tbl, where, cc, opts, func(b *Batch, n int) error {
+		first := len(updates)
+		for _, key := range b.keys[:n] {
+			updates = append(updates, rowUpdate{key: key})
+		}
 		for _, ca := range assigns {
-			switch ca.kind {
-			case assignColumn:
-				v, err := ca.value.eval(ctx)
-				if err != nil {
-					return err
-				}
-				u.cols = append(u.cols, ca.col)
-				u.vals = append(u.vals, copyValue(v))
-			case assignSubarray, assignItem:
-				sub, plain, err := evalSubAssign(tbl, cc.snap, cc.schema, ca, ctx)
-				if err != nil {
-					return err
-				}
-				if sub != nil {
-					u.subs = append(u.subs, *sub)
-				} else {
-					u.cols = append(u.cols, ca.col)
-					u.vals = append(u.vals, plain)
-				}
+			if err := ca.collect(tbl, cc, b, updates[first:]); err != nil {
+				return err
 			}
 		}
-		updates = append(updates, u)
 		return nil
 	})
 	return updates, err
 }
 
-// evalSubAssign evaluates a subscript assignment for the current row.
-// MAX columns yield a subUpdate (in-place chunk writes); short inline
-// columns yield a patched whole-column value (plain assignment), since
-// their bytes live in the row image anyway. snap is the read phase's
-// snapshot (header reads resolve the same commit the scan sees).
-func evalSubAssign(tbl *engine.Table, snap *engine.Snapshot, schema *engine.Schema, ca *compiledAssign, ctx *rowCtx) (*subUpdate, engine.Value, error) {
-	var offset, size []int
-	if ca.kind == assignSubarray {
-		var err error
-		if offset, err = evalIntVector(ca.offs, ctx); err != nil {
-			return nil, engine.Null, err
-		}
-		if size, err = evalIntVector(ca.sizes, ctx); err != nil {
-			return nil, engine.Null, err
-		}
-	} else {
-		for _, c := range ca.idxs {
-			v, err := c.eval(ctx)
-			if err != nil {
-				return nil, engine.Null, err
-			}
-			i, err := v.AsInt()
-			if err != nil {
-				return nil, engine.Null, err
-			}
-			offset = append(offset, int(i))
-			size = append(size, 1)
-		}
-	}
-	if len(offset) != len(size) {
-		return nil, engine.Null, fmt.Errorf("sql: subscript offset rank %d != size rank %d", len(offset), len(size))
-	}
-	cur, err := columnValue(ctx, ca.col)
+// collect evaluates one SET clause over the rows of b — each of its
+// expressions once, over the whole batch — and records the outcome in
+// rows, which holds one rowUpdate per batch row.
+func (ca *compiledAssign) collect(tbl *engine.Table, cc *compileCtx, b *Batch, rows []rowUpdate) error {
+	n := len(rows)
+	vals, err := ca.value.evalBatch(b, n)
 	if err != nil {
-		return nil, engine.Null, err
+		return err
 	}
+	if ca.kind == assignColumn {
+		for i := range rows {
+			rows[i].cols = append(rows[i].cols, ca.col)
+			rows[i].vals = append(rows[i].vals, copyValue(vals.Value(i)))
+		}
+		return nil
+	}
+	idxs := make([]*engine.Vector, len(ca.idxs))
+	for k, c := range ca.idxs {
+		if idxs[k], err = c.evalBatch(b, n); err != nil {
+			return err
+		}
+	}
+	// The stored form: target columns are not compiled through cMaxCol,
+	// so a MAX column yields its 12-byte ref, not the payload.
+	stored, err := b.col(ca.col)
+	if err != nil {
+		return err
+	}
+	for i := range rows {
+		var offset, size []int
+		if ca.kind == assignSubarray {
+			if offset, err = intVector(idxs[0].Value(i)); err != nil {
+				return err
+			}
+			if size, err = intVector(idxs[1].Value(i)); err != nil {
+				return err
+			}
+		} else {
+			for _, ix := range idxs {
+				k, err := ix.Value(i).AsInt()
+				if err != nil {
+					return err
+				}
+				offset = append(offset, int(k))
+				size = append(size, 1)
+			}
+		}
+		if err := rows[i].subAssign(tbl, cc.snap, ca.col, offset, size, stored.Value(i), vals.Value(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// subAssign lowers one row's subscript assignment into u: cur is the
+// target column's stored value, rhs the evaluated right-hand side. A MAX
+// column gets a subUpdate (in-place chunk writes); a short inline column
+// gets a patched whole-column value (plain assignment), since its bytes
+// live in the row image anyway. snap is the read phase's snapshot (header
+// reads resolve the same commit the scan sees).
+func (u *rowUpdate) subAssign(tbl *engine.Table, snap *engine.Snapshot, col int, offset, size []int, cur, rhs engine.Value) error {
+	if len(offset) != len(size) {
+		return fmt.Errorf("sql: subscript offset rank %d != size rank %d", len(offset), len(size))
+	}
+	column := tbl.Schema().Columns[col]
 	if cur.IsNull() {
-		return nil, engine.Null, fmt.Errorf("%w: subscript assignment to NULL column %q",
-			engine.ErrNullValue, schema.Columns[ca.col].Name)
+		return fmt.Errorf("%w: subscript assignment to NULL column %q", engine.ErrNullValue, column.Name)
 	}
-	if schema.Columns[ca.col].Type == engine.ColVarBinaryMax {
-		// cur.B is the 12-byte ref (target columns are not compiled
-		// through cMaxCol, so no payload materialization happened).
+	if column.Type == engine.ColVarBinaryMax {
 		h, _, err := tbl.BlobHeaderAt(snap, cur.B)
 		if err != nil {
-			return nil, engine.Null, err
-		}
-		rhs, err := ca.value.eval(ctx)
-		if err != nil {
-			return nil, engine.Null, err
+			return err
 		}
 		src, err := assignValueArray(rhs, h.Elem, elemCount(size))
 		if err != nil {
-			return nil, engine.Null, err
+			return err
 		}
-		return &subUpdate{col: ca.col, offset: offset, size: size, src: src, blobCol: true},
-			engine.Null, nil
+		u.subs = append(u.subs, subUpdate{col: col, offset: offset, size: size, src: src})
+		return nil
 	}
 	// Short inline array: patch a copy of the row bytes.
 	arr, err := core.Wrap(append([]byte(nil), cur.B...))
 	if err != nil {
-		return nil, engine.Null, err
-	}
-	rhs, err := ca.value.eval(ctx)
-	if err != nil {
-		return nil, engine.Null, err
+		return err
 	}
 	src, err := assignValueArray(rhs, arr.ElemType(), elemCount(size))
 	if err != nil {
-		return nil, engine.Null, err
+		return err
 	}
 	runs, err := core.SubarrayPlan(arr.Header(), offset, size)
 	if err != nil {
-		return nil, engine.Null, err
+		return err
 	}
 	dst, sp := arr.Payload(), src.Payload()
 	for _, r := range runs {
 		copy(dst[r.SrcOff:r.SrcOff+r.Len], sp[r.DstOff:])
 	}
-	return nil, engine.BinaryValue(arr.Bytes()), nil
-}
-
-// columnValue reads a raw column value for the current row (the stored
-// form: a blob ref for MAX columns, not the payload).
-func columnValue(ctx *rowCtx, col int) (engine.Value, error) {
-	if ctx.row == nil {
-		return engine.Null, fmt.Errorf("sql: internal: no row in DML scan context")
-	}
-	return ctx.row.Col(col)
+	u.cols = append(u.cols, col)
+	u.vals = append(u.vals, engine.BinaryValue(arr.Bytes()))
+	return nil
 }
 
 // ---- DELETE -------------------------------------------------------------
 
-func execDelete(db *engine.DB, stmt *DeleteStmt, qctx context.Context) (*ExecResult, error) {
+func execDelete(db *engine.DB, stmt *DeleteStmt, opts ExecOptions) (*ExecResult, error) {
 	tbl, err := db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -572,8 +562,8 @@ func execDelete(db *engine.DB, stmt *DeleteStmt, qctx context.Context) (*ExecRes
 	defer snap.Release()
 	cc := &compileCtx{db: db, tbl: tbl, schema: schema, snap: snap, used: make([]bool, len(schema.Columns))}
 	var keys []int64
-	if err := scanMatching(db, tbl, stmt.Where, cc, qctx, func(ctx *rowCtx) error {
-		keys = append(keys, ctx.key)
+	if err := matchingBatches(tbl, stmt.Where, cc, opts, func(b *Batch, n int) error {
+		keys = append(keys, b.keys[:n]...)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -598,12 +588,13 @@ func execDelete(db *engine.DB, stmt *DeleteStmt, qctx context.Context) (*ExecRes
 	return &ExecResult{RowsAffected: n}, nil
 }
 
-// scanMatching runs the shared read phase: extract sargable key bounds
-// from the WHERE tree, compile the residual, and stream the range
-// through a cursor on cc.snap (the statement's read snapshot), invoking
-// fn for each matching row. qctx (may be nil) is polled per row so a
-// canceled statement stops scanning.
-func scanMatching(db *engine.DB, tbl *engine.Table, where Expr, cc *compileCtx, qctx context.Context, fn func(ctx *rowCtx) error) error {
+// matchingBatches runs the shared read phase: extract sargable key bounds
+// from the WHERE tree, compile the residual, and drain the executor's
+// scan → [filter] stack over the range on cc.snap (the statement's read
+// snapshot), handing each batch of matching rows to each. The scan
+// decodes the columns marked in cc.used — those the residual and whatever
+// the caller compiled through cc before (SET expressions) reference.
+func matchingBatches(tbl *engine.Table, where Expr, cc *compileCtx, opts ExecOptions, each func(b *Batch, n int) error) error {
 	if where != nil && hasAggregate(where) {
 		return fmt.Errorf("sql: aggregates are not allowed in WHERE")
 	}
@@ -615,37 +606,12 @@ func scanMatching(db *engine.DB, tbl *engine.Table, where Expr, cc *compileCtx, 
 	if bounds.empty {
 		return nil
 	}
-	var pred compiled
+	cs := &compiledStmt{used: cc.used}
 	if residual != nil {
 		var err error
-		if pred, err = cc.compile(residual, false); err != nil {
+		if cs.where, err = cc.compile(residual, false); err != nil {
 			return err
 		}
 	}
-	cur, err := tbl.CursorRangeAt(cc.snap, bounds.loKey(), bounds.hiKey())
-	if err != nil {
-		return err
-	}
-	defer cur.Close()
-	ctx := &rowCtx{}
-	for cur.Next() {
-		if err := pollCancel(qctx); err != nil {
-			return err
-		}
-		ctx.key = cur.Key()
-		ctx.row = cur.Row()
-		if pred != nil {
-			ok, err := pred.eval(ctx)
-			if err != nil {
-				return err
-			}
-			if !truthy(ok) {
-				continue
-			}
-		}
-		if err := fn(ctx); err != nil {
-			return err
-		}
-	}
-	return cur.Err()
+	return drainStack(tbl, cc.snap, bounds, residual, cs, opts, each)
 }

@@ -282,65 +282,30 @@ func (r *Rows) finalize() {
 
 // ---- plan-time compilation -------------------------------------------
 
-// rowCtx binds row-wise expression evaluation to one row. The executor's
-// rows live in a Batch — evalRowwise binds (batch, idx) and column
-// references read the decoded batch column; DML's read phase and the
-// test oracle evaluate straight over a cursor's RowView (row != nil).
-// aggVals carries the aggregate results for the SELECT items of an
-// aggregate query.
-type rowCtx struct {
-	key     int64
-	row     *engine.RowView
-	batch   *Batch         // batch-backed row when row == nil
-	idx     int            // row index within batch
-	aggVals []engine.Value // aggregate results, read by cAggRef
-}
-
-// compiled is an executable expression. evalBatch — what the executor
-// calls — produces a typed vector of values for rows [0, n) of a batch;
-// eval produces one value for the row a rowCtx names. Columns, constants,
-// arithmetic, comparisons and UDF calls (one boundary crossing per
-// batch) are vectorized; only AND, OR and NOT evaluate a batch as a loop
-// of eval (evalRowwise), because short-circuiting decides per row which
-// operand — and so which UDF call and which error — happens at all. eval
-// is also what runs where there is no batch: DML's scanMatching, INSERT's
-// constant folding and scatter's final projection over merged
-// aggregates. The vector evalBatch returns is scratch owned by the node —
-// valid until its next evalBatch call — except for cCol, which returns
-// the batch column itself.
+// compiled is an executable expression: evalBatch produces a typed vector
+// of values for rows [0, n) of a batch. It is the only evaluator the
+// package runs — SELECT operators, DML's read phase, INSERT's constant
+// folding and scatter's final projection (the last two over a one-row
+// batch) all go through it. Columns, constants, arithmetic, comparisons,
+// NOT and UDF calls (one boundary crossing per batch) evaluate both
+// operands over the whole batch; AND and OR (cLogic) evaluate the right
+// operand only over the rows the left one leaves undecided. The vector
+// evalBatch returns is scratch owned by the node — valid until its next
+// evalBatch call — except for cCol, which returns the batch column itself.
+// The row-at-a-time evaluator the test oracle referenceRun uses lives in
+// pipeline_test.go and shares none of this.
 type compiled interface {
-	eval(ctx *rowCtx) (engine.Value, error)
 	evalBatch(b *Batch, n int) (*engine.Vector, error)
 }
 
-// evalRowwise evaluates c once per batch row through eval, preserving
-// per-row semantics.
-func evalRowwise(c compiled, b *Batch, n int, out *engine.Vector) (*engine.Vector, error) {
-	out.Reset(0, n)
-	ctx := rowCtx{batch: b, aggVals: b.aggVals}
-	for i := 0; i < n; i++ {
-		ctx.idx = i
-		v, err := c.eval(&ctx)
-		if err != nil {
-			return nil, err
-		}
-		out.Set(i, v)
-	}
-	return out, nil
-}
-
-type cConst struct {
-	v   engine.Value
-	vec engine.Vector // the constant vector standing for v on every row
-}
+// cConst is a literal: the constant vector standing for it on every row.
+type cConst struct{ vec engine.Vector }
 
 func newConst(v engine.Value) *cConst {
-	c := &cConst{v: v}
+	c := new(cConst)
 	c.vec.SetConst(v)
 	return c
 }
-
-func (c *cConst) eval(*rowCtx) (engine.Value, error) { return c.v, nil }
 
 func (c *cConst) evalBatch(*Batch, int) (*engine.Vector, error) { return &c.vec, nil }
 
@@ -349,11 +314,10 @@ type cCol struct{ idx int }
 // cMaxCol reads a VARBINARY(MAX) column. On the row the column holds
 // only a 12-byte blob ref; this node materializes it into the array
 // payload so UDFs, comparisons and projections over MAX columns see the
-// same bytes short VARBINARY columns yield. Over a batch the resolve is
-// zero-copy for single-chunk blobs: the returned bytes alias a pinned
-// chunk page owned by the batch's pin set, released when the batch is
-// recycled or the pipeline closes. Over a bare RowView (DML, the test
-// oracle) it is the copying read — there is no batch to own a pin.
+// same bytes short VARBINARY columns yield. The resolve is zero-copy for
+// single-chunk blobs: the returned bytes alias a pinned chunk page owned
+// by the batch's pin set, released when the batch is recycled or the
+// pipeline closes.
 type cMaxCol struct {
 	tbl  *engine.Table
 	snap *engine.Snapshot // the statement's read view
@@ -376,21 +340,6 @@ func (c *cMaxCol) resolve(ref engine.Value, pins *engine.BlobPins) (engine.Value
 	return engine.BinaryMaxValue(payload), nil
 }
 
-func (c *cMaxCol) eval(ctx *rowCtx) (engine.Value, error) {
-	if ctx.row != nil {
-		v, err := ctx.row.Col(c.idx)
-		if err != nil {
-			return v, err
-		}
-		return c.resolve(v, nil)
-	}
-	col, err := ctx.batch.col(c.idx)
-	if err != nil {
-		return engine.Null, err
-	}
-	return c.resolve(col.Value(ctx.idx), &ctx.batch.pins)
-}
-
 func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	col, err := b.col(c.idx)
 	if err != nil {
@@ -407,17 +356,6 @@ func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	return &c.vec, nil
 }
 
-func (c *cCol) eval(ctx *rowCtx) (engine.Value, error) {
-	if ctx.row != nil {
-		return ctx.row.Col(c.idx)
-	}
-	col, err := ctx.batch.col(c.idx)
-	if err != nil {
-		return engine.Null, err
-	}
-	return col.Value(ctx.idx), nil
-}
-
 func (c *cCol) evalBatch(b *Batch, n int) (*engine.Vector, error) { return b.col(c.idx) }
 
 // cUDF invokes a scalar UDF through the engine's CLR-like boundary; the
@@ -427,21 +365,8 @@ type cUDF struct {
 	reg  *engine.FuncRegistry
 	def  *engine.FuncDef
 	args []compiled
-	buf  []engine.Value   // one row's arguments (eval)
-	argv []*engine.Vector // the batch's argument vectors (evalBatch)
+	argv []*engine.Vector // the batch's argument vectors
 	vec  engine.Vector
-}
-
-func (c *cUDF) eval(ctx *rowCtx) (engine.Value, error) {
-	c.buf = c.buf[:0]
-	for _, a := range c.args {
-		v, err := a.eval(ctx)
-		if err != nil {
-			return engine.Null, err
-		}
-		c.buf = append(c.buf, v)
-	}
-	return c.reg.Call(c.def, c.buf)
 }
 
 // evalBatch evaluates every argument over the whole batch and crosses
@@ -467,8 +392,6 @@ type cAggRef struct {
 	vec engine.Vector
 }
 
-func (c *cAggRef) eval(ctx *rowCtx) (engine.Value, error) { return ctx.aggVals[c.idx], nil }
-
 func (c *cAggRef) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	if c.idx >= len(b.aggVals) {
 		return nil, fmt.Errorf("sql: internal: aggregate ref below the aggregate operator")
@@ -485,14 +408,8 @@ type cBinary struct {
 }
 
 // evalBatch vectorizes arithmetic and comparison over both operand
-// vectors. AND/OR fall back to the row-wise loop so short-circuit
-// semantics (which UDF calls happen, which errors surface) are those of
-// eval.
+// vectors.
 func (c *cBinary) evalBatch(b *Batch, n int) (*engine.Vector, error) {
-	switch c.op {
-	case "AND", "OR":
-		return evalRowwise(c, b, n, &c.vec)
-	}
 	l, err := c.l.evalBatch(b, n)
 	if err != nil {
 		return nil, err
@@ -639,29 +556,102 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func (c *cBinary) eval(ctx *rowCtx) (engine.Value, error) {
-	l, err := c.l.eval(ctx)
+// cLogic is AND or OR (SQL three-valued logic reduced to two-valued with
+// NULL = false, sufficient for the workload). Short-circuiting decides
+// per row whether the right operand runs at all — and with it which UDF
+// calls happen and whether an error surfaces — so evalBatch evaluates the
+// left operand over rows [0, n) and the right operand only over the rows
+// the left one leaves undecided (false under OR, true under AND): over
+// none of them, over the same batch when that is all of them, otherwise
+// over a scratch batch holding those rows of the columns the right
+// operand reads.
+type cLogic struct {
+	or   bool
+	l, r compiled
+	need []int // schema columns the right operand references
+	vec  engine.Vector
+	sel  []int // the undecided rows
+	sub  Batch // those rows, gathered for the right operand
+}
+
+func (c *cLogic) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+	l, err := c.l.evalBatch(b, n)
 	if err != nil {
-		return engine.Null, err
+		return nil, err
 	}
-	// Short-circuit logical operators (SQL three-valued logic reduced to
-	// two-valued with NULL = false, sufficient for the workload).
-	switch c.op {
-	case "AND", "OR":
-		if truthy(l) == (c.op == "OR") {
-			return boolVal(c.op == "OR"), nil // the left operand decides
-		}
-		r, err := c.r.eval(ctx)
-		if err != nil {
-			return engine.Null, err
-		}
-		return boolVal(truthy(r)), nil
+	// Every row starts as what the left operand decides it to be; the
+	// rows it leaves undecided are then overwritten from the right one.
+	out := &c.vec
+	out.Reset(engine.ColInt64, n)
+	for i := range out.I {
+		out.I[i] = b2i(c.or)
 	}
-	r, err := c.r.eval(ctx)
+	sel := rowsWhere(c.sel[:0], l, n, !c.or)
+	c.sel = sel
+	if len(sel) == 0 {
+		return out, nil
+	}
+	rb := b
+	if len(sel) < n {
+		rb = c.gather(b, sel)
+		// The right operand's MAX-column derefs pin pages only until
+		// their values are reduced to 0/1 below.
+		defer rb.pins.Release()
+	}
+	r, err := c.r.evalBatch(rb, len(sel))
 	if err != nil {
-		return engine.Null, err
+		return nil, err
 	}
-	return applyBinary(c.op, l, r)
+	for j, i := range sel {
+		out.I[i] = b2i(truthy(r.Value(j)))
+	}
+	return out, nil
+}
+
+// gather fills the scratch batch with rows sel of b, copying only the
+// columns the right operand reads. Binary rows alias b's, which outlive
+// the evaluation.
+func (c *cLogic) gather(b *Batch, sel []int) *Batch {
+	sub := &c.sub
+	if sub.cols == nil {
+		sub.cols = make([]*engine.Vector, len(b.cols))
+	}
+	sub.n, sub.aggVals = len(sel), b.aggVals
+	for _, ci := range c.need {
+		src := b.cols[ci]
+		if src == nil {
+			continue // col reports the undecoded column
+		}
+		dst := sub.cols[ci]
+		if dst == nil {
+			dst = new(engine.Vector)
+			sub.cols[ci] = dst
+		}
+		// Batch columns come from FillBatch: uniform, never constant.
+		dst.Reset(src.Kind, len(sel))
+		switch src.Kind {
+		case engine.ColInt64:
+			for j, i := range sel {
+				dst.I[j] = src.I[i]
+			}
+		case engine.ColFloat64:
+			for j, i := range sel {
+				dst.F[j] = src.F[i]
+			}
+		default:
+			for j, i := range sel {
+				dst.B[j] = src.B[i]
+			}
+		}
+		if src.HasNulls() {
+			for j, i := range sel {
+				if src.IsNull(i) {
+					dst.SetNull(j)
+				}
+			}
+		}
+	}
+	return sub
 }
 
 // applyBinary is one arithmetic or comparison operator over one pair of
@@ -685,13 +675,9 @@ type cUnary struct {
 	vec engine.Vector
 }
 
-// evalBatch negates row by row (negation is rare in the workload's
-// queries); NOT goes row-wise through eval because its operand may
-// contain short-circuiting logic or UDF calls.
+// evalBatch applies the operator row by row (negation and NOT are rare
+// in the workload's queries).
 func (c *cUnary) evalBatch(b *Batch, n int) (*engine.Vector, error) {
-	if c.op != "-" {
-		return evalRowwise(c, b, n, &c.vec)
-	}
 	x, err := c.x.evalBatch(b, n)
 	if err != nil {
 		return nil, err
@@ -701,31 +687,18 @@ func (c *cUnary) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	}
 	c.vec.Reset(0, n)
 	for i := 0; i < n; i++ {
-		v, err := negate(x.Value(i))
-		if err != nil {
+		v := x.Value(i)
+		if c.op == "NOT" {
+			if !v.IsNull() {
+				v = boolVal(!truthy(v))
+			}
+		} else if v, err = negate(v); err != nil {
 			return nil, err
 		}
 		c.vec.Set(i, v)
 	}
 	c.vec.Const = x.Const
 	return &c.vec, nil
-}
-
-func (c *cUnary) eval(ctx *rowCtx) (engine.Value, error) {
-	v, err := c.x.eval(ctx)
-	if err != nil {
-		return engine.Null, err
-	}
-	switch c.op {
-	case "-":
-		return negate(v)
-	case "NOT":
-		if v.IsNull() {
-			return engine.Null, nil
-		}
-		return boolVal(!truthy(v)), nil
-	}
-	return engine.Null, fmt.Errorf("sql: unknown unary %q", c.op)
 }
 
 // negate is unary minus over one value; NULL in, NULL out.
@@ -908,13 +881,18 @@ func (a *accumulator) addBatch(b *Batch, n int) error {
 	return nil
 }
 
+// addFloat folds one non-NULL input. A NaN makes MIN and MAX NaN wherever
+// in the scan it arrives, as it does SUM and AVG: every ordered comparison
+// with NaN is false, so the f != f arm lets a NaN in and nothing replaces
+// it afterwards — the result cannot depend on scan order or on how a
+// parallel plan partitions the rows.
 func (a *accumulator) addFloat(f float64) {
 	a.count++
 	a.sum += f
-	if !a.any || f < a.min {
+	if !a.any || f < a.min || f != f {
 		a.min = f
 	}
-	if !a.any || f > a.max {
+	if !a.any || f > a.max || f != f {
 		a.max = f
 	}
 	a.any = true
@@ -926,10 +904,10 @@ func (a *accumulator) merge(b *accumulator) {
 	a.count += b.count
 	a.sum += b.sum
 	if b.any {
-		if !a.any || b.min < a.min {
+		if !a.any || b.min < a.min || b.min != b.min {
 			a.min = b.min
 		}
-		if !a.any || b.max > a.max {
+		if !a.any || b.max > a.max || b.max != b.max {
 			a.max = b.max
 		}
 		a.any = true
@@ -1043,12 +1021,34 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n.Op != "AND" && n.Op != "OR" {
+			r, err := cc.compile(n.R, inAggQuery)
+			if err != nil {
+				return nil, err
+			}
+			return &cBinary{op: n.Op, l: l, r: r}, nil
+		}
+		// Compile the right operand against a fresh used set to learn
+		// which columns it alone reads, then fold that into the plan's.
+		outer := cc.used
+		cc.used = make([]bool, len(outer))
 		r, err := cc.compile(n.R, inAggQuery)
 		if err != nil {
 			return nil, err
 		}
-		return &cBinary{op: n.Op, l: l, r: r}, nil
+		lg := &cLogic{or: n.Op == "OR", l: l, r: r}
+		for ci, u := range cc.used {
+			if u {
+				outer[ci] = true
+				lg.need = append(lg.need, ci)
+			}
+		}
+		cc.used = outer
+		return lg, nil
 	case *UnaryExpr:
+		if n.Op != "-" && n.Op != "NOT" {
+			return nil, fmt.Errorf("sql: unknown unary %q", n.Op)
+		}
 		x, err := cc.compile(n.X, inAggQuery)
 		if err != nil {
 			return nil, err

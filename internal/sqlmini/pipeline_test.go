@@ -12,15 +12,115 @@ import (
 	"sqlarray/internal/engine"
 )
 
-// add folds one row into the accumulator through the row-wise eval path.
-// Only the reference executor below aggregates a row at a time; the
-// engine's accumulators take whole batches (addBatch).
+// ---- the oracle's row evaluator -------------------------------------------
+//
+// referenceRun evaluates expressions one row at a time, straight over a
+// cursor's lazy RowView, through the eval methods below. They used to be
+// the second method of the compiled interface; the executor no longer has
+// a row evaluator, so they live here — the same compiled tree, walked by
+// code production never runs, which is what lets TestDifferentialSelect
+// and TestDifferentialDML check evalBatch (AND/OR/NOT included) against
+// something it does not share. Only the scalar leaves (arith, compare,
+// negate, truthy) and the boundary's FuncRegistry.Call are common.
+
+// rowCtx binds row-wise evaluation to one scan row; aggVals carries the
+// aggregate results for the SELECT items of an aggregate query.
+type rowCtx struct {
+	key     int64
+	row     *engine.RowView
+	aggVals []engine.Value // aggregate results, read by cAggRef
+}
+
+type rowEvaluator interface {
+	eval(ctx *rowCtx) (engine.Value, error)
+}
+
+func evalRow(c compiled, ctx *rowCtx) (engine.Value, error) {
+	return c.(rowEvaluator).eval(ctx)
+}
+
+func (c *cConst) eval(*rowCtx) (engine.Value, error) { return c.vec.Value(0), nil }
+
+func (c *cCol) eval(ctx *rowCtx) (engine.Value, error) { return ctx.row.Col(c.idx) }
+
+// The copying read: there is no batch to own a pin.
+func (c *cMaxCol) eval(ctx *rowCtx) (engine.Value, error) {
+	v, err := ctx.row.Col(c.idx)
+	if err != nil {
+		return v, err
+	}
+	return c.resolve(v, nil)
+}
+
+func (c *cUDF) eval(ctx *rowCtx) (engine.Value, error) {
+	buf := make([]engine.Value, 0, len(c.args))
+	for _, a := range c.args {
+		v, err := evalRow(a, ctx)
+		if err != nil {
+			return engine.Null, err
+		}
+		buf = append(buf, v)
+	}
+	return c.reg.Call(c.def, buf)
+}
+
+func (c *cAggRef) eval(ctx *rowCtx) (engine.Value, error) { return ctx.aggVals[c.idx], nil }
+
+func (c *cBinary) eval(ctx *rowCtx) (engine.Value, error) {
+	l, err := evalRow(c.l, ctx)
+	if err != nil {
+		return engine.Null, err
+	}
+	r, err := evalRow(c.r, ctx)
+	if err != nil {
+		return engine.Null, err
+	}
+	return applyBinary(c.op, l, r)
+}
+
+// Short-circuit logical operators (SQL three-valued logic reduced to
+// two-valued with NULL = false, sufficient for the workload).
+func (c *cLogic) eval(ctx *rowCtx) (engine.Value, error) {
+	l, err := evalRow(c.l, ctx)
+	if err != nil {
+		return engine.Null, err
+	}
+	if truthy(l) == c.or {
+		return boolVal(c.or), nil // the left operand decides
+	}
+	r, err := evalRow(c.r, ctx)
+	if err != nil {
+		return engine.Null, err
+	}
+	return boolVal(truthy(r)), nil
+}
+
+func (c *cUnary) eval(ctx *rowCtx) (engine.Value, error) {
+	v, err := evalRow(c.x, ctx)
+	if err != nil {
+		return engine.Null, err
+	}
+	switch c.op {
+	case "-":
+		return negate(v)
+	case "NOT":
+		if v.IsNull() {
+			return engine.Null, nil
+		}
+		return boolVal(!truthy(v)), nil
+	}
+	return engine.Null, fmt.Errorf("sql: unknown unary %q", c.op)
+}
+
+// add folds one row into the accumulator. Only the reference executor
+// aggregates a row at a time; the engine's accumulators take whole
+// batches (addBatch).
 func (a *accumulator) add(ctx *rowCtx) error {
 	if a.arg == nil { // COUNT(*)
 		a.count++
 		return nil
 	}
-	v, err := a.arg.eval(ctx)
+	v, err := evalRow(a.arg, ctx)
 	if err != nil {
 		return err
 	}
@@ -61,7 +161,7 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 		err := tbl.Scan(func(key int64, row *engine.RowView) (bool, error) {
 			ctx.key, ctx.row = key, row
 			if cs.where != nil {
-				ok, err := cs.where.eval(ctx)
+				ok, err := evalRow(cs.where, ctx)
 				if err != nil {
 					return false, err
 				}
@@ -85,7 +185,7 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 		}
 		out := make([]engine.Value, len(cs.items))
 		for i, it := range cs.items {
-			v, err := it.eval(ctx)
+			v, err := evalRow(it, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +198,7 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 	err = tbl.Scan(func(key int64, row *engine.RowView) (bool, error) {
 		ctx.key, ctx.row = key, row
 		if cs.where != nil {
-			ok, err := cs.where.eval(ctx)
+			ok, err := evalRow(cs.where, ctx)
 			if err != nil {
 				return false, err
 			}
@@ -108,7 +208,7 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 		}
 		out := make([]engine.Value, len(cs.items))
 		for i, it := range cs.items {
-			v, err := it.eval(ctx)
+			v, err := evalRow(it, ctx)
 			if err != nil {
 				return false, err
 			}
@@ -824,6 +924,86 @@ func TestUDFOverLargeMaxRowsStreams(t *testing.T) {
 		if grown := int64(peak) - int64(m.HeapAlloc); grown > 3<<20 {
 			t.Errorf("%s: live heap grew by %d KiB over %d KiB of arrays; want about one 1 MiB batch",
 				q, grown>>10, rows*size>>10)
+		}
+	}
+}
+
+// TestShortCircuitEvaluatesOnlyUndecidedRows: AND and OR evaluate their
+// right operand for exactly the rows the left operand leaves undecided —
+// none, some or all of a three-row batch — in a filter and in a SELECT
+// item. The right operand is a UDF that records the row it was called for
+// and fails the test when the left operand had already decided that row.
+func TestShortCircuitEvaluatesOnlyUndecidedRows(t *testing.T) {
+	db := engine.NewMemDB()
+	s, err := engine.NewSchema(engine.Column{Name: "id", Type: engine.ColInt64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(0); id < 3; id++ {
+		if err := tbl.Insert([]engine.Value{engine.IntValue(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var undecided map[int64]bool
+	var called []int64
+	// True for odd ids.
+	db.Funcs().Register("t.Odd", 1, func(args []engine.Value) (engine.Value, error) {
+		if !undecided[args[0].I] {
+			t.Errorf("right operand evaluated for row %d, which the left operand decided", args[0].I)
+		}
+		called = append(called, args[0].I)
+		return engine.IntValue(args[0].I % 2), nil
+	})
+	for _, c := range []struct {
+		expr      string
+		undecided []int64 // rows the right operand must see, in order
+		truth     []int64 // the expression's value per row
+	}{
+		{"(id + 0) >= 0 AND t.Odd(id)", []int64{0, 1, 2}, []int64{0, 1, 0}},
+		{"(id + 0) >= 1 AND t.Odd(id)", []int64{1, 2}, []int64{0, 1, 0}},
+		{"(id + 0) <> 1 AND t.Odd(id)", []int64{0, 2}, []int64{0, 0, 0}},
+		{"(id + 0) > 5 AND t.Odd(id)", nil, []int64{0, 0, 0}},
+		{"(id + 0) > 5 OR t.Odd(id)", []int64{0, 1, 2}, []int64{0, 1, 0}},
+		{"(id + 0) < 1 OR t.Odd(id)", []int64{1, 2}, []int64{1, 1, 0}},
+		{"(id + 0) = 1 OR t.Odd(id)", []int64{0, 2}, []int64{0, 1, 0}},
+		{"(id + 0) >= 0 OR t.Odd(id)", nil, []int64{1, 1, 1}},
+	} {
+		undecided = make(map[int64]bool)
+		for _, id := range c.undecided {
+			undecided[id] = true
+		}
+		for _, q := range []string{
+			"SELECT " + c.expr + " FROM t",
+			"SELECT id FROM t WHERE " + c.expr,
+		} {
+			called = nil
+			res, err := RunWith(db, q, ExecOptions{BatchSize: 3})
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if fmt.Sprint(called) != fmt.Sprint(c.undecided) {
+				t.Errorf("%s: right operand called for rows %v, want %v", q, called, c.undecided)
+			}
+			var got []int64
+			for _, row := range res.Rows {
+				got = append(got, row[0].I)
+			}
+			want := c.truth
+			if strings.Contains(q, "WHERE") {
+				want = nil
+				for id, v := range c.truth {
+					if v != 0 {
+						want = append(want, int64(id))
+					}
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s = %v, want %v", q, got, want)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -353,25 +354,27 @@ func (ps *planState) wrap(op batchOperator, n *obs.PlanNode) batchOperator {
 // the sargable analysis collapses to a point lookup, a range scan, a
 // full scan, or a provably empty range.
 func scanPlanNode(table string, b keyBounds) *obs.PlanNode {
+	// Plain concatenation: every statement builds this node, point DML
+	// included, and fmt was a measurable share of a point statement.
 	var kind string
 	switch {
 	case b.empty:
 		kind = "empty range"
 	case b.hasLo && b.hasHi && b.lo == b.hi:
-		kind = fmt.Sprintf("point lookup key=%d", b.lo)
+		kind = "point lookup key=" + strconv.FormatInt(b.lo, 10)
 	case b.hasLo || b.hasHi:
 		lo, hi := "-inf", "+inf"
 		if b.hasLo {
-			lo = fmt.Sprint(b.lo)
+			lo = strconv.FormatInt(b.lo, 10)
 		}
 		if b.hasHi {
-			hi = fmt.Sprint(b.hi)
+			hi = strconv.FormatInt(b.hi, 10)
 		}
-		kind = fmt.Sprintf("range scan keys [%s, %s]", lo, hi)
+		kind = "range scan keys [" + lo + ", " + hi + "]"
 	default:
 		kind = "full scan"
 	}
-	return &obs.PlanNode{Name: "Scan", Detail: fmt.Sprintf("on %s (%s)", table, kind)}
+	return &obs.PlanNode{Name: "Scan", Detail: "on " + table + " (" + kind + ")"}
 }
 
 func parallelAggPlanNode(table string, lo, hi int64, workers int, residual Expr) *obs.PlanNode {
@@ -440,10 +443,10 @@ func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhe
 //
 //	scan → [filter] → [aggregate | limit] → project
 //
-// with the scan/filter/aggregate prefix replaced by one fused parallel
-// operator when the aggregate scan is big enough. Every scan in the tree
-// — including the parallel aggregate workers — reads through snap, so the
-// whole query observes one commit.
+// with the scan/filter/aggregate prefix replaced by one parallel operator
+// — the same prefix once per key span — when the aggregate scan is big
+// enough. Every scan in the tree, the parallel aggregate workers'
+// included, reads through snap, so the whole query observes one commit.
 func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *engine.Snapshot, opts ExecOptions) (*pipeline, error) {
 	bounds := unboundedKeys()
 	residual := stmt.Where
@@ -462,16 +465,8 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 		if plo, phi, workers, ok := parallelAggSpan(tbl, snap, bounds.loKey(), bounds.hiKey(), opts); ok {
 			plan = parallelAggPlanNode(tbl.Name(), plo, phi, workers, residual)
 			root = ps.wrap(&batchParallelAggOp{
-				tbl:       tbl,
-				snap:      snap,
-				qctx:      opts.Ctx,
-				lo:        plo,
-				hi:        phi,
-				workers:   workers,
-				batchSize: opts.batchSize(),
-				need:      cs.used,
-				accs:      cs.accs,
-				newWorker: newWorkerFunc(db, tbl, stmt, residual, snap),
+				db: db, tbl: tbl, snap: snap, stmt: stmt, residual: residual, opts: opts,
+				lo: plo, hi: phi, workers: workers, accs: cs.accs,
 			}, plan)
 		}
 	}
@@ -495,11 +490,12 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 	return &pipeline{root: root, columns: cs.columns, plan: plan, batchRows: bounds.batchRows(opts.batchSize())}, nil
 }
 
-// scanFilterAgg assembles the serial scan → [filter] → [aggregate] stack
-// over the key range in bounds. It is the one place these three operators
-// are wired together: buildPipeline puts limit and projection on top,
-// scatter's partitionPartial drains it for one member's partial
-// accumulators.
+// scanFilterAgg assembles the scan → [filter] → [aggregate] stack over the
+// key range in bounds. It is the one place these three operators are wired
+// together and the only code that builds a table scan: buildPipeline puts
+// limit and projection on top, drainStack runs it bare for a scatter
+// member's or parallel worker's partial accumulators (partitionPartial)
+// and for the read phase of UPDATE and DELETE.
 func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qctx context.Context,
 	bounds keyBounds, residual Expr, cs *compiledStmt) (batchOperator, *obs.PlanNode) {
 	lo, hi := bounds.loKey(), bounds.hiKey()
@@ -519,16 +515,35 @@ func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qct
 	return root, plan
 }
 
-// newWorkerFunc builds the per-worker compile closure of a parallel
-// aggregate scan. Compiled expressions are stateful (argument buffers,
-// batch scratch vectors), so every worker compiles its own copies.
-func newWorkerFunc(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residual Expr, snap *engine.Snapshot) func() (workerState, error) {
-	return func() (workerState, error) {
-		ws, err := compileStmt(db, tbl, stmt, residual, snap)
-		if err != nil {
-			return workerState{}, err
+// drainStack runs cs's scan → [filter] → [aggregate] stack over bounds
+// where there is no Rows to pull it: it opens the stack, hands every batch
+// it yields to each, and releases cursor and blob pins however it ends. A
+// nil each just drains — an aggregate stack folds the rows into cs.accs
+// itself.
+func drainStack(tbl *engine.Table, snap *engine.Snapshot, bounds keyBounds, residual Expr,
+	cs *compiledStmt, opts ExecOptions, each func(b *Batch, n int) error) error {
+	root, _ := new(planState).scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
+	defer root.close()
+	if err := root.open(); err != nil {
+		return err
+	}
+	b := newBatch(len(tbl.Schema().Columns))
+	defer b.pins.Release()
+	rows := bounds.batchRows(opts.batchSize())
+	for {
+		if err := pollCancel(opts.Ctx); err != nil {
+			return err
 		}
-		return workerState{pred: ws.where, accs: ws.accs}, nil
+		b.reset(rows)
+		n, err := root.nextBatch(b)
+		if n == 0 || err != nil {
+			return err
+		}
+		if each != nil {
+			if err := each(b, n); err != nil {
+				return err
+			}
+		}
 	}
 }
 

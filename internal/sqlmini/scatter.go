@@ -1,9 +1,9 @@
 package sqlmini
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"sqlarray/internal/engine"
@@ -38,8 +38,8 @@ type Partition struct {
 // actually touched.
 //
 // Stats are assembled merge-after-join: each worker goroutine writes
-// only its own result slot and the sums are taken after the WaitGroup
-// join, so nothing in a ScatterStats is ever written concurrently.
+// only its own result slot and the sums are taken after fanOut's join,
+// so nothing in a ScatterStats is ever written concurrently.
 // Concurrent scatter queries each get an independent value and may
 // read it freely.
 type ScatterStats struct {
@@ -162,29 +162,20 @@ func ScatterExplain(parts []Partition, stmt *ExplainStmt, opts ExecOptions) (str
 	}
 
 	traces := make([]*obs.QueryTrace, len(sp.live))
-	errs := make([]error, len(sp.live))
-	sem := make(chan struct{}, opts.workers())
-	var wg sync.WaitGroup
 	start := time.Now()
-	for i, p := range sp.live {
-		wg.Add(1)
-		go func(i int, p Partition) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			popts := opts
-			popts.Snapshot = nil // every partition reads its own snapshot
-			popts.Trace = nil    // per-member trace, not the caller's
-			traces[i], errs[i] = ExplainAnalyze(p.DB, stmt.Stmt, popts)
-		}(i, p)
-	}
-	wg.Wait()
+	err = fanOut(opts.Ctx, len(sp.live), opts.workers(), func(ctx context.Context, i int) error {
+		popts := opts
+		popts.Ctx = ctx
+		popts.Snapshot = nil // every partition reads its own snapshot
+		popts.Trace = nil    // per-member trace, not the caller's
+		var err error
+		traces[i], err = ExplainAnalyze(sp.live[i].DB, stmt.Stmt, popts)
+		return err
+	})
 	root.Analyzed = true
 	root.Time = time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return "", sp.stats, err
-		}
+	if err != nil {
+		return "", sp.stats, err
 	}
 	sp.stats.PartRows = make([]int64, len(sp.live))
 	for i, tr := range traces {
@@ -246,70 +237,51 @@ func scatterAggregate(live []Partition, db0 *engine.DB, tbl0 *engine.Table, stmt
 		return nil, err
 	}
 
-	type partial struct {
-		accs []*accumulator
-		err  error
-	}
-	partials := make([]partial, len(live))
-	sem := make(chan struct{}, opts.workers())
-	var wg sync.WaitGroup
-	for i, p := range live {
-		wg.Add(1)
-		go func(i int, p Partition) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			accs, err := partitionPartial(p.DB, stmt, residual, bounds, opts)
-			partials[i] = partial{accs: accs, err: err}
-		}(i, p)
-	}
-	wg.Wait()
-	for _, pt := range partials {
-		if pt.err != nil {
-			return nil, pt.err
+	partials := make([][]*accumulator, len(live))
+	err = fanOut(opts.Ctx, len(live), opts.workers(), func(ctx context.Context, i int) error {
+		db := live[i].DB
+		tbl, err := db.Table(stmt.Table)
+		if err != nil {
+			return err
 		}
+		snap := db.Snapshot() // every partition reads its own snapshot
+		defer snap.Release()
+		popts := opts
+		popts.Ctx = ctx
+		partials[i], err = partitionPartial(db, tbl, snap, stmt, residual, bounds, popts)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Merge in partition order: float results stay deterministic for a
-	// fixed partition layout.
-	for _, pt := range partials {
-		for i, acc := range pt.accs {
-			master.accs[i].merge(acc)
-		}
-	}
-	ctx := &rowCtx{aggVals: aggResults(master.accs)}
+	mergePartials(master.accs, partials)
+	// The projection runs once, over the one-row batch of merged results.
+	b := &Batch{}
+	b.setAggregates(master.accs)
 	out := make([]engine.Value, len(master.items))
 	for i, item := range master.items {
-		v, err := item.eval(ctx)
+		v, err := item.evalBatch(b, 1)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		out[i] = v.Value(0)
 	}
 	return &Result{Columns: master.columns, Rows: [][]engine.Value{out}}, nil
 }
 
-// partitionPartial runs scan → filter → accumulate over one partition
-// under its own snapshot and returns the partial accumulators.
-func partitionPartial(db *engine.DB, stmt *SelectStmt, residual Expr, bounds keyBounds, opts ExecOptions) ([]*accumulator, error) {
-	tbl, err := db.Table(stmt.Table)
-	if err != nil {
-		return nil, err
-	}
-	snap := db.Snapshot()
-	defer snap.Release()
+// partitionPartial runs scan → filter → accumulate over the keys of tbl
+// within bounds, reading through snap, and returns the partial
+// accumulators. A scatter member runs it over its own database and
+// snapshot; a parallel aggregate worker over its key span of the one table,
+// sharing the query's snapshot. Either way it compiles its own copy of the
+// statement, so concurrent callers share no expression state.
+func partitionPartial(db *engine.DB, tbl *engine.Table, snap *engine.Snapshot, stmt *SelectStmt,
+	residual Expr, bounds keyBounds, opts ExecOptions) ([]*accumulator, error) {
 	cs, err := compileStmt(db, tbl, stmt, residual, snap)
 	if err != nil {
 		return nil, err
 	}
-	agg, _ := new(planState).scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
-	defer agg.close()
-	if err := agg.open(); err != nil {
-		return nil, err
-	}
-	b := newBatch(len(tbl.Schema().Columns))
-	defer b.pins.Release()
-	b.reset(bounds.batchRows(opts.batchSize()))
-	if _, err := agg.nextBatch(b); err != nil {
+	if err := drainStack(tbl, snap, bounds, residual, cs, opts, nil); err != nil {
 		return nil, err
 	}
 	return cs.accs, nil
@@ -322,27 +294,18 @@ func partitionPartial(db *engine.DB, stmt *SelectStmt, residual Expr, bounds key
 // The second return is the per-partition gathered row count, in
 // partition order, assembled after the join.
 func scatterSelect(live []Partition, stmt *SelectStmt, opts ExecOptions) (*Result, []int64, error) {
-	popts := opts
-	popts.Snapshot = nil // every partition reads its own snapshot
-	popts.Trace = nil    // a shared trace cannot hold N partition plans
 	results := make([]*Result, len(live))
-	errs := make([]error, len(live))
-	sem := make(chan struct{}, opts.workers())
-	var wg sync.WaitGroup
-	for i, p := range live {
-		wg.Add(1)
-		go func(i int, p Partition) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = ExecWith(p.DB, stmt, popts)
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	err := fanOut(opts.Ctx, len(live), opts.workers(), func(ctx context.Context, i int) error {
+		popts := opts
+		popts.Ctx = ctx
+		popts.Snapshot = nil // every partition reads its own snapshot
+		popts.Trace = nil    // a shared trace cannot hold N partition plans
+		var err error
+		results[i], err = ExecWith(live[i].DB, stmt, popts)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	partRows := make([]int64, len(results))
 	out := &Result{}

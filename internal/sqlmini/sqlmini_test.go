@@ -367,6 +367,57 @@ func TestComparisonNaNSafety(t *testing.T) {
 	}
 }
 
+// TestMinMaxOverNaN: a NaN input makes MIN and MAX NaN wherever in the
+// scan it arrives and however the plan partitions the rows, as it makes
+// SUM and AVG. The accumulators used to keep a NaN only if it was the
+// first value they saw (f < min is false for NaN), so the answer depended
+// on the row's position and on the worker count.
+func TestMinMaxOverNaN(t *testing.T) {
+	const rows = 9
+	for _, c := range []struct {
+		name string
+		at   int64
+	}{{"first", 0}, {"middle", rows / 2}, {"last", rows - 1}} {
+		db := engine.NewMemDB()
+		s, err := engine.NewSchema(
+			engine.Column{Name: "id", Type: engine.ColInt64},
+			engine.Column{Name: "x", Type: engine.ColFloat64},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("t", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(0); id < rows; id++ {
+			x := float64(id)
+			if id == c.at {
+				x = math.NaN()
+			}
+			if err := tbl.Insert([]engine.Value{engine.IntValue(id), engine.FloatValue(x)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, par := range []int{1, 2} {
+			res, err := RunWith(db, "SELECT MIN(x), MAX(x), MIN(x + 1), COUNT(x) FROM t",
+				ExecOptions{Parallelism: par, ParallelThreshold: 1, BatchSize: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := res.Rows[0]
+			for i, name := range []string{"MIN(x)", "MAX(x)", "MIN(x + 1)"} {
+				if !math.IsNaN(row[i].F) {
+					t.Errorf("NaN %s, Parallelism %d: %s = %v, want NaN", c.name, par, name, row[i])
+				}
+			}
+			if row[3].I != rows {
+				t.Errorf("NaN %s, Parallelism %d: COUNT(x) = %v, want %d", c.name, par, row[3], rows)
+			}
+		}
+	}
+}
+
 func TestLimitAlias(t *testing.T) {
 	db := testDB(t)
 	res, err := Run(db, "SELECT id FROM Tscalar LIMIT 7")

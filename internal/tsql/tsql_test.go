@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
@@ -205,6 +206,47 @@ func TestReshapeCastRawRoundtrip(t *testing.T) {
 	// Reshape with wrong size fails.
 	if _, err := db.Funcs().CallByName("FloatArray.Reshape_2", []engine.Value{v, engine.IntValue(4), engine.IntValue(2)}); !errors.Is(err, core.ErrShape) {
 		t.Errorf("bad reshape: %v", err)
+	}
+}
+
+// TestToStringEmptyArrayIsBounded: ToString of an array with no elements
+// costs O(rank) whatever its leading dimension says. A header-only blob with
+// dims [134217728,0,0] used to make this one SELECT emit 402 MB of
+// brackets.
+func TestToStringEmptyArrayIsBounded(t *testing.T) {
+	db := newDB(t)
+	a, err := core.New(core.Max, core.Float64, 134217728, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := engine.NewSchema(
+		engine.Column{Name: "id", Type: engine.ColInt64},
+		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("empties", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert([]engine.Value{engine.IntValue(1), engine.BinaryMaxValue(a.Bytes())}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := sqlmini.Run(db, "SELECT FloatArrayMax.ToString(a) FROM empties")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(res.Rows[0][0].B); got != "[[]]" {
+		t.Errorf("ToString = %d bytes starting %.20q, want \"[[]]\"", len(got), got)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("ToString of an empty array took %v", d)
+	}
+	back := mustCall(t, db, "FloatArray.FromString", res.Rows[0][0])
+	if b, err := core.Wrap(back.B); err != nil || b.Len() != 0 {
+		t.Errorf("FromString(ToString(empty)) = %v, %v", b, err)
 	}
 }
 
