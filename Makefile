@@ -18,15 +18,17 @@ test: build
 race:
 	go test -race ./internal/engine/... ./internal/sqlmini/... ./internal/btree/... ./internal/pages/... ./internal/wal/... ./internal/blob/... ./internal/spectra/... ./internal/turbulence/...
 
-# lint mirrors CI's lint job: formatting, stock vet, and sqlarraylint —
-# the repo's own invariant suite (pinleak, latchorder, atomicfield,
-# durasync, ctxloop; see internal/analysis). staticcheck additionally
-# runs when it is installed; CI always installs it, offline dev
-# environments may not have it.
+# lint mirrors CI's lint job: formatting, stock vet, the structure guard
+# (scripts/structure.sh: deleted code paths stay deleted), and
+# sqlarraylint — the repo's own invariant suite (pinleak, latchorder,
+# atomicfield, durasync, ctxloop; see internal/analysis). staticcheck
+# additionally runs when it is installed; CI always installs it, offline
+# dev environments may not have it.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	go vet ./...
+	bash scripts/structure.sh
 	go test ./internal/analysis/...
 	go install ./cmd/sqlarraylint
 	go vet -vettool="$(GOBIN)/sqlarraylint" ./...

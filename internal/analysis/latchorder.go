@@ -28,8 +28,9 @@ import (
 // It also enforces the write-transaction discipline: Table methods whose
 // name ends in Tx (the DML entry points) mutate under WAL capture, so a
 // caller must itself be in transaction context — have a *engine.Tx
-// parameter or receiver, or have obtained one via db.Begin() earlier in
-// the same function.
+// parameter or receiver (a function literal's own *Tx parameter counts
+// for its body), or have obtained one via db.Begin() earlier in the same
+// function.
 var Latchorder = &Analyzer{
 	Name: "latchorder",
 	Doc:  "lock acquisitions must follow db.writeMu → db.mu → table.metaMu → pool stripe; DML *Tx entry points require transaction context",
@@ -384,21 +385,19 @@ func walkInner(p *Pass, body *ast.BlockStmt, held *levelSet, summaries map[*type
 func checkTxDiscipline(p *Pass, fd *ast.FuncDecl) {
 	info := p.TypesInfo
 
-	inTxCtx := false
 	// (a) *Tx receiver or parameter.
-	check := func(fl *ast.FieldList) {
+	hasTx := func(fl *ast.FieldList) bool {
 		if fl == nil {
-			return
+			return false
 		}
 		for _, f := range fl.List {
 			if tv, ok := info.Types[f.Type]; ok && tv.Type != nil && typeIs(tv.Type, "engine", "Tx") {
-				inTxCtx = true
+				return true
 			}
 		}
+		return false
 	}
-	check(fd.Recv)
-	check(fd.Type.Params)
-	if inTxCtx {
+	if hasTx(fd.Recv) || hasTx(fd.Type.Params) {
 		return
 	}
 
@@ -418,6 +417,9 @@ func checkTxDiscipline(p *Pass, fd *ast.FuncDecl) {
 	})
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.FuncLit); ok && hasTx(fl.Type.Params) {
+			return false // the closure is handed its caller's transaction
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// Pinleak verifies the engine's pin discipline: every buffer-pool or
-// pinned-view acquisition must reach a release on all return paths,
-// including error paths, unless the value escapes into a documented owner
-// (returned to the caller, stored in a struct like Cursor or BlobPins,
-// captured by a defer).
+// Pinleak verifies the engine's pin discipline: every buffer-pool pin or
+// cursor acquisition must reach a release on all return paths, including
+// error paths, unless the value escapes into a documented owner
+// (returned to the caller, stored in a struct like Cursor, captured by a
+// defer).
 //
 // The acquisition table below is matched by (package suffix, receiver
 // type, method). For each local acquisition `v, err := acquire(...)` the
@@ -33,7 +33,7 @@ import (
 // anywhere in that body.
 var Pinleak = &Analyzer{
 	Name: "pinleak",
-	Doc:  "buffer-pool pins and pinned views must be released on every path or escape to a documented owner",
+	Doc:  "buffer-pool pins and cursors must be released on every path or escape to a documented owner",
 	Run:  runPinleak,
 }
 
@@ -46,7 +46,6 @@ var pinAcquire = []struct {
 	{"pages", "BufferPool", "FetchForWrite"},
 	{"pages", "Snapshot", "Fetch"},
 	{"pages", "Fetcher", "Fetch"}, // the interface every B+tree and blob read goes through
-	{"blob", "Store", "View"},
 	{"engine", "Table", "CursorAt"},
 	{"engine", "Table", "CursorRangeAt"},
 	{"btree", "Tree", "Scan"},
@@ -184,7 +183,7 @@ func calleeName(fun ast.Expr) string {
 // escapes reports whether v's ownership leaves the straight-line scope
 // anywhere in the function: returned, stored, aliased, address-taken,
 // placed in a composite literal, passed to a non-release call (ownership
-// transfer to BlobPins.add, a btree helper, ...), or referenced from
+// transfer to a btree helper, ...), or referenced from
 // defer/go/closure.
 func escapes(info *types.Info, body *ast.BlockStmt, a *oneAcq) bool {
 	esc := false
@@ -270,7 +269,7 @@ func allBlank(lhs []ast.Expr) bool {
 
 // releasesHere reports whether n contains a release of v: a call to a
 // method named Unpin/Release/Close taking v as an argument (bp.Unpin(f))
-// or as its receiver (view.Release()).
+// or as its receiver (cur.Close()).
 func releasesHere(info *types.Info, n ast.Node, a *oneAcq) bool {
 	rel := false
 	ast.Inspect(n, func(m ast.Node) bool {

@@ -109,6 +109,20 @@ func (tx *Tx) insertInto(t *Table) error {
 	return t.InsertTx(tx, 1)
 }
 
+// good: a closure's own *Tx parameter marks its body — the shape of a
+// helper that runs fn inside a session it opened.
+func goodDMLClosure(run func(func(tx *Tx) error) error, t *Table) error {
+	return run(func(tx *Tx) error { return t.InsertTx(tx, 1) })
+}
+
+// bad: a closure without a *Tx parameter is judged by its enclosing
+// function, which has no transaction.
+func badDMLClosure(t *Table) func() error {
+	return func() error {
+		return t.InsertTx(nil, 1) // want `DML entry point InsertTx requires a write transaction`
+	}
+}
+
 func suppressedOrder(db *DB, t *Table) {
 	t.metaMu.Lock()
 	db.mu.RLock() //lint:allow latchorder deliberate inversion exercised by this fixture

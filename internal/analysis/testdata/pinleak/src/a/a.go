@@ -212,31 +212,7 @@ func (t *tree) suppressedFetchForWrite() {
 	_ = f.Data()
 }
 
-// the single-chunk blob view is the one blob read that holds a pin.
-func leakView(s *blob.Store, ref blob.Ref) ([]byte, error) {
-	v, err := s.View(ref)
-	if err != nil {
-		return nil, err
-	}
-	b, ok := v.Contiguous()
-	if !ok {
-		return nil, nil // want `return leaks the Store\.View pin`
-	}
-	v.Release()
-	return b, nil
-}
-
-func goodView(s *blob.Store, ref blob.Ref) error {
-	v, err := s.View(ref)
-	if err != nil {
-		return err
-	}
-	defer v.Release()
-	_, _ = v.Contiguous()
-	return nil
-}
-
-// callback reads keep no pin: nothing to release.
+// blob reads are callbacks and keep no pin: nothing to release.
 func goodVisit(s *blob.Store, ref blob.Ref) error {
 	return s.VisitRuns(ref, func([]byte) {})
 }

@@ -32,9 +32,9 @@
 //     store's pages.Fetcher — the live pool, or a snapshot — and lends
 //     the caller the bytes in place, decoding only the compressed
 //     blocks the runs overlap. ReadAt, ReadAll and ReadRuns are
-//     VisitRuns with a copying callback. Nothing VisitRuns pins or
-//     decodes outlives the call; View (view.go) is the one exception,
-//     for single-chunk blobs whose payload a caller wants to keep.
+//     VisitRuns with a copying callback. Nothing a read pins or decodes
+//     outlives the call: a caller that keeps bytes past its callback
+//     copies them.
 package blob
 
 import (

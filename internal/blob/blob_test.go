@@ -36,6 +36,21 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
+// randomBlobStore writes one blobBytes-long blob of seeded random
+// (incompressible, so raw-stored) bytes to a fresh store, returning the
+// store, the blob's ref and bytes, and the pool underneath.
+func randomBlobStore(t *testing.T, blobBytes int) (*Store, Ref, []byte, *pages.BufferPool) {
+	t.Helper()
+	bp := pages.NewBufferPool(pages.NewMemDisk(), 1<<12)
+	s := NewStore(bp)
+	data := randBytes(rand.New(rand.NewSource(7)), blobBytes)
+	ref, err := s.Write(data, Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, ref, data, bp
+}
+
 func TestWriteReadAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := newStore(t)
@@ -189,7 +204,7 @@ func TestReadRuns(t *testing.T) {
 // run arrives as one segment per chunk, the bytes are the blob's, and
 // no pin survives the call — including a call that fails validation.
 func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
-	s, ref, data, bp := viewTestStore(t, 4*ChunkSize)
+	s, ref, data, bp := randomBlobStore(t, 4*ChunkSize)
 	runs := []Run{
 		{SrcOff: 10, DstOff: 0, Len: 100},
 		{SrcOff: ChunkSize - 8, DstOff: 100, Len: 16}, // straddles chunks 0/1
@@ -240,7 +255,7 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 // subarray-shaped run read over a multi-chunk blob must report strictly
 // fewer ChunkReads than materializing the same blob via ReadAll.
 func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
-	s, ref, _, _ := viewTestStore(t, 16*ChunkSize)
+	s, ref, _, _ := randomBlobStore(t, 16*ChunkSize)
 	base := s.Stats()
 	if _, err := s.ReadAll(ref); err != nil {
 		t.Fatal(err)

@@ -41,9 +41,9 @@ func (s *Store) reuseSink() pageSink {
 // Write stores data as a new blob under codec c and returns its Ref
 // (the zero Codec, CodecNone and unknown kinds store raw). If the packed
 // compressed form would not occupy fewer chunk pages than raw storage,
-// the blob is stored raw instead — compression never costs pages, and
-// incompressible single-chunk blobs keep the zero-copy resolve path.
-// Pages come from the free list.
+// the blob is stored raw instead — compression never costs pages, and a
+// read of a raw chunk decodes nothing: VisitRuns lends its bytes as they
+// lie on the page. Pages come from the free list.
 func (s *Store) Write(data []byte, c Codec) (Ref, error) {
 	return s.write(data, c, s.reuseSink())
 }

@@ -12,32 +12,7 @@ import (
 // only the chunk pages a consumer actually needs — the property the
 // paper attributes to the SqlBytes stream wrapper ("supports reading
 // only parts of the binary data if the whole array is not required",
-// §3.3) — or hand back pinned, zero-copy payload bytes for blobs small
-// enough to live on a single chunk page.
-
-// BlobPins owns the pinned zero-copy blob views a consumer accumulates
-// while decoding MAX values. Whoever drives the decode (a batch, a
-// cursor loop, a test) must Release the set when the decoded bytes are
-// no longer referenced; until then the backing chunk pages stay pinned
-// in the buffer pool and cannot be evicted. Release is idempotent. The
-// zero value is ready to use.
-type BlobPins struct {
-	views []*blob.View
-}
-
-// Held returns how many pinned views the set currently owns.
-func (p *BlobPins) Held() int { return len(p.views) }
-
-// Release unpins every held view, returning their frames to the pool's
-// LRU, and empties the set for reuse.
-func (p *BlobPins) Release() {
-	for _, v := range p.views {
-		v.Release()
-	}
-	p.views = p.views[:0]
-}
-
-func (p *BlobPins) add(v *blob.View) { p.views = append(p.views, v) }
+// §3.3). No page any of them fetches stays pinned past the call.
 
 // codecForBlob sniffs a serialized value's array header and picks the
 // write-time codec: float64-family elements get the XOR-delta codec
@@ -64,14 +39,6 @@ func codecForBlob(b []byte) blob.Codec {
 	return blob.Codec{Kind: blob.CodecLZ, Width: 1}
 }
 
-// resolvePinFraction bounds how much of the buffer pool one BlobPins
-// set may hold pinned through zero-copy resolves: once a set holds
-// capacity/resolvePinFraction frames, further resolves fall back to the
-// copying read. Without the cap, a single 1024-row batch of single-chunk
-// MAX values could pin 1024 frames and exhaust a lock stripe of a
-// legally sized small pool.
-const resolvePinFraction = 4
-
 // Every table blob read below is implemented once, against a Snapshot:
 // a ref decoded from a snapshot's row must dereference the same
 // commit's chunk pages, or a concurrent UPDATE that freed and reused
@@ -81,33 +48,13 @@ const resolvePinFraction = 4
 // so they are only safe for refs no writer can be replacing meanwhile.
 
 // ResolveMaxAt materializes a VARBINARY(MAX) column value (the 12-byte
-// ref RowView.Col yields) into the array payload bytes, as of s.
-//
-// When the blob fits a single chunk page, pins is non-nil and the set
-// is under its pin budget, the returned slice aliases the pinned page
-// body — zero copies; ownership of the pin transfers to pins and the
-// bytes are valid until pins.Release(). Multi-chunk blobs, a nil pins,
-// or an exhausted budget fall back to the copying read, because an
-// array payload must be contiguous and chunk pages are not (and because
-// pinning must never wedge the pool); with a nil pins the result is
-// caller-owned — the plain "fetch the whole value" read. A null ref
-// resolves to nil.
-func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte, pins *BlobPins) ([]byte, error) {
+// ref RowView.Col yields) into the array payload bytes, as of s: the
+// plain "fetch the whole value" read. The result is a fresh,
+// caller-owned copy; no page stays pinned. A null ref resolves to nil.
+func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte) ([]byte, error) {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		return nil, err
-	}
-	if pins != nil && blob.NumChunks(ref.Length) == 1 &&
-		pins.Held() < t.db.bp.Capacity()/resolvePinFraction {
-		v, err := s.blobs.View(ref)
-		if err != nil {
-			return nil, err
-		}
-		if b, ok := v.Contiguous(); ok {
-			pins.add(v)
-			return b, nil
-		}
-		v.Release() // stored length disagreed with chunk count; fall back
 	}
 	return s.blobs.ReadAll(ref)
 }

@@ -110,7 +110,7 @@ func TestBlobSubarrayTouchesFewerChunksThanReadAll(t *testing.T) {
 	db, tbl, _, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
 	start := db.Blobs().Stats().ChunkReads
-	if _, err := resolveMax(tbl, ref, nil); err != nil {
+	if _, err := resolveMax(tbl, ref); err != nil {
 		t.Fatal(err)
 	}
 	whole := db.Blobs().Stats().ChunkReads - start
@@ -122,56 +122,6 @@ func TestBlobSubarrayTouchesFewerChunksThanReadAll(t *testing.T) {
 	if sliced >= whole {
 		t.Errorf("BlobSubarray touched %d chunks, ResolveMax touched %d — pushdown not effective",
 			sliced, whole)
-	}
-}
-
-func TestResolveMaxZeroCopyAndFallback(t *testing.T) {
-	db, tbl, cube, vec := maxTable(t)
-	var pins BlobPins
-
-	// Single-chunk blob: zero-copy, the pin is held by the set.
-	small, err := resolveMax(tbl, maxRef(t, tbl, 2), &pins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(small, vec.Bytes()) {
-		t.Error("zero-copy resolve bytes mismatch")
-	}
-	if pins.Held() != 1 {
-		t.Errorf("Held = %d, want 1", pins.Held())
-	}
-	if got := db.Pool().PinnedFrames(); got != 1 {
-		t.Errorf("PinnedFrames with live zero-copy value = %d, want 1", got)
-	}
-
-	// Multi-chunk blob: copying fallback, no pin.
-	big, err := resolveMax(tbl, maxRef(t, tbl, 1), &pins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(big, cube.Bytes()) {
-		t.Error("fallback resolve bytes mismatch")
-	}
-	if pins.Held() != 1 {
-		t.Errorf("Held after fallback = %d, want still 1", pins.Held())
-	}
-
-	// nil pins forces the copying path even for small blobs.
-	small2, err := resolveMax(tbl, maxRef(t, tbl, 2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(small2, vec.Bytes()) {
-		t.Error("nil-pins resolve bytes mismatch")
-	}
-
-	pins.Release()
-	pins.Release() // idempotent
-	if got := db.Pool().PinnedFrames(); got != 0 {
-		t.Errorf("PinnedFrames after Release = %d", got)
-	}
-	if err := db.DropCleanBuffers(); err != nil {
-		t.Errorf("DropCleanBuffers after Release: %v", err)
 	}
 }
 

@@ -122,7 +122,7 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 					if got := dirCompressed(t, db, vals[mCol].B); got != lay.packed {
 						t.Errorf("%s: row %d directory compressed = %v, want %v", when, key, got, lay.packed)
 					}
-					got, err := resolveMax(tbl, vals[mCol].B, nil)
+					got, err := resolveMax(tbl, vals[mCol].B)
 					if err != nil {
 						t.Fatalf("%s: resolve(%d): %v", when, key, err)
 					}
@@ -140,7 +140,9 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tbl.UpdateBlobSubarray(2, mCol, []int{8000}, []int{len(patchVals)}, patch); err != nil {
+			if err := inTx(tbl.db, func(tx *Tx) error {
+				return tbl.UpdateBlobSubarrayTx(tx, 2, mCol, []int{8000}, []int{len(patchVals)}, patch)
+			}); err != nil {
 				t.Fatal(err)
 			}
 			hdr := int64(len(want[2])) - int64(elems*8)
@@ -149,7 +151,9 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 			// Whole-blob overwrite of another row.
 			a5 := lay.array(t, elems, 99)
 			want[5] = append([]byte(nil), a5.Bytes()...)
-			if err := tbl.Update(5, []int{mCol}, []Value{BinaryMaxValue(a5.Bytes())}); err != nil {
+			if err := inTx(tbl.db, func(tx *Tx) error {
+				return tbl.UpdateTx(tx, 5, []int{mCol}, []Value{BinaryMaxValue(a5.Bytes())})
+			}); err != nil {
 				t.Fatal(err)
 			}
 			check(db, tbl, "after patch")

@@ -7,13 +7,23 @@ import (
 	"testing"
 )
 
-// resolveMax is ResolveMaxAt on a snapshot of the latest commit. A pin
-// handed to pins outlives the snapshot safely: the pool never retires a
-// pinned page version.
-func resolveMax(tbl *Table, ref []byte, pins *BlobPins) ([]byte, error) {
+// resolveMax is ResolveMaxAt on a snapshot of the latest commit.
+func resolveMax(tbl *Table, ref []byte) ([]byte, error) {
 	s := tbl.db.Snapshot()
 	defer s.Release()
-	return tbl.ResolveMaxAt(s, ref, pins)
+	return tbl.ResolveMaxAt(s, ref)
+}
+
+// inTx runs fn as a single-statement write session of db, committing it
+// when fn succeeds and aborting it when fn fails — the way the tests
+// call UpdateTx, DeleteTx and UpdateBlobSubarrayTx one statement at a
+// time.
+func inTx(db *DB, fn func(tx *Tx) error) error {
+	tx, err := db.Begin()
+	if err != nil {
+		return err
+	}
+	return tx.Close(fn(tx))
 }
 
 func testSchema(t *testing.T) Schema {
@@ -176,7 +186,7 @@ func TestTableInsertGetScan(t *testing.T) {
 		t.Errorf("x = %v", row[1])
 	}
 	// The MAX column decodes to a ref; materialize it.
-	got, err := resolveMax(tbl, row[3].B, nil)
+	got, err := resolveMax(tbl, row[3].B)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 // Table is a clustered table: rows live in B-tree leaves ordered by the
 // BIGINT key column, exactly the layout Table 1's queries scan.
 //
-// Concurrency: there is no table latch. Write sessions
-// (Insert/Update/Delete/UpdateBlobSubarray) are serialized by the
+// Concurrency: there is no table latch. Write sessions (InsertTx,
+// UpdateTx, DeleteTx, UpdateBlobSubarrayTx) are serialized by the
 // database's single-writer lock and mutate the live fields below
 // through copy-on-write page versions; readers never block them and
 // never see their uncommitted work. Cursors, scans and the blob
@@ -118,16 +118,6 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 	t.blobBytes.Add(blobAdded)
 	t.db.m.rowsInserted.Inc()
 	return nil
-}
-
-// Update overwrites the given columns of the row with the given
-// clustered key, as a single-statement write session.
-func (t *Table) Update(key int64, cols []int, vals []Value) error {
-	tx, err := t.db.Begin()
-	if err != nil {
-		return err
-	}
-	return tx.Close(t.UpdateTx(tx, key, cols, vals))
 }
 
 // UpdateTx overwrites columns cols (schema indexes) of the row with the
@@ -233,16 +223,6 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 	return nil
 }
 
-// Delete removes the row with the given clustered key as a
-// single-statement write session.
-func (t *Table) Delete(key int64) error {
-	tx, err := t.db.Begin()
-	if err != nil {
-		return err
-	}
-	return tx.Close(t.DeleteTx(tx, key))
-}
-
 // DeleteTx removes a row, returning its out-of-page blobs to the free
 // list. Returns btree.ErrNotFound if the key is absent.
 func (t *Table) DeleteTx(tx *Tx, key int64) error {
@@ -277,16 +257,6 @@ func (t *Table) DeleteTx(tx *Tx, key int64) error {
 	t.blobBytes.Add(-blobFreed)
 	t.db.m.rowsDeleted.Inc()
 	return nil
-}
-
-// UpdateBlobSubarray overwrites the subarray [offset, offset+size) of a
-// stored MAX array in place as a single-statement write session.
-func (t *Table) UpdateBlobSubarray(key int64, col int, offset, size []int, src *core.Array) error {
-	tx, err := t.db.Begin()
-	if err != nil {
-		return err
-	}
-	return tx.Close(t.UpdateBlobSubarrayTx(tx, key, col, offset, size, src))
 }
 
 // UpdateBlobSubarrayTx rewrites only the chunk pages the subarray's

@@ -14,9 +14,9 @@ package engine
 //
 // Binary rows are slices into memory the vector does not necessarily
 // own: the vector's arena (scan fills and UDF results are copied there),
-// a literal's bytes, or a pinned blob page a MAX-column resolve aliases.
-// Whoever fills the vector decides; whoever reads it must be done before
-// the next Reset.
+// a literal's bytes, or the copy a MAX-column resolve read. None of them
+// is a buffer-pool page. Whoever fills the vector decides; whoever reads
+// it must be done before the next Reset.
 //
 // Mixed kinds in one vector are part of the contract. A UDF has no
 // declared result type, and the array functions use that: Subarray picks

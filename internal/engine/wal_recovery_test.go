@@ -66,7 +66,7 @@ func fetchArray(t *testing.T, tbl *Table, key int64, col int) *core.Array {
 	if err != nil {
 		t.Fatalf("Get(%d): %v", key, err)
 	}
-	payload, err := resolveMax(tbl, vals[col].B, nil)
+	payload, err := resolveMax(tbl, vals[col].B)
 	if err != nil {
 		t.Fatalf("ResolveMax(%d): %v", key, err)
 	}
@@ -95,7 +95,7 @@ func verifyInvariants(t *testing.T, db *DB, tables ...string) {
 					return false, err
 				}
 				if c.Type == ColVarBinaryMax && !v.IsNull() {
-					payload, err := resolveMax(tbl, v.B, nil)
+					payload, err := resolveMax(tbl, v.B)
 					if err != nil {
 						return false, err
 					}
@@ -146,23 +146,33 @@ func TestRecoverCommittedDML(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-checkpoint DML, all committed (synced) before the crash.
-	if err := tbl.Update(4, []int{1}, []Value{FloatValue(44.5)}); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateTx(tx, 4, []int{1}, []Value{FloatValue(44.5)})
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Update(3, []int{mCol}, []Value{BinaryMaxValue(bigArray(t, arrElems, 777).Bytes())}); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateTx(tx, 3, []int{mCol}, []Value{BinaryMaxValue(bigArray(t, arrElems, 777).Bytes())})
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Delete(7); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.DeleteTx(tx, 7)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Delete(8); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.DeleteTx(tx, 8)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	patch, err := core.FromFloat64s(core.Short, core.Float64, []float64{-1, -2, -3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.UpdateBlobSubarray(0, mCol, []int{2500}, []int{3}, patch); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateBlobSubarrayTx(tx, 0, mCol, []int{2500}, []int{3}, patch)
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -344,7 +354,9 @@ func TestSubarrayUpdateTouchesFewerChunks(t *testing.T) {
 	}
 	b0 := db.Blobs().Stats()
 	w0 := db.WAL().Stats()
-	if err := tbl.UpdateBlobSubarray(1, 2, []int{8000}, []int{4}, patch); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateBlobSubarrayTx(tx, 1, 2, []int{8000}, []int{4}, patch)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	b1 := db.Blobs().Stats()
@@ -353,7 +365,9 @@ func TestSubarrayUpdateTouchesFewerChunks(t *testing.T) {
 	subRecords := w1.Records - w0.Records
 
 	// Whole-blob rewrite of the same column for comparison.
-	if err := tbl.Update(1, []int{2}, []Value{BinaryMaxValue(bigArray(t, elems, 5).Bytes())}); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateTx(tx, 1, []int{2}, []Value{BinaryMaxValue(bigArray(t, elems, 5).Bytes())})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	b2 := db.Blobs().Stats()
@@ -396,12 +410,16 @@ func TestUpdateDeleteAccounting(t *testing.T) {
 	// (failure safety), growing the file once by one blob footprint;
 	// from then on rewrites recycle the freed pages and the file stops
 	// growing — the leak regression.
-	if err := tbl.Update(1, []int{2}, []Value{BinaryMaxValue(bigArray(t, 3000, 9).Bytes())}); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateTx(tx, 1, []int{2}, []Value{BinaryMaxValue(bigArray(t, 3000, 9).Bytes())})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	baselinePages := db.Pool().Disk().NumPages()
 	for round := 0; round < 4; round++ {
-		if err := tbl.Update(1, []int{2}, []Value{BinaryMaxValue(bigArray(t, 3000, float64(round)).Bytes())}); err != nil {
+		if err := inTx(tbl.db, func(tx *Tx) error {
+			return tbl.UpdateTx(tx, 1, []int{2}, []Value{BinaryMaxValue(bigArray(t, 3000, float64(round)).Bytes())})
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if got := db.Pool().Disk().NumPages(); got != baselinePages {
@@ -410,7 +428,9 @@ func TestUpdateDeleteAccounting(t *testing.T) {
 	}
 
 	// Key relocation: moving id 2 -> 5.
-	if err := tbl.Update(2, []int{0}, []Value{IntValue(5)}); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateTx(tx, 2, []int{0}, []Value{IntValue(5)})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.Get(2); !errors.Is(err, btree.ErrNotFound) {
@@ -420,12 +440,16 @@ func TestUpdateDeleteAccounting(t *testing.T) {
 		t.Fatalf("moved row missing: %v", err)
 	}
 	// Moving onto an existing key fails cleanly.
-	if err := tbl.Update(5, []int{0}, []Value{IntValue(1)}); err == nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.UpdateTx(tx, 5, []int{0}, []Value{IntValue(1)})
+	}); err == nil {
 		t.Fatal("key collision not detected")
 	}
 
 	// Delete frees the blob; rows and counters settle.
-	if err := tbl.Delete(1); err != nil {
+	if err := inTx(tbl.db, func(tx *Tx) error {
+		return tbl.DeleteTx(tx, 1)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tbl.Rows(); got != 1 {

@@ -160,7 +160,7 @@ func (bs *BucketStore) decodeBucket(view *engine.Snapshot, row *engine.RowView) 
 		if err != nil {
 			return nil, err
 		}
-		raw, err := bs.table.ResolveMaxAt(view, ref.B, nil)
+		raw, err := bs.table.ResolveMaxAt(view, ref.B)
 		if err != nil {
 			return nil, err
 		}

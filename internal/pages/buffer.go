@@ -795,9 +795,9 @@ func (bp *BufferPool) Capacity() int { return bp.cap }
 func (bp *BufferPool) Shards() int { return len(bp.shards) }
 
 // PinnedFrames returns the number of frames with a nonzero pin count.
-// A quiesced pool must report zero; iterators, cursors and pinned blob
-// views that terminate early are required to release on Close, and
-// tests assert this invariant through here.
+// A quiesced pool must report zero; iterators and cursors that terminate
+// early are required to release on Close, and tests assert this
+// invariant through here.
 func (bp *BufferPool) PinnedFrames() int {
 	n := 0
 	for _, s := range bp.shards {

@@ -1,6 +1,7 @@
 package spectra
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,6 +75,48 @@ func TestSynthesizeAndValidate(t *testing.T) {
 	bad2.Wave[5] = bad2.Wave[4]
 	if err := bad2.Validate(); err == nil {
 		t.Error("non-ascending grid must fail")
+	}
+}
+
+// TestGridRejectsNonFiniteWavelengths: a NaN compares false against
+// everything, so an ascending check written as w[i] <= w[i-1] passes it,
+// and ±Inf bins make infinite bin edges. Each grid must be refused with
+// ErrGrid as a spectrum (Validate, Store.Insert) and as a Resample target.
+func TestGridRejectsNonFiniteWavelengths(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	st, err := CreateStore(engine.NewMemDB(), "spectra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []float64{0.5, 1.5, 2.5, 3.5}
+	for i, wave := range [][]float64{
+		{1, nan, 3},
+		{nan, 1, 2},
+		{1, 2, nan},
+		{1, 2, inf},
+		{-inf, 1, 2},
+		{1, inf, inf},
+	} {
+		n := len(wave)
+		s := &Spectrum{ID: int64(i), Wave: wave, Flux: []float64{1, 1, 1},
+			Err: make([]float64, n), Flags: make([]int64, n)}
+		if err := s.Validate(); !errors.Is(err, ErrGrid) {
+			t.Errorf("Validate(%v) = %v, want ErrGrid", wave, err)
+		}
+		if _, err := Resample(s, good); !errors.Is(err, ErrGrid) {
+			t.Errorf("Resample from %v = %v, want ErrGrid", wave, err)
+		}
+		if err := st.Insert(s); !errors.Is(err, ErrGrid) {
+			t.Errorf("Insert(%v) = %v, want ErrGrid", wave, err)
+		}
+		src := &Spectrum{Wave: good, Flux: []float64{1, 1, 1, 1},
+			Err: make([]float64, 4), Flags: make([]int64, 4)}
+		if _, err := Resample(src, wave); !errors.Is(err, ErrGrid) {
+			t.Errorf("Resample onto %v = %v, want ErrGrid", wave, err)
+		}
+	}
+	if got := st.Table().Rows(); got != 0 {
+		t.Errorf("%d spectra with non-finite grids persisted", got)
 	}
 }
 

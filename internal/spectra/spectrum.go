@@ -17,11 +17,11 @@ import (
 	"sort"
 )
 
-// Spectrum is one observation. Wave must be strictly ascending; the
-// scale is typically logarithmic and differs between observations ("the
-// wavelength scale can change from observation to observation ... it is
-// necessary to store the wavelength vector of each spectrum
-// separately").
+// Spectrum is one observation. Wave must be finite and strictly
+// ascending; the scale is typically logarithmic and differs between
+// observations ("the wavelength scale can change from observation to
+// observation ... it is necessary to store the wavelength vector of each
+// spectrum separately").
 type Spectrum struct {
 	ID    int64
 	Z     float64 // redshift, the grouping attribute for composites
@@ -44,9 +44,20 @@ func (s *Spectrum) Validate() error {
 		return fmt.Errorf("%w: vector lengths %d/%d/%d/%d",
 			ErrGrid, n, len(s.Flux), len(s.Err), len(s.Flags))
 	}
-	for i := 1; i < n; i++ {
-		if s.Wave[i] <= s.Wave[i-1] {
-			return fmt.Errorf("%w: not ascending at bin %d", ErrGrid, i)
+	return checkGrid("grid", s.Wave)
+}
+
+// checkGrid reports ErrGrid unless every wavelength of w is finite and
+// strictly greater than the one before it. Finiteness is checked first
+// and on its own: every comparison with NaN is false, so an ascending
+// test alone lets a NaN through.
+func checkGrid(what string, w []float64) error {
+	for i, x := range w {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: %s bin %d is %g", ErrGrid, what, i, x)
+		}
+		if i > 0 && x <= w[i-1] {
+			return fmt.Errorf("%w: %s not ascending at bin %d", ErrGrid, what, i)
 		}
 	}
 	return nil
@@ -200,10 +211,8 @@ func Resample(s *Spectrum, newWave []float64) (*Spectrum, error) {
 	if len(newWave) < 2 {
 		return nil, fmt.Errorf("%w: target grid of %d bins", ErrGrid, len(newWave))
 	}
-	for i := 1; i < len(newWave); i++ {
-		if newWave[i] <= newWave[i-1] {
-			return nil, fmt.Errorf("%w: target grid not ascending at %d", ErrGrid, i)
-		}
+	if err := checkGrid("target grid", newWave); err != nil {
+		return nil, err
 	}
 	srcEdges := binEdges(s.Wave)
 	dstEdges := binEdges(newWave)

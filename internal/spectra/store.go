@@ -89,7 +89,7 @@ func (st *Store) getAt(snap *engine.Snapshot, id int64) (*Spectrum, error) {
 	}
 	s := &Spectrum{ID: id, Z: row[1].F}
 	for i, dst := range []*[]float64{&s.Wave, &s.Flux, &s.Err} {
-		raw, err := st.table.ResolveMaxAt(snap, row[2+i].B, nil)
+		raw, err := st.table.ResolveMaxAt(snap, row[2+i].B)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func (st *Store) getAt(snap *engine.Snapshot, id int64) (*Spectrum, error) {
 		}
 		*dst = arr.Float64s()
 	}
-	raw, err := st.table.ResolveMaxAt(snap, row[5].B, nil)
+	raw, err := st.table.ResolveMaxAt(snap, row[5].B)
 	if err != nil {
 		return nil, err
 	}

@@ -124,7 +124,11 @@ func TestStoreReadsOneCommittedVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals = append(vals, engine.BinaryMaxValue(flags.Bytes()))
-		if err := st.Table().Update(1, []int{1, 2, 3, 4, 5}, vals); err != nil {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Close(st.Table().UpdateTx(tx, 1, []int{1, 2, 3, 4, 5}, vals)); err != nil {
 			t.Fatal(err)
 		}
 	}

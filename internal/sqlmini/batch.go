@@ -53,14 +53,6 @@ type Batch struct {
 	// out is the projected output, one safe-to-retain row per live row,
 	// carved from a fresh slab each batch by batchProjectOp.
 	out [][]engine.Value
-
-	// pins owns the zero-copy blob views MAX-column derefs (cMaxCol)
-	// acquire while expressions evaluate over this batch: the resolved
-	// payload bytes alias pinned chunk pages, so the pins must live as
-	// long as the batch's values do. They are released whenever the
-	// batch is recycled for the next fill and when the owning operator
-	// closes.
-	pins engine.BlobPins
 }
 
 // newBatch allocates a batch for a table with ncols schema columns.
@@ -76,19 +68,10 @@ func (b *Batch) reset(capRows int) {
 	b.n = 0
 	b.cap = capRows
 	b.aggVals = nil
-	b.pins.Release()
 	if cap(b.keys) < capRows {
 		b.keys = make([]int64, capRows)
 	}
 	b.keys = b.keys[:capRows]
-}
-
-// recycle empties the batch between fills within one operator call:
-// live rows are dropped and any zero-copy blob pins are released.
-// Capacity and column vectors are kept.
-func (b *Batch) recycle() {
-	b.n = 0
-	b.pins.Release()
 }
 
 // col returns the decoded vector of schema column ci.
@@ -226,8 +209,8 @@ func (f *batchFilterOp) nextBatch(b *Batch) (int, error) {
 		if len(sel) == n || b.compact(sel) > 0 {
 			return len(sel), nil
 		}
-		// Everything filtered out: recycle the batch and pull more rows.
-		b.recycle()
+		// Everything filtered out: empty the batch and pull more rows.
+		b.n = 0
 	}
 }
 
@@ -289,7 +272,7 @@ func (a *batchAggOp) nextBatch(b *Batch) (int, error) {
 				return 0, err
 			}
 		}
-		b.recycle()
+		b.n = 0
 	}
 	// Release the scan before emitting: the aggregate row references no
 	// page memory.
@@ -471,8 +454,9 @@ func partitionSpans(lo, hi int64, workers int) [][2]int64 {
 
 // batchProjectOp evaluates the SELECT items over the batch and carves the
 // output rows from a fresh slab, so every row handed upward is safe to
-// retain after the batch is recycled. Binary values are copied off the
-// vector (or the pinned page they still alias) for the same reason.
+// retain after the batch is refilled. Binary values are copied off the
+// vector, whose bytes may be an arena the next batch overwrites, for the
+// same reason.
 type batchProjectOp struct {
 	child batchOperator
 	items []compiled

@@ -13,8 +13,8 @@ import (
 
 // TestConcurrentDMLAndParallelScans runs writers (INSERT / UPDATE /
 // subarray UPDATE / DELETE through the SQL layer, WAL-logged) against
-// readers driving parallel aggregate scans and zero-copy MAX-column
-// projections on the sharded buffer pool. Run under -race this is the
+// readers driving parallel aggregate scans and MAX-column projections
+// on the sharded buffer pool. Run under -race this is the
 // satellite's writers-vs-readers soundness check; afterward no pin may
 // dangle and the catalog row count must match a full scan.
 func TestConcurrentDMLAndParallelScans(t *testing.T) {
@@ -72,8 +72,8 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 		}
 	}
 
-	// Readers: parallel aggregates on both tables plus a zero-copy MAX
-	// projection (pins batch-owned chunk pages).
+	// Readers: parallel aggregates on both tables plus a MAX projection
+	// (resolves blobs through the reader's snapshot).
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -155,7 +155,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 			return false, err
 		}
 		if !v.IsNull() {
-			if _, err := hot.ResolveMaxAt(snap, v.B, nil); err != nil {
+			if _, err := hot.ResolveMaxAt(snap, v.B); err != nil {
 				return false, err
 			}
 		}
@@ -173,7 +173,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := hot.ResolveMaxAt(snap, vals[2].B, nil)
+	payload, err := hot.ResolveMaxAt(snap, vals[2].B)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,11 @@ const (
 //
 // Every float is a multiple of 0.25 of small magnitude, so serial sums
 // are exact; only division and parallel merges round.
-func diffDB(t testing.TB, seed int64) *engine.DB {
+//
+// The returned pinWatch sees the frames pinned whenever t.Len runs over
+// m, so each generated statement with a serial plan also checks the pin
+// bound: one scan leaf at most.
+func diffDB(t testing.TB, seed int64) (*engine.DB, *pinWatch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := engine.NewMemDB()
@@ -119,6 +123,7 @@ func diffDB(t testing.TB, seed int64) *engine.DB {
 			t.Fatal(err)
 		}
 	}
+	w := &pinWatch{db: db}
 	reg := db.Funcs()
 	// t.Inc keeps its argument's type: BIGINT in, BIGINT out.
 	reg.Register("t.Inc", 1, func(args []engine.Value) (engine.Value, error) {
@@ -154,7 +159,12 @@ func diffDB(t testing.TB, seed int64) *engine.DB {
 		}
 		return args[0], nil
 	})
+	// t.Len over a resolved MAX value also records the frames pinned
+	// while it runs (pinWatch): the statement has just resolved m.
 	reg.Register("t.Len", 1, func(args []engine.Value) (engine.Value, error) {
+		if args[0].Kind == engine.ColVarBinaryMax {
+			w.observe()
+		}
 		if args[0].IsNull() {
 			return engine.IntValue(0), nil
 		}
@@ -193,7 +203,7 @@ func diffDB(t testing.TB, seed int64) *engine.DB {
 		}
 		return engine.FloatValue(x), nil
 	})
-	return db
+	return db, w
 }
 
 // diffGen builds random expressions as SQL text. safe restricts it to
@@ -410,7 +420,8 @@ func approxResultEq(a, b *Result) string {
 // TestDifferentialSelect runs the generated queries of every seed
 // through BatchSize {1, 3, 1024} × Parallelism {1, 2} and requires the
 // reference's rows (or an error on both sides), the reference's UDF call
-// count, and no pin left behind.
+// count, no pin left behind, and — on a serial plan — no more than the
+// scan's leaf pinned while t.Len runs over m.
 func TestDifferentialSelect(t *testing.T) {
 	seeds := diffSeeds
 	if *diffSeed != 0 {
@@ -430,7 +441,7 @@ func TestDifferentialSelect(t *testing.T) {
 		}
 	}
 	for _, seed := range seeds {
-		db := diffDB(t, seed)
+		db, w := diffDB(t, seed)
 		rng := rand.New(rand.NewSource(seed))
 		calls := func() uint64 { return db.Funcs().Stats().Calls }
 		var errored, rows int
@@ -452,10 +463,17 @@ func TestDifferentialSelect(t *testing.T) {
 					t.Errorf("seed %d query %d mode %s: %s\n  %s", seed, n, m.name, fmt.Sprintf(format, args...), q.sql)
 				}
 				c0 := calls()
+				w.take()
 				got, err := RunWith(db, q.sql, m.opts)
 				gotCalls := calls() - c0
 				if pins := db.Pool().PinnedFrames(); pins != 0 {
 					t.Fatalf("seed %d query %d mode %s: %d frames left pinned\n  %s", seed, n, m.name, pins, q.sql)
+				}
+				// A parallel aggregate's count is not exact (see pinWatch);
+				// every other plan here is serial.
+				if peak := w.take(); peak > 1 && !(q.aggregate && m.opts.Parallelism > 1) {
+					t.Fatalf("seed %d query %d mode %s: %d frames pinned while a UDF ran, want <= 1\n  %s",
+						seed, n, m.name, peak, q.sql)
 				}
 				if (err != nil) != (wantErr != nil) {
 					fail("error %v, reference error %v", err, wantErr)
@@ -598,7 +616,8 @@ func (st diffDML) apply(before, probe *Result) ([][]engine.Value, error) {
 // the reference executor — its probe SELECT over the pre-statement table —
 // and must affect exactly those rows, leave the table (keys, g, s) as
 // predicted, make the probe's UDF calls, fail exactly when the prediction
-// fails (leaving the table untouched), and leave no pin behind.
+// fails (leaving the table untouched), leave no pin behind, and hold no
+// more than the scan's leaf pinned while t.Len runs over m.
 func TestDifferentialDML(t *testing.T) {
 	seeds := diffSeeds
 	if *diffSeed != 0 {
@@ -608,7 +627,7 @@ func TestDifferentialDML(t *testing.T) {
 	const table = "SELECT id, g, s FROM R"
 	for _, seed := range seeds {
 		for _, bs := range []int{1, 3, 1024} {
-			db := diffDB(t, seed)
+			db, w := diffDB(t, seed)
 			rng := rand.New(rand.NewSource(seed))
 			calls := func() uint64 { return db.Funcs().Stats().Calls }
 			var errored, left int
@@ -635,10 +654,14 @@ func TestDifferentialDML(t *testing.T) {
 					errored++
 				}
 				c0 = calls()
+				w.take()
 				got, err := ExecuteWith(db, st.sql, ExecOptions{BatchSize: bs})
 				gotCalls := calls() - c0
 				if pins := db.Pool().PinnedFrames(); pins != 0 {
 					fail("%d frames left pinned", pins)
+				}
+				if peak := w.take(); peak > 1 {
+					fail("%d frames pinned while a UDF ran, want <= 1", peak)
 				}
 				if (err != nil) != (wantErr != nil) {
 					fail("error %v, predicted error %v", err, wantErr)

@@ -25,7 +25,7 @@ import (
 //	UPDATE t SET arr[2:5] = FloatArray.Vector_3(1,2,3) WHERE id = 7
 //
 // into a Subarray(...) call in target position, which the executor
-// recognizes and lowers to Table.UpdateBlobSubarray — rewriting only
+// recognizes and lowers to Table.UpdateBlobSubarrayTx — rewriting only
 // the chunk pages the slice touches on MAX columns, or patching the
 // in-row bytes for short arrays.
 
@@ -98,8 +98,8 @@ func exprHasColRef(e Expr) bool {
 }
 
 // copyValue deep-copies binary payloads so a collected value survives
-// the batch that produced it (vector arenas are recycled, MAX-column
-// payloads alias pinned pages).
+// the batch that produced it (vector arenas are reused by the next
+// batch).
 func copyValue(v engine.Value) engine.Value {
 	if (v.Kind == engine.ColVarBinary || v.Kind == engine.ColVarBinaryMax) && v.B != nil {
 		v.B = append([]byte(nil), v.B...)

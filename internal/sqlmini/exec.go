@@ -234,23 +234,17 @@ func (r *Rows) Row() []engine.Value { return r.cur }
 // Err returns the first error encountered while streaming.
 func (r *Rows) Err() error { return r.err }
 
-// Close tears down the pipeline, releasing any pinned pages (including
-// Batch-owned blob pins from in-flight MAX-column resolves) and the
-// query's snapshot. It is idempotent: repeated calls return the first
-// close's error without touching the (already released) pipeline again,
-// and Next after Close always reports false.
+// Close tears down the pipeline, releasing the scans' pinned pages and
+// the query's snapshot. It is idempotent: repeated calls return the
+// first close's error without touching the (already released) pipeline
+// again, and Next after Close always reports false.
 func (r *Rows) Close() error {
 	if r.closed {
 		return r.closeErr
 	}
 	r.closed = true
-	// Blob pins the current batch contents hold go first, then the
-	// operator tree (idempotently), so PinnedFrames is zero afterwards.
-	r.batch.pins.Release()
 	r.closeErr = r.root.close()
 	if r.snap != nil {
-		// After every pin is back (blob views alias snapshot-resolved
-		// pages), so superseded page versions can retire.
 		r.snap.Release()
 	}
 	r.finalize()
@@ -314,10 +308,8 @@ type cCol struct{ idx int }
 // cMaxCol reads a VARBINARY(MAX) column. On the row the column holds
 // only a 12-byte blob ref; this node materializes it into the array
 // payload so UDFs, comparisons and projections over MAX columns see the
-// same bytes short VARBINARY columns yield. The resolve is zero-copy for
-// single-chunk blobs: the returned bytes alias a pinned chunk page owned
-// by the batch's pin set, released when the batch is recycled or the
-// pipeline closes.
+// same bytes short VARBINARY columns yield. Each resolve is a copying
+// read: the payload is the node's own, and no chunk page stays pinned.
 type cMaxCol struct {
 	tbl  *engine.Table
 	snap *engine.Snapshot // the statement's read view
@@ -329,11 +321,11 @@ type cMaxCol struct {
 // read from a snapshot row must dereference the same commit's chunk
 // pages, or a concurrent UPDATE that freed and reused the blob's pages
 // could hand this scan foreign bytes.
-func (c *cMaxCol) resolve(ref engine.Value, pins *engine.BlobPins) (engine.Value, error) {
+func (c *cMaxCol) resolve(ref engine.Value) (engine.Value, error) {
 	if ref.IsNull() {
 		return ref, nil
 	}
-	payload, err := c.tbl.ResolveMaxAt(c.snap, ref.B, pins)
+	payload, err := c.tbl.ResolveMaxAt(c.snap, ref.B)
 	if err != nil {
 		return engine.Null, err
 	}
@@ -347,7 +339,7 @@ func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	}
 	c.vec.Reset(engine.ColVarBinaryMax, n)
 	for i := 0; i < n; i++ {
-		v, err := c.resolve(col.Value(i), &b.pins)
+		v, err := c.resolve(col.Value(i))
 		if err != nil {
 			return nil, err
 		}
@@ -594,9 +586,6 @@ func (c *cLogic) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	rb := b
 	if len(sel) < n {
 		rb = c.gather(b, sel)
-		// The right operand's MAX-column derefs pin pages only until
-		// their values are reduced to 0/1 below.
-		defer rb.pins.Release()
 	}
 	r, err := c.r.evalBatch(rb, len(sel))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"sqlarray/internal/core"
@@ -12,21 +13,20 @@ import (
 )
 
 // maxDB builds a table with a VARBINARY(MAX) array column mixing
-// single-chunk blobs (the zero-copy resolve path), multi-chunk blobs
-// (the copying fallback) and a NULL, plus a UDF that consumes the
-// materialized array payload.
+// single-chunk blobs, multi-chunk blobs and a NULL, plus a UDF that
+// consumes the materialized array payload.
 func maxDB(t testing.TB) *engine.DB {
 	// Incompressible multi-chunk arrays, which the blob writer stores
 	// raw: the tests here assert exact chunk-page counts that depend on
 	// the fixed ChunkSize geometry.
-	return maxDBWith(t, noise)
+	return maxDBWith(t, engine.NewMemDB(), noise)
 }
 
-// maxDBWith is maxDB with the multi-chunk arrays' elements drawn from
-// big(n, base), which decides the chunk format the writer picks.
-func maxDBWith(t testing.TB, big func(n int, base float64) []float64) *engine.DB {
+// maxDBWith builds maxDB's table and UDFs in db, with the multi-chunk
+// arrays' elements drawn from big(n, base), which decides the chunk
+// format the writer picks.
+func maxDBWith(t testing.TB, db *engine.DB, big func(n int, base float64) []float64) *engine.DB {
 	t.Helper()
-	db := engine.NewMemDB()
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
@@ -139,9 +139,9 @@ var maxGoldenQueries = []string{
 }
 
 // TestMaxColumnGoldenEquivalence asserts that MAX-column queries return
-// identical results across the reference executor (copying blob reads)
-// and the default, tiny-batch and parallel pipelines (resolving refs
-// zero-copy off pinned chunk pages), and that no strategy leaks a pin.
+// identical results across the reference executor (row at a time) and
+// the default, tiny-batch and parallel pipelines (a batch of refs
+// resolved per expression node), and that no strategy leaks a pin.
 func TestMaxColumnGoldenEquivalence(t *testing.T) {
 	db := maxDB(t)
 	modes := []struct {
@@ -182,7 +182,7 @@ func TestMaxColumnGoldenEquivalence(t *testing.T) {
 // byte-identical to what was inserted, and that the compressed read
 // paths leak no pins.
 func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
-	compDB := maxDBWith(t, seq)
+	compDB := maxDBWith(t, engine.NewMemDB(), seq)
 	if st := compDB.Blobs().Stats(); st.CompressedBytesWritten == 0 {
 		t.Fatal("store wrote no compressed chunks; suite would compare nothing")
 	}
@@ -227,7 +227,8 @@ func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
 }
 
 // TestMaxColumnEarlyCloseReleasesPins abandons a streaming MAX query
-// mid-batch (zero-copy pins live) and checks Close releases everything.
+// mid-batch (the scan's leaf still pinned) and checks Close releases
+// everything.
 func TestMaxColumnEarlyCloseReleasesPins(t *testing.T) {
 	db := maxDB(t)
 	rows, err := Query(db, "SELECT id, a FROM cubes")
@@ -247,7 +248,7 @@ func TestMaxColumnEarlyCloseReleasesPins(t *testing.T) {
 		t.Fatalf("PinnedFrames after mid-stream Close = %d, want 0", got)
 	}
 	// The yielded row was materialized by the projection; its payload
-	// must stay intact after the pins are gone.
+	// must stay intact after the pipeline is gone.
 	if len(keep) != 2 || keep[1].Kind != engine.ColVarBinaryMax {
 		t.Fatalf("retained row = %v", keep)
 	}
@@ -259,14 +260,12 @@ func TestMaxColumnEarlyCloseReleasesPins(t *testing.T) {
 	}
 }
 
-// TestMaxColumnZeroCopyTouchesFewerBytes pins down that the batch
-// pipeline's MAX resolve actually goes through the zero-copy path for
-// single-chunk blobs: with every array blob on one chunk, the query
-// must not copy payload bytes through the blob store's copying reads
-// (BytesRead counts copied bytes on ReadAll/ReadAt, and pinned-view
-// bytes on the view path — equal totals — so instead assert ChunkReads
-// equals the blob count rather than a multiple of it).
-func TestMaxColumnZeroCopyTouchesFewerBytes(t *testing.T) {
+// TestMaxColumnReadsEachChunkOnce pins down that the batch pipeline's
+// MAX resolve reads every blob chunk the query needs exactly once:
+// ChunkReads equals the number of chunk pages behind the non-NULL
+// arrays, not a multiple of it (BytesRead alone could not tell a second
+// pass over a chunk from a first).
+func TestMaxColumnReadsEachChunkOnce(t *testing.T) {
 	db := maxDB(t)
 	before := db.Blobs().Stats().ChunkReads
 	res, err := Run(db, "SELECT COUNT(*) FROM cubes WHERE arr.Len(a) > 0")
@@ -286,5 +285,91 @@ func TestMaxColumnZeroCopyTouchesFewerBytes(t *testing.T) {
 	// 27 + 7*3 = 48 chunks, once each.
 	if chunkReads != 48 {
 		t.Errorf("ChunkReads = %d, want 48 (each blob chunk touched once)", chunkReads)
+	}
+}
+
+// pinWatch turns the pin invariant into a probe: observe, called from
+// inside a UDF, records how many buffer-pool frames are pinned while the
+// statement evaluates. Every read — a blob resolve, a leaf hop — holds
+// its page for the length of its own call only, so under a serial plan
+// what stays pinned at that moment is the scan's leaf and nothing else.
+//
+// Under a parallel plan the other workers keep reading while the probe
+// counts, and PinnedFrames locks one pool stripe at a time: a worker
+// stepping from a page in one stripe to a page in another can be
+// counted twice. The count is an upper bound on the pins held at one
+// instant only on a single-stripe pool (fewer than 128 frames), where
+// no page can be pinned while the count holds the stripe lock.
+type pinWatch struct {
+	db   *engine.DB
+	peak atomic.Int64
+}
+
+// observe records the current pin count and returns it.
+func (w *pinWatch) observe() int64 {
+	n := int64(w.db.Pool().PinnedFrames())
+	for {
+		old := w.peak.Load()
+		if n <= old || w.peak.CompareAndSwap(old, n) {
+			return n
+		}
+	}
+}
+
+// take returns the peak observed since the previous take and resets it.
+func (w *pinWatch) take() int64 { return w.peak.Swap(0) }
+
+// TestReadsHoldNoPinsPastTheRead asserts, from inside the evaluation,
+// that resolving a MAX column leaves no chunk page pinned: while a UDF
+// over the resolved values runs, the only pinned frames are the open
+// scans' leaves — at most one for a serial plan, however many rows the
+// batch has resolved and whichever side of AND/OR the UDF sits on. A
+// parallel aggregate's P workers may add, besides their own leaves, the
+// one page each other worker's read in flight holds: 2P-1. The pool is
+// kept to one stripe so the parallel count is exact (see pinWatch).
+func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
+	db := maxDBWith(t, engine.NewDB(engine.Options{PoolPages: 120}), noise)
+	if n := db.Pool().Shards(); n != 1 {
+		t.Fatalf("pool has %d stripes; the parallel bound needs one", n)
+	}
+	w := &pinWatch{db: db}
+	var probes atomic.Int64
+	db.Funcs().Register("pins.Probe", 1, func([]engine.Value) (engine.Value, error) {
+		probes.Add(1)
+		return engine.IntValue(w.observe()), nil
+	})
+	serial, batch3 := ExecOptions{}, ExecOptions{BatchSize: 3}
+	parallel := ExecOptions{Parallelism: 2, ParallelThreshold: 1}
+	for _, c := range []struct {
+		sql   string
+		opts  ExecOptions
+		bound int64
+	}{
+		{"SELECT id, pins.Probe(a) FROM cubes", serial, 1},
+		{"SELECT id, pins.Probe(a) FROM cubes", batch3, 1},
+		// The right operand runs over the rows the left leaves
+		// undecided, gathered into a scratch batch: the multi-chunk
+		// arrays under AND, the rest under OR.
+		{"SELECT id FROM cubes WHERE arr.Len(a) > 100 AND pins.Probe(a) >= 0", serial, 1},
+		{"SELECT id FROM cubes WHERE arr.Len(a) > 100 OR pins.Probe(a) >= 0", serial, 1},
+		{"SELECT id FROM cubes WHERE arr.Len(a) > 100 OR pins.Probe(a) >= 0", batch3, 1},
+		{"SELECT MAX(pins.Probe(a)) FROM cubes", serial, 1},
+		{"SELECT MAX(pins.Probe(a)) FROM cubes", parallel, 2*2 - 1},
+	} {
+		w.take()
+		probes.Store(0)
+		if _, err := RunWith(db, c.sql, c.opts); err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if probes.Load() == 0 {
+			t.Fatalf("%s: the probe never ran", c.sql)
+		}
+		if peak := w.take(); peak > c.bound {
+			t.Errorf("%s (BatchSize %d, Parallelism %d): %d frames pinned while the probe ran, want <= %d",
+				c.sql, c.opts.BatchSize, c.opts.Parallelism, peak, c.bound)
+		}
+		if got := db.Pool().PinnedFrames(); got != 0 {
+			t.Fatalf("%s: PinnedFrames after Run = %d, want 0", c.sql, got)
+		}
 	}
 }

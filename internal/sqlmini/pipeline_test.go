@@ -43,13 +43,12 @@ func (c *cConst) eval(*rowCtx) (engine.Value, error) { return c.vec.Value(0), ni
 
 func (c *cCol) eval(ctx *rowCtx) (engine.Value, error) { return ctx.row.Col(c.idx) }
 
-// The copying read: there is no batch to own a pin.
 func (c *cMaxCol) eval(ctx *rowCtx) (engine.Value, error) {
 	v, err := ctx.row.Col(c.idx)
 	if err != nil {
 		return v, err
 	}
-	return c.resolve(v, nil)
+	return c.resolve(v)
 }
 
 func (c *cUDF) eval(ctx *rowCtx) (engine.Value, error) {

@@ -517,7 +517,7 @@ func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qct
 
 // drainStack runs cs's scan → [filter] → [aggregate] stack over bounds
 // where there is no Rows to pull it: it opens the stack, hands every batch
-// it yields to each, and releases cursor and blob pins however it ends. A
+// it yields to each, and releases the cursor's pins however it ends. A
 // nil each just drains — an aggregate stack folds the rows into cs.accs
 // itself.
 func drainStack(tbl *engine.Table, snap *engine.Snapshot, bounds keyBounds, residual Expr,
@@ -528,7 +528,6 @@ func drainStack(tbl *engine.Table, snap *engine.Snapshot, bounds keyBounds, resi
 		return err
 	}
 	b := newBatch(len(tbl.Schema().Columns))
-	defer b.pins.Release()
 	rows := bounds.batchRows(opts.batchSize())
 	for {
 		if err := pollCancel(opts.Ctx); err != nil {

@@ -209,14 +209,13 @@ func TestSharedSnapshotAcrossQueries(t *testing.T) {
 	assertDrained(t, db)
 }
 
-// TestRowsCloseMidStreamReleasesPins closes a streaming query mid-batch
-// while its Batch still owns zero-copy blob pins from MAX-column
-// resolves, and checks that Close releases every pin and the snapshot —
-// not just recycle on the next fill.
+// TestRowsCloseMidStreamReleasesPins closes a streaming query mid-batch,
+// with its scan still holding a leaf and its batch holding resolved MAX
+// values, and checks that Close releases every pin and the snapshot.
 func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	db, _ := openTestDB(t, 200, 1.0)
-	// Small batches so the projection resolves MAX blobs zero-copy into
-	// batch-owned pins before we abandon the stream.
+	// Small batches so the projection has resolved MAX blobs before we
+	// abandon the stream.
 	rows, err := QueryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +228,7 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	}
 	assertDrained(t, db)
 
-	// Same with the stream abandoned several batches in (earlier batches'
-	// pins were released by the refill, the current one's by Close).
+	// Same with the stream abandoned several batches in.
 	rows, err = QueryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +247,7 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 // TestSnapshotStressMixedScanDML is the racing half (run with -race):
 // writers continuously commit whole-table UPDATEs (every row's x moves
 // together, plus a blob subarray write) while readers run parallel
-// aggregate scans and zero-copy MAX projections. Snapshot isolation
+// aggregate scans and MAX projections. Snapshot isolation
 // makes "MIN(x) == MAX(x) and COUNT == rows" an invariant of every
 // read, no matter how many commits land mid-scan; any torn read fails
 // it. At the end, pins, snapshots and the version store drain to zero.
@@ -399,7 +397,12 @@ func TestQueryDuringCommitNeverSeesEmptyTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < commits && len(errCh) == 0; i++ {
-		if err := tbl.Update(int64(i%rows), []int{1}, []engine.Value{engine.FloatValue(float64(i))}); err != nil {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tbl.UpdateTx(tx, int64(i%rows), []int{1}, []engine.Value{engine.FloatValue(float64(i))})
+		if err := tx.Close(err); err != nil {
 			t.Fatal(err)
 		}
 	}

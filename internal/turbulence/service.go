@@ -168,7 +168,7 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 			if err != nil {
 				return [3]float64{}, err
 			}
-			raw, err := s.table.ResolveMaxAt(snap, ref, nil)
+			raw, err := s.table.ResolveMaxAt(snap, ref)
 			if err != nil {
 				return [3]float64{}, err
 			}

@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# Structure guard: names of code paths this codebase has deleted must not
+# come back in non-test Go. Each is a fixed string; a hit prints the
+# lines and fails. `make lint` and CI's lint job run it.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+names=(
+	# One expression evaluator (evalBatch): the row-at-a-time eval and
+	# its context live only in the test oracle (pipeline_test.go).
+	'rowCtx'
+	'evalRowwise'
+	'.eval('
+	'reg.Call('
+	'columnValue'
+	# One read loop (drainStack): parallel workers are partitionPartial.
+	'scanPartition'
+	'workerState'
+	'newWorkerFunc'
+	# Nothing a read lends outlives the read: no pinned blob view, no
+	# pin set a batch owns.
+	'BlobPins'
+	'Contiguous('
+	'resolvePinFraction'
+	'Store) View('
+)
+src=()
+while IFS= read -r f; do
+	[ -f "$f" ] && src+=("$f")
+done < <(git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$' | grep -v '/testdata/')
+fail=0
+for n in "${names[@]}"; do
+	if hits=$(grep -nF -- "$n" "${src[@]}"); then
+		echo "structure: '$n' is back in non-test code:" >&2
+		echo "$hits" >&2
+		fail=1
+	fi
+done
+exit $fail
