@@ -283,13 +283,13 @@ func printStats(d obs.Snapshot) {
 	fmt.Printf("blob store:  %d chunk reads, %d directory reads, %s of blob data, %d chunks written\n",
 		d.Get("blob.chunk_reads"), d.Get("blob.directory_reads"),
 		fmtBytes(d.Get("blob.bytes_read")), d.Get("blob.chunks_written"))
-	if cw, lw := d.Get("blob.compressed_bytes_written"), d.Get("blob.bytes_written"); cw > 0 && lw > 0 {
+	if sw, lw := d.Get("blob.stored_bytes_written"), d.Get("blob.bytes_written"); sw > 0 && lw > 0 {
 		fmt.Printf("compression: wrote %s stored for %s logical (%.2fx)\n",
-			fmtBytes(cw), fmtBytes(lw), float64(lw)/float64(cw))
+			fmtBytes(sw), fmtBytes(lw), float64(lw)/float64(sw))
 	}
-	if cr, lr := d.Get("blob.compressed_bytes_read"), d.Get("blob.bytes_read"); cr > 0 && lr > 0 {
+	if sr, lr := d.Get("blob.stored_bytes_read"), d.Get("blob.bytes_read"); sr > 0 && lr > 0 {
 		fmt.Printf("compression: read %s stored for %s logical (%.2fx)\n",
-			fmtBytes(cr), fmtBytes(lr), float64(lr)/float64(cr))
+			fmtBytes(sr), fmtBytes(lr), float64(lr)/float64(sr))
 	}
 	fmt.Printf("WAL:         %d records, %s logged, %d syncs, %d group-commit piggybacks\n",
 		d.Get("wal.records"), fmtBytes(d.Get("wal.bytes_logged")),

@@ -6,32 +6,26 @@
 // not required" — the property that makes subsetting max arrays cheap.
 //
 // Layout: a blob is a chain of directory pages (TypeBlobTree), each
-// holding an array of chunk page ids; chunk pages (TypeBlobData) hold up
-// to 8096 payload bytes each. The row stores only a fixed-size Ref.
-//
-// Two chunk formats coexist, discriminated by the page-header flag
-// pages.FlagCompressedBlob on the blob's directory and chunk pages:
-//
-//   - Raw: chunk c holds logical bytes [c*ChunkSize, (c+1)*ChunkSize)
-//     verbatim; directory entries are 4-byte chunk page ids.
-//   - Compressed: the logical blob is cut into BlockSize blocks, each
-//     compressed independently (see codec.go) and packed — several
-//     blocks per chunk page — so compressible blobs occupy fewer pages;
-//     directory entries are 8 bytes (page id plus the chunk's logical
-//     length). A blob is stored compressed only when that saves a page.
+// holding 8-byte (chunk page id, logical length) entries, and the chunk
+// pages (TypeBlobData) they name. The row stores only a fixed-size Ref.
+// There is one chunk layout: the logical blob is cut into BlockSize
+// blocks, each encoded under the blob's codec (see codec.go) and packed
+// behind a chunk header — several blocks per page when they compress.
+// A blob whose codec would not save a page is stored as raw blocks
+// under the zero Codec instead: one BlockSize block per chunk page.
 //
 // A Ref does not say how its bytes are stored, and callers never need
 // to know. There is one way in and one way out:
 //
 //   - write (write.go) lays a blob out under a codec on pages from a
-//     page sink — packed compressed blocks when that saves a page, raw
-//     chunks otherwise. Write and WriteFresh are its two sinks;
-//     WriteRuns (free.go) patches an existing blob in place.
+//     page sink. Write and WriteFresh are its two sinks; WriteRuns
+//     (free.go) patches an existing blob in place.
 //   - VisitRuns reads: given byte runs of the logical blob it walks the
 //     directory once, fetches each touched chunk once through the
 //     store's pages.Fetcher — the live pool, or a snapshot — and lends
-//     the caller the bytes in place, decoding only the compressed
-//     blocks the runs overlap. ReadAt, ReadAll and ReadRuns are
+//     the caller the bytes: a chunk holding one raw block in place off
+//     the page, any other chunk decoded, only the blocks the runs
+//     overlap, into pooled scratch. ReadAt, ReadAll and ReadRuns are
 //     VisitRuns with a copying callback. Nothing a read pins or decodes
 //     outlives the call: a caller that keeps bytes past its callback
 //     copies them.
@@ -90,8 +84,9 @@ func DecodeRef(b []byte) (Ref, error) {
 // Stats is a snapshot of blob-store I/O at the chunk granularity,
 // allowing the benchmarks to show how partial reads touch fewer pages.
 // BytesRead/BytesWritten count logical (uncompressed) bytes; the
-// Compressed* counters count the stored bytes of compressed chunks, so
-// BytesWritten / CompressedBytesWritten is the live compression ratio.
+// Stored* counters count the chunk page bytes behind them, headers
+// included, so BytesWritten / StoredBytesWritten is the live
+// compression ratio.
 type Stats struct {
 	DirectoryReads uint64
 	ChunkReads     uint64
@@ -100,28 +95,28 @@ type Stats struct {
 	BytesWritten   uint64
 	PagesFreed     uint64 // pages returned to the free list by Free
 	PagesReused    uint64 // allocations served from the free list
-	// CompressedBytesWritten is the stored (post-compression) size of
-	// chunk pages written by compressed Write/WriteFresh and WriteRuns.
-	CompressedBytesWritten uint64
-	// CompressedBytesRead is the stored size of every compressed chunk
-	// page fetched by a read — the physical I/O volume a compressed
-	// read actually paid, vs the logical BytesRead.
-	CompressedBytesRead uint64
+	// StoredBytesWritten is the stored size of every chunk page written
+	// by Write/WriteFresh and WriteRuns.
+	StoredBytesWritten uint64
+	// StoredBytesRead is the stored size of every chunk page fetched by
+	// a read — the physical I/O volume a read actually paid, vs the
+	// logical BytesRead.
+	StoredBytesRead uint64
 }
 
 // counters is the live, atomic form of Stats. The store is read from
 // parallel scan workers concurrently, so plain-field increments would be
 // a data race (and were, before this was converted).
 type counters struct {
-	directoryReads         obs.Counter
-	chunkReads             obs.Counter
-	bytesRead              obs.Counter
-	chunksWritten          obs.Counter
-	bytesWritten           obs.Counter
-	pagesFreed             obs.Counter
-	pagesReused            obs.Counter
-	compressedBytesWritten obs.Counter
-	compressedBytesRead    obs.Counter
+	directoryReads     obs.Counter
+	chunkReads         obs.Counter
+	bytesRead          obs.Counter
+	chunksWritten      obs.Counter
+	bytesWritten       obs.Counter
+	pagesFreed         obs.Counter
+	pagesReused        obs.Counter
+	storedBytesWritten obs.Counter
+	storedBytesRead    obs.Counter
 }
 
 // RegisterMetrics attaches the store's counters to reg under the
@@ -136,8 +131,8 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.Attach("blob.bytes_written", &c.bytesWritten)
 	reg.Attach("blob.pages_freed", &c.pagesFreed)
 	reg.Attach("blob.pages_reused", &c.pagesReused)
-	reg.Attach("blob.compressed_bytes_written", &c.compressedBytesWritten)
-	reg.Attach("blob.compressed_bytes_read", &c.compressedBytesRead)
+	reg.Attach("blob.stored_bytes_written", &c.storedBytesWritten)
+	reg.Attach("blob.stored_bytes_read", &c.storedBytesRead)
 }
 
 // Store reads and writes blobs over a buffer pool. It is safe for
@@ -168,15 +163,15 @@ func (s *Store) WithFetcher(fx pages.Fetcher) *Store {
 // Stats returns a snapshot of the store counters. Lock-free.
 func (s *Store) Stats() Stats {
 	return Stats{
-		DirectoryReads:         s.stats.directoryReads.Load(),
-		ChunkReads:             s.stats.chunkReads.Load(),
-		BytesRead:              s.stats.bytesRead.Load(),
-		ChunksWritten:          s.stats.chunksWritten.Load(),
-		BytesWritten:           s.stats.bytesWritten.Load(),
-		PagesFreed:             s.stats.pagesFreed.Load(),
-		PagesReused:            s.stats.pagesReused.Load(),
-		CompressedBytesWritten: s.stats.compressedBytesWritten.Load(),
-		CompressedBytesRead:    s.stats.compressedBytesRead.Load(),
+		DirectoryReads:     s.stats.directoryReads.Load(),
+		ChunkReads:         s.stats.chunkReads.Load(),
+		BytesRead:          s.stats.bytesRead.Load(),
+		ChunksWritten:      s.stats.chunksWritten.Load(),
+		BytesWritten:       s.stats.bytesWritten.Load(),
+		PagesFreed:         s.stats.pagesFreed.Load(),
+		PagesReused:        s.stats.pagesReused.Load(),
+		StoredBytesWritten: s.stats.storedBytesWritten.Load(),
+		StoredBytesRead:    s.stats.storedBytesRead.Load(),
 	}
 }
 
@@ -185,10 +180,12 @@ func (s *Store) Stats() Stats {
 // out of a call.
 var scratchPool = sync.Pool{New: func() any { return newCodecScratch() }}
 
+// dirEntrySize is one directory entry: the chunk page id and the
+// chunk's logical length, both uint32.
+const dirEntrySize = 8
+
 // chunkInfo locates one chunk page and the logical byte range it
-// covers: [off, off+n). Raw blobs have the fixed ChunkSize geometry;
-// compressed blobs have variable chunk coverage recorded in their
-// directory entries.
+// covers, [off, off+n), as its directory entry records it.
 type chunkInfo struct {
 	id  pages.PageID
 	off int64
@@ -211,81 +208,59 @@ func findChunk(chunks []chunkInfo, off int64) int {
 	return lo - 1
 }
 
-// walkDir walks a blob's directory chain, returning the chunk list,
-// the directory page ids, and whether the blob uses the compressed
-// format (from the first directory page's flags).
-func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, compressed bool, err error) {
+// walkDir walks a blob's directory chain, returning the chunk list and
+// the directory page ids. The entries must cover exactly ref.Length.
+func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, err error) {
 	if ref.IsNull() {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 	id := ref.Root
-	first := true
 	var off int64
 	for id != pages.InvalidPageID {
 		f, err := s.fx.Fetch(id)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 		if f.Page.Type() != pages.TypeBlobTree {
 			s.fx.Unpin(f, false)
-			return nil, nil, false, fmt.Errorf("%w: page %d is not a blob directory", ErrBadRef, id)
-		}
-		if first {
-			compressed = f.Page.Flags()&pages.FlagCompressedBlob != 0
-			first = false
+			return nil, nil, fmt.Errorf("%w: page %d is not a blob directory", ErrBadRef, id)
 		}
 		s.stats.directoryReads.Add(1)
 		used := f.Page.Used()
 		body := f.Page.Body()
-		if compressed {
-			chunks = slices.Grow(chunks, used/8)
-			for i := 0; i+8 <= used; i += 8 {
-				n := int(binary.LittleEndian.Uint32(body[i+4:]))
-				if n <= 0 || n > maxChunkLogical {
-					s.fx.Unpin(f, false)
-					return nil, nil, false, fmt.Errorf("%w: directory entry covers %d bytes", ErrBadRef, n)
-				}
-				chunks = append(chunks, chunkInfo{
-					id:  pages.PageID(binary.LittleEndian.Uint32(body[i:])),
-					off: off,
-					n:   n,
-				})
-				off += int64(n)
+		chunks = slices.Grow(chunks, used/dirEntrySize)
+		for i := 0; i+dirEntrySize <= used; i += dirEntrySize {
+			n := int(binary.LittleEndian.Uint32(body[i+4:]))
+			if n <= 0 || n > maxChunkLogical {
+				s.fx.Unpin(f, false)
+				return nil, nil, fmt.Errorf("%w: directory entry covers %d bytes", ErrBadRef, n)
 			}
-		} else {
-			chunks = slices.Grow(chunks, used/4)
-			for i := 0; i+4 <= used; i += 4 {
-				n := ChunkSize
-				if rem := ref.Length - off; int64(n) > rem {
-					n = int(rem)
-				}
-				chunks = append(chunks, chunkInfo{
-					id:  pages.PageID(binary.LittleEndian.Uint32(body[i:])),
-					off: off,
-					n:   n,
-				})
-				off += int64(n)
-			}
+			chunks = append(chunks, chunkInfo{
+				id:  pages.PageID(binary.LittleEndian.Uint32(body[i:])),
+				off: off,
+				n:   n,
+			})
+			off += int64(n)
 		}
 		dirIDs = append(dirIDs, id)
 		next := f.Page.Next()
 		s.fx.Unpin(f, false)
 		id = next
 	}
-	if compressed && off != ref.Length {
-		return nil, nil, false, fmt.Errorf("%w: directory covers %d bytes, ref declares %d",
+	if off != ref.Length {
+		return nil, nil, fmt.Errorf("%w: directory covers %d bytes, ref declares %d",
 			ErrBadRef, off, ref.Length)
 	}
-	return chunks, dirIDs, compressed, nil
+	return chunks, dirIDs, nil
 }
 
 // errStopVisit short-circuits a block walk once past the wanted range.
 var errStopVisit = errors.New("blob: stop block visit")
 
-// forEachBlock walks the packed block sequence of a compressed chunk
-// page body, invoking fn with each block's chunk-relative logical
-// offset, header fields and stored payload. Every bound is validated so
-// a corrupt page yields an error, never a panic.
+// forEachBlock walks the packed block sequence of a chunk page body,
+// invoking fn with each block's chunk-relative logical offset, header
+// fields and stored payload. Every bound is validated so a corrupt page
+// yields an error, never a panic.
 func forEachBlock(body []byte, used int, fn func(blkOff int, format, width byte, logical int, stored []byte) error) error {
 	if used < chunkHdrSize || used > len(body) {
 		return errCorrupt("chunk header")
@@ -317,8 +292,7 @@ func forEachBlock(body []byte, used int, fn func(blkOff int, format, width byte,
 	return nil
 }
 
-// chunkCodec reads the preferred codec recorded in a compressed chunk
-// page header.
+// chunkCodec reads the preferred codec recorded in a chunk page header.
 func chunkCodec(p *pages.Page) (Codec, error) {
 	if p.Used() < chunkHdrSize {
 		return Codec{}, errCorrupt("chunk header")
@@ -327,15 +301,15 @@ func chunkCodec(p *pages.Page) (Codec, error) {
 	return Codec{Kind: CodecKind(body[3]), Width: int(body[4]), Phase: int(body[5] & 7)}, nil
 }
 
-// decodeBlocks expands the blocks of a compressed chunk page that
-// overlap the chunk-relative logical range [lo, hi) into dst, which
-// must be exactly the chunk's logical size. Bytes of dst outside the
-// decoded blocks are left untouched — callers must only read the
-// requested range. A page whose blocks end before hi (clipped to dst)
-// is an ErrShortRead: dst may be recycled scratch, so an undecoded tail
-// must never reach the caller. This is the package's only block-decode
-// loop: the read primitive passes the union range its runs need,
-// WriteRuns the whole chunk.
+// decodeBlocks expands the blocks of a chunk page that overlap the
+// chunk-relative logical range [lo, hi) into dst, which must be exactly
+// the chunk's logical size. Bytes of dst outside the decoded blocks are
+// left untouched — callers must only read the requested range. A page
+// whose blocks end before hi (clipped to dst) is an ErrShortRead: dst
+// may be recycled scratch, so an undecoded tail must never reach the
+// caller. This is the package's only block-decode loop: the read
+// primitive passes the union range its runs need, WriteRuns the whole
+// chunk.
 func decodeBlocks(p *pages.Page, dst []byte, lo, hi int, scr *codecScratch) error {
 	end := 0 // logical bytes the walked blocks cover
 	err := forEachBlock(p.Body(), p.Used(), func(blkOff int, format, width byte, logical int, stored []byte) error {
@@ -368,10 +342,29 @@ func decodeBlocks(p *pages.Page, dst []byte, lo, hi int, scr *codecScratch) erro
 	return err
 }
 
+// rawChunk returns the logical bytes of a chunk page holding exactly
+// one raw block of n bytes — every chunk of a blob stored as raw blocks
+// but possibly its last — in place in the page body. ok is false for
+// any other chunk, which decodeBlocks expands instead. p must come from
+// fetchChunk, which bounds Used by the page body.
+func rawChunk(p *pages.Page, n int) (b []byte, ok bool) {
+	body := p.Body()
+	if p.Used() != chunkHdrSize+blockHdrSize+n || body[0] != chunkFormatVersion ||
+		binary.LittleEndian.Uint16(body[1:]) != 1 {
+		return nil, false
+	}
+	blk := body[chunkHdrSize:]
+	stored, logical := int(binary.LittleEndian.Uint16(blk[2:])), int(binary.LittleEndian.Uint16(blk[4:]))
+	if blk[0] != blockRaw || stored != n || logical != n {
+		return nil, false
+	}
+	return blk[blockHdrSize : blockHdrSize+n], true
+}
+
 // fetchChunk pins one chunk page for reading — the only place a
 // TypeBlobData page is fetched through the store's Fetcher. The caller
 // owns the pin.
-func (s *Store) fetchChunk(ci chunkInfo, compressed bool) (*pages.Frame, error) {
+func (s *Store) fetchChunk(ci chunkInfo) (*pages.Frame, error) {
 	f, err := s.fx.Fetch(ci.id)
 	if err != nil {
 		return nil, err
@@ -385,9 +378,7 @@ func (s *Store) fetchChunk(ci chunkInfo, compressed bool) (*pages.Frame, error) 
 		return nil, fmt.Errorf("%w: chunk page %d claims %d used bytes", ErrBadRef, ci.id, f.Page.Used())
 	}
 	s.stats.chunkReads.Add(1)
-	if compressed {
-		s.stats.compressedBytesRead.Add(uint64(f.Page.Used()))
-	}
+	s.stats.storedBytesRead.Add(uint64(f.Page.Used()))
 	return f, nil
 }
 
@@ -405,11 +396,11 @@ type piece struct {
 // chunk, not in run order. Runs with Len <= 0 are skipped.
 //
 // One call walks the directory once and fetches every touched chunk
-// exactly once, however many runs land on it. A raw chunk's segments
-// alias the pinned page body; a compressed chunk decodes only the
-// blocks overlapping the union of the ranges its runs need into pooled
-// scratch. Either way seg is valid only until fn returns: no pin and no
-// buffer outlives the call.
+// exactly once, however many runs land on it. The segments of a chunk
+// holding one raw block alias the pinned page body; any other chunk
+// decodes only the blocks overlapping the union of the ranges its runs
+// need into pooled scratch. Either way seg is valid only until fn
+// returns: no pin and no buffer outlives the call.
 func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) error {
 	total := 0
 	for _, r := range runs {
@@ -427,13 +418,11 @@ func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) 
 	if total == 0 {
 		return nil
 	}
-	chunks, _, compressed, err := s.walkDir(ref)
+	// walkDir checks the chunks cover exactly [0, ref.Length), so every
+	// run maps onto them.
+	chunks, _, err := s.walkDir(ref)
 	if err != nil {
 		return err
-	}
-	var cover int64
-	if n := len(chunks); n > 0 {
-		cover = chunks[n-1].off + int64(chunks[n-1].n)
 	}
 	// One piece per run plus one per chunk boundary a run crosses; no
 	// chunk covers fewer than BlockSize bytes except a blob's last.
@@ -443,16 +432,10 @@ func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) 
 		if r.Len <= 0 {
 			continue
 		}
-		if int64(r.SrcOff+r.Len) > cover {
-			return fmt.Errorf("%w: directory covers %d of %d bytes", ErrBadRef, cover, ref.Length)
-		}
 		read := 0
 		for c := findChunk(chunks, int64(r.SrcOff)); read < r.Len; c++ {
 			lo := int(int64(r.SrcOff+read) - chunks[c].off)
 			n := min(chunks[c].n-lo, r.Len-read)
-			if n <= 0 {
-				return fmt.Errorf("%w: chunk %d of %d is empty", ErrBadRef, c, len(chunks))
-			}
 			if len(pieces) > 0 && c < pieces[len(pieces)-1].c {
 				sorted = false
 			}
@@ -465,17 +448,14 @@ func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) 
 		// hand-built run lists pay for this.
 		slices.SortStableFunc(pieces, func(a, b piece) int { return a.c - b.c })
 	}
-	var scr *codecScratch
-	if compressed {
-		scr = scratchPool.Get().(*codecScratch)
-		defer scratchPool.Put(scr)
-	}
+	scr := scratchPool.Get().(*codecScratch)
+	defer scratchPool.Put(scr)
 	for i := 0; i < len(pieces); {
 		j := i + 1
 		for j < len(pieces) && pieces[j].c == pieces[i].c {
 			j++
 		}
-		if err := s.visitChunk(chunks[pieces[i].c], compressed, pieces[i:j], scr, fn); err != nil {
+		if err := s.visitChunk(chunks[pieces[i].c], pieces[i:j], scr, fn); err != nil {
 			return err
 		}
 		i = j
@@ -485,14 +465,14 @@ func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) 
 }
 
 // visitChunk fetches one chunk and emits the pieces that live on it.
-func (s *Store) visitChunk(ci chunkInfo, compressed bool, ps []piece, scr *codecScratch, fn func(dstOff int, seg []byte)) error {
-	f, err := s.fetchChunk(ci, compressed)
+func (s *Store) visitChunk(ci chunkInfo, ps []piece, scr *codecScratch, fn func(dstOff int, seg []byte)) error {
+	f, err := s.fetchChunk(ci)
 	if err != nil {
 		return err
 	}
 	defer s.fx.Unpin(f, false)
-	body := f.Page.Body()[:f.Page.Used()]
-	if compressed {
+	body, ok := rawChunk(&f.Page, ci.n)
+	if !ok {
 		lo, hi := ci.n, 0
 		for _, p := range ps {
 			lo, hi = min(lo, p.lo), max(hi, p.lo+p.n)
@@ -504,10 +484,6 @@ func (s *Store) visitChunk(ci chunkInfo, compressed bool, ps []piece, scr *codec
 		body = scr.c
 	}
 	for _, p := range ps {
-		if p.lo+p.n > len(body) {
-			return fmt.Errorf("%w: wanted [%d,%d) of chunk page %d, which holds %d bytes",
-				ErrShortRead, p.lo, p.lo+p.n, ci.id, len(body))
-		}
 		fn(p.dstOff, body[p.lo:p.lo+p.n])
 	}
 	return nil
@@ -551,8 +527,14 @@ type Run struct {
 	Len    int
 }
 
-// NumChunks returns how many chunk pages a blob of n bytes occupies in
-// the raw format (compressed blobs occupy at most this many).
+// NumChunks returns how many chunk pages a blob of n bytes occupies as
+// raw blocks: one full BlockSize block per page, except that a tail
+// block small enough to share the last full block's page packs onto
+// it. A blob is stored under its codec only when that takes fewer.
 func NumChunks(n int64) int {
-	return int((n + ChunkSize - 1) / ChunkSize)
+	full, tail := n/BlockSize, n%BlockSize
+	if tail > 0 && (full == 0 || blockHdrSize+tail > chunkPayloadCap-blockHdrSize-BlockSize) {
+		full++
+	}
+	return int(full)
 }

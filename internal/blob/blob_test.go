@@ -10,8 +10,8 @@ import (
 	"sqlarray/internal/pages"
 )
 
-// idsPerDir is how many 4-byte chunk ids fit one raw directory page.
-const idsPerDir = ChunkSize / 4
+// idsPerDir is how many directory entries fit one directory page.
+const idsPerDir = ChunkSize / dirEntrySize
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
@@ -37,7 +37,7 @@ func randBytes(rng *rand.Rand, n int) []byte {
 }
 
 // randomBlobStore writes one blobBytes-long blob of seeded random
-// (incompressible, so raw-stored) bytes to a fresh store, returning the
+// (incompressible, so stored as raw blocks) bytes to a fresh store, returning the
 // store, the blob's ref and bytes, and the pool underneath.
 func randomBlobStore(t *testing.T, blobBytes int) (*Store, Ref, []byte, *pages.BufferPool) {
 	t.Helper()
@@ -105,14 +105,14 @@ func TestRefEncodeDecode(t *testing.T) {
 func TestPartialReadTouchesFewChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := newStore(t)
-	data := randBytes(rng, 10*ChunkSize)
+	data := randBytes(rng, 10*BlockSize)
 	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := s.Stats()
 	// Read 100 bytes from the middle of chunk 5.
-	off := int64(5*ChunkSize + 123)
+	off := int64(5*BlockSize + 123)
 	dst := make([]byte, 100)
 	if err := s.ReadAt(ref, dst, off); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	}
 	// A read spanning a chunk boundary touches exactly 2.
 	base = s.Stats()
-	off = int64(3*ChunkSize - 50)
+	off = int64(3*BlockSize - 50)
 	dst = make([]byte, 100)
 	if err := s.ReadAt(ref, dst, off); err != nil {
 		t.Fatal(err)
@@ -204,11 +204,11 @@ func TestReadRuns(t *testing.T) {
 // run arrives as one segment per chunk, the bytes are the blob's, and
 // no pin survives the call — including a call that fails validation.
 func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
-	s, ref, data, bp := randomBlobStore(t, 4*ChunkSize)
+	s, ref, data, bp := randomBlobStore(t, 4*BlockSize)
 	runs := []Run{
 		{SrcOff: 10, DstOff: 0, Len: 100},
-		{SrcOff: ChunkSize - 8, DstOff: 100, Len: 16}, // straddles chunks 0/1
-		{SrcOff: 3 * ChunkSize, DstOff: 116, Len: 64},
+		{SrcOff: BlockSize - 8, DstOff: 100, Len: 16}, // straddles chunks 0/1
+		{SrcOff: 3 * BlockSize, DstOff: 116, Len: 64},
 		{SrcOff: 20, DstOff: 180, Len: 8}, // back on chunk 0
 	}
 	base := s.Stats()
@@ -240,7 +240,7 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 	if n := bp.PinnedFrames(); n != 0 {
 		t.Errorf("PinnedFrames after VisitRuns = %d", n)
 	}
-	err = s.VisitRuns(ref, []Run{{SrcOff: 4*ChunkSize - 4, Len: 8}}, func(int, []byte) {
+	err = s.VisitRuns(ref, []Run{{SrcOff: 4*BlockSize - 4, Len: 8}}, func(int, []byte) {
 		t.Error("callback invoked for an out-of-range run")
 	})
 	if !errors.Is(err, ErrShortRead) {
@@ -255,7 +255,7 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 // subarray-shaped run read over a multi-chunk blob must report strictly
 // fewer ChunkReads than materializing the same blob via ReadAll.
 func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
-	s, ref, _, _ := randomBlobStore(t, 16*ChunkSize)
+	s, ref, _, _ := randomBlobStore(t, 16*BlockSize)
 	base := s.Stats()
 	if _, err := s.ReadAll(ref); err != nil {
 		t.Fatal(err)
@@ -265,8 +265,8 @@ func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
 	// A sliced read: three short runs spread over the blob.
 	runs := []Run{
 		{SrcOff: 0, DstOff: 0, Len: 64},
-		{SrcOff: 7 * ChunkSize, DstOff: 64, Len: 64},
-		{SrcOff: 15 * ChunkSize, DstOff: 128, Len: 64},
+		{SrcOff: 7 * BlockSize, DstOff: 64, Len: 64},
+		{SrcOff: 15 * BlockSize, DstOff: 128, Len: 64},
 	}
 	if err := s.ReadRuns(ref, make([]byte, 192), runs); err != nil {
 		t.Fatal(err)
@@ -290,9 +290,9 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, compressed, err := s.walkDir(ref)
-	if err != nil || !compressed || len(chunks) != 1 {
-		t.Fatalf("want one compressed chunk, got %d (compressed %v, err %v)", len(chunks), compressed, err)
+	chunks, _, err := s.walkDir(ref)
+	if err != nil || len(chunks) != 1 {
+		t.Fatalf("want one packed chunk, got %d (err %v)", len(chunks), err)
 	}
 	// Two runs inside blocks 3 and 5: the union range spans blocks 3..5.
 	runs := []Run{
@@ -331,11 +331,12 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 	}
 }
 
-// TestVisitRunsCorruptChunk: a mangled compressed chunk page, a chunk
-// page of the wrong type and a directory shorter than the ref all
-// surface as ErrBadRef, and a chunk page holding fewer blocks than the
-// directory claims as ErrShortRead — never a panic, never a leaked pin,
-// never the pooled scratch's previous contents.
+// TestVisitRunsCorruptChunk: a mangled packed chunk page, a chunk page
+// of the wrong type and a directory shorter than the ref all surface as
+// ErrBadRef, and a chunk page holding fewer blocks than the directory
+// claims as ErrShortRead — never a panic, never a leaked pin, never the
+// pooled scratch's previous contents. A one-raw-block chunk whose
+// header disagrees with its directory entry is not lent in place.
 func TestVisitRunsCorruptChunk(t *testing.T) {
 	s, bp := storeWithPool(t)
 	data := seqInts(64*1024, 0)
@@ -343,9 +344,9 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, compressed, err := s.walkDir(ref)
-	if err != nil || !compressed {
-		t.Fatalf("walkDir: compressed %v, err %v", compressed, err)
+	chunks, _, err := s.walkDir(ref)
+	if err != nil || len(chunks) >= NumChunks(ref.Length) {
+		t.Fatalf("walkDir: %d chunks, want fewer than %d (err %v)", len(chunks), NumChunks(ref.Length), err)
 	}
 	mangle := func(fn func(p *pages.Page)) {
 		t.Helper()
@@ -408,25 +409,121 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 	if err := read(); !errors.Is(err, ErrBadRef) {
 		t.Errorf("retyped chunk page: %v", err)
 	}
+
+	// Raw blocks: chunk 0 holds one raw block of BlockSize bytes.
+	raw := randBytes(rand.New(rand.NewSource(5)), 2*BlockSize)
+	rawRef, err := s.Write(raw, Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawChunks, _, err := s.walkDir(rawRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put16 := func(b []byte, v int) { binary.LittleEndian.PutUint16(b, uint16(v)) }
+	const stored, logical = chunkHdrSize + 2, chunkHdrSize + 4 // block header fields
+	for _, c := range []struct {
+		name string
+		fn   func(p *pages.Page)
+		want error
+	}{
+		{"stored length short", func(p *pages.Page) { put16(p.Body()[stored:], BlockSize-1) }, ErrBadRef},
+		{"stored length long", func(p *pages.Page) { put16(p.Body()[stored:], BlockSize+1) }, ErrBadRef},
+		{"logical length short", func(p *pages.Page) { put16(p.Body()[logical:], BlockSize-1) }, ErrBadRef},
+		{"block shorter than its entry", func(p *pages.Page) {
+			put16(p.Body()[stored:], BlockSize-1)
+			put16(p.Body()[logical:], BlockSize-1)
+			p.SetUsed(p.Used() - 1)
+		}, ErrShortRead},
+	} {
+		f, err := bp.Fetch(rawChunks[0].id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [chunkHdrSize + blockHdrSize]byte
+		copy(hdr[:], f.Page.Body())
+		used := f.Page.Used()
+		c.fn(&f.Page)
+		err = s.VisitRuns(rawRef, []Run{{SrcOff: BlockSize - 64, Len: 64}}, func(int, []byte) {
+			t.Errorf("%s: segment lent from a mismatched chunk", c.name)
+		})
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err %v, want %v", c.name, err, c.want)
+		}
+		copy(f.Page.Body(), hdr[:])
+		f.Page.SetUsed(used)
+		bp.Unpin(f, true)
+	}
+	if got, err := s.ReadAll(rawRef); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("restored raw chunk: %v", err)
+	}
 	if n := bp.PinnedFrames(); n != 0 {
 		t.Errorf("PinnedFrames after failed reads = %d", n)
 	}
 }
 
+// TestVisitRunsLendsRawBlocksInPlace: every segment of a blob stored as
+// raw blocks aliases the chunk page's buffer — no decode, no copy —
+// including the tail chunk and a run straddling two chunks.
+func TestVisitRunsLendsRawBlocksInPlace(t *testing.T) {
+	s, ref, data, bp := randomBlobStore(t, 4*BlockSize+100)
+	chunks, _, err := s.walkDir(ref)
+	if err != nil || len(chunks) != 5 {
+		t.Fatalf("walkDir: %d chunks, want 5 (err %v)", len(chunks), err)
+	}
+	frames := make([]*pages.Frame, 0, len(chunks))
+	for _, ci := range chunks {
+		f, err := bp.Fetch(ci.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	// DstOff == SrcOff, so a segment's dstOff is its blob offset.
+	runs := []Run{
+		{SrcOff: 10, DstOff: 10, Len: 100},
+		{SrcOff: BlockSize - 8, DstOff: BlockSize - 8, Len: 16},
+		{SrcOff: 3 * BlockSize, DstOff: 3 * BlockSize, Len: 64},
+		{SrcOff: 4*BlockSize + 50, DstOff: 4*BlockSize + 50, Len: 50},
+	}
+	segs := 0
+	err = s.VisitRuns(ref, runs, func(off int, seg []byte) {
+		segs++
+		in := frames[off/BlockSize].Page.Body()[chunkHdrSize+blockHdrSize+off%BlockSize:]
+		if &seg[0] != &in[0] {
+			t.Errorf("segment at %d does not alias its chunk page", off)
+		}
+		if !bytes.Equal(seg, data[off:off+len(seg)]) {
+			t.Errorf("segment at %d: wrong bytes", off)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs != 5 {
+		t.Errorf("%d segments, want 5", segs)
+	}
+	for _, f := range frames {
+		bp.Unpin(f, false)
+	}
+	if n := bp.PinnedFrames(); n != 0 {
+		t.Errorf("PinnedFrames = %d", n)
+	}
+}
+
 func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
-	// More chunks than fit one directory page (idsPerDir = 2024):
-	// use a blob of 2100 chunks but write it sparsely — too big for a
-	// unit test in memory? 2100*8096 ≈ 17 MB, fine.
+	// More chunks than fit one directory page (idsPerDir = 1012): a blob
+	// of idsPerDir+76 raw-block chunks, about 8.8 MB.
 	rng := rand.New(rand.NewSource(4))
 	s := NewStore(pages.NewBufferPool(pages.NewMemDisk(), 4096))
-	n := (idsPerDir + 76) * ChunkSize
+	n := (idsPerDir + 76) * BlockSize
 	data := randBytes(rng, n)
 	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Verify a few scattered offsets rather than the whole 17 MB.
-	for _, off := range []int64{0, int64(idsPerDir)*ChunkSize - 1, int64(idsPerDir) * ChunkSize, int64(n) - 1} {
+	// Verify a few scattered offsets rather than the whole blob.
+	for _, off := range []int64{0, int64(idsPerDir)*BlockSize - 1, int64(idsPerDir) * BlockSize, int64(n) - 1} {
 		dst := make([]byte, 1)
 		if err := s.ReadAt(ref, dst, off); err != nil {
 			t.Fatalf("ReadAt %d: %v", off, err)
@@ -445,14 +542,33 @@ func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
 	}
 }
 
+// TestNumChunks: NumChunks is the chunk page count raw blocks really
+// take, on both sides of the one-full-block-per-page boundary and of
+// the small tail that packs onto the last full block's page.
 func TestNumChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s := newStore(t)
 	cases := []struct {
 		n    int64
 		want int
-	}{{0, 0}, {1, 1}, {ChunkSize, 1}, {ChunkSize + 1, 2}, {10 * ChunkSize, 10}}
+	}{
+		{0, 0}, {1, 1}, {8, 1},
+		{BlockSize, 1}, {BlockSize + 1, 1}, {BlockSize + 8, 1}, {BlockSize + 9, 2},
+		{2*BlockSize + 8, 2}, {2*BlockSize + 9, 3}, {10 * BlockSize, 10},
+	}
 	for _, c := range cases {
 		if got := NumChunks(c.n); got != c.want {
 			t.Errorf("NumChunks(%d) = %d, want %d", c.n, got, c.want)
+		}
+		// Incompressible bytes under either codec land on raw blocks.
+		for _, codec := range []Codec{{}, {Kind: CodecLZ, Width: 8}} {
+			before := s.Stats().ChunksWritten
+			if _, err := s.Write(randBytes(rng, int(c.n)), codec); err != nil {
+				t.Fatal(err)
+			}
+			if got := int(s.Stats().ChunksWritten - before); got != c.want {
+				t.Errorf("%+v: %d bytes written on %d chunk pages, want %d", codec, c.n, got, c.want)
+			}
 		}
 	}
 }
@@ -460,7 +576,7 @@ func TestNumChunks(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s := newStore(t)
-	data := randBytes(rng, 3*ChunkSize)
+	data := randBytes(rng, 3*BlockSize)
 	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
@@ -476,5 +592,29 @@ func TestStatsAccounting(t *testing.T) {
 	st = statsSince(s, base)
 	if st.ChunkReads != 3 || st.BytesRead != uint64(len(data)) || st.DirectoryReads != 1 {
 		t.Errorf("read stats = %+v", st)
+	}
+}
+
+// TestStoredBytesCountEveryChunk: the stored-bytes counters count the
+// chunk pages of a blob stored as raw blocks too, so their ratio to the
+// logical counters is the compression actually achieved — here none.
+func TestStoredBytesCountEveryChunk(t *testing.T) {
+	s := newStore(t)
+	data := randBytes(rand.New(rand.NewSource(9)), 80*1024)
+	ref, err := s.Write(data, Codec{Kind: CodecXOR, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.StoredBytesWritten < st.BytesWritten {
+		t.Errorf("StoredBytesWritten = %d below the %d logical bytes of an incompressible blob",
+			st.StoredBytesWritten, st.BytesWritten)
+	}
+	if _, err := s.ReadAll(ref); err != nil {
+		t.Fatal(err)
+	}
+	// A whole read fetches every chunk page once: exactly what was written.
+	if got := s.Stats().StoredBytesRead; got == 0 || got != st.StoredBytesWritten {
+		t.Errorf("StoredBytesRead = %d after a whole read, want %d", got, st.StoredBytesWritten)
 	}
 }

@@ -37,7 +37,7 @@ import (
 type CodecKind uint8
 
 const (
-	// CodecNone stores the blob in the legacy raw chunk format.
+	// CodecNone stores the blob as raw blocks.
 	CodecNone CodecKind = iota
 	// CodecLZ byte-shuffles each block at the element width, then
 	// applies the LZ77 coder. Width 1 degenerates to plain LZ.
@@ -64,17 +64,17 @@ type Codec struct {
 }
 
 // Block geometry. A block is the unit of compression; blocks are packed
-// into chunk pages. BlockSize is a multiple of 8 so float64 values
-// never straddle a block boundary (the turbulence stencil decoder's
-// zero-copy fast path relies on this, exactly as it relies on ChunkSize
-// being a multiple of 8 for raw blobs).
+// into chunk pages, and every chunk starts on a block boundary.
+// BlockSize is a multiple of 8 so float64 values never straddle a chunk
+// boundary (the turbulence stencil decoder's zero-copy path relies on
+// this).
 const (
 	// BlockSize is the logical bytes covered by one compression block.
-	// Chosen so a raw-fallback block plus its header still fits a chunk
-	// page: chunkHdrSize + blockHdrSize + BlockSize <= ChunkSize.
+	// Chosen so a raw block plus its headers still fits a chunk page:
+	// chunkHdrSize + blockHdrSize + BlockSize <= ChunkSize.
 	BlockSize = 8064
-	// chunkHdrSize is the compressed chunk page's own header: version,
-	// block count, and the blob's preferred codec (kind + width).
+	// chunkHdrSize is the chunk page's own header: version, block
+	// count, and the blob's preferred codec (kind, width, phase).
 	chunkHdrSize = 8
 	// blockHdrSize prefixes every packed block: stored format, shuffle
 	// width, stored length, logical (uncompressed) length.
@@ -85,11 +85,11 @@ const (
 	// bounds a chunk's logical size (and therefore the staging buffer a
 	// decompressing reader may need) to 16*BlockSize = 126 kB.
 	maxBlocksPerChunk = 16
-	// maxChunkLogical is the largest logical byte count one compressed
-	// chunk page may cover.
+	// maxChunkLogical is the largest logical byte count one chunk page
+	// may cover.
 	maxChunkLogical = maxBlocksPerChunk * BlockSize
 
-	// chunkFormatVersion is stored in compressed chunk headers.
+	// chunkFormatVersion is stored in chunk headers.
 	chunkFormatVersion = 1
 )
 

@@ -2,6 +2,7 @@ package blob
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,6 +15,43 @@ func storeWithPool(t testing.TB) (*Store, *pages.BufferPool) {
 	t.Helper()
 	bp := pages.NewBufferPool(pages.NewMemDisk(), 1024)
 	return NewStore(bp), bp
+}
+
+// chunkCodecs returns the codec each chunk page of ref records.
+func chunkCodecs(t *testing.T, s *Store, ref Ref) []Codec {
+	t.Helper()
+	chunks, _, err := s.walkDir(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Codec, len(chunks))
+	for i, ci := range chunks {
+		f, err := s.bp.Fetch(ci.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i], err = chunkCodec(&f.Page)
+		s.bp.Unpin(f, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// checkRawBlocks fails t unless ref is stored as raw blocks: on exactly
+// NumChunks pages, each recording the zero Codec.
+func checkRawBlocks(t *testing.T, s *Store, ref Ref, what string) {
+	t.Helper()
+	codecs := chunkCodecs(t, s, ref)
+	if len(codecs) != NumChunks(ref.Length) {
+		t.Errorf("%s: %d chunks, want %d", what, len(codecs), NumChunks(ref.Length))
+	}
+	for i, c := range codecs {
+		if c != (Codec{}) {
+			t.Errorf("%s: chunk %d records codec %+v, want the zero Codec", what, i, c)
+		}
+	}
 }
 
 var compressedCodecs = []Codec{
@@ -64,16 +102,7 @@ func TestWriteCompressedUnknownCodecFallsBackRaw(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
-		chunks, _, compressed, err := s.walkDir(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if compressed {
-			t.Errorf("%+v: stored compressed, want raw format", c)
-		}
-		if len(chunks) != NumChunks(ref.Length) {
-			t.Errorf("%+v: %d chunks, want %d", c, len(chunks), NumChunks(ref.Length))
-		}
+		checkRawBlocks(t, s, ref, fmt.Sprintf("%+v", c))
 	}
 }
 
@@ -87,33 +116,30 @@ func TestCompressedUsesFewerPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, compressed, err := s.walkDir(ref)
+	chunks, _, err := s.walkDir(ref)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !compressed {
-		t.Fatal("sequential ints stored raw")
 	}
 	raw := NumChunks(ref.Length)
 	if len(chunks) >= raw/4 {
 		t.Errorf("compressed blob uses %d chunk pages, raw would use %d — want < raw/4", len(chunks), raw)
 	}
 	st := s.Stats()
-	if st.CompressedBytesWritten == 0 || st.CompressedBytesWritten >= st.BytesWritten/4 {
-		t.Errorf("CompressedBytesWritten = %d vs logical %d, want < 1/4", st.CompressedBytesWritten, st.BytesWritten)
+	if st.StoredBytesWritten == 0 || st.StoredBytesWritten >= st.BytesWritten/4 {
+		t.Errorf("StoredBytesWritten = %d vs logical %d, want < 1/4", st.StoredBytesWritten, st.BytesWritten)
 	}
 	got, err := s.ReadAll(ref)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("roundtrip after packed write failed: %v", err)
 	}
-	if rst := s.Stats(); rst.CompressedBytesRead == 0 {
-		t.Error("CompressedBytesRead = 0 after reading a compressed blob")
+	if rst := s.Stats(); rst.StoredBytesRead == 0 || rst.StoredBytesRead >= rst.BytesRead/4 {
+		t.Errorf("StoredBytesRead = %d vs logical %d, want < 1/4", rst.StoredBytesRead, rst.BytesRead)
 	}
 }
 
 // TestIncompressibleFallsBackRaw: when compression would not save a
-// page, WriteCompressed must store the raw single-format layout so the
-// page count never exceeds the raw write.
+// page, Write must store raw blocks under the zero Codec, so the page
+// count never exceeds NumChunks and a later patch keeps them raw.
 func TestIncompressibleFallsBackRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	s := newStore(t)
@@ -122,19 +148,20 @@ func TestIncompressibleFallsBackRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, compressed, err := s.walkDir(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compressed {
-		t.Error("incompressible data stored in compressed format")
-	}
-	if len(chunks) != NumChunks(ref.Length) {
-		t.Errorf("%d chunks, want %d", len(chunks), NumChunks(ref.Length))
-	}
+	checkRawBlocks(t, s, ref, "incompressible")
 	got, err := s.ReadAll(ref)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("roundtrip failed: %v", err)
+	}
+	// A compressible patch re-encodes under the recorded zero Codec.
+	patch := make([]byte, 3*BlockSize)
+	if err := s.WriteRuns(ref, patch, []Run{{SrcOff: 100, Len: len(patch)}}); err != nil {
+		t.Fatal(err)
+	}
+	checkRawBlocks(t, s, ref, "after a zero patch")
+	copy(data[100:], patch)
+	if got, err := s.ReadAll(ref); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("roundtrip after patch failed: %v", err)
 	}
 }
 
@@ -247,7 +274,7 @@ func TestCompressedWriteRunsSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _, _, err := s.walkDir(ref)
+	before, _, err := s.walkDir(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +291,14 @@ func TestCompressedWriteRunsSplit(t *testing.T) {
 	if err := s.WriteRuns(ref, patch, runs); err != nil {
 		t.Fatal(err)
 	}
-	after, _, compressed, err := s.walkDir(ref)
+	after, _, err := s.walkDir(ref)
 	if err != nil {
 		t.Fatalf("walkDir after split (same ref): %v", err)
 	}
-	if !compressed {
-		t.Fatal("blob lost its compressed format")
+	for i, c := range chunkCodecs(t, s, ref) {
+		if c != (Codec{Kind: CodecLZ, Width: 8}) {
+			t.Fatalf("chunk %d records codec %+v after the split, want the writer's", i, c)
+		}
 	}
 	if len(after) <= len(before) {
 		t.Errorf("chunk count %d -> %d, expected a split to add pages", len(before), len(after))
@@ -352,7 +381,7 @@ func TestCompressedFreeReclaims(t *testing.T) {
 	if err := s.WriteRuns(ref, randBytes(rng, 64*1024), []Run{{SrcOff: 50000, DstOff: 0, Len: 64 * 1024}}); err != nil {
 		t.Fatal(err)
 	}
-	chunks, dirIDs, _, err := s.walkDir(ref)
+	chunks, dirIDs, err := s.walkDir(ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,14 +105,14 @@ func (s *Store) freePages(ids []pages.PageID) error {
 }
 
 // Free returns every page of a blob — chunk pages and directory pages —
-// to the free list, for either chunk format. A null ref is a no-op. The
-// ref must not be used afterward; reading a freed blob returns
-// type-mismatch errors (the pages are retyped TypeFree).
+// to the free list. A null ref is a no-op. The ref must not be used
+// afterward; reading a freed blob returns type-mismatch errors (the
+// pages are retyped TypeFree).
 func (s *Store) Free(ref Ref) error {
 	if ref.IsNull() {
 		return nil
 	}
-	chunks, dirIDs, _, err := s.walkDir(ref)
+	chunks, dirIDs, err := s.walkDir(ref)
 	if err != nil {
 		return err
 	}
@@ -159,11 +159,12 @@ func (s *Store) FreeListLen() (int, error) {
 // slice of a multi-chunk array dirties (and later logs) only the chunks
 // the slice lands on, never the whole blob.
 //
-// On compressed blobs each touched chunk is decoded whole, patched, and
-// re-encoded on its block grid. If the re-encoded chunk no longer fits
-// its page (the new bytes compress worse), the chunk is split across
-// additional pages and the directory chain is rewritten in place — the
-// blob's Ref (its root page and length) never changes.
+// Each touched chunk is decoded whole, patched, and re-encoded on its
+// block grid under the codec its header records, so raw blocks stay
+// raw. If the re-encoded chunk no longer fits its page (the new bytes
+// compress worse), the chunk is split across additional pages and the
+// directory chain is rewritten in place — the blob's Ref (its root page
+// and length) never changes.
 func (s *Store) WriteRuns(ref Ref, src []byte, runs []Run) error {
 	if len(runs) == 0 {
 		return nil
@@ -171,13 +172,9 @@ func (s *Store) WriteRuns(ref Ref, src []byte, runs []Run) error {
 	if ref.IsNull() {
 		return fmt.Errorf("%w: null blob", ErrBadRef)
 	}
-	chunks, dirIDs, compressed, err := s.walkDir(ref)
+	chunks, dirIDs, err := s.walkDir(ref)
 	if err != nil {
 		return err
-	}
-	var cover int64
-	if n := len(chunks); n > 0 {
-		cover = chunks[n-1].off + int64(chunks[n-1].n)
 	}
 	for _, r := range runs {
 		if r.Len <= 0 {
@@ -189,51 +186,8 @@ func (s *Store) WriteRuns(ref Ref, src []byte, runs []Run) error {
 		if r.DstOff < 0 || r.DstOff+r.Len > len(src) {
 			return fmt.Errorf("%w: source range [%d,%d) of %d", ErrShortRead, r.DstOff, r.DstOff+r.Len, len(src))
 		}
-		if int64(r.SrcOff+r.Len) > cover {
-			return fmt.Errorf("%w: chunk %d of %d", ErrBadRef, len(chunks), len(chunks))
-		}
 	}
-	if !compressed {
-		return s.writeRunsRaw(src, runs, chunks)
-	}
-	return s.writeRunsCompressed(ref, src, runs, chunks, dirIDs)
-}
-
-// writeRunsRaw patches raw chunk pages in place.
-func (s *Store) writeRunsRaw(src []byte, runs []Run, chunks []chunkInfo) error {
-	for _, r := range runs {
-		read := 0
-		for c := findChunk(chunks, int64(r.SrcOff)); read < r.Len; c++ {
-			if c < 0 || c >= len(chunks) {
-				return fmt.Errorf("%w: chunk %d of %d", ErrBadRef, c, len(chunks))
-			}
-			ci := chunks[c]
-			f, err := s.bp.FetchForWrite(ci.id)
-			if err != nil {
-				return err
-			}
-			if f.Page.Type() != pages.TypeBlobData {
-				s.bp.Unpin(f, false)
-				return fmt.Errorf("%w: page %d is not a blob chunk", ErrBadRef, ci.id)
-			}
-			lo := int(int64(r.SrcOff+read) - ci.off)
-			hi := f.Page.Used()
-			span := hi - lo
-			if rem := r.Len - read; span > rem {
-				span = rem
-			}
-			if span <= 0 {
-				s.bp.Unpin(f, false)
-				return fmt.Errorf("%w: run wanted %d bytes, wrote %d", ErrShortRead, r.Len, read)
-			}
-			n := copy(f.Page.Body()[lo:lo+span], src[r.DstOff+read:])
-			read += n
-			s.bp.Unpin(f, true)
-			s.stats.chunksWritten.Add(1)
-			s.stats.bytesWritten.Add(uint64(n))
-		}
-	}
-	return nil
+	return s.writeRuns(ref, src, runs, chunks, dirIDs)
 }
 
 // chunkPatch is one contiguous span to overwrite within a chunk:
@@ -242,12 +196,12 @@ type chunkPatch struct {
 	chunkOff, srcOff, n int
 }
 
-// writeRunsCompressed patches compressed chunks: decode whole chunk,
+// writeRuns patches the chunks the runs touch: decode each whole chunk,
 // apply every run span landing on it, re-encode on the chunk-local
-// block grid, and rewrite — in place when the result still fits the
-// page, splitting into freshly allocated pages (and rewriting the
-// directory) when it does not.
-func (s *Store) writeRunsCompressed(ref Ref, src []byte, runs []Run, chunks []chunkInfo, dirIDs []pages.PageID) error {
+// block grid under the codec its header records, and rewrite — in
+// place when the result still fits the page, splitting into freshly
+// allocated pages (and rewriting the directory) when it does not.
+func (s *Store) writeRuns(ref Ref, src []byte, runs []Run, chunks []chunkInfo, dirIDs []pages.PageID) error {
 	// Group the runs' spans by touched chunk so each chunk is decoded
 	// and re-encoded exactly once no matter how many runs land on it.
 	patches := make(map[int][]chunkPatch)
@@ -307,7 +261,7 @@ func (s *Store) writeRunsCompressed(ref Ref, src []byte, runs []Run, chunks []ch
 			s.bp.Unpin(f, true)
 			s.stats.chunksWritten.Add(1)
 			s.stats.bytesWritten.Add(uint64(patched))
-			s.stats.compressedBytesWritten.Add(uint64(w))
+			s.stats.storedBytesWritten.Add(uint64(w))
 			continue
 		}
 		// Split: the patched bytes compress worse and no longer fit one
@@ -326,7 +280,7 @@ func (s *Store) writeRunsCompressed(ref Ref, src []byte, runs []Run, chunks []ch
 			repl = append(repl, chunkInfo{id: frame.Page.ID, n: pk.logical})
 			s.bp.Unpin(frame, true)
 			s.stats.chunksWritten.Add(1)
-			s.stats.compressedBytesWritten.Add(uint64(w))
+			s.stats.storedBytesWritten.Add(uint64(w))
 		}
 		s.stats.bytesWritten.Add(uint64(patched))
 		replacements[c] = repl
@@ -355,11 +309,11 @@ func (s *Store) writeRunsCompressed(ref Ref, src []byte, runs []Run, chunks []ch
 	return s.rewriteDirectory(dirIDs, rebuilt)
 }
 
-// rewriteDirectory rewrites a compressed blob's directory chain in
-// place to describe chunks: writeDirectory fed the chain's own pages
-// first, then fresh ones when the chunk list outgrew it; surplus pages
-// are freed when it shrank. The first directory page is always reused,
-// so the blob's Ref never changes.
+// rewriteDirectory rewrites a blob's directory chain in place to
+// describe chunks: writeDirectory fed the chain's own pages first, then
+// fresh ones when the chunk list outgrew it; surplus pages are freed
+// when it shrank. The first directory page is always reused, so the
+// blob's Ref never changes.
 func (s *Store) rewriteDirectory(dirIDs []pages.PageID, chunks []chunkInfo) error {
 	di := 0
 	sink := s.reuseSink()
@@ -378,7 +332,7 @@ func (s *Store) rewriteDirectory(dirIDs []pages.PageID, chunks []chunkInfo) erro
 		di++
 		return f, nil
 	}
-	if _, err := s.writeDirectory(chunks, true, sink); err != nil {
+	if _, err := s.writeDirectory(chunks, sink); err != nil {
 		return err
 	}
 	return s.freePages(dirIDs[di:])

@@ -16,7 +16,7 @@ func TestFreeReusesPages(t *testing.T) {
 	bp := pages.NewBufferPool(disk, 256)
 	s := NewStore(bp)
 
-	data := make([]byte, 4*ChunkSize+100) // 5 chunks + 1 directory page
+	data := make([]byte, 4*BlockSize+100) // 5 chunks + 1 directory page
 	for i := range data {
 		data[i] = byte(i)
 	}
@@ -89,7 +89,7 @@ func TestWriteRunsTouchesOnlyAffectedChunks(t *testing.T) {
 	bp := pages.NewBufferPool(pages.NewMemDisk(), 256)
 	s := NewStore(bp)
 	const nChunks = 16
-	data := make([]byte, nChunks*ChunkSize)
+	data := make([]byte, nChunks*BlockSize)
 	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestWriteRunsTouchesOnlyAffectedChunks(t *testing.T) {
 		patch[i] = 0xEE
 	}
 	runs := []Run{
-		{SrcOff: 3*ChunkSize + 50, DstOff: 0, Len: 100},
-		{SrcOff: 8*ChunkSize - 50, DstOff: 100, Len: 100},
+		{SrcOff: 3*BlockSize + 50, DstOff: 0, Len: 100},
+		{SrcOff: 8*BlockSize - 50, DstOff: 100, Len: 100},
 	}
 	if err := s.WriteRuns(ref, patch, runs); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestWriteRunsTouchesOnlyAffectedChunks(t *testing.T) {
 	}
 	// Verify the patched bytes and one untouched neighbour.
 	got := make([]byte, 100)
-	if err := s.ReadAt(ref, got, int64(3*ChunkSize+50)); err != nil {
+	if err := s.ReadAt(ref, got, int64(3*BlockSize+50)); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xEE || got[99] != 0xEE {

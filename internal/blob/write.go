@@ -39,11 +39,12 @@ func (s *Store) reuseSink() pageSink {
 }
 
 // Write stores data as a new blob under codec c and returns its Ref
-// (the zero Codec, CodecNone and unknown kinds store raw). If the packed
-// compressed form would not occupy fewer chunk pages than raw storage,
-// the blob is stored raw instead — compression never costs pages, and a
-// read of a raw chunk decodes nothing: VisitRuns lends its bytes as they
-// lie on the page. Pages come from the free list.
+// (the zero Codec, CodecNone and unknown kinds store raw blocks). If
+// the blocks packed under c would not occupy fewer chunk pages than raw
+// blocks (NumChunks), the blob is stored as raw blocks under the zero
+// Codec instead — compression never costs pages, and a read of a raw
+// block decodes nothing: VisitRuns lends its bytes as they lie on the
+// page. Pages come from the free list.
 func (s *Store) Write(data []byte, c Codec) (Ref, error) {
 	return s.write(data, c, s.reuseSink())
 }
@@ -69,59 +70,53 @@ func (s *Store) WriteFresh(data []byte, c Codec, onPage func(f *pages.Frame) err
 }
 
 // write is the one blob writer: it lays data out as chunk pages taken
-// from sink — packed compressed blocks when c compresses and that saves
-// at least one page, verbatim ChunkSize strides otherwise — followed by
-// the directory chain describing them.
+// from sink — blocks packed under c when that saves at least one page,
+// raw blocks otherwise — followed by the directory chain describing
+// them.
 func (s *Store) write(data []byte, c Codec, sink pageSink) (Ref, error) {
 	if len(data) == 0 {
 		return Ref{}, nil
 	}
-	nChunks := NumChunks(int64(len(data)))
-	var blocks []encBlock
-	var stage []byte
-	var plan []chunkPlan
-	if c.Kind == CodecLZ || c.Kind == CodecXOR {
+	switch c.Kind {
+	case CodecLZ, CodecXOR:
 		if c.Width < 1 || c.Width > 255 {
 			c.Width = 1
 		}
 		if c.Phase < 0 || c.Phase > 7 {
 			c.Phase = 0
 		}
-		scr := scratchPool.Get().(*codecScratch)
-		defer scratchPool.Put(scr)
-		blocks, stage = encodeBlocks(data, c, scr)
-		if plan = packBlocks(blocks); len(plan) < nChunks {
-			nChunks = len(plan)
-		} else {
-			plan = nil
-		}
+	default:
+		c = Codec{}
 	}
-	chunks := make([]chunkInfo, 0, nChunks)
+	scr := scratchPool.Get().(*codecScratch)
+	defer scratchPool.Put(scr)
+	blocks, stage := encodeBlocks(data, c, scr)
+	plan := packBlocks(blocks)
+	if c != (Codec{}) && len(plan) >= NumChunks(int64(len(data))) {
+		// c saves no page: store raw blocks, and record the zero Codec in
+		// the chunk headers so WriteRuns keeps them raw.
+		c = Codec{}
+		blocks, stage = encodeBlocks(data, c, scr)
+		plan = packBlocks(blocks)
+	}
+	chunks := make([]chunkInfo, 0, len(plan))
 	var off int64
-	for i := 0; i < nChunks; i++ {
+	for _, pk := range plan {
 		f, err := sink.alloc(pages.TypeBlobData)
 		if err != nil {
 			return Ref{}, err
 		}
-		var n int
-		if plan != nil {
-			pk := plan[i]
-			w := fillChunkPage(&f.Page, c, blocks[pk.first:pk.first+pk.n], stage)
-			s.stats.compressedBytesWritten.Add(uint64(w))
-			n = pk.logical
-		} else {
-			n = copy(f.Page.Body(), data[off:])
-			f.Page.SetUsed(n)
-		}
-		chunks = append(chunks, chunkInfo{id: f.Page.ID, off: off, n: n})
-		off += int64(n)
+		w := fillChunkPage(&f.Page, c, blocks[pk.first:pk.first+pk.n], stage)
+		s.stats.storedBytesWritten.Add(uint64(w))
+		chunks = append(chunks, chunkInfo{id: f.Page.ID, off: off, n: pk.logical})
+		off += int64(pk.logical)
 		if err := sink.finish(f); err != nil {
 			return Ref{}, err
 		}
 		s.stats.chunksWritten.Add(1)
 	}
 	s.stats.bytesWritten.Add(uint64(len(data)))
-	root, err := s.writeDirectory(chunks, plan != nil, sink)
+	root, err := s.writeDirectory(chunks, sink)
 	if err != nil {
 		return Ref{}, err
 	}
@@ -129,18 +124,13 @@ func (s *Store) write(data []byte, c Codec, sink pageSink) (Ref, error) {
 }
 
 // writeDirectory lays the chunk list into a chain of directory pages
-// taken from sink and returns the first page id. Raw blobs store 4-byte
-// chunk page ids; compressed blobs store 8-byte (page id, logical
-// length) entries on pages flagged FlagCompressedBlob.
-func (s *Store) writeDirectory(chunks []chunkInfo, compressed bool, sink pageSink) (pages.PageID, error) {
-	entry := 4
-	if compressed {
-		entry = 8
-	}
+// taken from sink, as 8-byte (page id, logical length) entries, and
+// returns the first page id.
+func (s *Store) writeDirectory(chunks []chunkInfo, sink pageSink) (pages.PageID, error) {
 	var first pages.PageID
 	var prev *pages.Frame
 	for len(chunks) > 0 {
-		n := min(len(chunks), ChunkSize/entry)
+		n := min(len(chunks), ChunkSize/dirEntrySize)
 		f, err := sink.alloc(pages.TypeBlobTree)
 		if err != nil {
 			if prev != nil {
@@ -150,16 +140,11 @@ func (s *Store) writeDirectory(chunks []chunkInfo, compressed bool, sink pageSin
 		}
 		body := f.Page.Body()
 		for i, ci := range chunks[:n] {
-			binary.LittleEndian.PutUint32(body[entry*i:], uint32(ci.id))
-			if compressed {
-				binary.LittleEndian.PutUint32(body[entry*i+4:], uint32(ci.n))
-			}
+			binary.LittleEndian.PutUint32(body[dirEntrySize*i:], uint32(ci.id))
+			binary.LittleEndian.PutUint32(body[dirEntrySize*i+4:], uint32(ci.n))
 		}
-		f.Page.SetUsed(n * entry)
+		f.Page.SetUsed(n * dirEntrySize)
 		f.Page.SetNext(pages.InvalidPageID)
-		if compressed {
-			f.Page.SetFlags(pages.FlagCompressedBlob)
-		}
 		if prev == nil {
 			first = f.Page.ID
 		} else {
@@ -242,9 +227,9 @@ func packBlocks(blocks []encBlock) []chunkPlan {
 }
 
 // fillChunkPage lays one chunk plan's blocks into a page body and
-// stamps the compressed-chunk header (format version, block count, and
-// the blob's preferred codec so in-place rewrites re-encode with the
-// writer's intent). Returns the stored byte count (the page's Used).
+// stamps the chunk header (format version, block count, and the blob's
+// preferred codec so in-place rewrites re-encode with the writer's
+// intent). Returns the stored byte count (the page's Used).
 func fillChunkPage(p *pages.Page, c Codec, blocks []encBlock, stage []byte) int {
 	body := p.Body()
 	body[0] = chunkFormatVersion
@@ -264,6 +249,5 @@ func fillChunkPage(p *pages.Page, c Codec, blocks []encBlock, stage []byte) int 
 		w += blockHdrSize + b.payLen
 	}
 	p.SetUsed(w)
-	p.SetFlags(pages.FlagCompressedBlob)
 	return w
 }

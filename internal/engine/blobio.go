@@ -19,9 +19,10 @@ import (
 // (Gorilla-style, exploits slowly varying scientific floats), every
 // other fixed-width element gets byte-shuffled LZ at its element width,
 // and bytes that do not decode as an array fall back to plain LZ. Every
-// MAX value is written under this codec; the store keeps the packed form
-// only when it saves a page, and records the choice in the chunk
-// headers, so readers never re-sniff.
+// MAX value is written under this codec; the store keeps it only when
+// its packed blocks save a page over raw blocks, and records the codec
+// it kept — the zero Codec for raw blocks — in the chunk headers, so
+// readers and in-place patches never re-sniff.
 func codecForBlob(b []byte) blob.Codec {
 	if h, hs, err := core.DecodeHeader(b); err == nil {
 		switch h.Elem {

@@ -29,7 +29,7 @@ func compressibleArray(t *testing.T, n int, seed float64) *core.Array {
 }
 
 // noiseArray builds a Max float64 array of seeded random mantissas —
-// nothing for either codec to shrink, so the writer stores it raw.
+// nothing for either codec to shrink, so the writer stores raw blocks.
 func noiseArray(t *testing.T, n int, seed float64) *core.Array {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
@@ -44,9 +44,9 @@ func noiseArray(t *testing.T, n int, seed float64) *core.Array {
 	return a
 }
 
-// blobLayouts are the two inputs the blob writer picks a chunk format
-// from: a payload whose packed form saves pages, and one it cannot
-// shrink. No option selects the format; the data does.
+// blobLayouts are the two inputs the blob writer picks a codec from: a
+// payload whose packed form saves pages, and one it cannot shrink, which
+// it stores as raw blocks. No option selects the codec; the data does.
 var blobLayouts = []struct {
 	name   string
 	array  func(t *testing.T, n int, seed float64) *core.Array
@@ -56,28 +56,12 @@ var blobLayouts = []struct {
 	{"incompressible", noiseArray, false},
 }
 
-// dirCompressed reports whether the MAX value behind refBytes has a
-// directory flagged FlagCompressedBlob.
-func dirCompressed(t *testing.T, db *DB, refBytes []byte) bool {
-	t.Helper()
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := db.Pool().Fetch(ref.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Pool().Unpin(f, false)
-	return f.Page.Flags()&pages.FlagCompressedBlob != 0
-}
-
 // TestRecoverBlobFormatFollowsPayload is the storage contract of MAX values:
-// the payload alone decides the layout — packed compressed chunks on
-// fewer pages than raw storage needs, or raw chunks on exactly
+// the payload alone decides the layout — compressed blocks packed on
+// fewer pages than raw blocks need, or raw blocks on exactly
 // blob.NumChunks pages — and either layout survives an in-place
 // subarray patch, a whole-blob overwrite, a checkpoint torn mid-write
-// and crash recovery byte-identical and in the same format.
+// and crash recovery byte-identical and on as many pages.
 func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 	for _, lay := range blobLayouts {
 		t.Run(lay.name, func(t *testing.T) {
@@ -111,7 +95,8 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 			}
 
 			// check reads every row back: byte-identical, and in the
-			// layout the payload selects.
+			// layout the payload selects — a whole read fetches each
+			// chunk page once, so ChunkReads counts the blob's pages.
 			check := func(db *DB, tbl *Table, when string) {
 				t.Helper()
 				for key, payload := range want {
@@ -119,12 +104,18 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: Get(%d): %v", when, key, err)
 					}
-					if got := dirCompressed(t, db, vals[mCol].B); got != lay.packed {
-						t.Errorf("%s: row %d directory compressed = %v, want %v", when, key, got, lay.packed)
-					}
+					c0 := db.Blobs().Stats().ChunkReads
 					got, err := resolveMax(tbl, vals[mCol].B)
 					if err != nil {
 						t.Fatalf("%s: resolve(%d): %v", when, key, err)
+					}
+					chunks := int(db.Blobs().Stats().ChunkReads - c0)
+					raw := blob.NumChunks(int64(len(payload)))
+					if lay.packed && chunks >= raw {
+						t.Errorf("%s: row %d on %d chunk pages, want fewer than %d", when, key, chunks, raw)
+					}
+					if !lay.packed && chunks != raw {
+						t.Errorf("%s: row %d on %d chunk pages, want %d", when, key, chunks, raw)
 					}
 					if !bytes.Equal(got, payload) {
 						t.Fatalf("%s: row %d: blob not byte-identical (%d vs %d bytes)", when, key, len(got), len(payload))
@@ -177,9 +168,11 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(db2, tbl2, "after recovery")
-			// The recovered store reads through the matching path.
-			if got := db2.Blobs().Stats().CompressedBytesRead != 0; got != lay.packed {
-				t.Errorf("recovered store read compressed chunks = %v, want %v", got, lay.packed)
+			// The recovered store read fewer stored than logical bytes
+			// exactly when the payload compresses.
+			if st := db2.Blobs().Stats(); (st.StoredBytesRead < st.BytesRead) != lay.packed {
+				t.Errorf("recovered store read %d stored bytes for %d logical, want packed = %v",
+					st.StoredBytesRead, st.BytesRead, lay.packed)
 			}
 			verifyInvariants(t, db2, "t")
 		})

@@ -23,7 +23,7 @@ var statsNames = []string{
 	"pages.cow_copies", "pages.snapshot_reads", "pages.versions_retired",
 	"blob.chunk_reads", "blob.directory_reads", "blob.bytes_read",
 	"blob.chunks_written",
-	"blob.compressed_bytes_written", "blob.compressed_bytes_read",
+	"blob.stored_bytes_written", "blob.stored_bytes_read",
 	"blob.bytes_written",
 	"wal.records", "wal.bytes_logged", "wal.syncs",
 	"wal.group_commit_piggybacks",

@@ -52,7 +52,7 @@ const (
 const (
 	offMagic    = 0  // uint16
 	offType     = 2  // uint8
-	offFlags    = 3  // uint8
+	_           = 3  // uint8 reserved
 	offSlots    = 4  // uint16 number of slots
 	offFreeLo   = 6  // uint16 start of free space
 	offFreeHi   = 8  // uint16 end of free space (start of used record area)
@@ -95,19 +95,6 @@ func (p *Page) Init(t PageType) {
 
 // Type returns the page type tag.
 func (p *Page) Type() PageType { return PageType(p.Buf[offType]) }
-
-// FlagCompressedBlob marks blob chunk and directory pages written in
-// the compressed block format (see internal/blob): directory entries
-// carry logical lengths and chunk bodies hold packed compressed blocks
-// instead of raw payload bytes.
-const FlagCompressedBlob uint8 = 0x01
-
-// Flags returns the per-page flag bits (zero on legacy pages — the
-// byte was reserved and always cleared by Init).
-func (p *Page) Flags() uint8 { return p.Buf[offFlags] }
-
-// SetFlags stores the per-page flag bits.
-func (p *Page) SetFlags(f uint8) { p.Buf[offFlags] = f }
 
 // NumSlots returns the number of slot-directory entries (including dead
 // slots left by deletions).
@@ -170,8 +157,8 @@ func (p *Page) Used() int { return int(binary.LittleEndian.Uint32(p.Buf[offUsed:
 // SetUsed stores the used-bytes counter.
 func (p *Page) SetUsed(v int) { binary.LittleEndian.PutUint32(p.Buf[offUsed:], uint32(v)) }
 
-// Body returns the non-header portion of the page (blob pages use it as a
-// raw chunk area).
+// Body returns the non-header portion of the page (blob pages hold their
+// chunk or directory there).
 func (p *Page) Body() []byte { return p.Buf[HeaderSize:] }
 
 // FreeSpace returns the bytes available for one more record (accounting

@@ -889,7 +889,7 @@ func TestUDFOverLargeMaxRowsStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for id := int64(0); id < rows; id++ {
 		payload := make([]byte, size)
-		rng.Read(payload) // incompressible: stored as raw chunks
+		rng.Read(payload) // incompressible: stored as raw blocks
 		if err := tbl.Insert([]engine.Value{engine.IntValue(id), engine.BinaryMaxValue(payload)}); err != nil {
 			t.Fatal(err)
 		}

@@ -215,14 +215,13 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 
 // readStencil performs the partial-read path: only the byte runs of the
 // np³×3 stencil sub-array are fetched from the out-of-page blob, and
-// the float64 samples are decoded straight off the chunk bodies (pinned
-// pages for raw blobs, decoded scratch for compressed ones) — no
+// the float64 samples are decoded straight off the segments (pinned
+// pages for raw blocks, decoded scratch for compressed ones) — no
 // intermediate byte buffer, no copy. The direct decode requires every
 // element to sit inside one segment, which holds because segments break
-// only at chunk boundaries and those are 8-byte aligned: raw chunks
-// break at ChunkSize multiples and compressed chunks start on BlockSize
-// multiples (both asserted below), past a header CreateStore has
-// checked is a multiple of 8 too.
+// only at chunk boundaries, every chunk starts on a BlockSize multiple,
+// and BlockSize is a multiple of 8 (asserted below), past a header
+// CreateStore has checked is a multiple of 8 too.
 func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int) ([]float64, error) {
 	key, err := s.cubeKey(step, cx, cy, cz)
 	if err != nil {
@@ -257,10 +256,7 @@ func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz,
 }
 
 // No float64 may straddle a segment boundary (see readStencil).
-const (
-	_ = uint(-(blob.ChunkSize % 8))
-	_ = uint(-(blob.BlockSize % 8))
-)
+const _ = uint(-(blob.BlockSize % 8))
 
 func leUint64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

@@ -22,6 +22,12 @@ names=(
 	'Contiguous('
 	'resolvePinFraction'
 	'Store) View('
+	# One chunk layout: an incompressible blob is raw blocks in the
+	# packed format, so no page flag tells two formats apart and no
+	# second patch path exists.
+	'FlagCompressedBlob'
+	'writeRunsRaw'
+	'SetFlags('
 )
 src=()
 while IFS= read -r f; do
