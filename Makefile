@@ -15,8 +15,10 @@ test: build
 	go test ./...
 	cd bench && go vet . && go test .
 
+# Every package that spawns or shares goroutines; CI's race step runs
+# this target, so the list lives here only.
 race:
-	go test -race ./internal/engine/... ./internal/sqlmini/... ./internal/btree/... ./internal/pages/... ./internal/wal/... ./internal/blob/... ./internal/spectra/... ./internal/turbulence/...
+	go test -race ./internal/engine/... ./internal/sqlmini/... ./internal/btree/... ./internal/pages/... ./internal/wal/... ./internal/blob/... ./internal/spectra/... ./internal/turbulence/... ./internal/partition/... ./internal/obs/... ./internal/nbody/... ./internal/tsql/...
 
 # lint mirrors CI's lint job: formatting, stock vet, the structure guard
 # (scripts/structure.sh: deleted code paths stay deleted), and

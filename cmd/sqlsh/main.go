@@ -291,9 +291,8 @@ func printStats(d obs.Snapshot) {
 		fmt.Printf("compression: read %s stored for %s logical (%.2fx)\n",
 			fmtBytes(sr), fmtBytes(lr), float64(lr)/float64(sr))
 	}
-	fmt.Printf("WAL:         %d records, %s logged, %d syncs, %d group-commit piggybacks\n",
-		d.Get("wal.records"), fmtBytes(d.Get("wal.bytes_logged")),
-		d.Get("wal.syncs"), d.Get("wal.group_commit_piggybacks"))
+	fmt.Printf("WAL:         %d records, %s logged, %d syncs\n",
+		d.Get("wal.records"), fmtBytes(d.Get("wal.bytes_logged")), d.Get("wal.syncs"))
 	fmt.Printf("UDF:         %d calls across the boundary, %s marshaled\n",
 		d.Get("udf.calls"), fmtBytes(d.Get("udf.bytes_marshaled")))
 }

@@ -16,14 +16,13 @@ var durable = []struct {
 	{"wal", "Log", "Checkpoint"},
 	{"pages", "BufferPool", "FlushAll"},
 	{"pages", "BufferPool", "DropCleanBuffers"},
+	{"pages", "DiskManager", "Sync"},
 	{"engine", "DB", "Checkpoint"},
-	{"engine", "DB", "SyncWAL"},
 	{"engine", "DB", "Close"},
 	{"engine", "Tx", "Commit"},
 	{"engine", "Tx", "Close"},
 	{"sqlmini", "Rows", "Close"},
 	{"sqlarray", "Database", "Checkpoint"},
-	{"sqlarray", "Database", "SyncWAL"},
 	{"sqlarray", "Database", "Close"},
 	{"os", "File", "Sync"},
 }

@@ -61,7 +61,7 @@ func rowBytesOf(tb testing.TB, schema *Schema, rows [][]Value) int64 {
 // BenchmarkBulkLoad compares the COPY path against the row-at-a-time
 // INSERT loop it replaces: identical rows into a fresh WAL-backed table
 // per iteration. The insert loop pays a full write session — begin, WAL
-// commit record, group-commit sync, snapshot publish — per row; the
+// commit record, WAL sync, snapshot publish — per row; the
 // bulk path stages everything and commits once.
 func BenchmarkBulkLoad(b *testing.B) {
 	const n = 10000

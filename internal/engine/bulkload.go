@@ -126,9 +126,9 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 	}
 
 	// onPage streams every completed fresh page's image into the WAL
-	// while the page is still pinned, syncing every syncEvery pages so
-	// the logged prefix becomes evictable — the load's dirty working
-	// set stays bounded no matter how large the ingest is.
+	// while the page is still pinned, calling wal.Sync every syncEvery
+	// pages so the logged prefix becomes evictable — the load's dirty
+	// working set stays bounded no matter how large the ingest is.
 	pagesDone := 0
 	onPage := func(f *pages.Frame) error {
 		pagesDone++

@@ -195,31 +195,21 @@ func (db *DB) Table(name string) (*Table, error) {
 // measured query run.
 func (db *DB) DropCleanBuffers() error { return db.bp.DropCleanBuffers() }
 
-// SyncWAL makes every logged record durable (a group-commit flush
-// point). No-op without a WAL.
-func (db *DB) SyncWAL() error {
-	if db.wal == nil {
-		return nil
-	}
-	return db.wal.Sync()
-}
-
 // Checkpoint bounds future recovery: it syncs the WAL, flushes every
 // dirty page to the database file (each flush is legal because its log
-// record is durable), syncs the disk when it supports syncing, and
-// appends a checkpoint record carrying a full catalog snapshot. Old log
-// segments that no recovery can need are pruned. Without a WAL it
-// degrades to a plain flush.
+// record is durable), fsyncs the database file, and only then appends a
+// checkpoint record carrying a full catalog snapshot, so recovery never
+// skips a record whose pages are not on disk. Old log segments that no
+// recovery can need are pruned. Without a WAL it is a flush and an
+// fsync.
 func (db *DB) Checkpoint() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.bp.FlushAll(); err != nil {
 		return err
 	}
-	if s, ok := db.bp.Disk().(interface{ Sync() error }); ok {
-		if err := s.Sync(); err != nil {
-			return err
-		}
+	if err := db.bp.Disk().Sync(); err != nil {
+		return err
 	}
 	if db.wal == nil {
 		db.m.checkpoints.Inc()

@@ -26,7 +26,6 @@ var statsNames = []string{
 	"blob.stored_bytes_written", "blob.stored_bytes_read",
 	"blob.bytes_written",
 	"wal.records", "wal.bytes_logged", "wal.syncs",
-	"wal.group_commit_piggybacks",
 	"engine.rows_inserted", "engine.commits",
 	"udf.calls", "udf.bytes_marshaled",
 }

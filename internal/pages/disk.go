@@ -18,6 +18,9 @@ type DiskManager interface {
 	Allocate() (PageID, error)
 	// NumPages returns the current file length in pages (including page 0).
 	NumPages() int
+	// Sync makes every completed WritePage and Allocate durable (fsync).
+	// A checkpoint calls it before logging that the pages are on disk.
+	Sync() error
 	// Close releases resources.
 	Close() error
 }
@@ -70,6 +73,9 @@ func (d *MemDisk) NumPages() int {
 	defer d.mu.RUnlock()
 	return len(d.pages)
 }
+
+// Sync implements DiskManager; memory has nothing to make durable.
+func (d *MemDisk) Sync() error { return nil }
 
 // Close implements DiskManager.
 func (d *MemDisk) Close() error { return nil }
@@ -152,6 +158,9 @@ func (d *FileDisk) NumPages() int {
 	defer d.mu.Unlock()
 	return d.count
 }
+
+// Sync implements DiskManager: it fsyncs the file.
+func (d *FileDisk) Sync() error { return d.f.Sync() }
 
 // Close implements DiskManager.
 func (d *FileDisk) Close() error { return d.f.Close() }

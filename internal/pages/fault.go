@@ -14,9 +14,9 @@ var ErrInjected = errors.New("pages: injected disk fault")
 // writes, optionally tearing the failing write (persisting only the
 // first half of the page — the classic torn-page failure a sector-level
 // atomic disk cannot produce but a full 8 kB page write can). After the
-// first failure every subsequent write fails too, modelling a machine
-// that has crashed; reads keep working so the post-mortem can inspect
-// what reached the platter.
+// first failure every subsequent write, allocation and Sync fails too,
+// modelling a machine that has crashed; reads keep working so the
+// post-mortem can inspect what reached the platter.
 type FaultDisk struct {
 	inner DiskManager
 	mu    sync.Mutex
@@ -107,6 +107,18 @@ func (d *FaultDisk) Allocate() (PageID, error) {
 		return 0, fmt.Errorf("%w: disk crashed", ErrInjected)
 	}
 	return d.inner.Allocate()
+}
+
+// Sync implements DiskManager, failing like a write once the fault has
+// fired.
+func (d *FaultDisk) Sync() error {
+	d.mu.Lock()
+	fired := d.fired
+	d.mu.Unlock()
+	if fired {
+		return fmt.Errorf("%w: disk crashed", ErrInjected)
+	}
+	return d.inner.Sync()
 }
 
 // NumPages implements DiskManager.

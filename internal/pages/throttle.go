@@ -74,5 +74,9 @@ func (d *ThrottledDisk) Allocate() (PageID, error) { return d.inner.Allocate() }
 // NumPages implements DiskManager.
 func (d *ThrottledDisk) NumPages() int { return d.inner.NumPages() }
 
+// Sync implements DiskManager. An fsync moves no page; it is not
+// throttled.
+func (d *ThrottledDisk) Sync() error { return d.inner.Sync() }
+
 // Close implements DiskManager.
 func (d *ThrottledDisk) Close() error { return d.inner.Close() }

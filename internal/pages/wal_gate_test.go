@@ -165,13 +165,19 @@ func TestFaultDiskFailsAndTears(t *testing.T) {
 	if got[0] != 0x22 || got[PageSize-1] != 0x11 {
 		t.Fatalf("torn write left first byte %x last byte %x, want 22 / 11", got[0], got[PageSize-1])
 	}
-	// Disk is crashed: further writes fail until healed.
+	// Disk is crashed: further writes and fsyncs fail until healed.
 	if err := d.WritePage(id, full); !errors.Is(err, ErrInjected) {
 		t.Fatalf("post-crash write error = %v", err)
+	}
+	if err := d.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("post-crash Sync error = %v", err)
 	}
 	d.Heal()
 	if err := d.WritePage(id, full); err != nil {
 		t.Fatalf("write after heal: %v", err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatalf("Sync after heal: %v", err)
 	}
 }
 

@@ -143,9 +143,9 @@ func (s *Store) CreateTable(name string, schema engine.Schema) error {
 
 // BulkLoad drains src, routes every row to the member owning its key,
 // and runs the per-member bulk loads concurrently — each member has its
-// own write latch, WAL and group-commit stream, so the loads overlap
-// end to end. Per-member all-or-nothing durability carries over; a
-// failure reports which members had already committed.
+// own write latch and WAL, so the loads overlap end to end. Per-member
+// all-or-nothing durability carries over; a failure reports which
+// members had already committed.
 func (s *Store) BulkLoad(table string, src engine.BulkSource, opts engine.BulkOptions) (engine.BulkStats, error) {
 	keyCol, err := s.keyColumn(table)
 	if err != nil {

@@ -315,10 +315,9 @@ func scatterSelect(live []Partition, stmt *SelectStmt, opts ExecOptions) (*Resul
 			out.Columns = r.Columns
 		}
 		out.Rows = append(out.Rows, r.Rows...)
-		if stmt.Top > 0 && int64(len(out.Rows)) >= stmt.Top {
-			out.Rows = out.Rows[:int(stmt.Top)]
-			break
-		}
+	}
+	if stmt.Top > 0 && int64(len(out.Rows)) > stmt.Top {
+		out.Rows = out.Rows[:stmt.Top]
 	}
 	if out.Columns == nil {
 		// Every partition was pruned: compile nothing, return the empty

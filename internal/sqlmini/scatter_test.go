@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -167,5 +168,36 @@ func TestScatterSelectOrderAndTop(t *testing.T) {
 	}
 	if len(res.Columns) != 1 || res.Columns[0] != "k" {
 		t.Fatalf("pruned-all columns = %v, want [k]", res.Columns)
+	}
+}
+
+// TestScatterStatsMatchAnalyze: a scatter run reports the rows every
+// live partition gathered, before TOP is re-applied to the whole — the
+// same PartRows and RowsGathered EXPLAIN ANALYZE reports for the
+// statement, TOP or not.
+func TestScatterStatsMatchAnalyze(t *testing.T) {
+	parts := scatterParts(t)
+	for _, q := range []string{
+		"SELECT TOP 5 id FROM T",
+		"SELECT TOP 150 id FROM T WHERE id >= 50",
+		"SELECT TOP 30 id FROM T WHERE x >= 40",
+		"SELECT id FROM T WHERE id >= 150",
+	} {
+		stmt := mustParse(t, q)
+		res, run, err := ScatterExec(parts, stmt, ExecOptions{Parallelism: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		_, analyzed, err := ScatterExplain(parts, &ExplainStmt{Analyze: true, Stmt: stmt}, ExecOptions{Parallelism: 4})
+		if err != nil {
+			t.Fatalf("EXPLAIN ANALYZE %s: %v", q, err)
+		}
+		if fmt.Sprint(run.PartRows) != fmt.Sprint(analyzed.PartRows) || run.RowsGathered != analyzed.RowsGathered {
+			t.Errorf("%s: run PartRows %v / RowsGathered %d, ANALYZE %v / %d",
+				q, run.PartRows, run.RowsGathered, analyzed.PartRows, analyzed.RowsGathered)
+		}
+		if stmt.Top > 0 && int64(len(res.Rows)) > stmt.Top {
+			t.Errorf("%s: %d rows past TOP %d", q, len(res.Rows), stmt.Top)
+		}
 	}
 }

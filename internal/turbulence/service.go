@@ -1,6 +1,7 @@
 package turbulence
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -45,12 +46,23 @@ func (s *Store) Velocity(step int, p [3]float64, scheme interp.Scheme, mode Fetc
 // public web service ("users can submit a set of about 10,000 particle
 // positions ... and retrieve the interpolated values of the velocity
 // field at those positions", §2.1). Whole-blob fetches are cached per
-// batch so each touched cube is read once.
+// batch so each touched cube is read once. An unknown scheme or a
+// non-finite coordinate fails the batch before anything is read.
 func (s *Store) VelocityBatch(step int, pts [][3]float64, scheme interp.Scheme, mode FetchMode) ([][3]float64, error) {
 	np := scheme.Points()
+	if np == 0 {
+		return nil, fmt.Errorf("turbulence: unknown interpolation scheme %v", scheme)
+	}
 	if np/2 > s.ghost && np > 1 {
 		return nil, fmt.Errorf("turbulence: scheme %v needs ghost >= %d, store has %d",
 			scheme, np/2, s.ghost)
+	}
+	for i, p := range pts {
+		for _, x := range p {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("turbulence: point %d %v has a non-finite coordinate", i, p)
+			}
+		}
 	}
 	snap := s.db.Snapshot()
 	defer snap.Release()
@@ -246,7 +258,7 @@ func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz,
 	out := make([]float64, dstBytes/8)
 	err = s.table.VisitBlobRunsAt(snap, ref, blobRuns, func(dstOff int, seg []byte) {
 		for w := 0; w+8 <= len(seg); w += 8 {
-			out[(dstOff+w)/8] = math.Float64frombits(leUint64(seg[w:]))
+			out[(dstOff+w)/8] = math.Float64frombits(binary.LittleEndian.Uint64(seg[w:]))
 		}
 	})
 	if err != nil {
@@ -257,11 +269,6 @@ func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz,
 
 // No float64 may straddle a segment boundary (see readStencil).
 const _ = uint(-(blob.BlockSize % 8))
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
 
 // ServiceStats reports the I/O the service generated, for the blob-size
 // trade-off experiment (E10).

@@ -149,6 +149,40 @@ func TestInterpolationMatchesDirectGridSampling(t *testing.T) {
 	}
 }
 
+// TestVelocityBatchRejectsBadInput: a non-finite coordinate or an
+// unknown scheme is an error, raised before any page is read, in both
+// fetch modes — not a panic, a NaN velocity or a zero vector.
+func TestVelocityBatchRejectsBadInput(t *testing.T) {
+	s, _ := newStore(t, 16, 8, 4)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, mode := range []FetchMode{WholeBlob, PartialRead} {
+		for _, tc := range []struct {
+			name   string
+			p      [3]float64
+			scheme interp.Scheme
+		}{
+			{"NaN lag4", [3]float64{nan, 1, 1}, interp.Lag4},
+			{"NaN nearest", [3]float64{1, 1, nan}, interp.Nearest},
+			{"+Inf lag8", [3]float64{1, inf, 1}, interp.Lag8},
+			{"-Inf linear", [3]float64{-inf, 1, 1}, interp.Linear},
+			{"+Inf nearest", [3]float64{inf, 1, 1}, interp.Nearest},
+			{"unknown scheme", [3]float64{1.5, 2.5, 3.5}, interp.Scheme(42)},
+		} {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				before := s.db.Pool().Stats().LogicalReads
+				pts := [][3]float64{{1.3, 2.7, 3.1}, tc.p}
+				out, err := s.VelocityBatch(0, pts, tc.scheme, mode)
+				if err == nil {
+					t.Fatalf("VelocityBatch = %v, nil error; want an error", out)
+				}
+				if got := s.db.Pool().Stats().LogicalReads - before; got != 0 {
+					t.Errorf("rejected batch read %d pages first: %v", got, err)
+				}
+			})
+		}
+	}
+}
+
 func TestPartialReadMatchesWholeBlob(t *testing.T) {
 	s, _ := newStore(t, 16, 8, 4)
 	pts := [][3]float64{

@@ -1,9 +1,11 @@
 // Package wal implements the redo-only write-ahead log behind the
 // sqlarray engine's durability story: an append-only stream of
 // CRC-framed records over numbered segment files, monotonically
-// increasing log sequence numbers, a group-commit buffer flushed by an
+// increasing log sequence numbers, an append buffer made durable by an
 // explicit Sync, and checkpoint records that bound how much of the log
-// recovery has to replay.
+// recovery has to replay. A storage error from a segment append,
+// fsync, roll or truncation fails the log for good: it refuses every
+// later record, and the way back is to reopen it and recover.
 //
 // The log is deliberately engine-agnostic: record payloads are opaque
 // bytes. The engine logs full page after-images plus commit records
@@ -85,13 +87,9 @@ var (
 type Stats struct {
 	Records      uint64 // records appended
 	BytesLogged  uint64 // framed bytes appended (buffered or written)
-	Syncs        uint64 // explicit Sync calls that reached the storage
+	Syncs        uint64 // segment fsyncs (Sync, Checkpoint, Close, rolls)
 	Checkpoints  uint64
 	SegmentRolls uint64
-	// GroupCommitPiggybacks counts Sync calls that became durable by
-	// waiting on another caller's in-flight fsync instead of issuing
-	// their own — the group-commit win under concurrent committers.
-	GroupCommitPiggybacks uint64
 }
 
 // Options configures a log.
@@ -106,10 +104,17 @@ type segInfo struct {
 	base LSN // LSN of the first record in the segment
 }
 
-// Log is the write-ahead log. Appends are buffered (group commit) and
-// become durable on Sync. A Log is safe for concurrent use, though the
-// engine serializes writers anyway; DurableLSN is lock-free so the
-// buffer pool's flush gate never contends with appends.
+// Log is the write-ahead log. Appends are buffered and become durable on
+// Sync. A Log is safe for concurrent use: every method runs under one
+// mutex, the segment fsync included (the engine serializes writers
+// anyway). DurableLSN is lock-free so the buffer pool's flush gate never
+// contends with appends.
+//
+// The first storage error from a segment append, fsync, roll or
+// truncation is final. Append, Sync and Checkpoint return it from then
+// on and DurableLSN never moves again, so no record whose bytes may not
+// have reached the storage is ever reported durable. Recovery is
+// reopening: Open plus the engine's replay.
 type Log struct {
 	mu       sync.Mutex
 	st       Storage
@@ -122,37 +127,24 @@ type Log struct {
 	lastCkpt LSN // LSN of the last checkpoint record (0 = none)
 	segLimit int64
 	closed   bool
-
-	// Group commit: at most one goroutine (the sync leader) runs the
-	// storage fsync at a time, with l.mu released. syncing is true while
-	// that fsync is in flight; syncCond wakes everyone parked on it —
-	// followers whose records the leader's flush already covered return
-	// without an fsync of their own. While syncing is true, durable is
-	// frozen (only the leader advances it, after re-acquiring l.mu), and
-	// the active segment must not be closed, truncated, or rolled.
-	syncing  bool
-	syncCond *sync.Cond
+	err      error // first storage error; non-nil fails the log
 
 	records      obs.Counter
 	bytesLogged  obs.Counter
 	syncs        obs.Counter
 	checkpoints  obs.Counter
 	segmentRolls obs.Counter
-	piggybacks   obs.Counter
-	// syncLatency observes the wall time of each leader fsync (followers
-	// that piggyback are not observed — they paid no storage round trip).
-	syncLatency obs.Histogram
+	syncLatency  obs.Histogram // wall time of each segment fsync
 }
 
 // RegisterMetrics attaches the log's counters to reg under the "wal."
-// prefix, including the leader-fsync latency histogram.
+// prefix, including the fsync latency histogram.
 func (l *Log) RegisterMetrics(reg *obs.Registry) {
 	reg.Attach("wal.records", &l.records)
 	reg.Attach("wal.bytes_logged", &l.bytesLogged)
 	reg.Attach("wal.syncs", &l.syncs)
 	reg.Attach("wal.checkpoints", &l.checkpoints)
 	reg.Attach("wal.segment_rolls", &l.segmentRolls)
-	reg.Attach("wal.group_commit_piggybacks", &l.piggybacks)
 	reg.AttachHistogram("wal.sync_latency", &l.syncLatency)
 }
 
@@ -167,7 +159,6 @@ func Open(st Storage, o Options) (*Log, error) {
 		o.SegmentSize = DefaultSegmentSize
 	}
 	l := &Log{st: st, segLimit: o.SegmentSize}
-	l.syncCond = sync.NewCond(&l.mu)
 	seqs, err := st.List()
 	if err != nil {
 		return nil, err
@@ -351,18 +342,17 @@ func (l *Log) LastCheckpointLSN() LSN {
 // Stats returns a snapshot of the log counters.
 func (l *Log) Stats() Stats {
 	return Stats{
-		Records:               l.records.Load(),
-		BytesLogged:           l.bytesLogged.Load(),
-		Syncs:                 l.syncs.Load(),
-		Checkpoints:           l.checkpoints.Load(),
-		SegmentRolls:          l.segmentRolls.Load(),
-		GroupCommitPiggybacks: l.piggybacks.Load(),
+		Records:      l.records.Load(),
+		BytesLogged:  l.bytesLogged.Load(),
+		Syncs:        l.syncs.Load(),
+		Checkpoints:  l.checkpoints.Load(),
+		SegmentRolls: l.segmentRolls.Load(),
 	}
 }
 
-// Append frames a record into the group-commit buffer and returns its
-// LSN. The record is not durable until Sync returns; a crash before
-// that loses it (and recovery discards the whole uncommitted group, see
+// Append frames a record into the append buffer and returns its LSN.
+// The record is not durable until Sync returns; a crash before that
+// loses it (and recovery discards the whole uncommitted group, see
 // RecCommit).
 func (l *Log) Append(typ RecordType, payload []byte) (LSN, error) {
 	if len(payload) > maxRecordSize {
@@ -370,26 +360,15 @@ func (l *Log) Append(typ RecordType, payload []byte) (LSN, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
 	frame := int64(frameHeaderSize + len(payload))
 	// Roll to a fresh segment when this record would overflow the
-	// current one (records never span segments). Rolling closes the
-	// active segment, so wait out any in-flight group-commit fsync;
-	// waiting releases l.mu, so re-check the roll condition after —
-	// another appender may have rolled already.
+	// current one (records never span segments).
 	if l.curSize > segHeaderSize && l.curSize+frame > l.segLimit {
-		for l.syncing {
-			l.syncCond.Wait()
-			if l.closed {
-				return 0, ErrClosed
-			}
-		}
-		if l.curSize > segHeaderSize && l.curSize+frame > l.segLimit {
-			if err := l.rollLocked(); err != nil {
-				return 0, err
-			}
+		if err := l.rollLocked(); err != nil {
+			return 0, err
 		}
 	}
 	lsn := l.nextLSN
@@ -409,95 +388,73 @@ func (l *Log) Append(typ RecordType, payload []byte) (LSN, error) {
 	return lsn, nil
 }
 
-// rollLocked flushes the buffer, syncs and closes the current segment,
-// and opens the next one. Caller holds l.mu.
+// usableLocked returns ErrClosed on a closed log and the stored storage
+// error on a failed one. Caller holds l.mu.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.err
+}
+
+// fail records err as the log's first storage error, failing the log,
+// and returns the stored error. Caller holds l.mu.
+func (l *Log) fail(err error) error {
+	if l.err == nil {
+		l.err = fmt.Errorf("wal: log failed, reopen to recover: %w", err)
+	}
+	return l.err
+}
+
+// rollLocked syncs and closes the current segment and opens the next
+// one. Caller holds l.mu.
 func (l *Log) rollLocked() error {
-	if err := l.flushLocked(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	if err := l.cur.Sync(); err != nil {
-		return err
-	}
-	l.durable.Store(uint64(l.nextLSN))
 	if err := l.cur.Close(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	next := l.segs[len(l.segs)-1].seq + 1
 	l.segmentRolls.Add(1)
-	return l.createSegment(next, l.nextLSN)
-}
-
-// flushLocked writes the group-commit buffer to the current segment
-// without syncing. Caller holds l.mu.
-func (l *Log) flushLocked() error {
-	if len(l.buf) == 0 {
-		return nil
+	if err := l.createSegment(next, l.nextLSN); err != nil {
+		return l.fail(err)
 	}
-	if err := l.cur.Append(l.buf); err != nil {
-		return err
-	}
-	l.buf = l.buf[:0]
 	return nil
 }
 
-// Sync flushes the group-commit buffer and makes every appended record
+// Sync flushes the append buffer and makes every appended record
 // durable. This is the commit point: DurableLSN advances to NextLSN.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//lint:allow latchorder syncLocked's reacquire of l.mu after the leader fsync is a release-then-relock, not a nested acquisition
 	return l.syncLocked()
 }
 
-// syncLocked makes every record appended so far durable. Concurrent
-// callers group-commit: the first one through becomes the sync leader
-// and runs the storage fsync with l.mu released; later callers park on
-// syncCond and, once the leader's fsync covers their records, return
-// without touching the storage (counted as a piggyback). A caller whose
-// records the in-flight fsync does NOT cover (appended after the
-// leader's flush) waits it out and then leads the next sync — fsyncs
-// pipeline instead of serializing behind one another. Caller holds l.mu.
+// syncLocked writes the buffer, fsyncs the active segment and advances
+// DurableLSN to NextLSN. A failure fails the log: the fsync is never
+// retried, because a retry that succeeds says nothing about the bytes
+// the failed one dropped. Caller holds l.mu.
 func (l *Log) syncLocked() error {
-	if l.closed {
-		return ErrClosed
-	}
-	target := l.nextLSN
-	waited := false
-	for {
-		if uint64(target) <= l.durable.Load() {
-			if waited {
-				l.piggybacks.Add(1)
-			}
-			return nil // an earlier sync already covered our records
-		}
-		if l.closed {
-			return ErrClosed
-		}
-		if !l.syncing {
-			break // become the leader
-		}
-		waited = true
-		l.syncCond.Wait()
-	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	flushed := l.nextLSN
-	cur := l.cur
-	l.syncing = true
-	l.mu.Unlock()
-	syncStart := time.Now()
-	err := cur.Sync()
-	l.syncLatency.Observe(time.Since(syncStart))
-	l.mu.Lock()
-	l.syncing = false
-	if err == nil {
-		// Advance durable before waking followers so they observe it.
-		l.durable.Store(uint64(flushed))
-		l.syncs.Add(1)
+	if uint64(l.nextLSN) <= l.durable.Load() {
+		return nil // an earlier sync already covered every record
 	}
-	l.syncCond.Broadcast()
-	return err
+	if err := l.cur.Append(l.buf); err != nil {
+		return l.fail(err)
+	}
+	l.buf = l.buf[:0]
+	start := time.Now()
+	err := l.cur.Sync()
+	l.syncLatency.Observe(time.Since(start))
+	if err != nil {
+		return l.fail(err)
+	}
+	l.durable.Store(uint64(l.nextLSN))
+	l.syncs.Add(1)
+	return nil
 }
 
 // Checkpoint appends a checkpoint record, syncs, and prunes every
@@ -511,7 +468,6 @@ func (l *Log) Checkpoint(payload []byte) (LSN, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//lint:allow latchorder syncLocked's reacquire of l.mu after the leader fsync is a release-then-relock, not a nested acquisition
 	if err := l.syncLocked(); err != nil {
 		return 0, err
 	}
@@ -594,16 +550,8 @@ func (l *Log) Recover(fn func(lsn LSN, typ RecordType, payload []byte) error) er
 func (l *Log) TruncateTo(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	// Truncation rewrites the active segment; wait out any in-flight
-	// group-commit fsync first.
-	for l.syncing {
-		l.syncCond.Wait()
-		if l.closed {
-			return ErrClosed
-		}
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if lsn >= l.nextLSN {
 		return nil
@@ -623,21 +571,19 @@ func (l *Log) TruncateTo(lsn LSN) error {
 		_ = l.st.Remove(s.seq)
 	}
 	l.segs = l.segs[:idx+1]
-	if l.cur != nil {
-		l.cur.Close()
-	}
+	l.cur.Close()
 	seg, err := l.st.Open(l.segs[idx].seq)
 	if err != nil {
-		return err
+		return l.fail(err)
 	}
 	newSize := segHeaderSize + int64(lsn-l.segs[idx].base)
 	if err := seg.Truncate(newSize); err != nil {
 		seg.Close()
-		return err
+		return l.fail(err)
 	}
 	if err := seg.Sync(); err != nil {
 		seg.Close()
-		return err
+		return l.fail(err)
 	}
 	l.cur = seg
 	l.curSize = newSize
@@ -663,24 +609,11 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
-	//lint:allow latchorder syncLocked's reacquire of l.mu after the leader fsync is a release-then-relock, not a nested acquisition
 	err := l.syncLocked()
-	// Our own records are durable, but a later caller's fsync may still
-	// be in flight against the active segment; wait it out before
-	// closing the handle under it.
-	for l.syncing {
-		l.syncCond.Wait()
-	}
-	if l.closed {
-		return err
-	}
 	l.closed = true
-	l.syncCond.Broadcast()
-	if l.cur != nil {
-		if cerr := l.cur.Close(); err == nil {
-			err = cerr
-		}
-		l.cur = nil
+	if cerr := l.cur.Close(); err == nil {
+		err = cerr
 	}
+	l.cur = nil
 	return err
 }

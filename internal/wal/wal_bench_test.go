@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkWALAppend measures raw append throughput into the
-// group-commit buffer (the per-record cost a DML statement pays per
+// BenchmarkWALAppend measures raw append throughput into the append
+// buffer (the per-record cost a DML statement pays per
 // dirtied page) and the append+sync cycle (the full per-statement
 // durability cost), for a page-image-sized payload.
 func BenchmarkWALAppend(b *testing.B) {
@@ -43,7 +43,7 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALGroupCommit batches k appends per sync, showing what the
-// group-commit buffer buys over sync-per-record.
+// append buffer buys over sync-per-record.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	payload := make([]byte, 8196)
 	for _, k := range []int{1, 8, 64} {

@@ -112,14 +112,16 @@ func TestCrashDropsUnsyncedTail(t *testing.T) {
 	if _, err := l.Append(RecCommit, []byte("lost")); err != nil {
 		t.Fatal(err)
 	}
-	// No Sync: the second record lives only in the group-commit buffer
-	// (and would be lost even without Crash), but flush it through a
-	// segment-file write without sync to exercise the synced-prefix cut.
+	// No Sync: the second record lives only in the append buffer (and
+	// would be lost even without Crash), but write it to the segment
+	// without an fsync to exercise the synced-prefix cut.
 	l.mu.Lock()
-	if err := l.flushLocked(); err != nil {
+	err = l.cur.Append(l.buf)
+	l.buf = l.buf[:0]
+	l.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
-	l.mu.Unlock()
 	st.Crash()
 	l2, err := Open(st, Options{})
 	if err != nil {
