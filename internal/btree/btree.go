@@ -266,18 +266,13 @@ func (t *Tree) insertInto(id pages.PageID, level int, key int64, val []byte, ove
 		return splitResult{}, err
 	}
 	// Split this internal node.
-	out, err := t.splitNode(f, pages.TypeIndex)
+	out, err := t.splitNode(f, pages.TypeIndex, pos, res.sepKey)
 	if err != nil {
 		t.bp.Unpin(f, true)
 		return splitResult{}, err
 	}
 	// Retry the separator insert into the proper half.
-	target := f
-	var targetIsRight bool
 	if res.sepKey >= out.sepKey {
-		targetIsRight = true
-	}
-	if targetIsRight {
 		rf, err := t.bp.FetchForWrite(out.right)
 		if err != nil {
 			t.bp.Unpin(f, true)
@@ -291,8 +286,8 @@ func (t *Tree) insertInto(id pages.PageID, level int, key int64, val []byte, ove
 		}
 		t.bp.Unpin(rf, true)
 	} else {
-		pos, _ := searchSlot(&target.Page, res.sepKey)
-		if err := target.Page.InsertAt(pos, entry); err != nil {
+		pos, _ := searchSlot(&f.Page, res.sepKey)
+		if err := f.Page.InsertAt(pos, entry); err != nil {
 			t.bp.Unpin(f, true)
 			return splitResult{}, err
 		}
@@ -337,7 +332,7 @@ func (t *Tree) insertLeaf(f *pages.Frame, key int64, val []byte, overwrite bool)
 		t.count++
 		return splitResult{}, nil
 	}
-	out, err := t.splitNode(f, pages.TypeData)
+	out, err := t.splitNode(f, pages.TypeData, pos, key)
 	if err != nil {
 		return splitResult{}, err
 	}
@@ -363,21 +358,29 @@ func (t *Tree) insertLeaf(f *pages.Frame, key int64, val []byte, overwrite bool)
 	return out, nil
 }
 
-// splitNode moves the upper half of f's records into a fresh page and
-// returns the separator. For leaves it maintains the sibling chain.
-func (t *Tree) splitNode(f *pages.Frame, typ pages.PageType) (splitResult, error) {
+// splitNode makes room in the full node f for a record with key that
+// belongs at slot pos, and returns the separator of the fresh right page
+// it creates. When the key sorts after every record (pos == NumSlots,
+// an ascending load) f keeps all its records and the right page starts
+// empty with key as its separator, so key-ordered inserts leave every
+// node full. Otherwise the upper half of f moves right. For leaves it
+// maintains the sibling chain.
+func (t *Tree) splitNode(f *pages.Frame, typ pages.PageType, pos int, key int64) (splitResult, error) {
 	rf, err := t.bp.NewPage(typ)
 	if err != nil {
 		return splitResult{}, err
 	}
 	n := f.Page.NumSlots()
-	half := n / 2
-	sepRec, err := f.Page.Record(half)
-	if err != nil {
-		t.bp.Unpin(rf, true)
-		return splitResult{}, err
+	half, sepKey := n, key
+	if pos < n {
+		half = n / 2
+		sepRec, err := f.Page.Record(half)
+		if err != nil {
+			t.bp.Unpin(rf, true)
+			return splitResult{}, err
+		}
+		sepKey = leafKey(sepRec)
 	}
-	sepKey := leafKey(sepRec)
 	// Copy upper records to the right page.
 	for i := half; i < n; i++ {
 		rec, err := f.Page.Record(i)

@@ -15,42 +15,56 @@ import (
 // the index afterwards".
 //
 // The two halves run under different durability regimes on purpose:
-// LeafWriter touches only fresh pages (never shared, committed state),
-// so the engine can stream them straight into the WAL and evict them
-// long before the commit record exists; GraftAppend mutates shared
-// pages and must run under a write capture so those edits stay pinned
-// until the commit publishes them.
+// LeafWriter touches only fresh pages and private images (never shared,
+// committed state), so the engine can stream them straight into the WAL
+// and evict them long before the commit record exists; GraftAppend
+// mutates shared pages and must run under a write capture so those
+// edits stay pinned until the commit publishes them.
 
-// LeafRef identifies a completed leaf (or, one level up, an internal
+// leafRef identifies a completed leaf (or, one level up, an internal
 // node) by the minimum key it covers.
-type LeafRef struct {
-	Key int64
-	ID  pages.PageID
+type leafRef struct {
+	key int64
+	id  pages.PageID
 }
 
-// LeafWriter streams sorted records into fully packed fresh leaves.
-// Completed pages are handed to onPage while still pinned — the engine
-// logs the page image there — and then unpinned dirty. The sibling
-// chain between fresh leaves (and the Prev link back to prev, the
-// tree's current rightmost leaf) is wired as pages complete; only the
-// old rightmost leaf's forward pointer is left for GraftAppend.
+// LeafWriter streams sorted records into fully packed leaves. Completed
+// fresh pages are handed to onPage while still pinned — the engine logs
+// the page image there — and then unpinned dirty. The sibling chain
+// between fresh leaves (and the Prev link back to the tree's rightmost
+// leaf) is wired as pages complete; only the old rightmost leaf's
+// forward pointer is left for GraftAppend.
+//
+// Into a tree that holds no rows the stream starts in the empty root
+// leaf rather than after it. That page is shared, committed state, so
+// its first leaf is packed into a private image (head) that GraftAppend
+// installs under the write capture.
 type LeafWriter struct {
 	bp      *pages.BufferPool
 	onPage  func(f *pages.Frame) error
-	prev    pages.PageID
-	cur     *pages.Frame
+	tail    pages.PageID // the tree's rightmost leaf when the stream began
+	head    *pages.Page  // the root leaf's new image; nil unless the tree was empty
+	cur     *pages.Page  // the leaf being filled: head or curF's page
+	curF    *pages.Frame // nil while cur is head
 	curMin  int64
 	lastKey int64
 	n       int
-	leaves  []LeafRef
+	leaves  []leafRef
 }
 
-// NewLeafWriter starts a bulk leaf stream. prev is the page the first
-// fresh leaf's Prev pointer should name (InvalidPageID for an empty
-// tree is fine — the empty root leaf still precedes the fresh chain, so
-// pass its id). onPage may be nil.
-func NewLeafWriter(bp *pages.BufferPool, prev pages.PageID, onPage func(f *pages.Frame) error) *LeafWriter {
-	return &LeafWriter{bp: bp, onPage: onPage, prev: prev}
+// NewLeafWriter starts a bulk leaf stream that GraftAppend later
+// attaches to t. onPage may be nil.
+func (t *Tree) NewLeafWriter(onPage func(f *pages.Frame) error) (*LeafWriter, error) {
+	tail, err := t.rightmostNodeAt(1)
+	if err != nil {
+		return nil, err
+	}
+	w := &LeafWriter{bp: t.bp, onPage: onPage, tail: tail}
+	if t.height == 1 && t.count == 0 {
+		w.head = &pages.Page{ID: tail}
+		w.head.Init(pages.TypeData)
+	}
+	return w, nil
 }
 
 // Add appends one record. Keys must arrive in strictly ascending order.
@@ -66,14 +80,19 @@ func (w *LeafWriter) Add(key int64, val []byte) error {
 	}
 	rec := encodeLeafRec(key, val)
 	if w.cur == nil {
-		f, err := w.bp.NewPage(pages.TypeData)
-		if err != nil {
-			return err
+		if w.head != nil {
+			w.cur = w.head
+		} else {
+			f, err := w.bp.NewPage(pages.TypeData)
+			if err != nil {
+				return err
+			}
+			f.Page.SetPrev(w.tail)
+			w.cur, w.curF = &f.Page, f
 		}
-		f.Page.SetPrev(w.prev)
-		w.cur, w.curMin = f, key
+		w.curMin = key
 	}
-	if _, err := w.cur.Page.Insert(rec); err != nil {
+	if _, err := w.cur.Insert(rec); err != nil {
 		if !errors.Is(err, pages.ErrPageFull) {
 			return err
 		}
@@ -83,14 +102,14 @@ func (w *LeafWriter) Add(key int64, val []byte) error {
 		if err != nil {
 			return err
 		}
-		w.cur.Page.SetNext(nf.Page.ID)
-		nf.Page.SetPrev(w.cur.Page.ID)
+		w.cur.SetNext(nf.Page.ID)
+		nf.Page.SetPrev(w.cur.ID)
 		if err := w.completeCur(); err != nil {
 			w.bp.Unpin(nf, true)
 			return err
 		}
-		w.cur, w.curMin = nf, key
-		if _, err := w.cur.Page.Insert(rec); err != nil {
+		w.cur, w.curF, w.curMin = &nf.Page, nf, key
+		if _, err := w.cur.Insert(rec); err != nil {
 			return err
 		}
 	}
@@ -99,76 +118,72 @@ func (w *LeafWriter) Add(key int64, val []byte) error {
 	return nil
 }
 
-// completeCur logs and unpins the current leaf.
+// completeCur logs and unpins the current leaf. The head is not a pool
+// frame: the commit that installs it logs it.
 func (w *LeafWriter) completeCur() error {
-	f := w.cur
-	w.cur = nil
-	w.leaves = append(w.leaves, LeafRef{Key: w.curMin, ID: f.Page.ID})
+	w.leaves = append(w.leaves, leafRef{key: w.curMin, id: w.cur.ID})
+	f := w.curF
+	w.cur, w.curF = nil, nil
+	if f == nil {
+		return nil
+	}
 	var err error
 	if w.onPage != nil {
 		err = w.onPage(f)
 	}
-	w.prev = f.Page.ID
 	w.bp.Unpin(f, true)
 	return err
 }
 
 // Finish completes the last leaf (its Next stays InvalidPageID) and
-// returns the refs of every leaf written, in key order.
-func (w *LeafWriter) Finish() ([]LeafRef, error) {
+// returns the number of leaves written.
+func (w *LeafWriter) Finish() (int, error) {
 	if w.cur != nil {
 		if err := w.completeCur(); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	return w.leaves, nil
+	return len(w.leaves), nil
 }
-
-// Count returns the number of records added so far.
-func (w *LeafWriter) Count() int { return w.n }
 
 // Abandon unpins any open page after a failure; the abandoned fresh
 // pages are garbage until the next crash-recovery or file compaction,
 // never reachable state.
 func (w *LeafWriter) Abandon() {
-	if w.cur != nil {
-		w.bp.Unpin(w.cur, true)
-		w.cur = nil
+	if w.curF != nil {
+		w.bp.Unpin(w.curF, true)
 	}
+	w.cur, w.curF = nil, nil
 }
 
-// RightmostLeaf returns the page id of the tree's rightmost leaf — the
-// root itself at height 1, possibly an empty leaf under lazy deletion.
-// The bulk loader chains its fresh leaves after this page and passes it
-// to GraftAppend as prevLeaf.
-func (t *Tree) RightmostLeaf() (pages.PageID, error) {
-	return t.rightmostNodeAt(1)
-}
-
-// GraftAppend attaches bulk-written leaves — every key strictly greater
-// than the tree's current maximum — to the tree by extending its right
-// spine: leaf refs are appended into the existing rightmost internal
-// node per level, overflowing into fresh nodes, and levels above the
-// old root are built by packing. prevLeaf is the tree's old rightmost
-// leaf (the one the first fresh leaf's Prev names); its Next pointer is
-// rewired here. added is the number of records the leaves carry.
+// GraftAppend attaches the leaves of a finished LeafWriter — every key
+// strictly greater than the tree's current maximum — to the tree by
+// extending its right spine: leaf refs are appended into the existing
+// rightmost internal node per level, overflowing into fresh nodes, and
+// levels above the old root are built by packing. The old rightmost
+// leaf's Next pointer is rewired here, or, when the stream started in an
+// empty root leaf, the head image is installed there.
 //
 // Must run inside an active write capture: the mutated shared pages
-// (right spine, prevLeaf) are copy-on-write versioned for concurrent
-// snapshot readers and held until the enclosing commit publishes.
-func (t *Tree) GraftAppend(prevLeaf pages.PageID, leaves []LeafRef, added int) error {
-	if len(leaves) == 0 {
+// (right spine, old rightmost leaf) are copy-on-write versioned for
+// concurrent snapshot readers and held until the enclosing commit
+// publishes.
+func (t *Tree) GraftAppend(w *LeafWriter) error {
+	if len(w.leaves) == 0 {
 		return nil
 	}
-	if prevLeaf != pages.InvalidPageID {
-		f, err := t.bp.FetchForWrite(prevLeaf)
-		if err != nil {
-			return err
-		}
-		f.Page.SetNext(leaves[0].ID)
-		t.bp.Unpin(f, true)
+	f, err := t.bp.FetchForWrite(w.tail)
+	if err != nil {
+		return err
 	}
-	entries := append([]LeafRef(nil), leaves...)
+	entries := w.leaves
+	if w.head != nil {
+		f.Page.Buf = w.head.Buf
+		entries = entries[1:]
+	} else {
+		f.Page.SetNext(entries[0].id)
+	}
+	t.bp.Unpin(f, true)
 	for level := 2; len(entries) > 0; level++ {
 		if level <= t.height {
 			fresh, err := t.appendRightmost(level, entries)
@@ -181,21 +196,21 @@ func (t *Tree) GraftAppend(prevLeaf pages.PageID, leaves []LeafRef, added int) e
 		if level == t.height+1 {
 			// First level above the old root: the old root becomes the
 			// leftmost child, carrying the root's minInt64 convention.
-			entries = append([]LeafRef{{Key: minInt64, ID: t.root}}, entries...)
+			entries = append([]leafRef{{key: minInt64, id: t.root}}, entries...)
 		}
 		nodes, err := t.packLevel(entries)
 		if err != nil {
 			return err
 		}
 		if len(nodes) == 1 {
-			t.root = nodes[0].ID
+			t.root = nodes[0].id
 			t.height = level
 			entries = nil
 		} else {
 			entries = nodes
 		}
 	}
-	t.count += added
+	t.count += w.n
 	return nil
 }
 
@@ -203,7 +218,7 @@ func (t *Tree) GraftAppend(prevLeaf pages.PageID, leaves []LeafRef, added int) e
 // stored) to the rightmost internal node at the given level, spilling
 // into fresh nodes when it fills. It returns refs for the fresh nodes,
 // which need parents one level up.
-func (t *Tree) appendRightmost(level int, entries []LeafRef) ([]LeafRef, error) {
+func (t *Tree) appendRightmost(level int, entries []leafRef) ([]leafRef, error) {
 	id, err := t.rightmostNodeAt(level)
 	if err != nil {
 		return nil, err
@@ -212,9 +227,9 @@ func (t *Tree) appendRightmost(level int, entries []LeafRef) ([]LeafRef, error) 
 	if err != nil {
 		return nil, err
 	}
-	var fresh []LeafRef
+	var fresh []leafRef
 	for _, e := range entries {
-		rec := encodeInternalRec(e.Key, e.ID)
+		rec := encodeInternalRec(e.key, e.id)
 		if _, err := f.Page.Insert(rec); err == nil {
 			continue
 		} else if !errors.Is(err, pages.ErrPageFull) {
@@ -228,7 +243,7 @@ func (t *Tree) appendRightmost(level int, entries []LeafRef) ([]LeafRef, error) 
 		}
 		t.bp.Unpin(f, true)
 		f = nf
-		fresh = append(fresh, LeafRef{Key: e.Key, ID: f.Page.ID})
+		fresh = append(fresh, leafRef{key: e.key, id: f.Page.ID})
 		if _, err := f.Page.Insert(rec); err != nil {
 			t.bp.Unpin(f, true)
 			return nil, err
@@ -266,18 +281,18 @@ func (t *Tree) rightmostNodeAt(level int) (pages.PageID, error) {
 
 // packLevel packs entries into freshly allocated internal nodes,
 // returning one ref per node created.
-func (t *Tree) packLevel(entries []LeafRef) ([]LeafRef, error) {
-	var nodes []LeafRef
+func (t *Tree) packLevel(entries []leafRef) ([]leafRef, error) {
+	var nodes []leafRef
 	var f *pages.Frame
 	for _, e := range entries {
-		rec := encodeInternalRec(e.Key, e.ID)
+		rec := encodeInternalRec(e.key, e.id)
 		if f == nil {
 			nf, err := t.bp.NewPage(pages.TypeIndex)
 			if err != nil {
 				return nil, err
 			}
 			f = nf
-			nodes = append(nodes, LeafRef{Key: e.Key, ID: f.Page.ID})
+			nodes = append(nodes, leafRef{key: e.key, id: f.Page.ID})
 		}
 		if _, err := f.Page.Insert(rec); err != nil {
 			if !errors.Is(err, pages.ErrPageFull) {
@@ -290,7 +305,7 @@ func (t *Tree) packLevel(entries []LeafRef) ([]LeafRef, error) {
 				return nil, err
 			}
 			f = nf
-			nodes = append(nodes, LeafRef{Key: e.Key, ID: f.Page.ID})
+			nodes = append(nodes, leafRef{key: e.key, id: f.Page.ID})
 			if _, err := f.Page.Insert(rec); err != nil {
 				t.bp.Unpin(f, true)
 				return nil, err

@@ -76,7 +76,7 @@ type BulkStats struct {
 	Rows      int64 // rows ingested
 	RowBytes  int64 // on-page row-image bytes
 	BlobBytes int64 // out-of-page blob payload bytes
-	LeafPages int   // fresh leaf pages written
+	LeafPages int   // leaf pages written
 	BlobPages int   // fresh blob chunk + directory pages written
 }
 
@@ -117,10 +117,6 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 
 	// The live tree is the writer's view; under writeMu it is stable.
 	_, maxOld, nonEmpty, err := t.tree.Bounds()
-	if err != nil {
-		return stats, err
-	}
-	prevLeaf, err := t.tree.RightmostLeaf()
 	if err != nil {
 		return stats, err
 	}
@@ -171,20 +167,22 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 	}
 
 	// Phase 1c: pack the sorted stream into fresh leaves, logged as
-	// they complete.
+	// they complete. Into an empty table the first leaf is packed for
+	// the empty root leaf and logged by the commit that installs it.
 	stats.BlobPages = pagesDone
-	lw := btree.NewLeafWriter(db.bp, prevLeaf, onPage)
+	lw, err := t.tree.NewLeafWriter(onPage)
+	if err != nil {
+		return stats, err
+	}
 	for _, pr := range pending {
 		if err := lw.Add(pr.key, pr.raw); err != nil {
 			lw.Abandon()
 			return stats, err
 		}
 	}
-	leaves, err := lw.Finish()
-	if err != nil {
+	if stats.LeafPages, err = lw.Finish(); err != nil {
 		return stats, err
 	}
-	stats.LeafPages = len(leaves)
 
 	// Phase 2: graft the leaves onto the tree and commit. This is an
 	// ordinary capture-backed session — the right-spine pages it COWs
@@ -196,7 +194,7 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 	}
 	locked = false // the session owns the unlock now
 	tx.touch(t)
-	if err := t.tree.GraftAppend(prevLeaf, leaves, len(pending)); err != nil {
+	if err := t.tree.GraftAppend(lw); err != nil {
 		tx.Abort()
 		return stats, err
 	}
