@@ -208,15 +208,6 @@ func calleeMethod(info *types.Info, call *ast.CallExpr) (recv types.Type, name s
 	return selInfo.Recv(), sel.Sel.Name, true
 }
 
-// isMethodCall reports whether call is pkgSuffix.typeName.methodName.
-func isMethodCall(info *types.Info, call *ast.CallExpr, pkgSuffix, typeName, methodName string) bool {
-	recv, name, ok := calleeMethod(info, call)
-	if !ok || name != methodName {
-		return false
-	}
-	return typeIs(recv, pkgSuffix, typeName)
-}
-
 // funcDeclObj returns the *types.Func for a declaration, or nil.
 func funcDeclObj(info *types.Info, fd *ast.FuncDecl) *types.Func {
 	if fd.Name == nil {

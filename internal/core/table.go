@@ -22,15 +22,6 @@ func NewBuilder(class StorageClass, et ElemType, dims ...int) (*Builder, error) 
 	return &Builder{arr: a}, nil
 }
 
-// NewBuilderFromDims is NewBuilder with the shape supplied as an index
-// vector array, matching the T-SQL convention.
-func NewBuilderFromDims(class StorageClass, et ElemType, dims *Array) (*Builder, error) {
-	if dims.Rank() != 1 {
-		return nil, fmt.Errorf("%w: dims must be a vector", ErrRank)
-	}
-	return NewBuilder(class, et, dims.Ints()...)
-}
-
 // Set stores value v at the multi-dimensional index ix.
 func (b *Builder) Set(v float64, ix ...int) error {
 	if err := b.arr.UpdateItem(v, ix...); err != nil {
@@ -55,9 +46,6 @@ func (b *Builder) SetLinear(i int, v float64) error {
 	b.seen++
 	return nil
 }
-
-// Cells returns how many Set calls have been applied.
-func (b *Builder) Cells() int { return b.seen }
 
 // Array returns the assembled array. The builder may keep being used;
 // the returned array shares storage with it.
@@ -102,19 +90,4 @@ func (a *Array) Walk(f func(ix []int, v float64) bool) {
 			ix[k] = 0
 		}
 	}
-}
-
-// FromCells builds an array of the given shape from tabular cells, the
-// bulk counterpart of the Concat aggregate.
-func FromCells(class StorageClass, et ElemType, dims []int, cells []Cell) (*Array, error) {
-	b, err := NewBuilder(class, et, dims...)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cells {
-		if err := b.Set(c.Value, c.Index...); err != nil {
-			return nil, err
-		}
-	}
-	return b.Array(), nil
 }

@@ -77,17 +77,6 @@ func (t ElemType) IsFloat() bool { return t == Float32 || t == Float64 }
 // IsComplex reports whether t is a complex type.
 func (t ElemType) IsComplex() bool { return t == Complex64 || t == Complex128 }
 
-// ElemTypeByName resolves a T-SQL-flavoured type name ("float", "int", …)
-// to an ElemType. It is the inverse of ElemType.String.
-func ElemTypeByName(name string) (ElemType, error) {
-	for t := Int8; t <= Complex128; t++ {
-		if elemNames[t] == name {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown element type %q", name)
-}
-
 // StorageClass distinguishes the paper's two array flavours.
 type StorageClass uint8
 

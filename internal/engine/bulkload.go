@@ -198,7 +198,6 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 		tx.Abort()
 		return stats, err
 	}
-	t.rows.Add(stats.Rows)
 	t.rowBytes.Add(stats.RowBytes)
 	t.blobBytes.Add(stats.BlobBytes)
 	if err := tx.Commit(); err != nil {

@@ -26,6 +26,27 @@ func inTx(db *DB, fn func(tx *Tx) error) error {
 	return tx.Close(fn(tx))
 }
 
+// walkedRows counts the keys a cursor over a fresh snapshot yields —
+// what Rows must equal, since the tree's count is the only row count.
+func walkedRows(t *testing.T, tbl *Table) int64 {
+	t.Helper()
+	s := tbl.db.Snapshot()
+	defer s.Release()
+	cur, err := tbl.CursorAt(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	n := int64(0)
+	for cur.Next() {
+		n++
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func testSchema(t *testing.T) Schema {
 	t.Helper()
 	s, err := NewSchema(
@@ -547,8 +568,8 @@ func TestRowsCountsCommittedRowsOnly(t *testing.T) {
 		}
 	}
 	session(func(tx *Tx) error { tx.Abort(); return nil })
-	if got := tbl.Rows(); got != 1 {
-		t.Errorf("Rows after Abort = %d, want 1", got)
+	if got := tbl.Rows(); got != 1 || got != walkedRows(t, tbl) {
+		t.Errorf("Rows after Abort = %d, want 1 = the keys a cursor walks (%d)", got, walkedRows(t, tbl))
 	}
 	session((*Tx).Commit)
 	if got := tbl.Rows(); got != 4 {

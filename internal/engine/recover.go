@@ -128,7 +128,6 @@ func (db *DB) recover() error {
 			schema: schema,
 			tree:   btree.Open(db.bp, pages.PageID(st.Root), st.Height, st.Count),
 		}
-		t.rows.Store(st.Rows)
 		t.rowBytes.Store(st.RowBytes)
 		t.blobBytes.Store(st.BlobBytes)
 		// Seed the committed-version list: recovered state is visible to

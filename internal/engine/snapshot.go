@@ -66,8 +66,7 @@ type tableMeta struct {
 	tag       uint64
 	root      pages.PageID
 	height    int
-	count     int
-	rows      int64
+	count     int // rows, as the tree counts them
 	rowBytes  int64
 	blobBytes int64
 }
@@ -80,7 +79,6 @@ func (t *Table) currentMeta(tag uint64) tableMeta {
 		root:      t.tree.Root(),
 		height:    t.tree.Height(),
 		count:     t.tree.Len(),
-		rows:      t.rows.Load(),
 		rowBytes:  t.rowBytes.Load(),
 		blobBytes: t.blobBytes.Load(),
 	}
@@ -128,7 +126,6 @@ func (t *Table) restoreMeta() {
 		return
 	}
 	t.tree = btree.Open(t.db.bp, m.root, m.height, m.count)
-	t.rows.Store(m.rows)
 	t.rowBytes.Store(m.rowBytes)
 	t.blobBytes.Store(m.blobBytes)
 }
@@ -202,7 +199,7 @@ func (t *Table) RowsAt(s *Snapshot) int64 {
 	if !ok {
 		return 0
 	}
-	return m.rows
+	return int64(m.count)
 }
 
 // KeyBoundsAt returns the clustered-key bounds as of s; ok is false for
@@ -229,7 +226,7 @@ func (t *Table) StatsAt(s *Snapshot) (TableStats, error) {
 		return TableStats{}, err
 	}
 	return TableStats{
-		Rows:       m.rows,
+		Rows:       int64(m.count),
 		RowBytes:   m.rowBytes,
 		BlobBytes:  m.blobBytes,
 		LeafPages:  leaves,

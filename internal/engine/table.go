@@ -37,7 +37,6 @@ type Table struct {
 
 	// Live single-writer state (the version under construction).
 	tree      *btree.Tree
-	rows      atomic.Int64
 	rowBytes  atomic.Int64 // sum of row-image sizes (excludes out-of-page blobs)
 	blobBytes atomic.Int64 // bytes pushed out of page
 }
@@ -58,7 +57,7 @@ func (t *Table) Rows() int64 {
 	t.metaMu.Lock()
 	defer t.metaMu.Unlock()
 	m, _ := t.metaAtLocked(t.db.bp.CommitTag())
-	return m.rows
+	return int64(m.count)
 }
 
 // Insert adds a row as a single-statement write session.
@@ -113,7 +112,6 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 	if err := t.tree.Insert(key, raw); err != nil {
 		return err
 	}
-	t.rows.Add(1)
 	t.rowBytes.Add(int64(len(raw)))
 	t.blobBytes.Add(blobAdded)
 	t.db.m.rowsInserted.Inc()
@@ -252,7 +250,6 @@ func (t *Table) DeleteTx(tx *Tx, key int64) error {
 		}
 		blobFreed += ref.Length
 	}
-	t.rows.Add(-1)
 	t.rowBytes.Add(-int64(len(raw)))
 	t.blobBytes.Add(-blobFreed)
 	t.db.m.rowsDeleted.Inc()

@@ -40,7 +40,6 @@ type walTableState struct {
 	Root      uint32      `json:"root"`
 	Height    int         `json:"height"`
 	Count     int         `json:"count"`
-	Rows      int64       `json:"rows"`
 	RowBytes  int64       `json:"rowBytes"`
 	BlobBytes int64       `json:"blobBytes"`
 }
@@ -282,7 +281,6 @@ func (t *Table) walState(withSchema bool) walTableState {
 		Root:      uint32(t.tree.Root()),
 		Height:    t.tree.Height(),
 		Count:     t.tree.Len(),
-		Rows:      t.rows.Load(),
 		RowBytes:  t.rowBytes.Load(),
 		BlobBytes: t.blobBytes.Load(),
 	}

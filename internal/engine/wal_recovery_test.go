@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"sqlarray/internal/blob"
@@ -223,6 +226,158 @@ func TestRecoverCommittedDML(t *testing.T) {
 		t.Fatalf("row 9 elem = %v, want %v", got, want)
 	}
 	verifyInvariants(t, db2, "t")
+}
+
+// TestRecoverFileBackedAcrossRestart runs the durable configuration —
+// pages.FileDisk for the data file, a wal.DirStorage log — through a
+// checkpoint, post-checkpoint DML and two restarts. A restart closes the
+// log and the disk without flushing the pool, so every change after the
+// last checkpoint comes back from the log only.
+func TestRecoverFileBackedAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	type restartable struct {
+		db   *DB
+		log  *wal.Log
+		disk *pages.FileDisk
+	}
+	open := func() restartable {
+		t.Helper()
+		disk, err := pages.OpenFileDisk(filepath.Join(dir, "data.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := wal.NewDirStorage(filepath.Join(dir, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := openWAL(t, st)
+		db, err := Open(Options{Disk: disk, PoolPages: 512, WAL: l})
+		if err != nil {
+			t.Fatalf("engine.Open: %v", err)
+		}
+		return restartable{db, l, disk}
+	}
+	restart := func(r restartable) restartable {
+		t.Helper()
+		if err := r.log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.disk.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return open()
+	}
+	type row struct {
+		x float64
+		m []byte
+	}
+	rng := rand.New(rand.NewSource(28))
+	// Seeded random floats do not compress, so each value is stored as
+	// raw blocks: more than 3 blocks of payload spans at least 4 chunks.
+	maxValue := func() []byte {
+		vals := make([]float64, 3*blob.BlockSize/8+100)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		a, err := core.FromFloat64s(core.Max, core.Float64, vals, len(vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Bytes()
+	}
+	model := map[int64]row{}
+	check := func(db *DB) {
+		t.Helper()
+		tbl, err := db.Table("t")
+		if err != nil {
+			t.Fatalf("recovered catalog: %v", err)
+		}
+		for k, want := range model {
+			vals, err := tbl.Get(k)
+			if err != nil {
+				t.Fatalf("Get(%d): %v", k, err)
+			}
+			if vals[0].I != k || vals[1].F != want.x {
+				t.Fatalf("row %d = (%d, %v), want (%d, %v)", k, vals[0].I, vals[1].F, k, want.x)
+			}
+			got, err := resolveMax(tbl, vals[2].B)
+			if err != nil {
+				t.Fatalf("ResolveMax(%d): %v", k, err)
+			}
+			if !bytes.Equal(got, want.m) {
+				t.Fatalf("row %d: MAX value differs (%d bytes, want %d)", k, len(got), len(want.m))
+			}
+		}
+		if got := tbl.Rows(); got != int64(len(model)) || got != walkedRows(t, tbl) {
+			t.Fatalf("Rows() = %d, model holds %d, a cursor walks %d", got, len(model), walkedRows(t, tbl))
+		}
+		verifyInvariants(t, db, "t")
+	}
+
+	r := open()
+	tbl, err := r.db.CreateTable("t", walTestSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(k int64) {
+		t.Helper()
+		w := row{x: float64(k) / 4, m: maxValue()}
+		if err := tbl.Insert([]Value{IntValue(k), FloatValue(w.x), BinaryMaxValue(w.m)}); err != nil {
+			t.Fatal(err)
+		}
+		model[k] = w
+	}
+	for k := int64(0); k < 12; k++ {
+		insert(k)
+	}
+	if err := r.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(12); k < 16; k++ {
+		insert(k)
+	}
+	m5 := maxValue()
+	if err := inTx(r.db, func(tx *Tx) error {
+		return tbl.UpdateTx(tx, 5, []int{2}, []Value{BinaryMaxValue(m5)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	model[5] = row{x: model[5].x, m: m5}
+	if err := inTx(r.db, func(tx *Tx) error { return tbl.DeleteTx(tx, 9) }); err != nil {
+		t.Fatal(err)
+	}
+	delete(model, 9)
+	// An aborted session inserts and deletes rows; none of it may show,
+	// before the restart or after it.
+	tx, err := r.db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertTx(tx, []Value{IntValue(100), FloatValue(1), BinaryMaxValue(maxValue())}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.DeleteTx(tx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.DeleteTx(tx, 4); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	check(r.db)
+
+	r = restart(r)
+	check(r.db)
+	if err := r.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	r = restart(r)
+	check(r.db)
+	if err := r.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.disk.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRecoverDiscardsUncommittedTail(t *testing.T) {

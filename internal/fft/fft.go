@@ -1,7 +1,7 @@
 // Package fft is the library's FFTW substitute: complex discrete Fourier
 // transforms of arbitrary length (iterative radix-2 with a Bluestein
-// fallback), inverse transforms, real-input helpers and multi-dimensional
-// transforms over column-major data — the layout sqlarray blobs use, so a
+// fallback), inverse transforms and multi-dimensional transforms over
+// column-major data — the layout sqlarray blobs use, so a
 // max array's payload feeds straight into these routines.
 //
 // Mirroring FFTW's API shape (§5.3 of the paper: "FFTW requires specially
@@ -57,9 +57,6 @@ func NewPlan(n int, dir Direction) (*Plan, error) {
 	p.blue = newBluestein(n, dir)
 	return p, nil
 }
-
-// Len returns the transform length.
-func (p *Plan) Len() int { return p.n }
 
 // Execute transforms src into dst (both length n; they may alias). The
 // input is staged through the plan's internal buffer, mimicking FFTW's
@@ -194,41 +191,6 @@ func (bp *bluesteinPlan) transform(a []complex128) {
 	for k := 0; k < n; k++ {
 		a[k] = work[k] * bp.w[k]
 	}
-}
-
-// FFT transforms src, allocating the result (convenience wrapper).
-func FFT(src []complex128) ([]complex128, error) {
-	p, err := NewPlan(len(src), Forward)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([]complex128, len(src))
-	if err := p.Execute(dst, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// IFFT inverse-transforms src with 1/N scaling.
-func IFFT(src []complex128) ([]complex128, error) {
-	p, err := NewPlan(len(src), Inverse)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([]complex128, len(src))
-	if err := p.Execute(dst, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// FFTReal transforms real input, returning the full complex spectrum.
-func FFTReal(src []float64) ([]complex128, error) {
-	c := make([]complex128, len(src))
-	for i, v := range src {
-		c[i] = complex(v, 0)
-	}
-	return FFT(c)
 }
 
 // DFTNaive is the O(n²) reference transform used by tests.

@@ -6,15 +6,6 @@ import "fmt"
 // every axis. data has length prod(dims); dims[0] varies fastest,
 // matching the sqlarray blob layout. The transform happens in place.
 func FFTN(data []complex128, dims []int, dir Direction) error {
-	return fftAxes(data, dims, dir, nil)
-}
-
-// FFTAxes transforms only the listed axes (nil = all), in place.
-func FFTAxes(data []complex128, dims []int, dir Direction, axes []int) error {
-	return fftAxes(data, dims, dir, axes)
-}
-
-func fftAxes(data []complex128, dims []int, dir Direction, axes []int) error {
 	total := 1
 	for _, d := range dims {
 		if d <= 0 {
@@ -25,16 +16,7 @@ func fftAxes(data []complex128, dims []int, dir Direction, axes []int) error {
 	if len(data) != total {
 		return fmt.Errorf("%w: %d elements for dims %v", ErrSize, len(data), dims)
 	}
-	if axes == nil {
-		axes = make([]int, len(dims))
-		for i := range axes {
-			axes[i] = i
-		}
-	}
-	for _, axis := range axes {
-		if axis < 0 || axis >= len(dims) {
-			return fmt.Errorf("%w: axis %d of rank %d", ErrSize, axis, len(dims))
-		}
+	for axis := range dims {
 		if err := fftAxis(data, dims, axis, dir); err != nil {
 			return err
 		}

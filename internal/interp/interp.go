@@ -1,12 +1,11 @@
 // Package interp implements the interpolation kernels the paper's
-// turbulence service exposes (§2.1): nearest point, PCHIP (monotone
-// piecewise cubic Hermite), and 4/6/8-point Lagrangian schemes, in 1-D
-// and as tensor products over 3-D periodic grids — the "convolve an 8³
-// neighborhood with an 8³ interpolation kernel" operation.
+// turbulence service exposes (§2.1): nearest point, linear, PCHIP and
+// 4/6/8-point Lagrangian schemes as tensor products over 3-D periodic
+// grids — the "convolve an 8³ neighborhood with an 8³ interpolation
+// kernel" operation.
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -60,9 +59,6 @@ func (s Scheme) Points() int {
 	return 0
 }
 
-// ErrDomain reports an interpolation point outside the sample domain.
-var ErrDomain = errors.New("interp: point outside domain")
-
 // lagrangeWeights fills w with the Lagrange basis values for np stencil
 // points at offsets (-np/2+1 .. np/2) relative to the base index, for a
 // fractional position t in [0,1) between points np/2-1 and np/2.
@@ -82,69 +78,6 @@ func lagrangeWeights(np int, t float64, w []float64) {
 		}
 		w[k] = num / den
 	}
-}
-
-// Periodic1D interpolates a uniformly sampled periodic signal of length
-// n at fractional index x (in grid units; any real value, wrapped).
-func Periodic1D(data []float64, x float64, scheme Scheme) float64 {
-	n := len(data)
-	if n == 0 {
-		return math.NaN()
-	}
-	xw := math.Mod(x, float64(n))
-	if xw < 0 {
-		xw += float64(n)
-	}
-	i0 := int(math.Floor(xw))
-	t := xw - float64(i0)
-	wrap := func(i int) int {
-		i %= n
-		if i < 0 {
-			i += n
-		}
-		return i
-	}
-	switch scheme {
-	case Nearest:
-		return data[wrap(i0+int(math.Round(t)))]
-	case Linear:
-		return (1-t)*data[wrap(i0)] + t*data[wrap(i0+1)]
-	case PCHIP:
-		ym1, y0, y1, y2 := data[wrap(i0-1)], data[wrap(i0)], data[wrap(i0+1)], data[wrap(i0+2)]
-		return pchipSegment(ym1, y0, y1, y2, t)
-	case Lag4, Lag6, Lag8:
-		np := scheme.Points()
-		var w [8]float64
-		lagrangeWeights(np, t, w[:np])
-		base := i0 - (np/2 - 1)
-		s := 0.0
-		for k := 0; k < np; k++ {
-			s += w[k] * data[wrap(base+k)]
-		}
-		return s
-	}
-	return math.NaN()
-}
-
-// pchipSegment evaluates the Fritsch-Carlson monotone cubic on the
-// middle interval of four uniformly spaced samples.
-func pchipSegment(ym1, y0, y1, y2, t float64) float64 {
-	d0 := pchipSlope(y0-ym1, y1-y0)
-	d1 := pchipSlope(y1-y0, y2-y1)
-	h00 := (1 + 2*t) * (1 - t) * (1 - t)
-	h10 := t * (1 - t) * (1 - t)
-	h01 := t * t * (3 - 2*t)
-	h11 := t * t * (t - 1)
-	return h00*y0 + h10*d0 + h01*y1 + h11*d1
-}
-
-// pchipSlope limits the derivative so the interpolant preserves
-// monotonicity (harmonic mean of one-sided slopes, zero across extrema).
-func pchipSlope(sL, sR float64) float64 {
-	if sL*sR <= 0 {
-		return 0
-	}
-	return 2 * sL * sR / (sL + sR)
 }
 
 // Grid3D is a scalar field sampled on an N³ periodic lattice in
@@ -190,9 +123,9 @@ func (g *Grid3D) Sample(x, y, z float64, scheme Scheme) float64 {
 	iy, ty := splitFrac(y, g.N)
 	iz, tz := splitFrac(z, g.N)
 	var wx, wy, wz [8]float64
-	axisWeights(scheme, tx, wx[:np])
-	axisWeights(scheme, ty, wy[:np])
-	axisWeights(scheme, tz, wz[:np])
+	AxisWeights(scheme, tx, wx[:np])
+	AxisWeights(scheme, ty, wy[:np])
+	AxisWeights(scheme, tz, wz[:np])
 	base := np/2 - 1
 	s := 0.0
 	for kz := 0; kz < np; kz++ {
@@ -213,14 +146,12 @@ func (g *Grid3D) Sample(x, y, z float64, scheme Scheme) float64 {
 	return s
 }
 
-// axisWeights computes per-axis stencil weights for non-nearest schemes.
-// PCHIP is not separable in general; its tensor form uses the cubic
-// Hermite weights derived from the 1-D case with slope limiting applied
-// per axis line — here we use the Lagrange-4 weights as its tensor
-// surrogate and keep exact PCHIP for 1-D series, documenting the
-// substitution (the turbulence DB's PCHIP is likewise a per-axis
-// construction).
-func axisWeights(scheme Scheme, t float64, w []float64) {
+// AxisWeights fills w (len scheme.Points()) with the per-axis stencil
+// weights of a non-nearest scheme at fractional offset t in [0,1); the
+// 3-D kernel is their tensor product. PCHIP is not separable in general,
+// so its tensor form uses the Lagrange-4 weights as a surrogate (the
+// turbulence DB's PCHIP is likewise a per-axis construction).
+func AxisWeights(scheme Scheme, t float64, w []float64) {
 	switch scheme {
 	case Linear:
 		w[0], w[1] = 1-t, t
@@ -240,77 +171,4 @@ func splitFrac(x float64, n int) (int, float64) {
 	}
 	i := int(math.Floor(xw))
 	return i, xw - float64(i)
-}
-
-// NonUniform1D interpolates a monotonically increasing abscissa
-// (xs, ys) at x. PCHIP and Linear are supported; points outside the
-// domain return ErrDomain. Spectrum resampling (§2.2) uses this for
-// wavelength grids, which "can change from observation to observation"
-// and are "usually not linear".
-func NonUniform1D(xs, ys []float64, x float64, scheme Scheme) (float64, error) {
-	n := len(xs)
-	if n == 0 || len(ys) != n {
-		return 0, fmt.Errorf("interp: bad series lengths %d/%d", len(xs), len(ys))
-	}
-	if x < xs[0] || x > xs[n-1] {
-		return 0, fmt.Errorf("%w: %g outside [%g,%g]", ErrDomain, x, xs[0], xs[n-1])
-	}
-	// Binary search for the segment.
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if xs[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	h := xs[hi] - xs[lo]
-	if h == 0 {
-		return ys[lo], nil
-	}
-	t := (x - xs[lo]) / h
-	switch scheme {
-	case Nearest:
-		if t < 0.5 {
-			return ys[lo], nil
-		}
-		return ys[hi], nil
-	case Linear:
-		return (1-t)*ys[lo] + t*ys[hi], nil
-	case PCHIP:
-		d0 := nonUniformSlope(xs, ys, lo)
-		d1 := nonUniformSlope(xs, ys, hi)
-		h00 := (1 + 2*t) * (1 - t) * (1 - t)
-		h10 := t * (1 - t) * (1 - t)
-		h01 := t * t * (3 - 2*t)
-		h11 := t * t * (t - 1)
-		return h00*ys[lo] + h10*h*d0 + h01*ys[hi] + h11*h*d1, nil
-	}
-	return 0, fmt.Errorf("interp: scheme %v unsupported on non-uniform grids", scheme)
-}
-
-// nonUniformSlope computes the limited PCHIP derivative at node i.
-func nonUniformSlope(xs, ys []float64, i int) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	if i == 0 {
-		return (ys[1] - ys[0]) / (xs[1] - xs[0])
-	}
-	if i == n-1 {
-		return (ys[n-1] - ys[n-2]) / (xs[n-1] - xs[n-2])
-	}
-	hL := xs[i] - xs[i-1]
-	hR := xs[i+1] - xs[i]
-	sL := (ys[i] - ys[i-1]) / hL
-	sR := (ys[i+1] - ys[i]) / hR
-	if sL*sR <= 0 {
-		return 0
-	}
-	// Weighted harmonic mean (Fritsch-Carlson).
-	w1 := 2*hR + hL
-	w2 := hR + 2*hL
-	return (w1 + w2) / (w1/sL + w2/sR)
 }

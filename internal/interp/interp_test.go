@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,17 +37,39 @@ func TestLagrangeWeightsPartitionOfUnity(t *testing.T) {
 	}
 }
 
-func TestInterpolationExactAtNodes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	data := make([]float64, 32)
-	for i := range data {
-		data[i] = rng.NormFloat64()
+// gridOf samples f on an n³ lattice at integer coordinates.
+func gridOf(t *testing.T, n int, f func(x, y, z float64) float64) *Grid3D {
+	t.Helper()
+	data := make([]float64, n*n*n)
+	for z := 0; z < n; z++ {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				data[(z*n+y)*n+x] = f(float64(x), float64(y), float64(z))
+			}
+		}
 	}
+	g, err := NewGrid3D(n, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestInterpolationExactAtNodes(t *testing.T) {
+	// Every scheme, PCHIP's Lagrange-4 surrogate included, returns the
+	// sample itself at every node.
+	rng := rand.New(rand.NewSource(1))
+	n := 8
+	g := gridOf(t, n, func(_, _, _ float64) float64 { return rng.NormFloat64() })
 	for _, s := range []Scheme{Nearest, Linear, PCHIP, Lag4, Lag6, Lag8} {
-		for i := 0; i < len(data); i++ {
-			got := Periodic1D(data, float64(i), s)
-			if math.Abs(got-data[i]) > 1e-12 {
-				t.Errorf("%v at node %d: %g, want %g", s, i, got, data[i])
+		for z := 0; z < n; z++ {
+			for y := 0; y < n; y++ {
+				for x := 0; x < n; x++ {
+					got := g.Sample(float64(x), float64(y), float64(z), s)
+					if want := g.At(x, y, z); math.Abs(got-want) > 1e-12 {
+						t.Errorf("%v at (%d,%d,%d): %g, want %g", s, x, y, z, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -56,37 +77,36 @@ func TestInterpolationExactAtNodes(t *testing.T) {
 
 func TestPolynomialReproduction(t *testing.T) {
 	// A degree-(np-1) Lagrange stencil reproduces polynomials of that
-	// degree exactly. Use a cubic on Lag4/Lag6/Lag8 interior points.
-	n := 64
+	// degree exactly, and the tensor product does so per axis. Use a
+	// cubic in each coordinate plus a trilinear cross term, sampled at
+	// interior points where no stencil wraps.
 	cubic := func(x float64) float64 { return 0.5 + 0.25*x + 0.1*x*x - 0.002*x*x*x }
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = cubic(float64(i))
-	}
+	f := func(x, y, z float64) float64 { return cubic(x) + 0.5*cubic(y) - 0.25*cubic(z) + 1e-3*x*y*z }
+	g := gridOf(t, 32, f)
 	for _, s := range []Scheme{Lag4, Lag6, Lag8} {
-		for _, x := range []float64{20.3, 25.75, 30.5} {
-			got := Periodic1D(data, x, s)
-			want := cubic(x)
+		for _, p := range [][3]float64{{10.3, 15.75, 20.5}, {12.5, 12.5, 12.5}, {20.9, 11.1, 16.4}} {
+			got := g.Sample(p[0], p[1], p[2], s)
+			want := f(p[0], p[1], p[2])
 			if math.Abs(got-want) > 1e-9 {
-				t.Errorf("%v at %g: %g, want %g", s, x, got, want)
+				t.Errorf("%v at %v: %g, want %g", s, p, got, want)
 			}
 		}
 	}
 }
 
 func TestHigherOrderConvergesOnSmoothSignal(t *testing.T) {
-	// Interpolating a sine off-grid: error(Lag8) < error(Lag4) < error(Linear).
+	// Interpolating a periodic sine off-grid: error(Lag8) < error(Lag4)
+	// < error(Linear).
 	n := 32
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Sin(2 * math.Pi * float64(i) / float64(n))
-	}
-	truth := func(x float64) float64 { return math.Sin(2 * math.Pi * x / float64(n)) }
+	k := 2 * math.Pi / float64(n)
+	f := func(x, y, z float64) float64 { return math.Sin(k*x) + math.Cos(k*y)*math.Sin(k*z) }
+	g := gridOf(t, n, f)
 	maxErrFor := func(s Scheme) float64 {
 		worst := 0.0
-		for k := 0; k < 200; k++ {
-			x := float64(k) * float64(n) / 200
-			if e := math.Abs(Periodic1D(data, x, s) - truth(x)); e > worst {
+		for i := 0; i < 200; i++ {
+			x := float64(i) * float64(n) / 200
+			y, z := 0.37*x, float64(n)-0.61*x
+			if e := math.Abs(g.Sample(x, y, z, s) - f(x, y, z)); e > worst {
 				worst = e
 			}
 		}
@@ -99,75 +119,17 @@ func TestHigherOrderConvergesOnSmoothSignal(t *testing.T) {
 }
 
 func TestPeriodicWrapping(t *testing.T) {
-	data := []float64{1, 2, 3, 4}
-	for _, s := range []Scheme{Linear, Lag4, PCHIP} {
-		a := Periodic1D(data, 0.5, s)
-		b := Periodic1D(data, 4.5, s)  // one period later
-		c := Periodic1D(data, -3.5, s) // one period earlier
+	// One period later or earlier on any axis samples the same point,
+	// and so do stencils that straddle the lattice edge.
+	n := 4
+	g := gridOf(t, n, func(x, y, z float64) float64 { return x + 2*y*y - z })
+	for _, s := range []Scheme{Linear, Lag4, PCHIP, Lag8} {
+		a := g.Sample(0.5, 3.25, 1.75, s)
+		b := g.Sample(4.5, -0.75, 5.75, s)   // one period later/earlier per axis
+		c := g.Sample(-3.5, 7.25, -10.25, s) // several periods away
 		if math.Abs(a-b) > 1e-12 || math.Abs(a-c) > 1e-12 {
 			t.Errorf("%v: wrap mismatch %g / %g / %g", s, a, b, c)
 		}
-	}
-	if !math.IsNaN(Periodic1D(nil, 0, Linear)) {
-		t.Error("empty data must yield NaN")
-	}
-}
-
-func TestPCHIPMonotonicityPreserved(t *testing.T) {
-	// Monotone data: PCHIP must not overshoot, unlike Lagrange.
-	data := []float64{0, 0, 0, 1, 1, 1, 2, 8, 8, 8}
-	xs, ys := make([]float64, len(data)), data
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	prev := math.Inf(-1)
-	for k := 0; k <= 90; k++ {
-		x := float64(k) / 10
-		v, err := NonUniform1D(xs, ys, x, PCHIP)
-		if err != nil {
-			t.Fatalf("at %g: %v", x, err)
-		}
-		if v < prev-1e-12 {
-			t.Fatalf("PCHIP not monotone at %g: %g < %g", x, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestNonUniform1D(t *testing.T) {
-	xs := []float64{0, 1, 3, 6, 10}
-	ys := []float64{0, 2, 6, 12, 20} // y = 2x: linear, all schemes exact
-	for _, s := range []Scheme{Linear, PCHIP} {
-		for _, x := range []float64{0, 0.5, 2, 5.5, 10} {
-			v, err := NonUniform1D(xs, ys, x, s)
-			if err != nil {
-				t.Fatalf("%v at %g: %v", s, x, err)
-			}
-			if math.Abs(v-2*x) > 1e-12 {
-				t.Errorf("%v at %g: %g, want %g", s, x, v, 2*x)
-			}
-		}
-	}
-	if _, err := NonUniform1D(xs, ys, -1, Linear); !errors.Is(err, ErrDomain) {
-		t.Errorf("below domain: %v", err)
-	}
-	if _, err := NonUniform1D(xs, ys, 11, Linear); !errors.Is(err, ErrDomain) {
-		t.Errorf("above domain: %v", err)
-	}
-	if _, err := NonUniform1D(xs, ys[:2], 1, Linear); err == nil {
-		t.Error("length mismatch must fail")
-	}
-	if _, err := NonUniform1D(xs, ys, 1, Lag8); err == nil {
-		t.Error("unsupported scheme must fail")
-	}
-	// Nearest picks the closer node.
-	v, _ := NonUniform1D(xs, ys, 0.4, Nearest)
-	if v != 0 {
-		t.Errorf("nearest(0.4) = %g", v)
-	}
-	v, _ = NonUniform1D(xs, ys, 0.6, Nearest)
-	if v != 2 {
-		t.Errorf("nearest(0.6) = %g", v)
 	}
 }
 
@@ -199,16 +161,7 @@ func TestGrid3DSampleExactAtNodes(t *testing.T) {
 
 func TestGrid3DTrilinearKnown(t *testing.T) {
 	// f(x,y,z) = x + 10y + 100z is trilinear: Linear sampling is exact.
-	n := 4
-	data := make([]float64, n*n*n)
-	for z := 0; z < n; z++ {
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				data[(z*n+y)*n+x] = float64(x) + 10*float64(y) + 100*float64(z)
-			}
-		}
-	}
-	g, _ := NewGrid3D(n, data)
+	g := gridOf(t, 4, func(x, y, z float64) float64 { return x + 10*y + 100*z })
 	got := g.Sample(1.5, 0.25, 2.75, Linear)
 	want := 1.5 + 10*0.25 + 100*2.75
 	if math.Abs(got-want) > 1e-12 {
@@ -223,15 +176,7 @@ func TestGrid3DSmoothFieldAccuracy(t *testing.T) {
 		k := 2 * math.Pi / float64(n)
 		return math.Sin(k*x)*math.Cos(2*k*y) + 0.5*math.Sin(k*z)
 	}
-	data := make([]float64, n*n*n)
-	for z := 0; z < n; z++ {
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				data[(z*n+y)*n+x] = f(float64(x), float64(y), float64(z))
-			}
-		}
-	}
-	g, _ := NewGrid3D(n, data)
+	g := gridOf(t, n, f)
 	rng := rand.New(rand.NewSource(3))
 	var eLin, e8 float64
 	for trial := 0; trial < 100; trial++ {

@@ -1,5 +1,5 @@
-// Package kdtree implements a k-d tree over points in R^k with k-nearest
-// neighbour and radius queries. The paper's similar-spectrum search
+// Package kdtree implements a k-d tree over points in R^k with
+// k-nearest-neighbour queries. The paper's similar-spectrum search
 // (§2.2) "builds a kd-tree over the [PCA] coefficients so nearest
 // neighbor searches can be executed very quickly"; package spectra uses
 // this tree for exactly that.
@@ -101,9 +101,6 @@ func nthElement(pts []Point, n, axis int) {
 	}
 }
 
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
-
 // Neighbor is one k-NN result.
 type Neighbor struct {
 	Point Point
@@ -157,50 +154,6 @@ func (t *Tree) knn(ni int, q []float64, k int, h *resultHeap) {
 	if len(*h) < k || delta*delta < (*h)[0].Dist2 {
 		t.knn(far, q, k, h)
 	}
-}
-
-// Nearest returns the single nearest neighbour.
-func (t *Tree) Nearest(q []float64) (Neighbor, error) {
-	ns, err := t.KNN(q, 1)
-	if err != nil {
-		return Neighbor{}, err
-	}
-	if len(ns) == 0 {
-		return Neighbor{}, errors.New("kdtree: empty tree")
-	}
-	return ns[0], nil
-}
-
-// WithinRadius returns every point within radius r of q (unsorted).
-func (t *Tree) WithinRadius(q []float64, r float64) ([]Neighbor, error) {
-	if len(q) != t.dim {
-		return nil, fmt.Errorf("%w: query has %d coords, want %d", ErrDim, len(q), t.dim)
-	}
-	if r < 0 || t.root < 0 {
-		return nil, nil
-	}
-	var out []Neighbor
-	r2 := r * r
-	var walk func(ni int)
-	walk = func(ni int) {
-		if ni < 0 {
-			return
-		}
-		nd := &t.nodes[ni]
-		p := &t.pts[nd.ptIdx]
-		if d2 := dist2(q, p.Coords); d2 <= r2 {
-			out = append(out, Neighbor{Point: *p, Dist2: d2})
-		}
-		delta := q[nd.axis] - p.Coords[nd.axis]
-		if delta <= r {
-			walk(nd.left)
-		}
-		if -delta <= r {
-			walk(nd.right)
-		}
-	}
-	walk(t.root)
-	return out, nil
 }
 
 func dist2(a, b []float64) float64 {

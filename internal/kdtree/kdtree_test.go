@@ -35,15 +35,14 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d", tr.Len())
+	for _, k := range []int{1, 5} {
+		ns, err := tr.KNN([]float64{0, 0, 0}, k)
+		if err != nil || ns != nil {
+			t.Errorf("KNN(k=%d) on empty = %v, %v", k, ns, err)
+		}
 	}
-	ns, err := tr.KNN([]float64{0, 0, 0}, 5)
-	if err != nil || ns != nil {
-		t.Errorf("KNN on empty = %v, %v", ns, err)
-	}
-	if _, err := tr.Nearest([]float64{0, 0, 0}); err == nil {
-		t.Error("Nearest on empty must fail")
+	if _, err := tr.KNN([]float64{0, 0}, 1); !errors.Is(err, ErrDim) {
+		t.Errorf("dim mismatch on empty: %v", err)
 	}
 }
 
@@ -93,12 +92,12 @@ func TestNearestExactMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := tr.Nearest(target.Coords)
+	ns, err := tr.KNN(target.Coords, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Dist2 != 0 || n.Point.ID != target.ID {
-		t.Errorf("Nearest = %+v, want exact point %d", n, target.ID)
+	if len(ns) != 1 || ns[0].Dist2 != 0 || ns[0].Point.ID != target.ID {
+		t.Errorf("KNN(k=1) = %+v, want exact point %d", ns, target.ID)
 	}
 }
 
@@ -132,47 +131,6 @@ func TestKNNMoreThanAvailable(t *testing.T) {
 	}
 	if ns, _ := tr.KNN([]float64{0, 0}, 0); ns != nil {
 		t.Error("k=0 must return nothing")
-	}
-}
-
-func TestWithinRadiusMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randPoints(rng, 400, 3)
-	ref := make([]Point, len(pts))
-	copy(ref, pts)
-	tr, _ := Build(pts, 3)
-	for trial := 0; trial < 20; trial++ {
-		q := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		r := 0.2 + rng.Float64()
-		got, err := tr.WithinRadius(q, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[int64]bool{}
-		for _, p := range ref {
-			d := 0.0
-			for i := range q {
-				dd := q[i] - p.Coords[i]
-				d += dd * dd
-			}
-			if d <= r*r {
-				want[p.ID] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d in radius, want %d", trial, len(got), len(want))
-		}
-		for _, n := range got {
-			if !want[n.Point.ID] {
-				t.Fatalf("trial %d: unexpected point %d", trial, n.Point.ID)
-			}
-		}
-	}
-	if _, err := tr.WithinRadius([]float64{0}, 1); !errors.Is(err, ErrDim) {
-		t.Errorf("dim mismatch: %v", err)
-	}
-	if out, _ := tr.WithinRadius([]float64{0, 0, 0}, -1); out != nil {
-		t.Error("negative radius must return nothing")
 	}
 }
 

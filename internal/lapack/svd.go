@@ -132,21 +132,3 @@ func SingularValues(a Mat) ([]float64, error) {
 	}
 	return r.S, nil
 }
-
-// Rank estimates the numerical rank at the given relative tolerance.
-func Rank(a Mat, rtol float64) (int, error) {
-	s, err := SingularValues(a)
-	if err != nil {
-		return 0, err
-	}
-	if len(s) == 0 || s[0] == 0 {
-		return 0, nil
-	}
-	r := 0
-	for _, v := range s {
-		if v > rtol*s[0] {
-			r++
-		}
-	}
-	return r, nil
-}

@@ -3,9 +3,7 @@
 // the data in coherent chunks organized into a spatial octree, not
 // necessarily balanced", bucketized so "an order of a few thousand
 // particles per bucket" reduces row counts by orders of magnitude),
-// plus the decimated multi-resolution particle sets used for
-// visualization and geometric queries (cones for light-cones, spheres
-// and boxes).
+// plus the cone query light-cone extraction needs.
 package octree
 
 import (
@@ -31,7 +29,6 @@ type Tree struct {
 	BucketSize int
 	MaxDepth   int
 	root       *treeNode
-	count      int
 }
 
 type treeNode struct {
@@ -55,9 +52,6 @@ func New(bucketSize int) *Tree {
 	}
 }
 
-// Len returns the number of stored points.
-func (t *Tree) Len() int { return t.count }
-
 // Insert adds a point.
 func (t *Tree) Insert(p Point) error {
 	if p.X < 0 || p.X >= 1 || p.Y < 0 || p.Y >= 1 || p.Z < 0 || p.Z >= 1 {
@@ -68,7 +62,6 @@ func (t *Tree) Insert(p Point) error {
 		n = n.childFor(p)
 	}
 	n.pts = append(n.pts, p)
-	t.count++
 	if len(n.pts) > t.BucketSize && n.depth < t.MaxDepth {
 		t.split(n)
 	}
@@ -137,73 +130,6 @@ func (t *Tree) Buckets(f func(x0, y0, z0, size float64, pts []Point) bool) {
 		return f(n.x0, n.y0, n.z0, n.size, n.pts)
 	}
 	walk(t.root)
-}
-
-// QueryBox returns all points inside the axis-aligned box [lo, hi).
-func (t *Tree) QueryBox(lo, hi [3]float64) []Point {
-	var out []Point
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n.x0 >= hi[0] || n.x0+n.size <= lo[0] ||
-			n.y0 >= hi[1] || n.y0+n.size <= lo[1] ||
-			n.z0 >= hi[2] || n.z0+n.size <= lo[2] {
-			return
-		}
-		if n.kids != nil {
-			for _, c := range n.kids {
-				walk(c)
-			}
-			return
-		}
-		for _, p := range n.pts {
-			if p.X >= lo[0] && p.X < hi[0] &&
-				p.Y >= lo[1] && p.Y < hi[1] &&
-				p.Z >= lo[2] && p.Z < hi[2] {
-				out = append(out, p)
-			}
-		}
-	}
-	walk(t.root)
-	return out
-}
-
-// QuerySphere returns all points within radius r of center c.
-func (t *Tree) QuerySphere(c [3]float64, r float64) []Point {
-	var out []Point
-	r2 := r * r
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		// Distance from c to the node cube.
-		d2 := 0.0
-		for i, lo := range [3]float64{n.x0, n.y0, n.z0} {
-			hi := lo + n.size
-			switch {
-			case c[i] < lo:
-				d := lo - c[i]
-				d2 += d * d
-			case c[i] > hi:
-				d := c[i] - hi
-				d2 += d * d
-			}
-		}
-		if d2 > r2 {
-			return
-		}
-		if n.kids != nil {
-			for _, k := range n.kids {
-				walk(k)
-			}
-			return
-		}
-		for _, p := range n.pts {
-			dx, dy, dz := p.X-c[0], p.Y-c[1], p.Z-c[2]
-			if dx*dx+dy*dy+dz*dz <= r2 {
-				out = append(out, p)
-			}
-		}
-	}
-	walk(t.root)
-	return out
 }
 
 // Cone is an apex + axis + half-angle query region — the geometric
@@ -287,53 +213,4 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// DecimatedPoint is a representative particle carrying the number of
-// original particles it stands for (§2.3: "each sub-sampled particle
-// would get a different weight according to the number of original
-// particles in its region of attraction").
-type DecimatedPoint struct {
-	Point
-	Weight int
-}
-
-// Decimate produces a multi-resolution subsample: one representative per
-// occupied cube at the given depth (levels of the octree hierarchy). The
-// representative is the centroid of the cube's points, weighted by count.
-func (t *Tree) Decimate(depth int) []DecimatedPoint {
-	type acc struct {
-		x, y, z float64
-		n       int
-		id      int64
-	}
-	cells := make(map[uint64]*acc)
-	side := 1 << uint(depth)
-	t.Buckets(func(_, _, _, _ float64, pts []Point) bool {
-		for _, p := range pts {
-			ix := uint64(p.X * float64(side))
-			iy := uint64(p.Y * float64(side))
-			iz := uint64(p.Z * float64(side))
-			key := (iz*uint64(side)+iy)*uint64(side) + ix
-			a := cells[key]
-			if a == nil {
-				a = &acc{id: p.ID}
-				cells[key] = a
-			}
-			a.x += p.X
-			a.y += p.Y
-			a.z += p.Z
-			a.n++
-		}
-		return true
-	})
-	out := make([]DecimatedPoint, 0, len(cells))
-	for _, a := range cells {
-		inv := 1 / float64(a.n)
-		out = append(out, DecimatedPoint{
-			Point:  Point{X: a.x * inv, Y: a.y * inv, Z: a.z * inv, ID: a.id},
-			Weight: a.n,
-		})
-	}
-	return out
 }

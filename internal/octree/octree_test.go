@@ -26,6 +26,16 @@ func buildTree(t *testing.T, pts []Point, bucket int) *Tree {
 	return tr
 }
 
+// stored returns every point the tree holds, bucket by bucket.
+func stored(tr *Tree) []Point {
+	var out []Point
+	tr.Buckets(func(_, _, _, _ float64, pts []Point) bool {
+		out = append(out, pts...)
+		return true
+	})
+	return out
+}
+
 func TestInsertBounds(t *testing.T) {
 	tr := New(4)
 	if err := tr.Insert(Point{X: 1.0, Y: 0, Z: 0}); !errors.Is(err, ErrBounds) {
@@ -37,8 +47,8 @@ func TestInsertBounds(t *testing.T) {
 	if err := tr.Insert(Point{X: 0, Y: 0, Z: 0}); err != nil {
 		t.Errorf("origin must insert: %v", err)
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
+	if got := stored(tr); len(got) != 1 {
+		t.Errorf("tree holds %d points, want 1", len(got))
 	}
 }
 
@@ -87,61 +97,16 @@ func TestSplitOnOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Len() != 10 {
-		t.Errorf("Len = %d", tr.Len())
+	// All points still stored, and no bucket over capacity.
+	if got := stored(tr); len(got) != 10 {
+		t.Errorf("tree holds %d of 10 points", len(got))
 	}
-	// All points still findable.
-	got := tr.QueryBox([3]float64{0, 0, 0}, [3]float64{0.1, 0.1, 0.1})
-	if len(got) != 10 {
-		t.Errorf("box found %d of 10", len(got))
-	}
-}
-
-func TestQueryBoxMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := randPoints(rng, 3000)
-	tr := buildTree(t, pts, 16)
-	for trial := 0; trial < 20; trial++ {
-		var lo, hi [3]float64
-		for d := 0; d < 3; d++ {
-			a, b := rng.Float64(), rng.Float64()
-			if a > b {
-				a, b = b, a
-			}
-			lo[d], hi[d] = a, b
+	tr.Buckets(func(_, _, _, size float64, pts []Point) bool {
+		if len(pts) > tr.BucketSize {
+			t.Errorf("bucket of side %g holds %d points, capacity %d", size, len(pts), tr.BucketSize)
 		}
-		got := tr.QueryBox(lo, hi)
-		want := 0
-		for _, p := range pts {
-			if p.X >= lo[0] && p.X < hi[0] && p.Y >= lo[1] && p.Y < hi[1] && p.Z >= lo[2] && p.Z < hi[2] {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: box found %d, want %d", trial, len(got), want)
-		}
-	}
-}
-
-func TestQuerySphereMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randPoints(rng, 3000)
-	tr := buildTree(t, pts, 16)
-	for trial := 0; trial < 20; trial++ {
-		c := [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		r := 0.05 + 0.3*rng.Float64()
-		got := tr.QuerySphere(c, r)
-		want := 0
-		for _, p := range pts {
-			dx, dy, dz := p.X-c[0], p.Y-c[1], p.Z-c[2]
-			if dx*dx+dy*dy+dz*dz <= r*r {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: sphere found %d, want %d", trial, len(got), want)
-		}
-	}
+		return true
+	})
 }
 
 func TestQueryConeMatchesBrute(t *testing.T) {
@@ -187,34 +152,5 @@ func TestQueryConeMatchesBrute(t *testing.T) {
 	// Degenerate axis returns nothing.
 	if out := tr.QueryCone(Cone{HalfAngle: 0.5, RMax: 1}); out != nil {
 		t.Error("zero axis must return nothing")
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randPoints(rng, 5000)
-	tr := buildTree(t, pts, 64)
-	dec := tr.Decimate(3) // 8³ = 512 cells max
-	if len(dec) == 0 || len(dec) > 512 {
-		t.Fatalf("decimated to %d cells", len(dec))
-	}
-	// Weights sum to the original count.
-	total := 0
-	for _, d := range dec {
-		total += d.Weight
-		if d.Weight <= 0 {
-			t.Error("non-positive weight")
-		}
-		if d.X < 0 || d.X >= 1 || d.Y < 0 || d.Y >= 1 || d.Z < 0 || d.Z >= 1 {
-			t.Error("centroid outside cube")
-		}
-	}
-	if total != 5000 {
-		t.Errorf("weights sum to %d, want 5000", total)
-	}
-	// Finer decimation produces more cells.
-	fine := tr.Decimate(5)
-	if len(fine) <= len(dec) {
-		t.Errorf("depth 5 gave %d cells, depth 3 gave %d", len(fine), len(dec))
 	}
 }

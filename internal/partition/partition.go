@@ -115,9 +115,6 @@ func New(spec Spec, dbs []*engine.DB) (*Store, error) {
 	return &Store{spec: spec, dbs: dbs}, nil
 }
 
-// Spec returns the store's partitioning spec.
-func (s *Store) Spec() Spec { return s.spec }
-
 // Member returns partition i's database (benchmarks read its counters).
 func (s *Store) Member(i int) *engine.DB { return s.dbs[i] }
 

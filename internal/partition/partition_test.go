@@ -78,7 +78,7 @@ func mortonStore(t *testing.T) *Store {
 func TestBulkLoadRoutesByKey(t *testing.T) {
 	st := mortonStore(t)
 	// The octant split divides the code space evenly: 512 rows each.
-	for i := 0; i < st.Spec().Parts(); i++ {
+	for i := 0; i < st.spec.Parts(); i++ {
 		tbl, err := st.Member(i).Table("cube")
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestBulkLoadRoutesByKey(t *testing.T) {
 		if got := tbl.Rows(); got != 512 {
 			t.Errorf("member %d holds %d rows, want 512", i, got)
 		}
-		lo, hi := st.Spec().Range(i)
+		lo, hi := st.spec.Range(i)
 		snap := st.Member(i).Snapshot()
 		cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
 		if err != nil {
@@ -216,7 +216,7 @@ func TestBoxPrunesPartitionsAndPages(t *testing.T) {
 
 	poolReads := func() uint64 {
 		var n uint64
-		for i := 0; i < st.Spec().Parts(); i++ {
+		for i := 0; i < st.spec.Parts(); i++ {
 			n += st.Member(i).Pool().Stats().LogicalReads
 		}
 		return n

@@ -7,15 +7,11 @@ package sfc
 
 import "fmt"
 
-// Bit-interleaving constants for 21-bit coordinates packed into 63 bits
-// (3-D) and 31-bit coordinates into 62 bits (2-D), via the standard
-// parallel-prefix spreading.
+// 21-bit coordinates pack into 63 bits via the standard parallel-prefix
+// bit spreading.
 
 // Max3DCoord is the largest coordinate Encode3D accepts (21 bits).
 const Max3DCoord = 1<<21 - 1
-
-// Max2DCoord is the largest coordinate Encode2D accepts (31 bits).
-const Max2DCoord = 1<<31 - 1
 
 // spread3 inserts two zero bits between each of the low 21 bits of x.
 func spread3(x uint64) uint64 {
@@ -39,27 +35,6 @@ func compact3(x uint64) uint64 {
 	return x
 }
 
-// spread2 inserts one zero bit between each of the low 31 bits of x.
-func spread2(x uint64) uint64 {
-	x &= 0x7FFFFFFF
-	x = (x | x<<16) & 0x0000FFFF0000FFFF
-	x = (x | x<<8) & 0x00FF00FF00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
-}
-
-func compact2(x uint64) uint64 {
-	x &= 0x5555555555555555
-	x = (x ^ x>>1) & 0x3333333333333333
-	x = (x ^ x>>2) & 0x0F0F0F0F0F0F0F0F
-	x = (x ^ x>>4) & 0x00FF00FF00FF00FF
-	x = (x ^ x>>8) & 0x0000FFFF0000FFFF
-	x = (x ^ x>>16) & 0x7FFFFFFF
-	return x
-}
-
 // Encode3D packs (x, y, z) into their Morton code (x contributes the
 // lowest bit of each triple).
 func Encode3D(x, y, z uint32) (uint64, error) {
@@ -72,19 +47,6 @@ func Encode3D(x, y, z uint32) (uint64, error) {
 // Decode3D is the inverse of Encode3D.
 func Decode3D(code uint64) (x, y, z uint32) {
 	return uint32(compact3(code)), uint32(compact3(code >> 1)), uint32(compact3(code >> 2))
-}
-
-// Encode2D packs (x, y) into their Morton code.
-func Encode2D(x, y uint32) (uint64, error) {
-	if x > Max2DCoord || y > Max2DCoord {
-		return 0, fmt.Errorf("sfc: coordinate out of 31-bit range: (%d,%d)", x, y)
-	}
-	return spread2(uint64(x)) | spread2(uint64(y))<<1, nil
-}
-
-// Decode2D is the inverse of Encode2D.
-func Decode2D(code uint64) (x, y uint32) {
-	return uint32(compact2(code)), uint32(compact2(code >> 1))
 }
 
 // Range is a half-open interval [Lo, Hi) of Morton codes.

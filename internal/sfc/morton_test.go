@@ -46,29 +46,9 @@ func TestRoundtrip3DProperty(t *testing.T) {
 	}
 }
 
-func TestRoundtrip2DProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	f := func() bool {
-		x := uint32(rng.Int63n(Max2DCoord + 1))
-		y := uint32(rng.Int63n(Max2DCoord + 1))
-		code, err := Encode2D(x, y)
-		if err != nil {
-			return false
-		}
-		bx, by := Decode2D(code)
-		return bx == x && by == y
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEncodeBounds(t *testing.T) {
 	if _, err := Encode3D(Max3DCoord+1, 0, 0); err == nil {
 		t.Error("over-range 3D must fail")
-	}
-	if _, err := Encode2D(0, uint32(Max2DCoord)+1); err == nil {
-		t.Error("over-range 2D must fail")
 	}
 	if c, err := Encode3D(Max3DCoord, Max3DCoord, Max3DCoord); err != nil || c != 1<<63-1 {
 		t.Errorf("max encode = %d, %v", c, err)

@@ -459,9 +459,8 @@ func TestStoreRoundtrip(t *testing.T) {
 			t.Fatalf("bin %d mismatch", i)
 		}
 	}
-	all, err := st.All()
-	if err != nil || len(all) != 5 {
-		t.Fatalf("All = %d spectra, %v", len(all), err)
+	if n := st.Table().Rows(); n != 5 {
+		t.Fatalf("store holds %d spectra, want 5", n)
 	}
 	// Invalid spectrum rejected at insert.
 	badSpec := want[0].Clone()

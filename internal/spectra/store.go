@@ -154,30 +154,3 @@ func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 	s.Flags = flags.Int64s()
 	return s, nil
 }
-
-// All loads every stored spectrum in id order, as of one snapshot.
-func (st *Store) All() ([]*Spectrum, error) {
-	snap := st.db.Snapshot()
-	defer snap.Release()
-	cur, err := st.table.CursorAt(snap)
-	if err != nil {
-		return nil, err
-	}
-	var ids []int64
-	for cur.Next() {
-		ids = append(ids, cur.Key())
-	}
-	cur.Close()
-	if err := cur.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]*Spectrum, 0, len(ids))
-	for _, id := range ids {
-		s, err := st.getAt(snap, id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}

@@ -41,12 +41,8 @@ func RunWith(db *engine.DB, query string, opts ExecOptions) (*Result, error) {
 	return ExecWith(db, stmt, opts)
 }
 
-// Exec plans and executes a parsed statement, materializing the result.
-func Exec(db *engine.DB, stmt *SelectStmt) (*Result, error) {
-	return ExecWith(db, stmt, ExecOptions{})
-}
-
-// ExecWith is Exec with explicit execution options.
+// ExecWith plans and executes a parsed statement with explicit execution
+// options, materializing the result.
 func ExecWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (res *Result, err error) {
 	rows, err := StreamWith(db, stmt, opts)
 	if err != nil {

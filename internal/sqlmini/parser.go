@@ -225,11 +225,9 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func (p *parser) peek() token   { return p.toks[p.i] }
-func (p *parser) next() token   { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) atEOF() bool   { return p.peek().kind == tokEOF }
-func (p *parser) save() int     { return p.i }
-func (p *parser) restore(s int) { p.i = s }
+func (p *parser) peek() token { return p.toks[p.i] }
+func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) acceptKeyword(kw string) bool {
 	if t := p.peek(); t.kind == tokKeyword && t.text == kw {

@@ -41,28 +41,7 @@ type schemaInfo struct {
 	class core.StorageClass
 }
 
-// Schemas lists every registered schema name with its element type and
-// storage class, in registration order.
-func Schemas() []struct {
-	Name  string
-	Elem  core.ElemType
-	Class core.StorageClass
-} {
-	out := make([]struct {
-		Name  string
-		Elem  core.ElemType
-		Class core.StorageClass
-	}, 0, len(allSchemas()))
-	for _, s := range allSchemas() {
-		out = append(out, struct {
-			Name  string
-			Elem  core.ElemType
-			Class core.StorageClass
-		}{s.name, s.elem, s.class})
-	}
-	return out
-}
-
+// allSchemas lists every T-SQL schema in registration order.
 func allSchemas() []schemaInfo {
 	base := []struct {
 		name string

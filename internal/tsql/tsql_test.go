@@ -479,13 +479,13 @@ func TestFromQueryReplacesConcatUDA(t *testing.T) {
 }
 
 func TestSchemasEnumeration(t *testing.T) {
-	ss := Schemas()
+	ss := allSchemas()
 	if len(ss) != 16 {
 		t.Fatalf("schemas = %d, want 16 (8 types x 2 classes)", len(ss))
 	}
 	found := map[string]bool{}
 	for _, s := range ss {
-		found[s.Name] = true
+		found[s.name] = true
 	}
 	for _, want := range []string{"FloatArray", "FloatArrayMax", "IntArray", "IntArrayMax", "DoubleComplexArrayMax"} {
 		if !found[want] {

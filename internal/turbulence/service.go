@@ -119,42 +119,11 @@ func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, schem
 	wx := make([]float64, np)
 	wy := make([]float64, np)
 	wz := make([]float64, np)
-	axisWeightsFor(scheme, tx, wx)
-	axisWeightsFor(scheme, ty, wy)
-	axisWeightsFor(scheme, tz, wz)
+	interp.AxisWeights(scheme, tx, wx)
+	interp.AxisWeights(scheme, ty, wy)
+	interp.AxisWeights(scheme, tz, wz)
 	base := np/2 - 1
 	return s.stencilValue(snap, step, cx, cy, cz, i0x-base, i0y-base, i0z-base, np, wx, wy, wz, mode, cache)
-}
-
-// axisWeightsFor mirrors interp's per-axis weights for the tensor
-// product kernels.
-func axisWeightsFor(scheme interp.Scheme, t float64, w []float64) {
-	switch scheme {
-	case interp.Linear:
-		w[0], w[1] = 1-t, t
-	default:
-		// PCHIP and LagN share the Lagrange tensor weights, matching
-		// interp's per-axis construction.
-		lagrangeInto(len(w), t, w)
-	}
-}
-
-// lagrangeInto duplicates interp's Lagrange basis (kept here to avoid
-// exporting interp internals).
-func lagrangeInto(np int, t float64, w []float64) {
-	for k := 0; k < np; k++ {
-		xk := float64(k - (np/2 - 1))
-		num, den := 1.0, 1.0
-		for j := 0; j < np; j++ {
-			if j == k {
-				continue
-			}
-			xj := float64(j - (np/2 - 1))
-			num *= t - xj
-			den *= xk - xj
-		}
-		w[k] = num / den
-	}
 }
 
 // stencilValue evaluates the weighted sum over an np³ stencil starting

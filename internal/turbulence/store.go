@@ -126,12 +126,6 @@ func (s *Store) packBlock(f *Field, cx, cy, cz int) (*core.Array, error) {
 	return arr, nil
 }
 
-// Table exposes the underlying engine table (for SQL access).
-func (s *Store) Table() *engine.Table { return s.table }
-
-// GridSide returns the full grid resolution.
-func (s *Store) GridSide() int { return s.n }
-
 // CubeSide returns the partition cube side (without ghosts).
 func (s *Store) CubeSide() int { return s.cube }
 

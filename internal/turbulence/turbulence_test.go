@@ -85,15 +85,15 @@ func TestCreateStoreValidation(t *testing.T) {
 func TestStoreRowCountAndBlockBytes(t *testing.T) {
 	s, _ := newStore(t, 16, 8, 4)
 	// 16/8 = 2 cubes per axis -> 8 rows.
-	if s.Table().Rows() != 8 {
-		t.Errorf("rows = %d, want 8", s.Table().Rows())
+	if s.table.Rows() != 8 {
+		t.Errorf("rows = %d, want 8", s.table.Rows())
 	}
 	// Block of (8+8)³ x 4 channels x 8 bytes + header.
 	want := 16*16*16*4*8 + 32 // 16-byte fixed max header + 4 dims x 4
 	if got := s.BlockBytes(); got != want {
 		t.Errorf("BlockBytes = %d, want %d", got, want)
 	}
-	if s.GridSide() != 16 || s.CubeSide() != 8 || s.Ghost() != 4 {
+	if s.n != 16 || s.CubeSide() != 8 || s.Ghost() != 4 {
 		t.Error("geometry accessors wrong")
 	}
 }
@@ -275,8 +275,8 @@ func TestMultipleSnapshots(t *testing.T) {
 	if err := s.AddSnapshot(1, f1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Table().Rows() != 16 {
-		t.Errorf("rows = %d, want 16", s.Table().Rows())
+	if s.table.Rows() != 16 {
+		t.Errorf("rows = %d, want 16", s.table.Rows())
 	}
 	p := [3]float64{3, 3, 3}
 	v0, err := s.Velocity(0, p, interp.Nearest, WholeBlob)

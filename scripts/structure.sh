@@ -37,6 +37,10 @@ names=(
 	'GroupCommitPiggybacks'
 	'SyncWAL'
 	'interface{ Sync() error }'
+	# One Lagrange basis: the turbulence service calls interp.AxisWeights
+	# instead of keeping its own copy.
+	'lagrangeInto'
+	'axisWeightsFor'
 )
 src=()
 while IFS= read -r f; do

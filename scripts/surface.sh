@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
 # Size of the code and API surface, for simplicity PRs to quote: run it at
-# the parent and at the change. Also fails if a name in the Makefile's
-# -bench='…' patterns matches no Benchmark func (a stale `make bench` entry).
+# the parent and at the change. Also counts the functions no binary links
+# (`-v` lists them), and fails if a name in the Makefile's -bench='…'
+# patterns matches no Benchmark func (a stale `make bench` entry).
+#
+# Usage: bash scripts/surface.sh [-v]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+verbose=0
+[ "${1:-}" = "-v" ] && verbose=1
 src=$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^bench/' | grep -v '/testdata/')
 echo "non-test Go lines outside bench/ and testdata: $(cat $src | wc -l)"
 # Exported = top-level funcs, methods, types, vars and consts, plus the
@@ -19,6 +24,44 @@ fields() { # fields FILE TYPE: number of fields of struct TYPE
 }
 echo "engine.Options fields: $(fields internal/engine/db.go Options)"
 echo "sqlmini.ExecOptions fields: $(fields internal/sqlmini/planner.go ExecOptions)"
+
+# Functions no binary links: build every package main under cmd/ and
+# examples/ plus the bench/ module with inlining off (so a call the
+# compiler folded away still leaves its callee's symbol), take the union
+# of their text symbols, and list each non-test func declaration above
+# that none of them contains. Not a gate: methods the root package
+# exposes, test oracles and test infrastructure are listed by design
+# (CONTRIBUTING.md).
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for dir in $(grep -l '^package main$' $(git ls-files 'cmd/*.go' 'examples/*.go' | grep -v '_test\.go$') | xargs -n1 dirname | sort -u) bench; do
+	bin="$tmp/$(echo "$dir" | tr / _)"
+	(cd "$dir" && go build -gcflags=all=-l -o "$bin" .)
+	# A main package's symbols are main.*; key them by the package's path.
+	go tool nm "$bin" | awk -v pkg="sqlarray/$dir" '$2 == "T" { sub(/^main\./, pkg ".", $3); print $3 }'
+done | awk '$0 ~ /^sqlarray[\/.]/' >"$tmp/symbols"
+awk '
+	# Normalise a symbol or declaration to pkg.Recv.Name: no pointer
+	# receiver parens, no type parameters, no method-value suffix.
+	function key(s) {
+		gsub(/\[[^]]*\]/, "", s); sub(/\(\*/, "", s); sub(/\)/, "", s); sub(/-fm$/, "", s)
+		sub(/\.init\.[0-9]+$/, ".init", s)
+		return s
+	}
+	FNR == NR { linked[key($0)] = 1; next }
+	FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$/, "", pkg); pkg = (pkg == FILENAME) ? "sqlarray" : "sqlarray/" pkg }
+	/^func / {
+		decl = $0; sub(/^func /, "", decl); recv = ""
+		if (decl ~ /^\(/) {
+			recv = decl; sub(/\).*/, "", recv); sub(/^\(/, "", recv)
+			n = split(recv, f, " "); recv = f[n]; sub(/^\*/, "", recv); sub(/\[.*/, "", recv)
+			sub(/^\([^)]*\) /, "", decl); recv = recv "."
+		}
+		sub(/[[(].*/, "", decl)
+		if (!((pkg "." recv decl) in linked)) print FILENAME ":" FNR ": " recv decl
+	}' "$tmp/symbols" $src >"$tmp/unlinked"
+echo "functions no binary links: $(wc -l <"$tmp/unlinked")"
+if [ "$verbose" = 1 ]; then sed 's/^/  /' "$tmp/unlinked"; fi
 stale=0
 for name in $(grep -o -- "-bench='[^']*'" Makefile | cut -d"'" -f2 | tr '|' '\n'); do
 	if ! grep -rqE "^func $name" --include='*_test.go' .; then

@@ -141,22 +141,11 @@ type Database struct {
 // Options configures a database (disk backing, buffer pool size).
 type Options = engine.Options
 
-// WALOptions re-exports the write-ahead-log tuning knobs.
-type WALOptions = wal.Options
-
-// NewWAL opens (or recovers) a write-ahead log in dir; pass the result
-// as Options.WAL to make the database durable.
-func NewWAL(dir string, opts WALOptions) (*wal.Log, error) {
-	st, err := wal.NewDirStorage(dir)
-	if err != nil {
-		return nil, err
-	}
-	return wal.Open(st, opts)
-}
-
 // NewMemWAL opens a write-ahead log over in-memory storage — durability
 // protocol without a filesystem, which is what sqlsh and the recovery
-// tests use.
+// tests use. It pairs with the default in-memory disk; a database that
+// survives a restart needs a file-backed disk and log together
+// (pages.OpenFileDisk and wal.NewDirStorage, opened through engine.Open).
 func NewMemWAL() *wal.Log {
 	l, err := wal.Open(wal.NewMemStorage(), wal.Options{})
 	if err != nil {
