@@ -26,9 +26,10 @@
 //     the caller the bytes: a chunk holding one raw block in place off
 //     the page, any other chunk decoded, only the blocks the runs
 //     overlap, into pooled scratch. ReadAt, ReadAll and ReadRuns are
-//     VisitRuns with a copying callback. Nothing a read pins or decodes
-//     outlives the call: a caller that keeps bytes past its callback
-//     copies them.
+//     VisitRuns with a copying callback, and a Reader (Open) is the
+//     directory walk kept for several ReadRuns in one call. Nothing a
+//     read pins or decodes outlives the call: a caller that keeps bytes
+//     past its callback copies them.
 package blob
 
 import (
@@ -389,6 +390,48 @@ type piece struct {
 	c, lo, n, dstOff int
 }
 
+// Reader is one blob's chunk list, walked once: what a caller that
+// reads the same blob several times in one call holds — an array's
+// header first, then the runs the header implies — so the directory
+// pages are read once, not once per read. A Reader pins nothing; it
+// reads through the store it was opened on, and is valid as long as
+// that store's view is (a snapshot's store: until the snapshot is
+// released). It must not outlive the call it was opened for.
+type Reader struct {
+	s      *Store
+	ref    Ref
+	chunks []chunkInfo
+}
+
+// Open walks ref's directory and returns a Reader over the blob. A null
+// ref opens an empty Reader whose every non-empty read fails.
+func (s *Store) Open(ref Ref) (Reader, error) {
+	chunks, _, err := s.walkDir(ref)
+	if err != nil {
+		return Reader{}, err
+	}
+	return Reader{s: s, ref: ref, chunks: chunks}, nil
+}
+
+// checkRuns validates runs against a blob of ref's length and returns
+// the bytes they cover.
+func checkRuns(ref Ref, runs []Run) (int, error) {
+	total := 0
+	for _, r := range runs {
+		if r.Len <= 0 {
+			continue
+		}
+		if end := int64(r.SrcOff) + int64(r.Len); r.SrcOff < 0 || end > ref.Length {
+			if ref.IsNull() {
+				return 0, fmt.Errorf("%w: null blob", ErrBadRef)
+			}
+			return 0, fmt.Errorf("%w: run [%d,%d) of %d", ErrShortRead, r.SrcOff, end, ref.Length)
+		}
+		total += r.Len
+	}
+	return total, nil
+}
+
 // VisitRuns is the store's one read primitive: it calls fn with the
 // bytes of every run, as segments of at most one chunk each. dstOff is
 // the run's DstOff plus the segment's progress within the run, so a
@@ -402,28 +445,23 @@ type piece struct {
 // need into pooled scratch. Either way seg is valid only until fn
 // returns: no pin and no buffer outlives the call.
 func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) error {
-	total := 0
-	for _, r := range runs {
-		if r.Len <= 0 {
-			continue
-		}
-		if end := int64(r.SrcOff) + int64(r.Len); r.SrcOff < 0 || end > ref.Length {
-			if ref.IsNull() {
-				return fmt.Errorf("%w: null blob", ErrBadRef)
-			}
-			return fmt.Errorf("%w: run [%d,%d) of %d", ErrShortRead, r.SrcOff, end, ref.Length)
-		}
-		total += r.Len
+	total, err := checkRuns(ref, runs)
+	if err != nil || total == 0 {
+		return err
 	}
-	if total == 0 {
-		return nil
-	}
-	// walkDir checks the chunks cover exactly [0, ref.Length), so every
-	// run maps onto them.
-	chunks, _, err := s.walkDir(ref)
+	r, err := s.Open(ref)
 	if err != nil {
 		return err
 	}
+	return r.visit(runs, total, fn)
+}
+
+// visit emits the segments of runs, which checkRuns has validated and
+// which cover total bytes.
+func (r *Reader) visit(runs []Run, total int, fn func(dstOff int, seg []byte)) error {
+	// walkDir checks the chunks cover exactly [0, ref.Length), so every
+	// run maps onto them.
+	chunks := r.chunks
 	// One piece per run plus one per chunk boundary a run crosses; no
 	// chunk covers fewer than BlockSize bytes except a blob's last.
 	pieces := make([]piece, 0, len(runs)+total/BlockSize+4)
@@ -455,12 +493,12 @@ func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) 
 		for j < len(pieces) && pieces[j].c == pieces[i].c {
 			j++
 		}
-		if err := s.visitChunk(chunks[pieces[i].c], pieces[i:j], scr, fn); err != nil {
+		if err := r.s.visitChunk(chunks[pieces[i].c], pieces[i:j], scr, fn); err != nil {
 			return err
 		}
 		i = j
 	}
-	s.stats.bytesRead.Add(uint64(total))
+	r.s.stats.bytesRead.Add(uint64(total))
 	return nil
 }
 
@@ -511,12 +549,33 @@ func (s *Store) ReadAll(ref Ref) ([]byte, error) {
 // copying form of VisitRuns. The run list of a subarray comes straight
 // from core.SubarrayPlan, offset by the array header size.
 func (s *Store) ReadRuns(ref Ref, dst []byte, runs []Run) error {
+	if err := checkDst(dst, runs); err != nil {
+		return err
+	}
+	return s.VisitRuns(ref, runs, func(dstOff int, seg []byte) { copy(dst[dstOff:], seg) })
+}
+
+// ReadRuns is Store.ReadRuns over the Reader's chunk list, without
+// walking the directory again.
+func (r *Reader) ReadRuns(dst []byte, runs []Run) error {
+	if err := checkDst(dst, runs); err != nil {
+		return err
+	}
+	total, err := checkRuns(r.ref, runs)
+	if err != nil || total == 0 {
+		return err
+	}
+	return r.visit(runs, total, func(dstOff int, seg []byte) { copy(dst[dstOff:], seg) })
+}
+
+// checkDst checks that every run lands inside dst.
+func checkDst(dst []byte, runs []Run) error {
 	for _, r := range runs {
 		if r.Len > 0 && (r.DstOff < 0 || r.DstOff+r.Len > len(dst)) {
 			return fmt.Errorf("%w: destination range [%d,%d) of %d", ErrShortRead, r.DstOff, r.DstOff+r.Len, len(dst))
 		}
 	}
-	return s.VisitRuns(ref, runs, func(dstOff int, seg []byte) { copy(dst[dstOff:], seg) })
+	return nil
 }
 
 // Run mirrors core.Run at the blob layer (byte ranges of the stored

@@ -48,6 +48,163 @@ func codecForBlob(b []byte) blob.Codec {
 // open a snapshot for the one call, exactly like Get and Stats do —
 // so they are only safe for refs no writer can be replacing meanwhile.
 
+// ArrayReader is how an array function (FuncDef.ArrayFn) reads its
+// array argument: the paper's SqlBytes parameter of a max-schema
+// function, a stream that "supports reading only parts of the binary
+// data if the whole array is not required" (§3.3). It has two forms
+// behind one set of methods:
+//
+//   - ref form: a MAX column passed by the executor as its blob ref,
+//     read through the statement's snapshot. The first Header call walks
+//     the blob directory once and reads the blob's first block; the
+//     header comes from it, and so does every later run that lands in
+//     it. Runs past it are read from that one chunk list, touching only
+//     the chunk pages they overlap.
+//   - bytes form: any other argument (a constructor's result, a
+//     materialized value, a direct Call), read in place.
+//
+// Both forms validate the header as core.Wrap validates a whole array —
+// the same checks, in the same order, with the same errors — so a
+// function computes the same result, or fails the same way, whichever
+// form its argument came in.
+//
+// A reader is valid for one call only. The boundary binds it to the
+// call's argument before the function runs and releases it after, so it
+// holds no pin, no snapshot and no argument bytes once the call returns.
+type ArrayReader struct {
+	b    []byte      // bytes form: the serialized array
+	size int         // ref form: the blob's length; 0 in the bytes form
+	br   blob.Reader // ref form: the blob's chunk list
+	err  error       // the argument is not an array value, or its header is bad
+
+	head []byte // ref form: the blob's first block; the buffer outlives the call, its contents do not
+	hdr  core.Header
+	hs   int // header bytes; 0 until Header has succeeded
+}
+
+// bind points r at one call's array argument v, read as of s.
+func (r *ArrayReader) bind(s *Snapshot, v Value) {
+	r.release()
+	if v.Kind != ColMaxRef {
+		r.b, r.err = v.AsBinary()
+		return
+	}
+	ref, err := blob.DecodeRef(v.B)
+	switch {
+	case err != nil:
+		r.err = err
+	case s == nil:
+		r.err = fmt.Errorf("%w: blob ref argument without a snapshot", ErrTypeError)
+	case ref.IsNull():
+		// Materializes to no bytes: the bytes form of nil.
+	default:
+		r.size = int(ref.Length)
+		r.br, r.err = s.blobs.Open(ref)
+	}
+}
+
+// NewArrayReader returns the bytes form of a reader over v, for a
+// function hosting an ArrayFunc outside the boundary (a short schema's,
+// whose arrays are on the row).
+func NewArrayReader(v Value) *ArrayReader {
+	r := new(ArrayReader)
+	r.bind(nil, v)
+	return r
+}
+
+// release drops everything r was bound to, keeping only its buffer.
+func (r *ArrayReader) release() { *r = ArrayReader{head: r.head[:0]} }
+
+// Header returns the array's decoded header.
+func (r *ArrayReader) Header() (core.Header, error) {
+	if r.hs == 0 && r.err == nil {
+		r.err = r.readHeader()
+	}
+	return r.hdr, r.err
+}
+
+// readHeader decodes and validates the header, exactly as core.Wrap
+// would over the whole array.
+func (r *ArrayReader) readHeader() error {
+	head, n := r.b, len(r.b)
+	if r.size > 0 {
+		n = r.size
+		span := min(n, blob.BlockSize)
+		if cap(r.head) < span {
+			r.head = make([]byte, span)
+		}
+		r.head = r.head[:span]
+		if err := r.br.ReadRuns(r.head, []blob.Run{{Len: span}}); err != nil {
+			return err
+		}
+		head = r.head
+		// A header past the first block (rank above ~2000) is read
+		// whole; DecodeHeader sees the same bytes it would in place.
+		if hs, err := core.HeaderSizeFromPrefix(head); err == nil && hs > span {
+			head = make([]byte, min(hs, n))
+			if err := r.br.ReadRuns(head, []blob.Run{{Len: len(head)}}); err != nil {
+				return err
+			}
+		}
+	}
+	h, hs, err := core.DecodeHeader(head)
+	if err != nil {
+		return err
+	}
+	if data := h.DataBytes(); n-hs < data {
+		return fmt.Errorf("%w: need %d payload bytes, have %d", core.ErrTruncated, data, n-hs)
+	}
+	r.hdr, r.hs = h, hs
+	return nil
+}
+
+// ReadRuns copies runs of the array's payload into dst. Offsets are
+// relative to the payload, as core.SubarrayPlan computes them against
+// Header. The ref form serves what lies in the blob's first block from
+// the copy Header kept and reads the rest in one pass over the chunks it
+// touches.
+func (r *ArrayReader) ReadRuns(dst []byte, runs []core.Run) error {
+	h, err := r.Header()
+	if err != nil {
+		return err
+	}
+	data := h.DataBytes()
+	for _, run := range runs {
+		if run.Len > 0 && (run.SrcOff < 0 || run.SrcOff+run.Len > data || run.DstOff < 0 || run.DstOff+run.Len > len(dst)) {
+			return fmt.Errorf("%w: run [%d,%d) -> [%d,%d) of a %d-byte payload into %d bytes",
+				blob.ErrShortRead, run.SrcOff, run.SrcOff+run.Len, run.DstOff, run.DstOff+run.Len, data, len(dst))
+		}
+	}
+	if r.size == 0 {
+		payload := r.b[r.hs:]
+		for _, run := range runs {
+			if run.Len > 0 {
+				copy(dst[run.DstOff:run.DstOff+run.Len], payload[run.SrcOff:])
+			}
+		}
+		return nil
+	}
+	var rest []blob.Run
+	for _, run := range runs {
+		if run.Len <= 0 {
+			continue
+		}
+		src, dstOff, n := run.SrcOff+r.hs, run.DstOff, run.Len
+		if src < len(r.head) {
+			k := min(n, len(r.head)-src)
+			copy(dst[dstOff:dstOff+k], r.head[src:])
+			src, dstOff, n = src+k, dstOff+k, n-k
+		}
+		if n > 0 {
+			rest = append(rest, blob.Run{SrcOff: src, DstOff: dstOff, Len: n})
+		}
+	}
+	if len(rest) == 0 {
+		return nil
+	}
+	return r.br.ReadRuns(dst, rest)
+}
+
 // ResolveMaxAt materializes a VARBINARY(MAX) column value (the 12-byte
 // ref RowView.Col yields) into the array payload bytes, as of s: the
 // plain "fetch the whole value" read. The result is a fresh,

@@ -22,6 +22,13 @@ const (
 	ColFloat64
 	ColVarBinary    // inline, <= 8000 bytes (short arrays live here)
 	ColVarBinaryMax // out-of-page blob reference (max arrays live here)
+
+	// ColMaxRef is not a column type: it is the UDF-boundary kind of a
+	// VARBINARY(MAX) column value handed to an array function
+	// (FuncDef.ArrayFn) as what the row stores, its 12-byte blob ref,
+	// instead of its payload. The function reads the array through an
+	// ArrayReader bound to the statement's snapshot.
+	ColMaxRef
 )
 
 // String returns the T-SQL name of the column type.
@@ -35,6 +42,8 @@ func (t ColType) String() string {
 		return "VARBINARY(8000)"
 	case ColVarBinaryMax:
 		return "VARBINARY(MAX)"
+	case ColMaxRef:
+		return "VARBINARY(MAX) ref"
 	}
 	return fmt.Sprintf("ColType(%d)", uint8(t))
 }
@@ -125,6 +134,8 @@ func (v Value) String() string {
 		return fmt.Sprint(v.F)
 	case ColVarBinary, ColVarBinaryMax:
 		return fmt.Sprintf("0x<%d bytes>", len(v.B))
+	case ColMaxRef:
+		return "<blob ref>"
 	}
 	return "?"
 }

@@ -14,15 +14,14 @@ package engine
 //
 // Binary rows are slices into memory the vector does not necessarily
 // own: the vector's arena (scan fills and UDF results are copied there),
-// a literal's bytes, or the copy a MAX-column resolve read. None of them
-// is a buffer-pool page. Whoever fills the vector decides; whoever reads
+// a literal's bytes, the copy a MAX-column materialize read, or the
+// blob refs of a scanned MAX column (ColMaxRef rows). None of them is a
+// buffer-pool page. Whoever fills the vector decides; whoever reads
 // it must be done before the next Reset.
 //
 // Mixed kinds in one vector are part of the contract. A UDF has no
-// declared result type, and the array functions use that: Subarray picks
-// its result's storage class from the result's size, so one result
-// column holds VARBINARY rows beside VARBINARY(MAX) rows (and a UDF may
-// as well return a BIGINT for one row and a FLOAT for the next). Set
+// declared result type: a user function may return a BIGINT for one row
+// and a FLOAT for the next, or VARBINARY beside VARBINARY(MAX). Set
 // keeps such a result exact, as a row-wise Call does, by switching the
 // vector to per-row kinds (Uniform reports false); kernels take their
 // typed loops only over uniform vectors and read anything else through
@@ -73,7 +72,7 @@ func (v *Vector) grow(kind ColType, n int) {
 			v.F = make([]float64, n)
 		}
 		v.F = v.F[:n]
-	case ColVarBinary, ColVarBinaryMax:
+	case ColVarBinary, ColVarBinaryMax, ColMaxRef:
 		if cap(v.B) < n {
 			v.B = make([][]byte, n)
 		}
@@ -139,7 +138,7 @@ func (v *Vector) Value(i int) Value {
 		return Value{Kind: kind, I: v.I[i]}
 	case ColFloat64:
 		return Value{Kind: kind, F: v.F[i]}
-	case ColVarBinary, ColVarBinaryMax:
+	case ColVarBinary, ColVarBinaryMax, ColMaxRef:
 		return Value{Kind: kind, B: v.B[i]}
 	}
 	return Null
@@ -159,7 +158,7 @@ func (v *Vector) Set(i int, val Value) {
 		v.I[i] = val.I
 	case ColFloat64:
 		v.F[i] = val.F
-	case ColVarBinary, ColVarBinaryMax:
+	case ColVarBinary, ColVarBinaryMax, ColMaxRef:
 		v.B[i] = val.B
 	}
 	if len(v.kinds) > 0 {

@@ -157,7 +157,7 @@ func TestCallBatchMatchesCall(t *testing.T) {
 			}
 		}
 		s0 := r.Stats()
-		if err := r.CallBatch(def, args, n, &out); err != nil {
+		if err := r.CallBatch(nil, def, args, n, &out); err != nil {
 			t.Fatal(err)
 		}
 		s1 := r.Stats()
@@ -192,7 +192,7 @@ func TestCallBatchErrorAtRowK(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ids.I[i], vals.F[i] = int64(i), float64(i)/2
 	}
-	err := r.CallBatch(def, []*Vector{&ids, &vals}, 10, &out)
+	err := r.CallBatch(nil, def, []*Vector{&ids, &vals}, 10, &out)
 	if err == nil || err.Error() != "boom at 6" {
 		t.Fatalf("err = %v, want row 6's", err)
 	}
@@ -207,11 +207,11 @@ func TestCallBatchErrorAtRowK(t *testing.T) {
 	if got, want := r.Stats(), rowwise.Stats(); got != want {
 		t.Errorf("stats after the error = %+v, row-wise %+v", got, want)
 	}
-	if err := r.CallBatch(def, []*Vector{&ids}, 10, &out); err == nil {
+	if err := r.CallBatch(nil, def, []*Vector{&ids}, 10, &out); err == nil {
 		t.Error("arity violation must fail")
 	}
 	// The same rows without the failing one go through.
-	if err := r.CallBatch(def, []*Vector{&ids, &vals}, 6, &out); err != nil {
+	if err := r.CallBatch(nil, def, []*Vector{&ids, &vals}, 6, &out); err != nil {
 		t.Fatal(err)
 	}
 	if got := out.Value(5); got.F != 2.5 {
@@ -234,7 +234,7 @@ func TestBoundaryResultSurvivesRecycledBuffer(t *testing.T) {
 	for i := 0; i < n; i++ {
 		in.B[i], in2.B[i] = row(i, 'a'), row(i, 'A')
 	}
-	if err := r.CallBatch(def, []*Vector{&in}, n, &out); err != nil {
+	if err := r.CallBatch(nil, def, []*Vector{&in}, n, &out); err != nil {
 		t.Fatal(err)
 	}
 	single, err := r.Call(def, []Value{BinaryValue(row(0, 'a'))})
@@ -243,7 +243,7 @@ func TestBoundaryResultSurvivesRecycledBuffer(t *testing.T) {
 	}
 	// Same-shaped traffic over the same pooled buffer.
 	for k := 0; k < 3; k++ {
-		if err := r.CallBatch(def, []*Vector{&in2}, n, &out2); err != nil {
+		if err := r.CallBatch(nil, def, []*Vector{&in2}, n, &out2); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Call(def, []Value{BinaryValue(row(0, 'A'))}); err != nil {
@@ -280,7 +280,7 @@ func TestCallBatchLargeRowsCrossInRuns(t *testing.T) {
 	// Only this test's boundary may come back out of the pool.
 	boundaryPool = sync.Pool{New: func() any { return new(boundary) }}
 	s0 := r.Stats()
-	if err := r.CallBatch(def, []*Vector{&blobs, &ids}, n, &out); err != nil {
+	if err := r.CallBatch(nil, def, []*Vector{&blobs, &ids}, n, &out); err != nil {
 		t.Fatal(err)
 	}
 	s1 := r.Stats()
@@ -289,7 +289,7 @@ func TestCallBatchLargeRowsCrossInRuns(t *testing.T) {
 	// back a fresh boundary; cross again until the used one comes back.
 	for try := 0; cap(b.buf) == 0 && try < 50; try++ {
 		var again Vector
-		if err := r.CallBatch(def, []*Vector{&blobs, &ids}, n, &again); err != nil {
+		if err := r.CallBatch(nil, def, []*Vector{&blobs, &ids}, n, &again); err != nil {
 			t.Fatal(err)
 		}
 		b = boundaryPool.Get().(*boundary)
@@ -320,7 +320,7 @@ func TestCallBatchNoArgs(t *testing.T) {
 	r.Register("t.tick", 0, func([]Value) (Value, error) { calls++; return IntValue(int64(calls)), nil })
 	def, _ := r.Lookup("t.tick")
 	var out Vector
-	if err := r.CallBatch(def, nil, 5, &out); err != nil {
+	if err := r.CallBatch(nil, def, nil, 5, &out); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 5 || out.Value(4).I != 5 {

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -27,8 +28,9 @@ var diffSeed = flag.Int64("diff.seed", 0, "extra seed for TestDifferentialSelect
 var diffSeeds = []int64{1, 2, 3, 4, 5, 6}
 
 const (
-	diffRows    = 300
-	diffQueries = 120 // per seed
+	diffRows         = 300
+	diffQueries      = 120 // per seed, from genDiffQuery
+	diffArrayQueries = 80  // per seed, from genArrayQuery
 )
 
 // diffDB builds the table the generated queries run over:
@@ -40,6 +42,7 @@ const (
 //	tag VARBINARY       'a'..'d' or NULL
 //	s   VARBINARY       short float array (3..6 elements) or NULL
 //	m   VARBINARY(MAX)  NULL, a single-chunk array or a 3-chunk array
+//	n   VARBINARY(MAX)  the array functions' column (diffArray)
 //
 // Every float is a multiple of 0.25 of small magnitude, so serial sums
 // are exact; only division and parallel merges round.
@@ -59,6 +62,7 @@ func diffDB(t testing.TB, seed int64) (*engine.DB, *pinWatch) {
 		engine.Column{Name: "tag", Type: engine.ColVarBinary},
 		engine.Column{Name: "s", Type: engine.ColVarBinary},
 		engine.Column{Name: "m", Type: engine.ColVarBinaryMax},
+		engine.Column{Name: "n", Type: engine.ColVarBinaryMax},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +72,10 @@ func diffDB(t testing.TB, seed int64) (*engine.DB, *pinWatch) {
 		t.Fatal(err)
 	}
 	quarter := func() float64 { return float64(rng.Intn(81)-40) / 4 }
+	nrng := rand.New(rand.NewSource(seed + 1<<32)) // n's own stream: the other columns stay as they were
 	for id := int64(0); id < diffRows; id++ {
 		row := []engine.Value{engine.IntValue(id), engine.Null, engine.Null,
-			engine.FloatValue(quarter()), engine.Null, engine.Null, engine.Null}
+			engine.FloatValue(quarter()), engine.Null, engine.Null, engine.Null, diffArray(t, nrng, id)}
 		switch r := rng.Intn(20); {
 		case r == 0:
 			// NULL
@@ -124,6 +129,7 @@ func diffDB(t testing.TB, seed int64) (*engine.DB, *pinWatch) {
 		}
 	}
 	w := &pinWatch{db: db}
+	RegisterTSQL(db)
 	reg := db.Funcs()
 	// t.Inc keeps its argument's type: BIGINT in, BIGINT out.
 	reg.Register("t.Inc", 1, func(args []engine.Value) (engine.Value, error) {
@@ -204,6 +210,172 @@ func diffDB(t testing.TB, seed int64) (*engine.DB, *pinWatch) {
 		return engine.FloatValue(x), nil
 	})
 	return db, w
+}
+
+// diffArray is row id's value of n, the column the T-SQL array
+// functions run over. Its shape follows the id, so a generated query can
+// pick the rows its index list fits:
+//
+//	id%16 == 15  NULL
+//	id%16 == 14  a BIGINT array (FloatArrayMax rejects it)
+//	id%16 == 13  a short-class FLOAT array (so does FloatArrayMax)
+//	otherwise    a max-class FLOAT array of rank 1 + id%4
+//
+// Every dimension is at least 3. One array in four has about 2500
+// elements (three chunk pages), drawn either from noise, which the
+// writer stores as raw blocks, or as small steps, which it packs; the
+// rest are a few dozen elements on one chunk.
+func diffArray(t testing.TB, rng *rand.Rand, id int64) engine.Value {
+	t.Helper()
+	if id%16 == 15 {
+		return engine.Null
+	}
+	rank := 1 + int(id%4)
+	dims := make([]int, rank)
+	for k := range dims {
+		dims[k] = 3 + rng.Intn(3)
+	}
+	if rng.Intn(4) == 0 {
+		// About 2500 elements: the last dimension takes up the rest.
+		rest := 2500
+		for _, d := range dims[:rank-1] {
+			rest /= d
+		}
+		dims[rank-1] = rest + rng.Intn(3)
+	}
+	class, elem := core.Max, core.Float64
+	switch id % 16 {
+	case 14:
+		elem = core.Int64
+	case 13:
+		class = core.Short
+		dims[rank-1] = min(dims[rank-1], 5)
+	}
+	a, err := core.New(class, elem, dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noise := rng.Intn(2) == 0
+	for i := 0; i < a.Len(); i++ {
+		if noise {
+			a.SetFloatAt(i, float64(rng.Intn(1<<20))/4)
+		} else {
+			a.SetFloatAt(i, float64(i)/4)
+		}
+	}
+	return engine.BinaryMaxValue(a.Bytes())
+}
+
+// genArrayQuery builds one query over n through the T-SQL array
+// functions: exactly one call that reads n through its blob ref (Item_N,
+// Subarray with collapse 0 or 1, Length, Rank or Dim), possibly wrapped
+// in a whole-array function or an aggregate, beside safe items. Being
+// the statement's only expression that can fail, it fails on the same
+// row, with the same error, in the reference and in every serial plan.
+func genArrayQuery(rng *rand.Rand) diffQuery {
+	g := &diffGen{rng: rng, safe: true}
+	var q diffQuery
+	q.aggregate = rng.Intn(3) == 0
+	schema := "FloatArrayMax"
+	if rng.Intn(8) == 0 {
+		schema = "BigIntArrayMax"
+	}
+	rank := 1 + rng.Intn(4)
+	idx := func() string {
+		if rng.Intn(10) == 0 {
+			return g.pick("3", "7", "2600", "(-1)") // out of range for some or all rows
+		}
+		return fmt.Sprint(rng.Intn(3))
+	}
+	list := func(f func() string) string {
+		parts := make([]string, rank)
+		for k := range parts {
+			parts[k] = f()
+		}
+		return strings.Join(parts, ", ")
+	}
+	var call string
+	numeric := true
+	switch rng.Intn(6) {
+	case 0, 1:
+		call = fmt.Sprintf("%s.Item_%d(n, %s)", schema, rank, list(idx))
+	case 2:
+		call = fmt.Sprintf("%s.Subarray(n, IntArray.Vector_%d(%s), IntArray.Vector_%d(%s), %d)",
+			schema, rank, list(idx), rank, list(func() string { return fmt.Sprint(1 + rng.Intn(2)) }), rng.Intn(2))
+		switch rng.Intn(3) {
+		case 0:
+			numeric = false
+		case 1:
+			call = fmt.Sprintf("%s.Sum(%s)", schema, call)
+		default:
+			call = fmt.Sprintf("%s.Length(%s)", schema, call)
+		}
+	case 3:
+		call = schema + ".Length(n)"
+	case 4:
+		call = schema + ".Rank(n)"
+	default:
+		call = fmt.Sprintf("%s.Dim(n, %d)", schema, rng.Intn(rank+1))
+	}
+	var where []string
+	switch rng.Intn(8) {
+	case 0, 1, 2: // the rows whose rank the index list fits
+		where = append(where, fmt.Sprintf("(id %% 4) = %d", rank-1))
+		if schema == "FloatArrayMax" {
+			where = append(where, "(id % 16) < 13")
+		} else {
+			where = append(where, "(id % 16) = 14")
+		}
+	case 3, 4:
+		lo := rng.Intn(diffRows)
+		where = append(where, fmt.Sprintf("id >= %d", lo), fmt.Sprintf("id < %d", lo+1+rng.Intn(12)))
+	case 5:
+		where = append(where, fmt.Sprintf("id = %d", rng.Intn(diffRows)))
+	}
+	if rng.Intn(4) == 0 {
+		where = append(where, g.pred(1))
+	}
+	var items []string
+	switch {
+	case q.aggregate && numeric:
+		items = append(items, g.pick("SUM", "MIN", "MAX", "COUNT")+"("+call+")", "COUNT(*)")
+	case q.aggregate:
+		// An aggregate's argument must be numeric, or every row fails
+		// the aggregate itself.
+		items = append(items, "COUNT("+schema+".Length("+call+"))")
+	default:
+		items = append(items, "id", call)
+		if rng.Intn(2) == 0 {
+			items = append(items, g.num(1))
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("SELECT ")
+	if !q.aggregate && rng.Intn(4) == 0 {
+		q.top = true
+		fmt.Fprintf(&sb, "TOP %d ", 1+rng.Intn(9))
+	}
+	sb.WriteString(strings.Join(items, ", ") + " FROM R")
+	if len(where) > 0 {
+		sb.WriteString(" WHERE " + strings.Join(where, " AND "))
+	}
+	q.sql, q.array = sb.String(), true
+	return q
+}
+
+// errKind is the sentinel an error wraps — what the array functions'
+// ref and bytes forms must agree on — or the error's text when it wraps
+// none of them.
+func errKind(err error) string {
+	for _, k := range []error{
+		core.ErrBounds, core.ErrRank, core.ErrTypeMismatch, core.ErrClassMismatch,
+		core.ErrTruncated, core.ErrBadHeader, engine.ErrNullValue, engine.ErrTypeError,
+	} {
+		if errors.Is(err, k) {
+			return k.Error()
+		}
+	}
+	return err.Error()
 }
 
 // diffGen builds random expressions as SQL text. safe restricts it to
@@ -324,6 +496,7 @@ type diffQuery struct {
 	aggregate bool
 	top       bool
 	whereUDF  bool
+	array     bool // genArrayQuery's: the error kind must match too
 }
 
 func genDiffQuery(rng *rand.Rand) diffQuery {
@@ -421,7 +594,12 @@ func approxResultEq(a, b *Result) string {
 // through BatchSize {1, 3, 1024} × Parallelism {1, 2} and requires the
 // reference's rows (or an error on both sides), the reference's UDF call
 // count, no pin left behind, and — on a serial plan — no more than the
-// scan's leaf pinned while t.Len runs over m.
+// scan's leaf pinned while t.Len runs over m. The array queries run the
+// max schemas' functions over n, reading it through its blob ref, while
+// the reference materializes n and calls them row by row
+// (FuncRegistry.Call, the bytes form); they must also fail with the same
+// error kind, except under a parallel aggregate, whose workers stop at
+// whichever failing row comes first.
 func TestDifferentialSelect(t *testing.T) {
 	seeds := diffSeeds
 	if *diffSeed != 0 {
@@ -443,11 +621,18 @@ func TestDifferentialSelect(t *testing.T) {
 	for _, seed := range seeds {
 		db, w := diffDB(t, seed)
 		rng := rand.New(rand.NewSource(seed))
+		arng := rand.New(rand.NewSource(seed + 1<<32))
 		calls := func() uint64 { return db.Funcs().Stats().Calls }
-		var errored, rows int
+		var errored, rows, arrayErrored, arrayRows int
 		var udfCalls uint64
-		for n := 0; n < diffQueries; n++ {
-			q := genDiffQuery(rng)
+		kinds := map[string]bool{}
+		for n := 0; n < diffQueries+diffArrayQueries; n++ {
+			var q diffQuery
+			if n < diffQueries {
+				q = genDiffQuery(rng)
+			} else {
+				q = genArrayQuery(arng)
+			}
 			c0 := calls()
 			want, wantErr := referenceRun(db, q.sql)
 			wantCalls := calls() - c0
@@ -456,6 +641,12 @@ func TestDifferentialSelect(t *testing.T) {
 			} else {
 				rows += len(want.Rows)
 				udfCalls += wantCalls
+			}
+			if q.array && wantErr != nil {
+				arrayErrored++
+				kinds[errKind(wantErr)] = true
+			} else if q.array {
+				arrayRows += len(want.Rows)
 			}
 			for _, m := range modes {
 				fail := func(format string, args ...any) {
@@ -480,6 +671,9 @@ func TestDifferentialSelect(t *testing.T) {
 					continue
 				}
 				if err != nil {
+					if q.array && !(q.aggregate && m.opts.Parallelism > 1) && errKind(err) != errKind(wantErr) {
+						fail("error %v, reference error %v", err, wantErr)
+					}
 					continue
 				}
 				diff := resultEq(want, got)
@@ -500,8 +694,9 @@ func TestDifferentialSelect(t *testing.T) {
 				return // one failing query is enough; its seed is in the message
 			}
 		}
-		t.Logf("seed %d: %d queries (%d erroring on both sides), %d reference rows, %d reference UDF calls",
-			seed, diffQueries, errored, rows, udfCalls)
+		t.Logf("seed %d: %d queries (%d erroring on both sides), %d reference rows, %d reference UDF calls; "+
+			"%d array queries: %d erroring (%d kinds), %d rows",
+			seed, diffQueries+diffArrayQueries, errored, rows, udfCalls, diffArrayQueries, arrayErrored, len(kinds), arrayRows)
 	}
 }
 

@@ -39,11 +39,14 @@ func (c *cConst) evalBatch(*Batch, int) (*engine.Vector, error) { return &c.vec,
 
 type cCol struct{ idx int }
 
-// cMaxCol reads a VARBINARY(MAX) column. On the row the column holds
-// only a 12-byte blob ref; this node materializes it into the array
-// payload so UDFs, comparisons and projections over MAX columns see the
-// same bytes short VARBINARY columns yield. Each resolve is a copying
-// read: the payload is the node's own, and no chunk page stays pinned.
+// cMaxCol reads a VARBINARY(MAX) column for every consumer but the
+// first argument of an array function (cMaxRef): comparisons,
+// projections, aggregates, user UDFs, the short schemas and the max
+// schemas' whole-array functions. On the row the column holds only a
+// 12-byte blob ref; this node materializes it into the array payload, so
+// they see the same bytes short VARBINARY columns yield. Each
+// materialize is a copying read of the whole blob: the payload is the
+// node's own, and no chunk page stays pinned.
 type cMaxCol struct {
 	tbl  *engine.Table
 	snap *engine.Snapshot // the statement's read view
@@ -51,11 +54,11 @@ type cMaxCol struct {
 	vec  engine.Vector
 }
 
-// resolve dereferences a blob ref through the query's snapshot: a ref
-// read from a snapshot row must dereference the same commit's chunk
+// materialize dereferences a blob ref through the query's snapshot: a
+// ref read from a snapshot row must dereference the same commit's chunk
 // pages, or a concurrent UPDATE that freed and reused the blob's pages
 // could hand this scan foreign bytes.
-func (c *cMaxCol) resolve(ref engine.Value) (engine.Value, error) {
+func (c *cMaxCol) materialize(ref engine.Value) (engine.Value, error) {
 	if ref.IsNull() {
 		return ref, nil
 	}
@@ -73,7 +76,7 @@ func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	}
 	c.vec.Reset(engine.ColVarBinaryMax, n)
 	for i := 0; i < n; i++ {
-		v, err := c.resolve(col.Value(i))
+		v, err := c.materialize(col.Value(i))
 		if err != nil {
 			return nil, err
 		}
@@ -84,12 +87,40 @@ func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 
 func (c *cCol) evalBatch(b *Batch, n int) (*engine.Vector, error) { return b.col(c.idx) }
 
+// cMaxRef is a VARBINARY(MAX) column as the first argument of an array
+// function (FuncDef.ArrayFn: the max schemas' Item_N, Subarray, Length,
+// Rank and Dim). It passes what the row holds, the 12-byte blob ref, as
+// a ColMaxRef row; the function reads the header and only the byte runs
+// it needs through a reader the boundary binds to the statement's
+// snapshot for that one call. The refs alias the batch column.
+type cMaxRef struct {
+	idx int
+	vec engine.Vector
+}
+
+func (c *cMaxRef) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+	col, err := b.col(c.idx)
+	if err != nil {
+		return nil, err
+	}
+	c.vec.Reset(engine.ColMaxRef, n)
+	for i := 0; i < n; i++ {
+		if col.IsNull(i) {
+			c.vec.SetNull(i)
+		} else {
+			c.vec.B[i] = col.B[i]
+		}
+	}
+	return &c.vec, nil
+}
+
 // cUDF invokes a scalar UDF through the engine's CLR-like boundary; the
 // FuncDef is resolved once at plan time, as a real plan would cache the
 // method handle.
 type cUDF struct {
 	reg  *engine.FuncRegistry
 	def  *engine.FuncDef
+	snap *engine.Snapshot // the read view cMaxRef arguments resolve in
 	args []compiled
 	argv []*engine.Vector // the batch's argument vectors
 	vec  engine.Vector
@@ -107,7 +138,7 @@ func (c *cUDF) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 		}
 		c.argv = append(c.argv, v)
 	}
-	if err := c.reg.CallBatch(c.def, c.argv, n, &c.vec); err != nil {
+	if err := c.reg.CallBatch(c.snap, c.def, c.argv, n, &c.vec); err != nil {
 		return nil, err
 	}
 	return &c.vec, nil
@@ -628,9 +659,12 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 			if err != nil {
 				return nil, err
 			}
+			if mc, ok := c.(*cMaxCol); ok && i == 0 && def.ArrayFn != nil {
+				c = &cMaxRef{idx: mc.idx}
+			}
 			args[i] = c
 		}
-		return &cUDF{reg: cc.db.Funcs(), def: def, args: args}, nil
+		return &cUDF{reg: cc.db.Funcs(), def: def, snap: cc.snap, args: args}, nil
 	case *BinaryExpr:
 		l, err := cc.compile(n.L, inAggQuery)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -12,9 +13,14 @@ import (
 	"sqlarray/internal/engine"
 )
 
+// RegisterTSQL installs the T-SQL array function surface
+// (tsql.RegisterAll). tsql imports this package, so it is set from the
+// external test package (tsql_hook_test.go).
+var RegisterTSQL func(db *engine.DB)
+
 // maxDB builds a table with a VARBINARY(MAX) array column mixing
-// single-chunk blobs, multi-chunk blobs and a NULL, plus a UDF that
-// consumes the materialized array payload.
+// single-chunk blobs, multi-chunk blobs and a NULL, plus UDFs that
+// consume the materialized array payload and the T-SQL functions.
 func maxDB(t testing.TB) *engine.DB {
 	// Incompressible multi-chunk arrays, which the blob writer stores as
 	// raw blocks: the tests here assert exact chunk-page counts that
@@ -78,6 +84,7 @@ func maxDBWith(t testing.TB, db *engine.DB, big func(n int, base float64) []floa
 		}
 		return engine.IntValue(int64(len(args[0].B))), nil
 	})
+	RegisterTSQL(db)
 	return db
 }
 
@@ -338,6 +345,15 @@ func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
 		probes.Add(1)
 		return engine.IntValue(w.observe()), nil
 	})
+	// pins.ReadProbe is an array function: it counts the pins after its
+	// reader has read the header (a MAX column reaches it as a ref).
+	db.Funcs().RegisterArray("pins.ReadProbe", 1, func(r *engine.ArrayReader, _ []engine.Value) (engine.Value, error) {
+		if _, err := r.Header(); err != nil {
+			return engine.Null, err
+		}
+		probes.Add(1)
+		return engine.IntValue(w.observe()), nil
+	})
 	serial, batch3 := ExecOptions{}, ExecOptions{BatchSize: 3}
 	parallel := ExecOptions{Parallelism: 2, ParallelThreshold: 1}
 	for _, c := range []struct {
@@ -355,6 +371,15 @@ func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
 		{"SELECT id FROM cubes WHERE arr.Len(a) > 100 OR pins.Probe(a) >= 0", batch3, 1},
 		{"SELECT MAX(pins.Probe(a)) FROM cubes", serial, 1},
 		{"SELECT MAX(pins.Probe(a)) FROM cubes", parallel, 2*2 - 1},
+		// An array function reads a through its blob ref; the reader
+		// it was handed holds nothing once the call returns. (The
+		// filter keeps the max-class arrays: FloatArrayMax rejects the
+		// short 5-vectors and the NULLs.)
+		{"SELECT id, pins.ReadProbe(a) FROM cubes WHERE arr.Len(a) > 0", serial, 1},
+		{"SELECT id, FloatArrayMax.Item_1(a, 0), pins.Probe(a) FROM cubes WHERE arr.Len(a) > 100", serial, 1},
+		{"SELECT id, FloatArrayMax.Length(FloatArrayMax.Subarray(a, IntArray.Vector_1(2000), IntArray.Vector_1(100), 0)), pins.Probe(a) FROM cubes WHERE arr.Len(a) > 100", serial, 1},
+		{"SELECT id, FloatArrayMax.Item_1(a, 0), pins.Probe(a) FROM cubes WHERE arr.Len(a) > 100", batch3, 1},
+		{"SELECT MAX(FloatArrayMax.Item_1(a, 0) + pins.Probe(a)) FROM cubes WHERE arr.Len(a) > 100", parallel, 2*2 - 1},
 	} {
 		w.take()
 		probes.Store(0)
@@ -370,6 +395,96 @@ func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
 		}
 		if got := db.Pool().PinnedFrames(); got != 0 {
 			t.Fatalf("%s: PinnedFrames after Run = %d, want 0", c.sql, got)
+		}
+	}
+}
+
+// TestMaxRefItemReadsHeaderAndElementChunks counts what an array
+// function over a MAX column reads: Item_1(a, k) on a three-chunk array
+// walks one directory page and fetches the chunk holding the header and
+// the chunk holding element k — one chunk when they are the same — and
+// Subarray fetches the header's chunk and the chunks its runs overlap.
+// What crosses the boundary is the 12-byte ref, not the 20 kB payload.
+// The raw-block counts are exact; a compressed blob packs more than one
+// block per chunk, so its element may need a second fetch of chunk 0.
+func TestMaxRefItemReadsHeaderAndElementChunks(t *testing.T) {
+	// Row 5 holds a 2500-element float array: a 20-byte header, then
+	// element k at byte 20+8k. Raw blocks put bytes [0, 8064) on chunk 0,
+	// [8064, 16128) on chunk 1 and the rest on chunk 2.
+	const refFrame = 1 + 12 // kind tag + blob ref
+	for _, c := range []struct {
+		name string
+		big  func(n int, base float64) []float64
+		raw  bool
+	}{{"raw", noise, true}, {"compressed", seq, false}} {
+		db := maxDBWith(t, engine.NewMemDB(), c.big)
+		want := bigArray(t, c.big, 5)
+		for _, q := range []struct {
+			sql    string
+			chunks uint64 // raw blocks
+			frame  uint64
+		}{
+			{"SELECT FloatArrayMax.Item_1(a, 0) FROM cubes WHERE id = 5", 1, refFrame + 9 + 9},
+			{"SELECT FloatArrayMax.Item_1(a, 1004) FROM cubes WHERE id = 5", 1, refFrame + 9 + 9},
+			{"SELECT FloatArrayMax.Item_1(a, 1005) FROM cubes WHERE id = 5", 2, refFrame + 9 + 9}, // straddles chunks 0 and 1
+			{"SELECT FloatArrayMax.Item_1(a, 1500) FROM cubes WHERE id = 5", 2, refFrame + 9 + 9},
+			{"SELECT FloatArrayMax.Item_1(a, 2499) FROM cubes WHERE id = 5", 2, refFrame + 9 + 9},
+			{"SELECT FloatArrayMax.Length(a) FROM cubes WHERE id = 5", 1, refFrame + 9},
+			{"SELECT FloatArrayMax.Subarray(a, IntArray.Vector_1(2100), IntArray.Vector_1(50), 0) FROM cubes WHERE id = 5", 2, 0},
+		} {
+			before, calls := db.Blobs().Stats(), db.Funcs().Stats()
+			res, err := Run(db, q.sql)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, q.sql, err)
+			}
+			after, callsAfter := db.Blobs().Stats(), db.Funcs().Stats()
+			dirs, chunks := after.DirectoryReads-before.DirectoryReads, after.ChunkReads-before.ChunkReads
+			if dirs != 1 {
+				t.Errorf("%s %s: %d directory reads, want 1", c.name, q.sql, dirs)
+			}
+			switch {
+			case c.raw && chunks != q.chunks:
+				t.Errorf("%s %s: %d chunk reads, want %d", c.name, q.sql, chunks, q.chunks)
+			case !c.raw && (chunks < 1 || chunks > 2 || q.chunks == 1 && chunks != 1):
+				t.Errorf("%s %s: %d chunk reads, want 1..2 (1 for the first block)", c.name, q.sql, chunks)
+			}
+			// Subarray also calls the two index-vector constructors, and
+			// its frames carry them and the 400-byte result; only their
+			// order of magnitude matters.
+			wantCalls := uint64(1)
+			if q.frame == 0 {
+				wantCalls = 3
+			}
+			if calls := callsAfter.Calls - calls.Calls; calls != wantCalls {
+				t.Errorf("%s %s: %d UDF calls, want %d", c.name, q.sql, calls, wantCalls)
+			}
+			marshaled := callsAfter.BytesMarshaled - calls.BytesMarshaled
+			if q.frame != 0 && marshaled != q.frame || marshaled > 1024 {
+				t.Errorf("%s %s: %d bytes marshaled, want the ref frame (%d)", c.name, q.sql, marshaled, q.frame)
+			}
+			// The values are the materialized array's.
+			got := res.Rows[0][0]
+			switch {
+			case strings.Contains(q.sql, "Item_1"):
+				var k int
+				fmt.Sscanf(q.sql[strings.Index(q.sql, "a, ")+3:], "%d", &k)
+				if x, _ := want.Item(k); got.Kind != engine.ColFloat64 || got.F != x {
+					t.Errorf("%s %s = %v, want %g", c.name, q.sql, got, x)
+				}
+			case strings.Contains(q.sql, "Length"):
+				if got.I != 2500 {
+					t.Errorf("%s %s = %v, want 2500", c.name, q.sql, got)
+				}
+			default:
+				sub, err := want.Subarray([]int{2100}, []int{50}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub, _ = sub.ConvertClass(core.Max)
+				if got.Kind != engine.ColVarBinaryMax || !bytes.Equal(got.B, sub.Bytes()) {
+					t.Errorf("%s %s: result differs from the materialized subarray", c.name, q.sql)
+				}
+			}
 		}
 	}
 }

@@ -28,7 +28,9 @@ import (
 type rowCtx struct {
 	key     int64
 	row     *engine.RowView
-	aggVals []engine.Value // aggregate results, read by cAggRef
+	aggVals []engine.Value   // aggregate results, read by cAggRef
+	tbl     *engine.Table    // where cMaxRef materializes from
+	snap    *engine.Snapshot // and as of when
 }
 
 type rowEvaluator interface {
@@ -48,7 +50,17 @@ func (c *cMaxCol) eval(ctx *rowCtx) (engine.Value, error) {
 	if err != nil {
 		return v, err
 	}
-	return c.resolve(v)
+	return c.materialize(v)
+}
+
+// cMaxRef's oracle is materialize-then-call: the reference hands the
+// array function the whole payload, which it reads in the bytes form.
+func (c *cMaxRef) eval(ctx *rowCtx) (engine.Value, error) {
+	v, err := ctx.row.Col(c.idx)
+	if err != nil {
+		return v, err
+	}
+	return (&cMaxCol{tbl: ctx.tbl, snap: ctx.snap}).materialize(v)
 }
 
 func (c *cUDF) eval(ctx *rowCtx) (engine.Value, error) {
@@ -156,7 +168,7 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 	}
 	res := &Result{Columns: cs.columns}
 	if cs.aggregate {
-		ctx := &rowCtx{}
+		ctx := &rowCtx{tbl: tbl, snap: snap}
 		err := tbl.Scan(func(key int64, row *engine.RowView) (bool, error) {
 			ctx.key, ctx.row = key, row
 			if cs.where != nil {
@@ -193,7 +205,7 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 		res.Rows = append(res.Rows, out)
 		return res, nil
 	}
-	ctx := &rowCtx{}
+	ctx := &rowCtx{tbl: tbl, snap: snap}
 	err = tbl.Scan(func(key int64, row *engine.RowView) (bool, error) {
 		ctx.key, ctx.row = key, row
 		if cs.where != nil {

@@ -1,10 +1,18 @@
 package sqlmini
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"sqlarray/internal/arraysugar"
+	"sqlarray/internal/btree"
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 	"sqlarray/internal/pages"
@@ -413,5 +421,224 @@ func TestQueryDuringCommitNeverSeesEmptyTable(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	assertDrained(t, db)
+}
+
+// TestMaxRefReadsUnderConcurrentUpdate runs array-function scans over a
+// MAX column — its blob refs crossing the UDF boundary, each call
+// reading the header and the runs it needs — while a writer rewrites
+// the same values whole, patches them through subscript assignments,
+// and deletes and re-inserts rows so freed blob pages are reused. Every
+// row a scan returns must be the value as of the scan's snapshot: an
+// explicit snapshot is checked against what that snapshot materializes,
+// and a query-owned one by the row's value band (|x| in
+// [id*10000, id*10000+10000)), which a foreign blob's bytes would leave.
+func TestMaxRefReadsUnderConcurrentUpdate(t *testing.T) {
+	const rows, n = 24, 2500
+	l, err := wal.Open(wal.NewMemStorage(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := engine.Open(engine.Options{Disk: pages.NewMemDisk(), PoolPages: 1024, WAL: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RegisterTSQL(db)
+	s, err := engine.NewSchema(
+		engine.Column{Name: "id", Type: engine.ColInt64},
+		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("vol", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Even rows step by 2^-20 (the writer packs them), odd rows are
+	// noise within the band (stored as raw blocks, three chunk pages).
+	value := func(id int64, rng *rand.Rand) engine.Value {
+		vals := make([]float64, n)
+		for j := range vals {
+			if id%2 == 0 {
+				vals[j] = float64(id*10000+5000) + float64(j)/(1<<20)
+			} else {
+				vals[j] = float64(id*10000) + rng.Float64()*9999
+			}
+		}
+		a, err := core.FromFloat64s(core.Max, core.Float64, vals, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engine.BinaryMaxValue(a.Bytes())
+	}
+	setup := rand.New(rand.NewSource(1))
+	for id := int64(0); id < rows; id++ {
+		if err := tbl.Insert([]engine.Value{engine.IntValue(id), value(id, setup)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.Blobs().Stats(); st.StoredBytesWritten >= st.BytesWritten {
+		t.Fatal("no array was packed; the compressed read path goes untested")
+	}
+	inBand := func(id int64, x float64) bool {
+		x = math.Abs(x)
+		return x >= float64(id*10000) && x < float64(id*10000+10000)
+	}
+
+	var (
+		writes   atomic.Int64
+		stop     atomic.Bool
+		writerWG sync.WaitGroup
+		werr     error
+	)
+	writerWG.Add(1)
+	go func() {
+		defer writerWG.Done()
+		rng := rand.New(rand.NewSource(2))
+		cols := arraysugar.Columns{"a": "FloatArrayMax"}
+		for !stop.Load() {
+			id := rng.Int63n(rows)
+			var err error
+			switch r := rng.Intn(10); {
+			case r < 4:
+				// The predicate reads a through its ref in the UPDATE's
+				// read phase; it holds for every value the test writes.
+				_, err = Execute(db, fmt.Sprintf(
+					"UPDATE vol SET a = FloatArrayMax.Scale(a, -1) WHERE id = %d AND FloatArrayMax.Item_1(a, 0) <> 0", id))
+			case r < 7:
+				k, v := rng.Intn(n-2), float64(id*10000)+0.5
+				var q string
+				q, err = arraysugar.Translate(fmt.Sprintf(
+					"UPDATE vol SET a[%d:%d] = FloatArray.Vector_2(%g, %g) WHERE id = %d", k, k+2, v, v, id), cols)
+				if err == nil {
+					_, err = Execute(db, q)
+				}
+			default:
+				if _, err = Execute(db, fmt.Sprintf("DELETE FROM vol WHERE id = %d AND FloatArrayMax.Length(a) = %d", id, n)); err == nil {
+					err = tbl.Insert([]engine.Value{engine.IntValue(id), value(id, rng)})
+				}
+			}
+			if err != nil {
+				werr = err
+				return
+			}
+			writes.Add(1)
+		}
+	}()
+
+	var readerWG sync.WaitGroup
+	rerrs := make(chan error, 2) // the first failure of each reader; later ones are dropped
+	for r := 0; r < 2; r++ {
+		readerWG.Add(1)
+		go func(r int) {
+			defer readerWG.Done()
+			rng := rand.New(rand.NewSource(int64(10 + r)))
+			fail := func(format string, args ...any) {
+				select {
+				case rerrs <- fmt.Errorf(format, args...):
+				default:
+				}
+			}
+			for i := 0; i < 20; i++ {
+				k, off := rng.Intn(n), rng.Intn(n-300)
+				size := 1 + rng.Intn(300)
+				q := fmt.Sprintf("SELECT id, FloatArrayMax.Item_1(a, %d), FloatArrayMax.Subarray(a, IntArray.Vector_1(%d), IntArray.Vector_1(%d), 0), FloatArrayMax.Length(a) FROM vol",
+					k, off, size)
+				opts := ExecOptions{BatchSize: []int{1, 3, 0}[rng.Intn(3)]}
+				if i%2 == 0 {
+					// Query-owned snapshot: each row must be its own.
+					res, err := RunWith(db, q, opts)
+					if err != nil {
+						fail("%s: %v", q, err)
+						return
+					}
+					for _, row := range res.Rows {
+						id := row[0].I
+						sub, err := core.Wrap(row[2].B)
+						if err != nil || !inBand(id, row[1].F) || row[3].I != n || sub.Len() != size {
+							fail("%s: row %d = %v (%v)", q, id, row, err)
+							return
+						}
+						for _, x := range sub.Float64s() {
+							if !inBand(id, x) {
+								fail("%s: row %d subarray element %g is not the row's", q, id, x)
+								return
+							}
+						}
+					}
+					continue
+				}
+				// Explicit snapshot, with commits landing after it opens.
+				snap := db.Snapshot()
+				for w0 := writes.Load(); writes.Load() < w0+2 && !stop.Load(); {
+					runtime.Gosched()
+				}
+				opts.Snapshot = snap
+				res, err := RunWith(db, q, opts)
+				if err != nil {
+					snap.Release()
+					fail("%s: %v", q, err)
+					return
+				}
+				got := make(map[int64][]engine.Value, len(res.Rows))
+				for _, row := range res.Rows {
+					got[row[0].I] = row
+				}
+				for id := int64(0); id < rows; id++ {
+					vals, err := tbl.GetAt(snap, id)
+					if errors.Is(err, btree.ErrNotFound) {
+						if got[id] != nil {
+							fail("%s: row %d returned, absent at the snapshot", q, id)
+						}
+						continue
+					}
+					if err != nil {
+						fail("GetAt %d: %v", id, err)
+						break
+					}
+					payload, err := tbl.ResolveMaxAt(snap, vals[1].B)
+					if err != nil {
+						fail("ResolveMaxAt %d: %v", id, err)
+						break
+					}
+					a, err := core.Wrap(payload)
+					if err != nil {
+						fail("row %d: %v", id, err)
+						break
+					}
+					item, _ := a.Item(k)
+					sub, err := a.Subarray([]int{off}, []int{size}, false)
+					if err == nil {
+						sub, err = sub.ConvertClass(core.Max)
+					}
+					if err != nil {
+						fail("row %d: %v", id, err)
+						break
+					}
+					row := got[id]
+					if row == nil || row[1].F != item || !bytes.Equal(row[2].B, sub.Bytes()) || row[3].I != n {
+						fail("%s: row %d differs from its value at the snapshot", q, id)
+						break
+					}
+				}
+				snap.Release()
+			}
+		}(r)
+	}
+	readerWG.Wait()
+	stop.Store(true)
+	writerWG.Wait()
+	close(rerrs)
+	for err := range rerrs {
+		t.Error(err)
+	}
+	if werr != nil {
+		t.Fatalf("writer: %v", werr)
+	}
+	if writes.Load() == 0 {
+		t.Fatal("the writer never committed")
+	}
+	t.Logf("%d writer statements during the scans", writes.Load())
 	assertDrained(t, db)
 }

@@ -88,6 +88,53 @@ func arrayResult(a *core.Array) engine.Value {
 	return engine.BinaryValue(a.Bytes())
 }
 
+// result wraps an array a function under schema s returns, in s's
+// storage class: the paper's max-schema functions return varbinary(max)
+// whatever the result's size, so what one schema's function returns
+// always passes the same schema's §3.5 check. (core picks the class of
+// a computed array by its size.)
+func (s schemaInfo) result(a *core.Array) (engine.Value, error) {
+	if a.Class() != s.class {
+		out, err := a.ConvertClass(s.class)
+		if err != nil {
+			return engine.Null, err
+		}
+		a = out
+	}
+	return arrayResult(a), nil
+}
+
+// registerReader installs an array function that reads its first
+// argument through an ArrayReader. Under a max schema it is an engine
+// array function: a MAX column argument crosses the boundary as its blob
+// ref, and fn reads only the header and the runs it needs, as of the
+// statement's snapshot (§3.3's SqlBytes parameter). A short schema's
+// arrays are on the row, so its functions take the bytes as any other
+// function does and fn reads them in place — one implementation for
+// both classes.
+func (s schemaInfo) registerReader(reg *engine.FuncRegistry, name string, arity int, fn engine.ArrayFunc) {
+	if s.class == core.Max {
+		reg.RegisterArray(name, arity, fn)
+		return
+	}
+	reg.Register(name, arity, func(args []engine.Value) (engine.Value, error) {
+		return fn(engine.NewArrayReader(args[0]), args)
+	})
+}
+
+// readerHeader reads an array argument's header through r and runs the
+// §3.5 check against the schema, as arrayArg does for a decoded array.
+func (s schemaInfo) readerHeader(r *engine.ArrayReader) (core.Header, error) {
+	h, err := r.Header()
+	if err != nil {
+		return core.Header{}, err
+	}
+	return h, s.check(h.Elem, h.Class)
+}
+
+// unitSize is the size vector of a one-element subarray.
+var unitSize = [maxIndexArgs]int{1, 1, 1, 1, 1, 1}
+
 // arrayArg decodes and type-checks an array argument against the schema,
 // implementing the paper's runtime type-flag check ("we can detect type
 // mismatches at runtime when the blobs are passed to the wrong
@@ -169,6 +216,36 @@ func intArgs(args []engine.Value, buf []int) ([]int, error) {
 	return out, nil
 }
 
+// readItem is a max schema's Item_N: the header, then the one element,
+// read through r — the chunk holding the header and the chunk holding
+// the element when r reads a MAX column.
+func (s schemaInfo) readItem(r *engine.ArrayReader, args []engine.Value) (engine.Value, error) {
+	h, err := s.readerHeader(r)
+	if err != nil {
+		return engine.Null, err
+	}
+	var buf [maxIndexArgs]int
+	idx, err := intArgs(args[1:], buf[:])
+	if err != nil {
+		return engine.Null, err
+	}
+	runs, err := core.SubarrayPlan(h, idx, unitSize[:len(idx)])
+	if err != nil {
+		return engine.Null, err
+	}
+	cell, err := core.New(core.Short, h.Elem) // rank 0: one element
+	if err != nil {
+		return engine.Null, err
+	}
+	if err := r.ReadRuns(cell.Payload(), runs); err != nil {
+		return engine.Null, err
+	}
+	if s.elem.IsInteger() {
+		return engine.IntValue(cell.IntAt(0)), nil
+	}
+	return engine.FloatValue(cell.FloatAt(0)), nil
+}
+
 func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 	name := func(fn string) string { return s.name + "." + fn }
 
@@ -223,8 +300,12 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 	// Item_N accessors and UpdateItem_N.
 	for n := 1; n <= maxIndexArgs; n++ {
 		n := n
-		reg.Register(fmt.Sprintf("%s.Item_%d", s.name, n), n+1,
-			func(args []engine.Value) (engine.Value, error) {
+		if item := fmt.Sprintf("%s.Item_%d", s.name, n); s.class == core.Max {
+			reg.RegisterArray(item, n+1, s.readItem)
+		} else {
+			// A short array's element is read in place off the row
+			// (Table 1's query 4), allocating nothing.
+			reg.Register(item, n+1, func(args []engine.Value) (engine.Value, error) {
 				a, err := viewArg(s, args[0])
 				if err != nil {
 					return engine.Null, err
@@ -247,6 +328,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 				}
 				return engine.FloatValue(v), nil
 			})
+		}
 		reg.Register(fmt.Sprintf("%s.UpdateItem_%d", s.name, n), n+2,
 			func(args []engine.Value) (engine.Value, error) {
 				a, err := arrayArg(s, args[0])
@@ -270,9 +352,10 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 			})
 	}
 
-	// Subarray(a, offsetVec, sizeVec, collapse).
-	reg.Register(name("Subarray"), 4, func(args []engine.Value) (engine.Value, error) {
-		a, err := arrayArg(s, args[0])
+	// Subarray(a, offsetVec, sizeVec, collapse): reads only the runs the
+	// subarray covers.
+	s.registerReader(reg, name("Subarray"), 4, func(r *engine.ArrayReader, args []engine.Value) (engine.Value, error) {
+		h, err := s.readerHeader(r)
 		if err != nil {
 			return engine.Null, err
 		}
@@ -288,8 +371,18 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 		if err != nil {
 			return engine.Null, err
 		}
-		sub, err := a.Subarray(offset, size, collapse != 0)
+		runs, err := core.SubarrayPlan(h, offset, size)
 		if err != nil {
+			return engine.Null, err
+		}
+		if collapse != 0 {
+			size = core.CollapseDims(size)
+		}
+		sub, err := core.New(s.class, h.Elem, size...)
+		if err != nil {
+			return engine.Null, err
+		}
+		if err := r.ReadRuns(sub.Payload(), runs); err != nil {
 			return engine.Null, err
 		}
 		return arrayResult(sub), nil
@@ -340,22 +433,22 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 		}
 		return engine.BinaryMaxValue(a.Raw()), nil
 	})
-	reg.Register(name("Length"), 1, func(args []engine.Value) (engine.Value, error) {
-		a, err := arrayArg(s, args[0])
+	s.registerReader(reg, name("Length"), 1, func(r *engine.ArrayReader, _ []engine.Value) (engine.Value, error) {
+		h, err := s.readerHeader(r)
 		if err != nil {
 			return engine.Null, err
 		}
-		return engine.IntValue(int64(a.Len())), nil
+		return engine.IntValue(int64(h.Count())), nil
 	})
-	reg.Register(name("Rank"), 1, func(args []engine.Value) (engine.Value, error) {
-		a, err := arrayArg(s, args[0])
+	s.registerReader(reg, name("Rank"), 1, func(r *engine.ArrayReader, _ []engine.Value) (engine.Value, error) {
+		h, err := s.readerHeader(r)
 		if err != nil {
 			return engine.Null, err
 		}
-		return engine.IntValue(int64(a.Rank())), nil
+		return engine.IntValue(int64(h.Rank())), nil
 	})
-	reg.Register(name("Dim"), 2, func(args []engine.Value) (engine.Value, error) {
-		a, err := arrayArg(s, args[0])
+	s.registerReader(reg, name("Dim"), 2, func(r *engine.ArrayReader, args []engine.Value) (engine.Value, error) {
+		h, err := s.readerHeader(r)
 		if err != nil {
 			return engine.Null, err
 		}
@@ -363,10 +456,10 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 		if err != nil {
 			return engine.Null, err
 		}
-		if k < 0 || int(k) >= a.Rank() {
-			return engine.Null, fmt.Errorf("%w: dim %d of rank-%d array", core.ErrRank, k, a.Rank())
+		if k < 0 || int(k) >= h.Rank() {
+			return engine.Null, fmt.Errorf("%w: dim %d of rank-%d array", core.ErrRank, k, h.Rank())
 		}
-		return engine.IntValue(int64(a.Dim(int(k)))), nil
+		return engine.IntValue(int64(h.Dims[k])), nil
 	})
 	reg.Register(name("ToString"), 1, func(args []engine.Value) (engine.Value, error) {
 		a, err := arrayArg(s, args[0])
@@ -431,7 +524,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 			if err != nil {
 				return engine.Null, err
 			}
-			return arrayResult(out), nil
+			return s.result(out)
 		})
 	}
 
@@ -454,7 +547,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 			if err != nil {
 				return engine.Null, err
 			}
-			return arrayResult(out), nil
+			return s.result(out)
 		})
 	}
 	reg.Register(name("Scale"), 2, func(args []engine.Value) (engine.Value, error) {
@@ -470,7 +563,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 		if err != nil {
 			return engine.Null, err
 		}
-		return arrayResult(out), nil
+		return s.result(out)
 	})
 	reg.Register(name("Dot"), 2, func(args []engine.Value) (engine.Value, error) {
 		a, err := arrayArg(s, args[0])
@@ -496,7 +589,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 		if err != nil {
 			return engine.Null, err
 		}
-		return arrayResult(out), nil
+		return s.result(out)
 	})
 
 	// Convert: accept any array, convert to this schema's type and class.

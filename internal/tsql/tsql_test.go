@@ -3,6 +3,7 @@ package tsql
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -566,16 +567,18 @@ func TestItemReadsInPlace(t *testing.T) {
 	}
 }
 
-// TestSubarrayResultColumnMixesClasses: Subarray picks its result's
-// storage class from the result's size (§5.1: a small piece of a max
-// array is a short array), so one batch of results holds VARBINARY rows
-// beside VARBINARY(MAX) rows. The executor's result vector keeps each
-// row's kind, as a row-wise call does.
-func TestSubarrayResultColumnMixesClasses(t *testing.T) {
+// TestSubarrayResultTakesSchemaClass: a max schema's Subarray returns a
+// max array whatever its size, as the paper's varbinary(max)-returning
+// functions do, both over a MAX column (read through its blob ref) and
+// over a payload (the row-wise call), and the two agree byte for byte.
+func TestSubarrayResultTakesSchemaClass(t *testing.T) {
 	db := newDB(t)
 	a, err := core.New(core.Max, core.Float64, 3000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < a.Len(); i++ {
+		a.SetFloatAt(i, float64(i))
 	}
 	s, _ := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
@@ -601,12 +604,69 @@ func TestSubarrayResultColumnMixesClasses(t *testing.T) {
 		want := mustCall(t, db, "FloatArrayMax.Subarray", engine.BinaryMaxValue(a.Bytes()),
 			mustCall(t, db, "IntArray.Vector_1", engine.IntValue(0)),
 			mustCall(t, db, "IntArray.Vector_1", engine.IntValue(n)), engine.IntValue(0))
-		wantKind := engine.ColVarBinary
-		if n > 1000-3 {
-			wantKind = engine.ColVarBinaryMax
+		got := res.Rows[id][0]
+		if got.Kind != engine.ColVarBinaryMax || want.Kind != engine.ColVarBinaryMax || !bytes.Equal(got.B, want.B) {
+			t.Errorf("row %d (n = %d): kind %v, row-wise %v, want VARBINARY(MAX) both, equal bytes", id, n, got.Kind, want.Kind)
+			continue
 		}
-		if got := res.Rows[id][0]; got.Kind != wantKind || want.Kind != wantKind || !bytes.Equal(got.B, want.B) {
-			t.Errorf("row %d (n = %d): kind %v, row-wise %v, want %v", id, n, got.Kind, want.Kind, wantKind)
+		sub, err := core.Wrap(got.B)
+		if err != nil || sub.Class() != core.Max || sub.Len() != int(n) || sub.FloatAt(int(n)-1) != float64(n-1) {
+			t.Errorf("row %d (n = %d): result %v, %v", id, n, sub, err)
 		}
+	}
+}
+
+// TestMaxSchemaResultsPassTheirOwnCheck is the class bug's repro: a
+// small result of a max schema's array function used to come back as a
+// short array, which the same schema's next function then rejected.
+func TestMaxSchemaResultsPassTheirOwnCheck(t *testing.T) {
+	db := newDB(t)
+	a, err := core.New(core.Max, core.Float64, 30, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < a.Len(); i++ {
+		a.SetFloatAt(i, 1)
+	}
+	s, _ := engine.NewSchema(
+		engine.Column{Name: "id", Type: engine.ColInt64},
+		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
+	)
+	tbl, err := db.CreateTable("m", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert([]engine.Value{engine.IntValue(1), engine.BinaryMaxValue(a.Bytes())}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql  string
+		want float64
+	}{
+		{"SELECT FloatArrayMax.Sum(FloatArrayMax.Subarray(a, IntArray.Vector_2(0,0), IntArray.Vector_2(3,10), 0)) FROM m", 30},
+		{"SELECT FloatArrayMax.Sum(FloatArrayMax.Subarray(a, IntArray.Vector_2(0,0), IntArray.Vector_2(30,100), 0)) FROM m", 3000},
+		{"SELECT FloatArrayMax.Length(FloatArrayMax.SumDim(a, 0)) FROM m", 100},
+		{"SELECT FloatArrayMax.Sum(FloatArrayMax.Add(FloatArrayMax.Subarray(a, IntArray.Vector_2(0,0), IntArray.Vector_2(2,2), 0), FloatArrayMax.Matrix_2(1,2,3,4))) FROM m", 14},
+		{"SELECT FloatArrayMax.Sum(FloatArrayMax.Abs(FloatArrayMax.Scale(FloatArrayMax.MaxDim(a, 1), -2))) FROM m", 60},
+	} {
+		res, err := sqlmini.Run(db, c.sql)
+		if err != nil {
+			t.Errorf("%s: %v", c.sql, err)
+			continue
+		}
+		v, err := res.Scalar()
+		if err == nil {
+			var f float64
+			if f, err = v.AsFloat(); err == nil && f != c.want {
+				err = fmt.Errorf("got %g", f)
+			}
+		}
+		if err != nil {
+			t.Errorf("%s: %v; want %g", c.sql, err, c.want)
+		}
+	}
+	// Short schemas keep short results.
+	if v := query1(t, db, "SELECT FloatArray.Rank(FloatArray.SumDim(FloatArray.Matrix_2(1,2,3,4), 0)) FROM dual"); v.I != 1 {
+		t.Errorf("FloatArray.SumDim result rank = %v", v)
 	}
 }
