@@ -20,16 +20,16 @@
 //   - write (write.go) lays a blob out under a codec on pages from a
 //     page sink. Write and WriteFresh are its two sinks; WriteRuns
 //     (free.go) patches an existing blob in place.
-//   - VisitRuns reads: given byte runs of the logical blob it walks the
-//     directory once, fetches each touched chunk once through the
-//     store's pages.Fetcher — the live pool, or a snapshot — and lends
-//     the caller the bytes: a chunk holding one raw block in place off
-//     the page, any other chunk decoded, only the blocks the runs
-//     overlap, into pooled scratch. ReadAt, ReadAll and ReadRuns are
-//     VisitRuns with a copying callback, and a Reader (Open) is the
-//     directory walk kept for several ReadRuns in one call. Nothing a
-//     read pins or decodes outlives the call: a caller that keeps bytes
-//     past its callback copies them.
+//   - Open reads: it walks the directory once, through the store's
+//     pages.Fetcher — the live pool, or a snapshot — and returns a
+//     Reader over the chunk list. Reader.VisitRuns, given byte runs of
+//     the logical blob, fetches each touched chunk once and lends the
+//     caller the bytes: a chunk holding one raw block in place off the
+//     page, any other chunk decoded, only the blocks the runs overlap,
+//     into pooled scratch. Reader.ReadRuns is VisitRuns with a copying
+//     callback, and ReadAll is Open plus ReadRuns of the whole blob.
+//     Nothing a read pins or decodes outlives the call: a caller that
+//     keeps bytes past its callback copies them.
 package blob
 
 import (
@@ -390,10 +390,10 @@ type piece struct {
 	c, lo, n, dstOff int
 }
 
-// Reader is one blob's chunk list, walked once: what a caller that
-// reads the same blob several times in one call holds — an array's
-// header first, then the runs the header implies — so the directory
-// pages are read once, not once per read. A Reader pins nothing; it
+// Reader is one blob's chunk list, walked once: every read of a blob
+// goes through one, so a caller that reads the same blob several times
+// in one call — an array's header first, then the runs the header
+// implies — reads the directory pages once. A Reader pins nothing; it
 // reads through the store it was opened on, and is valid as long as
 // that store's view is (a snapshot's store: until the snapshot is
 // released). It must not outlive the call it was opened for.
@@ -432,25 +432,21 @@ func checkRuns(ref Ref, runs []Run) (int, error) {
 	return total, nil
 }
 
-// VisitRuns is the store's one read primitive: it calls fn with the
-// bytes of every run, as segments of at most one chunk each. dstOff is
-// the run's DstOff plus the segment's progress within the run, so a
-// copying caller writes seg at dst[dstOff:]; segments arrive grouped by
-// chunk, not in run order. Runs with Len <= 0 are skipped.
+// VisitRuns is the one read primitive: it calls fn with the bytes of
+// every run, as segments of at most one chunk each. dstOff is the run's
+// DstOff plus the segment's progress within the run, so a copying
+// caller writes seg at dst[dstOff:]; segments arrive grouped by chunk,
+// not in run order. Runs with Len <= 0 are skipped.
 //
-// One call walks the directory once and fetches every touched chunk
-// exactly once, however many runs land on it. The segments of a chunk
-// holding one raw block alias the pinned page body; any other chunk
-// decodes only the blocks overlapping the union of the ranges its runs
-// need into pooled scratch. Either way seg is valid only until fn
-// returns: no pin and no buffer outlives the call.
-func (s *Store) VisitRuns(ref Ref, runs []Run, fn func(dstOff int, seg []byte)) error {
-	total, err := checkRuns(ref, runs)
+// One call fetches every touched chunk exactly once, however many runs
+// land on it. The segments of a chunk holding one raw block alias the
+// pinned page body; any other chunk decodes only the blocks overlapping
+// the union of the ranges its runs need into pooled scratch. Either way
+// seg is valid only until fn returns: no pin and no buffer outlives the
+// call.
+func (r *Reader) VisitRuns(runs []Run, fn func(dstOff int, seg []byte)) error {
+	total, err := checkRuns(r.ref, runs)
 	if err != nil || total == 0 {
-		return err
-	}
-	r, err := s.Open(ref)
-	if err != nil {
 		return err
 	}
 	return r.visit(runs, total, fn)
@@ -527,19 +523,17 @@ func (s *Store) visitChunk(ci chunkInfo, ps []piece, scr *codecScratch, fn func(
 	return nil
 }
 
-// ReadAt fills dst with blob bytes starting at offset off, touching only
-// the chunk pages the range covers.
-func (s *Store) ReadAt(ref Ref, dst []byte, off int64) error {
-	return s.ReadRuns(ref, dst, []Run{{SrcOff: int(off), Len: len(dst)}})
-}
-
 // ReadAll fetches the entire blob.
 func (s *Store) ReadAll(ref Ref) ([]byte, error) {
 	if ref.IsNull() {
 		return nil, nil
 	}
+	r, err := s.Open(ref)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]byte, ref.Length)
-	if err := s.ReadAt(ref, out, 0); err != nil {
+	if err := r.ReadRuns(out, []Run{{Len: len(out)}}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -548,24 +542,11 @@ func (s *Store) ReadAll(ref Ref) ([]byte, error) {
 // ReadRuns copies a batch of (SrcOff, DstOff, Len) runs into dst — the
 // copying form of VisitRuns. The run list of a subarray comes straight
 // from core.SubarrayPlan, offset by the array header size.
-func (s *Store) ReadRuns(ref Ref, dst []byte, runs []Run) error {
-	if err := checkDst(dst, runs); err != nil {
-		return err
-	}
-	return s.VisitRuns(ref, runs, func(dstOff int, seg []byte) { copy(dst[dstOff:], seg) })
-}
-
-// ReadRuns is Store.ReadRuns over the Reader's chunk list, without
-// walking the directory again.
 func (r *Reader) ReadRuns(dst []byte, runs []Run) error {
 	if err := checkDst(dst, runs); err != nil {
 		return err
 	}
-	total, err := checkRuns(r.ref, runs)
-	if err != nil || total == 0 {
-		return err
-	}
-	return r.visit(runs, total, func(dstOff int, seg []byte) { copy(dst[dstOff:], seg) })
+	return r.VisitRuns(runs, func(dstOff int, seg []byte) { copy(dst[dstOff:], seg) })
 }
 
 // checkDst checks that every run lands inside dst.

@@ -49,8 +49,12 @@ func BenchmarkPartialRead4kOf1MB(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off := int64((i * 37) % (1<<20 - 4096))
-		if err := s.ReadAt(ref, dst, off); err != nil {
+		off := (i * 37) % (1<<20 - 4096)
+		r, err := s.Open(ref)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.ReadRuns(dst, []Run{{SrcOff: off, Len: len(dst)}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +71,11 @@ func BenchmarkReadRunsStencil(b *testing.B) {
 	b.SetBytes(64 * 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.ReadRuns(ref, dst, runs); err != nil {
+		r, err := s.Open(ref)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.ReadRuns(dst, runs); err != nil {
 			b.Fatal(err)
 		}
 	}

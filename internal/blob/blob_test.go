@@ -114,7 +114,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	// Read 100 bytes from the middle of chunk 5.
 	off := int64(5*BlockSize + 123)
 	dst := make([]byte, 100)
-	if err := s.ReadAt(ref, dst, off); err != nil {
+	if err := readAt(s, ref, dst, off); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data[off:off+100]) {
@@ -127,7 +127,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	base = s.Stats()
 	off = int64(3*BlockSize - 50)
 	dst = make([]byte, 100)
-	if err := s.ReadAt(ref, dst, off); err != nil {
+	if err := readAt(s, ref, dst, off); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data[off:off+100]) {
@@ -145,16 +145,16 @@ func TestReadAtBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 10)
-	if err := s.ReadAt(ref, dst, 95); !errors.Is(err, ErrShortRead) {
+	if err := readAt(s, ref, dst, 95); !errors.Is(err, ErrShortRead) {
 		t.Errorf("past-end read: %v", err)
 	}
-	if err := s.ReadAt(ref, dst, -1); !errors.Is(err, ErrShortRead) {
+	if err := readAt(s, ref, dst, -1); !errors.Is(err, ErrShortRead) {
 		t.Errorf("negative offset: %v", err)
 	}
-	if err := s.ReadAt(Ref{}, dst, 0); !errors.Is(err, ErrBadRef) {
+	if err := readAt(s, Ref{}, dst, 0); !errors.Is(err, ErrBadRef) {
 		t.Errorf("null blob read: %v", err)
 	}
-	if err := s.ReadAt(ref, nil, 0); err != nil {
+	if err := readAt(s, ref, nil, 0); err != nil {
 		t.Errorf("zero-length read: %v", err)
 	}
 }
@@ -173,7 +173,7 @@ func TestReadRuns(t *testing.T) {
 		{SrcOff: 3*ChunkSize - 8, DstOff: 192, Len: 16}, // spans boundary
 	}
 	dst := make([]byte, 208)
-	if err := s.ReadRuns(ref, dst, runs); err != nil {
+	if err := readRuns(s, ref, dst, runs); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range runs {
@@ -181,19 +181,19 @@ func TestReadRuns(t *testing.T) {
 			t.Errorf("run %+v mismatch", r)
 		}
 	}
-	if err := s.ReadRuns(ref, dst, []Run{{SrcOff: 4*ChunkSize - 1, DstOff: 0, Len: 10}}); !errors.Is(err, ErrShortRead) {
+	if err := readRuns(s, ref, dst, []Run{{SrcOff: 4*ChunkSize - 1, DstOff: 0, Len: 10}}); !errors.Is(err, ErrShortRead) {
 		t.Errorf("overflowing run: %v", err)
 	}
-	if err := s.ReadRuns(ref, dst, []Run{{SrcOff: 0, DstOff: 200, Len: 10}}); !errors.Is(err, ErrShortRead) {
+	if err := readRuns(s, ref, dst, []Run{{SrcOff: 0, DstOff: 200, Len: 10}}); !errors.Is(err, ErrShortRead) {
 		t.Errorf("run past the end of dst: %v", err)
 	}
-	if err := s.ReadRuns(ref, nil, nil); err != nil {
+	if err := readRuns(s, ref, nil, nil); err != nil {
 		t.Errorf("empty runs: %v", err)
 	}
-	if err := s.ReadRuns(Ref{}, nil, nil); err != nil {
+	if err := readRuns(s, Ref{}, nil, nil); err != nil {
 		t.Errorf("null blob, empty runs: %v", err)
 	}
-	if err := s.ReadRuns(Ref{}, dst, []Run{{Len: 1}}); !errors.Is(err, ErrBadRef) {
+	if err := readRuns(s, Ref{}, dst, []Run{{Len: 1}}); !errors.Is(err, ErrBadRef) {
 		t.Errorf("null blob, one run: %v", err)
 	}
 }
@@ -214,7 +214,7 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 	base := s.Stats()
 	got := make([]byte, 188)
 	segs := map[int]int{} // run DstOff -> segments seen
-	err := s.VisitRuns(ref, runs, func(dstOff int, seg []byte) {
+	err := visitRuns(s, ref, runs, func(dstOff int, seg []byte) {
 		copy(got[dstOff:], seg)
 		for _, r := range runs {
 			if dstOff >= r.DstOff && dstOff < r.DstOff+r.Len {
@@ -240,7 +240,7 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 	if n := bp.PinnedFrames(); n != 0 {
 		t.Errorf("PinnedFrames after VisitRuns = %d", n)
 	}
-	err = s.VisitRuns(ref, []Run{{SrcOff: 4*BlockSize - 4, Len: 8}}, func(int, []byte) {
+	err = visitRuns(s, ref, []Run{{SrcOff: 4*BlockSize - 4, Len: 8}}, func(int, []byte) {
 		t.Error("callback invoked for an out-of-range run")
 	})
 	if !errors.Is(err, ErrShortRead) {
@@ -268,7 +268,7 @@ func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
 		{SrcOff: 7 * BlockSize, DstOff: 64, Len: 64},
 		{SrcOff: 15 * BlockSize, DstOff: 128, Len: 64},
 	}
-	if err := s.ReadRuns(ref, make([]byte, 192), runs); err != nil {
+	if err := readRuns(s, ref, make([]byte, 192), runs); err != nil {
 		t.Fatal(err)
 	}
 	sliced := statsSince(s, base).ChunkReads
@@ -301,7 +301,7 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 	}
 	base := s.Stats()
 	got := make([]byte, 64)
-	if err := s.ReadRuns(ref, got, runs); err != nil {
+	if err := readRuns(s, ref, got, runs); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range runs {
@@ -357,11 +357,11 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 		fn(&f.Page)
 		bp.Unpin(f, true)
 	}
-	read := func() error { return s.ReadAt(ref, make([]byte, 64), 100) }
+	read := func() error { return readAt(s, ref, make([]byte, 64), 100) }
 
 	longer := ref
 	longer.Length++
-	if err := s.ReadAt(longer, make([]byte, 1), ref.Length); !errors.Is(err, ErrBadRef) {
+	if err := readAt(s, longer, make([]byte, 1), ref.Length); !errors.Is(err, ErrBadRef) {
 		t.Errorf("ref longer than its directory: %v", err)
 	}
 	// Block count cut to 2 while the directory still claims the full
@@ -383,13 +383,13 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 		t.Fatalf("chunk 0 holds %d blocks, want > 6", nBlocks)
 	}
 	stale := make([]byte, 64)
-	if err := s.ReadAt(ref, stale, 5*BlockSize); !errors.Is(err, ErrShortRead) {
+	if err := readAt(s, ref, stale, 5*BlockSize); !errors.Is(err, ErrShortRead) {
 		t.Errorf("read past a cut block count: err %v, dst % x", err, stale[:8])
 	}
 	if _, err := s.ReadAll(ref); !errors.Is(err, ErrShortRead) {
 		t.Errorf("ReadAll over a cut block count: %v", err)
 	}
-	if err := s.ReadAt(ref, stale, BlockSize); err != nil || !bytes.Equal(stale, data[BlockSize:BlockSize+64]) {
+	if err := readAt(s, ref, stale, BlockSize); err != nil || !bytes.Equal(stale, data[BlockSize:BlockSize+64]) {
 		t.Errorf("read inside the surviving blocks: %v", err)
 	}
 	mangle(func(p *pages.Page) { binary.LittleEndian.PutUint16(p.Body()[1:], nBlocks) })
@@ -444,7 +444,7 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 		copy(hdr[:], f.Page.Body())
 		used := f.Page.Used()
 		c.fn(&f.Page)
-		err = s.VisitRuns(rawRef, []Run{{SrcOff: BlockSize - 64, Len: 64}}, func(int, []byte) {
+		err = visitRuns(s, rawRef, []Run{{SrcOff: BlockSize - 64, Len: 64}}, func(int, []byte) {
 			t.Errorf("%s: segment lent from a mismatched chunk", c.name)
 		})
 		if !errors.Is(err, c.want) {
@@ -487,7 +487,7 @@ func TestVisitRunsLendsRawBlocksInPlace(t *testing.T) {
 		{SrcOff: 4*BlockSize + 50, DstOff: 4*BlockSize + 50, Len: 50},
 	}
 	segs := 0
-	err = s.VisitRuns(ref, runs, func(off int, seg []byte) {
+	err = visitRuns(s, ref, runs, func(off int, seg []byte) {
 		segs++
 		in := frames[off/BlockSize].Page.Body()[chunkHdrSize+blockHdrSize+off%BlockSize:]
 		if &seg[0] != &in[0] {
@@ -525,7 +525,7 @@ func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
 	// Verify a few scattered offsets rather than the whole blob.
 	for _, off := range []int64{0, int64(idsPerDir)*BlockSize - 1, int64(idsPerDir) * BlockSize, int64(n) - 1} {
 		dst := make([]byte, 1)
-		if err := s.ReadAt(ref, dst, off); err != nil {
+		if err := readAt(s, ref, dst, off); err != nil {
 			t.Fatalf("ReadAt %d: %v", off, err)
 		}
 		if dst[0] != data[off] {
@@ -534,7 +534,7 @@ func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
 	}
 	base := s.Stats()
 	dst := make([]byte, 1)
-	if err := s.ReadAt(ref, dst, int64(n)-1); err != nil {
+	if err := readAt(s, ref, dst, int64(n)-1); err != nil {
 		t.Fatal(err)
 	}
 	if got := statsSince(s, base).DirectoryReads; got != 2 {
@@ -617,4 +617,28 @@ func TestStoredBytesCountEveryChunk(t *testing.T) {
 	if got := s.Stats().StoredBytesRead; got == 0 || got != st.StoredBytesWritten {
 		t.Errorf("StoredBytesRead = %d after a whole read, want %d", got, st.StoredBytesWritten)
 	}
+}
+
+// readAt fills dst with ref's bytes from offset off, through a Reader
+// opened for the one read.
+func readAt(s *Store, ref Ref, dst []byte, off int64) error {
+	return readRuns(s, ref, dst, []Run{{SrcOff: int(off), Len: len(dst)}})
+}
+
+// readRuns is Reader.ReadRuns through a Reader opened for the one read.
+func readRuns(s *Store, ref Ref, dst []byte, runs []Run) error {
+	r, err := s.Open(ref)
+	if err != nil {
+		return err
+	}
+	return r.ReadRuns(dst, runs)
+}
+
+// visitRuns is Reader.VisitRuns through a Reader opened for the one read.
+func visitRuns(s *Store, ref Ref, runs []Run, fn func(dstOff int, seg []byte)) error {
+	r, err := s.Open(ref)
+	if err != nil {
+		return err
+	}
+	return r.VisitRuns(runs, fn)
 }

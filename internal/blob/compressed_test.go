@@ -189,7 +189,7 @@ func TestCompressedReadEquivalence(t *testing.T) {
 		want := data[off : off+n]
 		for name, ref := range refs {
 			dst := make([]byte, n)
-			if err := s.ReadAt(ref, dst, int64(off)); err != nil {
+			if err := readAt(s, ref, dst, int64(off)); err != nil {
 				t.Fatalf("%s ReadAt(%d,%d): %v", name, off, n, err)
 			}
 			if !bytes.Equal(dst, want) {
@@ -217,7 +217,7 @@ func TestCompressedReadEquivalence(t *testing.T) {
 		}
 		for name, ref := range refs {
 			dst := make([]byte, dstOff)
-			if err := s.ReadRuns(ref, dst, runs); err != nil {
+			if err := readRuns(s, ref, dst, runs); err != nil {
 				t.Fatalf("%s ReadRuns: %v", name, err)
 			}
 			if !bytes.Equal(dst, want) {

@@ -117,13 +117,13 @@ func TestWriteRunsTouchesOnlyAffectedChunks(t *testing.T) {
 	}
 	// Verify the patched bytes and one untouched neighbour.
 	got := make([]byte, 100)
-	if err := s.ReadAt(ref, got, int64(3*BlockSize+50)); err != nil {
+	if err := readAt(s, ref, got, int64(3*BlockSize+50)); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xEE || got[99] != 0xEE {
 		t.Fatal("patch did not land")
 	}
-	if err := s.ReadAt(ref, got, 0); err != nil {
+	if err := readAt(s, ref, got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0 {

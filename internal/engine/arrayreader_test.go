@@ -45,7 +45,9 @@ func storeValue(t testing.TB, tbl *Table, key int64, b []byte) []byte {
 // ref form (through a snapshot of the stored blob) and the bytes form
 // decode the header core.Wrap decodes or fail with Wrap's error, read
 // the element core.View.Item reads or fail with the same kind of error,
-// and copy the subarray core.Array.Subarray copies.
+// and copy the subarray core.Array.Subarray copies. Each form is read
+// twice: Header first and then the runs, and, from a freshly bound
+// reader, the header and the runs in one call (Read, Subarray).
 func FuzzArrayReader(f *testing.F) {
 	f.Add(uint8(5), true, uint8(1), int64(1), false, []byte(nil))
 	f.Add(uint8(5), true, uint8(3), int64(2), true, []byte(nil))
@@ -94,7 +96,7 @@ func FuzzArrayReader(f *testing.F) {
 		snap := db.Snapshot()
 		defer snap.Release()
 		var byRef ArrayReader
-		byRef.bind(snap, Value{Kind: ColMaxRef, B: ref})
+		byRef.bind(snap.blobs, Value{Kind: ColMaxRef, B: ref})
 		forms := []struct {
 			name string
 			r    *ArrayReader
@@ -116,21 +118,13 @@ func FuzzArrayReader(f *testing.F) {
 			if h.Class != wh.Class || h.Elem != wh.Elem || !equalInts(h.Dims, wh.Dims) {
 				t.Fatalf("%s form: header %v, want %v", form.name, h.String(), wh.String())
 			}
-			// One element, at an index that is out of range now and then.
-			idx := make([]int, len(dims))
-			for k := range idx {
-				idx[k] = rng.Intn(dims[k]+1) - rng.Intn(2)
-			}
+			idx := randIndex(rng, dims)
 			view, _ := core.ViewOf(b)
 			x, verr := view.Item(idx)
-			ones := make([]int, len(idx))
-			for k := range ones {
-				ones[k] = 1
-			}
-			runs, err := core.SubarrayPlan(h, idx, ones)
+			runs, err := core.SubarrayPlan(h, idx, unitDims(len(idx)))
 			if err == nil {
 				cell, _ := core.New(core.Short, h.Elem)
-				if err = form.r.ReadRuns(cell.Payload(), runs); err != nil {
+				if err = readRuns(form.r, cell.Payload(), runs); err != nil {
 					t.Fatalf("%s form: element read: %v", form.name, err)
 				}
 				if verr != nil || math.Float64bits(cell.FloatAt(0)) != math.Float64bits(x) {
@@ -139,12 +133,7 @@ func FuzzArrayReader(f *testing.F) {
 			} else if !sameKind(err, verr) {
 				t.Fatalf("%s form: element %v error %v, View.Item %v", form.name, idx, err, verr)
 			}
-			// A subarray.
-			off, size := make([]int, len(dims)), make([]int, len(dims))
-			for k := range off {
-				off[k] = rng.Intn(dims[k] + 1)
-				size[k] = 1 + rng.Intn(dims[k])
-			}
+			off, size := randBox(rng, dims)
 			wsub, serr := want.Subarray(off, size, false)
 			runs, err = core.SubarrayPlan(h, off, size)
 			if (err != nil) != (serr != nil) {
@@ -152,7 +141,7 @@ func FuzzArrayReader(f *testing.F) {
 			}
 			if err == nil {
 				got := make([]byte, len(wsub.Payload()))
-				if err := form.r.ReadRuns(got, runs); err != nil {
+				if err := readRuns(form.r, got, runs); err != nil {
 					t.Fatalf("%s form: subarray read: %v", form.name, err)
 				}
 				if !bytes.Equal(got, wsub.Payload()) {
@@ -161,6 +150,49 @@ func FuzzArrayReader(f *testing.F) {
 			}
 		}
 		byRef.release()
+		for _, form := range []string{"ref", "bytes"} {
+			fresh := func() *ArrayReader {
+				if form == "ref" {
+					return tbl.ArrayAt(snap, ref)
+				}
+				return NewArrayReader(BinaryMaxValue(b))
+			}
+			wrapErr := func(what string, err error) {
+				if err == nil || err.Error() != werr.Error() {
+					t.Fatalf("%s form: one-call %s error %v, core.Wrap %v", form, what, err, werr)
+				}
+			}
+			idx := randIndex(rng, dims)
+			var cell *core.Array
+			err := fresh().Read(func(h core.Header) ([]byte, []core.Run, error) {
+				runs, err := core.SubarrayPlan(h, idx, unitDims(len(idx)))
+				if err != nil {
+					return nil, nil, err
+				}
+				cell, _ = core.New(core.Short, h.Elem)
+				return cell.Payload(), runs, nil
+			})
+			if werr != nil {
+				wrapErr("element", err)
+			} else {
+				view, _ := core.ViewOf(b)
+				x, verr := view.Item(idx)
+				if err == nil && (verr != nil || math.Float64bits(cell.FloatAt(0)) != math.Float64bits(x)) ||
+					err != nil && !sameKind(err, verr) {
+					t.Fatalf("%s form: one-call element %v error %v, View.Item %v, %v", form, idx, err, x, verr)
+				}
+			}
+			off, size := randBox(rng, dims)
+			sub, err := fresh().Subarray(off, size, false, nil, core.NewAuto)
+			if werr != nil {
+				wrapErr("subarray", err)
+				continue
+			}
+			wsub, serr := want.Subarray(off, size, false)
+			if (err != nil) != (serr != nil) || err == nil && !bytes.Equal(sub.Bytes(), wsub.Bytes()) {
+				t.Fatalf("%s form: one-call subarray %v+%v error %v, core %v, or bytes differ", form, off, size, err, serr)
+			}
+		}
 		if n := db.Pool().PinnedFrames(); n != 0 {
 			t.Fatalf("%d frames pinned after the reads", n)
 		}
@@ -172,6 +204,41 @@ func FuzzArrayReader(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// readRuns reads runs of r's payload into dst after a Header call, with
+// a plan that ignores the header it is handed.
+func readRuns(r *ArrayReader, dst []byte, runs []core.Run) error {
+	return r.Read(func(core.Header) ([]byte, []core.Run, error) { return dst, runs, nil })
+}
+
+// randIndex draws an index into dims that is out of range now and then.
+func randIndex(rng *rand.Rand, dims []int) []int {
+	idx := make([]int, len(dims))
+	for k := range idx {
+		idx[k] = rng.Intn(dims[k]+1) - rng.Intn(2)
+	}
+	return idx
+}
+
+// randBox draws a subarray's offset and size inside dims, or past its
+// end now and then.
+func randBox(rng *rand.Rand, dims []int) (off, size []int) {
+	off, size = make([]int, len(dims)), make([]int, len(dims))
+	for k := range off {
+		off[k] = rng.Intn(dims[k] + 1)
+		size[k] = 1 + rng.Intn(dims[k])
+	}
+	return off, size
+}
+
+// unitDims is the size of a one-element subarray of a rank-n array.
+func unitDims(n int) []int {
+	ones := make([]int, n)
+	for k := range ones {
+		ones[k] = 1
+	}
+	return ones
 }
 
 func equalInts(a, b []int) bool {

@@ -48,42 +48,50 @@ func codecForBlob(b []byte) blob.Codec {
 // open a snapshot for the one call, exactly like Get and Stats do —
 // so they are only safe for refs no writer can be replacing meanwhile.
 
-// ArrayReader is how an array function (FuncDef.ArrayFn) reads its
-// array argument: the paper's SqlBytes parameter of a max-schema
-// function, a stream that "supports reading only parts of the binary
-// data if the whole array is not required" (§3.3). It has two forms
-// behind one set of methods:
+// ArrayReader is the one way to read part of a stored array: how an
+// array function (FuncDef.ArrayFn) reads its array argument — the
+// paper's SqlBytes parameter of a max-schema function, a stream that
+// "supports reading only parts of the binary data if the whole array is
+// not required" (§3.3) — and how Table.ArrayAt, the stores and a
+// subscript UPDATE read a stored MAX array. It has two forms behind one
+// set of methods:
 //
-//   - ref form: a MAX column passed by the executor as its blob ref,
-//     read through the statement's snapshot. The first Header call walks
-//     the blob directory once and reads the blob's first block; the
-//     header comes from it, and so does every later run that lands in
-//     it. Runs past it are read from that one chunk list, touching only
-//     the chunk pages they overlap.
+//   - ref form: a blob ref, read through one blob store — a snapshot's,
+//     or the live store for the writer's own read. Binding walks the
+//     blob directory once. The header comes from the blob's first
+//     block, lent by its chunk page for the length of one visit and
+//     never copied; a read that needs the header and payload runs (Read
+//     or Subarray before any Header call) plans its runs inside
+//     that same visit and copies what lies in the first block straight
+//     from it. Runs past it are read from the one chunk list, touching
+//     only the chunk pages they overlap.
 //   - bytes form: any other argument (a constructor's result, a
 //     materialized value, a direct Call), read in place.
 //
 // Both forms validate the header as core.Wrap validates a whole array —
-// the same checks, in the same order, with the same errors — so a
-// function computes the same result, or fails the same way, whichever
-// form its argument came in.
+// the same checks, in the same order, with the same errors; a value
+// with bytes past its payload is accepted, as Wrap accepts it — so a
+// reader computes the same result, or fails the same way, whichever form
+// its array came in.
 //
-// A reader is valid for one call only. The boundary binds it to the
-// call's argument before the function runs and releases it after, so it
-// holds no pin, no snapshot and no argument bytes once the call returns.
+// A reader is valid for one call only: an array function's reader is
+// bound to the call's argument before the function runs and released
+// after, so it holds no pin, no snapshot and no argument bytes once the
+// call returns; Table.ArrayAt's is valid while its snapshot is.
 type ArrayReader struct {
 	b    []byte      // bytes form: the serialized array
 	size int         // ref form: the blob's length; 0 in the bytes form
 	br   blob.Reader // ref form: the blob's chunk list
 	err  error       // the argument is not an array value, or its header is bad
 
-	head []byte // ref form: the blob's first block; the buffer outlives the call, its contents do not
-	hdr  core.Header
-	hs   int // header bytes; 0 until Header has succeeded
+	hdr core.Header
+	hs  int // header bytes; 0 until the header has been read
 }
 
-// bind points r at one call's array argument v, read as of s.
-func (r *ArrayReader) bind(s *Snapshot, v Value) {
+// bind points r at one array argument v. A ColMaxRef argument is a blob
+// ref read through bs: a snapshot's store, or the DB's live store for
+// the writer's own read; nil when there is no store to read it through.
+func (r *ArrayReader) bind(bs *blob.Store, v Value) {
 	r.release()
 	if v.Kind != ColMaxRef {
 		r.b, r.err = v.AsBinary()
@@ -93,13 +101,13 @@ func (r *ArrayReader) bind(s *Snapshot, v Value) {
 	switch {
 	case err != nil:
 		r.err = err
-	case s == nil:
+	case bs == nil:
 		r.err = fmt.Errorf("%w: blob ref argument without a snapshot", ErrTypeError)
 	case ref.IsNull():
 		// Materializes to no bytes: the bytes form of nil.
 	default:
 		r.size = int(ref.Length)
-		r.br, r.err = s.blobs.Open(ref)
+		r.br, r.err = bs.Open(ref)
 	}
 }
 
@@ -112,97 +120,173 @@ func NewArrayReader(v Value) *ArrayReader {
 	return r
 }
 
-// release drops everything r was bound to, keeping only its buffer.
-func (r *ArrayReader) release() { *r = ArrayReader{head: r.head[:0]} }
+// ArrayAt returns a reader over the stored MAX array refBytes (the
+// 12-byte ref RowView.Col yields) as of s. It is valid until s is
+// released.
+func (t *Table) ArrayAt(s *Snapshot, refBytes []byte) *ArrayReader {
+	r := new(ArrayReader)
+	r.bind(s.blobs, Value{Kind: ColMaxRef, B: refBytes})
+	return r
+}
+
+// release drops everything r was bound to.
+func (r *ArrayReader) release() { *r = ArrayReader{} }
 
 // Header returns the array's decoded header.
 func (r *ArrayReader) Header() (core.Header, error) {
 	if r.hs == 0 && r.err == nil {
-		r.err = r.readHeader()
+		r.err = r.visitHead(nil)
 	}
 	return r.hdr, r.err
 }
 
-// readHeader decodes and validates the header, exactly as core.Wrap
-// would over the whole array.
-func (r *ArrayReader) readHeader() error {
-	head, n := r.b, len(r.b)
-	if r.size > 0 {
-		n = r.size
-		span := min(n, blob.BlockSize)
-		if cap(r.head) < span {
-			r.head = make([]byte, span)
+// visitHead decodes and validates the header, exactly as core.Wrap would
+// over the whole array, from the array's first bytes, and then calls fn
+// (when not nil) with them: the whole value in the bytes form; in the
+// ref form the blob's first block, lent for the length of the visit. A
+// header longer than the first block (rank above ~2000) is read whole
+// instead, and fn gets that copy, which holds no payload bytes. A header
+// or read error is kept in r.err; fn's error is only returned.
+func (r *ArrayReader) visitHead(fn func(first []byte) error) error {
+	if r.size == 0 {
+		return r.visitFirst(r.b, fn)
+	}
+	var ferr error
+	long := 0 // the header's size, when it runs past the lent block
+	err := r.br.VisitRuns([]blob.Run{{Len: min(r.size, blob.BlockSize)}}, func(dstOff int, first []byte) {
+		if dstOff != 0 {
+			return // a first block split across chunks: Read fetches the rest
 		}
-		r.head = r.head[:span]
-		if err := r.br.ReadRuns(r.head, []blob.Run{{Len: span}}); err != nil {
-			return err
+		if hs, err := core.HeaderSizeFromPrefix(first); err == nil && hs > len(first) {
+			long = hs
+			return
 		}
-		head = r.head
-		// A header past the first block (rank above ~2000) is read
-		// whole; DecodeHeader sees the same bytes it would in place.
-		if hs, err := core.HeaderSizeFromPrefix(head); err == nil && hs > span {
-			head = make([]byte, min(hs, n))
-			if err := r.br.ReadRuns(head, []blob.Run{{Len: len(head)}}); err != nil {
-				return err
-			}
+		ferr = r.visitFirst(first, fn)
+	})
+	if err == nil && long > 0 {
+		// DecodeHeader sees the bytes it would see in place.
+		first := make([]byte, min(long, r.size))
+		if err = r.br.ReadRuns(first, []blob.Run{{Len: len(first)}}); err == nil {
+			ferr = r.visitFirst(first, fn)
 		}
 	}
-	h, hs, err := core.DecodeHeader(head)
 	if err != nil {
+		r.err = err
 		return err
 	}
-	if data := h.DataBytes(); n-hs < data {
-		return fmt.Errorf("%w: need %d payload bytes, have %d", core.ErrTruncated, data, n-hs)
-	}
-	r.hdr, r.hs = h, hs
-	return nil
+	return ferr
 }
 
-// ReadRuns copies runs of the array's payload into dst. Offsets are
-// relative to the payload, as core.SubarrayPlan computes them against
-// Header. The ref form serves what lies in the blob's first block from
-// the copy Header kept and reads the rest in one pass over the chunks it
-// touches.
-func (r *ArrayReader) ReadRuns(dst []byte, runs []core.Run) error {
-	h, err := r.Header()
+// visitFirst decodes the header at the front of first and, if it is
+// valid and fn is not nil, calls fn(first).
+func (r *ArrayReader) visitFirst(first []byte, fn func(first []byte) error) error {
+	n := len(r.b)
+	if r.size > 0 {
+		n = r.size
+	}
+	h, hs, err := core.DecodeHeader(first)
+	if err == nil && n-hs < h.DataBytes() {
+		err = fmt.Errorf("%w: need %d payload bytes, have %d", core.ErrTruncated, h.DataBytes(), n-hs)
+	}
 	if err != nil {
+		r.err = err
 		return err
 	}
-	data := h.DataBytes()
-	for _, run := range runs {
-		if run.Len > 0 && (run.SrcOff < 0 || run.SrcOff+run.Len > data || run.DstOff < 0 || run.DstOff+run.Len > len(dst)) {
-			return fmt.Errorf("%w: run [%d,%d) -> [%d,%d) of a %d-byte payload into %d bytes",
-				blob.ErrShortRead, run.SrcOff, run.SrcOff+run.Len, run.DstOff, run.DstOff+run.Len, data, len(dst))
-		}
+	r.hdr, r.hs = h, hs
+	if fn == nil {
+		return nil
 	}
-	if r.size == 0 {
-		payload := r.b[r.hs:]
+	return fn(first)
+}
+
+// Read reads part of the array's payload: plan, given the header,
+// returns the destination and the runs to copy into it, with offsets
+// relative to the payload as core.SubarrayPlan computes them against the
+// header; a plan error is Read's error. When the header has not been read
+// yet, the ref form runs plan inside the visit that reads the header and
+// copies the parts of the runs that lie in the blob's first block
+// straight from it, so a read that stays in that block fetches one chunk
+// page. The rest is read in one pass over the chunks it touches.
+func (r *ArrayReader) Read(plan func(h core.Header) (dst []byte, runs []core.Run, err error)) error {
+	var (
+		dst    []byte
+		runs   []core.Run
+		served int // array bytes at the front that read copied
+	)
+	read := func(first []byte) (err error) {
+		if dst, runs, err = plan(r.hdr); err != nil {
+			return err
+		}
+		data := r.hdr.DataBytes()
 		for _, run := range runs {
-			if run.Len > 0 {
-				copy(dst[run.DstOff:run.DstOff+run.Len], payload[run.SrcOff:])
+			if run.Len > 0 && (run.SrcOff < 0 || run.SrcOff+run.Len > data || run.DstOff < 0 || run.DstOff+run.Len > len(dst)) {
+				return fmt.Errorf("%w: run [%d,%d) -> [%d,%d) of a %d-byte payload into %d bytes",
+					blob.ErrShortRead, run.SrcOff, run.SrcOff+run.Len, run.DstOff, run.DstOff+run.Len, data, len(dst))
 			}
 		}
+		for _, run := range runs {
+			if src := r.hs + run.SrcOff; run.Len > 0 && src < len(first) {
+				copy(dst[run.DstOff:run.DstOff+run.Len], first[src:])
+			}
+		}
+		served = len(first)
 		return nil
+	}
+	var err error
+	switch {
+	case r.err != nil:
+		return r.err
+	case r.hs == 0:
+		err = r.visitHead(read)
+	default:
+		err = read(r.b) // nil in the ref form: nothing served
+	}
+	if err != nil {
+		return err
 	}
 	var rest []blob.Run
 	for _, run := range runs {
-		if run.Len <= 0 {
-			continue
-		}
-		src, dstOff, n := run.SrcOff+r.hs, run.DstOff, run.Len
-		if src < len(r.head) {
-			k := min(n, len(r.head)-src)
-			copy(dst[dstOff:dstOff+k], r.head[src:])
-			src, dstOff, n = src+k, dstOff+k, n-k
-		}
-		if n > 0 {
-			rest = append(rest, blob.Run{SrcOff: src, DstOff: dstOff, Len: n})
+		src, end := r.hs+run.SrcOff, r.hs+run.SrcOff+run.Len
+		if from := max(src, served); from < end {
+			rest = append(rest, blob.Run{SrcOff: from, DstOff: run.DstOff + from - src, Len: end - from})
 		}
 	}
 	if len(rest) == 0 {
 		return nil
 	}
 	return r.br.ReadRuns(dst, rest)
+}
+
+// Subarray reads the subarray at offset of the given size (the
+// arguments of core.Array.Subarray; collapse drops unit dimensions) into
+// a fresh array, in one Read: vet, when not nil, checks the header first
+// (a schema's §3.5 check), then core.SubarrayPlan plans the runs and
+// alloc makes the result from the element type and the result's dims.
+func (r *ArrayReader) Subarray(offset, size []int, collapse bool, vet func(core.Header) error, alloc func(core.ElemType, ...int) (*core.Array, error)) (*core.Array, error) {
+	var out *core.Array
+	err := r.Read(func(h core.Header) ([]byte, []core.Run, error) {
+		if vet != nil {
+			if err := vet(h); err != nil {
+				return nil, nil, err
+			}
+		}
+		runs, err := core.SubarrayPlan(h, offset, size)
+		if err != nil {
+			return nil, nil, err
+		}
+		dims := size
+		if collapse {
+			dims = core.CollapseDims(size)
+		}
+		if out, err = alloc(h.Elem, dims...); err != nil {
+			return nil, nil, err
+		}
+		return out.Payload(), runs, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ResolveMaxAt materializes a VARBINARY(MAX) column value (the 12-byte
@@ -219,116 +303,42 @@ func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte) ([]byte, error) {
 
 // VisitBlobRunsAt lends fn the bytes of the given byte runs of a stored
 // MAX value (header offset already applied) in place, as of s — see
-// blob.Store.VisitRuns for the segment contract. This is how a
-// consumer that decodes straight off the chunk pages reads a subarray
-// without a staging copy.
+// blob.Reader.VisitRuns for the segment contract. This is how a
+// consumer that knows the array's header without reading it (the
+// turbulence store's fixed cube shape) decodes a subarray straight off
+// the chunk pages, without a staging copy.
 func (t *Table) VisitBlobRunsAt(s *Snapshot, refBytes []byte, runs []blob.Run, fn func(dstOff int, seg []byte)) error {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		return err
 	}
-	return s.blobs.VisitRuns(ref, runs, fn)
-}
-
-// BlobHeaderAt decodes just the array header of a stored MAX array as
-// of s, touching only the blob's first chunk page (one short partial
-// read for headers up to rank 6; a second for higher-rank dimension
-// lists).
-func (t *Table) BlobHeaderAt(s *Snapshot, refBytes []byte) (core.Header, int, error) {
-	ref, err := blob.DecodeRef(refBytes)
+	r, err := s.blobs.Open(ref)
 	if err != nil {
-		return core.Header{}, 0, err
+		return err
 	}
-	return blobHeader(s.blobs, ref)
+	return r.VisitRuns(runs, fn)
 }
 
-// BlobHeader is BlobHeaderAt on the latest committed state.
+// BlobHeader decodes the array header of a stored MAX array and returns
+// it with its encoded size, as of the latest committed state.
 func (t *Table) BlobHeader(refBytes []byte) (core.Header, int, error) {
 	s := t.db.Snapshot()
 	defer s.Release()
-	return t.BlobHeaderAt(s, refBytes)
+	r := t.ArrayAt(s, refBytes)
+	h, err := r.Header()
+	return h, r.hs, err
 }
 
-// blobHeader reads and decodes the array header of ref through bs — a
-// snapshot's store for readers, the live store for the writer's own
-// read under the write latch (UpdateBlobSubarrayTx).
-func blobHeader(bs *blob.Store, ref blob.Ref) (core.Header, int, error) {
-	if ref.IsNull() {
-		return core.Header{}, 0, fmt.Errorf("%w: null blob", blob.ErrBadRef)
-	}
-	// One prefix read covers short headers (24 bytes) and max headers up
-	// to rank 6 (16 + 4*6 = 40); only higher-rank max arrays need the
-	// second read.
-	prefixLen := int64(core.MaxFixedHeaderSize + 4*core.MaxShortRank)
-	if prefixLen > ref.Length {
-		prefixLen = ref.Length
-	}
-	buf := make([]byte, prefixLen)
-	if err := bs.ReadAt(ref, buf, 0); err != nil {
-		return core.Header{}, 0, err
-	}
-	hs, err := core.HeaderSizeFromPrefix(buf)
-	if err != nil {
-		return core.Header{}, 0, err
-	}
-	if int64(hs) > ref.Length {
-		return core.Header{}, 0, fmt.Errorf("%w: header of %d bytes exceeds blob of %d",
-			blob.ErrBadRef, hs, ref.Length)
-	}
-	if hs > len(buf) {
-		buf = make([]byte, hs)
-		if err := bs.ReadAt(ref, buf, 0); err != nil {
-			return core.Header{}, 0, err
-		}
-	}
-	h, n, err := core.DecodeHeader(buf)
-	if err != nil {
-		return core.Header{}, 0, err
-	}
-	if int64(h.TotalBytes()) != ref.Length {
-		return core.Header{}, 0, fmt.Errorf("%w: header declares %d bytes, blob holds %d",
-			blob.ErrBadRef, h.TotalBytes(), ref.Length)
-	}
-	return h, n, nil
-}
-
-// BlobSubarrayAt extracts a subarray of a stored MAX array as of s,
-// reading only the header and the chunk pages the subarray's runs touch
-// — the full I/O pushdown of the paper's Subarray-on-max-array case.
-// offset and size follow core.Array.Subarray; collapse drops unit
-// dimensions. The result is a fresh, caller-owned array.
-func (t *Table) BlobSubarrayAt(s *Snapshot, refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	h, hs, err := blobHeader(s.blobs, ref)
-	if err != nil {
-		return nil, err
-	}
-	runs, err := core.SubarrayPlan(h, offset, size)
-	if err != nil {
-		return nil, err
-	}
-	dims := append([]int(nil), size...)
-	if collapse {
-		dims = core.CollapseDims(dims)
-	}
-	out, err := core.NewAuto(h.Elem, dims...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.blobs.ReadRuns(ref, out.Payload(), blobRuns(runs, hs)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BlobSubarray is BlobSubarrayAt on the latest committed state.
+// BlobSubarray extracts a subarray of a stored MAX array as of the
+// latest committed state, reading only the chunk pages the header and
+// the subarray's runs touch — the full I/O pushdown of the paper's
+// Subarray-on-max-array case. offset, size and collapse follow
+// core.Array.Subarray, and so does the result's class; the result is a
+// fresh, caller-owned array.
 func (t *Table) BlobSubarray(refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
 	s := t.db.Snapshot()
 	defer s.Release()
-	return t.BlobSubarrayAt(s, refBytes, offset, size, collapse)
+	return t.ArrayAt(s, refBytes).Subarray(offset, size, collapse, nil, core.NewAuto)
 }
 
 // blobRuns turns a subarray plan over an array payload into byte runs

@@ -292,7 +292,9 @@ func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []
 	}
 	// The writer reads its own pending pages: the live store, not a
 	// snapshot.
-	h, hs, err := blobHeader(t.db.blobs, ref)
+	var r ArrayReader
+	r.bind(t.db.blobs, Value{Kind: ColMaxRef, B: v.B})
+	h, err := r.Header()
 	if err != nil {
 		return err
 	}
@@ -312,7 +314,7 @@ func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []
 		return fmt.Errorf("%w: subarray of %v needs %d bytes, value has %d",
 			ErrTypeError, size, need, len(src.Payload()))
 	}
-	return t.db.blobs.WriteRuns(ref, src.Payload(), blobRuns(runs, hs))
+	return t.db.blobs.WriteRuns(ref, src.Payload(), blobRuns(runs, r.hs))
 }
 
 // decodeAll decodes every column of a raw row image. The returned

@@ -107,7 +107,7 @@ type boundary struct {
 	buf    []byte
 	res    []byte
 	hosted []Value
-	snap   *Snapshot   // the read view ref arguments resolve in; set for one CallBatch
+	blobs  *blob.Store // the store ref arguments read through (a snapshot's); set for one CallBatch
 	rd     ArrayReader // an array function's reader, bound for one dispatch
 }
 
@@ -209,7 +209,7 @@ func (b *boundary) dispatch(def *FuncDef, nargs int, frames []byte, res *Value) 
 	}
 	var out Value
 	if def.ArrayFn != nil {
-		b.rd.bind(b.snap, b.hosted[0])
+		b.rd.bind(b.blobs, b.hosted[0])
 		out, err = def.ArrayFn(&b.rd, b.hosted)
 		b.rd.release()
 	} else {
@@ -276,7 +276,9 @@ func (r *FuncRegistry) CallBatch(s *Snapshot, def *FuncDef, args []*Vector, n in
 		return err
 	}
 	b := boundaryPool.Get().(*boundary)
-	b.snap = s
+	if s != nil {
+		b.blobs = s.blobs
+	}
 	out.Reset(0, n)
 	var (
 		called, total int
@@ -306,7 +308,7 @@ func (r *FuncRegistry) CallBatch(s *Snapshot, def *FuncDef, args []*Vector, n in
 	}
 	r.calls.Add(uint64(called))
 	r.bytesMarshaled.Add(uint64(total))
-	b.snap = nil // a pooled boundary must not keep the database reachable
+	b.blobs = nil // a pooled boundary must not keep the database reachable
 	boundaryPool.Put(b)
 	return err
 }

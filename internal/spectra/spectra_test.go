@@ -474,6 +474,10 @@ func TestStoreRoundtrip(t *testing.T) {
 // TestGetSliceMatchesGetAndReadsFewerChunks checks the ranged read: a
 // narrow wavelength window must reproduce Get's samples exactly while
 // touching fewer blob chunk pages than materializing the full spectrum.
+// One GetSlice walks each column's blob directory once (four directory
+// pages), and a window inside the columns' first blocks fetches one
+// chunk page per column: the page that holds the array header holds the
+// samples too.
 func TestGetSliceMatchesGetAndReadsFewerChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db := engine.NewMemDB()
@@ -501,12 +505,16 @@ func TestGetSliceMatchesGetAndReadsFewerChunks(t *testing.T) {
 	fullChunks := db.Blobs().Stats().ChunkReads - start
 
 	const lo, hi = 1500, 1600
-	start = db.Blobs().Stats().ChunkReads
+	before := db.Blobs().Stats()
 	sl, err := st.GetSlice(7, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliceChunks := db.Blobs().Stats().ChunkReads - start
+	after := db.Blobs().Stats()
+	sliceChunks := after.ChunkReads - before.ChunkReads
+	if dirs := after.DirectoryReads - before.DirectoryReads; dirs != 4 {
+		t.Errorf("GetSlice read %d directory pages, want 4 (one per column)", dirs)
+	}
 	if len(sl.Wave) != hi-lo {
 		t.Fatalf("slice length = %d", len(sl.Wave))
 	}
@@ -519,6 +527,22 @@ func TestGetSliceMatchesGetAndReadsFewerChunks(t *testing.T) {
 	if sliceChunks >= fullChunks {
 		t.Errorf("GetSlice touched %d chunks, Get touched %d — pushdown not effective",
 			sliceChunks, fullChunks)
+	}
+	// Bins [100, 200) lie in every column's first 8064-byte block.
+	before = db.Blobs().Stats()
+	head, err := st.GetSlice(7, 100, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after = db.Blobs().Stats()
+	if chunks, dirs := after.ChunkReads-before.ChunkReads, after.DirectoryReads-before.DirectoryReads; chunks != 4 || dirs != 4 {
+		t.Errorf("GetSlice inside the first blocks read %d chunk and %d directory pages, want 4 and 4", chunks, dirs)
+	}
+	for i := range head.Flux {
+		if head.Wave[i] != full.Wave[100+i] || head.Flux[i] != full.Flux[100+i] ||
+			head.Err[i] != full.Err[100+i] || head.Flags[i] != full.Flags[100+i] {
+			t.Fatalf("bin %d of the first-block slice mismatch", 100+i)
+		}
 	}
 	if got := db.Pool().PinnedFrames(); got != 0 {
 		t.Errorf("PinnedFrames = %d", got)

@@ -135,7 +135,7 @@ func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 	s := &Spectrum{ID: id, Z: row[1].F}
 	offset, size := []int{lo}, []int{hi - lo}
 	for i, dst := range []*[]float64{&s.Wave, &s.Flux, &s.Err} {
-		arr, err := st.table.BlobSubarrayAt(snap, row[2+i].B, offset, size, false)
+		arr, err := st.table.ArrayAt(snap, row[2+i].B).Subarray(offset, size, false, nil, core.NewAuto)
 		if err != nil {
 			return nil, fmt.Errorf("spectra: slicing column %d: %w", 2+i, err)
 		}
@@ -144,7 +144,7 @@ func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 		}
 		*dst = arr.Float64s()
 	}
-	flags, err := st.table.BlobSubarrayAt(snap, row[5].B, offset, size, false)
+	flags, err := st.table.ArrayAt(snap, row[5].B).Subarray(offset, size, false, nil, core.NewAuto)
 	if err != nil {
 		return nil, fmt.Errorf("spectra: slicing flags: %w", err)
 	}

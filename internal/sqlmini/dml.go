@@ -515,7 +515,7 @@ func (u *rowUpdate) subAssign(tbl *engine.Table, snap *engine.Snapshot, col int,
 		return fmt.Errorf("%w: subscript assignment to NULL column %q", engine.ErrNullValue, column.Name)
 	}
 	if column.Type == engine.ColVarBinaryMax {
-		h, _, err := tbl.BlobHeaderAt(snap, cur.B)
+		h, err := tbl.ArrayAt(snap, cur.B).Header()
 		if err != nil {
 			return err
 		}

@@ -129,7 +129,16 @@ func (s schemaInfo) readerHeader(r *engine.ArrayReader) (core.Header, error) {
 	if err != nil {
 		return core.Header{}, err
 	}
-	return h, s.check(h.Elem, h.Class)
+	return h, s.checkHeader(h)
+}
+
+// checkHeader is check over a header: the §3.5 check a read through an
+// ArrayReader runs inside its plan, before it reads any payload.
+func (s schemaInfo) checkHeader(h core.Header) error { return s.check(h.Elem, h.Class) }
+
+// newArray allocates an array of the schema's class.
+func (s schemaInfo) newArray(elem core.ElemType, dims ...int) (*core.Array, error) {
+	return core.New(s.class, elem, dims...)
 }
 
 // unitSize is the size vector of a one-element subarray.
@@ -217,27 +226,30 @@ func intArgs(args []engine.Value, buf []int) ([]int, error) {
 }
 
 // readItem is a max schema's Item_N: the header, then the one element,
-// read through r — the chunk holding the header and the chunk holding
-// the element when r reads a MAX column.
+// read through r in one Read — when r reads a MAX column, the chunk
+// holding the header, and the chunk holding the element if it lies past
+// the first block.
 func (s schemaInfo) readItem(r *engine.ArrayReader, args []engine.Value) (engine.Value, error) {
-	h, err := s.readerHeader(r)
+	var cell *core.Array
+	err := r.Read(func(h core.Header) ([]byte, []core.Run, error) {
+		if err := s.checkHeader(h); err != nil {
+			return nil, nil, err
+		}
+		var buf [maxIndexArgs]int
+		idx, err := intArgs(args[1:], buf[:])
+		if err != nil {
+			return nil, nil, err
+		}
+		runs, err := core.SubarrayPlan(h, idx, unitSize[:len(idx)])
+		if err != nil {
+			return nil, nil, err
+		}
+		if cell, err = core.New(core.Short, h.Elem); err != nil { // rank 0: one element
+			return nil, nil, err
+		}
+		return cell.Payload(), runs, nil
+	})
 	if err != nil {
-		return engine.Null, err
-	}
-	var buf [maxIndexArgs]int
-	idx, err := intArgs(args[1:], buf[:])
-	if err != nil {
-		return engine.Null, err
-	}
-	runs, err := core.SubarrayPlan(h, idx, unitSize[:len(idx)])
-	if err != nil {
-		return engine.Null, err
-	}
-	cell, err := core.New(core.Short, h.Elem) // rank 0: one element
-	if err != nil {
-		return engine.Null, err
-	}
-	if err := r.ReadRuns(cell.Payload(), runs); err != nil {
 		return engine.Null, err
 	}
 	if s.elem.IsInteger() {
@@ -355,10 +367,6 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 	// Subarray(a, offsetVec, sizeVec, collapse): reads only the runs the
 	// subarray covers.
 	s.registerReader(reg, name("Subarray"), 4, func(r *engine.ArrayReader, args []engine.Value) (engine.Value, error) {
-		h, err := s.readerHeader(r)
-		if err != nil {
-			return engine.Null, err
-		}
 		offset, err := intVectorArg(args[1])
 		if err != nil {
 			return engine.Null, err
@@ -371,18 +379,8 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 		if err != nil {
 			return engine.Null, err
 		}
-		runs, err := core.SubarrayPlan(h, offset, size)
+		sub, err := r.Subarray(offset, size, collapse != 0, s.checkHeader, s.newArray)
 		if err != nil {
-			return engine.Null, err
-		}
-		if collapse != 0 {
-			size = core.CollapseDims(size)
-		}
-		sub, err := core.New(s.class, h.Elem, size...)
-		if err != nil {
-			return engine.Null, err
-		}
-		if err := r.ReadRuns(sub.Payload(), runs); err != nil {
 			return engine.Null, err
 		}
 		return arrayResult(sub), nil

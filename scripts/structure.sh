@@ -41,6 +41,13 @@ names=(
 	# instead of keeping its own copy.
 	'lagrangeInto'
 	'axisWeightsFor'
+	# One reader for stored arrays: engine.ArrayReader reads every
+	# header and subarray, and the blob store reads through Open.
+	'blobHeader('
+	'BlobHeaderAt('
+	'BlobSubarrayAt('
+	'Store) ReadAt('
+	'Store) ReadRuns('
 )
 src=()
 while IFS= read -r f; do
