@@ -27,7 +27,7 @@ import (
 // ---- E7: aggregate assembly, UDA protocol vs direct ----------------------
 
 func BenchmarkConcatUDAvsDirect(b *testing.B) {
-	db := NewDatabase()
+	db := memDatabase(b)
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "x", Type: engine.ColFloat64},
@@ -137,7 +137,7 @@ func BenchmarkFFTViaArray(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db := NewDatabase()
+	db := memDatabase(b)
 	def, err := db.Funcs().Lookup("floatarraymax.fftforward")
 	if err != nil {
 		b.Fatal(err)
@@ -180,7 +180,7 @@ func BenchmarkSVDViaArray(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db := NewDatabase()
+	db := memDatabase(b)
 	def, err := db.Funcs().Lookup("floatarraymax.svdvalues")
 	if err != nil {
 		b.Fatal(err)

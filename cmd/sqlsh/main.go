@@ -1,19 +1,32 @@
 // Command sqlsh is an interactive shell for the sqlarray dialect: it
-// creates a database with the full T-SQL array surface registered, a
-// demo table, and executes one SELECT per line. Array-subscript sugar
-// (§8) is enabled with the \col meta command.
+// opens a database with the full T-SQL array surface registered and a
+// demo table, and executes one statement per line. Array-subscript
+// sugar (§8) is enabled with the \col meta command.
 //
 //	go run ./cmd/sqlsh
 //	sql> SELECT FloatArray.Sum(FloatArray.Vector_3(1,2,3)) FROM dual
 //	sql> \col v FloatArray
 //	sql> SELECT v[0], v[1:3] FROM demo WHERE id < 3
+//
+// By default the database lives in memory, logged to an in-memory WAL,
+// and is gone when the shell exits. With -dir PATH the shell opens or
+// creates a durable database in PATH: the data file PATH/data.db and
+// the write-ahead log's segment files in PATH/wal. Every acknowledged
+// statement survives a crash; the next start recovers it and keeps the
+// demo table it already has. Only one process may open a directory at
+// a time, and nothing checks this.
+//
+//	go run ./cmd/sqlsh -dir /var/lib/sqlarray
 package main
 
 import (
 	"bufio"
+	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -21,15 +34,25 @@ import (
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 	"sqlarray/internal/obs"
+	"sqlarray/internal/pages"
 	"sqlarray/internal/partition"
 	"sqlarray/internal/sqlmini"
+	"sqlarray/internal/wal"
 )
 
 func main() {
-	// The shell runs over an in-memory disk with an in-memory WAL, so
-	// DML is logged exactly as a file-backed database would log it and
-	// .stats/.checkpoint show the real durability traffic.
-	db := sqlarray.NewDatabaseWith(sqlarray.Options{WAL: sqlarray.NewMemWAL()})
+	dir := flag.String("dir", "", "open or create a durable database in this directory (data.db and wal/); without it the database lives in memory")
+	flag.Parse()
+	db, closeDB, err := openDatabase(*dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sqlsh:", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := closeDB(); err != nil {
+			fmt.Fprintln(os.Stderr, "sqlsh:", err)
+		}
+	}()
 	if err := createDemoTable(db); err != nil {
 		fmt.Fprintln(os.Stderr, "sqlsh:", err)
 		os.Exit(1)
@@ -51,6 +74,11 @@ range-partitioned demo table queried scatter-gather; .serve-metrics <addr>
 exposes /metrics (Prometheus) and /debug/vars (JSON) over HTTP; \q quits.
 A table "demo"(id BIGINT, v VARBINARY short float 5-vector) is preloaded
 with 10 rows.`)
+	if *dir == "" {
+		fmt.Println("database: in memory, gone on exit (-dir PATH keeps it)")
+	} else {
+		fmt.Println("database: durable in", *dir)
+	}
 	sc := bufio.NewScanner(os.Stdin)
 	var last obs.Snapshot
 	for {
@@ -318,6 +346,42 @@ func loadCSV(db *sqlarray.Database, table, path string) (sqlarray.BulkStats, err
 	return db.CopyCSV(table, bufio.NewReader(f), sqlarray.CSVOptions{}, sqlarray.BulkOptions{})
 }
 
+// openDatabase opens the shell's database. Without a directory it is an
+// in-memory disk with an in-memory WAL, so DML is logged exactly as a
+// durable database logs it and .stats/.checkpoint show the real
+// durability traffic. With one, it is the file disk dir/data.db and a
+// log of segment files in dir/wal, recovered on open. The returned
+// function closes the log (syncing it) and the disk.
+func openDatabase(dir string) (*sqlarray.Database, func() error, error) {
+	var disk pages.DiskManager = pages.NewMemDisk()
+	var st wal.Storage = wal.NewMemStorage()
+	if dir != "" {
+		ds, err := wal.NewDirStorage(filepath.Join(dir, "wal")) // creates dir too
+		if err != nil {
+			return nil, nil, err
+		}
+		fd, err := pages.OpenFileDisk(filepath.Join(dir, "data.db"))
+		if err != nil {
+			return nil, nil, err
+		}
+		disk, st = fd, ds
+	}
+	l, err := wal.Open(st, wal.Options{})
+	if err != nil {
+		_ = disk.Close() // the open error is the one to report
+		return nil, nil, err
+	}
+	closeDB := func() error { return errors.Join(l.Close(), disk.Close()) }
+	db, err := sqlarray.OpenDatabase(sqlarray.Options{Disk: disk, WAL: l})
+	if err != nil {
+		_ = closeDB()
+		return nil, nil, err
+	}
+	return db, closeDB, nil
+}
+
+// createDemoTable creates and fills the demo table in one write
+// session; a database reopened from a directory already has it.
 func createDemoTable(db *sqlarray.Database) error {
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
@@ -326,20 +390,22 @@ func createDemoTable(db *sqlarray.Database) error {
 	if err != nil {
 		return err
 	}
-	tbl, err := db.CreateTable("demo", s)
+	tx, err := db.Begin()
 	if err != nil {
 		return err
 	}
-	for i := 0; i < 10; i++ {
+	tbl, err := db.CreateTableTx(tx, "demo", s)
+	for i := 0; err == nil && i < 10; i++ {
 		x := float64(i)
 		a := sqlarray.Vector(x, 10*x, 100*x, x*x, 1)
-		if err := tbl.Insert([]engine.Value{
+		err = tbl.InsertTx(tx, []engine.Value{
 			engine.IntValue(int64(i)), engine.BinaryValue(a.Bytes()),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	if err = tx.Close(err); errors.Is(err, engine.ErrTableExists) {
+		return nil
+	}
+	return err
 }
 
 // printResult prints a materialized result (the scatter-gather path).

@@ -33,7 +33,10 @@ func main() {
 	snap2 := nbody.Evolve(snap1, 0.004)
 
 	// Storage: buckets vs row-per-particle.
-	db := engine.NewDB(engine.Options{PoolPages: 32768})
+	db, err := engine.Open(engine.Options{PoolPages: 32768})
+	if err != nil {
+		log.Fatal(err)
+	}
 	buckets, err := nbody.CreateBucketStore(db, "buckets", snap0, 2000)
 	if err != nil {
 		log.Fatal(err)

@@ -67,7 +67,10 @@ func main() {
 	fmt.Printf("blob roundtrip: %d bytes, equal=%v\n", len(blob), a.Equal(back))
 
 	// --- SQL on top ---------------------------------------------------------
-	db := sqlarray.NewDatabase()
+	db, err := sqlarray.OpenDatabase(sqlarray.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	sum, err := db.QueryScalarFloat(
 		"SELECT FloatArray.Sum(FloatArray.Vector_4(1, 2, 3, 4)) FROM dual")
 	if err != nil {

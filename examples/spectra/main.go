@@ -19,7 +19,10 @@ import (
 
 func main() {
 	rng := rand.New(rand.NewSource(11))
-	db := engine.NewMemDB()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	store, err := spectra.CreateStore(db, "spectra")
 	if err != nil {
 		log.Fatal(err)

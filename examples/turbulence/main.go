@@ -39,7 +39,10 @@ func main() {
 
 	fmt.Printf("%-8s %-8s %-10s %-14s %-14s\n", "cube", "ghost", "blob kB", "mode", "bytes/point")
 	for _, cube := range []int{8, 16, 32} {
-		db := engine.NewDB(engine.Options{PoolPages: 16384})
+		db, err := engine.Open(engine.Options{PoolPages: 16384})
+		if err != nil {
+			log.Fatal(err)
+		}
 		store, err := turbulence.CreateStore(db, "turb", field, cube, 4)
 		if err != nil {
 			log.Fatal(err)
@@ -59,7 +62,10 @@ func main() {
 	}
 
 	// Interpolation scheme comparison at fixed storage.
-	db := engine.NewDB(engine.Options{PoolPages: 16384})
+	db, err := engine.Open(engine.Options{PoolPages: 16384})
+	if err != nil {
+		log.Fatal(err)
+	}
 	store, err := turbulence.CreateStore(db, "turb", field, 16, 4)
 	if err != nil {
 		log.Fatal(err)

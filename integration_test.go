@@ -39,7 +39,7 @@ func vectorTable(t *testing.T, db *Database, name string, n int) {
 }
 
 func TestSQLOverArrayColumn(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	vectorTable(t, db, "obs", 100)
 	// Aggregate over an array element across all rows.
 	got, err := db.QueryScalarFloat("SELECT SUM(FloatArray.Item_1(v, 0)) FROM obs")
@@ -71,7 +71,7 @@ func TestSQLOverArrayColumn(t *testing.T) {
 }
 
 func TestArraySubscriptDialectEndToEnd(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	vectorTable(t, db, "obs", 50)
 	cols := ArrayColumns{"v": "FloatArray"}
 	// The §8 sugar: v[0] instead of FloatArray.Item_1(v, 0).
@@ -102,7 +102,7 @@ func TestArraySubscriptDialectEndToEnd(t *testing.T) {
 }
 
 func TestTypeMismatchThroughSQL(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	vectorTable(t, db, "obs", 5)
 	// The float column handed to an int-schema function: the header
 	// type flag catches it per §3.5.
@@ -123,7 +123,7 @@ func TestTypeMismatchThroughSQL(t *testing.T) {
 }
 
 func TestCorruptBlobDetectedThroughSQL(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	s, _ := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "v", Type: engine.ColVarBinary},
@@ -147,7 +147,7 @@ func TestCorruptBlobDetectedThroughSQL(t *testing.T) {
 func TestPaperSnippetsVerbatim(t *testing.T) {
 	// The §5.1 code snippets, as close to verbatim as the dialect allows
 	// (DECLARE folds into nested calls).
-	db := NewDatabase()
+	db := memDatabase(t)
 	cases := []struct {
 		sql  string
 		want float64
@@ -171,7 +171,7 @@ func TestPaperSnippetsVerbatim(t *testing.T) {
 func TestFromQueryThroughSQLText(t *testing.T) {
 	// FromQuery's inner query argument is a SQL string literal — the
 	// exact §4.2 pattern, nested query and all.
-	db := NewDatabase()
+	db := memDatabase(t)
 	s, _ := engine.NewSchema(
 		engine.Column{Name: "i", Type: engine.ColInt64},
 		engine.Column{Name: "x", Type: engine.ColFloat64},
@@ -203,7 +203,10 @@ func TestFileBackedDatabaseEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := NewDatabaseWith(Options{Disk: disk, PoolPages: 256})
+	db, err := OpenDatabase(Options{Disk: disk, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
 	vectorTable(t, db, "obs", 2000)
 	if err := db.Pool().FlushAll(); err != nil {
 		t.Fatal(err)

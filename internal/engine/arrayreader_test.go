@@ -15,7 +15,7 @@ import (
 // the reader tests put one value at a time.
 func readerDB(t testing.TB) (*DB, *Table) {
 	t.Helper()
-	db := NewMemDB()
+	db := memDB(t)
 	s, err := NewSchema(Column{Name: "id", Type: ColInt64}, Column{Name: "a", Type: ColVarBinaryMax})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 // (single-chunk) under key 2.
 func maxTable(t *testing.T) (*DB, *Table, *core.Array, *core.Array) {
 	t.Helper()
-	db := NewMemDB()
+	db := memDB(t)
 	s, err := NewSchema(
 		Column{Name: "id", Type: ColInt64},
 		Column{Name: "a", Type: ColVarBinaryMax},

@@ -121,20 +121,6 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// NewDB creates a database with the given options. For WAL-backed
-// databases prefer Open — recovery can fail, and NewDB panics on a
-// recovery error.
-func NewDB(opts Options) *DB {
-	db, err := Open(opts)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
-
-// NewMemDB creates an in-memory database with default sizing.
-func NewMemDB() *DB { return NewDB(Options{}) }
-
 // Metrics returns the database's metrics registry (never nil). All
 // subsystem counters — pool, blob store, WAL, engine DML — are
 // registered here; obs.Handler serves it over HTTP.

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// memDB opens an in-memory database without a log.
+func memDB(t testing.TB) *DB {
+	t.Helper()
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // resolveMax is ResolveMaxAt on a snapshot of the latest commit.
 func resolveMax(tbl *Table, ref []byte) ([]byte, error) {
 	s := tbl.db.Snapshot()
@@ -175,7 +185,7 @@ func TestRowEncodeErrors(t *testing.T) {
 }
 
 func TestTableInsertGetScan(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	tbl, err := db.CreateTable("t", testSchema(t))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +254,7 @@ func TestTableInsertGetScan(t *testing.T) {
 }
 
 func TestDBCatalog(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	if _, err := db.Table("missing"); !errors.Is(err, ErrNoTable) {
 		t.Errorf("missing table: %v", err)
 	}
@@ -262,7 +272,7 @@ func TestDBCatalog(t *testing.T) {
 }
 
 func TestTableStats(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	tbl, _ := db.CreateTable("t", testSchema(t))
 	for i := int64(0); i < 1000; i++ {
 		if err := tbl.Insert([]Value{IntValue(i), FloatValue(1), BinaryValue(make([]byte, 40)), Null}); err != nil {
@@ -378,7 +388,7 @@ func (a *sumAgg) Deserialize(src []byte) error {
 }
 
 func TestUDAvsDirectAggregate(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	s, _ := NewSchema(Column{"id", ColInt64}, Column{"x", ColFloat64})
 	tbl, _ := db.CreateTable("t", s)
 	want := 0.0
@@ -413,7 +423,7 @@ func TestUDAvsDirectAggregate(t *testing.T) {
 }
 
 func TestCursorStreamsRows(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	s, err := NewSchema(
 		Column{Name: "id", Type: ColInt64},
 		Column{Name: "x", Type: ColFloat64},
@@ -463,7 +473,7 @@ func TestCursorStreamsRows(t *testing.T) {
 }
 
 func TestCursorRangeAndEarlyClose(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	s, _ := NewSchema(
 		Column{Name: "id", Type: ColInt64},
 		Column{Name: "x", Type: ColFloat64},
@@ -512,7 +522,7 @@ func TestCursorRangeAndEarlyClose(t *testing.T) {
 }
 
 func TestKeyBounds(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	s, _ := NewSchema(Column{Name: "id", Type: ColInt64})
 	tbl, _ := db.CreateTable("t", s)
 	empty := db.Snapshot()
@@ -540,7 +550,7 @@ func TestKeyBounds(t *testing.T) {
 // newest committed version — an open write session's inserts do not
 // count until it commits, and never if it aborts.
 func TestRowsCountsCommittedRowsOnly(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	s, _ := NewSchema(Column{Name: "id", Type: ColInt64})
 	tbl, _ := db.CreateTable("t", s)
 	if err := tbl.Insert([]Value{IntValue(0)}); err != nil {

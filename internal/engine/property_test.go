@@ -179,7 +179,7 @@ func TestBoundaryTruncationDetected(t *testing.T) {
 // real table scans back in key order with identical contents.
 func TestTableInsertScanProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	db := NewMemDB()
+	db := memDB(t)
 	s, err := NewSchema(
 		Column{Name: "id", Type: ColInt64},
 		Column{Name: "x", Type: ColFloat64},

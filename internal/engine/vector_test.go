@@ -334,7 +334,7 @@ func TestCallBatchNoArgs(t *testing.T) {
 // TestFillBatchMatchesRowView: FillBatch decodes, for any subset of the
 // columns and any batch size, exactly what Next + RowView.Col yield.
 func TestFillBatchMatchesRowView(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	s, err := NewSchema(
 		Column{Name: "id", Type: ColInt64},
 		Column{Name: "i", Type: ColInt64},
@@ -442,7 +442,7 @@ func TestFillBatchMatchesRowView(t *testing.T) {
 // after at least one row, however large — while rows referencing small
 // ones still fill to the row capacity.
 func TestFillBatchBoundsReferencedBlobBytes(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	s, err := NewSchema(Column{Name: "id", Type: ColInt64}, Column{Name: "m", Type: ColVarBinaryMax})
 	if err != nil {
 		t.Fatal(err)

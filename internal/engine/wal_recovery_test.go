@@ -549,7 +549,7 @@ func TestSubarrayUpdateTouchesFewerChunks(t *testing.T) {
 // TestUpdateDeleteAccounting exercises the DML bookkeeping without a
 // crash: counters, key relocation, blob free-list routing.
 func TestUpdateDeleteAccounting(t *testing.T) {
-	db := NewMemDB()
+	db := memDB(t)
 	tbl, err := db.CreateTable("t", walTestSchema(t))
 	if err != nil {
 		t.Fatal(err)

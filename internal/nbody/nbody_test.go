@@ -9,6 +9,16 @@ import (
 	"sqlarray/internal/octree"
 )
 
+// memDB opens an in-memory database without a log.
+func memDB(t testing.TB) *engine.DB {
+	t.Helper()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func genSnap(t *testing.T, n int, halos int) *Snapshot {
 	t.Helper()
 	s, err := GenerateSnapshot(GenParams{
@@ -305,7 +315,7 @@ func TestLightcone(t *testing.T) {
 }
 
 func TestBucketStoreRoundtrip(t *testing.T) {
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s := genSnap(t, 5000, 4)
 	bs, err := CreateBucketStore(db, "parts", s, 512)
 	if err != nil {
@@ -339,7 +349,7 @@ func TestBucketStoreRoundtrip(t *testing.T) {
 func TestBucketVsRowStorage(t *testing.T) {
 	// The §2.3 argument: bucketized arrays need orders of magnitude
 	// fewer rows than row-per-particle.
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s := genSnap(t, 8000, 4)
 	bs, err := CreateBucketStore(db, "buckets", s, 1000)
 	if err != nil {

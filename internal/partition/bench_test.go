@@ -53,7 +53,7 @@ func BenchmarkPartitionedScanSpeedup(b *testing.B) {
 	lo, hi := [3]uint32{0, 0, 0}, [3]uint32{side/2 - 1, side/2 - 1, side/2 - 1}
 
 	b.Run("full-scan", func(b *testing.B) {
-		db := engine.NewMemDB()
+		db := memDB(b)
 		tbl, err := db.CreateTable("cube", benchSchema(b))
 		if err != nil {
 			b.Fatal(err)
@@ -93,7 +93,7 @@ func BenchmarkPartitionedScanSpeedup(b *testing.B) {
 		}
 		dbs := make([]*engine.DB, spec.Parts())
 		for i := range dbs {
-			dbs[i] = engine.NewMemDB()
+			dbs[i] = memDB(b)
 		}
 		st, err := New(spec, dbs)
 		if err != nil {

@@ -9,6 +9,16 @@ import (
 	"sqlarray/internal/sqlmini"
 )
 
+// memDB opens an in-memory database without a log.
+func memDB(t testing.TB) *engine.DB {
+	t.Helper()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 const side = 16 // 16³ = 4096 grid points, one row per Morton code
 
 func gridSchema(t *testing.T) engine.Schema {
@@ -56,7 +66,7 @@ func mortonStore(t *testing.T) *Store {
 	}
 	dbs := make([]*engine.DB, spec.Parts())
 	for i := range dbs {
-		dbs[i] = engine.NewMemDB()
+		dbs[i] = memDB(t)
 	}
 	st, err := New(spec, dbs)
 	if err != nil {
@@ -199,7 +209,7 @@ func TestBoxPrunesPartitionsAndPages(t *testing.T) {
 	st := mortonStore(t)
 
 	// Unpartitioned twin: same rows in one database.
-	mono := engine.NewMemDB()
+	mono := memDB(t)
 	tbl, err := mono.CreateTable("cube", gridSchema(t))
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,16 @@ import (
 	"sqlarray/internal/engine"
 )
 
+// memDB opens an in-memory database without a log.
+func memDB(t testing.TB) *engine.DB {
+	t.Helper()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func synth(t *testing.T, rng *rand.Rand, id int64, z, badFrac float64) *Spectrum {
 	t.Helper()
 	s, err := Synthesize(rng, SynthesisParams{
@@ -84,7 +94,7 @@ func TestSynthesizeAndValidate(t *testing.T) {
 // ErrGrid as a spectrum (Validate, Store.Insert) and as a Resample target.
 func TestGridRejectsNonFiniteWavelengths(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	st, err := CreateStore(engine.NewMemDB(), "spectra")
+	st, err := CreateStore(memDB(t), "spectra")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +444,7 @@ func TestSimilarSpectrumSearch(t *testing.T) {
 
 func TestStoreRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	db := engine.NewMemDB()
+	db := memDB(t)
 	st, err := CreateStore(db, "spectra")
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +490,7 @@ func TestStoreRoundtrip(t *testing.T) {
 // samples too.
 func TestGetSliceMatchesGetAndReadsFewerChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	db := engine.NewMemDB()
+	db := memDB(t)
 	st, err := CreateStore(db, "spectra")
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ const (
 func diffDB(t testing.TB, seed int64) (*engine.DB, *pinWatch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "i", Type: engine.ColInt64},

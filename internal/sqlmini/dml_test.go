@@ -65,7 +65,7 @@ func registerArrayFuncs(db *engine.DB) {
 
 func dmlDB(t *testing.T) *engine.DB {
 	t.Helper()
-	db := engine.NewMemDB()
+	db := memDB(t)
 	registerArrayFuncs(db)
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},

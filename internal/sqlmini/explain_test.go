@@ -101,7 +101,7 @@ func mustParse(t *testing.T, q string) *SelectStmt {
 // pages and returns the db plus the leaf page count of the load.
 func bigDB(t *testing.T, rows int64) (*engine.DB, int) {
 	t.Helper()
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "v", Type: engine.ColFloat64},

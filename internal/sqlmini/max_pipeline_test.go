@@ -25,7 +25,7 @@ func maxDB(t testing.TB) *engine.DB {
 	// Incompressible multi-chunk arrays, which the blob writer stores as
 	// raw blocks: the tests here assert exact chunk-page counts that
 	// depend on the fixed BlockSize geometry.
-	return maxDBWith(t, engine.NewMemDB(), noise)
+	return maxDBWith(t, memDB(t), noise)
 }
 
 // maxDBWith builds maxDB's table and UDFs in db, with the multi-chunk
@@ -189,7 +189,7 @@ func TestMaxColumnGoldenEquivalence(t *testing.T) {
 // byte-identical to what was inserted, and that the compressed read
 // paths leak no pins.
 func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
-	compDB := maxDBWith(t, engine.NewMemDB(), seq)
+	compDB := maxDBWith(t, memDB(t), seq)
 	if st := compDB.Blobs().Stats(); st.StoredBytesWritten >= st.BytesWritten {
 		t.Fatal("store wrote no compressed chunks; suite would compare nothing")
 	}
@@ -335,7 +335,11 @@ func (w *pinWatch) take() int64 { return w.peak.Swap(0) }
 // one page each other worker's read in flight holds: 2P-1. The pool is
 // kept to one stripe so the parallel count is exact (see pinWatch).
 func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
-	db := maxDBWith(t, engine.NewDB(engine.Options{PoolPages: 120}), noise)
+	small, err := engine.Open(engine.Options{PoolPages: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := maxDBWith(t, small, noise)
 	if n := db.Pool().Shards(); n != 1 {
 		t.Fatalf("pool has %d stripes; the parallel bound needs one", n)
 	}
@@ -417,7 +421,7 @@ func TestMaxRefItemReadsHeaderAndElementChunks(t *testing.T) {
 		big  func(n int, base float64) []float64
 		raw  bool
 	}{{"raw", noise, true}, {"compressed", seq, false}} {
-		db := maxDBWith(t, engine.NewMemDB(), c.big)
+		db := maxDBWith(t, memDB(t), c.big)
 		want := bigArray(t, c.big, 5)
 		for _, q := range []struct {
 			sql    string

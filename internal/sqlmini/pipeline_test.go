@@ -463,7 +463,7 @@ func TestRowsCloseSemantics(t *testing.T) {
 // (id, v1, v2, pad) where pad is a 100-byte filler.
 func wideDB(t testing.TB, n int64) *engine.DB {
 	t.Helper()
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "v1", Type: engine.ColFloat64},
@@ -885,7 +885,7 @@ func TestPointQuerySizesBatchFromKeyRange(t *testing.T) {
 // call, so the measure is what the query holds, not what the collector
 // has yet to free.
 func TestUDFOverLargeMaxRowsStreams(t *testing.T) {
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
@@ -945,7 +945,7 @@ func TestUDFOverLargeMaxRowsStreams(t *testing.T) {
 // item. The right operand is a UDF that records the row it was called for
 // and fails the test when the left operand had already decided that row.
 func TestShortCircuitEvaluatesOnlyUndecidedRows(t *testing.T) {
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := engine.NewSchema(engine.Column{Name: "id", Type: engine.ColInt64})
 	if err != nil {
 		t.Fatal(err)

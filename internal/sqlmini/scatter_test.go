@@ -14,7 +14,7 @@ func scatterParts(t *testing.T) []Partition {
 	t.Helper()
 	parts := make([]Partition, 4)
 	for p := 0; p < 4; p++ {
-		db := engine.NewMemDB()
+		db := memDB(t)
 		s, err := engine.NewSchema(
 			engine.Column{Name: "id", Type: engine.ColInt64},
 			engine.Column{Name: "x", Type: engine.ColFloat64},

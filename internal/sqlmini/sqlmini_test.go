@@ -9,10 +9,20 @@ import (
 	"sqlarray/internal/engine"
 )
 
+// memDB opens an in-memory database without a log.
+func memDB(t testing.TB) *engine.DB {
+	t.Helper()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // testDB builds a small Tscalar-style table plus UDFs.
 func testDB(t *testing.T) *engine.DB {
 	t.Helper()
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "v1", Type: engine.ColFloat64},
@@ -218,7 +228,7 @@ func TestBareAliasAndStringLiteral(t *testing.T) {
 }
 
 func TestNullSemantics(t *testing.T) {
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, _ := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "x", Type: engine.ColFloat64},
@@ -352,7 +362,7 @@ func TestScalarHelperErrors(t *testing.T) {
 }
 
 func TestComparisonNaNSafety(t *testing.T) {
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, _ := engine.NewSchema(
 		engine.Column{Name: "id", Type: engine.ColInt64},
 		engine.Column{Name: "x", Type: engine.ColFloat64},
@@ -378,7 +388,7 @@ func TestMinMaxOverNaN(t *testing.T) {
 		name string
 		at   int64
 	}{{"first", 0}, {"middle", rows / 2}, {"last", rows - 1}} {
-		db := engine.NewMemDB()
+		db := memDB(t)
 		s, err := engine.NewSchema(
 			engine.Column{Name: "id", Type: engine.ColInt64},
 			engine.Column{Name: "x", Type: engine.ColFloat64},

@@ -17,7 +17,10 @@ import (
 // dialect requires a FROM clause) and a small array-valued table.
 func newDB(t *testing.T) *engine.DB {
 	t.Helper()
-	db := engine.NewMemDB()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	RegisterAll(db)
 	s, err := engine.NewSchema(engine.Column{Name: "id", Type: engine.ColInt64})
 	if err != nil {

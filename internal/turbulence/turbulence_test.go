@@ -8,6 +8,16 @@ import (
 	"sqlarray/internal/interp"
 )
 
+// memDB opens an in-memory database without a log.
+func memDB(t testing.TB) *engine.DB {
+	t.Helper()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func genField(t *testing.T, n int) *Field {
 	t.Helper()
 	f, err := GenerateField(n, 24, 42)
@@ -63,7 +73,7 @@ func TestFieldDivergenceFree(t *testing.T) {
 func newStore(t *testing.T, n, cube, ghost int) (*Store, *Field) {
 	t.Helper()
 	f := genField(t, n)
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := CreateStore(db, "turb", f, cube, ghost)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +83,7 @@ func newStore(t *testing.T, n, cube, ghost int) (*Store, *Field) {
 
 func TestCreateStoreValidation(t *testing.T) {
 	f := genField(t, 16)
-	db := engine.NewMemDB()
+	db := memDB(t)
 	if _, err := CreateStore(db, "t1", f, 5, 4); err == nil {
 		t.Error("non-dividing cube must fail")
 	}
@@ -267,7 +277,7 @@ func TestMultipleSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := engine.NewMemDB()
+	db := memDB(t)
 	s, err := CreateStore(db, "turb", f0, 8, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -151,9 +151,11 @@ func (l *Log) RegisterMetrics(reg *obs.Registry) {
 // Open opens (or initializes) a log over st, scanning existing segments
 // to find the end of the valid record stream. A torn tail — a record
 // whose frame is short or whose CRC does not match — is truncated away,
-// along with any later segments. The returned log is positioned to
-// append after the last valid record; call Recover before appending to
-// replay the tail since the last checkpoint.
+// along with any later segments, and a newest segment shorter than its
+// header is removed. A short header on an earlier segment is an error.
+// The returned log is positioned to append after the last valid record;
+// call Recover before appending to replay the tail since the last
+// checkpoint.
 func Open(st Storage, o Options) (*Log, error) {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = DefaultSegmentSize
@@ -181,6 +183,24 @@ func Open(st Storage, o Options) (*Log, error) {
 		seg, err := st.Open(seq)
 		if err != nil {
 			return nil, err
+		}
+		if i == len(seqs)-1 {
+			// A crash before the newest segment's first sync can leave
+			// it shorter than its header. It holds no acknowledged
+			// record: drop it like a torn tail and append to the
+			// previous segment (or a fresh segment 0) instead.
+			size, err := seg.Size()
+			if err != nil {
+				seg.Close()
+				return nil, err
+			}
+			if size < segHeaderSize {
+				seg.Close()
+				if err := st.Remove(seq); err != nil {
+					return nil, err
+				}
+				continue
+			}
 		}
 		base, end, ckpt, segTorn, err := l.scanSegment(seg)
 		if err != nil {
@@ -218,10 +238,11 @@ func Open(st Storage, o Options) (*Log, error) {
 	l.nextLSN = lastValidEnd
 	l.durable.Store(uint64(lastValidEnd))
 	if l.cur == nil {
-		// The tail was lost to an inter-segment gap after a fully valid
-		// (and already closed) segment: reopen the last valid segment
-		// for appending rather than fabricating a new one — its file
-		// still exists, and its record prefix is the log.
+		// The tail was lost to an inter-segment gap or a torn segment
+		// header after a fully valid (and already closed) segment:
+		// reopen the last valid segment for appending rather than
+		// fabricating a new one — its file still exists, and its
+		// record prefix is the log.
 		if len(l.segs) > 0 {
 			last := l.segs[len(l.segs)-1]
 			seg, err := l.st.Open(last.seq)

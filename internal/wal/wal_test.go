@@ -335,3 +335,104 @@ func TestDirStorageRoundTrip(t *testing.T) {
 		t.Fatalf("file-backed replay got %d records", len(payloads))
 	}
 }
+
+// TestOpenAfterCrashBeforeFirstSync: a fresh log's segment header is
+// appended without a sync, so a crash before the first Sync leaves an
+// empty segment 0. It holds no acknowledged record; Open must drop it
+// and start a fresh log rather than refuse the directory forever.
+func TestOpenAfterCrashBeforeFirstSync(t *testing.T) {
+	st := NewMemStorage()
+	if _, err := Open(st, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	st.Crash()
+	l, err := Open(st, Options{})
+	if err != nil {
+		t.Fatalf("Open after crash before first sync: %v", err)
+	}
+	if got := l.NextLSN(); got != 0 {
+		t.Fatalf("NextLSN = %d, want 0", got)
+	}
+	if _, err := l.Append(RecCommit, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, payloads, _ := collect(t, l2); len(payloads) != 1 || string(payloads[0]) != "first" {
+		t.Fatalf("replay after reopen = %q", payloads)
+	}
+}
+
+// TestOpenAfterCrashBeforeRolledSegmentSync: a roll syncs the old
+// segment and creates the next one, whose header waits for the next
+// Sync. A crash in between leaves an empty newest segment; Open drops
+// it and appends to the previous one. The same short header on an
+// earlier segment is damage, not a torn tail, and stays an error.
+func TestOpenAfterCrashBeforeRolledSegmentSync(t *testing.T) {
+	st := NewMemStorage()
+	l, err := Open(st, Options{SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 100)
+	for i := 0; i < 2; i++ {
+		if _, err := l.Append(RecCommit, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	durable := l.NextLSN()
+	// The third record does not fit: Append rolls to segment 1.
+	if _, err := l.Append(RecCommit, payload); err != nil {
+		t.Fatal(err)
+	}
+	if l.Segments() != 2 {
+		t.Fatalf("segments = %d, want a roll to 2", l.Segments())
+	}
+	st.Crash()
+	l2, err := Open(st, Options{SegmentSize: 256})
+	if err != nil {
+		t.Fatalf("Open after crash before rolled segment's sync: %v", err)
+	}
+	if got := l2.NextLSN(); got != durable {
+		t.Fatalf("NextLSN = %d, want %d", got, durable)
+	}
+	if _, payloads, _ := collect(t, l2); len(payloads) != 2 {
+		t.Fatalf("replayed %d records, want 2", len(payloads))
+	}
+	if _, err := l2.Append(RecCommit, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l3, err := Open(st, Options{SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payloads, _ := collect(t, l3)
+	if len(payloads) != 3 || string(payloads[2]) != "after" {
+		t.Fatalf("replay after reopen: %d records, last %q", len(payloads), payloads[len(payloads)-1])
+	}
+
+	// Empty an earlier segment: that is not a torn tail.
+	if err := l3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seqs, _ := st.List()
+	if len(seqs) < 2 {
+		t.Fatalf("want at least 2 segments, have %v", seqs)
+	}
+	st.segs[seqs[0]].data = nil
+	st.segs[seqs[0]].synced = 0
+	if _, err := Open(st, Options{SegmentSize: 256}); err == nil {
+		t.Fatal("Open accepted a short header on a non-newest segment")
+	}
+}

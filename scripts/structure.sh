@@ -48,6 +48,13 @@ names=(
 	'BlobSubarrayAt('
 	'Store) ReadAt('
 	'Store) ReadRuns('
+	# One way to open a database: sqlarray.OpenDatabase and engine.Open
+	# are the only constructors.
+	'NewDatabase('
+	'NewDatabaseWith('
+	'NewMemWAL('
+	'NewMemDB('
+	'NewDB('
 )
 src=()
 while IFS= read -r f; do

@@ -34,13 +34,15 @@
 //
 // Quick start:
 //
-//	db := sqlarray.NewDatabase()
+//	db, _ := sqlarray.OpenDatabase(sqlarray.Options{})
 //	a := sqlarray.Vector(1, 2, 3, 4, 5)
 //	v, _ := a.Item(3) // 4
 //	res, _ := db.Query("SELECT FloatArray.Sum(FloatArray.Vector_3(1,2,3)) FROM dual")
 package sqlarray
 
 import (
+	"errors"
+	"fmt"
 	"io"
 
 	"sqlarray/internal/arraysugar"
@@ -49,7 +51,6 @@ import (
 	"sqlarray/internal/pages"
 	"sqlarray/internal/sqlmini"
 	"sqlarray/internal/tsql"
-	"sqlarray/internal/wal"
 )
 
 // Array is the array data type: a validated view over a serialized
@@ -138,55 +139,48 @@ type Database struct {
 	*engine.DB
 }
 
-// Options configures a database (disk backing, buffer pool size).
+// Options configures a database: its disk (in memory by default), its
+// buffer pool size, an optional write-ahead log and metrics registry.
 type Options = engine.Options
-
-// NewMemWAL opens a write-ahead log over in-memory storage — durability
-// protocol without a filesystem, which is what sqlsh and the recovery
-// tests use. It pairs with the default in-memory disk; a database that
-// survives a restart needs a file-backed disk and log together
-// (pages.OpenFileDisk and wal.NewDirStorage, opened through engine.Open).
-func NewMemWAL() *wal.Log {
-	l, err := wal.Open(wal.NewMemStorage(), wal.Options{})
-	if err != nil {
-		panic(err) // empty in-memory storage cannot fail to open
-	}
-	return l
-}
-
-// NewDatabase creates an in-memory database ready for queries.
-func NewDatabase() *Database {
-	return NewDatabaseWith(Options{})
-}
-
-// NewDatabaseWith creates a database with explicit storage options.
-// With Options.WAL set it runs crash recovery first; a recovery failure
-// panics — use OpenDatabase to handle it.
-func NewDatabaseWith(opts Options) *Database {
-	db, err := OpenDatabase(opts)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
 
 // OpenDatabase opens a database, recovering from the WAL when one is
 // attached: committed DML since the last checkpoint is replayed and the
-// uncommitted log tail discarded.
+// uncommitted log tail discarded. The zero Options give an in-memory
+// database without a log. A database that survives a restart opens a
+// file disk (pages.OpenFileDisk) and a log over a directory
+// (wal.Open(wal.NewDirStorage(dir), ...)); cmd/sqlsh -dir does this.
 func OpenDatabase(opts Options) (*Database, error) {
 	db, err := engine.Open(opts)
 	if err != nil {
 		return nil, err
 	}
 	tsql.RegisterAll(db)
-	if s, err := engine.NewSchema(engine.Column{Name: "id", Type: engine.ColInt64}); err == nil {
-		// Recovered databases already have dual; CreateTable then fails
-		// and the seed row is skipped.
-		if dual, err := db.CreateTable("dual", s); err == nil {
-			_ = dual.Insert([]engine.Value{engine.IntValue(1)})
-		}
+	if err := createDual(db); err != nil {
+		return nil, fmt.Errorf("sqlarray: create dual: %w", err)
 	}
 	return &Database{DB: db}, nil
+}
+
+// createDual creates and seeds the one-row dual table in one write
+// session, so a crash leaves either both or neither. A recovered
+// database already has it.
+func createDual(db *engine.DB) error {
+	s, err := engine.NewSchema(engine.Column{Name: "id", Type: engine.ColInt64})
+	if err != nil {
+		return err
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		return err
+	}
+	dual, err := db.CreateTableTx(tx, "dual", s)
+	if err == nil {
+		err = dual.InsertTx(tx, []engine.Value{engine.IntValue(1)})
+	}
+	if err = tx.Close(err); errors.Is(err, engine.ErrTableExists) {
+		return nil
+	}
+	return err
 }
 
 // Query parses and executes a SELECT statement, materializing the full

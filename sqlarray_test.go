@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// memDatabase opens an in-memory database without a log.
+func memDatabase(t testing.TB) *Database {
+	t.Helper()
+	db, err := OpenDatabase(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func TestFacadeArrayConstruction(t *testing.T) {
 	a := Vector(1, 2, 3, 4, 5)
 	if a.Class() != Short || a.ElemType() != Float64 || a.Len() != 5 {
@@ -36,7 +46,7 @@ func TestFacadeArrayConstruction(t *testing.T) {
 }
 
 func TestDatabaseQueryThroughFacade(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	got, err := db.QueryScalarFloat(
 		"SELECT FloatArray.Item_1(FloatArray.Vector_5(1.0, 2.0, 3.0, 4.0, 5.0), 3) FROM dual")
 	if err != nil {
@@ -60,7 +70,7 @@ func TestDatabaseQueryThroughFacade(t *testing.T) {
 // (none on Q1–Q3, one per row on Q4/Q5) and the bytes each scan reads.
 // Timing is bench/'s table1_scan workload.
 func TestTable1Queries(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	const rows = 5_000
 	if err := SetupTable1(db, rows); err != nil {
 		t.Fatal(err)
@@ -101,7 +111,7 @@ func TestTable1Queries(t *testing.T) {
 }
 
 func TestTable1StorageOverhead(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	if err := SetupTable1(db, 20_000); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +164,7 @@ func TestDeriveUDFCost(t *testing.T) {
 // index) plus the 9-byte FLOAT result frame — 87 bytes, the same as when
 // every row crossed the boundary on its own.
 func TestTable1BoundaryAccounting(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	const rows = 3_000
 	if err := SetupTable1(db, rows); err != nil {
 		t.Fatal(err)
@@ -187,7 +197,7 @@ func TestTable1BoundaryAccounting(t *testing.T) {
 // against Q1 (it measured 384 against Q1's 381 then; a column vector and
 // its accumulator are a handful of allocations per query, not per row).
 func TestTable1AllocationsPerRow(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	const rows = 20_000
 	if err := SetupTable1(db, rows); err != nil {
 		t.Fatal(err)

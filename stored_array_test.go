@@ -34,7 +34,7 @@ func TestStoredArraysReadByOneRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := NewDatabase()
+	db := memDatabase(t)
 	st, err := spectra.CreateStore(db.DB, "spectra")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestHeaderLongerThanFirstBlock(t *testing.T) {
 	if hs := wh.EncodedSize(); hs != 16+4*rank || hs <= blob.BlockSize {
 		t.Fatalf("header is %d bytes; the test needs one longer than a %d-byte block", hs, blob.BlockSize)
 	}
-	db := NewDatabase()
+	db := memDatabase(t)
 	s, err := engine.NewSchema(engine.Column{Name: "id", Type: engine.ColInt64}, engine.Column{Name: "a", Type: engine.ColVarBinaryMax})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func sameValue(a, b engine.Value) bool {
 }
 
 func TestQueryRowsMatchesQuery(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	vectorTable(t, db, "obs", 200)
 	queries := []string{
 		"SELECT SUM(FloatArray.Item_1(v, 0)) FROM obs",
@@ -79,7 +79,7 @@ func TestQueryRowsMatchesQuery(t *testing.T) {
 }
 
 func TestQueryArrayRowsStreams(t *testing.T) {
-	db := NewDatabase()
+	db := memDatabase(t)
 	vectorTable(t, db, "obs", 50)
 	cols := ArrayColumns{"v": "FloatArray"}
 	rows, err := db.QueryArrayRows("SELECT SUM(v[0]) FROM obs WHERE v[2] <= 100", cols)
@@ -105,7 +105,7 @@ func TestQueryArrayRowsStreams(t *testing.T) {
 func TestStreamingAbandonedMidScan(t *testing.T) {
 	// A client walking away from a cursor mid-table (the sqlsh TOP-n use
 	// case) must leave the buffer pool clean.
-	db := NewDatabase()
+	db := memDatabase(t)
 	vectorTable(t, db, "obs", 2000)
 	rows, err := db.QueryRows("SELECT id, FloatArray.Sum(v) FROM obs")
 	if err != nil {
