@@ -86,8 +86,22 @@ func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, schem
 		x := math.Mod(p[d], n)
 		if x < 0 {
 			x += n
+			if x == n { // a tiny negative x rounds up to n
+				x = 0
+			}
 		}
 		g[d] = x
+	}
+	if scheme == interp.Nearest {
+		// Round to a node first, then find its cube: the last half cell
+		// of a cube rounds into the next one (into cube 0 at the end).
+		var i [3]int
+		for d := range g {
+			i[d] = int(math.Round(g[d])) % s.n
+		}
+		one := []float64{1}
+		return s.stencilValue(snap, step, i[0]/s.cube, i[1]/s.cube, i[2]/s.cube,
+			i[0]%s.cube+s.ghost, i[1]%s.cube+s.ghost, i[2]%s.cube+s.ghost, 1, one, one, one, mode, cache)
 	}
 	cx := int(g[0]) / s.cube
 	cy := int(g[1]) / s.cube
@@ -98,36 +112,22 @@ func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, schem
 	lz := g[2] - float64(cz*s.cube) + float64(s.ghost)
 
 	np := scheme.Points()
-	m := s.blockSide()
-	if scheme == interp.Nearest {
-		ix, iy, iz := int(math.Round(lx)), int(math.Round(ly)), int(math.Round(lz))
-		if ix >= m {
-			ix = m - 1
-		}
-		if iy >= m {
-			iy = m - 1
-		}
-		if iz >= m {
-			iz = m - 1
-		}
-		return s.stencilValue(snap, step, cx, cy, cz, ix, iy, iz, 1,
-			[]float64{1}, []float64{1}, []float64{1}, mode, cache)
-	}
 	i0x, tx := int(math.Floor(lx)), lx-math.Floor(lx)
 	i0y, ty := int(math.Floor(ly)), ly-math.Floor(ly)
 	i0z, tz := int(math.Floor(lz)), lz-math.Floor(lz)
-	wx := make([]float64, np)
-	wy := make([]float64, np)
-	wz := make([]float64, np)
-	interp.AxisWeights(scheme, tx, wx)
-	interp.AxisWeights(scheme, ty, wy)
-	interp.AxisWeights(scheme, tz, wz)
+	var wx, wy, wz [8]float64
+	interp.AxisWeights(scheme, tx, wx[:np])
+	interp.AxisWeights(scheme, ty, wy[:np])
+	interp.AxisWeights(scheme, tz, wz[:np])
 	base := np/2 - 1
-	return s.stencilValue(snap, step, cx, cy, cz, i0x-base, i0y-base, i0z-base, np, wx, wy, wz, mode, cache)
+	return s.stencilValue(snap, step, cx, cy, cz, i0x-base, i0y-base, i0z-base, np,
+		wx[:np], wy[:np], wz[:np], mode, cache)
 }
 
 // stencilValue evaluates the weighted sum over an np³ stencil starting
-// at (sx, sy, sz) in block coordinates, for the three velocity channels.
+// at (sx, sy, sz) in block coordinates, for the three velocity channels
+// in one pass: a node's u, v, w are adjacent, and each channel sums the
+// same products in the same (kz, ky, kx) order as a pass of its own.
 func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int,
 	wx, wy, wz []float64, mode FetchMode, cache map[int64][]float64) ([3]float64, error) {
 	m := s.blockSide()
@@ -135,8 +135,8 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 		return [3]float64{}, fmt.Errorf("turbulence: stencil [%d..%d) outside block of side %d (ghost too small)",
 			sx, sx+np, m)
 	}
-	var data []float64 // stencil-local (np³ × 3) or whole block (m³ × 4)
-	var stride, chStride, off int
+	var data []float64  // stencil-local (4, np, np, np) or whole block (4, m, m, m)
+	var stride, off int // nodes per row, element of the stencil's first node
 	switch mode {
 	case WholeBlob:
 		key, err := s.cubeKey(step, cx, cy, cz)
@@ -162,8 +162,7 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 		}
 		data = blk
 		stride = m
-		chStride = m * m * m
-		off = (sz*m+sy)*m + sx
+		off = Channels * ((sz*m+sy)*m + sx)
 	case PartialRead:
 		sub, err := s.readStencil(snap, step, cx, cy, cz, sx, sy, sz, np)
 		if err != nil {
@@ -171,38 +170,39 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 		}
 		data = sub
 		stride = np
-		chStride = np * np * np
-		off = 0
 	default:
 		return [3]float64{}, fmt.Errorf("turbulence: unknown fetch mode %d", mode)
 	}
-	var out [3]float64
-	for ch := 0; ch < 3; ch++ {
-		sum := 0.0
-		for kz := 0; kz < np; kz++ {
-			wzk := wz[kz]
-			for ky := 0; ky < np; ky++ {
-				wyk := wy[ky] * wzk
-				row := off + ch*chStride + (kz*stride+ky)*stride
-				for kx := 0; kx < np; kx++ {
-					sum += wx[kx] * wyk * data[row+kx]
-				}
+	var u, v, w float64
+	for kz := 0; kz < np; kz++ {
+		wzk := wz[kz]
+		for ky := 0; ky < np; ky++ {
+			wyk := wy[ky] * wzk
+			i := off + Channels*(kz*stride+ky)*stride
+			for kx := 0; kx < np; kx++ {
+				wk := wx[kx] * wyk
+				u += wk * data[i]
+				v += wk * data[i+1]
+				w += wk * data[i+2]
+				i += Channels
 			}
 		}
-		out[ch] = sum
 	}
-	return out, nil
+	return [3]float64{u, v, w}, nil
 }
 
-// readStencil performs the partial-read path: only the byte runs of the
-// np³×3 stencil sub-array are fetched from the out-of-page blob, and
-// the float64 samples are decoded straight off the segments (pinned
-// pages for raw blocks, decoded scratch for compressed ones) — no
-// intermediate byte buffer, no copy. The direct decode requires every
-// element to sit inside one segment, which holds because segments break
-// only at chunk boundaries, every chunk starts on a BlockSize multiple,
-// and BlockSize is a multiple of 8 (asserted below), past a header
-// CreateStore has checked is a multiple of 8 too.
+// readStencil performs the partial-read path: only the stencil's x-rows
+// are fetched from the out-of-page blob, as a stencil-local
+// (4, np, np, np) array. A block's (4, m, m, m) elements lie exactly as
+// a (4m, m, m) array's, so a plan on that view makes each row — u, v, w
+// and p of np adjacent nodes — one run: np² runs, not the np³ a plan
+// skipping p would cut. The float64 samples are decoded straight off
+// the segments (pinned pages for raw blocks, decoded scratch for
+// compressed ones) — no intermediate byte buffer, no copy. The direct
+// decode requires every element to sit inside one segment, which holds
+// because segments break only at chunk boundaries, every chunk starts on
+// a BlockSize multiple, and BlockSize is a multiple of 8 (asserted
+// below), past a header CreateStore has checked is a multiple of 8 too.
 func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int) ([]float64, error) {
 	key, err := s.cubeKey(step, cx, cy, cz)
 	if err != nil {
@@ -212,11 +212,13 @@ func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz,
 	if err != nil {
 		return nil, err
 	}
-	h := s.blockHeader()
-	runs, err := core.SubarrayPlan(h, []int{sx, sy, sz, 0}, []int{np, np, np, 3})
+	m := s.blockSide()
+	rows := core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{Channels * m, m, m}}
+	runs, err := core.SubarrayPlan(rows, []int{Channels * sx, sy, sz}, []int{Channels * np, np, np})
 	if err != nil {
 		return nil, err
 	}
+	h := s.blockHeader()
 	hdr := h.EncodedSize()
 	blobRuns := make([]blob.Run, len(runs))
 	dstBytes := 0

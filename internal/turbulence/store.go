@@ -97,29 +97,29 @@ func (s *Store) AddSnapshot(step int, f *Field) error {
 	return err
 }
 
-// packBlock builds the (m, m, m, 4) max array for one sub-cube,
+// packBlock builds the (4, m, m, m) max array for one sub-cube,
 // including ghost zones copied from periodic neighbours.
 func (s *Store) packBlock(f *Field, cx, cy, cz int) (*core.Array, error) {
 	m := s.blockSide()
-	arr, err := core.New(core.Max, core.Float64, m, m, m, Channels)
+	arr, err := core.New(core.Max, core.Float64, Channels, m, m, m)
 	if err != nil {
 		return nil, err
 	}
 	x0 := cx*s.cube - s.ghost
 	y0 := cy*s.cube - s.ghost
 	z0 := cz*s.cube - s.ghost
-	m3 := m * m * m
-	// Column-major with dims (m,m,m,4): channel ch occupies the
-	// contiguous element range [ch·m³, (ch+1)·m³).
+	// Column-major with dims (4,m,m,m): a node's u, v, w, p are the four
+	// adjacent elements from lin, so the nodes of a stencil's x-row are
+	// one contiguous run.
 	for lz := 0; lz < m; lz++ {
 		for ly := 0; ly < m; ly++ {
 			for lx := 0; lx < m; lx++ {
 				u, v, w, p := f.At(x0+lx, y0+ly, z0+lz)
-				lin := (lz*m+ly)*m + lx
+				lin := Channels * ((lz*m+ly)*m + lx)
 				arr.SetFloatAt(lin, u)
-				arr.SetFloatAt(lin+m3, v)
-				arr.SetFloatAt(lin+2*m3, w)
-				arr.SetFloatAt(lin+3*m3, p)
+				arr.SetFloatAt(lin+1, v)
+				arr.SetFloatAt(lin+2, w)
+				arr.SetFloatAt(lin+3, p)
 			}
 		}
 	}
@@ -132,10 +132,10 @@ func (s *Store) CubeSide() int { return s.cube }
 // Ghost returns the ghost-zone width.
 func (s *Store) Ghost() int { return s.ghost }
 
-// blockHeader is the array header every stored block carries.
+// blockHeader is the (4, m, m, m) array header every stored block carries.
 func (s *Store) blockHeader() core.Header {
 	m := s.blockSide()
-	return core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{m, m, m, Channels}}
+	return core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{Channels, m, m, m}}
 }
 
 // BlockBytes returns the stored blob size per block, header included.

@@ -1,9 +1,15 @@
 package turbulence
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 	"sqlarray/internal/interp"
 )
@@ -108,16 +114,32 @@ func TestStoreRowCountAndBlockBytes(t *testing.T) {
 	}
 }
 
+// TestNearestInterpolationMatchesGrid: Nearest returns the grid node
+// nearest the point, also when that node lies in the next cube over or,
+// past the grid's end, in cube 0 — in both fetch modes, and without
+// ghost zones, where that node is in no ghost of the point's cube.
 func TestNearestInterpolationMatchesGrid(t *testing.T) {
-	s, f := newStore(t, 16, 8, 4)
-	for _, p := range [][3]float64{{0, 0, 0}, {5, 3, 7}, {15, 15, 15}, {8, 8, 8}} {
-		v, err := s.Velocity(0, p, interp.Nearest, WholeBlob)
-		if err != nil {
-			t.Fatalf("at %v: %v", p, err)
+	for _, ghost := range []int{0, 4} {
+		s, f := newStore(t, 16, 8, ghost)
+		pts := [][3]float64{{0, 0, 0}, {5, 3, 7}, {15, 15, 15}, {8, 8, 8}}
+		for d := 0; d < 3; d++ { // every cube face, from both sides
+			for _, x := range []float64{-0.4, 0.4, 7.6, 8.4, 15.6, -1e-20} {
+				p := [3]float64{3, 4.6, 12.5}
+				p[d] = x
+				pts = append(pts, p)
+			}
 		}
-		u, vv, w, _ := f.At(int(p[0]), int(p[1]), int(p[2]))
-		if v[0] != u || v[1] != vv || v[2] != w {
-			t.Errorf("nearest at %v = %v, want (%g,%g,%g)", p, v, u, vv, w)
+		for _, mode := range []FetchMode{WholeBlob, PartialRead} {
+			out, err := s.VelocityBatch(0, pts, interp.Nearest, mode)
+			if err != nil {
+				t.Fatalf("ghost %d %v: %v", ghost, mode, err)
+			}
+			for i, p := range pts {
+				u, v, w, _ := f.At(int(math.Round(p[0])), int(math.Round(p[1])), int(math.Round(p[2])))
+				if want := [3]float64{u, v, w}; out[i] != want {
+					t.Errorf("ghost %d %v: nearest at %v = %v, want %v", ghost, mode, p, out[i], want)
+				}
+			}
 		}
 	}
 }
@@ -138,6 +160,7 @@ func TestInterpolationMatchesDirectGridSampling(t *testing.T) {
 		{8.1, 0.2, 15.8}, // wraps around the periodic boundary
 		{0.05, 0.05, 0.05},
 		{12.5, 4.25, 9.75},
+		{-1e-20, 3.5, 2.25}, // x wraps to 16.0 in float64, which is node 0
 	}
 	for _, scheme := range []interp.Scheme{interp.Linear, interp.Lag4, interp.Lag6, interp.Lag8} {
 		for _, p := range pts {
@@ -209,7 +232,7 @@ func TestPartialReadMatchesWholeBlob(t *testing.T) {
 		}
 		for i := range pts {
 			for d := 0; d < 3; d++ {
-				if math.Abs(whole[i][d]-part[i][d]) > 1e-12 {
+				if whole[i][d] != part[i][d] {
 					t.Errorf("%v point %d ch %d: whole %g, partial %g",
 						scheme, i, d, whole[i][d], part[i][d])
 				}
@@ -331,5 +354,155 @@ func TestBatchCachesBlocks(t *testing.T) {
 	if st.PhysicalReads > 4*blockPages {
 		t.Errorf("batch read %d pages; caching broken (block is ~%d pages)",
 			st.PhysicalReads, blockPages)
+	}
+}
+
+// TestStoredBlockLayout: a stored block is a (4, m, m, m) array whose
+// element (ch, lx, ly, lz) is channel ch of the field at the block's
+// origin plus (lx, ly, lz), periodically wrapped — in the interior and
+// in the ghost zones.
+func TestStoredBlockLayout(t *testing.T) {
+	s, f := newStore(t, 16, 8, 4)
+	m := s.blockSide()
+	snap := s.db.Snapshot()
+	defer snap.Release()
+	for _, c := range [][3]int{{0, 0, 0}, {1, 0, 1}, {1, 1, 1}} {
+		key, err := s.cubeKey(0, c[0], c[1], c[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := s.fetchRef(snap, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := s.table.ResolveMaxAt(snap, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr, err := core.Wrap(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := arr.Dims(), []int{Channels, m, m, m}; !slices.Equal(got, want) {
+			t.Fatalf("cube %v: dims %v, want %v", c, got, want)
+		}
+		// Ghost cells at 0, 1, m-1; interior cells at 4, 7, 11.
+		for _, l := range [][3]int{{0, 0, 0}, {1, 5, m - 1}, {4, 4, 4}, {7, 11, 6}, {m - 1, 0, 9}, {11, m - 1, m - 1}} {
+			u, v, w, p := f.At(c[0]*8-4+l[0], c[1]*8-4+l[1], c[2]*8-4+l[2])
+			for ch, want := range []float64{u, v, w, p} {
+				got, err := arr.Item(ch, l[0], l[1], l[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("cube %v element (%d, %d, %d, %d) = %g, want %g", c, ch, l[0], l[1], l[2], got, want)
+				}
+			}
+		}
+	}
+}
+
+// seededPoints returns n points drawn from seed over [-gridN, 2·gridN)³,
+// so both periodic wraps of a grid of side gridN are exercised.
+func seededPoints(seed int64, n, gridN int) [][3]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([][3]float64, n)
+	for i := range pts {
+		for d := range pts[i] {
+			pts[i][d] = rng.Float64()*float64(3*gridN) - float64(gridN)
+		}
+	}
+	return pts
+}
+
+// goldenVelocityHash is the SHA-256 of the Float64bits of every value
+// TestVelocityBatchGoldenHash computes. It was taken from the service
+// reading (m, m, m, 4) cubes with one pass per channel; a storage
+// layout or kernel change must reproduce it bit for bit.
+const goldenVelocityHash = "c34d8f97f149cbba9587f2bbd1d1df5eb4c863fc79a23273e526d9d4e42759ca"
+
+// TestVelocityBatchGoldenHash pins the service's output bit for bit,
+// in both fetch modes: 500 seeded points on a 32³ field (seed 42), cube
+// 16, ghost 4, every scheme (PCHIP included).
+func TestVelocityBatchGoldenHash(t *testing.T) {
+	s, _ := newStore(t, 32, 16, 4)
+	pts := seededPoints(1, 500, 32)
+	for _, mode := range []FetchMode{WholeBlob, PartialRead} {
+		h := sha256.New()
+		var buf [8]byte
+		for _, scheme := range []interp.Scheme{interp.Nearest, interp.Linear, interp.PCHIP, interp.Lag4, interp.Lag6, interp.Lag8} {
+			out, err := s.VelocityBatch(0, pts, scheme, mode)
+			if err != nil {
+				t.Fatalf("%v %v: %v", mode, scheme, err)
+			}
+			for _, v := range out {
+				for _, x := range v {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+					h.Write(buf[:])
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != goldenVelocityHash {
+			t.Errorf("%v: output hash %s, want %s", mode, got, goldenVelocityHash)
+		}
+	}
+}
+
+// TestStencilChunkReads bounds the blob chunks one PartialRead stencil
+// touches, averaged over a fixed set of stencil origins in 24³ blocks
+// (cube 16, ghost 4). The counts are exact. With the four channels of a
+// point adjacent, a stencil's x-row is one run, so a Lag4 stencil reads
+// about 5.2 blocks and a Lag8 stencil about 13.5; a cube stored one
+// channel volume after another reads 8.4 and 15.5.
+func TestStencilChunkReads(t *testing.T) {
+	s, _ := newStore(t, 32, 16, 4)
+	pts := seededPoints(2, 400, 32)
+	for _, tc := range []struct {
+		scheme interp.Scheme
+		bound  float64
+	}{
+		{interp.Lag4, 5.5},
+		{interp.Lag8, 14.0},
+	} {
+		base := s.Stats()
+		if _, err := s.VelocityBatch(0, pts, tc.scheme, PartialRead); err != nil {
+			t.Fatal(err)
+		}
+		mean := float64(statsSince(s, base).ChunkReads) / float64(len(pts))
+		t.Logf("%v: %.2f chunk reads per stencil", tc.scheme, mean)
+		if mean > tc.bound {
+			t.Errorf("%v: %.2f chunk reads per stencil, want <= %.1f", tc.scheme, mean, tc.bound)
+		}
+	}
+}
+
+// BenchmarkVelocityBatch times the service's CPU path: 64-point batches
+// over a 32³ field (cube 16, ghost 4) whose eight blocks stay resident
+// in the pool, so the op is run planning, decode and the stencil kernel.
+func BenchmarkVelocityBatch(b *testing.B) {
+	f, err := GenerateField(32, 24, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := CreateStore(memDB(b), "turb", f, 16, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := seededPoints(3, 64, 32)
+	for _, scheme := range []interp.Scheme{interp.Lag8, interp.Lag4} {
+		for _, mode := range []FetchMode{PartialRead, WholeBlob} {
+			b.Run(scheme.String()+"/"+mode.String(), func(b *testing.B) {
+				if _, err := s.VelocityBatch(0, pts, scheme, mode); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.VelocityBatch(0, pts, scheme, mode); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
