@@ -53,6 +53,8 @@ bench:
 	go test -run='^$$' -bench='BenchmarkPipelineBatch' -benchtime=300ms ./internal/sqlmini
 # blob.Store reads and the codecs called directly; bench/'s blob.* metrics are taken through the table layer of a workload.
 	go test -run='^$$' -bench='BenchmarkReadAll1MB|BenchmarkPartialRead4kOf1MB|BenchmarkReadRunsStencil|BenchmarkCodec' -benchtime=300ms ./internal/blob
+# turbulence VelocityBatch with its blocks resident: the stencil path's CPU (run planning, decode, kernel), which bench/'s turbulence.compute_share does not isolate (ROADMAP 1(c)).
+	go test -run='^$$' -bench='BenchmarkVelocityBatch' -benchtime=300ms ./internal/turbulence
 # codec ratio per synthetic data shape; bench/'s blob.compress_ratio is one number per workload.
 	go test -run='TestCompressionRatioTable' -v ./internal/blob | grep -E 'ratio-table:'
 # registry counter names and magnitudes for a fixed query set, to read the ns/op above against what the engine did.

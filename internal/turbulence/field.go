@@ -27,7 +27,8 @@ type Field struct {
 	U, V, W, P []float64
 }
 
-// Channels is the number of stored per-point quantities (u, v, w, p).
+// Channels is the number of stored per-point quantities: four, u, v
+// and w interleaved in a cube's blob column and p in its p column.
 const Channels = 4
 
 // GenerateField synthesizes a periodic, divergence-free velocity field

@@ -1,6 +1,7 @@
 package turbulence
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -128,6 +129,7 @@ func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, schem
 // at (sx, sy, sz) in block coordinates, for the three velocity channels
 // in one pass: a node's u, v, w are adjacent, and each channel sums the
 // same products in the same (kz, ky, kx) order as a pass of its own.
+// Both fetch modes hand it velocity only, three elements per node.
 func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int,
 	wx, wy, wz []float64, mode FetchMode, cache map[int64][]float64) ([3]float64, error) {
 	m := s.blockSide()
@@ -135,7 +137,7 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 		return [3]float64{}, fmt.Errorf("turbulence: stencil [%d..%d) outside block of side %d (ghost too small)",
 			sx, sx+np, m)
 	}
-	var data []float64  // stencil-local (4, np, np, np) or whole block (4, m, m, m)
+	var data []float64  // stencil-local (3, np, np, np) or whole block (3, m, m, m)
 	var stride, off int // nodes per row, element of the stencil's first node
 	switch mode {
 	case WholeBlob:
@@ -145,24 +147,14 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 		}
 		blk, ok := cache[key]
 		if !ok {
-			ref, err := s.fetchRef(snap, key)
-			if err != nil {
+			if blk, err = s.readBlock(snap, key); err != nil {
 				return [3]float64{}, err
 			}
-			raw, err := s.table.ResolveMaxAt(snap, ref)
-			if err != nil {
-				return [3]float64{}, err
-			}
-			arr, err := core.Wrap(raw)
-			if err != nil {
-				return [3]float64{}, err
-			}
-			blk = arr.Float64s()
 			cache[key] = blk
 		}
 		data = blk
 		stride = m
-		off = Channels * ((sz*m+sy)*m + sx)
+		off = velChannels * ((sz*m+sy)*m + sx)
 	case PartialRead:
 		sub, err := s.readStencil(snap, step, cx, cy, cz, sx, sy, sz, np)
 		if err != nil {
@@ -178,31 +170,64 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 		wzk := wz[kz]
 		for ky := 0; ky < np; ky++ {
 			wyk := wy[ky] * wzk
-			i := off + Channels*(kz*stride+ky)*stride
+			i := off + velChannels*(kz*stride+ky)*stride
 			for kx := 0; kx < np; kx++ {
 				wk := wx[kx] * wyk
 				u += wk * data[i]
 				v += wk * data[i+1]
 				w += wk * data[i+2]
-				i += Channels
+				i += velChannels
 			}
 		}
 	}
 	return [3]float64{u, v, w}, nil
 }
 
+// readBlock performs the whole-blob path: it fetches the cube's entire
+// velocity blob as one run covering header and payload and decodes the
+// (3, m, m, m) float64 samples straight off the segments, as
+// readStencil does — one copy, not a staged blob plus a decoded one.
+// The stored header must equal blockHeader's encoding.
+func (s *Store) readBlock(snap *engine.Snapshot, key int64) ([]float64, error) {
+	ref, err := s.fetchRef(snap, key)
+	if err != nil {
+		return nil, err
+	}
+	h := s.blockHeader()
+	want := h.AppendEncode(nil)
+	hdr := len(want)
+	got := make([]byte, hdr)
+	out := make([]float64, h.Count())
+	err = s.table.VisitBlobRunsAt(snap, ref, []blob.Run{{Len: h.TotalBytes()}}, func(dstOff int, seg []byte) {
+		if dstOff < hdr {
+			n := copy(got[dstOff:], seg)
+			seg, dstOff = seg[n:], dstOff+n
+		}
+		for w := 0; w+8 <= len(seg); w += 8 {
+			out[(dstOff-hdr+w)/8] = math.Float64frombits(binary.LittleEndian.Uint64(seg[w:]))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("turbulence: cube key %d: stored header %x, want %x", key, got, want)
+	}
+	return out, nil
+}
+
 // readStencil performs the partial-read path: only the stencil's x-rows
-// are fetched from the out-of-page blob, as a stencil-local
-// (4, np, np, np) array. A block's (4, m, m, m) elements lie exactly as
-// a (4m, m, m) array's, so a plan on that view makes each row — u, v, w
-// and p of np adjacent nodes — one run: np² runs, not the np³ a plan
-// skipping p would cut. The float64 samples are decoded straight off
-// the segments (pinned pages for raw blocks, decoded scratch for
-// compressed ones) — no intermediate byte buffer, no copy. The direct
-// decode requires every element to sit inside one segment, which holds
-// because segments break only at chunk boundaries, every chunk starts on
-// a BlockSize multiple, and BlockSize is a multiple of 8 (asserted
-// below), past a header CreateStore has checked is a multiple of 8 too.
+// are fetched from the out-of-page velocity blob, as a stencil-local
+// (3, np, np, np) array. A block's (3, m, m, m) elements lie exactly as
+// a (3m, m, m) array's, so a plan on that view makes each row — u, v
+// and w of np adjacent nodes — one run: np² runs. The float64 samples
+// are decoded straight off the segments (pinned pages for raw blocks,
+// decoded scratch for compressed ones) — no intermediate byte buffer,
+// no copy. The direct decode requires every element to sit inside one
+// segment, which holds because segments break only at chunk boundaries,
+// every chunk starts on a BlockSize multiple, and BlockSize is a
+// multiple of 8 (asserted below), past a header CreateStore has checked
+// is a multiple of 8 too.
 func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int) ([]float64, error) {
 	key, err := s.cubeKey(step, cx, cy, cz)
 	if err != nil {
@@ -213,8 +238,8 @@ func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz,
 		return nil, err
 	}
 	m := s.blockSide()
-	rows := core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{Channels * m, m, m}}
-	runs, err := core.SubarrayPlan(rows, []int{Channels * sx, sy, sz}, []int{Channels * np, np, np})
+	rows := core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{velChannels * m, m, m}}
+	runs, err := core.SubarrayPlan(rows, []int{velChannels * sx, sy, sz}, []int{velChannels * np, np, np})
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,10 @@ import (
 // clustered on (timestep, z-index) so spatially adjacent cubes are
 // adjacent on disk (§2.1: "partitioned along a space filling curve
 // (z-index) into cubes of (64+8)³ ... Each blob is ... stored in a
-// separate row").
+// separate row"). A row holds the cube in two MAX columns: blob, the
+// velocity as a (3, m, m, m) array (a node's u, v, w adjacent), and p,
+// the pressure as an (m, m, m) array. The service interpolates velocity
+// only, so no read of it moves a byte of pressure.
 type Store struct {
 	db    *engine.DB
 	table *engine.Table
@@ -20,6 +23,9 @@ type Store struct {
 	cube  int // sub-cube side without ghosts
 	ghost int // ghost-zone width on each face
 }
+
+// velChannels is the number of quantities in the blob column (u, v, w).
+const velChannels = 3
 
 // blockSide returns the stored cube side including ghosts.
 func (s *Store) blockSide() int { return s.cube + 2*s.ghost }
@@ -45,6 +51,7 @@ func CreateStore(db *engine.DB, tableName string, f *Field, cube, ghost int) (*S
 	schema, err := engine.NewSchema(
 		engine.Column{Name: "zkey", Type: engine.ColInt64},
 		engine.Column{Name: "blob", Type: engine.ColVarBinaryMax},
+		engine.Column{Name: "p", Type: engine.ColVarBinaryMax},
 	)
 	if err != nil {
 		return nil, err
@@ -82,13 +89,14 @@ func (s *Store) AddSnapshot(step int, f *Field) error {
 				if err != nil {
 					return err
 				}
-				arr, err := s.packBlock(f, cx, cy, cz)
+				vel, p, err := s.packBlock(f, cx, cy, cz)
 				if err != nil {
 					return err
 				}
 				rows = append(rows, []engine.Value{
 					engine.IntValue(keyFor(step, code)),
-					engine.BinaryMaxValue(arr.Bytes()),
+					engine.BinaryMaxValue(vel.Bytes()),
+					engine.BinaryMaxValue(p.Bytes()),
 				})
 			}
 		}
@@ -97,33 +105,37 @@ func (s *Store) AddSnapshot(step int, f *Field) error {
 	return err
 }
 
-// packBlock builds the (4, m, m, m) max array for one sub-cube,
-// including ghost zones copied from periodic neighbours.
-func (s *Store) packBlock(f *Field, cx, cy, cz int) (*core.Array, error) {
+// packBlock builds the (3, m, m, m) velocity and (m, m, m) pressure max
+// arrays for one sub-cube, including ghost zones copied from periodic
+// neighbours.
+func (s *Store) packBlock(f *Field, cx, cy, cz int) (vel, p *core.Array, err error) {
 	m := s.blockSide()
-	arr, err := core.New(core.Max, core.Float64, Channels, m, m, m)
-	if err != nil {
-		return nil, err
+	if vel, err = core.New(core.Max, core.Float64, velChannels, m, m, m); err != nil {
+		return nil, nil, err
+	}
+	if p, err = core.New(core.Max, core.Float64, m, m, m); err != nil {
+		return nil, nil, err
 	}
 	x0 := cx*s.cube - s.ghost
 	y0 := cy*s.cube - s.ghost
 	z0 := cz*s.cube - s.ghost
-	// Column-major with dims (4,m,m,m): a node's u, v, w, p are the four
-	// adjacent elements from lin, so the nodes of a stencil's x-row are
-	// one contiguous run.
+	// Column-major with dims (3,m,m,m): a node's u, v, w are the three
+	// adjacent elements from 3·node, so the nodes of a stencil's x-row
+	// are one contiguous run.
 	for lz := 0; lz < m; lz++ {
 		for ly := 0; ly < m; ly++ {
 			for lx := 0; lx < m; lx++ {
-				u, v, w, p := f.At(x0+lx, y0+ly, z0+lz)
-				lin := Channels * ((lz*m+ly)*m + lx)
-				arr.SetFloatAt(lin, u)
-				arr.SetFloatAt(lin+1, v)
-				arr.SetFloatAt(lin+2, w)
-				arr.SetFloatAt(lin+3, p)
+				u, v, w, pr := f.At(x0+lx, y0+ly, z0+lz)
+				node := (lz*m+ly)*m + lx
+				lin := velChannels * node
+				vel.SetFloatAt(lin, u)
+				vel.SetFloatAt(lin+1, v)
+				vel.SetFloatAt(lin+2, w)
+				p.SetFloatAt(node, pr)
 			}
 		}
 	}
-	return arr, nil
+	return vel, p, nil
 }
 
 // CubeSide returns the partition cube side (without ghosts).
@@ -132,13 +144,15 @@ func (s *Store) CubeSide() int { return s.cube }
 // Ghost returns the ghost-zone width.
 func (s *Store) Ghost() int { return s.ghost }
 
-// blockHeader is the (4, m, m, m) array header every stored block carries.
+// blockHeader is the (3, m, m, m) array header every stored velocity
+// blob carries.
 func (s *Store) blockHeader() core.Header {
 	m := s.blockSide()
-	return core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{Channels, m, m, m}}
+	return core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{velChannels, m, m, m}}
 }
 
-// BlockBytes returns the stored blob size per block, header included.
+// BlockBytes returns the stored velocity blob size per block, header
+// included — the bytes a whole-blob fetch reads.
 func (s *Store) BlockBytes() int {
 	h := s.blockHeader()
 	return h.TotalBytes()
@@ -153,7 +167,8 @@ func (s *Store) cubeKey(step, cx, cy, cz int) (int64, error) {
 	return keyFor(step, code), nil
 }
 
-// fetchRef returns the encoded blob ref stored under key, as of snap.
+// fetchRef returns the encoded velocity blob ref stored under key, as of
+// snap.
 func (s *Store) fetchRef(snap *engine.Snapshot, key int64) ([]byte, error) {
 	row, err := s.table.GetAt(snap, key)
 	if err != nil {

@@ -104,8 +104,8 @@ func TestStoreRowCountAndBlockBytes(t *testing.T) {
 	if s.table.Rows() != 8 {
 		t.Errorf("rows = %d, want 8", s.table.Rows())
 	}
-	// Block of (8+8)³ x 4 channels x 8 bytes + header.
-	want := 16*16*16*4*8 + 32 // 16-byte fixed max header + 4 dims x 4
+	// Velocity blob of (8+8)³ x 3 channels x 8 bytes + header.
+	want := 16*16*16*3*8 + 32 // 16-byte fixed max header + 4 dims x 4
 	if got := s.BlockBytes(); got != want {
 		t.Errorf("BlockBytes = %d, want %d", got, want)
 	}
@@ -357,10 +357,11 @@ func TestBatchCachesBlocks(t *testing.T) {
 	}
 }
 
-// TestStoredBlockLayout: a stored block is a (4, m, m, m) array whose
-// element (ch, lx, ly, lz) is channel ch of the field at the block's
-// origin plus (lx, ly, lz), periodically wrapped — in the interior and
-// in the ghost zones.
+// TestStoredBlockLayout: a stored cube is two arrays. Its blob column
+// is a (3, m, m, m) array whose element (ch, lx, ly, lz) is velocity
+// channel ch of the field at the block's origin plus (lx, ly, lz),
+// periodically wrapped; its p column is an (m, m, m) array of the
+// pressure at the same nodes — in the interior and in the ghost zones.
 func TestStoredBlockLayout(t *testing.T) {
 	s, f := newStore(t, 16, 8, 4)
 	m := s.blockSide()
@@ -371,32 +372,48 @@ func TestStoredBlockLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := s.fetchRef(snap, key)
+		row, err := s.table.GetAt(snap, key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := s.table.ResolveMaxAt(snap, ref)
-		if err != nil {
-			t.Fatal(err)
+		if len(row) != 3 {
+			t.Fatalf("cube %v: row has %d columns, want zkey, blob, p", c, len(row))
 		}
-		arr, err := core.Wrap(raw)
-		if err != nil {
-			t.Fatal(err)
+		var cols [2]*core.Array // blob, p
+		for i := range cols {
+			raw, err := s.table.ResolveMaxAt(snap, row[1+i].B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cols[i], err = core.Wrap(raw); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got, want := arr.Dims(), []int{Channels, m, m, m}; !slices.Equal(got, want) {
-			t.Fatalf("cube %v: dims %v, want %v", c, got, want)
+		vel, pr := cols[0], cols[1]
+		if got, want := vel.Dims(), []int{3, m, m, m}; !slices.Equal(got, want) {
+			t.Fatalf("cube %v: blob dims %v, want %v", c, got, want)
+		}
+		if got, want := pr.Dims(), []int{m, m, m}; !slices.Equal(got, want) {
+			t.Fatalf("cube %v: p dims %v, want %v", c, got, want)
 		}
 		// Ghost cells at 0, 1, m-1; interior cells at 4, 7, 11.
 		for _, l := range [][3]int{{0, 0, 0}, {1, 5, m - 1}, {4, 4, 4}, {7, 11, 6}, {m - 1, 0, 9}, {11, m - 1, m - 1}} {
 			u, v, w, p := f.At(c[0]*8-4+l[0], c[1]*8-4+l[1], c[2]*8-4+l[2])
-			for ch, want := range []float64{u, v, w, p} {
-				got, err := arr.Item(ch, l[0], l[1], l[2])
+			for ch, want := range []float64{u, v, w} {
+				got, err := vel.Item(ch, l[0], l[1], l[2])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Errorf("cube %v element (%d, %d, %d, %d) = %g, want %g", c, ch, l[0], l[1], l[2], got, want)
+					t.Errorf("cube %v blob element (%d, %d, %d, %d) = %g, want %g", c, ch, l[0], l[1], l[2], got, want)
 				}
+			}
+			got, err := pr.Item(l[0], l[1], l[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != p {
+				t.Errorf("cube %v p element (%d, %d, %d) = %g, want %g", c, l[0], l[1], l[2], got, p)
 			}
 		}
 	}
@@ -450,10 +467,11 @@ func TestVelocityBatchGoldenHash(t *testing.T) {
 
 // TestStencilChunkReads bounds the blob chunks one PartialRead stencil
 // touches, averaged over a fixed set of stencil origins in 24³ blocks
-// (cube 16, ghost 4). The counts are exact. With the four channels of a
-// point adjacent, a stencil's x-row is one run, so a Lag4 stencil reads
-// about 5.2 blocks and a Lag8 stencil about 13.5; a cube stored one
-// channel volume after another reads 8.4 and 15.5.
+// (cube 16, ghost 4). The counts are exact. With a point's u, v, w
+// adjacent and p in its own column, a stencil's x-row is one run, so a
+// Lag4 stencil reads about 4.8 blocks and a Lag8 stencil about 12.1;
+// with p interleaved as a fourth channel they read 5.2 and 13.5, and
+// with one channel volume after another 8.4 and 15.5.
 func TestStencilChunkReads(t *testing.T) {
 	s, _ := newStore(t, 32, 16, 4)
 	pts := seededPoints(2, 400, 32)
@@ -461,8 +479,8 @@ func TestStencilChunkReads(t *testing.T) {
 		scheme interp.Scheme
 		bound  float64
 	}{
-		{interp.Lag4, 5.5},
-		{interp.Lag8, 14.0},
+		{interp.Lag4, 5.0},
+		{interp.Lag8, 12.5},
 	} {
 		base := s.Stats()
 		if _, err := s.VelocityBatch(0, pts, tc.scheme, PartialRead); err != nil {
@@ -473,6 +491,59 @@ func TestStencilChunkReads(t *testing.T) {
 		if mean > tc.bound {
 			t.Errorf("%v: %.2f chunk reads per stencil, want <= %.1f", tc.scheme, mean, tc.bound)
 		}
+	}
+}
+
+// TestWholeBlobReadsVelocityOnly: a WholeBlob batch over k distinct
+// cubes reads exactly k velocity blobs — each cube once, and no byte of
+// the p column.
+func TestWholeBlobReadsVelocityOnly(t *testing.T) {
+	s, _ := newStore(t, 32, 16, 4)
+	// Cubes (0,0,0), (1,0,0) — also reached through the wrap at -3 — and
+	// (1,1,1).
+	pts := [][3]float64{{1.3, 2.7, 3.1}, {5, 5, 5}, {17.2, 3, 4}, {-3, 2.5, 2}, {20, 20, 20}}
+	const k = 3
+	for _, scheme := range []interp.Scheme{interp.Nearest, interp.Lag8} {
+		before := s.db.Blobs().Stats().BytesRead
+		if _, err := s.VelocityBatch(0, pts, scheme, WholeBlob); err != nil {
+			t.Fatal(err)
+		}
+		got := s.db.Blobs().Stats().BytesRead - before
+		if want := uint64(k * s.BlockBytes()); got != want {
+			t.Errorf("%v: whole-blob batch read %d blob bytes, want %d (%d cubes x %d)",
+				scheme, got, want, k, s.BlockBytes())
+		}
+	}
+}
+
+// TestWholeBlobRejectsForeignHeader: a whole-blob fetch checks the
+// stored header against the store's cube shape, so a blob of another
+// shape fails the batch instead of being read as velocity.
+func TestWholeBlobRejectsForeignHeader(t *testing.T) {
+	s, _ := newStore(t, 16, 8, 4)
+	m := s.blockSide()
+	// (4, m, m, m) is longer than the (3, m, m, m) velocity blob, so
+	// only the header can tell them apart.
+	foreign, err := core.New(core.Max, core.Float64, 4, m, m, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := s.cubeKey(0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := s.db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Close(s.table.UpdateTx(tx, key, []int{1}, []engine.Value{engine.BinaryMaxValue(foreign.Bytes())})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Velocity(0, [3]float64{1.5, 2.5, 3.5}, interp.Lag4, WholeBlob); err == nil {
+		t.Error("whole-blob fetch of a (4, m, m, m) blob: nil error, want a header mismatch")
+	}
+	if _, err := s.Velocity(0, [3]float64{9.5, 2.5, 3.5}, interp.Lag4, WholeBlob); err != nil {
+		t.Errorf("untouched cube: %v", err)
 	}
 }
 
