@@ -82,10 +82,13 @@ func leafKey(rec []byte) int64 {
 }
 
 func encodeLeafRec(key int64, val []byte) []byte {
-	rec := make([]byte, 8+len(val))
-	binary.LittleEndian.PutUint64(rec, uint64(key))
-	copy(rec[8:], val)
-	return rec
+	return appendLeafRec(make([]byte, 0, 8+len(val)), key, val)
+}
+
+// appendLeafRec appends the leaf record of (key, val) to dst.
+func appendLeafRec(dst []byte, key int64, val []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(key))
+	return append(dst, val...)
 }
 
 func encodeInternalRec(key int64, child pages.PageID) []byte {

@@ -50,6 +50,7 @@ type LeafWriter struct {
 	lastKey int64
 	n       int
 	leaves  []leafRef
+	rec     []byte // the record being added; reused by every Add
 }
 
 // NewLeafWriter starts a bulk leaf stream that GraftAppend later
@@ -78,7 +79,8 @@ func (w *LeafWriter) Add(key int64, val []byte) error {
 		}
 		return fmt.Errorf("btree: bulk keys out of order: %d after %d", key, w.lastKey)
 	}
-	rec := encodeLeafRec(key, val)
+	w.rec = appendLeafRec(w.rec[:0], key, val)
+	rec := w.rec
 	if w.cur == nil {
 		if w.head != nil {
 			w.cur = w.head

@@ -1,10 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"sqlarray/internal/blob"
 	"sqlarray/internal/btree"
@@ -21,6 +22,13 @@ import (
 // the finished leaves onto the table's right spine and publishes the
 // catalog delta.
 //
+// Staging makes no allocation per row. Each row image is appended to
+// one arena (fixed-size blocks, never copied as it grows), and the sort
+// runs over pointer-free (key, offset, end) entries into it, so neither
+// the sort nor the garbage collector walks a slice per row. The arena is
+// also the copy the BulkSource contract asks for: a source may reuse its
+// row buffer on every Next.
+//
 // Durability is all-or-nothing without any extra machinery: recovery
 // only applies page images that a later commit record covers, so a
 // crash mid-load finds an uncommitted tail, truncates it, and the table
@@ -33,25 +41,26 @@ import (
 // capture-backed commit.
 
 // BulkSource yields rows for a bulk load in schema order. Next returns
-// io.EOF after the last row. Values need only stay valid until the next
-// call — the loader copies what it keeps.
+// io.EOF after the last row. The row and the bytes its values reference
+// need only stay valid until the next call — a source may fill the same
+// buffer every time, and the loader copies what it keeps.
 type BulkSource interface {
 	Next() ([]Value, error)
 }
 
-// ValuesSource adapts an in-memory row slice to BulkSource.
-type ValuesSource struct {
+// valuesSource adapts an in-memory row slice to BulkSource.
+type valuesSource struct {
 	rows [][]Value
 	i    int
 }
 
 // NewValuesSource returns a BulkSource over rows.
-func NewValuesSource(rows [][]Value) *ValuesSource {
-	return &ValuesSource{rows: rows}
+func NewValuesSource(rows [][]Value) BulkSource {
+	return &valuesSource{rows: rows}
 }
 
 // Next implements BulkSource.
-func (s *ValuesSource) Next() ([]Value, error) {
+func (s *valuesSource) Next() ([]Value, error) {
 	if s.i >= len(s.rows) {
 		return nil, io.EOF
 	}
@@ -86,11 +95,11 @@ type BulkStats struct {
 // interleaving loads go through INSERT.
 var ErrBulkOverlap = errors.New("engine: bulk load keys must exceed every existing key")
 
-// pendingRow is a staged row: key plus its final on-page image (MAX
-// columns already replaced by blob refs).
+// pendingRow is a staged row: its key and the arena span [off, end) of
+// its final on-page image (MAX columns already replaced by blob refs).
 type pendingRow struct {
-	key int64
-	raw []byte
+	key      int64
+	off, end int
 }
 
 // BulkLoad ingests every row src yields into the table and commits them
@@ -144,7 +153,7 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 	// bytes in array workloads) stream to fresh chunk pages immediately
 	// — their page order does not depend on key order — while the small
 	// row images accumulate for the sort.
-	pending, err := t.stageRows(src, onPage, &stats)
+	arena, pending, err := t.stageRows(src, onPage, &stats)
 	if err != nil {
 		return stats, err
 	}
@@ -155,7 +164,7 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 	// Phase 1b: sort by key, reject duplicates and overlap. The bulk
 	// path is append-only: packed leaves graft after the current
 	// rightmost leaf, so every new key must clear the old maximum.
-	sort.Slice(pending, func(i, j int) bool { return pending[i].key < pending[j].key })
+	slices.SortFunc(pending, func(a, b pendingRow) int { return cmp.Compare(a.key, b.key) })
 	for i := 1; i < len(pending); i++ {
 		if pending[i].key == pending[i-1].key {
 			return stats, fmt.Errorf("%w: %d", btree.ErrDuplicate, pending[i].key)
@@ -175,7 +184,7 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 		return stats, err
 	}
 	for _, pr := range pending {
-		if err := lw.Add(pr.key, pr.raw); err != nil {
+		if err := lw.Add(pr.key, arena.row(pr.off, pr.end)); err != nil {
 			lw.Abandon()
 			return stats, err
 		}
@@ -211,56 +220,101 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 }
 
 // stageRows drains src: MAX columns are written to fresh blob pages and
-// replaced by their refs, the row image is encoded, and the (key, image)
-// pairs are returned for sorting. Keys are pre-checked against nothing
-// here — ordering and overlap are the caller's phase 1b.
-func (t *Table) stageRows(src BulkSource, onPage func(*pages.Frame) error, stats *BulkStats) ([]pendingRow, error) {
+// replaced by their refs, and the row image is appended to the arena it
+// returns with one pending entry per row. Keys are pre-checked against
+// nothing here — ordering and overlap are the caller's phase 1b.
+func (t *Table) stageRows(src BulkSource, onPage func(*pages.Frame) error, stats *BulkStats) (*rowArena, []pendingRow, error) {
 	db := t.db
-	var pending []pendingRow
+	cols := t.schema.Columns
+	var (
+		arena   rowArena
+		pending []pendingRow
+		// stored and refs are the one row of values (MAX columns swapped
+		// for their refs) that every row with a MAX payload reuses.
+		stored = make([]Value, len(cols))
+		refs   = make([]byte, len(cols)*blob.RefSize)
+	)
 	for {
 		vals, err := src.Next()
 		if errors.Is(err, io.EOF) {
-			return pending, nil
+			return &arena, pending, nil
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if len(vals) != len(t.schema.Columns) {
-			return nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeError, len(vals), len(t.schema.Columns))
+		if len(vals) != len(cols) {
+			return nil, nil, fmt.Errorf("%w: %d values for %d columns",
+				ErrTypeError, len(vals), len(cols))
 		}
 		key, err := vals[t.schema.Key].AsInt()
 		if err != nil {
-			return nil, fmt.Errorf("engine: clustered key: %w", err)
+			return nil, nil, fmt.Errorf("engine: clustered key: %w", err)
 		}
-		stored := vals
-		copied := false
-		for i, c := range t.schema.Columns {
-			if c.Type != ColVarBinaryMax || vals[i].IsNull() {
+		row, swapped := vals, false
+		for i := range cols {
+			if cols[i].Type != ColVarBinaryMax || vals[i].IsNull() {
 				continue
 			}
-			if !copied {
-				stored = append([]Value(nil), vals...)
-				copied = true
+			if !swapped {
+				copy(stored, vals)
+				row, swapped = stored, true
 			}
 			ref, err := db.blobs.WriteFresh(vals[i].B, codecForBlob(vals[i].B), onPage)
 			if err != nil {
-				return nil, fmt.Errorf("engine: writing MAX column %q: %w", c.Name, err)
+				return nil, nil, fmt.Errorf("engine: writing MAX column %q: %w", cols[i].Name, err)
 			}
-			enc := make([]byte, blob.RefSize)
+			enc := refs[i*blob.RefSize : (i+1)*blob.RefSize]
 			ref.Encode(enc)
 			stored[i] = BinaryMaxValue(enc)
 			stats.BlobBytes += int64(len(vals[i].B))
 		}
-		raw, err := encodeRow(&t.schema, stored)
+		off, end, err := arena.appendRow(&t.schema, row)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if len(raw) > btree.MaxValueSize {
-			return nil, fmt.Errorf("%w: %d bytes", ErrRowTooWide, len(raw))
+		if end-off > btree.MaxValueSize {
+			return nil, nil, fmt.Errorf("%w: %d bytes", ErrRowTooWide, end-off)
 		}
-		pending = append(pending, pendingRow{key: key, raw: raw})
+		if len(pending) == cap(pending) {
+			// Double: append grows a large slice by a quarter at a time.
+			pending = slices.Grow(pending, len(pending)+1)
+		}
+		pending = append(pending, pendingRow{key: key, off: off, end: end})
 		stats.Rows++
-		stats.RowBytes += int64(len(raw))
+		stats.RowBytes += int64(end - off)
 	}
+}
+
+// arenaBlock is the size of the blocks a rowArena stages row images in.
+const arenaBlock = 256 << 10
+
+// rowArena stages row images back to back in arenaBlock-sized blocks,
+// addressed by offset: block i covers [i*arenaBlock, (i+1)*arenaBlock).
+// A row never spans two blocks, and growing the arena copies nothing.
+type rowArena struct {
+	blocks [][]byte
+}
+
+// appendRow encodes one row image into the arena and returns its span
+// [off, end).
+func (a *rowArena) appendRow(s *Schema, vals []Value) (off, end int, err error) {
+	n := len(a.blocks)
+	if n == 0 || cap(a.blocks[n-1])-len(a.blocks[n-1]) < btree.MaxValueSize {
+		a.blocks = append(a.blocks, make([]byte, 0, arenaBlock))
+		n++
+	}
+	b := a.blocks[n-1]
+	start := len(b)
+	if b, err = appendRow(b, s, vals); err != nil {
+		return 0, 0, err
+	}
+	a.blocks[n-1] = b
+	base := (n - 1) * arenaBlock
+	return base + start, base + len(b), nil
+}
+
+// row returns the row image staged at [off, end).
+func (a *rowArena) row(off, end int) []byte {
+	base := off / arenaBlock * arenaBlock
+	return a.blocks[off/arenaBlock][off-base : end-base]
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -383,4 +384,99 @@ func TestBulkLoadConcurrentSnapshots(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", got, batches*perBatch)
 	}
 	verifyInvariants(t, db, "t")
+}
+
+// TestBulkLoadRejectsOverWideRow feeds a row too wide for a leaf page
+// into the middle of a load: two VARBINARY(8000) columns that each fit
+// alone. The load fails with ErrRowTooWide and the table keeps exactly
+// the rows it had.
+func TestBulkLoadRejectsOverWideRow(t *testing.T) {
+	db := openDB(t, pages.NewMemDisk(), wal.NewMemStorage())
+	s, err := NewSchema(
+		Column{Name: "id", Type: ColInt64},
+		Column{Name: "a", Type: ColVarBinary},
+		Column{Name: "b", Type: ColVarBinary},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := []byte("ok")
+	if err := tbl.Insert([]Value{IntValue(0), BinaryValue(small), Null}); err != nil {
+		t.Fatal(err)
+	}
+	wide := make([]byte, 5000)
+	var rows [][]Value
+	for k := int64(1); k <= 20; k++ {
+		rows = append(rows, []Value{IntValue(k), BinaryValue(small), BinaryValue(small)})
+	}
+	rows[10] = []Value{IntValue(11), BinaryValue(wide), BinaryValue(wide)}
+	if 9+2*(3+len(wide)) <= btree.MaxValueSize { // id, then two (flag, length, bytes) columns
+		t.Fatalf("row of two %d-byte columns fits a leaf (MaxValueSize %d)", len(wide), btree.MaxValueSize)
+	}
+	if _, err := tbl.BulkLoad(NewValuesSource(rows), BulkOptions{}); !errors.Is(err, ErrRowTooWide) {
+		t.Fatalf("BulkLoad: err = %v, want ErrRowTooWide", err)
+	}
+	if got := tbl.Rows(); got != 1 {
+		t.Fatalf("rows after rejected load = %d, want 1", got)
+	}
+	var keys []int64
+	if err := tbl.Scan(func(key int64, row *RowView) (bool, error) {
+		keys = append(keys, key)
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 1 || keys[0] != 0 {
+		t.Fatalf("keys after rejected load = %v, want [0]", keys)
+	}
+	got, err := tbl.Get(0)
+	if err != nil || string(got[1].B) != string(small) || !got[2].IsNull() {
+		t.Fatalf("row 0 after rejected load = %v, %v", got, err)
+	}
+	verifyInvariants(t, db, "t")
+}
+
+// benchSource yields n fixed-width benchSchema rows through one reused
+// row, so a load's allocations are the loader's own.
+type benchSource struct {
+	i, n int
+	row  [4]Value
+}
+
+func (s *benchSource) Next() ([]Value, error) {
+	if s.i == s.n {
+		return nil, io.EOF
+	}
+	f := float64(s.i)
+	s.row = [4]Value{IntValue(int64(s.i)), FloatValue(f), FloatValue(f * 2), FloatValue(f * 3)}
+	s.i++
+	return s.row[:], nil
+}
+
+// TestBulkLoadAllocationsPerRow holds staging to no allocation per row:
+// row images go to one arena, the sort runs over pointer-free entries,
+// and the leaf writer reuses one record buffer. What remains (arena and
+// entry growth, fresh pages, the commit) is per load or per page. The
+// count includes opening the database and creating the table.
+func TestBulkLoadAllocationsPerRow(t *testing.T) {
+	const rows = 20_000
+	allocs := testing.AllocsPerRun(3, func() {
+		db := memDB(t)
+		tbl, err := db.CreateTable("t", benchSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := tbl.BulkLoad(&benchSource{n: rows}, BulkOptions{})
+		if err != nil || st.Rows != rows {
+			t.Fatalf("BulkLoad: %+v, %v", st, err)
+		}
+	})
+	t.Logf("%.0f allocations for %d rows (%.3f per row)", allocs, rows, allocs/rows)
+	if perRow := allocs / rows; perRow >= 0.1 {
+		t.Errorf("BulkLoad makes %.3f allocations per row, want < 0.1", perRow)
+	}
 }

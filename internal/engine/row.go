@@ -20,34 +20,45 @@ import (
 // the leaf value and the key column is also encoded inline (keeping rows
 // self-describing, like SQL Server's clustered leaf rows).
 
-// encodeRow serializes vals (in schema order) into a fresh buffer.
-// VARBINARY(MAX) values must already be converted to blob refs by the
-// table layer; here they are 12-byte encoded refs carried in Value.B.
+// encodeRow serializes vals (in schema order) into a fresh buffer of
+// exactly the row's size. VARBINARY(MAX) values must already be
+// converted to blob refs by the table layer; here they are 12-byte
+// encoded refs carried in Value.B.
 func encodeRow(s *Schema, vals []Value) ([]byte, error) {
-	if len(vals) != len(s.Columns) {
-		return nil, fmt.Errorf("%w: %d values for %d columns", ErrTypeError, len(vals), len(s.Columns))
-	}
+	return appendRow(make([]byte, 0, rowSize(s, vals)), s, vals)
+}
+
+// rowSize is the encoded size of vals, for sizing a buffer; appendRow
+// does the validation.
+func rowSize(s *Schema, vals []Value) int {
 	size := 0
 	for i, c := range s.Columns {
 		size++
-		if vals[i].IsNull() {
+		if i >= len(vals) || vals[i].IsNull() {
 			continue
 		}
 		switch c.Type {
 		case ColInt64, ColFloat64:
 			size += 8
 		case ColVarBinary:
-			if len(vals[i].B) > 8000 {
-				return nil, fmt.Errorf("%w: VARBINARY(8000) value of %d bytes", ErrTypeError, len(vals[i].B))
-			}
 			size += 2 + len(vals[i].B)
 		case ColVarBinaryMax:
 			size += blob.RefSize
 		}
 	}
-	out := make([]byte, 0, size)
-	for i, c := range s.Columns {
-		v := vals[i]
+	return size
+}
+
+// appendRow appends the row image of vals to dst and returns the
+// extended buffer. On error dst's contents past its old length are
+// unspecified.
+func appendRow(dst []byte, s *Schema, vals []Value) ([]byte, error) {
+	if len(vals) != len(s.Columns) {
+		return nil, fmt.Errorf("%w: %d values for %d columns", ErrTypeError, len(vals), len(s.Columns))
+	}
+	out := dst
+	for i := range s.Columns {
+		c, v := &s.Columns[i], &vals[i]
 		if v.IsNull() {
 			out = append(out, 1)
 			continue
@@ -59,24 +70,21 @@ func encodeRow(s *Schema, vals []Value) ([]byte, error) {
 			if err != nil {
 				return nil, fmt.Errorf("column %q: %w", c.Name, err)
 			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(n))
-			out = append(out, b[:]...)
+			out = binary.LittleEndian.AppendUint64(out, uint64(n))
 		case ColFloat64:
 			f, err := v.AsFloat()
 			if err != nil {
 				return nil, fmt.Errorf("column %q: %w", c.Name, err)
 			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-			out = append(out, b[:]...)
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
 		case ColVarBinary:
 			if v.Kind != ColVarBinary && v.Kind != ColVarBinaryMax {
 				return nil, fmt.Errorf("column %q: %w: %v", c.Name, ErrTypeError, v.Kind)
 			}
-			var b [2]byte
-			binary.LittleEndian.PutUint16(b[:], uint16(len(v.B)))
-			out = append(out, b[:]...)
+			if len(v.B) > 8000 {
+				return nil, fmt.Errorf("%w: VARBINARY(8000) value of %d bytes", ErrTypeError, len(v.B))
+			}
+			out = binary.LittleEndian.AppendUint16(out, uint16(len(v.B)))
 			out = append(out, v.B...)
 		case ColVarBinaryMax:
 			if len(v.B) != blob.RefSize {

@@ -346,6 +346,60 @@ func TestBucketStoreRoundtrip(t *testing.T) {
 	}
 }
 
+func TestBucketStoreKeepsParticlesThatShareAnID(t *testing.T) {
+	db := memDB(t)
+	s := &Snapshot{Particles: []Particle{
+		{ID: 7, Pos: [3]float64{0.1, 0.2, 0.3}, Vel: [3]float64{1, 2, 3}},
+		{ID: 7, Pos: [3]float64{0.9, 0.8, 0.7}, Vel: [3]float64{4, 5, 6}},
+		{ID: 8, Pos: [3]float64{0.5, 0.5, 0.5}, Vel: [3]float64{7, 8, 9}},
+	}}
+	bs, err := CreateBucketStore(db, "parts", s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := bs.LoadSnapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Particles) != len(s.Particles) {
+		t.Fatalf("loaded %d particles, want %d", len(back.Particles), len(s.Particles))
+	}
+	for _, want := range s.Particles {
+		found := false
+		for _, got := range back.Particles {
+			found = found || got == want
+		}
+		if !found {
+			t.Errorf("particle %+v missing from %+v", want, back.Particles)
+		}
+	}
+}
+
+func TestRowStoreRowsMatchSnapshot(t *testing.T) {
+	db := memDB(t)
+	s := genSnap(t, 2000, 2)
+	s.Step = 3
+	rs, err := CreateRowStore(db, "rows", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rs.Table().Rows(); n != int64(len(s.Particles)) {
+		t.Fatalf("row store rows = %d, want %d", n, len(s.Particles))
+	}
+	for _, p := range s.Particles {
+		got, err := rs.Table().Get(int64(s.Step)<<44 | p.ID)
+		if err != nil {
+			t.Fatalf("particle %d: %v", p.ID, err)
+		}
+		want := []float64{p.Pos[0], p.Pos[1], p.Pos[2], p.Vel[0], p.Vel[1], p.Vel[2]}
+		for i, w := range want {
+			if got[1+i].F != w {
+				t.Fatalf("particle %d column %d = %v, want %v", p.ID, 1+i, got[1+i].F, w)
+			}
+		}
+	}
+}
+
 func TestBucketVsRowStorage(t *testing.T) {
 	// The §2.3 argument: bucketized arrays need orders of magnitude
 	// fewer rows than row-per-particle.

@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"sqlarray/internal/core"
@@ -43,10 +44,12 @@ func CreateBucketStore(db *engine.DB, name string, snap *Snapshot, bucketSize in
 	return bs, nil
 }
 
-// bucket is one octree leaf pending storage.
+// bucket is one octree leaf pending storage. Each point's ID is the
+// index of its particle in the snapshot, not the particle's ID, so
+// particles that share an ID stay distinct.
 type bucket struct {
 	zcode uint64
-	parts []Particle
+	pts   []octree.Point
 }
 
 // AddSnapshot bucketizes and stores one snapshot. Row keys are
@@ -56,11 +59,9 @@ func (bs *BucketStore) AddSnapshot(snap *Snapshot, bucketSize int) error {
 		return fmt.Errorf("nbody: bucket size %d", bucketSize)
 	}
 	tree := octree.New(bucketSize)
-	byID := make(map[int64]*Particle, len(snap.Particles))
 	for i := range snap.Particles {
 		p := &snap.Particles[i]
-		byID[p.ID] = p
-		if err := tree.Insert(octree.Point{X: p.Pos[0], Y: p.Pos[1], Z: p.Pos[2], ID: p.ID}); err != nil {
+		if err := tree.Insert(octree.Point{X: p.Pos[0], Y: p.Pos[1], Z: p.Pos[2], ID: int64(i)}); err != nil {
 			return err
 		}
 	}
@@ -71,37 +72,45 @@ func (bs *BucketStore) AddSnapshot(snap *Snapshot, bucketSize int) error {
 		if err != nil {
 			code = 0
 		}
-		b := bucket{zcode: code, parts: make([]Particle, len(pts))}
-		for i, pt := range pts {
-			b.parts[i] = *byID[pt.ID]
-		}
-		buckets = append(buckets, b)
+		buckets = append(buckets, bucket{zcode: code, pts: pts})
 		return true
 	})
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].zcode < buckets[j].zcode })
-	rows := make([][]engine.Value, len(buckets))
-	for rank, b := range buckets {
-		key := int64(snap.Step)<<44 | int64(rank)
-		row, err := encodeBucket(b.parts)
-		if err != nil {
-			return err
-		}
-		rows[rank] = append([]engine.Value{engine.IntValue(key)}, row...)
-	}
 	// One bulk commit per snapshot: keys ascend with the z-curve rank, so
-	// the loader packs leaves straight off this slice.
-	_, err := bs.table.BulkLoad(engine.NewValuesSource(rows), engine.BulkOptions{})
+	// the loader packs leaves straight off the source. Each bucket's
+	// arrays are encoded only when the loader asks for its row.
+	var row [4]engine.Value
+	rank := 0
+	_, err := bs.table.BulkLoad(rowsFunc(func() ([]engine.Value, error) {
+		if rank == len(buckets) {
+			return nil, io.EOF
+		}
+		if err := encodeBucket(row[1:], snap.Particles, buckets[rank].pts); err != nil {
+			return nil, err
+		}
+		row[0] = engine.IntValue(int64(snap.Step)<<44 | int64(rank))
+		rank++
+		return row[:], nil
+	}), engine.BulkOptions{})
 	return err
 }
 
-// encodeBucket packs particles into the three array blobs: ids as a
-// bigint vector, pos and vel as (n, 3) float64 arrays.
-func encodeBucket(parts []Particle) ([]engine.Value, error) {
-	n := len(parts)
+// rowsFunc adapts a function that fills and returns one reused row to
+// engine.BulkSource.
+type rowsFunc func() ([]engine.Value, error)
+
+// Next implements engine.BulkSource.
+func (f rowsFunc) Next() ([]engine.Value, error) { return f() }
+
+// encodeBucket packs the particles pts index into the three array blobs
+// dst[0:3]: ids as a bigint vector, pos and vel as (n, 3) float64 arrays.
+func encodeBucket(dst []engine.Value, parts []Particle, pts []octree.Point) error {
+	n := len(pts)
 	ids := make([]int64, n)
 	pos := make([]float64, n*3)
 	vel := make([]float64, n*3)
-	for i, p := range parts {
+	for i, pt := range pts {
+		p := &parts[pt.ID]
 		ids[i] = p.ID
 		for d := 0; d < 3; d++ {
 			// Column-major (n,3): element (i,d) at i + d*n.
@@ -111,21 +120,20 @@ func encodeBucket(parts []Particle) ([]engine.Value, error) {
 	}
 	idArr, err := core.FromInt64s(core.Max, core.Int64, ids, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	posArr, err := core.FromFloat64s(core.Max, core.Float64, pos, n, 3)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	velArr, err := core.FromFloat64s(core.Max, core.Float64, vel, n, 3)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []engine.Value{
-		engine.BinaryMaxValue(idArr.Bytes()),
-		engine.BinaryMaxValue(posArr.Bytes()),
-		engine.BinaryMaxValue(velArr.Bytes()),
-	}, nil
+	dst[0] = engine.BinaryMaxValue(idArr.Bytes())
+	dst[1] = engine.BinaryMaxValue(posArr.Bytes())
+	dst[2] = engine.BinaryMaxValue(velArr.Bytes())
+	return nil
 }
 
 // Table exposes the bucket table.
@@ -209,16 +217,23 @@ func CreateRowStore(db *engine.DB, name string, snap *Snapshot) (*RowStore, erro
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]engine.Value, len(snap.Particles))
-	for i, p := range snap.Particles {
-		key := int64(snap.Step)<<44 | p.ID
-		rows[i] = []engine.Value{
-			engine.IntValue(key),
+	// Every particle's row goes through the same buffer.
+	var row [7]engine.Value
+	i := 0
+	_, err = table.BulkLoad(rowsFunc(func() ([]engine.Value, error) {
+		if i == len(snap.Particles) {
+			return nil, io.EOF
+		}
+		p := &snap.Particles[i]
+		i++
+		row = [7]engine.Value{
+			engine.IntValue(int64(snap.Step)<<44 | p.ID),
 			engine.FloatValue(p.Pos[0]), engine.FloatValue(p.Pos[1]), engine.FloatValue(p.Pos[2]),
 			engine.FloatValue(p.Vel[0]), engine.FloatValue(p.Vel[1]), engine.FloatValue(p.Vel[2]),
 		}
-	}
-	if _, err := table.BulkLoad(engine.NewValuesSource(rows), engine.BulkOptions{}); err != nil {
+		return row[:], nil
+	}), engine.BulkOptions{})
+	if err != nil {
 		return nil, err
 	}
 	return &RowStore{table: table}, nil

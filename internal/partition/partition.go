@@ -143,12 +143,22 @@ func (s *Store) CreateTable(name string, schema engine.Schema) error {
 // own write latch and WAL, so the loads overlap end to end. Per-member
 // all-or-nothing durability carries over; a failure reports which
 // members had already committed.
+//
+// src only promises a row until its next Next call, so routing copies
+// each row into its member's memberRows before asking for the next.
 func (s *Store) BulkLoad(table string, src engine.BulkSource, opts engine.BulkOptions) (engine.BulkStats, error) {
-	keyCol, err := s.keyColumn(table)
+	// CreateTable gave every member the same schema; member 0's speaks
+	// for all.
+	tbl, err := s.dbs[0].Table(table)
 	if err != nil {
 		return engine.BulkStats{}, err
 	}
-	buckets := make([][][]engine.Value, len(s.dbs))
+	schema := tbl.Schema()
+	keyCol, ncol := schema.Key, len(schema.Columns)
+	members := make([]memberRows, len(s.dbs))
+	for i := range members {
+		members[i].ncol = ncol
+	}
 	for {
 		vals, err := src.Next()
 		if err != nil {
@@ -157,34 +167,34 @@ func (s *Store) BulkLoad(table string, src engine.BulkSource, opts engine.BulkOp
 			}
 			return engine.BulkStats{}, err
 		}
-		if keyCol >= len(vals) {
-			return engine.BulkStats{}, fmt.Errorf("partition: row has %d values, key is column %d", len(vals), keyCol)
+		if len(vals) != ncol {
+			return engine.BulkStats{}, fmt.Errorf("partition: %w: %d values for %d columns",
+				engine.ErrTypeError, len(vals), ncol)
 		}
 		key, err := vals[keyCol].AsInt()
 		if err != nil {
 			return engine.BulkStats{}, err
 		}
-		i := s.spec.locate(key)
-		buckets[i] = append(buckets[i], vals)
+		members[s.spec.locate(key)].add(vals)
 	}
 
 	stats := make([]engine.BulkStats, len(s.dbs))
 	errs := make([]error, len(s.dbs))
 	var wg sync.WaitGroup
-	for i, rows := range buckets {
-		if len(rows) == 0 {
+	for i := range members {
+		if len(members[i].rows) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, rows [][]engine.Value) {
+		go func(i int) {
 			defer wg.Done()
 			tbl, err := s.dbs[i].Table(table)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			stats[i], errs[i] = tbl.BulkLoad(engine.NewValuesSource(rows), opts)
-		}(i, rows)
+			stats[i], errs[i] = tbl.BulkLoad(engine.NewValuesSource(members[i].rows), opts)
+		}(i)
 	}
 	wg.Wait()
 
@@ -195,7 +205,7 @@ func (s *Store) BulkLoad(table string, src engine.BulkSource, opts engine.BulkOp
 			failed = append(failed, i)
 			continue
 		}
-		if len(buckets[i]) > 0 {
+		if len(members[i].rows) > 0 {
 			committed = append(committed, i)
 		}
 		total.Rows += stats[i].Rows
@@ -209,6 +219,49 @@ func (s *Store) BulkLoad(table string, src engine.BulkSource, opts engine.BulkOp
 			failed, committed, errs[failed[0]])
 	}
 	return total, nil
+}
+
+// Sizes of the blocks memberRows copies rows into.
+const (
+	chunkRows  = 512      // rows per value chunk
+	bytesBlock = 64 << 10 // bytes per payload block (a larger payload gets its own)
+)
+
+// memberRows holds copies of the rows routed to one member. Each row is
+// a window of ncol values in a fixed-size chunk, and each binary payload
+// is copied into a byte block the member owns, so nothing references the
+// router's source and the member's load reads contiguous memory.
+type memberRows struct {
+	ncol  int
+	chunk []engine.Value   // the chunk being filled
+	bytes []byte           // the payload block being filled
+	rows  [][]engine.Value // one window per row, in routing order
+}
+
+// add copies one row, payloads included.
+func (m *memberRows) add(vals []engine.Value) {
+	if len(m.chunk)+m.ncol > cap(m.chunk) {
+		m.chunk = make([]engine.Value, 0, chunkRows*m.ncol)
+	}
+	start := len(m.chunk)
+	m.chunk = append(m.chunk, vals...)
+	row := m.chunk[start:len(m.chunk):len(m.chunk)]
+	for j := range row {
+		if b := row[j].B; len(b) > 0 {
+			row[j].B = m.copyBytes(b)
+		}
+	}
+	m.rows = append(m.rows, row)
+}
+
+// copyBytes returns a copy of b in the member's current payload block.
+func (m *memberRows) copyBytes(b []byte) []byte {
+	if len(b) > cap(m.bytes)-len(m.bytes) {
+		m.bytes = make([]byte, 0, max(bytesBlock, len(b)))
+	}
+	off := len(m.bytes)
+	m.bytes = append(m.bytes, b...)
+	return m.bytes[off:len(m.bytes):len(m.bytes)]
 }
 
 // Query executes one SELECT scatter-gather across the partitions.
@@ -248,16 +301,6 @@ func (s *Store) Rows(table string) (int64, error) {
 		n += tbl.Rows()
 	}
 	return n, nil
-}
-
-// keyColumn returns the clustered-key column index of table, which must
-// agree across members (CreateTable enforces it).
-func (s *Store) keyColumn(table string) (int, error) {
-	tbl, err := s.dbs[0].Table(table)
-	if err != nil {
-		return 0, err
-	}
-	return tbl.Schema().Key, nil
 }
 
 // BoxStats reports how much of a partitioned Morton table a box query

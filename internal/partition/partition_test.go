@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -112,6 +114,91 @@ func TestBulkLoadRoutesByKey(t *testing.T) {
 	}
 	if n, err := st.Rows("cube"); err != nil || n != side*side*side {
 		t.Fatalf("Rows = %d, %v", n, err)
+	}
+}
+
+// reusedSource yields rows through one value buffer and one payload
+// buffer, overwritten on every Next — all the BulkSource contract
+// promises a loader.
+type reusedSource struct {
+	rows [][]engine.Value
+	i    int
+	row  []engine.Value
+	buf  []byte
+}
+
+func (s *reusedSource) Next() ([]engine.Value, error) {
+	if s.i == len(s.rows) {
+		return nil, io.EOF
+	}
+	src := s.rows[s.i]
+	s.i++
+	s.row = append(s.row[:0], src...)
+	for j, v := range s.row {
+		if len(v.B) > 0 {
+			s.buf = append(s.buf[:0], v.B...)
+			s.row[j].B = s.buf
+		}
+	}
+	return s.row, nil
+}
+
+func TestBulkLoadCopiesReusedSourceRows(t *testing.T) {
+	spec, err := MortonSpec8(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs := make([]*engine.DB, spec.Parts())
+	for i := range dbs {
+		dbs[i] = memDB(t)
+	}
+	st, err := New(spec, dbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := engine.NewSchema(
+		engine.Column{Name: "zindex", Type: engine.ColInt64},
+		engine.Column{Name: "tag", Type: engine.ColVarBinary},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("cube", gridSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("tags", payload); err != nil {
+		t.Fatal(err)
+	}
+	grid := gridRows(t)
+	tags := make([][]engine.Value, len(grid))
+	for i, r := range grid {
+		tags[i] = []engine.Value{r[0], engine.BinaryValue([]byte(fmt.Sprintf("cell-%d", r[0].I)))}
+	}
+	for _, load := range []struct {
+		table string
+		rows  [][]engine.Value
+	}{{"cube", grid}, {"tags", tags}} {
+		bs, err := st.BulkLoad(load.table, &reusedSource{rows: load.rows}, engine.BulkOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", load.table, err)
+		}
+		if bs.Rows != side*side*side {
+			t.Fatalf("%s: loaded %d rows, want %d", load.table, bs.Rows, side*side*side)
+		}
+		for _, want := range load.rows {
+			db := st.Member(st.spec.locate(want[0].I))
+			tbl, err := db.Table(load.table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tbl.Get(want[0].I)
+			if err != nil {
+				t.Fatalf("%s: key %d: %v", load.table, want[0].I, err)
+			}
+			if got[1].F != want[1].F || string(got[1].B) != string(want[1].B) {
+				t.Fatalf("%s: key %d holds %v, want %v", load.table, want[0].I, got[1], want[1])
+			}
+		}
 	}
 }
 

@@ -55,6 +55,9 @@ names=(
 	'NewMemWAL('
 	'NewMemDB('
 	'NewDB('
+	# bulk staging: one arena, no per-row heap image.
+	'sort.Slice(pending'
+	'byID['
 )
 src=()
 while IFS= read -r f; do
