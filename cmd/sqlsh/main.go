@@ -68,10 +68,11 @@ func main() {
 EXPLAIN [ANALYZE] SELECT; UPDATE supports in-place subarray assignment:
 SET v[1:3] = ...); \col <name> <schema> maps a column for subscript sugar;
 .stats prints the last statement's buffer-pool, blob and WAL I/O;
-.load <table> <file.csv> bulk-loads a headerless CSV file; .checkpoint
-flushes and bounds recovery; .shard <table> <parts> [rows] creates a
-range-partitioned demo table queried scatter-gather; .serve-metrics <addr>
-exposes /metrics (Prometheus) and /debug/vars (JSON) over HTTP; \q quits.
+.load <table> <file.csv> bulk-loads a headerless CSV file (fields in
+column order, binary as hex, empty = NULL); .checkpoint flushes and bounds
+recovery; .shard <table> <parts> [rows] creates a range-partitioned demo
+table queried scatter-gather; .serve-metrics <addr> exposes /metrics
+(Prometheus) and /debug/vars (JSON) over HTTP; \q quits.
 A table "demo"(id BIGINT, v VARBINARY short float 5-vector) is preloaded
 with 10 rows.`)
 	if *dir == "" {
@@ -335,15 +336,15 @@ func fmtBytes(n uint64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-// loadCSV bulk-loads a headerless CSV file through the parallel parse
-// pipeline and the COPY path.
+// loadCSV bulk-loads a headerless CSV file through CopyCSV: one record
+// per row, parsed in order, then the COPY path.
 func loadCSV(db *sqlarray.Database, table, path string) (sqlarray.BulkStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return sqlarray.BulkStats{}, err
 	}
 	defer f.Close()
-	return db.CopyCSV(table, bufio.NewReader(f), sqlarray.CSVOptions{}, sqlarray.BulkOptions{})
+	return db.CopyCSV(table, bufio.NewReader(f), sqlarray.BulkOptions{})
 }
 
 // openDatabase opens the shell's database. Without a directory it is an

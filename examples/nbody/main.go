@@ -59,11 +59,7 @@ func main() {
 	// the clustered index. With a 100µs threshold only the scan shows
 	// up, carrying its analyzed plan and I/O counters as a JSON line.
 	fmt.Printf("\nslow-query log (threshold 100µs; only the full scan trips it):\n")
-	slow := obs.NewSlowLog(os.Stdout)
-	opts := sqlmini.ExecOptions{
-		SlowQueryThreshold: 100 * time.Microsecond,
-		SlowQueryLog:       slow,
-	}
+	opts := sqlmini.ExecOptions{SlowLog: obs.NewSlowLog(os.Stdout, 100*time.Microsecond)}
 	for _, q := range []string{
 		"SELECT COUNT(*), MAX(x) FROM rows WHERE x > 0.5",
 		"SELECT x, y, z FROM rows WHERE pid = 12345",

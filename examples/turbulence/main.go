@@ -75,10 +75,7 @@ func main() {
 	// analyzed plan, pages read and blob chunk reads; the zkey point
 	// lookup stays under it and logs nothing.
 	fmt.Println("\nslow-query log (threshold 50µs; the blob scan trips it):")
-	slowOpts := sqlmini.ExecOptions{
-		SlowQueryThreshold: 50 * time.Microsecond,
-		SlowQueryLog:       obs.NewSlowLog(os.Stdout),
-	}
+	slowOpts := sqlmini.ExecOptions{SlowLog: obs.NewSlowLog(os.Stdout, 50*time.Microsecond)}
 	for _, q := range []string{
 		"SELECT zkey, blob FROM turb",
 		"SELECT zkey FROM turb WHERE zkey = 0",

@@ -13,11 +13,11 @@ import (
 	"path/filepath"
 )
 
-// VetConfig mirrors the JSON configuration file cmd/go passes to a
+// vetConfig mirrors the JSON configuration file cmd/go passes to a
 // `-vettool` for each package unit (see cmd/go/internal/work's vetConfig).
 // Only the fields this driver consumes are declared; unknown fields are
 // ignored by encoding/json.
-type VetConfig struct {
+type vetConfig struct {
 	ID                        string
 	Compiler                  string
 	Dir                       string
@@ -48,7 +48,7 @@ func RunUnit(cfgPath string, enabled map[string]bool, w io.Writer) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	var cfg VetConfig
+	var cfg vetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return 0, fmt.Errorf("parsing %s: %v", cfgPath, err)
 	}
@@ -116,12 +116,12 @@ func RunUnit(cfgPath string, enabled map[string]bool, w io.Writer) (int, error) 
 		return 0, fmt.Errorf("typechecking %s: %v", cfg.ImportPath, err)
 	}
 
-	return RunAnalyzers(fset, files, pkg, info, enabled, w)
+	return runAnalyzers(fset, files, pkg, info, enabled, w)
 }
 
-// RunAnalyzers runs every enabled analyzer over one type-checked package
+// runAnalyzers runs every enabled analyzer over one type-checked package
 // and prints diagnostics in `file:line:col: analyzer: message` form.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, enabled map[string]bool, w io.Writer) (int, error) {
+func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, enabled map[string]bool, w io.Writer) (int, error) {
 	n := 0
 	for _, a := range All() {
 		if enabled != nil && !enabled[a.Name] {

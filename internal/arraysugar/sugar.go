@@ -26,13 +26,15 @@ import (
 	"strings"
 )
 
-// Error is a translation error with statement offset.
-type Error struct {
+// offsetError is a translation error with statement offset.
+type offsetError struct {
 	Pos int
 	Msg string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("arraysugar: at offset %d: %s", e.Pos, e.Msg) }
+func (e *offsetError) Error() string {
+	return fmt.Sprintf("arraysugar: at offset %d: %s", e.Pos, e.Msg)
+}
 
 // Columns maps column names (case-insensitive) to their array schema
 // ("FloatArray", "FloatArrayMax", "IntArray", ...).
@@ -66,7 +68,7 @@ func Translate(query string, cols Columns) (string, error) {
 
 func translateAt(query string, cols Columns, depth int) (string, error) {
 	if depth > maxSubscriptDepth {
-		return "", &Error{Pos: 0, Msg: fmt.Sprintf("subscript nesting exceeds %d levels", maxSubscriptDepth)}
+		return "", &offsetError{Pos: 0, Msg: fmt.Sprintf("subscript nesting exceeds %d levels", maxSubscriptDepth)}
 	}
 	t := &translator{src: query, cols: cols, depth: depth}
 	out, err := t.run(0, len(query))
@@ -117,7 +119,7 @@ func (t *translator) run(from, to int) (string, error) {
 			if j < to && t.src[j] == '[' {
 				schema, ok := t.cols.schemaFor(name)
 				if !ok {
-					return "", &Error{Pos: start, Msg: fmt.Sprintf("subscript on unknown array column %q", name)}
+					return "", &offsetError{Pos: start, Msg: fmt.Sprintf("subscript on unknown array column %q", name)}
 				}
 				close, err := t.matchBracket(j)
 				if err != nil {
@@ -153,7 +155,7 @@ func (t *translator) skipString(i int) (int, error) {
 		}
 		j++
 	}
-	return 0, &Error{Pos: i, Msg: "unterminated string literal"}
+	return 0, &offsetError{Pos: i, Msg: "unterminated string literal"}
 }
 
 // matchBracket returns the index of the ']' matching the '[' at i,
@@ -180,7 +182,7 @@ func (t *translator) matchBracket(i int) (int, error) {
 		}
 		j++
 	}
-	return 0, &Error{Pos: i, Msg: "unbalanced '['"}
+	return 0, &offsetError{Pos: i, Msg: "unbalanced '['"}
 }
 
 // subscriptDim is one comma-separated dimension: an index or a lo:hi
@@ -199,10 +201,10 @@ func (t *translator) rewriteSubscript(schema, col string, from, to int) (string,
 		return "", err
 	}
 	if len(dims) == 0 {
-		return "", &Error{Pos: from, Msg: "empty subscript"}
+		return "", &offsetError{Pos: from, Msg: "empty subscript"}
 	}
 	if len(dims) > 6 {
-		return "", &Error{Pos: from, Msg: fmt.Sprintf("%d subscripts exceed the 6-dimension limit", len(dims))}
+		return "", &offsetError{Pos: from, Msg: fmt.Sprintf("%d subscripts exceed the 6-dimension limit", len(dims))}
 	}
 	// Recursively translate each dimension expression (subscripts can
 	// nest: a[b[0]]).
@@ -239,7 +241,7 @@ func (t *translator) rewriteSubscript(schema, col string, from, to int) (string,
 		if d.isSlice {
 			b := strings.TrimSpace(d.b)
 			if a == "" || b == "" {
-				return "", &Error{Pos: d.pos, Msg: "slice bounds must both be given (lo:hi)"}
+				return "", &offsetError{Pos: d.pos, Msg: "slice bounds must both be given (lo:hi)"}
 			}
 			offs = append(offs, a)
 			sizes = append(sizes, fmt.Sprintf("(%s)-(%s)", b, a))
@@ -263,7 +265,7 @@ func (t *translator) splitDims(from, to int) ([]subscriptDim, error) {
 	flush := func(end int) error {
 		raw := t.src[start:end]
 		if strings.TrimSpace(raw) == "" {
-			return &Error{Pos: start, Msg: "empty subscript dimension"}
+			return &offsetError{Pos: start, Msg: "empty subscript dimension"}
 		}
 		d := subscriptDim{pos: start}
 		if colon >= 0 {
@@ -301,7 +303,7 @@ func (t *translator) splitDims(from, to int) ([]subscriptDim, error) {
 		case ':':
 			if depth == 0 {
 				if colon >= 0 {
-					return nil, &Error{Pos: j, Msg: "more than one ':' in a subscript dimension"}
+					return nil, &offsetError{Pos: j, Msg: "more than one ':' in a subscript dimension"}
 				}
 				colon = j
 			}

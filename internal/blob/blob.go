@@ -43,8 +43,8 @@ import (
 	"sqlarray/internal/pages"
 )
 
-// ChunkSize is the payload capacity of one blob chunk page.
-const ChunkSize = pages.PageSize - pages.HeaderSize
+// chunkSize is the payload capacity of one blob chunk page.
+const chunkSize = pages.PageSize - pages.HeaderSize
 
 // RefSize is the encoded size of a Ref as stored inside a row.
 const RefSize = 12
@@ -374,7 +374,7 @@ func (s *Store) fetchChunk(ci chunkInfo) (*pages.Frame, error) {
 		s.fx.Unpin(f, false)
 		return nil, fmt.Errorf("%w: page %d is not a blob chunk", ErrBadRef, ci.id)
 	}
-	if f.Page.Used() > ChunkSize {
+	if f.Page.Used() > chunkSize {
 		s.fx.Unpin(f, false)
 		return nil, fmt.Errorf("%w: chunk page %d claims %d used bytes", ErrBadRef, ci.id, f.Page.Used())
 	}

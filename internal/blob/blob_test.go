@@ -11,7 +11,7 @@ import (
 )
 
 // idsPerDir is how many directory entries fit one directory page.
-const idsPerDir = ChunkSize / dirEntrySize
+const idsPerDir = chunkSize / dirEntrySize
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
@@ -54,8 +54,8 @@ func randomBlobStore(t *testing.T, blobBytes int) (*Store, Ref, []byte, *pages.B
 func TestWriteReadAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := newStore(t)
-	for _, n := range []int{1, 100, ChunkSize - 1, ChunkSize, ChunkSize + 1,
-		3 * ChunkSize, 3*ChunkSize + 17, 64 * 1024} {
+	for _, n := range []int{1, 100, chunkSize - 1, chunkSize, chunkSize + 1,
+		3 * chunkSize, 3*chunkSize + 17, 64 * 1024} {
 		data := randBytes(rng, n)
 		ref, err := s.Write(data, Codec{})
 		if err != nil {
@@ -162,15 +162,15 @@ func TestReadAtBounds(t *testing.T) {
 func TestReadRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := newStore(t)
-	data := randBytes(rng, 4*ChunkSize)
+	data := randBytes(rng, 4*chunkSize)
 	ref, err := s.Write(data, Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := []Run{
 		{SrcOff: 10, DstOff: 0, Len: 64},
-		{SrcOff: ChunkSize + 5, DstOff: 64, Len: 128},
-		{SrcOff: 3*ChunkSize - 8, DstOff: 192, Len: 16}, // spans boundary
+		{SrcOff: chunkSize + 5, DstOff: 64, Len: 128},
+		{SrcOff: 3*chunkSize - 8, DstOff: 192, Len: 16}, // spans boundary
 	}
 	dst := make([]byte, 208)
 	if err := readRuns(s, ref, dst, runs); err != nil {
@@ -181,7 +181,7 @@ func TestReadRuns(t *testing.T) {
 			t.Errorf("run %+v mismatch", r)
 		}
 	}
-	if err := readRuns(s, ref, dst, []Run{{SrcOff: 4*ChunkSize - 1, DstOff: 0, Len: 10}}); !errors.Is(err, ErrShortRead) {
+	if err := readRuns(s, ref, dst, []Run{{SrcOff: 4*chunkSize - 1, DstOff: 0, Len: 10}}); !errors.Is(err, ErrShortRead) {
 		t.Errorf("overflowing run: %v", err)
 	}
 	if err := readRuns(s, ref, dst, []Run{{SrcOff: 0, DstOff: 200, Len: 10}}); !errors.Is(err, ErrShortRead) {

@@ -37,8 +37,8 @@ import (
 type CodecKind uint8
 
 const (
-	// CodecNone stores the blob as raw blocks.
-	CodecNone CodecKind = iota
+	// codecNone stores the blob as raw blocks.
+	codecNone CodecKind = iota
 	// CodecLZ byte-shuffles each block at the element width, then
 	// applies the LZ77 coder. Width 1 degenerates to plain LZ.
 	CodecLZ
@@ -71,7 +71,7 @@ type Codec struct {
 const (
 	// BlockSize is the logical bytes covered by one compression block.
 	// Chosen so a raw block plus its headers still fits a chunk page:
-	// chunkHdrSize + blockHdrSize + BlockSize <= ChunkSize.
+	// chunkHdrSize + blockHdrSize + BlockSize <= chunkSize.
 	BlockSize = 8064
 	// chunkHdrSize is the chunk page's own header: version, block
 	// count, and the blob's preferred codec (kind, width, phase).
@@ -80,7 +80,7 @@ const (
 	// width, stored length, logical (uncompressed) length.
 	blockHdrSize = 8
 	// chunkPayloadCap is the stored bytes one chunk page can pack.
-	chunkPayloadCap = ChunkSize - chunkHdrSize
+	chunkPayloadCap = chunkSize - chunkHdrSize
 	// maxBlocksPerChunk caps how many blocks pack into one page, which
 	// bounds a chunk's logical size (and therefore the staging buffer a
 	// decompressing reader may need) to 16*BlockSize = 126 kB.
@@ -405,7 +405,7 @@ func lzReadExt(src []byte, r int) (n, nr int, err error) {
 		b := src[r]
 		r++
 		n += int(b)
-		if n > ChunkSize*maxBlocksPerChunk {
+		if n > chunkSize*maxBlocksPerChunk {
 			return 0, 0, errCorrupt("absurd length")
 		}
 		if b != 255 {

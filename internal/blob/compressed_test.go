@@ -62,8 +62,8 @@ var compressedCodecs = []Codec{
 
 func TestWriteCompressedRoundTripSizes(t *testing.T) {
 	sizes := []int{1, 100, BlockSize - 1, BlockSize, BlockSize + 1,
-		ChunkSize, ChunkSize + 1, maxChunkLogical, maxChunkLogical + 1,
-		3 * ChunkSize, 3*ChunkSize + 17, 64 * 1024, 512 * 1024}
+		chunkSize, chunkSize + 1, maxChunkLogical, maxChunkLogical + 1,
+		3 * chunkSize, 3*chunkSize + 17, 64 * 1024, 512 * 1024}
 	for _, c := range compressedCodecs {
 		s := newStore(t)
 		for _, n := range sizes {
@@ -213,7 +213,7 @@ func TestCompressedReadEquivalence(t *testing.T) {
 			runs = append(runs, Run{SrcOff: srcOff, DstOff: dstOff, Len: l})
 			want = append(want, data[srcOff:srcOff+l]...)
 			dstOff += l
-			srcOff += l + rng.Intn(2*ChunkSize)
+			srcOff += l + rng.Intn(2*chunkSize)
 		}
 		for name, ref := range refs {
 			dst := make([]byte, dstOff)

@@ -70,7 +70,7 @@ func TestFreeNullAndReadAfterFree(t *testing.T) {
 	if err := s.Free(Ref{}); err != nil {
 		t.Fatalf("freeing null ref: %v", err)
 	}
-	ref, err := s.Write(make([]byte, 3*ChunkSize), Codec{})
+	ref, err := s.Write(make([]byte, 3*chunkSize), Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}

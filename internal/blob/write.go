@@ -39,7 +39,7 @@ func (s *Store) reuseSink() pageSink {
 }
 
 // Write stores data as a new blob under codec c and returns its Ref
-// (the zero Codec, CodecNone and unknown kinds store raw blocks). If
+// (the zero Codec, codecNone and unknown kinds store raw blocks). If
 // the blocks packed under c would not occupy fewer chunk pages than raw
 // blocks (NumChunks), the blob is stored as raw blocks under the zero
 // Codec instead — compression never costs pages, and a read of a raw
@@ -130,7 +130,7 @@ func (s *Store) writeDirectory(chunks []chunkInfo, sink pageSink) (pages.PageID,
 	var first pages.PageID
 	var prev *pages.Frame
 	for len(chunks) > 0 {
-		n := min(len(chunks), ChunkSize/dirEntrySize)
+		n := min(len(chunks), chunkSize/dirEntrySize)
 		f, err := sink.alloc(pages.TypeBlobTree)
 		if err != nil {
 			if prev != nil {

@@ -16,7 +16,7 @@ import (
 var (
 	ErrNotFound  = errors.New("btree: key not found")
 	ErrDuplicate = errors.New("btree: duplicate key")
-	ErrTooBig    = errors.New("btree: value too large for a page")
+	errTooBig    = errors.New("btree: value too large for a page")
 )
 
 // MaxValueSize is the largest value insertable (key + value must fit a
@@ -194,7 +194,7 @@ func (t *Tree) Put(key int64, val []byte) error {
 
 func (t *Tree) put(key int64, val []byte, overwrite bool) error {
 	if len(val) > MaxValueSize {
-		return fmt.Errorf("%w: %d bytes > %d", ErrTooBig, len(val), MaxValueSize)
+		return fmt.Errorf("%w: %d bytes > %d", errTooBig, len(val), MaxValueSize)
 	}
 	res, err := t.insertInto(t.root, t.height, key, val, overwrite)
 	if err != nil {

@@ -242,7 +242,7 @@ func TestLargeValuesForceEarlySplits(t *testing.T) {
 			t.Errorf("Get %d payload mismatch: %q", i, got[:7])
 		}
 	}
-	if err := tr.Insert(200, make([]byte, MaxValueSize+1)); !errors.Is(err, ErrTooBig) {
+	if err := tr.Insert(200, make([]byte, MaxValueSize+1)); !errors.Is(err, errTooBig) {
 		t.Errorf("oversized value: %v", err)
 	}
 }

@@ -71,7 +71,7 @@ func (t *Tree) NewLeafWriter(onPage func(f *pages.Frame) error) (*LeafWriter, er
 // Add appends one record. Keys must arrive in strictly ascending order.
 func (w *LeafWriter) Add(key int64, val []byte) error {
 	if len(val) > MaxValueSize {
-		return fmt.Errorf("%w: %d bytes > %d", ErrTooBig, len(val), MaxValueSize)
+		return fmt.Errorf("%w: %d bytes > %d", errTooBig, len(val), MaxValueSize)
 	}
 	if w.n > 0 && key <= w.lastKey {
 		if key == w.lastKey {

@@ -36,7 +36,7 @@ func New(class StorageClass, et ElemType, dims ...int) (*Array, error) {
 // max otherwise.
 func NewAuto(et ElemType, dims ...int) (*Array, error) {
 	h := Header{Class: Short, Elem: et, Dims: dims}
-	if len(dims) <= MaxShortRank && h.Validate() == nil {
+	if len(dims) <= maxShortRank && h.Validate() == nil {
 		return New(Short, et, dims...)
 	}
 	return New(Max, et, dims...)

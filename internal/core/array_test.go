@@ -226,7 +226,7 @@ func TestShortClassLimitExact(t *testing.T) {
 	if _, err := New(Short, Float64, 997); err != nil {
 		t.Errorf("997 float64 should fit VARBINARY(8000): %v", err)
 	}
-	if _, err := New(Short, Float64, 998); !errors.Is(err, ErrTooLarge) {
+	if _, err := New(Short, Float64, 998); !errors.Is(err, errTooLarge) {
 		t.Errorf("998 float64 must overflow: %v", err)
 	}
 }

@@ -16,7 +16,7 @@ func FuzzWrap(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Magic})
+	f.Add([]byte{magic})
 	seed(Vector(1, 2, 3, 4, 5), nil)
 	f.Add(IntVector(7, 8, 9).Bytes())
 	seed(Matrix(3, 4, make([]float64, 12)...))
@@ -28,7 +28,7 @@ func FuzzWrap(f *testing.F) {
 	// Truncated and corrupted variants of a valid blob.
 	v := Vector(1, 2, 3).Bytes()
 	f.Add(v[:len(v)-1])
-	f.Add(v[:ShortHeaderSize])
+	f.Add(v[:shortHeaderSize])
 	corrupt := append([]byte(nil), v...)
 	corrupt[2] = 0xFF
 	f.Add(corrupt)

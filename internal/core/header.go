@@ -58,9 +58,9 @@ func (h *Header) DataBytes() int { return h.Count() * h.Elem.Size() }
 // the wire.
 func (h *Header) EncodedSize() int {
 	if h.Class == Short {
-		return ShortHeaderSize
+		return shortHeaderSize
 	}
-	return MaxFixedHeaderSize + 4*len(h.Dims)
+	return maxFixedHeaderSize + 4*len(h.Dims)
 }
 
 // TotalBytes returns header plus payload length.
@@ -83,14 +83,14 @@ func checkShape(class StorageClass, elem ElemType, rank int, dim func(int) int) 
 	if !elem.Valid() {
 		return 0, fmt.Errorf("%w: invalid element type %d", ErrBadHeader, uint8(elem))
 	}
-	limit := MaxMaxDim
+	limit := maxMaxDim
 	switch class {
 	case Short:
-		if rank > MaxShortRank {
+		if rank > maxShortRank {
 			return 0, fmt.Errorf("%w: short arrays support at most %d dimensions, got %d",
-				ErrRank, MaxShortRank, rank)
+				ErrRank, maxShortRank, rank)
 		}
-		limit = MaxShortDim
+		limit = maxShortDim
 	case Max:
 	default:
 		return 0, fmt.Errorf("%w: unknown storage class %d", ErrBadHeader, uint8(class))
@@ -107,12 +107,12 @@ func checkShape(class StorageClass, elem ElemType, rank int, dim func(int) int) 
 				ErrBadHeader, class, i, d, limit)
 		}
 		if d != 0 && count > maxElements/d {
-			return 0, fmt.Errorf("%w: element count overflows at dimension %d", ErrTooLarge, i)
+			return 0, fmt.Errorf("%w: element count overflows at dimension %d", errTooLarge, i)
 		}
 		count *= d
 	}
-	if total := ShortHeaderSize + count*elem.Size(); class == Short && total > MaxShortBytes {
-		return 0, fmt.Errorf("%w: %d bytes > VARBINARY(%d)", ErrTooLarge, total, MaxShortBytes)
+	if total := shortHeaderSize + count*elem.Size(); class == Short && total > maxShortBytes {
+		return 0, fmt.Errorf("%w: %d bytes > VARBINARY(%d)", errTooLarge, total, maxShortBytes)
 	}
 	return count, nil
 }
@@ -126,10 +126,10 @@ func (h *Header) Validate() error {
 // AppendEncode appends the wire form of h to dst and returns the extended
 // slice. The header must be valid.
 func (h *Header) AppendEncode(dst []byte) []byte {
-	flags := byte(h.Class)&classFlagMask | FormatVersion<<4
+	flags := byte(h.Class)&classFlagMask | formatVersion<<4
 	if h.Class == Short {
-		var buf [ShortHeaderSize]byte
-		buf[0] = Magic
+		var buf [shortHeaderSize]byte
+		buf[0] = magic
 		buf[1] = flags
 		buf[2] = byte(h.Elem)
 		buf[3] = byte(len(h.Dims))
@@ -139,8 +139,8 @@ func (h *Header) AppendEncode(dst []byte) []byte {
 		}
 		return append(dst, buf[:]...)
 	}
-	var buf [MaxFixedHeaderSize]byte
-	buf[0] = Magic
+	var buf [maxFixedHeaderSize]byte
+	buf[0] = magic
 	buf[1] = flags
 	buf[2] = byte(h.Elem)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(h.Dims)))
@@ -165,25 +165,25 @@ func HeaderSizeFromPrefix(b []byte) (int, error) {
 	if len(b) < 4 {
 		return 0, fmt.Errorf("%w: %d bytes is shorter than any header", ErrBadHeader, len(b))
 	}
-	if b[0] != Magic {
+	if b[0] != magic {
 		return 0, fmt.Errorf("%w: bad magic byte 0x%02x", ErrBadHeader, b[0])
 	}
-	if ver := b[1] >> 4; ver != FormatVersion {
+	if ver := b[1] >> 4; ver != formatVersion {
 		return 0, fmt.Errorf("%w: unsupported format version %d", ErrBadHeader, ver)
 	}
 	if StorageClass(b[1]&classFlagMask) == Short {
-		return ShortHeaderSize, nil
+		return shortHeaderSize, nil
 	}
-	if len(b) < MaxFixedHeaderSize {
+	if len(b) < maxFixedHeaderSize {
 		return 0, fmt.Errorf("%w: max header prefix needs %d bytes, have %d",
-			ErrBadHeader, MaxFixedHeaderSize, len(b))
+			ErrBadHeader, maxFixedHeaderSize, len(b))
 	}
 	rank := binary.LittleEndian.Uint32(b[4:8])
 	const sanityRank = 1 << 20
 	if rank > sanityRank {
 		return 0, fmt.Errorf("%w: implausible rank %d", ErrRank, rank)
 	}
-	return MaxFixedHeaderSize + 4*int(rank), nil
+	return maxFixedHeaderSize + 4*int(rank), nil
 }
 
 // checkHeader validates the header at the front of b in place — magic,

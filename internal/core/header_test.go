@@ -13,15 +13,15 @@ func TestHeaderShortRoundtrip(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	b := h.AppendEncode(nil)
-	if len(b) != ShortHeaderSize {
-		t.Fatalf("short header size = %d, want %d", len(b), ShortHeaderSize)
+	if len(b) != shortHeaderSize {
+		t.Fatalf("short header size = %d, want %d", len(b), shortHeaderSize)
 	}
 	got, n, err := DecodeHeader(b)
 	if err != nil {
 		t.Fatalf("DecodeHeader: %v", err)
 	}
-	if n != ShortHeaderSize {
-		t.Errorf("consumed %d bytes, want %d", n, ShortHeaderSize)
+	if n != shortHeaderSize {
+		t.Errorf("consumed %d bytes, want %d", n, shortHeaderSize)
 	}
 	if got.Class != Short || got.Elem != Float64 || got.Rank() != 2 ||
 		got.Dims[0] != 5 || got.Dims[1] != 3 {
@@ -36,7 +36,7 @@ func TestHeaderMaxRoundtrip(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	b := h.AppendEncode(nil)
-	if want := MaxFixedHeaderSize + 4*len(dims); len(b) != want {
+	if want := maxFixedHeaderSize + 4*len(dims); len(b) != want {
 		t.Fatalf("max header size = %d, want %d", len(b), want)
 	}
 	got, _, err := DecodeHeader(b)
@@ -58,9 +58,9 @@ func TestHeaderRoundtripProperty(t *testing.T) {
 	f := func() bool {
 		var h Header
 		if rng.Intn(2) == 0 {
-			rank := rng.Intn(MaxShortRank + 1)
+			rank := rng.Intn(maxShortRank + 1)
 			dims := make([]int, rank)
-			budget := MaxShortBytes / 16
+			budget := maxShortBytes / 16
 			for i := range dims {
 				dims[i] = 1 + rng.Intn(8)
 				budget /= dims[i] + 1
@@ -105,7 +105,7 @@ func TestHeaderValidationFailures(t *testing.T) {
 	}{
 		{"bad elem", Header{Class: Short, Elem: 0, Dims: []int{2}}, ErrBadHeader},
 		{"short rank 7", Header{Class: Short, Elem: Float64, Dims: []int{1, 1, 1, 1, 1, 1, 1}}, ErrRank},
-		{"short too large", Header{Class: Short, Elem: Float64, Dims: []int{2000}}, ErrTooLarge},
+		{"short too large", Header{Class: Short, Elem: Float64, Dims: []int{2000}}, errTooLarge},
 		{"short dim > int16", Header{Class: Short, Elem: Int8, Dims: []int{40000}}, ErrBadHeader},
 		{"negative dim", Header{Class: Max, Elem: Float64, Dims: []int{-1}}, ErrBadHeader},
 	}

@@ -138,7 +138,7 @@ func TestConvertClass(t *testing.T) {
 	}
 	// A genuinely large max array cannot demote.
 	big := mustNew(t, Max, Float64, 10000)
-	if _, err := big.ConvertClass(Short); !errors.Is(err, ErrTooLarge) {
+	if _, err := big.ConvertClass(Short); !errors.Is(err, errTooLarge) {
 		t.Errorf("oversized demotion: %v", err)
 	}
 }

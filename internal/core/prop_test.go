@@ -159,16 +159,16 @@ func TestDecodeHeaderCountOverflow(t *testing.T) {
 	for _, d := range dims {
 		wrapped *= int(d)
 	}
-	b := make([]byte, MaxFixedHeaderSize+4*len(dims))
-	b[0] = Magic
-	b[1] = byte(Max) | FormatVersion<<4
+	b := make([]byte, maxFixedHeaderSize+4*len(dims))
+	b[0] = magic
+	b[1] = byte(Max) | formatVersion<<4
 	b[2] = byte(Float64)
 	binary.LittleEndian.PutUint32(b[4:8], uint32(len(dims)))
 	binary.LittleEndian.PutUint64(b[8:16], uint64(wrapped))
 	for i, d := range dims {
-		binary.LittleEndian.PutUint32(b[MaxFixedHeaderSize+4*i:], d)
+		binary.LittleEndian.PutUint32(b[maxFixedHeaderSize+4*i:], d)
 	}
-	if _, _, err := DecodeHeader(b); !errors.Is(err, ErrTooLarge) && !errors.Is(err, ErrBadHeader) {
+	if _, _, err := DecodeHeader(b); !errors.Is(err, errTooLarge) && !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("DecodeHeader on overflowing dims = %v, want count-overflow rejection", err)
 	}
 	if _, err := Wrap(b); err == nil {

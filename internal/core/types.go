@@ -99,30 +99,30 @@ func (c StorageClass) String() string {
 
 // Format and size limits, mirroring §3.3/§3.5 of the paper.
 const (
-	// Magic is the first byte of every serialized array.
-	Magic = 0xAB
-	// FormatVersion is the header version emitted by this library.
-	FormatVersion = 1
+	// magic is the first byte of every serialized array.
+	magic = 0xAB
+	// formatVersion is the header version emitted by this library.
+	formatVersion = 1
 
-	// ShortHeaderSize is the fixed header length of short arrays (§3.5:
+	// shortHeaderSize is the fixed header length of short arrays (§3.5:
 	// "In case of short arrays the header is 24 bytes long").
-	ShortHeaderSize = 24
-	// MaxFixedHeaderSize is the fixed prefix of a max-array header; the
+	shortHeaderSize = 24
+	// maxFixedHeaderSize is the fixed prefix of a max-array header; the
 	// full header adds 4 bytes per dimension.
-	MaxFixedHeaderSize = 16
+	maxFixedHeaderSize = 16
 
-	// MaxShortBytes is the VARBINARY(8000) limit: a short array,
+	// maxShortBytes is the VARBINARY(8000) limit: a short array,
 	// including its header, must fit into a SQL Server data page.
-	MaxShortBytes = 8000
-	// MaxShortRank is the dimension limit of short arrays ("Short arrays
+	maxShortBytes = 8000
+	// maxShortRank is the dimension limit of short arrays ("Short arrays
 	// have the limit of only six indices").
-	MaxShortRank = 6
-	// MaxShortDim is the largest dimension size of a short array
+	maxShortRank = 6
+	// maxShortDim is the largest dimension size of a short array
 	// ("indices are Int16").
-	MaxShortDim = 1<<15 - 1
-	// MaxMaxDim is the largest dimension size of a max array ("the index
+	maxShortDim = 1<<15 - 1
+	// maxMaxDim is the largest dimension size of a max array ("the index
 	// type is Int32").
-	MaxMaxDim = 1<<31 - 1
+	maxMaxDim = 1<<31 - 1
 )
 
 // Sentinel errors returned by the core package. Callers should match with
@@ -134,6 +134,6 @@ var (
 	ErrRank          = errors.New("core: bad rank")
 	ErrBounds        = errors.New("core: index out of bounds")
 	ErrShape         = errors.New("core: shape mismatch")
-	ErrTooLarge      = errors.New("core: array exceeds storage class limit")
+	errTooLarge      = errors.New("core: array exceeds storage class limit")
 	ErrTruncated     = errors.New("core: buffer shorter than declared payload")
 )

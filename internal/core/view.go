@@ -53,9 +53,9 @@ func (v View) header() Header {
 // hdr returns the header length in bytes.
 func (v View) hdr() int {
 	if v.Class() == Short {
-		return ShortHeaderSize
+		return shortHeaderSize
 	}
-	return MaxFixedHeaderSize + 4*v.rank()
+	return maxFixedHeaderSize + 4*v.rank()
 }
 
 func (v View) rank() int {
@@ -70,7 +70,7 @@ func (v View) dim(k int) int {
 	if v.Class() == Short {
 		return int(binary.LittleEndian.Uint16(v.b[8+2*k:]))
 	}
-	return int(binary.LittleEndian.Uint32(v.b[MaxFixedHeaderSize+4*k:]))
+	return int(binary.LittleEndian.Uint32(v.b[maxFixedHeaderSize+4*k:]))
 }
 
 // Class returns the storage class.

@@ -5,240 +5,82 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// CSVSource feeds a bulk load from CSV text: one row per record, fields
-// in schema order. A reader goroutine tokenizes records and fans them
-// out to a pool of parse workers that convert fields to typed Values —
-// the parse stage of the ingest pipeline, and the part of a text load
-// that actually burns CPU. Rows are handed to the loader in whatever
-// order workers finish; BulkLoad sorts by key anyway, so no reordering
-// stage is needed.
-//
+// csvSource feeds a bulk load from CSV text: one row per record, fields
+// in schema order, no header line. It reads and parses one record per
+// Next into one reused row; the loader copies every row into its arena
+// (BulkSource's contract), so the source keeps nothing per row.
+type csvSource struct {
+	r      *csv.Reader
+	schema *Schema
+	row    []Value
+	bufs   [][]byte // per-column decoded bytes, reused
+	hex    []byte   // the field being decoded, reused
+}
+
+// NewCSVSource returns a BulkSource that parses r record by record.
 // Field syntax per column type: INT64 and FLOAT64 are parsed by
 // strconv; VARBINARY and VARBINARY(MAX) are hex-encoded; an empty field
-// is NULL.
-type CSVSource struct {
-	out     chan csvParsed
-	pending []csvRow
-
-	errMu sync.Mutex
-	err   error
-
-	cancel chan struct{} // closed by Close to stop the pipeline
-	once   sync.Once
-}
-
-type csvRow struct {
-	line int
-	vals []Value
-}
-
-type csvParsed struct {
-	rows []csvRow
-	err  error
-}
-
-// CSVOptions tunes a CSV source. The zero value is ready to use.
-type CSVOptions struct {
-	// Workers is the number of parallel parse goroutines
-	// (default GOMAXPROCS).
-	Workers int
-	// Header skips the first record (a column-name line).
-	Header bool
-	// Comma is the field delimiter (default ',').
-	Comma rune
-}
-
-const csvBatchRecords = 256
-
-// NewCSVSource starts the parse pipeline over r for the given schema.
-// The caller must drain it with BulkLoad (or Close it on early exit).
-func NewCSVSource(r io.Reader, schema *Schema, opts CSVOptions) *CSVSource {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s := &CSVSource{
-		out:    make(chan csvParsed, workers),
-		cancel: make(chan struct{}),
-	}
-	in := make(chan csvBatch, workers)
-	go s.read(r, opts, in)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.parseWorker(schema, in)
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(s.out)
-	}()
-	return s
-}
-
-type csvBatch struct {
-	firstLine int
-	records   [][]string
-}
-
-// read tokenizes the CSV stream into record batches for the workers.
-func (s *CSVSource) read(r io.Reader, opts CSVOptions, in chan<- csvBatch) {
-	defer close(in)
+// is NULL. An error names the physical line of the field that failed.
+func NewCSVSource(r io.Reader, schema *Schema) BulkSource {
 	cr := csv.NewReader(r)
-	cr.ReuseRecord = false
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
+	cr.ReuseRecord = true
+	cr.FieldsPerRecord = len(schema.Columns)
+	return &csvSource{
+		r:      cr,
+		schema: schema,
+		row:    make([]Value, len(schema.Columns)),
+		bufs:   make([][]byte, len(schema.Columns)),
 	}
-	line := 0
-	if opts.Header {
-		line++
-		if _, err := cr.Read(); err != nil {
-			if err != io.EOF {
-				s.fail(err)
-			}
-			return
-		}
-	}
-	batch := csvBatch{firstLine: line + 1}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		line++
-		batch.records = append(batch.records, rec)
-		if len(batch.records) >= csvBatchRecords {
-			select {
-			case in <- batch:
-			case <-s.cancel:
-				return
-			}
-			batch = csvBatch{firstLine: line + 1}
-		}
-	}
-	if len(batch.records) > 0 {
-		select {
-		case in <- batch:
-		case <-s.cancel:
-		}
-	}
-}
-
-// parseWorker converts record batches to typed rows.
-func (s *CSVSource) parseWorker(schema *Schema, in <-chan csvBatch) {
-	for batch := range in {
-		rows := make([]csvRow, 0, len(batch.records))
-		for i, rec := range batch.records {
-			vals, err := parseCSVRecord(schema, rec)
-			if err != nil {
-				s.emit(csvParsed{err: fmt.Errorf("csv line %d: %w", batch.firstLine+i, err)})
-				return
-			}
-			rows = append(rows, csvRow{line: batch.firstLine + i, vals: vals})
-		}
-		if !s.emit(csvParsed{rows: rows}) {
-			return
-		}
-	}
-}
-
-func (s *CSVSource) emit(p csvParsed) bool {
-	select {
-	case s.out <- p:
-		return true
-	case <-s.cancel:
-		return false
-	}
-}
-
-func (s *CSVSource) fail(err error) {
-	s.errMu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.errMu.Unlock()
 }
 
 // Next implements BulkSource.
-func (s *CSVSource) Next() ([]Value, error) {
-	for len(s.pending) == 0 {
-		p, ok := <-s.out
-		if !ok {
-			s.errMu.Lock()
-			err := s.err
-			s.errMu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return nil, io.EOF
-		}
-		if p.err != nil {
-			s.Close() // stop the other workers; the load is over
-			return nil, p.err
-		}
-		s.pending = p.rows
+func (s *csvSource) Next() ([]Value, error) {
+	rec, err := s.r.Read()
+	if err != nil {
+		return nil, err // io.EOF, or a *csv.ParseError naming its line
 	}
-	row := s.pending[0]
-	s.pending = s.pending[1:]
-	return row.vals, nil
-}
-
-// Close tears the pipeline down early (after an error or partial
-// consumption); draining to io.EOF makes it unnecessary.
-func (s *CSVSource) Close() {
-	s.once.Do(func() { close(s.cancel) })
-}
-
-// parseCSVRecord converts one CSV record's fields per the schema.
-func parseCSVRecord(schema *Schema, rec []string) ([]Value, error) {
-	if len(rec) != len(schema.Columns) {
-		return nil, fmt.Errorf("%d fields for %d columns", len(rec), len(schema.Columns))
-	}
-	vals := make([]Value, len(rec))
 	for i, field := range rec {
-		c := schema.Columns[i]
-		if field == "" {
-			vals[i] = Null
-			continue
-		}
-		switch c.Type {
-		case ColInt64:
-			n, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", c.Name, err)
-			}
-			vals[i] = IntValue(n)
-		case ColFloat64:
-			f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", c.Name, err)
-			}
-			vals[i] = FloatValue(f)
-		case ColVarBinary, ColVarBinaryMax:
-			b, err := hex.DecodeString(strings.TrimSpace(field))
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", c.Name, err)
-			}
-			if c.Type == ColVarBinary {
-				vals[i] = BinaryValue(b)
-			} else {
-				vals[i] = BinaryMaxValue(b)
-			}
-		default:
-			return nil, fmt.Errorf("column %q: unsupported type", c.Name)
+		if err := s.parseField(i, field); err != nil {
+			line, _ := s.r.FieldPos(i)
+			return nil, fmt.Errorf("csv line %d: column %q: %w", line, s.schema.Columns[i].Name, err)
 		}
 	}
-	return vals, nil
+	return s.row, nil
+}
+
+// parseField parses field into s.row[i] per column i's type.
+func (s *csvSource) parseField(i int, field string) error {
+	if field == "" {
+		s.row[i] = Null
+		return nil
+	}
+	field = strings.TrimSpace(field)
+	switch t := s.schema.Columns[i].Type; t {
+	case ColInt64:
+		n, err := strconv.ParseInt(field, 10, 64)
+		s.row[i] = IntValue(n)
+		return err
+	case ColFloat64:
+		f, err := strconv.ParseFloat(field, 64)
+		s.row[i] = FloatValue(f)
+		return err
+	case ColVarBinary, ColVarBinaryMax:
+		s.hex = append(s.hex[:0], field...)
+		b, err := hex.AppendDecode(s.bufs[i][:0], s.hex)
+		if err != nil {
+			return err
+		}
+		s.bufs[i] = b
+		if t == ColVarBinary {
+			s.row[i] = BinaryValue(b)
+		} else {
+			s.row[i] = BinaryMaxValue(b)
+		}
+		return nil
+	}
+	return fmt.Errorf("unsupported type")
 }

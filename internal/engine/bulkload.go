@@ -89,11 +89,11 @@ type BulkStats struct {
 	BlobPages int   // fresh blob chunk + directory pages written
 }
 
-// ErrBulkOverlap reports a bulk load whose keys are not strictly above
+// errBulkOverlap reports a bulk load whose keys are not strictly above
 // the table's current maximum. The bulk path writes packed leaves and
 // grafts them after the existing rightmost leaf, so it can only append;
 // interleaving loads go through INSERT.
-var ErrBulkOverlap = errors.New("engine: bulk load keys must exceed every existing key")
+var errBulkOverlap = errors.New("engine: bulk load keys must exceed every existing key")
 
 // pendingRow is a staged row: its key and the arena span [off, end) of
 // its final on-page image (MAX columns already replaced by blob refs).
@@ -172,7 +172,7 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 	}
 	if nonEmpty && pending[0].key <= maxOld {
 		return stats, fmt.Errorf("%w: new key %d <= existing max %d",
-			ErrBulkOverlap, pending[0].key, maxOld)
+			errBulkOverlap, pending[0].key, maxOld)
 	}
 
 	// Phase 1c: pack the sorted stream into fresh leaves, logged as
@@ -273,7 +273,7 @@ func (t *Table) stageRows(src BulkSource, onPage func(*pages.Frame) error, stats
 			return nil, nil, err
 		}
 		if end-off > btree.MaxValueSize {
-			return nil, nil, fmt.Errorf("%w: %d bytes", ErrRowTooWide, end-off)
+			return nil, nil, fmt.Errorf("%w: %d bytes", errRowTooWide, end-off)
 		}
 		if len(pending) == cap(pending) {
 			// Double: append grows a large slice by a quarter at a time.

@@ -146,8 +146,8 @@ func TestBulkLoadAppend(t *testing.T) {
 	}
 
 	// Overlap with existing keys must be rejected wholesale.
-	if _, err := tbl.BulkLoad(NewValuesSource(bulkRows(t, 99, 5)), BulkOptions{}); !errors.Is(err, ErrBulkOverlap) {
-		t.Fatalf("overlapping load: err = %v, want ErrBulkOverlap", err)
+	if _, err := tbl.BulkLoad(NewValuesSource(bulkRows(t, 99, 5)), BulkOptions{}); !errors.Is(err, errBulkOverlap) {
+		t.Fatalf("overlapping load: err = %v, want errBulkOverlap", err)
 	}
 	// Duplicate keys inside the source are rejected.
 	dup := bulkRows(t, 200, 3)
@@ -388,7 +388,7 @@ func TestBulkLoadConcurrentSnapshots(t *testing.T) {
 
 // TestBulkLoadRejectsOverWideRow feeds a row too wide for a leaf page
 // into the middle of a load: two VARBINARY(8000) columns that each fit
-// alone. The load fails with ErrRowTooWide and the table keeps exactly
+// alone. The load fails with errRowTooWide and the table keeps exactly
 // the rows it had.
 func TestBulkLoadRejectsOverWideRow(t *testing.T) {
 	db := openDB(t, pages.NewMemDisk(), wal.NewMemStorage())
@@ -417,8 +417,8 @@ func TestBulkLoadRejectsOverWideRow(t *testing.T) {
 	if 9+2*(3+len(wide)) <= btree.MaxValueSize { // id, then two (flag, length, bytes) columns
 		t.Fatalf("row of two %d-byte columns fits a leaf (MaxValueSize %d)", len(wide), btree.MaxValueSize)
 	}
-	if _, err := tbl.BulkLoad(NewValuesSource(rows), BulkOptions{}); !errors.Is(err, ErrRowTooWide) {
-		t.Fatalf("BulkLoad: err = %v, want ErrRowTooWide", err)
+	if _, err := tbl.BulkLoad(NewValuesSource(rows), BulkOptions{}); !errors.Is(err, errRowTooWide) {
+		t.Fatalf("BulkLoad: err = %v, want errRowTooWide", err)
 	}
 	if got := tbl.Rows(); got != 1 {
 		t.Fatalf("rows after rejected load = %d, want 1", got)

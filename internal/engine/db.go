@@ -100,7 +100,7 @@ func Open(opts Options) (*DB, error) {
 		bp:     bp,
 		blobs:  blob.NewStore(bp),
 		tables: make(map[string]*Table),
-		funcs:  NewFuncRegistry(),
+		funcs:  newFuncRegistry(),
 		wal:    opts.WAL,
 	}
 	db.reg = opts.Metrics

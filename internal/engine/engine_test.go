@@ -289,7 +289,7 @@ func TestTableStats(t *testing.T) {
 }
 
 func TestUDFBoundary(t *testing.T) {
-	r := NewFuncRegistry()
+	r := newFuncRegistry()
 	r.Register("dbo.AddOne", 1, func(args []Value) (Value, error) {
 		f, err := args[0].AsFloat()
 		if err != nil {
@@ -322,7 +322,7 @@ func TestUDFBoundary(t *testing.T) {
 }
 
 func TestUDFBoundaryBinaryArgs(t *testing.T) {
-	r := NewFuncRegistry()
+	r := newFuncRegistry()
 	r.Register("dbo.len", -1, func(args []Value) (Value, error) {
 		b, err := args[0].AsBinary()
 		if err != nil {

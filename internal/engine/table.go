@@ -107,7 +107,7 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 		return err
 	}
 	if len(raw) > btree.MaxValueSize {
-		return fmt.Errorf("%w: %d bytes", ErrRowTooWide, len(raw))
+		return fmt.Errorf("%w: %d bytes", errRowTooWide, len(raw))
 	}
 	if err := t.tree.Insert(key, raw); err != nil {
 		return err
@@ -187,7 +187,7 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 		return unwind(err)
 	}
 	if len(newRaw) > btree.MaxValueSize {
-		return unwind(fmt.Errorf("%w: %d bytes", ErrRowTooWide, len(newRaw)))
+		return unwind(fmt.Errorf("%w: %d bytes", errRowTooWide, len(newRaw)))
 	}
 	newKey, err := next[t.schema.Key].AsInt()
 	if err != nil {

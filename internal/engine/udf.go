@@ -116,8 +116,8 @@ type boundary struct {
 // inside a UDF — each draw their own).
 var boundaryPool = sync.Pool{New: func() any { return new(boundary) }}
 
-// NewFuncRegistry returns an empty registry.
-func NewFuncRegistry() *FuncRegistry {
+// newFuncRegistry returns an empty registry.
+func newFuncRegistry() *FuncRegistry {
 	return &FuncRegistry{funcs: make(map[string]*FuncDef)}
 }
 

@@ -55,7 +55,7 @@ var (
 	ErrNoFunc      = errors.New("engine: no such function")
 	ErrTypeError   = errors.New("engine: type error")
 	ErrTableExists = errors.New("engine: table already exists")
-	ErrRowTooWide  = errors.New("engine: row exceeds page capacity")
+	errRowTooWide  = errors.New("engine: row exceeds page capacity")
 	ErrNullValue   = errors.New("engine: unexpected NULL")
 )
 

@@ -113,7 +113,7 @@ func TestVectorConst(t *testing.T) {
 
 // callBatchRegistry registers the UDFs the CallBatch tests use.
 func callBatchRegistry() *FuncRegistry {
-	r := NewFuncRegistry()
+	r := newFuncRegistry()
 	// echo hands back its own argument: on the hosted side that value
 	// aliases the pooled argument buffer.
 	r.Register("t.echo", 1, func(args []Value) (Value, error) { return args[0], nil })
@@ -315,7 +315,7 @@ func TestCallBatchLargeRowsCrossInRuns(t *testing.T) {
 }
 
 func TestCallBatchNoArgs(t *testing.T) {
-	r := NewFuncRegistry()
+	r := newFuncRegistry()
 	calls := 0
 	r.Register("t.tick", 0, func([]Value) (Value, error) { calls++; return IntValue(int64(calls)), nil })
 	def, _ := r.Lookup("t.tick")

@@ -18,8 +18,8 @@ import (
 	"math/bits"
 )
 
-// ErrSize reports an invalid transform size.
-var ErrSize = errors.New("fft: invalid transform size")
+// errSize reports an invalid transform size.
+var errSize = errors.New("fft: invalid transform size")
 
 // Direction selects forward (engineering sign convention, e^{-2πi kn/N})
 // or inverse (with 1/N normalization).
@@ -45,7 +45,7 @@ type Plan struct {
 // NewPlan prepares a transform of length n in the given direction.
 func NewPlan(n int, dir Direction) (*Plan, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrSize, n)
+		return nil, fmt.Errorf("%w: %d", errSize, n)
 	}
 	p := &Plan{n: n, dir: dir, staging: make([]complex128, n)}
 	if n&(n-1) == 0 {
@@ -63,7 +63,7 @@ func NewPlan(n int, dir Direction) (*Plan, error) {
 // aligned-buffer copy.
 func (p *Plan) Execute(dst, src []complex128) error {
 	if len(src) != p.n || len(dst) != p.n {
-		return fmt.Errorf("%w: plan is %d, buffers are %d/%d", ErrSize, p.n, len(src), len(dst))
+		return fmt.Errorf("%w: plan is %d, buffers are %d/%d", errSize, p.n, len(src), len(dst))
 	}
 	copy(p.staging, src)
 	if p.pow2 {
@@ -193,8 +193,8 @@ func (bp *bluesteinPlan) transform(a []complex128) {
 	}
 }
 
-// DFTNaive is the O(n²) reference transform used by tests.
-func DFTNaive(src []complex128, dir Direction) []complex128 {
+// dftNaive is the O(n²) reference transform used by tests.
+func dftNaive(src []complex128, dir Direction) []complex128 {
 	n := len(src)
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {

@@ -45,7 +45,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 32, 100, 128, 243} {
 		src := randComplex(rng, n)
 		got := transform(t, src, Forward)
-		want := DFTNaive(src, Forward)
+		want := dftNaive(src, Forward)
 		if e := maxErr(got, want); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: max error %g", n, e)
 		}
@@ -124,7 +124,7 @@ func TestPlanReuseAndAliasing(t *testing.T) {
 	}
 	for trial := 0; trial < 5; trial++ {
 		src := randComplex(rng, 64)
-		want := DFTNaive(src, Forward)
+		want := dftNaive(src, Forward)
 		// In-place execution (dst aliases src).
 		if err := p.Execute(src, src); err != nil {
 			t.Fatal(err)
@@ -204,7 +204,7 @@ func TestFFTAxesSingleAxis(t *testing.T) {
 		if err := FFTN(data, dims, Forward); err != nil {
 			t.Fatal(err)
 		}
-		if e := maxErr(data, DFTNaive(src, Forward)); e > 1e-9 {
+		if e := maxErr(data, dftNaive(src, Forward)); e > 1e-9 {
 			t.Errorf("dims %v: error %g", dims, e)
 		}
 	}

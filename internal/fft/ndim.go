@@ -9,12 +9,12 @@ func FFTN(data []complex128, dims []int, dir Direction) error {
 	total := 1
 	for _, d := range dims {
 		if d <= 0 {
-			return fmt.Errorf("%w: dimension %d", ErrSize, d)
+			return fmt.Errorf("%w: dimension %d", errSize, d)
 		}
 		total *= d
 	}
 	if len(data) != total {
-		return fmt.Errorf("%w: %d elements for dims %v", ErrSize, len(data), dims)
+		return fmt.Errorf("%w: %d elements for dims %v", errSize, len(data), dims)
 	}
 	for axis := range dims {
 		if err := fftAxis(data, dims, axis, dir); err != nil {
@@ -64,7 +64,7 @@ func fftAxis(data []complex128, dims []int, axis int, dir Direction) error {
 // a grid ... then Fourier transform it and compute its power spectrum").
 func PowerSpectrum3D(f []complex128, n int) ([]float64, []int, error) {
 	if len(f) != n*n*n {
-		return nil, nil, fmt.Errorf("%w: %d elements for %d^3", ErrSize, len(f), n)
+		return nil, nil, fmt.Errorf("%w: %d elements for %d^3", errSize, len(f), n)
 	}
 	nk := n/2 + 1
 	power := make([]float64, nk)

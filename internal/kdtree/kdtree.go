@@ -12,8 +12,8 @@ import (
 	"sort"
 )
 
-// ErrDim reports a query whose dimensionality does not match the tree.
-var ErrDim = errors.New("kdtree: dimension mismatch")
+// errDim reports a query whose dimensionality does not match the tree.
+var errDim = errors.New("kdtree: dimension mismatch")
 
 // Point is one indexed point: coordinates plus the caller's identifier.
 type Point struct {
@@ -43,7 +43,7 @@ func Build(pts []Point, dim int) (*Tree, error) {
 	for i := range pts {
 		if len(pts[i].Coords) != dim {
 			return nil, fmt.Errorf("%w: point %d has %d coords, want %d",
-				ErrDim, i, len(pts[i].Coords), dim)
+				errDim, i, len(pts[i].Coords), dim)
 		}
 	}
 	t := &Tree{dim: dim, pts: pts, root: -1}
@@ -119,7 +119,7 @@ func (h *resultHeap) Pop() any          { old := *h; n := len(old); x := old[n-1
 // KNN returns the k nearest neighbours of q, closest first.
 func (t *Tree) KNN(q []float64, k int) ([]Neighbor, error) {
 	if len(q) != t.dim {
-		return nil, fmt.Errorf("%w: query has %d coords, want %d", ErrDim, len(q), t.dim)
+		return nil, fmt.Errorf("%w: query has %d coords, want %d", errDim, len(q), t.dim)
 	}
 	if k <= 0 || t.root < 0 {
 		return nil, nil
@@ -165,8 +165,8 @@ func dist2(a, b []float64) float64 {
 	return s
 }
 
-// BruteKNN is the O(n) reference used by tests and tiny point sets.
-func BruteKNN(pts []Point, q []float64, k int) []Neighbor {
+// bruteKNN is the O(n) reference used by tests and tiny point sets.
+func bruteKNN(pts []Point, q []float64, k int) []Neighbor {
 	out := make([]Neighbor, 0, len(pts))
 	for _, p := range pts {
 		out = append(out, Neighbor{Point: p, Dist2: dist2(q, p.Coords)})

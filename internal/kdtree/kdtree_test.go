@@ -25,7 +25,7 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil, 0); err == nil {
 		t.Error("zero dim must fail")
 	}
-	if _, err := Build([]Point{{Coords: []float64{1}}}, 2); !errors.Is(err, ErrDim) {
+	if _, err := Build([]Point{{Coords: []float64{1}}}, 2); !errors.Is(err, errDim) {
 		t.Errorf("dim mismatch: %v", err)
 	}
 }
@@ -41,7 +41,7 @@ func TestEmptyTree(t *testing.T) {
 			t.Errorf("KNN(k=%d) on empty = %v, %v", k, ns, err)
 		}
 	}
-	if _, err := tr.KNN([]float64{0, 0}, 1); !errors.Is(err, ErrDim) {
+	if _, err := tr.KNN([]float64{0, 0}, 1); !errors.Is(err, errDim) {
 		t.Errorf("dim mismatch on empty: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestKNNMatchesBruteForceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := BruteKNN(ref, q, k)
+		want := bruteKNN(ref, q, k)
 		if len(got) != len(want) {
 			return false
 		}
@@ -126,7 +126,7 @@ func TestKNNMoreThanAvailable(t *testing.T) {
 	if err != nil || len(ns) != 5 {
 		t.Errorf("KNN(50 of 5) = %d, %v", len(ns), err)
 	}
-	if _, err := tr.KNN([]float64{0}, 3); !errors.Is(err, ErrDim) {
+	if _, err := tr.KNN([]float64{0}, 3); !errors.Is(err, errDim) {
 		t.Errorf("dim mismatch: %v", err)
 	}
 	if ns, _ := tr.KNN([]float64{0, 0}, 0); ns != nil {
@@ -172,7 +172,7 @@ func TestHighDimensional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := BruteKNN(ref, q, 5)
+	want := bruteKNN(ref, q, 5)
 	for i := range got {
 		if math.Abs(got[i].Dist2-want[i].Dist2) > 1e-12 {
 			t.Errorf("neighbor %d: %g vs %g", i, got[i].Dist2, want[i].Dist2)

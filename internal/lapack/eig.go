@@ -19,11 +19,11 @@ type EigResult struct {
 // matrices.
 func SymEig(a Mat) (EigResult, error) {
 	if a.M != a.N {
-		return EigResult{}, fmt.Errorf("%w: %dx%d is not square", ErrShape, a.M, a.N)
+		return EigResult{}, fmt.Errorf("%w: %dx%d is not square", errShape, a.M, a.N)
 	}
 	n := a.N
 	w := a.Clone()
-	q := Identity(n)
+	q := identity(n)
 	const maxSweeps = 60
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0

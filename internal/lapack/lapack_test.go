@@ -44,12 +44,12 @@ func TestMatBasics(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMat(rng, 4, 6)
-	id := Identity(6)
+	id := identity(6)
 	c, err := MatMul(a, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(a, c) > 1e-15 {
+	if maxAbsDiff(a, c) > 1e-15 {
 		t.Error("A·I != A")
 	}
 	if _, err := MatMul(a, randMat(rng, 5, 2)); err == nil {
@@ -74,28 +74,28 @@ func TestMatMulKnown(t *testing.T) {
 
 func TestMatVec(t *testing.T) {
 	a, _ := MatFrom(2, 3, []float64{1, 4, 2, 5, 3, 6}) // [[1,2,3],[4,5,6]]
-	y, err := MatVec(a, []float64{1, 1, 1})
+	y, err := matVec(a, []float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if y[0] != 6 || y[1] != 15 {
 		t.Errorf("y = %v", y)
 	}
-	if _, err := MatVec(a, []float64{1}); err == nil {
+	if _, err := matVec(a, []float64{1}); err == nil {
 		t.Error("length mismatch must fail")
 	}
 }
 
 func TestNorm2Robust(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-15 {
-		t.Errorf("Norm2 = %g", got)
+	if got := norm2([]float64{3, 4}); math.Abs(got-5) > 1e-15 {
+		t.Errorf("norm2 = %g", got)
 	}
 	// Values that would overflow naive sum-of-squares.
 	big := []float64{1e300, 1e300}
-	if got := Norm2(big); math.IsInf(got, 1) || math.Abs(got-1e300*math.Sqrt2) > 1e285 {
-		t.Errorf("overflow-safe Norm2 = %g", got)
+	if got := norm2(big); math.IsInf(got, 1) || math.Abs(got-1e300*math.Sqrt2) > 1e285 {
+		t.Errorf("overflow-safe norm2 = %g", got)
 	}
-	if Norm2(nil) != 0 {
+	if norm2(nil) != 0 {
 		t.Error("empty norm must be 0")
 	}
 }
@@ -104,7 +104,7 @@ func TestQRSolveExact(t *testing.T) {
 	// Square well-conditioned system.
 	a, _ := MatFrom(3, 3, []float64{4, 1, 0, 1, 3, 1, 0, 1, 2})
 	want := []float64{1, -2, 3}
-	b, _ := MatVec(a, want)
+	b, _ := matVec(a, want)
 	x, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		if err != nil {
 			return true // rank-deficient random draw; acceptable
 		}
-		ax, _ := MatVec(a, x)
+		ax, _ := matVec(a, x)
 		// Residual must be orthogonal to every column of A.
 		for j := 0; j < n; j++ {
 			s := 0.0
@@ -171,10 +171,10 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 
 func TestQRErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if _, err := QRFactor(randMat(rng, 2, 5)); err == nil {
+	if _, err := qrFactor(randMat(rng, 2, 5)); err == nil {
 		t.Error("m < n must fail")
 	}
-	f, err := QRFactor(randMat(rng, 5, 2))
+	f, err := qrFactor(randMat(rng, 5, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSVDReconstructsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if MaxAbsDiff(r.Reconstruct(), a) > 1e-9 {
+		if maxAbsDiff(r.Reconstruct(), a) > 1e-9 {
 			return false
 		}
 		// Singular values descending and non-negative.
@@ -263,11 +263,11 @@ func TestSVDOrthonormality(t *testing.T) {
 		t.Fatal(err)
 	}
 	utu, _ := MatMul(r.U.Transpose(), r.U)
-	if MaxAbsDiff(utu, Identity(6)) > 1e-9 {
+	if maxAbsDiff(utu, identity(6)) > 1e-9 {
 		t.Error("UᵀU != I")
 	}
 	vtv, _ := MatMul(r.V.Transpose(), r.V)
-	if MaxAbsDiff(vtv, Identity(6)) > 1e-9 {
+	if maxAbsDiff(vtv, identity(6)) > 1e-9 {
 		t.Error("VᵀV != I")
 	}
 }
@@ -293,7 +293,7 @@ func TestSVDWideMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(r.Reconstruct(), a) > 1e-9 {
+	if maxAbsDiff(r.Reconstruct(), a) > 1e-9 {
 		t.Error("wide-matrix reconstruction failed")
 	}
 	if _, err := SVD(Mat{}); err == nil {
@@ -347,7 +347,7 @@ func TestSymEig(t *testing.T) {
 	// A·q = λ·q for each pair.
 	for j := 0; j < 2; j++ {
 		q := r.Vectors.Col(j)
-		aq, _ := MatVec(a, q)
+		aq, _ := matVec(a, q)
 		for i := range aq {
 			if math.Abs(aq[i]-r.Values[j]*q[i]) > 1e-10 {
 				t.Errorf("eigenpair %d violated", j)
@@ -383,8 +383,8 @@ func TestSymEigRandomSymmetric(t *testing.T) {
 		}
 	}
 	back, _ := MatMul(qd, r.Vectors.Transpose())
-	if MaxAbsDiff(back, a) > 1e-8 {
-		t.Errorf("eigen reconstruction error %g", MaxAbsDiff(back, a))
+	if maxAbsDiff(back, a) > 1e-8 {
+		t.Errorf("eigen reconstruction error %g", maxAbsDiff(back, a))
 	}
 	// Trace preserved.
 	tr, sum := 0.0, 0.0
@@ -417,7 +417,7 @@ func TestNNLSNonNegativity(t *testing.T) {
 			}
 		}
 		// KKT: for x_j > 0, gradient ~ 0; for x_j = 0, gradient <= 0.
-		ax, _ := MatVec(a, x)
+		ax, _ := matVec(a, x)
 		for j := 0; j < n; j++ {
 			g := 0.0
 			col := a.Col(j)
@@ -439,7 +439,7 @@ func TestNNLSRecoversNonNegativeTruth(t *testing.T) {
 	m, n := 30, 4
 	a := randMat(rng, m, n)
 	want := []float64{0.5, 0, 2, 1}
-	b, _ := MatVec(a, want)
+	b, _ := matVec(a, want)
 	x, err := NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)

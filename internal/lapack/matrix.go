@@ -18,12 +18,12 @@ import (
 	"math"
 )
 
-// ErrShape reports inconsistent matrix dimensions.
-var ErrShape = errors.New("lapack: shape mismatch")
+// errShape reports inconsistent matrix dimensions.
+var errShape = errors.New("lapack: shape mismatch")
 
-// ErrSingular reports a rank-deficient system where a unique solution was
+// errSingular reports a rank-deficient system where a unique solution was
 // required.
-var ErrSingular = errors.New("lapack: singular system")
+var errSingular = errors.New("lapack: singular system")
 
 // Mat is a dense column-major matrix view: element (i,j) of an m×n matrix
 // lives at Data[i+j*m].
@@ -38,7 +38,7 @@ func NewMat(m, n int) Mat { return Mat{M: m, N: n, Data: make([]float64, m*n)} }
 // MatFrom wraps an existing column-major buffer.
 func MatFrom(m, n int, data []float64) (Mat, error) {
 	if len(data) != m*n {
-		return Mat{}, fmt.Errorf("%w: %d elements for %dx%d", ErrShape, len(data), m, n)
+		return Mat{}, fmt.Errorf("%w: %d elements for %dx%d", errShape, len(data), m, n)
 	}
 	return Mat{M: m, N: n, Data: data}, nil
 }
@@ -72,7 +72,7 @@ func (a Mat) Transpose() Mat {
 // MatMul returns C = A·B.
 func MatMul(a, b Mat) (Mat, error) {
 	if a.N != b.M {
-		return Mat{}, fmt.Errorf("%w: %dx%d · %dx%d", ErrShape, a.M, a.N, b.M, b.N)
+		return Mat{}, fmt.Errorf("%w: %dx%d · %dx%d", errShape, a.M, a.N, b.M, b.N)
 	}
 	c := NewMat(a.M, b.N)
 	for j := 0; j < b.N; j++ {
@@ -92,10 +92,10 @@ func MatMul(a, b Mat) (Mat, error) {
 	return c, nil
 }
 
-// MatVec returns y = A·x.
-func MatVec(a Mat, x []float64) ([]float64, error) {
+// matVec returns y = A·x.
+func matVec(a Mat, x []float64) ([]float64, error) {
 	if len(x) != a.N {
-		return nil, fmt.Errorf("%w: %dx%d · %d-vector", ErrShape, a.M, a.N, len(x))
+		return nil, fmt.Errorf("%w: %dx%d · %d-vector", errShape, a.M, a.N, len(x))
 	}
 	y := make([]float64, a.M)
 	for j := 0; j < a.N; j++ {
@@ -111,8 +111,8 @@ func MatVec(a Mat, x []float64) ([]float64, error) {
 	return y, nil
 }
 
-// Norm2 returns the Euclidean norm of x, guarding against overflow.
-func Norm2(x []float64) float64 {
+// norm2 returns the Euclidean norm of x, guarding against overflow.
+func norm2(x []float64) float64 {
 	scale, ssq := 0.0, 1.0
 	for _, v := range x {
 		if v == 0 {
@@ -131,8 +131,8 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Identity returns the n×n identity.
-func Identity(n int) Mat {
+// identity returns the n×n identity.
+func identity(n int) Mat {
 	id := NewMat(n, n)
 	for i := 0; i < n; i++ {
 		id.Set(i, i, 1)
@@ -140,9 +140,9 @@ func Identity(n int) Mat {
 	return id
 }
 
-// MaxAbsDiff returns max |a-b| over all entries (test helper exported for
-// package users verifying reconstructions).
-func MaxAbsDiff(a, b Mat) float64 {
+// maxAbsDiff returns max |a-b| over all entries (tests use it to verify
+// reconstructions).
+func maxAbsDiff(a, b Mat) float64 {
 	if a.M != b.M || a.N != b.N {
 		return math.Inf(1)
 	}

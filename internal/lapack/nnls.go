@@ -10,7 +10,7 @@ import (
 // among required spectrum-processing primitives (§2.2).
 func NNLS(a Mat, b []float64) ([]float64, error) {
 	if len(b) != a.M {
-		return nil, fmt.Errorf("%w: rhs length %d for %d rows", ErrShape, len(b), a.M)
+		return nil, fmt.Errorf("%w: rhs length %d for %d rows", errShape, len(b), a.M)
 	}
 	m, n := a.M, a.N
 	x := make([]float64, n)
@@ -47,7 +47,7 @@ func NNLS(a Mat, b []float64) ([]float64, error) {
 	}
 
 	const maxOuter = 3 * 64
-	tol := 1e-12 * Norm2(b) * float64(n)
+	tol := 1e-12 * norm2(b) * float64(n)
 	for outer := 0; outer < maxOuter+3*n; outer++ {
 		computeW()
 		// Pick the most violated constraint.

@@ -5,25 +5,25 @@ import (
 	"math"
 )
 
-// QR holds a Householder QR factorization A = Q·R of an m×n matrix with
-// m >= n. The factors are stored compactly: R in the upper triangle, the
-// Householder vectors below the diagonal, with their scalar factors in
-// tau.
-type QR struct {
+// householderQR holds a Householder QR factorization A = Q·R of an m×n
+// matrix with m >= n. The factors are stored compactly: R in the upper
+// triangle, the Householder vectors below the diagonal, with their
+// scalar factors in tau.
+type householderQR struct {
 	qr  Mat
 	tau []float64
 }
 
-// QRFactor computes the factorization.
-func QRFactor(a Mat) (*QR, error) {
+// qrFactor computes the factorization.
+func qrFactor(a Mat) (*householderQR, error) {
 	if a.M < a.N {
-		return nil, fmt.Errorf("%w: QR wants m >= n, got %dx%d", ErrShape, a.M, a.N)
+		return nil, fmt.Errorf("%w: QR wants m >= n, got %dx%d", errShape, a.M, a.N)
 	}
-	f := &QR{qr: a.Clone(), tau: make([]float64, a.N)}
+	f := &householderQR{qr: a.Clone(), tau: make([]float64, a.N)}
 	m, n := a.M, a.N
 	for k := 0; k < n; k++ {
 		col := f.qr.Col(k)[k:]
-		alpha := Norm2(col)
+		alpha := norm2(col)
 		if alpha == 0 {
 			f.tau[k] = 0
 			continue
@@ -56,7 +56,7 @@ func QRFactor(a Mat) (*QR, error) {
 }
 
 // applyQT applies Qᵀ to a vector of length m in place.
-func (f *QR) applyQT(y []float64) {
+func (f *householderQR) applyQT(y []float64) {
 	m, n := f.qr.M, f.qr.N
 	for k := 0; k < n; k++ {
 		if f.tau[k] == 0 {
@@ -76,10 +76,10 @@ func (f *QR) applyQT(y []float64) {
 }
 
 // Solve returns the least-squares solution x minimizing ||A·x - b||₂.
-func (f *QR) Solve(b []float64) ([]float64, error) {
+func (f *householderQR) Solve(b []float64) ([]float64, error) {
 	m, n := f.qr.M, f.qr.N
 	if len(b) != m {
-		return nil, fmt.Errorf("%w: rhs length %d for %d rows", ErrShape, len(b), m)
+		return nil, fmt.Errorf("%w: rhs length %d for %d rows", errShape, len(b), m)
 	}
 	y := append([]float64(nil), b...)
 	f.applyQT(y)
@@ -95,7 +95,7 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		d := f.qr.At(i, i)
 		if math.Abs(d) <= 1e-12*maxDiag {
-			return nil, fmt.Errorf("%w: negligible pivot at column %d", ErrSingular, i)
+			return nil, fmt.Errorf("%w: negligible pivot at column %d", errSingular, i)
 		}
 		s := x[i]
 		for j := i + 1; j < n; j++ {
@@ -108,7 +108,7 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 
 // LeastSquares solves min ||A·x - b||₂ in one call.
 func LeastSquares(a Mat, b []float64) ([]float64, error) {
-	f, err := QRFactor(a)
+	f, err := qrFactor(a)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func LeastSquares(a Mat, b []float64) ([]float64, error) {
 // equations entirely.
 func MaskedLeastSquares(a Mat, b []float64, mask []int64) ([]float64, error) {
 	if len(b) != a.M || len(mask) != a.M {
-		return nil, fmt.Errorf("%w: %d rows, %d rhs, %d mask", ErrShape, a.M, len(b), len(mask))
+		return nil, fmt.Errorf("%w: %d rows, %d rhs, %d mask", errShape, a.M, len(b), len(mask))
 	}
 	rows := 0
 	for _, f := range mask {
@@ -130,7 +130,7 @@ func MaskedLeastSquares(a Mat, b []float64, mask []int64) ([]float64, error) {
 		}
 	}
 	if rows < a.N {
-		return nil, fmt.Errorf("%w: only %d unmasked rows for %d unknowns", ErrSingular, rows, a.N)
+		return nil, fmt.Errorf("%w: only %d unmasked rows for %d unknowns", errSingular, rows, a.N)
 	}
 	sub := NewMat(rows, a.N)
 	rb := make([]float64, rows)

@@ -26,7 +26,7 @@ type SVDResult struct {
 // swapping U and V.
 func SVD(a Mat) (SVDResult, error) {
 	if a.M == 0 || a.N == 0 {
-		return SVDResult{}, fmt.Errorf("%w: empty matrix", ErrShape)
+		return SVDResult{}, fmt.Errorf("%w: empty matrix", errShape)
 	}
 	if a.M < a.N {
 		r, err := SVD(a.Transpose())
@@ -37,7 +37,7 @@ func SVD(a Mat) (SVDResult, error) {
 	}
 	m, n := a.M, a.N
 	u := a.Clone()
-	v := Identity(n)
+	v := identity(n)
 
 	const maxSweeps = 60
 	eps := 1e-15
@@ -81,7 +81,7 @@ func SVD(a Mat) (SVDResult, error) {
 	s := make([]float64, n)
 	for j := 0; j < n; j++ {
 		col := u.Col(j)
-		s[j] = Norm2(col)
+		s[j] = norm2(col)
 		if s[j] > 0 {
 			inv := 1 / s[j]
 			for i := range col {

@@ -46,12 +46,12 @@ func LinkMergers(earlier, later []Halo) []MergerLink {
 	return links
 }
 
-// CICDensity assigns particle mass onto an n³ grid with the cloud-in-
+// cicDensity assigns particle mass onto an n³ grid with the cloud-in-
 // cell kernel ("compute the density over a 6403 grid, interpolating over
 // the particle positions, using a cloud-in-cell (CIC) algorithm",
 // §2.3). Each particle deposits trilinear weights onto its 8
 // surrounding cells; total mass is exactly conserved.
-func CICDensity(parts []Particle, n int) ([]float64, error) {
+func cicDensity(parts []Particle, n int) ([]float64, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("nbody: CIC grid side %d", n)
 	}
@@ -95,7 +95,7 @@ func CICDensity(parts []Particle, n int) ([]float64, error) {
 // PowerSpectrum computes P(k) of the density contrast δ = ρ/ρ̄ - 1 via
 // the FFT substrate, returning shell-averaged power per integer k.
 func PowerSpectrum(parts []Particle, n int) ([]float64, error) {
-	rho, err := CICDensity(parts, n)
+	rho, err := cicDensity(parts, n)
 	if err != nil {
 		return nil, err
 	}

@@ -107,8 +107,8 @@ func FOF(parts []Particle, linkLen float64, minMembers int) ([]Halo, error) {
 	return halos, nil
 }
 
-// FOFNaive is the O(n²) reference used by tests.
-func FOFNaive(parts []Particle, linkLen float64, minMembers int) []Halo {
+// fofNaive is the O(n²) reference used by tests.
+func fofNaive(parts []Particle, linkLen float64, minMembers int) []Halo {
 	n := len(parts)
 	uf := newUnionFind(n)
 	ll2 := linkLen * linkLen

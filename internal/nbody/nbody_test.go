@@ -74,7 +74,7 @@ func TestFOFMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := FOFNaive(s.Particles, 0.02, 5)
+	slow := fofNaive(s.Particles, 0.02, 5)
 	if len(fast) != len(slow) {
 		t.Fatalf("halo counts differ: %d vs %d", len(fast), len(slow))
 	}
@@ -158,7 +158,7 @@ func TestMergerLinking(t *testing.T) {
 
 func TestCICMassConservation(t *testing.T) {
 	s := genSnap(t, 3000, 4)
-	rho, err := CICDensity(s.Particles, 16)
+	rho, err := cicDensity(s.Particles, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCICMassConservation(t *testing.T) {
 	if math.Abs(total-3000) > 1e-6 {
 		t.Errorf("CIC total mass = %g, want 3000", total)
 	}
-	if _, err := CICDensity(s.Particles, 1); err == nil {
+	if _, err := cicDensity(s.Particles, 1); err == nil {
 		t.Error("1-cell grid must fail")
 	}
 }
@@ -194,7 +194,7 @@ func TestCICUniformLatticeIsFlat(t *testing.T) {
 			}
 		}
 	}
-	rho, err := CICDensity(parts, n)
+	rho, err := cicDensity(parts, n)
 	if err != nil {
 		t.Fatal(err)
 	}

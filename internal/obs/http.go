@@ -81,7 +81,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			var cum uint64
 			for i, n := range h.Buckets {
 				cum += n
-				if b := BucketBound(i); b >= 0 {
+				if b := bucketBound(i); b >= 0 {
 					fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", pn, b.Seconds(), cum)
 				} else {
 					fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, cum)
@@ -108,7 +108,7 @@ func (r *Registry) WriteJSON(w io.Writer) {
 				if n == 0 {
 					continue
 				}
-				if b := BucketBound(i); b >= 0 {
+				if b := bucketBound(i); b >= 0 {
 					buckets[b.String()] = n
 				} else {
 					buckets["+Inf"] = n

@@ -70,14 +70,14 @@ var histBounds = [...]time.Duration{
 	16777216 * time.Microsecond,
 }
 
-// HistBuckets is the number of histogram buckets including the +Inf
+// histBuckets is the number of histogram buckets including the +Inf
 // overflow bucket.
-const HistBuckets = len(histBounds) + 1
+const histBuckets = len(histBounds) + 1
 
 // Histogram is a fixed-bucket latency histogram. The zero value is
 // ready to use. Must not be copied after first use.
 type Histogram struct {
-	buckets [HistBuckets]Counter
+	buckets [histBuckets]Counter
 	count   Counter
 	sumNS   Counter
 }
@@ -102,15 +102,15 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // SumNS returns the total of all observed durations in nanoseconds.
 func (h *Histogram) SumNS() uint64 { return h.sumNS.Load() }
 
-// HistSnapshot is a point-in-time copy of one histogram.
-type HistSnapshot struct {
-	Buckets [HistBuckets]uint64 // per-bucket (non-cumulative) counts
+// histCounts is a point-in-time copy of one histogram.
+type histCounts struct {
+	Buckets [histBuckets]uint64 // per-bucket (non-cumulative) counts
 	Count   uint64
 	SumNS   uint64
 }
 
-func (h *Histogram) snapshot() HistSnapshot {
-	var s HistSnapshot
+func (h *Histogram) snapshot() histCounts {
+	var s histCounts
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
@@ -119,9 +119,9 @@ func (h *Histogram) snapshot() HistSnapshot {
 	return s
 }
 
-// BucketBound returns the upper bound of bucket i, or -1 for the +Inf
+// bucketBound returns the upper bound of bucket i, or -1 for the +Inf
 // overflow bucket.
-func BucketBound(i int) time.Duration {
+func bucketBound(i int) time.Duration {
 	if i < len(histBounds) {
 		return histBounds[i]
 	}
@@ -150,8 +150,8 @@ type entry struct {
 }
 
 // histSnapshot merges every attached histogram into one snapshot.
-func (e *entry) histSnapshot() HistSnapshot {
-	var m HistSnapshot
+func (e *entry) histSnapshot() histCounts {
+	var m histCounts
 	for _, h := range e.hists {
 		s := h.snapshot()
 		for i := range s.Buckets {

@@ -84,7 +84,7 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("count = %d, want 5", h.Count())
 	}
 	s := h.snapshot()
-	if s.Buckets[0] != 1 || s.Buckets[1] != 2 || s.Buckets[HistBuckets-1] != 1 {
+	if s.Buckets[0] != 1 || s.Buckets[1] != 2 || s.Buckets[histBuckets-1] != 1 {
 		t.Errorf("bucket layout wrong: %v", s.Buckets)
 	}
 	var total uint64

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -129,24 +128,28 @@ type SlowLogEntry struct {
 }
 
 // SlowLog is a structured slow-query log: one JSON object per line,
-// safe for concurrent use. Attach one to ExecOptions.SlowQueryLog and
-// set SlowQueryThreshold; every query slower than the threshold emits
-// its ANALYZE-style trace here.
+// safe for concurrent use. Attach one to ExecOptions.SlowLog; every
+// query whose wall time reaches the log's threshold emits its
+// ANALYZE-style trace here.
 type SlowLog struct {
-	mu sync.Mutex
-	w  io.Writer
+	threshold time.Duration
+	mu        sync.Mutex
+	w         io.Writer
 }
 
-// NewSlowLog creates a slow-query log writing JSON lines to w.
-func NewSlowLog(w io.Writer) *SlowLog { return &SlowLog{w: w} }
+// NewSlowLog creates a slow-query log writing JSON lines to w for every
+// query that takes threshold or longer.
+func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
+	return &SlowLog{threshold: threshold, w: w}
+}
 
-// DefaultSlowLog writes to stderr; used when a threshold is set with
-// no explicit log.
-var DefaultSlowLog = NewSlowLog(os.Stderr)
-
-// Log emits one trace as a JSON line. Rendering happens outside the
-// lock; only the write is serialized.
+// Log emits one trace as a JSON line if the query took the threshold or
+// longer. Rendering happens outside the lock; only the write is
+// serialized.
 func (l *SlowLog) Log(t *QueryTrace) {
+	if t.Duration < l.threshold {
+		return
+	}
 	e := SlowLogEntry{
 		SQL:        t.SQL,
 		Start:      t.Start,

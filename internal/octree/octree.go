@@ -18,8 +18,8 @@ type Point struct {
 	ID      int64
 }
 
-// ErrBounds reports a point outside the unit cube.
-var ErrBounds = errors.New("octree: point outside unit cube")
+// errBounds reports a point outside the unit cube.
+var errBounds = errors.New("octree: point outside unit cube")
 
 // Tree is a bucketized point octree. Leaves hold up to BucketSize points;
 // inserting into a full leaf splits it (unless MaxDepth is reached, in
@@ -55,7 +55,7 @@ func New(bucketSize int) *Tree {
 // Insert adds a point.
 func (t *Tree) Insert(p Point) error {
 	if p.X < 0 || p.X >= 1 || p.Y < 0 || p.Y >= 1 || p.Z < 0 || p.Z >= 1 {
-		return fmt.Errorf("%w: (%g,%g,%g)", ErrBounds, p.X, p.Y, p.Z)
+		return fmt.Errorf("%w: (%g,%g,%g)", errBounds, p.X, p.Y, p.Z)
 	}
 	n := t.root
 	for n.kids != nil {

@@ -38,10 +38,10 @@ func stored(tr *Tree) []Point {
 
 func TestInsertBounds(t *testing.T) {
 	tr := New(4)
-	if err := tr.Insert(Point{X: 1.0, Y: 0, Z: 0}); !errors.Is(err, ErrBounds) {
+	if err := tr.Insert(Point{X: 1.0, Y: 0, Z: 0}); !errors.Is(err, errBounds) {
 		t.Errorf("x=1 must fail (half-open cube): %v", err)
 	}
-	if err := tr.Insert(Point{X: -0.1, Y: 0.5, Z: 0.5}); !errors.Is(err, ErrBounds) {
+	if err := tr.Insert(Point{X: -0.1, Y: 0.5, Z: 0.5}); !errors.Is(err, errBounds) {
 		t.Errorf("negative must fail: %v", err)
 	}
 	if err := tr.Insert(Point{X: 0, Y: 0, Z: 0}); err != nil {

@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// ErrInjected is the error a FaultDisk returns once its fault fires.
-var ErrInjected = errors.New("pages: injected disk fault")
+// errInjected is the error a FaultDisk returns once its fault fires.
+var errInjected = errors.New("pages: injected disk fault")
 
 // FaultDisk wraps a DiskManager with crash-injection hooks for the
 // recovery test harness: it can fail after a configured number of page
@@ -73,7 +73,7 @@ func (d *FaultDisk) WritePage(id PageID, buf []byte) error {
 	d.wrote++
 	if d.fired {
 		d.mu.Unlock()
-		return fmt.Errorf("%w: disk crashed", ErrInjected)
+		return fmt.Errorf("%w: disk crashed", errInjected)
 	}
 	if d.armed && d.left <= 0 {
 		d.fired = true
@@ -89,7 +89,7 @@ func (d *FaultDisk) WritePage(id PageID, buf []byte) error {
 				_ = d.inner.WritePage(id, old)
 			}
 		}
-		return fmt.Errorf("%w: write of page %d failed", ErrInjected, id)
+		return fmt.Errorf("%w: write of page %d failed", errInjected, id)
 	}
 	if d.armed {
 		d.left--
@@ -104,7 +104,7 @@ func (d *FaultDisk) Allocate() (PageID, error) {
 	fired := d.fired
 	d.mu.Unlock()
 	if fired {
-		return 0, fmt.Errorf("%w: disk crashed", ErrInjected)
+		return 0, fmt.Errorf("%w: disk crashed", errInjected)
 	}
 	return d.inner.Allocate()
 }
@@ -116,7 +116,7 @@ func (d *FaultDisk) Sync() error {
 	fired := d.fired
 	d.mu.Unlock()
 	if fired {
-		return fmt.Errorf("%w: disk crashed", ErrInjected)
+		return fmt.Errorf("%w: disk crashed", errInjected)
 	}
 	return d.inner.Sync()
 }

@@ -42,7 +42,7 @@ func TestLoaderFailureFreesFrame(t *testing.T) {
 		want   error
 		inject func(t *testing.T, d *readFaultDisk, id PageID)
 	}{
-		{"corrupt", ErrChecksum, func(t *testing.T, d *readFaultDisk, id PageID) {
+		{"corrupt", errChecksum, func(t *testing.T, d *readFaultDisk, id PageID) {
 			raw := make([]byte, PageSize)
 			if err := d.MemDisk.ReadPage(id, raw); err != nil {
 				t.Fatal(err)

@@ -69,9 +69,9 @@ const pageMagic = 0x5153 // "SQ"
 // Errors returned by the page layer.
 var (
 	ErrPageFull    = errors.New("pages: page full")
-	ErrBadSlot     = errors.New("pages: invalid slot")
-	ErrChecksum    = errors.New("pages: checksum mismatch")
-	ErrBadPage     = errors.New("pages: malformed page")
+	errBadSlot     = errors.New("pages: invalid slot")
+	errChecksum    = errors.New("pages: checksum mismatch")
+	errBadPage     = errors.New("pages: malformed page")
 	ErrOutOfBounds = errors.New("pages: page id out of bounds")
 )
 
@@ -212,7 +212,7 @@ func (p *Page) Insert(rec []byte) (int, error) {
 func (p *Page) InsertAt(pos int, rec []byte) error {
 	n := p.NumSlots()
 	if pos < 0 || pos > n {
-		return fmt.Errorf("%w: insert position %d of %d", ErrBadSlot, pos, n)
+		return fmt.Errorf("%w: insert position %d of %d", errBadSlot, pos, n)
 	}
 	if p.FreeSpace() < len(rec) {
 		return ErrPageFull
@@ -236,7 +236,7 @@ func (p *Page) InsertAt(pos int, rec []byte) error {
 func (p *Page) RemoveAt(pos int) error {
 	n := p.NumSlots()
 	if pos < 0 || pos >= n {
-		return fmt.Errorf("%w: remove position %d of %d", ErrBadSlot, pos, n)
+		return fmt.Errorf("%w: remove position %d of %d", errBadSlot, pos, n)
 	}
 	for i := pos; i < n-1; i++ {
 		o, l := p.slot(i + 1)
@@ -252,17 +252,17 @@ func (p *Page) RemoveAt(pos int) error {
 }
 
 // Record returns the bytes of slot i, aliasing the page buffer. A zero
-// length marks a dead (deleted) slot and returns ErrBadSlot.
+// length marks a dead (deleted) slot and returns errBadSlot.
 func (p *Page) Record(i int) ([]byte, error) {
 	if i < 0 || i >= p.NumSlots() {
-		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())
+		return nil, fmt.Errorf("%w: slot %d of %d", errBadSlot, i, p.NumSlots())
 	}
 	off, ln := p.slot(i)
 	if ln == 0 {
-		return nil, fmt.Errorf("%w: slot %d is dead", ErrBadSlot, i)
+		return nil, fmt.Errorf("%w: slot %d is dead", errBadSlot, i)
 	}
 	if off < HeaderSize || off+ln > PageSize {
-		return nil, fmt.Errorf("%w: slot %d points outside page", ErrBadPage, i)
+		return nil, fmt.Errorf("%w: slot %d points outside page", errBadPage, i)
 	}
 	return p.Buf[off : off+ln], nil
 }
@@ -270,7 +270,7 @@ func (p *Page) Record(i int) ([]byte, error) {
 // Delete marks slot i dead. Space is reclaimed only by Compact.
 func (p *Page) Delete(i int) error {
 	if i < 0 || i >= p.NumSlots() {
-		return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())
+		return fmt.Errorf("%w: slot %d of %d", errBadSlot, i, p.NumSlots())
 	}
 	p.setSlot(i, 0, 0)
 	return nil
@@ -281,11 +281,11 @@ func (p *Page) Delete(i int) error {
 // space (the old space becomes garbage until Compact).
 func (p *Page) Update(i int, rec []byte) error {
 	if i < 0 || i >= p.NumSlots() {
-		return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())
+		return fmt.Errorf("%w: slot %d of %d", errBadSlot, i, p.NumSlots())
 	}
 	off, ln := p.slot(i)
 	if ln == 0 {
-		return fmt.Errorf("%w: slot %d is dead", ErrBadSlot, i)
+		return fmt.Errorf("%w: slot %d is dead", errBadSlot, i)
 	}
 	if len(rec) <= ln {
 		copy(p.Buf[off:], rec)
@@ -358,7 +358,7 @@ func (p *Page) VerifyChecksum() error {
 	sum := crc32.ChecksumIEEE(p.Buf[:])
 	binary.LittleEndian.PutUint32(p.Buf[offChecksum:], stored)
 	if sum != stored {
-		return fmt.Errorf("%w: page %d: stored %08x computed %08x", ErrChecksum, p.ID, stored, sum)
+		return fmt.Errorf("%w: page %d: stored %08x computed %08x", errChecksum, p.ID, stored, sum)
 	}
 	return nil
 }
@@ -366,10 +366,10 @@ func (p *Page) VerifyChecksum() error {
 // Validate performs structural sanity checks on a page read from disk.
 func (p *Page) Validate() error {
 	if binary.LittleEndian.Uint16(p.Buf[offMagic:]) != pageMagic {
-		return fmt.Errorf("%w: page %d: bad magic", ErrBadPage, p.ID)
+		return fmt.Errorf("%w: page %d: bad magic", errBadPage, p.ID)
 	}
 	if p.freeLo() < HeaderSize || p.freeLo() > PageSize {
-		return fmt.Errorf("%w: page %d: freeLo %d", ErrBadPage, p.ID, p.freeLo())
+		return fmt.Errorf("%w: page %d: freeLo %d", errBadPage, p.ID, p.freeLo())
 	}
 	return nil
 }

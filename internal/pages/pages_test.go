@@ -66,7 +66,7 @@ func TestPageDeleteUpdateCompact(t *testing.T) {
 	if err := p.Delete(s0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Record(s0); !errors.Is(err, ErrBadSlot) {
+	if _, err := p.Record(s0); !errors.Is(err, errBadSlot) {
 		t.Errorf("dead slot read: %v", err)
 	}
 	if p.LiveRecords() != 1 {
@@ -94,10 +94,10 @@ func TestPageDeleteUpdateCompact(t *testing.T) {
 	if !bytes.Equal(got, long) {
 		t.Error("Compact corrupted record")
 	}
-	if err := p.Delete(99); !errors.Is(err, ErrBadSlot) {
+	if err := p.Delete(99); !errors.Is(err, errBadSlot) {
 		t.Errorf("bad delete: %v", err)
 	}
-	if err := p.Update(99, nil); !errors.Is(err, ErrBadSlot) {
+	if err := p.Update(99, nil); !errors.Is(err, errBadSlot) {
 		t.Errorf("bad update: %v", err)
 	}
 }
@@ -113,7 +113,7 @@ func TestPageChecksum(t *testing.T) {
 		t.Fatalf("fresh checksum: %v", err)
 	}
 	p.Buf[HeaderSize] ^= 0xFF // corrupt a body byte
-	if err := p.VerifyChecksum(); !errors.Is(err, ErrChecksum) {
+	if err := p.VerifyChecksum(); !errors.Is(err, errChecksum) {
 		t.Errorf("corruption not detected: %v", err)
 	}
 }

@@ -155,7 +155,7 @@ func TestFaultDiskFailsAndTears(t *testing.T) {
 		newBuf[i] = 0x22
 	}
 	err = d.WritePage(id, newBuf)
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("torn write error = %v", err)
 	}
 	got := make([]byte, PageSize)
@@ -166,10 +166,10 @@ func TestFaultDiskFailsAndTears(t *testing.T) {
 		t.Fatalf("torn write left first byte %x last byte %x, want 22 / 11", got[0], got[PageSize-1])
 	}
 	// Disk is crashed: further writes and fsyncs fail until healed.
-	if err := d.WritePage(id, full); !errors.Is(err, ErrInjected) {
+	if err := d.WritePage(id, full); !errors.Is(err, errInjected) {
 		t.Fatalf("post-crash write error = %v", err)
 	}
-	if err := d.Sync(); !errors.Is(err, ErrInjected) {
+	if err := d.Sync(); !errors.Is(err, errInjected) {
 		t.Fatalf("post-crash Sync error = %v", err)
 	}
 	d.Heal()

@@ -29,13 +29,13 @@ import (
 )
 
 // Mode names how keys were laid out across the partitions. Both modes
-// split the key space by range; MortonMode additionally declares that
+// split the key space by range; mortonMode additionally declares that
 // keys are 3-D Morton codes, enabling Box queries.
 type Mode string
 
 const (
 	RangeMode  Mode = "range"
-	MortonMode Mode = "morton3d"
+	mortonMode Mode = "morton3d"
 )
 
 // Spec describes the split of the clustered-key space: Splits holds the
@@ -69,7 +69,7 @@ func (s Spec) locate(key int64) int {
 
 func (s Spec) validate() error {
 	switch s.Mode {
-	case RangeMode, MortonMode:
+	case RangeMode, mortonMode:
 	default:
 		return fmt.Errorf("partition: unknown mode %q", s.Mode)
 	}
@@ -94,7 +94,7 @@ func MortonSpec8(side uint32) (Spec, error) {
 	for o := uint64(1); o < 8; o++ {
 		splits[o-1] = int64(o*total/8) - 1
 	}
-	return Spec{Mode: MortonMode, Splits: splits}, nil
+	return Spec{Mode: mortonMode, Splits: splits}, nil
 }
 
 // Store is a table space split across member databases per a Spec.
@@ -320,8 +320,8 @@ type BoxStats struct {
 // covering ranges (maxRanges cap) are filtered out by decoding.
 func (s *Store) Box(table string, lo, hi [3]uint32, maxRanges int) ([]int64, BoxStats, error) {
 	stats := BoxStats{Partitions: len(s.dbs)}
-	if s.spec.Mode != MortonMode {
-		return nil, stats, fmt.Errorf("partition: Box requires %q mode, store is %q", MortonMode, s.spec.Mode)
+	if s.spec.Mode != mortonMode {
+		return nil, stats, fmt.Errorf("partition: Box requires %q mode, store is %q", mortonMode, s.spec.Mode)
 	}
 	ranges, err := sfc.BoxRanges3D(lo, hi, maxRanges)
 	if err != nil {

@@ -91,7 +91,7 @@ func TestSynthesizeAndValidate(t *testing.T) {
 // TestGridRejectsNonFiniteWavelengths: a NaN compares false against
 // everything, so an ascending check written as w[i] <= w[i-1] passes it,
 // and ±Inf bins make infinite bin edges. Each grid must be refused with
-// ErrGrid as a spectrum (Validate, Store.Insert) and as a Resample target.
+// errGrid as a spectrum (Validate, Store.Insert) and as a Resample target.
 func TestGridRejectsNonFiniteWavelengths(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	st, err := CreateStore(memDB(t), "spectra")
@@ -110,19 +110,19 @@ func TestGridRejectsNonFiniteWavelengths(t *testing.T) {
 		n := len(wave)
 		s := &Spectrum{ID: int64(i), Wave: wave, Flux: []float64{1, 1, 1},
 			Err: make([]float64, n), Flags: make([]int64, n)}
-		if err := s.Validate(); !errors.Is(err, ErrGrid) {
-			t.Errorf("Validate(%v) = %v, want ErrGrid", wave, err)
+		if err := s.Validate(); !errors.Is(err, errGrid) {
+			t.Errorf("Validate(%v) = %v, want errGrid", wave, err)
 		}
-		if _, err := Resample(s, good); !errors.Is(err, ErrGrid) {
-			t.Errorf("Resample from %v = %v, want ErrGrid", wave, err)
+		if _, err := Resample(s, good); !errors.Is(err, errGrid) {
+			t.Errorf("Resample from %v = %v, want errGrid", wave, err)
 		}
-		if err := st.Insert(s); !errors.Is(err, ErrGrid) {
-			t.Errorf("Insert(%v) = %v, want ErrGrid", wave, err)
+		if err := st.Insert(s); !errors.Is(err, errGrid) {
+			t.Errorf("Insert(%v) = %v, want errGrid", wave, err)
 		}
 		src := &Spectrum{Wave: good, Flux: []float64{1, 1, 1, 1},
 			Err: make([]float64, 4), Flags: make([]int64, 4)}
-		if _, err := Resample(src, wave); !errors.Is(err, ErrGrid) {
-			t.Errorf("Resample onto %v = %v, want ErrGrid", wave, err)
+		if _, err := Resample(src, wave); !errors.Is(err, errGrid) {
+			t.Errorf("Resample onto %v = %v, want errGrid", wave, err)
 		}
 	}
 	if got := st.Table().Rows(); got != 0 {
@@ -229,7 +229,7 @@ func TestCompositeImprovesSNR(t *testing.T) {
 		specs[i] = s
 	}
 	grid, _ := LogGrid(4100, 7000, 150)
-	comp, err := Composite(specs, grid)
+	comp, err := composite(specs, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestCompositeImprovesSNR(t *testing.T) {
 	if errComp > errSingle/2 {
 		t.Errorf("composite error %g not clearly below single %g", errComp/float64(n), errSingle/float64(n))
 	}
-	if _, err := Composite(nil, grid); err == nil {
+	if _, err := composite(nil, grid); err == nil {
 		t.Error("empty composite must fail")
 	}
 }

@@ -31,33 +31,33 @@ type Spectrum struct {
 	Flags []int64 // nonzero = bad pixel, masked from fits
 }
 
-// ErrGrid reports an invalid wavelength grid.
-var ErrGrid = errors.New("spectra: bad wavelength grid")
+// errGrid reports an invalid wavelength grid.
+var errGrid = errors.New("spectra: bad wavelength grid")
 
 // Validate checks the parallel vectors.
 func (s *Spectrum) Validate() error {
 	n := len(s.Wave)
 	if n < 2 {
-		return fmt.Errorf("%w: %d bins", ErrGrid, n)
+		return fmt.Errorf("%w: %d bins", errGrid, n)
 	}
 	if len(s.Flux) != n || len(s.Err) != n || len(s.Flags) != n {
 		return fmt.Errorf("%w: vector lengths %d/%d/%d/%d",
-			ErrGrid, n, len(s.Flux), len(s.Err), len(s.Flags))
+			errGrid, n, len(s.Flux), len(s.Err), len(s.Flags))
 	}
 	return checkGrid("grid", s.Wave)
 }
 
-// checkGrid reports ErrGrid unless every wavelength of w is finite and
+// checkGrid reports errGrid unless every wavelength of w is finite and
 // strictly greater than the one before it. Finiteness is checked first
 // and on its own: every comparison with NaN is false, so an ascending
 // test alone lets a NaN through.
 func checkGrid(what string, w []float64) error {
 	for i, x := range w {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("%w: %s bin %d is %g", ErrGrid, what, i, x)
+			return fmt.Errorf("%w: %s bin %d is %g", errGrid, what, i, x)
 		}
 		if i > 0 && x <= w[i-1] {
-			return fmt.Errorf("%w: %s not ascending at bin %d", ErrGrid, what, i)
+			return fmt.Errorf("%w: %s not ascending at bin %d", errGrid, what, i)
 		}
 	}
 	return nil
@@ -77,7 +77,7 @@ func (s *Spectrum) Clone() *Spectrum {
 // LogGrid builds an n-bin logarithmic wavelength grid over [lo, hi].
 func LogGrid(lo, hi float64, n int) ([]float64, error) {
 	if n < 2 || lo <= 0 || hi <= lo {
-		return nil, fmt.Errorf("%w: [%g,%g] x %d", ErrGrid, lo, hi, n)
+		return nil, fmt.Errorf("%w: [%g,%g] x %d", errGrid, lo, hi, n)
 	}
 	out := make([]float64, n)
 	step := math.Log(hi/lo) / float64(n-1)
@@ -104,7 +104,7 @@ type SynthesisParams struct {
 // spectra share rest-frame lines so PCA has real structure to find.
 func Synthesize(rng *rand.Rand, p SynthesisParams) (*Spectrum, error) {
 	if p.Bins < 8 {
-		return nil, fmt.Errorf("%w: %d bins", ErrGrid, p.Bins)
+		return nil, fmt.Errorf("%w: %d bins", errGrid, p.Bins)
 	}
 	if p.SNR <= 0 {
 		p.SNR = 20
@@ -209,7 +209,7 @@ func Resample(s *Spectrum, newWave []float64) (*Spectrum, error) {
 		return nil, err
 	}
 	if len(newWave) < 2 {
-		return nil, fmt.Errorf("%w: target grid of %d bins", ErrGrid, len(newWave))
+		return nil, fmt.Errorf("%w: target grid of %d bins", errGrid, len(newWave))
 	}
 	if err := checkGrid("target grid", newWave); err != nil {
 		return nil, err
@@ -283,11 +283,11 @@ func binEdges(centers []float64) []float64 {
 	return edges
 }
 
-// Composite averages a set of spectra on a common grid, ignoring
+// composite averages a set of spectra on a common grid, ignoring
 // flagged bins, propagating errors as the error of the mean — the
 // aggregate behind "spectra can be averaged to get composites with high
 // signal to noise ratio", groupable by redshift.
-func Composite(specs []*Spectrum, grid []float64) (*Spectrum, error) {
+func composite(specs []*Spectrum, grid []float64) (*Spectrum, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("spectra: empty composite")
 	}
@@ -342,7 +342,7 @@ func CompositeByRedshift(specs []*Spectrum, grid []float64, dz float64) (map[int
 	}
 	out := make(map[int]*Spectrum, len(groups))
 	for bin, group := range groups {
-		c, err := Composite(group, grid)
+		c, err := composite(group, grid)
 		if err != nil {
 			return nil, err
 		}

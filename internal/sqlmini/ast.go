@@ -11,11 +11,11 @@ type Statement interface {
 	stmtNode()
 }
 
-func (*SelectStmt) stmtNode()  {}
-func (*InsertStmt) stmtNode()  {}
-func (*UpdateStmt) stmtNode()  {}
-func (*DeleteStmt) stmtNode()  {}
-func (*ExplainStmt) stmtNode() {}
+func (*SelectStmt) stmtNode()      {}
+func (*insertStatement) stmtNode() {}
+func (*updateStatement) stmtNode() {}
+func (*deleteStatement) stmtNode() {}
+func (*ExplainStmt) stmtNode()     {}
 
 // ExplainStmt is EXPLAIN [ANALYZE] <select>. Plain EXPLAIN renders the
 // compiled plan tree without running the query; EXPLAIN ANALYZE runs
@@ -27,33 +27,33 @@ type ExplainStmt struct {
 	Stmt    *SelectStmt
 }
 
-// InsertStmt is INSERT INTO t [(col, ...)] VALUES (expr, ...)[, ...].
+// insertStatement is INSERT INTO t [(col, ...)] VALUES (expr, ...)[, ...].
 // Without a column list the tuples are positional over the full schema.
-type InsertStmt struct {
+type insertStatement struct {
 	Table   string
 	Columns []string // nil = positional
 	Rows    [][]Expr
 }
 
-// Assignment is one SET clause item of an UPDATE. Target is either a
-// *ColRef (plain column assignment) or — after arraysugar translation
-// of `SET arr[lo:hi, ...] = expr` — a *FuncCall naming Subarray or
+// assignment is one SET clause item of an UPDATE. Target is either a
+// *columnRef (plain column assignment) or — after arraysugar translation
+// of `SET arr[lo:hi, ...] = expr` — a *funcCall naming Subarray or
 // Item_N over a column, which the executor turns into an in-place
 // subarray update.
-type Assignment struct {
+type assignment struct {
 	Target Expr
 	Value  Expr
 }
 
-// UpdateStmt is UPDATE t SET assignment[, ...] [WHERE expr].
-type UpdateStmt struct {
+// updateStatement is UPDATE t SET assignment[, ...] [WHERE expr].
+type updateStatement struct {
 	Table string
-	Sets  []Assignment
+	Sets  []assignment
 	Where Expr
 }
 
-// DeleteStmt is DELETE FROM t [WHERE expr].
-type DeleteStmt struct {
+// deleteStatement is DELETE FROM t [WHERE expr].
+type deleteStatement struct {
 	Table string
 	Where Expr
 }
@@ -86,86 +86,86 @@ type Expr interface {
 }
 
 // String renders an expression back to SQL-ish text (diagnostics).
-func ExprString(e Expr) string {
+func exprText(e Expr) string {
 	var sb strings.Builder
 	e.exprString(&sb)
 	return sb.String()
 }
 
-// NumberLit is a numeric literal. Integral-looking literals keep IsInt.
-type NumberLit struct {
+// numberLit is a numeric literal. Integral-looking literals keep IsInt.
+type numberLit struct {
 	F     float64
 	I     int64
 	IsInt bool
 }
 
-// StringLit is a string literal (used as the query argument of
+// stringLit is a string literal (used as the query argument of
 // table-driven functions).
-type StringLit struct{ S string }
+type stringLit struct{ S string }
 
-// NullLit is the NULL literal.
-type NullLit struct{}
+// nullLit is the NULL literal.
+type nullLit struct{}
 
-// ColRef references a column of the scanned table.
-type ColRef struct{ Name string }
+// columnRef references a column of the scanned table.
+type columnRef struct{ Name string }
 
-// Star is the * inside COUNT(*).
-type Star struct{}
+// star is the * inside COUNT(*).
+type star struct{}
 
-// AggKind enumerates built-in aggregate functions.
-type AggKind uint8
+// aggKind enumerates built-in aggregate functions.
+type aggKind uint8
 
 const (
-	AggCount AggKind = iota + 1
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
+	aggCount aggKind = iota + 1
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
 )
 
-func (k AggKind) String() string {
+func (k aggKind) String() string {
 	switch k {
-	case AggCount:
+	case aggCount:
 		return "COUNT"
-	case AggSum:
+	case aggSum:
 		return "SUM"
-	case AggAvg:
+	case aggAvg:
 		return "AVG"
-	case AggMin:
+	case aggMin:
 		return "MIN"
-	case AggMax:
+	case aggMax:
 		return "MAX"
 	}
 	return "AGG?"
 }
 
-// AggCall is a built-in aggregate over an argument expression (or * for
+// aggCall is a built-in aggregate over an argument expression (or * for
 // COUNT(*)).
-type AggCall struct {
-	Kind AggKind
+type aggCall struct {
+	Kind aggKind
 	Arg  Expr // nil for COUNT(*)
 }
 
-// FuncCall is a (possibly schema-qualified) scalar UDF call, resolved
+// funcCall is a (possibly schema-qualified) scalar UDF call, resolved
 // against the engine's function registry at plan time.
-type FuncCall struct {
+type funcCall struct {
 	Name string // lower-cased, "schema.func" or "func"
 	Args []Expr
 }
 
-// BinaryExpr is an infix arithmetic/comparison/logical operation.
-type BinaryExpr struct {
+// binaryExpr is an infix arithmetic/comparison/logical operation.
+type binaryExpr struct {
 	Op   string // + - * / % = <> < <= > >= AND OR
 	L, R Expr
 }
 
-// UnaryExpr is unary minus or NOT.
-type UnaryExpr struct {
+// unaryExpr is unary minus or NOT.
+type unaryExpr struct {
 	Op string // "-" or "NOT"
 	X  Expr
 }
 
-func (n *NumberLit) exprString(sb *strings.Builder) {
+func (n *numberLit) exprString(sb *strings.Builder) {
 	if n.IsInt {
 		sb.WriteString(strconv.FormatInt(n.I, 10))
 		return
@@ -173,19 +173,19 @@ func (n *NumberLit) exprString(sb *strings.Builder) {
 	sb.WriteString(strconv.FormatFloat(n.F, 'g', -1, 64))
 }
 
-func (s *StringLit) exprString(sb *strings.Builder) {
+func (s *stringLit) exprString(sb *strings.Builder) {
 	sb.WriteByte('\'')
 	sb.WriteString(strings.ReplaceAll(s.S, "'", "''"))
 	sb.WriteByte('\'')
 }
 
-func (*NullLit) exprString(sb *strings.Builder) { sb.WriteString("NULL") }
+func (*nullLit) exprString(sb *strings.Builder) { sb.WriteString("NULL") }
 
-func (c *ColRef) exprString(sb *strings.Builder) { sb.WriteString(c.Name) }
+func (c *columnRef) exprString(sb *strings.Builder) { sb.WriteString(c.Name) }
 
-func (*Star) exprString(sb *strings.Builder) { sb.WriteByte('*') }
+func (*star) exprString(sb *strings.Builder) { sb.WriteByte('*') }
 
-func (a *AggCall) exprString(sb *strings.Builder) {
+func (a *aggCall) exprString(sb *strings.Builder) {
 	sb.WriteString(a.Kind.String())
 	sb.WriteByte('(')
 	if a.Arg == nil {
@@ -196,7 +196,7 @@ func (a *AggCall) exprString(sb *strings.Builder) {
 	sb.WriteByte(')')
 }
 
-func (f *FuncCall) exprString(sb *strings.Builder) {
+func (f *funcCall) exprString(sb *strings.Builder) {
 	sb.WriteString(f.Name)
 	sb.WriteByte('(')
 	for i, a := range f.Args {
@@ -208,7 +208,7 @@ func (f *FuncCall) exprString(sb *strings.Builder) {
 	sb.WriteByte(')')
 }
 
-func (b *BinaryExpr) exprString(sb *strings.Builder) {
+func (b *binaryExpr) exprString(sb *strings.Builder) {
 	sb.WriteByte('(')
 	b.L.exprString(sb)
 	sb.WriteByte(' ')
@@ -218,7 +218,7 @@ func (b *BinaryExpr) exprString(sb *strings.Builder) {
 	sb.WriteByte(')')
 }
 
-func (u *UnaryExpr) exprString(sb *strings.Builder) {
+func (u *unaryExpr) exprString(sb *strings.Builder) {
 	sb.WriteString(u.Op)
 	if u.Op == "NOT" {
 		sb.WriteByte(' ')
@@ -226,16 +226,16 @@ func (u *UnaryExpr) exprString(sb *strings.Builder) {
 	u.X.exprString(sb)
 }
 
-// hasAggregate reports whether the expression tree contains an AggCall.
+// hasAggregate reports whether the expression tree contains an aggCall.
 func hasAggregate(e Expr) bool {
 	switch n := e.(type) {
-	case *AggCall:
+	case *aggCall:
 		return true
-	case *BinaryExpr:
+	case *binaryExpr:
 		return hasAggregate(n.L) || hasAggregate(n.R)
-	case *UnaryExpr:
+	case *unaryExpr:
 		return hasAggregate(n.X)
-	case *FuncCall:
+	case *funcCall:
 		for _, a := range n.Args {
 			if hasAggregate(a) {
 				return true

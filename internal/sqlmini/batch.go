@@ -14,17 +14,17 @@ import (
 // TOP and projection. It is the only code that reads table rows: SELECT
 // runs the whole tree, UPDATE and DELETE drain its scan → filter prefix.
 //
-// Operators exchange a *Batch — a resizable column-major chunk of up to
-// ExecOptions.BatchSize rows, one typed engine.Vector per referenced
+// Operators exchange a *rowBatch — a resizable column-major chunk of up
+// to ExecOptions.BatchSize rows, one typed engine.Vector per referenced
 // column — through
 //
-//	nextBatch(b *Batch) (int, error)
+//	nextBatch(b *rowBatch) (int, error)
 //
-// The consumer (Rows) owns the Batch and passes it down the tree; the scan
-// fills its vectors directly from B+tree leaf runs, filters compact them
+// The consumer (Rows) owns the rowBatch and passes it down the tree; the
+// scan fills its vectors directly from B+tree leaf runs, filters compact them
 // in place through a selection vector, and the aggregate drains whole
 // batches into its accumulators. A batch's contents are valid until the
-// next nextBatch or close call on the producer, except for Batch.out
+// next nextBatch or close call on the producer, except for rowBatch.out
 // rows, which the projection carves from a fresh slab per batch and are
 // therefore safe to retain indefinitely (that is what Rows hands to
 // callers).
@@ -39,8 +39,8 @@ import (
 // float columns well inside L2 while amortizing per-batch overheads.
 const defaultBatchSize = 1024
 
-// Batch is a column-major chunk of rows flowing between batch operators.
-type Batch struct {
+// rowBatch is a column-major chunk of rows flowing between batch operators.
+type rowBatch struct {
 	keys []int64          // clustered keys of the live rows, [0:n)
 	cols []*engine.Vector // per schema column; nil for columns the plan never reads
 	n    int              // live row count
@@ -57,14 +57,14 @@ type Batch struct {
 
 // newBatch allocates a batch for a table with ncols schema columns.
 // Column vectors are allocated lazily by the scan (only needed columns).
-func newBatch(ncols int) *Batch {
-	return &Batch{cols: make([]*engine.Vector, ncols)}
+func newBatch(ncols int) *rowBatch {
+	return &rowBatch{cols: make([]*engine.Vector, ncols)}
 }
 
 // reset empties the batch and sets the fill capacity for the next round.
 // Previously returned out rows stay valid (they own their slab); column
 // vectors are refilled from scratch by the next scan.
-func (b *Batch) reset(capRows int) {
+func (b *rowBatch) reset(capRows int) {
 	b.n = 0
 	b.cap = capRows
 	b.aggVals = nil
@@ -75,7 +75,7 @@ func (b *Batch) reset(capRows int) {
 }
 
 // col returns the decoded vector of schema column ci.
-func (b *Batch) col(ci int) (*engine.Vector, error) {
+func (b *rowBatch) col(ci int) (*engine.Vector, error) {
 	if v := b.cols[ci]; v != nil {
 		return v, nil
 	}
@@ -85,7 +85,7 @@ func (b *Batch) col(ci int) (*engine.Vector, error) {
 // compact keeps only the rows named by the selection vector sel (ascending
 // row indices), moving survivors to the front of every live column in
 // place, and returns the new row count.
-func (b *Batch) compact(sel []int) int {
+func (b *rowBatch) compact(sel []int) int {
 	for j, i := range sel {
 		b.keys[j] = b.keys[i]
 	}
@@ -112,7 +112,7 @@ func (b *Batch) compact(sel []int) int {
 // place it in the tree inside buildPipeline, and nothing else changes.
 type batchOperator interface {
 	open() error
-	nextBatch(b *Batch) (int, error)
+	nextBatch(b *rowBatch) (int, error)
 	close() error
 }
 
@@ -151,7 +151,7 @@ func (s *batchScanOp) open() error {
 	return nil
 }
 
-func (s *batchScanOp) nextBatch(b *Batch) (int, error) {
+func (s *batchScanOp) nextBatch(b *rowBatch) (int, error) {
 	if s.cur == nil {
 		return 0, nil
 	}
@@ -191,7 +191,7 @@ type batchFilterOp struct {
 
 func (f *batchFilterOp) open() error { return f.child.open() }
 
-func (f *batchFilterOp) nextBatch(b *Batch) (int, error) {
+func (f *batchFilterOp) nextBatch(b *rowBatch) (int, error) {
 	for {
 		if err := pollCancel(f.qctx); err != nil {
 			return 0, err
@@ -251,7 +251,7 @@ type batchAggOp struct {
 
 func (a *batchAggOp) open() error { return a.child.open() }
 
-func (a *batchAggOp) nextBatch(b *Batch) (int, error) {
+func (a *batchAggOp) nextBatch(b *rowBatch) (int, error) {
 	if a.done {
 		return 0, nil
 	}
@@ -286,7 +286,7 @@ func (a *batchAggOp) nextBatch(b *Batch) (int, error) {
 func (a *batchAggOp) close() error { return a.child.close() }
 
 // setAggregates turns b into the single output row of an aggregate plan.
-func (b *Batch) setAggregates(accs []*accumulator) {
+func (b *rowBatch) setAggregates(accs []*accumulator) {
 	b.n = 1
 	b.aggVals = make([]engine.Value, len(accs))
 	for i, acc := range accs {
@@ -327,7 +327,7 @@ type batchParallelAggOp struct {
 
 func (p *batchParallelAggOp) open() error { return nil }
 
-func (p *batchParallelAggOp) nextBatch(b *Batch) (int, error) {
+func (p *batchParallelAggOp) nextBatch(b *rowBatch) (int, error) {
 	if p.done {
 		return 0, nil
 	}
@@ -464,7 +464,7 @@ type batchProjectOp struct {
 
 func (p *batchProjectOp) open() error { return p.child.open() }
 
-func (p *batchProjectOp) nextBatch(b *Batch) (int, error) {
+func (p *batchProjectOp) nextBatch(b *rowBatch) (int, error) {
 	n, err := p.child.nextBatch(b)
 	if n == 0 || err != nil {
 		return 0, err
@@ -519,7 +519,7 @@ type batchLimitOp struct {
 
 func (l *batchLimitOp) open() error { return l.child.open() }
 
-func (l *batchLimitOp) nextBatch(b *Batch) (int, error) {
+func (l *batchLimitOp) nextBatch(b *rowBatch) (int, error) {
 	rem := l.n - l.seen
 	if rem <= 0 {
 		return 0, nil

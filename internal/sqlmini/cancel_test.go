@@ -16,7 +16,7 @@ func TestCancelBeforeFirstRow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, batchSize := range []int{0, 3} {
-		rows, err := QueryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx, BatchSize: batchSize})
+		rows, err := queryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx, BatchSize: batchSize})
 		if err != nil {
 			t.Fatalf("BatchSize=%d: open: %v", batchSize, err)
 		}
@@ -41,7 +41,7 @@ func TestCancelMidStream(t *testing.T) {
 	defer cancel()
 	// A small batch keeps the drain's buffered tail short, so the cancel
 	// lands within a few rows instead of after a full 1024-row batch.
-	rows, err := QueryWith(db, "SELECT id FROM Tscalar", ExecOptions{Ctx: ctx, BatchSize: 8})
+	rows, err := queryWith(db, "SELECT id FROM Tscalar", ExecOptions{Ctx: ctx, BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCancelDML(t *testing.T) {
 		"DELETE FROM Tscalar WHERE v1 >= 0",
 		"UPDATE Tscalar SET v1 = v1 + 1 WHERE v1 >= 0",
 	} {
-		if _, err := ExecuteWith(db, sql, ExecOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		if _, err := executeWith(db, sql, ExecOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", sql, err)
 		}
 	}

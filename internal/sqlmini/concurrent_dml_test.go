@@ -85,7 +85,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 					fail(fmt.Errorf("reader agg: %w", err))
 					return
 				}
-				rows, err := QueryWith(db, fmt.Sprintf(`SELECT TOP 40 id, m FROM %s WHERE id >= %d`, tn, i), opts)
+				rows, err := queryWith(db, fmt.Sprintf(`SELECT TOP 40 id, m FROM %s WHERE id >= %d`, tn, i), opts)
 				if err != nil {
 					fail(fmt.Errorf("reader proj: %w", err))
 					return

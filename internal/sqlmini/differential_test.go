@@ -850,7 +850,7 @@ func TestDifferentialDML(t *testing.T) {
 				}
 				c0 = calls()
 				w.take()
-				got, err := ExecuteWith(db, st.sql, ExecOptions{BatchSize: bs})
+				got, err := executeWith(db, st.sql, ExecOptions{BatchSize: bs})
 				gotCalls := calls() - c0
 				if pins := db.Pool().PinnedFrames(); pins != 0 {
 					fail("%d frames left pinned", pins)

@@ -39,22 +39,22 @@ type ExecResult struct {
 
 // Execute parses and runs any supported statement.
 func Execute(db *engine.DB, sql string) (*ExecResult, error) {
-	return ExecuteWith(db, sql, ExecOptions{})
+	return executeWith(db, sql, ExecOptions{})
 }
 
-// ExecuteWith is Execute with explicit execution options. The read phase
+// executeWith is Execute with explicit execution options. The read phase
 // of UPDATE and DELETE honours ExecOptions.Ctx and BatchSize; the other
 // fields apply to SELECT only.
-func ExecuteWith(db *engine.DB, sql string, opts ExecOptions) (*ExecResult, error) {
+func executeWith(db *engine.DB, sql string, opts ExecOptions) (*ExecResult, error) {
 	stmt, err := ParseStatement(sql)
 	if err != nil {
 		return nil, err
 	}
-	return ExecuteStmt(db, stmt, opts)
+	return executeStmt(db, stmt, opts)
 }
 
-// ExecuteStmt runs a parsed statement.
-func ExecuteStmt(db *engine.DB, stmt Statement, opts ExecOptions) (*ExecResult, error) {
+// executeStmt runs a parsed statement.
+func executeStmt(db *engine.DB, stmt Statement, opts ExecOptions) (*ExecResult, error) {
 	switch s := stmt.(type) {
 	case *SelectStmt:
 		res, err := ExecWith(db, s, opts)
@@ -64,11 +64,11 @@ func ExecuteStmt(db *engine.DB, stmt Statement, opts ExecOptions) (*ExecResult, 
 		return &ExecResult{Result: res, RowsAffected: int64(len(res.Rows))}, nil
 	case *ExplainStmt:
 		return execExplain(db, s, opts)
-	case *InsertStmt:
+	case *insertStatement:
 		return execInsert(db, s)
-	case *UpdateStmt:
+	case *updateStatement:
 		return execUpdate(db, s, opts)
-	case *DeleteStmt:
+	case *deleteStatement:
 		return execDelete(db, s, opts)
 	}
 	return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
@@ -77,19 +77,19 @@ func ExecuteStmt(db *engine.DB, stmt Statement, opts ExecOptions) (*ExecResult, 
 // exprHasColRef reports whether an expression references a column.
 func exprHasColRef(e Expr) bool {
 	switch n := e.(type) {
-	case *ColRef:
+	case *columnRef:
 		return true
-	case *BinaryExpr:
+	case *binaryExpr:
 		return exprHasColRef(n.L) || exprHasColRef(n.R)
-	case *UnaryExpr:
+	case *unaryExpr:
 		return exprHasColRef(n.X)
-	case *FuncCall:
+	case *funcCall:
 		for _, a := range n.Args {
 			if exprHasColRef(a) {
 				return true
 			}
 		}
-	case *AggCall:
+	case *aggCall:
 		if n.Arg != nil {
 			return exprHasColRef(n.Arg)
 		}
@@ -109,7 +109,7 @@ func copyValue(v engine.Value) engine.Value {
 
 // ---- INSERT -------------------------------------------------------------
 
-func execInsert(db *engine.DB, stmt *InsertStmt) (*ExecResult, error) {
+func execInsert(db *engine.DB, stmt *insertStatement) (*ExecResult, error) {
 	tbl, err := db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -138,7 +138,7 @@ func execInsert(db *engine.DB, stmt *InsertStmt) (*ExecResult, error) {
 	}
 	cc := &compileCtx{db: db, tbl: tbl, schema: schema, used: make([]bool, len(schema.Columns))}
 	// Values are column-free, so they fold over one row of no columns.
-	row := &Batch{n: 1}
+	row := &rowBatch{n: 1}
 	rows := make([][]engine.Value, 0, len(stmt.Rows))
 	for _, tuple := range stmt.Rows {
 		if len(tuple) != len(colIdx) {
@@ -220,15 +220,15 @@ type rowUpdate struct {
 }
 
 // compileAssignTarget classifies a SET target expression.
-func compileAssignTarget(cc *compileCtx, a Assignment) (*compiledAssign, error) {
+func compileAssignTarget(cc *compileCtx, a assignment) (*compiledAssign, error) {
 	switch tgt := a.Target.(type) {
-	case *ColRef:
+	case *columnRef:
 		idx := cc.schema.ColIndex(tgt.Name)
 		if idx < 0 {
 			return nil, fmt.Errorf("%w: %q", engine.ErrNoColumn, tgt.Name)
 		}
 		return &compiledAssign{kind: assignColumn, col: idx}, nil
-	case *FuncCall:
+	case *funcCall:
 		name := tgt.Name
 		if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
 			name = name[dot+1:]
@@ -243,11 +243,11 @@ func compileAssignTarget(cc *compileCtx, a Assignment) (*compiledAssign, error) 
 				return nil, fmt.Errorf("sql: item SET target wants (col, index...)")
 			}
 		default:
-			return nil, fmt.Errorf("sql: %q is not assignable", ExprString(a.Target))
+			return nil, fmt.Errorf("sql: %q is not assignable", exprText(a.Target))
 		}
-		colRef, ok := tgt.Args[0].(*ColRef)
+		colRef, ok := tgt.Args[0].(*columnRef)
 		if !ok {
-			return nil, fmt.Errorf("sql: subscript assignment target must be a column, got %q", ExprString(tgt.Args[0]))
+			return nil, fmt.Errorf("sql: subscript assignment target must be a column, got %q", exprText(tgt.Args[0]))
 		}
 		idx := cc.schema.ColIndex(colRef.Name)
 		if idx < 0 {
@@ -276,7 +276,7 @@ func compileAssignTarget(cc *compileCtx, a Assignment) (*compiledAssign, error) 
 		}
 		return ca, nil
 	}
-	return nil, fmt.Errorf("sql: %q is not assignable", ExprString(a.Target))
+	return nil, fmt.Errorf("sql: %q is not assignable", exprText(a.Target))
 }
 
 // intVector reads a value expected to be an integer index vector
@@ -356,7 +356,7 @@ func elemCount(size []int) int {
 }
 
 // execUpdate runs the two-phase UPDATE.
-func execUpdate(db *engine.DB, stmt *UpdateStmt, opts ExecOptions) (*ExecResult, error) {
+func execUpdate(db *engine.DB, stmt *updateStatement, opts ExecOptions) (*ExecResult, error) {
 	tbl, err := db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -431,7 +431,7 @@ rows:
 // the write phase needs.
 func collectUpdates(tbl *engine.Table, where Expr, cc *compileCtx, assigns []*compiledAssign, opts ExecOptions) ([]rowUpdate, error) {
 	var updates []rowUpdate
-	err := matchingBatches(tbl, where, cc, opts, func(b *Batch, n int) error {
+	err := matchingBatches(tbl, where, cc, opts, func(b *rowBatch, n int) error {
 		first := len(updates)
 		for _, key := range b.keys[:n] {
 			updates = append(updates, rowUpdate{key: key})
@@ -449,7 +449,7 @@ func collectUpdates(tbl *engine.Table, where Expr, cc *compileCtx, assigns []*co
 // collect evaluates one SET clause over the rows of b — each of its
 // expressions once, over the whole batch — and records the outcome in
 // rows, which holds one rowUpdate per batch row.
-func (ca *compiledAssign) collect(tbl *engine.Table, cc *compileCtx, b *Batch, rows []rowUpdate) error {
+func (ca *compiledAssign) collect(tbl *engine.Table, cc *compileCtx, b *rowBatch, rows []rowUpdate) error {
 	n := len(rows)
 	vals, err := ca.value.evalBatch(b, n)
 	if err != nil {
@@ -550,7 +550,7 @@ func (u *rowUpdate) subAssign(tbl *engine.Table, snap *engine.Snapshot, col int,
 
 // ---- DELETE -------------------------------------------------------------
 
-func execDelete(db *engine.DB, stmt *DeleteStmt, opts ExecOptions) (*ExecResult, error) {
+func execDelete(db *engine.DB, stmt *deleteStatement, opts ExecOptions) (*ExecResult, error) {
 	tbl, err := db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -562,7 +562,7 @@ func execDelete(db *engine.DB, stmt *DeleteStmt, opts ExecOptions) (*ExecResult,
 	defer snap.Release()
 	cc := &compileCtx{db: db, tbl: tbl, schema: schema, snap: snap, used: make([]bool, len(schema.Columns))}
 	var keys []int64
-	if err := matchingBatches(tbl, stmt.Where, cc, opts, func(b *Batch, n int) error {
+	if err := matchingBatches(tbl, stmt.Where, cc, opts, func(b *rowBatch, n int) error {
 		keys = append(keys, b.keys[:n]...)
 		return nil
 	}); err != nil {
@@ -594,7 +594,7 @@ func execDelete(db *engine.DB, stmt *DeleteStmt, opts ExecOptions) (*ExecResult,
 // snapshot), handing each batch of matching rows to each. The scan
 // decodes the columns marked in cc.used — those the residual and whatever
 // the caller compiled through cc before (SET expressions) reference.
-func matchingBatches(tbl *engine.Table, where Expr, cc *compileCtx, opts ExecOptions, each func(b *Batch, n int) error) error {
+func matchingBatches(tbl *engine.Table, where Expr, cc *compileCtx, opts ExecOptions, each func(b *rowBatch, n int) error) error {
 	if where != nil && hasAggregate(where) {
 		return fmt.Errorf("sql: aggregates are not allowed in WHERE")
 	}

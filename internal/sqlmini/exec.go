@@ -42,7 +42,7 @@ func RunWith(db *engine.DB, query string, opts ExecOptions) (*Result, error) {
 // ExecWith plans and executes a parsed statement with explicit execution
 // options, materializing the result.
 func ExecWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (res *Result, err error) {
-	rows, err := StreamWith(db, stmt, opts)
+	rows, err := streamWith(db, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -67,26 +67,26 @@ func ExecWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (res *Result, e
 // Query parses and executes a SELECT, returning a streaming row cursor.
 // The caller must Close it (early termination releases pinned pages).
 func Query(db *engine.DB, query string) (*Rows, error) {
-	return QueryWith(db, query, ExecOptions{})
+	return queryWith(db, query, ExecOptions{})
 }
 
-// QueryWith is Query with explicit execution options.
-func QueryWith(db *engine.DB, query string, opts ExecOptions) (*Rows, error) {
+// queryWith is Query with explicit execution options.
+func queryWith(db *engine.DB, query string, opts ExecOptions) (*Rows, error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return StreamWith(db, stmt, opts)
+	return streamWith(db, stmt, opts)
 }
 
-// StreamWith plans a parsed statement and opens the operator pipeline,
+// streamWith plans a parsed statement and opens the operator pipeline,
 // returning a streaming row cursor over it. The whole pipeline — every
 // scan, every parallel worker, every MAX-column deref — reads through
 // one snapshot, so the query observes a single commit no matter how
 // many writers land while it streams (and no writer ever waits for it).
 // The snapshot comes from ExecOptions.Snapshot when set; otherwise one
 // is acquired here, owned by the Rows, and released by Rows.Close.
-func StreamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error) {
+func streamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error) {
 	tbl, err := db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -127,8 +127,7 @@ func StreamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error
 		if r.trace.SQL == "" {
 			r.trace.SQL = selectString(stmt)
 		}
-		r.slowThreshold = opts.SlowQueryThreshold
-		r.slowLog = opts.SlowQueryLog
+		r.slowLog = opts.SlowLog
 		// Captured before open: the B+tree descent and every page the
 		// pipeline reads land in the delta, so the root plan node's
 		// inclusive page count matches it.
@@ -163,9 +162,9 @@ type Rows struct {
 	qctx    context.Context
 	snap    *engine.Snapshot // released on Close when the query owns it
 
-	// The pipeline's one Batch: Rows passes it down the tree on every
+	// The pipeline's one rowBatch: Rows passes it down the tree on every
 	// refill and yields the projected rows in batch.out one at a time.
-	batch     *Batch
+	batch     *rowBatch
 	batchSize int
 	i, n      int  // next row to yield / rows in the current batch
 	done      bool // the pipeline reported end of stream
@@ -178,14 +177,13 @@ type Rows struct {
 	// Observability: the query's plan tree, the shared latency
 	// histogram, and — for instrumented queries only — the trace to
 	// finalize on Close plus the registry state to diff against.
-	plan          *obs.PlanNode
-	lat           *obs.Histogram
-	started       time.Time
-	reg           *obs.Registry
-	trace         *obs.QueryTrace
-	before        obs.Snapshot
-	slowThreshold time.Duration
-	slowLog       *obs.SlowLog
+	plan    *obs.PlanNode
+	lat     *obs.Histogram
+	started time.Time
+	reg     *obs.Registry
+	trace   *obs.QueryTrace
+	before  obs.Snapshot
+	slowLog *obs.SlowLog
 }
 
 // Columns returns the output column names.
@@ -259,19 +257,15 @@ func (r *Rows) finalize() {
 	r.trace.Duration = d
 	r.trace.Plan = r.plan
 	r.trace.Delta = r.reg.Snapshot().Delta(r.before)
-	if r.slowThreshold > 0 && d >= r.slowThreshold {
-		log := r.slowLog
-		if log == nil {
-			log = obs.DefaultSlowLog
-		}
-		log.Log(r.trace)
+	if r.slowLog != nil {
+		r.slowLog.Log(r.trace)
 	}
 }
 
 // ---- aggregate accumulators -------------------------------------------
 
 type accumulator struct {
-	kind  AggKind
+	kind  aggKind
 	arg   compiled  // nil for COUNT(*)
 	wide  []float64 // a BIGINT argument batch, widened
 	count int64
@@ -284,7 +278,7 @@ type accumulator struct {
 // addBatch folds rows [0, n) of a batch into the accumulator, evaluating
 // the argument expression once over the whole batch. A uniform FLOAT or
 // BIGINT vector is folded straight off its (widened) slice.
-func (a *accumulator) addBatch(b *Batch, n int) error {
+func (a *accumulator) addBatch(b *rowBatch, n int) error {
 	if a.arg == nil { // COUNT(*)
 		a.count += int64(n)
 		return nil
@@ -350,24 +344,24 @@ func (a *accumulator) merge(b *accumulator) {
 
 func (a *accumulator) result() engine.Value {
 	switch a.kind {
-	case AggCount:
+	case aggCount:
 		return engine.IntValue(a.count)
-	case AggSum:
+	case aggSum:
 		if !a.any {
 			return engine.Null
 		}
 		return engine.FloatValue(a.sum)
-	case AggAvg:
+	case aggAvg:
 		if !a.any {
 			return engine.Null
 		}
 		return engine.FloatValue(a.sum / float64(a.count))
-	case AggMin:
+	case aggMin:
 		if !a.any {
 			return engine.Null
 		}
 		return engine.FloatValue(a.min)
-	case AggMax:
+	case aggMax:
 		if !a.any {
 			return engine.Null
 		}

@@ -42,7 +42,7 @@ func (a *batchAnalyzeOp) open() error {
 	return err
 }
 
-func (a *batchAnalyzeOp) nextBatch(b *Batch) (int, error) {
+func (a *batchAnalyzeOp) nextBatch(b *rowBatch) (int, error) {
 	p0, c0 := a.sample()
 	start := time.Now()
 	n, err := a.child.nextBatch(b)
@@ -65,7 +65,7 @@ func (a *batchAnalyzeOp) close() error { return a.child.close() }
 // released before returning unless the caller provided one.
 func Explain(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*obs.PlanNode, error) {
 	opts.Trace = nil
-	opts.SlowQueryThreshold = 0
+	opts.SlowLog = nil
 	tbl, err := db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -84,16 +84,16 @@ func Explain(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*obs.PlanNode, 
 	return pl.plan, nil
 }
 
-// ExplainAnalyze executes stmt with per-operator instrumentation,
+// explainAnalyze executes stmt with per-operator instrumentation,
 // discards the result rows, and returns the completed trace: annotated
 // plan, wall time, registry deltas.
-func ExplainAnalyze(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*obs.QueryTrace, error) {
+func explainAnalyze(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*obs.QueryTrace, error) {
 	trace := opts.Trace
 	if trace == nil {
 		trace = &obs.QueryTrace{}
 		opts.Trace = trace
 	}
-	rows, err := StreamWith(db, stmt, opts)
+	rows, err := streamWith(db, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func execExplain(db *engine.DB, st *ExplainStmt, opts ExecOptions) (*ExecResult,
 		}
 		return &ExecResult{Plan: plan.Render()}, nil
 	}
-	trace, err := ExplainAnalyze(db, st.Stmt, opts)
+	trace, err := explainAnalyze(db, st.Stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func selectString(stmt *SelectStmt) string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(ExprString(it.Expr))
+		b.WriteString(exprText(it.Expr))
 		if it.Alias != "" {
 			b.WriteString(" AS ")
 			b.WriteString(it.Alias)
@@ -160,7 +160,7 @@ func selectString(stmt *SelectStmt) string {
 	b.WriteString(stmt.Table)
 	if stmt.Where != nil {
 		b.WriteString(" WHERE ")
-		b.WriteString(ExprString(stmt.Where))
+		b.WriteString(exprText(stmt.Where))
 	}
 	return b.String()
 }

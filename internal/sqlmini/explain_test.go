@@ -135,7 +135,7 @@ func TestExplainAnalyzePointVsFullScan(t *testing.T) {
 
 	pagesOf := func(q string) uint64 {
 		t.Helper()
-		tr, err := ExplainAnalyze(db, mustParse(t, q), ExecOptions{})
+		tr, err := explainAnalyze(db, mustParse(t, q), ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -164,7 +164,7 @@ func TestExplainAnalyzeInvariants(t *testing.T) {
 		"SELECT TOP 7 id FROM big WHERE id > 100",
 		"SELECT COUNT(*), AVG(v) FROM big",
 	} {
-		tr, err := ExplainAnalyze(db, mustParse(t, q), ExecOptions{})
+		tr, err := explainAnalyze(db, mustParse(t, q), ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -242,10 +242,8 @@ func TestExplainAnalyzeScatter(t *testing.T) {
 func TestSlowQueryLog(t *testing.T) {
 	db := testDB(t)
 	var buf bytes.Buffer
-	log := obs.NewSlowLog(&buf)
-	res, err := ExecuteWith(db, "SELECT id, v1 FROM Tscalar WHERE v1 > 10", ExecOptions{
-		SlowQueryThreshold: time.Nanosecond, // everything is slow
-		SlowQueryLog:       log,
+	res, err := executeWith(db, "SELECT id, v1 FROM Tscalar WHERE v1 > 10", ExecOptions{
+		SlowLog: obs.NewSlowLog(&buf, time.Nanosecond), // everything is slow
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +259,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &e); err != nil {
 		t.Fatalf("slow-log line is not JSON: %v\n%s", err, line)
 	}
-	// The trace SQL is reconstructed from the AST (ExprString
+	// The trace SQL is reconstructed from the AST (exprText
 	// parenthesizes), not the original text.
 	if e.SQL != "SELECT id, v1 FROM Tscalar WHERE (v1 > 10)" {
 		t.Errorf("logged sql = %q", e.SQL)
@@ -275,9 +273,8 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// Under the threshold: nothing is emitted.
 	buf.Reset()
-	_, err = ExecuteWith(db, "SELECT id FROM Tscalar WHERE id = 1", ExecOptions{
-		SlowQueryThreshold: time.Minute,
-		SlowQueryLog:       log,
+	_, err = executeWith(db, "SELECT id FROM Tscalar WHERE id = 1", ExecOptions{
+		SlowLog: obs.NewSlowLog(&buf, time.Minute),
 	})
 	if err != nil {
 		t.Fatal(err)

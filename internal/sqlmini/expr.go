@@ -23,7 +23,7 @@ import (
 // The row-at-a-time evaluator the test oracle referenceRun uses lives in
 // pipeline_test.go and shares none of this.
 type compiled interface {
-	evalBatch(b *Batch, n int) (*engine.Vector, error)
+	evalBatch(b *rowBatch, n int) (*engine.Vector, error)
 }
 
 // cConst is a literal: the constant vector standing for it on every row.
@@ -35,7 +35,7 @@ func newConst(v engine.Value) *cConst {
 	return c
 }
 
-func (c *cConst) evalBatch(*Batch, int) (*engine.Vector, error) { return &c.vec, nil }
+func (c *cConst) evalBatch(*rowBatch, int) (*engine.Vector, error) { return &c.vec, nil }
 
 type cCol struct{ idx int }
 
@@ -69,7 +69,7 @@ func (c *cMaxCol) materialize(ref engine.Value) (engine.Value, error) {
 	return engine.BinaryMaxValue(payload), nil
 }
 
-func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+func (c *cMaxCol) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	col, err := b.col(c.idx)
 	if err != nil {
 		return nil, err
@@ -85,7 +85,7 @@ func (c *cMaxCol) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 	return &c.vec, nil
 }
 
-func (c *cCol) evalBatch(b *Batch, n int) (*engine.Vector, error) { return b.col(c.idx) }
+func (c *cCol) evalBatch(b *rowBatch, n int) (*engine.Vector, error) { return b.col(c.idx) }
 
 // cMaxRef is a VARBINARY(MAX) column as the first argument of an array
 // function (FuncDef.ArrayFn: the max schemas' Item_N, Subarray, Length,
@@ -98,7 +98,7 @@ type cMaxRef struct {
 	vec engine.Vector
 }
 
-func (c *cMaxRef) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+func (c *cMaxRef) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	col, err := b.col(c.idx)
 	if err != nil {
 		return nil, err
@@ -129,7 +129,7 @@ type cUDF struct {
 // evalBatch evaluates every argument over the whole batch and crosses
 // the UDF boundary once: each row is still marshaled and dispatched, in
 // order, exactly once.
-func (c *cUDF) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+func (c *cUDF) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	c.argv = c.argv[:0]
 	for _, a := range c.args {
 		v, err := a.evalBatch(b, n)
@@ -149,7 +149,7 @@ type cAggRef struct {
 	vec engine.Vector
 }
 
-func (c *cAggRef) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+func (c *cAggRef) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	if c.idx >= len(b.aggVals) {
 		return nil, fmt.Errorf("sql: internal: aggregate ref below the aggregate operator")
 	}
@@ -166,7 +166,7 @@ type cBinary struct {
 
 // evalBatch vectorizes arithmetic and comparison over both operand
 // vectors.
-func (c *cBinary) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+func (c *cBinary) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	l, err := c.l.evalBatch(b, n)
 	if err != nil {
 		return nil, err
@@ -327,11 +327,11 @@ type cLogic struct {
 	l, r compiled
 	need []int // schema columns the right operand references
 	vec  engine.Vector
-	sel  []int // the undecided rows
-	sub  Batch // those rows, gathered for the right operand
+	sel  []int    // the undecided rows
+	sub  rowBatch // those rows, gathered for the right operand
 }
 
-func (c *cLogic) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+func (c *cLogic) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	l, err := c.l.evalBatch(b, n)
 	if err != nil {
 		return nil, err
@@ -365,7 +365,7 @@ func (c *cLogic) evalBatch(b *Batch, n int) (*engine.Vector, error) {
 // gather fills the scratch batch with rows sel of b, copying only the
 // columns the right operand reads. Binary rows alias b's, which outlive
 // the evaluation.
-func (c *cLogic) gather(b *Batch, sel []int) *Batch {
+func (c *cLogic) gather(b *rowBatch, sel []int) *rowBatch {
 	sub := &c.sub
 	if sub.cols == nil {
 		sub.cols = make([]*engine.Vector, len(b.cols))
@@ -431,7 +431,7 @@ type cUnary struct {
 
 // evalBatch applies the operator row by row (negation and NOT are rare
 // in the workload's queries).
-func (c *cUnary) evalBatch(b *Batch, n int) (*engine.Vector, error) {
+func (c *cUnary) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	x, err := c.x.evalBatch(b, n)
 	if err != nil {
 		return nil, err
@@ -603,20 +603,20 @@ type compileCtx struct {
 }
 
 // compile turns an AST node into an executable expression. Inside an
-// aggregate query, AggCall nodes become accumulator references and their
+// aggregate query, aggCall nodes become accumulator references and their
 // arguments are compiled for the per-row pass.
 func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 	switch n := e.(type) {
-	case *NumberLit:
+	case *numberLit:
 		if n.IsInt {
 			return newConst(engine.IntValue(n.I)), nil
 		}
 		return newConst(engine.FloatValue(n.F)), nil
-	case *StringLit:
+	case *stringLit:
 		return newConst(engine.BinaryValue([]byte(n.S))), nil
-	case *NullLit:
+	case *nullLit:
 		return newConst(engine.Null), nil
-	case *ColRef:
+	case *columnRef:
 		idx := cc.schema.ColIndex(n.Name)
 		if idx < 0 {
 			return nil, fmt.Errorf("%w: %q", engine.ErrNoColumn, n.Name)
@@ -632,9 +632,9 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 			return &cMaxCol{tbl: cc.tbl, snap: cc.snap, idx: idx}, nil
 		}
 		return &cCol{idx: idx}, nil
-	case *Star:
+	case *star:
 		return nil, fmt.Errorf("sql: * outside COUNT(*)")
-	case *AggCall:
+	case *aggCall:
 		if !inAggQuery {
 			return nil, fmt.Errorf("sql: aggregate in row context")
 		}
@@ -648,7 +648,7 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 		}
 		cc.accs = append(cc.accs, acc)
 		return &cAggRef{idx: len(cc.accs) - 1}, nil
-	case *FuncCall:
+	case *funcCall:
 		def, err := cc.db.Funcs().Lookup(n.Name)
 		if err != nil {
 			return nil, err
@@ -665,7 +665,7 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 			args[i] = c
 		}
 		return &cUDF{reg: cc.db.Funcs(), def: def, snap: cc.snap, args: args}, nil
-	case *BinaryExpr:
+	case *binaryExpr:
 		l, err := cc.compile(n.L, inAggQuery)
 		if err != nil {
 			return nil, err
@@ -694,7 +694,7 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 		}
 		cc.used = outer
 		return lg, nil
-	case *UnaryExpr:
+	case *unaryExpr:
 		if n.Op != "-" && n.Op != "NOT" {
 			return nil, fmt.Errorf("sql: unknown unary %q", n.Op)
 		}

@@ -39,16 +39,16 @@ type token struct {
 	pos  int
 }
 
-// Error is a parse/execution error carrying the statement offset.
-type Error struct {
+// offsetError is a parse/execution error carrying the statement offset.
+type offsetError struct {
 	Pos int
 	Msg string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("sql: at offset %d: %s", e.Pos, e.Msg) }
+func (e *offsetError) Error() string { return fmt.Sprintf("sql: at offset %d: %s", e.Pos, e.Msg) }
 
 func errAt(pos int, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	return &offsetError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 type lexer struct {

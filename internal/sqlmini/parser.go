@@ -79,14 +79,14 @@ func (p *parser) tableName() (string, error) {
 }
 
 // insertStmt parses INSERT INTO t [(col, ...)] VALUES (tuple)[, ...].
-func (p *parser) insertStmt() (*InsertStmt, error) {
+func (p *parser) insertStmt() (*insertStatement, error) {
 	if err := p.expectKeyword("INSERT"); err != nil {
 		return nil, err
 	}
 	if err := p.expectKeyword("INTO"); err != nil {
 		return nil, err
 	}
-	stmt := &InsertStmt{}
+	stmt := &insertStatement{}
 	var err error
 	if stmt.Table, err = p.tableName(); err != nil {
 		return nil, err
@@ -141,11 +141,11 @@ func (p *parser) insertStmt() (*InsertStmt, error) {
 // A SET target is parsed as a primary expression, so both plain columns
 // and the arraysugar-translated Subarray/Item_N calls (the subscripted
 // l-value forms) come through.
-func (p *parser) updateStmt() (*UpdateStmt, error) {
+func (p *parser) updateStmt() (*updateStatement, error) {
 	if err := p.expectKeyword("UPDATE"); err != nil {
 		return nil, err
 	}
-	stmt := &UpdateStmt{}
+	stmt := &updateStatement{}
 	var err error
 	if stmt.Table, err = p.tableName(); err != nil {
 		return nil, err
@@ -166,7 +166,7 @@ func (p *parser) updateStmt() (*UpdateStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.Sets = append(stmt.Sets, Assignment{Target: target, Value: val})
+		stmt.Sets = append(stmt.Sets, assignment{Target: target, Value: val})
 		if !p.acceptPunct(",") {
 			break
 		}
@@ -182,14 +182,14 @@ func (p *parser) updateStmt() (*UpdateStmt, error) {
 }
 
 // deleteStmt parses DELETE FROM t [WHERE expr].
-func (p *parser) deleteStmt() (*DeleteStmt, error) {
+func (p *parser) deleteStmt() (*deleteStatement, error) {
 	if err := p.expectKeyword("DELETE"); err != nil {
 		return nil, err
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	stmt := &DeleteStmt{}
+	stmt := &deleteStatement{}
 	var err error
 	if stmt.Table, err = p.tableName(); err != nil {
 		return nil, err
@@ -381,7 +381,7 @@ func (p *parser) orExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
+		l = &binaryExpr{Op: "OR", L: l, R: r}
 	}
 	return l, nil
 }
@@ -396,7 +396,7 @@ func (p *parser) andExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
+		l = &binaryExpr{Op: "AND", L: l, R: r}
 	}
 	return l, nil
 }
@@ -411,7 +411,7 @@ func (p *parser) notExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "NOT", X: x}, nil
+		return &unaryExpr{Op: "NOT", X: x}, nil
 	}
 	return p.cmpExpr()
 }
@@ -429,7 +429,7 @@ func (p *parser) cmpExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &BinaryExpr{Op: t.text, L: l, R: r}, nil
+			return &binaryExpr{Op: t.text, L: l, R: r}, nil
 		}
 	}
 	return l, nil
@@ -448,7 +448,7 @@ func (p *parser) addExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
+			l = &binaryExpr{Op: t.text, L: l, R: r}
 			continue
 		}
 		return l, nil
@@ -471,7 +471,7 @@ func (p *parser) mulExpr() (Expr, error) {
 				return nil, err
 			}
 			op := t.text
-			l = &BinaryExpr{Op: op, L: l, R: r}
+			l = &binaryExpr{Op: op, L: l, R: r}
 			continue
 		}
 		return l, nil
@@ -492,13 +492,13 @@ func (p *parser) unary() (Expr, error) {
 		if t.text == "+" {
 			return x, nil
 		}
-		return &UnaryExpr{Op: "-", X: x}, nil
+		return &unaryExpr{Op: "-", X: x}, nil
 	}
 	return p.primary()
 }
 
-var aggKinds = map[string]AggKind{
-	"COUNT": AggCount, "SUM": AggSum, "AVG": AggAvg, "MIN": AggMin, "MAX": AggMax,
+var aggKinds = map[string]aggKind{
+	"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax,
 }
 
 func (p *parser) primary() (Expr, error) {
@@ -507,32 +507,32 @@ func (p *parser) primary() (Expr, error) {
 	case tokNumber:
 		p.next()
 		if i, err := strconv.ParseInt(t.text, 10, 64); err == nil {
-			return &NumberLit{I: i, F: float64(i), IsInt: true}, nil
+			return &numberLit{I: i, F: float64(i), IsInt: true}, nil
 		}
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, errAt(t.pos, "bad number %q", t.text)
 		}
-		return &NumberLit{F: f}, nil
+		return &numberLit{F: f}, nil
 	case tokString:
 		p.next()
-		return &StringLit{S: t.text}, nil
+		return &stringLit{S: t.text}, nil
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
 			p.next()
-			return &NullLit{}, nil
+			return &nullLit{}, nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
 			p.next()
 			if err := p.expectPunct("("); err != nil {
 				return nil, err
 			}
 			kind := aggKinds[t.text]
-			if kind == AggCount && p.acceptPunct("*") {
+			if kind == aggCount && p.acceptPunct("*") {
 				if err := p.expectPunct(")"); err != nil {
 					return nil, err
 				}
-				return &AggCall{Kind: AggCount}, nil
+				return &aggCall{Kind: aggCount}, nil
 			}
 			arg, err := p.expr()
 			if err != nil {
@@ -541,7 +541,7 @@ func (p *parser) primary() (Expr, error) {
 			if err := p.expectPunct(")"); err != nil {
 				return nil, err
 			}
-			return &AggCall{Kind: kind, Arg: arg}, nil
+			return &aggCall{Kind: kind, Arg: arg}, nil
 		}
 		return nil, errAt(t.pos, "unexpected keyword %q", t.text)
 	case tokPunct:
@@ -572,7 +572,7 @@ func (p *parser) primary() (Expr, error) {
 			qualified = true
 		}
 		if p.acceptPunct("(") {
-			call := &FuncCall{Name: strings.ToLower(name)}
+			call := &funcCall{Name: strings.ToLower(name)}
 			if !p.acceptPunct(")") {
 				for {
 					a, err := p.expr()
@@ -594,7 +594,7 @@ func (p *parser) primary() (Expr, error) {
 		if qualified {
 			return nil, errAt(t.pos, "qualified name %q must be a function call", name)
 		}
-		return &ColRef{Name: name}, nil
+		return &columnRef{Name: name}, nil
 	}
 	return nil, errAt(t.pos, "unexpected end of statement")
 }

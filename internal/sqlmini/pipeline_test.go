@@ -371,7 +371,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			if diff := resultEq(want, got); diff != "" {
 				t.Errorf("%s Run(%q): %s", m.name, q, diff)
 			}
-			rows, err := QueryWith(db, q, m.opts)
+			rows, err := queryWith(db, q, m.opts)
 			if err != nil {
 				t.Fatalf("%s Query(%q): %v", m.name, q, err)
 			}
@@ -410,7 +410,7 @@ func TestRowsCloseSemantics(t *testing.T) {
 		{"batch3", ExecOptions{BatchSize: 3}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			rows, err := QueryWith(db, "SELECT id, v1 FROM T", m.opts)
+			rows, err := queryWith(db, "SELECT id, v1 FROM T", m.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +442,7 @@ func TestRowsCloseSemantics(t *testing.T) {
 				t.Fatalf("retained row corrupted after Close: %v", keep)
 			}
 			// Close before any Next is also fine.
-			rows, err = QueryWith(db, "SELECT id FROM T", m.opts)
+			rows, err = queryWith(db, "SELECT id FROM T", m.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

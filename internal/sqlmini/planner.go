@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"sqlarray/internal/engine"
 	"sqlarray/internal/obs"
@@ -57,23 +56,20 @@ type ExecOptions struct {
 	// the wall time, and the registry counter deltas the query caused.
 	// EXPLAIN ANALYZE is a rendering of this trace. Instrumentation
 	// costs two counter samples and a clock read per operator batch;
-	// with Trace nil and no slow-query threshold the pipeline runs
-	// exactly as before.
+	// with Trace nil and no slow log the pipeline runs exactly as
+	// before.
 	Trace *obs.QueryTrace
-	// SlowQueryThreshold, when positive, instruments the query like
-	// Trace does and — if the query's wall time reaches the threshold —
-	// emits the ANALYZE-style summary to SlowQueryLog as one structured
-	// JSON line.
-	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives slow-query entries. Nil with a positive
-	// threshold falls back to obs.DefaultSlowLog (stderr).
-	SlowQueryLog *obs.SlowLog
+	// SlowLog, when non-nil, instruments the query like Trace does and
+	// hands the trace to the log, which writes it as one structured JSON
+	// line if the query's wall time reached the log's threshold
+	// (obs.NewSlowLog).
+	SlowLog *obs.SlowLog
 }
 
 // instrumented reports whether the pipeline should carry per-operator
 // instrumentation.
 func (o ExecOptions) instrumented() bool {
-	return o.Trace != nil || o.SlowQueryThreshold > 0
+	return o.Trace != nil || o.SlowLog != nil
 }
 
 const defaultParallelThreshold = 8192
@@ -178,7 +174,7 @@ func extractKeyBounds(e Expr, schema *engine.Schema) (keyBounds, Expr) {
 }
 
 func extractInto(e Expr, schema *engine.Schema, b *keyBounds) Expr {
-	bin, ok := e.(*BinaryExpr)
+	bin, ok := e.(*binaryExpr)
 	if !ok {
 		return e
 	}
@@ -196,7 +192,7 @@ func extractInto(e Expr, schema *engine.Schema, b *keyBounds) Expr {
 		if l == bin.L && r == bin.R {
 			return e
 		}
-		return &BinaryExpr{Op: "AND", L: l, R: r}
+		return &binaryExpr{Op: "AND", L: l, R: r}
 	}
 	if kb, ok := sargableBounds(bin, schema); ok {
 		b.merge(kb)
@@ -207,7 +203,7 @@ func extractInto(e Expr, schema *engine.Schema, b *keyBounds) Expr {
 
 // sargableBounds recognizes a single comparison between the clustered key
 // column and a numeric literal, in either operand order.
-func sargableBounds(bin *BinaryExpr, schema *engine.Schema) (keyBounds, bool) {
+func sargableBounds(bin *binaryExpr, schema *engine.Schema) (keyBounds, bool) {
 	op := bin.Op
 	switch op {
 	case "=", "<", "<=", ">", ">=":
@@ -229,27 +225,27 @@ func sargableBounds(bin *BinaryExpr, schema *engine.Schema) (keyBounds, bool) {
 }
 
 func isKeyColumn(e Expr, schema *engine.Schema) bool {
-	c, ok := e.(*ColRef)
+	c, ok := e.(*columnRef)
 	return ok && schema.ColIndex(c.Name) == schema.Key
 }
 
 // constNumber matches a numeric literal, optionally negated.
 func constNumber(e Expr) (float64, bool) {
 	switch n := e.(type) {
-	case *NumberLit:
+	case *numberLit:
 		return litFloat(n), true
-	case *UnaryExpr:
+	case *unaryExpr:
 		if n.Op != "-" {
 			return 0, false
 		}
-		if lit, ok := n.X.(*NumberLit); ok {
+		if lit, ok := n.X.(*numberLit); ok {
 			return -litFloat(lit), true
 		}
 	}
 	return 0, false
 }
 
-func litFloat(n *NumberLit) float64 {
+func litFloat(n *numberLit) float64 {
 	if n.IsInt {
 		return float64(n.I)
 	}
@@ -384,7 +380,7 @@ func parallelAggPlanNode(table string, lo, hi int64, workers int, residual Expr)
 	}
 	n.AddExtra("workers", "%d", workers)
 	if residual != nil {
-		n.AddExtra("filter", "%s", ExprString(residual))
+		n.AddExtra("filter", "%s", exprText(residual))
 	}
 	return n
 }
@@ -417,7 +413,7 @@ func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhe
 		cs.items = append(cs.items, c)
 		name := it.Alias
 		if name == "" {
-			name = ExprString(it.Expr)
+			name = exprText(it.Expr)
 			if len(name) > 40 {
 				name = fmt.Sprintf("col%d", i+1)
 			}
@@ -505,7 +501,7 @@ func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qct
 	plan := scanPlanNode(tbl.Name(), bounds)
 	root := ps.wrap(&batchScanOp{tbl: tbl, snap: snap, qctx: qctx, lo: lo, hi: hi, need: cs.used}, plan)
 	if cs.where != nil {
-		plan = &obs.PlanNode{Name: "Filter", Detail: ExprString(residual), Children: []*obs.PlanNode{plan}}
+		plan = &obs.PlanNode{Name: "Filter", Detail: exprText(residual), Children: []*obs.PlanNode{plan}}
 		root = ps.wrap(&batchFilterOp{child: root, qctx: qctx, pred: cs.where}, plan)
 	}
 	if cs.aggregate {
@@ -521,7 +517,7 @@ func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qct
 // nil each just drains — an aggregate stack folds the rows into cs.accs
 // itself.
 func drainStack(tbl *engine.Table, snap *engine.Snapshot, bounds keyBounds, residual Expr,
-	cs *compiledStmt, opts ExecOptions, each func(b *Batch, n int) error) error {
+	cs *compiledStmt, opts ExecOptions, each func(b *rowBatch, n int) error) error {
 	root, _ := new(planState).scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
 	defer root.close()
 	if err := root.open(); err != nil {

@@ -169,7 +169,7 @@ func ScatterExplain(parts []Partition, stmt *ExplainStmt, opts ExecOptions) (str
 		popts.Snapshot = nil // every partition reads its own snapshot
 		popts.Trace = nil    // per-member trace, not the caller's
 		var err error
-		traces[i], err = ExplainAnalyze(sp.live[i].DB, stmt.Stmt, popts)
+		traces[i], err = explainAnalyze(sp.live[i].DB, stmt.Stmt, popts)
 		return err
 	})
 	root.Analyzed = true
@@ -256,7 +256,7 @@ func scatterAggregate(live []Partition, db0 *engine.DB, tbl0 *engine.Table, stmt
 	}
 	mergePartials(master.accs, partials)
 	// The projection runs once, over the one-row batch of merged results.
-	b := &Batch{}
+	b := &rowBatch{}
 	b.setAggregates(master.accs)
 	out := make([]engine.Value, len(master.items))
 	for i, item := range master.items {
@@ -337,7 +337,7 @@ func columnNames(stmt *SelectStmt) []string {
 			names[i] = it.Alias
 			continue
 		}
-		name := ExprString(it.Expr)
+		name := exprText(it.Expr)
 		if len(name) > 40 {
 			name = fmt.Sprintf("col%d", i+1)
 		}

@@ -101,7 +101,7 @@ func TestSnapshotIsolationGolden(t *testing.T) {
 			db, _ := openTestDB(t, rows, 1.0)
 			opts := m.opts
 
-			scan, err := QueryWith(db, `SELECT id, x, m FROM t`, opts)
+			scan, err := queryWith(db, `SELECT id, x, m FROM t`, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	db, _ := openTestDB(t, 200, 1.0)
 	// Small batches so the projection has resolved MAX blobs before we
 	// abandon the stream.
-	rows, err := QueryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 32})
+	rows, err := queryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	assertDrained(t, db)
 
 	// Same with the stream abandoned several batches in.
-	rows, err = QueryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 3})
+	rows, err = queryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSnapshotStressMixedScanDML(t *testing.T) {
 					fail(fmt.Errorf("torn read: count=%d min=%v max=%v", count, lo, hi))
 					return
 				}
-				scan, err := QueryWith(db, `SELECT id, x, m FROM t`, opts)
+				scan, err := queryWith(db, `SELECT id, x, m FROM t`, opts)
 				if err != nil {
 					fail(fmt.Errorf("reader scan: %w", err))
 					return

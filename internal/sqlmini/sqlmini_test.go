@@ -344,9 +344,9 @@ func TestExprString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ExprString(stmt.Items[0].Expr)
+	s := exprText(stmt.Items[0].Expr)
 	if !strings.Contains(s, "SUM(") || !strings.Contains(s, "floatarray.item_1") {
-		t.Errorf("ExprString = %q", s)
+		t.Errorf("exprText = %q", s)
 	}
 }
 

@@ -126,20 +126,20 @@ func TestCallerErrorsDoNotFailTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(RecPageImage, make([]byte, maxRecordSize+1)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized Append = %v, want ErrTooLarge", err)
+	if _, err := l.Append(RecPageImage, make([]byte, maxRecordSize+1)); !errors.Is(err, errTooLarge) {
+		t.Fatalf("oversized Append = %v, want errTooLarge", err)
 	}
 	if _, err := l.Append(RecCommit, []byte("ok")); err != nil {
-		t.Fatalf("Append after ErrTooLarge: %v", err)
+		t.Fatalf("Append after errTooLarge: %v", err)
 	}
 	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync after ErrTooLarge: %v", err)
+		t.Fatalf("Sync after errTooLarge: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Sync on a closed log = %v, want ErrClosed", err)
+	if err := l.Sync(); !errors.Is(err, errClosed) {
+		t.Fatalf("Sync on a closed log = %v, want errClosed", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil", err)

@@ -68,8 +68,8 @@ const (
 	// segment file header: magic + base LSN.
 	segHeaderSize = 16
 	segMagic      = "SQAWAL01"
-	// DefaultSegmentSize is the roll-over threshold for segment files.
-	DefaultSegmentSize = 4 << 20
+	// defaultSegmentSize is the roll-over threshold for segment files.
+	defaultSegmentSize = 4 << 20
 	// maxRecordSize bounds a single record (a page image plus slack is
 	// ~8.2 kB; catalog snapshots are small — 16 MB is a corruption
 	// tripwire, not a real limit).
@@ -78,8 +78,8 @@ const (
 
 // Errors returned by the log.
 var (
-	ErrClosed   = errors.New("wal: log closed")
-	ErrTooLarge = errors.New("wal: record too large")
+	errClosed   = errors.New("wal: log closed")
+	errTooLarge = errors.New("wal: record too large")
 )
 
 // Stats is a snapshot of the log's I/O counters, surfaced by sqlsh's
@@ -158,7 +158,7 @@ func (l *Log) RegisterMetrics(reg *obs.Registry) {
 // checkpoint.
 func Open(st Storage, o Options) (*Log, error) {
 	if o.SegmentSize <= 0 {
-		o.SegmentSize = DefaultSegmentSize
+		o.SegmentSize = defaultSegmentSize
 	}
 	l := &Log{st: st, segLimit: o.SegmentSize}
 	seqs, err := st.List()
@@ -377,7 +377,7 @@ func (l *Log) Stats() Stats {
 // RecCommit).
 func (l *Log) Append(typ RecordType, payload []byte) (LSN, error) {
 	if len(payload) > maxRecordSize {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+		return 0, fmt.Errorf("%w: %d bytes", errTooLarge, len(payload))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -409,11 +409,11 @@ func (l *Log) Append(typ RecordType, payload []byte) (LSN, error) {
 	return lsn, nil
 }
 
-// usableLocked returns ErrClosed on a closed log and the stored storage
+// usableLocked returns errClosed on a closed log and the stored storage
 // error on a failed one. Caller holds l.mu.
 func (l *Log) usableLocked() error {
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	return l.err
 }

@@ -58,6 +58,11 @@ names=(
 	# bulk staging: one arena, no per-row heap image.
 	'sort.Slice(pending'
 	'byID['
+	# One sequential CSV source: no parse pool, no options; one slow-log
+	# option that carries its threshold, and no stderr fallback.
+	'parseWorker'
+	'CSVOptions'
+	'DefaultSlowLog'
 )
 src=()
 while IFS= read -r f; do

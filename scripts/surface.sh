@@ -19,6 +19,35 @@ echo "exported identifiers in those files: $(awk '
 	/^[)}]/ { blk = 0 }
 	blk && /^\t[A-Z][A-Za-z0-9_]*([ ,(]|$)/ { n++ }
 	END { print n }' $src)"
+# Top-level exported names in internal/ (non-test files) that no other
+# package writes as pkg.Name — tests, cmd/, examples/ and bench/ included,
+# an external _test package counting as another package. Each is a
+# candidate to unexport, unless an exported signature or field exposes it.
+all=$(git ls-files '*.go' | grep -v '/testdata/')
+echo "exported names no other package names: $({
+	grep -H -m1 '^package ' $all | sed 's/:package / /'
+	grep -oHE '\<[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' $all | sed 's/:/ ref /'
+	awk '
+		FNR == 1 { blk = 0 }
+		/^(func|type|var|const) [A-Z]/ { split($2, w, /[^A-Za-z0-9_]/); print FILENAME, "decl", w[1]; next }
+		/^(var|const|type) \($/ { blk = 1; next }
+		/^\)/ { blk = 0 }
+		blk && /^\t[A-Z]/ { split($1, w, /[^A-Za-z0-9_]/); print FILENAME, "decl", w[1] }
+	' $(echo "$src" | grep '^internal/')
+} | awk '
+	function dir(f) { sub(/\/[^\/]*$/, "", f); return f }
+	$2 == "decl" { d = dir($1); k = split(d, p, "/"); decl[p[k] "." $3 " " d] = 1; next }
+	$2 == "ref" { ref[$3 " " dir($1) " " ($1 in ext)] = 1; next }
+	$2 ~ /_test$/ { ext[$1] = 1 }
+	END {
+		for (k in ref) { split(k, r, " "); named[r[1]] = named[r[1]] " " r[2] ":" r[3] }
+		for (k in decl) {
+			split(k, q, " "); out = 1; m = split(named[q[1]], u, " ")
+			for (i = 1; i <= m; i++) if (u[i] != q[2] ":0") out = 0
+			n += out
+		}
+		print n + 0
+	}')"
 fields() { # fields FILE TYPE: number of fields of struct TYPE
 	awk -v t="type $2 struct {" '$0 == t { b = 1; next } b && /^}/ { exit } b && /^\t[A-Za-z_]/ { n++ } END { print n + 0 }' "$1"
 }

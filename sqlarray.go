@@ -284,9 +284,6 @@ type BulkOptions = engine.BulkOptions
 // BulkStats reports what a completed bulk load wrote.
 type BulkStats = engine.BulkStats
 
-// CSVOptions tunes the CSV parse pipeline.
-type CSVOptions = engine.CSVOptions
-
 // NewValuesSource adapts an in-memory row slice to BulkSource.
 var NewValuesSource = engine.NewValuesSource
 
@@ -303,17 +300,17 @@ func (d *Database) Copy(table string, src BulkSource, opts BulkOptions) (BulkSta
 	return t.BulkLoad(src, opts)
 }
 
-// CopyCSV bulk-loads CSV text into a table through the parallel parse
-// pipeline: a reader goroutine tokenizes records, a worker pool converts
-// fields to typed values, and the loader sorts and packs the rows.
-func (d *Database) CopyCSV(table string, r io.Reader, copts CSVOptions, opts BulkOptions) (BulkStats, error) {
+// CopyCSV bulk-loads headerless CSV text into a table: one record per
+// row, fields in column order (numbers as text, binary as hex, an empty
+// field is NULL), read and parsed one record at a time and loaded as
+// Copy loads. A parse error names its line and leaves the table as it
+// was.
+func (d *Database) CopyCSV(table string, r io.Reader, opts BulkOptions) (BulkStats, error) {
 	t, err := d.DB.Table(table)
 	if err != nil {
 		return BulkStats{}, err
 	}
-	src := engine.NewCSVSource(r, t.Schema(), copts)
-	defer src.Close()
-	return t.BulkLoad(src, opts)
+	return t.BulkLoad(engine.NewCSVSource(r, t.Schema()), opts)
 }
 
 // IOModel re-exports the disk model used to reconstruct the paper's
