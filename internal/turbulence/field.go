@@ -133,10 +133,10 @@ func wrap(i, n int) int {
 	return i
 }
 
-// Divergence computes the discrete central-difference divergence at a
+// divergence computes the discrete central-difference divergence at a
 // grid point — used by tests to verify the synthetic field is
 // (approximately) incompressible.
-func (f *Field) Divergence(x, y, z int) float64 {
+func (f *Field) divergence(x, y, z int) float64 {
 	ux1, _, _, _ := f.At(x+1, y, z)
 	ux0, _, _, _ := f.At(x-1, y, z)
 	_, vy1, _, _ := f.At(x, y+1, z)

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"sqlarray/internal/blob"
-	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 	"sqlarray/internal/interp"
 )
@@ -67,10 +66,19 @@ func (s *Store) VelocityBatch(step int, pts [][3]float64, scheme interp.Scheme, 
 	}
 	snap := s.db.Snapshot()
 	defer snap.Release()
+	b := &batch{snap: snap, step: step, mode: mode, buf: make([]float64, velChannels*np*np*np)}
+	b.put = func(dstOff int, seg []byte) {
+		dst := b.buf[dstOff/8:][:len(seg)/8]
+		for k := range dst {
+			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(seg[8*k:]))
+		}
+	}
+	if mode == WholeBlob {
+		b.cache = map[int64][]byte{}
+	}
 	out := make([][3]float64, len(pts))
-	cache := map[int64][]float64{}
 	for i, p := range pts {
-		v, err := s.velocityOne(snap, step, p, scheme, mode, cache)
+		v, err := s.velocityOne(b, p, scheme)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +87,20 @@ func (s *Store) VelocityBatch(step int, pts [][3]float64, scheme interp.Scheme, 
 	return out, nil
 }
 
-func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, scheme interp.Scheme, mode FetchMode, cache map[int64][]float64) ([3]float64, error) {
+// batch is what one VelocityBatch call reuses from point to point.
+type batch struct {
+	snap  *engine.Snapshot
+	step  int
+	mode  FetchMode
+	cache map[int64][]byte // WholeBlob: stored velocity blobs by cube key
+	runs  []blob.Run       // the current stencil's run plan
+	// buf is the current stencil as a stencil-local (3, np, np, np)
+	// array; put decodes a segment of the blob into it at dstOff.
+	buf []float64
+	put func(dstOff int, seg []byte)
+}
+
+func (s *Store) velocityOne(b *batch, p [3]float64, scheme interp.Scheme) ([3]float64, error) {
 	n := float64(s.n)
 	// Wrap into [0, n).
 	var g [3]float64
@@ -101,8 +122,8 @@ func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, schem
 			i[d] = int(math.Round(g[d])) % s.n
 		}
 		one := []float64{1}
-		return s.stencilValue(snap, step, i[0]/s.cube, i[1]/s.cube, i[2]/s.cube,
-			i[0]%s.cube+s.ghost, i[1]%s.cube+s.ghost, i[2]%s.cube+s.ghost, 1, one, one, one, mode, cache)
+		return s.stencilValue(b, i[0]/s.cube, i[1]/s.cube, i[2]/s.cube,
+			i[0]%s.cube+s.ghost, i[1]%s.cube+s.ghost, i[2]%s.cube+s.ghost, 1, one, one, one)
 	}
 	cx := int(g[0]) / s.cube
 	cy := int(g[1]) / s.cube
@@ -121,56 +142,53 @@ func (s *Store) velocityOne(snap *engine.Snapshot, step int, p [3]float64, schem
 	interp.AxisWeights(scheme, ty, wy[:np])
 	interp.AxisWeights(scheme, tz, wz[:np])
 	base := np/2 - 1
-	return s.stencilValue(snap, step, cx, cy, cz, i0x-base, i0y-base, i0z-base, np,
-		wx[:np], wy[:np], wz[:np], mode, cache)
+	return s.stencilValue(b, cx, cy, cz, i0x-base, i0y-base, i0z-base, np,
+		wx[:np], wy[:np], wz[:np])
 }
 
 // stencilValue evaluates the weighted sum over an np³ stencil starting
 // at (sx, sy, sz) in block coordinates, for the three velocity channels
 // in one pass: a node's u, v, w are adjacent, and each channel sums the
 // same products in the same (kz, ky, kx) order as a pass of its own.
-// Both fetch modes hand it velocity only, three elements per node.
-func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int,
-	wx, wy, wz []float64, mode FetchMode, cache map[int64][]float64) ([3]float64, error) {
+// Both fetch modes gather the stencil into b.buf by the same run plan,
+// so the kernel reads one stencil-local (3, np, np, np) array.
+func (s *Store) stencilValue(b *batch, cx, cy, cz, sx, sy, sz, np int, wx, wy, wz []float64) ([3]float64, error) {
 	m := s.blockSide()
 	if sx < 0 || sy < 0 || sz < 0 || sx+np > m || sy+np > m || sz+np > m {
 		return [3]float64{}, fmt.Errorf("turbulence: stencil [%d..%d) outside block of side %d (ghost too small)",
 			sx, sx+np, m)
 	}
-	var data []float64  // stencil-local (3, np, np, np) or whole block (3, m, m, m)
-	var stride, off int // nodes per row, element of the stencil's first node
-	switch mode {
+	key, err := s.cubeKey(b.step, cx, cy, cz)
+	if err != nil {
+		return [3]float64{}, err
+	}
+	b.runs = s.stencilRuns(b.runs[:0], sx, sy, sz, np)
+	switch b.mode {
 	case WholeBlob:
-		key, err := s.cubeKey(step, cx, cy, cz)
-		if err != nil {
-			return [3]float64{}, err
-		}
-		blk, ok := cache[key]
+		blk, ok := b.cache[key]
 		if !ok {
-			if blk, err = s.readBlock(snap, key); err != nil {
+			if blk, err = s.readBlock(b.snap, key); err != nil {
 				return [3]float64{}, err
 			}
-			cache[key] = blk
+			b.cache[key] = blk
 		}
-		data = blk
-		stride = m
-		off = velChannels * ((sz*m+sy)*m + sx)
+		for _, r := range b.runs {
+			b.put(r.DstOff, blk[r.SrcOff:r.SrcOff+r.Len])
+		}
 	case PartialRead:
-		sub, err := s.readStencil(snap, step, cx, cy, cz, sx, sy, sz, np)
-		if err != nil {
+		if err := s.readStencil(b, key); err != nil {
 			return [3]float64{}, err
 		}
-		data = sub
-		stride = np
 	default:
-		return [3]float64{}, fmt.Errorf("turbulence: unknown fetch mode %d", mode)
+		return [3]float64{}, fmt.Errorf("turbulence: unknown fetch mode %d", b.mode)
 	}
+	data := b.buf
 	var u, v, w float64
 	for kz := 0; kz < np; kz++ {
 		wzk := wz[kz]
 		for ky := 0; ky < np; ky++ {
 			wyk := wy[ky] * wzk
-			i := off + velChannels*(kz*stride+ky)*stride
+			i := velChannels * (kz*np + ky) * np
 			for kx := 0; kx < np; kx++ {
 				wk := wx[kx] * wyk
 				u += wk * data[i]
@@ -183,84 +201,86 @@ func (s *Store) stencilValue(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz
 	return [3]float64{u, v, w}, nil
 }
 
-// readBlock performs the whole-blob path: it fetches the cube's entire
-// velocity blob as one run covering header and payload and decodes the
-// (3, m, m, m) float64 samples straight off the segments, as
-// readStencil does — one copy, not a staged blob plus a decoded one.
-// The stored header must equal blockHeader's encoding.
-func (s *Store) readBlock(snap *engine.Snapshot, key int64) ([]float64, error) {
-	ref, err := s.fetchRef(snap, key)
-	if err != nil {
-		return nil, err
-	}
-	h := s.blockHeader()
-	want := h.AppendEncode(nil)
-	hdr := len(want)
-	got := make([]byte, hdr)
-	out := make([]float64, h.Count())
-	err = s.table.VisitBlobRunsAt(snap, ref, []blob.Run{{Len: h.TotalBytes()}}, func(dstOff int, seg []byte) {
-		if dstOff < hdr {
-			n := copy(got[dstOff:], seg)
-			seg, dstOff = seg[n:], dstOff+n
+// stencilRuns appends to dst the byte runs of the velocity blob that
+// hold the np³ stencil at (sx, sy, sz): one run per in-tile x-row of
+// every tile the stencil touches — u, v and w of up to t adjacent
+// nodes — in ascending stored order, so the blob reader visits them
+// without sorting. Each run's DstOff places it in a stencil-local
+// (3, np, np, np) float64 array.
+func (s *Store) stencilRuns(dst []blob.Run, sx, sy, sz, np int) []blob.Run {
+	const node = velChannels * 8 // bytes per node
+	t, nt := s.tile, s.blockSide()/s.tile
+	for tz := sz / t; tz*t < sz+np; tz++ {
+		z0, z1 := max(tz*t, sz), min(tz*t+t, sz+np)
+		for ty := sy / t; ty*t < sy+np; ty++ {
+			y0, y1 := max(ty*t, sy), min(ty*t+t, sy+np)
+			for tx := sx / t; tx*t < sx+np; tx++ {
+				x0, x1 := max(tx*t, sx), min(tx*t+t, sx+np)
+				tile := len(s.header) + node*t*t*t*((tz*nt+ty)*nt+tx)
+				for z := z0; z < z1; z++ {
+					src := tile + node*(((z-tz*t)*t+y0-ty*t)*t+x0-tx*t)
+					dstOff := node * (((z-sz)*np+y0-sy)*np + x0 - sx)
+					for y := y0; y < y1; y++ {
+						dst = append(dst, blob.Run{SrcOff: src, DstOff: dstOff, Len: node * (x1 - x0)})
+						src += node * t
+						dstOff += node * np
+					}
+				}
+			}
 		}
-		for w := 0; w+8 <= len(seg); w += 8 {
-			out[(dstOff-hdr+w)/8] = math.Float64frombits(binary.LittleEndian.Uint64(seg[w:]))
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	if !bytes.Equal(got, want) {
-		return nil, fmt.Errorf("turbulence: cube key %d: stored header %x, want %x", key, got, want)
-	}
-	return out, nil
+	return dst
 }
 
-// readStencil performs the partial-read path: only the stencil's x-rows
-// are fetched from the out-of-page velocity blob, as a stencil-local
-// (3, np, np, np) array. A block's (3, m, m, m) elements lie exactly as
-// a (3m, m, m) array's, so a plan on that view makes each row — u, v
-// and w of np adjacent nodes — one run: np² runs. The float64 samples
-// are decoded straight off the segments (pinned pages for raw blocks,
-// decoded scratch for compressed ones) — no intermediate byte buffer,
-// no copy. The direct decode requires every element to sit inside one
-// segment, which holds because segments break only at chunk boundaries,
-// every chunk starts on a BlockSize multiple, and BlockSize is a
-// multiple of 8 (asserted below), past a header CreateStore has checked
-// is a multiple of 8 too.
-func (s *Store) readStencil(snap *engine.Snapshot, step, cx, cy, cz, sx, sy, sz, np int) ([]float64, error) {
-	key, err := s.cubeKey(step, cx, cy, cz)
-	if err != nil {
-		return nil, err
-	}
+// readBlock performs the whole-blob path: it fetches the cube's entire
+// velocity blob, header included, as one caller-owned copy, which
+// stencilValue then reads stencils out of as a partial read reads them
+// off the chunk pages. The stored header must equal the store's.
+func (s *Store) readBlock(snap *engine.Snapshot, key int64) ([]byte, error) {
 	ref, err := s.fetchRef(snap, key)
 	if err != nil {
 		return nil, err
 	}
-	m := s.blockSide()
-	rows := core.Header{Class: core.Max, Elem: core.Float64, Dims: []int{velChannels * m, m, m}}
-	runs, err := core.SubarrayPlan(rows, []int{velChannels * sx, sy, sz}, []int{velChannels * np, np, np})
+	raw, err := s.table.ResolveMaxAt(snap, ref)
 	if err != nil {
 		return nil, err
 	}
-	h := s.blockHeader()
-	hdr := h.EncodedSize()
-	blobRuns := make([]blob.Run, len(runs))
-	dstBytes := 0
-	for i, r := range runs {
-		blobRuns[i] = blob.Run{SrcOff: r.SrcOff + hdr, DstOff: r.DstOff, Len: r.Len}
-		dstBytes += r.Len
+	if len(raw) != s.BlockBytes() {
+		return nil, fmt.Errorf("turbulence: cube key %d: stored blob of %d bytes, want %d", key, len(raw), s.BlockBytes())
 	}
-	out := make([]float64, dstBytes/8)
-	err = s.table.VisitBlobRunsAt(snap, ref, blobRuns, func(dstOff int, seg []byte) {
-		for w := 0; w+8 <= len(seg); w += 8 {
-			out[(dstOff+w)/8] = math.Float64frombits(binary.LittleEndian.Uint64(seg[w:]))
-		}
-	})
+	if got := raw[:len(s.header)]; !bytes.Equal(got, s.header) {
+		return nil, fmt.Errorf("turbulence: cube key %d: stored header %x, want %x", key, got, s.header)
+	}
+	return raw, nil
+}
+
+// readStencil performs the partial-read path: only b.runs, the
+// stencil's in-tile x-rows, are fetched from the out-of-page velocity
+// blob into b.buf. The float64 samples are decoded straight off the
+// segments (pinned pages for raw blocks, decoded scratch for compressed
+// ones) — no intermediate byte buffer, no copy. The direct decode
+// requires every element to sit inside one segment, which holds because
+// segments break only at chunk boundaries, every chunk starts on a
+// BlockSize multiple, and BlockSize is a multiple of 8 (asserted below),
+// past a header CreateStore has checked is a multiple of 8 too.
+//
+// The header is not read, so the blob is checked by its length, which
+// the ref carries: a blob of another shape or of the untiled layout
+// fails the batch at no I/O cost. A foreign blob of exactly BlockBytes
+// is still read as velocity.
+func (s *Store) readStencil(b *batch, key int64) error {
+	ref, err := s.fetchRef(b.snap, key)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	r, err := blob.DecodeRef(ref)
+	if err != nil {
+		return err
+	}
+	if r.Length != int64(s.BlockBytes()) {
+		return fmt.Errorf("turbulence: cube key %d: stored blob of %d bytes, want %d", key, r.Length, s.BlockBytes())
+	}
+	return s.table.VisitBlobRunsAt(b.snap, ref, b.runs, b.put)
 }
 
 // No float64 may straddle a segment boundary (see readStencil).

@@ -61,7 +61,7 @@ func TestFieldDivergenceFree(t *testing.T) {
 	for z := 0; z < 32; z += 3 {
 		for y := 0; y < 32; y += 3 {
 			for x := 0; x < 32; x += 3 {
-				if d := math.Abs(f.Divergence(x, y, z)); d > maxDiv {
+				if d := math.Abs(f.divergence(x, y, z)); d > maxDiv {
 					maxDiv = d
 				}
 				u, v, w, _ := f.At(x, y, z)
@@ -105,7 +105,7 @@ func TestStoreRowCountAndBlockBytes(t *testing.T) {
 		t.Errorf("rows = %d, want 8", s.table.Rows())
 	}
 	// Velocity blob of (8+8)³ x 3 channels x 8 bytes + header.
-	want := 16*16*16*3*8 + 32 // 16-byte fixed max header + 4 dims x 4
+	want := 16*16*16*3*8 + 40 // 16-byte fixed max header + 6 dims x 4
 	if got := s.BlockBytes(); got != want {
 		t.Errorf("BlockBytes = %d, want %d", got, want)
 	}
@@ -358,13 +358,15 @@ func TestBatchCachesBlocks(t *testing.T) {
 }
 
 // TestStoredBlockLayout: a stored cube is two arrays. Its blob column
-// is a (3, m, m, m) array whose element (ch, lx, ly, lz) is velocity
-// channel ch of the field at the block's origin plus (lx, ly, lz),
-// periodically wrapped; its p column is an (m, m, m) array of the
-// pressure at the same nodes — in the interior and in the ghost zones.
+// is the velocity in 4³ tiles, a (12, 4, 4, m/4, m/4, m/4) array whose
+// element (3·(x%4) + ch, y%4, z%4, x/4, y/4, z/4) is velocity channel
+// ch of the field at the block's origin plus (x, y, z), periodically
+// wrapped; its p column is an (m, m, m) array of the pressure at the
+// same nodes — in the interior and in the ghost zones.
 func TestStoredBlockLayout(t *testing.T) {
 	s, f := newStore(t, 16, 8, 4)
 	m := s.blockSide()
+	const tile = 4
 	snap := s.db.Snapshot()
 	defer snap.Release()
 	for _, c := range [][3]int{{0, 0, 0}, {1, 0, 1}, {1, 1, 1}} {
@@ -390,7 +392,8 @@ func TestStoredBlockLayout(t *testing.T) {
 			}
 		}
 		vel, pr := cols[0], cols[1]
-		if got, want := vel.Dims(), []int{3, m, m, m}; !slices.Equal(got, want) {
+		nt := m / tile
+		if got, want := vel.Dims(), []int{3 * tile, tile, tile, nt, nt, nt}; !slices.Equal(got, want) {
 			t.Fatalf("cube %v: blob dims %v, want %v", c, got, want)
 		}
 		if got, want := pr.Dims(), []int{m, m, m}; !slices.Equal(got, want) {
@@ -398,22 +401,23 @@ func TestStoredBlockLayout(t *testing.T) {
 		}
 		// Ghost cells at 0, 1, m-1; interior cells at 4, 7, 11.
 		for _, l := range [][3]int{{0, 0, 0}, {1, 5, m - 1}, {4, 4, 4}, {7, 11, 6}, {m - 1, 0, 9}, {11, m - 1, m - 1}} {
-			u, v, w, p := f.At(c[0]*8-4+l[0], c[1]*8-4+l[1], c[2]*8-4+l[2])
+			x, y, z := l[0], l[1], l[2]
+			u, v, w, p := f.At(c[0]*8-4+x, c[1]*8-4+y, c[2]*8-4+z)
 			for ch, want := range []float64{u, v, w} {
-				got, err := vel.Item(ch, l[0], l[1], l[2])
+				got, err := vel.Item(3*(x%tile)+ch, y%tile, z%tile, x/tile, y/tile, z/tile)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Errorf("cube %v blob element (%d, %d, %d, %d) = %g, want %g", c, ch, l[0], l[1], l[2], got, want)
+					t.Errorf("cube %v node (%d, %d, %d) channel %d = %g, want %g", c, x, y, z, ch, got, want)
 				}
 			}
-			got, err := pr.Item(l[0], l[1], l[2])
+			got, err := pr.Item(x, y, z)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != p {
-				t.Errorf("cube %v p element (%d, %d, %d) = %g, want %g", c, l[0], l[1], l[2], got, p)
+				t.Errorf("cube %v p element (%d, %d, %d) = %g, want %g", c, x, y, z, got, p)
 			}
 		}
 	}
@@ -467,11 +471,11 @@ func TestVelocityBatchGoldenHash(t *testing.T) {
 
 // TestStencilChunkReads bounds the blob chunks one PartialRead stencil
 // touches, averaged over a fixed set of stencil origins in 24³ blocks
-// (cube 16, ghost 4). The counts are exact. With a point's u, v, w
-// adjacent and p in its own column, a stencil's x-row is one run, so a
-// Lag4 stencil reads about 4.8 blocks and a Lag8 stencil about 12.1;
-// with p interleaved as a fourth channel they read 5.2 and 13.5, and
-// with one channel volume after another 8.4 and 15.5.
+// (cube 16, ghost 4). The counts are exact. With the velocity stored in
+// 4³ tiles a Lag4 stencil reads about 3.6 blocks and a Lag8 stencil
+// about 9.3. Row-major (3, m, m, m) cubes read 4.8 and 12.1; with p
+// interleaved as a fourth channel they read 5.2 and 13.5, and with one
+// channel volume after another 8.4 and 15.5.
 func TestStencilChunkReads(t *testing.T) {
 	s, _ := newStore(t, 32, 16, 4)
 	pts := seededPoints(2, 400, 32)
@@ -479,8 +483,8 @@ func TestStencilChunkReads(t *testing.T) {
 		scheme interp.Scheme
 		bound  float64
 	}{
-		{interp.Lag4, 5.0},
-		{interp.Lag8, 12.5},
+		{interp.Lag4, 3.8},
+		{interp.Lag8, 9.7},
 	} {
 		base := s.Stats()
 		if _, err := s.VelocityBatch(0, pts, tc.scheme, PartialRead); err != nil {
@@ -544,6 +548,90 @@ func TestWholeBlobRejectsForeignHeader(t *testing.T) {
 	}
 	if _, err := s.Velocity(0, [3]float64{9.5, 2.5, 3.5}, interp.Lag4, WholeBlob); err != nil {
 		t.Errorf("untouched cube: %v", err)
+	}
+}
+
+// TestPartialReadRejectsForeignBlob: a partial read checks the stored
+// blob's length against the store's, so a blob of another shape — a
+// (4, m, m, m) array, or the untiled (3, m, m, m) velocity layout —
+// fails the batch in both fetch modes instead of being read as tiled
+// velocity.
+func TestPartialReadRejectsForeignBlob(t *testing.T) {
+	s, _ := newStore(t, 16, 8, 4)
+	m := s.blockSide()
+	key, err := s.cubeKey(0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dims := range [][]int{{4, m, m, m}, {3, m, m, m}} {
+		foreign, err := core.New(core.Max, core.Float64, dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := s.db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Close(s.table.UpdateTx(tx, key, []int{1}, []engine.Value{engine.BinaryMaxValue(foreign.Bytes())})); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []FetchMode{PartialRead, WholeBlob} {
+			if v, err := s.Velocity(0, [3]float64{1.5, 2.5, 3.5}, interp.Lag4, mode); err == nil {
+				t.Errorf("%v fetch of a %v blob = %v, nil error; want an error", mode, dims, v)
+			}
+			if _, err := s.Velocity(0, [3]float64{9.5, 2.5, 3.5}, interp.Lag4, mode); err != nil {
+				t.Errorf("%v fetch of an untouched cube: %v", mode, err)
+			}
+		}
+	}
+}
+
+// TestFallbackTileSides: a block side 4 does not divide is tiled by 2,
+// one 2 does not divide is stored untiled (t = 1). Both fetch modes
+// agree bit for bit and match interp.Grid3D on the raw field, for every
+// scheme the ghost width allows.
+func TestFallbackTileSides(t *testing.T) {
+	for _, tc := range []struct{ n, cube, ghost, side, tile int }{
+		{12, 6, 4, 14, 2},
+		{12, 3, 3, 9, 1},
+	} {
+		s, f := newStore(t, tc.n, tc.cube, tc.ghost)
+		if s.blockSide() != tc.side || s.tile != tc.tile {
+			t.Fatalf("cube %d ghost %d: block side %d tile %d, want %d and %d",
+				tc.cube, tc.ghost, s.blockSide(), s.tile, tc.side, tc.tile)
+		}
+		var grids [3]*interp.Grid3D
+		for d, data := range [][]float64{f.U, f.V, f.W} {
+			g, err := interp.NewGrid3D(tc.n, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grids[d] = g
+		}
+		pts := seededPoints(4, 60, tc.n)
+		for _, scheme := range []interp.Scheme{interp.Nearest, interp.Linear, interp.PCHIP, interp.Lag4, interp.Lag6, interp.Lag8} {
+			if scheme.Points()/2 > tc.ghost {
+				continue
+			}
+			whole, err := s.VelocityBatch(0, pts, scheme, WholeBlob)
+			if err != nil {
+				t.Fatalf("side %d %v whole: %v", tc.side, scheme, err)
+			}
+			part, err := s.VelocityBatch(0, pts, scheme, PartialRead)
+			if err != nil {
+				t.Fatalf("side %d %v partial: %v", tc.side, scheme, err)
+			}
+			for i, p := range pts {
+				if whole[i] != part[i] {
+					t.Errorf("side %d %v at %v: whole %v, partial %v", tc.side, scheme, p, whole[i], part[i])
+				}
+				for d, g := range grids {
+					if want := g.Sample(p[0], p[1], p[2], scheme); math.Abs(part[i][d]-want) > 1e-10 {
+						t.Errorf("side %d %v at %v ch %d: %g, want %g", tc.side, scheme, p, d, part[i][d], want)
+					}
+				}
+			}
+		}
 	}
 }
 
