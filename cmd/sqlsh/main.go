@@ -105,9 +105,8 @@ with 10 rows.`)
 				fmt.Println("error:", err)
 				continue
 			}
-			ws := db.WAL().Stats()
 			fmt.Printf("checkpoint done: WAL at LSN %d, %d segment(s), %d checkpoint(s) total\n",
-				db.WAL().DurableLSN(), db.WAL().Segments(), ws.Checkpoints)
+				db.WAL().DurableLSN(), db.WAL().Segments(), reg.Snapshot().Get("wal.checkpoints"))
 			continue
 		case strings.HasPrefix(line, ".serve-metrics"):
 			parts := strings.Fields(line)

@@ -5,6 +5,7 @@ package sqlarray
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -221,7 +222,7 @@ func TestFileBackedDatabaseEndToEnd(t *testing.T) {
 	if got != 1999*2000/2 {
 		t.Errorf("file-backed sum = %g", got)
 	}
-	if db.Pool().Stats().PhysicalReads == 0 {
+	if metric(t, db.Metrics(), "pages.physical_reads") == 0 {
 		t.Error("expected real file reads after cache drop")
 	}
 }
@@ -236,5 +237,54 @@ func TestExprTextSurvivesTranslation(t *testing.T) {
 	}
 	if strings.Contains(q, "[") && !strings.Contains(q, "'v[9]'") {
 		t.Errorf("untranslated subscript remains: %q", q)
+	}
+}
+
+// TestExecRunsDMLAndSelect drives the root DML entry point: each DML
+// statement reports the rows it affected, a SELECT returns its result
+// set, and an UPDATE naming an unknown column fails without changing
+// the table.
+func TestExecRunsDMLAndSelect(t *testing.T) {
+	db := memDatabase(t)
+	csvTable(t, db, "t")
+	for _, c := range []struct {
+		sql  string
+		want int64
+	}{
+		{"INSERT INTO t (id, x) VALUES (1, 0.5), (2, 1.5), (3, 2.5)", 3},
+		{"UPDATE t SET x = 10 WHERE id >= 2", 2},
+		{"DELETE FROM t WHERE id = 1", 1},
+	} {
+		res, err := db.Exec(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.RowsAffected != c.want || res.Result != nil {
+			t.Errorf("%s: %d rows affected, result %v; want %d, none", c.sql, res.RowsAffected, res.Result, c.want)
+		}
+	}
+	rows := func() string {
+		t.Helper()
+		res, err := db.Exec("SELECT id, x FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Result == nil {
+			t.Fatal("SELECT through Exec returned no result set")
+		}
+		return fmt.Sprint(res.Result.Columns, res.Result.Rows)
+	}
+	before := rows()
+	if want := fmt.Sprint([]string{"id", "x"}, [][]engine.Value{
+		{engine.IntValue(2), engine.FloatValue(10)},
+		{engine.IntValue(3), engine.FloatValue(10)},
+	}); before != want {
+		t.Fatalf("SELECT through Exec = %s, want %s", before, want)
+	}
+	if _, err := db.Exec("UPDATE t SET x = 99, nope = 1 WHERE id = 2"); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("UPDATE of an unknown column: %v, want an error naming it", err)
+	}
+	if after := rows(); after != before {
+		t.Errorf("failed UPDATE changed the table: %s, was %s", after, before)
 	}
 }

@@ -82,40 +82,19 @@ func DecodeRef(b []byte) (Ref, error) {
 	}, nil
 }
 
-// Stats is a snapshot of blob-store I/O at the chunk granularity,
-// allowing the benchmarks to show how partial reads touch fewer pages.
-// BytesRead/BytesWritten count logical (uncompressed) bytes; the
-// Stored* counters count the chunk page bytes behind them, headers
-// included, so BytesWritten / StoredBytesWritten is the live
-// compression ratio.
-type Stats struct {
-	DirectoryReads uint64
-	ChunkReads     uint64
-	BytesRead      uint64
-	ChunksWritten  uint64
-	BytesWritten   uint64
-	PagesFreed     uint64 // pages returned to the free list by Free
-	PagesReused    uint64 // allocations served from the free list
-	// StoredBytesWritten is the stored size of every chunk page written
-	// by Write/WriteFresh and WriteRuns.
-	StoredBytesWritten uint64
-	// StoredBytesRead is the stored size of every chunk page fetched by
-	// a read — the physical I/O volume a read actually paid, vs the
-	// logical BytesRead.
-	StoredBytesRead uint64
-}
-
-// counters is the live, atomic form of Stats. The store is read from
-// parallel scan workers concurrently, so plain-field increments would be
-// a data race (and were, before this was converted).
+// counters are the store's I/O counters at chunk granularity, atomics
+// because parallel scan workers read the store concurrently; the
+// registry (RegisterMetrics) is the one place to read them. bytesRead
+// and bytesWritten count logical bytes, the stored* counters the chunk
+// page bytes behind them, headers included.
 type counters struct {
 	directoryReads     obs.Counter
 	chunkReads         obs.Counter
 	bytesRead          obs.Counter
 	chunksWritten      obs.Counter
 	bytesWritten       obs.Counter
-	pagesFreed         obs.Counter
-	pagesReused        obs.Counter
+	pagesFreed         obs.Counter // pages Free returned to the free list
+	pagesReused        obs.Counter // allocations served from the free list
 	storedBytesWritten obs.Counter
 	storedBytesRead    obs.Counter
 }
@@ -161,20 +140,10 @@ func (s *Store) WithFetcher(fx pages.Fetcher) *Store {
 	return &Store{fx: fx, stats: s.stats}
 }
 
-// Stats returns a snapshot of the store counters. Lock-free.
-func (s *Store) Stats() Stats {
-	return Stats{
-		DirectoryReads:     s.stats.directoryReads.Load(),
-		ChunkReads:         s.stats.chunkReads.Load(),
-		BytesRead:          s.stats.bytesRead.Load(),
-		ChunksWritten:      s.stats.chunksWritten.Load(),
-		BytesWritten:       s.stats.bytesWritten.Load(),
-		PagesFreed:         s.stats.pagesFreed.Load(),
-		PagesReused:        s.stats.pagesReused.Load(),
-		StoredBytesWritten: s.stats.storedBytesWritten.Load(),
-		StoredBytesRead:    s.stats.storedBytesRead.Load(),
-	}
-}
+// ChunkReads returns blob.chunk_reads of this store and its WithFetcher
+// views alone; a registry sums every store attached to it. EXPLAIN
+// ANALYZE samples it.
+func (s *Store) ChunkReads() uint64 { return s.stats.chunkReads.Load() }
 
 // scratchPool recycles codec staging buffers across read/write calls so
 // decompressing reads do not allocate per call. The buffers never leak

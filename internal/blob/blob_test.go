@@ -18,18 +18,6 @@ func newStore(t *testing.T) *Store {
 	return NewStore(pages.NewBufferPool(pages.NewMemDisk(), 1024))
 }
 
-// statsSince returns how far the read and write counters moved since
-// base was taken.
-func statsSince(s *Store, base Stats) Stats {
-	st := s.Stats()
-	st.DirectoryReads -= base.DirectoryReads
-	st.ChunkReads -= base.ChunkReads
-	st.BytesRead -= base.BytesRead
-	st.ChunksWritten -= base.ChunksWritten
-	st.BytesWritten -= base.BytesWritten
-	return st
-}
-
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	rng.Read(b)
@@ -110,7 +98,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.Stats()
+	base := s.stats.chunkReads.Load()
 	// Read 100 bytes from the middle of chunk 5.
 	off := int64(5*BlockSize + 123)
 	dst := make([]byte, 100)
@@ -120,11 +108,11 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	if !bytes.Equal(dst, data[off:off+100]) {
 		t.Error("partial read data mismatch")
 	}
-	if got := statsSince(s, base).ChunkReads; got != 1 {
+	if got := s.stats.chunkReads.Load() - base; got != 1 {
 		t.Errorf("ChunkReads = %d, want 1 (partial read must not touch other chunks)", got)
 	}
 	// A read spanning a chunk boundary touches exactly 2.
-	base = s.Stats()
+	base = s.stats.chunkReads.Load()
 	off = int64(3*BlockSize - 50)
 	dst = make([]byte, 100)
 	if err := readAt(s, ref, dst, off); err != nil {
@@ -133,7 +121,7 @@ func TestPartialReadTouchesFewChunks(t *testing.T) {
 	if !bytes.Equal(dst, data[off:off+100]) {
 		t.Error("boundary read mismatch")
 	}
-	if got := statsSince(s, base).ChunkReads; got != 2 {
+	if got := s.stats.chunkReads.Load() - base; got != 2 {
 		t.Errorf("boundary ChunkReads = %d, want 2", got)
 	}
 }
@@ -211,7 +199,8 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 		{SrcOff: 3 * BlockSize, DstOff: 116, Len: 64},
 		{SrcOff: 20, DstOff: 180, Len: 8}, // back on chunk 0
 	}
-	base := s.Stats()
+	c := s.stats
+	chunkReads, dirReads, bytesRead := c.chunkReads.Load(), c.directoryReads.Load(), c.bytesRead.Load()
 	got := make([]byte, 188)
 	segs := map[int]int{} // run DstOff -> segments seen
 	err := visitRuns(s, ref, runs, func(dstOff int, seg []byte) {
@@ -234,8 +223,9 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 		t.Errorf("segments per run = %v, want 2 for the straddling run and 1 for the rest", segs)
 	}
 	// Chunks 0, 1, 3 are touched; chunk 2 is not.
-	if st := statsSince(s, base); st.ChunkReads != 3 || st.DirectoryReads != 1 || st.BytesRead != 188 {
-		t.Errorf("stats = %+v, want 3 chunk reads, 1 directory read, 188 bytes", st)
+	chunkReads, dirReads, bytesRead = c.chunkReads.Load()-chunkReads, c.directoryReads.Load()-dirReads, c.bytesRead.Load()-bytesRead
+	if chunkReads != 3 || dirReads != 1 || bytesRead != 188 {
+		t.Errorf("%d chunk reads, %d directory reads, %d bytes, want 3, 1, 188", chunkReads, dirReads, bytesRead)
 	}
 	if n := bp.PinnedFrames(); n != 0 {
 		t.Errorf("PinnedFrames after VisitRuns = %d", n)
@@ -256,12 +246,12 @@ func TestVisitRunsFetchesEachChunkOnce(t *testing.T) {
 // fewer ChunkReads than materializing the same blob via ReadAll.
 func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
 	s, ref, _, _ := randomBlobStore(t, 16*BlockSize)
-	base := s.Stats()
+	base := s.stats.chunkReads.Load()
 	if _, err := s.ReadAll(ref); err != nil {
 		t.Fatal(err)
 	}
-	whole := statsSince(s, base).ChunkReads
-	base = s.Stats()
+	whole := s.stats.chunkReads.Load() - base
+	base = s.stats.chunkReads.Load()
 	// A sliced read: three short runs spread over the blob.
 	runs := []Run{
 		{SrcOff: 0, DstOff: 0, Len: 64},
@@ -271,7 +261,7 @@ func TestSubarrayReadTouchesFewerChunks(t *testing.T) {
 	if err := readRuns(s, ref, make([]byte, 192), runs); err != nil {
 		t.Fatal(err)
 	}
-	sliced := statsSince(s, base).ChunkReads
+	sliced := s.stats.chunkReads.Load() - base
 	if sliced >= whole {
 		t.Errorf("sliced read touched %d chunks, ReadAll touched %d — pushdown not effective", sliced, whole)
 	}
@@ -299,7 +289,7 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 		{SrcOff: 5*BlockSize + 16, DstOff: 0, Len: 32},
 		{SrcOff: 3*BlockSize + 8, DstOff: 32, Len: 32},
 	}
-	base := s.Stats()
+	base := s.stats.chunkReads.Load()
 	got := make([]byte, 64)
 	if err := readRuns(s, ref, got, runs); err != nil {
 		t.Fatal(err)
@@ -309,8 +299,8 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 			t.Errorf("run %+v mismatch", r)
 		}
 	}
-	if st := statsSince(s, base); st.ChunkReads != 1 {
-		t.Errorf("ChunkReads = %d, want 1 for two runs on one chunk", st.ChunkReads)
+	if got := s.stats.chunkReads.Load() - base; got != 1 {
+		t.Errorf("ChunkReads = %d, want 1 for two runs on one chunk", got)
 	}
 	f, err := bp.Fetch(chunks[0].id)
 	if err != nil {
@@ -532,12 +522,12 @@ func TestHugeBlobMultipleDirectoryPages(t *testing.T) {
 			t.Errorf("byte %d = %#x, want %#x", off, dst[0], data[off])
 		}
 	}
-	base := s.Stats()
+	base := s.stats.directoryReads.Load()
 	dst := make([]byte, 1)
 	if err := readAt(s, ref, dst, int64(n)-1); err != nil {
 		t.Fatal(err)
 	}
-	if got := statsSince(s, base).DirectoryReads; got != 2 {
+	if got := s.stats.directoryReads.Load() - base; got != 2 {
 		t.Errorf("DirectoryReads = %d, want 2 (chained directory)", got)
 	}
 }
@@ -562,11 +552,11 @@ func TestNumChunks(t *testing.T) {
 		}
 		// Incompressible bytes under either codec land on raw blocks.
 		for _, codec := range []Codec{{}, {Kind: CodecLZ, Width: 8}} {
-			before := s.Stats().ChunksWritten
+			before := s.stats.chunksWritten.Load()
 			if _, err := s.Write(randBytes(rng, int(c.n)), codec); err != nil {
 				t.Fatal(err)
 			}
-			if got := int(s.Stats().ChunksWritten - before); got != c.want {
+			if got := int(s.stats.chunksWritten.Load() - before); got != c.want {
 				t.Errorf("%+v: %d bytes written on %d chunk pages, want %d", codec, c.n, got, c.want)
 			}
 		}
@@ -581,17 +571,17 @@ func TestStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.ChunksWritten != 3 || st.BytesWritten != uint64(len(data)) {
-		t.Errorf("write stats = %+v", st)
+	c := s.stats
+	if n, b := c.chunksWritten.Load(), c.bytesWritten.Load(); n != 3 || b != uint64(len(data)) {
+		t.Errorf("write: %d chunks, %d bytes, want 3, %d", n, b, len(data))
 	}
-	base := s.Stats()
+	chunkReads, bytesRead, dirReads := c.chunkReads.Load(), c.bytesRead.Load(), c.directoryReads.Load()
 	if _, err := s.ReadAll(ref); err != nil {
 		t.Fatal(err)
 	}
-	st = statsSince(s, base)
-	if st.ChunkReads != 3 || st.BytesRead != uint64(len(data)) || st.DirectoryReads != 1 {
-		t.Errorf("read stats = %+v", st)
+	chunkReads, bytesRead, dirReads = c.chunkReads.Load()-chunkReads, c.bytesRead.Load()-bytesRead, c.directoryReads.Load()-dirReads
+	if chunkReads != 3 || bytesRead != uint64(len(data)) || dirReads != 1 {
+		t.Errorf("read: %d chunks, %d bytes, %d directory pages, want 3, %d, 1", chunkReads, bytesRead, dirReads, len(data))
 	}
 }
 
@@ -605,17 +595,17 @@ func TestStoredBytesCountEveryChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.StoredBytesWritten < st.BytesWritten {
+	stored, logical := s.stats.storedBytesWritten.Load(), s.stats.bytesWritten.Load()
+	if stored < logical {
 		t.Errorf("StoredBytesWritten = %d below the %d logical bytes of an incompressible blob",
-			st.StoredBytesWritten, st.BytesWritten)
+			stored, logical)
 	}
 	if _, err := s.ReadAll(ref); err != nil {
 		t.Fatal(err)
 	}
 	// A whole read fetches every chunk page once: exactly what was written.
-	if got := s.Stats().StoredBytesRead; got == 0 || got != st.StoredBytesWritten {
-		t.Errorf("StoredBytesRead = %d after a whole read, want %d", got, st.StoredBytesWritten)
+	if got := s.stats.storedBytesRead.Load(); got == 0 || got != stored {
+		t.Errorf("StoredBytesRead = %d after a whole read, want %d", got, stored)
 	}
 }
 

@@ -124,16 +124,15 @@ func TestCompressedUsesFewerPages(t *testing.T) {
 	if len(chunks) >= raw/4 {
 		t.Errorf("compressed blob uses %d chunk pages, raw would use %d — want < raw/4", len(chunks), raw)
 	}
-	st := s.Stats()
-	if st.StoredBytesWritten == 0 || st.StoredBytesWritten >= st.BytesWritten/4 {
-		t.Errorf("StoredBytesWritten = %d vs logical %d, want < 1/4", st.StoredBytesWritten, st.BytesWritten)
+	if stored, logical := s.stats.storedBytesWritten.Load(), s.stats.bytesWritten.Load(); stored == 0 || stored >= logical/4 {
+		t.Errorf("StoredBytesWritten = %d vs logical %d, want < 1/4", stored, logical)
 	}
 	got, err := s.ReadAll(ref)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("roundtrip after packed write failed: %v", err)
 	}
-	if rst := s.Stats(); rst.StoredBytesRead == 0 || rst.StoredBytesRead >= rst.BytesRead/4 {
-		t.Errorf("StoredBytesRead = %d vs logical %d, want < 1/4", rst.StoredBytesRead, rst.BytesRead)
+	if stored, logical := s.stats.storedBytesRead.Load(), s.stats.bytesRead.Load(); stored == 0 || stored >= logical/4 {
+		t.Errorf("StoredBytesRead = %d vs logical %d, want < 1/4", stored, logical)
 	}
 }
 

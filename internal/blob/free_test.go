@@ -53,9 +53,8 @@ func TestFreeReusesPages(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("payload mismatch after page recycling")
 	}
-	st := s.Stats()
-	if st.PagesFreed == 0 || st.PagesReused == 0 {
-		t.Fatalf("stats did not record reclamation: %+v", st)
+	if freed, reused := s.stats.pagesFreed.Load(), s.stats.pagesReused.Load(); freed == 0 || reused == 0 {
+		t.Fatalf("counters did not record reclamation: %d pages freed, %d reused", freed, reused)
 	}
 	if bp.PinnedFrames() != 0 {
 		t.Fatalf("%d frames left pinned", bp.PinnedFrames())
@@ -94,7 +93,7 @@ func TestWriteRunsTouchesOnlyAffectedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Stats().ChunksWritten
+	before := s.stats.chunksWritten.Load()
 
 	// Patch 100 bytes in chunk 3 and 100 straddling chunks 7/8.
 	patch := make([]byte, 200)
@@ -108,7 +107,7 @@ func TestWriteRunsTouchesOnlyAffectedChunks(t *testing.T) {
 	if err := s.WriteRuns(ref, patch, runs); err != nil {
 		t.Fatal(err)
 	}
-	touched := s.Stats().ChunksWritten - before
+	touched := s.stats.chunksWritten.Load() - before
 	if touched >= nChunks {
 		t.Fatalf("run write touched %d chunks, not fewer than the %d a full rewrite costs", touched, nChunks)
 	}

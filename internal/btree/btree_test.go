@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"sqlarray/internal/obs"
 	"sqlarray/internal/pages"
 )
 
@@ -302,6 +303,8 @@ func TestNegativeKeys(t *testing.T) {
 func TestScanSurvivesSmallBufferPool(t *testing.T) {
 	// Pool far smaller than the tree: the scan must not exhaust frames.
 	bp := pages.NewBufferPool(pages.NewMemDisk(), 8)
+	reg := obs.New()
+	bp.RegisterMetrics(reg)
 	tr, err := New(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +329,7 @@ func TestScanSurvivesSmallBufferPool(t *testing.T) {
 	if n != 5000 {
 		t.Errorf("scanned %d", n)
 	}
-	if bp.Stats().Evictions == 0 {
+	if reg.Snapshot().Get("pages.evictions") == 0 {
 		t.Error("expected evictions with an 8-frame pool")
 	}
 }

@@ -298,12 +298,12 @@ func TestArrayFunctionCrossesAsRef(t *testing.T) {
 	snap := db.Snapshot()
 	defer snap.Release()
 	var out Vector
-	before := r.Stats()
+	before := crossings(r)
 	err = r.CallBatch(snap, def, []*Vector{&refs}, 2, &out)
 	if err != nil || out.Value(0).I != 3 || out.Value(1).I != 2500 {
 		t.Fatalf("CallBatch = %v, %v, %v", out.Value(0), out.Value(1), err)
 	}
-	if got, want := r.Stats().BytesMarshaled-before.BytesMarshaled, uint64(2*(1+blob.RefSize+9)); got != want {
+	if got, want := crossings(r).bytes-before.bytes, uint64(2*(1+blob.RefSize+9)); got != want {
 		t.Errorf("%d bytes marshaled, want %d (two ref frames and two BIGINT results)", got, want)
 	}
 	if err := r.CallBatch(snap, def, []*Vector{&refs}, 3, &out); !errors.Is(err, ErrNullValue) {

@@ -53,7 +53,7 @@ func maxRef(t *testing.T, tbl *Table, key int64) []byte {
 func TestBlobHeaderReadsPrefixOnly(t *testing.T) {
 	db, tbl, cube, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
-	before := db.Blobs().Stats().ChunkReads
+	before := metric(t, db.Metrics(), "blob.chunk_reads")
 	h, hs, err := tbl.BlobHeader(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestBlobHeaderReadsPrefixOnly(t *testing.T) {
 	}
 	// The cube is 8000 floats = ~64 kB over 8 chunks; the header read
 	// must touch only the first chunk (twice: prefix, then full header).
-	if got := db.Blobs().Stats().ChunkReads - before; got > 2 {
+	if got := metric(t, db.Metrics(), "blob.chunk_reads") - before; got > 2 {
 		t.Errorf("BlobHeader touched %d chunks, want <= 2", got)
 	}
 }
@@ -109,16 +109,16 @@ func TestBlobSubarrayMatchesInMemory(t *testing.T) {
 func TestBlobSubarrayTouchesFewerChunksThanReadAll(t *testing.T) {
 	db, tbl, _, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
-	start := db.Blobs().Stats().ChunkReads
+	start := metric(t, db.Metrics(), "blob.chunk_reads")
 	if _, err := resolveMax(tbl, ref); err != nil {
 		t.Fatal(err)
 	}
-	whole := db.Blobs().Stats().ChunkReads - start
-	start = db.Blobs().Stats().ChunkReads
+	whole := metric(t, db.Metrics(), "blob.chunk_reads") - start
+	start = metric(t, db.Metrics(), "blob.chunk_reads")
 	if _, err := tbl.BlobSubarray(ref, []int{0, 0, 0}, []int{4, 4, 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	sliced := db.Blobs().Stats().ChunkReads - start
+	sliced := metric(t, db.Metrics(), "blob.chunk_reads") - start
 	if sliced >= whole {
 		t.Errorf("BlobSubarray touched %d chunks, ResolveMax touched %d — pushdown not effective",
 			sliced, whole)

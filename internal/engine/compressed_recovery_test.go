@@ -78,13 +78,13 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 			for i := int64(0); i < 6; i++ {
 				a := lay.array(t, elems, float64(i))
 				want[i] = append([]byte(nil), a.Bytes()...)
-				c0 := db.Blobs().Stats().ChunksWritten
+				c0 := metric(t, db.Metrics(), "blob.chunks_written")
 				if err := tbl.Insert([]Value{
 					IntValue(i), FloatValue(float64(i)), BinaryMaxValue(a.Bytes()),
 				}); err != nil {
 					t.Fatal(err)
 				}
-				chunks := int(db.Blobs().Stats().ChunksWritten - c0)
+				chunks := int(metric(t, db.Metrics(), "blob.chunks_written") - c0)
 				raw := blob.NumChunks(int64(len(a.Bytes())))
 				if lay.packed && chunks >= raw {
 					t.Fatalf("row %d: packed blob on %d chunk pages, raw needs %d", i, chunks, raw)
@@ -104,12 +104,12 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: Get(%d): %v", when, key, err)
 					}
-					c0 := db.Blobs().Stats().ChunkReads
+					c0 := metric(t, db.Metrics(), "blob.chunk_reads")
 					got, err := resolveMax(tbl, vals[mCol].B)
 					if err != nil {
 						t.Fatalf("%s: resolve(%d): %v", when, key, err)
 					}
-					chunks := int(db.Blobs().Stats().ChunkReads - c0)
+					chunks := int(metric(t, db.Metrics(), "blob.chunk_reads") - c0)
 					raw := blob.NumChunks(int64(len(payload)))
 					if lay.packed && chunks >= raw {
 						t.Errorf("%s: row %d on %d chunk pages, want fewer than %d", when, key, chunks, raw)
@@ -170,9 +170,10 @@ func TestRecoverBlobFormatFollowsPayload(t *testing.T) {
 			check(db2, tbl2, "after recovery")
 			// The recovered store read fewer stored than logical bytes
 			// exactly when the payload compresses.
-			if st := db2.Blobs().Stats(); (st.StoredBytesRead < st.BytesRead) != lay.packed {
+			stored, logical := metric(t, db2.Metrics(), "blob.stored_bytes_read"), metric(t, db2.Metrics(), "blob.bytes_read")
+			if (stored < logical) != lay.packed {
 				t.Errorf("recovered store read %d stored bytes for %d logical, want packed = %v",
-					st.StoredBytesRead, st.BytesRead, lay.packed)
+					stored, logical, lay.packed)
 			}
 			verifyInvariants(t, db2, "t")
 		})
@@ -191,14 +192,14 @@ func TestCompressedWALVolumeShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w0 := db.WAL().Stats().BytesLogged
+		w0 := metric(t, db.Metrics(), "wal.bytes_logged")
 		for i := int64(0); i < 4; i++ {
 			a := lay.array(t, 16000, float64(i))
 			if err := tbl.Insert([]Value{IntValue(i), FloatValue(0), BinaryMaxValue(a.Bytes())}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		logged[lay.packed] = db.WAL().Stats().BytesLogged - w0
+		logged[lay.packed] = metric(t, db.Metrics(), "wal.bytes_logged") - w0
 	}
 	comp, raw := logged[true], logged[false]
 	if comp >= raw {

@@ -126,7 +126,8 @@ func Open(opts Options) (*DB, error) {
 // registered here; obs.Handler serves it over HTTP.
 func (db *DB) Metrics() *obs.Registry { return db.reg }
 
-// Pool exposes the buffer pool (benchmarks read its I/O counters).
+// Pool exposes the buffer pool. Its I/O counters are read through
+// Metrics.
 func (db *DB) Pool() *pages.BufferPool { return db.bp }
 
 // Blobs exposes the blob store.

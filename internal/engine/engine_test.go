@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"sqlarray/internal/obs"
 )
 
 // memDB opens an in-memory database without a log.
@@ -15,6 +17,26 @@ func memDB(t testing.TB) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// metric reads one series of a metrics registry. A name the registry
+// does not hold fails the test, so a misspelt name cannot pass an == 0
+// check.
+func metric(t testing.TB, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot()[name]
+	if !ok {
+		t.Fatalf("metrics registry has no series %q", name)
+	}
+	return v
+}
+
+// crossing is a test's reading of a function registry's boundary
+// counters, udf.calls and udf.bytes_marshaled.
+type crossing struct{ calls, bytes uint64 }
+
+func crossings(r *FuncRegistry) crossing {
+	return crossing{r.calls.Load(), r.bytesMarshaled.Load()}
 }
 
 // resolveMax is ResolveMaxAt on a snapshot of the latest commit.
@@ -312,8 +334,8 @@ func TestUDFBoundary(t *testing.T) {
 	if _, err := r.Lookup("nope"); !errors.Is(err, ErrNoFunc) {
 		t.Errorf("missing func: %v", err)
 	}
-	st := r.Stats()
-	if st.Calls != 1 || st.BytesMarshaled == 0 {
+	st := crossings(r)
+	if st.calls != 1 || st.bytes == 0 {
 		t.Errorf("stats = %+v", st)
 	}
 	if len(r.Names()) != 1 {
@@ -336,8 +358,8 @@ func TestUDFBoundaryBinaryArgs(t *testing.T) {
 		t.Fatalf("call = %v, %v", out, err)
 	}
 	// Marshaling must have copied the payload across (arg + result).
-	if r.Stats().BytesMarshaled < 4096 {
-		t.Errorf("BytesMarshaled = %d", r.Stats().BytesMarshaled)
+	if crossings(r).bytes < 4096 {
+		t.Errorf("BytesMarshaled = %d", crossings(r).bytes)
 	}
 	// NULL argument passes through.
 	out, err = r.CallByName("dbo.len", []Value{Null})

@@ -82,12 +82,6 @@ type FuncDef struct {
 	ArrayFn ArrayFunc // an array function: see RegisterArray
 }
 
-// BoundaryStats counts traffic across the UDF boundary.
-type BoundaryStats struct {
-	Calls          uint64
-	BytesMarshaled uint64
-}
-
 // FuncRegistry resolves and invokes UDFs. Call and CallBatch may be
 // invoked from multiple goroutines concurrently (the parallel aggregate
 // scan does); the boundary counters are atomics for that reason, and
@@ -169,17 +163,6 @@ func (r *FuncRegistry) Names() []string {
 func (r *FuncRegistry) registerMetrics(reg *obs.Registry) {
 	reg.Attach("udf.calls", &r.calls)
 	reg.Attach("udf.bytes_marshaled", &r.bytesMarshaled)
-}
-
-// Stats returns a snapshot of the boundary counters. The two counters
-// are loaded independently, so a snapshot taken while calls are in
-// flight may be torn by one crossing (a call, or a batch of them);
-// quiesced reads are exact.
-func (r *FuncRegistry) Stats() BoundaryStats {
-	return BoundaryStats{
-		Calls:          r.calls.Load(),
-		BytesMarshaled: r.bytesMarshaled.Load(),
-	}
 }
 
 func checkArity(def *FuncDef, nargs int) error {

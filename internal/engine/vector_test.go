@@ -156,11 +156,11 @@ func TestCallBatchMatchesCall(t *testing.T) {
 				args[k].Set(i, x)
 			}
 		}
-		s0 := r.Stats()
+		s0 := crossings(r)
 		if err := r.CallBatch(nil, def, args, n, &out); err != nil {
 			t.Fatal(err)
 		}
-		s1 := r.Stats()
+		s1 := crossings(r)
 		for i := 0; i < n; i++ {
 			want, err := r.Call(def, []Value{cols[0][i], cols[1][i], cols[2][i]})
 			if err != nil {
@@ -170,13 +170,13 @@ func TestCallBatchMatchesCall(t *testing.T) {
 				t.Fatalf("round %d row %d: batch %v, call %v", round, i, got, want)
 			}
 		}
-		s2 := r.Stats()
-		if s1.Calls-s0.Calls != uint64(n) || s1.Calls-s0.Calls != s2.Calls-s1.Calls {
-			t.Fatalf("round %d: batch counted %d calls, row-wise %d", round, s1.Calls-s0.Calls, s2.Calls-s1.Calls)
+		s2 := crossings(r)
+		if s1.calls-s0.calls != uint64(n) || s1.calls-s0.calls != s2.calls-s1.calls {
+			t.Fatalf("round %d: batch counted %d calls, row-wise %d", round, s1.calls-s0.calls, s2.calls-s1.calls)
 		}
-		if s1.BytesMarshaled-s0.BytesMarshaled != s2.BytesMarshaled-s1.BytesMarshaled {
+		if s1.bytes-s0.bytes != s2.bytes-s1.bytes {
 			t.Fatalf("round %d: batch marshaled %d bytes, row-wise %d", round,
-				s1.BytesMarshaled-s0.BytesMarshaled, s2.BytesMarshaled-s1.BytesMarshaled)
+				s1.bytes-s0.bytes, s2.bytes-s1.bytes)
 		}
 	}
 }
@@ -196,7 +196,7 @@ func TestCallBatchErrorAtRowK(t *testing.T) {
 	if err == nil || err.Error() != "boom at 6" {
 		t.Fatalf("err = %v, want row 6's", err)
 	}
-	if got := r.Stats().Calls; got != 7 {
+	if got := crossings(r).calls; got != 7 {
 		t.Errorf("%d calls, want 7 (rows 0..6)", got)
 	}
 	// The counters cover the rows that crossed, as seven Calls would.
@@ -204,7 +204,7 @@ func TestCallBatchErrorAtRowK(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		rowwise.Call(def, []Value{ids.Value(i), vals.Value(i)})
 	}
-	if got, want := r.Stats(), rowwise.Stats(); got != want {
+	if got, want := crossings(r), crossings(rowwise); got != want {
 		t.Errorf("stats after the error = %+v, row-wise %+v", got, want)
 	}
 	if err := r.CallBatch(nil, def, []*Vector{&ids}, 10, &out); err == nil {
@@ -279,11 +279,11 @@ func TestCallBatchLargeRowsCrossInRuns(t *testing.T) {
 	}
 	// Only this test's boundary may come back out of the pool.
 	boundaryPool = sync.Pool{New: func() any { return new(boundary) }}
-	s0 := r.Stats()
+	s0 := crossings(r)
 	if err := r.CallBatch(nil, def, []*Vector{&blobs, &ids}, n, &out); err != nil {
 		t.Fatal(err)
 	}
-	s1 := r.Stats()
+	s1 := crossings(r)
 	b := boundaryPool.Get().(*boundary)
 	// Under -race sync.Pool drops a share of Puts on purpose and Get hands
 	// back a fresh boundary; cross again until the used one comes back.
@@ -297,7 +297,7 @@ func TestCallBatchLargeRowsCrossInRuns(t *testing.T) {
 	if got := cap(b.buf); got == 0 || got > 2*(maxRunBytes+rowBytes) {
 		t.Errorf("boundary buffer grew to %d bytes for %d-byte rows; a run is %d", got, rowBytes, maxRunBytes)
 	}
-	rowwise0 := r.Stats()
+	rowwise0 := crossings(r)
 	for i := 0; i < n; i++ {
 		want, err := r.Call(def, []Value{blobs.Value(i), ids.Value(i)})
 		if err != nil {
@@ -307,10 +307,10 @@ func TestCallBatchLargeRowsCrossInRuns(t *testing.T) {
 			t.Fatalf("row %d: batch %v, call %v", i, got, want)
 		}
 	}
-	s2 := r.Stats()
-	if s1.Calls-s0.Calls != n || s1.BytesMarshaled-s0.BytesMarshaled != s2.BytesMarshaled-rowwise0.BytesMarshaled {
-		t.Errorf("batch counted %d calls / %d bytes, row-wise %d / %d", s1.Calls-s0.Calls,
-			s1.BytesMarshaled-s0.BytesMarshaled, s2.Calls-rowwise0.Calls, s2.BytesMarshaled-rowwise0.BytesMarshaled)
+	s2 := crossings(r)
+	if s1.calls-s0.calls != n || s1.bytes-s0.bytes != s2.bytes-rowwise0.bytes {
+		t.Errorf("batch counted %d calls / %d bytes, row-wise %d / %d", s1.calls-s0.calls,
+			s1.bytes-s0.bytes, s2.calls-rowwise0.calls, s2.bytes-rowwise0.bytes)
 	}
 }
 

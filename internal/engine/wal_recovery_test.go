@@ -507,17 +507,16 @@ func TestSubarrayUpdateTouchesFewerChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b0 := db.Blobs().Stats()
-	w0 := db.WAL().Stats()
+	chunks := func() uint64 { return metric(t, db.Metrics(), "blob.chunks_written") }
+	records := func() uint64 { return metric(t, db.Metrics(), "wal.records") }
+	b0, w0 := chunks(), records()
 	if err := inTx(tbl.db, func(tx *Tx) error {
 		return tbl.UpdateBlobSubarrayTx(tx, 1, 2, []int{8000}, []int{4}, patch)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	b1 := db.Blobs().Stats()
-	w1 := db.WAL().Stats()
-	subChunks := b1.ChunksWritten - b0.ChunksWritten
-	subRecords := w1.Records - w0.Records
+	b1, w1 := chunks(), records()
+	subChunks, subRecords := b1-b0, w1-w0
 
 	// Whole-blob rewrite of the same column for comparison.
 	if err := inTx(tbl.db, func(tx *Tx) error {
@@ -525,10 +524,7 @@ func TestSubarrayUpdateTouchesFewerChunks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	b2 := db.Blobs().Stats()
-	w2 := db.WAL().Stats()
-	fullChunks := b2.ChunksWritten - b1.ChunksWritten
-	fullRecords := w2.Records - w1.Records
+	fullChunks, fullRecords := chunks()-b1, records()-w1
 
 	if subChunks == 0 || subChunks >= uint64(nChunks) {
 		t.Fatalf("subarray update wrote %d chunks; want 0 < n < %d", subChunks, nChunks)
@@ -617,7 +613,7 @@ func TestUpdateDeleteAccounting(t *testing.T) {
 	if st.BlobBytes != 0 {
 		t.Fatalf("blobBytes = %d after deleting the only blob row", st.BlobBytes)
 	}
-	if db.Blobs().Stats().PagesFreed == 0 {
+	if metric(t, db.Metrics(), "blob.pages_freed") == 0 {
 		t.Fatal("delete did not route through blob.Free")
 	}
 	verifyInvariants(t, db, "t")

@@ -96,12 +96,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNS.Add(uint64(d))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// SumNS returns the total of all observed durations in nanoseconds.
-func (h *Histogram) SumNS() uint64 { return h.sumNS.Load() }
-
 // histCounts is a point-in-time copy of one histogram.
 type histCounts struct {
 	Buckets [histBuckets]uint64 // per-bucket (non-cumulative) counts
@@ -213,19 +207,6 @@ func (r *Registry) get(name string, kind metricKind) *entry {
 	return e
 }
 
-// Counter returns the counter registered under name, creating it on
-// first use. Callers cache the handle; updates through it never touch
-// the registry again.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(name, kindCounter)
-	if len(e.counters) == 0 {
-		e.counters = append(e.counters, &Counter{})
-	}
-	return e.counters[0]
-}
-
 // Attach registers an externally owned counter under name. Several
 // counters may share a name — reads sum them — which is how partition
 // member databases fold their per-pool counters into one series.
@@ -239,18 +220,6 @@ func (r *Registry) Attach(name string, c *Counter) {
 		}
 	}
 	e.counters = append(e.counters, c)
-}
-
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.get(name, kindGauge)
-	if len(e.gauges) == 0 {
-		e.gauges = append(e.gauges, &Gauge{})
-	}
-	return e.gauges[0]
 }
 
 // AttachGauge registers an externally owned gauge under name; reads

@@ -9,22 +9,20 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	r := New()
-	c := r.Counter("x.count")
+	var c Counter
+	r.Attach("x.count", &c)
 	c.Inc()
 	c.Add(4)
 	if got := r.Snapshot().Get("x.count"); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("x.open")
+	var g Gauge
+	r.AttachGauge("x.open", &g)
 	g.Inc()
 	g.Inc()
 	g.Dec()
 	if got := r.Snapshot().Get("x.open"); got != 1 {
 		t.Errorf("gauge = %d, want 1", got)
-	}
-	// Same name returns the same handle.
-	if r.Counter("x.count") != c || r.Gauge("x.open") != g {
-		t.Error("create-or-get returned a new handle for an existing name")
 	}
 }
 
@@ -62,13 +60,13 @@ func TestMultiAttachSums(t *testing.T) {
 
 func TestKindConflictPanics(t *testing.T) {
 	r := New()
-	r.Counter("x")
+	r.Attach("x", &Counter{})
 	defer func() {
 		if recover() == nil {
 			t.Error("registering a gauge under a counter name did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.AttachGauge("x", &Gauge{})
 }
 
 func TestHistogram(t *testing.T) {
@@ -80,10 +78,10 @@ func TestHistogram(t *testing.T) {
 	h.Observe(time.Hour)              // +Inf overflow
 	h.Observe(-time.Second)           // clamped to 0, first bucket
 
-	if h.Count() != 5 {
-		t.Errorf("count = %d, want 5", h.Count())
-	}
 	s := h.snapshot()
+	if s.Count != 5 {
+		t.Errorf("count = %d, want 5", s.Count)
+	}
 	if s.Buckets[0] != 1 || s.Buckets[1] != 2 || s.Buckets[histBuckets-1] != 1 {
 		t.Errorf("bucket layout wrong: %v", s.Buckets)
 	}
@@ -107,7 +105,8 @@ func TestHistogram(t *testing.T) {
 
 func TestSnapshotDelta(t *testing.T) {
 	r := New()
-	c := r.Counter("n")
+	var c Counter
+	r.Attach("n", &c)
 	c.Add(10)
 	before := r.Snapshot()
 	c.Add(7)
@@ -140,8 +139,12 @@ func TestPromName(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := New()
-	r.Counter("pages.reads").Add(42)
-	r.Gauge("engine.open_snapshots").Add(3)
+	var c Counter
+	var g Gauge
+	r.Attach("pages.reads", &c)
+	r.AttachGauge("engine.open_snapshots", &g)
+	c.Add(42)
+	g.Add(3)
 	r.Histogram("wal.sync_latency").Observe(2 * time.Microsecond)
 
 	var b strings.Builder
@@ -169,7 +172,8 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestConcurrentHandleUpdates(t *testing.T) {
 	r := New()
-	c := r.Counter("hot")
+	var c Counter
+	r.Attach("hot", &c)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

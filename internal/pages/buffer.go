@@ -1,7 +1,6 @@
 package pages
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,71 +8,23 @@ import (
 	"sqlarray/internal/obs"
 )
 
-// Stats is a snapshot of the buffer-pool I/O counters. PhysicalReads
-// counts pages actually fetched from the disk manager; LogicalReads
-// counts every Fetch. The Table 1 harness derives its "I/O MB/s" column
-// from BytesRead.
-type Stats struct {
-	LogicalReads  uint64
-	PhysicalReads uint64
-	BytesRead     uint64
-	Writes        uint64
-	BytesWritten  uint64
-	Evictions     uint64
-	// Scan-resistance (SLRU) counters. Admissions counts first-touch
-	// pages entering the probationary segment; Promotions counts
-	// probationary pages re-referenced into the protected segment;
-	// ScanEvictions counts evictions taken from probation — one-touch
-	// pages (a scan's wake) leaving without ever displacing hot pages.
-	Admissions    uint64
-	Promotions    uint64
-	ScanEvictions uint64
-	// MVCC snapshot-read counters. CowCopies counts copy-on-write page
-	// duplications taken by write sessions (FetchForWrite); SnapshotReads
-	// counts snapshot fetches served from the version sidecar instead of
-	// the current page table; VersionsRetired counts sidecar entries
-	// garbage-collected once no live snapshot could still need them.
-	CowCopies       uint64
-	SnapshotReads   uint64
-	VersionsRetired uint64
-}
-
-// counters is the live, lock-free form of Stats. Every counter is an
-// obs handle (an atomic) so hot paths (Fetch on a cache hit in
-// particular) never serialize on a statistics lock, and Stats() needs
-// no lock at all. RegisterMetrics exposes the same handles through an
-// obs.Registry — the registry reads the live atomics, so registration
-// adds zero cost to the increment sites.
+// counters are the pool's I/O counters: obs handles (atomics), so a
+// hit never serializes on a statistics lock. RegisterMetrics attaches
+// them to the registry, the one place to read them; it reads the live
+// atomics, so the increment sites pay nothing for it.
 type counters struct {
-	logicalReads    obs.Counter
-	physicalReads   obs.Counter
+	logicalReads    obs.Counter // every fetch
+	physicalReads   obs.Counter // pages read from the disk manager
 	bytesRead       obs.Counter
 	writes          obs.Counter
 	bytesWritten    obs.Counter
 	evictions       obs.Counter
-	admissions      obs.Counter
-	promotions      obs.Counter
-	scanEvictions   obs.Counter
-	cowCopies       obs.Counter
-	snapshotReads   obs.Counter
-	versionsRetired obs.Counter
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		LogicalReads:    c.logicalReads.Load(),
-		PhysicalReads:   c.physicalReads.Load(),
-		BytesRead:       c.bytesRead.Load(),
-		Writes:          c.writes.Load(),
-		BytesWritten:    c.bytesWritten.Load(),
-		Evictions:       c.evictions.Load(),
-		Admissions:      c.admissions.Load(),
-		Promotions:      c.promotions.Load(),
-		ScanEvictions:   c.scanEvictions.Load(),
-		CowCopies:       c.cowCopies.Load(),
-		SnapshotReads:   c.snapshotReads.Load(),
-		VersionsRetired: c.versionsRetired.Load(),
-	}
+	admissions      obs.Counter // first-touch pages entering probation
+	promotions      obs.Counter // probationary pages re-referenced into protected
+	scanEvictions   obs.Counter // evictions from probation: a scan's one-touch wake
+	cowCopies       obs.Counter // copy-on-write duplications (FetchForWrite)
+	snapshotReads   obs.Counter // snapshot fetches served from the version sidecar
+	versionsRetired obs.Counter // sidecar entries no live snapshot can still need
 }
 
 // Frame is a pinned page in the buffer pool. Callers must Unpin every
@@ -85,10 +36,10 @@ func (c *counters) snapshot() Stats {
 type Frame struct {
 	Page  Page
 	pins  atomic.Int32
-	dirty bool          // guarded by shard.mu
-	lru   *list.Element // guarded by shard.mu; element of the tier's list
-	tier  int8          // SLRU segment (probation/protected); guarded by shard.mu
-	shard *shard        // owning shard; frames never migrate
+	dirty bool    // guarded by shard.mu
+	link  lruLink // place on its tier's segment, zero when on none; guarded by shard.mu
+	tier  int8    // SLRU segment (probation/protected); guarded by shard.mu
+	shard *shard  // owning shard; frames never migrate
 	// pageLSN is the WAL LSN of the record holding the frame's latest
 	// logged image. The flush gate compares it against the log's durable
 	// LSN: a dirty frame may only reach the database file once its log
@@ -132,7 +83,7 @@ type Frame struct {
 // the frame is unpinned and off the LRU lists.
 func (f *Frame) reset() {
 	f.dirty, f.unlogged, f.pending, f.versioned = false, false, false, false
-	f.lru = nil
+	f.link = lruLink{}
 	f.tier = tierProbation
 	f.supersededBy = 0
 	f.pageLSN.Store(0)
@@ -210,6 +161,36 @@ const (
 	tierProtected
 )
 
+// lruLink threads a frame onto an SLRU segment from inside the Frame,
+// so linking allocates nothing.
+type lruLink struct {
+	prev, next *lruLink
+	frame      *Frame // nil for a segment's sentinel
+}
+
+// segment is one SLRU segment: a circular list around a sentinel, whose
+// next is the most recently used frame and prev the least.
+type segment struct {
+	root lruLink
+	n    int
+}
+
+func (l *segment) init() { l.root.prev, l.root.next, l.n = &l.root, &l.root, 0 }
+
+func (l *segment) pushFront(f *Frame) {
+	e := &f.link
+	e.frame, e.prev, e.next = f, &l.root, l.root.next
+	e.next.prev, l.root.next = e, e
+	l.n++
+}
+
+func (l *segment) remove(f *Frame) {
+	e := &f.link
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	l.n--
+}
+
 // shard is one lock stripe of the pool: an independent page table,
 // segmented LRU (probationary + protected lists) and recycled-frame
 // free list guarded by a single mutex. Pages are assigned to shards by
@@ -221,8 +202,7 @@ type shard struct {
 	cap     int
 	protCap int // max unpinned frames the protected segment may hold
 	table   map[PageID]*Frame
-	prob    *list.List // probationary segment; front = most recently used
-	prot    *list.List // protected segment; front = most recently used
+	lru     [2]segment // indexed by tier: probation, protected
 	free    []*Frame   // recycled frames (DropCleanBuffers feeds this)
 	// vers is the page-version sidecar: superseded pre-image frames per
 	// page, oldest first (ascending verTag). Entries live outside the
@@ -231,22 +211,11 @@ type shard struct {
 	vers map[PageID][]*Frame
 }
 
-// listFor returns the LRU list a frame's tier assigns it to. Caller
-// holds s.mu. container/list requires Remove on the owning list, so
-// every unhook must go through this.
-func (s *shard) listFor(f *Frame) *list.List {
-	if f.tier == tierProtected {
-		return s.prot
-	}
-	return s.prob
-}
-
 // unlinkLocked takes a frame off its LRU list (no-op when it is on
 // none), so the victim scan cannot reach it. Caller holds s.mu.
 func (s *shard) unlinkLocked(f *Frame) {
-	if f.lru != nil {
-		s.listFor(f).Remove(f.lru)
-		f.lru = nil
+	if f.link.next != nil {
+		s.lru[f.tier].remove(f)
 	}
 }
 
@@ -258,16 +227,15 @@ func (s *shard) unlinkLocked(f *Frame) {
 // must never become an eviction victim (flushing its stale content
 // would clobber newer disk state). Caller holds s.mu.
 func (s *shard) relinkLocked(f *Frame) {
-	if f.pins.Load() != 0 || f.lru != nil || f.pending || f.versioned {
+	if f.pins.Load() != 0 || f.link.next != nil || f.pending || f.versioned {
 		return
 	}
-	f.lru = s.listFor(f).PushFront(f)
-	for s.prot.Len() > s.protCap {
-		el := s.prot.Back()
-		d := el.Value.(*Frame)
-		s.prot.Remove(el)
+	s.lru[f.tier].pushFront(f)
+	for prot := &s.lru[tierProtected]; prot.n > s.protCap; {
+		d := prot.root.prev.frame
+		prot.remove(d)
 		d.tier = tierProbation
-		d.lru = s.prob.PushFront(d)
+		s.lru[tierProbation].pushFront(d)
 	}
 }
 
@@ -364,14 +332,15 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 		if i < rem {
 			c++
 		}
-		bp.shards[i] = &shard{
+		s := &shard{
 			cap:     c,
 			protCap: c * 3 / 4,
 			table:   make(map[PageID]*Frame, c),
-			prob:    list.New(),
-			prot:    list.New(),
 			vers:    make(map[PageID][]*Frame),
 		}
+		s.lru[tierProbation].init()
+		s.lru[tierProtected].init()
+		bp.shards[i] = s
 	}
 	return bp
 }
@@ -458,9 +427,9 @@ func (bp *BufferPool) RegisterMetrics(reg *obs.Registry) {
 	reg.Func("pages.pinned_frames", func() uint64 { return uint64(bp.PinnedFrames()) })
 }
 
-// Stats returns a snapshot of the I/O counters. Lock-free: counters are
-// atomics, so concurrent scans never stall on a stats reader.
-func (bp *BufferPool) Stats() Stats { return bp.stats.snapshot() }
+// LogicalReads returns pages.logical_reads of this pool alone; a
+// registry sums every pool attached to it. EXPLAIN ANALYZE samples it.
+func (bp *BufferPool) LogicalReads() uint64 { return bp.stats.logicalReads.Load() }
 
 // viewCurrent is the visibility tag of current mode — the plain pool's
 // Fetch and the write session. No commit ever carries it, so it is the
@@ -597,9 +566,10 @@ func (s *shard) victimLocked(bp *BufferPool) (*Frame, error) {
 		}
 		return &Frame{shard: s}, nil
 	}
-	for _, l := range [2]*list.List{s.prob, s.prot} {
-		for el := l.Back(); el != nil; el = el.Prev() {
-			f := el.Value.(*Frame)
+	for tier := range s.lru {
+		l := &s.lru[tier]
+		for e := l.root.prev; e != &l.root; e = e.prev {
+			f := e.frame
 			// Pending and versioned frames never enter the LRU lists; the
 			// guard is defense in depth (evicting one would recycle a frame
 			// a capture or snapshot still points at).
@@ -618,10 +588,10 @@ func (s *shard) victimLocked(bp *BufferPool) (*Frame, error) {
 					return nil, err
 				}
 			}
-			l.Remove(el)
+			l.remove(f)
 			delete(s.table, f.Page.ID)
 			bp.stats.evictions.Add(1)
-			if l == s.prob {
+			if tier == int(tierProbation) {
 				bp.stats.scanEvictions.Add(1)
 			}
 			f.reset()
@@ -772,8 +742,8 @@ func (bp *BufferPool) DropCleanBuffers() error {
 			}
 		}
 		// Recycle the frames instead of abandoning 8 kB buffers to the GC.
-		s.prob.Init()
-		s.prot.Init()
+		s.lru[tierProbation].init()
+		s.lru[tierProtected].init()
 		for _, f := range s.table {
 			s.freeLocked(f)
 		}

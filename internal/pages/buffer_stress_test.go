@@ -77,9 +77,8 @@ func TestShardedPoolBasicContract(t *testing.T) {
 		}
 		bp.Unpin(f, false)
 	}
-	st := bp.Stats()
-	if st.Evictions == 0 || st.PhysicalReads == 0 {
-		t.Errorf("expected evictions and physical reads, got %+v", st)
+	if ev, pr := bp.stats.evictions.Load(), bp.stats.physicalReads.Load(); ev == 0 || pr == 0 {
+		t.Errorf("expected evictions and physical reads, got %d evictions, %d physical reads", ev, pr)
 	}
 	if got := bp.PinnedFrames(); got != 0 {
 		t.Errorf("PinnedFrames = %d", got)
@@ -222,7 +221,7 @@ func TestShardedPoolStatsLockFree(t *testing.T) {
 	}
 	id := f.Page.ID
 	bp.Unpin(f, false)
-	before := bp.Stats().LogicalReads
+	before := bp.stats.logicalReads.Load()
 
 	const workers = 8
 	const fetches = 1000
@@ -242,7 +241,7 @@ func TestShardedPoolStatsLockFree(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := bp.Stats().LogicalReads - before; got != workers*fetches {
+	if got := bp.stats.logicalReads.Load() - before; got != workers*fetches {
 		t.Errorf("LogicalReads = %d, want %d", got, workers*fetches)
 	}
 }

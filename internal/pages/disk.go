@@ -3,6 +3,7 @@ package pages
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -88,7 +89,8 @@ type FileDisk struct {
 }
 
 // OpenFileDisk opens (or creates) a database file. A new file gets its
-// reserved page 0 immediately.
+// reserved page 0 immediately, and its directory is fsynced so the new
+// entry survives a crash.
 func OpenFileDisk(path string) (*FileDisk, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -107,8 +109,25 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 			return nil, fmt.Errorf("pages: init %s: %w", path, err)
 		}
 		d.count = 1
+		// The file is new (or empty): make its directory entry durable,
+		// or a crash can lose the file with everything checkpointed to it.
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("pages: sync directory of %s: %w", path, err)
+		}
 	}
 	return d, nil
+}
+
+// syncDir fsyncs directory dir, making the entries created in it or
+// removed from it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err == nil {
+		err = f.Sync()
+		f.Close()
+	}
+	return err
 }
 
 // ReadPage implements DiskManager.

@@ -216,12 +216,12 @@ func TestFetchVisibility(t *testing.T) {
 				case "after":
 					fx, w = after, st.after
 				}
-				s0 := bp.Stats()
+				ctr := &bp.stats
+				l0, p0, r0, m0, a0 := ctr.logicalReads.Load(), ctr.physicalReads.Load(), ctr.snapshotReads.Load(), ctr.promotions.Load(), ctr.admissions.Load()
 				f, err = fx.Fetch(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s1 := bp.Stats()
 				if got := f.Page.Buf[at]; got != w.marker {
 					t.Errorf("read v%d, want v%d", got, w.marker)
 				}
@@ -235,14 +235,14 @@ func TestFetchVisibility(t *testing.T) {
 				if source != w.source {
 					t.Errorf("frame came from %s, want %s", source, w.source)
 				}
-				if got := s1.LogicalReads - s0.LogicalReads; got != 1 {
+				if got := ctr.logicalReads.Load() - l0; got != 1 {
 					t.Errorf("logical_reads moved by %d, want 1", got)
 				}
 				got := delta{
-					physical:   s1.PhysicalReads - s0.PhysicalReads,
-					snapshot:   s1.SnapshotReads - s0.SnapshotReads,
-					promotions: s1.Promotions - s0.Promotions,
-					admissions: s1.Admissions - s0.Admissions,
+					physical:   ctr.physicalReads.Load() - p0,
+					snapshot:   ctr.snapshotReads.Load() - r0,
+					promotions: ctr.promotions.Load() - m0,
+					admissions: ctr.admissions.Load() - a0,
 				}
 				if got != w.moved {
 					t.Errorf("counters moved %+v, want %+v", got, w.moved)

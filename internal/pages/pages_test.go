@@ -216,15 +216,29 @@ func TestBufferPoolFetchAndEvict(t *testing.T) {
 		}
 		bp.Unpin(f, false)
 	}
-	st := bp.Stats()
-	if st.Evictions == 0 {
+	if bp.stats.evictions.Load() == 0 {
 		t.Error("expected evictions with a small pool")
 	}
-	if st.PhysicalReads == 0 {
+	if bp.stats.physicalReads.Load() == 0 {
 		t.Error("expected physical reads after eviction")
 	}
-	if st.LogicalReads != 10 {
-		t.Errorf("LogicalReads = %d, want 10", st.LogicalReads)
+	if got := bp.stats.logicalReads.Load(); got != 10 {
+		t.Errorf("LogicalReads = %d, want 10", got)
+	}
+}
+
+// TestResidentFetchAllocatesNothing holds the hit path allocation-free:
+// a fetch of a cached page takes its frame off its SLRU segment and the
+// unpin links it back through the frame's own links.
+func TestResidentFetchAllocatesNothing(t *testing.T) {
+	bp := NewBufferPool(NewMemDisk(), 16)
+	ids := makePages(t, bp, 2)
+	allocs := testing.AllocsPerRun(100, func() {
+		fetchUnpin(t, bp, ids[0])
+		fetchUnpin(t, bp, ids[1])
+	})
+	if allocs != 0 {
+		t.Errorf("Fetch + Unpin of resident pages: %.1f allocations per run, want 0", allocs)
 	}
 }
 
@@ -267,7 +281,7 @@ func TestBufferPoolDropCleanBuffers(t *testing.T) {
 	if bp.CachedPages() != 0 {
 		t.Errorf("cache not empty: %d", bp.CachedPages())
 	}
-	before := bp.Stats().PhysicalReads
+	before := bp.stats.physicalReads.Load()
 	f, err = bp.Fetch(id)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +291,7 @@ func TestBufferPoolDropCleanBuffers(t *testing.T) {
 		t.Error("dirty page lost by DropCleanBuffers")
 	}
 	bp.Unpin(f, false)
-	if got := bp.Stats().PhysicalReads - before; got != 1 {
+	if got := bp.stats.physicalReads.Load() - before; got != 1 {
 		t.Errorf("PhysicalReads = %d, want 1 (cold fetch)", got)
 	}
 	// Pinned pages block the drop.

@@ -38,7 +38,8 @@ func TestScanResistantEviction(t *testing.T) {
 	if err := bp.DropCleanBuffers(); err != nil {
 		t.Fatal(err)
 	}
-	start := bp.Stats()
+	c := &bp.stats
+	promotions, scanEvictions, admissions := c.promotions.Load(), c.scanEvictions.Load(), c.admissions.Load()
 	// Touch the hot set twice: the second touch is the re-reference that
 	// promotes into the protected segment.
 	for i := 0; i < 2; i++ {
@@ -51,21 +52,20 @@ func TestScanResistantEviction(t *testing.T) {
 		fetchUnpin(t, bp, id)
 	}
 	// Re-fetch the hot set and count the misses it takes.
-	before := bp.Stats().PhysicalReads
+	before := c.physicalReads.Load()
 	for _, id := range hot {
 		fetchUnpin(t, bp, id)
 	}
-	st := bp.Stats()
-	if misses := st.PhysicalReads - before; misses != 0 {
+	if misses := c.physicalReads.Load() - before; misses != 0 {
 		t.Errorf("hot set took %d misses after scan, want 0", misses)
 	}
-	if got := st.Promotions - start.Promotions; got < uint64(len(hot)) {
+	if got := c.promotions.Load() - promotions; got < uint64(len(hot)) {
 		t.Errorf("Promotions = %d, want >= %d", got, len(hot))
 	}
-	if st.ScanEvictions == start.ScanEvictions {
+	if c.scanEvictions.Load() == scanEvictions {
 		t.Error("ScanEvictions did not move (scan should churn probation)")
 	}
-	if st.Admissions == start.Admissions {
+	if c.admissions.Load() == admissions {
 		t.Error("Admissions did not move")
 	}
 }
@@ -88,7 +88,7 @@ func TestProtectedSegmentCapDemotes(t *testing.T) {
 	}
 	s := bp.shards[0]
 	s.mu.Lock()
-	prob, prot := s.prob.Len(), s.prot.Len()
+	prob, prot := s.lru[tierProbation].n, s.lru[tierProtected].n
 	s.mu.Unlock()
 	if prot > s.protCap {
 		t.Errorf("protected segment holds %d frames, cap %d", prot, s.protCap)

@@ -61,7 +61,7 @@ func BenchmarkPartitionedScanSpeedup(b *testing.B) {
 		if _, err := tbl.BulkLoad(engine.NewValuesSource(rows), engine.BulkOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		r0 := db.Pool().Stats().LogicalReads
+		r0 := metric(b, db.Metrics(), "pages.logical_reads")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			snap := db.Snapshot()
@@ -83,7 +83,7 @@ func BenchmarkPartitionedScanSpeedup(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(db.Pool().Stats().LogicalReads-r0)/float64(b.N), "pages/op")
+		b.ReportMetric(float64(metric(b, db.Metrics(), "pages.logical_reads")-r0)/float64(b.N), "pages/op")
 	})
 
 	b.Run("box-partitioned", func(b *testing.B) {
@@ -108,7 +108,7 @@ func BenchmarkPartitionedScanSpeedup(b *testing.B) {
 		poolReads := func() uint64 {
 			var n uint64
 			for i := 0; i < spec.Parts(); i++ {
-				n += st.Member(i).Pool().Stats().LogicalReads
+				n += metric(b, st.Member(i).Metrics(), "pages.logical_reads")
 			}
 			return n
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sqlarray/internal/engine"
+	"sqlarray/internal/obs"
 	"sqlarray/internal/sfc"
 	"sqlarray/internal/sqlmini"
 )
@@ -19,6 +20,18 @@ func memDB(t testing.TB) *engine.DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// metric reads one series of a metrics registry. A name the registry
+// does not hold fails the test, so a misspelt name cannot pass an == 0
+// check.
+func metric(t testing.TB, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot()[name]
+	if !ok {
+		t.Fatalf("metrics registry has no series %q", name)
+	}
+	return v
 }
 
 const side = 16 // 16³ = 4096 grid points, one row per Morton code
@@ -314,7 +327,7 @@ func TestBoxPrunesPartitionsAndPages(t *testing.T) {
 	poolReads := func() uint64 {
 		var n uint64
 		for i := 0; i < st.spec.Parts(); i++ {
-			n += st.Member(i).Pool().Stats().LogicalReads
+			n += metric(t, st.Member(i).Metrics(), "pages.logical_reads")
 		}
 		return n
 	}
@@ -334,7 +347,7 @@ func TestBoxPrunesPartitionsAndPages(t *testing.T) {
 	}
 
 	// Full scan of the unpartitioned twin with the same decode filter.
-	m0 := mono.Pool().Stats().LogicalReads
+	m0 := metric(t, mono.Metrics(), "pages.logical_reads")
 	snap := mono.Snapshot()
 	cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
 	if err != nil {
@@ -352,7 +365,7 @@ func TestBoxPrunesPartitionsAndPages(t *testing.T) {
 	}
 	cur.Close()
 	snap.Release()
-	fullPages := mono.Pool().Stats().LogicalReads - m0
+	fullPages := metric(t, mono.Metrics(), "pages.logical_reads") - m0
 
 	if found != len(keys) {
 		t.Fatalf("full scan found %d, box found %d", found, len(keys))

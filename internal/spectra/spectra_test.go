@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sqlarray/internal/engine"
+	"sqlarray/internal/obs"
 )
 
 // memDB opens an in-memory database without a log.
@@ -17,6 +18,18 @@ func memDB(t testing.TB) *engine.DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// metric reads one series of a metrics registry. A name the registry
+// does not hold fails the test, so a misspelt name cannot pass an == 0
+// check.
+func metric(t testing.TB, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot()[name]
+	if !ok {
+		t.Fatalf("metrics registry has no series %q", name)
+	}
+	return v
 }
 
 func synth(t *testing.T, rng *rand.Rand, id int64, z, badFrac float64) *Spectrum {
@@ -507,22 +520,23 @@ func TestGetSliceMatchesGetAndReadsFewerChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	start := db.Blobs().Stats().ChunkReads
+	chunkReads := func() uint64 { return metric(t, db.Metrics(), "blob.chunk_reads") }
+	dirReads := func() uint64 { return metric(t, db.Metrics(), "blob.directory_reads") }
+	start := chunkReads()
 	full, err := st.Get(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullChunks := db.Blobs().Stats().ChunkReads - start
+	fullChunks := chunkReads() - start
 
 	const lo, hi = 1500, 1600
-	before := db.Blobs().Stats()
+	chunks0, dirs0 := chunkReads(), dirReads()
 	sl, err := st.GetSlice(7, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := db.Blobs().Stats()
-	sliceChunks := after.ChunkReads - before.ChunkReads
-	if dirs := after.DirectoryReads - before.DirectoryReads; dirs != 4 {
+	sliceChunks := chunkReads() - chunks0
+	if dirs := dirReads() - dirs0; dirs != 4 {
 		t.Errorf("GetSlice read %d directory pages, want 4 (one per column)", dirs)
 	}
 	if len(sl.Wave) != hi-lo {
@@ -539,13 +553,12 @@ func TestGetSliceMatchesGetAndReadsFewerChunks(t *testing.T) {
 			sliceChunks, fullChunks)
 	}
 	// Bins [100, 200) lie in every column's first 8064-byte block.
-	before = db.Blobs().Stats()
+	chunks0, dirs0 = chunkReads(), dirReads()
 	head, err := st.GetSlice(7, 100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after = db.Blobs().Stats()
-	if chunks, dirs := after.ChunkReads-before.ChunkReads, after.DirectoryReads-before.DirectoryReads; chunks != 4 || dirs != 4 {
+	if chunks, dirs := chunkReads()-chunks0, dirReads()-dirs0; chunks != 4 || dirs != 4 {
 		t.Errorf("GetSlice inside the first blocks read %d chunk and %d directory pages, want 4 and 4", chunks, dirs)
 	}
 	for i := range head.Flux {

@@ -139,7 +139,7 @@ func TestStoreReadsOneCommittedVersion(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if st := db.Blobs().Stats(); st.PagesReused == 0 {
+	if metric(t, db.Metrics(), "blob.pages_reused") == 0 {
 		t.Error("no blob page was ever reused: the test did not exercise the hazard")
 	}
 	if got := db.Pool().PinnedFrames(); got != 0 {

@@ -15,7 +15,7 @@ import (
 // runs the whole tree, UPDATE and DELETE drain its scan → filter prefix.
 //
 // Operators exchange a *rowBatch — a resizable column-major chunk of up
-// to ExecOptions.BatchSize rows, one typed engine.Vector per referenced
+// to ExecOptions.batchSize rows, one typed engine.Vector per referenced
 // column — through
 //
 //	nextBatch(b *rowBatch) (int, error)
@@ -35,7 +35,7 @@ import (
 // first leaf instead of overfetching a full batch.
 
 // defaultBatchSize is the row capacity of a pipeline batch when
-// ExecOptions.BatchSize is zero. ~1024 rows keeps a batch of a few
+// ExecOptions.batchSize is zero. ~1024 rows keeps a batch of a few
 // float columns well inside L2 while amortizing per-batch overheads.
 const defaultBatchSize = 1024
 

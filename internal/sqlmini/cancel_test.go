@@ -16,18 +16,18 @@ func TestCancelBeforeFirstRow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, batchSize := range []int{0, 3} {
-		rows, err := queryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx, BatchSize: batchSize})
+		rows, err := queryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx, batchSize: batchSize})
 		if err != nil {
-			t.Fatalf("BatchSize=%d: open: %v", batchSize, err)
+			t.Fatalf("batchSize=%d: open: %v", batchSize, err)
 		}
 		if rows.Next() {
-			t.Errorf("BatchSize=%d: Next yielded a row under a canceled ctx", batchSize)
+			t.Errorf("batchSize=%d: Next yielded a row under a canceled ctx", batchSize)
 		}
 		if !errors.Is(rows.Err(), context.Canceled) {
-			t.Errorf("BatchSize=%d: Err = %v, want context.Canceled", batchSize, rows.Err())
+			t.Errorf("batchSize=%d: Err = %v, want context.Canceled", batchSize, rows.Err())
 		}
 		if err := rows.Close(); err != nil {
-			t.Errorf("BatchSize=%d: Close: %v", batchSize, err)
+			t.Errorf("batchSize=%d: Close: %v", batchSize, err)
 		}
 	}
 	if got := db.Pool().PinnedFrames(); got != 0 {
@@ -41,7 +41,7 @@ func TestCancelMidStream(t *testing.T) {
 	defer cancel()
 	// A small batch keeps the drain's buffered tail short, so the cancel
 	// lands within a few rows instead of after a full 1024-row batch.
-	rows, err := queryWith(db, "SELECT id FROM Tscalar", ExecOptions{Ctx: ctx, BatchSize: 8})
+	rows, err := queryWith(db, "SELECT id FROM Tscalar", ExecOptions{Ctx: ctx, batchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,9 @@ func TestCancelAggregates(t *testing.T) {
 	cancel()
 	cases := []ExecOptions{
 		{Ctx: ctx},               // serial aggregate
-		{Ctx: ctx, BatchSize: 3}, // serial aggregate, many batches
-		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1},               // parallel fan-out
-		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1, BatchSize: 3}, // parallel fan-out, many batches
+		{Ctx: ctx, batchSize: 3}, // serial aggregate, many batches
+		{Ctx: ctx, Parallelism: 2, parallelThreshold: 1},               // parallel fan-out
+		{Ctx: ctx, Parallelism: 2, parallelThreshold: 1, batchSize: 3}, // parallel fan-out, many batches
 	}
 	for i, opts := range cases {
 		_, err := RunWith(db, "SELECT SUM(v1), COUNT(*) FROM Tscalar", opts)

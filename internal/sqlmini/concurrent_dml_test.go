@@ -60,7 +60,7 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 	}
 	hot := mkTable("hot", 2000) // DML target
 	mkTable("warm", 2000)       // read-only neighbour
-	opts := ExecOptions{Parallelism: 4, ParallelThreshold: 64}
+	opts := ExecOptions{Parallelism: 4, parallelThreshold: 64}
 
 	const iters = 60
 	var wg sync.WaitGroup

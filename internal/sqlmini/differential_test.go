@@ -591,7 +591,7 @@ func approxResultEq(a, b *Result) string {
 }
 
 // TestDifferentialSelect runs the generated queries of every seed
-// through BatchSize {1, 3, 1024} × Parallelism {1, 2} and requires the
+// through batchSize {1, 3, 1024} × Parallelism {1, 2} and requires the
 // reference's rows (or an error on both sides), the reference's UDF call
 // count, no pin left behind, and — on a serial plan — no more than the
 // scan's leaf pinned while t.Len runs over m. The array queries run the
@@ -614,7 +614,7 @@ func TestDifferentialSelect(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			modes = append(modes, mode{
 				fmt.Sprintf("batch%d/par%d", bs, par),
-				ExecOptions{BatchSize: bs, Parallelism: par, ParallelThreshold: 1},
+				ExecOptions{batchSize: bs, Parallelism: par, parallelThreshold: 1},
 			})
 		}
 	}
@@ -622,7 +622,7 @@ func TestDifferentialSelect(t *testing.T) {
 		db, w := diffDB(t, seed)
 		rng := rand.New(rand.NewSource(seed))
 		arng := rand.New(rand.NewSource(seed + 1<<32))
-		calls := func() uint64 { return db.Funcs().Stats().Calls }
+		calls := func() uint64 { return metric(t, db.Metrics(), "udf.calls") }
 		var errored, rows, arrayErrored, arrayRows int
 		var udfCalls uint64
 		kinds := map[string]bool{}
@@ -807,7 +807,7 @@ func (st diffDML) apply(before, probe *Result) ([][]engine.Value, error) {
 }
 
 // TestDifferentialDML runs a generated sequence of DELETEs and UPDATEs
-// per seed at BatchSize {1, 3, 1024}. Each statement is predicted from
+// per seed at batchSize {1, 3, 1024}. Each statement is predicted from
 // the reference executor — its probe SELECT over the pre-statement table —
 // and must affect exactly those rows, leave the table (keys, g, s) as
 // predicted, make the probe's UDF calls, fail exactly when the prediction
@@ -824,14 +824,14 @@ func TestDifferentialDML(t *testing.T) {
 		for _, bs := range []int{1, 3, 1024} {
 			db, w := diffDB(t, seed)
 			rng := rand.New(rand.NewSource(seed))
-			calls := func() uint64 { return db.Funcs().Stats().Calls }
+			calls := func() uint64 { return metric(t, db.Metrics(), "udf.calls") }
 			var errored, left int
 			var touched int64
 			for n := 0; n < statements; n++ {
 				st := genDiffDML(rng)
 				fail := func(format string, args ...any) {
 					t.Helper()
-					t.Fatalf("seed %d statement %d BatchSize %d: %s\n  %s", seed, n, bs, fmt.Sprintf(format, args...), st.sql)
+					t.Fatalf("seed %d statement %d batchSize %d: %s\n  %s", seed, n, bs, fmt.Sprintf(format, args...), st.sql)
 				}
 				before, err := referenceRun(db, table)
 				if err != nil {
@@ -850,7 +850,7 @@ func TestDifferentialDML(t *testing.T) {
 				}
 				c0 = calls()
 				w.take()
-				got, err := executeWith(db, st.sql, ExecOptions{BatchSize: bs})
+				got, err := executeWith(db, st.sql, ExecOptions{batchSize: bs})
 				gotCalls := calls() - c0
 				if pins := db.Pool().PinnedFrames(); pins != 0 {
 					fail("%d frames left pinned", pins)
@@ -880,7 +880,7 @@ func TestDifferentialDML(t *testing.T) {
 				}
 				touched += got.RowsAffected
 			}
-			t.Logf("seed %d BatchSize %d: %d statements (%d failing on both sides), %d rows affected, %d rows left",
+			t.Logf("seed %d batchSize %d: %d statements (%d failing on both sides), %d rows affected, %d rows left",
 				seed, bs, statements, errored, touched, left)
 		}
 	}

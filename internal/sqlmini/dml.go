@@ -43,7 +43,7 @@ func Execute(db *engine.DB, sql string) (*ExecResult, error) {
 }
 
 // executeWith is Execute with explicit execution options. The read phase
-// of UPDATE and DELETE honours ExecOptions.Ctx and BatchSize; the other
+// of UPDATE and DELETE honours ExecOptions.Ctx and batchSize; the other
 // fields apply to SELECT only.
 func executeWith(db *engine.DB, sql string, opts ExecOptions) (*ExecResult, error) {
 	stmt, err := ParseStatement(sql)

@@ -151,16 +151,16 @@ func TestUpdateKeyRangePushdown(t *testing.T) {
 	if err := db.DropCleanBuffers(); err != nil {
 		t.Fatal(err)
 	}
-	start := db.Pool().Stats().LogicalReads
+	start := metric(t, db.Metrics(), "pages.logical_reads")
 	mustExec(t, db, `UPDATE t SET x = 0 WHERE id = 17000`)
-	point := db.Pool().Stats().LogicalReads - start
+	point := metric(t, db.Metrics(), "pages.logical_reads") - start
 
 	if err := db.DropCleanBuffers(); err != nil {
 		t.Fatal(err)
 	}
-	start = db.Pool().Stats().LogicalReads
+	start = metric(t, db.Metrics(), "pages.logical_reads")
 	mustExec(t, db, `UPDATE t SET x = 0 WHERE x < -1`) // matches nothing, full scan
-	full := db.Pool().Stats().LogicalReads - start
+	full := metric(t, db.Metrics(), "pages.logical_reads") - start
 
 	if point*10 >= full {
 		t.Fatalf("point UPDATE read %d pages vs full-scan UPDATE %d — pushdown not working", point, full)
@@ -223,9 +223,9 @@ func TestUpdateSubarraySugar(t *testing.T) {
 	}
 
 	// Slice assignment on the MAX column writes only the touched chunks.
-	b0 := db.Blobs().Stats()
+	b0 := metric(t, db.Metrics(), "blob.chunks_written")
 	exec(`UPDATE t SET m[8000:8003] = FloatArray.Vector_3(-1, -2, -3) WHERE id = 2`)
-	touched := db.Blobs().Stats().ChunksWritten - b0.ChunksWritten
+	touched := metric(t, db.Metrics(), "blob.chunks_written") - b0
 	nChunks := 16 // 16000 float64s = 128000 bytes over 8096-byte chunks
 	if touched == 0 || touched >= uint64(nChunks) {
 		t.Fatalf("MAX slice assign wrote %d chunks, want a small fraction of %d", touched, nChunks)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +235,41 @@ func TestExplainAnalyzeScatter(t *testing.T) {
 	}
 	if strings.Count(out, "-> Partition") != 3 {
 		t.Errorf("want 3 partition subtrees:\n%s", out)
+	}
+}
+
+// TestExplainAnalyzeScatterSharedRegistry: members opened on one metrics
+// registry, as the bench and sqlsh's .shard open them, still charge each
+// partition's ANALYZE its own pages. The partitions run concurrently, so
+// a registry read would add the siblings' reads to each one.
+func TestExplainAnalyzeScatterSharedRegistry(t *testing.T) {
+	parts := scatterPartsOn(t, obs.New(), 20_000)
+	stmt := mustParse(t, "SELECT COUNT(*) FROM T WHERE x >= 0")
+	opts := ExecOptions{Parallelism: 4}
+	solo := make([]uint64, len(parts))
+	for i, p := range parts {
+		tr, err := explainAnalyze(p.DB, stmt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = tr.Plan.Pages
+	}
+	partPages := regexp.MustCompile(`-> Partition (\d+) [^\n]*\n[^\n]*\(actual rows=\d+ batches=\d+ time=\S+ pages=(\d+)`)
+	for run := 0; run < 10; run++ {
+		out, _, err := ScatterExplain(parts, &ExplainStmt{Analyze: true, Stmt: stmt}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := partPages.FindAllStringSubmatch(out, -1)
+		if len(m) != len(parts) {
+			t.Fatalf("found %d analyzed partitions, want %d:\n%s", len(m), len(parts), out)
+		}
+		for _, g := range m {
+			i, _ := strconv.Atoi(g[1])
+			if pages, _ := strconv.ParseUint(g[2], 10, 64); pages != solo[i] {
+				t.Errorf("run %d: partition %d charged %d pages, %d alone", run, i, pages, solo[i])
+			}
+		}
 	}
 }
 

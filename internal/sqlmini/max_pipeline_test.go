@@ -156,8 +156,8 @@ func TestMaxColumnGoldenEquivalence(t *testing.T) {
 		opts ExecOptions
 	}{
 		{"batch", ExecOptions{}},
-		{"batch3", ExecOptions{BatchSize: 3}},
-		{"parallel", ExecOptions{Parallelism: 4, ParallelThreshold: 1}},
+		{"batch3", ExecOptions{batchSize: 3}},
+		{"parallel", ExecOptions{Parallelism: 4, parallelThreshold: 1}},
 	}
 	for _, q := range maxGoldenQueries {
 		want, err := referenceRun(db, q)
@@ -190,7 +190,7 @@ func TestMaxColumnGoldenEquivalence(t *testing.T) {
 // paths leak no pins.
 func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
 	compDB := maxDBWith(t, memDB(t), seq)
-	if st := compDB.Blobs().Stats(); st.StoredBytesWritten >= st.BytesWritten {
+	if metric(t, compDB.Metrics(), "blob.stored_bytes_written") >= metric(t, compDB.Metrics(), "blob.bytes_written") {
 		t.Fatal("store wrote no compressed chunks; suite would compare nothing")
 	}
 	for i := int64(0); i < 40; i += 5 {
@@ -210,8 +210,8 @@ func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
 		opts ExecOptions
 	}{
 		{"batch", ExecOptions{}},
-		{"batch3", ExecOptions{BatchSize: 3}},
-		{"parallel", ExecOptions{Parallelism: 4, ParallelThreshold: 1}},
+		{"batch3", ExecOptions{batchSize: 3}},
+		{"parallel", ExecOptions{Parallelism: 4, parallelThreshold: 1}},
 	}
 	for _, q := range maxGoldenQueries {
 		want, err := referenceRun(compDB, q)
@@ -274,7 +274,7 @@ func TestMaxColumnEarlyCloseReleasesPins(t *testing.T) {
 // pass over a chunk from a first).
 func TestMaxColumnReadsEachChunkOnce(t *testing.T) {
 	db := maxDB(t)
-	before := db.Blobs().Stats().ChunkReads
+	before := metric(t, db.Metrics(), "blob.chunk_reads")
 	res, err := Run(db, "SELECT COUNT(*) FROM cubes WHERE arr.Len(a) > 0")
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestMaxColumnReadsEachChunkOnce(t *testing.T) {
 	if err != nil || v.I == 0 {
 		t.Fatalf("scalar = %v, %v", v, err)
 	}
-	chunkReads := db.Blobs().Stats().ChunkReads - before
+	chunkReads := metric(t, db.Metrics(), "blob.chunk_reads") - before
 	if chunkReads == 0 {
 		t.Fatal("expected chunk reads")
 	}
@@ -358,8 +358,8 @@ func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
 		probes.Add(1)
 		return engine.IntValue(w.observe()), nil
 	})
-	serial, batch3 := ExecOptions{}, ExecOptions{BatchSize: 3}
-	parallel := ExecOptions{Parallelism: 2, ParallelThreshold: 1}
+	serial, batch3 := ExecOptions{}, ExecOptions{batchSize: 3}
+	parallel := ExecOptions{Parallelism: 2, parallelThreshold: 1}
 	for _, c := range []struct {
 		sql   string
 		opts  ExecOptions
@@ -394,8 +394,8 @@ func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
 			t.Fatalf("%s: the probe never ran", c.sql)
 		}
 		if peak := w.take(); peak > c.bound {
-			t.Errorf("%s (BatchSize %d, Parallelism %d): %d frames pinned while the probe ran, want <= %d",
-				c.sql, c.opts.BatchSize, c.opts.Parallelism, peak, c.bound)
+			t.Errorf("%s (batchSize %d, Parallelism %d): %d frames pinned while the probe ran, want <= %d",
+				c.sql, c.opts.batchSize, c.opts.Parallelism, peak, c.bound)
 		}
 		if got := db.Pool().PinnedFrames(); got != 0 {
 			t.Fatalf("%s: PinnedFrames after Run = %d, want 0", c.sql, got)
@@ -436,13 +436,20 @@ func TestMaxRefItemReadsHeaderAndElementChunks(t *testing.T) {
 			{"SELECT FloatArrayMax.Length(a) FROM cubes WHERE id = 5", 1, refFrame + 9},
 			{"SELECT FloatArrayMax.Subarray(a, IntArray.Vector_1(2100), IntArray.Vector_1(50), 0) FROM cubes WHERE id = 5", 2, 0},
 		} {
-			before, calls := db.Blobs().Stats(), db.Funcs().Stats()
+			names := []string{"blob.directory_reads", "blob.chunk_reads", "udf.calls", "udf.bytes_marshaled"}
+			var before [4]uint64
+			for i, n := range names {
+				before[i] = metric(t, db.Metrics(), n)
+			}
 			res, err := Run(db, q.sql)
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.name, q.sql, err)
 			}
-			after, callsAfter := db.Blobs().Stats(), db.Funcs().Stats()
-			dirs, chunks := after.DirectoryReads-before.DirectoryReads, after.ChunkReads-before.ChunkReads
+			var moved [4]uint64
+			for i, n := range names {
+				moved[i] = metric(t, db.Metrics(), n) - before[i]
+			}
+			dirs, chunks, calls, marshaled := moved[0], moved[1], moved[2], moved[3]
 			if dirs != 1 {
 				t.Errorf("%s %s: %d directory reads, want 1", c.name, q.sql, dirs)
 			}
@@ -459,10 +466,9 @@ func TestMaxRefItemReadsHeaderAndElementChunks(t *testing.T) {
 			if q.frame == 0 {
 				wantCalls = 3
 			}
-			if calls := callsAfter.Calls - calls.Calls; calls != wantCalls {
+			if calls != wantCalls {
 				t.Errorf("%s %s: %d UDF calls, want %d", c.name, q.sql, calls, wantCalls)
 			}
-			marshaled := callsAfter.BytesMarshaled - calls.BytesMarshaled
 			if q.frame != 0 && marshaled != q.frame || marshaled > 1024 {
 				t.Errorf("%s %s: %d bytes marshaled, want the ref frame (%d)", c.name, q.sql, marshaled, q.frame)
 			}

@@ -16,7 +16,7 @@ func BenchmarkScanVsRangeScan(b *testing.B) {
 	run := func(b *testing.B, q string) {
 		b.Helper()
 		b.ReportAllocs()
-		before := db.Pool().Stats().LogicalReads
+		before := metric(b, db.Metrics(), "pages.logical_reads")
 		for i := 0; i < b.N; i++ {
 			res, err := Run(db, q)
 			if err != nil {
@@ -26,7 +26,7 @@ func BenchmarkScanVsRangeScan(b *testing.B) {
 				b.Fatalf("count = %v", v)
 			}
 		}
-		b.ReportMetric(float64(db.Pool().Stats().LogicalReads-before)/float64(b.N), "pages/op")
+		b.ReportMetric(float64(metric(b, db.Metrics(), "pages.logical_reads")-before)/float64(b.N), "pages/op")
 	}
 	b.Run("FullScanFilter", func(b *testing.B) {
 		// v1 mirrors id, so this is the same predicate — minus pushdown.
@@ -87,7 +87,7 @@ func BenchmarkParallelAggregate(b *testing.B) {
 	b.Run("Serial", bench(ExecOptions{Parallelism: 1}))
 	workers := runtime.GOMAXPROCS(0)
 	b.Run(fmt.Sprintf("Parallel-%d", workers),
-		bench(ExecOptions{Parallelism: workers, ParallelThreshold: 1}))
+		bench(ExecOptions{Parallelism: workers, parallelThreshold: 1}))
 }
 
 // BenchmarkMixedScanDML measures reader throughput with zero and one

@@ -356,7 +356,7 @@ func TestGoldenEquivalence(t *testing.T) {
 		opts ExecOptions
 	}{
 		{"batch", ExecOptions{}},
-		{"batch3", ExecOptions{BatchSize: 3}},
+		{"batch3", ExecOptions{batchSize: 3}},
 	}
 	for _, q := range goldenQueries {
 		want, err := referenceRun(db, q)
@@ -407,7 +407,7 @@ func TestRowsCloseSemantics(t *testing.T) {
 		opts ExecOptions
 	}{
 		{"batch", ExecOptions{}},
-		{"batch3", ExecOptions{BatchSize: 3}},
+		{"batch3", ExecOptions{batchSize: 3}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			rows, err := queryWith(db, "SELECT id, v1 FROM T", m.opts)
@@ -494,7 +494,7 @@ func wideDB(t testing.TB, n int64) *engine.DB {
 
 // TestKeyPushdownTouchesFewPages is the acceptance check: point lookups,
 // key ranges and TOP n must not read the whole clustered index. Pages
-// touched are counted through the buffer pool's LogicalReads.
+// touched are counted by the registry's pages.logical_reads.
 func TestKeyPushdownTouchesFewPages(t *testing.T) {
 	const rows = 5000
 	db := wideDB(t, rows)
@@ -513,7 +513,7 @@ func TestKeyPushdownTouchesFewPages(t *testing.T) {
 
 	measure := func(q string, wantRows int) uint64 {
 		t.Helper()
-		before := pool.Stats().LogicalReads
+		before := metric(t, db.Metrics(), "pages.logical_reads")
 		res, err := Run(db, q)
 		if err != nil {
 			t.Fatalf("Run(%q): %v", q, err)
@@ -521,7 +521,7 @@ func TestKeyPushdownTouchesFewPages(t *testing.T) {
 		if len(res.Rows) != wantRows {
 			t.Fatalf("Run(%q) = %d rows, want %d", q, len(res.Rows), wantRows)
 		}
-		return pool.Stats().LogicalReads - before
+		return metric(t, db.Metrics(), "pages.logical_reads") - before
 	}
 
 	full := measure("SELECT COUNT(*) FROM T", 1)
@@ -617,7 +617,7 @@ func TestTopOverResidualFilterProjectsOnlyReturnedRows(t *testing.T) {
 		return engine.FloatValue(f), nil
 	})
 	for _, batchSize := range []int{0, 3} {
-		opts := ExecOptions{BatchSize: batchSize}
+		opts := ExecOptions{batchSize: batchSize}
 		for _, q := range []string{
 			"SELECT TOP 3 dbo.Twice(v1) FROM Tscalar WHERE v2 >= 0",
 			"SELECT TOP 3 dbo.FailFrom50(v1) FROM Tscalar WHERE v2 >= 0",
@@ -626,16 +626,16 @@ func TestTopOverResidualFilterProjectsOnlyReturnedRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference(%q): %v", q, err)
 			}
-			before := db.Funcs().Stats().Calls
+			before := metric(t, db.Metrics(), "udf.calls")
 			got, err := RunWith(db, q, opts)
 			if err != nil {
-				t.Fatalf("BatchSize=%d Run(%q): %v", batchSize, q, err)
+				t.Fatalf("batchSize=%d Run(%q): %v", batchSize, q, err)
 			}
 			if diff := resultEq(want, got); diff != "" {
-				t.Errorf("BatchSize=%d Run(%q): %s", batchSize, q, diff)
+				t.Errorf("batchSize=%d Run(%q): %s", batchSize, q, diff)
 			}
-			if calls := db.Funcs().Stats().Calls - before; calls != 3 {
-				t.Errorf("BatchSize=%d Run(%q): %d UDF calls, want 3", batchSize, q, calls)
+			if calls := metric(t, db.Metrics(), "udf.calls") - before; calls != 3 {
+				t.Errorf("batchSize=%d Run(%q): %d UDF calls, want 3", batchSize, q, calls)
 			}
 		}
 	}
@@ -670,8 +670,8 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		"SELECT SUM(v1) FROM T WHERE id = 5 AND id = 7", // empty range
 	}
 	serial := ExecOptions{Parallelism: 1}
-	parallel := ExecOptions{Parallelism: 4, ParallelThreshold: 1}
-	parallel3 := ExecOptions{Parallelism: 4, ParallelThreshold: 1, BatchSize: 3}
+	parallel := ExecOptions{Parallelism: 4, parallelThreshold: 1}
+	parallel3 := ExecOptions{Parallelism: 4, parallelThreshold: 1, batchSize: 3}
 	for _, q := range queries {
 		want, err := RunWith(db, q, serial)
 		if err != nil {
@@ -716,7 +716,7 @@ func TestParallelAggregateWorkerErrorPropagates(t *testing.T) {
 		}
 		return engine.FloatValue(float64(i)), nil
 	})
-	opts := ExecOptions{Parallelism: 4, ParallelThreshold: 1}
+	opts := ExecOptions{Parallelism: 4, parallelThreshold: 1}
 	_, err := RunWith(db, "SELECT SUM(dbo.FailAt(id)) FROM T", opts)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("worker error = %v, want boom", err)
@@ -735,7 +735,7 @@ func TestParallelDecisionRespectsThreshold(t *testing.T) {
 	// UDF calls happen exactly once per row — worker compile would be
 	// fine too, but the plan must not misbehave either way).
 	db := testDB(t)
-	before := db.Funcs().Stats().Calls
+	before := metric(t, db.Metrics(), "udf.calls")
 	res, err := RunWith(db, "SELECT SUM(dbo.Twice(v1)) FROM Tscalar",
 		ExecOptions{Parallelism: 8})
 	if err != nil {
@@ -748,7 +748,7 @@ func TestParallelDecisionRespectsThreshold(t *testing.T) {
 	if v.F != 9900 {
 		t.Errorf("SUM(Twice(v1)) = %v", v)
 	}
-	if calls := db.Funcs().Stats().Calls - before; calls != 100 {
+	if calls := metric(t, db.Metrics(), "udf.calls") - before; calls != 100 {
 		t.Errorf("UDF calls = %d, want one per row", calls)
 	}
 }
@@ -828,7 +828,7 @@ func TestExtractKeyBounds(t *testing.T) {
 
 // TestPointQuerySizesBatchFromKeyRange: the batch of a pushed-down key
 // range holds as many rows as the range has keys, so a one-row query
-// does not allocate (and zero) BatchSize-row vectors — it used to cost
+// does not allocate (and zero) batchSize-row vectors — it used to cost
 // 8 kB of keys plus 48 kB per referenced column.
 func TestPointQuerySizesBatchFromKeyRange(t *testing.T) {
 	for _, c := range []struct {
@@ -879,7 +879,7 @@ func TestPointQuerySizesBatchFromKeyRange(t *testing.T) {
 
 // TestUDFOverLargeMaxRowsStreams: a UDF over a column of multi-chunk
 // VARBINARY(MAX) arrays keeps about one batch budget of them live, not
-// one BatchSize of them: the scan ends a batch at 1 MiB of referenced
+// one batchSize of them: the scan ends a batch at 1 MiB of referenced
 // blob bytes and CallBatch marshals a bounded run of frames at a time.
 // The probe UDF collects garbage and samples the live heap on every
 // call, so the measure is what the query holds, not what the collector
@@ -992,7 +992,7 @@ func TestShortCircuitEvaluatesOnlyUndecidedRows(t *testing.T) {
 			"SELECT id FROM t WHERE " + c.expr,
 		} {
 			called = nil
-			res, err := RunWith(db, q, ExecOptions{BatchSize: 3})
+			res, err := RunWith(db, q, ExecOptions{batchSize: 3})
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}

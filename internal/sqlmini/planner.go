@@ -26,8 +26,8 @@ import (
 // point and range queries descend the B+tree instead of scanning it.
 
 // ExecOptions carries a query's execution context (cancellation, read
-// snapshot, tracing) and the executor's tuning values. The zero value
-// picks defaults.
+// snapshot, tracing) and its worker count. The zero value picks
+// defaults.
 type ExecOptions struct {
 	// Ctx, when non-nil, makes the query cancelable: every operator
 	// scan/drain loop polls it, so canceling the context aborts a
@@ -38,13 +38,6 @@ type ExecOptions struct {
 	// Parallelism caps the worker goroutines of a parallel aggregate
 	// scan. 0 means runtime.GOMAXPROCS(0); 1 disables parallelism.
 	Parallelism int
-	// ParallelThreshold is the minimum table row count before an
-	// aggregate scan goes parallel. 0 means the default (8192). Small
-	// scans are not worth the goroutine and partition setup.
-	ParallelThreshold int64
-	// BatchSize is the row capacity of the chunks the executor moves
-	// between operators. 0 means the default (1024).
-	BatchSize int
 	// Snapshot, when non-nil, runs the query against this caller-owned
 	// read view instead of one acquired at open — several queries can
 	// share one consistent view of the database. The caller keeps
@@ -64,6 +57,16 @@ type ExecOptions struct {
 	// line if the query's wall time reached the log's threshold
 	// (obs.NewSlowLog).
 	SlowLog *obs.SlowLog
+	// Tuning fixed at its defaults outside this package; its tests set it
+	// to force batch boundaries and parallel plans on small tables.
+
+	// parallelThreshold is the minimum table row count before an
+	// aggregate scan goes parallel. 0 means the default (8192). Small
+	// scans are not worth the goroutine and partition setup.
+	parallelThreshold int64
+	// batchSize is the row capacity of the chunks the executor moves
+	// between operators. 0 means the default (1024).
+	batchSize int
 }
 
 // instrumented reports whether the pipeline should carry per-operator
@@ -82,15 +85,15 @@ func (o ExecOptions) workers() int {
 }
 
 func (o ExecOptions) threshold() int64 {
-	if o.ParallelThreshold > 0 {
-		return o.ParallelThreshold
+	if o.parallelThreshold > 0 {
+		return o.parallelThreshold
 	}
 	return defaultParallelThreshold
 }
 
-func (o ExecOptions) batchSize() int {
-	if o.BatchSize > 0 {
-		return o.BatchSize
+func (o ExecOptions) rowsPerBatch() int {
+	if o.batchSize > 0 {
+		return o.batchSize
 	}
 	return defaultBatchSize
 }
@@ -320,8 +323,9 @@ type pipeline struct {
 // instrumentation through pipeline assembly. When instrumenting, every
 // operator is wrapped in an analyze shim that counts rows/batches,
 // accumulates wall time, and attributes buffer-pool and blob-chunk
-// reads to its subtree by sampling the database's live counters around
-// each child call (see explain.go).
+// reads to its subtree by sampling the statement's own database's pool
+// and blob-store counters around each child call (see explain.go), not
+// the registry, which scatter members may share.
 type planState struct {
 	instrument bool
 	sample     func() (pagesRead, chunkReads uint64)
@@ -331,7 +335,7 @@ func newPlanState(db *engine.DB, opts ExecOptions) *planState {
 	ps := &planState{instrument: opts.instrumented()}
 	if ps.instrument {
 		ps.sample = func() (uint64, uint64) {
-			return db.Pool().Stats().LogicalReads, db.Blobs().Stats().ChunkReads
+			return db.Pool().LogicalReads(), db.Blobs().ChunkReads()
 		}
 	}
 	return ps
@@ -483,7 +487,7 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 		Children: []*obs.PlanNode{plan},
 	}
 	root = ps.wrap(&batchProjectOp{child: root, items: cs.items}, plan)
-	return &pipeline{root: root, columns: cs.columns, plan: plan, batchRows: bounds.batchRows(opts.batchSize())}, nil
+	return &pipeline{root: root, columns: cs.columns, plan: plan, batchRows: bounds.batchRows(opts.rowsPerBatch())}, nil
 }
 
 // scanFilterAgg assembles the scan → [filter] → [aggregate] stack over the
@@ -524,7 +528,7 @@ func drainStack(tbl *engine.Table, snap *engine.Snapshot, bounds keyBounds, resi
 		return err
 	}
 	b := newBatch(len(tbl.Schema().Columns))
-	rows := bounds.batchRows(opts.batchSize())
+	rows := bounds.batchRows(opts.rowsPerBatch())
 	for {
 		if err := pollCancel(opts.Ctx); err != nil {
 			return err

@@ -6,15 +6,26 @@ import (
 	"testing"
 
 	"sqlarray/internal/engine"
+	"sqlarray/internal/obs"
 )
 
 // scatterParts builds a 4-way range-partitioned table "T"(id, x): keys
 // 0..99 in member 0, 100..199 in member 1, and so on, x = id/2.
 func scatterParts(t *testing.T) []Partition {
 	t.Helper()
+	return scatterPartsOn(t, nil, 100)
+}
+
+// scatterPartsOn is scatterParts with n rows per member, the members
+// opened on reg (each on a registry of its own when reg is nil).
+func scatterPartsOn(t *testing.T, reg *obs.Registry, n int64) []Partition {
+	t.Helper()
 	parts := make([]Partition, 4)
-	for p := 0; p < 4; p++ {
-		db := memDB(t)
+	for p := int64(0); p < 4; p++ {
+		db, err := engine.Open(engine.Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
 		s, err := engine.NewSchema(
 			engine.Column{Name: "id", Type: engine.ColInt64},
 			engine.Column{Name: "x", Type: engine.ColFloat64},
@@ -27,8 +38,8 @@ func scatterParts(t *testing.T) []Partition {
 			t.Fatal(err)
 		}
 		var rows [][]engine.Value
-		for i := int64(0); i < 100; i++ {
-			id := int64(p)*100 + i
+		for i := int64(0); i < n; i++ {
+			id := p*n + i
 			rows = append(rows, []engine.Value{
 				engine.IntValue(id), engine.FloatValue(float64(id) / 2),
 			})
@@ -36,7 +47,7 @@ func scatterParts(t *testing.T) []Partition {
 		if _, err := tbl.BulkLoad(engine.NewValuesSource(rows), engine.BulkOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := int64(p)*100, int64(p)*100+99
+		lo, hi := p*n, p*n+n-1
 		if p == 0 {
 			lo = math.MinInt64
 		}

@@ -94,7 +94,7 @@ func TestSnapshotIsolationGolden(t *testing.T) {
 		opts ExecOptions
 	}{
 		{"batch", ExecOptions{}},
-		{"batch3", ExecOptions{BatchSize: 3}},
+		{"batch3", ExecOptions{batchSize: 3}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			const rows = 300
@@ -224,7 +224,7 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	db, _ := openTestDB(t, 200, 1.0)
 	// Small batches so the projection has resolved MAX blobs before we
 	// abandon the stream.
-	rows, err := queryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 32})
+	rows, err := queryWith(db, `SELECT id, m FROM t`, ExecOptions{batchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	assertDrained(t, db)
 
 	// Same with the stream abandoned several batches in.
-	rows, err = queryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 3})
+	rows, err = queryWith(db, `SELECT id, m FROM t`, ExecOptions{batchSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 func TestSnapshotStressMixedScanDML(t *testing.T) {
 	const rows = 400
 	db, _ := openTestDB(t, rows, 0)
-	opts := ExecOptions{Parallelism: 4, ParallelThreshold: 64, BatchSize: 64}
+	opts := ExecOptions{Parallelism: 4, parallelThreshold: 64, batchSize: 64}
 
 	iters := 40
 	if testing.Short() {
@@ -478,7 +478,7 @@ func TestMaxRefReadsUnderConcurrentUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := db.Blobs().Stats(); st.StoredBytesWritten >= st.BytesWritten {
+	if metric(t, db.Metrics(), "blob.stored_bytes_written") >= metric(t, db.Metrics(), "blob.bytes_written") {
 		t.Fatal("no array was packed; the compressed read path goes untested")
 	}
 	inBand := func(id int64, x float64) bool {
@@ -545,7 +545,7 @@ func TestMaxRefReadsUnderConcurrentUpdate(t *testing.T) {
 				size := 1 + rng.Intn(300)
 				q := fmt.Sprintf("SELECT id, FloatArrayMax.Item_1(a, %d), FloatArrayMax.Subarray(a, IntArray.Vector_1(%d), IntArray.Vector_1(%d), 0), FloatArrayMax.Length(a) FROM vol",
 					k, off, size)
-				opts := ExecOptions{BatchSize: []int{1, 3, 0}[rng.Intn(3)]}
+				opts := ExecOptions{batchSize: []int{1, 3, 0}[rng.Intn(3)]}
 				if i%2 == 0 {
 					// Query-owned snapshot: each row must be its own.
 					res, err := RunWith(db, q, opts)

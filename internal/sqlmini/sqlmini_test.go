@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sqlarray/internal/engine"
+	"sqlarray/internal/obs"
 )
 
 // memDB opens an in-memory database without a log.
@@ -17,6 +18,18 @@ func memDB(t testing.TB) *engine.DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// metric reads one series of a metrics registry. A name the registry
+// does not hold fails the test, so a misspelt name cannot pass an == 0
+// check.
+func metric(t testing.TB, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot()[name]
+	if !ok {
+		t.Fatalf("metrics registry has no series %q", name)
+	}
+	return v
 }
 
 // testDB builds a small Tscalar-style table plus UDFs.
@@ -193,9 +206,8 @@ func TestUDFInQuery(t *testing.T) {
 	if got := scalarFloat(t, db, "SELECT SUM(dbo.EmptyFunction(b, 0)) FROM Tscalar WITH (NOLOCK)"); got != 0 {
 		t.Errorf("empty UDF sum = %g", got)
 	}
-	st := db.Funcs().Stats()
-	if st.Calls != 100 {
-		t.Errorf("UDF calls = %d, want one per row", st.Calls)
+	if calls := metric(t, db.Metrics(), "udf.calls"); calls != 100 {
+		t.Errorf("UDF calls = %d, want one per row", calls)
 	}
 	if got := scalarFloat(t, db, "SELECT SUM(dbo.Twice(v1)) FROM Tscalar"); got != 9900 {
 		t.Errorf("twice sum = %g", got)
@@ -411,7 +423,7 @@ func TestMinMaxOverNaN(t *testing.T) {
 		}
 		for _, par := range []int{1, 2} {
 			res, err := RunWith(db, "SELECT MIN(x), MAX(x), MIN(x + 1), COUNT(x) FROM t",
-				ExecOptions{Parallelism: par, ParallelThreshold: 1, BatchSize: 2})
+				ExecOptions{Parallelism: par, parallelThreshold: 1, batchSize: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

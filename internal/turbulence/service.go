@@ -286,24 +286,5 @@ func (s *Store) readStencil(b *batch, key int64) error {
 // No float64 may straddle a segment boundary (see readStencil).
 const _ = uint(-(blob.BlockSize % 8))
 
-// ServiceStats reports the I/O the service generated, for the blob-size
-// trade-off experiment (E10).
-type ServiceStats struct {
-	PhysicalReads uint64
-	BytesRead     uint64
-	ChunkReads    uint64
-}
-
-// Stats snapshots I/O counters from the underlying pools.
-func (s *Store) Stats() ServiceStats {
-	ps := s.db.Pool().Stats()
-	bs := s.db.Blobs().Stats()
-	return ServiceStats{
-		PhysicalReads: ps.PhysicalReads,
-		BytesRead:     ps.BytesRead,
-		ChunkReads:    bs.ChunkReads,
-	}
-}
-
 // DropCache clears the buffer pool, forcing cold reads.
 func (s *Store) DropCache() error { return s.db.DropCleanBuffers() }

@@ -12,6 +12,7 @@ import (
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
 	"sqlarray/internal/interp"
+	"sqlarray/internal/obs"
 )
 
 // memDB opens an in-memory database without a log.
@@ -22,6 +23,18 @@ func memDB(t testing.TB) *engine.DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// metric reads one series of a metrics registry. A name the registry
+// does not hold fails the test, so a misspelt name cannot pass an == 0
+// check.
+func metric(t testing.TB, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot()[name]
+	if !ok {
+		t.Fatalf("metrics registry has no series %q", name)
+	}
+	return v
 }
 
 func genField(t *testing.T, n int) *Field {
@@ -202,13 +215,13 @@ func TestVelocityBatchRejectsBadInput(t *testing.T) {
 			{"unknown scheme", [3]float64{1.5, 2.5, 3.5}, interp.Scheme(42)},
 		} {
 			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
-				before := s.db.Pool().Stats().LogicalReads
+				before := metric(t, s.db.Metrics(), "pages.logical_reads")
 				pts := [][3]float64{{1.3, 2.7, 3.1}, tc.p}
 				out, err := s.VelocityBatch(0, pts, tc.scheme, mode)
 				if err == nil {
 					t.Fatalf("VelocityBatch = %v, nil error; want an error", out)
 				}
-				if got := s.db.Pool().Stats().LogicalReads - before; got != 0 {
+				if got := metric(t, s.db.Metrics(), "pages.logical_reads") - before; got != 0 {
 					t.Errorf("rejected batch read %d pages first: %v", got, err)
 				}
 			})
@@ -241,45 +254,32 @@ func TestPartialReadMatchesWholeBlob(t *testing.T) {
 	}
 }
 
-// statsSince returns the I/O the service generated since base was taken.
-func statsSince(s *Store, base ServiceStats) ServiceStats {
-	st := s.Stats()
-	st.PhysicalReads -= base.PhysicalReads
-	st.BytesRead -= base.BytesRead
-	st.ChunkReads -= base.ChunkReads
-	return st
-}
-
 func TestPartialReadTouchesLessData(t *testing.T) {
 	// §2.1's point: an 8³ stencil should not pull a whole block.
 	s, _ := newStore(t, 32, 16, 4)
 	pts := [][3]float64{{5.5, 5.5, 5.5}}
+	reg := s.db.Metrics()
+	cold := func(mode FetchMode) (bytesRead, physicalReads uint64) {
+		t.Helper()
+		if err := s.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		b0, p0 := metric(t, reg, "pages.bytes_read"), metric(t, reg, "pages.physical_reads")
+		if _, err := s.VelocityBatch(0, pts, interp.Lag8, mode); err != nil {
+			t.Fatal(err)
+		}
+		return metric(t, reg, "pages.bytes_read") - b0, metric(t, reg, "pages.physical_reads") - p0
+	}
+	wholeBytes, wholeReads := cold(WholeBlob)
+	partBytes, partReads := cold(PartialRead)
 
-	if err := s.DropCache(); err != nil {
-		t.Fatal(err)
-	}
-	base := s.Stats()
-	if _, err := s.VelocityBatch(0, pts, interp.Lag8, WholeBlob); err != nil {
-		t.Fatal(err)
-	}
-	whole := statsSince(s, base)
-
-	if err := s.DropCache(); err != nil {
-		t.Fatal(err)
-	}
-	base = s.Stats()
-	if _, err := s.VelocityBatch(0, pts, interp.Lag8, PartialRead); err != nil {
-		t.Fatal(err)
-	}
-	part := statsSince(s, base)
-
-	if part.BytesRead >= whole.BytesRead {
-		t.Errorf("partial read %d bytes >= whole read %d bytes", part.BytesRead, whole.BytesRead)
+	if partBytes >= wholeBytes {
+		t.Errorf("partial read %d bytes >= whole read %d bytes", partBytes, wholeBytes)
 	}
 	// The partial path issues more logical chunk touches (one per run)
 	// but they hit cached pages; the physical page traffic must drop.
-	if part.PhysicalReads >= whole.PhysicalReads {
-		t.Errorf("partial physical reads %d >= whole %d", part.PhysicalReads, whole.PhysicalReads)
+	if partReads >= wholeReads {
+		t.Errorf("partial physical reads %d >= whole %d", partReads, wholeReads)
 	}
 }
 
@@ -345,15 +345,15 @@ func TestBatchCachesBlocks(t *testing.T) {
 	if err := s.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	base := s.Stats()
+	base := metric(t, s.db.Metrics(), "pages.physical_reads")
 	if _, err := s.VelocityBatch(0, pts, interp.Lag4, WholeBlob); err != nil {
 		t.Fatal(err)
 	}
-	st := statsSince(s, base)
+	physicalReads := metric(t, s.db.Metrics(), "pages.physical_reads") - base
 	blockPages := uint64(s.BlockBytes()/8096 + 2)
-	if st.PhysicalReads > 4*blockPages {
+	if physicalReads > 4*blockPages {
 		t.Errorf("batch read %d pages; caching broken (block is ~%d pages)",
-			st.PhysicalReads, blockPages)
+			physicalReads, blockPages)
 	}
 }
 
@@ -486,11 +486,11 @@ func TestStencilChunkReads(t *testing.T) {
 		{interp.Lag4, 3.8},
 		{interp.Lag8, 9.7},
 	} {
-		base := s.Stats()
+		base := metric(t, s.db.Metrics(), "blob.chunk_reads")
 		if _, err := s.VelocityBatch(0, pts, tc.scheme, PartialRead); err != nil {
 			t.Fatal(err)
 		}
-		mean := float64(statsSince(s, base).ChunkReads) / float64(len(pts))
+		mean := float64(metric(t, s.db.Metrics(), "blob.chunk_reads")-base) / float64(len(pts))
 		t.Logf("%v: %.2f chunk reads per stencil", tc.scheme, mean)
 		if mean > tc.bound {
 			t.Errorf("%v: %.2f chunk reads per stencil, want <= %.1f", tc.scheme, mean, tc.bound)
@@ -508,11 +508,11 @@ func TestWholeBlobReadsVelocityOnly(t *testing.T) {
 	pts := [][3]float64{{1.3, 2.7, 3.1}, {5, 5, 5}, {17.2, 3, 4}, {-3, 2.5, 2}, {20, 20, 20}}
 	const k = 3
 	for _, scheme := range []interp.Scheme{interp.Nearest, interp.Lag8} {
-		before := s.db.Blobs().Stats().BytesRead
+		before := metric(t, s.db.Metrics(), "blob.bytes_read")
 		if _, err := s.VelocityBatch(0, pts, scheme, WholeBlob); err != nil {
 			t.Fatal(err)
 		}
-		got := s.db.Blobs().Stats().BytesRead - before
+		got := metric(t, s.db.Metrics(), "blob.bytes_read") - before
 		if want := uint64(k * s.BlockBytes()); got != want {
 			t.Errorf("%v: whole-blob batch read %d blob bytes, want %d (%d cubes x %d)",
 				scheme, got, want, k, s.BlockBytes())

@@ -49,15 +49,31 @@ type Segment interface {
 // ---- file-backed storage ------------------------------------------------
 
 // DirStorage stores segments as files named wal-%08d.seg in one
-// directory.
-type DirStorage struct{ dir string }
+// directory. Creating or removing a segment fsyncs the directory before
+// it returns: a segment's fsynced records are durable only once its
+// directory entry is.
+type DirStorage struct {
+	dir     string
+	syncDir func(dir string) error // fsyncs the directory; tests replace it
+}
 
 // NewDirStorage creates (if necessary) and opens a log directory.
 func NewDirStorage(dir string) (*DirStorage, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	return &DirStorage{dir: dir}, nil
+	return &DirStorage{dir: dir, syncDir: syncDir}, nil
+}
+
+// syncDir fsyncs directory dir, making the entries created in it or
+// removed from it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err == nil {
+		err = f.Sync()
+		f.Close()
+	}
+	return err
 }
 
 func (d *DirStorage) segPath(seq uint32) string {
@@ -101,12 +117,22 @@ func (d *DirStorage) Create(seq uint32) (Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment %d: %w", seq, err)
 	}
+	if err := d.syncDir(d.dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: create segment %d: sync %s: %w", seq, d.dir, err)
+	}
 	return &fileSegment{f: f}, nil
 }
 
 // Remove implements Storage.
 func (d *DirStorage) Remove(seq uint32) error {
-	return os.Remove(d.segPath(seq))
+	if err := os.Remove(d.segPath(seq)); err != nil {
+		return err
+	}
+	if err := d.syncDir(d.dir); err != nil {
+		return fmt.Errorf("wal: remove segment %d: sync %s: %w", seq, d.dir, err)
+	}
+	return nil
 }
 
 type fileSegment struct{ f *os.File }

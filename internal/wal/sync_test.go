@@ -188,11 +188,10 @@ func TestConcurrentAppendSyncRollStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	s := l.Stats()
-	if s.Records != workers*perWorker {
-		t.Fatalf("Records = %d, want %d", s.Records, workers*perWorker)
+	if got := l.records.Load(); got != workers*perWorker {
+		t.Fatalf("Records = %d, want %d", got, workers*perWorker)
 	}
-	if s.SegmentRolls == 0 {
+	if l.segmentRolls.Load() == 0 {
 		t.Fatal("no segment rolled; the stress never exercised a roll")
 	}
 	if err := l.Close(); err != nil {
@@ -205,5 +204,102 @@ func TestConcurrentAppendSyncRollStress(t *testing.T) {
 	defer func() { _ = l2.Close() }()
 	if types, _, _ := collect(t, l2); len(types) != workers*perWorker {
 		t.Fatalf("reopen replays %d records, want %d", len(types), workers*perWorker)
+	}
+}
+
+// dirStorage opens a DirStorage over a fresh directory whose directory
+// fsyncs go through hook instead of the filesystem.
+func dirStorage(t *testing.T, hook func(dir string) error) *DirStorage {
+	t.Helper()
+	st, err := NewDirStorage(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.syncDir = hook
+	return st
+}
+
+// appendUntilRoll appends 100-byte records until the log rolls to a new
+// segment, returning the error of the append that rolled.
+func appendUntilRoll(t *testing.T, l *Log) error {
+	t.Helper()
+	rolls := l.segmentRolls.Load()
+	for i := 0; i < 100; i++ {
+		if _, err := l.Append(RecCommit, make([]byte, 100)); err != nil {
+			return err
+		}
+		if l.segmentRolls.Load() != rolls {
+			return nil
+		}
+	}
+	t.Fatal("no segment rolled")
+	return nil
+}
+
+// TestSegmentCreateAndRemoveSyncTheDirectory: a new segment's directory
+// entry is durable before the log writes into it, and a pruned one's
+// removal before the checkpoint returns — one directory fsync for a
+// roll, and one for a checkpoint that prunes one segment.
+func TestSegmentCreateAndRemoveSyncTheDirectory(t *testing.T) {
+	syncs := 0
+	st := dirStorage(t, func(dir string) error {
+		syncs++
+		return syncDir(dir)
+	})
+	l, err := Open(st, Options{SegmentSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	if syncs != 1 {
+		t.Fatalf("opening an empty log synced the directory %d times, want 1 (segment 0)", syncs)
+	}
+	syncs = 0
+	if err := appendUntilRoll(t, l); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 1 {
+		t.Errorf("a roll synced the directory %d times, want 1", syncs)
+	}
+	syncs = 0
+	if _, err := l.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	if l.Segments() != 1 {
+		t.Fatalf("checkpoint left %d segments, want 1", l.Segments())
+	}
+	if syncs != 1 {
+		t.Errorf("a checkpoint pruning one segment synced the directory %d times, want 1", syncs)
+	}
+}
+
+// TestFailedDirectorySyncFailsTheRoll: a segment whose directory entry
+// may not be durable must not take records, so a failed directory fsync
+// fails the roll, and the log then refuses appends as after a failed
+// segment fsync.
+func TestFailedDirectorySyncFailsTheRoll(t *testing.T) {
+	fail := false
+	st := dirStorage(t, func(dir string) error {
+		if fail {
+			return errInjectedSync
+		}
+		return syncDir(dir)
+	})
+	l, err := Open(st, Options{SegmentSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail = true
+	if err := appendUntilRoll(t, l); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("roll with a failing directory sync = %v, want the injected failure", err)
+	}
+	if _, err := l.Append(RecCommit, []byte("more")); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("Append after a failed roll = %v, want the stored failure", err)
+	}
+	if err := l.Sync(); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("Sync after a failed roll = %v, want the stored failure", err)
+	}
+	if err := l.Close(); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("Close after a failed roll = %v, want the stored failure", err)
 	}
 }

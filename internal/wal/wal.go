@@ -82,8 +82,9 @@ var (
 	errTooLarge = errors.New("wal: record too large")
 )
 
-// Stats is a snapshot of the log's I/O counters, surfaced by sqlsh's
-// .stats and the WAL benchmarks.
+// Stats is a snapshot of the log's I/O counters. It is the last typed
+// snapshot: the benchmark still reads it, every other reader uses the
+// registry's wal.* series.
 type Stats struct {
 	Records      uint64 // records appended
 	BytesLogged  uint64 // framed bytes appended (buffered or written)

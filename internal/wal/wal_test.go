@@ -50,9 +50,8 @@ func TestAppendSyncDurable(t *testing.T) {
 	if got, want := LSN(l.DurableLSN()), l2+FrameSize(3); got != want {
 		t.Fatalf("durable LSN = %d, want %d", got, want)
 	}
-	st2 := l.Stats()
-	if st2.Records != 2 || st2.Syncs != 1 {
-		t.Fatalf("stats = %+v", st2)
+	if records, syncs := l.records.Load(), l.syncs.Load(); records != 2 || syncs != 1 {
+		t.Fatalf("%d records, %d syncs, want 2, 1", records, syncs)
 	}
 }
 

@@ -63,6 +63,14 @@ names=(
 	'parseWorker'
 	'CSVOptions'
 	'DefaultSlowLog'
+	# One way to read a counter: the metrics registry. No typed snapshot
+	# copies a component's counters into a second field list.
+	'BoundaryStats'
+	'ServiceStats'
+	'BufferPool) Stats('
+	'counters) snapshot('
+	# Intrusive SLRU lists: linking a frame allocates nothing.
+	'container/list'
 )
 src=()
 while IFS= read -r f; do

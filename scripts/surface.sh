@@ -48,8 +48,10 @@ echo "exported names no other package names: $({
 		}
 		print n + 0
 	}')"
-fields() { # fields FILE TYPE: number of fields of struct TYPE
-	awk -v t="type $2 struct {" '$0 == t { b = 1; next } b && /^}/ { exit } b && /^\t[A-Za-z_]/ { n++ } END { print n + 0 }' "$1"
+fields() { # fields FILE TYPE: exported fields of struct TYPE (+ unexported ones)
+	awk -v t="type $2 struct {" '$0 == t { b = 1; next } b && /^}/ { exit }
+		b && /^\t[A-Z]/ { n++ } b && /^\t[a-z_]/ { u++ }
+		END { printf "%d%s\n", n, u ? " (+" u " unexported)" : "" }' "$1"
 }
 echo "engine.Options fields: $(fields internal/engine/db.go Options)"
 echo "sqlmini.ExecOptions fields: $(fields internal/sqlmini/planner.go ExecOptions)"

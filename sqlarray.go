@@ -22,9 +22,8 @@
 //     the scan as key ranges, TOP n / LIMIT n clips the scan's batch
 //     budget so it stops after n rows, and large aggregate scans
 //     partition the key space across goroutines. Query materializes
-//     results; QueryRows streams them; ExecOptions sets batch size and
-//     parallelism, and carries cancellation, a shared snapshot and
-//     tracing;
+//     results; QueryRows streams them; ExecOptions sets the worker
+//     count, and carries cancellation, a shared snapshot and tracing;
 //   - the T-SQL function surface (FloatArray.Item_1,
 //     FloatArrayMax.Subarray, IntArray.Vector_2, ...);
 //   - math substrates standing in for LAPACK and FFTW, plus the three
@@ -126,11 +125,10 @@ type Result = sqlmini.Result
 // Rows is a streaming query result cursor; see QueryRows.
 type Rows = sqlmini.Rows
 
-// ExecOptions is a query's execution context and tuning: a cancellation
-// context, a caller-owned read snapshot to run against, per-operator
-// tracing and the slow-query log, the executor's batch size, and the
-// worker count and row threshold of parallel aggregate scans. The zero
-// value picks defaults.
+// ExecOptions is a query's execution context: a cancellation context, a
+// caller-owned read snapshot to run against, per-operator tracing and
+// the slow-query log, and the worker count of parallel aggregate scans.
+// The zero value picks defaults.
 type ExecOptions = sqlmini.ExecOptions
 
 // Database is a sqlarray engine instance with the full T-SQL function

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"sqlarray/internal/obs"
 )
 
 // memDatabase opens an in-memory database without a log.
@@ -14,6 +16,39 @@ func memDatabase(t testing.TB) *Database {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// metric reads one series of a metrics registry. A name the registry
+// does not hold fails the test, so a misspelt name cannot pass an == 0
+// check.
+func metric(t testing.TB, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot()[name]
+	if !ok {
+		t.Fatalf("metrics registry has no series %q", name)
+	}
+	return v
+}
+
+// TestMetricsCarryEveryCounter: the registry is the one place to read
+// the buffer pool's, the blob store's and the UDF boundary's counters,
+// so a fresh database's registry holds every one of them.
+func TestMetricsCarryEveryCounter(t *testing.T) {
+	snap := memDatabase(t).Metrics().Snapshot()
+	for _, name := range []string{
+		"pages.logical_reads", "pages.physical_reads", "pages.bytes_read",
+		"pages.writes", "pages.bytes_written", "pages.evictions",
+		"pages.admissions", "pages.promotions", "pages.scan_evictions",
+		"pages.cow_copies", "pages.snapshot_reads", "pages.versions_retired",
+		"blob.directory_reads", "blob.chunk_reads", "blob.bytes_read",
+		"blob.chunks_written", "blob.bytes_written", "blob.pages_freed",
+		"blob.pages_reused", "blob.stored_bytes_written", "blob.stored_bytes_read",
+		"udf.calls", "udf.bytes_marshaled",
+	} {
+		if _, ok := snap[name]; !ok {
+			t.Errorf("registry has no series %q", name)
+		}
+	}
 }
 
 func TestFacadeArrayConstruction(t *testing.T) {
@@ -81,14 +116,14 @@ func TestTable1Queries(t *testing.T) {
 		if err := db.DropCleanBuffers(); err != nil {
 			t.Fatal(err)
 		}
-		c0, b0 := db.Funcs().Stats().Calls, db.Pool().Stats().BytesRead
+		c0, b0 := metric(t, db.Metrics(), "udf.calls"), metric(t, db.Metrics(), "pages.bytes_read")
 		v, err := db.QueryScalarFloat(sql)
 		if err != nil {
 			t.Fatalf("query %d: %v", q+1, err)
 		}
 		value[q] = v
-		calls[q] = db.Funcs().Stats().Calls - c0
-		bytesRead[q] = db.Pool().Stats().BytesRead - b0
+		calls[q] = metric(t, db.Metrics(), "udf.calls") - c0
+		bytesRead[q] = metric(t, db.Metrics(), "pages.bytes_read") - b0
 	}
 	// Counts equal rows, sums match across layouts.
 	if value[0] != rows || value[1] != rows {
@@ -162,25 +197,26 @@ func TestDeriveUDFCost(t *testing.T) {
 // UDF boundary: one call per row and, per call, the argument frame (the
 // 64-byte array blob with its 5-byte binary header, the 9-byte BIGINT
 // index) plus the 9-byte FLOAT result frame — 87 bytes, the same as when
-// every row crossed the boundary on its own.
+// every row crossed the boundary on its own. The table is large enough
+// that the default batch size splits it into many batches and that
+// Parallelism 2 runs the aggregate on two workers.
 func TestTable1BoundaryAccounting(t *testing.T) {
 	db := memDatabase(t)
-	const rows = 3_000
+	const rows = 10_000
 	if err := SetupTable1(db, rows); err != nil {
 		t.Fatal(err)
 	}
 	const perCall = (1 + 4 + 24 + 5*8) + (1 + 8) + (1 + 8)
 	for _, q := range []int{3, 4} {
-		for _, opts := range []ExecOptions{{}, {BatchSize: 7}, {Parallelism: 2, ParallelThreshold: 1}} {
-			before := db.Funcs().Stats()
+		for _, opts := range []ExecOptions{{Parallelism: 1}, {Parallelism: 2}} {
+			calls, bytes := metric(t, db.Metrics(), "udf.calls"), metric(t, db.Metrics(), "udf.bytes_marshaled")
 			if _, err := db.QueryWith(Table1Queries[q], opts); err != nil {
 				t.Fatal(err)
 			}
-			after := db.Funcs().Stats()
-			if got := after.Calls - before.Calls; got != rows {
+			if got := metric(t, db.Metrics(), "udf.calls") - calls; got != rows {
 				t.Errorf("Q%d %+v: %d calls, want %d", q+1, opts, got, rows)
 			}
-			if got := after.BytesMarshaled - before.BytesMarshaled; got != rows*perCall {
+			if got := metric(t, db.Metrics(), "udf.bytes_marshaled") - bytes; got != rows*perCall {
 				t.Errorf("Q%d %+v: %d bytes marshaled, want %d", q+1, opts, got, rows*perCall)
 			}
 		}
@@ -188,10 +224,10 @@ func TestTable1BoundaryAccounting(t *testing.T) {
 }
 
 // TestTable1AllocationsPerRow is the deterministic guard on the per-row
-// fixed cost of the UDF queries. Walking the table allocates on its own
-// (the buffer pool relinks an LRU element per leaf unpin, about 0.02 per
-// row), so the UDF queries are held against Q2, the bare scan of the
-// same table: evaluating the UDF over every row may add at most one
+// fixed cost of the UDF queries. The buffer pool's hit path allocates
+// nothing (its LRU links live in the frames), but the scan still
+// allocates per batch and per query, so the UDF queries are held
+// against Q2, the bare scan of the same table: evaluating the UDF over every row may add at most one
 // allocation per hundred rows (it was 5 per row for Q4 and 2 for Q5 when
 // every row crossed the boundary on its own). Q3 is held the same way
 // against Q1 (it measured 384 against Q1's 381 then; a column vector and
