@@ -49,6 +49,8 @@ lint:
 bench:
 # cached fetches from 1..N goroutines and fetches that must evict; bench/'s pages.fetch_hit_ns / fetch_miss_us are one goroutine into free frames (ROADMAP item 3 targets Contention).
 	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkBufferPoolFetchMiss' -benchtime=300ms ./internal/pages
+# one-row autocommit Insert on a log-less database (capture, copy-on-write, publish, retirement; allocs reported); bench/'s table1_scan setup_s is 800 000 of these plus the scan fixture.
+	go test -run='^$$' -bench='BenchmarkOneRowCommit' -benchtime=300ms ./internal/engine
 # executor ns/row per query shape (aggregate, filter, wide low-selectivity project); bench/'s sqlmini.exec_ns_per_row is Table 1's Q3 only.
 	go test -run='^$$' -bench='BenchmarkPipelineBatch' -benchtime=300ms ./internal/sqlmini
 # blob.Store reads and the codecs called directly; bench/'s blob.* metrics are taken through the table layer of a workload.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"sqlarray/internal/pages"
 	"sqlarray/internal/wal"
@@ -58,11 +59,14 @@ type walCatalog struct {
 // Tx is a write session. It owns the database write lock from Begin to
 // Commit; all mutating Table methods take one (the convenience wrappers
 // open a single-statement session internally).
+//
+// touched and created are sets kept as slices: a statement touches one
+// to three tables, so a linear scan beats a map and allocates less.
 type Tx struct {
 	db      *DB
 	cap     *pages.Capture
-	touched map[*Table]struct{}
-	created map[*Table]struct{}
+	touched []*Table
+	created []*Table
 	done    bool
 }
 
@@ -78,12 +82,7 @@ func (db *DB) Begin() (*Tx, error) {
 		db.writeMu.Unlock()
 		return nil, err
 	}
-	return &Tx{
-		db:      db,
-		cap:     c,
-		touched: make(map[*Table]struct{}),
-		created: make(map[*Table]struct{}),
-	}, nil
+	return &Tx{db: db, cap: c}, nil
 }
 
 // beginTxLocked opens a write session for a caller that already holds
@@ -96,12 +95,7 @@ func (db *DB) beginTxLocked() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{
-		db:      db,
-		cap:     c,
-		touched: make(map[*Table]struct{}),
-		created: make(map[*Table]struct{}),
-	}, nil
+	return &Tx{db: db, cap: c}, nil
 }
 
 // logFrame appends one dirty frame's after-image to the WAL and stamps
@@ -145,13 +139,21 @@ func (db *DB) logFrame(f *pages.Frame) error {
 
 // touch records that the session mutated t (its state goes into the
 // commit record's catalog delta).
-func (tx *Tx) touch(t *Table) { tx.touched[t] = struct{}{} }
+func (tx *Tx) touch(t *Table) { tx.touched = addTable(tx.touched, t) }
 
 // noteCreated records that the session created t (its schema goes into
 // the commit record).
 func (tx *Tx) noteCreated(t *Table) {
-	tx.created[t] = struct{}{}
-	tx.touched[t] = struct{}{}
+	tx.created = addTable(tx.created, t)
+	tx.touch(t)
+}
+
+// addTable appends t to the set ts unless it is already there.
+func addTable(ts []*Table, t *Table) []*Table {
+	if slices.Contains(ts, t) {
+		return ts
+	}
+	return append(ts, t)
 }
 
 // Commit logs the session's page after-images and catalog delta (when a
@@ -215,7 +217,7 @@ func (tx *Tx) Commit() error {
 // the whole commit.
 func (tx *Tx) publish() {
 	tag := tx.db.bp.PreparePublish(tx.cap)
-	for t := range tx.touched {
+	for _, t := range tx.touched {
 		t.publishMeta(tag)
 	}
 	tx.db.bp.FinishPublish(tag)
@@ -238,12 +240,12 @@ func (tx *Tx) Abort() {
 	defer tx.db.writeMu.Unlock()
 	tx.db.bp.EndCapture(tx.cap)
 	tx.db.bp.AbortCapture(tx.cap)
-	for t := range tx.touched {
+	for _, t := range tx.touched {
 		t.restoreMeta()
 	}
 	if len(tx.created) > 0 {
 		tx.db.mu.Lock()
-		for t := range tx.created {
+		for _, t := range tx.created {
 			delete(tx.db.tables, t.name)
 		}
 		tx.db.mu.Unlock()
@@ -266,9 +268,8 @@ func (tx *Tx) Close(opErr error) error {
 // catalogDelta builds the commit record's table list.
 func (tx *Tx) catalogDelta() walCatalog {
 	var cat walCatalog
-	for t := range tx.touched {
-		_, isNew := tx.created[t]
-		cat.Tables = append(cat.Tables, t.walState(isNew))
+	for _, t := range tx.touched {
+		cat.Tables = append(cat.Tables, t.walState(slices.Contains(tx.created, t)))
 	}
 	return cat
 }

@@ -74,6 +74,16 @@ type Frame struct {
 	// verTag <= V < supersededBy, and is droppable once every active
 	// snapshot is at or past this tag. Guarded by shard.mu.
 	supersededBy uint64
+	// pre is the committed pre-image a pending copy-on-write frame
+	// displaced into the sidecar (nil for a page the session created).
+	// Publish stamps its supersede tag through it and abort puts it back
+	// in the page table; both clear it, so no frame points at one that
+	// has since been recycled. Guarded by shard.mu.
+	pre *Frame
+	// capStamp is the id of the capture that recorded the frame: a
+	// frame is in capture c exactly when capStamp == c.id, so recording
+	// it once needs no set. Guarded by shard.mu.
+	capStamp uint64
 }
 
 // reset returns a frame to the free state. Every path out of the cache
@@ -86,6 +96,8 @@ func (f *Frame) reset() {
 	f.link = lruLink{}
 	f.tier = tierProbation
 	f.supersededBy = 0
+	f.pre = nil
+	f.capStamp = 0
 	f.pageLSN.Store(0)
 	f.verTag.Store(0)
 }
@@ -107,50 +119,35 @@ type WAL interface {
 
 // Capture collects the frames a write session dirties, so the session
 // can log their after-images at commit. Only one capture may be active
-// per pool; the engine's database-level write lock enforces that.
+// per pool; the engine's database-level write lock enforces that. The
+// session's other bookkeeping lives on the frames themselves: each
+// recorded frame carries the capture's id (capStamp) and its displaced
+// pre-image (pre), so a capture holds no map.
 type Capture struct {
+	id     uint64 // never reused within a pool, so a stale stamp cannot match
 	mu     sync.Mutex
 	frames []*Frame
-	seen   map[*Frame]struct{}
-	// pre maps a pending copy-on-write frame to the committed pre-image
-	// it displaced into the version sidecar (nil entry = freshly created
-	// page with no prior version). Publish stamps the pre-image's
-	// supersede tag through this map; abort restores the pre-image into
-	// the page table.
-	pre map[*Frame]*Frame
 }
 
+// add records f once, in first-dirtied order. Caller holds f's shard
+// lock, which guards the stamp.
 func (c *Capture) add(f *Frame) {
-	c.mu.Lock()
-	if _, ok := c.seen[f]; !ok {
-		c.seen[f] = struct{}{}
-		c.frames = append(c.frames, f)
+	if f.capStamp == c.id {
+		return
 	}
+	f.capStamp = c.id
+	c.mu.Lock()
+	c.frames = append(c.frames, f)
 	c.mu.Unlock()
 }
 
-// addPre records the pre-image a pending frame displaced (may be nil).
-func (c *Capture) addPre(pending, pre *Frame) {
-	c.mu.Lock()
-	if c.pre == nil {
-		c.pre = make(map[*Frame]*Frame)
-	}
-	c.pre[pending] = pre
-	c.mu.Unlock()
-}
-
-// preimage returns the pre-image recorded for a pending frame, if any.
-func (c *Capture) preimage(pending *Frame) *Frame {
+// recorded returns the captured frames. The slice is the capture's own:
+// EndCapture, PreparePublish and AbortCapture share it, and callers must
+// not modify it.
+func (c *Capture) recorded() []*Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pre[pending]
-}
-
-// Frames returns the captured frames in first-dirtied order.
-func (c *Capture) Frames() []*Frame {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Frame(nil), c.frames...)
+	return c.frames
 }
 
 // Frame SLRU tiers. First-touch frames enter probation; a re-reference
@@ -199,6 +196,7 @@ func (l *segment) remove(f *Frame) {
 // stripe.
 type shard struct {
 	mu      sync.Mutex
+	bit     uint64 // this shard's bit in BufferPool.versMask
 	cap     int
 	protCap int // max unpinned frames the protected segment may hold
 	table   map[PageID]*Frame
@@ -207,8 +205,26 @@ type shard struct {
 	// vers is the page-version sidecar: superseded pre-image frames per
 	// page, oldest first (ascending verTag). Entries live outside the
 	// page table and the LRU lists; they are dropped once no active
-	// snapshot can need them (see droppableLocked). Guarded by mu.
+	// snapshot can need them (see droppableLocked). Guarded by mu; the
+	// pool's versMask bit for the shard is set while it is non-empty.
 	vers map[PageID][]*Frame
+}
+
+// pushVersionLocked appends a displaced pre-image to id's sidecar chain
+// and marks the shard in the pool's version mask. Caller holds s.mu.
+func (s *shard) pushVersionLocked(bp *BufferPool, id PageID, f *Frame) {
+	s.vers[id] = append(s.vers[id], f)
+	bp.markVersions(s.bit, true)
+}
+
+// forgetVersionsLocked deletes id's (emptied) sidecar chain and clears
+// the shard's mask bit when that leaves the sidecar empty. Caller holds
+// s.mu, so no push can land between the length check and the clear.
+func (s *shard) forgetVersionsLocked(bp *BufferPool, id PageID) {
+	delete(s.vers, id)
+	if len(s.vers) == 0 {
+		bp.markVersions(s.bit, false)
+	}
 }
 
 // unlinkLocked takes a frame off its LRU list (no-op when it is on
@@ -272,6 +288,11 @@ type BufferPool struct {
 	stats   counters
 	wal     WAL // flush gate; nil = no durability protocol
 	capture atomic.Pointer[Capture]
+	capSeq  atomic.Uint64 // last Capture.id handed out
+	// versMask has bit i set while shards[i]'s version sidecar is
+	// non-empty, so retirement visits only the shards that hold
+	// versions. Each bit changes under its shard's lock.
+	versMask atomic.Uint64
 	// snapClock is the synthetic commit clock: the tag of the newest
 	// published commit. AcquireSnapshot reads it; FinishPublish advances
 	// it. It starts at 1 so content tagged 0 ("pre-history": pages loaded
@@ -292,9 +313,29 @@ const (
 	// single-shard (and keep the exact semantics the seed pool had).
 	minShardFrames = 64
 	// maxShards caps the stripe count; 64 stripes are plenty to spread
-	// any realistic core count.
+	// any realistic core count, and each stripe has one bit in the
+	// uint64 version mask.
 	maxShards = 64
 )
+
+// maxShards must fit the version mask's bits.
+var _ [64 - maxShards]struct{}
+
+// markVersions sets (on) or clears bit in the version mask. The caller
+// holds the shard lock that owns the bit; the loop only guards against
+// other shards changing theirs at the same time.
+func (bp *BufferPool) markVersions(bit uint64, on bool) {
+	for {
+		m := bp.versMask.Load()
+		n := m &^ bit
+		if on {
+			n = m | bit
+		}
+		if n == m || bp.versMask.CompareAndSwap(m, n) {
+			return
+		}
+	}
+}
 
 // shardCountFor picks the power-of-two stripe count for a capacity.
 func shardCountFor(capacity int) int {
@@ -333,6 +374,7 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 			c++
 		}
 		s := &shard{
+			bit:     1 << uint(i),
 			cap:     c,
 			protCap: c * 3 / 4,
 			table:   make(map[PageID]*Frame, c),
@@ -365,7 +407,7 @@ func (bp *BufferPool) SetWAL(w WAL) { bp.wal = w }
 // Exactly one capture may be active; the engine's write lock serializes
 // sessions, so a second concurrent capture is a bug.
 func (bp *BufferPool) BeginCapture() (*Capture, error) {
-	c := &Capture{seen: make(map[*Frame]struct{})}
+	c := &Capture{id: bp.capSeq.Add(1)}
 	if !bp.capture.CompareAndSwap(nil, c) {
 		return nil, fmt.Errorf("pages: a write capture is already active")
 	}
@@ -377,7 +419,7 @@ func (bp *BufferPool) BeginCapture() (*Capture, error) {
 // stay unflushable.
 func (bp *BufferPool) EndCapture(c *Capture) []*Frame {
 	bp.capture.CompareAndSwap(c, nil)
-	return c.Frames()
+	return c.recorded()
 }
 
 // LogDirtyFrame locks the frame's shard and hands its page to fn, which
@@ -538,7 +580,6 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 		f.pending = true
 		f.verTag.Store(viewCurrent)
 		c.add(f)
-		c.addPre(f, nil)
 	}
 	s.table[id] = f
 	return f, nil

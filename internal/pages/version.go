@@ -43,7 +43,10 @@
 // exactly by snapshots older than T. It is dropped once it is unpinned
 // and every active snapshot is at or past T (or none is active). GC
 // runs opportunistically: at publish, at snapshot release, on the last
-// unpin of a versioned frame, and in DropCleanBuffers.
+// unpin of a versioned frame, and in DropCleanBuffers. The publish and
+// release sweeps visit only the shards the pool's version mask marks as
+// holding versions, so their cost follows the pages written and the
+// versions retained, not the pool size.
 //
 // Memory: pending and versioned frames live outside the page table and
 // the LRU lists, so they do not consume table capacity — the pool can
@@ -52,6 +55,8 @@
 // are bounded: the engine is single-writer, and snapshots are
 // query-scoped.
 package pages
+
+import "math/bits"
 
 // Fetcher is the read-side page access interface: the plain pool
 // ("current mode" — a write session sees its own pending pages) and
@@ -199,13 +204,13 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 	pend.tier = old.tier
 	pend.pageLSN.Store(old.pageLSN.Load())
 	pend.verTag.Store(viewCurrent)
+	pend.pre = old
 	old.versioned = true
 	old.supersededBy = viewCurrent
-	s.vers[id] = append(s.vers[id], old)
+	s.pushVersionLocked(bp, id, old)
 	s.table[id] = pend
 	bp.stats.cowCopies.Add(1)
 	c.add(pend)
-	c.addPre(pend, old)
 	return pend, nil
 }
 
@@ -219,8 +224,7 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 // attached, logged every frame (LogDirtyFrame) first.
 func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 	tag := bp.snapClock.Load() + 1
-	for _, f := range c.Frames() {
-		pre := c.preimage(f)
+	for _, f := range c.recorded() {
 		s := f.shard
 		s.mu.Lock()
 		f.verTag.Store(tag)
@@ -232,8 +236,9 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 			f.unlogged = false
 		}
 		s.relinkLocked(f)
-		if pre != nil {
-			pre.supersededBy = tag
+		if f.pre != nil {
+			f.pre.supersededBy = tag
+			f.pre = nil
 		}
 		s.dropVersionsLocked(bp, f.Page.ID)
 		s.mu.Unlock()
@@ -264,8 +269,7 @@ func (bp *BufferPool) FinishPublish(tag uint64) {
 // compacted, which matches the redo-only WAL's contract (an aborted
 // statement logs nothing, so recovery also never resurrects them).
 func (bp *BufferPool) AbortCapture(c *Capture) {
-	for _, f := range c.Frames() {
-		pre := c.preimage(f)
+	for _, f := range c.recorded() {
 		s := f.shard
 		s.mu.Lock()
 		if !f.pending {
@@ -276,7 +280,8 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 		}
 		id := f.Page.ID
 		delete(s.table, id)
-		if pre != nil {
+		if pre := f.pre; pre != nil {
+			f.pre = nil
 			// Remove the pre-image's sidecar entry and put it back as the
 			// current frame.
 			vs := s.vers[id]
@@ -287,7 +292,7 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 				}
 			}
 			if len(s.vers[id]) == 0 {
-				delete(s.vers, id)
+				s.forgetVersionsLocked(bp, id)
 			}
 			pre.versioned = false
 			pre.supersededBy = 0
@@ -340,15 +345,19 @@ func (s *shard) dropVersionsLocked(bp *BufferPool, id PageID) {
 		kept = append(kept, f)
 	}
 	if len(kept) == 0 {
-		delete(s.vers, id)
+		s.forgetVersionsLocked(bp, id)
 	} else {
 		s.vers[id] = kept
 	}
 }
 
-// retireVersions sweeps every shard's sidecar for droppable versions.
+// retireVersions sweeps for droppable versions in the shards the
+// version mask marks, and only those: a commit pays for the shards it
+// wrote and the ones live snapshots still hold, and a release with an
+// empty sidecar locks no shard at all.
 func (bp *BufferPool) retireVersions() {
-	for _, s := range bp.shards {
+	for m := bp.versMask.Load(); m != 0; m &= m - 1 {
+		s := bp.shards[bits.TrailingZeros64(m)]
 		s.mu.Lock()
 		for id := range s.vers {
 			s.dropVersionsLocked(bp, id)

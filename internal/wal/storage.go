@@ -57,12 +57,34 @@ type DirStorage struct {
 	syncDir func(dir string) error // fsyncs the directory; tests replace it
 }
 
-// NewDirStorage creates (if necessary) and opens a log directory.
-func NewDirStorage(dir string) (*DirStorage, error) {
+// NewDirStorage creates (if necessary) and opens a log directory. The
+// directories it creates are made durable before it returns: each one
+// and the parent of the outermost are fsynced, so a power loss cannot
+// drop the log directory with the segments later fsynced into it.
+func NewDirStorage(dir string) (*DirStorage, error) { return newDirStorage(dir, syncDir) }
+
+// newDirStorage is NewDirStorage with the directory fsync as a
+// parameter, so tests can observe and fail it.
+func newDirStorage(dir string, sync func(dir string) error) (*DirStorage, error) {
+	dir = filepath.Clean(dir)
+	var missing []string // outermost first
+	for p := dir; ; p = filepath.Dir(p) {
+		if _, err := os.Stat(p); !os.IsNotExist(err) || p == filepath.Dir(p) {
+			break
+		}
+		missing = append([]string{p}, missing...)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	return &DirStorage{dir: dir, syncDir: syncDir}, nil
+	if len(missing) > 0 {
+		for _, d := range append([]string{filepath.Dir(missing[0])}, missing...) {
+			if err := sync(d); err != nil {
+				return nil, fmt.Errorf("wal: sync directory %s: %w", d, err)
+			}
+		}
+	}
+	return &DirStorage{dir: dir, syncDir: sync}, nil
 }
 
 // syncDir fsyncs directory dir, making the entries created in it or

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -211,12 +213,43 @@ func TestConcurrentAppendSyncRollStress(t *testing.T) {
 // fsyncs go through hook instead of the filesystem.
 func dirStorage(t *testing.T, hook func(dir string) error) *DirStorage {
 	t.Helper()
-	st, err := NewDirStorage(t.TempDir())
+	st, err := newDirStorage(t.TempDir(), hook)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.syncDir = hook
 	return st
+}
+
+// TestNewDirStorageSyncsCreatedDirectories: opening a log on a path
+// that does not exist yet fsyncs every directory it creates and the
+// parent of the outermost one, an existing directory is fsynced by
+// nobody, and a failed fsync fails the constructor.
+func TestNewDirStorageSyncsCreatedDirectories(t *testing.T) {
+	root := t.TempDir()
+	var synced []string
+	record := func(dir string) error {
+		synced = append(synced, dir)
+		return nil
+	}
+	a := filepath.Join(root, "a")
+	b := filepath.Join(a, "b")
+	if _, err := newDirStorage(b, record); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{root, a, b}; !slices.Equal(synced, want) {
+		t.Errorf("creating %s synced %q, want %q", b, synced, want)
+	}
+	synced = nil
+	if _, err := newDirStorage(b, record); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 0 {
+		t.Errorf("opening an existing directory synced %q, want nothing", synced)
+	}
+	_, err := newDirStorage(filepath.Join(root, "c"), func(string) error { return errInjectedSync })
+	if !errors.Is(err, errInjectedSync) {
+		t.Errorf("a failed directory fsync gave %v, want the injected failure", err)
+	}
 }
 
 // appendUntilRoll appends 100-byte records until the log rolls to a new

@@ -71,6 +71,9 @@ names=(
 	'counters) snapshot('
 	# Intrusive SLRU lists: linking a frame allocates nothing.
 	'container/list'
+	# A write session's page bookkeeping lives on its frames (capture
+	# stamp, pre-image pointer): no set or map keyed by frame.
+	'map[*Frame]'
 )
 src=()
 while IFS= read -r f; do
