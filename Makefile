@@ -51,6 +51,8 @@ bench:
 	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkBufferPoolFetchMiss' -benchtime=300ms ./internal/pages
 # one-row autocommit Insert on a log-less database (capture, copy-on-write, publish, retirement; allocs reported); bench/'s table1_scan setup_s is 800 000 of these plus the scan fixture.
 	go test -run='^$$' -bench='BenchmarkOneRowCommit' -benchtime=300ms ./internal/engine
+# the UDF boundary's ns/row in Table 1's Q4 and Q5 shapes without the scan; bench/'s engine.udf_call_ns is Q5 minus Q3 through the whole executor.
+	go test -run='^$$' -bench='BenchmarkCallBatch' -benchtime=300ms ./internal/engine
 # executor ns/row per query shape (aggregate, filter, wide low-selectivity project); bench/'s sqlmini.exec_ns_per_row is Table 1's Q3 only.
 	go test -run='^$$' -bench='BenchmarkPipelineBatch' -benchtime=300ms ./internal/sqlmini
 # blob.Store reads and the codecs called directly; bench/'s blob.* metrics are taken through the table layer of a workload.

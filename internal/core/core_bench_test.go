@@ -108,3 +108,25 @@ func BenchmarkFormatParse(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkViewOfItem is a short schema's Item_1 without the boundary:
+// validate a 5-vector in place and read one element, as Table 1's query 4
+// does per row.
+func BenchmarkViewOfItem(b *testing.B) {
+	blob := Vector(1, 2, 3, 4, 5).Bytes()
+	idx := []int{3}
+	s := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := ViewOf(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := v.Item(idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s += x
+	}
+	_ = s
+}

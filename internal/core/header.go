@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Header is the decoded form of the blob header described in §3.5 of the
@@ -75,11 +76,11 @@ const maxElements = int(^uint(0)>>1) / 16
 // element type, the storage class's rank and dimension limits, an
 // element count that does not overflow, and for the short class a total
 // size that fits VARBINARY(8000). It returns the element count. The
-// dimension sizes come through dim, and only once the rank is known to
+// dimension sizes come through dims, and only once the rank is known to
 // be in range, so that a Header under construction (Validate) and header
 // bytes read in place (checkHeader) are held to the same rules; nothing
 // is allocated unless the check fails.
-func checkShape(class StorageClass, elem ElemType, rank int, dim func(int) int) (int, error) {
+func checkShape(class StorageClass, elem ElemType, rank int, dims dimSizes) (int, error) {
 	if !elem.Valid() {
 		return 0, fmt.Errorf("%w: invalid element type %d", ErrBadHeader, uint8(elem))
 	}
@@ -98,15 +99,17 @@ func checkShape(class StorageClass, elem ElemType, rank int, dim func(int) int) 
 	// Element-count overflow would wrap every size computation that
 	// follows (and let a corrupt header declare a tiny payload for huge
 	// dims), so it is checked before any byte arithmetic — the invariant
-	// FuzzWrap enforces.
+	// FuzzWrap enforces. The product is taken in 128 bits: a division
+	// per dimension (count > maxElements/d) would cost more than the
+	// rest of a short header's check.
 	count := 1
 	for i := 0; i < rank; i++ {
-		d := dim(i)
+		d := dims.at(i)
 		if d < 0 || d > limit {
 			return 0, fmt.Errorf("%w: %s dimension %d size %d outside [0,%d]",
 				ErrBadHeader, class, i, d, limit)
 		}
-		if d != 0 && count > maxElements/d {
+		if hi, lo := bits.Mul64(uint64(count), uint64(d)); hi != 0 || lo > uint64(maxElements) {
 			return 0, fmt.Errorf("%w: element count overflows at dimension %d", errTooLarge, i)
 		}
 		count *= d
@@ -117,10 +120,38 @@ func checkShape(class StorageClass, elem ElemType, rank int, dim func(int) int) 
 	return count, nil
 }
 
-// Validate checks the header against the limits of its storage class.
+// Validate checks the header against the limits of its storage class. It
+// hands checkShape its Dims as 8-byte size fields (on the stack up to the
+// short rank limit).
 func (h *Header) Validate() error {
-	_, err := checkShape(h.Class, h.Elem, len(h.Dims), func(i int) int { return h.Dims[i] })
+	var buf [8 * maxShortRank]byte
+	enc := buf[:0]
+	for _, d := range h.Dims {
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(d))
+	}
+	_, err := checkShape(h.Class, h.Elem, len(h.Dims), dimSizes{enc: enc, width: 8})
 	return err
+}
+
+// dimSizes is where checkShape and View read dimension sizes from:
+// little-endian size fields of width bytes each — 2 in a short header's
+// bytes, 4 in a max header's, 8 for a Header's Dims (Validate). at is a
+// direct, inlinable read, so checking header bytes in place makes no call
+// per dimension.
+type dimSizes struct {
+	enc   []byte
+	width int
+}
+
+// at returns the size of dimension k.
+func (d dimSizes) at(k int) int {
+	switch d.width {
+	case 2:
+		return int(binary.LittleEndian.Uint16(d.enc[2*k:]))
+	case 4:
+		return int(binary.LittleEndian.Uint32(d.enc[4*k:]))
+	}
+	return int(int64(binary.LittleEndian.Uint64(d.enc[8*k:])))
 }
 
 // AppendEncode appends the wire form of h to dst and returns the extended
@@ -199,15 +230,17 @@ func checkHeader(b []byte) (n, count int, err error) {
 		return 0, 0, err
 	}
 	v := View{b}
+	class := v.Class()
 	if len(b) < n {
 		return 0, 0, fmt.Errorf("%w: %s header needs %d bytes, have %d",
-			ErrBadHeader, v.Class(), n, len(b))
+			ErrBadHeader, class, n, len(b))
 	}
-	if count, err = checkShape(v.Class(), v.ElemType(), v.rank(), v.dim); err != nil {
+	rank, _, dims := v.shape()
+	if count, err = checkShape(class, v.ElemType(), rank, dims); err != nil {
 		return 0, 0, err
 	}
 	declared := binary.LittleEndian.Uint64(b[8:16])
-	if v.Class() == Short {
+	if class == Short {
 		declared = uint64(binary.LittleEndian.Uint32(b[4:8]))
 	}
 	if declared != uint64(count) {

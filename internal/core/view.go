@@ -43,34 +43,22 @@ func checkArray(b []byte) (n, total int, err error) {
 
 // header decodes the header bytes into a Header.
 func (v View) header() Header {
-	h := Header{Class: v.Class(), Elem: v.ElemType(), Dims: make([]int, v.rank())}
+	rank, _, dims := v.shape()
+	h := Header{Class: v.Class(), Elem: v.ElemType(), Dims: make([]int, rank)}
 	for k := range h.Dims {
-		h.Dims[k] = v.dim(k)
+		h.Dims[k] = dims.at(k)
 	}
 	return h
 }
 
-// hdr returns the header length in bytes.
-func (v View) hdr() int {
+// shape reads the storage class once and returns the rank, the header
+// length in bytes and the dimension sizes' fields.
+func (v View) shape() (rank, hdr int, dims dimSizes) {
 	if v.Class() == Short {
-		return shortHeaderSize
+		return int(v.b[3]), shortHeaderSize, dimSizes{enc: v.b[8:], width: 2}
 	}
-	return maxFixedHeaderSize + 4*v.rank()
-}
-
-func (v View) rank() int {
-	if v.Class() == Short {
-		return int(v.b[3])
-	}
-	return int(binary.LittleEndian.Uint32(v.b[4:8]))
-}
-
-// dim reads the size of dimension k from the header bytes.
-func (v View) dim(k int) int {
-	if v.Class() == Short {
-		return int(binary.LittleEndian.Uint16(v.b[8+2*k:]))
-	}
-	return int(binary.LittleEndian.Uint32(v.b[maxFixedHeaderSize+4*k:]))
+	rank = int(binary.LittleEndian.Uint32(v.b[4:8]))
+	return rank, maxFixedHeaderSize + 4*rank, dimSizes{enc: v.b[maxFixedHeaderSize:], width: 4}
 }
 
 // Class returns the storage class.
@@ -82,19 +70,20 @@ func (v View) ElemType() ElemType { return ElemType(v.b[2]) }
 // elemAt resolves a multi-dimensional index to the element's bytes, with
 // Array.LinearIndex's checks and errors.
 func (v View) elemAt(idx []int) ([]byte, error) {
-	if rank := v.rank(); len(idx) != rank {
+	rank, hdr, dims := v.shape()
+	if len(idx) != rank {
 		return nil, fmt.Errorf("%w: got %d indices for rank-%d array", ErrRank, len(idx), rank)
 	}
 	lin, stride := 0, 1
 	for k, i := range idx {
-		d := v.dim(k)
+		d := dims.at(k)
 		if i < 0 || i >= d {
 			return nil, fmt.Errorf("%w: index %d = %d outside [0,%d)", ErrBounds, k, i, d)
 		}
 		lin += i * stride
 		stride *= d
 	}
-	return v.b[v.hdr()+lin*v.ElemType().Size():], nil
+	return v.b[hdr+lin*v.ElemType().Size():], nil
 }
 
 // Item returns the element at a multi-dimensional index as float64, as

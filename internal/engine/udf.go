@@ -37,7 +37,14 @@ import (
 // outside SQL — today the benchmarks and tests of the boundary itself)
 // and what sqlmini's test oracle evaluates UDFs with. Both go through
 // dispatch and the one marshalValue/unmarshalValue pair, so there is one
-// wire format.
+// wire format. CallBatch reaches it without a Value round trip on its
+// side of the crossing: appendFrame writes a row's argument frame
+// straight from the vector's typed slice, and setFrame decodes the
+// result frame straight into out's; a NULL, a mixed-kind row or a binary
+// result takes the marshalValue/unmarshalValue path itself, and tests
+// hold both to those two functions byte for byte. What is charged — the
+// frames copied, the hosted unmarshal into Values, the indirect call,
+// the result marshaled and decoded — is the same work for every row.
 //
 // The paper's max-schema functions take their array as SqlBytes, a
 // stream over the stored value (§3.3), and so do the array functions
@@ -174,12 +181,12 @@ func checkArity(def *FuncDef, nargs int) error {
 
 // dispatch is the hosted side of one call: (3) deserialize the nargs
 // values of the argument frame at the front of frames, (2) dispatch into
-// the native implementation, (4) carry the result back through b.res
-// into *res. It returns the frames after this one, also when the native
-// implementation fails. A binary result aliases b.res (never the
-// argument frames, which the native result may alias) and is valid until
-// the next dispatch on b.
-func (b *boundary) dispatch(def *FuncDef, nargs int, frames []byte, res *Value) ([]byte, error) {
+// the native implementation, (4) marshal its result into b.res, the
+// result frame the caller decodes (Call with unmarshalValue, CallBatch
+// straight into its out vector). It returns the frames after this one,
+// also when the native implementation fails; b.res is valid until the
+// next dispatch on b.
+func (b *boundary) dispatch(def *FuncDef, nargs int, frames []byte) ([]byte, error) {
 	if cap(b.hosted) < nargs {
 		b.hosted = make([]Value, nargs)
 	}
@@ -202,10 +209,12 @@ func (b *boundary) dispatch(def *FuncDef, nargs int, frames []byte, res *Value) 
 		return frames, err
 	}
 	b.res = marshalValue(b.res[:0], out)
-	if _, err := unmarshalValue(b.res, res); err != nil {
-		return nil, fmt.Errorf("engine: boundary corrupt on return: %w", err)
-	}
 	return frames, nil
+}
+
+// errCorruptResult wraps a result frame that does not decode.
+func errCorruptResult(err error) error {
+	return fmt.Errorf("engine: boundary corrupt on return: %w", err)
 }
 
 // Call invokes a resolved UDF across the boundary for one row of
@@ -220,11 +229,13 @@ func (r *FuncRegistry) Call(def *FuncDef, args []Value) (Value, error) {
 		b.buf = marshalValue(b.buf, a)
 	}
 	var res Value
-	_, err := b.dispatch(def, len(args), b.buf, &res)
+	_, err := b.dispatch(def, len(args), b.buf)
 	total := len(b.buf)
 	if err == nil {
 		total += len(b.res)
-		if res.B != nil {
+		if _, err = unmarshalValue(b.res, &res); err != nil {
+			err = errCorruptResult(err)
+		} else if res.B != nil {
 			res.B = append([]byte(nil), res.B...) // b.res goes back to the pool
 		}
 	}
@@ -265,7 +276,6 @@ func (r *FuncRegistry) CallBatch(s *Snapshot, def *FuncDef, args []*Vector, n in
 	out.Reset(0, n)
 	var (
 		called, total int
-		res           Value
 		err           error
 	)
 	for called < n && err == nil {
@@ -273,17 +283,16 @@ func (r *FuncRegistry) CallBatch(s *Snapshot, def *FuncDef, args []*Vector, n in
 		hi := called
 		for ; hi < n && len(b.buf) < maxRunBytes; hi++ {
 			for _, a := range args {
-				b.buf = marshalValue(b.buf, a.Value(hi))
+				b.buf = a.appendFrame(b.buf, hi)
 			}
 		}
 		frames := b.buf
 		for called < hi && err == nil {
-			if frames, err = b.dispatch(def, len(args), frames, &res); err == nil {
+			if frames, err = b.dispatch(def, len(args), frames); err == nil {
 				total += len(b.res)
-				if res.B != nil {
-					res.B = out.hold(res.B)
+				if err = out.setFrame(called, b.res); err != nil {
+					err = errCorruptResult(err)
 				}
-				out.Set(called, res)
 			}
 			called++
 		}
@@ -366,4 +375,53 @@ func unmarshalValue(b []byte, v *Value) ([]byte, error) {
 		return b[blob.RefSize:], nil
 	}
 	return nil, fmt.Errorf("unknown kind %d", kind)
+}
+
+// appendFrame appends row i's argument frame to dst: the bytes
+// marshalValue(dst, v.Value(i)) appends, written from the typed slice
+// without building a Value. A NULL row, and any row of a vector with
+// per-row kinds, goes through marshalValue.
+func (v *Vector) appendFrame(dst []byte, i int) []byte {
+	i &= v.Mask()
+	if len(v.kinds) > 0 || v.IsNull(i) {
+		return marshalValue(dst, v.Value(i))
+	}
+	switch v.Kind {
+	case ColInt64:
+		return binary.LittleEndian.AppendUint64(append(dst, byte(ColInt64)), uint64(v.I[i]))
+	case ColFloat64:
+		return binary.LittleEndian.AppendUint64(append(dst, byte(ColFloat64)), math.Float64bits(v.F[i]))
+	case ColVarBinary, ColVarBinaryMax:
+		dst = binary.LittleEndian.AppendUint32(append(dst, byte(v.Kind)), uint32(len(v.B[i])))
+		return append(dst, v.B[i]...)
+	case ColMaxRef:
+		return append(append(dst, byte(ColMaxRef)), v.B[i][:blob.RefSize]...)
+	}
+	return marshalValue(dst, v.Value(i))
+}
+
+// setFrame stores the value of the result frame at the front of f as
+// row i: what unmarshalValue and Set store, a binary payload copied into
+// v's arena (hold), since f is boundary memory. A number of the vector's
+// own kind goes straight into its typed slice.
+func (v *Vector) setFrame(i int, f []byte) error {
+	if len(f) >= 9 && len(v.kinds) == 0 && ColType(f[0]) == v.Kind {
+		switch v.Kind {
+		case ColFloat64:
+			v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(f[1:]))
+			return nil
+		case ColInt64:
+			v.I[i] = int64(binary.LittleEndian.Uint64(f[1:]))
+			return nil
+		}
+	}
+	var val Value
+	if _, err := unmarshalValue(f, &val); err != nil {
+		return err
+	}
+	if val.B != nil {
+		val.B = v.hold(val.B)
+	}
+	v.Set(i, val)
+	return nil
 }

@@ -78,7 +78,13 @@ names=(
 src=()
 while IFS= read -r f; do
 	[ -f "$f" ] && src+=("$f")
-done < <(git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$' | grep -v '/testdata/')
+done < <(git ls-files --cached --others --exclude-standard '*.go' 2>/dev/null | grep -v '_test\.go$' | grep -v '/testdata/')
+# With no file arguments grep would read stdin and never return: a tree
+# git lists nothing in (an export outside a checkout) cannot be checked.
+if [ ${#src[@]} -eq 0 ]; then
+	echo "structure: git lists no non-test Go files here; run it in a git checkout" >&2
+	exit 1
+fi
 fail=0
 for n in "${names[@]}"; do
 	if hits=$(grep -nF -- "$n" "${src[@]}"); then
