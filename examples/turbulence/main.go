@@ -52,12 +52,12 @@ func main() {
 				log.Fatal(err)
 			}
 			before := db.Metrics().Snapshot()
-			if _, err := store.VelocityBatch(0, pts[:2000], interp.Lag8, mode); err != nil {
+			if _, err := store.VelocityBatch(0, pts, interp.Lag8, mode); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-8d %-8d %-10d %-14s %-14.0f\n",
 				cube, store.Ghost(), store.BlockBytes()/1024, mode.String(),
-				float64(db.Metrics().Snapshot().Delta(before).Get("pages.bytes_read"))/2000)
+				float64(db.Metrics().Snapshot().Delta(before).Get("pages.bytes_read"))/float64(len(pts)))
 		}
 	}
 

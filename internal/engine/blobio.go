@@ -301,22 +301,20 @@ func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte) ([]byte, error) {
 	return s.blobs.ReadAll(ref)
 }
 
-// VisitBlobRunsAt lends fn the bytes of the given byte runs of a stored
-// MAX value (header offset already applied) in place, as of s — see
-// blob.Reader.VisitRuns for the segment contract. This is how a
-// consumer that knows the array's header without reading it (the
-// turbulence store's fixed cube shape) decodes a subarray straight off
-// the chunk pages, without a staging copy.
-func (t *Table) VisitBlobRunsAt(s *Snapshot, refBytes []byte, runs []blob.Run, fn func(dstOff int, seg []byte)) error {
+// BlobAt opens the stored MAX value refBytes (the 12-byte ref
+// RowView.Col yields) as of s: one directory walk, after which the
+// reader's VisitRuns and ReadRuns read any byte runs of the blob (header
+// offset already applied) off its chunk pages. This is how a consumer
+// that knows the array's header without reading it (the turbulence
+// store's fixed cube shape) reads many stencils of one blob without a
+// staging copy and without walking the directory again. The reader is
+// valid until s is released.
+func (t *Table) BlobAt(s *Snapshot, refBytes []byte) (blob.Reader, error) {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
-		return err
+		return blob.Reader{}, err
 	}
-	r, err := s.blobs.Open(ref)
-	if err != nil {
-		return err
-	}
-	return r.VisitRuns(runs, fn)
+	return s.blobs.Open(ref)
 }
 
 // BlobHeader decodes the array header of a stored MAX array and returns

@@ -125,9 +125,10 @@ func TestBlobSubarrayTouchesFewerChunksThanReadAll(t *testing.T) {
 	}
 }
 
-// TestVisitBlobRunsAtMatchesSubarray reads a subarray's byte runs in
-// place through a snapshot and checks them against the in-memory slice.
-func TestVisitBlobRunsAtMatchesSubarray(t *testing.T) {
+// TestBlobAtMatchesSubarray reads a subarray's byte runs in place
+// through a reader opened on a snapshot and checks them against the
+// in-memory slice.
+func TestBlobAtMatchesSubarray(t *testing.T) {
 	db, tbl, cube, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
 	h := cube.Header()
@@ -143,7 +144,11 @@ func TestVisitBlobRunsAtMatchesSubarray(t *testing.T) {
 	snap := db.Snapshot()
 	defer snap.Release()
 	got := make([]byte, len(want.Payload()))
-	err = tbl.VisitBlobRunsAt(snap, ref, blobRuns(runs, h.EncodedSize()), func(dstOff int, seg []byte) {
+	r, err := tbl.BlobAt(snap, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.VisitRuns(blobRuns(runs, h.EncodedSize()), func(dstOff int, seg []byte) {
 		copy(got[dstOff:], seg)
 	})
 	if err != nil {

@@ -2,9 +2,12 @@ package turbulence
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sqlarray/internal/blob"
 	"sqlarray/internal/engine"
@@ -42,70 +45,114 @@ func (s *Store) Velocity(step int, p [3]float64, scheme interp.Scheme, mode Fetc
 	return out[0], nil
 }
 
+// stencil is one point of a batch, planned before anything is read: the
+// cube that holds its stencil, the stencil's origin in block
+// coordinates and the kernel's weights along each axis.
+type stencil struct {
+	key        int64
+	sx, sy, sz int
+	w          [3][8]float64
+}
+
 // VelocityBatch interpolates a batch of positions, the shape of the
 // public web service ("users can submit a set of about 10,000 particle
 // positions ... and retrieve the interpolated values of the velocity
-// field at those positions", §2.1). Whole-blob fetches are cached per
-// batch so each touched cube is read once. An unknown scheme or a
-// non-finite coordinate fails the batch before anything is read.
+// field at those positions", §2.1). It plans every point first, so an
+// unknown scheme or a non-finite coordinate fails the batch before
+// anything is read. It then visits the points in cube-key order — the
+// table's clustered z-order — and resolves each touched cube's row, ref
+// and chunk list once. A whole-blob fetch reads each cube once into one
+// reused buffer; a partial read visits each stencil's runs. Results are
+// written at the caller's index.
 func (s *Store) VelocityBatch(step int, pts [][3]float64, scheme interp.Scheme, mode FetchMode) ([][3]float64, error) {
 	np := scheme.Points()
-	if np == 0 {
+	switch {
+	case np == 0:
 		return nil, fmt.Errorf("turbulence: unknown interpolation scheme %v", scheme)
-	}
-	if np/2 > s.ghost && np > 1 {
+	case np/2 > s.ghost && np > 1:
 		return nil, fmt.Errorf("turbulence: scheme %v needs ghost >= %d, store has %d",
 			scheme, np/2, s.ghost)
+	case mode != WholeBlob && mode != PartialRead:
+		return nil, fmt.Errorf("turbulence: unknown fetch mode %d", mode)
 	}
+	plan := make([]stencil, len(pts))
+	order := make([]int, len(pts))
 	for i, p := range pts {
-		for _, x := range p {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("turbulence: point %d %v has a non-finite coordinate", i, p)
-			}
+		if err := s.planPoint(&plan[i], step, p, scheme); err != nil {
+			return nil, fmt.Errorf("turbulence: point %d %v: %w", i, p, err)
 		}
+		order[i] = i
 	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(plan[a].key, plan[b].key) })
+
 	snap := s.db.Snapshot()
 	defer snap.Release()
-	b := &batch{snap: snap, step: step, mode: mode, buf: make([]float64, velChannels*np*np*np)}
-	b.put = func(dstOff int, seg []byte) {
-		dst := b.buf[dstOff/8:][:len(seg)/8]
+	// buf is the current stencil as a stencil-local (3, np, np, np)
+	// array; put decodes a segment of the blob into it at dstOff.
+	buf := make([]float64, velChannels*np*np*np)
+	put := func(dstOff int, seg []byte) {
+		dst := buf[dstOff/8:][:len(seg)/8]
 		for k := range dst {
 			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(seg[8*k:]))
 		}
 	}
+	var (
+		runs  []blob.Run
+		whole []blob.Run // WholeBlob: one run over the cube's blob
+		cube  []byte     // WholeBlob: the current cube's blob, header included
+	)
 	if mode == WholeBlob {
-		b.cache = map[int64][]byte{}
+		cube = make([]byte, s.BlockBytes())
+		whole = []blob.Run{{Len: len(cube)}}
 	}
 	out := make([][3]float64, len(pts))
-	for i, p := range pts {
-		v, err := s.velocityOne(b, p, scheme)
+	for lo := 0; lo < len(order); {
+		key := plan[order[lo]].key
+		hi := lo + 1
+		for hi < len(order) && plan[order[hi]].key == key {
+			hi++
+		}
+		r, err := s.openCube(snap, key)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		if mode == WholeBlob {
+			if err := r.ReadRuns(cube, whole); err != nil {
+				return nil, fmt.Errorf("turbulence: cube key %d: %w", key, err)
+			}
+			if got := cube[:len(s.header)]; !bytes.Equal(got, s.header) {
+				return nil, fmt.Errorf("turbulence: cube key %d: stored header %x, want %x", key, got, s.header)
+			}
+		}
+		for _, i := range order[lo:hi] {
+			st := &plan[i]
+			runs = s.stencilRuns(runs[:0], st.sx, st.sy, st.sz, np)
+			if mode == WholeBlob {
+				for _, run := range runs {
+					put(run.DstOff, cube[run.SrcOff:run.SrcOff+run.Len])
+				}
+			} else if err := r.VisitRuns(runs, put); err != nil {
+				return nil, fmt.Errorf("turbulence: cube key %d: %w", key, err)
+			}
+			out[i] = stencilSum(buf, np, st.w[0][:np], st.w[1][:np], st.w[2][:np])
+		}
+		lo = hi
 	}
 	return out, nil
 }
 
-// batch is what one VelocityBatch call reuses from point to point.
-type batch struct {
-	snap  *engine.Snapshot
-	step  int
-	mode  FetchMode
-	cache map[int64][]byte // WholeBlob: stored velocity blobs by cube key
-	runs  []blob.Run       // the current stencil's run plan
-	// buf is the current stencil as a stencil-local (3, np, np, np)
-	// array; put decodes a segment of the blob into it at dstOff.
-	buf []float64
-	put func(dstOff int, seg []byte)
-}
-
-func (s *Store) velocityOne(b *batch, p [3]float64, scheme interp.Scheme) ([3]float64, error) {
+// planPoint fills st for the point p: the cube holding its np³ stencil,
+// the stencil's origin in that cube's ghosted block and the axis
+// weights, np = scheme.Points().
+func (s *Store) planPoint(st *stencil, step int, p [3]float64, scheme interp.Scheme) error {
 	n := float64(s.n)
 	// Wrap into [0, n).
 	var g [3]float64
-	for d := 0; d < 3; d++ {
-		x := math.Mod(p[d], n)
+	for d, x := range p {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return errors.New("non-finite coordinate")
+		}
+		x = math.Mod(x, n)
 		if x < 0 {
 			x += n
 			if x == n { // a tiny negative x rounds up to n
@@ -114,75 +161,71 @@ func (s *Store) velocityOne(b *batch, p [3]float64, scheme interp.Scheme) ([3]fl
 		}
 		g[d] = x
 	}
+	np := scheme.Points()
+	var c, o [3]int // cube coordinates, stencil origin in the block
 	if scheme == interp.Nearest {
 		// Round to a node first, then find its cube: the last half cell
 		// of a cube rounds into the next one (into cube 0 at the end).
-		var i [3]int
 		for d := range g {
-			i[d] = int(math.Round(g[d])) % s.n
+			i := int(math.Round(g[d])) % s.n
+			c[d], o[d] = i/s.cube, i%s.cube+s.ghost
+			st.w[d][0] = 1
 		}
-		one := []float64{1}
-		return s.stencilValue(b, i[0]/s.cube, i[1]/s.cube, i[2]/s.cube,
-			i[0]%s.cube+s.ghost, i[1]%s.cube+s.ghost, i[2]%s.cube+s.ghost, 1, one, one, one)
+	} else {
+		base := np/2 - 1
+		for d := range g {
+			c[d] = int(g[d]) / s.cube
+			// Local coordinate inside the ghosted block.
+			l := g[d] - float64(c[d]*s.cube) + float64(s.ghost)
+			i0 := math.Floor(l)
+			o[d] = int(i0) - base
+			interp.AxisWeights(scheme, l-i0, st.w[d][:np])
+		}
 	}
-	cx := int(g[0]) / s.cube
-	cy := int(g[1]) / s.cube
-	cz := int(g[2]) / s.cube
-	// Local coordinates inside the ghosted block.
-	lx := g[0] - float64(cx*s.cube) + float64(s.ghost)
-	ly := g[1] - float64(cy*s.cube) + float64(s.ghost)
-	lz := g[2] - float64(cz*s.cube) + float64(s.ghost)
-
-	np := scheme.Points()
-	i0x, tx := int(math.Floor(lx)), lx-math.Floor(lx)
-	i0y, ty := int(math.Floor(ly)), ly-math.Floor(ly)
-	i0z, tz := int(math.Floor(lz)), lz-math.Floor(lz)
-	var wx, wy, wz [8]float64
-	interp.AxisWeights(scheme, tx, wx[:np])
-	interp.AxisWeights(scheme, ty, wy[:np])
-	interp.AxisWeights(scheme, tz, wz[:np])
-	base := np/2 - 1
-	return s.stencilValue(b, cx, cy, cz, i0x-base, i0y-base, i0z-base, np,
-		wx[:np], wy[:np], wz[:np])
+	m := s.blockSide()
+	for _, x := range o {
+		if x < 0 || x+np > m {
+			return fmt.Errorf("stencil [%d..%d) outside block of side %d (ghost too small)", x, x+np, m)
+		}
+	}
+	key, err := s.cubeKey(step, c[0], c[1], c[2])
+	if err != nil {
+		return err
+	}
+	st.key, st.sx, st.sy, st.sz = key, o[0], o[1], o[2]
+	return nil
 }
 
-// stencilValue evaluates the weighted sum over an np³ stencil starting
-// at (sx, sy, sz) in block coordinates, for the three velocity channels
+// openCube resolves the velocity blob stored under key, as of snap: one
+// row lookup and one directory walk. The blob is checked by its length,
+// which the ref carries, so a blob of another shape or of the untiled
+// layout fails the batch before any chunk is read; a whole-blob fetch
+// checks the header as well. A foreign blob of exactly BlockBytes is
+// still read as velocity by a partial read.
+func (s *Store) openCube(snap *engine.Snapshot, key int64) (blob.Reader, error) {
+	row, err := s.table.GetAt(snap, key)
+	if err != nil {
+		return blob.Reader{}, fmt.Errorf("turbulence: cube key %d: %w", key, err)
+	}
+	ref, err := blob.DecodeRef(row[1].B)
+	if err != nil {
+		return blob.Reader{}, fmt.Errorf("turbulence: cube key %d: %w", key, err)
+	}
+	if ref.Length != int64(s.BlockBytes()) {
+		return blob.Reader{}, fmt.Errorf("turbulence: cube key %d: stored blob of %d bytes, want %d", key, ref.Length, s.BlockBytes())
+	}
+	r, err := s.table.BlobAt(snap, row[1].B)
+	if err != nil {
+		return blob.Reader{}, fmt.Errorf("turbulence: cube key %d: %w", key, err)
+	}
+	return r, nil
+}
+
+// stencilSum evaluates the weighted sum over the np³ stencil in data, a
+// stencil-local (3, np, np, np) array, for the three velocity channels
 // in one pass: a node's u, v, w are adjacent, and each channel sums the
 // same products in the same (kz, ky, kx) order as a pass of its own.
-// Both fetch modes gather the stencil into b.buf by the same run plan,
-// so the kernel reads one stencil-local (3, np, np, np) array.
-func (s *Store) stencilValue(b *batch, cx, cy, cz, sx, sy, sz, np int, wx, wy, wz []float64) ([3]float64, error) {
-	m := s.blockSide()
-	if sx < 0 || sy < 0 || sz < 0 || sx+np > m || sy+np > m || sz+np > m {
-		return [3]float64{}, fmt.Errorf("turbulence: stencil [%d..%d) outside block of side %d (ghost too small)",
-			sx, sx+np, m)
-	}
-	key, err := s.cubeKey(b.step, cx, cy, cz)
-	if err != nil {
-		return [3]float64{}, err
-	}
-	b.runs = s.stencilRuns(b.runs[:0], sx, sy, sz, np)
-	switch b.mode {
-	case WholeBlob:
-		blk, ok := b.cache[key]
-		if !ok {
-			if blk, err = s.readBlock(b.snap, key); err != nil {
-				return [3]float64{}, err
-			}
-			b.cache[key] = blk
-		}
-		for _, r := range b.runs {
-			b.put(r.DstOff, blk[r.SrcOff:r.SrcOff+r.Len])
-		}
-	case PartialRead:
-		if err := s.readStencil(b, key); err != nil {
-			return [3]float64{}, err
-		}
-	default:
-		return [3]float64{}, fmt.Errorf("turbulence: unknown fetch mode %d", b.mode)
-	}
-	data := b.buf
+func stencilSum(data []float64, np int, wx, wy, wz []float64) [3]float64 {
 	var u, v, w float64
 	for kz := 0; kz < np; kz++ {
 		wzk := wz[kz]
@@ -198,7 +241,7 @@ func (s *Store) stencilValue(b *batch, cx, cy, cz, sx, sy, sz, np int, wx, wy, w
 			}
 		}
 	}
-	return [3]float64{u, v, w}, nil
+	return [3]float64{u, v, w}
 }
 
 // stencilRuns appends to dst the byte runs of the velocity blob that
@@ -207,6 +250,14 @@ func (s *Store) stencilValue(b *batch, cx, cy, cz, sx, sy, sz, np int, wx, wy, w
 // nodes — in ascending stored order, so the blob reader visits them
 // without sorting. Each run's DstOff places it in a stencil-local
 // (3, np, np, np) float64 array.
+//
+// The float64 samples are decoded straight off the segments a partial
+// read lends (pinned pages for raw blocks, decoded scratch for
+// compressed ones). That requires every element to sit inside one
+// segment, which holds because segments break only at chunk boundaries,
+// every chunk starts on a BlockSize multiple, and BlockSize is a
+// multiple of 8 (asserted below), past a header CreateStore has checked
+// is a multiple of 8 too.
 func (s *Store) stencilRuns(dst []blob.Run, sx, sy, sz, np int) []blob.Run {
 	const node = velChannels * 8 // bytes per node
 	t, nt := s.tile, s.blockSide()/s.tile
@@ -232,58 +283,7 @@ func (s *Store) stencilRuns(dst []blob.Run, sx, sy, sz, np int) []blob.Run {
 	return dst
 }
 
-// readBlock performs the whole-blob path: it fetches the cube's entire
-// velocity blob, header included, as one caller-owned copy, which
-// stencilValue then reads stencils out of as a partial read reads them
-// off the chunk pages. The stored header must equal the store's.
-func (s *Store) readBlock(snap *engine.Snapshot, key int64) ([]byte, error) {
-	ref, err := s.fetchRef(snap, key)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := s.table.ResolveMaxAt(snap, ref)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) != s.BlockBytes() {
-		return nil, fmt.Errorf("turbulence: cube key %d: stored blob of %d bytes, want %d", key, len(raw), s.BlockBytes())
-	}
-	if got := raw[:len(s.header)]; !bytes.Equal(got, s.header) {
-		return nil, fmt.Errorf("turbulence: cube key %d: stored header %x, want %x", key, got, s.header)
-	}
-	return raw, nil
-}
-
-// readStencil performs the partial-read path: only b.runs, the
-// stencil's in-tile x-rows, are fetched from the out-of-page velocity
-// blob into b.buf. The float64 samples are decoded straight off the
-// segments (pinned pages for raw blocks, decoded scratch for compressed
-// ones) — no intermediate byte buffer, no copy. The direct decode
-// requires every element to sit inside one segment, which holds because
-// segments break only at chunk boundaries, every chunk starts on a
-// BlockSize multiple, and BlockSize is a multiple of 8 (asserted below),
-// past a header CreateStore has checked is a multiple of 8 too.
-//
-// The header is not read, so the blob is checked by its length, which
-// the ref carries: a blob of another shape or of the untiled layout
-// fails the batch at no I/O cost. A foreign blob of exactly BlockBytes
-// is still read as velocity.
-func (s *Store) readStencil(b *batch, key int64) error {
-	ref, err := s.fetchRef(b.snap, key)
-	if err != nil {
-		return err
-	}
-	r, err := blob.DecodeRef(ref)
-	if err != nil {
-		return err
-	}
-	if r.Length != int64(s.BlockBytes()) {
-		return fmt.Errorf("turbulence: cube key %d: stored blob of %d bytes, want %d", key, r.Length, s.BlockBytes())
-	}
-	return s.table.VisitBlobRunsAt(b.snap, ref, b.runs, b.put)
-}
-
-// No float64 may straddle a segment boundary (see readStencil).
+// No float64 may straddle a segment boundary (see stencilRuns).
 const _ = uint(-(blob.BlockSize % 8))
 
 // DropCache clears the buffer pool, forcing cold reads.

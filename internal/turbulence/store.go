@@ -195,13 +195,3 @@ func (s *Store) cubeKey(step, cx, cy, cz int) (int64, error) {
 	}
 	return keyFor(step, code), nil
 }
-
-// fetchRef returns the encoded velocity blob ref stored under key, as of
-// snap.
-func (s *Store) fetchRef(snap *engine.Snapshot, key int64) ([]byte, error) {
-	row, err := s.table.GetAt(snap, key)
-	if err != nil {
-		return nil, fmt.Errorf("turbulence: cube key %d: %w", key, err)
-	}
-	return row[1].B, nil
-}

@@ -357,6 +357,60 @@ func TestBatchCachesBlocks(t *testing.T) {
 	}
 }
 
+// TestLargeBatchReadsCubeByCube: a batch of §2.1's size reads each cube
+// while it is hot. 1500 Lag8 points over all 64 cubes of a 32³ field,
+// duplicates and periodic images included, on a 128-page pool against
+// about 900 pages of cubes: a cold PartialRead batch reads no more
+// physical pages than a cold WholeBlob batch, which reads every touched
+// cube whole, and both return, bit for bit and in the caller's order,
+// what one Velocity call per point returns.
+func TestLargeBatchReadsCubeByCube(t *testing.T) {
+	f := genField(t, 32)
+	db, err := engine.Open(engine.Options{PoolPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := CreateStore(db, "turb", f, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := seededPoints(5, 1200, 32)
+	for i := 0; i < 300; i++ {
+		p := pts[(i*37)%len(pts)]
+		if i%2 == 1 { // the same point one period over on each axis
+			p = [3]float64{p[0] + 32, p[1] - 32, p[2] + 64}
+		}
+		pts = append(pts, p)
+	}
+	reg := s.db.Metrics()
+	reads := map[FetchMode]uint64{}
+	for _, mode := range []FetchMode{WholeBlob, PartialRead} {
+		if err := s.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		before := metric(t, reg, "pages.physical_reads")
+		out, err := s.VelocityBatch(0, pts, interp.Lag8, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads[mode] = metric(t, reg, "pages.physical_reads") - before
+		for i, p := range pts {
+			want, err := s.Velocity(0, p, interp.Lag8, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[i] != want {
+				t.Fatalf("%v point %d at %v: batch %v, alone %v", mode, i, p, out[i], want)
+			}
+		}
+	}
+	t.Logf("cold %d-point Lag8 batch: %d physical reads whole-blob, %d partial",
+		len(pts), reads[WholeBlob], reads[PartialRead])
+	if reads[PartialRead] > reads[WholeBlob] {
+		t.Errorf("partial-read batch read %d pages, whole-blob batch %d", reads[PartialRead], reads[WholeBlob])
+	}
+}
+
 // TestStoredBlockLayout: a stored cube is two arrays. Its blob column
 // is the velocity in 4³ tiles, a (12, 4, 4, m/4, m/4, m/4) array whose
 // element (3·(x%4) + ch, y%4, z%4, x/4, y/4, z/4) is velocity channel

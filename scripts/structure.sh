@@ -74,6 +74,11 @@ names=(
 	# A write session's page bookkeeping lives on its frames (capture
 	# stamp, pre-image pointer): no set or map keyed by frame.
 	'map[*Frame]'
+	# One fetch path for the turbulence service: a batch walks its cubes
+	# in key order and reads each through one blob reader, with no
+	# whole-cube copy kept per batch.
+	'readBlock('
+	'VisitBlobRunsAt'
 )
 src=()
 while IFS= read -r f; do
