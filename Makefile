@@ -49,7 +49,7 @@ lint:
 bench:
 # cached fetches from 1..N goroutines and fetches that must evict; bench/'s pages.fetch_hit_ns / fetch_miss_us are one goroutine into free frames (ROADMAP item 3 targets Contention).
 	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkBufferPoolFetchMiss' -benchtime=300ms ./internal/pages
-# one-row autocommit Insert on a log-less database (capture, copy-on-write, publish, retirement; allocs reported); bench/'s table1_scan setup_s is 800 000 of these plus the scan fixture.
+# one-row autocommit Insert on a log-less database (capture, copy-on-write, publish, retirement; allocs reported); bench/'s table1_scan setup_s is 800 000 of these plus the scan fixture. The held-snapshot case keeps one snapshot open across every commit: no bench/ workload holds a snapshot across many writes (nbody_ingest's scanner re-opens its own every scan), so only this case shows a commit's cost growing with a long-lived reader.
 	go test -run='^$$' -bench='BenchmarkOneRowCommit' -benchtime=300ms ./internal/engine
 # the UDF boundary's ns/row in Table 1's Q4 and Q5 shapes without the scan; bench/'s engine.udf_call_ns is Q5 minus Q3 through the whole executor.
 	go test -run='^$$' -bench='BenchmarkCallBatch' -benchtime=300ms ./internal/engine

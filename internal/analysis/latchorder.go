@@ -9,11 +9,12 @@ import (
 
 // Latchorder proves the documented lock hierarchy
 //
-//	db.writeMu (0) → db.mu (1) → table.metaMu (2) → pool shard.mu (3) → leaves (4)
+//	db.writeMu (0) → db.pubMu (1) → pool snapMu (2) → pool shard.mu (3) → leaves (4)
 //
-// (Level 2 used to be the table reader-writer latch; scans now ride
-// buffer-pool snapshots, and the slot is held by the mutex guarding each
-// table's committed catalog versions.)
+// db.pubMu pairs a commit's clock tick with its catalog swap (and a
+// snapshot's tag with its catalog); the pool's snapMu guards the live
+// snapshot tags that every version-retirement check reads under a shard
+// lock.
 //
 // A function holding a level-L latch may only acquire latches at a
 // strictly greater level. The analyzer classifies direct Lock/RLock calls
@@ -33,7 +34,7 @@ import (
 // function.
 var Latchorder = &Analyzer{
 	Name: "latchorder",
-	Doc:  "lock acquisitions must follow db.writeMu → db.mu → table.metaMu → pool stripe; DML *Tx entry points require transaction context",
+	Doc:  "lock acquisitions must follow db.writeMu → db.pubMu → pool snapMu → pool stripe; DML *Tx entry points require transaction context",
 	Run:  runLatchorder,
 }
 
@@ -43,8 +44,8 @@ var latchLevels = []struct {
 	level           int
 }{
 	{"engine", "DB", "writeMu", 0},
-	{"engine", "DB", "mu", 1},
-	{"engine", "Table", "metaMu", 2},
+	{"engine", "DB", "pubMu", 1},
+	{"pages", "BufferPool", "snapMu", 2},
 	{"pages", "shard", "mu", 3},
 	{"pages", "Capture", "mu", 4},
 	{"wal", "Log", "mu", 4},
@@ -52,8 +53,8 @@ var latchLevels = []struct {
 
 var latchNames = map[int]string{
 	0: "db.writeMu",
-	1: "db.mu",
-	2: "table.metaMu",
+	1: "db.pubMu",
+	2: "pool snapMu",
 	3: "pool shard.mu",
 	4: "leaf mutex (wal/capture)",
 }
@@ -65,16 +66,18 @@ var externalAcquires = []struct {
 	pkg, typ string
 	levels   []int
 }{
-	{"pages", "BufferPool", []int{3}},
+	// An unpin of a superseded version may retire it, which takes
+	// snapMu: every reader of pages can reach level 2.
+	{"pages", "BufferPool", []int{2, 3}},
 	{"pages", "Capture", []int{4}},
-	{"btree", "Tree", []int{3}},
-	{"btree", "Iterator", []int{3}},
-	{"blob", "Store", []int{3}},
-	{"blob", "View", []int{3}},
-	{"engine", "Table", []int{2, 3}},
+	{"btree", "Tree", []int{2, 3}},
+	{"btree", "Iterator", []int{2, 3}},
+	{"blob", "Store", []int{2, 3}},
+	{"blob", "Reader", []int{2, 3}},
+	{"engine", "Table", []int{1, 2, 3}},
 	{"engine", "Snapshot", []int{2, 3}},
-	{"engine", "Cursor", []int{3}},
-	{"pages", "Snapshot", []int{3}},
+	{"engine", "Cursor", []int{2, 3}},
+	{"pages", "Snapshot", []int{2, 3}},
 	{"wal", "Log", []int{4}},
 }
 
@@ -265,7 +268,7 @@ func walkLatches(p *Pass, fd *ast.FuncDecl, summaries map[*types.Func]levelSet) 
 		}
 		if op, ok := classifyLockCall(info, call); ok {
 			if op.acquire && op.level <= maxHeld {
-				p.Reportf(call.Pos(), "acquiring %s while holding %s violates the latch order (writeMu → db.mu → table.metaMu → pool stripe)",
+				p.Reportf(call.Pos(), "acquiring %s while holding %s violates the latch order (writeMu → db.pubMu → pool snapMu → pool stripe)",
 					latchNames[op.level], latchNames[maxHeld])
 			}
 			return

@@ -1,7 +1,6 @@
 // Package engine mocks the engine's lock hierarchy: DB.writeMu (0) →
-// DB.mu (1) → Table.metaMu (2) → pool stripe (3). Level 2 was the
-// table reader latch before snapshot reads replaced it; the slot now
-// belongs to the catalog-version mutex.
+// DB.pubMu (1) → the pool's snapMu (2) → pool stripe (3). pubMu pairs a
+// commit's clock tick with its catalog swap.
 package engine
 
 import (
@@ -11,9 +10,9 @@ import (
 )
 
 type DB struct {
-	mu      sync.RWMutex
 	writeMu sync.Mutex
-	tables  map[string]*Table
+	pubMu   sync.Mutex
+	bp      *pages.BufferPool
 }
 
 type Tx struct {
@@ -31,51 +30,49 @@ func (tx *Tx) Close() error {
 }
 
 type Table struct {
-	metaMu sync.Mutex
-	bp     *pages.BufferPool
+	db *DB
+	bp *pages.BufferPool
 }
 
 func (t *Table) InsertTx(tx *Tx, v int) error {
-	t.metaMu.Lock()
-	defer t.metaMu.Unlock()
 	return nil
 }
 
-// good: the documented descent order.
-func goodOrder(db *DB, t *Table) {
+// good: the documented descent order — a commit publishes under the
+// writer lock, and the pool takes snapMu and the stripes below pubMu.
+func goodOrder(db *DB) {
 	db.writeMu.Lock()
-	db.mu.RLock()
-	t.metaMu.Lock()
-	t.metaMu.Unlock()
-	db.mu.RUnlock()
+	db.pubMu.Lock()
+	db.bp.FinishPublish(2)
+	db.pubMu.Unlock()
 	db.writeMu.Unlock()
 }
 
-// bad: catalog lock taken above the table's version mutex.
-func badOrder(db *DB, t *Table) {
-	t.metaMu.Lock()
-	db.mu.RLock() // want `acquiring db\.mu while holding table\.metaMu violates the latch order`
-	db.mu.RUnlock()
-	t.metaMu.Unlock()
+// bad: the writer lock taken under the publish mutex.
+func badOrder(db *DB) {
+	db.pubMu.Lock()
+	db.writeMu.Lock() // want `acquiring db\.writeMu while holding db\.pubMu violates the latch order`
+	db.writeMu.Unlock()
+	db.pubMu.Unlock()
 }
 
-func lockCatalog(db *DB) {
-	db.mu.Lock()
-	db.mu.Unlock()
+func lockWriter(db *DB) {
+	db.writeMu.Lock()
+	db.writeMu.Unlock()
 }
 
 // bad: the same inversion hidden behind an intra-package call.
-func badTransitive(db *DB, t *Table) {
-	t.metaMu.Lock()
-	lockCatalog(db) // want `call may acquire db\.mu while table\.metaMu is held`
-	t.metaMu.Unlock()
+func badTransitive(db *DB) {
+	db.pubMu.Lock()
+	lockWriter(db) // want `call may acquire db\.writeMu while db\.pubMu is held`
+	db.pubMu.Unlock()
 }
 
-// good: holding the version mutex while descending into the pool is the
-// documented order (level 2 → level 3).
+// good: holding the publish mutex while descending into the pool is
+// the documented order (level 1 → levels 2 and 3).
 func goodDescend(t *Table) error {
-	t.metaMu.Lock()
-	defer t.metaMu.Unlock()
+	t.db.pubMu.Lock()
+	defer t.db.pubMu.Unlock()
 	f, err := t.bp.Fetch(1)
 	if err != nil {
 		return err
@@ -123,9 +120,9 @@ func badDMLClosure(t *Table) func() error {
 	}
 }
 
-func suppressedOrder(db *DB, t *Table) {
-	t.metaMu.Lock()
-	db.mu.RLock() //lint:allow latchorder deliberate inversion exercised by this fixture
-	db.mu.RUnlock()
-	t.metaMu.Unlock()
+func suppressedOrder(db *DB) {
+	db.pubMu.Lock()
+	db.writeMu.Lock() //lint:allow latchorder deliberate inversion exercised by this fixture
+	db.writeMu.Unlock()
+	db.pubMu.Unlock()
 }

@@ -427,9 +427,11 @@ func (r *Reader) visit(runs []Run, total int, fn func(dstOff int, seg []byte)) e
 	// walkDir checks the chunks cover exactly [0, ref.Length), so every
 	// run maps onto them.
 	chunks := r.chunks
+	scr := scratchPool.Get().(*codecScratch)
+	defer scratchPool.Put(scr)
 	// One piece per run plus one per chunk boundary a run crosses; no
 	// chunk covers fewer than BlockSize bytes except a blob's last.
-	pieces := make([]piece, 0, len(runs)+total/BlockSize+4)
+	pieces := slices.Grow(scr.pieces[:0], len(runs)+total/BlockSize+4)
 	sorted := true
 	for _, r := range runs {
 		if r.Len <= 0 {
@@ -451,8 +453,7 @@ func (r *Reader) visit(runs []Run, total int, fn func(dstOff int, seg []byte)) e
 		// hand-built run lists pay for this.
 		slices.SortStableFunc(pieces, func(a, b piece) int { return a.c - b.c })
 	}
-	scr := scratchPool.Get().(*codecScratch)
-	defer scratchPool.Put(scr)
+	scr.pieces = pieces // the grown buffer serves the scratch's next read
 	for i := 0; i < len(pieces); {
 		j := i + 1
 		for j < len(pieces) && pieces[j].c == pieces[i].c {

@@ -107,9 +107,10 @@ const (
 // page, decoded chunk bytes are lent to VisitRuns callbacks and dead
 // once they return.
 type codecScratch struct {
-	a []byte // shuffle / decode staging
-	b []byte // encode output / unshuffle staging
-	c []byte // one decoded chunk (up to maxChunkLogical), grown on demand
+	a      []byte  // shuffle / decode staging
+	b      []byte  // encode output / unshuffle staging
+	c      []byte  // one decoded chunk (up to maxChunkLogical), grown on demand
+	pieces []piece // a read's per-chunk plan (Reader.visit), grown on demand
 }
 
 func newCodecScratch() *codecScratch {

@@ -69,16 +69,18 @@ func (s *valuesSource) Next() ([]Value, error) {
 	return r, nil
 }
 
-// BulkOptions tunes a bulk load. The zero value is ready to use.
-type BulkOptions struct {
-	// SyncEvery is how many freshly written pages are logged between
-	// WAL syncs during staging. Each sync makes the pages behind it
-	// evictable, bounding the dirty working set; more frequent syncs
-	// trade throughput for a smaller bound. Default 256 (2 MB of log).
-	SyncEvery int
-}
+// BulkOptions is accepted by every bulk-load entry point and has no
+// fields: the loader derives what it needs from the database.
+type BulkOptions struct{}
 
-const defaultBulkSyncEvery = 256
+// bulkSyncEvery is how many freshly written pages a load logs between
+// WAL syncs. Staged pages are unevictable until a sync makes their log
+// records durable, so the interval is a quarter of the pool, capped at
+// 256 pages (2 MB of log): a small pool syncs often enough to keep
+// frames for everything else, and the default pool keeps the cap.
+func bulkSyncEvery(bp *pages.BufferPool) int {
+	return max(1, min(256, bp.Capacity()/4))
+}
 
 // BulkStats reports what a completed load wrote.
 type BulkStats struct {
@@ -107,12 +109,9 @@ type pendingRow struct {
 // be strictly greater than the current maximum key; duplicate keys in
 // the source are rejected. On any error the table is left exactly as it
 // was (fresh pages already written become unreferenced garbage).
-func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
+func (t *Table) BulkLoad(src BulkSource, _ BulkOptions) (BulkStats, error) {
 	db := t.db
-	syncEvery := opts.SyncEvery
-	if syncEvery <= 0 {
-		syncEvery = defaultBulkSyncEvery
-	}
+	syncEvery := bulkSyncEvery(db.bp)
 
 	db.writeMu.Lock()
 	locked := true
@@ -202,13 +201,13 @@ func (t *Table) BulkLoad(src BulkSource, opts BulkOptions) (BulkStats, error) {
 		return stats, err
 	}
 	locked = false // the session owns the unlock now
-	tx.touch(t)
+	tx.touch()
 	if err := t.tree.GraftAppend(lw); err != nil {
 		tx.Abort()
 		return stats, err
 	}
-	t.rowBytes.Add(stats.RowBytes)
-	t.blobBytes.Add(stats.BlobBytes)
+	t.rowBytes += stats.RowBytes
+	t.blobBytes += stats.BlobBytes
 	if err := tx.Commit(); err != nil {
 		return stats, err
 	}

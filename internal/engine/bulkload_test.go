@@ -28,10 +28,61 @@ func bulkRows(t *testing.T, base int64, n int) [][]Value {
 	return rows
 }
 
+// openSmallDB is openDB on a pool of poolPages frames. A load syncs the
+// WAL every poolPages/4 pages, so a small pool makes it sync many times
+// mid-staging.
+func openSmallDB(t *testing.T, disk pages.DiskManager, st wal.Storage, poolPages int) *DB {
+	t.Helper()
+	db, err := Open(Options{Disk: disk, PoolPages: poolPages, WAL: openWAL(t, st)})
+	if err != nil {
+		t.Fatalf("engine.Open: %v", err)
+	}
+	return db
+}
+
+// TestBulkLoadFitsSmallPools: a WAL-backed load of 300 rows, a third of
+// them multi-chunk arrays, completes on 64- and 128-frame pools and
+// reads back whole. Staged pages stay unevictable until the log syncs
+// past them, so a sync interval fixed at 256 pages exhausted both.
+func TestBulkLoadFitsSmallPools(t *testing.T) {
+	for _, poolPages := range []int{64, 128} {
+		t.Run(fmt.Sprint(poolPages), func(t *testing.T) {
+			db := openSmallDB(t, pages.NewMemDisk(), wal.NewMemStorage(), poolPages)
+			tbl, err := db.CreateTable("t", walTestSchema(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 300
+			if _, err := tbl.BulkLoad(NewValuesSource(bulkRows(t, 0, n)), BulkOptions{}); err != nil {
+				t.Fatalf("BulkLoad on a %d-frame pool: %v", poolPages, err)
+			}
+			if got := tbl.Rows(); got != n {
+				t.Fatalf("rows = %d, want %d", got, n)
+			}
+			for _, k := range []int64{0, 1, n / 2, n - 3} {
+				v, err := tbl.Get(k)
+				if err != nil {
+					t.Fatalf("Get(%d): %v", k, err)
+				}
+				if v[1].F != float64(k)/2 {
+					t.Errorf("key %d: x = %v", k, v[1].F)
+				}
+				if k%3 == 0 {
+					a := fetchArray(t, tbl, k, 2)
+					if got, want := a.FloatAt(arrElems-1), float64(k)*10+arrElems-1; got != want {
+						t.Errorf("key %d: last element %v, want %v", k, got, want)
+					}
+				}
+			}
+			verifyInvariants(t, db, "t")
+		})
+	}
+}
+
 // TestBulkLoadMatchesInsert loads one table through BulkLoad and a twin
 // through row-at-a-time Insert, then checks the two read identically.
 func TestBulkLoadMatchesInsert(t *testing.T) {
-	db := openDB(t, pages.NewMemDisk(), wal.NewMemStorage())
+	db := openSmallDB(t, pages.NewMemDisk(), wal.NewMemStorage(), 32)
 	bulk, err := db.CreateTable("bulk", walTestSchema(t))
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +98,7 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	for i, r := range rows {
 		shuffled[(i*7)%n] = r
 	}
-	st, err := bulk.BulkLoad(NewValuesSource(shuffled), BulkOptions{SyncEvery: 8})
+	st, err := bulk.BulkLoad(NewValuesSource(shuffled), BulkOptions{})
 	if err != nil {
 		t.Fatalf("BulkLoad: %v", err)
 	}
@@ -209,7 +260,7 @@ func (s *failingSource) Next() ([]Value, error) {
 func TestBulkLoadCrashMidLoad(t *testing.T) {
 	disk := pages.NewMemDisk()
 	st := wal.NewMemStorage()
-	db := openDB(t, disk, st)
+	db := openSmallDB(t, disk, st, 8)
 	tbl, err := db.CreateTable("t", walTestSchema(t))
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +278,9 @@ func TestBulkLoadCrashMidLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// SyncEvery 2 forces WAL syncs mid-staging: uncommitted page images
-	// are durably in the log when the load dies.
-	_, err = tbl.BulkLoad(&failingSource{rows: bulkRows(t, 100, 30)}, BulkOptions{SyncEvery: 2})
+	// An 8-frame pool syncs the WAL every 2 pages mid-staging:
+	// uncommitted page images are durably in the log when the load dies.
+	_, err = tbl.BulkLoad(&failingSource{rows: bulkRows(t, 100, 30)}, BulkOptions{})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("load error = %v, want injected failure", err)
 	}
@@ -240,7 +291,7 @@ func TestBulkLoadCrashMidLoad(t *testing.T) {
 	// Crash and recover: the uncommitted staged images must not be
 	// applied (all-or-nothing: none of the load).
 	st.Crash()
-	db2 := openDB(t, disk, st)
+	db2 := openSmallDB(t, disk, st, 8)
 	tbl2, err := db2.Table("t")
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +311,7 @@ func TestBulkLoadCrashMidLoad(t *testing.T) {
 	}
 
 	// The same load retried on the recovered database lands completely.
-	if _, err := tbl2.BulkLoad(NewValuesSource(bulkRows(t, 100, 30)), BulkOptions{SyncEvery: 2}); err != nil {
+	if _, err := tbl2.BulkLoad(NewValuesSource(bulkRows(t, 100, 30)), BulkOptions{}); err != nil {
 		t.Fatalf("retry load: %v", err)
 	}
 	if got := tbl2.Rows(); got != 40 {
@@ -274,12 +325,12 @@ func TestBulkLoadCrashMidLoad(t *testing.T) {
 func TestBulkLoadCrashAfterCommit(t *testing.T) {
 	disk := pages.NewMemDisk()
 	st := wal.NewMemStorage()
-	db := openDB(t, disk, st)
+	db := openSmallDB(t, disk, st, 16)
 	tbl, err := db.CreateTable("t", walTestSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.BulkLoad(NewValuesSource(bulkRows(t, 0, 120)), BulkOptions{SyncEvery: 4}); err != nil {
+	if _, err := tbl.BulkLoad(NewValuesSource(bulkRows(t, 0, 120)), BulkOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st.Crash()
@@ -370,7 +421,7 @@ func TestBulkLoadConcurrentSnapshots(t *testing.T) {
 			k := int64(b*perBatch + i)
 			rows[i] = []Value{IntValue(k), FloatValue(float64(k))}
 		}
-		if _, err := tbl.BulkLoad(NewValuesSource(rows), BulkOptions{SyncEvery: 16}); err != nil {
+		if _, err := tbl.BulkLoad(NewValuesSource(rows), BulkOptions{}); err != nil {
 			t.Fatalf("load %d: %v", b, err)
 		}
 	}

@@ -3,8 +3,8 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sqlarray/internal/blob"
 	"sqlarray/internal/btree"
@@ -18,12 +18,14 @@ import (
 // (optionally) a write-ahead log that makes DML durable and the
 // database recoverable after a crash.
 type DB struct {
-	mu      sync.RWMutex // guards the table catalog
-	writeMu sync.Mutex   // serializes write sessions (single-writer engine)
-	bp      *pages.BufferPool
-	blobs   *blob.Store
-	tables  map[string]*Table
-	funcs   *FuncRegistry
+	writeMu sync.Mutex // serializes write sessions (single-writer engine)
+	// pubMu pairs a commit's clock tick with its catalog swap, and a
+	// snapshot's tag with its catalog, so both come from one commit.
+	pubMu sync.Mutex
+	cat   atomic.Pointer[catalog] // the newest committed catalog
+	bp    *pages.BufferPool
+	blobs *blob.Store
+	funcs *FuncRegistry
 
 	wal *wal.Log
 
@@ -97,12 +99,12 @@ func Open(opts Options) (*DB, error) {
 	}
 	bp := pages.NewBufferPool(opts.Disk, opts.PoolPages)
 	db := &DB{
-		bp:     bp,
-		blobs:  blob.NewStore(bp),
-		tables: make(map[string]*Table),
-		funcs:  newFuncRegistry(),
-		wal:    opts.WAL,
+		bp:    bp,
+		blobs: blob.NewStore(bp),
+		funcs: newFuncRegistry(),
+		wal:   opts.WAL,
 	}
+	db.cat.Store(&catalog{})
 	db.reg = opts.Metrics
 	if db.reg == nil {
 		db.reg = obs.New()
@@ -150,29 +152,27 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 	return t, tx.Close(err)
 }
 
-// CreateTableTx is CreateTable inside an existing write session.
+// CreateTableTx is CreateTable inside an existing write session. The
+// table joins the session's catalog: db.Table and snapshots see it once
+// the session commits, and an abort leaves no trace of it.
 func (db *DB) CreateTableTx(tx *Tx, name string, schema Schema) (*Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; ok {
+	cat := tx.touch()
+	if cat.lookup(name) != nil {
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
 	tree, err := btree.New(db.bp)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, name: name, schema: schema, tree: tree}
-	db.tables[name] = t
-	tx.noteCreated(t)
+	t := &Table{db: db, name: name, schema: schema, slot: len(cat.tables), tree: tree}
+	cat.tables = append(cat.tables, t.live())
 	return t, nil
 }
 
-// Table looks a table up by name.
+// Table looks a table up by name in the newest committed catalog.
 func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	if !ok {
+	t := db.cat.Load().lookup(name)
+	if t == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, name)
 	}
 	return t, nil
@@ -202,7 +202,7 @@ func (db *DB) Checkpoint() error {
 		db.m.checkpoints.Inc()
 		return nil
 	}
-	payload, err := json.Marshal(db.catalogSnapshot())
+	payload, err := json.Marshal(db.cat.Load().walCatalog())
 	if err != nil {
 		return err
 	}
@@ -213,20 +213,12 @@ func (db *DB) Checkpoint() error {
 	return nil
 }
 
-// catalogSnapshot captures every table's state with schemas — the
-// checkpoint record payload. Caller holds writeMu (so no table state is
-// in flux).
-func (db *DB) catalogSnapshot() walCatalog {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// walCatalog is the checkpoint record's payload: every table's entry
+// with its schema, in creation order.
+func (c *catalog) walCatalog() walCatalog {
 	var cat walCatalog
-	for _, name := range names {
-		cat.Tables = append(cat.Tables, db.tables[name].walState(true))
+	for _, st := range c.tables {
+		cat.Tables = append(cat.Tables, st.walState(true))
 	}
 	return cat
 }

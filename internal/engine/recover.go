@@ -35,23 +35,23 @@ func (db *DB) recover() error {
 		img []byte
 	}
 	var pending []pageImg
-	catalog := make(map[string]walTableState)
+	logged := make(map[string]walTableState)
 	order := []string{} // stable application order for table rebuild
 	var lastGood wal.LSN
 	upsert := func(st walTableState) error {
-		prev, ok := catalog[st.Name]
+		prev, ok := logged[st.Name]
 		if !ok {
 			if len(st.Cols) == 0 {
 				return fmt.Errorf("catalog delta for unknown table %q", st.Name)
 			}
 			order = append(order, st.Name)
-			catalog[st.Name] = st
+			logged[st.Name] = st
 			return nil
 		}
 		if len(st.Cols) == 0 { // state-only delta: keep the known schema
 			st.Cols, st.Key = prev.Cols, prev.Key
 		}
-		catalog[st.Name] = st
+		logged[st.Name] = st
 		return nil
 	}
 	err := l.Recover(func(lsn wal.LSN, typ wal.RecordType, payload []byte) error {
@@ -62,7 +62,7 @@ func (db *DB) recover() error {
 			if err := json.Unmarshal(payload, &snap); err != nil {
 				return fmt.Errorf("checkpoint record at LSN %d: %w", lsn, err)
 			}
-			catalog = make(map[string]walTableState)
+			logged = make(map[string]walTableState)
 			order = order[:0]
 			for _, st := range snap.Tables {
 				if err := upsert(st); err != nil {
@@ -116,26 +116,27 @@ func (db *DB) recover() error {
 		return err
 	}
 	// Rebuild the catalog: attach each table to its recovered B-tree.
-	for _, name := range order {
-		st := catalog[name]
+	// Tag-0 pages are visible to every snapshot, so the recovered
+	// catalog is too.
+	cat := &catalog{}
+	for i, name := range order {
+		st := logged[name]
 		schema, err := schemaFromWAL(st)
 		if err != nil {
 			return err
 		}
 		t := &Table{
-			db:     db,
-			name:   name,
-			schema: schema,
-			tree:   btree.Open(db.bp, pages.PageID(st.Root), st.Height, st.Count),
+			db:        db,
+			name:      name,
+			schema:    schema,
+			slot:      i,
+			tree:      btree.Open(db.bp, pages.PageID(st.Root), st.Height, st.Count),
+			rowBytes:  st.RowBytes,
+			blobBytes: st.BlobBytes,
 		}
-		t.rowBytes.Store(st.RowBytes)
-		t.blobBytes.Store(st.BlobBytes)
-		// Seed the committed-version list: recovered state is visible to
-		// every snapshot (the commit clock starts at 1, so tag 1 <= any
-		// snapshot tag).
-		t.metas = []tableMeta{t.currentMeta(db.bp.CommitTag())}
-		db.tables[name] = t
+		cat.tables = append(cat.tables, t.live())
 	}
+	db.cat.Store(cat)
 	return nil
 }
 

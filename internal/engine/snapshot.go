@@ -1,13 +1,14 @@
 // Snapshot reads: the engine half of MVCC.
 //
-// A Snapshot freezes the database at a commit tag. Page content is
-// resolved by the buffer pool's version store (pages.Snapshot); table
-// identity — which B+tree root, how many rows — is resolved here, by a
-// per-table list of committed catalog versions (tableMeta) that Commit
-// appends to atomically with the page publish. Together they give a
-// scan a consistent view: the tree it descends and every page it reads
-// belong to the same commit, no matter how many commits land while the
-// scan streams.
+// A Snapshot freezes the database at a commit: a page tag, whose page
+// versions the buffer pool's version store resolves (pages.Snapshot),
+// and the catalog that commit published — one immutable value mapping
+// every table to its tree root, height, row count and byte counters.
+// Together they give a scan a consistent view: the tree it descends and
+// every page it reads belong to the same commit, no matter how many
+// commits land while the scan streams. The snapshot holds the catalog
+// by pointer, so a catalog lives exactly as long as a snapshot (or the
+// database, for the newest one) can read it.
 //
 // Readers never take a table latch. Writers (always under the
 // database's single-writer lock) copy-on-write every page they touch
@@ -28,21 +29,26 @@ import (
 // Snapshot is a frozen, immutable read view of the whole database as of
 // a commit. It is safe for concurrent use by parallel scan workers and
 // must be Released exactly like a pin: the buffer pool retains every
-// superseded page version some live snapshot might still need.
-// Release is idempotent.
+// superseded page version a live snapshot reads. Release is idempotent.
 type Snapshot struct {
 	db       *DB
 	ps       *pages.Snapshot
+	cat      *catalog
 	blobs    *blob.Store
 	released atomic.Bool
 }
 
-// Snapshot opens a read view at the current commit clock. Writers never
-// wait for it, and it never observes their uncommitted or later work.
+// Snapshot opens a read view at the current commit. Writers never wait
+// for it, and it never observes their uncommitted or later work. The
+// page tag and the catalog are read under the publish mutex, so they
+// come from the same commit.
 func (db *DB) Snapshot() *Snapshot {
+	db.pubMu.Lock()
 	ps := db.bp.AcquireSnapshot()
+	cat := db.cat.Load()
+	db.pubMu.Unlock()
 	db.m.snapshots.Inc()
-	return &Snapshot{db: db, ps: ps, blobs: db.blobs.WithFetcher(ps)}
+	return &Snapshot{db: db, ps: ps, cat: cat, blobs: db.blobs.WithFetcher(ps)}
 }
 
 // Release deregisters the snapshot, letting the version store retire
@@ -57,13 +63,17 @@ func (s *Snapshot) Release() {
 // Tag returns the snapshot's commit tag.
 func (s *Snapshot) Tag() uint64 { return s.ps.Tag() }
 
-// tableMeta is one committed version of a table's catalog state: the
-// tree attachment plus the derived counters, stamped with the commit
-// tag that published it. Snapshot reads resolve the newest version at
-// or before their tag; none visible means the table did not exist yet
-// in that view.
-type tableMeta struct {
-	tag       uint64
+// catalog is the table catalog as one commit published it. It is
+// immutable once published: a write session edits a private copy
+// (Tx.touch) and Commit swaps the copy in with the commit-clock tick.
+type catalog struct {
+	tables []tableState // creation order: tables[t.slot] is t's entry
+}
+
+// tableState is one table's committed state: its tree attachment and
+// the derived counters. The table carries the name and schema.
+type tableState struct {
+	t         *Table
 	root      pages.PageID
 	height    int
 	count     int // rows, as the tree counts them
@@ -71,90 +81,34 @@ type tableMeta struct {
 	blobBytes int64
 }
 
-// currentMeta captures the table's live state under the given tag.
-// Only the single writer calls this (its fields are in flux otherwise).
-func (t *Table) currentMeta(tag uint64) tableMeta {
-	return tableMeta{
-		tag:       tag,
-		root:      t.tree.Root(),
-		height:    t.tree.Height(),
-		count:     t.tree.Len(),
-		rowBytes:  t.rowBytes.Load(),
-		blobBytes: t.blobBytes.Load(),
+// state returns t's entry; ok is false when t is not in the catalog
+// (created after it, or by a session that aborted).
+func (c *catalog) state(t *Table) (st tableState, ok bool) {
+	if t.slot < len(c.tables) && c.tables[t.slot].t == t {
+		return c.tables[t.slot], true
 	}
+	return tableState{}, false
 }
 
-// publishMeta appends the committed version tagged tag and prunes
-// versions no reader can resolve anymore. A version is dead once a
-// newer one is visible to every snapshot that is open or can still
-// open: at or below the oldest active snapshot's tag and at or below
-// the commit clock. The clock matters because tag is not visible yet —
-// FinishPublish advances the clock only after every touched table has
-// published — so a snapshot opening in that window must still find the
-// predecessor (with no snapshot open the oldest-active tag is ∞, and
-// pruning on it alone left such a reader an empty table).
-func (t *Table) publishMeta(tag uint64) {
-	m := t.currentMeta(tag)
-	floor := min(t.db.bp.MinSnapshotTag(), t.db.bp.CommitTag())
-	t.metaMu.Lock()
-	t.metas = append(t.metas, m)
-	from := 0
-	for i := len(t.metas) - 1; i >= 0; i-- {
-		if t.metas[i].tag <= floor {
-			from = i
-			break
+// lookup returns the table named name, or nil.
+func (c *catalog) lookup(name string) *Table {
+	for _, st := range c.tables {
+		if st.t.name == name {
+			return st.t
 		}
 	}
-	if from > 0 {
-		t.metas = append(t.metas[:0], t.metas[from:]...)
-	}
-	t.metaMu.Unlock()
-}
-
-// restoreMeta resets the table's live state to its newest committed
-// version — the abort path. A table with no committed version was
-// created by the aborted session; the caller drops it from the catalog.
-func (t *Table) restoreMeta() {
-	t.metaMu.Lock()
-	n := len(t.metas)
-	var m tableMeta
-	if n > 0 {
-		m = t.metas[n-1]
-	}
-	t.metaMu.Unlock()
-	if n == 0 {
-		return
-	}
-	t.tree = btree.Open(t.db.bp, m.root, m.height, m.count)
-	t.rowBytes.Store(m.rowBytes)
-	t.blobBytes.Store(m.blobBytes)
-}
-
-// metaAt resolves the newest committed version visible at tag.
-func (t *Table) metaAt(tag uint64) (tableMeta, bool) {
-	t.metaMu.Lock()
-	defer t.metaMu.Unlock()
-	return t.metaAtLocked(tag)
-}
-
-func (t *Table) metaAtLocked(tag uint64) (tableMeta, bool) {
-	for i := len(t.metas) - 1; i >= 0; i-- {
-		if t.metas[i].tag <= tag {
-			return t.metas[i], true
-		}
-	}
-	return tableMeta{}, false
+	return nil
 }
 
 // treeAt opens the table's B+tree as the snapshot sees it. ok is false
-// when the table has no committed version at the snapshot's tag (it was
+// when the snapshot's catalog has no entry for the table (it was
 // created after the snapshot opened).
 func (t *Table) treeAt(s *Snapshot) (*btree.Tree, bool) {
-	m, ok := t.metaAt(s.ps.Tag())
+	st, ok := s.cat.state(t)
 	if !ok {
 		return nil, false
 	}
-	return btree.OpenFetch(s.ps, m.root, m.height, m.count), true
+	return btree.OpenFetch(s.ps, st.root, st.height, st.count), true
 }
 
 // CursorAt opens a streaming scan of the whole table as of s. The
@@ -195,11 +149,8 @@ func (t *Table) GetAt(s *Snapshot, key int64) ([]Value, error) {
 
 // RowsAt returns the committed row count as of s.
 func (t *Table) RowsAt(s *Snapshot) int64 {
-	m, ok := t.metaAt(s.ps.Tag())
-	if !ok {
-		return 0
-	}
-	return int64(m.count)
+	st, _ := s.cat.state(t)
+	return int64(st.count)
 }
 
 // KeyBoundsAt returns the clustered-key bounds as of s; ok is false for
@@ -216,20 +167,19 @@ func (t *Table) KeyBoundsAt(s *Snapshot) (min, max int64, ok bool, err error) {
 // walks the snapshot's leaf chain, so a concurrent writer splitting
 // pages does not skew it.
 func (t *Table) StatsAt(s *Snapshot) (TableStats, error) {
-	m, ok := t.metaAt(s.ps.Tag())
+	st, ok := s.cat.state(t)
 	if !ok {
 		return TableStats{}, nil
 	}
-	tree := btree.OpenFetch(s.ps, m.root, m.height, m.count)
-	leaves, err := tree.LeafPageCount()
+	leaves, err := btree.OpenFetch(s.ps, st.root, st.height, st.count).LeafPageCount()
 	if err != nil {
 		return TableStats{}, err
 	}
 	return TableStats{
-		Rows:       int64(m.count),
-		RowBytes:   m.rowBytes,
-		BlobBytes:  m.blobBytes,
+		Rows:       int64(st.count),
+		RowBytes:   st.rowBytes,
+		BlobBytes:  st.blobBytes,
 		LeafPages:  leaves,
-		TreeHeight: m.height,
+		TreeHeight: st.height,
 	}, nil
 }

@@ -230,7 +230,7 @@ func TestRecoverAcrossEndOfNodeSplits(t *testing.T) {
 func TestBulkLoadIntoEmptyTableStartsInRoot(t *testing.T) {
 	disk := newCrashDisk()
 	st := wal.NewMemStorage()
-	db := openDB(t, disk, st)
+	db := openSmallDB(t, disk, st, 32)
 	tbl, err := db.CreateTable("t", padSchema(t))
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestBulkLoadIntoEmptyTableStartsInRoot(t *testing.T) {
 		rows[i] = padRow(int64(i))
 	}
 	snap := db.Snapshot()
-	bs, err := tbl.BulkLoad(NewValuesSource(rows), BulkOptions{SyncEvery: 8})
+	bs, err := tbl.BulkLoad(NewValuesSource(rows), BulkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sqlarray/internal/blob"
 	"sqlarray/internal/btree"
@@ -21,24 +19,21 @@ import (
 // never see their uncommitted work. Cursors, scans and the blob
 // accessors resolve everything through a Snapshot — either one the
 // caller passes to the ...At variants, or one the convenience forms
-// acquire per call — whose visibility is fixed at open: the committed
-// catalog version in metas plus the page versions the buffer pool
-// retains. The live tree/rows/... fields are the single writer's
-// working state; only the writer (and commit/abort) touch them.
+// acquire per call — whose visibility is fixed at open: the table's
+// entry in the snapshot's catalog plus the page versions the buffer
+// pool retains. The live tree and byte counters are the single
+// writer's working state: Commit copies them into the next catalog and
+// Abort resets them from the published one; nothing else reads them.
 type Table struct {
 	db     *DB
 	name   string
 	schema Schema
-
-	// Committed catalog versions, ascending commit tag. Guarded by
-	// metaMu; appended by Commit, resolved by snapshot reads.
-	metaMu sync.Mutex
-	metas  []tableMeta
+	slot   int // index of the table's entry in every catalog that has it
 
 	// Live single-writer state (the version under construction).
 	tree      *btree.Tree
-	rowBytes  atomic.Int64 // sum of row-image sizes (excludes out-of-page blobs)
-	blobBytes atomic.Int64 // bytes pushed out of page
+	rowBytes  int64 // sum of row-image sizes (excludes out-of-page blobs)
+	blobBytes int64 // bytes pushed out of page
 }
 
 // Name returns the table name.
@@ -49,15 +44,30 @@ func (t *Table) Schema() *Schema { return &t.schema }
 
 // Rows returns the row count of the newest committed version, like Get
 // and Stats: an open write session's rows do not count until it
-// commits. No page is read, so no snapshot is held; instead the clock is
-// read under metaMu — publishMeta prunes under the same lock and never
-// past the clock, so a version at or below it cannot be pruned away
-// between the two reads.
+// commits. It reads the published catalog and no page, so it holds no
+// snapshot.
 func (t *Table) Rows() int64 {
-	t.metaMu.Lock()
-	defer t.metaMu.Unlock()
-	m, _ := t.metaAtLocked(t.db.bp.CommitTag())
-	return int64(m.count)
+	st, _ := t.db.cat.Load().state(t)
+	return int64(st.count)
+}
+
+// live returns the writer's working state as a catalog entry.
+func (t *Table) live() tableState {
+	return tableState{
+		t:         t,
+		root:      t.tree.Root(),
+		height:    t.tree.Height(),
+		count:     t.tree.Len(),
+		rowBytes:  t.rowBytes,
+		blobBytes: t.blobBytes,
+	}
+}
+
+// restore resets the writer's working state to the committed st — the
+// abort path.
+func (t *Table) restore(st tableState) {
+	t.tree = btree.Open(t.db.bp, st.root, st.height, st.count)
+	t.rowBytes, t.blobBytes = st.rowBytes, st.blobBytes
 }
 
 // Insert adds a row as a single-statement write session.
@@ -81,7 +91,7 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 	if err != nil {
 		return fmt.Errorf("engine: clustered key: %w", err)
 	}
-	tx.touch(t)
+	tx.touch()
 	stored := vals
 	copied := false
 	var blobAdded int64
@@ -112,8 +122,8 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 	if err := t.tree.Insert(key, raw); err != nil {
 		return err
 	}
-	t.rowBytes.Add(int64(len(raw)))
-	t.blobBytes.Add(blobAdded)
+	t.rowBytes += int64(len(raw))
+	t.blobBytes += blobAdded
 	t.db.m.rowsInserted.Inc()
 	return nil
 }
@@ -126,7 +136,7 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 	if len(cols) != len(vals) {
 		return fmt.Errorf("%w: %d columns for %d values", ErrTypeError, len(cols), len(vals))
 	}
-	tx.touch(t)
+	tx.touch()
 	raw, err := t.tree.Get(key)
 	if err != nil {
 		return err
@@ -215,8 +225,8 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 			return err
 		}
 	}
-	t.rowBytes.Add(int64(len(newRaw)) - int64(len(raw)))
-	t.blobBytes.Add(blobDelta)
+	t.rowBytes += int64(len(newRaw)) - int64(len(raw))
+	t.blobBytes += blobDelta
 	t.db.m.rowsUpdated.Inc()
 	return nil
 }
@@ -224,7 +234,7 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 // DeleteTx removes a row, returning its out-of-page blobs to the free
 // list. Returns btree.ErrNotFound if the key is absent.
 func (t *Table) DeleteTx(tx *Tx, key int64) error {
-	tx.touch(t)
+	tx.touch()
 	raw, err := t.tree.Get(key)
 	if err != nil {
 		return err
@@ -250,8 +260,8 @@ func (t *Table) DeleteTx(tx *Tx, key int64) error {
 		}
 		blobFreed += ref.Length
 	}
-	t.rowBytes.Add(-int64(len(raw)))
-	t.blobBytes.Add(-blobFreed)
+	t.rowBytes -= int64(len(raw))
+	t.blobBytes -= blobFreed
 	t.db.m.rowsDeleted.Inc()
 	return nil
 }
@@ -265,7 +275,7 @@ func (t *Table) DeleteTx(tx *Tx, key int64) error {
 // pages. src supplies the replacement elements in column-major order
 // and must match the stored element type and the product of size.
 func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []int, src *core.Array) error {
-	tx.touch(t)
+	tx.touch()
 	if col < 0 || col >= len(t.schema.Columns) {
 		return fmt.Errorf("%w: index %d", ErrNoColumn, col)
 	}

@@ -50,7 +50,7 @@ type walColumn struct {
 	Type uint8  `json:"type"`
 }
 
-// walCatalog is the payload of commit records (delta: touched tables)
+// walCatalog is the payload of commit records (delta: changed tables)
 // and checkpoint records (snapshot: all tables).
 type walCatalog struct {
 	Tables []walTableState `json:"tables"`
@@ -60,14 +60,15 @@ type walCatalog struct {
 // Commit; all mutating Table methods take one (the convenience wrappers
 // open a single-statement session internally).
 //
-// touched and created are sets kept as slices: a statement touches one
-// to three tables, so a linear scan beats a map and allocates less.
+// cat is the session's catalog: nil until the session first writes a
+// table, then a private copy of the published catalog that CREATE
+// TABLE appends to and Commit fills from the tables' live state and
+// publishes.
 type Tx struct {
-	db      *DB
-	cap     *pages.Capture
-	touched []*Table
-	created []*Table
-	done    bool
+	db   *DB
+	cap  *pages.Capture
+	cat  *catalog
+	done bool
 }
 
 // Begin opens a write session, serializing against all other writers
@@ -137,29 +138,21 @@ func (db *DB) logFrame(f *pages.Frame) error {
 	})
 }
 
-// touch records that the session mutated t (its state goes into the
-// commit record's catalog delta).
-func (tx *Tx) touch(t *Table) { tx.touched = addTable(tx.touched, t) }
-
-// noteCreated records that the session created t (its schema goes into
-// the commit record).
-func (tx *Tx) noteCreated(t *Table) {
-	tx.created = addTable(tx.created, t)
-	tx.touch(t)
-}
-
-// addTable appends t to the set ts unless it is already there.
-func addTable(ts []*Table, t *Table) []*Table {
-	if slices.Contains(ts, t) {
-		return ts
+// touch returns the session's catalog, copying the published one on
+// the session's first write to a table, so Commit publishes the
+// session's table states.
+func (tx *Tx) touch() *catalog {
+	if tx.cat == nil {
+		tx.cat = &catalog{tables: slices.Clone(tx.db.cat.Load().tables)}
 	}
-	return append(ts, t)
+	return tx.cat
 }
 
 // Commit logs the session's page after-images and catalog delta (when a
 // WAL is attached), syncs the WAL, publishes the session's page
-// versions and catalog versions atomically — one commit-clock tick, so a concurrent snapshot
-// sees all of the commit or none of it — and releases the write lock.
+// versions and catalog atomically — one commit-clock tick, so a
+// concurrent snapshot sees all of the commit or none of it — and
+// releases the write lock.
 // Commit is idempotent; a Tx must not be used after it.
 func (tx *Tx) Commit() error {
 	if tx.done {
@@ -168,8 +161,13 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	defer tx.db.writeMu.Unlock()
 	frames := tx.db.bp.EndCapture(tx.cap)
-	if len(frames) == 0 && len(tx.touched) == 0 {
+	if len(frames) == 0 && tx.cat == nil {
 		return nil // read-only session: nothing to log or publish
+	}
+	if tx.cat != nil {
+		for i := range tx.cat.tables {
+			tx.cat.tables[i] = tx.cat.tables[i].t.live()
+		}
 	}
 	if tx.db.wal == nil {
 		tx.publish()
@@ -211,24 +209,27 @@ func (tx *Tx) Commit() error {
 }
 
 // publish makes the session's work visible: stamp every captured frame
-// with the next commit tag, append each touched table's catalog version
-// under the same tag, then advance the commit clock. Snapshots acquired
-// before the clock tick resolve the pre-images; snapshots after it see
-// the whole commit.
+// with the next commit tag, then, under the publish mutex, advance the
+// commit clock and swap in the session's catalog. A snapshot reads its
+// tag and catalog under the same mutex, so it sees the whole commit or
+// none of it.
 func (tx *Tx) publish() {
-	tag := tx.db.bp.PreparePublish(tx.cap)
-	for _, t := range tx.touched {
-		t.publishMeta(tag)
+	db := tx.db
+	tag := db.bp.PreparePublish(tx.cap)
+	db.pubMu.Lock()
+	db.bp.FinishPublish(tag)
+	if tx.cat != nil {
+		db.cat.Store(tx.cat)
 	}
-	tx.db.bp.FinishPublish(tag)
-	tx.db.m.commits.Inc()
+	db.pubMu.Unlock()
+	db.m.commits.Inc()
 }
 
 // Abort discards the session: captured page copies are invalidated (the
 // WAL-before-flush victim scan can never persist them), displaced
-// pre-images are restored, touched tables' live state is reset to their
-// newest committed version, tables the session created are dropped from
-// the catalog, and the write lock is released. Nothing is logged — a
+// pre-images are restored, every table's live state is reset from the
+// published catalog, the session's catalog — with any table it created
+// — is dropped, and the write lock is released. Nothing is logged — a
 // plain abort appends no WAL records, so recovery cannot resurrect any
 // of it. Idempotent (after Commit it is a no-op).
 func (tx *Tx) Abort() {
@@ -240,15 +241,13 @@ func (tx *Tx) Abort() {
 	defer tx.db.writeMu.Unlock()
 	tx.db.bp.EndCapture(tx.cap)
 	tx.db.bp.AbortCapture(tx.cap)
-	for _, t := range tx.touched {
-		t.restoreMeta()
+	if tx.cat == nil {
+		return
 	}
-	if len(tx.created) > 0 {
-		tx.db.mu.Lock()
-		for _, t := range tx.created {
-			delete(tx.db.tables, t.name)
+	for _, st := range tx.db.cat.Load().tables {
+		if st.t.live() != st {
+			st.t.restore(st)
 		}
-		tx.db.mu.Unlock()
 	}
 }
 
@@ -265,31 +264,41 @@ func (tx *Tx) Close(opErr error) error {
 	return tx.Commit()
 }
 
-// catalogDelta builds the commit record's table list.
+// catalogDelta builds the commit record's table list: the entries of
+// the session's catalog that differ from the published one, with the
+// schema of each table the session created.
 func (tx *Tx) catalogDelta() walCatalog {
 	var cat walCatalog
-	for _, t := range tx.touched {
-		cat.Tables = append(cat.Tables, t.walState(slices.Contains(tx.created, t)))
+	if tx.cat == nil {
+		return cat
+	}
+	prev := tx.db.cat.Load().tables
+	for i, st := range tx.cat.tables {
+		if i < len(prev) && prev[i] == st {
+			continue
+		}
+		cat.Tables = append(cat.Tables, st.walState(i >= len(prev)))
 	}
 	return cat
 }
 
-// walState snapshots a table's catalog entry. withSchema includes the
-// column definitions (CREATE TABLE commits and checkpoint snapshots).
-func (t *Table) walState(withSchema bool) walTableState {
-	st := walTableState{
-		Name:      t.name,
-		Root:      uint32(t.tree.Root()),
-		Height:    t.tree.Height(),
-		Count:     t.tree.Len(),
-		RowBytes:  t.rowBytes.Load(),
-		BlobBytes: t.blobBytes.Load(),
+// walState is the logged form of a catalog entry. withSchema includes
+// the column definitions (CREATE TABLE commits and checkpoint
+// snapshots).
+func (st tableState) walState(withSchema bool) walTableState {
+	w := walTableState{
+		Name:      st.t.name,
+		Root:      uint32(st.root),
+		Height:    st.height,
+		Count:     st.count,
+		RowBytes:  st.rowBytes,
+		BlobBytes: st.blobBytes,
 	}
 	if withSchema {
-		st.Key = t.schema.Key
-		for _, c := range t.schema.Columns {
-			st.Cols = append(st.Cols, walColumn{Name: c.Name, Type: uint8(c.Type)})
+		w.Key = st.t.schema.Key
+		for _, c := range st.t.schema.Columns {
+			w.Cols = append(w.Cols, walColumn{Name: c.Name, Type: uint8(c.Type)})
 		}
 	}
-	return st
+	return w
 }

@@ -71,8 +71,8 @@ type Frame struct {
 	// supersededBy is the commit tag of the version that replaced this
 	// sidecar entry — viewCurrent while the replacing session is still
 	// uncommitted. The entry is what a view V reads exactly when
-	// verTag <= V < supersededBy, and is droppable once every active
-	// snapshot is at or past this tag. Guarded by shard.mu.
+	// verTag <= V < supersededBy, and is retired once no live snapshot's
+	// tag falls in that interval. Guarded by shard.mu.
 	supersededBy uint64
 	// pre is the committed pre-image a pending copy-on-write frame
 	// displaced into the sidecar (nil for a page the session created).
@@ -127,6 +127,9 @@ type Capture struct {
 	id     uint64 // never reused within a pool, so a stale stamp cannot match
 	mu     sync.Mutex
 	frames []*Frame
+	// first backs frames up to its length, so a session that writes a
+	// few pages allocates no slice for them.
+	first [4]*Frame
 }
 
 // add records f once, in first-dirtied order. Caller holds f's shard
@@ -205,7 +208,7 @@ type shard struct {
 	// vers is the page-version sidecar: superseded pre-image frames per
 	// page, oldest first (ascending verTag). Entries live outside the
 	// page table and the LRU lists; they are dropped once no active
-	// snapshot can need them (see droppableLocked). Guarded by mu; the
+	// snapshot can read them (see retainedLocked). Guarded by mu; the
 	// pool's versMask bit for the shard is set while it is non-empty.
 	vers map[PageID][]*Frame
 }
@@ -299,11 +302,15 @@ type BufferPool struct {
 	// from disk with an empty sidecar, recovered state) is visible to
 	// every snapshot.
 	snapClock atomic.Uint64
-	// minSnap caches the smallest active snapshot tag (^0 when none), so
-	// GC checks under a shard lock never need snapMu.
-	minSnap    atomic.Uint64
+	// snapMu guards snapActive and orders every retirement check after
+	// the acquires and clock ticks it must see; it is taken before any
+	// shard lock.
 	snapMu     sync.Mutex
-	snapActive map[uint64]int // tag -> live snapshot count
+	snapActive []uint64 // live snapshot tags, one per snapshot, ascending
+	// published lists the pages whose pre-images the prepared commit
+	// superseded, for FinishPublish to re-check. The pool has one
+	// capture at a time, so one publisher owns it.
+	published []PageID
 }
 
 const (
@@ -359,14 +366,12 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 		log2++
 	}
 	bp := &BufferPool{
-		disk:       disk,
-		cap:        capacity,
-		shards:     make([]*shard, nShards),
-		shift:      uint(32 - log2),
-		snapActive: make(map[uint64]int),
+		disk:   disk,
+		cap:    capacity,
+		shards: make([]*shard, nShards),
+		shift:  uint(32 - log2),
 	}
 	bp.snapClock.Store(1)
-	bp.minSnap.Store(^uint64(0))
 	base, rem := capacity/nShards, capacity%nShards
 	for i := range bp.shards {
 		c := base
@@ -408,6 +413,7 @@ func (bp *BufferPool) SetWAL(w WAL) { bp.wal = w }
 // sessions, so a second concurrent capture is a bug.
 func (bp *BufferPool) BeginCapture() (*Capture, error) {
 	c := &Capture{id: bp.capSeq.Add(1)}
+	c.frames = c.first[:0]
 	if !bp.capture.CompareAndSwap(nil, c) {
 		return nil, fmt.Errorf("pages: a write capture is already active")
 	}
@@ -514,9 +520,9 @@ func (bp *BufferPool) fetch(id PageID, view uint64) (*Frame, error) {
 		}
 		s.relinkLocked(f)
 	}
-	// Unreachable while the GC rule holds (a pre-image superseded by
-	// commit T is retained until every snapshot reaches T); kept as a hard
-	// error rather than silent wrong data.
+	// Unreachable while the retention rule holds (a version stays while
+	// a live snapshot's tag falls in its interval); kept as a hard error
+	// rather than silent wrong data.
 	return nil, fmt.Errorf("pages: snapshot %d has no visible version of page %d (newest is %d)", view, id, f.verTag.Load())
 }
 
@@ -699,11 +705,14 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	}
 	s.relinkLocked(f)
 	// A superseded version never re-enters the LRU; it is retired once
-	// unpinned and no longer needed.
-	if f.versioned && f.pins.Load() == 0 {
-		s.dropVersionsLocked(bp, f.Page.ID)
-	}
+	// unpinned and no longer needed. The check takes snapMu, which ranks
+	// above the shard lock.
+	retire := f.versioned && f.pins.Load() == 0
+	id := f.Page.ID
 	s.mu.Unlock()
+	if retire {
+		bp.retirePage(id)
+	}
 }
 
 // FlushAll writes every dirty cached page to disk — the flush half of a
@@ -749,6 +758,8 @@ func (bp *BufferPool) DropCleanBuffers() error {
 			return err
 		}
 	}
+	bp.snapMu.Lock()
+	defer bp.snapMu.Unlock()
 	for _, s := range bp.shards {
 		s.mu.Lock()
 	}

@@ -39,24 +39,32 @@
 // touchLocked pins a frame off the LRU on a hit and relinkLocked puts it
 // back on its last unpin.
 //
-// Version lifetime: a sidecar entry superseded by commit T is needed
-// exactly by snapshots older than T. It is dropped once it is unpinned
-// and every active snapshot is at or past T (or none is active). GC
-// runs opportunistically: at publish, at snapshot release, on the last
-// unpin of a versioned frame, and in DropCleanBuffers. The publish and
-// release sweeps visit only the shards the pool's version mask marks as
-// holding versions, so their cost follows the pages written and the
-// versions retained, not the pool size.
+// Version lifetime: a sidecar entry holding the version committed at
+// verTag and superseded by commit T is read by exactly the snapshots
+// whose tag t has verTag <= t < T. It is retired as soon as it is
+// unpinned, T is published, and no live snapshot tag falls in that
+// interval; the live tags are the pool's multiset (snapActive), read
+// under snapMu, so the lock order is snapMu → shard mu. A publish
+// re-checks only the chains of the pages it wrote, after the clock
+// tick; a release re-checks the shards the version mask marks, and only
+// when the last snapshot at its tag leaves; the last unpin of a version
+// and DropCleanBuffers re-check too. So a commit costs O(pages written)
+// however long a snapshot is held.
 //
 // Memory: pending and versioned frames live outside the page table and
 // the LRU lists, so they do not consume table capacity — the pool can
 // transiently exceed its frame budget by (pages dirtied by the one
-// active write session) + (versions retained for live snapshots). Both
-// are bounded: the engine is single-writer, and snapshots are
-// query-scoped.
+// active write session) + (versions retained for live snapshots). The
+// second term is bounded by the rule above: a page keeps at most one
+// version per distinct live snapshot tag (plus the pre-image of the
+// open write session), so one snapshot held across any number of
+// commits costs at most one frame per page written since it opened.
 package pages
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Fetcher is the read-side page access interface: the plain pool
 // ("current mode" — a write session sees its own pending pages) and
@@ -86,10 +94,7 @@ type Snapshot struct {
 func (bp *BufferPool) AcquireSnapshot() *Snapshot {
 	bp.snapMu.Lock()
 	tag := bp.snapClock.Load()
-	bp.snapActive[tag]++
-	if tag < bp.minSnap.Load() {
-		bp.minSnap.Store(tag)
-	}
+	bp.snapActive = append(bp.snapActive, tag) // the clock only grows: still sorted
 	bp.snapMu.Unlock()
 	return &Snapshot{bp: bp, tag: tag}
 }
@@ -97,9 +102,10 @@ func (bp *BufferPool) AcquireSnapshot() *Snapshot {
 // Tag returns the snapshot's commit tag.
 func (sn *Snapshot) Tag() uint64 { return sn.tag }
 
-// Release deregisters the snapshot and retires any page versions only
-// it was keeping alive. Idempotent is NOT guaranteed — callers own the
-// single release (engine wrappers add idempotence where needed).
+// Release deregisters the snapshot. When it was the last one at its
+// tag, the versions only that tag read are retired. Idempotent is NOT
+// guaranteed — callers own the single release (engine wrappers add
+// idempotence where needed).
 func (sn *Snapshot) Release() {
 	if sn.released {
 		return
@@ -107,20 +113,13 @@ func (sn *Snapshot) Release() {
 	sn.released = true
 	bp := sn.bp
 	bp.snapMu.Lock()
-	if n := bp.snapActive[sn.tag] - 1; n > 0 {
-		bp.snapActive[sn.tag] = n
-	} else {
-		delete(bp.snapActive, sn.tag)
+	defer bp.snapMu.Unlock()
+	i, _ := slices.BinarySearch(bp.snapActive, sn.tag)
+	bp.snapActive = slices.Delete(bp.snapActive, i, i+1)
+	if i < len(bp.snapActive) && bp.snapActive[i] == sn.tag {
+		return // another snapshot still reads at this tag
 	}
-	min := ^uint64(0)
-	for t := range bp.snapActive {
-		if t < min {
-			min = t
-		}
-	}
-	bp.minSnap.Store(min)
-	bp.snapMu.Unlock()
-	bp.retireVersions()
+	bp.retireVersionsLocked()
 }
 
 // Fetch resolves page id to the newest version visible at the snapshot's
@@ -218,12 +217,15 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 // commit tag and records that tag on the displaced pre-images, without
 // advancing the commit clock: snapshots acquired while this runs still
 // resolve to the pre-images (their tag exceeds the clock), so the
-// commit stays invisible until FinishPublish. Returns the tag.
+// commit stays invisible until FinishPublish. It retires nothing (no
+// version can become unreadable before the tick) and notes the pages
+// whose pre-images it superseded for FinishPublish. Returns the tag.
 //
 // The caller must have ended the capture (EndCapture) and, with a WAL
 // attached, logged every frame (LogDirtyFrame) first.
 func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 	tag := bp.snapClock.Load() + 1
+	bp.published = bp.published[:0]
 	for _, f := range c.recorded() {
 		s := f.shard
 		s.mu.Lock()
@@ -239,8 +241,8 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 		if f.pre != nil {
 			f.pre.supersededBy = tag
 			f.pre = nil
+			bp.published = append(bp.published, f.Page.ID)
 		}
-		s.dropVersionsLocked(bp, f.Page.ID)
 		s.mu.Unlock()
 	}
 	return tag
@@ -248,18 +250,24 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 
 // FinishPublish advances the commit clock to the prepared tag, making
 // the commit visible to every snapshot acquired from now on, then
-// retires the pre-images the publish window was protecting (they only
-// become droppable once the clock passes their superseding tag).
+// re-checks the version chains of the pages the commit wrote: their
+// pre-images are the only versions the tick can make unreadable.
 //
 // The tick takes snapMu so it cannot land between AcquireSnapshot
-// reading the old clock and registering that tag in minSnap: otherwise
-// the retirement below would see no snapshot at the old tag and drop
-// the very pre-images that snapshot is about to resolve to.
+// reading the old clock and registering that tag: otherwise the
+// retirement below would see no snapshot at the old tag and drop the
+// very pre-images that snapshot is about to resolve to.
 func (bp *BufferPool) FinishPublish(tag uint64) {
 	bp.snapMu.Lock()
+	defer bp.snapMu.Unlock()
 	bp.snapClock.Store(tag)
-	bp.snapMu.Unlock()
-	bp.retireVersions()
+	for _, id := range bp.published {
+		s := bp.shardFor(id)
+		s.mu.Lock()
+		s.dropVersionsLocked(bp, id)
+		s.mu.Unlock()
+	}
+	bp.published = bp.published[:0]
 }
 
 // AbortCapture discards every pending frame of an ended capture and
@@ -311,25 +319,23 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 	}
 }
 
-// droppableLocked reports whether a sidecar version can be retired: its
-// superseding commit is published and no active snapshot predates it.
-// Caller holds the owning shard's mutex.
-func (bp *BufferPool) droppableLocked(f *Frame) bool {
-	if f.pins.Load() != 0 {
-		return false
+// retainedLocked reports whether sidecar version f must stay: it is
+// pinned, its superseding commit is not visible yet, or a live snapshot
+// reads it (verTag <= t < supersededBy). Caller holds snapMu and the
+// owning shard's mutex.
+func (bp *BufferPool) retainedLocked(f *Frame) bool {
+	if f.pins.Load() != 0 || f.supersededBy > bp.snapClock.Load() {
+		// Unpublished (viewCurrent), or between PreparePublish and
+		// FinishPublish: a snapshot acquired right now, at the old clock,
+		// resolves to this version.
+		return true
 	}
-	if f.supersededBy > bp.snapClock.Load() {
-		// The superseding session is uncommitted (viewCurrent), or its
-		// commit is still between PreparePublish and FinishPublish: a
-		// snapshot acquired right now (at the old clock) resolves to THIS
-		// version, so it must survive until the clock passes the tag.
-		return false
-	}
-	return bp.minSnap.Load() >= f.supersededBy // ^0 when no snapshot is active
+	i, _ := slices.BinarySearch(bp.snapActive, f.verTag.Load())
+	return i < len(bp.snapActive) && bp.snapActive[i] < f.supersededBy
 }
 
-// dropVersionsLocked retires every droppable sidecar version of id,
-// recycling their frames. Caller holds s.mu.
+// dropVersionsLocked retires every sidecar version of id no one can
+// read, recycling their frames. Caller holds snapMu and s.mu.
 func (s *shard) dropVersionsLocked(bp *BufferPool, id PageID) {
 	vs, ok := s.vers[id]
 	if !ok {
@@ -337,7 +343,7 @@ func (s *shard) dropVersionsLocked(bp *BufferPool, id PageID) {
 	}
 	kept := vs[:0]
 	for _, f := range vs {
-		if bp.droppableLocked(f) {
+		if !bp.retainedLocked(f) {
 			s.freeLocked(f)
 			bp.stats.versionsRetired.Add(1)
 			continue
@@ -351,11 +357,10 @@ func (s *shard) dropVersionsLocked(bp *BufferPool, id PageID) {
 	}
 }
 
-// retireVersions sweeps for droppable versions in the shards the
-// version mask marks, and only those: a commit pays for the shards it
-// wrote and the ones live snapshots still hold, and a release with an
-// empty sidecar locks no shard at all.
-func (bp *BufferPool) retireVersions() {
+// retireVersionsLocked sweeps the shards the version mask marks, and
+// only those: a release with an empty sidecar locks no shard at all.
+// Caller holds snapMu.
+func (bp *BufferPool) retireVersionsLocked() {
 	for m := bp.versMask.Load(); m != 0; m &= m - 1 {
 		s := bp.shards[bits.TrailingZeros64(m)]
 		s.mu.Lock()
@@ -364,6 +369,17 @@ func (bp *BufferPool) retireVersions() {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// retirePage re-checks page id's version chain: the last unpin of a
+// version that a sweep kept only for its pin.
+func (bp *BufferPool) retirePage(id PageID) {
+	bp.snapMu.Lock()
+	defer bp.snapMu.Unlock()
+	s := bp.shardFor(id)
+	s.mu.Lock()
+	s.dropVersionsLocked(bp, id)
+	s.mu.Unlock()
 }
 
 // VersionPages returns the number of page versions currently retained
@@ -385,18 +401,5 @@ func (bp *BufferPool) VersionPages() int {
 func (bp *BufferPool) ActiveSnapshots() int {
 	bp.snapMu.Lock()
 	defer bp.snapMu.Unlock()
-	n := 0
-	for _, c := range bp.snapActive {
-		n += c
-	}
-	return n
+	return len(bp.snapActive)
 }
-
-// CommitTag returns the current commit clock value (the tag the next
-// AcquireSnapshot would observe).
-func (bp *BufferPool) CommitTag() uint64 { return bp.snapClock.Load() }
-
-// MinSnapshotTag returns the smallest tag among active snapshots, or
-// ^uint64(0) when none is active — the horizon below which superseded
-// versions (and the engine's per-table catalog versions) are dead.
-func (bp *BufferPool) MinSnapshotTag() uint64 { return bp.minSnap.Load() }

@@ -79,6 +79,15 @@ names=(
 	# whole-cube copy kept per batch.
 	'readBlock('
 	'VisitBlobRunsAt'
+	# One retention rule for MVCC: the catalog is an immutable value a
+	# snapshot holds by pointer, and a page version lives while a live
+	# snapshot tag falls in its interval. No per-table catalog version
+	# list, pruning floor or oldest-snapshot horizon. (The call forms are
+	# matched: a bench/ comment still names the old function.)
+	'publishMeta('
+	'metaAtLocked('
+	'MinSnapshotTag('
+	'minSnap'
 )
 src=()
 while IFS= read -r f; do
