@@ -36,6 +36,10 @@ type Tree struct {
 	// height counts levels (1 = root is a leaf).
 	height int
 	count  int
+	// rec is the writer's leaf-record buffer, reused by every insert
+	// and overwrite: a page copies the record in, so none outlives the
+	// call.
+	rec []byte
 }
 
 // internal node records: 8-byte separator key + 4-byte child page id.
@@ -79,10 +83,6 @@ func (t *Tree) Len() int { return t.count }
 
 func leafKey(rec []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(rec))
-}
-
-func encodeLeafRec(key int64, val []byte) []byte {
-	return appendLeafRec(make([]byte, 0, 8+len(val)), key, val)
 }
 
 // appendLeafRec appends the leaf record of (key, val) to dst.
@@ -301,11 +301,12 @@ func (t *Tree) insertInto(id pages.PageID, level int, key int64, val []byte, ove
 
 func (t *Tree) insertLeaf(f *pages.Frame, key int64, val []byte, overwrite bool) (splitResult, error) {
 	slot, exact := searchSlot(&f.Page, key)
+	if exact && !overwrite {
+		return splitResult{}, fmt.Errorf("%w: %d", ErrDuplicate, key)
+	}
+	t.rec = appendLeafRec(t.rec[:0], key, val)
+	rec := t.rec
 	if exact {
-		if !overwrite {
-			return splitResult{}, fmt.Errorf("%w: %d", ErrDuplicate, key)
-		}
-		rec := encodeLeafRec(key, val)
 		if err := f.Page.Update(slot, rec); err == nil {
 			return splitResult{}, nil
 		} else if !errors.Is(err, pages.ErrPageFull) {
@@ -322,7 +323,6 @@ func (t *Tree) insertLeaf(f *pages.Frame, key int64, val []byte, overwrite bool)
 		}
 		t.count--
 	}
-	rec := encodeLeafRec(key, val)
 	pos, _ := searchSlot(&f.Page, key)
 	if err := f.Page.InsertAt(pos, rec); err == nil {
 		t.count++

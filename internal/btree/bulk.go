@@ -180,7 +180,7 @@ func (t *Tree) GraftAppend(w *LeafWriter) error {
 	}
 	entries := w.leaves
 	if w.head != nil {
-		f.Page.Buf = w.head.Buf
+		copy(f.Page.Buf[:], w.head.Buf[:]) // memmove, not REP MOVSQ
 		entries = entries[1:]
 	} else {
 		f.Page.SetNext(entries[0].id)

@@ -19,6 +19,10 @@ import (
 // database recoverable after a crash.
 type DB struct {
 	writeMu sync.Mutex // serializes write sessions (single-writer engine)
+	// rowBuf is the write session's row-image buffer: InsertTx encodes
+	// into it and the tree copies the row onto its page, so no row
+	// image outlives the insert. Guarded by writeMu.
+	rowBuf []byte
 	// pubMu pairs a commit's clock tick with its catalog swap, and a
 	// snapshot's tag with its catalog, so both come from one commit.
 	pubMu sync.Mutex

@@ -112,10 +112,11 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 		stored[i] = BinaryMaxValue(enc)
 		blobAdded += int64(len(vals[i].B))
 	}
-	raw, err := encodeRow(&t.schema, stored)
+	raw, err := appendRow(t.db.rowBuf[:0], &t.schema, stored)
 	if err != nil {
 		return err
 	}
+	t.db.rowBuf = raw
 	if len(raw) > btree.MaxValueSize {
 		return fmt.Errorf("%w: %d bytes", errRowTooWide, len(raw))
 	}

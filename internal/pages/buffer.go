@@ -123,6 +123,11 @@ type WAL interface {
 // session's other bookkeeping lives on the frames themselves: each
 // recorded frame carries the capture's id (capStamp) and its displaced
 // pre-image (pre), so a capture holds no map.
+//
+// The pool reuses one Capture object: PreparePublish and AbortCapture
+// hand it back and the next BeginCapture restarts it under a fresh id,
+// so a write session allocates no capture. A caller must not use a
+// capture after publishing or aborting it.
 type Capture struct {
 	id     uint64 // never reused within a pool, so a stale stamp cannot match
 	mu     sync.Mutex
@@ -145,8 +150,8 @@ func (c *Capture) add(f *Frame) {
 }
 
 // recorded returns the captured frames. The slice is the capture's own:
-// EndCapture, PreparePublish and AbortCapture share it, and callers must
-// not modify it.
+// EndCapture, PreparePublish and AbortCapture share it, callers must
+// not modify it, and the next session's capture reuses it.
 func (c *Capture) recorded() []*Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -211,20 +216,31 @@ type shard struct {
 	// snapshot can read them (see retainedLocked). Guarded by mu; the
 	// pool's versMask bit for the shard is set while it is non-empty.
 	vers map[PageID][]*Frame
+	// spareChain is the backing array of the last emptied sidecar chain
+	// (nil when none), for the next page that gains a version: a commit
+	// no snapshot reads empties the chain of the page it wrote, and the
+	// next session pushes one again. Guarded by mu.
+	spareChain []*Frame
 }
 
 // pushVersionLocked appends a displaced pre-image to id's sidecar chain
 // and marks the shard in the pool's version mask. Caller holds s.mu.
 func (s *shard) pushVersionLocked(bp *BufferPool, id PageID, f *Frame) {
-	s.vers[id] = append(s.vers[id], f)
+	vs, ok := s.vers[id]
+	if !ok {
+		vs, s.spareChain = s.spareChain, nil
+	}
+	s.vers[id] = append(vs, f)
 	bp.markVersions(s.bit, true)
 }
 
-// forgetVersionsLocked deletes id's (emptied) sidecar chain and clears
-// the shard's mask bit when that leaves the sidecar empty. Caller holds
-// s.mu, so no push can land between the length check and the clear.
-func (s *shard) forgetVersionsLocked(bp *BufferPool, id PageID) {
+// forgetVersionsLocked deletes id's emptied sidecar chain vs, keeping
+// its backing array for the next push, and clears the shard's mask bit
+// when that leaves the sidecar empty. Caller holds s.mu, so no push can
+// land between the length check and the clear.
+func (s *shard) forgetVersionsLocked(bp *BufferPool, id PageID, vs []*Frame) {
 	delete(s.vers, id)
+	s.spareChain = vs[:0]
 	if len(s.vers) == 0 {
 		bp.markVersions(s.bit, false)
 	}
@@ -291,7 +307,8 @@ type BufferPool struct {
 	stats   counters
 	wal     WAL // flush gate; nil = no durability protocol
 	capture atomic.Pointer[Capture]
-	capSeq  atomic.Uint64 // last Capture.id handed out
+	spare   atomic.Pointer[Capture] // a published or aborted capture, for BeginCapture to reuse
+	capSeq  atomic.Uint64           // last Capture.id handed out
 	// versMask has bit i set while shards[i]'s version sidecar is
 	// non-empty, so retirement visits only the shards that hold
 	// versions. Each bit changes under its shard's lock.
@@ -412,12 +429,27 @@ func (bp *BufferPool) SetWAL(w WAL) { bp.wal = w }
 // Exactly one capture may be active; the engine's write lock serializes
 // sessions, so a second concurrent capture is a bug.
 func (bp *BufferPool) BeginCapture() (*Capture, error) {
-	c := &Capture{id: bp.capSeq.Add(1)}
-	c.frames = c.first[:0]
+	c := bp.spare.Swap(nil)
+	if c == nil {
+		c = new(Capture)
+		c.frames = c.first[:0]
+	}
+	c.id = bp.capSeq.Add(1)
+	c.frames = c.frames[:0]
 	if !bp.capture.CompareAndSwap(nil, c) {
+		bp.spare.Store(c)
 		return nil, fmt.Errorf("pages: a write capture is already active")
 	}
 	return c, nil
+}
+
+// recycleCapture hands a capture whose frames publish or abort has
+// consumed back to BeginCapture. One still active (ended by no
+// EndCapture) is left alone, so a new session cannot restart it.
+func (bp *BufferPool) recycleCapture(c *Capture) {
+	if bp.capture.Load() != c {
+		bp.spare.Store(c)
+	}
 }
 
 // EndCapture stops recording and returns the dirtied frames. The caller

@@ -88,6 +88,13 @@ names=(
 	'metaAtLocked('
 	'MinSnapshotTag('
 	'minSnap'
+	# No whole-page value assignment: Go compiles a copy of the 8196-byte
+	# Page (or its 8192-byte Buf) to REP MOVSQ, several times slower than
+	# the runtime.memmove that copy() on the Buf slices calls (~800 ns
+	# against ~150 ns for a hot 8 kB copy). Copy pages with
+	# copy(dst.Page.Buf[:], src.Page.Buf[:]) and set the ID apart.
+	'.Page = '
+	'.Page.Buf = '
 )
 src=()
 while IFS= read -r f; do
