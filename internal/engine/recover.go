@@ -34,7 +34,24 @@ func (db *DB) recover() error {
 		id  pages.PageID
 		img []byte
 	}
+	// pending is the current commit group's images. The payload Recover
+	// hands over is valid only during the callback, so each image is
+	// copied into a slot's buffer; a slot keeps its buffer when the
+	// group is applied, and the next group reuses it.
 	var pending []pageImg
+	nextImg := func(id pages.PageID) []byte {
+		if len(pending) < cap(pending) {
+			pending = pending[:len(pending)+1]
+		} else {
+			pending = append(pending, pageImg{})
+		}
+		p := &pending[len(pending)-1]
+		if p.img == nil {
+			p.img = make([]byte, pages.PageSize)
+		}
+		p.id = id
+		return p.img
+	}
 	logged := make(map[string]walTableState)
 	order := []string{} // stable application order for table rebuild
 	var lastGood wal.LSN
@@ -75,9 +92,7 @@ func (db *DB) recover() error {
 			if len(payload) != 4+pages.PageSize {
 				return fmt.Errorf("page record at LSN %d has %d bytes", lsn, len(payload))
 			}
-			id := pages.PageID(binary.LittleEndian.Uint32(payload))
-			img := append([]byte(nil), payload[4:]...)
-			pending = append(pending, pageImg{id: id, img: img})
+			copy(nextImg(pages.PageID(binary.LittleEndian.Uint32(payload))), payload[4:])
 		case wal.RecPagePrefix:
 			// Truncated after-image (blob/free pages): header + used body
 			// bytes; the writer zeroed the tail before checksumming, so
@@ -85,10 +100,8 @@ func (db *DB) recover() error {
 			if len(payload) < 4+pages.HeaderSize || len(payload) > 4+pages.PageSize {
 				return fmt.Errorf("page prefix record at LSN %d has %d bytes", lsn, len(payload))
 			}
-			id := pages.PageID(binary.LittleEndian.Uint32(payload))
-			img := make([]byte, pages.PageSize)
-			copy(img, payload[4:])
-			pending = append(pending, pageImg{id: id, img: img})
+			img := nextImg(pages.PageID(binary.LittleEndian.Uint32(payload)))
+			clear(img[copy(img, payload[4:]):])
 		case wal.RecCommit:
 			var delta walCatalog
 			if err := json.Unmarshal(payload, &delta); err != nil {

@@ -122,18 +122,15 @@ func (db *DB) logFrame(f *pages.Frame) error {
 		lsn := uint64(l.NextLSN())
 		p.SetLSN(lsn)
 		p.UpdateChecksum()
+		// The record's payload is the 4-byte page id then the page
+		// bytes; Append copies both parts straight into its buffer.
+		typ, n := wal.RecPageImage, pages.PageSize
 		if prefix {
-			n := pages.HeaderSize + p.Used()
-			payload := make([]byte, 4+n)
-			binary.LittleEndian.PutUint32(payload, uint32(p.ID))
-			copy(payload[4:], p.Buf[:n])
-			got, err := l.Append(wal.RecPagePrefix, payload)
-			return uint64(got), err
+			typ, n = wal.RecPagePrefix, pages.HeaderSize+p.Used()
 		}
-		payload := make([]byte, 4+pages.PageSize)
-		binary.LittleEndian.PutUint32(payload, uint32(p.ID))
-		copy(payload[4:], p.Buf[:])
-		got, err := l.Append(wal.RecPageImage, payload)
+		var id [4]byte
+		binary.LittleEndian.PutUint32(id[:], uint32(p.ID))
+		got, err := l.Append(typ, id[:], p.Buf[:n])
 		return uint64(got), err
 	})
 }

@@ -149,14 +149,14 @@ func (c *Capture) add(f *Frame) {
 	c.mu.Unlock()
 }
 
-// recorded returns the captured frames. The slice is the capture's own:
-// EndCapture, PreparePublish and AbortCapture share it, callers must
-// not modify it, and the next session's capture reuses it.
-func (c *Capture) recorded() []*Frame {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.frames
-}
+// recorded returns the captured frames of an ended capture. It reads
+// the list without c.mu: once EndCapture has detached the capture, no
+// add can reach it, and every add ran on the writer's goroutine or on
+// one the writer joined, so only the writer touches the list. The slice
+// is the capture's own: EndCapture, PreparePublish and AbortCapture
+// share it, callers must not modify it, and the next session's capture
+// reuses it.
+func (c *Capture) recorded() []*Frame { return c.frames }
 
 // Frame SLRU tiers. First-touch frames enter probation; a re-reference
 // promotes to protected. Eviction prefers probation, so a one-shot scan

@@ -188,10 +188,19 @@ func (s *fileSegment) Size() (int64, error) {
 // prefix — the moral equivalent of the machine losing power with the OS
 // page cache unflushed — so recovery tests can assert exactly which
 // records survive.
+//
+// A segment's bytes live in fixed-size slabs (memSlabSize), so an append
+// copies its bytes once and never re-copies what the segment already
+// holds. ReadAt, Truncate, Crash and CorruptTail act on the segment's
+// logical length; bytes a cut leaves in a slab are overwritten by the
+// next append.
 type MemStorage struct {
 	mu   sync.Mutex
 	segs map[uint32]*memSegment
 }
+
+// memSlabSize is the size of one MemStorage slab.
+const memSlabSize = 64 << 10
 
 // NewMemStorage returns an empty in-memory log directory.
 func NewMemStorage() *MemStorage {
@@ -206,7 +215,7 @@ func (m *MemStorage) Crash() {
 	defer m.mu.Unlock()
 	for _, s := range m.segs {
 		s.mu.Lock()
-		s.data = s.data[:s.synced]
+		s.cut(s.synced)
 		s.mu.Unlock()
 	}
 }
@@ -229,12 +238,8 @@ func (m *MemStorage) CorruptTail(n int) {
 	}
 	top.mu.Lock()
 	defer top.mu.Unlock()
-	start := len(top.data) - n
-	if start < 0 {
-		start = 0
-	}
-	for i := start; i < len(top.data); i++ {
-		top.data[i] ^= 0xA5
+	for i := max(top.size-n, 0); i < top.size; i++ {
+		top.slabs[i/memSlabSize][i%memSlabSize] ^= 0xA5
 	}
 }
 
@@ -281,19 +286,40 @@ func (m *MemStorage) Remove(seq uint32) error {
 	return nil
 }
 
+// memSegment is one in-memory segment: size logical bytes held in
+// memSlabSize slabs, the first synced of them durable.
 type memSegment struct {
 	mu     sync.Mutex
-	data   []byte
+	slabs  [][]byte
+	size   int
 	synced int
+}
+
+// cut shrinks the segment to size bytes and releases the slabs wholly
+// past it. Caller holds s.mu.
+func (s *memSegment) cut(size int) {
+	if size >= s.size {
+		return
+	}
+	s.size = size
+	keep := (size + memSlabSize - 1) / memSlabSize
+	clear(s.slabs[keep:])
+	s.slabs = s.slabs[:keep]
+	s.synced = min(s.synced, size)
 }
 
 func (s *memSegment) ReadAt(p []byte, off int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off >= int64(len(s.data)) {
+	if off >= int64(s.size) {
 		return 0, fmt.Errorf("wal: read past segment end")
 	}
-	n := copy(p, s.data[off:])
+	n := 0
+	for n < len(p) && int(off)+n < s.size {
+		i := int(off) + n
+		base := i - i%memSlabSize // segment offset of the slab's first byte
+		n += copy(p[n:], s.slabs[i/memSlabSize][i-base:min(memSlabSize, s.size-base)])
+	}
 	if n < len(p) {
 		return n, fmt.Errorf("wal: short segment read")
 	}
@@ -303,33 +329,36 @@ func (s *memSegment) ReadAt(p []byte, off int64) (int, error) {
 func (s *memSegment) Append(p []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = append(s.data, p...)
+	for len(p) > 0 {
+		i := s.size / memSlabSize
+		if i == len(s.slabs) {
+			s.slabs = append(s.slabs, make([]byte, memSlabSize))
+		}
+		n := copy(s.slabs[i][s.size%memSlabSize:], p)
+		s.size += n
+		p = p[n:]
+	}
 	return nil
 }
 
 func (s *memSegment) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.synced = len(s.data)
+	s.synced = s.size
 	return nil
 }
 
 func (s *memSegment) Truncate(size int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if size < int64(len(s.data)) {
-		s.data = s.data[:size]
-	}
-	if s.synced > len(s.data) {
-		s.synced = len(s.data)
-	}
+	s.cut(int(size))
 	return nil
 }
 
 func (s *memSegment) Size() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(len(s.data)), nil
+	return int64(s.size), nil
 }
 
 func (s *memSegment) Close() error { return nil }

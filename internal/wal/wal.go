@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,11 @@ const (
 	segMagic      = "SQAWAL01"
 	// defaultSegmentSize is the roll-over threshold for segment files.
 	defaultSegmentSize = 4 << 20
+	// appendBufferLimit bounds the append buffer: an Append that would
+	// grow it past this writes the buffered frames to the segment first,
+	// without a sync, so the buffer's memory stays fixed however many
+	// records a commit logs.
+	appendBufferLimit = 256 << 10
 	// maxRecordSize bounds a single record (a page image plus slack is
 	// ~8.2 kB; catalog snapshots are small — 16 MB is a corruption
 	// tripwire, not a real limit).
@@ -173,6 +179,7 @@ func Open(st Storage, o Options) (*Log, error) {
 		return l, nil
 	}
 	// Scan segments in order, validating the record chain.
+	var r frameReader
 	var lastValidEnd LSN
 	torn := false
 	for i, seq := range seqs {
@@ -203,7 +210,7 @@ func Open(st Storage, o Options) (*Log, error) {
 				continue
 			}
 		}
-		base, end, ckpt, segTorn, err := l.scanSegment(seg)
+		base, end, ckpt, segTorn, err := l.scanSegment(seg, &r)
 		if err != nil {
 			seg.Close()
 			return nil, fmt.Errorf("wal: segment %d: %w", seq, err)
@@ -262,7 +269,7 @@ func Open(st Storage, o Options) (*Log, error) {
 // scanSegment validates a segment's header and walks its records,
 // returning the base LSN, the LSN just past the last valid record, the
 // LSN of the last checkpoint record seen, and whether the tail was torn.
-func (l *Log) scanSegment(seg Segment) (base, end, ckpt LSN, torn bool, err error) {
+func (l *Log) scanSegment(seg Segment, r *frameReader) (base, end, ckpt LSN, torn bool, err error) {
 	var hdr [segHeaderSize]byte
 	if _, err := seg.ReadAt(hdr[:], 0); err != nil {
 		return 0, 0, 0, false, fmt.Errorf("short segment header: %w", err)
@@ -278,7 +285,7 @@ func (l *Log) scanSegment(seg Segment) (base, end, ckpt LSN, torn bool, err erro
 	off := int64(segHeaderSize)
 	end = base
 	for off < size {
-		_, typ, n, ok := readFrame(seg, off, size)
+		_, typ, n, ok := r.read(seg, off, size)
 		if !ok {
 			return base, end, ckpt, true, nil
 		}
@@ -291,29 +298,36 @@ func (l *Log) scanSegment(seg Segment) (base, end, ckpt LSN, torn bool, err erro
 	return base, end, ckpt, false, nil
 }
 
-// readFrame reads and validates one record frame at off, returning the
+// frameReader reads record frames into one buffer it reuses, so a scan
+// allocates only when a frame is longer than every frame before it.
+type frameReader struct{ buf []byte }
+
+// read reads and validates one record frame at off, returning the
 // payload, type and frame length. ok=false marks a torn/corrupt frame.
-func readFrame(seg Segment, off, size int64) (payload []byte, typ RecordType, n int64, ok bool) {
+// The payload aliases the reader's buffer: it is valid until the next
+// read.
+func (r *frameReader) read(seg Segment, off, size int64) (payload []byte, typ RecordType, n int64, ok bool) {
 	if off+frameHeaderSize > size {
 		return nil, 0, 0, false
 	}
-	var hdr [frameHeaderSize]byte
-	if _, err := seg.ReadAt(hdr[:], off); err != nil {
+	r.buf = slices.Grow(r.buf[:0], frameHeaderSize)[:frameHeaderSize]
+	if _, err := seg.ReadAt(r.buf, off); err != nil {
 		return nil, 0, 0, false
 	}
-	plen := binary.LittleEndian.Uint32(hdr[4:8])
+	plen := binary.LittleEndian.Uint32(r.buf[4:8])
 	if plen > maxRecordSize || off+frameHeaderSize+int64(plen) > size {
 		return nil, 0, 0, false
 	}
-	buf := make([]byte, frameHeaderSize+int(plen))
-	if _, err := seg.ReadAt(buf, off); err != nil {
+	r.buf = slices.Grow(r.buf, int(plen))[:frameHeaderSize+int(plen)]
+	frame := r.buf
+	if _, err := seg.ReadAt(frame, off); err != nil {
 		return nil, 0, 0, false
 	}
-	stored := binary.LittleEndian.Uint32(buf[:4])
-	if crc32.ChecksumIEEE(buf[4:]) != stored {
+	stored := binary.LittleEndian.Uint32(frame[:4])
+	if crc32.ChecksumIEEE(frame[4:]) != stored {
 		return nil, 0, 0, false
 	}
-	return buf[frameHeaderSize:], RecordType(buf[8]), int64(len(buf)), true
+	return frame[frameHeaderSize:], RecordType(frame[8]), int64(len(frame)), true
 }
 
 // createSegment makes seq the active segment with the given base LSN.
@@ -372,38 +386,59 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Append frames a record into the append buffer and returns its LSN.
+// Append frames a record whose payload is the concatenation of parts
+// into the append buffer and returns its LSN. The parts are copied
+// straight into the buffer, so a caller can log a page as its id and
+// its bytes without joining them first; the frame is byte for byte the
+// one a single joined payload gets. Append keeps no reference to parts.
+//
 // The record is not durable until Sync returns; a crash before that
 // loses it (and recovery discards the whole uncommitted group, see
-// RecCommit).
-func (l *Log) Append(typ RecordType, payload []byte) (LSN, error) {
-	if len(payload) > maxRecordSize {
-		return 0, fmt.Errorf("%w: %d bytes", errTooLarge, len(payload))
+// RecCommit). The buffer is bounded: when a record would grow it past
+// appendBufferLimit, Append first writes the buffered frames to the
+// active segment without syncing. DurableLSN still moves only at Sync.
+func (l *Log) Append(typ RecordType, parts ...[]byte) (LSN, error) {
+	plen := 0
+	for _, p := range parts {
+		plen += len(p)
+	}
+	if plen > maxRecordSize {
+		return 0, fmt.Errorf("%w: %d bytes", errTooLarge, plen)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
 		return 0, err
 	}
-	frame := int64(frameHeaderSize + len(payload))
+	frame := frameHeaderSize + plen
 	// Roll to a fresh segment when this record would overflow the
 	// current one (records never span segments).
-	if l.curSize > segHeaderSize && l.curSize+frame > l.segLimit {
+	if l.curSize > segHeaderSize && l.curSize+int64(frame) > l.segLimit {
 		if err := l.rollLocked(); err != nil {
 			return 0, err
 		}
 	}
+	if len(l.buf) > 0 && len(l.buf)+frame > appendBufferLimit {
+		if err := l.cur.Append(l.buf); err != nil {
+			return 0, l.fail(err)
+		}
+		l.buf = l.buf[:0]
+	}
 	lsn := l.nextLSN
+	// The CRC is computed over the buffered frame, not over hdr and
+	// parts: crc32 calls through a function value, which would move
+	// every slice it is handed to the heap.
+	start := len(l.buf)
 	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(plen))
 	hdr[8] = byte(typ)
 	binary.LittleEndian.PutUint64(hdr[9:], uint64(lsn))
-	crc := crc32.ChecksumIEEE(hdr[4:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[:4], crc)
 	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, payload...)
-	l.curSize += frame
+	for _, p := range parts {
+		l.buf = append(l.buf, p...)
+	}
+	binary.LittleEndian.PutUint32(l.buf[start:], crc32.ChecksumIEEE(l.buf[start+4:]))
+	l.curSize += int64(frame)
 	l.nextLSN += LSN(frame)
 	l.records.Add(1)
 	l.bytesLogged.Add(uint64(frame))
@@ -453,10 +488,10 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// syncLocked writes the buffer, fsyncs the active segment and advances
-// DurableLSN to NextLSN. A failure fails the log: the fsync is never
-// retried, because a retry that succeeds says nothing about the bytes
-// the failed one dropped. Caller holds l.mu.
+// syncLocked writes what is left in the buffer, fsyncs the active
+// segment and advances DurableLSN to NextLSN. A failure fails the log:
+// the fsync is never retried, because a retry that succeeds says nothing
+// about the bytes the failed one dropped. Caller holds l.mu.
 func (l *Log) syncLocked() error {
 	if err := l.usableLocked(); err != nil {
 		return err
@@ -464,10 +499,12 @@ func (l *Log) syncLocked() error {
 	if uint64(l.nextLSN) <= l.durable.Load() {
 		return nil // an earlier sync already covered every record
 	}
-	if err := l.cur.Append(l.buf); err != nil {
-		return l.fail(err)
+	if len(l.buf) > 0 {
+		if err := l.cur.Append(l.buf); err != nil {
+			return l.fail(err)
+		}
+		l.buf = l.buf[:0]
 	}
-	l.buf = l.buf[:0]
 	start := time.Now()
 	err := l.cur.Sync()
 	l.syncLatency.Observe(time.Since(start))
@@ -511,7 +548,9 @@ func (l *Log) Checkpoint(payload []byte) (LSN, error) {
 // Recover replays the durable record stream starting at the last
 // checkpoint record (or the log's beginning if none), invoking fn for
 // every record in LSN order. It reads only synced storage; call it
-// after Open and before appending.
+// after Open and before appending. Every record is read into one buffer
+// that Recover reuses: payload is valid only until fn returns, and fn
+// must copy what it keeps.
 func (l *Log) Recover(fn func(lsn LSN, typ RecordType, payload []byte) error) error {
 	l.mu.Lock()
 	segs := append([]segInfo(nil), l.segs...)
@@ -519,6 +558,7 @@ func (l *Log) Recover(fn func(lsn LSN, typ RecordType, payload []byte) error) er
 	end := l.nextLSN
 	cur := l.cur
 	l.mu.Unlock()
+	var r frameReader
 	for i, si := range segs {
 		segEnd := end
 		if i < len(segs)-1 {
@@ -543,7 +583,7 @@ func (l *Log) Recover(fn func(lsn LSN, typ RecordType, payload []byte) error) er
 		off := int64(segHeaderSize)
 		lsn := si.base
 		for off < size {
-			payload, typ, n, ok := readFrame(seg, off, size)
+			payload, typ, n, ok := r.read(seg, off, size)
 			if !ok {
 				if i < len(segs)-1 {
 					closeSeg()

@@ -272,8 +272,7 @@ func TestSegmentGapKeepsValidPrefixAppendable(t *testing.T) {
 		t.Fatalf("want several segments, got %d", len(st.segs))
 	}
 	// Damage segment 1's base LSN so it no longer chains after seg 0.
-	st.segs[1].data[8] ^= 0x7F
-	st.segs[1].synced = len(st.segs[1].data)
+	st.segs[1].damageDurable(8, 0x7F)
 
 	l2, err := Open(st, Options{SegmentSize: 256})
 	if err != nil {
@@ -429,8 +428,7 @@ func TestOpenAfterCrashBeforeRolledSegmentSync(t *testing.T) {
 	if len(seqs) < 2 {
 		t.Fatalf("want at least 2 segments, have %v", seqs)
 	}
-	st.segs[seqs[0]].data = nil
-	st.segs[seqs[0]].synced = 0
+	st.segs[seqs[0]].wipe()
 	if _, err := Open(st, Options{SegmentSize: 256}); err == nil {
 		t.Fatal("Open accepted a short header on a non-newest segment")
 	}
