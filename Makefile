@@ -47,7 +47,7 @@ lint:
 # this target and keeps the output as an artifact — a trend line, not a
 # gate — and fails if a name below matches no Benchmark func.
 bench:
-# cached fetches from 1..N goroutines and fetches that must evict; bench/'s pages.fetch_hit_ns / fetch_miss_us are one goroutine into free frames (ROADMAP item 3 targets Contention).
+# cached fetches from 1, 2, 4 and 8 goroutines through the pool's one lock, and fetches that must evict; bench/'s pages.fetch_hit_ns / fetch_miss_us are one goroutine into free frames.
 	go test -run='^$$' -bench='BenchmarkBufferPoolContention|BenchmarkBufferPoolFetchMiss' -benchtime=300ms ./internal/pages
 # one write session over one resident page: capture, FetchForWrite's 8 kB copy-on-write copy, publish and retirement (allocs reported); no bench/ metric times the copy (pages.cow_copies only counts copies).
 	go test -run='^$$' -bench='BenchmarkFetchForWrite' -benchtime=300ms ./internal/pages

@@ -9,22 +9,24 @@ import (
 
 // Latchorder proves the documented lock hierarchy
 //
-//	db.writeMu (0) → db.pubMu (1) → pool snapMu (2) → pool shard.mu (3) → leaves (4)
+//	db.writeMu (0) → db.pubMu (1) → pool mu (2) → leaves (3)
 //
 // db.pubMu pairs a commit's clock tick with its catalog swap (and a
-// snapshot's tag with its catalog); the pool's snapMu guards the live
-// snapshot tags that every version-retirement check reads under a shard
-// lock.
+// snapshot's tag with its catalog); the pool's one mutex guards its page
+// table, version sidecar and live snapshot tags.
 //
 // A function holding a level-L latch may only acquire latches at a
 // strictly greater level. The analyzer classifies direct Lock/RLock calls
 // on the known mutex fields, computes a per-function summary of all latch
 // levels it may transitively acquire (intra-package call graph to a
 // fixpoint, plus seeded summaries for the engine's external callees:
-// buffer-pool, btree and blob operations all reach the pool stripes), and
+// buffer-pool, btree and blob operations all reach the pool mutex), and
 // then walks each function lexically with the set of currently-held
 // levels, reporting any call or Lock that can acquire a level ≤ one
-// already held.
+// already held. A function that releases a latch before it takes it
+// (the pool's miss path drops the pool mutex for its disk read and
+// takes it back) does not count that acquisition in its summary: its
+// caller holds the latch, and the function only hands it back.
 //
 // It also enforces the write-transaction discipline: Table methods whose
 // name ends in Tx (the DML entry points) mutate under WAL capture, so a
@@ -34,7 +36,7 @@ import (
 // function.
 var Latchorder = &Analyzer{
 	Name: "latchorder",
-	Doc:  "lock acquisitions must follow db.writeMu → db.pubMu → pool snapMu → pool stripe; DML *Tx entry points require transaction context",
+	Doc:  "lock acquisitions must follow db.writeMu → db.pubMu → pool mu; DML *Tx entry points require transaction context",
 	Run:  runLatchorder,
 }
 
@@ -45,18 +47,15 @@ var latchLevels = []struct {
 }{
 	{"engine", "DB", "writeMu", 0},
 	{"engine", "DB", "pubMu", 1},
-	{"pages", "BufferPool", "snapMu", 2},
-	{"pages", "shard", "mu", 3},
-	{"pages", "Capture", "mu", 4},
-	{"wal", "Log", "mu", 4},
+	{"pages", "BufferPool", "mu", 2},
+	{"wal", "Log", "mu", 3},
 }
 
 var latchNames = map[int]string{
 	0: "db.writeMu",
 	1: "db.pubMu",
-	2: "pool snapMu",
-	3: "pool shard.mu",
-	4: "leaf mutex (wal/capture)",
+	2: "pool mu",
+	3: "leaf mutex (wal)",
 }
 
 // external summaries: calls into these (pkg, type) pairs may acquire the
@@ -66,19 +65,17 @@ var externalAcquires = []struct {
 	pkg, typ string
 	levels   []int
 }{
-	// An unpin of a superseded version may retire it, which takes
-	// snapMu: every reader of pages can reach level 2.
-	{"pages", "BufferPool", []int{2, 3}},
-	{"pages", "Capture", []int{4}},
-	{"btree", "Tree", []int{2, 3}},
-	{"btree", "Iterator", []int{2, 3}},
-	{"blob", "Store", []int{2, 3}},
-	{"blob", "Reader", []int{2, 3}},
-	{"engine", "Table", []int{1, 2, 3}},
-	{"engine", "Snapshot", []int{2, 3}},
-	{"engine", "Cursor", []int{2, 3}},
-	{"pages", "Snapshot", []int{2, 3}},
-	{"wal", "Log", []int{4}},
+	// Every page access takes the pool mutex.
+	{"pages", "BufferPool", []int{2}},
+	{"btree", "Tree", []int{2}},
+	{"btree", "Iterator", []int{2}},
+	{"blob", "Store", []int{2}},
+	{"blob", "Reader", []int{2}},
+	{"engine", "Table", []int{1, 2}},
+	{"engine", "Snapshot", []int{2}},
+	{"engine", "Cursor", []int{2}},
+	{"pages", "Snapshot", []int{2}},
+	{"wal", "Log", []int{3}},
 }
 
 type levelSet uint8
@@ -87,7 +84,7 @@ func (s levelSet) has(l int) bool    { return s&(1<<uint(l)) != 0 }
 func (s *levelSet) add(l int)        { *s |= 1 << uint(l) }
 func (s *levelSet) union(o levelSet) { *s |= o }
 func (s levelSet) min() int {
-	for l := 0; l <= 4; l++ {
+	for l := 0; l <= 3; l++ {
 		if s.has(l) {
 			return l
 		}
@@ -95,7 +92,7 @@ func (s levelSet) min() int {
 	return -1
 }
 func (s levelSet) maxHeld() int {
-	for l := 4; l >= 0; l-- {
+	for l := 3; l >= 0; l-- {
 		if s.has(l) {
 			return l
 		}
@@ -211,11 +208,29 @@ func runLatchorder(p *Pass) error {
 	}
 
 	summaries := map[*types.Func]levelSet{}
+	// direct collects the levels a body locks, in source order, leaving
+	// out a level the body unlocked first (outside a defer): that lock
+	// takes back a latch the caller holds.
 	direct := func(fd *ast.FuncDecl) levelSet {
-		var s levelSet
+		var s, released levelSet
+		deferred := map[*ast.CallExpr]bool{}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if op, ok := classifyLockCall(info, call); ok && op.acquire {
+			if d, ok := n.(*ast.DeferStmt); ok {
+				ast.Inspect(d, func(m ast.Node) bool {
+					if call, ok := m.(*ast.CallExpr); ok {
+						deferred[call] = true
+					}
+					return true
+				})
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if op, ok := classifyLockCall(info, call); ok {
+				if !op.acquire && !deferred[call] {
+					released.add(op.level)
+				} else if op.acquire && !released.has(op.level) {
 					s.add(op.level)
 				}
 			}
@@ -268,7 +283,7 @@ func walkLatches(p *Pass, fd *ast.FuncDecl, summaries map[*types.Func]levelSet) 
 		}
 		if op, ok := classifyLockCall(info, call); ok {
 			if op.acquire && op.level <= maxHeld {
-				p.Reportf(call.Pos(), "acquiring %s while holding %s violates the latch order (writeMu → db.pubMu → pool snapMu → pool stripe)",
+				p.Reportf(call.Pos(), "acquiring %s while holding %s violates the latch order (writeMu → db.pubMu → pool mu)",
 					latchNames[op.level], latchNames[maxHeld])
 			}
 			return

@@ -1,6 +1,6 @@
 // Package engine mocks the engine's lock hierarchy: DB.writeMu (0) →
-// DB.pubMu (1) → the pool's snapMu (2) → pool stripe (3). pubMu pairs a
-// commit's clock tick with its catalog swap.
+// DB.pubMu (1) → the pool's mutex (2). pubMu pairs a commit's clock tick
+// with its catalog swap.
 package engine
 
 import (
@@ -39,7 +39,7 @@ func (t *Table) InsertTx(tx *Tx, v int) error {
 }
 
 // good: the documented descent order — a commit publishes under the
-// writer lock, and the pool takes snapMu and the stripes below pubMu.
+// writer lock, and the pool takes its mutex below pubMu.
 func goodOrder(db *DB) {
 	db.writeMu.Lock()
 	db.pubMu.Lock()
@@ -69,7 +69,7 @@ func badTransitive(db *DB) {
 }
 
 // good: holding the publish mutex while descending into the pool is
-// the documented order (level 1 → levels 2 and 3).
+// the documented order (level 1 → level 2).
 func goodDescend(t *Table) error {
 	t.db.pubMu.Lock()
 	defer t.db.pubMu.Unlock()

@@ -1,79 +1,78 @@
-// Package pages mocks the pool's locks for the latchorder tests: the
-// snapshot-tag mutex (snapMu) ranks above the lock stripes, because a
-// version-retirement check reads the live tags under a stripe lock.
+// Package pages mocks the pool's lock for the latchorder tests: one
+// mutex guards the pool, and the miss path drops it for the disk read
+// and takes it back.
 package pages
 
 import "sync"
 
 type Frame struct{}
 
-type shard struct {
+type BufferPool struct {
 	mu sync.Mutex
 }
 
-type BufferPool struct {
-	snapMu sync.Mutex
-	shards []shard
+// good: loadLocked hands the caller's mutex back, it does not nest it.
+func (bp *BufferPool) Fetch(id uint64) (*Frame, error) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.loadLocked(id)
 }
 
-func (bp *BufferPool) Fetch(id uint64) (*Frame, error) { return &Frame{}, nil }
-func (bp *BufferPool) Unpin(f *Frame, dirty bool)      {}
+// loadLocked releases the mutex its caller holds for the read and takes
+// it back.
+func (bp *BufferPool) loadLocked(id uint64) (*Frame, error) {
+	bp.mu.Unlock()
+	f := &Frame{}
+	bp.mu.Lock()
+	return f, nil
+}
 
-// FinishPublish ticks the clock under snapMu, then re-checks a stripe.
+func (bp *BufferPool) Unpin(f *Frame, dirty bool) {}
+
+// FinishPublish ticks the clock and retires versions under the mutex.
 func (bp *BufferPool) FinishPublish(tag uint64) {
-	bp.snapMu.Lock()
-	defer bp.snapMu.Unlock()
-	bp.lockShard(&bp.shards[0])
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 }
 
-func (bp *BufferPool) lockShard(s *shard) {
-	s.mu.Lock()
-	s.mu.Unlock()
+func (bp *BufferPool) lock() {
+	bp.mu.Lock()
+	bp.mu.Unlock()
 }
 
-func (bp *BufferPool) lockSnap() {
-	bp.snapMu.Lock()
-	bp.snapMu.Unlock()
+// bad: re-entering the pool mutex while holding it self-deadlocks.
+func (bp *BufferPool) badNested() {
+	bp.mu.Lock()
+	bp.lock() // want `call may acquire pool mu while pool mu is held`
+	bp.mu.Unlock()
 }
 
-// bad: re-entering the stripe level while a stripe is held self-deadlocks.
-func (bp *BufferPool) badNested(s *shard) {
-	s.mu.Lock()
-	bp.lockShard(s) // want `call may acquire pool shard\.mu while pool shard\.mu is held`
-	s.mu.Unlock()
+// bad: the same, taken directly.
+func (bp *BufferPool) badRelock() {
+	bp.mu.Lock()
+	bp.mu.Lock() // want `acquiring pool mu while holding pool mu violates the latch order`
+	bp.mu.Unlock()
+	bp.mu.Unlock()
 }
 
-// good: strictly sequential stripe use.
-func (bp *BufferPool) goodSequential(a, b *shard) {
-	a.mu.Lock()
-	a.mu.Unlock()
-	b.mu.Lock()
-	b.mu.Unlock()
+// good: strictly sequential use.
+func (bp *BufferPool) goodSequential() {
+	bp.mu.Lock()
+	bp.mu.Unlock()
+	bp.mu.Lock()
+	bp.mu.Unlock()
 }
 
-// bad: the tag mutex taken under a stripe.
-func (bp *BufferPool) badSnapUnderStripe(s *shard) {
-	s.mu.Lock()
-	bp.snapMu.Lock() // want `acquiring pool snapMu while holding pool shard\.mu violates the latch order`
-	bp.snapMu.Unlock()
-	s.mu.Unlock()
+// lockThenDeferUnlock takes the mutex; its deferred unlock runs at exit,
+// so it releases nothing before the Lock.
+func (bp *BufferPool) lockThenDeferUnlock() {
+	defer bp.mu.Unlock()
+	bp.mu.Lock()
 }
 
-// bad: the same inversion behind a call — an unpin that retires a
-// version while still holding its stripe.
-func (bp *BufferPool) badRetireUnderStripe(s *shard) {
-	s.mu.Lock()
-	bp.lockSnap() // want `call may acquire pool snapMu while pool shard\.mu is held`
-	s.mu.Unlock()
-}
-
-// good: release the stripe, then take the tag mutex and the stripe in
-// order.
-func (bp *BufferPool) goodRetireAfterUnlock(s *shard) {
-	s.mu.Lock()
-	s.mu.Unlock()
-	bp.snapMu.Lock()
-	s.mu.Lock()
-	s.mu.Unlock()
-	bp.snapMu.Unlock()
+// bad: a deferred unlock does not make a lock a hand-back.
+func (bp *BufferPool) badDeferredHandBack() {
+	bp.mu.Lock()
+	bp.lockThenDeferUnlock() // want `call may acquire pool mu while pool mu is held`
+	bp.mu.Unlock()
 }

@@ -28,78 +28,76 @@ type counters struct {
 }
 
 // Frame is a pinned page in the buffer pool. Callers must Unpin every
-// fetched frame; the Page must not be touched after unpinning. The pin
-// count is an atomic so observers (PinnedFrames, assertions in tests)
-// can read it without taking the owning shard's lock; mutations happen
-// under that lock, which is what makes the pin-count/LRU transition
-// race-free.
+// fetched frame; the Page must not be touched after unpinning. Every
+// field but Page and pageLSN is guarded by the pool's mutex.
 type Frame struct {
-	Page  Page
-	pins  atomic.Int32
-	dirty bool    // guarded by shard.mu
-	link  lruLink // place on its tier's segment, zero when on none; guarded by shard.mu
-	tier  int8    // SLRU segment (probation/protected); guarded by shard.mu
-	shard *shard  // owning shard; frames never migrate
+	Page Page
+	pins int32
+	// loading marks a frame whose page a miss is reading from disk: it
+	// sits in the page table, pinned by the loader, while the pool's
+	// mutex is released for the read. A fetch that finds it waits on
+	// BufferPool.loaded and looks the page up again.
+	loading bool
+	dirty   bool
+	link    lruLink // place on its tier's segment, zero when on none
+	tier    int8    // SLRU segment (probation/protected)
 	// pageLSN is the WAL LSN of the record holding the frame's latest
 	// logged image. The flush gate compares it against the log's durable
 	// LSN: a dirty frame may only reach the database file once its log
-	// record is durable (WAL-before-flush). Atomic so eviction scans can
-	// read it without extra synchronization beyond the shard lock.
+	// record is durable (WAL-before-flush). Atomic so PageLSN can read it
+	// without the pool's mutex.
 	pageLSN atomic.Uint64
 	// unlogged marks a frame dirtied by the active write session whose
 	// image has not been appended to the WAL yet. Such a frame must not
 	// be flushed or evicted under any circumstances — its changes exist
-	// nowhere but in memory. Guarded by shard.mu.
+	// nowhere but in memory.
 	unlogged bool
 	// verTag is the commit tag of the version this frame holds: the frame
 	// is visible to a view V exactly when verTag <= V. Tag 0 is "older than
 	// every snapshot"; a pending frame carries viewCurrent, the one tag no
-	// snapshot reaches, until publish stamps the real one. Atomic so
-	// fetches can check visibility while a publish is stamping other
-	// shards.
-	verTag atomic.Uint64
+	// snapshot reaches, until publish stamps the real one.
+	verTag uint64
 	// pending marks the private copy-on-write frame of the active write
 	// session: invisible to every snapshot, never on an LRU list, never
-	// flushed or evicted (publish or abort decides its fate). Guarded by
-	// shard.mu.
+	// flushed or evicted (publish or abort decides its fate).
 	pending bool
-	// versioned marks a superseded pre-image living in the shard's
-	// version sidecar rather than the page table: readable by old
-	// snapshots, never re-enters the LRU, never flushed (its content is
-	// stale by definition). Guarded by shard.mu.
+	// versioned marks a superseded pre-image living in the pool's version
+	// sidecar rather than the page table: readable by old snapshots,
+	// never re-enters the LRU, never flushed (its content is stale by
+	// definition).
 	versioned bool
 	// supersededBy is the commit tag of the version that replaced this
 	// sidecar entry — viewCurrent while the replacing session is still
 	// uncommitted. The entry is what a view V reads exactly when
 	// verTag <= V < supersededBy, and is retired once no live snapshot's
-	// tag falls in that interval. Guarded by shard.mu.
+	// tag falls in that interval.
 	supersededBy uint64
 	// pre is the committed pre-image a pending copy-on-write frame
 	// displaced into the sidecar (nil for a page the session created).
 	// Publish stamps its supersede tag through it and abort puts it back
 	// in the page table; both clear it, so no frame points at one that
-	// has since been recycled. Guarded by shard.mu.
+	// has since been recycled.
 	pre *Frame
 	// capStamp is the id of the capture that recorded the frame: a
 	// frame is in capture c exactly when capStamp == c.id, so recording
-	// it once needs no set. Guarded by shard.mu.
+	// it once needs no set.
 	capStamp uint64
 }
 
 // reset returns a frame to the free state. Every path out of the cache
 // (eviction, failed load, abort, version retirement, DropCleanBuffers)
 // goes through here, so a frame taken from victimLocked carries nothing
-// of the page it last held. Caller holds the owning shard's mutex and
-// the frame is unpinned and off the LRU lists.
+// of the page it last held. Caller holds the pool's mutex and the frame
+// is unpinned and off the LRU lists.
 func (f *Frame) reset() {
-	f.dirty, f.unlogged, f.pending, f.versioned = false, false, false, false
+	f.dirty, f.unlogged, f.pending, f.versioned, f.loading = false, false, false, false, false
 	f.link = lruLink{}
 	f.tier = tierProbation
 	f.supersededBy = 0
 	f.pre = nil
 	f.capStamp = 0
 	f.pageLSN.Store(0)
-	f.verTag.Store(0)
+	f.verTag = 0
 }
 
 // PageLSN returns the LSN of the frame's latest logged image (0 if the
@@ -130,32 +128,28 @@ type WAL interface {
 // capture after publishing or aborting it.
 type Capture struct {
 	id     uint64 // never reused within a pool, so a stale stamp cannot match
-	mu     sync.Mutex
 	frames []*Frame
 	// first backs frames up to its length, so a session that writes a
 	// few pages allocates no slice for them.
 	first [4]*Frame
 }
 
-// add records f once, in first-dirtied order. Caller holds f's shard
-// lock, which guards the stamp.
+// add records f once, in first-dirtied order. Caller holds the pool's
+// mutex, which guards the stamp and the list.
 func (c *Capture) add(f *Frame) {
 	if f.capStamp == c.id {
 		return
 	}
 	f.capStamp = c.id
-	c.mu.Lock()
 	c.frames = append(c.frames, f)
-	c.mu.Unlock()
 }
 
-// recorded returns the captured frames of an ended capture. It reads
-// the list without c.mu: once EndCapture has detached the capture, no
-// add can reach it, and every add ran on the writer's goroutine or on
-// one the writer joined, so only the writer touches the list. The slice
-// is the capture's own: EndCapture, PreparePublish and AbortCapture
-// share it, callers must not modify it, and the next session's capture
-// reuses it.
+// recorded returns the captured frames of an ended capture. Once
+// EndCapture has detached the capture, no add can reach it, and every
+// add ran under the pool's mutex before the writer ended the capture.
+// The slice is the capture's own: EndCapture, PreparePublish and
+// AbortCapture share it, callers must not modify it, and the next
+// session's capture reuses it.
 func (c *Capture) recorded() []*Frame { return c.frames }
 
 // Frame SLRU tiers. First-touch frames enter probation; a re-reference
@@ -196,133 +190,111 @@ func (l *segment) remove(f *Frame) {
 	l.n--
 }
 
-// shard is one lock stripe of the pool: an independent page table,
-// segmented LRU (probationary + protected lists) and recycled-frame
-// free list guarded by a single mutex. Pages are assigned to shards by
-// a multiplicative hash of their PageID, so two scans touching
-// different pages contend only when their pages hash to the same
-// stripe.
-type shard struct {
-	mu      sync.Mutex
-	bit     uint64 // this shard's bit in BufferPool.versMask
-	cap     int
-	protCap int // max unpinned frames the protected segment may hold
-	table   map[PageID]*Frame
-	lru     [2]segment // indexed by tier: probation, protected
-	free    []*Frame   // recycled frames (DropCleanBuffers feeds this)
-	// vers is the page-version sidecar: superseded pre-image frames per
-	// page, oldest first (ascending verTag). Entries live outside the
-	// page table and the LRU lists; they are dropped once no active
-	// snapshot can read them (see retainedLocked). Guarded by mu; the
-	// pool's versMask bit for the shard is set while it is non-empty.
-	vers map[PageID][]*Frame
-	// spareChain is the backing array of the last emptied sidecar chain
-	// (nil when none), for the next page that gains a version: a commit
-	// no snapshot reads empties the chain of the page it wrote, and the
-	// next session pushes one again. Guarded by mu.
-	spareChain []*Frame
-}
-
-// pushVersionLocked appends a displaced pre-image to id's sidecar chain
-// and marks the shard in the pool's version mask. Caller holds s.mu.
-func (s *shard) pushVersionLocked(bp *BufferPool, id PageID, f *Frame) {
-	vs, ok := s.vers[id]
+// pushVersionLocked appends a displaced pre-image to id's sidecar
+// chain. Caller holds bp.mu.
+func (bp *BufferPool) pushVersionLocked(id PageID, f *Frame) {
+	vs, ok := bp.vers[id]
 	if !ok {
-		vs, s.spareChain = s.spareChain, nil
+		vs, bp.spareChain = bp.spareChain, nil
 	}
-	s.vers[id] = append(vs, f)
-	bp.markVersions(s.bit, true)
+	bp.vers[id] = append(vs, f)
 }
 
 // forgetVersionsLocked deletes id's emptied sidecar chain vs, keeping
-// its backing array for the next push, and clears the shard's mask bit
-// when that leaves the sidecar empty. Caller holds s.mu, so no push can
-// land between the length check and the clear.
-func (s *shard) forgetVersionsLocked(bp *BufferPool, id PageID, vs []*Frame) {
-	delete(s.vers, id)
-	s.spareChain = vs[:0]
-	if len(s.vers) == 0 {
-		bp.markVersions(s.bit, false)
-	}
+// its backing array for the next push. Caller holds bp.mu.
+func (bp *BufferPool) forgetVersionsLocked(id PageID, vs []*Frame) {
+	delete(bp.vers, id)
+	bp.spareChain = vs[:0]
 }
 
 // unlinkLocked takes a frame off its LRU list (no-op when it is on
-// none), so the victim scan cannot reach it. Caller holds s.mu.
-func (s *shard) unlinkLocked(f *Frame) {
+// none), so the victim scan cannot reach it. Caller holds bp.mu.
+func (bp *BufferPool) unlinkLocked(f *Frame) {
 	if f.link.next != nil {
-		s.lru[f.tier].remove(f)
+		bp.lru[f.tier].remove(f)
 	}
 }
 
 // relinkLocked puts an unpinned cached frame back on its tier's LRU list
 // at the MRU end and demotes protected-tail frames into probation until
-// the protected segment fits its cap, so it cannot monopolize the
-// stripe. Pending and versioned frames stay off the lists: a pending
-// frame's fate is decided by publish/abort, and a superseded version
-// must never become an eviction victim (flushing its stale content
-// would clobber newer disk state). Caller holds s.mu.
-func (s *shard) relinkLocked(f *Frame) {
-	if f.pins.Load() != 0 || f.link.next != nil || f.pending || f.versioned {
+// the protected segment fits its cap, so it cannot monopolize the pool.
+// Pending and versioned frames stay off the lists: a pending frame's
+// fate is decided by publish/abort, and a superseded version must never
+// become an eviction victim (flushing its stale content would clobber
+// newer disk state). Caller holds bp.mu.
+func (bp *BufferPool) relinkLocked(f *Frame) {
+	if f.pins != 0 || f.link.next != nil || f.pending || f.versioned {
 		return
 	}
-	s.lru[f.tier].pushFront(f)
-	for prot := &s.lru[tierProtected]; prot.n > s.protCap; {
+	bp.lru[f.tier].pushFront(f)
+	for prot := &bp.lru[tierProtected]; prot.n > bp.protCap; {
 		d := prot.root.prev.frame
 		prot.remove(d)
 		d.tier = tierProbation
-		s.lru[tierProbation].pushFront(d)
+		bp.lru[tierProbation].pushFront(d)
 	}
 }
 
 // touchLocked pins a cached frame for a hit: off the LRU while pinned,
 // and a probationary frame is promoted into the protected segment (the
 // SLRU admission rule — one touch is not enough to displace the hot
-// set, two are). Caller holds s.mu.
-func (s *shard) touchLocked(bp *BufferPool, f *Frame) {
-	s.unlinkLocked(f)
+// set, two are). Caller holds bp.mu.
+func (bp *BufferPool) touchLocked(f *Frame) {
+	bp.unlinkLocked(f)
 	if f.tier == tierProbation {
 		f.tier = tierProtected
 		bp.stats.promotions.Add(1)
 	}
-	f.pins.Add(1)
+	f.pins++
 }
 
 // freeLocked recycles an unpinned frame that is in neither the page
-// table, the sidecar nor an LRU list. Caller holds s.mu.
-func (s *shard) freeLocked(f *Frame) {
+// table, the sidecar nor an LRU list. Caller holds bp.mu.
+func (bp *BufferPool) freeLocked(f *Frame) {
 	f.reset()
-	s.free = append(s.free, f)
+	bp.free = append(bp.free, f)
 }
 
 // BufferPool caches pages over a DiskManager with segmented-LRU
-// replacement. It is safe for concurrent use: the page table is striped
-// across a power-of-two set of shards, each with its own mutex, LRU
-// lists and free list, so parallel scan workers fetching disjoint pages
-// do not serialize on a single pool lock.
+// replacement. It is safe for concurrent use: one mutex guards the page
+// table, the LRU lists, the free list, the version sidecar and the live
+// snapshot tags, and a miss releases it while it reads the page from
+// disk, so a fetch that hits never waits for another's I/O.
 type BufferPool struct {
 	disk    DiskManager
 	cap     int
-	shards  []*shard
-	shift   uint // 32 - log2(len(shards)); hash top bits pick the shard
+	protCap int // max unpinned frames the protected segment may hold
 	stats   counters
 	wal     WAL // flush gate; nil = no durability protocol
 	capture atomic.Pointer[Capture]
 	spare   atomic.Pointer[Capture] // a published or aborted capture, for BeginCapture to reuse
 	capSeq  atomic.Uint64           // last Capture.id handed out
-	// versMask has bit i set while shards[i]'s version sidecar is
-	// non-empty, so retirement visits only the shards that hold
-	// versions. Each bit changes under its shard's lock.
-	versMask atomic.Uint64
 	// snapClock is the synthetic commit clock: the tag of the newest
 	// published commit. AcquireSnapshot reads it; FinishPublish advances
 	// it. It starts at 1 so content tagged 0 ("pre-history": pages loaded
 	// from disk with an empty sidecar, recovered state) is visible to
 	// every snapshot.
 	snapClock atomic.Uint64
-	// snapMu guards snapActive and orders every retirement check after
-	// the acquires and clock ticks it must see; it is taken before any
-	// shard lock.
-	snapMu     sync.Mutex
+
+	// mu guards every field below and the frames' bookkeeping. It ranks
+	// below the engine's writeMu and pubMu.
+	mu sync.Mutex
+	// loaded is signalled (on mu) whenever a miss finishes reading a
+	// page, successfully or not, to wake the fetches waiting on it.
+	loaded sync.Cond
+	table  map[PageID]*Frame
+	lru    [2]segment // indexed by tier: probation, protected
+	free   []*Frame   // recycled frames (DropCleanBuffers feeds this)
+	// vers is the page-version sidecar: superseded pre-image frames per
+	// page, oldest first (ascending verTag). Entries live outside the
+	// page table and the LRU lists; they are dropped once no active
+	// snapshot can read them (see retainedLocked).
+	vers map[PageID][]*Frame
+	// spareChain is the backing array of the last emptied sidecar chain
+	// (nil when none), for the next page that gains a version: a commit
+	// no snapshot reads empties the chain of the page it wrote, and the
+	// next session pushes one again.
+	spareChain []*Frame
 	snapActive []uint64 // live snapshot tags, one per snapshot, ascending
 	// published lists the pages whose pre-images the prepared commit
 	// superseded, for FinishPublish to re-check. The pool has one
@@ -330,93 +302,23 @@ type BufferPool struct {
 	published []PageID
 }
 
-const (
-	// minShardFrames is the smallest per-shard capacity worth striping:
-	// below it, a shard's LRU is so short that per-shard capacity skew
-	// would cause spurious "pool exhausted" errors, so small pools stay
-	// single-shard (and keep the exact semantics the seed pool had).
-	minShardFrames = 64
-	// maxShards caps the stripe count; 64 stripes are plenty to spread
-	// any realistic core count, and each stripe has one bit in the
-	// uint64 version mask.
-	maxShards = 64
-)
-
-// maxShards must fit the version mask's bits.
-var _ [64 - maxShards]struct{}
-
-// markVersions sets (on) or clears bit in the version mask. The caller
-// holds the shard lock that owns the bit; the loop only guards against
-// other shards changing theirs at the same time.
-func (bp *BufferPool) markVersions(bit uint64, on bool) {
-	for {
-		m := bp.versMask.Load()
-		n := m &^ bit
-		if on {
-			n = m | bit
-		}
-		if n == m || bp.versMask.CompareAndSwap(m, n) {
-			return
-		}
-	}
-}
-
-// shardCountFor picks the power-of-two stripe count for a capacity.
-func shardCountFor(capacity int) int {
-	n := 1
-	for n < maxShards && capacity/(n*2) >= minShardFrames {
-		n *= 2
-	}
-	return n
-}
-
-// NewBufferPool creates a pool holding up to capacity pages, striped
-// over an automatically sized shard set (1 stripe for small pools, up
-// to 64 for large ones).
+// NewBufferPool creates a pool holding up to capacity pages.
 func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	nShards := shardCountFor(capacity)
-	log2 := 0
-	for 1<<uint(log2+1) <= nShards {
-		log2++
-	}
 	bp := &BufferPool{
-		disk:   disk,
-		cap:    capacity,
-		shards: make([]*shard, nShards),
-		shift:  uint(32 - log2),
+		disk:    disk,
+		cap:     capacity,
+		protCap: capacity * 3 / 4,
+		table:   make(map[PageID]*Frame, capacity),
+		vers:    make(map[PageID][]*Frame),
 	}
+	bp.loaded.L = &bp.mu
 	bp.snapClock.Store(1)
-	base, rem := capacity/nShards, capacity%nShards
-	for i := range bp.shards {
-		c := base
-		if i < rem {
-			c++
-		}
-		s := &shard{
-			bit:     1 << uint(i),
-			cap:     c,
-			protCap: c * 3 / 4,
-			table:   make(map[PageID]*Frame, c),
-			vers:    make(map[PageID][]*Frame),
-		}
-		s.lru[tierProbation].init()
-		s.lru[tierProtected].init()
-		bp.shards[i] = s
-	}
+	bp.lru[tierProbation].init()
+	bp.lru[tierProtected].init()
 	return bp
-}
-
-// shardFor maps a page id onto its stripe. Fibonacci hashing spreads
-// both sequential ids (B-tree leaf chains) and strided ones evenly.
-func (bp *BufferPool) shardFor(id PageID) *shard {
-	if len(bp.shards) == 1 {
-		return bp.shards[0]
-	}
-	h := uint32(id) * 2654435769 // 2^32 / phi
-	return bp.shards[h>>bp.shift]
 }
 
 // SetWAL attaches the write-ahead-log flush gate. Once set, a dirty
@@ -460,16 +362,15 @@ func (bp *BufferPool) EndCapture(c *Capture) []*Frame {
 	return c.recorded()
 }
 
-// LogDirtyFrame locks the frame's shard and hands its page to fn, which
+// LogDirtyFrame locks the pool and hands the frame's page to fn, which
 // must append the page image to the WAL and return the assigned LSN.
 // On success the frame's pageLSN advances and its unlogged mark clears,
-// making it flushable once the log syncs. fn runs under the shard lock:
-// it may stamp the page header and read the buffer, but must not touch
-// the pool.
+// making it flushable once the log syncs. fn runs under the pool's
+// mutex: it may stamp the page header and read the buffer, but must not
+// touch the pool.
 func (bp *BufferPool) LogDirtyFrame(f *Frame, fn func(p *Page) (uint64, error)) error {
-	s := f.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	if !f.dirty {
 		f.unlogged = false
 		return nil
@@ -525,69 +426,94 @@ func (bp *BufferPool) Fetch(id PageID) (*Frame, error) { return bp.fetch(id, vie
 // at or below view, else the sidecar version whose [verTag, supersededBy)
 // interval holds view, else — the page is not cached and no retained
 // version covers view — the disk image, which loadLocked brings into the
-// shared page table.
+// shared page table. A page another fetch is still reading is waited
+// for, then looked up again.
 func (bp *BufferPool) fetch(id PageID, view uint64) (*Frame, error) {
 	bp.stats.logicalReads.Add(1)
-	s := bp.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.table[id]
-	if f != nil && f.verTag.Load() <= view {
-		s.touchLocked(bp, f)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f := bp.lookupLocked(id)
+	if f != nil && f.verTag <= view {
+		bp.touchLocked(f)
 		return f, nil
 	}
-	if v := s.versionAtLocked(id, view); v != nil {
-		v.pins.Add(1)
+	if v := bp.versionAtLocked(id, view); v != nil {
+		v.pins++
 		bp.stats.snapshotReads.Add(1)
 		return v, nil
 	}
 	if f == nil {
 		var err error
-		if f, err = s.loadLocked(bp, id); err != nil {
+		if f, err = bp.loadLocked(id); err != nil {
 			return nil, err
 		}
-		if f.verTag.Load() <= view {
-			f.pins.Store(1)
+		if f.verTag <= view {
 			return f, nil
 		}
-		s.relinkLocked(f)
+		f.pins--
+		bp.relinkLocked(f)
 	}
 	// Unreachable while the retention rule holds (a version stays while
 	// a live snapshot's tag falls in its interval); kept as a hard error
 	// rather than silent wrong data.
-	return nil, fmt.Errorf("pages: snapshot %d has no visible version of page %d (newest is %d)", view, id, f.verTag.Load())
+	return nil, fmt.Errorf("pages: snapshot %d has no visible version of page %d (newest is %d)", view, id, f.verTag)
+}
+
+// lookupLocked returns id's page-table frame, or nil, once no miss is
+// reading it: a loading frame is waited for (the wait releases bp.mu)
+// and the table read again, since a failed load leaves the page out.
+// Caller holds bp.mu.
+func (bp *BufferPool) lookupLocked(id PageID) *Frame {
+	f := bp.table[id]
+	for f != nil && f.loading {
+		bp.loaded.Wait()
+		f = bp.table[id]
+	}
+	return f
 }
 
 // loadLocked is the pool's one miss path, free → cached: take a victim
-// frame, read page id into it, verify the image, and enter it into the
-// page table unpinned and off the LRU (every caller pins or displaces it
-// before releasing s.mu). On any failure the frame goes back to the
-// free list and the table is untouched. Caller holds s.mu.
+// frame, enter it into the page table pinned and marked loading, release
+// bp.mu while the disk reads page id into it and the checksum is
+// verified, then take bp.mu back, clear the mark and wake the waiting
+// fetches. The frame is returned pinned once, off the LRU; the caller
+// keeps or drops that pin before it releases bp.mu. On any failure the
+// frame leaves the table and goes back to the free list. Caller holds
+// bp.mu; it is released and retaken inside.
 //
 // Disk always holds the newest published content at miss time
-// (published dirty frames are flushed before eviction), so the loaded
+// (published dirty frames are flushed before eviction, and no frame of
+// id can be written while this one holds its slot), so the loaded
 // frame's version tag is the newest commit recorded against this page
 // in the sidecar — or 0 ("pre-history") when no retained version chain
 // mentions it.
-func (s *shard) loadLocked(bp *BufferPool, id PageID) (*Frame, error) {
-	f, err := s.victimLocked(bp)
+func (bp *BufferPool) loadLocked(id PageID) (*Frame, error) {
+	f, err := bp.victimLocked()
 	if err != nil {
 		return nil, err
 	}
 	f.Page.ID = id
+	f.pins = 1
+	f.loading = true
+	bp.table[id] = f
+	bp.mu.Unlock()
 	if err = bp.disk.ReadPage(id, f.Page.Buf[:]); err == nil {
 		bp.stats.physicalReads.Add(1)
 		bp.stats.bytesRead.Add(PageSize)
 		err = f.Page.VerifyChecksum()
 	}
+	bp.mu.Lock()
+	bp.loaded.Broadcast()
 	if err != nil {
-		s.freeLocked(f)
+		delete(bp.table, id)
+		f.pins = 0
+		bp.freeLocked(f)
 		return nil, err
 	}
+	f.loading = false
 	f.pageLSN.Store(f.Page.LSN())
-	f.verTag.Store(s.latestSupersedeLocked(id))
+	f.verTag = bp.latestSupersedeLocked(id)
 	bp.stats.admissions.Add(1)
-	s.table[id] = f
 	return f, nil
 }
 
@@ -598,16 +524,15 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := bp.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.victimLocked(bp)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, err := bp.victimLocked()
 	if err != nil {
 		return nil, err
 	}
 	f.Page.ID = id
 	f.Page.Init(t)
-	f.pins.Store(1)
+	f.pins = 1
 	f.dirty = true
 	bp.stats.admissions.Add(1)
 	if c := bp.capture.Load(); c != nil {
@@ -616,16 +541,16 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 		// session publishes or aborts.
 		f.unlogged = true
 		f.pending = true
-		f.verTag.Store(viewCurrent)
+		f.verTag = viewCurrent
 		c.add(f)
 	}
-	s.table[id] = f
+	bp.table[id] = f
 	return f, nil
 }
 
 // victimLocked returns a frame in the free state (see Frame.reset),
-// evicting the shard's coldest evictable unpinned page if the stripe is
-// full. The returned frame is not yet in the table. Caller holds s.mu.
+// evicting the pool's coldest evictable unpinned page if the pool is
+// full. The returned frame is not yet in the table. Caller holds bp.mu.
 //
 // Eviction order is probation tail first (one-touch pages — a scan's
 // own wake), then the protected tail — so a whole-blob scan recycles
@@ -636,17 +561,17 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 // invariant — and a frame dirtied by the active uncommitted session
 // (unlogged) is never evictable. Each scan walks from the list tail
 // toward warmer frames until it finds an evictable victim.
-func (s *shard) victimLocked(bp *BufferPool) (*Frame, error) {
-	if len(s.table) < s.cap {
-		if n := len(s.free); n > 0 {
-			f := s.free[n-1]
-			s.free = s.free[:n-1]
+func (bp *BufferPool) victimLocked() (*Frame, error) {
+	if len(bp.table) < bp.cap {
+		if n := len(bp.free); n > 0 {
+			f := bp.free[n-1]
+			bp.free = bp.free[:n-1]
 			return f, nil
 		}
-		return &Frame{shard: s}, nil
+		return &Frame{}, nil
 	}
-	for tier := range s.lru {
-		l := &s.lru[tier]
+	for tier := range bp.lru {
+		l := &bp.lru[tier]
 		for e := l.root.prev; e != &l.root; e = e.prev {
 			f := e.frame
 			// Pending and versioned frames never enter the LRU lists; the
@@ -668,7 +593,7 @@ func (s *shard) victimLocked(bp *BufferPool) (*Frame, error) {
 				}
 			}
 			l.remove(f)
-			delete(s.table, f.Page.ID)
+			delete(bp.table, f.Page.ID)
 			bp.stats.evictions.Add(1)
 			if tier == int(tierProbation) {
 				bp.stats.scanEvictions.Add(1)
@@ -677,13 +602,11 @@ func (s *shard) victimLocked(bp *BufferPool) (*Frame, error) {
 			return f, nil
 		}
 	}
-	return nil, fmt.Errorf("pages: buffer pool exhausted: all %d frames of the stripe pinned or awaiting WAL durability (pool capacity %d over %d shards)",
-		s.cap, bp.cap, len(bp.shards))
+	return nil, fmt.Errorf("pages: buffer pool exhausted: all %d frames pinned or awaiting WAL durability", bp.cap)
 }
 
 // flushableLocked reports whether a dirty frame may be written to the
-// database file under the WAL-before-flush protocol. Caller holds the
-// owning shard's mutex.
+// database file under the WAL-before-flush protocol. Caller holds bp.mu.
 func (bp *BufferPool) flushableLocked(f *Frame) bool {
 	if bp.wal == nil {
 		return true
@@ -694,9 +617,7 @@ func (bp *BufferPool) flushableLocked(f *Frame) bool {
 	return f.pageLSN.Load() < bp.wal.DurableLSN()
 }
 
-// writeFrameLocked flushes one frame to disk. Caller holds the owning
-// shard's mutex; the disk managers are themselves concurrency-safe, so
-// two shards may write back simultaneously.
+// writeFrameLocked flushes one frame to disk. Caller holds bp.mu.
 func (bp *BufferPool) writeFrameLocked(f *Frame) error {
 	f.Page.UpdateChecksum()
 	if err := bp.disk.WritePage(f.Page.ID, f.Page.Buf[:]); err != nil {
@@ -711,11 +632,10 @@ func (bp *BufferPool) writeFrameLocked(f *Frame) error {
 // Unpin releases a pinned frame; dirty marks it modified so eviction
 // writes it back.
 func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
-	s := f.shard
-	s.mu.Lock()
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	if dirty {
 		if f.versioned {
-			s.mu.Unlock()
 			panic(fmt.Sprintf("pages: write to superseded version of page %d", f.Page.ID))
 		}
 		f.dirty = true
@@ -725,25 +645,20 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 				// FetchForWrite (or NewPage) so snapshots keep reading the
 				// committed pre-image; an in-place write here would tear
 				// concurrent snapshot reads.
-				s.mu.Unlock()
 				panic(fmt.Sprintf("pages: in-place write to page %d under an active write session (missing FetchForWrite)", f.Page.ID))
 			}
 			f.unlogged = true
 			c.add(f)
 		}
 	}
-	if f.pins.Load() > 0 {
-		f.pins.Add(-1)
+	if f.pins > 0 {
+		f.pins--
 	}
-	s.relinkLocked(f)
+	bp.relinkLocked(f)
 	// A superseded version never re-enters the LRU; it is retired once
-	// unpinned and no longer needed. The check takes snapMu, which ranks
-	// above the shard lock.
-	retire := f.versioned && f.pins.Load() == 0
-	id := f.Page.ID
-	s.mu.Unlock()
-	if retire {
-		bp.retirePage(id)
+	// unpinned and no longer needed.
+	if f.versioned && f.pins == 0 {
+		bp.dropVersionsLocked(f.Page.ID)
 	}
 }
 
@@ -758,21 +673,17 @@ func (bp *BufferPool) FlushAll() error {
 			return err
 		}
 	}
-	for _, s := range bp.shards {
-		s.mu.Lock()
-		for _, f := range s.table {
-			if f.dirty {
-				if f.unlogged || f.pending {
-					s.mu.Unlock()
-					return fmt.Errorf("pages: page %d dirty but unlogged (write session active during flush)", f.Page.ID)
-				}
-				if err := bp.writeFrameLocked(f); err != nil {
-					s.mu.Unlock()
-					return err
-				}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for _, f := range bp.table {
+		if f.dirty {
+			if f.unlogged || f.pending {
+				return fmt.Errorf("pages: page %d dirty but unlogged (write session active during flush)", f.Page.ID)
+			}
+			if err := bp.writeFrameLocked(f); err != nil {
+				return err
 			}
 		}
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -780,106 +691,82 @@ func (bp *BufferPool) FlushAll() error {
 // DropCleanBuffers flushes dirty pages and then empties the cache — the
 // equivalent of DBCC DROPCLEANBUFFERS, which the paper's benchmark runs
 // before each query ("The database server cache was explicitly cleared
-// before each performance test run", §6.3). Pinned pages make it fail
-// before anything is flushed or dropped: all stripes are locked, the
-// no-pins invariant is checked across the whole pool, and only then is
-// the cache cleared.
+// before each performance test run", §6.3). Pinned pages (a page a miss
+// is still reading among them) make it fail before anything is flushed
+// or dropped.
 func (bp *BufferPool) DropCleanBuffers() error {
 	if bp.wal != nil {
 		if err := bp.wal.Sync(); err != nil {
 			return err
 		}
 	}
-	bp.snapMu.Lock()
-	defer bp.snapMu.Unlock()
-	for _, s := range bp.shards {
-		s.mu.Lock()
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for id, f := range bp.table {
+		if f.pins > 0 {
+			return fmt.Errorf("pages: page %d still pinned", id)
+		}
+		if f.unlogged || f.pending {
+			return fmt.Errorf("pages: page %d dirty but unlogged (write session active)", id)
+		}
 	}
-	defer func() {
-		for _, s := range bp.shards {
-			s.mu.Unlock()
-		}
-	}()
-	for _, s := range bp.shards {
-		for id, f := range s.table {
-			if f.pins.Load() > 0 {
-				return fmt.Errorf("pages: page %d still pinned", id)
-			}
-			if f.unlogged || f.pending {
-				return fmt.Errorf("pages: page %d dirty but unlogged (write session active)", id)
-			}
-		}
-		for id, vs := range s.vers {
-			for _, f := range vs {
-				if f.pins.Load() > 0 {
-					return fmt.Errorf("pages: superseded version of page %d still pinned", id)
-				}
+	for id, vs := range bp.vers {
+		for _, f := range vs {
+			if f.pins > 0 {
+				return fmt.Errorf("pages: superseded version of page %d still pinned", id)
 			}
 		}
 	}
-	for _, s := range bp.shards {
-		for _, f := range s.table {
-			if f.dirty {
-				if err := bp.writeFrameLocked(f); err != nil {
-					return err
-				}
+	for _, f := range bp.table {
+		if f.dirty {
+			if err := bp.writeFrameLocked(f); err != nil {
+				return err
 			}
 		}
-		// Recycle the frames instead of abandoning 8 kB buffers to the GC.
-		s.lru[tierProbation].init()
-		s.lru[tierProtected].init()
-		for _, f := range s.table {
-			s.freeLocked(f)
-		}
-		s.table = make(map[PageID]*Frame, s.cap)
-		// Retire whatever versions no live snapshot can still need; the
-		// rest stay in the sidecar (an active snapshot may come back for
-		// them — dropping the *current* cache never invalidates history).
-		for id := range s.vers {
-			s.dropVersionsLocked(bp, id)
-		}
 	}
+	// Recycle the frames instead of abandoning 8 kB buffers to the GC.
+	bp.lru[tierProbation].init()
+	bp.lru[tierProtected].init()
+	for _, f := range bp.table {
+		bp.freeLocked(f)
+	}
+	clear(bp.table)
+	// Retire whatever versions no live snapshot can still need; the
+	// rest stay in the sidecar (an active snapshot may come back for
+	// them — dropping the *current* cache never invalidates history).
+	bp.retireVersionsLocked()
 	return nil
 }
 
 // Capacity returns the pool size in frames.
 func (bp *BufferPool) Capacity() int { return bp.cap }
 
-// Shards returns the number of lock stripes.
-func (bp *BufferPool) Shards() int { return len(bp.shards) }
-
 // PinnedFrames returns the number of frames with a nonzero pin count.
 // A quiesced pool must report zero; iterators and cursors that terminate
 // early are required to release on Close, and tests assert this
 // invariant through here.
 func (bp *BufferPool) PinnedFrames() int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	n := 0
-	for _, s := range bp.shards {
-		s.mu.Lock()
-		for _, f := range s.table {
-			if f.pins.Load() > 0 {
+	for _, f := range bp.table {
+		if f.pins > 0 {
+			n++
+		}
+	}
+	for _, vs := range bp.vers {
+		for _, f := range vs {
+			if f.pins > 0 {
 				n++
 			}
 		}
-		for _, vs := range s.vers {
-			for _, f := range vs {
-				if f.pins.Load() > 0 {
-					n++
-				}
-			}
-		}
-		s.mu.Unlock()
 	}
 	return n
 }
 
 // CachedPages returns the number of pages currently cached.
 func (bp *BufferPool) CachedPages() int {
-	n := 0
-	for _, s := range bp.shards {
-		s.mu.Lock()
-		n += len(s.table)
-		s.mu.Unlock()
-	}
-	return n
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return len(bp.table)
 }

@@ -80,10 +80,9 @@ func TestLoaderFailureFreesFrame(t *testing.T) {
 				if _, err := e.fetch(bp, sn, bad); !errors.Is(err, fault.want) {
 					t.Fatalf("fetch of bad page: %v, want %v", err, fault.want)
 				}
-				s := bp.shardFor(bad)
-				s.mu.Lock()
-				_, inTable := s.table[bad]
-				s.mu.Unlock()
+				bp.mu.Lock()
+				_, inTable := bp.table[bad]
+				bp.mu.Unlock()
 				if inTable {
 					t.Error("failed page entered the page table")
 				}
@@ -111,6 +110,60 @@ func TestLoaderFailureFreesFrame(t *testing.T) {
 				}
 			})
 		}
+		// A fetch that finds the page being read waits for the read. When
+		// the read fails, the waiter wakes, the failed frame is back on
+		// the free list, and the waiter's own read of the page reuses it
+		// and succeeds.
+		t.Run(e.name+"/waiters", func(t *testing.T) {
+			d := newGateDisk()
+			defer close(d.release)
+			bp := NewBufferPool(d, 1)
+			d.page = makePages(t, bp, 1)[0]
+			if err := bp.DropCleanBuffers(); err != nil {
+				t.Fatal(err)
+			}
+			spare := bp.free[len(bp.free)-1]
+			sn := bp.AcquireSnapshot()
+			defer sn.Release()
+			if e.write {
+				c, err := bp.BeginCapture()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					bp.EndCapture(c)
+					bp.AbortCapture(c)
+				}()
+			}
+			fetch := func(id PageID) (*Frame, error) { return e.fetch(bp, sn, id) }
+			loader := goFetch(fetch, d.page)
+			d.awaitRead(t)
+			waiter := goFetch(fetch, d.page)
+			awaitWaiter(t)
+			d.release <- errInjectedRead
+			if r := receive(t, loader, "the failing fetch"); !errors.Is(r.err, errInjectedRead) {
+				t.Fatalf("loader: %v, want %v", r.err, errInjectedRead)
+			}
+			d.awaitRead(t)
+			bp.mu.Lock()
+			retry := bp.table[d.page]
+			bp.mu.Unlock()
+			if retry != spare {
+				t.Error("the waiter's read did not reuse the failed load's frame")
+			}
+			d.release <- nil
+			r := receive(t, waiter, "the waiting fetch")
+			if r.err != nil {
+				t.Fatalf("waiter: %v", r.err)
+			}
+			if r.f.Page.ID != d.page {
+				t.Errorf("waiter got page %d, want %d", r.f.Page.ID, d.page)
+			}
+			bp.Unpin(r.f, false)
+			if n := d.reads.Load(); n != 2 {
+				t.Errorf("disk reads = %d, want 2 (the failed one and the retry)", n)
+			}
+		})
 	}
 }
 

@@ -71,8 +71,8 @@ func TestScanResistantEviction(t *testing.T) {
 }
 
 // TestProtectedSegmentCapDemotes checks the protected segment cannot
-// monopolize a stripe: promoting more frames than protCap (3/4 of the
-// stripe) demotes the coldest back to probation instead of growing the
+// monopolize the pool: promoting more frames than protCap (3/4 of the
+// pool) demotes the coldest back to probation instead of growing the
 // protected list without bound.
 func TestProtectedSegmentCapDemotes(t *testing.T) {
 	bp := NewBufferPool(NewMemDisk(), 8) // protCap = 6
@@ -86,12 +86,11 @@ func TestProtectedSegmentCapDemotes(t *testing.T) {
 			fetchUnpin(t, bp, id)
 		}
 	}
-	s := bp.shards[0]
-	s.mu.Lock()
-	prob, prot := s.lru[tierProbation].n, s.lru[tierProtected].n
-	s.mu.Unlock()
-	if prot > s.protCap {
-		t.Errorf("protected segment holds %d frames, cap %d", prot, s.protCap)
+	bp.mu.Lock()
+	prob, prot := bp.lru[tierProbation].n, bp.lru[tierProtected].n
+	bp.mu.Unlock()
+	if prot > bp.protCap {
+		t.Errorf("protected segment holds %d frames, cap %d", prot, bp.protCap)
 	}
 	if prob+prot != 8 {
 		t.Errorf("prob+prot = %d+%d, want 8 unpinned frames total", prob, prot)

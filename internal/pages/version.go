@@ -1,6 +1,6 @@
 // MVCC page versioning: copy-on-write page versions and snapshot reads.
 //
-// The pool keeps, besides the current page table, a small per-shard
+// The pool keeps, besides the current page table, a small
 // *version sidecar*: superseded pre-image frames keyed by PageID. A
 // write session never mutates a committed frame in place — FetchForWrite
 // moves the committed frame into the sidecar and hands the session a
@@ -43,13 +43,12 @@
 // verTag and superseded by commit T is read by exactly the snapshots
 // whose tag t has verTag <= t < T. It is retired as soon as it is
 // unpinned, T is published, and no live snapshot tag falls in that
-// interval; the live tags are the pool's multiset (snapActive), read
-// under snapMu, so the lock order is snapMu → shard mu. A publish
-// re-checks only the chains of the pages it wrote, after the clock
-// tick; a release re-checks the shards the version mask marks, and only
-// when the last snapshot at its tag leaves; the last unpin of a version
-// and DropCleanBuffers re-check too. So a commit costs O(pages written)
-// however long a snapshot is held.
+// interval; the live tags are the pool's multiset (snapActive), guarded
+// by the pool's one mutex like the sidecar itself. A publish re-checks
+// only the chains of the pages it wrote, after the clock tick; a release
+// re-checks the sidecar only when the last snapshot at its tag leaves;
+// the last unpin of a version and DropCleanBuffers re-check too. So a
+// commit costs O(pages written) however long a snapshot is held.
 //
 // Memory: pending and versioned frames live outside the page table and
 // the LRU lists, so they do not consume table capacity — the pool can
@@ -61,10 +60,7 @@
 // commits costs at most one frame per page written since it opened.
 package pages
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // Fetcher is the read-side page access interface: the plain pool
 // ("current mode" — a write session sees its own pending pages) and
@@ -92,10 +88,10 @@ type Snapshot struct {
 // AcquireSnapshot registers a read view at the current commit clock.
 // The caller must Release it exactly once.
 func (bp *BufferPool) AcquireSnapshot() *Snapshot {
-	bp.snapMu.Lock()
+	bp.mu.Lock()
 	tag := bp.snapClock.Load()
 	bp.snapActive = append(bp.snapActive, tag) // the clock only grows: still sorted
-	bp.snapMu.Unlock()
+	bp.mu.Unlock()
 	return &Snapshot{bp: bp, tag: tag}
 }
 
@@ -112,8 +108,8 @@ func (sn *Snapshot) Release() {
 	}
 	sn.released = true
 	bp := sn.bp
-	bp.snapMu.Lock()
-	defer bp.snapMu.Unlock()
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	i, _ := slices.BinarySearch(bp.snapActive, sn.tag)
 	bp.snapActive = slices.Delete(bp.snapActive, i, i+1)
 	if i < len(bp.snapActive) && bp.snapActive[i] == sn.tag {
@@ -133,11 +129,11 @@ func (sn *Snapshot) Fetch(id PageID) (*Frame, error) { return sn.bp.fetch(id, sn
 func (sn *Snapshot) Unpin(f *Frame, dirty bool) { sn.bp.Unpin(f, dirty) }
 
 // versionAtLocked returns the sidecar version of id that view reads —
-// the one with verTag <= view < supersededBy — or nil. Caller holds s.mu.
-func (s *shard) versionAtLocked(id PageID, view uint64) *Frame {
-	vs := s.vers[id]
+// the one with verTag <= view < supersededBy — or nil. Caller holds bp.mu.
+func (bp *BufferPool) versionAtLocked(id PageID, view uint64) *Frame {
+	vs := bp.vers[id]
 	for i := len(vs) - 1; i >= 0; i-- {
-		if v := vs[i]; v.verTag.Load() <= view && view < v.supersededBy {
+		if v := vs[i]; v.verTag <= view && view < v.supersededBy {
 			return v
 		}
 	}
@@ -147,10 +143,10 @@ func (s *shard) versionAtLocked(id PageID, view uint64) *Frame {
 // latestSupersedeLocked returns the newest commit tag the sidecar
 // records against id — the tag of the content currently on disk when id
 // is not cached — or 0 when no retained chain mentions the page. Caller
-// holds s.mu.
-func (s *shard) latestSupersedeLocked(id PageID) uint64 {
+// holds bp.mu.
+func (bp *BufferPool) latestSupersedeLocked(id PageID) uint64 {
 	var max uint64
-	for _, v := range s.vers[id] {
+	for _, v := range bp.vers[id] {
 		if t := v.supersededBy; t > max {
 			max = t
 		}
@@ -171,46 +167,46 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 		return bp.Fetch(id)
 	}
 	bp.stats.logicalReads.Add(1)
-	s := bp.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.table[id]
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	old := bp.lookupLocked(id)
 	if old == nil {
 		// Load the committed image first; it becomes the pre-image.
 		var err error
-		if old, err = s.loadLocked(bp, id); err != nil {
+		if old, err = bp.loadLocked(id); err != nil {
 			return nil, err
 		}
+		old.pins--
 	} else if old.pending {
-		old.pins.Add(1)
+		old.pins++
 		return old, nil
 	}
 	// The pre-image leaves the LRU and the table before the victim scan,
 	// so the scan cannot evict it and the pending copy takes its slot.
-	s.unlinkLocked(old)
-	delete(s.table, id)
-	pend, err := s.victimLocked(bp)
+	bp.unlinkLocked(old)
+	delete(bp.table, id)
+	pend, err := bp.victimLocked()
 	if err != nil {
-		s.table[id] = old
-		s.relinkLocked(old)
+		bp.table[id] = old
+		bp.relinkLocked(old)
 		return nil, err
 	}
 	// copy() calls runtime.memmove; assigning the whole Page compiles to
 	// REP MOVSQ, several times slower for 8 kB.
 	pend.Page.ID = id
 	copy(pend.Page.Buf[:], old.Page.Buf[:])
-	pend.pins.Store(1)
+	pend.pins = 1
 	pend.dirty = old.dirty
 	pend.unlogged = true
 	pend.pending = true
 	pend.tier = old.tier
 	pend.pageLSN.Store(old.pageLSN.Load())
-	pend.verTag.Store(viewCurrent)
+	pend.verTag = viewCurrent
 	pend.pre = old
 	old.versioned = true
 	old.supersededBy = viewCurrent
-	s.pushVersionLocked(bp, id, old)
-	s.table[id] = pend
+	bp.pushVersionLocked(id, old)
+	bp.table[id] = pend
 	bp.stats.cowCopies.Add(1)
 	c.add(pend)
 	return pend, nil
@@ -228,11 +224,11 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 // attached, logged every frame (LogDirtyFrame) first.
 func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 	tag := bp.snapClock.Load() + 1
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	bp.published = bp.published[:0]
 	for _, f := range c.recorded() {
-		s := f.shard
-		s.mu.Lock()
-		f.verTag.Store(tag)
+		f.verTag = tag
 		f.pending = false
 		if bp.wal == nil {
 			// No durability protocol: published frames are immediately
@@ -240,13 +236,12 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 			// LogDirtyFrame).
 			f.unlogged = false
 		}
-		s.relinkLocked(f)
+		bp.relinkLocked(f)
 		if f.pre != nil {
 			f.pre.supersededBy = tag
 			f.pre = nil
 			bp.published = append(bp.published, f.Page.ID)
 		}
-		s.mu.Unlock()
 	}
 	bp.recycleCapture(c)
 	return tag
@@ -257,19 +252,16 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 // re-checks the version chains of the pages the commit wrote: their
 // pre-images are the only versions the tick can make unreadable.
 //
-// The tick takes snapMu so it cannot land between AcquireSnapshot
+// The tick takes bp.mu so it cannot land between AcquireSnapshot
 // reading the old clock and registering that tag: otherwise the
 // retirement below would see no snapshot at the old tag and drop the
 // very pre-images that snapshot is about to resolve to.
 func (bp *BufferPool) FinishPublish(tag uint64) {
-	bp.snapMu.Lock()
-	defer bp.snapMu.Unlock()
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	bp.snapClock.Store(tag)
 	for _, id := range bp.published {
-		s := bp.shardFor(id)
-		s.mu.Lock()
-		s.dropVersionsLocked(bp, id)
-		s.mu.Unlock()
+		bp.dropVersionsLocked(id)
 	}
 	bp.published = bp.published[:0]
 }
@@ -281,130 +273,108 @@ func (bp *BufferPool) FinishPublish(tag uint64) {
 // compacted, which matches the redo-only WAL's contract (an aborted
 // statement logs nothing, so recovery also never resurrects them).
 func (bp *BufferPool) AbortCapture(c *Capture) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	for _, f := range c.recorded() {
-		s := f.shard
-		s.mu.Lock()
 		if !f.pending {
 			// Defensive: only pending frames are discardable. A published
 			// or never-captured frame stays untouched.
-			s.mu.Unlock()
 			continue
 		}
 		id := f.Page.ID
-		delete(s.table, id)
+		delete(bp.table, id)
 		if pre := f.pre; pre != nil {
 			f.pre = nil
 			// Remove the pre-image's sidecar entry and put it back as the
 			// current frame.
-			vs := s.vers[id]
+			vs := bp.vers[id]
 			for i := len(vs) - 1; i >= 0; i-- {
 				if vs[i] == pre {
-					s.vers[id] = append(vs[:i], vs[i+1:]...)
+					bp.vers[id] = append(vs[:i], vs[i+1:]...)
 					break
 				}
 			}
-			if vs := s.vers[id]; len(vs) == 0 {
-				s.forgetVersionsLocked(bp, id, vs)
+			if vs := bp.vers[id]; len(vs) == 0 {
+				bp.forgetVersionsLocked(id, vs)
 			}
 			pre.versioned = false
 			pre.supersededBy = 0
-			s.table[id] = pre
-			s.relinkLocked(pre)
+			bp.table[id] = pre
+			bp.relinkLocked(pre)
 		}
 		// Discard the pending copy. A nonzero pin count here would be a
 		// caller bug (the session must unpin before aborting); the frame
 		// is then orphaned, still marked pending so a late Unpin cannot
 		// put it on the LRU, rather than recycled so the dangling pointer
 		// cannot alias a future page.
-		if f.pins.Load() == 0 {
-			s.freeLocked(f)
+		if f.pins == 0 {
+			bp.freeLocked(f)
 		}
-		s.mu.Unlock()
 	}
 	bp.recycleCapture(c)
 }
 
 // retainedLocked reports whether sidecar version f must stay: it is
 // pinned, its superseding commit is not visible yet, or a live snapshot
-// reads it (verTag <= t < supersededBy). Caller holds snapMu and the
-// owning shard's mutex.
+// reads it (verTag <= t < supersededBy). Caller holds bp.mu.
 func (bp *BufferPool) retainedLocked(f *Frame) bool {
-	if f.pins.Load() != 0 || f.supersededBy > bp.snapClock.Load() {
+	if f.pins != 0 || f.supersededBy > bp.snapClock.Load() {
 		// Unpublished (viewCurrent), or between PreparePublish and
 		// FinishPublish: a snapshot acquired right now, at the old clock,
 		// resolves to this version.
 		return true
 	}
-	i, _ := slices.BinarySearch(bp.snapActive, f.verTag.Load())
+	i, _ := slices.BinarySearch(bp.snapActive, f.verTag)
 	return i < len(bp.snapActive) && bp.snapActive[i] < f.supersededBy
 }
 
 // dropVersionsLocked retires every sidecar version of id no one can
-// read, recycling their frames. Caller holds snapMu and s.mu.
-func (s *shard) dropVersionsLocked(bp *BufferPool, id PageID) {
-	vs, ok := s.vers[id]
+// read, recycling their frames. Caller holds bp.mu.
+func (bp *BufferPool) dropVersionsLocked(id PageID) {
+	vs, ok := bp.vers[id]
 	if !ok {
 		return
 	}
 	kept := vs[:0]
 	for _, f := range vs {
 		if !bp.retainedLocked(f) {
-			s.freeLocked(f)
+			bp.freeLocked(f)
 			bp.stats.versionsRetired.Add(1)
 			continue
 		}
 		kept = append(kept, f)
 	}
 	if len(kept) == 0 {
-		s.forgetVersionsLocked(bp, id, kept)
+		bp.forgetVersionsLocked(id, kept)
 	} else {
-		s.vers[id] = kept
+		bp.vers[id] = kept
 	}
 }
 
-// retireVersionsLocked sweeps the shards the version mask marks, and
-// only those: a release with an empty sidecar locks no shard at all.
-// Caller holds snapMu.
+// retireVersionsLocked sweeps the whole sidecar; an empty one costs
+// nothing. Caller holds bp.mu.
 func (bp *BufferPool) retireVersionsLocked() {
-	for m := bp.versMask.Load(); m != 0; m &= m - 1 {
-		s := bp.shards[bits.TrailingZeros64(m)]
-		s.mu.Lock()
-		for id := range s.vers {
-			s.dropVersionsLocked(bp, id)
-		}
-		s.mu.Unlock()
+	for id := range bp.vers {
+		bp.dropVersionsLocked(id)
 	}
-}
-
-// retirePage re-checks page id's version chain: the last unpin of a
-// version that a sweep kept only for its pin.
-func (bp *BufferPool) retirePage(id PageID) {
-	bp.snapMu.Lock()
-	defer bp.snapMu.Unlock()
-	s := bp.shardFor(id)
-	s.mu.Lock()
-	s.dropVersionsLocked(bp, id)
-	s.mu.Unlock()
 }
 
 // VersionPages returns the number of page versions currently retained
 // in the sidecar — the version-store footprint tests assert drains to
 // zero once all snapshots are released.
 func (bp *BufferPool) VersionPages() int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	n := 0
-	for _, s := range bp.shards {
-		s.mu.Lock()
-		for _, vs := range s.vers {
-			n += len(vs)
-		}
-		s.mu.Unlock()
+	for _, vs := range bp.vers {
+		n += len(vs)
 	}
 	return n
 }
 
 // ActiveSnapshots returns how many snapshots are currently registered.
 func (bp *BufferPool) ActiveSnapshots() int {
-	bp.snapMu.Lock()
-	defer bp.snapMu.Unlock()
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	return len(bp.snapActive)
 }

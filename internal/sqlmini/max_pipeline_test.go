@@ -302,11 +302,9 @@ func TestMaxColumnReadsEachChunkOnce(t *testing.T) {
 // what stays pinned at that moment is the scan's leaf and nothing else.
 //
 // Under a parallel plan the other workers keep reading while the probe
-// counts, and PinnedFrames locks one pool stripe at a time: a worker
-// stepping from a page in one stripe to a page in another can be
-// counted twice. The count is an upper bound on the pins held at one
-// instant only on a single-stripe pool (fewer than 128 frames), where
-// no page can be pinned while the count holds the stripe lock.
+// counts; PinnedFrames counts under the pool's one lock, so no page is
+// pinned or unpinned while it counts and the count is the pins held at
+// one instant.
 type pinWatch struct {
 	db   *engine.DB
 	peak atomic.Int64
@@ -332,17 +330,13 @@ func (w *pinWatch) take() int64 { return w.peak.Swap(0) }
 // scans' leaves — at most one for a serial plan, however many rows the
 // batch has resolved and whichever side of AND/OR the UDF sits on. A
 // parallel aggregate's P workers may add, besides their own leaves, the
-// one page each other worker's read in flight holds: 2P-1. The pool is
-// kept to one stripe so the parallel count is exact (see pinWatch).
+// one page each other worker's read in flight holds: 2P-1.
 func TestReadsHoldNoPinsPastTheRead(t *testing.T) {
 	small, err := engine.Open(engine.Options{PoolPages: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := maxDBWith(t, small, noise)
-	if n := db.Pool().Shards(); n != 1 {
-		t.Fatalf("pool has %d stripes; the parallel bound needs one", n)
-	}
 	w := &pinWatch{db: db}
 	var probes atomic.Int64
 	db.Funcs().Register("pins.Probe", 1, func([]engine.Value) (engine.Value, error) {

@@ -126,7 +126,7 @@ func (d *DirStorage) List() ([]uint32, error) {
 
 // Open implements Storage.
 func (d *DirStorage) Open(seq uint32) (Segment, error) {
-	f, err := os.OpenFile(d.segPath(seq), os.O_RDWR, 0o644)
+	f, err := os.OpenFile(d.segPath(seq), os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment %d: %w", seq, err)
 	}
@@ -135,7 +135,7 @@ func (d *DirStorage) Open(seq uint32) (Segment, error) {
 
 // Create implements Storage.
 func (d *DirStorage) Create(seq uint32) (Segment, error) {
-	f, err := os.OpenFile(d.segPath(seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(d.segPath(seq), os.O_RDWR|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment %d: %w", seq, err)
 	}
@@ -157,16 +157,14 @@ func (d *DirStorage) Remove(seq uint32) error {
 	return nil
 }
 
+// fileSegment is a segment file opened with O_APPEND, so every write
+// lands at the file's current end, a truncated one included.
 type fileSegment struct{ f *os.File }
 
 func (s *fileSegment) ReadAt(p []byte, off int64) (int, error) { return s.f.ReadAt(p, off) }
 
 func (s *fileSegment) Append(p []byte) error {
-	st, err := s.f.Stat()
-	if err != nil {
-		return err
-	}
-	_, err = s.f.WriteAt(p, st.Size())
+	_, err := s.f.Write(p)
 	return err
 }
 

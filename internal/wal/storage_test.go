@@ -219,3 +219,65 @@ func TestRecordsStraddleSlabEdges(t *testing.T) {
 		t.Fatalf("after a torn tail across a slab edge: %d records, want %d", len(payloads), len(want)+1)
 	}
 }
+
+// TestFileSegmentAppendAfterTruncate: an Append after a Truncate lands
+// at the truncated end, and the bytes read back the same through a
+// reopened DirStorage.
+func TestFileSegmentAppendAfterTruncate(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := st.Create(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := pattern(300, 1), pattern(200, 2)
+	if err := seg.Append(head); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Append(pattern(500, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Truncate(int64(len(head))); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Append(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg2, err := st2.Open(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg2.Close()
+	want := append(append([]byte{}, head...), tail...)
+	if size, err := seg2.Size(); err != nil || size != int64(len(want)) {
+		t.Fatalf("reopened segment is %d bytes (%v), want %d", size, err, len(want))
+	}
+	got := make([]byte, len(want))
+	if _, err := seg2.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("reopened segment does not hold the kept bytes followed by the appended ones")
+	}
+	// The reopened segment appends at its end too.
+	if err := seg2.Append(head); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := seg2.Size(); size != int64(len(want)+len(head)) {
+		t.Fatalf("after an append to the reopened segment: %d bytes, want %d", size, len(want)+len(head))
+	}
+}

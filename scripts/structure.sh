@@ -95,6 +95,12 @@ names=(
 	# copy(dst.Page.Buf[:], src.Page.Buf[:]) and set the ID apart.
 	'.Page = '
 	'.Page.Buf = '
+	# One buffer-pool lock: no lock stripes, no stripe sizing, no bit
+	# mask of the stripes that hold page versions. A miss reads its page
+	# with the lock released instead.
+	'shardFor('
+	'shardCountFor('
+	'versMask'
 )
 # Names checked in the program only, not in bench/: bench/ is its own
 # module, and its wal.append_us_per_page probe builds a page-sized
