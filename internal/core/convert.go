@@ -96,27 +96,9 @@ func (a *Array) Float64s() []float64 {
 	return out
 }
 
-// CopyFloat64s fills dst with the array's elements converted to float64.
-// dst must have length >= a.Len(). The Float64 case is a straight decode
-// loop — the analogue of the paper's "simple memory copy" for on-page
-// arrays.
-func (a *Array) CopyFloat64s(dst []float64) {
-	p := a.Payload()
-	switch a.hdr.Elem {
-	case Float64:
-		for i := range dst[:a.Len()] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-		}
-	case Float32:
-		for i := range dst[:a.Len()] {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
-		}
-	default:
-		for i := 0; i < a.Len(); i++ {
-			dst[i] = a.FloatAt(i)
-		}
-	}
-}
+// CopyFloat64s fills dst with the array's elements converted to float64,
+// as FloatAt converts them. dst must have length >= a.Len().
+func (a *Array) CopyFloat64s(dst []float64) { decode(a.hdr.Elem, a.Payload(), dst[:a.Len()]) }
 
 // SetFloat64s overwrites the payload from src (column-major), converting
 // to the array's element type. len(src) must equal a.Len().
@@ -138,22 +120,65 @@ func (a *Array) SetFloat64s(src []float64) error {
 	return nil
 }
 
-// Int64s converts the whole payload to []int64.
+// Int64s converts the whole payload to []int64, as IntAt converts each
+// element.
 func (a *Array) Int64s() []int64 {
 	out := make([]int64, a.Len())
-	for i := range out {
-		out[i] = a.IntAt(i)
-	}
+	decode(a.hdr.Elem, a.Payload(), out)
 	return out
 }
 
 // Ints converts the whole payload to []int (useful for index vectors).
 func (a *Array) Ints() []int {
 	out := make([]int, a.Len())
-	for i := range out {
-		out[i] = int(a.IntAt(i))
-	}
+	decode(a.hdr.Elem, a.Payload(), out)
 	return out
+}
+
+// decode fills dst with the first len(dst) elements of type et in
+// payload p, each converted to T as loadFloat or loadInt converts it
+// (complex values keep the real part). The element type is switched on
+// once per call, not per element: each type has its own loop. The
+// Float64 loop into []float64 is the analogue of the paper's "simple
+// memory copy" for on-page arrays.
+func decode[T float64 | int64 | int](et ElemType, p []byte, dst []T) {
+	p = p[:len(dst)*et.Size()]
+	switch et {
+	case Int8:
+		for i, b := range p {
+			dst[i] = T(int8(b))
+		}
+	case Int16:
+		for i := range dst {
+			dst[i] = T(int16(binary.LittleEndian.Uint16(p[2*i:])))
+		}
+	case Int32:
+		for i := range dst {
+			dst[i] = T(int32(binary.LittleEndian.Uint32(p[4*i:])))
+		}
+	case Int64:
+		for i := range dst {
+			dst[i] = T(int64(binary.LittleEndian.Uint64(p[8*i:])))
+		}
+	case Float32:
+		for i := range dst {
+			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
+		}
+	case Float64:
+		for i := range dst {
+			dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:])))
+		}
+	case Complex64:
+		for i := range dst {
+			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(p[8*i:])))
+		}
+	case Complex128:
+		for i := range dst {
+			dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(p[16*i:])))
+		}
+	default:
+		panic("core: invalid element type in validated array")
+	}
 }
 
 // Complex128s converts the whole payload to []complex128.

@@ -497,7 +497,7 @@ func TestParseScientificAndNegative(t *testing.T) {
 }
 
 func TestFloat64sConversionPaths(t *testing.T) {
-	// Exercise the fast path (Float64), the Float32 path and the generic path.
+	// Exercise the Float64, Float32 and an integer decode loop.
 	f64 := Vector(1.5, 2.5)
 	if got := f64.Float64s(); got[1] != 2.5 {
 		t.Errorf("float64 path: %v", got)
@@ -508,13 +508,47 @@ func TestFloat64sConversionPaths(t *testing.T) {
 	}
 	i16, _ := FromInt64s(Short, Int16, []int64{-7, 9}, 2)
 	if got := i16.Float64s(); got[0] != -7 || got[1] != 9 {
-		t.Errorf("generic path: %v", got)
+		t.Errorf("int16 path: %v", got)
 	}
 	if got := i16.Int64s(); got[0] != -7 {
 		t.Errorf("Int64s: %v", got)
 	}
 	if got := i16.Ints(); got[1] != 9 {
 		t.Errorf("Ints: %v", got)
+	}
+}
+
+// TestBulkDecodersMatchElementAccessors holds the whole-array decoders
+// (Float64s/CopyFloat64s, Int64s, Ints), which run one loop per element
+// type, to the per-element FloatAt and IntAt, for every element type,
+// including empty and one-element arrays.
+func TestBulkDecodersMatchElementAccessors(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for et := Int8; et <= Complex128; et++ {
+		for _, n := range []int{0, 1, 2, 7, 300} {
+			a := mustNew(t, Max, et, n)
+			for i := 0; i < n; i++ {
+				// Within every type's range; floats get a fraction and
+				// complex values an imaginary part the decoders must drop.
+				v := float64(rng.Intn(255) - 127)
+				if !et.IsInteger() {
+					v += rng.Float64()
+				}
+				a.SetComplexAt(i, complex(v, float64(rng.Intn(9)-4)))
+			}
+			f, is, ints := a.Float64s(), a.Int64s(), a.Ints()
+			if len(f) != n || len(is) != n || len(ints) != n {
+				t.Fatalf("%s[%d]: decoded %d/%d/%d elements", et, n, len(f), len(is), len(ints))
+			}
+			for i := 0; i < n; i++ {
+				if math.Float64bits(f[i]) != math.Float64bits(a.FloatAt(i)) {
+					t.Errorf("%s[%d]: Float64s[%d] = %v, FloatAt = %v", et, n, i, f[i], a.FloatAt(i))
+				}
+				if is[i] != a.IntAt(i) || ints[i] != int(a.IntAt(i)) {
+					t.Errorf("%s[%d]: Int64s/Ints[%d] = %d/%d, IntAt = %d", et, n, i, is[i], ints[i], a.IntAt(i))
+				}
+			}
+		}
 	}
 }
 

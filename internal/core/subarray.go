@@ -122,14 +122,3 @@ func (a *Array) SubarrayFrom(offset, size *Array, collapse bool) (*Array, error)
 	}
 	return a.Subarray(offset.Ints(), size.Ints(), collapse)
 }
-
-// Slice1D is a convenience for rank-1 arrays: elements [lo, hi).
-func (a *Array) Slice1D(lo, hi int) (*Array, error) {
-	if a.Rank() != 1 {
-		return nil, fmt.Errorf("%w: Slice1D on rank-%d array", ErrRank, a.Rank())
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("%w: empty slice [%d,%d)", ErrBounds, lo, hi)
-	}
-	return a.Subarray([]int{lo}, []int{hi - lo}, false)
-}

@@ -204,24 +204,6 @@ func TestSubarrayPlanRunsAreMinimal(t *testing.T) {
 	}
 }
 
-func TestSlice1D(t *testing.T) {
-	a := Vector(0, 1, 2, 3, 4, 5)
-	s, err := a.Slice1D(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 || s.FloatAt(0) != 2 || s.FloatAt(2) != 4 {
-		t.Errorf("slice = %v", s.Float64s())
-	}
-	m, _ := Matrix(2, 2, 1, 2, 3, 4)
-	if _, err := m.Slice1D(0, 1); !errors.Is(err, ErrRank) {
-		t.Errorf("Slice1D on matrix: %v", err)
-	}
-	if _, err := a.Slice1D(3, 3); !errors.Is(err, ErrBounds) {
-		t.Errorf("empty slice: %v", err)
-	}
-}
-
 func TestSubarrayClassDemotion(t *testing.T) {
 	// Subsetting a max array to a page-sized block yields a short array.
 	a := mustNew(t, Max, Float64, 100, 100)

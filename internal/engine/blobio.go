@@ -244,7 +244,8 @@ func (r *ArrayReader) Read(plan func(h core.Header) (dst []byte, runs []core.Run
 	if err != nil {
 		return err
 	}
-	var rest []blob.Run
+	var few [4]blob.Run // room for a whole-array or rank-1 window read's one run
+	rest := few[:0]
 	for _, run := range runs {
 		src, end := r.hs+run.SrcOff, r.hs+run.SrcOff+run.Len
 		if from := max(src, served); from < end {

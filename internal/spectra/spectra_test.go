@@ -578,3 +578,57 @@ func TestGetSliceMatchesGetAndReadsFewerChunks(t *testing.T) {
 		t.Error("out-of-range slice must fail")
 	}
 }
+
+// TestReadResultsOwnTheirMemory reads one spectrum twice with Get and
+// twice with GetSlice and overwrites every slice of the first result of
+// each: the second must still equal what Insert stored, so no result
+// aliases the scratch array the store reads columns into.
+func TestReadResultsOwnTheirMemory(t *testing.T) {
+	db := memDB(t)
+	st, err := CreateStore(db, "spectra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3000 bins: every float column spans three chunk pages.
+	want, err := Synthesize(rand.New(rand.NewSource(46)), SynthesisParams{
+		Bins: 3000, LoWave: 3800, HiWave: 9200, Z: 0.2, SNR: 20, BadFrac: 0.05, LineSeed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.ID = 4
+	if err := st.Insert(want); err != nil {
+		t.Fatal(err)
+	}
+	scribble := func(s *Spectrum) {
+		for _, v := range [][]float64{s.Wave, s.Flux, s.Err} {
+			for i := range v {
+				v[i] = -1
+			}
+		}
+		for i := range s.Flags {
+			s.Flags[i] = -1
+		}
+	}
+	for _, r := range []struct {
+		name   string
+		lo, hi int
+		read   func() (*Spectrum, error)
+	}{
+		{"Get", 0, 3000, func() (*Spectrum, error) { return st.Get(4) }},
+		{"GetSlice", 1000, 2500, func() (*Spectrum, error) { return st.GetSlice(4, 1000, 2500) }},
+	} {
+		first, err := r.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(first)
+		second, err := r.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSlice(second, want, r.lo, r.hi); err != nil {
+			t.Errorf("%s after overwriting the first result: %v", r.name, err)
+		}
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Spectrum is one observation. Wave must be finite and strictly
@@ -203,7 +202,8 @@ func (s *Spectrum) Normalize(lo, hi float64) error {
 // integral of the (piecewise-constant) source flux density over its
 // extent, divided by its width. Flags propagate: a target bin
 // overlapping any flagged source bin is flagged; errors combine in
-// quadrature weighted by overlap.
+// quadrature weighted by overlap. Both grids ascend, so one sweep over
+// the source bins serves every target bin.
 func Resample(s *Spectrum, newWave []float64) (*Spectrum, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -214,8 +214,10 @@ func Resample(s *Spectrum, newWave []float64) (*Spectrum, error) {
 	if err := checkGrid("target grid", newWave); err != nil {
 		return nil, err
 	}
+	n := len(s.Wave)
 	srcEdges := binEdges(s.Wave)
 	dstEdges := binEdges(newWave)
+	flux, errs, flags := s.Flux[:n], s.Err[:n], s.Flags[:n]
 	out := &Spectrum{
 		ID: s.ID, Z: s.Z,
 		Wave:  append([]float64(nil), newWave...),
@@ -223,32 +225,38 @@ func Resample(s *Spectrum, newWave []float64) (*Spectrum, error) {
 		Err:   make([]float64, len(newWave)),
 		Flags: make([]int64, len(newWave)),
 	}
-	for j := 0; j < len(newWave); j++ {
+	// i0 is the last source bin whose lower edge lies below the target
+	// bin's (bin 0 when none does): the first that can overlap it. The
+	// target edges ascend, so i0 only moves forward.
+	i0 := 0
+	for j := range newWave {
 		lo, hi := dstEdges[j], dstEdges[j+1]
 		width := hi - lo
-		// Find overlapping source bins by binary search on edges.
-		i0 := sort.SearchFloat64s(srcEdges, lo) - 1
-		if i0 < 0 {
-			i0 = 0
+		for i0 < n && srcEdges[i0+1] < lo {
+			i0++
 		}
 		var fluxInt, errQuad, overlapTotal float64
 		flagged := false
-		covered := 0.0
-		for i := i0; i < len(s.Wave); i++ {
+		for i := i0; i < n; i++ {
 			slo, shi := srcEdges[i], srcEdges[i+1]
 			if slo >= hi {
 				break
 			}
-			ov := math.Min(shi, hi) - math.Max(slo, lo)
+			if hi < shi {
+				shi = hi
+			}
+			if lo > slo {
+				slo = lo
+			}
+			ov := shi - slo
 			if ov <= 0 {
 				continue
 			}
-			fluxInt += s.Flux[i] * ov
-			e := s.Err[i] * ov
+			fluxInt += flux[i] * ov
+			e := errs[i] * ov
 			errQuad += e * e
 			overlapTotal += ov
-			covered += ov
-			if s.Flags[i] != 0 {
+			if flags[i] != 0 {
 				flagged = true
 			}
 		}
@@ -263,7 +271,7 @@ func Resample(s *Spectrum, newWave []float64) (*Spectrum, error) {
 		if flagged {
 			out.Flags[j] = 1
 		}
-		if covered < width*(1-1e-9) {
+		if overlapTotal < width*(1-1e-9) {
 			out.Flags[j] |= 2 // partially uncovered
 		}
 	}

@@ -76,46 +76,7 @@ func (st *Store) Insert(s *Spectrum) error {
 
 // Get loads a spectrum by id. Row and arrays are read through one
 // snapshot, so they belong to one commit even under concurrent UPDATEs.
-func (st *Store) Get(id int64) (*Spectrum, error) {
-	snap := st.db.Snapshot()
-	defer snap.Release()
-	return st.getAt(snap, id)
-}
-
-func (st *Store) getAt(snap *engine.Snapshot, id int64) (*Spectrum, error) {
-	row, err := st.table.GetAt(snap, id)
-	if err != nil {
-		return nil, err
-	}
-	s := &Spectrum{ID: id, Z: row[1].F}
-	for i, dst := range []*[]float64{&s.Wave, &s.Flux, &s.Err} {
-		raw, err := st.table.ResolveMaxAt(snap, row[2+i].B)
-		if err != nil {
-			return nil, err
-		}
-		arr, err := core.Wrap(raw)
-		if err != nil {
-			return nil, err
-		}
-		if arr.ElemType() != core.Float64 {
-			return nil, fmt.Errorf("%w: column %d holds %s", core.ErrTypeMismatch, 2+i, arr.ElemType())
-		}
-		*dst = arr.Float64s()
-	}
-	raw, err := st.table.ResolveMaxAt(snap, row[5].B)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := core.Wrap(raw)
-	if err != nil {
-		return nil, err
-	}
-	if !arr.ElemType().IsInteger() {
-		return nil, fmt.Errorf("%w: flags column holds %s", core.ErrTypeMismatch, arr.ElemType())
-	}
-	s.Flags = arr.Int64s()
-	return s, nil
-}
+func (st *Store) Get(id int64) (*Spectrum, error) { return st.read(id, 0, -1) }
 
 // GetSlice loads only samples [lo, hi) of a spectrum — the "cutting out
 // small regions around the interesting spectral lines" access pattern
@@ -126,6 +87,17 @@ func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 	if lo < 0 || hi <= lo {
 		return nil, fmt.Errorf("spectra: bad slice [%d,%d)", lo, hi)
 	}
+	return st.read(id, lo, hi)
+}
+
+// read is Get (hi < 0: every sample) and GetSlice (samples [lo, hi)).
+// Each MAX column is read with one ArrayReader.Read, which validates the
+// header and copies only the chunk pages the samples lie on into the
+// payload of a scratch array, and is then decoded once into the
+// result's own slice. The scratch is reused from column to column while
+// element type and length match (wave, flux and err), so no result
+// aliases it.
+func (st *Store) read(id int64, lo, hi int) (*Spectrum, error) {
 	snap := st.db.Snapshot()
 	defer snap.Release()
 	row, err := st.table.GetAt(snap, id)
@@ -133,24 +105,46 @@ func (st *Store) GetSlice(id int64, lo, hi int) (*Spectrum, error) {
 		return nil, err
 	}
 	s := &Spectrum{ID: id, Z: row[1].F}
-	offset, size := []int{lo}, []int{hi - lo}
-	for i, dst := range []*[]float64{&s.Wave, &s.Flux, &s.Err} {
-		arr, err := st.table.ArrayAt(snap, row[2+i].B).Subarray(offset, size, false, nil, core.NewAuto)
+	var (
+		scratch *core.Array
+		runs    []core.Run // Get's one whole-payload run serves all four columns
+	)
+	readCol := func(col int, elemOK func(core.ElemType) bool) error {
+		err := st.table.ArrayAt(snap, row[col].B).Read(func(h core.Header) (_ []byte, _ []core.Run, err error) {
+			if !elemOK(h.Elem) {
+				return nil, nil, fmt.Errorf("%w: column %d holds %s", core.ErrTypeMismatch, col, h.Elem)
+			}
+			n := h.Count()
+			if hi < 0 {
+				runs = append(runs[:0], core.Run{Len: h.DataBytes()})
+			} else {
+				n = hi - lo
+				if runs, err = core.SubarrayPlan(h, []int{lo}, []int{n}); err != nil {
+					return nil, nil, err
+				}
+			}
+			if scratch == nil || scratch.ElemType() != h.Elem || scratch.Len() != n {
+				if scratch, err = core.New(core.Max, h.Elem, n); err != nil {
+					return nil, nil, err
+				}
+			}
+			return scratch.Payload(), runs, nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("spectra: slicing column %d: %w", 2+i, err)
+			return fmt.Errorf("spectra: reading column %d: %w", col, err)
 		}
-		if arr.ElemType() != core.Float64 {
-			return nil, fmt.Errorf("%w: column %d holds %s", core.ErrTypeMismatch, 2+i, arr.ElemType())
+		return nil
+	}
+	isFloat64 := func(et core.ElemType) bool { return et == core.Float64 }
+	for i, dst := range []*[]float64{&s.Wave, &s.Flux, &s.Err} {
+		if err := readCol(2+i, isFloat64); err != nil {
+			return nil, err
 		}
-		*dst = arr.Float64s()
+		*dst = scratch.Float64s()
 	}
-	flags, err := st.table.ArrayAt(snap, row[5].B).Subarray(offset, size, false, nil, core.NewAuto)
-	if err != nil {
-		return nil, fmt.Errorf("spectra: slicing flags: %w", err)
+	if err := readCol(5, core.ElemType.IsInteger); err != nil {
+		return nil, err
 	}
-	if !flags.ElemType().IsInteger() {
-		return nil, fmt.Errorf("%w: flags column holds %s", core.ErrTypeMismatch, flags.ElemType())
-	}
-	s.Flags = flags.Int64s()
+	s.Flags = scratch.Int64s()
 	return s, nil
 }

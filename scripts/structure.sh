@@ -101,6 +101,9 @@ names=(
 	'shardFor('
 	'shardCountFor('
 	'versMask'
+	# One way to cut a window out of an array: Subarray (and, for a
+	# stored array, ArrayReader.Read). No rank-1 convenience beside it.
+	'Slice1D'
 )
 # Names checked in the program only, not in bench/: bench/ is its own
 # module, and its wal.append_us_per_page probe builds a page-sized
