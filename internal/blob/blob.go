@@ -178,22 +178,25 @@ func findChunk(chunks []chunkInfo, off int64) int {
 	return lo - 1
 }
 
-// walkDir walks a blob's directory chain, returning the chunk list and
-// the directory page ids. The entries must cover exactly ref.Length.
-func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, err error) {
+// walkDir walks a blob's directory chain, appending its chunk list to
+// chunks[:0] and, when dirIDs is not nil, its directory page ids to
+// *dirIDs. The entries must cover exactly ref.Length. Only the free
+// paths need the directory ids: a read opens a blob without them.
+func (s *Store) walkDir(ref Ref, chunks []chunkInfo, dirIDs *[]pages.PageID) ([]chunkInfo, error) {
+	chunks = chunks[:0]
 	if ref.IsNull() {
-		return nil, nil, nil
+		return chunks, nil
 	}
 	id := ref.Root
 	var off int64
 	for id != pages.InvalidPageID {
 		f, err := s.fx.Fetch(id)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if f.Page.Type() != pages.TypeBlobTree {
 			s.fx.Unpin(f, false)
-			return nil, nil, fmt.Errorf("%w: page %d is not a blob directory", ErrBadRef, id)
+			return nil, fmt.Errorf("%w: page %d is not a blob directory", ErrBadRef, id)
 		}
 		s.stats.directoryReads.Add(1)
 		used := f.Page.Used()
@@ -203,7 +206,7 @@ func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, err
 			n := int(binary.LittleEndian.Uint32(body[i+4:]))
 			if n <= 0 || n > maxChunkLogical {
 				s.fx.Unpin(f, false)
-				return nil, nil, fmt.Errorf("%w: directory entry covers %d bytes", ErrBadRef, n)
+				return nil, fmt.Errorf("%w: directory entry covers %d bytes", ErrBadRef, n)
 			}
 			chunks = append(chunks, chunkInfo{
 				id:  pages.PageID(binary.LittleEndian.Uint32(body[i:])),
@@ -212,16 +215,18 @@ func (s *Store) walkDir(ref Ref) (chunks []chunkInfo, dirIDs []pages.PageID, err
 			})
 			off += int64(n)
 		}
-		dirIDs = append(dirIDs, id)
+		if dirIDs != nil {
+			*dirIDs = append(*dirIDs, id)
+		}
 		next := f.Page.Next()
 		s.fx.Unpin(f, false)
 		id = next
 	}
 	if off != ref.Length {
-		return nil, nil, fmt.Errorf("%w: directory covers %d bytes, ref declares %d",
+		return nil, fmt.Errorf("%w: directory covers %d bytes, ref declares %d",
 			ErrBadRef, off, ref.Length)
 	}
-	return chunks, dirIDs, nil
+	return chunks, nil
 }
 
 // errStopVisit short-circuits a block walk once past the wanted range.
@@ -372,15 +377,25 @@ type Reader struct {
 	chunks []chunkInfo
 }
 
-// Open walks ref's directory and returns a Reader over the blob. A null
-// ref opens an empty Reader whose every non-empty read fails.
-func (s *Store) Open(ref Ref) (Reader, error) {
-	chunks, _, err := s.walkDir(ref)
+// Open walks ref's directory through s and points r at the blob,
+// reusing the memory of r's chunk list, so a reader opened once per call
+// (an array function's) allocates nothing once it has held a blob of as
+// many chunks; a copy of r made before shares that memory and is invalid
+// afterwards. A null ref opens an empty Reader whose every non-empty
+// read fails. On an error r reads nothing.
+func (r *Reader) Open(s *Store, ref Ref) error {
+	chunks, err := s.walkDir(ref, r.chunks, nil)
 	if err != nil {
-		return Reader{}, err
+		r.Release()
+		return err
 	}
-	return Reader{s: s, ref: ref, chunks: chunks}, nil
+	*r = Reader{s: s, ref: ref, chunks: chunks}
+	return nil
 }
+
+// Release drops the store and blob r reads, keeping the memory of its
+// chunk list for the next Open.
+func (r *Reader) Release() { *r = Reader{chunks: r.chunks[:0]} }
 
 // checkRuns validates runs against a blob of ref's length and returns
 // the bytes they cover.
@@ -498,8 +513,8 @@ func (s *Store) ReadAll(ref Ref) ([]byte, error) {
 	if ref.IsNull() {
 		return nil, nil
 	}
-	r, err := s.Open(ref)
-	if err != nil {
+	var r Reader
+	if err := r.Open(s, ref); err != nil {
 		return nil, err
 	}
 	out := make([]byte, ref.Length)

@@ -47,11 +47,11 @@ func BenchmarkPartialRead4kOf1MB(b *testing.B) {
 	s, ref := benchStore(b, 1<<20)
 	dst := make([]byte, 4096)
 	b.SetBytes(4096)
+	var r Reader
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := (i * 37) % (1<<20 - 4096)
-		r, err := s.Open(ref)
-		if err != nil {
+		if err := r.Open(s, ref); err != nil {
 			b.Fatal(err)
 		}
 		if err := r.ReadRuns(dst, []Run{{SrcOff: off, Len: len(dst)}}); err != nil {
@@ -69,10 +69,10 @@ func BenchmarkReadRunsStencil(b *testing.B) {
 	}
 	dst := make([]byte, 64*512)
 	b.SetBytes(64 * 512)
+	var r Reader
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := s.Open(ref)
-		if err != nil {
+		if err := r.Open(s, ref); err != nil {
 			b.Fatal(err)
 		}
 		if err := r.ReadRuns(dst, runs); err != nil {

@@ -280,7 +280,7 @@ func TestCompressedRunsDecodeOnlyTheUnionRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, err := s.walkDir(ref)
+	chunks, err := s.walkDir(ref, nil, nil)
 	if err != nil || len(chunks) != 1 {
 		t.Fatalf("want one packed chunk, got %d (err %v)", len(chunks), err)
 	}
@@ -334,7 +334,7 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, err := s.walkDir(ref)
+	chunks, err := s.walkDir(ref, nil, nil)
 	if err != nil || len(chunks) >= NumChunks(ref.Length) {
 		t.Fatalf("walkDir: %d chunks, want fewer than %d (err %v)", len(chunks), NumChunks(ref.Length), err)
 	}
@@ -406,7 +406,7 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawChunks, _, err := s.walkDir(rawRef)
+	rawChunks, err := s.walkDir(rawRef, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestVisitRunsCorruptChunk(t *testing.T) {
 // including the tail chunk and a run straddling two chunks.
 func TestVisitRunsLendsRawBlocksInPlace(t *testing.T) {
 	s, ref, data, bp := randomBlobStore(t, 4*BlockSize+100)
-	chunks, _, err := s.walkDir(ref)
+	chunks, err := s.walkDir(ref, nil, nil)
 	if err != nil || len(chunks) != 5 {
 		t.Fatalf("walkDir: %d chunks, want 5 (err %v)", len(chunks), err)
 	}
@@ -617,8 +617,8 @@ func readAt(s *Store, ref Ref, dst []byte, off int64) error {
 
 // readRuns is Reader.ReadRuns through a Reader opened for the one read.
 func readRuns(s *Store, ref Ref, dst []byte, runs []Run) error {
-	r, err := s.Open(ref)
-	if err != nil {
+	var r Reader
+	if err := r.Open(s, ref); err != nil {
 		return err
 	}
 	return r.ReadRuns(dst, runs)
@@ -626,8 +626,8 @@ func readRuns(s *Store, ref Ref, dst []byte, runs []Run) error {
 
 // visitRuns is Reader.VisitRuns through a Reader opened for the one read.
 func visitRuns(s *Store, ref Ref, runs []Run, fn func(dstOff int, seg []byte)) error {
-	r, err := s.Open(ref)
-	if err != nil {
+	var r Reader
+	if err := r.Open(s, ref); err != nil {
 		return err
 	}
 	return r.VisitRuns(runs, fn)

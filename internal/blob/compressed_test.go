@@ -20,7 +20,7 @@ func storeWithPool(t testing.TB) (*Store, *pages.BufferPool) {
 // chunkCodecs returns the codec each chunk page of ref records.
 func chunkCodecs(t *testing.T, s *Store, ref Ref) []Codec {
 	t.Helper()
-	chunks, _, err := s.walkDir(ref)
+	chunks, err := s.walkDir(ref, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCompressedUsesFewerPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, err := s.walkDir(ref)
+	chunks, err := s.walkDir(ref, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestCompressedWriteRunsSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := s.walkDir(ref)
+	before, err := s.walkDir(ref, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestCompressedWriteRunsSplit(t *testing.T) {
 	if err := s.WriteRuns(ref, patch, runs); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := s.walkDir(ref)
+	after, err := s.walkDir(ref, nil, nil)
 	if err != nil {
 		t.Fatalf("walkDir after split (same ref): %v", err)
 	}
@@ -380,7 +380,8 @@ func TestCompressedFreeReclaims(t *testing.T) {
 	if err := s.WriteRuns(ref, randBytes(rng, 64*1024), []Run{{SrcOff: 50000, DstOff: 0, Len: 64 * 1024}}); err != nil {
 		t.Fatal(err)
 	}
-	chunks, dirIDs, err := s.walkDir(ref)
+	var dirIDs []pages.PageID
+	chunks, err := s.walkDir(ref, nil, &dirIDs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,8 @@ func (s *Store) Free(ref Ref) error {
 	if ref.IsNull() {
 		return nil
 	}
-	chunks, dirIDs, err := s.walkDir(ref)
+	var dirIDs []pages.PageID
+	chunks, err := s.walkDir(ref, nil, &dirIDs)
 	if err != nil {
 		return err
 	}
@@ -172,7 +173,8 @@ func (s *Store) WriteRuns(ref Ref, src []byte, runs []Run) error {
 	if ref.IsNull() {
 		return fmt.Errorf("%w: null blob", ErrBadRef)
 	}
-	chunks, dirIDs, err := s.walkDir(ref)
+	var dirIDs []pages.PageID
+	chunks, err := s.walkDir(ref, nil, &dirIDs)
 	if err != nil {
 		return err
 	}

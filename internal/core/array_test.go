@@ -58,7 +58,7 @@ func TestColumnMajorLinearIndex(t *testing.T) {
 	a := mustNew(t, Short, Float64, 2, 3)
 	want := [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 2}}
 	for lin, ix := range want {
-		got, err := a.LinearIndex(ix[0], ix[1])
+		got, err := a.hdr.LinearIndex(ix[:])
 		if err != nil || got != lin {
 			t.Errorf("LinearIndex(%v) = %d,%v; want %d", ix, got, err, lin)
 		}
@@ -86,7 +86,7 @@ func TestLinearMultiIndexInverseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := a.LinearIndex(ix...)
+		back, err := a.hdr.LinearIndex(ix)
 		return err == nil && back == lin
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

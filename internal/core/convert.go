@@ -136,7 +136,7 @@ func (a *Array) Ints() []int {
 }
 
 // decode fills dst with the first len(dst) elements of type et in
-// payload p, each converted to T as loadFloat or loadInt converts it
+// payload p, each converted to T as ElemType.Float or ElemType.Int converts it
 // (complex values keep the real part). The element type is switched on
 // once per call, not per element: each type has its own loop. The
 // Float64 loop into []float64 is the analogue of the paper's "simple

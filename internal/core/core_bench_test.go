@@ -6,7 +6,7 @@ func BenchmarkHeaderDecodeShort(b *testing.B) {
 	blob := Vector(1, 2, 3, 4, 5).Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeHeader(blob); err != nil {
+		if _, _, err := decodeHeader(blob); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,24 +109,52 @@ func BenchmarkFormatParse(b *testing.B) {
 	}
 }
 
-// BenchmarkViewOfItem is a short schema's Item_1 without the boundary:
-// validate a 5-vector in place and read one element, as Table 1's query 4
-// does per row.
-func BenchmarkViewOfItem(b *testing.B) {
-	blob := Vector(1, 2, 3, 4, 5).Bytes()
-	idx := []int{3}
-	s := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := ViewOf(blob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := v.Item(idx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s += x
+// BenchmarkItemPass is a short schema's Item_1 without the boundary or
+// the SQL values: validate the array, run the §3.5 check and read one
+// element in place, as Table 1's query 4 does per row — in one pass
+// (Item) and, for comparison, as ViewOf + View.Item did it — over the
+// 5-vector of query 4 and a 3x3x3 max cube.
+func BenchmarkItemPass(b *testing.B) {
+	cube, err := New(Max, Float64, 3, 3, 3)
+	if err != nil {
+		b.Fatal(err)
 	}
-	_ = s
+	for _, shape := range []struct {
+		name string
+		blob []byte
+		idx  []int
+	}{{"short", Vector(1, 2, 3, 4, 5).Bytes(), []int{3}}, {"max", cube.Bytes(), []int{1, 1, 1}}} {
+		blob, idx := shape.blob, shape.idx
+		class := StorageClass(blob[1] & classFlagMask)
+		check := flagCheck(Float64, class)
+		b.Run(shape.name, func(b *testing.B) {
+			s := 0.0
+			for i := 0; i < b.N; i++ {
+				p, err := Item(blob, idx, Float64, class, "FloatArray")
+				if err != nil {
+					b.Fatal(err)
+				}
+				s += Float64.Float(p)
+			}
+			_ = s
+		})
+		b.Run(shape.name+"-view", func(b *testing.B) {
+			s := 0.0
+			for i := 0; i < b.N; i++ {
+				v, err := ViewOf(blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := check(v.ElemType(), v.Class()); err != nil {
+					b.Fatal(err)
+				}
+				x, err := v.Item(idx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s += x
+			}
+			_ = s
+		})
+	}
 }

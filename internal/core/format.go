@@ -38,7 +38,7 @@ func Format(a *Array) string {
 func formatDim(a *Array, sb *strings.Builder, ix []int, dim int) {
 	rank := a.Rank()
 	if dim == rank {
-		lin, _ := a.LinearIndex(ix...)
+		lin, _ := a.hdr.LinearIndex(ix)
 		if a.ElemType().IsComplex() {
 			v := a.ComplexAt(lin)
 			fmt.Fprintf(sb, "%g%+gi", real(v), imag(v))
@@ -223,7 +223,7 @@ func nodeDims(n *parseNode) ([]int, error) {
 
 func fillFromNode(a *Array, n *parseNode, ix []int, dim int) error {
 	if n.leaf {
-		lin, err := a.LinearIndex(ix...)
+		lin, err := a.hdr.LinearIndex(ix)
 		if err != nil {
 			return err
 		}

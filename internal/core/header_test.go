@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// decodeHeader is Header.Decode into a new Header.
+func decodeHeader(b []byte) (Header, int, error) {
+	var h Header
+	n, err := h.Decode(b)
+	return h, n, err
+}
+
 func TestHeaderShortRoundtrip(t *testing.T) {
 	h := Header{Class: Short, Elem: Float64, Dims: []int{5, 3}}
 	if err := h.Validate(); err != nil {
@@ -16,7 +23,7 @@ func TestHeaderShortRoundtrip(t *testing.T) {
 	if len(b) != shortHeaderSize {
 		t.Fatalf("short header size = %d, want %d", len(b), shortHeaderSize)
 	}
-	got, n, err := DecodeHeader(b)
+	got, n, err := decodeHeader(b)
 	if err != nil {
 		t.Fatalf("DecodeHeader: %v", err)
 	}
@@ -39,7 +46,7 @@ func TestHeaderMaxRoundtrip(t *testing.T) {
 	if want := maxFixedHeaderSize + 4*len(dims); len(b) != want {
 		t.Fatalf("max header size = %d, want %d", len(b), want)
 	}
-	got, _, err := DecodeHeader(b)
+	got, _, err := decodeHeader(b)
 	if err != nil {
 		t.Fatalf("DecodeHeader: %v", err)
 	}
@@ -78,7 +85,7 @@ func TestHeaderRoundtripProperty(t *testing.T) {
 			h = Header{Class: Max, Elem: ElemType(1 + rng.Intn(8)), Dims: dims}
 		}
 		b := h.AppendEncode(nil)
-		got, n, err := DecodeHeader(b)
+		got, n, err := decodeHeader(b)
 		if err != nil || n != len(b) {
 			return false
 		}
@@ -125,38 +132,38 @@ func TestDecodeHeaderCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[0] = 0x00
-		if _, _, err := DecodeHeader(b); !errors.Is(err, ErrBadHeader) {
+		if _, _, err := decodeHeader(b); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("got %v, want ErrBadHeader", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[1] |= 0xF0
-		if _, _, err := DecodeHeader(b); !errors.Is(err, ErrBadHeader) {
+		if _, _, err := decodeHeader(b); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("got %v, want ErrBadHeader", err)
 		}
 	})
 	t.Run("bad elem type", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[2] = 200
-		if _, _, err := DecodeHeader(b); !errors.Is(err, ErrBadHeader) {
+		if _, _, err := decodeHeader(b); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("got %v, want ErrBadHeader", err)
 		}
 	})
 	t.Run("count mismatch", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[4] = 99 // declared count no longer matches dim product
-		if _, _, err := DecodeHeader(b); !errors.Is(err, ErrBadHeader) {
+		if _, _, err := decodeHeader(b); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("got %v, want ErrBadHeader", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, _, err := DecodeHeader(good[:3]); !errors.Is(err, ErrBadHeader) {
+		if _, _, err := decodeHeader(good[:3]); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("got %v, want ErrBadHeader", err)
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		if _, _, err := DecodeHeader(nil); !errors.Is(err, ErrBadHeader) {
+		if _, _, err := decodeHeader(nil); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("got %v, want ErrBadHeader", err)
 		}
 	})

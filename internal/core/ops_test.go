@@ -236,7 +236,7 @@ func TestReduceDimMatchesManual3D(t *testing.T) {
 							out = append(out, ix[k])
 						}
 					}
-					lin, _ := check.LinearIndex(out...)
+					lin, _ := check.hdr.LinearIndex(out)
 					check.SetFloatAt(lin, check.FloatAt(lin)+v)
 				}
 			}

@@ -168,7 +168,7 @@ func TestDecodeHeaderCountOverflow(t *testing.T) {
 	for i, d := range dims {
 		binary.LittleEndian.PutUint32(b[maxFixedHeaderSize+4*i:], d)
 	}
-	if _, _, err := DecodeHeader(b); !errors.Is(err, errTooLarge) && !errors.Is(err, ErrBadHeader) {
+	if _, _, err := decodeHeader(b); !errors.Is(err, errTooLarge) && !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("DecodeHeader on overflowing dims = %v, want count-overflow rejection", err)
 	}
 	if _, err := Wrap(b); err == nil {

@@ -44,7 +44,7 @@ func storeValue(t testing.TB, tbl *Table, key int64, b []byte) []byte {
 // array: for a random header, shape and index — or random bytes — the
 // ref form (through a snapshot of the stored blob) and the bytes form
 // decode the header core.Wrap decodes or fail with Wrap's error, read
-// the element core.View.Item reads or fail with the same kind of error,
+// the element core.Array.Item reads or fail with the same kind of error,
 // and copy the subarray core.Array.Subarray copies. Each form is read
 // twice: Header first and then the runs, and, from a freshly bound
 // reader, the header and the runs in one call (Read, Subarray).
@@ -119,8 +119,7 @@ func FuzzArrayReader(f *testing.F) {
 				t.Fatalf("%s form: header %v, want %v", form.name, h.String(), wh.String())
 			}
 			idx := randIndex(rng, dims)
-			view, _ := core.ViewOf(b)
-			x, verr := view.Item(idx)
+			x, verr := want.Item(idx...)
 			runs, err := core.SubarrayPlan(h, idx, unitDims(len(idx)))
 			if err == nil {
 				cell, _ := core.New(core.Short, h.Elem)
@@ -128,10 +127,10 @@ func FuzzArrayReader(f *testing.F) {
 					t.Fatalf("%s form: element read: %v", form.name, err)
 				}
 				if verr != nil || math.Float64bits(cell.FloatAt(0)) != math.Float64bits(x) {
-					t.Fatalf("%s form: element %v = %v, View.Item %v, %v", form.name, idx, cell.FloatAt(0), x, verr)
+					t.Fatalf("%s form: element %v = %v, Array.Item %v, %v", form.name, idx, cell.FloatAt(0), x, verr)
 				}
 			} else if !sameKind(err, verr) {
-				t.Fatalf("%s form: element %v error %v, View.Item %v", form.name, idx, err, verr)
+				t.Fatalf("%s form: element %v error %v, Array.Item %v", form.name, idx, err, verr)
 			}
 			off, size := randBox(rng, dims)
 			wsub, serr := want.Subarray(off, size, false)
@@ -175,11 +174,10 @@ func FuzzArrayReader(f *testing.F) {
 			if werr != nil {
 				wrapErr("element", err)
 			} else {
-				view, _ := core.ViewOf(b)
-				x, verr := view.Item(idx)
+				x, verr := want.Item(idx...)
 				if err == nil && (verr != nil || math.Float64bits(cell.FloatAt(0)) != math.Float64bits(x)) ||
 					err != nil && !sameKind(err, verr) {
-					t.Fatalf("%s form: one-call element %v error %v, View.Item %v, %v", form, idx, err, x, verr)
+					t.Fatalf("%s form: one-call element %v error %v, Array.Item %v, %v", form, idx, err, x, verr)
 				}
 			}
 			off, size := randBox(rng, dims)

@@ -24,7 +24,8 @@ import (
 // it kept — the zero Codec for raw blocks — in the chunk headers, so
 // readers and in-place patches never re-sniff.
 func codecForBlob(b []byte) blob.Codec {
-	if h, hs, err := core.DecodeHeader(b); err == nil {
+	var h core.Header
+	if hs, err := h.Decode(b); err == nil {
 		switch h.Elem {
 		case core.Float64, core.Complex128:
 			// The serialized header precedes the elements, so the word
@@ -86,6 +87,9 @@ type ArrayReader struct {
 
 	hdr core.Header
 	hs  int // header bytes; 0 until the header has been read
+
+	cell [16]byte    // Elem's element: the widest, a double complex
+	run  [1]core.Run // Elem's one run
 }
 
 // bind points r at one array argument v. A ColMaxRef argument is a blob
@@ -107,7 +111,7 @@ func (r *ArrayReader) bind(bs *blob.Store, v Value) {
 		// Materializes to no bytes: the bytes form of nil.
 	default:
 		r.size = int(ref.Length)
-		r.br, r.err = bs.Open(ref)
+		r.err = r.br.Open(bs, ref)
 	}
 }
 
@@ -129,10 +133,16 @@ func (t *Table) ArrayAt(s *Snapshot, refBytes []byte) *ArrayReader {
 	return r
 }
 
-// release drops everything r was bound to.
-func (r *ArrayReader) release() { *r = ArrayReader{} }
+// release drops everything r was bound to. It keeps the memory of the
+// chunk list and of the header's dimension sizes, which the next bind
+// reuses, as the boundary's reader does from call to call.
+func (r *ArrayReader) release() {
+	r.br.Release()
+	*r = ArrayReader{br: r.br, hdr: core.Header{Dims: r.hdr.Dims[:0]}}
+}
 
-// Header returns the array's decoded header.
+// Header returns the array's decoded header. Its Dims are valid while r
+// is bound.
 func (r *ArrayReader) Header() (core.Header, error) {
 	if r.hs == 0 && r.err == nil {
 		r.err = r.visitHead(nil)
@@ -164,7 +174,7 @@ func (r *ArrayReader) visitHead(fn func(first []byte) error) error {
 		ferr = r.visitFirst(first, fn)
 	})
 	if err == nil && long > 0 {
-		// DecodeHeader sees the bytes it would see in place.
+		// Header.Decode sees the bytes it would see in place.
 		first := make([]byte, min(long, r.size))
 		if err = r.br.ReadRuns(first, []blob.Run{{Len: len(first)}}); err == nil {
 			ferr = r.visitFirst(first, fn)
@@ -184,15 +194,15 @@ func (r *ArrayReader) visitFirst(first []byte, fn func(first []byte) error) erro
 	if r.size > 0 {
 		n = r.size
 	}
-	h, hs, err := core.DecodeHeader(first)
-	if err == nil && n-hs < h.DataBytes() {
-		err = fmt.Errorf("%w: need %d payload bytes, have %d", core.ErrTruncated, h.DataBytes(), n-hs)
+	hs, err := r.hdr.Decode(first)
+	if err == nil && n-hs < r.hdr.DataBytes() {
+		err = fmt.Errorf("%w: need %d payload bytes, have %d", core.ErrTruncated, r.hdr.DataBytes(), n-hs)
 	}
 	if err != nil {
 		r.err = err
 		return err
 	}
-	r.hdr, r.hs = h, hs
+	r.hs = hs
 	if fn == nil {
 		return nil
 	}
@@ -258,6 +268,29 @@ func (r *ArrayReader) Read(plan func(h core.Header) (dst []byte, runs []core.Run
 	return r.br.ReadRuns(dst, rest)
 }
 
+// Elem reads one element of the array in one Read: locate, given the
+// header, returns the element's linear index or an error (a schema's
+// §3.5 check, an index error), which is Elem's. It plans the element's
+// one run itself and copies the element into the reader's own cell, so
+// it allocates nothing; the bytes it returns are valid until r's next
+// read.
+func (r *ArrayReader) Elem(locate func(h core.Header) (int, error)) ([]byte, error) {
+	size := 0
+	err := r.Read(func(h core.Header) ([]byte, []core.Run, error) {
+		lin, err := locate(h)
+		if err != nil {
+			return nil, nil, err
+		}
+		size = h.Elem.Size()
+		r.run[0] = core.Run{SrcOff: lin * size, Len: size}
+		return r.cell[:size], r.run[:], nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return r.cell[:size], nil
+}
+
 // Subarray reads the subarray at offset of the given size (the
 // arguments of core.Array.Subarray; collapse drops unit dimensions) into
 // a fresh array, in one Read: vet, when not nil, checks the header first
@@ -315,7 +348,9 @@ func (t *Table) BlobAt(s *Snapshot, refBytes []byte) (blob.Reader, error) {
 	if err != nil {
 		return blob.Reader{}, err
 	}
-	return s.blobs.Open(ref)
+	var r blob.Reader
+	err = r.Open(s.blobs, ref)
+	return r, err
 }
 
 // BlobHeader decodes the array header of a stored MAX array and returns

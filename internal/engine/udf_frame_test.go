@@ -198,16 +198,12 @@ func q4Shape(tb testing.TB, n int) []*Vector {
 func q4Registry() *FuncRegistry {
 	r := newFuncRegistry()
 	r.Register("t.item_1", 2, func(args []Value) (Value, error) {
-		v, err := core.ViewOf(args[0].B)
-		if err != nil {
-			return Null, err
-		}
 		idx := [1]int{int(args[1].I)}
-		x, err := v.Item(idx[:])
+		p, err := core.Item(args[0].B, idx[:], core.Float64, core.Short, "t")
 		if err != nil {
 			return Null, err
 		}
-		return FloatValue(x), nil
+		return FloatValue(core.Float64.Float(p)), nil
 	})
 	r.Register("t.empty", 2, func([]Value) (Value, error) { return FloatValue(0), nil })
 	return r

@@ -141,9 +141,6 @@ func (s schemaInfo) newArray(elem core.ElemType, dims ...int) (*core.Array, erro
 	return core.New(s.class, elem, dims...)
 }
 
-// unitSize is the size vector of a one-element subarray.
-var unitSize = [maxIndexArgs]int{1, 1, 1, 1, 1, 1}
-
 // arrayArg decodes and type-checks an array argument against the schema,
 // implementing the paper's runtime type-flag check ("we can detect type
 // mismatches at runtime when the blobs are passed to the wrong
@@ -160,31 +157,19 @@ func arrayArg(s schemaInfo, v engine.Value) (*core.Array, error) {
 	return a, s.check(a.ElemType(), a.Class())
 }
 
-// viewArg is arrayArg for functions that only read elements in place:
-// the same validation and §3.5 checks, without decoding the header into
-// an Array (Item_N runs once per scanned row).
-func viewArg(s schemaInfo, v engine.Value) (core.View, error) {
-	b, err := v.AsBinary()
-	if err != nil {
-		return core.View{}, err
-	}
-	a, err := core.ViewOf(b)
-	if err != nil {
-		return core.View{}, err
-	}
-	return a, s.check(a.ElemType(), a.Class())
-}
-
 // check is the §3.5 flag check of a blob's element type and storage
 // class against the schema a function was called under.
 func (s schemaInfo) check(elem core.ElemType, class core.StorageClass) error {
-	if elem != s.elem {
-		return fmt.Errorf("%w: %s function got %s array", core.ErrTypeMismatch, s.name, elem)
+	return core.CheckFlags(s.name, s.elem, s.class, elem, class)
+}
+
+// value is an element of the schema's type as a SQL value: BIGINT under
+// the integer schemas, FLOAT under the others.
+func (s schemaInfo) value(p []byte) engine.Value {
+	if s.elem.IsInteger() {
+		return engine.IntValue(s.elem.Int(p))
 	}
-	if class != s.class {
-		return fmt.Errorf("%w: %s function got %s array", core.ErrClassMismatch, s.name, class)
-	}
-	return nil
+	return engine.FloatValue(s.elem.Float(p))
 }
 
 // anyArrayArg decodes an array argument without schema checks (used by
@@ -225,37 +210,114 @@ func intArgs(args []engine.Value, buf []int) ([]int, error) {
 	return out, nil
 }
 
+// itemArgs is a short schema's Item_N over arguments that need
+// converting. A bad array or a §3.5 mismatch is reported before a bad
+// index argument, so an index that does not convert is reported only
+// once arrayArg has passed the array.
+func (s schemaInfo) itemArgs(args []engine.Value) (engine.Value, error) {
+	b, err := args[0].AsBinary()
+	if err != nil {
+		return engine.Null, err
+	}
+	var buf [maxIndexArgs]int
+	idx, err := intArgs(args[1:], buf[:])
+	if err != nil {
+		if _, aerr := arrayArg(s, args[0]); aerr != nil {
+			return engine.Null, aerr
+		}
+		return engine.Null, err
+	}
+	p, err := core.Item(b, idx, s.elem, s.class, s.name)
+	if err != nil {
+		return engine.Null, err
+	}
+	return s.value(p), nil
+}
+
 // readItem is a max schema's Item_N: the header, then the one element,
 // read through r in one Read — when r reads a MAX column, the chunk
 // holding the header, and the chunk holding the element if it lies past
-// the first block.
+// the first block. The element's one run is planned from the decoded
+// header (ArrayReader.Elem), so the read allocates nothing.
 func (s schemaInfo) readItem(r *engine.ArrayReader, args []engine.Value) (engine.Value, error) {
-	var cell *core.Array
-	err := r.Read(func(h core.Header) ([]byte, []core.Run, error) {
+	p, err := r.Elem(func(h core.Header) (int, error) {
 		if err := s.checkHeader(h); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		var buf [maxIndexArgs]int
 		idx, err := intArgs(args[1:], buf[:])
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		runs, err := core.SubarrayPlan(h, idx, unitSize[:len(idx)])
-		if err != nil {
-			return nil, nil, err
-		}
-		if cell, err = core.New(core.Short, h.Elem); err != nil { // rank 0: one element
-			return nil, nil, err
-		}
-		return cell.Payload(), runs, nil
+		return h.LinearIndex(idx)
 	})
 	if err != nil {
 		return engine.Null, err
 	}
-	if s.elem.IsInteger() {
-		return engine.IntValue(cell.IntAt(0)), nil
+	return s.value(p), nil
+}
+
+// registerItems installs Item_1..Item_6 and UpdateItem_1..UpdateItem_6.
+// (In a function of its own: a closure is compiled as part of the
+// function it is written in, and registerSchema is too large for the
+// compiler to inline the small calls of a closure in it, which the short
+// Item_N's per-row body needs.)
+func (s schemaInfo) registerItems(reg *engine.FuncRegistry) {
+	for n := 1; n <= maxIndexArgs; n++ {
+		n := n
+		if item := fmt.Sprintf("%s.Item_%d", s.name, n); s.class == core.Max {
+			reg.RegisterArray(item, n+1, s.readItem)
+		} else {
+			// A short schema's Item_N (Table 1's query 4 runs it once per
+			// row): core.Item validates the array, runs the §3.5 check and
+			// reads the element in one pass over the header, in place,
+			// allocating nothing. Arguments of other kinds than a
+			// VARBINARY and BIGINT indices take itemArgs, which converts
+			// them as every function does.
+			reg.Register(item, n+1, func(args []engine.Value) (engine.Value, error) {
+				var buf [maxIndexArgs]int
+				idx := buf[:len(args)-1]
+				for k := range idx {
+					if args[k+1].Kind != engine.ColInt64 {
+						return s.itemArgs(args)
+					}
+					idx[k] = int(args[k+1].I)
+				}
+				if args[0].Kind != engine.ColVarBinary {
+					return s.itemArgs(args)
+				}
+				p, err := core.Item(args[0].B, idx, s.elem, s.class, s.name)
+				if err != nil {
+					return engine.Null, err
+				}
+				if s.elem.IsInteger() {
+					return engine.IntValue(s.elem.Int(p)), nil
+				}
+				return engine.FloatValue(s.elem.Float(p)), nil
+			})
+		}
+		reg.Register(fmt.Sprintf("%s.UpdateItem_%d", s.name, n), n+2,
+			func(args []engine.Value) (engine.Value, error) {
+				a, err := arrayArg(s, args[0])
+				if err != nil {
+					return engine.Null, err
+				}
+				idx, err := intArgs(args[1:len(args)-1], nil)
+				if err != nil {
+					return engine.Null, err
+				}
+				v, err := args[len(args)-1].AsFloat()
+				if err != nil {
+					return engine.Null, err
+				}
+				// T-SQL value semantics: SET @a = UpdateItem_1(@a, 3, 4.5)
+				out := a.Clone()
+				if err := out.UpdateItem(v, idx...); err != nil {
+					return engine.Null, err
+				}
+				return arrayResult(out), nil
+			})
 	}
-	return engine.FloatValue(cell.FloatAt(0)), nil
 }
 
 func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
@@ -309,60 +371,7 @@ func registerSchema(reg *engine.FuncRegistry, s schemaInfo) {
 			})
 	}
 
-	// Item_N accessors and UpdateItem_N.
-	for n := 1; n <= maxIndexArgs; n++ {
-		n := n
-		if item := fmt.Sprintf("%s.Item_%d", s.name, n); s.class == core.Max {
-			reg.RegisterArray(item, n+1, s.readItem)
-		} else {
-			// A short array's element is read in place off the row
-			// (Table 1's query 4), allocating nothing.
-			reg.Register(item, n+1, func(args []engine.Value) (engine.Value, error) {
-				a, err := viewArg(s, args[0])
-				if err != nil {
-					return engine.Null, err
-				}
-				var buf [maxIndexArgs]int
-				idx, err := intArgs(args[1:], buf[:])
-				if err != nil {
-					return engine.Null, err
-				}
-				if s.elem.IsInteger() {
-					v, err := a.ItemInt(idx)
-					if err != nil {
-						return engine.Null, err
-					}
-					return engine.IntValue(v), nil
-				}
-				v, err := a.Item(idx)
-				if err != nil {
-					return engine.Null, err
-				}
-				return engine.FloatValue(v), nil
-			})
-		}
-		reg.Register(fmt.Sprintf("%s.UpdateItem_%d", s.name, n), n+2,
-			func(args []engine.Value) (engine.Value, error) {
-				a, err := arrayArg(s, args[0])
-				if err != nil {
-					return engine.Null, err
-				}
-				idx, err := intArgs(args[1:len(args)-1], nil)
-				if err != nil {
-					return engine.Null, err
-				}
-				v, err := args[len(args)-1].AsFloat()
-				if err != nil {
-					return engine.Null, err
-				}
-				// T-SQL value semantics: SET @a = UpdateItem_1(@a, 3, 4.5)
-				out := a.Clone()
-				if err := out.UpdateItem(v, idx...); err != nil {
-					return engine.Null, err
-				}
-				return arrayResult(out), nil
-			})
-	}
+	s.registerItems(reg)
 
 	// Subarray(a, offsetVec, sizeVec, collapse): reads only the runs the
 	// subarray covers.

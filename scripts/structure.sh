@@ -104,6 +104,9 @@ names=(
 	# One way to cut a window out of an array: Subarray (and, for a
 	# stored array, ArrayReader.Read). No rank-1 convenience beside it.
 	'Slice1D'
+	# One element read over serialized bytes: core.Item validates and
+	# reads in one pass. No in-place view that re-reads the header.
+	'ViewOf('
 )
 # Names checked in the program only, not in bench/: bench/ is its own
 # module, and its wal.append_us_per_page probe builds a page-sized
@@ -146,4 +149,19 @@ done
 for n in "${program_names[@]}"; do
 	check "$n" "${prog[@]}"
 done
+# One header validator: the bytes of a serialized array's header are
+# checked in internal/core/header.go only (checkHeader, and Item's pass
+# over it). A check written in place elsewhere — the magic byte, the
+# format version or the class flag compared inline — is a second
+# validator that drifts from the first.
+header_check='(==|!=)[[:space:]]*(magic|formatVersion|0[xX][aA][bB])\b|\b(magic|formatVersion)[[:space:]]*(==|!=)|>>[[:space:]]*4[[:space:]]*(==|!=)|classFlagMask'
+others=()
+for f in "${src[@]}"; do
+	[ "$f" = internal/core/header.go ] || others+=("$f")
+done
+if hits=$(grep -nE -- "$header_check" "${others[@]}"); then
+	echo "structure: array header bytes are checked outside internal/core/header.go:" >&2
+	echo "$hits" >&2
+	fail=1
+fi
 exit $fail
