@@ -9,11 +9,15 @@ package sqlarray
 //	go test -bench=. -benchmem
 //
 // E7   BenchmarkConcatUDAvsDirect      — UDA assembly vs direct construction
+//      (TestUDAvsDirectAggregate checks the driver, runAggregate)
 // E8   BenchmarkStorageClass*, BenchmarkSubarray8Cube
 // E9   BenchmarkFFT*, BenchmarkSVD*    — math-library amortization
 // E12  BenchmarkNBodyFOF, BenchmarkNBodyCICPowerSpectrum
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,18 +51,91 @@ func BenchmarkConcatUDAvsDirect(b *testing.B) {
 	agg := &benchSumAgg{}
 	b.Run("UDAProtocol", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.RunAggregateUDA(tbl, 1, agg); err != nil {
+			if _, _, err := runAggregate(db.DB, tbl, 1, agg, true); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("DirectFunction", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.RunAggregateDirect(tbl, 1, agg); err != nil {
+			if _, _, err := runAggregate(db.DB, tbl, 1, agg, false); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// aggregate is a user-defined aggregate in the SQLCLR mould:
+// Init/Accumulate/Terminate plus state (de)serialization.
+type aggregate interface {
+	Init()
+	Accumulate(v engine.Value) error
+	Terminate() (engine.Value, error)
+	// Serialize appends the state to dst (the per-row stream write).
+	Serialize(dst []byte) []byte
+	// Deserialize replaces the state from its serialized form.
+	Deserialize(src []byte) error
+}
+
+// aggStats reports the rows an aggregate run folded and the state bytes
+// it moved through serialization.
+type aggStats struct{ rows, stateBytesMoved uint64 }
+
+// runAggregate folds column col of every row of tbl into agg, reading
+// the rows in batches off a cursor. With uda set it follows the SQL
+// Server UDA protocol the paper found prohibitive (§4.2): "the state of
+// aggregation had to be serialized via a binary stream interface for
+// each row processed by the aggregation", so the state is deserialized
+// before and serialized after every row. Without it agg keeps its state
+// in memory, the paper's workaround: a plain function that drives the
+// scan itself.
+func runAggregate(db *engine.DB, tbl *engine.Table, col int, agg aggregate, uda bool) (engine.Value, aggStats, error) {
+	snap := db.Snapshot()
+	defer snap.Release()
+	cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return engine.Null, aggStats{}, err
+	}
+	defer cur.Close()
+	keys := make([]int64, 256)
+	cols := make([]*engine.Vector, col+1)
+	cols[col] = new(engine.Vector)
+	var st aggStats
+	agg.Init()
+	state := agg.Serialize(nil)
+	for {
+		n, err := cur.FillBatch(keys, cols)
+		if err != nil {
+			return engine.Null, st, err
+		}
+		if n == 0 {
+			break
+		}
+		for i := 0; i < n; i++ {
+			if uda {
+				// The engine hands the stored state back to the CLR object...
+				if err := agg.Deserialize(state); err != nil {
+					return engine.Null, st, err
+				}
+			}
+			if err := agg.Accumulate(cols[col].Value(i)); err != nil {
+				return engine.Null, st, err
+			}
+			if uda {
+				// ...and persists it again after the row.
+				state = agg.Serialize(state[:0])
+				st.stateBytesMoved += 2 * uint64(len(state))
+			}
+			st.rows++
+		}
+	}
+	if uda {
+		if err := agg.Deserialize(state); err != nil {
+			return engine.Null, st, err
+		}
+	}
+	out, err := agg.Terminate()
+	return out, st, err
 }
 
 // benchSumAgg is a minimal serializable SUM aggregate.
@@ -80,6 +157,72 @@ func (a *benchSumAgg) Serialize(dst []byte) []byte {
 	return append(append(dst, b[:]...), 0)
 }
 func (a *benchSumAgg) Deserialize(src []byte) error { return nil }
+
+// sumAgg is a float SUM aggregate whose state (sum, count) really
+// round-trips through its 16-byte serialized form.
+type sumAgg struct {
+	sum float64
+	n   int64
+}
+
+func (a *sumAgg) Init() { a.sum, a.n = 0, 0 }
+func (a *sumAgg) Accumulate(v engine.Value) error {
+	f, err := v.AsFloat()
+	if err != nil {
+		return err
+	}
+	a.sum += f
+	a.n++
+	return nil
+}
+func (a *sumAgg) Terminate() (engine.Value, error) { return engine.FloatValue(a.sum), nil }
+func (a *sumAgg) Serialize(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.sum))
+	return binary.LittleEndian.AppendUint64(dst, uint64(a.n))
+}
+func (a *sumAgg) Deserialize(src []byte) error {
+	if len(src) < 16 {
+		return errors.New("short state")
+	}
+	a.sum = math.Float64frombits(binary.LittleEndian.Uint64(src))
+	a.n = int64(binary.LittleEndian.Uint64(src[8:]))
+	return nil
+}
+
+func TestUDAvsDirectAggregate(t *testing.T) {
+	db := memDatabase(t)
+	s, _ := engine.NewSchema(engine.Column{Name: "id", Type: engine.ColInt64}, engine.Column{Name: "x", Type: engine.ColFloat64})
+	tbl, _ := db.CreateTable("t", s)
+	want := 0.0
+	for i := int64(0); i < 500; i++ {
+		x := float64(i) * 1.5
+		want += x
+		if err := tbl.Insert([]engine.Value{engine.IntValue(i), engine.FloatValue(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var agg sumAgg
+	out, st, err := runAggregate(db.DB, tbl, 1, &agg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.F != want {
+		t.Errorf("UDA sum = %g, want %g", out.F, want)
+	}
+	if st.rows != 500 || st.stateBytesMoved != 500*32 {
+		t.Errorf("UDA stats = %+v (state must round-trip per row)", st)
+	}
+	out2, st2, err := runAggregate(db.DB, tbl, 1, &agg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out2.F != want {
+		t.Errorf("direct sum = %g", out2.F)
+	}
+	if st2.stateBytesMoved != 0 {
+		t.Errorf("direct run must not serialize state: %+v", st2)
+	}
+}
 
 // ---- E8: storage classes and partial reads ------------------------------
 

@@ -46,7 +46,6 @@ var pinAcquire = []struct {
 	{"pages", "BufferPool", "FetchForWrite"},
 	{"pages", "Snapshot", "Fetch"},
 	{"pages", "Fetcher", "Fetch"}, // the interface every B+tree and blob read goes through
-	{"engine", "Table", "CursorAt"},
 	{"engine", "Table", "CursorRangeAt"},
 	{"btree", "Tree", "Scan"},
 	{"btree", "Tree", "ScanFrom"},

@@ -218,7 +218,7 @@ func goodVisit(s *blob.Store, ref blob.Ref) error {
 }
 
 // snapshot cursors pin a leaf until Close.
-func leakCursorAt(t *engine.Table, s *engine.Snapshot) error {
+func leakCursor(t *engine.Table, s *engine.Snapshot) error {
 	cur, err := t.CursorRangeAt(s, 0, 9)
 	if err != nil {
 		return err
@@ -230,8 +230,8 @@ func leakCursorAt(t *engine.Table, s *engine.Snapshot) error {
 	return nil
 }
 
-func goodCursorAt(t *engine.Table, s *engine.Snapshot) error {
-	cur, err := t.CursorAt(s)
+func goodCursor(t *engine.Table, s *engine.Snapshot) error {
+	cur, err := t.CursorRangeAt(s, 0, 9)
 	if err != nil {
 		return err
 	}

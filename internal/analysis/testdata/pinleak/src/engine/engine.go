@@ -10,7 +10,6 @@ func (c *Cursor) Close()     {}
 
 type Table struct{}
 
-func (t *Table) CursorAt(s *Snapshot) (*Cursor, error) { return &Cursor{}, nil }
 func (t *Table) CursorRangeAt(s *Snapshot, lo, hi int64) (*Cursor, error) {
 	return &Cursor{}, nil
 }

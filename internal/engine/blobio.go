@@ -125,7 +125,7 @@ func NewArrayReader(v Value) *ArrayReader {
 }
 
 // ArrayAt returns a reader over the stored MAX array refBytes (the
-// 12-byte ref RowView.Col yields) as of s. It is valid until s is
+// 12-byte ref GetAt and FillBatch yield) as of s. It is valid until s is
 // released.
 func (t *Table) ArrayAt(s *Snapshot, refBytes []byte) *ArrayReader {
 	r := new(ArrayReader)
@@ -324,7 +324,7 @@ func (r *ArrayReader) Subarray(offset, size []int, collapse bool, vet func(core.
 }
 
 // ResolveMaxAt materializes a VARBINARY(MAX) column value (the 12-byte
-// ref RowView.Col yields) into the array payload bytes, as of s: the
+// ref GetAt and FillBatch yield) into the array payload bytes, as of s: the
 // plain "fetch the whole value" read. The result is a fresh,
 // caller-owned copy; no page stays pinned. A null ref resolves to nil.
 func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte) ([]byte, error) {
@@ -335,8 +335,8 @@ func (t *Table) ResolveMaxAt(s *Snapshot, refBytes []byte) ([]byte, error) {
 	return s.blobs.ReadAll(ref)
 }
 
-// BlobAt opens the stored MAX value refBytes (the 12-byte ref
-// RowView.Col yields) as of s: one directory walk, after which the
+// BlobAt opens the stored MAX value refBytes (the 12-byte ref GetAt
+// and FillBatch yield) as of s: one directory walk, after which the
 // reader's VisitRuns and ReadRuns read any byte runs of the blob (header
 // offset already applied) off its chunk pages. This is how a consumer
 // that knows the array's header without reading it (the turbulence

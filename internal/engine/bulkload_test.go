@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	}
 	// Row-by-row equivalence, forward scan order and blob contents.
 	var keys []int64
-	err = bulk.Scan(func(key int64, row *RowView) (bool, error) {
+	err = scanRows(bulk, func(key int64, row []Value) (bool, error) {
 		keys = append(keys, key)
 		return true, nil
 	})
@@ -382,7 +383,7 @@ func TestBulkLoadConcurrentSnapshots(t *testing.T) {
 				default:
 				}
 				s := db.Snapshot()
-				cur, err := tbl.CursorAt(s)
+				cur, err := tbl.CursorRangeAt(s, math.MinInt64, math.MaxInt64)
 				if err != nil {
 					s.Release()
 					errs <- err
@@ -475,7 +476,7 @@ func TestBulkLoadRejectsOverWideRow(t *testing.T) {
 		t.Fatalf("rows after rejected load = %d, want 1", got)
 	}
 	var keys []int64
-	if err := tbl.Scan(func(key int64, row *RowView) (bool, error) {
+	if err := scanRows(tbl, func(key int64, row []Value) (bool, error) {
 		keys = append(keys, key)
 		return true, nil
 	}); err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -120,7 +121,7 @@ func TestHeldSnapshotBoundsVersions(t *testing.T) {
 		t.Errorf("snapshot counts %d rows, want %d", got, before)
 	}
 	var n int64
-	cur, err := tbl.CursorAt(snap)
+	cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,20 +3,21 @@ package engine
 import "sqlarray/internal/btree"
 
 // Cursor streams a table's rows in clustered-key order without
-// materializing them — the engine half of the Volcano executor. It wraps
-// the B+tree leaf iterator and decodes rows lazily through a reused
-// RowView:
+// materializing them — the engine half of the batch executor. It wraps
+// the B+tree leaf iterator; FillBatch decodes the rows it passes into
+// column vectors, and Next and Key walk the keys alone:
 //
-//	cur, err := tbl.CursorAt(snap)
-//	for cur.Next() {
-//	    key, row := cur.Key(), cur.Row()
+//	cur, err := tbl.CursorRangeAt(snap, lo, hi)
+//	defer cur.Close()
+//	for {
+//	    n, err := cur.FillBatch(keys, cols)
+//	    if n == 0 || err != nil {
+//	        break
+//	    }
+//	    // rows 0..n-1 of keys and cols
 //	}
-//	err = cur.Err()
-//	cur.Close()
 //
-// Row (and any binary Values decoded from it) aliases the pinned leaf
-// page and is only valid until the next call to Next or Close; copy to
-// retain. Close must always be called: it releases the pinned page, and
+// Close must always be called: it releases the pinned leaf page, and
 // early termination (TOP n) would otherwise leak a pin and wedge
 // DropCleanBuffers.
 //
@@ -28,18 +29,11 @@ import "sqlarray/internal/btree"
 type Cursor struct {
 	it     *btree.Iterator
 	schema *Schema
-	rv     RowView
 }
 
 // Next advances to the next row, returning false at the end of the range
 // or on error (check Err).
-func (c *Cursor) Next() bool {
-	if !c.it.Next() {
-		return false
-	}
-	c.rv.reset(c.schema, c.it.Value())
-	return true
-}
+func (c *Cursor) Next() bool { return c.it.Next() }
 
 // maxBatchBlobBytes bounds the out-of-row bytes one batch may reference
 // through its VARBINARY(MAX) columns. The executor dereferences those
@@ -55,7 +49,7 @@ const maxBatchBlobBytes = 1 << 20
 // a nil entry are skipped over, columns past the last non-nil entry are
 // not looked at. Binary values are copied off the pinned leaf page into
 // the vector, so the filled rows stay valid after the cursor moves on; a
-// VARBINARY(MAX) column yields the 12-byte blob ref, as RowView.Col does.
+// VARBINARY(MAX) column yields the 12-byte blob ref, as GetAt does.
 // It drives the B+tree leaf iterator directly, so a fill walks leaf runs
 // without crossing the Cursor interface per row. A fill ends after
 // len(keys) rows, or earlier — after at least one — once the blobs its
@@ -87,9 +81,6 @@ func (c *Cursor) FillBatch(keys []int64, cols []*Vector) (int, error) {
 
 // Key returns the current row's clustered key.
 func (c *Cursor) Key() int64 { return c.it.Key() }
-
-// Row returns the current row view, valid until the next Next or Close.
-func (c *Cursor) Row() *RowView { return &c.rv }
 
 // Err returns the first error encountered while scanning.
 func (c *Cursor) Err() error { return c.it.Err() }

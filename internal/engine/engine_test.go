@@ -64,7 +64,7 @@ func walkedRows(t *testing.T, tbl *Table) int64 {
 	t.Helper()
 	s := tbl.db.Snapshot()
 	defer s.Release()
-	cur, err := tbl.CursorAt(s)
+	cur, err := tbl.CursorRangeAt(s, math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +77,49 @@ func walkedRows(t *testing.T, tbl *Table) int64 {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// scanRows calls fn with every row of tbl in key order as of a fresh
+// snapshot, decoded by FillBatch with every column requested. The row
+// and its binary values are only valid inside fn; fn returning false
+// stops the scan.
+func scanRows(tbl *Table, fn func(key int64, row []Value) (bool, error)) error {
+	s := tbl.db.Snapshot()
+	defer s.Release()
+	cur, err := tbl.CursorRangeAt(s, math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	keys := make([]int64, 64)
+	cols := make([]*Vector, len(tbl.schema.Columns))
+	for ci := range cols {
+		cols[ci] = new(Vector)
+	}
+	row := make([]Value, len(cols))
+	for {
+		n, err := cur.FillBatch(keys, cols)
+		if err != nil || n == 0 {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			for ci, v := range cols {
+				row[ci] = v.Value(i)
+			}
+			if ok, err := fn(keys[i], row); !ok || err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// callNamed resolves a function by name and invokes it on one row.
+func callNamed(r *FuncRegistry, name string, args []Value) (Value, error) {
+	def, err := r.Lookup(name)
+	if err != nil {
+		return Null, err
+	}
+	return r.Call(def, args)
 }
 
 func testSchema(t *testing.T) Schema {
@@ -148,27 +191,21 @@ func TestRowEncodeDecodeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rv RowView
-	rv.reset(&s, raw)
-	if v, err := rv.Col(0); err != nil || v.I != 42 {
-		t.Errorf("col 0 = %v, %v", v, err)
+	row, err := decodeAll(&s, raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, err := rv.Col(1); err != nil || v.F != 3.25 {
-		t.Errorf("col 1 = %v, %v", v, err)
+	if v := row[0]; v.I != 42 {
+		t.Errorf("col 0 = %v", v)
 	}
-	if v, err := rv.Col(2); err != nil || !bytes.Equal(v.B, []byte{9, 8, 7}) {
-		t.Errorf("col 2 = %v, %v", v, err)
+	if v := row[1]; v.F != 3.25 {
+		t.Errorf("col 1 = %v", v)
 	}
-	if v, err := rv.Col(3); err != nil || len(v.B) != 12 {
-		t.Errorf("col 3 = %v, %v", v, err)
+	if v := row[2]; !bytes.Equal(v.B, []byte{9, 8, 7}) {
+		t.Errorf("col 2 = %v", v)
 	}
-	if _, err := rv.Col(7); !errors.Is(err, ErrNoColumn) {
-		t.Errorf("bad col: %v", err)
-	}
-	// Out-of-order access must work (offsets computed on demand).
-	rv.reset(&s, raw)
-	if v, err := rv.Col(2); err != nil || len(v.B) != 3 {
-		t.Errorf("direct col 2 = %v, %v", v, err)
+	if v := row[3]; v.Kind != ColVarBinaryMax || len(v.B) != 12 {
+		t.Errorf("col 3 = %v", v)
 	}
 }
 
@@ -179,12 +216,13 @@ func TestRowNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rv RowView
-	rv.reset(&s, raw)
+	row, err := decodeAll(&s, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < 4; i++ {
-		v, err := rv.Col(i)
-		if err != nil || !v.IsNull() {
-			t.Errorf("col %d = %v, %v; want NULL", i, v, err)
+		if v := row[i]; !v.IsNull() {
+			t.Errorf("col %d = %v; want NULL", i, v)
 		}
 	}
 }
@@ -249,13 +287,9 @@ func TestTableInsertGetScan(t *testing.T) {
 	// Scan in key order.
 	var keys []int64
 	sum := 0.0
-	err = tbl.Scan(func(key int64, rv *RowView) (bool, error) {
+	err = scanRows(tbl, func(key int64, row []Value) (bool, error) {
 		keys = append(keys, key)
-		v, err := rv.Col(1)
-		if err != nil {
-			return false, err
-		}
-		sum += v.F
+		sum += row[1].F
 		return true, nil
 	})
 	if err != nil {
@@ -269,9 +303,12 @@ func TestTableInsertGetScan(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	err = tbl.Scan(func(int64, *RowView) (bool, error) { n++; return n < 10, nil })
+	err = scanRows(tbl, func(int64, []Value) (bool, error) { n++; return n < 10, nil })
 	if err != nil || n != 10 {
 		t.Errorf("early stop: n=%d, %v", n, err)
+	}
+	if got := db.Pool().PinnedFrames(); got != 0 {
+		t.Errorf("PinnedFrames after an early stop = %d", got)
 	}
 }
 
@@ -353,7 +390,7 @@ func TestUDFBoundaryBinaryArgs(t *testing.T) {
 		return IntValue(int64(len(b))), nil
 	})
 	payload := make([]byte, 4096)
-	out, err := r.CallByName("dbo.len", []Value{BinaryValue(payload)})
+	out, err := callNamed(r, "dbo.len", []Value{BinaryValue(payload)})
 	if err != nil || out.I != 4096 {
 		t.Fatalf("call = %v, %v", out, err)
 	}
@@ -362,85 +399,9 @@ func TestUDFBoundaryBinaryArgs(t *testing.T) {
 		t.Errorf("BytesMarshaled = %d", crossings(r).bytes)
 	}
 	// NULL argument passes through.
-	out, err = r.CallByName("dbo.len", []Value{Null})
+	out, err = callNamed(r, "dbo.len", []Value{Null})
 	if !errors.Is(err, ErrNullValue) {
 		t.Errorf("null arg: %v, %v", out, err)
-	}
-}
-
-// sumAgg is a float SUM aggregate with serializable state.
-type sumAgg struct {
-	sum float64
-	n   int64
-}
-
-func (a *sumAgg) Init() { a.sum, a.n = 0, 0 }
-func (a *sumAgg) Accumulate(v Value) error {
-	f, err := v.AsFloat()
-	if err != nil {
-		return err
-	}
-	a.sum += f
-	a.n++
-	return nil
-}
-func (a *sumAgg) Terminate() (Value, error) { return FloatValue(a.sum), nil }
-func (a *sumAgg) Serialize(dst []byte) []byte {
-	var b [16]byte
-	v := marshalValue(nil, FloatValue(a.sum))
-	copy(b[:], v[1:])
-	v = marshalValue(nil, IntValue(a.n))
-	copy(b[8:], v[1:])
-	return append(dst, b[:]...)
-}
-func (a *sumAgg) Deserialize(src []byte) error {
-	if len(src) < 16 {
-		return errors.New("short state")
-	}
-	var v Value
-	if _, err := unmarshalValue(append([]byte{byte(ColFloat64)}, src[:8]...), &v); err != nil {
-		return err
-	}
-	a.sum = v.F
-	if _, err := unmarshalValue(append([]byte{byte(ColInt64)}, src[8:16]...), &v); err != nil {
-		return err
-	}
-	a.n = v.I
-	return nil
-}
-
-func TestUDAvsDirectAggregate(t *testing.T) {
-	db := memDB(t)
-	s, _ := NewSchema(Column{"id", ColInt64}, Column{"x", ColFloat64})
-	tbl, _ := db.CreateTable("t", s)
-	want := 0.0
-	for i := int64(0); i < 500; i++ {
-		x := float64(i) * 1.5
-		want += x
-		if err := tbl.Insert([]Value{IntValue(i), FloatValue(x)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var agg sumAgg
-	out, st, err := RunAggregateUDA(tbl, 1, &agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.F != want {
-		t.Errorf("UDA sum = %g, want %g", out.F, want)
-	}
-	if st.Rows != 500 || st.StateBytesMoved != 500*32 {
-		t.Errorf("UDA stats = %+v (state must round-trip per row)", st)
-	}
-	out2, st2, err := RunAggregateDirect(tbl, 1, &agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.F != want {
-		t.Errorf("direct sum = %g", out2.F)
-	}
-	if st2.StateBytesMoved != 0 {
-		t.Errorf("direct run must not serialize state: %+v", st2)
 	}
 }
 
@@ -464,7 +425,7 @@ func TestCursorStreamsRows(t *testing.T) {
 	}
 	snap := db.Snapshot()
 	defer snap.Release()
-	cur, err := tbl.CursorAt(snap)
+	cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,11 +434,11 @@ func TestCursorStreamsRows(t *testing.T) {
 		if cur.Key() != n {
 			t.Fatalf("key %d out of order (want %d)", cur.Key(), n)
 		}
-		v, err := cur.Row().Col(1)
+		row, err := tbl.GetAt(snap, cur.Key())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.F != float64(n)*1.5 {
+		if v := row[1]; v.F != float64(n)*1.5 {
 			t.Fatalf("row %d col x = %v", n, v)
 		}
 		n++

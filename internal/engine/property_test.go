@@ -56,15 +56,11 @@ func TestRowCodecRoundtripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var rv RowView
-		rv.reset(&schema, raw)
-		// Decode in a random order to exercise offset memoization.
-		order := rng.Perm(ncols)
-		for _, i := range order {
-			got, err := rv.Col(i)
-			if err != nil {
-				return false
-			}
+		row, err := decodeAll(&schema, raw)
+		if err != nil {
+			return false
+		}
+		for i, got := range row {
 			want := vals[i]
 			if got.IsNull() != want.IsNull() {
 				return false
@@ -208,7 +204,7 @@ func TestTableInsertScanProperty(t *testing.T) {
 	}
 	prev := int64(math.MinInt64)
 	seen := 0
-	err = tbl.Scan(func(key int64, row *RowView) (bool, error) {
+	err = scanRows(tbl, func(key int64, row []Value) (bool, error) {
 		if key <= prev {
 			t.Fatalf("scan out of order: %d after %d", key, prev)
 		}
@@ -217,18 +213,10 @@ func TestTableInsertScanProperty(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown key %d", key)
 		}
-		xv, err := row.Col(1)
-		if err != nil {
-			return false, err
-		}
-		if xv.F != want[0].(float64) {
+		if xv := row[1]; xv.F != want[0].(float64) {
 			t.Fatalf("key %d float mismatch", key)
 		}
-		bv, err := row.Col(2)
-		if err != nil {
-			return false, err
-		}
-		if !bytes.Equal(bv.B, want[1].([]byte)) {
+		if bv := row[2]; !bytes.Equal(bv.B, want[1].([]byte)) {
 			t.Fatalf("key %d binary mismatch", key)
 		}
 		seen++

@@ -99,91 +99,54 @@ func appendRow(dst []byte, s *Schema, vals []Value) ([]byte, error) {
 	return out, nil
 }
 
-// RowView is a lazily-decoded row image. Column accessors decode in a
-// single forward pass cached per row, so a scan that touches only
-// column 0 never pays for the rest.
-type RowView struct {
-	schema *Schema
-	raw    []byte
-	// offs[i] is the byte offset of column i's null flag; computed on
-	// first access past the current frontier.
-	offs    []int
-	decoded int // number of entries valid in offs
-}
-
-// resetRowView re-targets a view at a new raw row, reusing the offsets
-// slice (scans allocate one view for the whole pass).
-func (r *RowView) reset(s *Schema, raw []byte) {
-	r.schema = s
-	r.raw = raw
-	if cap(r.offs) < len(s.Columns) {
-		r.offs = make([]int, len(s.Columns))
-	}
-	r.offs = r.offs[:len(s.Columns)]
-	r.offs[0] = 0
-	r.decoded = 1
-}
-
-// advanceTo ensures offs[i] is computed.
-func (r *RowView) advanceTo(i int) error {
-	for r.decoded <= i {
-		k := r.decoded - 1 // last known column
-		off := r.offs[k]
-		if off >= len(r.raw) {
-			return fmt.Errorf("engine: row truncated at column %d", k)
+// decodeAll decodes every column of the row image raw in one forward
+// pass, the point-read decoder (GetAt, UpdateTx, DeleteTx); scans decode
+// through decodeRowInto. Binary values alias raw, and a VARBINARY(MAX)
+// column yields its 12-byte blob ref. A column that runs past the end
+// of raw fails the row; bytes after the last column are not looked at.
+func decodeAll(s *Schema, raw []byte) ([]Value, error) {
+	out := make([]Value, len(s.Columns))
+	off := 0
+	for ci := range out {
+		if off >= len(raw) {
+			return nil, fmt.Errorf("engine: row truncated at column %d", ci)
 		}
-		null := r.raw[off] == 1
+		null := raw[off] == 1
 		off++
-		if !null {
-			switch r.schema.Columns[k].Type {
-			case ColInt64, ColFloat64:
-				off += 8
-			case ColVarBinary:
-				if off+2 > len(r.raw) {
-					return fmt.Errorf("engine: row truncated in column %d", k)
-				}
-				off += 2 + int(binary.LittleEndian.Uint16(r.raw[off:]))
-			case ColVarBinaryMax:
-				off += blob.RefSize
-			}
+		if null {
+			continue
 		}
-		r.offs[r.decoded] = off
-		r.decoded++
+		typ := s.Columns[ci].Type
+		size := 8
+		switch typ {
+		case ColVarBinary:
+			if off+2 > len(raw) {
+				return nil, fmt.Errorf("engine: row truncated in column %d", ci)
+			}
+			size = int(binary.LittleEndian.Uint16(raw[off:]))
+			off += 2
+		case ColVarBinaryMax:
+			size = blob.RefSize
+		}
+		if off+size > len(raw) {
+			return nil, fmt.Errorf("engine: row truncated in column %d", ci)
+		}
+		b := raw[off : off+size : off+size]
+		switch typ {
+		case ColInt64:
+			out[ci] = IntValue(int64(binary.LittleEndian.Uint64(b)))
+		case ColFloat64:
+			out[ci] = FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		case ColVarBinary:
+			out[ci] = BinaryValue(b)
+		case ColVarBinaryMax:
+			out[ci] = BinaryMaxValue(b)
+		default:
+			return nil, fmt.Errorf("%w: column %d type %v", ErrTypeError, ci, typ)
+		}
+		off += size
 	}
-	return nil
-}
-
-// Col decodes column i. VARBINARY values alias the row buffer (valid only
-// while the underlying page is pinned, i.e. within the scan callback);
-// VARBINARY(MAX) yields the 12-byte ref — use Table.ResolveMaxAt to load it.
-func (r *RowView) Col(i int) (Value, error) {
-	if i < 0 || i >= len(r.schema.Columns) {
-		return Null, fmt.Errorf("%w: index %d", ErrNoColumn, i)
-	}
-	if err := r.advanceTo(i); err != nil {
-		return Null, err
-	}
-	off := r.offs[i]
-	if off >= len(r.raw) {
-		return Null, fmt.Errorf("engine: row truncated at column %d", i)
-	}
-	if r.raw[off] == 1 {
-		return Null, nil
-	}
-	off++
-	c := r.schema.Columns[i]
-	switch c.Type {
-	case ColInt64:
-		return IntValue(int64(binary.LittleEndian.Uint64(r.raw[off:]))), nil
-	case ColFloat64:
-		return FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(r.raw[off:]))), nil
-	case ColVarBinary:
-		n := int(binary.LittleEndian.Uint16(r.raw[off:]))
-		return BinaryValue(r.raw[off+2 : off+2+n]), nil
-	case ColVarBinaryMax:
-		return BinaryMaxValue(r.raw[off : off+blob.RefSize]), nil
-	}
-	return Null, fmt.Errorf("%w: column %d type %v", ErrTypeError, i, c.Type)
+	return out, nil
 }
 
 // decodeRowInto decodes one row image in a single forward pass, storing
@@ -235,6 +198,3 @@ func decodeRowInto(s *Schema, raw []byte, cols []*Vector, i int) (uint64, error)
 	}
 	return referenced, nil
 }
-
-// Raw returns the undecoded row image.
-func (r *RowView) Raw() []byte { return r.raw }

@@ -18,7 +18,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"sqlarray/internal/blob"
@@ -111,13 +110,6 @@ func (t *Table) treeAt(s *Snapshot) (*btree.Tree, bool) {
 	return btree.OpenFetch(s.ps, st.root, st.height, st.count), true
 }
 
-// CursorAt opens a streaming scan of the whole table as of s. The
-// cursor does not own the snapshot; the caller Releases s after closing
-// every cursor opened on it.
-func (t *Table) CursorAt(s *Snapshot) (*Cursor, error) {
-	return t.CursorRangeAt(s, math.MinInt64, math.MaxInt64)
-}
-
 // CursorRangeAt opens a streaming scan over keys in [lo, hi],
 // inclusive, as of s. The underlying iterator stops (and unpins) as
 // soon as it passes hi, so a key-range query touches only the
@@ -144,7 +136,7 @@ func (t *Table) GetAt(s *Snapshot, key int64) ([]Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.decodeAll(raw)
+	return decodeAll(&t.schema, raw)
 }
 
 // RowsAt returns the committed row count as of s.

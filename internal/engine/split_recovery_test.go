@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"sqlarray/internal/btree"
@@ -59,11 +60,8 @@ func checkPadRows(t *testing.T, db *DB, n int64) *Table {
 		t.Fatalf("rows = %d, want %d", got, n)
 	}
 	want := int64(0)
-	err = tbl.Scan(func(key int64, row *RowView) (bool, error) {
-		v, err := row.Col(1)
-		if err != nil {
-			return false, err
-		}
+	err = scanRows(tbl, func(key int64, row []Value) (bool, error) {
+		v := row[1]
 		if key != want || binary.LittleEndian.Uint64(v.B) != uint64(key) {
 			t.Fatalf("scan position %d: key %d", want, key)
 		}
@@ -157,7 +155,7 @@ func TestRecoverAcrossEndOfNodeSplits(t *testing.T) {
 		if got := tbl.RowsAt(snap); got != cut {
 			t.Fatalf("held snapshot sees %d rows, want %d", got, cut)
 		}
-		cur, err := tbl.CursorAt(snap)
+		cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +243,7 @@ func TestBulkLoadIntoEmptyTableStartsInRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := tbl.CursorAt(snap)
+	cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}

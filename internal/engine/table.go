@@ -16,7 +16,7 @@ import (
 // UpdateTx, DeleteTx, UpdateBlobSubarrayTx) are serialized by the
 // database's single-writer lock and mutate the live fields below
 // through copy-on-write page versions; readers never block them and
-// never see their uncommitted work. Cursors, scans and the blob
+// never see their uncommitted work. Cursors, point reads and the blob
 // accessors resolve everything through a Snapshot — either one the
 // caller passes to the ...At variants, or one the convenience forms
 // acquire per call — whose visibility is fixed at open: the table's
@@ -142,7 +142,7 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 	if err != nil {
 		return err
 	}
-	cur, err := t.decodeAll(raw)
+	cur, err := decodeAll(&t.schema, raw)
 	if err != nil {
 		return err
 	}
@@ -240,7 +240,7 @@ func (t *Table) DeleteTx(tx *Tx, key int64) error {
 	if err != nil {
 		return err
 	}
-	cur, err := t.decodeAll(raw)
+	cur, err := decodeAll(&t.schema, raw)
 	if err != nil {
 		return err
 	}
@@ -288,12 +288,11 @@ func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []
 	if err != nil {
 		return err
 	}
-	var rv RowView
-	rv.reset(&t.schema, raw)
-	v, err := rv.Col(col)
+	row, err := decodeAll(&t.schema, raw)
 	if err != nil {
 		return err
 	}
+	v := row[col]
 	if v.IsNull() {
 		return fmt.Errorf("%w: column %q is NULL at key %d", ErrNullValue, t.schema.Columns[col].Name, key)
 	}
@@ -328,22 +327,6 @@ func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []
 	return t.db.blobs.WriteRuns(ref, src.Payload(), blobRuns(runs, r.hs))
 }
 
-// decodeAll decodes every column of a raw row image. The returned
-// Values alias raw.
-func (t *Table) decodeAll(raw []byte) ([]Value, error) {
-	var rv RowView
-	rv.reset(&t.schema, raw)
-	out := make([]Value, len(t.schema.Columns))
-	for i := range out {
-		v, err := rv.Col(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // Get fetches the row with the given clustered key, fully decoded, from
 // a fresh snapshot (the committed state as of the call).
 func (t *Table) Get(key int64) ([]Value, error) {
@@ -351,30 +334,6 @@ func (t *Table) Get(key int64) ([]Value, error) {
 	defer s.Release()
 	// Values alias the tree.Get copy, which the caller may retain.
 	return t.GetAt(s, key)
-}
-
-// Scan performs a clustered index scan over a fresh snapshot, invoking
-// fn for every row in key order. The RowView (and any binary Values
-// decoded from it) is only valid inside the callback. Returning false
-// stops the scan.
-func (t *Table) Scan(fn func(key int64, row *RowView) (bool, error)) error {
-	s := t.db.Snapshot()
-	defer s.Release()
-	cur, err := t.CursorAt(s)
-	if err != nil {
-		return err
-	}
-	defer cur.Close()
-	for cur.Next() {
-		ok, err := fn(cur.Key(), cur.Row())
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
-	return cur.Err()
 }
 
 // TableStats summarizes a table's storage footprint; the Table 1 harness

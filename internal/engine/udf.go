@@ -33,9 +33,10 @@ import (
 // them at a time when the rows are large), the hosted side walks the
 // frames with one reused argument slice, and the two boundary counters
 // are added to once per batch. Call is the same crossing for a single
-// row: the direct entry (CallByName, a caller invoking one function
-// outside SQL — today the benchmarks and tests of the boundary itself)
-// and what sqlmini's test oracle evaluates UDFs with. Both go through
+// row, for a caller invoking one function it resolved with Lookup
+// outside SQL — today the tests of the boundary itself, where it is
+// CallBatch's per-row reference, and sqlmini's test oracle, which
+// evaluates UDFs with it. Both go through
 // dispatch and the one marshalValue/unmarshalValue pair, so there is one
 // wire format. CallBatch reaches it without a Value round trip on its
 // side of the crossing: appendFrame writes a row's argument frame
@@ -303,15 +304,6 @@ func (r *FuncRegistry) CallBatch(s *Snapshot, def *FuncDef, args []*Vector, n in
 	b.blobs = nil // a pooled boundary must not keep the database reachable
 	boundaryPool.Put(b)
 	return err
-}
-
-// CallByName resolves and invokes in one step (slow path).
-func (r *FuncRegistry) CallByName(name string, args []Value) (Value, error) {
-	def, err := r.Lookup(name)
-	if err != nil {
-		return Null, err
-	}
-	return r.Call(def, args)
 }
 
 // marshalValue appends the boundary wire form of v.

@@ -331,9 +331,9 @@ func TestCallBatchNoArgs(t *testing.T) {
 	}
 }
 
-// TestFillBatchMatchesRowView: FillBatch decodes, for any subset of the
-// columns and any batch size, exactly what Next + RowView.Col yield.
-func TestFillBatchMatchesRowView(t *testing.T) {
+// TestFillBatchMatchesGetAt: FillBatch decodes, for any subset of the
+// columns and any batch size, exactly what Next + GetAt yield.
+func TestFillBatchMatchesGetAt(t *testing.T) {
 	db := memDB(t)
 	s, err := NewSchema(
 		Column{Name: "id", Type: ColInt64},
@@ -407,16 +407,16 @@ func TestFillBatchMatchesRowView(t *testing.T) {
 					if keys[i] != ref.Key() {
 						t.Fatalf("key %d, want %d", keys[i], ref.Key())
 					}
+					want, err := tbl.GetAt(snap, ref.Key())
+					if err != nil {
+						t.Fatal(err)
+					}
 					for ci, v := range cols {
 						if v == nil {
 							continue
 						}
-						want, err := ref.Row().Col(ci)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := v.Value(i); !sameValue(got, want) {
-							t.Fatalf("need %v size %d key %d col %d: %v, want %v", need, size, keys[i], ci, got, want)
+						if got := v.Value(i); !sameValue(got, want[ci]) {
+							t.Fatalf("need %v size %d key %d col %d: %v, want %v", need, size, keys[i], ci, got, want[ci])
 						}
 					}
 				}

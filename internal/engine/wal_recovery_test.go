@@ -91,13 +91,9 @@ func verifyInvariants(t *testing.T, db *DB, tables ...string) {
 			t.Fatalf("table %q: %v", name, err)
 		}
 		n := int64(0)
-		err = tbl.Scan(func(key int64, row *RowView) (bool, error) {
+		err = scanRows(tbl, func(key int64, row []Value) (bool, error) {
 			for i, c := range tbl.Schema().Columns {
-				v, err := row.Col(i)
-				if err != nil {
-					return false, err
-				}
-				if c.Type == ColVarBinaryMax && !v.IsNull() {
+				if v := row[i]; c.Type == ColVarBinaryMax && !v.IsNull() {
 					payload, err := resolveMax(tbl, v.B)
 					if err != nil {
 						return false, err

@@ -151,24 +151,36 @@ func (bs *BucketStore) LoadSnapshot(step int) (*Snapshot, error) {
 	}
 	defer cur.Close()
 	snap := &Snapshot{Step: step}
-	for cur.Next() {
-		parts, err := bs.decodeBucket(view, cur.Row())
+	var keys [64]int64
+	var ids, pos, vel engine.Vector
+	cols := []*engine.Vector{nil, &ids, &pos, &vel}
+	for {
+		n, err := cur.FillBatch(keys[:], cols)
 		if err != nil {
 			return nil, err
 		}
-		snap.Particles = append(snap.Particles, parts...)
+		if n == 0 {
+			return snap, nil
+		}
+		for i := 0; i < n; i++ {
+			parts, err := bs.decodeBucket(view, cols[1:], i)
+			if err != nil {
+				return nil, err
+			}
+			snap.Particles = append(snap.Particles, parts...)
+		}
 	}
-	return snap, cur.Err()
 }
 
-func (bs *BucketStore) decodeBucket(view *engine.Snapshot, row *engine.RowView) ([]Particle, error) {
+// decodeBucket reads the particles of row i of a filled batch, whose
+// refs holds the bucket's ids, pos and vel blob refs.
+func (bs *BucketStore) decodeBucket(view *engine.Snapshot, refs []*engine.Vector, i int) ([]Particle, error) {
 	arrs := make([]*core.Array, 3)
-	for i := 0; i < 3; i++ {
-		ref, err := row.Col(1 + i)
-		if err != nil {
-			return nil, err
+	for c, v := range refs {
+		if v.IsNull(i) {
+			return nil, fmt.Errorf("nbody: bucket column %d is NULL", 1+c)
 		}
-		raw, err := bs.table.ResolveMaxAt(view, ref.B)
+		raw, err := bs.table.ResolveMaxAt(view, v.B[i])
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +188,7 @@ func (bs *BucketStore) decodeBucket(view *engine.Snapshot, row *engine.RowView) 
 		if err != nil {
 			return nil, err
 		}
-		arrs[i] = a
+		arrs[c] = a
 	}
 	n := arrs[0].Len()
 	if arrs[1].Rank() != 2 || arrs[1].Dim(0) != n || arrs[2].Dim(0) != n {

@@ -149,12 +149,8 @@ func TestConcurrentDMLAndParallelScans(t *testing.T) {
 	snap := db.Snapshot()
 	defer snap.Release()
 	n := int64(0)
-	err = hot.Scan(func(key int64, row *engine.RowView) (bool, error) {
-		v, err := row.Col(2)
-		if err != nil {
-			return false, err
-		}
-		if !v.IsNull() {
+	err = scanByKey(hot, snap, func(row []engine.Value) (bool, error) {
+		if v := row[2]; !v.IsNull() {
 			if _, err := hot.ResolveMaxAt(snap, v.B); err != nil {
 				return false, err
 			}

@@ -15,8 +15,8 @@ import (
 
 // This file is the executor's generated adversary: seeded random SELECTs
 // run through the batch pipeline at several batch sizes and worker
-// counts, each checked against referenceRun (row-at-a-time over
-// Table.Scan, no pushdown, no batches). A failure prints the seed, the
+// counts, each checked against referenceRun (row-at-a-time, each row
+// read by key through GetAt, no pushdown, no batches). A failure prints the seed, the
 // mode and the query, which is all it takes to replay it:
 //
 //	go test ./internal/sqlmini -run TestDifferentialSelect -diff.seed=<seed>

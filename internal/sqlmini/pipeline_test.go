@@ -14,20 +14,21 @@ import (
 
 // ---- the oracle's row evaluator -------------------------------------------
 //
-// referenceRun evaluates expressions one row at a time, straight over a
-// cursor's lazy RowView, through the eval methods below. They used to be
-// the second method of the compiled interface; the executor no longer has
-// a row evaluator, so they live here — the same compiled tree, walked by
-// code production never runs, which is what lets TestDifferentialSelect
-// and TestDifferentialDML check evalBatch (AND/OR/NOT included) against
-// something it does not share. Only the scalar leaves (arith, compare,
-// negate, truthy) and the boundary's FuncRegistry.Call are common.
+// referenceRun evaluates expressions one row at a time, over rows read
+// by key through Table.GetAt, through the eval methods below. They used
+// to be the second method of the compiled interface; the executor no
+// longer has a row evaluator, so they live here — the same compiled
+// tree, walked by code production never runs, which is what lets
+// TestDifferentialSelect and TestDifferentialDML check evalBatch
+// (AND/OR/NOT included) against something it does not share. Only the
+// scalar leaves (arith, compare, negate, truthy) and the boundary's
+// FuncRegistry.Call are common. Nor is the row decoder: GetAt decodes a
+// row in one pass of its own, the executor's scans through FillBatch.
 
 // rowCtx binds row-wise evaluation to one scan row; aggVals carries the
 // aggregate results for the SELECT items of an aggregate query.
 type rowCtx struct {
-	key     int64
-	row     *engine.RowView
+	row     []engine.Value
 	aggVals []engine.Value   // aggregate results, read by cAggRef
 	tbl     *engine.Table    // where cMaxRef materializes from
 	snap    *engine.Snapshot // and as of when
@@ -43,24 +44,14 @@ func evalRow(c compiled, ctx *rowCtx) (engine.Value, error) {
 
 func (c *cConst) eval(*rowCtx) (engine.Value, error) { return c.vec.Value(0), nil }
 
-func (c *cCol) eval(ctx *rowCtx) (engine.Value, error) { return ctx.row.Col(c.idx) }
+func (c *cCol) eval(ctx *rowCtx) (engine.Value, error) { return ctx.row[c.idx], nil }
 
-func (c *cMaxCol) eval(ctx *rowCtx) (engine.Value, error) {
-	v, err := ctx.row.Col(c.idx)
-	if err != nil {
-		return v, err
-	}
-	return c.materialize(v)
-}
+func (c *cMaxCol) eval(ctx *rowCtx) (engine.Value, error) { return c.materialize(ctx.row[c.idx]) }
 
 // cMaxRef's oracle is materialize-then-call: the reference hands the
 // array function the whole payload, which it reads in the bytes form.
 func (c *cMaxRef) eval(ctx *rowCtx) (engine.Value, error) {
-	v, err := ctx.row.Col(c.idx)
-	if err != nil {
-		return v, err
-	}
-	return (&cMaxCol{tbl: ctx.tbl, snap: ctx.snap}).materialize(v)
+	return (&cMaxCol{tbl: ctx.tbl, snap: ctx.snap}).materialize(ctx.row[c.idx])
 }
 
 func (c *cUDF) eval(ctx *rowCtx) (engine.Value, error) {
@@ -146,8 +137,30 @@ func (a *accumulator) add(ctx *rowCtx) error {
 	return nil
 }
 
+// scanByKey calls fn with every row of tbl in key order as of snap. The
+// keys come from a cursor's Next/Key and each row from GetAt, so no row
+// passes through FillBatch. fn returning false stops the walk.
+func scanByKey(tbl *engine.Table, snap *engine.Snapshot, fn func(row []engine.Value) (bool, error)) error {
+	cur, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	//lint:allow ctxloop the test oracle is not the executor and has no query to cancel
+	for cur.Next() {
+		row, err := tbl.GetAt(snap, cur.Key())
+		if err != nil {
+			return err
+		}
+		if ok, err := fn(row); !ok || err != nil {
+			return err
+		}
+	}
+	return cur.Err()
+}
+
 // referenceRun is the pre-pipeline executor (materialize-everything full
-// scan via Table.Scan, no pushdown, no parallelism, no batches), kept
+// scan via scanByKey, no pushdown, no parallelism, no batches), kept
 // here as the golden oracle for the executor.
 func referenceRun(db *engine.DB, query string) (*Result, error) {
 	stmt, err := Parse(query)
@@ -158,8 +171,6 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// MAX columns deref through a snapshot; no test runs the oracle
-	// beside a writer, so Scan's own snapshot below is the same commit.
 	snap := db.Snapshot()
 	defer snap.Release()
 	cs, err := compileStmt(db, tbl, stmt, stmt.Where, snap)
@@ -169,8 +180,8 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 	res := &Result{Columns: cs.columns}
 	if cs.aggregate {
 		ctx := &rowCtx{tbl: tbl, snap: snap}
-		err := tbl.Scan(func(key int64, row *engine.RowView) (bool, error) {
-			ctx.key, ctx.row = key, row
+		err := scanByKey(tbl, snap, func(row []engine.Value) (bool, error) {
+			ctx.row = row
 			if cs.where != nil {
 				ok, err := evalRow(cs.where, ctx)
 				if err != nil {
@@ -206,8 +217,8 @@ func referenceRun(db *engine.DB, query string) (*Result, error) {
 		return res, nil
 	}
 	ctx := &rowCtx{tbl: tbl, snap: snap}
-	err = tbl.Scan(func(key int64, row *engine.RowView) (bool, error) {
-		ctx.key, ctx.row = key, row
+	err = scanByKey(tbl, snap, func(row []engine.Value) (bool, error) {
+		ctx.row = row
 		if cs.where != nil {
 			ok, err := evalRow(cs.where, ctx)
 			if err != nil {

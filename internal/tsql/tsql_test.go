@@ -104,7 +104,7 @@ func TestSubarrayTSQLConvention(t *testing.T) {
 	}
 	// Blob columns come back as refs; materialize through a scan is the
 	// engine-level path — here exercise the pure-function path instead.
-	sub, err := db.Funcs().CallByName("FloatArrayMax.Subarray", []engine.Value{
+	sub, err := callNamed(db, "FloatArrayMax.Subarray", []engine.Value{
 		engine.BinaryMaxValue(a.Bytes()),
 		mustCall(t, db, "IntArray.Vector_3", engine.IntValue(1), engine.IntValue(4), engine.IntValue(6)),
 		mustCall(t, db, "IntArray.Vector_3", engine.IntValue(5), engine.IntValue(5), engine.IntValue(3)),
@@ -126,7 +126,7 @@ func TestSubarrayTSQLConvention(t *testing.T) {
 		t.Errorf("corner = %g, want %g", corner, want)
 	}
 	// Collapse flag drops unit dimensions.
-	sub2, err := db.Funcs().CallByName("FloatArrayMax.Subarray", []engine.Value{
+	sub2, err := callNamed(db, "FloatArrayMax.Subarray", []engine.Value{
 		engine.BinaryMaxValue(a.Bytes()),
 		mustCall(t, db, "IntArray.Vector_3", engine.IntValue(0), engine.IntValue(0), engine.IntValue(0)),
 		mustCall(t, db, "IntArray.Vector_3", engine.IntValue(10), engine.IntValue(1), engine.IntValue(1)),
@@ -141,9 +141,18 @@ func TestSubarrayTSQLConvention(t *testing.T) {
 	}
 }
 
+// callNamed resolves a function by name and invokes it on one row.
+func callNamed(db *engine.DB, name string, args []engine.Value) (engine.Value, error) {
+	def, err := db.Funcs().Lookup(name)
+	if err != nil {
+		return engine.Null, err
+	}
+	return db.Funcs().Call(def, args)
+}
+
 func mustCall(t *testing.T, db *engine.DB, name string, args ...engine.Value) engine.Value {
 	t.Helper()
-	v, err := db.Funcs().CallByName(name, args)
+	v, err := callNamed(db, name, args)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -154,16 +163,16 @@ func TestTypeAndClassMismatchDetected(t *testing.T) {
 	db := newDB(t)
 	intVec := mustCall(t, db, "IntArray.Vector_2", engine.IntValue(1), engine.IntValue(2))
 	// Passing an int array to a float function trips the header check.
-	if _, err := db.Funcs().CallByName("FloatArray.Sum", []engine.Value{intVec}); !errors.Is(err, core.ErrTypeMismatch) {
+	if _, err := callNamed(db, "FloatArray.Sum", []engine.Value{intVec}); !errors.Is(err, core.ErrTypeMismatch) {
 		t.Errorf("type mismatch: %v", err)
 	}
 	// Passing a short array to a max function trips the class check.
 	fv := mustCall(t, db, "FloatArray.Vector_2", engine.FloatValue(1), engine.FloatValue(2))
-	if _, err := db.Funcs().CallByName("FloatArrayMax.Sum", []engine.Value{fv}); !errors.Is(err, core.ErrClassMismatch) {
+	if _, err := callNamed(db, "FloatArrayMax.Sum", []engine.Value{fv}); !errors.Is(err, core.ErrClassMismatch) {
 		t.Errorf("class mismatch: %v", err)
 	}
 	// Garbage bytes trip the magic check.
-	if _, err := db.Funcs().CallByName("FloatArray.Sum", []engine.Value{engine.BinaryValue([]byte{1, 2, 3})}); !errors.Is(err, core.ErrBadHeader) {
+	if _, err := callNamed(db, "FloatArray.Sum", []engine.Value{engine.BinaryValue([]byte{1, 2, 3})}); !errors.Is(err, core.ErrBadHeader) {
 		t.Errorf("garbage blob: %v", err)
 	}
 }
@@ -183,7 +192,7 @@ func TestShapeInspection(t *testing.T) {
 	if v := mustCall(t, db, "FloatArray.Dim", m, engine.IntValue(1)); v.I != 3 {
 		t.Errorf("Dim = %v", v)
 	}
-	if _, err := db.Funcs().CallByName("FloatArray.Dim", []engine.Value{m, engine.IntValue(5)}); err == nil {
+	if _, err := callNamed(db, "FloatArray.Dim", []engine.Value{m, engine.IntValue(5)}); err == nil {
 		t.Error("bad dim index must fail")
 	}
 }
@@ -208,7 +217,7 @@ func TestReshapeCastRawRoundtrip(t *testing.T) {
 		t.Errorf("Cast(Raw) roundtrip failed: %v", err)
 	}
 	// Reshape with wrong size fails.
-	if _, err := db.Funcs().CallByName("FloatArray.Reshape_2", []engine.Value{v, engine.IntValue(4), engine.IntValue(2)}); !errors.Is(err, core.ErrShape) {
+	if _, err := callNamed(db, "FloatArray.Reshape_2", []engine.Value{v, engine.IntValue(4), engine.IntValue(2)}); !errors.Is(err, core.ErrShape) {
 		t.Errorf("bad reshape: %v", err)
 	}
 }
@@ -390,7 +399,7 @@ func TestSVDValuesTSQL(t *testing.T) {
 	}
 	// Rank check: vector input fails.
 	v, _ := core.FromFloat64s(core.Max, core.Float64, []float64{1, 2}, 2)
-	if _, err := db.Funcs().CallByName("FloatArrayMax.SVDValues", []engine.Value{engine.BinaryMaxValue(v.Bytes())}); !errors.Is(err, core.ErrRank) {
+	if _, err := callNamed(db, "FloatArrayMax.SVDValues", []engine.Value{engine.BinaryMaxValue(v.Bytes())}); !errors.Is(err, core.ErrRank) {
 		t.Errorf("rank check: %v", err)
 	}
 }
@@ -475,7 +484,7 @@ func TestFromQueryReplacesConcatUDA(t *testing.T) {
 		t.Errorf("vector = %v", va.Float64s())
 	}
 	// Bad inner query surfaces the error.
-	if _, err := db.Funcs().CallByName("FloatArrayMax.VectorFromQuery", []engine.Value{
+	if _, err := callNamed(db, "FloatArrayMax.VectorFromQuery", []engine.Value{
 		engine.IntValue(5), engine.BinaryValue([]byte("SELECT nope FROM vcells")),
 	}); err == nil {
 		t.Error("bad inner query must fail")
@@ -550,7 +559,7 @@ func TestItemReadsInPlace(t *testing.T) {
 		// The type flag is checked before the index, as before.
 		{"FloatArray.Item_1", []engine.Value{ints, engine.IntValue(99)}, core.ErrTypeMismatch},
 	} {
-		if _, err := db.Funcs().CallByName(c.fn, c.args); !errors.Is(err, c.want) {
+		if _, err := callNamed(db, c.fn, c.args); !errors.Is(err, c.want) {
 			t.Errorf("%s(%v): %v, want %v", c.fn, c.args, err, c.want)
 		}
 	}

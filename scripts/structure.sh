@@ -107,6 +107,15 @@ names=(
 	# One element read over serialized bytes: core.Item validates and
 	# reads in one pass. No in-place view that re-reads the header.
 	'ViewOf('
+	# Rows leave the engine by batch (Cursor.FillBatch) or by key
+	# (GetAt): no lazily decoded row view, no row-at-a-time scan, no
+	# one-call UDF convenience beside Lookup + Call.
+	'RowView'
+	'Table) Scan('
+	'Cursor) Row('
+	'CursorAt('
+	'RunAggregateUDA'
+	'CallByName('
 )
 # Names checked in the program only, not in bench/: bench/ is its own
 # module, and its wal.append_us_per_page probe builds a page-sized
