@@ -57,11 +57,12 @@ func New(bp *pages.BufferPool) (*Tree, error) {
 	return &Tree{bp: bp, fx: bp, root: root, height: 1}, nil
 }
 
-// Open attaches to an existing tree given its root page. The caller
-// supplies the persisted height and count (the engine catalog stores
-// them).
-func Open(bp *pages.BufferPool, root pages.PageID, height, count int) *Tree {
-	return &Tree{bp: bp, fx: bp, root: root, height: height, count: count}
+// Reset re-points t, in place, at an existing writer tree given its
+// root page; the caller supplies the persisted height and count (the
+// engine catalog stores them). It keeps t's record buffer, so a writer
+// that re-attaches its tree at every session allocates nothing.
+func (t *Tree) Reset(bp *pages.BufferPool, root pages.PageID, height, count int) {
+	t.bp, t.fx, t.root, t.height, t.count = bp, bp, root, height, count
 }
 
 // OpenFetch attaches a read-only tree whose page fetches resolve

@@ -123,7 +123,10 @@ func (t *Table) BulkLoad(src BulkSource, _ BulkOptions) (BulkStats, error) {
 
 	var stats BulkStats
 
-	// The live tree is the writer's view; under writeMu it is stable.
+	// The load works on the published tree; under writeMu it is stable.
+	if err := t.attach(); err != nil {
+		return stats, err
+	}
 	_, maxOld, nonEmpty, err := t.tree.Bounds()
 	if err != nil {
 		return stats, err
@@ -201,7 +204,7 @@ func (t *Table) BulkLoad(src BulkSource, _ BulkOptions) (BulkStats, error) {
 		return stats, err
 	}
 	locked = false // the session owns the unlock now
-	tx.touch()
+	tx.wrote = append(tx.wrote, t)
 	if err := t.tree.GraftAppend(lw); err != nil {
 		tx.Abort()
 		return stats, err

@@ -50,36 +50,72 @@ func TestOneRowInsertAllocations(t *testing.T) {
 	}
 }
 
+// addTables creates n more empty tables in tbl's database, so a commit
+// to tbl runs beside n untouched catalog entries.
+func addTables(tb testing.TB, tbl *Table, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := tbl.db.CreateTable(fmt.Sprint("other", i), benchSchema(tb)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestOneRowCommitAllocationsDoNotGrowWithTables: a one-row commit
+// handles only the table it writes, so it makes as many allocations in
+// a database of 256 tables as in one of 1.
+func TestOneRowCommitAllocationsDoNotGrowWithTables(t *testing.T) {
+	allocs := func(tables int) float64 {
+		tbl := oneRowTable(t)
+		addTables(t, tbl, tables-1)
+		row := []Value{IntValue(1), FloatValue(1), FloatValue(2), FloatValue(3)}
+		key := int64(1)
+		return testing.AllocsPerRun(200, func() {
+			row[0] = IntValue(key)
+			key++
+			if err := tbl.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(256)
+	t.Logf("one-row commit: %.1f allocations with 1 table, %.1f with 256", one, many)
+	if one != many {
+		t.Errorf("one-row commit makes %.1f allocations with 256 tables, %.1f with 1", many, one)
+	}
+}
+
 // BenchmarkOneRowCommit is the cost of a one-row autocommit Insert on a
 // database without a log: the engine's commit path (capture,
 // copy-on-write, publish, version retirement) with no device or WAL
 // time in it. Table 1's fixture loads 800 000 rows this way. The
-// held-snapshot case keeps one snapshot open across every commit, the
-// shape of a long analysis query running while rows load: a commit
-// must cost the same with it as without it.
+// tables=N cases run it in a database of N tables, one written: the
+// next catalog copies one 48-byte entry per table and touches only the
+// written one. The held-snapshot case (1 table) keeps one snapshot open
+// across every commit, the shape of a long analysis query running while
+// rows load: a commit must cost the same with it as without it.
 func BenchmarkOneRowCommit(b *testing.B) {
-	for _, held := range []bool{false, true} {
-		name := "no-snapshot"
+	run := func(b *testing.B, tables int, held bool) {
+		tbl := oneRowTable(b)
+		addTables(b, tbl, tables-1)
 		if held {
-			name = "held-snapshot"
+			s := tbl.db.Snapshot()
+			defer s.Release()
 		}
-		b.Run(name, func(b *testing.B) {
-			tbl := oneRowTable(b)
-			if held {
-				s := tbl.db.Snapshot()
-				defer s.Release()
+		row := []Value{IntValue(1), FloatValue(1), FloatValue(2), FloatValue(3)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			row[0] = IntValue(int64(i + 1))
+			if err := tbl.Insert(row); err != nil {
+				b.Fatal(err)
 			}
-			row := []Value{IntValue(1), FloatValue(1), FloatValue(2), FloatValue(3)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				row[0] = IntValue(int64(i + 1))
-				if err := tbl.Insert(row); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	}
+	for _, tables := range []int{1, 16, 256} {
+		b.Run(fmt.Sprint("tables=", tables), func(b *testing.B) { run(b, tables, false) })
+	}
+	b.Run("held-snapshot", func(b *testing.B) { run(b, 1, true) })
 }
 
 // TestHeldSnapshotBoundsVersions holds one snapshot across 20 000

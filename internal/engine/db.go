@@ -157,19 +157,24 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 }
 
 // CreateTableTx is CreateTable inside an existing write session. The
-// table joins the session's catalog: db.Table and snapshots see it once
-// the session commits, and an abort leaves no trace of it.
+// table joins the session's written set: db.Table and snapshots see it
+// once the session commits, and an abort leaves no trace of it.
 func (db *DB) CreateTableTx(tx *Tx, name string, schema Schema) (*Table, error) {
-	cat := tx.touch()
-	if cat.lookup(name) != nil {
+	pub := db.cat.Load()
+	exists, slot := pub.lookup(name) != nil, len(pub.tables)
+	for _, w := range tx.wrote {
+		exists = exists || w.name == name
+		slot = max(slot, w.slot+1) // past the tables the session created
+	}
+	if exists {
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
 	tree, err := btree.New(db.bp)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, name: name, schema: schema, slot: len(cat.tables), tree: tree}
-	cat.tables = append(cat.tables, t.live())
+	t := &Table{db: db, name: name, schema: schema, slot: slot, tree: *tree}
+	tx.wrote = append(tx.wrote, t)
 	return t, nil
 }
 

@@ -86,6 +86,11 @@ func walkedRows(t *testing.T, tbl *Table) int64 {
 func scanRows(tbl *Table, fn func(key int64, row []Value) (bool, error)) error {
 	s := tbl.db.Snapshot()
 	defer s.Release()
+	return scanRowsAt(tbl, s, fn)
+}
+
+// scanRowsAt is scanRows as of the snapshot s.
+func scanRowsAt(tbl *Table, s *Snapshot, fn func(key int64, row []Value) (bool, error)) error {
 	cur, err := tbl.CursorRangeAt(s, math.MinInt64, math.MaxInt64)
 	if err != nil {
 		return err

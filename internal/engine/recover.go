@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 
-	"sqlarray/internal/btree"
 	"sqlarray/internal/pages"
 	"sqlarray/internal/wal"
 )
@@ -40,11 +40,7 @@ func (db *DB) recover() error {
 	// group is applied, and the next group reuses it.
 	var pending []pageImg
 	nextImg := func(id pages.PageID) []byte {
-		if len(pending) < cap(pending) {
-			pending = pending[:len(pending)+1]
-		} else {
-			pending = append(pending, pageImg{})
-		}
+		pending = slices.Grow(pending, 1)[:len(pending)+1]
 		p := &pending[len(pending)-1]
 		if p.img == nil {
 			p.img = make([]byte, pages.PageSize)
@@ -52,23 +48,26 @@ func (db *DB) recover() error {
 		p.id = id
 		return p.img
 	}
-	logged := make(map[string]walTableState)
-	order := []string{} // stable application order for table rebuild
+	// tables is the catalog being rebuilt, in creation order; slots maps
+	// a name to its entry. A delta that introduces a table carries its
+	// schema, and a state-only delta updates the known entry.
+	var tables []tableState
+	slots := make(map[string]int)
 	var lastGood wal.LSN
 	upsert := func(st walTableState) error {
-		prev, ok := logged[st.Name]
+		i, ok := slots[st.Name]
 		if !ok {
-			if len(st.Cols) == 0 {
-				return fmt.Errorf("catalog delta for unknown table %q", st.Name)
+			schema, err := schemaFromWAL(st) // fails on a state-only delta
+			if err != nil {
+				return err
 			}
-			order = append(order, st.Name)
-			logged[st.Name] = st
-			return nil
+			i = len(tables)
+			slots[st.Name] = i
+			tables = append(tables, tableState{t: &Table{db: db, name: st.Name, schema: schema, slot: i}})
 		}
-		if len(st.Cols) == 0 { // state-only delta: keep the known schema
-			st.Cols, st.Key = prev.Cols, prev.Key
-		}
-		logged[st.Name] = st
+		e := &tables[i]
+		e.root, e.height, e.count = pages.PageID(st.Root), st.Height, st.Count
+		e.rowBytes, e.blobBytes = st.RowBytes, st.BlobBytes
 		return nil
 	}
 	err := l.Recover(func(lsn wal.LSN, typ wal.RecordType, payload []byte) error {
@@ -79,8 +78,7 @@ func (db *DB) recover() error {
 			if err := json.Unmarshal(payload, &snap); err != nil {
 				return fmt.Errorf("checkpoint record at LSN %d: %w", lsn, err)
 			}
-			logged = make(map[string]walTableState)
-			order = order[:0]
+			tables, slots = nil, make(map[string]int)
 			for _, st := range snap.Tables {
 				if err := upsert(st); err != nil {
 					return err
@@ -128,28 +126,9 @@ func (db *DB) recover() error {
 	if err := l.TruncateTo(lastGood); err != nil {
 		return err
 	}
-	// Rebuild the catalog: attach each table to its recovered B-tree.
 	// Tag-0 pages are visible to every snapshot, so the recovered
 	// catalog is too.
-	cat := &catalog{}
-	for i, name := range order {
-		st := logged[name]
-		schema, err := schemaFromWAL(st)
-		if err != nil {
-			return err
-		}
-		t := &Table{
-			db:        db,
-			name:      name,
-			schema:    schema,
-			slot:      i,
-			tree:      btree.Open(db.bp, pages.PageID(st.Root), st.Height, st.Count),
-			rowBytes:  st.RowBytes,
-			blobBytes: st.BlobBytes,
-		}
-		cat.tables = append(cat.tables, t.live())
-	}
-	db.cat.Store(cat)
+	db.cat.Store(&catalog{tables: tables})
 	return nil
 }
 

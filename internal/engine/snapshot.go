@@ -63,8 +63,8 @@ func (s *Snapshot) Release() {
 func (s *Snapshot) Tag() uint64 { return s.ps.Tag() }
 
 // catalog is the table catalog as one commit published it. It is
-// immutable once published: a write session edits a private copy
-// (Tx.touch) and Commit swaps the copy in with the commit-clock tick.
+// immutable once published: Commit builds the next one (Tx.nextCatalog)
+// and swaps it in with the commit-clock tick.
 type catalog struct {
 	tables []tableState // creation order: tables[t.slot] is t's entry
 }

@@ -87,9 +87,16 @@ func checkPadRows(t *testing.T, db *DB, n int64) *Table {
 	return tbl
 }
 
-// walkLeafChain follows the live tree's leaf chain forward from its
-// leftmost leaf and back from the last one, failing unless every Next
-// is answered by a Prev, and returns the number of leaves.
+// published returns tbl's entry in the published catalog: the tree a
+// table has between write sessions, and after recovery.
+func published(tbl *Table) tableState {
+	st, _ := tbl.db.cat.Load().state(tbl)
+	return st
+}
+
+// walkLeafChain follows the committed tree's leaf chain forward from
+// its leftmost leaf and back from the last one, failing unless every
+// Next is answered by a Prev, and returns the number of leaves.
 func walkLeafChain(t *testing.T, db *DB, tbl *Table) int {
 	t.Helper()
 	fetch := func(id pages.PageID) pages.Page {
@@ -101,8 +108,8 @@ func walkLeafChain(t *testing.T, db *DB, tbl *Table) int {
 		db.Pool().Unpin(f, false)
 		return p
 	}
-	id := tbl.tree.Root()
-	for level := tbl.tree.Height(); level > 1; level-- {
+	id := published(tbl).root
+	for level := published(tbl).height; level > 1; level-- {
 		p := fetch(id)
 		rec, err := p.Record(0)
 		if err != nil {
@@ -173,14 +180,14 @@ func TestRecoverAcrossEndOfNodeSplits(t *testing.T) {
 	}
 
 	// Commit sessions until the next one would split the root internal
-	// node; track that with the live tree's height.
+	// node; track that with the committed tree's height.
 	committed := int64(cut)
-	for tbl.tree.Height() < 2 || committed < 3000 {
+	for published(tbl).height < 2 || committed < 3000 {
 		commitRows(t, db, tbl, committed, committed+step)
 		committed += step
 		readCut()
 	}
-	h := tbl.tree.Height()
+	h := published(tbl).height
 	if h != 2 {
 		t.Fatalf("height %d after %d rows, want 2: resize the sessions", h, committed)
 	}
@@ -191,11 +198,13 @@ func TestRecoverAcrossEndOfNodeSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The session's live tree is its working state from its first write.
 	next := committed
-	for ; tbl.tree.Height() == h; next++ {
+	for grown := false; !grown; next++ {
 		if err := tbl.InsertTx(tx, padRow(next)); err != nil {
 			t.Fatal(err)
 		}
+		grown = tbl.tree.Height() != h
 	}
 	t.Logf("%d rows committed at height %d; key %d grew a level in flight", committed, h, next-1)
 	readCut()
@@ -205,7 +214,7 @@ func TestRecoverAcrossEndOfNodeSplits(t *testing.T) {
 
 	db = openDB(t, disk, st)
 	tbl = checkPadRows(t, db, committed)
-	if got := tbl.tree.Height(); got != h {
+	if got := published(tbl).height; got != h {
 		t.Fatalf("recovered height %d, want the committed %d", got, h)
 	}
 
@@ -216,7 +225,7 @@ func TestRecoverAcrossEndOfNodeSplits(t *testing.T) {
 
 	db = openDB(t, disk, st)
 	tbl = checkPadRows(t, db, next)
-	if got := tbl.tree.Height(); got != h+1 {
+	if got := published(tbl).height; got != h+1 {
 		t.Fatalf("recovered height %d, want %d", got, h+1)
 	}
 }

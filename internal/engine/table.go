@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sqlarray/internal/blob"
 	"sqlarray/internal/btree"
@@ -22,8 +23,8 @@ import (
 // acquire per call — whose visibility is fixed at open: the table's
 // entry in the snapshot's catalog plus the page versions the buffer
 // pool retains. The live tree and byte counters are the single
-// writer's working state: Commit copies them into the next catalog and
-// Abort resets them from the published one; nothing else reads them.
+// writer's working state: a session's first write attaches them to the
+// published entry and Commit copies them into the next catalog.
 type Table struct {
 	db     *DB
 	name   string
@@ -31,7 +32,7 @@ type Table struct {
 	slot   int // index of the table's entry in every catalog that has it
 
 	// Live single-writer state (the version under construction).
-	tree      *btree.Tree
+	tree      btree.Tree
 	rowBytes  int64 // sum of row-image sizes (excludes out-of-page blobs)
 	blobBytes int64 // bytes pushed out of page
 }
@@ -63,11 +64,16 @@ func (t *Table) live() tableState {
 	}
 }
 
-// restore resets the writer's working state to the committed st — the
-// abort path.
-func (t *Table) restore(st tableState) {
-	t.tree = btree.Open(t.db.bp, st.root, st.height, st.count)
+// attach points the writer's tree and byte counters at t's published
+// catalog entry, the state a write session starts from.
+func (t *Table) attach() error {
+	st, ok := t.db.cat.Load().state(t)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoTable, t.name)
+	}
+	t.tree.Reset(t.db.bp, st.root, st.height, st.count)
 	t.rowBytes, t.blobBytes = st.rowBytes, st.blobBytes
+	return nil
 }
 
 // Insert adds a row as a single-statement write session.
@@ -91,7 +97,9 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 	if err != nil {
 		return fmt.Errorf("engine: clustered key: %w", err)
 	}
-	tx.touch()
+	if err := tx.write(t); err != nil {
+		return err
+	}
 	stored := vals
 	copied := false
 	var blobAdded int64
@@ -130,28 +138,26 @@ func (t *Table) InsertTx(tx *Tx, vals []Value) error {
 }
 
 // UpdateTx overwrites columns cols (schema indexes) of the row with the
-// given key. A MAX column receives a fresh payload (the old blob is
-// freed and the new one written); setting the key column relocates the
-// row. Returns btree.ErrNotFound if the key is absent.
+// given key, in the order cols lists them; a column listed twice is an
+// ErrTypeError (T-SQL's Msg 264). A MAX column receives a fresh payload
+// (the old blob is freed and the new one written); setting the key
+// column relocates the row. Returns btree.ErrNotFound if the key is
+// absent.
 func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 	if len(cols) != len(vals) {
 		return fmt.Errorf("%w: %d columns for %d values", ErrTypeError, len(cols), len(vals))
 	}
-	tx.touch()
-	raw, err := t.tree.Get(key)
-	if err != nil {
-		return err
-	}
-	cur, err := decodeAll(&t.schema, raw)
-	if err != nil {
-		return err
-	}
-	set := make(map[int]Value, len(cols))
 	for i, c := range cols {
 		if c < 0 || c >= len(t.schema.Columns) {
 			return fmt.Errorf("%w: index %d", ErrNoColumn, c)
 		}
-		set[c] = vals[i]
+		if slices.Contains(cols[:i], c) {
+			return fmt.Errorf("%w: column %q is set more than once", ErrTypeError, t.schema.Columns[c].Name)
+		}
+	}
+	raw, cur, err := tx.row(t, key)
+	if err != nil {
+		return err
 	}
 	// Stage blob rewrites: new payloads are written first; the old refs
 	// are freed only after the row image lands, so a failure part-way
@@ -159,7 +165,8 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 	var freeOld, freeNew []blob.Ref
 	var blobDelta int64
 	next := append([]Value(nil), cur...)
-	for c, v := range set {
+	for i, c := range cols {
+		v := vals[i]
 		if t.schema.Columns[c].Type != ColVarBinaryMax {
 			next[c] = v
 			continue
@@ -235,12 +242,7 @@ func (t *Table) UpdateTx(tx *Tx, key int64, cols []int, vals []Value) error {
 // DeleteTx removes a row, returning its out-of-page blobs to the free
 // list. Returns btree.ErrNotFound if the key is absent.
 func (t *Table) DeleteTx(tx *Tx, key int64) error {
-	tx.touch()
-	raw, err := t.tree.Get(key)
-	if err != nil {
-		return err
-	}
-	cur, err := decodeAll(&t.schema, raw)
+	raw, cur, err := tx.row(t, key)
 	if err != nil {
 		return err
 	}
@@ -276,7 +278,6 @@ func (t *Table) DeleteTx(tx *Tx, key int64) error {
 // pages. src supplies the replacement elements in column-major order
 // and must match the stored element type and the product of size.
 func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []int, src *core.Array) error {
-	tx.touch()
 	if col < 0 || col >= len(t.schema.Columns) {
 		return fmt.Errorf("%w: index %d", ErrNoColumn, col)
 	}
@@ -284,11 +285,7 @@ func (t *Table) UpdateBlobSubarrayTx(tx *Tx, key int64, col int, offset, size []
 		return fmt.Errorf("%w: column %q is %s, not VARBINARY(MAX)",
 			ErrTypeError, t.schema.Columns[col].Name, t.schema.Columns[col].Type)
 	}
-	raw, err := t.tree.Get(key)
-	if err != nil {
-		return err
-	}
-	row, err := decodeAll(&t.schema, raw)
+	_, row, err := tx.row(t, key)
 	if err != nil {
 		return err
 	}

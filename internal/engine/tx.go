@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -59,16 +60,15 @@ type walCatalog struct {
 // Tx is a write session. It owns the database write lock from Begin to
 // Commit; all mutating Table methods take one (the convenience wrappers
 // open a single-statement session internally).
-//
-// cat is the session's catalog: nil until the session first writes a
-// table, then a private copy of the published catalog that CREATE
-// TABLE appends to and Commit fills from the tables' live state and
-// publishes.
 type Tx struct {
-	db   *DB
-	cap  *pages.Capture
-	cat  *catalog
-	done bool
+	db  *DB
+	cap *pages.Capture
+	// wrote is the set of tables the session writes, those it created
+	// included: the only record of what it changed. first backs it, so
+	// a session that writes a few tables allocates no slice for them.
+	wrote []*Table
+	first [4]*Table
+	done  bool
 }
 
 // Begin opens a write session, serializing against all other writers
@@ -78,25 +78,26 @@ type Tx struct {
 // as if the session never ran.
 func (db *DB) Begin() (*Tx, error) {
 	db.writeMu.Lock()
-	c, err := db.bp.BeginCapture()
+	tx, err := db.beginTxLocked()
 	if err != nil {
 		db.writeMu.Unlock()
-		return nil, err
 	}
-	return &Tx{db: db, cap: c}, nil
+	return tx, err
 }
 
 // beginTxLocked opens a write session for a caller that already holds
-// db.writeMu — the bulk loader, which needs the writer lock across its
-// capture-free staging phase before opening the capture that covers its
-// catalog graft. Commit/Abort release writeMu as usual; if this errors,
-// the caller still owns the lock.
+// db.writeMu: Begin, and the bulk loader, which needs the writer lock
+// across its capture-free staging phase before opening the capture that
+// covers its catalog graft. Commit/Abort release writeMu as usual; if
+// this errors, the caller still owns the lock.
 func (db *DB) beginTxLocked() (*Tx, error) {
 	c, err := db.bp.BeginCapture()
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{db: db, cap: c}, nil
+	tx := &Tx{db: db, cap: c}
+	tx.wrote = tx.first[:0]
+	return tx, nil
 }
 
 // logFrame appends one dirty frame's after-image to the WAL and stamps
@@ -135,14 +136,32 @@ func (db *DB) logFrame(f *pages.Frame) error {
 	})
 }
 
-// touch returns the session's catalog, copying the published one on
-// the session's first write to a table, so Commit publishes the
-// session's table states.
-func (tx *Tx) touch() *catalog {
-	if tx.cat == nil {
-		tx.cat = &catalog{tables: slices.Clone(tx.db.cat.Load().tables)}
+// write adds t to the session's written set. The session's first write
+// to t attaches t's writer state to its published entry, dropping
+// whatever an earlier aborted session left there.
+func (tx *Tx) write(t *Table) error {
+	if slices.Contains(tx.wrote, t) {
+		return nil
 	}
-	return tx.cat
+	if err := t.attach(); err != nil {
+		return err
+	}
+	tx.wrote = append(tx.wrote, t)
+	return nil
+}
+
+// row adds t to the session's written set and reads the row with the
+// given key from t's writer tree: its image and its decoded values.
+func (tx *Tx) row(t *Table, key int64) ([]byte, []Value, error) {
+	if err := tx.write(t); err != nil {
+		return nil, nil, err
+	}
+	raw, err := t.tree.Get(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	vals, err := decodeAll(&t.schema, raw)
+	return raw, vals, err
 }
 
 // Commit logs the session's page after-images and catalog delta (when a
@@ -158,16 +177,13 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	defer tx.db.writeMu.Unlock()
 	frames := tx.db.bp.EndCapture(tx.cap)
-	if len(frames) == 0 && tx.cat == nil {
+	if len(frames) == 0 && len(tx.wrote) == 0 {
 		return nil // read-only session: nothing to log or publish
 	}
-	if tx.cat != nil {
-		for i := range tx.cat.tables {
-			tx.cat.tables[i] = tx.cat.tables[i].t.live()
-		}
-	}
+	prev := tx.db.cat.Load()
+	next := tx.nextCatalog(prev)
 	if tx.db.wal == nil {
-		tx.publish()
+		tx.publish(next)
 		return nil
 	}
 	l := tx.db.wal
@@ -187,7 +203,7 @@ func (tx *Tx) Commit() error {
 		// degrades to read-only rather than diverging from its log.
 		return firstErr
 	}
-	payload, err := json.Marshal(tx.catalogDelta())
+	payload, err := json.Marshal(tx.catalogDelta(prev, next))
 	if err != nil {
 		return fmt.Errorf("engine: encoding commit record: %w", err)
 	}
@@ -201,34 +217,47 @@ func (tx *Tx) Commit() error {
 	// images are logged and the in-memory state reflects the statement,
 	// so readers should see it — only durability is weakened, and the
 	// error still reaches the caller.
-	tx.publish()
+	tx.publish(next)
 	return firstErr
+}
+
+// nextCatalog builds the catalog Commit publishes: prev's entries, each
+// written table's replaced by its live state and each created table's
+// appended. It sorts the written set by slot, the delta's order too.
+func (tx *Tx) nextCatalog(prev *catalog) *catalog {
+	if len(tx.wrote) == 0 {
+		return prev
+	}
+	slices.SortFunc(tx.wrote, func(a, b *Table) int { return cmp.Compare(a.slot, b.slot) })
+	tables := make([]tableState, max(len(prev.tables), tx.wrote[len(tx.wrote)-1].slot+1))
+	copy(tables, prev.tables)
+	for _, t := range tx.wrote {
+		tables[t.slot] = t.live()
+	}
+	return &catalog{tables: tables}
 }
 
 // publish makes the session's work visible: stamp every captured frame
 // with the next commit tag, then, under the publish mutex, advance the
-// commit clock and swap in the session's catalog. A snapshot reads its
-// tag and catalog under the same mutex, so it sees the whole commit or
-// none of it.
-func (tx *Tx) publish() {
+// commit clock and swap in cat. A snapshot reads its tag and catalog
+// under the same mutex, so it sees the whole commit or none of it.
+func (tx *Tx) publish(cat *catalog) {
 	db := tx.db
 	tag := db.bp.PreparePublish(tx.cap)
 	db.pubMu.Lock()
 	db.bp.FinishPublish(tag)
-	if tx.cat != nil {
-		db.cat.Store(tx.cat)
-	}
+	db.cat.Store(cat)
 	db.pubMu.Unlock()
 	db.m.commits.Inc()
 }
 
 // Abort discards the session: captured page copies are invalidated (the
 // WAL-before-flush victim scan can never persist them), displaced
-// pre-images are restored, every table's live state is reset from the
-// published catalog, the session's catalog — with any table it created
-// — is dropped, and the write lock is released. Nothing is logged — a
-// plain abort appends no WAL records, so recovery cannot resurrect any
-// of it. Idempotent (after Commit it is a no-op).
+// pre-images are restored, and the write lock is released. It does no
+// catalog or table work: the published catalog never saw the session,
+// and a table's next first write drops what it left there. Nothing is
+// logged, so recovery cannot resurrect any of it. Idempotent (after
+// Commit it is a no-op).
 func (tx *Tx) Abort() {
 	if tx.done {
 		return
@@ -238,14 +267,6 @@ func (tx *Tx) Abort() {
 	defer tx.db.writeMu.Unlock()
 	tx.db.bp.EndCapture(tx.cap)
 	tx.db.bp.AbortCapture(tx.cap)
-	if tx.cat == nil {
-		return
-	}
-	for _, st := range tx.db.cat.Load().tables {
-		if st.t.live() != st {
-			st.t.restore(st)
-		}
-	}
 }
 
 // Close finishes the session: on a nil opErr it commits and returns the
@@ -261,20 +282,15 @@ func (tx *Tx) Close(opErr error) error {
 	return tx.Commit()
 }
 
-// catalogDelta builds the commit record's table list: the entries of
-// the session's catalog that differ from the published one, with the
-// schema of each table the session created.
-func (tx *Tx) catalogDelta() walCatalog {
+// catalogDelta builds the commit record's table list from the written
+// set, in slot order: each written table's entry in next that differs
+// from prev, with the schema of each table the session created.
+func (tx *Tx) catalogDelta(prev, next *catalog) walCatalog {
 	var cat walCatalog
-	if tx.cat == nil {
-		return cat
-	}
-	prev := tx.db.cat.Load().tables
-	for i, st := range tx.cat.tables {
-		if i < len(prev) && prev[i] == st {
-			continue
+	for _, t := range tx.wrote {
+		if st, ok := prev.state(t); !ok || st != next.tables[t.slot] {
+			cat.Tables = append(cat.Tables, next.tables[t.slot].walState(!ok))
 		}
-		cat.Tables = append(cat.Tables, st.walState(i >= len(prev)))
 	}
 	return cat
 }

@@ -12,15 +12,11 @@ import "time"
 type IOModel struct {
 	// SeqReadBytesPerSec is the sequential scan throughput.
 	SeqReadBytesPerSec float64
-	// RandReadLatency is charged per physical read when access is not
-	// sequential (out-of-page blob hops, index descents).
-	RandReadLatency time.Duration
 }
 
 // DefaultIOModel matches the paper's Dell PowerVault I/O subsystem.
 var DefaultIOModel = IOModel{
 	SeqReadBytesPerSec: 1150e6,
-	RandReadLatency:    200 * time.Microsecond,
 }
 
 // SeqReadTime models the time to sequentially scan n bytes.
@@ -29,9 +25,4 @@ func (m IOModel) SeqReadTime(n uint64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) / m.SeqReadBytesPerSec * float64(time.Second))
-}
-
-// RandReadTime models the time for r random page reads totalling n bytes.
-func (m IOModel) RandReadTime(r uint64, n uint64) time.Duration {
-	return time.Duration(r)*m.RandReadLatency + m.SeqReadTime(n)
 }

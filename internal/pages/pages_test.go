@@ -350,16 +350,12 @@ func TestPageRandomizedInsertReadProperty(t *testing.T) {
 }
 
 func TestIOModel(t *testing.T) {
-	m := IOModel{SeqReadBytesPerSec: 1000e6, RandReadLatency: 0}
+	m := IOModel{SeqReadBytesPerSec: 1000e6}
 	if got := m.SeqReadTime(1000e6); got.Seconds() < 0.99 || got.Seconds() > 1.01 {
 		t.Errorf("SeqReadTime(1GB) = %v, want ~1s", got)
 	}
 	if (IOModel{}).SeqReadTime(1<<30) != 0 {
 		t.Error("zero model must charge nothing")
-	}
-	m2 := IOModel{SeqReadBytesPerSec: 1e9, RandReadLatency: 1e6}
-	if got := m2.RandReadTime(10, 0); got.Milliseconds() != 10 {
-		t.Errorf("RandReadTime = %v", got)
 	}
 }
 

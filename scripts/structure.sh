@@ -116,6 +116,10 @@ names=(
 	'CursorAt('
 	'RunAggregateUDA'
 	'CallByName('
+	# A write session handles only the tables it writes: a table's first
+	# write in a session attaches its writer state to the published
+	# entry, so Abort rolls no table back.
+	'Table) restore('
 )
 # Names checked in the program only, not in bench/: bench/ is its own
 # module, and its wal.append_us_per_page probe builds a page-sized
@@ -158,6 +162,13 @@ done
 for n in "${program_names[@]}"; do
 	check "$n" "${prog[@]}"
 done
+# The same rule for the catalog: Commit builds the next catalog from the
+# session's written set, so no session copies every table's entry.
+if hits=$(grep -nE -- 'slices\.Clone\(.*\.tables\)' "${src[@]}"); then
+	echo "structure: a write session copies the whole catalog:" >&2
+	echo "$hits" >&2
+	fail=1
+fi
 # One header validator: the bytes of a serialized array's header are
 # checked in internal/core/header.go only (checkHeader, and Item's pass
 # over it). A check written in place elsewhere — the magic byte, the
