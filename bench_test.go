@@ -104,7 +104,7 @@ func runAggregate(db *engine.DB, tbl *engine.Table, col int, agg aggregate, uda 
 	agg.Init()
 	state := agg.Serialize(nil)
 	for {
-		n, err := cur.FillBatch(keys, cols)
+		n, err := cur.FillBatch(keys, cols, nil)
 		if err != nil {
 			return engine.Null, st, err
 		}

@@ -134,10 +134,11 @@ func NewStore(bp *pages.BufferPool) *Store {
 }
 
 // WithFetcher returns a read-only view of the store whose page fetches
-// resolve through fx (typically a pages.Snapshot). The view shares the
-// primary store's counters; writing through it is a programming error.
-func (s *Store) WithFetcher(fx pages.Fetcher) *Store {
-	return &Store{fx: fx, stats: s.stats}
+// resolve through fx (typically a pages.Snapshot), as a value its owner
+// embeds. The view shares the primary store's counters; writing through
+// it is a programming error.
+func (s *Store) WithFetcher(fx pages.Fetcher) Store {
+	return Store{fx: fx, stats: s.stats}
 }
 
 // ChunkReads returns blob.chunk_reads of this store and its WithFetcher

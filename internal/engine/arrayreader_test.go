@@ -96,7 +96,7 @@ func FuzzArrayReader(f *testing.F) {
 		snap := db.Snapshot()
 		defer snap.Release()
 		var byRef ArrayReader
-		byRef.bind(snap.blobs, Value{Kind: ColMaxRef, B: ref})
+		byRef.bind(&snap.blobs, Value{Kind: ColMaxRef, B: ref})
 		forms := []struct {
 			name string
 			r    *ArrayReader

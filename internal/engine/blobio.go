@@ -129,7 +129,7 @@ func NewArrayReader(v Value) *ArrayReader {
 // released.
 func (t *Table) ArrayAt(s *Snapshot, refBytes []byte) *ArrayReader {
 	r := new(ArrayReader)
-	r.bind(s.blobs, Value{Kind: ColMaxRef, B: refBytes})
+	r.bind(&s.blobs, Value{Kind: ColMaxRef, B: refBytes})
 	return r
 }
 
@@ -349,7 +349,7 @@ func (t *Table) BlobAt(s *Snapshot, refBytes []byte) (blob.Reader, error) {
 		return blob.Reader{}, err
 	}
 	var r blob.Reader
-	err = r.Open(s.blobs, ref)
+	err = r.Open(&s.blobs, ref)
 	return r, err
 }
 

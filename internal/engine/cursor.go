@@ -10,7 +10,7 @@ import "sqlarray/internal/btree"
 //	cur, err := tbl.CursorRangeAt(snap, lo, hi)
 //	defer cur.Close()
 //	for {
-//	    n, err := cur.FillBatch(keys, cols)
+//	    n, err := cur.FillBatch(keys, cols, nil)
 //	    if n == 0 || err != nil {
 //	        break
 //	    }
@@ -29,6 +29,7 @@ import "sqlarray/internal/btree"
 type Cursor struct {
 	it     *btree.Iterator
 	schema *Schema
+	tree   btree.Tree // the snapshot's tree it walks (not set when empty)
 }
 
 // Next advances to the next row, returning false at the end of the range
@@ -36,10 +37,12 @@ type Cursor struct {
 func (c *Cursor) Next() bool { return c.it.Next() }
 
 // maxBatchBlobBytes bounds the out-of-row bytes one batch may reference
-// through its VARBINARY(MAX) columns. The executor dereferences those
-// columns for the whole batch before an operator or a UDF sees them, so
-// this — not the row capacity — is what keeps a scan over large arrays
-// from holding a batch's worth of them in memory at once.
+// through the VARBINARY(MAX) columns its reader dereferences. The
+// executor materializes those columns for the whole batch before an
+// operator or a UDF sees them, so this — not the row capacity — is what
+// keeps a scan over large arrays from holding a batch's worth of them in
+// memory at once. A column that only passes its refs on (an array
+// function's first argument) holds 12 bytes a row and is not counted.
 const maxBatchBlobBytes = 1 << 20
 
 // FillBatch decodes the next rows of the scan straight into column
@@ -53,11 +56,13 @@ const maxBatchBlobBytes = 1 << 20
 // It drives the B+tree leaf iterator directly, so a fill walks leaf runs
 // without crossing the Cursor interface per row. A fill ends after
 // len(keys) rows, or earlier — after at least one — once the blobs its
-// rows reference add up to maxBatchBlobBytes. It returns the number of
-// rows filled; zero means the range is exhausted (or a row failed to
-// decode — check the error). FillBatch and Next may be interleaved
-// freely; both advance the same scan position.
-func (c *Cursor) FillBatch(keys []int64, cols []*Vector) (int, error) {
+// rows reference add up to maxBatchBlobBytes; when deref is non-nil only
+// the MAX columns it marks (those the caller will dereference) count.
+// It returns the number of rows filled; zero means the range is
+// exhausted (or a row failed to decode — check the error). FillBatch
+// and Next may be interleaved freely; both advance the same scan
+// position.
+func (c *Cursor) FillBatch(keys []int64, cols []*Vector, deref []bool) (int, error) {
 	last := -1
 	for ci, v := range cols {
 		if v != nil {
@@ -69,7 +74,7 @@ func (c *Cursor) FillBatch(keys []int64, cols []*Vector) (int, error) {
 	n, blobBytes := 0, uint64(0)
 	for n < len(keys) && blobBytes < maxBatchBlobBytes && c.it.Next() {
 		keys[n] = c.it.Key()
-		referenced, err := decodeRowInto(c.schema, c.it.Value(), cols, n)
+		referenced, err := decodeRowInto(c.schema, c.it.Value(), cols, deref, n)
 		if err != nil {
 			return n, err
 		}

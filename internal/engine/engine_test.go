@@ -103,7 +103,7 @@ func scanRowsAt(tbl *Table, s *Snapshot, fn func(key int64, row []Value) (bool, 
 	}
 	row := make([]Value, len(cols))
 	for {
-		n, err := cur.FillBatch(keys, cols)
+		n, err := cur.FillBatch(keys, cols, nil)
 		if err != nil || n == 0 {
 			return err
 		}

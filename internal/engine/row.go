@@ -152,8 +152,9 @@ func decodeAll(s *Schema, raw []byte) ([]Value, error) {
 // decodeRowInto decodes one row image in a single forward pass, storing
 // column ci as row i of cols[ci] for every non-nil entry and stopping
 // after the last entry. Binary values are copied into the vector. It
-// returns the out-of-row bytes the stored VARBINARY(MAX) refs address.
-func decodeRowInto(s *Schema, raw []byte, cols []*Vector, i int) (uint64, error) {
+// returns the out-of-row bytes the stored VARBINARY(MAX) refs address,
+// counting only the columns deref marks when it is non-nil.
+func decodeRowInto(s *Schema, raw []byte, cols []*Vector, deref []bool, i int) (uint64, error) {
 	off, referenced := 0, uint64(0)
 	for ci, v := range cols {
 		if off >= len(raw) {
@@ -188,7 +189,9 @@ func decodeRowInto(s *Schema, raw []byte, cols []*Vector, i int) (uint64, error)
 			case ColFloat64:
 				v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
 			case ColVarBinaryMax:
-				referenced += binary.LittleEndian.Uint64(raw[off+4:]) // blob.Ref's length
+				if deref == nil || deref[ci] {
+					referenced += binary.LittleEndian.Uint64(raw[off+4:]) // blob.Ref's length
+				}
 				fallthrough
 			default:
 				v.B[i] = v.hold(raw[off : off+size])

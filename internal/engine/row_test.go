@@ -123,7 +123,7 @@ func FuzzDecodeRow(f *testing.F) {
 			cols[ci] = new(Vector)
 			cols[ci].Reset(c.Type, 1)
 		}
-		_, errInto := decodeRowInto(s, raw, cols, 0)
+		_, errInto := decodeRowInto(s, raw, cols, nil, 0)
 		if (errAll == nil) != (errInto == nil) {
 			t.Fatalf("decodeAll: %v, decodeRowInto: %v", errAll, errInto)
 		}

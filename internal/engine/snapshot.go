@@ -31,9 +31,9 @@ import (
 // superseded page version a live snapshot reads. Release is idempotent.
 type Snapshot struct {
 	db       *DB
-	ps       *pages.Snapshot
+	ps       pages.Snapshot
 	cat      *catalog
-	blobs    *blob.Store
+	blobs    blob.Store // a view reading through ps
 	released atomic.Bool
 }
 
@@ -42,12 +42,14 @@ type Snapshot struct {
 // page tag and the catalog are read under the publish mutex, so they
 // come from the same commit.
 func (db *DB) Snapshot() *Snapshot {
+	s := &Snapshot{db: db}
 	db.pubMu.Lock()
-	ps := db.bp.AcquireSnapshot()
-	cat := db.cat.Load()
+	s.ps = db.bp.AcquireSnapshot()
+	s.cat = db.cat.Load()
 	db.pubMu.Unlock()
+	s.blobs = db.blobs.WithFetcher(&s.ps)
 	db.m.snapshots.Inc()
-	return &Snapshot{db: db, ps: ps, cat: cat, blobs: db.blobs.WithFetcher(ps)}
+	return s
 }
 
 // Release deregisters the snapshot, letting the version store retire
@@ -107,7 +109,7 @@ func (t *Table) treeAt(s *Snapshot) (*btree.Tree, bool) {
 	if !ok {
 		return nil, false
 	}
-	return btree.OpenFetch(s.ps, st.root, st.height, st.count), true
+	return btree.OpenFetch(&s.ps, st.root, st.height, st.count), true
 }
 
 // CursorRangeAt opens a streaming scan over keys in [lo, hi],
@@ -115,15 +117,18 @@ func (t *Table) treeAt(s *Snapshot) (*btree.Tree, bool) {
 // soon as it passes hi, so a key-range query touches only the
 // root-to-leaf descent plus the pages the range spans.
 func (t *Table) CursorRangeAt(s *Snapshot, lo, hi int64) (*Cursor, error) {
-	tree, ok := t.treeAt(s)
+	st, ok := s.cat.state(t)
 	if !ok {
 		return &Cursor{it: btree.EmptyIterator(), schema: &t.schema}, nil
 	}
-	it, err := tree.ScanRange(lo, hi)
+	// The cursor carries the tree its iterator walks: one allocation.
+	c := &Cursor{schema: &t.schema, tree: *btree.OpenFetch(&s.ps, st.root, st.height, st.count)}
+	it, err := c.tree.ScanRange(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{it: it, schema: &t.schema}, nil
+	c.it = it
+	return c, nil
 }
 
 // GetAt fetches the row with the given clustered key as of s.
@@ -163,7 +168,7 @@ func (t *Table) StatsAt(s *Snapshot) (TableStats, error) {
 	if !ok {
 		return TableStats{}, nil
 	}
-	leaves, err := btree.OpenFetch(s.ps, st.root, st.height, st.count).LeafPageCount()
+	leaves, err := btree.OpenFetch(&s.ps, st.root, st.height, st.count).LeafPageCount()
 	if err != nil {
 		return TableStats{}, err
 	}

@@ -148,13 +148,32 @@ func (r *FuncRegistry) add(def *FuncDef) {
 
 // Lookup resolves a function by case-insensitive name.
 func (r *FuncRegistry) Lookup(name string) (*FuncDef, error) {
+	var buf [64]byte
+	key := appendLower(buf[:0], name) // on the stack: resolving costs no allocation
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	def, ok := r.funcs[strings.ToLower(name)]
+	def, ok := r.funcs[string(key)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoFunc, name)
 	}
 	return def, nil
+}
+
+// appendLower appends name lower-cased as Register keys it: ASCII byte
+// by byte, anything else through strings.ToLower.
+func appendLower(dst []byte, name string) []byte {
+	start := len(dst)
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= 0x80 {
+			return append(dst[:start], strings.ToLower(name)...)
+		}
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Names returns the registered function names (for diagnostics).
@@ -272,7 +291,7 @@ func (r *FuncRegistry) CallBatch(s *Snapshot, def *FuncDef, args []*Vector, n in
 	}
 	b := boundaryPool.Get().(*boundary)
 	if s != nil {
-		b.blobs = s.blobs
+		b.blobs = &s.blobs
 	}
 	out.Reset(0, n)
 	var (

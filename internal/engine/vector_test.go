@@ -396,7 +396,7 @@ func TestFillBatchMatchesGetAt(t *testing.T) {
 			}
 			total := 0
 			for {
-				n, err := cur.FillBatch(keys, cols)
+				n, err := cur.FillBatch(keys, cols, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -475,7 +475,7 @@ func TestFillBatchBoundsReferencedBlobBytes(t *testing.T) {
 	cols := []*Vector{nil, new(Vector)}
 	var fills []int
 	for next := int64(0); ; {
-		n, err := cur.FillBatch(keys, cols)
+		n, err := cur.FillBatch(keys, cols, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,16 @@ func TestFillBatchBoundsReferencedBlobBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur2.Close()
-	if n, err := cur2.FillBatch(make([]int64, rows), []*Vector{new(Vector), nil}); n != rows || err != nil {
+	if n, err := cur2.FillBatch(make([]int64, rows), []*Vector{new(Vector), nil}, nil); n != rows || err != nil {
 		t.Errorf("key-only fill = %d, %v; want %d", n, err, rows)
+	}
+	// So is one that decodes it but marks it as not dereferenced.
+	cur3, err := tbl.CursorRangeAt(snap, math.MinInt64, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur3.Close()
+	if n, err := cur3.FillBatch(make([]int64, rows), []*Vector{nil, new(Vector)}, []bool{false, false}); n != rows || err != nil {
+		t.Errorf("ref-only fill = %d, %v; want %d", n, err, rows)
 	}
 }

@@ -155,7 +155,7 @@ func (bs *BucketStore) LoadSnapshot(step int) (*Snapshot, error) {
 	var ids, pos, vel engine.Vector
 	cols := []*engine.Vector{nil, &ids, &pos, &vel}
 	for {
-		n, err := cur.FillBatch(keys[:], cols)
+		n, err := cur.FillBatch(keys[:], cols, nil)
 		if err != nil {
 			return nil, err
 		}

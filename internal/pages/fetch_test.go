@@ -77,7 +77,7 @@ func TestLoaderFailureFreesFrame(t *testing.T) {
 				cached := bp.CachedPages()
 
 				//lint:allow pinleak the fetch must fail in the loader and pin nothing
-				if _, err := e.fetch(bp, sn, bad); !errors.Is(err, fault.want) {
+				if _, err := e.fetch(bp, &sn, bad); !errors.Is(err, fault.want) {
 					t.Fatalf("fetch of bad page: %v, want %v", err, fault.want)
 				}
 				bp.mu.Lock()
@@ -96,7 +96,7 @@ func TestLoaderFailureFreesFrame(t *testing.T) {
 					t.Errorf("VersionPages after failed fetch = %d", got)
 				}
 
-				f, err := e.fetch(bp, sn, good)
+				f, err := e.fetch(bp, &sn, good)
 				if err != nil {
 					t.Fatalf("fetch of good page after the failure: %v", err)
 				}
@@ -135,7 +135,7 @@ func TestLoaderFailureFreesFrame(t *testing.T) {
 					bp.AbortCapture(c)
 				}()
 			}
-			fetch := func(id PageID) (*Frame, error) { return e.fetch(bp, sn, id) }
+			fetch := func(id PageID) (*Frame, error) { return e.fetch(bp, &sn, id) }
 			loader := goFetch(fetch, d.page)
 			d.awaitRead(t)
 			waiter := goFetch(fetch, d.page)
@@ -265,9 +265,9 @@ func TestFetchVisibility(t *testing.T) {
 				case "current":
 					fx, w = bp, st.current
 				case "before":
-					fx, w = before, st.before
+					fx, w = &before, st.before
 				case "after":
-					fx, w = after, st.after
+					fx, w = &after, st.after
 				}
 				ctr := &bp.stats
 				l0, p0, r0, m0, a0 := ctr.logicalReads.Load(), ctr.physicalReads.Load(), ctr.snapshotReads.Load(), ctr.promotions.Load(), ctr.admissions.Load()

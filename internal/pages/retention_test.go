@@ -23,7 +23,7 @@ func TestVersionsFollowLiveTags(t *testing.T) {
 	for _, c := range []struct {
 		sn   *Snapshot
 		want byte
-	}{{s1, 1}, {s1b, 1}, {s2, 2}} {
+	}{{&s1, 1}, {&s1b, 1}, {&s2, 2}} {
 		f, err := c.sn.Fetch(ids[0])
 		if err != nil {
 			t.Fatal(err)

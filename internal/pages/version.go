@@ -86,13 +86,15 @@ type Snapshot struct {
 }
 
 // AcquireSnapshot registers a read view at the current commit clock.
-// The caller must Release it exactly once.
-func (bp *BufferPool) AcquireSnapshot() *Snapshot {
+// It returns the view by value, for its owner to hold without an
+// allocation of its own; the owner must not copy it after, and must
+// Release it exactly once.
+func (bp *BufferPool) AcquireSnapshot() Snapshot {
 	bp.mu.Lock()
 	tag := bp.snapClock.Load()
 	bp.snapActive = append(bp.snapActive, tag) // the clock only grows: still sorted
 	bp.mu.Unlock()
-	return &Snapshot{bp: bp, tag: tag}
+	return Snapshot{bp: bp, tag: tag}
 }
 
 // Tag returns the snapshot's commit tag.

@@ -85,9 +85,15 @@ type Expr interface {
 	exprString(sb *strings.Builder)
 }
 
-// String renders an expression back to SQL-ish text (diagnostics).
+// exprText renders an expression back to SQL text: result column names,
+// plan details and diagnostics. A column reference is its name; anything
+// else is rendered into one buffer sized for a typical call.
 func exprText(e Expr) string {
+	if c, ok := e.(*columnRef); ok {
+		return c.Name
+	}
 	var sb strings.Builder
+	sb.Grow(64)
 	e.exprString(&sb)
 	return sb.String()
 }
@@ -147,9 +153,11 @@ type aggCall struct {
 }
 
 // funcCall is a (possibly schema-qualified) scalar UDF call, resolved
-// against the engine's function registry at plan time.
+// against the engine's function registry at plan time. Function names
+// are case-insensitive: the registry resolves Name in any case, and it
+// renders lower-cased.
 type funcCall struct {
-	Name string // lower-cased, "schema.func" or "func"
+	Name string // as written, "schema.func" or "func"
 	Args []Expr
 }
 
@@ -197,7 +205,13 @@ func (a *aggCall) exprString(sb *strings.Builder) {
 }
 
 func (f *funcCall) exprString(sb *strings.Builder) {
-	sb.WriteString(f.Name)
+	for i := 0; i < len(f.Name); i++ {
+		c := f.Name[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		sb.WriteByte(c)
+	}
 	sb.WriteByte('(')
 	for i, a := range f.Args {
 		if i > 0 {
@@ -209,12 +223,15 @@ func (f *funcCall) exprString(sb *strings.Builder) {
 }
 
 func (b *binaryExpr) exprString(sb *strings.Builder) {
+	// NOT binds looser than a comparison or arithmetic operator: as
+	// their operand it keeps its own parentheses.
+	logic := b.Op == "AND" || b.Op == "OR"
 	sb.WriteByte('(')
-	b.L.exprString(sb)
+	operandString(sb, b.L, !logic && isNot(b.L))
 	sb.WriteByte(' ')
 	sb.WriteString(b.Op)
 	sb.WriteByte(' ')
-	b.R.exprString(sb)
+	operandString(sb, b.R, !logic && isNot(b.R))
 	sb.WriteByte(')')
 }
 
@@ -222,8 +239,29 @@ func (u *unaryExpr) exprString(sb *strings.Builder) {
 	sb.WriteString(u.Op)
 	if u.Op == "NOT" {
 		sb.WriteByte(' ')
+		u.X.exprString(sb)
+		return
 	}
-	u.X.exprString(sb)
+	// Under a minus, a second minus would open a "--" comment and a NOT
+	// would not parse: both keep parentheses.
+	_, nested := u.X.(*unaryExpr)
+	operandString(sb, u.X, nested)
+}
+
+func isNot(e Expr) bool {
+	u, ok := e.(*unaryExpr)
+	return ok && u.Op == "NOT"
+}
+
+// operandString renders e, in parentheses when paren is set.
+func operandString(sb *strings.Builder, e Expr, paren bool) {
+	if paren {
+		sb.WriteByte('(')
+	}
+	e.exprString(sb)
+	if paren {
+		sb.WriteByte(')')
+	}
 }
 
 // hasAggregate reports whether the expression tree contains an aggCall.

@@ -50,15 +50,38 @@ type rowBatch struct {
 	// variant) has collapsed the stream into its single output row.
 	aggVals []engine.Value
 
-	// out is the projected output, one safe-to-retain row per live row,
-	// carved from a fresh slab each batch by batchProjectOp.
-	out [][]engine.Value
+	// out is the projected output, row i at out[i*width:(i+1)*width]:
+	// a fresh slab each batch from batchProjectOp, so each row is safe
+	// to retain.
+	out   []engine.Value
+	width int
 }
 
-// newBatch allocates a batch for a table with ncols schema columns.
-// Column vectors are allocated lazily by the scan (only needed columns).
-func newBatch(ncols int) *rowBatch {
-	return &rowBatch{cols: make([]*engine.Vector, ncols)}
+// makeCols gives b a vector for every schema column need marks, before a
+// scan fills them. The vectors a batch lacks are allocated together, so a
+// statement's first fill costs two allocations however many columns it
+// reads, and later fills reuse them.
+func (b *rowBatch) makeCols(need []bool) {
+	if b.cols == nil {
+		b.cols = make([]*engine.Vector, len(need))
+	}
+	missing := 0
+	for ci, use := range need {
+		if use && b.cols[ci] == nil {
+			missing++
+		}
+	}
+	vecs := make([]engine.Vector, missing)
+	for ci, use := range need {
+		if use && b.cols[ci] == nil {
+			b.cols[ci], vecs = &vecs[0], vecs[1:]
+		}
+	}
+}
+
+// row returns projected output row i.
+func (b *rowBatch) row(i int) []engine.Value {
+	return b.out[i*b.width : (i+1)*b.width : (i+1)*b.width]
 }
 
 // reset empties the batch and sets the fill capacity for the next round.
@@ -132,13 +155,15 @@ func pollCancel(ctx context.Context) error {
 
 // batchScanOp fills batches straight from the clustered index cursor,
 // decoding only the columns the plan references (need); binary values are
-// copied off the pinned page into their column vector.
+// copied off the pinned page into their column vector. deref marks the
+// MAX columns the plan materializes, whose blobs bound a fill's bytes.
 type batchScanOp struct {
 	tbl    *engine.Table
 	snap   *engine.Snapshot
 	qctx   context.Context
 	lo, hi int64
 	need   []bool
+	deref  []bool
 	cur    *engine.Cursor
 }
 
@@ -158,12 +183,8 @@ func (s *batchScanOp) nextBatch(b *rowBatch) (int, error) {
 	if err := pollCancel(s.qctx); err != nil {
 		return 0, err
 	}
-	for ci, use := range s.need {
-		if use && b.cols[ci] == nil {
-			b.cols[ci] = new(engine.Vector)
-		}
-	}
-	n, err := s.cur.FillBatch(b.keys[:b.cap], b.cols)
+	b.makeCols(s.need)
+	n, err := s.cur.FillBatch(b.keys[:b.cap], b.cols, s.deref)
 	b.n = n
 	return n, err
 }
@@ -471,10 +492,6 @@ func (p *batchProjectOp) nextBatch(b *rowBatch) (int, error) {
 	}
 	ncols := len(p.items)
 	slab := make([]engine.Value, n*ncols)
-	if cap(b.out) < n {
-		b.out = make([][]engine.Value, n)
-	}
-	b.out = b.out[:n]
 	for ci, it := range p.items {
 		vals, err := it.evalBatch(b, n)
 		if err != nil {
@@ -488,9 +505,7 @@ func (p *batchProjectOp) nextBatch(b *rowBatch) (int, error) {
 			slab[i*ncols+ci] = v
 		}
 	}
-	for i := 0; i < n; i++ {
-		b.out[i] = slab[i*ncols : (i+1)*ncols : (i+1)*ncols]
-	}
+	b.out, b.width = slab, ncols
 	return n, nil
 }
 

@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"sqlarray/internal/btree"
@@ -136,7 +137,7 @@ func execInsert(db *engine.DB, stmt *insertStatement) (*ExecResult, error) {
 			colIdx = append(colIdx, i)
 		}
 	}
-	cc := &compileCtx{db: db, tbl: tbl, schema: schema, used: make([]bool, len(schema.Columns))}
+	cc := newCompileCtx(db, tbl, nil)
 	// Values are column-free, so they fold over one row of no columns.
 	row := &rowBatch{n: 1}
 	rows := make([][]engine.Value, 0, len(stmt.Rows))
@@ -233,12 +234,13 @@ func compileAssignTarget(cc *compileCtx, a assignment) (*compiledAssign, error) 
 		if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
 			name = name[dot+1:]
 		}
+		subarray := strings.EqualFold(name, "subarray")
 		switch {
-		case name == "subarray":
+		case subarray:
 			if len(tgt.Args) != 3 && len(tgt.Args) != 4 {
 				return nil, fmt.Errorf("sql: subarray SET target wants (col, offsets, sizes[, collapse])")
 			}
-		case strings.HasPrefix(name, "item_"):
+		case len(name) > 5 && strings.EqualFold(name[:5], "item_"):
 			if len(tgt.Args) < 2 {
 				return nil, fmt.Errorf("sql: item SET target wants (col, index...)")
 			}
@@ -263,7 +265,7 @@ func compileAssignTarget(cc *compileCtx, a assignment) (*compiledAssign, error) 
 		cc.used[idx] = true
 		ca := &compiledAssign{kind: assignItem, col: idx}
 		subscripts := tgt.Args[1:]
-		if name == "subarray" {
+		if subarray {
 			ca.kind = assignSubarray
 			subscripts = tgt.Args[1:3] // offsets, sizes; a collapse flag is ignored
 		}
@@ -361,13 +363,12 @@ func execUpdate(db *engine.DB, stmt *updateStatement, opts ExecOptions) (*ExecRe
 	if err != nil {
 		return nil, err
 	}
-	schema := tbl.Schema()
 	// The read phase runs on a snapshot: SET expressions and the residual
 	// predicate evaluate against pre-statement state (Halloween-safe),
 	// and blob derefs inside them resolve the same commit's chunk pages.
 	snap := db.Snapshot()
 	defer snap.Release()
-	cc := &compileCtx{db: db, tbl: tbl, schema: schema, snap: snap, used: make([]bool, len(schema.Columns))}
+	cc := newCompileCtx(db, tbl, snap)
 	assigns := make([]*compiledAssign, 0, len(stmt.Sets))
 	for _, a := range stmt.Sets {
 		if hasAggregate(a.Value) {
@@ -381,6 +382,9 @@ func execUpdate(db *engine.DB, stmt *updateStatement, opts ExecOptions) (*ExecRe
 			return nil, err
 		}
 		assigns = append(assigns, ca)
+	}
+	if err := checkSetTargets(tbl, assigns); err != nil {
+		return nil, err
 	}
 	updates, err := collectUpdates(tbl, stmt.Where, cc, assigns, opts)
 	if err != nil {
@@ -424,6 +428,23 @@ rows:
 		return nil, err
 	}
 	return &ExecResult{RowsAffected: n}, nil
+}
+
+// checkSetTargets holds a SET list to T-SQL's rule that it names a
+// column once (Msg 264), with subscripts as the exception: a column takes
+// one plain assignment or any number of subscript assignments, which
+// apply in SET order. It runs before any row is read, so a rejected
+// statement changes nothing.
+func checkSetTargets(tbl *engine.Table, assigns []*compiledAssign) error {
+	for i, a := range assigns {
+		for _, prev := range assigns[:i] {
+			if a.col == prev.col && (a.kind == assignColumn || prev.kind == assignColumn) {
+				return fmt.Errorf("%w: column %q is set more than once",
+					engine.ErrTypeError, tbl.Schema().Columns[a.col].Name)
+			}
+		}
+	}
+	return nil
 }
 
 // collectUpdates is the read phase: for every batch of matching rows,
@@ -502,10 +523,12 @@ func (ca *compiledAssign) collect(tbl *engine.Table, cc *compileCtx, b *rowBatch
 
 // subAssign lowers one row's subscript assignment into u: cur is the
 // target column's stored value, rhs the evaluated right-hand side. A MAX
-// column gets a subUpdate (in-place chunk writes); a short inline column
-// gets a patched whole-column value (plain assignment), since its bytes
-// live in the row image anyway. snap is the read phase's snapshot (header
-// reads resolve the same commit the scan sees).
+// column gets a subUpdate (in-place chunk writes, applied in SET order);
+// a short inline column gets a patched whole-column value (plain
+// assignment), since its bytes live in the row image anyway — patched
+// again, in SET order, by any later subscript assignment to the column.
+// snap is the read phase's snapshot (header reads resolve the same
+// commit the scan sees).
 func (u *rowUpdate) subAssign(tbl *engine.Table, snap *engine.Snapshot, col int, offset, size []int, cur, rhs engine.Value) error {
 	if len(offset) != len(size) {
 		return fmt.Errorf("sql: subscript offset rank %d != size rank %d", len(offset), len(size))
@@ -526,8 +549,15 @@ func (u *rowUpdate) subAssign(tbl *engine.Table, snap *engine.Snapshot, col int,
 		u.subs = append(u.subs, subUpdate{col: col, offset: offset, size: size, src: src})
 		return nil
 	}
-	// Short inline array: patch a copy of the row bytes.
-	arr, err := core.Wrap(append([]byte(nil), cur.B...))
+	// Short inline array: patch a copy of the row bytes, or the copy an
+	// earlier subscript assignment to the column patched (checkSetTargets
+	// leaves no other way for u to hold the column already).
+	j := slices.Index(u.cols, col)
+	stored := cur.B
+	if j >= 0 {
+		stored = u.vals[j].B
+	}
+	arr, err := core.Wrap(append([]byte(nil), stored...))
 	if err != nil {
 		return err
 	}
@@ -543,6 +573,10 @@ func (u *rowUpdate) subAssign(tbl *engine.Table, snap *engine.Snapshot, col int,
 	for _, r := range runs {
 		copy(dst[r.SrcOff:r.SrcOff+r.Len], sp[r.DstOff:])
 	}
+	if j >= 0 {
+		u.vals[j] = engine.BinaryValue(arr.Bytes())
+		return nil
+	}
 	u.cols = append(u.cols, col)
 	u.vals = append(u.vals, engine.BinaryValue(arr.Bytes()))
 	return nil
@@ -555,12 +589,11 @@ func execDelete(db *engine.DB, stmt *deleteStatement, opts ExecOptions) (*ExecRe
 	if err != nil {
 		return nil, err
 	}
-	schema := tbl.Schema()
 	// Read phase on a snapshot, like UPDATE: the WHERE evaluates against
 	// pre-statement state only.
 	snap := db.Snapshot()
 	defer snap.Release()
-	cc := &compileCtx{db: db, tbl: tbl, schema: schema, snap: snap, used: make([]bool, len(schema.Columns))}
+	cc := newCompileCtx(db, tbl, snap)
 	var keys []int64
 	if err := matchingBatches(tbl, stmt.Where, cc, opts, func(b *rowBatch, n int) error {
 		keys = append(keys, b.keys[:n]...)
@@ -606,7 +639,7 @@ func matchingBatches(tbl *engine.Table, where Expr, cc *compileCtx, opts ExecOpt
 	if bounds.empty {
 		return nil
 	}
-	cs := &compiledStmt{used: cc.used}
+	cs := &compiledStmt{used: cc.used, deref: cc.deref}
 	if residual != nil {
 		var err error
 		if cs.where, err = cc.compile(residual, false); err != nil {

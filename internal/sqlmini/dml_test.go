@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"sqlarray/internal/arraysugar"
@@ -260,5 +261,96 @@ func TestDMLParseErrors(t *testing.T) {
 		if _, err := Execute(db, q); err == nil {
 			t.Errorf("Execute(%q) succeeded, want error", q)
 		}
+	}
+}
+
+// TestUpdateSubscriptsComposeInSetOrder: several subscript assignments
+// to one column apply in SET order, each to the value the one before it
+// produced — on a short inline column as on a MAX one — while a column
+// assigned twice in plain form, or both plainly and by subscript, is an
+// error that changes nothing.
+func TestUpdateSubscriptsComposeInSetOrder(t *testing.T) {
+	db := dmlDB(t)
+	tbl, err := db.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]float64, 3000) // three chunk pages
+	for i := range big {
+		big[i] = float64(i)
+	}
+	bigArr, err := core.FromFloat64s(core.Max, core.Float64, big, len(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert([]engine.Value{
+		engine.IntValue(1), engine.FloatValue(0), engine.BinaryValue(core.Vector(0, 1, 2, 3, 4).Bytes()),
+		engine.BinaryMaxValue(bigArr.Bytes()),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cols := arraysugar.Columns{"v": "FloatArray", "m": "FloatArrayMax"}
+	exec := func(q string) error {
+		t.Helper()
+		translated, err := arraysugar.Translate(q, cols)
+		if err != nil {
+			t.Fatalf("translate %q: %v", q, err)
+		}
+		_, err = Execute(db, translated)
+		return err
+	}
+	items := func(fn, col string, idx ...int) []float64 {
+		t.Helper()
+		var out []float64
+		for _, i := range idx {
+			out = append(out, scalarFloat(t, db, fmt.Sprintf("SELECT %s.Item_1(%s, %d) FROM t WHERE id = 1", fn, col, i)))
+		}
+		return out
+	}
+	short := func() []float64 { return items("FloatArray", "v", 0, 1, 2, 3, 4) }
+	max := func() []float64 { return items("FloatArrayMax", "m", 0, 1, 2, 1500, 2999) }
+
+	for _, c := range []struct {
+		sql        string
+		short, max []float64
+	}{
+		{`UPDATE t SET v[0] = 99, v[1] = 98 WHERE id = 1`, []float64{99, 98, 2, 3, 4}, []float64{0, 1, 2, 1500, 2999}},
+		// Overlapping targets: the later one wins where they meet.
+		{`UPDATE t SET v[1:3] = FloatArray.Vector_2(7, 8), v[2] = 5, x = 1 WHERE id = 1`,
+			[]float64{99, 7, 5, 3, 4}, []float64{0, 1, 2, 1500, 2999}},
+		{`UPDATE t SET m[0] = 1, m[0] = 2, m[2999] = -1, v[4] = 40 WHERE id = 1`,
+			[]float64{99, 7, 5, 3, 40}, []float64{2, 1, 2, 1500, -1}},
+		{`UPDATE t SET m[1:3] = FloatArray.Vector_2(-2, -3), m[2] = -4 WHERE id = 1`,
+			[]float64{99, 7, 5, 3, 40}, []float64{2, -2, -4, 1500, -1}},
+	} {
+		if err := exec(c.sql); err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := short(); fmt.Sprint(got) != fmt.Sprint(c.short) {
+			t.Errorf("%s: v = %v, want %v", c.sql, got, c.short)
+		}
+		if got := max(); fmt.Sprint(got) != fmt.Sprint(c.max) {
+			t.Errorf("%s: m = %v, want %v", c.sql, got, c.max)
+		}
+	}
+	wantShort, wantMax := short(), max()
+	for _, q := range []string{
+		`UPDATE t SET x = 2, x = 3 WHERE id = 1`,
+		`UPDATE t SET v = FloatArray.Vector_3(1, 2, 3), v[0] = 5 WHERE id = 1`,
+		`UPDATE t SET v[0] = 5, v = FloatArray.Vector_3(1, 2, 3) WHERE id = 1`,
+		`UPDATE t SET m[0] = 5, m = NULL WHERE id = 1`,
+	} {
+		if err := exec(q); !errors.Is(err, engine.ErrTypeError) {
+			t.Errorf("%s: error %v, want ErrTypeError", q, err)
+		}
+	}
+	if got := scalarFloat(t, db, `SELECT x FROM t WHERE id = 1`); got != 1 {
+		t.Errorf("rejected statements changed x to %v", got)
+	}
+	if got := short(); fmt.Sprint(got) != fmt.Sprint(wantShort) {
+		t.Errorf("rejected statements changed v to %v", got)
+	}
+	if got := max(); fmt.Sprint(got) != fmt.Sprint(wantMax) {
+		t.Errorf("rejected statements changed m to %v", got)
 	}
 }

@@ -102,7 +102,7 @@ func streamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error
 		}
 		return nil, err
 	}
-	pl, err := buildPipeline(db, tbl, stmt, snap, opts)
+	pl, err := buildPipeline(db, tbl, stmt, snap, opts, newPlanState(db, opts, false))
 	if err != nil {
 		return fail(err)
 	}
@@ -110,7 +110,6 @@ func streamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error
 		columns:   pl.columns,
 		root:      pl.root,
 		qctx:      opts.Ctx,
-		batch:     newBatch(len(tbl.Schema().Columns)),
 		batchSize: pl.batchRows,
 		plan:      pl.plan,
 	}
@@ -164,7 +163,7 @@ type Rows struct {
 
 	// The pipeline's one rowBatch: Rows passes it down the tree on every
 	// refill and yields the projected rows in batch.out one at a time.
-	batch     *rowBatch
+	batch     rowBatch
 	batchSize int
 	i, n      int  // next row to yield / rows in the current batch
 	done      bool // the pipeline reported end of stream
@@ -174,9 +173,9 @@ type Rows struct {
 	closed   bool
 	closeErr error
 
-	// Observability: the query's plan tree, the shared latency
-	// histogram, and — for instrumented queries only — the trace to
-	// finalize on Close plus the registry state to diff against.
+	// Observability: the shared latency histogram and, for instrumented
+	// queries only, the plan tree, the trace to finalize on Close and the
+	// registry state to diff against.
 	plan    *obs.PlanNode
 	lat     *obs.Histogram
 	started time.Time
@@ -203,7 +202,7 @@ func (r *Rows) Next() bool {
 			return false
 		}
 		r.batch.reset(r.batchSize)
-		n, err := r.root.nextBatch(r.batch)
+		n, err := r.root.nextBatch(&r.batch)
 		if err != nil {
 			r.err = err
 			return false
@@ -214,7 +213,7 @@ func (r *Rows) Next() bool {
 		}
 		r.i, r.n = 0, n
 	}
-	r.cur = r.batch.out[r.i]
+	r.cur = r.batch.row(r.i)
 	r.i++
 	return true
 }

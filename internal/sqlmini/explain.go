@@ -77,7 +77,7 @@ func Explain(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*obs.PlanNode, 
 	}
 	// The operators are constructed but never opened: no cursors, no
 	// pins, nothing to close.
-	pl, err := buildPipeline(db, tbl, stmt, snap, opts)
+	pl, err := buildPipeline(db, tbl, stmt, snap, opts, newPlanState(db, opts, true))
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,8 @@ func analyzeSummary(t *obs.QueryTrace) string {
 }
 
 // selectString reconstructs the statement text for traces; callers that
-// parsed from source never kept the original string.
+// parsed from source never kept the original string. The text parses
+// back to the same statement, less the WITH (NOLOCK) hint.
 func selectString(stmt *SelectStmt) string {
 	var b strings.Builder
 	b.WriteString("SELECT ")
@@ -153,7 +154,7 @@ func selectString(stmt *SelectStmt) string {
 		b.WriteString(exprText(it.Expr))
 		if it.Alias != "" {
 			b.WriteString(" AS ")
-			b.WriteString(it.Alias)
+			aliasString(&b, it.Alias)
 		}
 	}
 	b.WriteString(" FROM ")
@@ -163,4 +164,15 @@ func selectString(stmt *SelectStmt) string {
 		b.WriteString(exprText(stmt.Where))
 	}
 	return b.String()
+}
+
+// aliasString renders a column alias: bare when it lexes as one
+// identifier, else as the string literal it was written as.
+func aliasString(b *strings.Builder, alias string) {
+	l := lexer{src: alias}
+	if t, err := l.next(); err == nil && t.kind == tokIdent && t.text == alias {
+		b.WriteString(alias)
+		return
+	}
+	(&stringLit{S: alias}).exprString(b)
 }

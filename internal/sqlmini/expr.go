@@ -103,14 +103,8 @@ func (c *cMaxRef) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.vec.Reset(engine.ColMaxRef, n)
-	for i := 0; i < n; i++ {
-		if col.IsNull(i) {
-			c.vec.SetNull(i)
-		} else {
-			c.vec.B[i] = col.B[i]
-		}
-	}
+	c.vec = *col // the same refs and NULLs, read-only
+	c.vec.Kind = engine.ColMaxRef
 	return &c.vec, nil
 }
 
@@ -122,7 +116,6 @@ type cUDF struct {
 	def  *engine.FuncDef
 	snap *engine.Snapshot // the read view cMaxRef arguments resolve in
 	args []compiled
-	argv []*engine.Vector // the batch's argument vectors
 	vec  engine.Vector
 }
 
@@ -130,15 +123,16 @@ type cUDF struct {
 // the UDF boundary once: each row is still marshaled and dispatched, in
 // order, exactly once.
 func (c *cUDF) evalBatch(b *rowBatch, n int) (*engine.Vector, error) {
-	c.argv = c.argv[:0]
+	var buf [4]*engine.Vector // CallBatch keeps no argument: on the stack
+	argv := buf[:0]
 	for _, a := range c.args {
 		v, err := a.evalBatch(b, n)
 		if err != nil {
 			return nil, err
 		}
-		c.argv = append(c.argv, v)
+		argv = append(argv, v)
 	}
-	if err := c.reg.CallBatch(c.snap, c.def, c.argv, n, &c.vec); err != nil {
+	if err := c.reg.CallBatch(c.snap, c.def, argv, n, &c.vec); err != nil {
 		return nil, err
 	}
 	return &c.vec, nil
@@ -592,7 +586,8 @@ func binaryKind(v engine.Value) ([]byte, bool) {
 
 // compileCtx carries plan-time state; aggregate arguments register
 // accumulators here, and column references mark their schema index in
-// used so the batch scan decodes only referenced columns.
+// used so the batch scan decodes only referenced columns, and in deref
+// when the column is a MAX column some expression materializes.
 type compileCtx struct {
 	db     *engine.DB
 	tbl    *engine.Table
@@ -600,6 +595,30 @@ type compileCtx struct {
 	snap   *engine.Snapshot // read view for MAX-column derefs; nil only where no column is evaluated
 	accs   []*accumulator
 	used   []bool
+	deref  []bool
+}
+
+func newCompileCtx(db *engine.DB, tbl *engine.Table, snap *engine.Snapshot) *compileCtx {
+	schema := tbl.Schema()
+	n := len(schema.Columns)
+	marks := make([]bool, 2*n)
+	return &compileCtx{db: db, tbl: tbl, schema: schema, snap: snap, used: marks[:n:n], deref: marks[n:]}
+}
+
+// maxRef compiles e as an array function's first argument: a MAX column
+// there passes its blob ref (cMaxRef), which the function reads through,
+// instead of the materialized payload. It returns nil for anything else.
+func (cc *compileCtx) maxRef(e Expr) *cMaxRef {
+	c, ok := e.(*columnRef)
+	if !ok {
+		return nil
+	}
+	idx := cc.schema.ColIndex(c.Name)
+	if idx < 0 || cc.schema.Columns[idx].Type != engine.ColVarBinaryMax {
+		return nil
+	}
+	cc.used[idx] = true
+	return &cMaxRef{idx: idx}
 }
 
 // compile turns an AST node into an executable expression. Inside an
@@ -629,6 +648,7 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 			return nil, fmt.Errorf("sql: column %q must appear inside an aggregate function", n.Name)
 		}
 		if cc.schema.Columns[idx].Type == engine.ColVarBinaryMax {
+			cc.deref[idx] = true
 			return &cMaxCol{tbl: cc.tbl, snap: cc.snap, idx: idx}, nil
 		}
 		return &cCol{idx: idx}, nil
@@ -655,12 +675,15 @@ func (cc *compileCtx) compile(e Expr, inAggQuery bool) (compiled, error) {
 		}
 		args := make([]compiled, len(n.Args))
 		for i, a := range n.Args {
+			if i == 0 && def.ArrayFn != nil {
+				if ref := cc.maxRef(a); ref != nil {
+					args[i] = ref
+					continue
+				}
+			}
 			c, err := cc.compile(a, false)
 			if err != nil {
 				return nil, err
-			}
-			if mc, ok := c.(*cMaxCol); ok && i == 0 && def.ArrayFn != nil {
-				c = &cMaxRef{idx: mc.idx}
 			}
 			args[i] = c
 		}

@@ -6,9 +6,11 @@ import (
 )
 
 // FuzzParse drives the lexer and parser with arbitrary input. The
-// invariant: Parse never panics (no slice overruns, no unbounded
-// recursion) — it returns a statement or an error. The seed corpus is
-// the golden query set plus shapes chosen to reach every lexer state.
+// invariants: Parse never panics (no slice overruns, no unbounded
+// recursion) — it returns a statement or an error — and a statement it
+// returns renders (selectString) to text that parses back to a
+// statement rendering the same text. The seed corpus is the golden
+// query set plus shapes chosen to reach every lexer state.
 func FuzzParse(f *testing.F) {
 	for _, q := range goldenQueries {
 		f.Add(q)
@@ -28,6 +30,10 @@ func FuzzParse(f *testing.F) {
 		"SELECT " + strings.Repeat("NOT ", 300) + "1 FROM t",
 		"SELECT COUNT(*) n FROM t WHERE x % 2 = 0",
 		"SELECT NULL, -x, +x FROM éé",
+		"SELECT - -x, -(NOT x), (NOT a) = 1, (NOT a) + 1 FROM t",
+		"SELECT a AS 'two words', b AS 'it''s', c AS 'select', d AS '' FROM t",
+		"SELECT dbo . MAX(x), Schema.Func(y) FROM t LIMIT 3",
+		"SELECT " + strings.Repeat("1 + ", 250) + "1 FROM t",
 	} {
 		f.Add(q)
 	}
@@ -38,6 +44,23 @@ func FuzzParse(f *testing.F) {
 		}
 		if err != nil && stmt != nil {
 			t.Fatalf("Parse(%q) returned both statement and error %v", src, err)
+		}
+		if err != nil {
+			return
+		}
+		text := selectString(stmt)
+		again, err := Parse(text)
+		if err != nil {
+			// The rendering parenthesizes every operator, so a long flat
+			// chain (1 + 1 + … + 1) nests deeper than it was written: the
+			// nesting bound is the one error a rendering may meet.
+			if strings.Contains(err.Error(), "nesting exceeds") {
+				return
+			}
+			t.Fatalf("Parse(%q) renders %q, which does not parse: %v", src, text, err)
+		}
+		if got := selectString(again); got != text {
+			t.Fatalf("Parse(%q) renders %q, which parses and renders as %q", src, text, got)
 		}
 	})
 }

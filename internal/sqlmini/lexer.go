@@ -19,18 +19,38 @@ const (
 	tokNumber
 	tokString
 	tokPunct   // ( ) , . *
-	tokOp      // + - / = <> < <= > >=
-	tokKeyword // SELECT FROM WHERE WITH AS AND OR NOT TOP LIMIT NULL
+	tokOp      // + - / % = <> < <= > >=
+	tokKeyword // one of keywords
 )
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "WITH": true,
-	"AS": true, "AND": true, "OR": true, "NOT": true, "TOP": true,
-	"NULL": true, "NOLOCK": true, "COUNT": true, "SUM": true,
-	"AVG": true, "MIN": true, "MAX": true, "LIMIT": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "DELETE": true,
-	"EXPLAIN": true, "ANALYZE": true,
+// keywords are the reserved words, spelled as their tokens carry them.
+var keywords = [...]string{
+	"SELECT", "FROM", "WHERE", "WITH", "AS", "AND", "OR", "NOT", "TOP",
+	"NULL", "NOLOCK", "COUNT", "SUM", "AVG", "MIN", "MAX", "LIMIT",
+	"INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "EXPLAIN", "ANALYZE",
+}
+
+// keywordsOfLen lists the keywords of each length.
+var keywordsOfLen = func() (t [8][]string) {
+	for _, kw := range keywords {
+		t[len(kw)] = append(t[len(kw)], kw)
+	}
+	return t
+}()
+
+// keyword returns the keyword word spells in any letter case, or "". It
+// compares in place: looking a word up costs no copy.
+func keyword(word string) string {
+	if len(word) >= len(keywordsOfLen) {
+		return ""
+	}
+	for _, kw := range keywordsOfLen[len(word)] {
+		// kw is upper-case letters: clearing bit 5 upper-cases a letter.
+		if kw[0] == word[0]&^0x20 && strings.EqualFold(kw, word) {
+			return kw
+		}
+	}
+	return ""
 }
 
 type token struct {
@@ -51,6 +71,9 @@ func errAt(pos int, format string, args ...any) error {
 	return &offsetError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// lexer hands the parser one token at a time. Every token's text but an
+// escaped string literal's is a slice of src or a keyword's spelling in
+// keywords, so lexing allocates nothing.
 type lexer struct {
 	src string
 	pos int
@@ -92,100 +115,94 @@ func (l *lexer) next() (token, error) {
 	}
 	start := l.pos
 	c := l.src[l.pos]
+	kind := tokOp
 	switch {
 	case isIdentStart(c):
 		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			return token{kind: tokKeyword, text: upper, pos: start}, nil
+		if kw := keyword(word); kw != "" {
+			return token{kind: tokKeyword, text: kw, pos: start}, nil
 		}
 		return token{kind: tokIdent, text: word, pos: start}, nil
 	case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-		seenDot, seenExp := false, false
-		for l.pos < len(l.src) {
-			c := l.src[l.pos]
-			if isDigit(c) {
-				l.pos++
-				continue
-			}
-			if c == '.' && !seenDot && !seenExp {
-				seenDot = true
-				l.pos++
-				continue
-			}
-			if (c == 'e' || c == 'E') && !seenExp && l.pos > start {
-				seenExp = true
-				l.pos++
-				if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-					l.pos++
-				}
-				continue
-			}
-			break
-		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
+		l.number()
+		kind = tokNumber
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return token{}, errAt(start, "unterminated string literal")
-			}
-			if l.src[l.pos] == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // escaped quote
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(l.src[l.pos])
-			l.pos++
-		}
-		return token{kind: tokString, text: sb.String(), pos: start}, nil
+		return l.stringLit()
 	case c == '(' || c == ')' || c == ',' || c == '.' || c == '*':
 		l.pos++
-		return token{kind: tokPunct, text: string(c), pos: start}, nil
-	case c == '+' || c == '-' || c == '/' || c == '%':
+		kind = tokPunct
+	case c == '+' || c == '-' || c == '/' || c == '%' || c == '=':
 		l.pos++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
-	case c == '=':
-		l.pos++
-		return token{kind: tokOp, text: "=", pos: start}, nil
 	case c == '<':
 		l.pos++
 		if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
 			l.pos++
-			return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
 		}
-		return token{kind: tokOp, text: "<", pos: start}, nil
 	case c == '>':
 		l.pos++
 		if l.pos < len(l.src) && l.src[l.pos] == '=' {
 			l.pos++
-			return token{kind: tokOp, text: ">=", pos: start}, nil
 		}
-		return token{kind: tokOp, text: ">", pos: start}, nil
+	default:
+		return token{}, errAt(start, "unexpected character %q", c)
 	}
-	return token{}, errAt(start, "unexpected character %q", c)
+	return token{kind: kind, text: l.src[start:l.pos], pos: start}, nil
 }
 
-// lexAll tokenizes the whole statement up front.
-func lexAll(src string) ([]token, error) {
-	l := &lexer{src: src}
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
+// number advances over a numeric literal: digits with at most one '.'
+// and an optional exponent; the parser converts and checks the text.
+func (l *lexer) number() {
+	start := l.pos
+	seenDot, seenExp := false, false
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		if isDigit(c) {
+			l.pos++
+			continue
 		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
+		if c == '.' && !seenDot && !seenExp {
+			seenDot = true
+			l.pos++
+			continue
 		}
+		if (c == 'e' || c == 'E') && !seenExp && l.pos > start {
+			seenExp = true
+			l.pos++
+			if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
+				l.pos++
+			}
+			continue
+		}
+		return
 	}
+}
+
+// stringLit lexes a quoted literal at l.pos; a doubled quote stands for
+// one. The text is a slice of src unless the literal has such escapes.
+func (l *lexer) stringLit() (token, error) {
+	start := l.pos
+	var sb strings.Builder
+	from := start + 1
+	for i := from; i < len(l.src); i++ {
+		if l.src[i] != '\'' {
+			continue
+		}
+		if i+1 < len(l.src) && l.src[i+1] == '\'' { // escaped quote
+			sb.WriteString(l.src[from : i+1])
+			i++
+			from = i + 1
+			continue
+		}
+		l.pos = i + 1
+		text := l.src[from:i]
+		if sb.Len() > 0 {
+			sb.WriteString(text)
+			text = sb.String()
+		}
+		return token{kind: tokString, text: text, pos: start}, nil
+	}
+	return token{}, errAt(start, "unterminated string literal")
 }

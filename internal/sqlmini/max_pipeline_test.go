@@ -11,6 +11,7 @@ import (
 
 	"sqlarray/internal/core"
 	"sqlarray/internal/engine"
+	"sqlarray/internal/obs"
 )
 
 // RegisterTSQL installs the T-SQL array function surface
@@ -490,5 +491,63 @@ func TestMaxRefItemReadsHeaderAndElementChunks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBlobBoundCountsOnlyMaterializedColumns: a scan's batch stops at
+// maxBatchBlobBytes of blobs only when the plan materializes them. Rows
+// whose arrays add up to several MB fill one whole batch when the
+// column only reaches FloatArrayMax.Item_1 (12-byte refs cross the
+// boundary), and still split at the bound when the column is
+// projected.
+func TestBlobBoundCountsOnlyMaterializedColumns(t *testing.T) {
+	db := memDB(t)
+	s, err := engine.NewSchema(
+		engine.Column{Name: "id", Type: engine.ColInt64},
+		engine.Column{Name: "a", Type: engine.ColVarBinaryMax},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("big", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, elems = 16, 40000 // 320 kB a row, 5 MB in all
+	for i := int64(0); i < rows; i++ {
+		a, err := core.FromFloat64s(core.Max, core.Float64, seq(elems, float64(i)), elems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert([]engine.Value{engine.IntValue(i), engine.BinaryMaxValue(a.Bytes())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	RegisterTSQL(db)
+	scanBatches := func(q string) int64 {
+		t.Helper()
+		trace := &obs.QueryTrace{}
+		res, err := RunWith(db, q, ExecOptions{Trace: trace})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != rows {
+			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), rows)
+		}
+		n := trace.Plan
+		for len(n.Children) > 0 {
+			n = n.Children[0]
+		}
+		if n.Name != "Scan" || n.Rows != rows {
+			t.Fatalf("%s: leaf %s produced %d rows", q, n.Name, n.Rows)
+		}
+		return n.Batches
+	}
+	if got := scanBatches("SELECT FloatArrayMax.Item_1(a, 7) FROM big"); got != 1 {
+		t.Errorf("a ref-only scan filled %d batches, want 1", got)
+	}
+	// 1 MiB holds three 320 kB rows; the fourth crosses the bound.
+	if got := scanBatches("SELECT id, a FROM big"); got != rows/4 {
+		t.Errorf("a projecting scan filled %d batches, want %d", got, rows/4)
 	}
 }

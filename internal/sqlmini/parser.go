@@ -1,23 +1,17 @@
 package sqlmini
 
 import (
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // Parse parses a single SELECT statement.
 func Parse(src string) (*SelectStmt, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lex: lexer{src: src}}
+	p.advance()
 	stmt, err := p.selectStmt()
-	if err != nil {
+	if err = p.finish(err); err != nil {
 		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, errAt(p.peek().pos, "unexpected %q after statement", p.peek().text)
 	}
 	return stmt, nil
 }
@@ -25,12 +19,10 @@ func Parse(src string) (*SelectStmt, error) {
 // ParseStatement parses any supported statement: SELECT, INSERT,
 // UPDATE or DELETE.
 func ParseStatement(src string) (Statement, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lex: lexer{src: src}}
+	p.advance()
 	var stmt Statement
+	var err error
 	switch t := p.peek(); {
 	case t.kind == tokKeyword && t.text == "SELECT":
 		stmt, err = p.selectStmt()
@@ -43,13 +35,10 @@ func ParseStatement(src string) (Statement, error) {
 	case t.kind == tokKeyword && t.text == "EXPLAIN":
 		stmt, err = p.explainStmt()
 	default:
-		return nil, errAt(t.pos, "expected SELECT, INSERT, UPDATE, DELETE or EXPLAIN, got %q", t.text)
+		err = errAt(t.pos, "expected SELECT, INSERT, UPDATE, DELETE or EXPLAIN, got %q", t.text)
 	}
-	if err != nil {
+	if err = p.finish(err); err != nil {
 		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, errAt(p.peek().pos, "unexpected %q after statement", p.peek().text)
 	}
 	return stmt, nil
 }
@@ -204,10 +193,49 @@ func (p *parser) deleteStmt() (*deleteStatement, error) {
 	return stmt, nil
 }
 
+// parser is a recursive-descent parser over the lexer's token stream:
+// tok is the one token of lookahead, lexed when the parser moves past
+// the one before it.
 type parser struct {
-	toks  []token
-	i     int
+	lex   lexer
+	tok   token
+	err   error // the first lexing error; tok is then a stand-in EOF
 	depth int
+
+	// The commonest nodes are carved from slabs of a few, so that a
+	// statement's column references, literals and operators share
+	// allocations.
+	cols []columnRef
+	nums []numberLit
+	bins []binaryExpr
+}
+
+// carve returns the next zero node of *slab, refilling it when empty.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, 4)
+	}
+	n := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return n
+}
+
+func (p *parser) column(name string) *columnRef {
+	c := carve(&p.cols)
+	c.Name = name
+	return c
+}
+
+func (p *parser) number(lit numberLit) *numberLit {
+	n := carve(&p.nums)
+	*n = lit
+	return n
+}
+
+func (p *parser) binary(op string, l, r Expr) *binaryExpr {
+	b := carve(&p.bins)
+	*b = binaryExpr{Op: op, L: l, R: r}
+	return b
 }
 
 // maxExprDepth bounds expression nesting so hostile input (kilobytes of
@@ -225,13 +253,44 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
+// advance lexes the next lookahead token. After a lexing error the
+// lookahead stays at EOF, so the grammar winds down, and finish reports
+// the error.
+func (p *parser) advance() {
+	if p.err != nil {
+		return
+	}
+	t, err := p.lex.next()
+	if err != nil {
+		p.err, t = err, token{kind: tokEOF, pos: len(p.lex.src)}
+	}
+	p.tok = t
+}
+
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
+
+// finish settles a parsed statement's outcome: err is the grammar's
+// error, and the statement must end the input. A lexing error anywhere
+// in the input takes precedence, as if the input had been lexed whole
+// before parsing, so the rest is lexed when the grammar stopped early.
+func (p *parser) finish(err error) error {
+	if err == nil && !p.atEOF() {
+		err = errAt(p.tok.pos, "unexpected %q after statement", p.tok.text)
+	}
+	for err != nil && p.err == nil && !p.atEOF() {
+		p.advance()
+	}
+	if p.err != nil {
+		return p.err
+	}
+	return err
+}
 
 func (p *parser) acceptKeyword(kw string) bool {
-	if t := p.peek(); t.kind == tokKeyword && t.text == kw {
-		p.i++
+	if t := p.tok; t.kind == tokKeyword && t.text == kw {
+		p.advance()
 		return true
 	}
 	return false
@@ -239,14 +298,14 @@ func (p *parser) acceptKeyword(kw string) bool {
 
 func (p *parser) expectKeyword(kw string) error {
 	if !p.acceptKeyword(kw) {
-		return errAt(p.peek().pos, "expected %s, got %q", kw, p.peek().text)
+		return errAt(p.tok.pos, "expected %s, got %q", kw, p.tok.text)
 	}
 	return nil
 }
 
 func (p *parser) acceptPunct(s string) bool {
-	if t := p.peek(); t.kind == tokPunct && t.text == s {
-		p.i++
+	if t := p.tok; t.kind == tokPunct && t.text == s {
+		p.advance()
 		return true
 	}
 	return false
@@ -254,7 +313,7 @@ func (p *parser) acceptPunct(s string) bool {
 
 func (p *parser) expectPunct(s string) error {
 	if !p.acceptPunct(s) {
-		return errAt(p.peek().pos, "expected %q, got %q", s, p.peek().text)
+		return errAt(p.tok.pos, "expected %q, got %q", s, p.tok.text)
 	}
 	return nil
 }
@@ -276,16 +335,19 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		p.next()
 		stmt.Top = n
 	}
+	var buf [8]SelectItem
+	items := buf[:0]
 	for {
 		item, err := p.selectItem()
 		if err != nil {
 			return nil, err
 		}
-		stmt.Items = append(stmt.Items, item)
+		items = append(items, item)
 		if !p.acceptPunct(",") {
 			break
 		}
 	}
+	stmt.Items = slices.Clone(items)
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
@@ -381,7 +443,7 @@ func (p *parser) orExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &binaryExpr{Op: "OR", L: l, R: r}
+		l = p.binary("OR", l, r)
 	}
 	return l, nil
 }
@@ -396,7 +458,7 @@ func (p *parser) andExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &binaryExpr{Op: "AND", L: l, R: r}
+		l = p.binary("AND", l, r)
 	}
 	return l, nil
 }
@@ -429,7 +491,7 @@ func (p *parser) cmpExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &binaryExpr{Op: t.text, L: l, R: r}, nil
+			return p.binary(t.text, l, r), nil
 		}
 	}
 	return l, nil
@@ -448,7 +510,7 @@ func (p *parser) addExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &binaryExpr{Op: t.text, L: l, R: r}
+			l = p.binary(t.text, l, r)
 			continue
 		}
 		return l, nil
@@ -471,7 +533,7 @@ func (p *parser) mulExpr() (Expr, error) {
 				return nil, err
 			}
 			op := t.text
-			l = &binaryExpr{Op: op, L: l, R: r}
+			l = p.binary(op, l, r)
 			continue
 		}
 		return l, nil
@@ -507,13 +569,13 @@ func (p *parser) primary() (Expr, error) {
 	case tokNumber:
 		p.next()
 		if i, err := strconv.ParseInt(t.text, 10, 64); err == nil {
-			return &numberLit{I: i, F: float64(i), IsInt: true}, nil
+			return p.number(numberLit{I: i, F: float64(i), IsInt: true}), nil
 		}
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, errAt(t.pos, "bad number %q", t.text)
 		}
-		return &numberLit{F: f}, nil
+		return p.number(numberLit{F: f}), nil
 	case tokString:
 		p.next()
 		return &stringLit{S: t.text}, nil
@@ -561,25 +623,29 @@ func (p *parser) primary() (Expr, error) {
 		// ident | ident.ident | ident(args) | ident.ident(args)
 		p.next()
 		name := t.text
-		qualified := false
+		var t2 token // the name after the dot of a qualified name
 		if p.acceptPunct(".") {
-			t2 := p.peek()
-			if t2.kind != tokIdent && t2.kind != tokKeyword {
+			if t2 = p.peek(); t2.kind != tokIdent && t2.kind != tokKeyword {
 				return nil, errAt(t2.pos, "expected name after %q.", name)
 			}
 			p.next()
-			name = name + "." + t2.text
-			qualified = true
+			if t2.pos == t.pos+len(t.text)+1 {
+				name = p.lex.src[t.pos : t2.pos+len(t2.text)] // spelled without spaces
+			} else {
+				name = name + "." + t2.text
+			}
 		}
 		if p.acceptPunct("(") {
-			call := &funcCall{Name: strings.ToLower(name)}
+			call := &funcCall{Name: name}
 			if !p.acceptPunct(")") {
+				var buf [4]Expr
+				args := buf[:0]
 				for {
 					a, err := p.expr()
 					if err != nil {
 						return nil, err
 					}
-					call.Args = append(call.Args, a)
+					args = append(args, a)
 					if p.acceptPunct(",") {
 						continue
 					}
@@ -588,13 +654,14 @@ func (p *parser) primary() (Expr, error) {
 					}
 					break
 				}
+				call.Args = slices.Clone(args)
 			}
 			return call, nil
 		}
-		if qualified {
-			return nil, errAt(t.pos, "qualified name %q must be a function call", name)
+		if t2.kind != tokEOF {
+			return nil, errAt(t.pos, "qualified name %q must be a function call", t.text+"."+t2.text)
 		}
-		return &columnRef{Name: name}, nil
+		return p.column(name), nil
 	}
 	return nil, errAt(t.pos, "unexpected end of statement")
 }

@@ -309,30 +309,37 @@ func boundsFor(op string, k float64) (keyBounds, bool) {
 
 // ---- pipeline construction ----------------------------------------------
 
-// pipeline is a ready-to-run operator tree plus its output shape and
-// the plan tree describing it (rendered by EXPLAIN, annotated in place
-// by the analyze wrappers when the pipeline is instrumented).
+// pipeline is a ready-to-run operator tree plus its output shape and,
+// when one was asked for, the plan tree describing it (rendered by
+// EXPLAIN, annotated in place by the analyze wrappers when the pipeline
+// is instrumented).
 type pipeline struct {
 	root      batchOperator
 	columns   []string
-	plan      *obs.PlanNode
-	batchRows int // row capacity of the batches the consumer hands down
+	plan      *obs.PlanNode // nil unless planState.plans
+	batchRows int           // row capacity of the batches the consumer hands down
 }
 
 // planState threads plan-node construction and optional operator
-// instrumentation through pipeline assembly. When instrumenting, every
-// operator is wrapped in an analyze shim that counts rows/batches,
-// accumulates wall time, and attributes buffer-pool and blob-chunk
-// reads to its subtree by sampling the statement's own database's pool
-// and blob-store counters around each child call (see explain.go), not
-// the registry, which scatter members may share.
+// instrumentation through pipeline assembly. Plan nodes and their
+// Detail strings are built only when something reads them (plans):
+// EXPLAIN and instrumented queries. When instrumenting, every operator
+// is wrapped in an analyze shim that counts rows/batches, accumulates
+// wall time, and attributes buffer-pool and blob-chunk reads to its
+// subtree by sampling the statement's own database's pool and
+// blob-store counters around each child call (see explain.go), not the
+// registry, which scatter members may share.
 type planState struct {
+	plans      bool
 	instrument bool
 	sample     func() (pagesRead, chunkReads uint64)
 }
 
-func newPlanState(db *engine.DB, opts ExecOptions) *planState {
-	ps := &planState{instrument: opts.instrumented()}
+// newPlanState is the plan state of a statement run with opts; explain
+// asks for the plan tree of a statement that is not run.
+func newPlanState(db *engine.DB, opts ExecOptions, explain bool) planState {
+	ps := planState{instrument: opts.instrumented()}
+	ps.plans = explain || ps.instrument
 	if ps.instrument {
 		ps.sample = func() (uint64, uint64) {
 			return db.Pool().LogicalReads(), db.Blobs().ChunkReads()
@@ -354,8 +361,6 @@ func (ps *planState) wrap(op batchOperator, n *obs.PlanNode) batchOperator {
 // the sargable analysis collapses to a point lookup, a range scan, a
 // full scan, or a provably empty range.
 func scanPlanNode(table string, b keyBounds) *obs.PlanNode {
-	// Plain concatenation: every statement builds this node, point DML
-	// included, and fmt was a measurable share of a point statement.
 	var kind string
 	switch {
 	case b.empty:
@@ -396,6 +401,7 @@ type compiledStmt struct {
 	where     compiled // residual predicate (after pushdown), may be nil
 	accs      []*accumulator
 	used      []bool // schema columns referenced anywhere in the plan
+	deref     []bool // MAX columns some expression materializes (cMaxCol)
 	aggregate bool
 }
 
@@ -403,18 +409,21 @@ type compiledStmt struct {
 // schema, registering aggregate accumulators. residualWhere replaces
 // stmt.Where (the planner strips pushed-down conjuncts first). snap is
 // the read view MAX-column derefs resolve blob pages through.
-func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhere Expr, snap *engine.Snapshot) (*compiledStmt, error) {
-	cc := &compileCtx{db: db, tbl: tbl, schema: tbl.Schema(), snap: snap, used: make([]bool, len(tbl.Schema().Columns))}
-	cs := &compiledStmt{}
+func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhere Expr, snap *engine.Snapshot) (compiledStmt, error) {
+	cc := newCompileCtx(db, tbl, snap)
+	cs := compiledStmt{
+		items:   make([]compiled, len(stmt.Items)),
+		columns: make([]string, len(stmt.Items)),
+	}
 	for _, it := range stmt.Items {
 		cs.aggregate = cs.aggregate || hasAggregate(it.Expr)
 	}
 	for i, it := range stmt.Items {
 		c, err := cc.compile(it.Expr, cs.aggregate)
 		if err != nil {
-			return nil, err
+			return compiledStmt{}, err
 		}
-		cs.items = append(cs.items, c)
+		cs.items[i] = c
 		name := it.Alias
 		if name == "" {
 			name = exprText(it.Expr)
@@ -422,20 +431,19 @@ func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhe
 				name = fmt.Sprintf("col%d", i+1)
 			}
 		}
-		cs.columns = append(cs.columns, name)
+		cs.columns[i] = name
 	}
 	if stmt.Where != nil && hasAggregate(stmt.Where) {
-		return nil, fmt.Errorf("sql: aggregates are not allowed in WHERE")
+		return compiledStmt{}, fmt.Errorf("sql: aggregates are not allowed in WHERE")
 	}
 	if residualWhere != nil {
 		w, err := cc.compile(residualWhere, false)
 		if err != nil {
-			return nil, err
+			return compiledStmt{}, err
 		}
 		cs.where = w
 	}
-	cs.accs = cc.accs
-	cs.used = cc.used
+	cs.accs, cs.used, cs.deref = cc.accs, cc.used, cc.deref
 	return cs, nil
 }
 
@@ -447,7 +455,7 @@ func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhe
 // — the same prefix once per key span — when the aggregate scan is big
 // enough. Every scan in the tree, the parallel aggregate workers'
 // included, reads through snap, so the whole query observes one commit.
-func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *engine.Snapshot, opts ExecOptions) (*pipeline, error) {
+func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *engine.Snapshot, opts ExecOptions, ps planState) (pipeline, error) {
 	bounds := unboundedKeys()
 	residual := stmt.Where
 	if stmt.Where != nil && !hasAggregate(stmt.Where) {
@@ -455,15 +463,16 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 	}
 	cs, err := compileStmt(db, tbl, stmt, residual, snap)
 	if err != nil {
-		return nil, err
+		return pipeline{}, err
 	}
 
-	ps := newPlanState(db, opts)
 	var root batchOperator
 	var plan *obs.PlanNode
 	if cs.aggregate && !bounds.empty {
 		if plo, phi, workers, ok := parallelAggSpan(tbl, snap, bounds.loKey(), bounds.hiKey(), opts); ok {
-			plan = parallelAggPlanNode(tbl.Name(), plo, phi, workers, residual)
+			if ps.plans {
+				plan = parallelAggPlanNode(tbl.Name(), plo, phi, workers, residual)
+			}
 			root = ps.wrap(&batchParallelAggOp{
 				db: db, tbl: tbl, snap: snap, stmt: stmt, residual: residual, opts: opts,
 				lo: plo, hi: phi, workers: workers, accs: cs.accs,
@@ -471,23 +480,26 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 		}
 	}
 	if root == nil {
-		root, plan = ps.scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
+		root, plan = ps.scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, &cs)
 	}
 	// TOP n on an aggregate plan is vacuous (exactly one row is emitted,
 	// and the parser guarantees n >= 1); omitting the limit keeps its
 	// downward cap clip from shrinking the aggregate's scan batches.
 	if stmt.Top > 0 && !cs.aggregate {
-		ln := &obs.PlanNode{Name: "Limit", Detail: fmt.Sprintf("TOP %d", stmt.Top), Children: []*obs.PlanNode{plan}}
-		root = ps.wrap(&batchLimitOp{child: root, n: stmt.Top, clip: cs.where == nil}, ln)
-		plan = ln
+		if ps.plans {
+			plan = &obs.PlanNode{Name: "Limit", Detail: fmt.Sprintf("TOP %d", stmt.Top), Children: []*obs.PlanNode{plan}}
+		}
+		root = ps.wrap(&batchLimitOp{child: root, n: stmt.Top, clip: cs.where == nil}, plan)
 	}
-	plan = &obs.PlanNode{
-		Name:     "Project",
-		Detail:   "[" + strings.Join(cs.columns, ", ") + "]",
-		Children: []*obs.PlanNode{plan},
+	if ps.plans {
+		plan = &obs.PlanNode{
+			Name:     "Project",
+			Detail:   "[" + strings.Join(cs.columns, ", ") + "]",
+			Children: []*obs.PlanNode{plan},
+		}
 	}
 	root = ps.wrap(&batchProjectOp{child: root, items: cs.items}, plan)
-	return &pipeline{root: root, columns: cs.columns, plan: plan, batchRows: bounds.batchRows(opts.rowsPerBatch())}, nil
+	return pipeline{root: root, columns: cs.columns, plan: plan, batchRows: bounds.batchRows(opts.rowsPerBatch())}, nil
 }
 
 // scanFilterAgg assembles the scan → [filter] → [aggregate] stack over the
@@ -502,14 +514,21 @@ func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qct
 	if bounds.empty {
 		lo, hi = 1, 0 // empty range: the scan yields nothing
 	}
-	plan := scanPlanNode(tbl.Name(), bounds)
-	root := ps.wrap(&batchScanOp{tbl: tbl, snap: snap, qctx: qctx, lo: lo, hi: hi, need: cs.used}, plan)
+	var plan *obs.PlanNode
+	if ps.plans {
+		plan = scanPlanNode(tbl.Name(), bounds)
+	}
+	root := ps.wrap(&batchScanOp{tbl: tbl, snap: snap, qctx: qctx, lo: lo, hi: hi, need: cs.used, deref: cs.deref}, plan)
 	if cs.where != nil {
-		plan = &obs.PlanNode{Name: "Filter", Detail: exprText(residual), Children: []*obs.PlanNode{plan}}
+		if ps.plans {
+			plan = &obs.PlanNode{Name: "Filter", Detail: exprText(residual), Children: []*obs.PlanNode{plan}}
+		}
 		root = ps.wrap(&batchFilterOp{child: root, qctx: qctx, pred: cs.where}, plan)
 	}
 	if cs.aggregate {
-		plan = &obs.PlanNode{Name: "Aggregate", Children: []*obs.PlanNode{plan}}
+		if ps.plans {
+			plan = &obs.PlanNode{Name: "Aggregate", Children: []*obs.PlanNode{plan}}
+		}
 		root = ps.wrap(&batchAggOp{child: root, qctx: qctx, accs: cs.accs}, plan)
 	}
 	return root, plan
@@ -522,12 +541,13 @@ func (ps *planState) scanFilterAgg(tbl *engine.Table, snap *engine.Snapshot, qct
 // itself.
 func drainStack(tbl *engine.Table, snap *engine.Snapshot, bounds keyBounds, residual Expr,
 	cs *compiledStmt, opts ExecOptions, each func(b *rowBatch, n int) error) error {
-	root, _ := new(planState).scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
+	var ps planState
+	root, _ := ps.scanFilterAgg(tbl, snap, opts.Ctx, bounds, residual, cs)
 	defer root.close()
 	if err := root.open(); err != nil {
 		return err
 	}
-	b := newBatch(len(tbl.Schema().Columns))
+	b := new(rowBatch)
 	rows := bounds.batchRows(opts.rowsPerBatch())
 	for {
 		if err := pollCancel(opts.Ctx); err != nil {

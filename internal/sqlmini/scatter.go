@@ -281,7 +281,7 @@ func partitionPartial(db *engine.DB, tbl *engine.Table, snap *engine.Snapshot, s
 	if err != nil {
 		return nil, err
 	}
-	if err := drainStack(tbl, snap, bounds, residual, cs, opts, nil); err != nil {
+	if err := drainStack(tbl, snap, bounds, residual, &cs, opts, nil); err != nil {
 		return nil, err
 	}
 	return cs.accs, nil

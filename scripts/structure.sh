@@ -132,6 +132,13 @@ program_names=(
 	'make([]byte, 4+pages.PageSize)'
 	'make([]byte, frameHeaderSize+'
 )
+# Names checked in internal/sqlmini only. A statement is lexed in one
+# pass, token by token as the parser asks: no up-front token slice, and
+# no upper-cased copy of each word to find its keyword.
+sqlmini_names=(
+	'lexAll'
+	'strings.ToUpper('
+)
 src=()
 while IFS= read -r f; do
 	[ -f "$f" ] && src+=("$f")
@@ -143,8 +150,10 @@ if [ ${#src[@]} -eq 0 ]; then
 	exit 1
 fi
 prog=()
+sqlmini=()
 for f in "${src[@]}"; do
 	case "$f" in bench/*) ;; *) prog+=("$f") ;; esac
+	case "$f" in internal/sqlmini/*) sqlmini+=("$f") ;; esac
 done
 fail=0
 check() { # check NAME FILE...
@@ -161,6 +170,9 @@ for n in "${names[@]}"; do
 done
 for n in "${program_names[@]}"; do
 	check "$n" "${prog[@]}"
+done
+for n in "${sqlmini_names[@]}"; do
+	check "$n" "${sqlmini[@]}"
 done
 # The same rule for the catalog: Commit builds the next catalog from the
 # session's written set, so no session copies every table's entry.

@@ -73,9 +73,11 @@ for dir in $(grep -l '^package main$' $(git ls-files 'cmd/*.go' 'examples/*.go' 
 done | awk '$0 ~ /^sqlarray[\/.]/' >"$tmp/symbols"
 awk '
 	# Normalise a symbol or declaration to pkg.Recv.Name: no pointer
-	# receiver parens, no type parameters, no method-value suffix.
+	# receiver parens, no type parameters, no method-value suffix. An
+	# instantiation whose shape has a space (carve[go.shape.struct { … }])
+	# reaches here cut at the space, its bracket unclosed.
 	function key(s) {
-		gsub(/\[[^]]*\]/, "", s); sub(/\(\*/, "", s); sub(/\)/, "", s); sub(/-fm$/, "", s)
+		gsub(/\[[^]]*\]/, "", s); sub(/\[[^]]*$/, "", s); sub(/\(\*/, "", s); sub(/\)/, "", s); sub(/-fm$/, "", s)
 		sub(/\.init\.[0-9]+$/, ".init", s)
 		return s
 	}
