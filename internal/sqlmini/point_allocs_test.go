@@ -75,7 +75,7 @@ func TestPointStatementAllocations(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name  string
-		bound float64 // as measured; 31, 81, 53 and 31 before the one-pass front end
+		bound float64 // as measured
 		run   func() error
 	}{
 		{"Parse", 7, func() error { _, err := Parse(point); return err }},
